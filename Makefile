@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-check fuzz-short cover bench bench-scale scale-smoke bench-http bench-predict bench-predict-full recovery-smoke telemetry-smoke chaos trace-demo lint check
+.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare perf-gates bench-scale scale-smoke bench-http bench-predict bench-predict-full recovery-smoke telemetry-smoke chaos trace-demo lint check
 
 all: build test
 
@@ -68,9 +68,46 @@ lint:
 
 # Paper-artifact regeneration plus the metrics and tracing micro-benchmarks,
 # including the auction-clear overhead bars (metrics overhead_% < 5, tracing
-# overhead_% < 2 with sampling off).
+# overhead_% < 2 with sampling off) and BenchmarkClusterTickIdle10k, which
+# reports the job path's unit cost as ns/host-tick.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
+
+# The repository's one benchmark (bench/README.md, contract in BENCHMARK.json):
+# six workloads over the job path, the bid plane and the transfer path, five
+# end-to-end metrics each, per-layer metrics in a traced run.
+#
+# bench-grid is the job path from both sides — 10 000 mostly idle hosts, then
+# 300 saturated ones — traced, so the layer metrics (grid.tick_us,
+# agent.submit_us, core.best_response_ns, auction.tick_ns, ...) print next to
+# the counts that must repeat exactly (sim.digest, auction.clears, ...).
+bench-grid:
+	$(GO) run ./bench --workload grid-wide --trace 1
+	$(GO) run ./bench --workload grid-dense --trace 1
+
+# bench-suite runs every workload on seeds 1..10, each in a fresh child, and
+# writes the runs with their spreads; bench-compare judges two such files
+# metric by metric against the bounds in BENCHMARK.json (exit 1 on "worse"):
+#   make bench-suite BENCH_OUT=before.json   # at the parent commit
+#   make bench-suite BENCH_OUT=after.json    # at the change
+#   make bench-compare A=before.json B=after.json
+BENCH_OUT ?= bench/out/suite.json
+bench-suite:
+	$(GO) run ./bench -runs 10 -out $(BENCH_OUT)
+
+bench-compare:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then echo "usage: make bench-compare A=before.json B=after.json"; exit 2; fi
+	$(GO) run ./bench -compare $(A) $(B)
+
+# Performance gates that cannot flake, because they count instead of timing:
+# the benchmark's own smoke test (every workload at toy size, run twice, equal
+# digests), and the allocation gates of the job path's fast paths — an idle
+# Market.Tick with both price-history observers and PriceExcluding on an empty
+# book allocate nothing, Best Response over 10 000 hosts allocates a handful.
+# Wired into `check`.
+perf-gates:
+	$(GO) test -count=1 ./bench
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core
 
 # Horizontal-scale benchmark: the 10000-host, million-bid workload at shard
 # counts 1/2/4/8, recording throughput, clear rate and bid latency into
@@ -139,4 +176,4 @@ CHAOS_SEED ?= 1
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos -args -chaos.seed=$(CHAOS_SEED)
 
-check: vet lint race-check cover fuzz-short chaos trace-demo scale-smoke bench-predict recovery-smoke telemetry-smoke
+check: vet lint race-check cover fuzz-short chaos trace-demo scale-smoke bench-predict perf-gates recovery-smoke telemetry-smoke

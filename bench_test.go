@@ -433,3 +433,33 @@ func BenchmarkAuctionClearTracingOverhead(b *testing.B) {
 		b.Errorf("tracing probe costs %.3f%% of an auction clear, want < 2%%", overhead)
 	}
 }
+
+// BenchmarkClusterTickIdle10k is one market sweep of a 10 000-host world with
+// every book empty, wired as experiment.NewWorld wires it (trace recorder and
+// price-feed observers on every market, VM reaping on): the job path's cost
+// per idle host-tick, which is what a wide grid spends its time on. Unlike
+// the in-cache BenchmarkTickIdle of internal/auction this walks 10 000
+// hosts' worth of scattered state, so it is bound by cache misses, not
+// instructions; ns/host-tick is the number to watch.
+func BenchmarkClusterTickIdle10k(b *testing.B) {
+	const hosts = 10000
+	tr := tracing.New(tracing.WithCapacity(8))
+	tr.SetSampleRatio(0)
+	wc := experiment.PaperWorld()
+	wc.Hosts, wc.Users, wc.Tracer = hosts, 1, tr
+	wc.PurgeIdleAfter = 10 * time.Minute
+	w, err := experiment.NewWorld(wc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	interval := w.Cluster.Interval()
+	for i := 0; i < 6; i++ { // warm-up: one idle simulated minute
+		w.Engine.RunFor(interval)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Engine.RunFor(interval)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hosts, "ns/host-tick")
+}

@@ -12,7 +12,9 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"tycoongrid/internal/auction"
@@ -220,7 +222,9 @@ type Config struct {
 // inside the simulation's single-threaded event loop.
 type Agent struct {
 	cfg      Config
-	jobs     map[string]*Job
+	hosts    []*grid.Host    // the partition's hosts, resolved once, aligned with cfg.Hosts
+	jobs     map[string]*Job // every job ever submitted, finished ones included
+	running  []*Job          // the StateRunning jobs, ascending by ID: what the pump walks
 	byBidder map[auction.BidderID]*Job
 	seq      int
 	earnings bank.AccountID
@@ -257,20 +261,26 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.FeedCapacity <= 0 {
 		cfg.FeedCapacity = pricefeed.DefaultCapacity
 	}
+	if len(cfg.Hosts) == 0 {
+		cfg.Hosts = cfg.Cluster.HostIDs()
+	}
 	a := &Agent{
 		cfg:      cfg,
+		hosts:    make([]*grid.Host, len(cfg.Hosts)),
 		jobs:     make(map[string]*Job),
 		byBidder: make(map[auction.BidderID]*Job),
 		feed:     pricefeed.NewHub(cfg.FeedCapacity),
 	}
-	// Record every auction clear of this agent's partition into the price
-	// feed; the histories drive the prediction strategies and portfolio bid
-	// splitting.
-	for _, id := range a.hostIDs() {
+	// A cluster's host set is fixed at construction, so the partition is
+	// resolved once here and walked as a slice afterwards. Record every
+	// auction clear of it into the price feed; the histories drive the
+	// prediction strategies and portfolio bid splitting.
+	for i, id := range cfg.Hosts {
 		h, err := cfg.Cluster.Host(id)
 		if err != nil {
 			return nil, fmt.Errorf("agent: partition host %q: %w", id, err)
 		}
+		a.hosts[i] = h
 		h.Market.Observe(a.feed.Observer(id))
 	}
 	// Colocate streaming predictors with the feed: attached before the first
@@ -279,7 +289,7 @@ func New(cfg Config) (*Agent, error) {
 		stream, err := predict.AttachHub(a.feed, cfg.Streaming, predict.PredictorConfig{
 			Window: cfg.FeedCapacity,
 			Step:   cfg.Cluster.Interval(),
-		}, a.hostIDs()...)
+		}, a.cfg.Hosts...)
 		if err != nil {
 			return nil, fmt.Errorf("agent: streaming predictor: %w", err)
 		}
@@ -419,6 +429,8 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 	}
 	a.jobs[jobID] = job
 	a.byBidder[auction.BidderID(sub.ID)] = job
+	at, _ := a.runningIndex(jobID)
+	a.running = slices.Insert(a.running, at, job)
 
 	// Launch the first wave: one sub-job per funded host. Hosts whose VM
 	// slots are all taken right now are fine — the pump ticker retries
@@ -444,8 +456,9 @@ func (a *Agent) ensurePump() {
 	}
 	t, err := a.cfg.Cluster.Engine().Every(a.cfg.Cluster.Interval(), func() {
 		now := a.cfg.Cluster.Engine().Now()
-		for _, id := range a.jobIDs() {
-			job := a.jobs[id]
+		// Walk a snapshot: failing a job retires it from a.running, and its
+		// OnFail callback may submit another.
+		for _, job := range slices.Clone(a.running) {
 			if job.State != StateRunning {
 				continue
 			}
@@ -470,14 +483,21 @@ func (a *Agent) ensurePump() {
 	a.pump = t
 }
 
-// jobIDs returns all job ids sorted, for deterministic iteration.
-func (a *Agent) jobIDs() []string {
-	ids := make([]string, 0, len(a.jobs))
-	for id := range a.jobs {
-		ids = append(ids, id)
+// runningIndex locates jobID in a.running: its index and true, or the index
+// that keeps the slice sorted and false.
+func (a *Agent) runningIndex(jobID string) (int, bool) {
+	return slices.BinarySearchFunc(a.running, jobID, func(j *Job, id string) int {
+		return strings.Compare(j.ID, id)
+	})
+}
+
+// retire drops a job that left StateRunning from the pump's list; it stays
+// queryable through a.jobs. A job rejected before it was registered is not
+// in the list and nothing happens.
+func (a *Agent) retire(job *Job) {
+	if at, ok := a.runningIndex(job.ID); ok {
+		a.running = slices.Delete(a.running, at, at+1)
 	}
-	sort.Strings(ids)
-	return ids
 }
 
 // placeBids runs Best Response over the cluster's hosts and enters bids for
@@ -491,17 +511,13 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return errors.New("agent: deadline already passed")
 	}
 
-	var hosts []core.Host
-	for _, id := range a.hostIDs() {
-		h, err := cl.Host(id)
-		if err != nil {
-			return err
-		}
+	hosts := make([]core.Host, 0, len(a.hosts))
+	for _, h := range a.hosts {
 		if h.Down() {
 			continue // a failed host cannot take bids
 		}
 		hosts = append(hosts, core.Host{
-			ID:         id,
+			ID:         h.Spec.ID,
 			Preference: h.Market.CapacityMHz(),
 			Price:      h.Market.PriceExcluding(bidder),
 		})
@@ -763,13 +779,12 @@ func (a *Agent) failover(job *Job, failedHost string, freed bank.Amount) {
 func (a *Agent) cheapestLiveHost() string {
 	best := ""
 	bestPrice := 0.0
-	for _, id := range a.hostIDs() {
-		h, err := a.cfg.Cluster.Host(id)
-		if err != nil || h.Down() {
+	for _, h := range a.hosts {
+		if h.Down() {
 			continue
 		}
 		if p := h.Market.SpotPrice(); best == "" || p < bestPrice {
-			best, bestPrice = id, p
+			best, bestPrice = h.Spec.ID, p
 		}
 	}
 	return best
@@ -818,6 +833,7 @@ func (a *Agent) unwind(job *Job) {
 	}
 	job.Hosts = nil
 	job.State = StateFailed
+	a.retire(job)
 	bal, err := a.cfg.Bank.Balance(job.SubAccount)
 	if err == nil && bal > 0 {
 		if err := a.cfg.Bank.MoveInternal(a.cfg.Identity, job.SubAccount, a.cfg.Account,
@@ -832,6 +848,7 @@ func (a *Agent) unwind(job *Job) {
 // to the user").
 func (a *Agent) finish(job *Job) {
 	job.State = StateDone
+	a.retire(job)
 	// Exact end: the latest sub-job completion (back-dated by the grid).
 	job.endedAt = latestDone(job.SubJobs, a.cfg.Cluster.Engine().Now())
 	// Scope the teardown so the bank's refund entry lands on the timeline.
@@ -973,33 +990,18 @@ func (a *Agent) Boost(jobID string, tok token.Token) error {
 	return nil
 }
 
-// hostIDs returns the hosts this agent schedules onto.
-func (a *Agent) hostIDs() []string {
-	if len(a.cfg.Hosts) > 0 {
-		return a.cfg.Hosts
-	}
-	return a.cfg.Cluster.HostIDs()
-}
-
 // HostIDs returns the (possibly partitioned) host set this agent uses.
 func (a *Agent) HostIDs() []string {
-	out := make([]string, len(a.hostIDs()))
-	copy(out, a.hostIDs())
-	return out
+	return slices.Clone(a.cfg.Hosts)
 }
 
 // MeanSpotPrice returns the average spot price over this agent's hosts —
 // the matchmaking signal a meta-scheduler uses to pick a replica.
 func (a *Agent) MeanSpotPrice() float64 {
-	ids := a.hostIDs()
-	if len(ids) == 0 {
-		return 0
-	}
 	var sum float64
 	n := 0
-	for _, id := range ids {
-		h, err := a.cfg.Cluster.Host(id)
-		if err != nil || h.Down() {
+	for _, h := range a.hosts {
+		if h.Down() {
 			continue
 		}
 		sum += h.Market.SpotPrice()
@@ -1016,7 +1018,7 @@ func (a *Agent) MeanSpotPrice() float64 {
 // returns everything recorded; samples are spaced Cluster().Interval() apart.
 // This is the history a meta-scheduler strategy forecasts from.
 func (a *Agent) PriceHistory(max int) []float64 {
-	return a.feed.MeanHistory(a.hostIDs(), max)
+	return a.feed.MeanHistory(a.cfg.Hosts, max)
 }
 
 // HostHistory returns one host's recorded spot-price history, oldest first.
@@ -1037,7 +1039,7 @@ func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 		return nil
 	}
 	return func(horizon time.Duration) (predict.Forecast, error) {
-		return a.stream.ForecastMean(a.hostIDs(), horizon)
+		return a.stream.ForecastMean(a.cfg.Hosts, horizon)
 	}
 }
 

@@ -24,7 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -277,6 +279,9 @@ func (m *Market) PricePerMHz() float64 {
 func (m *Market) PriceExcluding(bidder BidderID) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.bids) == 0 {
+		return m.reserve // an empty book folds to zero, floored at the reserve
+	}
 	sum := mathx.SortedSum(m.bidderIDsLocked(), func(id BidderID) (float64, bool) {
 		b := m.bids[id]
 		return b.rate, id != bidder && b.remaining > 0
@@ -331,14 +336,16 @@ func (m *Market) Bidders() int {
 // slice order, which must equal the legacy mathx.SortedSum sequence for
 // bit-identical spot prices.
 func (m *Market) liveBidsLocked() []mechanism.Bid {
-	ids := m.bidderIDsLocked()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]mechanism.Bid, 0, len(ids))
-	for _, id := range ids {
-		if b := m.bids[id]; b.remaining > 0 {
+	if len(m.bids) == 0 {
+		return nil
+	}
+	out := make([]mechanism.Bid, 0, len(m.bids))
+	for id, b := range m.bids {
+		if b.remaining > 0 {
 			out = append(out, mechanism.Bid{Bidder: string(id), Rate: b.rate})
 		}
 	}
+	slices.SortFunc(out, func(a, b mechanism.Bid) int { return strings.Compare(a.Bidder, b.Bidder) })
 	return out
 }
 
@@ -387,6 +394,11 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	// reprices every surviving bid for the coming interval. Bids the
 	// mechanism leaves out (e.g. not admitted at the posted price) hold
 	// their reservation for free until a later clear admits them.
+	//
+	// An empty book — almost every host of a wide grid, almost every tick —
+	// takes this same path in the same order and allocates nothing on it:
+	// the loops have nothing to visit, the snapshot is nil, and the
+	// mechanism still clears (posted-price moves its price on empty demand).
 	cleared := m.mech.Clear(m.liveBidsLocked(), m.mechCapacity())
 	for id, b := range m.bids {
 		if l, ok := cleared.Line(string(id)); ok {
@@ -397,8 +409,9 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	}
 	price := cleared.Price
 	m.price = price
-	obs := make([]func(float64, time.Time), len(m.observers))
-	copy(obs, m.observers)
+	// Observe only ever appends, so the elements below this length never
+	// change and the slice header is a stable snapshot: no copy needed.
+	obs := m.observers
 	m.mu.Unlock()
 
 	mClears.Inc()
@@ -422,9 +435,17 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 		fn(price, now)
 	}
 
-	sort.Slice(charges, func(i, j int) bool { return charges[i].Bidder < charges[j].Bidder })
-	sort.Slice(refunds, func(i, j int) bool { return refunds[i].Bidder < refunds[j].Bidder })
+	sortCharges(charges)
+	sortCharges(refunds)
 	return charges, refunds
+}
+
+// sortCharges orders charges ascending by bidder (bidders are unique within
+// one clear, so the order is total).
+func sortCharges(cs []Charge) {
+	if len(cs) > 1 {
+		sort.Slice(cs, func(i, j int) bool { return cs[i].Bidder < cs[j].Bidder })
+	}
 }
 
 // DeliveredMHz returns the CPU capacity a bidder with the given share

@@ -242,7 +242,7 @@ func (b *Bank) createAccountLocked(id AccountID, owner ed25519.PublicKey, parent
 	a := &Account{ID: id, Owner: owner, Parent: parent, Created: b.clock.Now()}
 	b.accounts[id] = a
 	mAccounts.Inc()
-	return *a, b.stage(encCreateAccount(a)), nil
+	return *a, b.stage(func() []byte { return encCreateAccount(a) }), nil
 }
 
 // Lookup returns a copy of the account record.
@@ -294,7 +294,7 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 	at := b.clock.Now()
 	b.appendEntryAt(EntryDeposit, "", id, amount, memo, at)
 	mDeposits.Inc()
-	return b.stage(encDeposit(id, amount, memo, at)), nil
+	return b.stage(func() []byte { return encDeposit(id, amount, memo, at) }), nil
 }
 
 // Transfer executes an owner-signed transfer request and returns a
@@ -378,7 +378,7 @@ func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error
 	r.BankSig = b.id.Sign(r.SigningBytes())
 	b.receipts[req.Nonce] = r
 	b.appendEntryAt(EntryTransfer, req.From, req.To, req.Amount, "", r.At)
-	return r, b.stage(encTransfer(r)), nil
+	return r, b.stage(func() []byte { return encTransfer(r) }), nil
 }
 
 // MoveInternal transfers between two accounts that share an owner key, on
@@ -423,7 +423,7 @@ func (b *Bank) moveInternalLocked(owner *pki.Identity, from, to AccountID, amoun
 	at := b.clock.Now()
 	b.appendEntryAt(kind, from, to, amount, memo, at)
 	mInternalMoves.Inc()
-	return b.stage(encMove(kind, from, to, amount, memo, at)), nil
+	return b.stage(func() []byte { return encMove(kind, from, to, amount, memo, at) }), nil
 }
 
 // VerifyReceipt checks a receipt's bank signature against bankKey.

@@ -104,7 +104,7 @@ func (b *Bank) prepareDebitLocked(owner *pki.Identity, from, to AccountID, amoun
 	h := &Hold{TX: tx, From: from, To: to, Amount: amount, At: b.clock.Now()}
 	b.holds[tx] = h
 	b.appendEntryAt(EntryPrepare, from, "", amount, tx, h.At)
-	return b.stage(encPrepare(h, false)), nil
+	return b.stage(func() []byte { return encPrepare(h, false) }), nil
 }
 
 // PrepareTransfer is PrepareDebit authorized by an owner-signed
@@ -155,7 +155,7 @@ func (b *Bank) prepareTransferLocked(req TransferRequest) (func() error, error) 
 	}
 	b.holds[req.Nonce] = h
 	b.appendEntryAt(EntryPrepare, req.From, "", req.Amount, req.Nonce, h.At)
-	return b.stage(encPrepare(h, true)), nil
+	return b.stage(func() []byte { return encPrepare(h, true) }), nil
 }
 
 // MarkCommitted durably records the commit decision on the source bank. It
@@ -182,7 +182,7 @@ func (b *Bank) markCommittedLocked(tx string) (func() error, error) {
 		return nil, nil // already durable — idempotent replay
 	}
 	h.Committed = true
-	return b.stage(encTx(walCommit, tx)), nil
+	return b.stage(func() []byte { return encTx(walCommit, tx) }), nil
 }
 
 // CreditPrepared applies the destination half of a committed transfer. It is
@@ -220,7 +220,7 @@ func (b *Bank) creditPreparedLocked(to AccountID, amount Amount, tx, memo string
 	b.credited[tx] = true
 	at := b.clock.Now()
 	b.appendEntryAt(EntryCommitCredit, "", to, amount, memo, at)
-	return b.stage(encCredit(tx, to, amount, memo, at)), nil
+	return b.stage(func() []byte { return encCredit(tx, to, amount, memo, at) }), nil
 }
 
 // FinalizeDebit burns a committed hold: the money has landed at the
@@ -245,7 +245,7 @@ func (b *Bank) finalizeDebitLocked(tx string) (func() error, error) {
 		return nil, fmt.Errorf("%w: finalize of uncommitted %q", ErrHoldState, tx)
 	}
 	delete(b.holds, tx)
-	return b.stage(encTx(walFinalize, tx)), nil
+	return b.stage(func() []byte { return encTx(walFinalize, tx) }), nil
 }
 
 // AbortDebit cancels an uncommitted hold, returning the money to the source
@@ -282,7 +282,7 @@ func (b *Bank) abortDebitLocked(tx string) (func() error, error) {
 	delete(b.holds, tx)
 	at := b.clock.Now()
 	b.appendEntryAt(EntryAbort, "", h.From, h.Amount, tx, at)
-	return b.stage(encAbort(tx, at)), nil
+	return b.stage(func() []byte { return encAbort(tx, at) }), nil
 }
 
 // ForgetCredit prunes the idempotence record for tx once the coordinator has
@@ -293,7 +293,7 @@ func (b *Bank) ForgetCredit(tx string) {
 	var wait func() error
 	if b.credited[tx] {
 		delete(b.credited, tx)
-		wait = b.stage(encTx(walForget, tx))
+		wait = b.stage(func() []byte { return encTx(walForget, tx) })
 	}
 	b.mu.Unlock()
 	// Pruning an idempotence record is garbage collection: losing the record

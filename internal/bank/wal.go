@@ -78,15 +78,17 @@ func (b *Bank) AttachDurability(st *durable.Store, snapshotEvery int) (durable.R
 	return stats, nil
 }
 
-// stage journals one record; callers hold b.mu. The returned wait function
-// (nil when the bank has no journal) blocks until the record — and, when the
-// snapshot threshold trips, the snapshot — is durable; callers invoke it
-// after releasing b.mu so concurrent operations share group commits.
-func (b *Bank) stage(rec []byte) func() error {
+// stage journals one record; callers hold b.mu. The record arrives as its
+// encoder, which runs only when a journal is attached: an in-memory bank (every
+// simulated world) must not pay for bytes nobody will write. The returned
+// wait function (nil when the bank has no journal) blocks until the record —
+// and, when the snapshot threshold trips, the snapshot — is durable; callers
+// invoke it after releasing b.mu so concurrent operations share group commits.
+func (b *Bank) stage(encode func() []byte) func() error {
 	if b.journal == nil {
 		return nil
 	}
-	wait := b.journal.AppendAsync(rec)
+	wait := b.journal.AppendAsync(encode())
 	b.recSinceSnap++
 	if b.recSinceSnap >= b.snapshotEvery {
 		b.recSinceSnap = 0

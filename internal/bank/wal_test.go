@@ -350,3 +350,46 @@ func TestSnapshotEncodeRestoreRoundTrip(t *testing.T) {
 		t.Error("snapshot round-trip is not byte-identical")
 	}
 }
+
+// TestStageEncodesOnlyWithAJournal: an in-memory bank never builds a WAL
+// record, and a journaled one stages exactly the bytes its encoder returns.
+func TestStageEncodesOnlyWithAJournal(t *testing.T) {
+	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := ca.IssueDeterministic("/CN=Bank", [32]byte{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := New(id, sim.WallClock{})
+	if wait := mem.stage(func() []byte { t.Error("in-memory bank encoded a WAL record"); return nil }); wait != nil {
+		t.Error("in-memory bank returned a durability wait")
+	}
+
+	dir := t.TempDir()
+	f := newDurableFixture(t, dir, 0)
+	rec := encTx(walForget, "tx-1")
+	f.bank.mu.Lock()
+	wait := f.bank.stage(func() []byte { return rec })
+	f.bank.mu.Unlock()
+	if err := commitWait(wait); err != nil {
+		t.Fatal(err)
+	}
+	f.close(t)
+	st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var journaled [][]byte
+	if _, err := st.Recover(func([]byte) error { return nil }, func(r []byte) error {
+		journaled = append(journaled, append([]byte(nil), r...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) != 1 || string(journaled[0]) != string(rec) {
+		t.Errorf("journal holds %q, want exactly %q", journaled, rec)
+	}
+}

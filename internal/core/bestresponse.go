@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Host is one candidate resource for the optimizer.
@@ -66,16 +68,12 @@ func BestResponse(budget float64, hosts []Host) ([]Allocation, error) {
 
 	// Admit hosts in order of decreasing marginal utility at x=0, which is
 	// w_j/y_j; ties broken by ID for determinism.
-	order := make([]Host, len(hosts))
-	copy(order, hosts)
-	sort.Slice(order, func(i, j int) bool {
-		ri := order[i].Preference / order[i].Price
-		rj := order[j].Preference / order[j].Price
-		if ri != rj {
-			return ri > rj
-		}
-		return order[i].ID < order[j].ID
-	})
+	id := func(i int) string { return hosts[i].ID }
+	keys := make([]rankKey, len(hosts))
+	for i, h := range hosts {
+		keys[i] = rankKey{primary: h.Preference / h.Price, prefix: idPrefix(h.ID), index: i}
+	}
+	sortRanked(keys, id)
 
 	// Water-filling: find the largest prefix S of the ordering such that the
 	// marginal host's bid stays positive. sumY and sumSqrt accumulate
@@ -84,8 +82,8 @@ func BestResponse(budget float64, hosts []Host) ([]Allocation, error) {
 	// admitted host.
 	var sumY, sumSqrt float64
 	support := 0
-	for k := 0; k < len(order); k++ {
-		h := order[k]
+	for k := range keys {
+		h := hosts[keys[k].index]
 		sY := sumY + h.Price
 		sS := sumSqrt + math.Sqrt(h.Preference*h.Price)
 		c := (budget + sY) / sS
@@ -100,37 +98,83 @@ func BestResponse(budget float64, hosts []Host) ([]Allocation, error) {
 		// Even the single most attractive host would get a non-positive bid,
 		// which cannot happen with positive budget: for S={j},
 		// x_j = sqrt(w y)*(X+y)/sqrt(w y) - y = X > 0. Guard anyway.
+		first := hosts[keys[0].index]
 		support = 1
-		sumY = order[0].Price
-		sumSqrt = math.Sqrt(order[0].Preference * order[0].Price)
+		sumY = first.Price
+		sumSqrt = math.Sqrt(first.Preference * first.Price)
 	}
 
+	// The funded hosts' keys are re-keyed by bid in place, in admission
+	// order — which is also the fold order of total.
 	c := (budget + sumY) / sumSqrt
-	allocs := make([]Allocation, 0, support)
+	funded := keys[:0]
 	var total float64
-	for k := 0; k < support; k++ {
-		h := order[k]
+	for _, key := range keys[:support] {
+		h := hosts[key.index]
 		x := math.Sqrt(h.Preference*h.Price)*c - h.Price
 		if x <= 0 {
 			continue
 		}
-		allocs = append(allocs, Allocation{Host: h, Bid: x})
+		key.primary = x
+		funded = append(funded, key)
 		total += x
 	}
 	// Normalize rounding drift so bids sum exactly to the budget.
 	if total > 0 && total != budget {
 		scale := budget / total
-		for i := range allocs {
-			allocs[i].Bid *= scale
+		for i := range funded {
+			funded[i].primary *= scale
 		}
 	}
-	sort.Slice(allocs, func(i, j int) bool {
-		if allocs[i].Bid != allocs[j].Bid {
-			return allocs[i].Bid > allocs[j].Bid
-		}
-		return allocs[i].Host.ID < allocs[j].Host.ID
-	})
+	sortRanked(funded, id)
+	allocs := make([]Allocation, len(funded))
+	for i, key := range funded {
+		allocs[i] = Allocation{Host: hosts[key.index], Bid: key.primary}
+	}
 	return allocs, nil
+}
+
+// rankKey is the compact sort key of one element being ranked: a value to
+// order by, descending, and the element's ID as the ascending tie-break. A
+// 10 000-host submission ranks its candidates three times (by marginal
+// utility, by bid, by utility), so the value is computed once per element
+// instead of in every comparison, the sort moves 24-byte keys instead of
+// the elements, and the first eight bytes of the ID — compared as one
+// big-endian integer — settle almost every tie without touching the string.
+type rankKey struct {
+	primary float64
+	prefix  uint64
+	index   int // of the element in the slice being ranked
+}
+
+// idPrefix packs the first eight bytes of id, zero-padded, so that unequal
+// prefixes compare as integers exactly as the ids compare as strings.
+func idPrefix(id string) uint64 {
+	var p uint64
+	for i := 0; i < 8 && i < len(id); i++ {
+		p |= uint64(id[i]) << (56 - 8*i)
+	}
+	return p
+}
+
+// sortRanked orders keys by descending primary, then ascending ID; id
+// returns the full ID of the element at an index and is consulted only for
+// two elements with equal primaries and equal prefixes. The order is the
+// same total order as comparing (primary, ID) directly.
+func sortRanked(keys []rankKey, id func(index int) string) {
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		switch {
+		case a.primary > b.primary:
+			return -1
+		case a.primary < b.primary:
+			return 1
+		case a.prefix < b.prefix:
+			return -1
+		case a.prefix > b.prefix:
+			return 1
+		}
+		return strings.Compare(id(a.index), id(b.index))
+	})
 }
 
 // ErrBadWeights is returned by SplitByWeights for weight vectors that cannot
@@ -223,17 +267,16 @@ func TopNByUtility(allocs []Allocation, n int) []Allocation {
 	if n <= 0 || n >= len(allocs) {
 		return allocs
 	}
-	ranked := make([]Allocation, len(allocs))
-	copy(ranked, allocs)
-	sort.Slice(ranked, func(i, j int) bool {
-		ui := UtilityAt(ranked[i].Host, ranked[i].Bid)
-		uj := UtilityAt(ranked[j].Host, ranked[j].Bid)
-		if ui != uj {
-			return ui > uj
-		}
-		return ranked[i].Host.ID < ranked[j].Host.ID
-	})
-	return ranked[:n]
+	keys := make([]rankKey, len(allocs))
+	for i, a := range allocs {
+		keys[i] = rankKey{primary: UtilityAt(a.Host, a.Bid), prefix: idPrefix(a.Host.ID), index: i}
+	}
+	sortRanked(keys, func(i int) string { return allocs[i].Host.ID })
+	top := make([]Allocation, n)
+	for i := range top {
+		top[i] = allocs[keys[i].index]
+	}
+	return top
 }
 
 // Rebalance redistributes the budget over only the hosts in keep (a subset

@@ -110,6 +110,7 @@ type Cluster struct {
 	purge    time.Duration
 	hosts    map[string]*Host
 	order    []string // deterministic host iteration order
+	list     []*Host  // the hosts in that order: list[i].Spec.ID == order[i]
 	taskSeq  int
 	tracer   *tracing.Tracer
 	plane    *marketplane.Plane // non-nil when cfg.Shards >= 2
@@ -206,10 +207,14 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		c.order = append(c.order, spec.ID)
 	}
 	sort.Strings(c.order)
+	c.list = make([]*Host, len(c.order))
+	for i, id := range c.order {
+		c.list[i] = c.hosts[id]
+	}
 	if cfg.Shards >= 2 {
-		markets := make([]marketplane.HostMarket, len(c.order))
-		for i, id := range c.order {
-			markets[i] = c.hosts[id].Market
+		markets := make([]marketplane.HostMarket, len(c.list))
+		for i, h := range c.list {
+			markets[i] = h.Market
 		}
 		p, err := marketplane.New(marketplane.Config{Shards: cfg.Shards, Markets: markets})
 		if err != nil {
@@ -347,28 +352,42 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 func (h *Host) RunningTasks() int { return len(h.tasks) }
 
 // tick advances every market and every task by one interval.
+//
+// With a plane (Shards >= 2) the tick is phased: phase one batch-clears every
+// up host's market through the plane, shards running concurrently; phase two
+// delivers charges and refunds and advances task progress sequentially in
+// host order, exactly as the interleaved tick does. The observable difference
+// from the interleaving: a rebid placed by an OnDone callback during phase
+// two lands on a market that already cleared this tick, so it starts accruing
+// at the next one — whereas the interleaved path lets a rebid on a
+// later-ordered host clear within the same sweep. Output is deterministic for
+// a fixed shard count but not bit-identical to the Shards <= 1 path.
 func (c *Cluster) tick() {
-	if c.plane != nil {
-		c.tickPhased()
-		return
-	}
 	now := c.engine.Now()
+	var cleared []marketplane.TickResult
+	if c.plane != nil {
+		cleared = c.plane.TickAll(now, func(id string) bool { return c.hosts[id].down })
+	}
 	running, busyHosts, downHosts := 0, 0, 0
-	for _, id := range c.order {
-		h := c.hosts[id]
+	for i, h := range c.list {
 		if h.down {
 			downHosts++
 			continue
 		}
-		charges, refunds := h.Market.Tick(now)
+		var charges, refunds []auction.Charge
+		if cleared != nil {
+			charges, refunds = cleared[i].Charges, cleared[i].Refunds
+		} else {
+			charges, refunds = h.Market.Tick(now)
+		}
 		if c.OnCharge != nil {
 			for _, ch := range charges {
-				c.OnCharge(id, ch)
+				c.OnCharge(h.Spec.ID, ch)
 			}
 		}
 		if c.OnRefund != nil {
 			for _, r := range refunds {
-				c.OnRefund(id, r)
+				c.OnRefund(h.Spec.ID, r)
 			}
 		}
 		c.advanceTasks(h, now)
@@ -382,52 +401,7 @@ func (c *Cluster) tick() {
 	}
 	mTicks.Inc()
 	mRunningTasks.Set(float64(running))
-	mHostUtilization.Set(float64(busyHosts) / float64(len(c.order)))
-	mHostsDown.Set(float64(downHosts))
-}
-
-// tickPhased is the sharded tick. Phase one batch-clears every up host's
-// market through the plane, shards running concurrently; phase two delivers
-// charges and refunds and advances task progress sequentially in host order,
-// exactly as the legacy tick does. The observable difference from the legacy
-// interleaving: a rebid placed by an OnDone callback during phase two lands
-// on a market that already cleared this tick, so it starts accruing at the
-// next one — whereas the legacy path lets a rebid on a later-ordered host
-// clear within the same sweep. Output is deterministic for a fixed shard
-// count but not bit-identical to the Shards <= 1 path.
-func (c *Cluster) tickPhased() {
-	now := c.engine.Now()
-	results := c.plane.TickAll(now, func(id string) bool { return c.hosts[id].down })
-	running, busyHosts, downHosts := 0, 0, 0
-	for i, id := range c.order {
-		h := c.hosts[id]
-		if h.down {
-			downHosts++
-			continue
-		}
-		r := results[i]
-		if c.OnCharge != nil {
-			for _, ch := range r.Charges {
-				c.OnCharge(id, ch)
-			}
-		}
-		if c.OnRefund != nil {
-			for _, rf := range r.Refunds {
-				c.OnRefund(id, rf)
-			}
-		}
-		c.advanceTasks(h, now)
-		if c.purge > 0 {
-			h.VMs.PurgeIdleOlderThan(now.Add(-c.purge))
-		}
-		if n := len(h.tasks); n > 0 {
-			running += n
-			busyHosts++
-		}
-	}
-	mTicks.Inc()
-	mRunningTasks.Set(float64(running))
-	mHostUtilization.Set(float64(busyHosts) / float64(len(c.order)))
+	mHostUtilization.Set(float64(busyHosts) / float64(len(c.list)))
 	mHostsDown.Set(float64(downHosts))
 }
 

@@ -32,6 +32,7 @@ var (
 	ErrNegative   = errors.New("pricefeed: negative price")
 	ErrOutOfOrder = errors.New("pricefeed: observation older than last")
 	ErrDuplicate  = errors.New("pricefeed: duplicate observation timestamp")
+	ErrTimeRange  = errors.New("pricefeed: timestamp outside the representable range")
 )
 
 // Sample is one spot-price observation.
@@ -40,17 +41,35 @@ type Sample struct {
 	Price float64
 }
 
+// slot is one stored sample: Unix nanoseconds and a price. Holding no
+// pointer, a ring's buffer is never scanned by the garbage collector — with
+// one 720-slot ring per host that is most of a wide grid's heap.
+type slot struct {
+	ns    int64
+	price float64
+}
+
+// Slots hold Unix nanoseconds, which cover the years 1678–2262: instants
+// whose time.Time.Unix() seconds lie within these bounds (math.MinInt64/1e9
+// and math.MaxInt64/1e9, rounded inward) convert exactly.
+const (
+	minUnixSec = -9223372036
+	maxUnixSec = 9223372035
+)
+
 // Ring is a bounded, chronologically ordered buffer of spot-price samples.
 // Safe for concurrent use: replicated experiments tick worlds from several
 // goroutines, and the observability endpoints may read while the market
-// writes.
+// writes. Samples come back with the wall-clock instant they were observed
+// at, in the time zone of the ring's first sample; a monotonic clock reading
+// is not kept.
 type Ring struct {
 	mu   sync.Mutex
-	buf  []Sample
-	next int // index the next sample is written to
-	n    int // samples currently held (<= len(buf))
-	last time.Time
-	seen bool // at least one sample accepted (last is meaningful)
+	buf  []slot
+	loc  *time.Location // zone of the first accepted sample
+	next int            // index the next sample is written to
+	n    int            // samples currently held (<= len(buf))
+	last int64          // newest accepted timestamp; meaningful once n > 0
 }
 
 // NewRing returns a ring holding the trailing capacity samples.
@@ -58,12 +77,18 @@ func NewRing(capacity int) (*Ring, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("pricefeed: ring capacity %d, want >= 1", capacity)
 	}
-	return &Ring{buf: make([]Sample, capacity)}, nil
+	return &Ring{buf: make([]slot, capacity)}, nil
+}
+
+// sample rebuilds the Sample held in a slot.
+func (r *Ring) sample(s slot) Sample {
+	return Sample{At: time.Unix(0, s.ns).In(r.loc), Price: s.price}
 }
 
 // Observe appends one sample. Non-finite or negative prices, samples older
-// than the newest held one, and duplicate timestamps are rejected with a
-// typed error and leave the ring unchanged.
+// than the newest held one, duplicate timestamps and timestamps outside the
+// years 1678–2262 are rejected with a typed error and leave the ring
+// unchanged.
 func (r *Ring) Observe(at time.Time, price float64) error {
 	if math.IsNaN(price) || math.IsInf(price, 0) {
 		return fmt.Errorf("%w: %v", ErrNonFinite, price)
@@ -71,23 +96,28 @@ func (r *Ring) Observe(at time.Time, price float64) error {
 	if price < 0 {
 		return fmt.Errorf("%w: %v", ErrNegative, price)
 	}
+	if sec := at.Unix(); sec < minUnixSec || sec > maxUnixSec {
+		return fmt.Errorf("%w: %v", ErrTimeRange, at)
+	}
+	ns := at.UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seen {
-		if at.Before(r.last) {
-			return fmt.Errorf("%w: %v < %v", ErrOutOfOrder, at, r.last)
+	if r.n > 0 {
+		if ns < r.last {
+			return fmt.Errorf("%w: %v < %v", ErrOutOfOrder, at, time.Unix(0, r.last).In(r.loc))
 		}
-		if at.Equal(r.last) {
+		if ns == r.last {
 			return fmt.Errorf("%w: %v", ErrDuplicate, at)
 		}
+	} else {
+		r.loc = at.Location()
 	}
-	r.buf[r.next] = Sample{At: at, Price: price}
+	r.buf[r.next] = slot{ns: ns, price: price}
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
-	r.last = at
-	r.seen = true
+	r.last = ns
 	return nil
 }
 
@@ -101,17 +131,25 @@ func (r *Ring) Len() int {
 // Capacity returns the maximum number of samples the ring retains.
 func (r *Ring) Capacity() int { return len(r.buf) }
 
+// heldLocked returns the held slots, oldest first, as the buffer's two runs:
+// everything written so far until the ring fills, then from the write index
+// around to it again.
+func (r *Ring) heldLocked() [2][]slot {
+	if r.n < len(r.buf) {
+		return [2][]slot{r.buf[:r.n]}
+	}
+	return [2][]slot{r.buf[r.next:], r.buf[:r.next]}
+}
+
 // Samples returns the held samples oldest first.
 func (r *Ring) Samples() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Sample, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+	for _, run := range r.heldLocked() {
+		for _, s := range run {
+			out = append(out, r.sample(s))
+		}
 	}
 	return out
 }
@@ -119,10 +157,13 @@ func (r *Ring) Samples() []Sample {
 // Prices returns just the price values, oldest first — the shape the
 // predictors and the portfolio covariance estimator consume.
 func (r *Ring) Prices() []float64 {
-	samples := r.Samples()
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.Price
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]float64, 0, r.n)
+	for _, run := range r.heldLocked() {
+		for _, s := range run {
+			out = append(out, s.price)
+		}
 	}
 	return out
 }
@@ -131,14 +172,14 @@ func (r *Ring) Prices() []float64 {
 func (r *Ring) Last() (Sample, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.seen {
+	if r.n == 0 {
 		return Sample{}, false
 	}
 	idx := r.next - 1
 	if idx < 0 {
 		idx += len(r.buf)
 	}
-	return r.buf[idx], true
+	return r.sample(r.buf[idx]), true
 }
 
 // DefaultCapacity is the per-host history the hub keeps when none is
@@ -177,11 +218,13 @@ type hubStripe struct {
 }
 
 // hubEntry is one host's feed state: the price ring and the sinks fed from
-// it. The ring has its own internal lock; entryMu guards only the sink list.
+// it. The ring has its own internal lock. The sink list is copy-on-write:
+// attachMu serializes the writers, and the observer path reads the published
+// list with one atomic load, taking no lock beyond the ring's.
 type hubEntry struct {
-	ring    *Ring
-	entryMu sync.RWMutex
-	sinks   []Sink
+	ring     *Ring
+	attachMu sync.Mutex
+	sinks    atomic.Pointer[[]Sink] // the slice is never modified once stored
 }
 
 // NewHub returns a hub whose rings hold capacity samples each
@@ -243,13 +286,14 @@ func (h *Hub) Attach(hostID string, sink Sink) {
 		return
 	}
 	e := h.entry(hostID)
-	e.entryMu.Lock()
-	// Copy-on-write so Observer can forward to a snapshot without holding
-	// the lock across sink calls.
-	sinks := make([]Sink, 0, len(e.sinks)+1)
-	sinks = append(sinks, e.sinks...)
-	e.sinks = append(sinks, sink)
-	e.entryMu.Unlock()
+	e.attachMu.Lock()
+	defer e.attachMu.Unlock()
+	var sinks []Sink
+	if old := e.sinks.Load(); old != nil {
+		sinks = append(make([]Sink, 0, len(*old)+1), *old...)
+	}
+	sinks = append(sinks, sink)
+	e.sinks.Store(&sinks)
 }
 
 // Observer returns a callback with the auction Market.Observe signature that
@@ -268,10 +312,11 @@ func (h *Hub) Observer(hostID string) func(price float64, at time.Time) {
 			return
 		}
 		mSamplesRecorded.Inc()
-		e.entryMu.RLock()
-		sinks := e.sinks
-		e.entryMu.RUnlock()
-		for _, s := range sinks {
+		sinks := e.sinks.Load()
+		if sinks == nil {
+			return
+		}
+		for _, s := range *sinks {
 			if err := s.Observe(at, price); err != nil {
 				mSinkRejected.Inc()
 			}

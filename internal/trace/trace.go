@@ -20,21 +20,54 @@ type Point struct {
 	Value float64
 }
 
-// Series is an append-only time series.
+// Series is an append-only time series. Points are held pointer-free — Unix
+// nanoseconds and a value, with one time zone for the whole series — so a
+// world recording thousands of hosts gives the garbage collector nothing to
+// scan; Points, Resample and WriteCSV hand back time.Time values equal to
+// the appended ones (wall clock only: a monotonic reading is not kept).
 type Series struct {
 	Name   string
-	points []Point
+	loc    *time.Location // zone of the first appended time; every point reports in it
+	points []point
 }
+
+// point is one stored observation.
+type point struct {
+	ns    int64 // Unix nanoseconds
+	value float64
+}
+
+// ErrTimeRange is returned by Append for a timestamp outside the years
+// 1678–2262, which Unix nanoseconds cannot hold.
+var ErrTimeRange = errors.New("trace: timestamp outside the representable range")
+
+// The seconds, as time.Time.Unix() reports them, whose UnixNano is exact:
+// math.MinInt64/1e9 and math.MaxInt64/1e9, rounded inward.
+const (
+	minUnixSec = -9223372036
+	maxUnixSec = 9223372035
+)
 
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
+// at rebuilds the time.Time of a stored point.
+func (s *Series) at(p point) time.Time { return time.Unix(0, p.ns).In(s.loc) }
+
 // Append adds an observation; timestamps must be non-decreasing.
 func (s *Series) Append(at time.Time, v float64) error {
-	if n := len(s.points); n > 0 && at.Before(s.points[n-1].At) {
-		return fmt.Errorf("trace: out-of-order point %v before %v", at, s.points[n-1].At)
+	if sec := at.Unix(); sec < minUnixSec || sec > maxUnixSec {
+		return fmt.Errorf("%w: %v", ErrTimeRange, at)
 	}
-	s.points = append(s.points, Point{At: at, Value: v})
+	ns := at.UnixNano()
+	n := len(s.points)
+	if n > 0 && ns < s.points[n-1].ns {
+		return fmt.Errorf("trace: out-of-order point %v before %v", at, s.at(s.points[n-1]))
+	}
+	if n == 0 {
+		s.loc = at.Location()
+	}
+	s.points = append(s.points, point{ns: ns, value: v})
 	return nil
 }
 
@@ -45,7 +78,7 @@ func (s *Series) Len() int { return len(s.points) }
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.points))
 	for i, p := range s.points {
-		out[i] = p.Value
+		out[i] = p.value
 	}
 	return out
 }
@@ -53,7 +86,9 @@ func (s *Series) Values() []float64 {
 // Points returns a copy of all points.
 func (s *Series) Points() []Point {
 	out := make([]Point, len(s.points))
-	copy(out, s.points)
+	for i, p := range s.points {
+		out[i] = Point{At: s.at(p), Value: p.value}
+	}
 	return out
 }
 
@@ -61,8 +96,8 @@ func (s *Series) Points() []Point {
 func (s *Series) Window(from, to time.Time) []float64 {
 	var out []float64
 	for _, p := range s.points {
-		if p.At.After(from) && !p.At.After(to) {
-			out = append(out, p.Value)
+		if at := s.at(p); at.After(from) && !at.After(to) {
+			out = append(out, p.value)
 		}
 	}
 	return out
@@ -71,9 +106,9 @@ func (s *Series) Window(from, to time.Time) []float64 {
 // Scale returns a new series with every value multiplied by f — e.g. to
 // convert credits/second per host into the paper's price per CPU cycle.
 func (s *Series) Scale(f float64) *Series {
-	out := &Series{Name: s.Name, points: make([]Point, len(s.points))}
+	out := &Series{Name: s.Name, loc: s.loc, points: make([]point, len(s.points))}
 	for i, p := range s.points {
-		out.points[i] = Point{At: p.At, Value: p.Value * f}
+		out.points[i] = point{ns: p.ns, value: p.value * f}
 	}
 	return out
 }
@@ -88,17 +123,17 @@ func (s *Series) Resample(step time.Duration) (*Series, error) {
 	if len(s.points) == 0 {
 		return &Series{Name: s.Name}, nil
 	}
-	out := &Series{Name: s.Name}
-	start := s.points[0].At
-	end := s.points[len(s.points)-1].At
+	out := &Series{Name: s.Name, loc: s.loc}
+	start := s.at(s.points[0])
+	end := s.at(s.points[len(s.points)-1])
 	i := 0
-	last := s.points[0].Value
+	last := s.points[0].value
 	for t := start; !t.After(end); t = t.Add(step) {
 		hi := t.Add(step)
 		var sum float64
 		var n int
-		for i < len(s.points) && s.points[i].At.Before(hi) {
-			sum += s.points[i].Value
+		for i < len(s.points) && s.at(s.points[i]).Before(hi) {
+			sum += s.points[i].value
 			n++
 			i++
 		}
@@ -107,7 +142,8 @@ func (s *Series) Resample(step time.Duration) (*Series, error) {
 			v = sum / float64(n)
 			last = v
 		}
-		out.points = append(out.points, Point{At: t, Value: v})
+		// t lies within [start, end], so it is representable like they are.
+		out.points = append(out.points, point{ns: t.UnixNano(), value: v})
 	}
 	return out, nil
 }
@@ -118,8 +154,8 @@ func (s *Series) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, p := range s.points {
-		if _, err := fmt.Fprintf(w, "%d,%s\n", p.At.Unix(),
-			strconv.FormatFloat(p.Value, 'g', -1, 64)); err != nil {
+		if _, err := fmt.Fprintf(w, "%d,%s\n", s.at(p).Unix(),
+			strconv.FormatFloat(p.value, 'g', -1, 64)); err != nil {
 			return err
 		}
 	}
@@ -143,18 +179,33 @@ func NewRecorder() *Recorder {
 func (r *Recorder) Record(host string, at time.Time, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	_ = r.seriesLocked(host).Append(at, v)
+}
+
+// seriesLocked returns host's series, creating it on first use.
+func (r *Recorder) seriesLocked(host string) *Series {
 	s, ok := r.series[host]
 	if !ok {
 		s = NewSeries(host)
 		r.series[host] = s
 	}
-	_ = s.Append(at, v)
+	return s
 }
 
 // Observer returns a function with the market-observer signature bound to
-// one host.
+// one host. It resolves the host's series once, at the first observation
+// (so a host that never clears still has no series), and appends to it
+// directly afterwards instead of looking the host up on every clear.
 func (r *Recorder) Observer(host string) func(price float64, at time.Time) {
-	return func(price float64, at time.Time) { r.Record(host, at, price) }
+	var s *Series // guarded by r.mu
+	return func(price float64, at time.Time) {
+		r.mu.Lock()
+		if s == nil {
+			s = r.seriesLocked(host)
+		}
+		_ = s.Append(at, price)
+		r.mu.Unlock()
+	}
 }
 
 // Series returns the series for host (nil if none).

@@ -252,6 +252,9 @@ func (m *Manager) Purge(id string) error {
 // avoids sorting: purge order does not affect the outcome (every victim is
 // removed).
 func (m *Manager) PurgeIdleOlderThan(cutoff time.Time) int {
+	if len(m.vms) == 0 {
+		return 0 // the common case on a wide grid: nothing to reap
+	}
 	var victims []string
 	for id, v := range m.vms {
 		if (v.State == StateIdle || v.State == StateHibernated) && v.LastUsed.Before(cutoff) {
