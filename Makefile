@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare perf-gates bench-scale scale-smoke bench-http bench-predict bench-predict-full recovery-smoke telemetry-smoke chaos trace-demo lint check
+.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare perf-gates recovery-smoke telemetry-smoke chaos trace-demo lint check
 
 all: build test
 
@@ -103,47 +103,12 @@ bench-compare:
 # the benchmark's own smoke test (every workload at toy size, run twice, equal
 # digests), and the allocation gates of the job path's fast paths — an idle
 # Market.Tick with both price-history observers and PriceExcluding on an empty
-# book allocate nothing, Best Response over 10 000 hosts allocates a handful.
-# Wired into `check`.
+# book allocate nothing, Best Response over 10 000 hosts allocates a handful,
+# and a streaming predictor in steady state allocates nothing per Observe or
+# Forecast. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core
-
-# Horizontal-scale benchmark: the 10000-host, million-bid workload at shard
-# counts 1/2/4/8, recording throughput, clear rate and bid latency into
-# BENCH_scale.json (the committed trajectory artifact).
-bench-scale:
-	$(GO) run ./cmd/marketbench -hosts 10000 -jobs 1000000 -shards 1,2,4,8
-
-# Fast benchmark-mode health check: a small sharded run whose money
-# conservation, escrow-drained and no-orphaned-holds invariants must all
-# pass. Wired into `check`; the JSON artifact is not overwritten.
-scale-smoke:
-	$(GO) run ./cmd/marketbench -hosts 200 -jobs 2000 -shards 4 -bench-out ""
-
-# Forecast-throughput regression gate: measure the batch copy-and-refit
-# pipeline vs the streaming incremental predictors at 100 host streams
-# (matching the committed baseline's workload shape) and fail on a >20%
-# streaming ns/op regression, a speedup below 10x, or batch/streaming
-# forecast disagreement, against the committed BENCH_predict.json. Wired
-# into `check`; the committed artifact is not overwritten.
-bench-predict:
-	$(GO) run ./cmd/marketbench -bench predict -bench-hosts 100 -bench-out /tmp/bench_predict_smoke.json
-	$(GO) run ./cmd/benchguard -baseline BENCH_predict.json -current /tmp/bench_predict_smoke.json
-
-# Full sweep (100/1k/10k host streams) that regenerates BENCH_predict.json.
-# Run when a predictor change intentionally moves the baseline, and commit
-# the result.
-bench-predict-full:
-	$(GO) run ./cmd/marketbench -bench predict
-	$(GO) run ./cmd/benchguard -baseline BENCH_predict.json -current BENCH_predict.json
-
-# Million-request HTTP load harness: signed transfers through the real bankd
-# serving stack per durability mode (in-memory, fsync=interval, fsync=always),
-# recording latency percentiles and allocs/op into BENCH_http.json (the
-# committed trajectory artifact).
-bench-http:
-	$(GO) run ./cmd/loadgen -requests 1000000 -clients 8 -out BENCH_http.json
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core ./internal/predict
 
 # Fast crash-recovery health check: the crash-storm test SIGKILLs a real
 # bankd mid-traffic (external kills plus failpoints inside the WAL append,
@@ -176,4 +141,4 @@ CHAOS_SEED ?= 1
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos -args -chaos.seed=$(CHAOS_SEED)
 
-check: vet lint race-check cover fuzz-short chaos trace-demo scale-smoke bench-predict perf-gates recovery-smoke telemetry-smoke
+check: vet lint race-check cover fuzz-short chaos trace-demo perf-gates recovery-smoke telemetry-smoke

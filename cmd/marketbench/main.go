@@ -13,23 +13,16 @@
 //	marketbench -run figure5        # risk-free vs equal-share portfolio
 //	marketbench -run figure6        # hour/day/week price distributions
 //	marketbench -run figure7        # window approximation accuracy
+//	marketbench -run strategies     # matchmaking strategies, paired seeds
+//	marketbench -run predictors     # batch vs streaming prediction pipelines
+//	marketbench -run scale          # the same workload at 1/2/4 auctioneer shards
+//	marketbench -run mechanisms     # clearing rules, paired seeds
+//	marketbench -run sla            # SLA terms and valuations
+//	marketbench -run ablation-cap   # also -scheduler, -smoothing, -interval
 //	marketbench -seed 2006          # alternate RNG seed
 //	marketbench -reps 8 -parallel 4 # 8 seeded replications on 4 workers
 //
-// Horizontal-scale benchmark mode (enabled by -hosts > 0): pushes a synthetic
-// bid workload through the sharded market plane at each requested shard count
-// and records throughput, clear rate and bid latency into BENCH_scale.json:
-//
-//	marketbench -hosts 10000 -jobs 1000000 -shards 1,2,4,8
-//	marketbench -hosts 200 -jobs 2000 -shards 4 -bench-out /dev/null  # smoke
-//
-// Forecast-throughput benchmark mode (-bench predict): measures the legacy
-// batch copy-and-refit prediction pipeline against the streaming incremental
-// predictors at each host-stream count and records ns/op + allocs/op into
-// BENCH_predict.json (gated by cmd/benchguard):
-//
-//	marketbench -bench predict -bench-hosts 100,1000,10000 -forecasts 2000
-//	marketbench -bench predict -bench-hosts 100 -forecasts 200 -bench-out ""  # smoke
+// Performance is measured by the bench package (bench/README.md), not here.
 package main
 
 import (
@@ -45,8 +38,14 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all",
-		"experiment: all|table1|table2|figure3|...|figure7|strategies|predictors|mechanisms|ablation-scheduler|ablation-cap|ablation-smoothing|ablation-interval")
+	names := []string{
+		"table1", "table2", "figure3", "figure4", "figure5", "figure6", "figure7",
+		"strategies", "predictors", "scale", "mechanisms",
+		"ablation-scheduler", "ablation-cap", "ablation-smoothing", "ablation-interval",
+		"sla",
+	}
+	valid := "all|" + strings.Join(names, "|")
+	run := flag.String("run", "all", "experiment: "+valid)
 	experimentAlias := flag.String("experiment", "", "alias for -run")
 	seed := flag.Int64("seed", 2006, "RNG seed for all experiments")
 	csvDir := flag.String("csv", "", "directory to write plot-ready CSV files (optional)")
@@ -59,19 +58,6 @@ func main() {
 		"mechanisms experiment: comma-separated clearing rules to compare (default all registered)")
 	horizon := flag.Duration("horizon", 0,
 		"strategies experiment: forecast horizon (0 = experiment default)")
-	benchMode := flag.String("bench", "",
-		"micro-benchmark mode: predict (forecast throughput, BENCH_predict.json); empty = run experiments")
-	benchHosts := flag.Int("hosts", 0,
-		"scale benchmark: host markets (> 0 switches to benchmark mode)")
-	benchJobs := flag.Int("jobs", 1_000_000, "scale benchmark: bids pushed through the plane")
-	benchShards := flag.String("shards", "1,2,4,8",
-		"scale benchmark: comma-separated auctioneer shard counts")
-	benchOut := flag.String("bench-out", "",
-		"benchmark output JSON path (default BENCH_scale.json / BENCH_predict.json per mode; empty string after an explicit -bench-out= means don't write)")
-	predictHosts := flag.String("bench-hosts", "100,1000,10000",
-		"predict benchmark: comma-separated host-stream counts")
-	forecasts := flag.Int("forecasts", 2000,
-		"predict benchmark: forecast reads measured per host count")
 	flag.Parse()
 	if *experimentAlias != "" {
 		run = experimentAlias
@@ -79,46 +65,6 @@ func main() {
 	tracing.InitSlog("marketbench", os.Stderr, slog.LevelWarn)
 	tracing.Default().SetSampleRatio(*traceRatio)
 
-	benchOutSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "bench-out" {
-			benchOutSet = true
-		}
-	})
-	outPath := func(def string) string {
-		if benchOutSet {
-			return *benchOut
-		}
-		return def
-	}
-
-	switch *benchMode {
-	case "predict":
-		if err := runPredictBench(*predictHosts, *forecasts, outPath("BENCH_predict.json"), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "marketbench: predict bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	case "":
-	default:
-		fmt.Fprintf(os.Stderr, "marketbench: unknown -bench mode %q (want predict)\n", *benchMode)
-		os.Exit(1)
-	}
-
-	if *benchHosts > 0 {
-		if err := runScaleBench(*benchHosts, *benchJobs, *benchShards, outPath("BENCH_scale.json"), *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "marketbench: scale bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	names := []string{
-		"table1", "table2", "figure3", "figure4", "figure5", "figure6", "figure7",
-		"strategies", "predictors", "scale", "mechanisms",
-		"ablation-scheduler", "ablation-cap", "ablation-smoothing", "ablation-interval",
-		"sla",
-	}
 	if *run != "all" {
 		found := false
 		for _, n := range names {
@@ -129,7 +75,7 @@ func main() {
 			}
 		}
 		if !found {
-			slog.Error("marketbench: unknown experiment", "run", *run)
+			slog.Error("marketbench: unknown experiment", "run", *run, "valid", valid)
 			os.Exit(1)
 		}
 	}

@@ -118,8 +118,9 @@ func (r *PredictorsResult) WriteCSV(dir string) error {
 // RepSpecPredictors replicates the pipeline comparison: each replication
 // replays every pipeline under one derived seed (paired), reporting
 // simulation-deterministic columns only — cost, makespan, volatility and
-// prediction error; wall-clock throughput belongs to BENCH_predict.json, not
-// here, so the CSVs stay byte-identical across worker counts.
+// prediction error; wall-clock throughput belongs to the bench package
+// (predict.forecast_ns, predict.observe_ns), not here, so the CSVs stay
+// byte-identical across worker counts.
 func RepSpecPredictors(p PredictorsParams) RepSpec {
 	var cols []string
 	for _, pl := range p.Pipelines {

@@ -12,16 +12,16 @@ import (
 
 // ScaleParams configures the horizontal-scale experiment family: the same
 // competing-users workload run at increasing auctioneer shard counts. Shard
-// count 0 (or 1) is the legacy single-auctioneer tick; larger counts enable
-// the marketplane's phased sharded tick. The family answers two questions —
-// does the sharded plane produce a healthy market (jobs complete, money
-// conserved), and how do the outcome metrics move as the plane is
-// partitioned. Raw throughput at benchmark scale lives in
-// marketplane.RunScaleBench; this family exercises the full stack (agent,
-// grid, bank, VM managers) at workload scale.
+// count 0 (or 1) clears each host market inside the cluster's tick loop;
+// larger counts batch-clear them through the marketplane ahead of the same
+// loop. The family answers two questions — does the sharded plane produce a
+// healthy market (jobs complete, money conserved), and how do the outcome
+// metrics move as the plane is partitioned. Raw throughput at benchmark scale
+// is the bench package's plane-burst workload; this family exercises the full
+// stack (agent, grid, bank, VM managers) at workload scale.
 type ScaleParams struct {
 	World        WorldConfig
-	ShardCounts  []int         // one run per entry; 0 or 1 = legacy tick
+	ShardCounts  []int         // one run per entry; 0 or 1 = no plane
 	Budget       bank.Amount   // per-user funding
 	Deadline     time.Duration // bid deadline
 	SubJobs      int           // chunks per user application

@@ -72,9 +72,9 @@ type WorldConfig struct {
 	// (and usually unsampled) tracer so concurrent worlds share nothing.
 	Tracer *tracing.Tracer
 	// Shards partitions the cluster's host markets across this many
-	// marketplane auctioneer shards. 0 or 1 is the legacy single-auctioneer
-	// tick, bit-for-bit identical to pre-shard releases; >= 2 enables the
-	// phased sharded tick (see grid.Config.Shards).
+	// marketplane auctioneer shards. 0 or 1 clears each market inside the
+	// cluster's tick loop; >= 2 batch-clears them through a plane ahead of
+	// the same loop (see grid.Config.Shards).
 	Shards int
 	// Mechanism selects the host markets' clearing rule (see
 	// internal/mechanism); empty = proportional share.

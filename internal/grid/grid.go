@@ -90,11 +90,10 @@ type Config struct {
 	// scope stacks.
 	Tracer *tracing.Tracer
 	// Shards partitions the host markets across this many marketplane
-	// auctioneer shards. 0 or 1 keeps the legacy interleaved tick —
-	// bit-for-bit identical to previous releases. >= 2 switches to the
-	// phased tick: phase one clears every up host's market through the
-	// plane (concurrently across shards), phase two applies charges,
-	// refunds and task progress sequentially in host order.
+	// auctioneer shards. The tick loop is the same either way: with 0 or 1
+	// each host's market clears inside it; with >= 2 a plane batch-clears
+	// every up host's market first (concurrently across shards) and the
+	// loop delivers what it cleared (see Cluster.tick).
 	Shards int
 	// Mechanism names the clearing rule every host market runs
 	// (mechanism.Names: proportional, posted-price, vcg). Empty selects the
@@ -225,8 +224,8 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Plane returns the market plane driving the sharded tick, or nil when the
-// cluster runs the legacy single-auctioneer path (Shards <= 1).
+// Plane returns the market plane that batch-clears the host markets ahead of
+// the tick loop, or nil when each market clears inside it (Shards <= 1).
 func (c *Cluster) Plane() *marketplane.Plane { return c.plane }
 
 // Start begins the reallocation ticker. It must be called once before
@@ -353,15 +352,16 @@ func (h *Host) RunningTasks() int { return len(h.tasks) }
 
 // tick advances every market and every task by one interval.
 //
-// With a plane (Shards >= 2) the tick is phased: phase one batch-clears every
-// up host's market through the plane, shards running concurrently; phase two
-// delivers charges and refunds and advances task progress sequentially in
-// host order, exactly as the interleaved tick does. The observable difference
-// from the interleaving: a rebid placed by an OnDone callback during phase
-// two lands on a market that already cleared this tick, so it starts accruing
-// at the next one — whereas the interleaved path lets a rebid on a
-// later-ordered host clear within the same sweep. Output is deterministic for
-// a fixed shard count but not bit-identical to the Shards <= 1 path.
+// There is one loop: it walks the hosts in order, delivering charges and
+// refunds and advancing task progress. Without a plane each host's market
+// clears inside the walk; with one (Shards >= 2) the plane batch-clears every
+// up host's market first, shards running concurrently, and the walk delivers
+// what it cleared. The observable difference: with a plane, a rebid placed by
+// an OnDone callback during the walk lands on a market that already cleared
+// this tick, so it starts accruing at the next one — whereas without one a
+// rebid on a later-ordered host clears within the same sweep. Output is
+// deterministic for a fixed shard count but not bit-identical to the
+// Shards <= 1 run.
 func (c *Cluster) tick() {
 	now := c.engine.Now()
 	var cleared []marketplane.TickResult

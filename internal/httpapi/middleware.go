@@ -111,12 +111,6 @@ func MetricsHandler(reg *metrics.Registry) http.Handler {
 	})
 }
 
-// HealthzHandler reports liveness for a named daemon. Kept for callers that
-// mount health probes outside ObservedMux; new code should use a Health.
-func HealthzHandler(service string) http.Handler {
-	return NewHealth(service).LivenessHandler()
-}
-
 // MuxOption configures ObservedMux.
 type MuxOption func(*muxConfig)
 

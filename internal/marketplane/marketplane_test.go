@@ -160,24 +160,3 @@ func testShardCountInvariance(t *testing.T, mechName string) {
 		}
 	}
 }
-
-func TestScaleBenchSmoke(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		res, err := RunScaleBench(BenchConfig{
-			Hosts: 50, Jobs: 400, Shards: shards,
-			Users: 20, ArrivalTicks: 5, Candidates: 8, Seed: 11,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !res.MoneyConserved || !res.EscrowDrained || !res.NoOrphanedHolds {
-			t.Fatalf("shards=%d invariants: %+v", shards, res)
-		}
-		if res.Clears == 0 || res.JobsPerSec <= 0 {
-			t.Fatalf("shards=%d produced no work: %+v", shards, res)
-		}
-		if shards > 1 && res.CrossShardTransfers == 0 {
-			t.Fatalf("shards=%d: no cross-shard transfers exercised", shards)
-		}
-	}
-}

@@ -3,8 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 	"strings"
 )
 
@@ -39,52 +37,11 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 		}
 		for i, c := range children {
 			values := splitLabelKey(keys[i], len(f.labels))
-			if err := writeOpenMetricsChild(w, f, values, c); err != nil {
+			if err := writeChild(w, f, values, c, true); err != nil {
 				return err
 			}
 		}
 	}
 	_, err := io.WriteString(w, "# EOF\n")
 	return err
-}
-
-func writeOpenMetricsChild(w io.Writer, f *family, values []string, child any) error {
-	switch m := child.(type) {
-	case *Counter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), m.Value())
-		return err
-	case *Gauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, values, "", ""), formatFloat(m.Value()))
-		return err
-	case *Histogram:
-		for bi, b := range m.Buckets() {
-			le := "+Inf"
-			if !math.IsInf(b.UpperBound, 1) {
-				le = formatFloat(b.UpperBound)
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d",
-				f.name, labelString(f.labels, values, "le", le), b.Cumulative); err != nil {
-				return err
-			}
-			if ex := m.BucketExemplar(bi); ex != nil {
-				ts := float64(ex.At.UnixNano()) / 1e9
-				if _, err := fmt.Fprintf(w, " # {trace_id=\"%s\"} %s %s",
-					escapeLabel(ex.TraceID), formatFloat(ex.Value),
-					strconv.FormatFloat(ts, 'f', 3, 64)); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-			f.name, labelString(f.labels, values, "", ""), formatFloat(m.Sum())); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labelString(f.labels, values, "", ""), m.Count())
-		return err
-	default:
-		return fmt.Errorf("metrics: unknown child type %T", child)
-	}
 }

@@ -525,3 +525,52 @@ func TestStreamingConcurrentReads(t *testing.T) {
 		wg.Wait()
 	}
 }
+
+// TestStreamingSteadyStateAllocatesNothing is the count-based gate on the
+// streaming read path: once the ring has turned over (window 240, 600
+// observations) and one Forecast has sized the scratch buffers, Observe,
+// Forecast, and the two interleaved allocate nothing. The interleaved run is
+// 64 rounds, so the AR family's every-16-observations Levinson re-solve falls
+// inside the measured window. A change that reintroduces per-forecast
+// refitting or per-read allocation fails here, on any machine.
+func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
+	for _, name := range StreamingNames() {
+		t.Run(name, func(t *testing.T) {
+			sp, err := NewStreaming(name, PredictorConfig{Window: 240})
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := priceSeries(rng.New(2006), 600)
+			feedStream(t, sp, xs)
+			if _, err := sp.Forecast(time.Hour); err != nil {
+				t.Fatal(err)
+			}
+			at := time.Unix(0, 0).Add(time.Duration(len(xs)) * streamStep)
+			i := 0
+			observe := func() {
+				at = at.Add(streamStep)
+				if err := sp.Observe(xs[i%len(xs)], at); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			forecast := func() {
+				if _, err := sp.Forecast(time.Hour); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range []struct {
+				what string
+				f    func()
+			}{
+				{"Observe", observe},
+				{"Forecast(1h)", forecast},
+				{"Observe+Forecast(1h)", func() { observe(); forecast() }},
+			} {
+				if allocs := testing.AllocsPerRun(64, c.f); allocs != 0 {
+					t.Errorf("%s: %v allocs per run in steady state, want 0", c.what, allocs)
+				}
+			}
+		})
+	}
+}
