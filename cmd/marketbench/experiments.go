@@ -93,22 +93,6 @@ func runExperiment(name string, seed int64, csvDir string, strat string, horizon
 			}
 		}
 		return "Matchmaking strategy comparison on a bursty/steady partitioned grid\n" + res.String(), nil
-	case "predictors":
-		p := experiment.DefaultPredictorsParams()
-		p.Scenario.World.Seed = seed
-		if horizon > 0 {
-			p.Scenario.Horizon = horizon
-		}
-		res, err := experiment.RunPredictors(p)
-		if err != nil {
-			return "", err
-		}
-		if csvDir != "" {
-			if err := res.WriteCSV(csvDir); err != nil {
-				return "", err
-			}
-		}
-		return "Batch-refit vs streaming incremental prediction pipelines (paired seeds)\n" + res.String(), nil
 	case "table1":
 		p := experiment.Table1Params()
 		p.World.Seed = seed

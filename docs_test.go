@@ -8,9 +8,11 @@ import (
 )
 
 // TestDocsNameOnlyWhatExists keeps the prose from outliving the code: every
-// `make <target>` the documents name is a rule in the Makefile, and every
-// cmd/<name> directory or top-level *.json file they name exists. Deleting a
-// target, a binary or an artifact without editing the documents fails here.
+// `make <target>` the documents name is a rule in the Makefile, every
+// cmd/<name> directory or top-level *.json file they name exists, and every
+// `marketbench -run <name>` / `-experiment <name>` is an experiment
+// marketbench accepts. Deleting a target, a binary, an artifact or an
+// experiment without editing the documents fails here.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -19,6 +21,21 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	rules := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllSubmatch(makefile, -1) {
 		rules[string(m[1])] = true
+	}
+
+	// marketbench's experiment list is the names literal at the top of its
+	// main; "all" is the flag's default.
+	mainGo, err := os.ReadFile("cmd/marketbench/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := regexp.MustCompile(`(?s)names := \[\]string\{(.*?)\}`).FindSubmatch(mainGo)
+	if lit == nil {
+		t.Fatal("cmd/marketbench/main.go: no names := []string{...} literal")
+	}
+	experiments := map[string]bool{"all": true}
+	for _, m := range regexp.MustCompile(`"([a-z0-9-]+)"`).FindAllSubmatch(lit[1], -1) {
+		experiments[string(m[1])] = true
 	}
 
 	var (
@@ -30,6 +47,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		// A bare file name in a code span is a path from the repository
 		// root; after.json on a command line is the reader's own file.
 		rootJSON = regexp.MustCompile("`[A-Za-z0-9_.-]+\\.json`")
+		// An experiment is named after -run or -experiment, in a code span
+		// or on a fenced command line; `go test -run` selects tests instead.
+		codeSpan = regexp.MustCompile("`[^`]+`")
+		runFlag  = regexp.MustCompile(`(?:^|[^a-z])-(?:run|experiment) ([a-z][a-z0-9-]*)`)
 	)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -49,6 +70,20 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			for _, m := range targets {
 				if !rules[m[1]] {
 					t.Errorf("%s:%d: `make %s` is not a rule in the Makefile", doc, i+1, m[1])
+				}
+			}
+			commands := codeSpan.FindAllString(line, -1)
+			if inFence {
+				commands = []string{line}
+			}
+			for _, c := range commands {
+				if strings.Contains(c, "go test") {
+					continue
+				}
+				for _, m := range runFlag.FindAllStringSubmatch(c, -1) {
+					if !experiments[m[1]] {
+						t.Errorf("%s:%d: experiment %q is not in marketbench's names", doc, i+1, m[1])
+					}
 				}
 			}
 			for _, p := range append(cmdDir.FindAllString(line, -1), rootJSON.FindAllString(line, -1)...) {

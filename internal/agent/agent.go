@@ -204,13 +204,6 @@ type Config struct {
 	// FeedCapacity bounds the per-host price-history ring the agent records
 	// from the auction clears. 0 means pricefeed.DefaultCapacity.
 	FeedCapacity int
-	// Streaming names a streaming predictor family (predict.StreamingAR,
-	// predict.StreamingNormal, predict.StreamingWindow) to colocate with the
-	// price feed: one predictor per partition host, attached as a ring sink
-	// and updated incrementally on every auction clear, so matchmaking reads
-	// forecasts through ForecastHandle instead of refitting from a copied
-	// history per decision. Empty disables streaming (the legacy batch path).
-	Streaming string
 	// BidSplit, when set, is consulted before Best Response: if it accepts
 	// (returns allocations), the job's budget is split by its weights instead
 	// of the KKT solution — the paper's §4.4 portfolio bidding. On decline
@@ -230,7 +223,7 @@ type Agent struct {
 	earnings bank.AccountID
 	pump     *sim.Ticker
 	feed     *pricefeed.Hub
-	stream   *predict.FeedForecasts // nil unless Config.Streaming is set
+	stream   *predict.FeedForecasts // nil until ForecastHandle is first asked
 }
 
 // Errors returned by the agent.
@@ -282,18 +275,6 @@ func New(cfg Config) (*Agent, error) {
 		}
 		a.hosts[i] = h
 		h.Market.Observe(a.feed.Observer(id))
-	}
-	// Colocate streaming predictors with the feed: attached before the first
-	// clear, each sees the exact sample stream its host's ring records.
-	if cfg.Streaming != "" {
-		stream, err := predict.AttachHub(a.feed, cfg.Streaming, predict.PredictorConfig{
-			Window: cfg.FeedCapacity,
-			Step:   cfg.Cluster.Interval(),
-		}, a.cfg.Hosts...)
-		if err != nil {
-			return nil, fmt.Errorf("agent: streaming predictor: %w", err)
-		}
-		a.stream = stream
 	}
 	// Route market charges to bank transfers: sub-account -> host earnings.
 	// Chain rather than replace any existing hook, so replicated agents
@@ -1029,27 +1010,36 @@ func (a *Agent) HostHistory(hostID string) []float64 {
 // Feed exposes the agent's price-feed hub (e.g. for daemon diagnostics).
 func (a *Agent) Feed() *pricefeed.Hub { return a.feed }
 
-// ForecastHandle returns a partition-level streaming forecast handle — the
-// combined forecast over this agent's hosts, read from predictor state that
-// the feed updates on every clear — or nil when Config.Streaming is unset.
-// A meta-scheduler puts the handle on its strategy.Candidate so prediction
-// strategies skip the history-copy-and-refit path entirely.
+// ForecastHandle returns the forecast a meta-scheduler puts on its
+// strategy.Candidate: the combined forecast over this agent's hosts, read
+// from one predict.StreamingAR per host that the feed updates on every clear.
+//
+// The predictors are attached the first time the handle is asked for, so an
+// agent nobody forecasts from carries none, and they are not backfilled: a
+// handle first requested after prices have flowed reports
+// predict.ErrInsufficientHistory (which prediction strategies score as the
+// current price) until enough new clears arrive. arc.NewMeta asks before the
+// first clear.
 func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 	if a.stream == nil {
-		return nil
+		stream, err := predict.AttachHub(a.feed, predict.StreamingAR, predict.PredictorConfig{
+			Window: a.cfg.FeedCapacity,
+			Step:   a.cfg.Cluster.Interval(),
+			// Refit at every forecast that follows a new clear (the solve is
+			// lazy, so clears alone cost nothing). The predictor's default
+			// reuses coefficients and mean for up to 16 clears, which is not
+			// what the batch reference does and misroutes jobs when picks
+			// come every tick: +55 % cost per job on broker-predict.
+			ResolveEvery: 1,
+		}, a.cfg.Hosts...)
+		if err != nil {
+			panic("agent: " + err.Error()) // predict registers StreamingAR itself
+		}
+		a.stream = stream
 	}
 	return func(horizon time.Duration) (predict.Forecast, error) {
 		return a.stream.ForecastMean(a.cfg.Hosts, horizon)
 	}
-}
-
-// Streaming returns the name of the attached streaming predictor family, or
-// "" when the agent runs the legacy batch prediction path.
-func (a *Agent) Streaming() string {
-	if a.stream == nil {
-		return ""
-	}
-	return a.stream.Name()
 }
 
 // Cluster returns the grid cluster the agent schedules onto.

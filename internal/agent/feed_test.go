@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,9 @@ import (
 	"time"
 
 	"tycoongrid/internal/core"
+	"tycoongrid/internal/grid"
+	"tycoongrid/internal/predict"
+	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
 )
 
@@ -221,4 +225,130 @@ func TestAgentPortfolioSplitterEndToEnd(t *testing.T) {
 		}
 	}
 	_ = fmt.Sprintf("%v", job.Hosts)
+}
+
+// TestForecastHandleAttachesOnFirstRequest pins the attach rule from both
+// sides. An agent nobody forecasts from carries no predictor, however many
+// clears flow — an eager attach in New would put one AR update per host per
+// tick on every world without a meta-scheduler. A handle asked for before the
+// first clear has seen every sample its hosts' rings hold.
+func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
+	idle := newWorld(t, 2)
+	idle.eng.RunFor(100 * idle.cluster.Interval())
+	if n := len(idle.agent.PriceHistory(0)); n != 100 {
+		t.Fatalf("recorded %d ticks, want 100", n)
+	}
+	if idle.agent.stream != nil {
+		t.Fatal("predictors attached to an agent whose handle was never requested")
+	}
+
+	w := newWorld(t, 2)
+	handle := w.agent.ForecastHandle()
+	if _, err := handle(10 * time.Minute); !errors.Is(err, predict.ErrInsufficientHistory) {
+		t.Fatalf("forecast before any clear: err = %v, want ErrInsufficientHistory", err)
+	}
+	if _, err := w.agent.Submit(w.payToken(t, 100), request(2, 5*time.Hour), chunks(4, 30)); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(100 * w.cluster.Interval())
+	fc, err := handle(10 * time.Minute)
+	if err != nil {
+		t.Fatalf("forecast after 100 clears: %v", err)
+	}
+	if fc.Mean <= 0 || math.IsNaN(fc.Mean) || fc.Sigma < 0 {
+		t.Errorf("forecast = %+v", fc)
+	}
+	// Asking again reuses the attached predictors: same state, same answer.
+	again, err := w.agent.ForecastHandle()(10 * time.Minute)
+	if err != nil || again != fc {
+		t.Errorf("second handle forecast = %+v, %v; want %+v", again, err, fc)
+	}
+}
+
+// TestNewAllocatesNoPredictor is the count behind the rule above at
+// grid-wide's size: constructing an agent over 10 000 hosts allocates the
+// price rings and nothing per host for prediction.
+func TestNewAllocatesNoPredictor(t *testing.T) {
+	const hosts = 10000
+	eng := sim.NewEngine()
+	specs := make([]grid.HostSpec, hosts)
+	for i := range specs {
+		specs[i] = grid.HostSpec{ID: fmt.Sprintf("h%05d", i), CPUs: 2, CPUMHz: 2800, MaxVMs: 30}
+	}
+	cluster, err := grid.New(eng, grid.Config{Hosts: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := newWorld(t, 1)
+	cfg := small.agent.cfg
+	cfg.Cluster, cfg.Hosts = cluster, nil
+	var a *Agent
+	perHost := testing.AllocsPerRun(1, func() {
+		if a, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}) / hosts
+	if a.stream != nil {
+		t.Fatal("New attached predictors")
+	}
+	// Ring, hub entry, observer closure, map growth: 5.0 per host when
+	// written; a streaming AR model and its sink are 7 more.
+	if perHost > 7 {
+		t.Errorf("agent.New allocates %.1f objects per host, want <= 7", perHost)
+	}
+}
+
+// TestForecastHandleRequestedLateHasNoBackfill pins what a late first request
+// costs: the predictors see only the clears after the attach, so the handle
+// reports ErrInsufficientHistory — which prediction strategies score as the
+// current price — although the ring beside them is full.
+func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
+	w := newWorld(t, 2)
+	w.eng.RunFor(200 * w.cluster.Interval())
+	if n := len(w.agent.PriceHistory(0)); n != 200 {
+		t.Fatalf("recorded %d ticks, want 200", n)
+	}
+	handle := w.agent.ForecastHandle()
+	_, err := handle(10 * time.Minute)
+	if !errors.Is(err, predict.ErrInsufficientHistory) {
+		t.Fatalf("forecast right after a late attach: err = %v, want ErrInsufficientHistory", err)
+	}
+	s, err := strategy.New(strategy.PredictedMean, strategy.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := w.agent.MeanSpotPrice()
+	p, err := s.Pick([]strategy.Candidate{{ID: "p0", CurrentPrice: current, Forecast: handle}})
+	if err != nil || p.Predicted != current {
+		t.Errorf("pick = %+v, %v; want the current price %v", p, err, current)
+	}
+
+	// Only what came after the attach counts: a late-attached agent and one
+	// attached from the start, on the same market, disagree until the window
+	// has turned over.
+	w.eng.RunFor(50 * w.cluster.Interval())
+	late, err := handle(10 * time.Minute)
+	if err != nil {
+		t.Fatalf("forecast 50 clears after the attach: %v", err)
+	}
+	sp, err := predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{
+		Window: w.agent.cfg.FeedCapacity, Step: w.cluster.Interval(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := w.agent.HostIDs()[0]
+	ring := w.agent.Feed().Ring(id).Samples()
+	for _, smp := range ring[len(ring)-50:] {
+		if err := sp.Observe(smp.Price, smp.At); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := sp.Forecast(10 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(late.Mean-want.Mean) > 1e-12 {
+		t.Errorf("late handle mean = %v, want %v (the last 50 samples alone)", late.Mean, want.Mean)
+	}
 }

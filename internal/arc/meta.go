@@ -19,9 +19,12 @@ import (
 // itself never branches on the policy.
 type Meta struct {
 	replicas []*Manager
-	strat    strategy.Strategy
-	horizon  time.Duration
-	index    map[string]*Manager // jobID -> owning replica
+	// cands holds, per replica, the candidate fields that outlive a pick: id,
+	// step, the lazy history source and the forecast handle.
+	cands   []strategy.Candidate
+	strat   strategy.Strategy
+	horizon time.Duration
+	index   map[string]*Manager // jobID -> owning replica
 
 	// Predicted-vs-realized scoring, accumulated horizon after each pick.
 	scored     int
@@ -33,13 +36,25 @@ type Meta struct {
 // matchmaking strategy picks the partition with the lowest current mean spot
 // price, rotating deterministically among exact ties; use SetStrategy to
 // inject a prediction- or portfolio-driven policy.
+//
+// NewMeta asks every replica's agent for its forecast handle, which attaches
+// the agent's predictors (agent.ForecastHandle): build the meta-scheduler
+// before the first market clear, or the forecasts miss the clears before it.
 func NewMeta(replicas ...*Manager) (*Meta, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("arc: meta-scheduler needs at least one replica")
 	}
+	cands := make([]strategy.Candidate, len(replicas))
 	for i, r := range replicas {
 		if r == nil {
 			return nil, fmt.Errorf("arc: replica %d is nil", i)
+		}
+		ag := r.cfg.Agent
+		cands[i] = strategy.Candidate{
+			ID:       r.cfg.ClusterName,
+			Step:     ag.Cluster().Interval(),
+			Hist:     func() []float64 { return ag.PriceHistory(0) },
+			Forecast: ag.ForecastHandle(),
 		}
 	}
 	def, err := strategy.New(strategy.CurrentPrice, strategy.Config{})
@@ -48,6 +63,7 @@ func NewMeta(replicas ...*Manager) (*Meta, error) {
 	}
 	return &Meta{
 		replicas: replicas,
+		cands:    cands,
 		strat:    def,
 		index:    make(map[string]*Manager),
 	}, nil
@@ -73,23 +89,14 @@ func (m *Meta) Strategy() string { return m.strat.Name() }
 func (m *Meta) Replicas() int { return len(m.replicas) }
 
 // pick delegates replica selection to the strategy, handing it each
-// partition's current price and price signal. History is passed lazily —
-// strategies that never look at the raw series (current-price, predicted-*
-// behind a streaming handle) skip the per-candidate mean-history
-// materialization entirely. Agents running a streaming predictor also
-// contribute a Forecast handle, so prediction strategies read O(1) state
-// instead of refitting.
+// partition's current price, its forecast handle — which the predicted-*
+// strategies read instead of a history — and a lazy history source that only
+// the portfolio strategy materializes. The candidates are a fresh copy per
+// pick because a strategy memoizes the history it fetched on its Candidate.
 func (m *Meta) pick() (*Manager, strategy.Pick) {
-	cands := make([]strategy.Candidate, len(m.replicas))
+	cands := append([]strategy.Candidate(nil), m.cands...)
 	for i, r := range m.replicas {
-		ag := r.cfg.Agent
-		cands[i] = strategy.Candidate{
-			ID:           r.cfg.ClusterName,
-			CurrentPrice: ag.MeanSpotPrice(),
-			Hist:         func() []float64 { return ag.PriceHistory(0) },
-			Step:         ag.Cluster().Interval(),
-			Forecast:     ag.ForecastHandle(),
-		}
+		cands[i].CurrentPrice = r.cfg.Agent.MeanSpotPrice()
 	}
 	p, err := m.strat.Pick(cands)
 	if err != nil || p.Index < 0 || p.Index >= len(m.replicas) {

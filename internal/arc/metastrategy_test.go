@@ -55,7 +55,7 @@ func TestMetaTieBreakRoundRobin(t *testing.T) {
 
 func TestMetaStrategyInjectionAndPredictionScoring(t *testing.T) {
 	w := newMetaWorld(t)
-	s, err := strategy.New(strategy.PredictedMean, strategy.Config{Predictor: "window"})
+	s, err := strategy.New(strategy.PredictedMean, strategy.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +261,82 @@ func BenchmarkMetaJobLookup(b *testing.B) {
 		if _, err := w.meta.Job(ids[i%jobs]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// historySpy wraps a strategy and watches what it does with the candidates
+// the meta-scheduler hands it: whether each carries a forecast handle, and
+// whether the strategy pulled any candidate's history.
+type historySpy struct {
+	strategy.Strategy
+	picks, noHandle, histReads int
+}
+
+func (s *historySpy) Pick(cands []strategy.Candidate) (strategy.Pick, error) {
+	s.picks++
+	for i := range cands {
+		if cands[i].Forecast == nil {
+			s.noHandle++
+		}
+		hist := cands[i].Hist
+		cands[i].Hist = func() []float64 { s.histReads++; return hist() }
+	}
+	return s.Strategy.Pick(cands)
+}
+
+// TestMetaPickReadsHandlesNotHistory pins the one forecast path at the
+// scheduler: under a prediction strategy a pick reads every replica's
+// forecast handle, pulls no price history (PriceHistory copies and averages
+// the partition's rings), and allocates a small fixed number of objects. The
+// portfolio strategy, which needs the series, still gets it through Hist.
+func TestMetaPickReadsHandlesNotHistory(t *testing.T) {
+	w := newMetaWorld(t)
+	w.eng.RunFor(30 * time.Minute)
+	for _, name := range []string{strategy.PredictedMean, strategy.PredictedQuantile} {
+		inner, err := strategy.New(name, strategy.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spy := &historySpy{Strategy: inner}
+		w.meta.SetStrategy(spy, 0)
+		_, p := w.meta.pick()
+		if spy.picks != 1 || spy.noHandle != 0 {
+			t.Errorf("%s: %d picks, %d candidates without a forecast handle", name, spy.picks, spy.noHandle)
+		}
+		if spy.histReads != 0 {
+			t.Errorf("%s: pick read %d price histories, want 0", name, spy.histReads)
+		}
+		// 30 min of idle reserve-price clears: the forecast is the reserve
+		// price, from the model and not the current-price fallback.
+		r0 := w.meta.replicas[0].cfg.Agent
+		fc, err := r0.ForecastHandle()(strategy.DefaultHorizon)
+		if err != nil {
+			t.Fatalf("%s: handle not ready after 180 clears: %v", name, err)
+		}
+		if name == strategy.PredictedMean && p.Predicted != fc.Mean {
+			t.Errorf("%s: predicted %v, handle mean %v", name, p.Predicted, fc.Mean)
+		}
+
+		w.meta.SetStrategy(inner, 0)
+		allocs := testing.AllocsPerRun(100, func() { w.meta.pick() })
+		// The candidate copy, the score slice, and the tie slice grown once
+		// (the idle partitions tie). No clear falls between these picks; the
+		// first pick after one also refits each host's model, which is
+		// matrix.SolveToeplitz's 13 small slices per host and still no
+		// history.
+		if allocs > 4 {
+			t.Errorf("%s: pick allocates %.1f objects, want <= 4", name, allocs)
+		}
+	}
+
+	pf, err := strategy.New(strategy.Portfolio, strategy.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &historySpy{Strategy: pf}
+	w.meta.SetStrategy(spy, 0)
+	w.meta.pick()
+	if spy.histReads != len(w.meta.replicas) {
+		t.Errorf("portfolio read %d histories, want one per replica (%d)", spy.histReads, len(w.meta.replicas))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/sim"
+	"tycoongrid/internal/strategy"
 )
 
 func newBox(t *testing.T) *Box {
@@ -212,5 +213,71 @@ func TestPartitionedBoxValidation(t *testing.T) {
 	}
 	if b.Scheduler() != b.Manager {
 		t.Error("single-partition scheduler is not the manager")
+	}
+}
+
+// handleOnly is predicted-mean as the box's meta-scheduler runs it, behind a
+// check of what each pick is given and what it touches.
+type handleOnly struct{ strategy.Strategy }
+
+var spied struct{ picks, noHandle, histReads int }
+
+func (s handleOnly) Pick(cands []strategy.Candidate) (strategy.Pick, error) {
+	spied.picks++
+	for i := range cands {
+		if cands[i].Forecast == nil {
+			spied.noHandle++
+		}
+		hist := cands[i].Hist
+		cands[i].Hist = func() []float64 { spied.histReads++; return hist() }
+	}
+	return s.Strategy.Pick(cands)
+}
+
+func init() {
+	strategy.Register("box-test-handle-only", func(c strategy.Config) strategy.Strategy {
+		inner, err := strategy.New(strategy.PredictedMean, c)
+		if err != nil {
+			panic(err) // the built-in strategy is always registered
+		}
+		return handleOnly{inner}
+	})
+}
+
+// TestPartitionedBoxPicksThroughForecastHandles is gridmarketd -partitions 2
+// -strategy predicted-mean: every candidate the meta-scheduler offers carries
+// a live forecast handle, and matchmaking a job materialises no price
+// history.
+func TestPartitionedBoxPicksThroughForecastHandles(t *testing.T) {
+	spied.picks, spied.noHandle, spied.histReads = 0, 0, 0
+	cfg := DefaultConfig()
+	cfg.Partitions = 2
+	cfg.Strategy = "box-test-handle-only"
+	cfg.Horizon = 10 * time.Minute
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateUser("alice", 500*bank.Credit); err != nil {
+		t.Fatal(err)
+	}
+	b.Engine.RunFor(30 * time.Minute)
+	// The handles were attached when the box was built, so they have seen
+	// every clear: the forecast is ready, not the current-price fallback.
+	if _, err := b.Agent.ForecastHandle()(cfg.Horizon); err != nil {
+		t.Fatalf("partition 0 forecast after 30 min: %v", err)
+	}
+	tok, err := b.MintToken("alice", 50*bank.Credit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xrsl := fmt.Sprintf(
+		"&(executable=scan.sh)(count=2)(cputime=10)(walltime=120)(transfertoken=%s)", tok)
+	if _, err := b.Scheduler().Submit(xrsl, nil); err != nil {
+		t.Fatal(err)
+	}
+	if spied.picks != 1 || spied.noHandle != 0 || spied.histReads != 0 {
+		t.Errorf("picks %d, candidates without a handle %d, histories read %d; want 1, 0, 0",
+			spied.picks, spied.noHandle, spied.histReads)
 	}
 }

@@ -11,18 +11,17 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden CSVs from the current implementation")
 
-// TestGoldenLegacyProportionalCSVs pins the legacy proportional-share market
-// bit-for-bit across the mechanism refactor: the figure4 and strategies
-// replicated summary CSVs (seed 2006, 4 reps, 2 workers — the marketbench
-// -reps 4 -parallel 2 invocation) must stay byte-identical to the files
-// under testdata/golden, which were generated from the pre-refactor auction.
-// Any last-ulp drift in the clearing fold, the charge sequence, or the
-// reduction order shows up here as a diff.
+// TestGoldenProportionalCSVs pins the default proportional-share market
+// bit-for-bit: the figure4 and strategies replicated summary and per-rep CSVs
+// (seed 2006, 4 reps, 2 workers — the marketbench -reps 4 -parallel 2
+// invocation) must stay byte-identical to the files under testdata/golden.
+// Any last-ulp drift in the clearing fold, the charge sequence, the forecast
+// or the reduction order shows up here as a diff.
 //
-// Regenerate (only when an intentional behavior change is being made, with
-// the change called out in the commit): go test -run Golden -update-golden
-// ./internal/experiment
-func TestGoldenLegacyProportionalCSVs(t *testing.T) {
+// Regenerate only when an intentional behavior change is being made, with the
+// row-by-row diff explained in EXPERIMENTS.md:
+// go test ./internal/experiment -run Golden -update-golden
+func TestGoldenProportionalCSVs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden replication run takes ~10s")
 	}
@@ -70,7 +69,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("read golden %s: %v", name, err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden baseline (legacy proportional output must stay bit-identical)\n got:\n%s\nwant:\n%s",
+		t.Errorf("%s drifted from golden baseline (proportional output must stay bit-identical)\n got:\n%s\nwant:\n%s",
 			name, got, want)
 	}
 }

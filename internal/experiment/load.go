@@ -71,7 +71,11 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &LoadResult{World: w, Recorder: w.Recorder}
+	rec, err := w.recordPrices()
+	if err != nil {
+		return nil, err
+	}
+	res := &LoadResult{World: w, Recorder: rec}
 	src := w.src.Split()
 	horizon := time.Duration(p.Hours * float64(time.Hour))
 
@@ -148,8 +152,8 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 	// single-host analyses.
 	best := ""
 	bestMean := -1.0
-	for _, h := range w.Recorder.Hosts() {
-		vs := w.Recorder.Series(h).Values()
+	for _, h := range rec.Hosts() {
+		vs := rec.Series(h).Values()
 		if len(vs) == 0 {
 			continue
 		}

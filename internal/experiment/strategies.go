@@ -11,16 +11,11 @@ import (
 	"tycoongrid/internal/agent"
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/grid"
 	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/metrics"
-	"tycoongrid/internal/pki"
-	"tycoongrid/internal/rng"
-	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
 	"tycoongrid/internal/token"
 	"tycoongrid/internal/trace"
-	"tycoongrid/internal/tracing"
 	"tycoongrid/internal/workload"
 	"tycoongrid/internal/xrsl"
 )
@@ -47,16 +42,13 @@ type StrategiesParams struct {
 	// Horizon is the forecast horizon handed to prediction strategies and the
 	// delay after which predicted-vs-realized error is scored.
 	Horizon time.Duration
-	// Predictor is the predict registry model for predicted-* strategies.
+	// Predictor is the batch registry model passed on as
+	// strategy.Config.Predictor; only a candidate without a forecast handle
+	// is fitted with it, which the meta-scheduler never offers.
 	Predictor string
-	// Window is the history window (in market ticks) for predictors.
+	// Window is the trailing history (in market ticks) forecasts and the
+	// portfolio covariance see: every partition agent's price-ring capacity.
 	Window int
-	// Streaming, when non-empty, names a streaming predictor family
-	// (predict.StreamingAR, ...) each partition agent colocates with its
-	// price feed; prediction strategies then read partition forecasts
-	// through O(1) handles instead of refitting from copied history. Empty
-	// keeps the legacy batch pipeline — the golden-pinned default.
-	Streaming string
 
 	// Bursty background on partition 0: every WavePeriod a wave of WaveJobs
 	// heavily-funded batch jobs lands, then completes, producing the sharp
@@ -173,91 +165,32 @@ func RunStrategies(p StrategiesParams) (*StrategiesResult, error) {
 
 // stratWorld is the partitioned meta-scheduler testbed.
 type stratWorld struct {
-	eng        *sim.Engine
-	bank       *bank.Bank
+	*Testbed
 	rec        *trace.Recorder
 	meta       *arc.Meta
 	agents     []*agent.Agent
 	partitions [][]string
 	hostPart   map[string]int
-	users      []*GridUser
-	src        *rng.Source
-	nonce      int
 }
 
-// buildStrategiesWorld assembles one partitioned world: a single cluster,
-// one agent + ARC manager per partition — all sharing ONE broker identity,
-// account and token verifier (so a token pays "the grid" and verifies no
-// matter which partition matchmaking picks) — under a Meta running the named
-// strategy.
+// buildStrategiesWorld puts one agent + ARC manager per partition on the
+// testbed — all sharing its ONE broker identity, account and token verifier
+// (so a token pays "the grid" and verifies no matter which partition
+// matchmaking picks) — under a Meta running the named strategy.
 func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, error) {
-	eng := sim.NewEngine()
-	src := rng.New(p.World.Seed)
-	tr := p.World.Tracer
-	if tr == nil {
-		tr = tracing.Default()
-	}
-	ca, err := pki.NewDeterministicCA("/O=Grid/CN=TycoonCA", seed32(src), pki.WithTimeSource(eng.Now))
+	tb, err := newTestbed(p.World)
 	if err != nil {
 		return nil, err
 	}
-	bankID, err := ca.IssueDeterministic("/CN=Bank", seed32(src))
-	if err != nil {
-		return nil, err
-	}
-	brokerID, err := ca.IssueDeterministic("/CN=Broker", seed32(src))
-	if err != nil {
-		return nil, err
-	}
-	b := bank.New(bankID, eng, bank.WithLedgerRetention(100_000), bank.WithTracer(tr))
-	if _, err := b.CreateAccount("broker", brokerID.Public()); err != nil {
-		return nil, err
-	}
-
-	specs := make([]grid.HostSpec, p.World.Hosts)
-	for i := range specs {
-		specs[i] = grid.HostSpec{
-			ID:     fmt.Sprintf("h%02d", i),
-			Site:   site(i),
-			CPUs:   p.World.CPUsPerHost,
-			CPUMHz: p.World.CPUMHz,
-			MaxVMs: p.World.MaxVMsPerCPU * p.World.CPUsPerHost,
-		}
-	}
-	cluster, err := grid.New(eng, grid.Config{
-		Hosts:          specs,
-		ReservePrice:   p.World.ReservePrice,
-		Interval:       p.World.Interval,
-		PurgeIdleAfter: p.World.PurgeIdleAfter,
-		Tracer:         tr,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cluster.Start(); err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder()
-	for _, id := range cluster.HostIDs() {
-		h, err := cluster.Host(id)
-		if err != nil {
-			return nil, err
-		}
-		h.Market.Observe(rec.Observer(id))
-	}
-
-	// One shared verifier: the replay cache must be global, or the same
-	// token could be redeemed once per partition.
-	verifier, err := token.NewVerifier(b.PublicKey(), ca.Certificate(), "broker", nil)
+	// The full price trace, for the volatility column (partitionPriceStd);
+	// the agents' rings keep only the last p.Window ticks.
+	rec, err := tb.recordPrices()
 	if err != nil {
 		return nil, err
 	}
 
 	per := p.World.Hosts / p.Partitions
-	w := &stratWorld{
-		eng: eng, bank: b, rec: rec, src: src,
-		hostPart: make(map[string]int),
-	}
+	w := &stratWorld{Testbed: tb, rec: rec, hostPart: make(map[string]int)}
 	var managers []*arc.Manager
 	for i := 0; i < p.Partitions; i++ {
 		part := make([]string, per)
@@ -266,22 +199,18 @@ func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, er
 			w.hostPart[part[j]] = i
 		}
 		ag, err := agent.New(agent.Config{
-			Cluster: cluster, Bank: b, Identity: brokerID, Account: "broker",
-			Verifier: verifier, Hosts: part, Tracer: tr,
+			Cluster: tb.Cluster, Bank: tb.Bank, Identity: tb.broker, Account: "broker",
+			Verifier: tb.verifier, Hosts: part, Tracer: tb.Tracer,
 			// Shared broker account: distinct prefixes keep the per-job
 			// sub-accounts (broker/p0-0001, ...) collision-free.
-			JobIDPrefix: fmt.Sprintf("p%d", i),
-			Streaming:   p.Streaming,
-			// Streaming runs cap the ring at the batch predictors' window so
-			// both pipelines forecast from the same trailing history; the
-			// legacy path keeps the golden-pinned default capacity.
-			FeedCapacity: streamingFeedCap(p),
+			JobIDPrefix:  fmt.Sprintf("p%d", i),
+			FeedCapacity: p.Window,
 		})
 		if err != nil {
 			return nil, err
 		}
 		mgr, err := arc.New(arc.Config{
-			ClusterName: fmt.Sprintf("p%d", i), Agent: ag, Tracer: tr,
+			ClusterName: fmt.Sprintf("p%d", i), Agent: ag, Tracer: tb.Tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -290,6 +219,7 @@ func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, er
 		w.partitions = append(w.partitions, part)
 		managers = append(managers, mgr)
 	}
+	// Before the first clear: NewMeta attaches every agent's predictors.
 	meta, err := arc.NewMeta(managers...)
 	if err != nil {
 		return nil, err
@@ -304,53 +234,7 @@ func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, er
 	}
 	meta.SetStrategy(s, p.Horizon)
 	w.meta = meta
-
-	for i := 0; i < p.World.Users; i++ {
-		name := fmt.Sprintf("user%d", i+1)
-		id, err := ca.IssueDeterministic(pki.DN("/O=Grid/OU=KTH/CN="+name), seed32(src))
-		if err != nil {
-			return nil, err
-		}
-		key, err := ca.IssueDeterministic(pki.DN("/CN="+name+"-bankkey"), seed32(src))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := b.CreateAccount(bank.AccountID(name), key.Public()); err != nil {
-			return nil, err
-		}
-		if err := b.Deposit(bank.AccountID(name), p.World.GrantPerUser, "allocation"); err != nil {
-			return nil, err
-		}
-		w.users = append(w.users, &GridUser{
-			Name: name, Identity: id, BankKey: key, Account: bank.AccountID(name),
-		})
-	}
 	return w, nil
-}
-
-// streamingFeedCap returns the per-host ring capacity for a streaming run
-// (the batch window, so both pipelines see the same trailing history) and 0
-// — the pricefeed default — for the legacy path, which golden tests pin.
-func streamingFeedCap(p StrategiesParams) int {
-	if p.Streaming == "" {
-		return 0
-	}
-	return p.Window
-}
-
-// mint pays credits from user u to the shared broker account.
-func (w *stratWorld) mint(u *GridUser, amount bank.Amount) (token.Token, error) {
-	w.nonce++
-	req := bank.TransferRequest{
-		From: u.Account, To: "broker", Amount: amount,
-		Nonce: fmt.Sprintf("%s-s%05d", u.Name, w.nonce),
-	}
-	req.Sig = u.BankKey.Sign(req.SigningBytes())
-	r, err := w.bank.Transfer(req)
-	if err != nil {
-		return token.Token{}, err
-	}
-	return token.Attach(r, u.Identity), nil
 }
 
 // background submits one direct (non-meta) job to partition pi's agent.
@@ -360,7 +244,7 @@ func (w *stratWorld) background(u *GridUser, pi int, credits float64,
 	if err != nil || budget <= 0 {
 		return err
 	}
-	tok, err := w.mint(u, budget)
+	tok, err := w.MintToken(u, budget)
 	if err != nil {
 		return err
 	}
@@ -392,17 +276,17 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	var wave func()
 	wave = func() {
 		for i := 0; i < p.WaveJobs; i++ {
-			u := w.users[waveUser%len(w.users)]
+			u := w.Users[waveUser%len(w.Users)]
 			waveUser++
 			_ = w.background(u, 0, waveSrc.Uniform(80, 120), p.WavePeriod*3/4,
 				5+waveSrc.Intn(3), waveSrc.Uniform(7, 10), len(w.partitions[0]))
 		}
-		if w.eng.Elapsed()+p.WavePeriod <= horizon {
-			_, _ = w.eng.After(p.WavePeriod, wave)
+		if w.Engine.Elapsed()+p.WavePeriod <= horizon {
+			_, _ = w.Engine.After(p.WavePeriod, wave)
 		}
 	}
 	if p.WavePeriod > 0 && p.WaveJobs > 0 {
-		if _, err := w.eng.After(10*time.Minute, wave); err != nil {
+		if _, err := w.Engine.After(10*time.Minute, wave); err != nil {
 			return nil, err
 		}
 	}
@@ -416,23 +300,23 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 		userOff := pi
 		var drip func()
 		drip = func() {
-			u := w.users[userOff%len(w.users)]
+			u := w.Users[userOff%len(w.Users)]
 			userOff += len(w.partitions)
 			_ = w.background(u, pi, steadySrc.Uniform(8, 14), 2*time.Hour,
 				4, steadySrc.Uniform(12, 18), len(w.partitions[pi]))
-			if w.eng.Elapsed()+p.SteadyEvery <= horizon {
-				_, _ = w.eng.After(p.SteadyEvery, drip)
+			if w.Engine.Elapsed()+p.SteadyEvery <= horizon {
+				_, _ = w.Engine.After(p.SteadyEvery, drip)
 			}
 		}
 		start := time.Duration(steadySrc.Uniform(2, p.SteadyEvery.Minutes()) * float64(time.Minute))
-		if _, err := w.eng.After(start, drip); err != nil {
+		if _, err := w.Engine.After(start, drip); err != nil {
 			return nil, err
 		}
 	}
 
 	// Measured jobs through the meta-scheduler at a fixed, strategy-
 	// independent cadence; identical budget, shape and deadline every time.
-	measureUser := w.users[len(w.users)-1]
+	measureUser := w.Users[len(w.Users)-1]
 	budget, err := bank.FromCredits(p.MeasureBudget)
 	if err != nil {
 		return nil, err
@@ -445,8 +329,8 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	var measureErrs int
 	for at := p.MeasureStart; at+p.MeasureDeadline <= horizon; at += p.MeasureEvery {
 		at := at
-		if _, err := w.eng.After(at, func() {
-			tok, err := w.mint(measureUser, budget)
+		if _, err := w.Engine.After(at, func() {
+			tok, err := w.MintToken(measureUser, budget)
 			if err != nil {
 				measureErrs++
 				return
@@ -471,7 +355,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	}
 
 	snapBefore := metrics.Default().Snapshot()
-	w.eng.RunFor(horizon)
+	w.Engine.RunFor(horizon)
 	telemetry := metrics.Default().Snapshot().Delta(snapBefore)
 
 	if len(measured) == 0 {

@@ -100,3 +100,65 @@ func TestRepSpecStrategiesColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestStrategiesWorldHonoursWorldConfig: the partitioned world stands on the
+// same testbed as NewWorld, so the WorldConfig fields its own copy of the
+// builder used to drop — shards, clearing mechanism, VM overheads — reach the
+// cluster, and a field the cluster rejects fails the run instead of being
+// ignored. The agents' price rings are sized to the prediction window.
+func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
+	p := shortStrategiesParams()
+	p.World.Shards = 2
+	p.World.Mechanism = "vcg"
+	p.World.CreateOverhead = 30 * time.Second
+	p.World.InstallOverhead = 10 * time.Second
+	p.World.VirtOverhead = 0.05
+	w, err := buildStrategiesWorld(p, strategy.CurrentPrice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Cluster.Plane() == nil {
+		t.Error("Shards = 2 built no market plane")
+	}
+	for _, id := range w.Cluster.HostIDs() {
+		h, err := w.Cluster.Host(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Market.MechanismName(); got != "vcg" {
+			t.Errorf("%s clears by %q, want vcg", id, got)
+		}
+		if h.Spec.CreateOverhead != 30*time.Second || h.Spec.InstallOverhead != 10*time.Second || h.Spec.VirtOverhead != 0.05 {
+			t.Errorf("%s overheads = %v/%v/%v", id, h.Spec.CreateOverhead, h.Spec.InstallOverhead, h.Spec.VirtOverhead)
+		}
+	}
+	for i, ag := range w.agents {
+		if got := ag.Feed().Ring(w.partitions[i][0]).Capacity(); got != p.Window {
+			t.Errorf("partition %d ring capacity = %d, want the window %d", i, got, p.Window)
+		}
+	}
+
+	p = shortStrategiesParams()
+	p.World.Mechanism = "no-such-mechanism"
+	p.Strategies = []string{strategy.CurrentPrice}
+	if _, err := RunStrategies(p); err == nil {
+		t.Error("unknown mechanism accepted by the strategies world")
+	}
+
+	// Honoured and working: batch-clearing the partitions' markets through a
+	// two-shard plane changes no outcome of a forecast-driven run.
+	p = shortStrategiesParams()
+	p.Strategies = []string{strategy.PredictedMean}
+	inline, err := RunStrategies(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.World.Shards = 2
+	sharded, err := RunStrategies(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inline.String() != sharded.String() {
+		t.Errorf("Shards = 2 changed the outcome:\n%s\nvs\n%s", inline, sharded)
+	}
+}

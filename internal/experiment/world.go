@@ -16,7 +16,6 @@ import (
 	"tycoongrid/internal/pki"
 	"tycoongrid/internal/rng"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/sls"
 	"tycoongrid/internal/token"
 	"tycoongrid/internal/trace"
 	"tycoongrid/internal/tracing"
@@ -24,19 +23,28 @@ import (
 	"tycoongrid/internal/xrsl"
 )
 
-// World is the assembled grid-market testbed.
-type World struct {
-	Engine   *sim.Engine
-	CA       *pki.CA
-	Bank     *bank.Bank
-	Cluster  *grid.Cluster
-	Agent    *agent.Agent
-	Registry *sls.Registry
-	Recorder *trace.Recorder
-	Tracer   *tracing.Tracer
-	Users    []*GridUser
+// Testbed is what every experiment world stands on: engine, PKI, a bank
+// holding the broker account, the started cluster, the broker's token
+// verifier and the funded users. On top goes one agent (World) or partitioned
+// agents under a meta-scheduler (the strategies experiment).
+type Testbed struct {
+	Engine  *sim.Engine
+	CA      *pki.CA
+	Bank    *bank.Bank
+	Cluster *grid.Cluster
+	Tracer  *tracing.Tracer
+	Users   []*GridUser
+
+	broker   *pki.Identity
+	verifier *token.Verifier
 	src      *rng.Source
 	nonce    int
+}
+
+// World is the single-agent grid-market testbed.
+type World struct {
+	*Testbed
+	Agent *agent.Agent
 }
 
 // GridUser is one simulated grid user with a bank account and identity.
@@ -96,8 +104,10 @@ func PaperWorld() WorldConfig {
 	}
 }
 
-// NewWorld assembles the stack.
-func NewWorld(cfg WorldConfig) (*World, error) {
+// newTestbed assembles the shared part of a world. The seed is consumed in a
+// fixed order — CA, bank, broker, then identity and bank key per user — so a
+// seed names the same keys whichever world is built on top.
+func newTestbed(cfg WorldConfig) (*Testbed, error) {
 	if cfg.Hosts <= 0 || cfg.Users <= 0 {
 		return nil, fmt.Errorf("experiment: need hosts and users, got %d/%d", cfg.Hosts, cfg.Users)
 	}
@@ -154,43 +164,17 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if err := cluster.Start(); err != nil {
 		return nil, err
 	}
-
-	// Price recording + SLS registration for every host.
-	rec := trace.NewRecorder()
-	reg := sls.New(eng, sls.WithTTL(24*365*time.Hour))
-	for _, id := range cluster.HostIDs() {
-		h, err := cluster.Host(id)
-		if err != nil {
-			return nil, err
-		}
-		h.Market.Observe(rec.Observer(id))
-		if err := reg.Register(sls.HostInfo{
-			ID:          id,
-			Endpoint:    "sim://" + id,
-			CapacityMHz: h.Market.CapacityMHz(),
-			CPUs:        h.Spec.CPUs,
-			MaxVMs:      h.Spec.MaxVMs,
-			Site:        h.Spec.Site,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
+	// One verifier per testbed: its replay cache must be shared by every agent
+	// paid through the broker account, or a token could be redeemed once per
+	// partition.
 	verifier, err := token.NewVerifier(b.PublicKey(), ca.Certificate(), "broker", nil)
 	if err != nil {
 		return nil, err
 	}
-	ag, err := agent.New(agent.Config{
-		Cluster: cluster, Bank: b, Identity: brokerID, Account: "broker", Verifier: verifier,
-		Tracer: tr,
-	})
-	if err != nil {
-		return nil, err
-	}
 
-	w := &World{
-		Engine: eng, CA: ca, Bank: b, Cluster: cluster, Agent: ag,
-		Registry: reg, Recorder: rec, Tracer: tr, src: src,
+	tb := &Testbed{
+		Engine: eng, CA: ca, Bank: b, Cluster: cluster, Tracer: tr,
+		broker: brokerID, verifier: verifier, src: src,
 	}
 	for i := 0; i < cfg.Users; i++ {
 		name := fmt.Sprintf("user%d", i+1)
@@ -208,11 +192,43 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		if err := b.Deposit(bank.AccountID(name), cfg.GrantPerUser, "allocation"); err != nil {
 			return nil, err
 		}
-		w.Users = append(w.Users, &GridUser{
+		tb.Users = append(tb.Users, &GridUser{
 			Name: name, Identity: id, BankKey: key, Account: bank.AccountID(name),
 		})
 	}
-	return w, nil
+	return tb, nil
+}
+
+// NewWorld assembles the stack: the testbed and one agent scheduling onto the
+// whole cluster.
+func NewWorld(cfg WorldConfig) (*World, error) {
+	tb, err := newTestbed(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ag, err := agent.New(agent.Config{
+		Cluster: tb.Cluster, Bank: tb.Bank, Identity: tb.broker, Account: "broker",
+		Verifier: tb.verifier, Tracer: tb.Tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &World{Testbed: tb, Agent: ag}, nil
+}
+
+// recordPrices attaches an unbounded trace.Recorder series to every host
+// market, for the experiments that read a whole run's prices afterwards
+// (RunLoad, the strategies volatility column); no other world keeps one.
+func (tb *Testbed) recordPrices() (*trace.Recorder, error) {
+	rec := trace.NewRecorder()
+	for _, id := range tb.Cluster.HostIDs() {
+		h, err := tb.Cluster.Host(id)
+		if err != nil {
+			return nil, err
+		}
+		h.Market.Observe(rec.Observer(id))
+	}
+	return rec, nil
 }
 
 func seed32(src *rng.Source) [32]byte {
@@ -233,14 +249,14 @@ func site(i int) string {
 
 // MintToken pays credits from user to the broker and returns the attached
 // transfer token.
-func (w *World) MintToken(u *GridUser, amount bank.Amount) (token.Token, error) {
-	w.nonce++
+func (tb *Testbed) MintToken(u *GridUser, amount bank.Amount) (token.Token, error) {
+	tb.nonce++
 	req := bank.TransferRequest{
 		From: u.Account, To: "broker", Amount: amount,
-		Nonce: fmt.Sprintf("%s-t%05d", u.Name, w.nonce),
+		Nonce: fmt.Sprintf("%s-t%05d", u.Name, tb.nonce),
 	}
 	req.Sig = u.BankKey.Sign(req.SigningBytes())
-	r, err := w.Bank.Transfer(req)
+	r, err := tb.Bank.Transfer(req)
 	if err != nil {
 		return token.Token{}, err
 	}

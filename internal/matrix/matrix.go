@@ -295,10 +295,13 @@ func SolveToeplitz(t, r []float64) ([]float64, error) {
 		return nil, ErrSingular
 	}
 
-	// f and b are the forward/backward vectors of the Levinson recursion.
+	// f and b are the forward/backward vectors of the Levinson recursion, nf
+	// and nb their extensions by one term; all four share one scratch array
+	// (a solve per forecast handle per pick makes per-step slices the
+	// broker's largest source of garbage).
 	x := make([]float64, n)
-	f := make([]float64, n)
-	b := make([]float64, n)
+	scratch := make([]float64, 4*n)
+	f, b := scratch[:n], scratch[n:2*n]
 	f[0] = 1 / t[0]
 	b[0] = 1 / t[0]
 	x[0] = r[0] / t[0]
@@ -315,8 +318,9 @@ func SolveToeplitz(t, r []float64) ([]float64, error) {
 			return nil, ErrSingular
 		}
 		// Extend forward/backward vectors.
-		nf := make([]float64, i+1)
-		nb := make([]float64, i+1)
+		nf, nb := scratch[2*n:2*n+i+1], scratch[3*n:3*n+i+1]
+		clear(nf)
+		clear(nb)
 		for j := 0; j < i; j++ {
 			nf[j] += f[j] / den
 			nf[j+1] -= ef / den * b[j]

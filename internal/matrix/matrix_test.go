@@ -279,6 +279,22 @@ func TestSolveToeplitzErrors(t *testing.T) {
 	}
 }
 
+// The forecast handles solve one order-6 system per host per pick; a slice
+// per recursion step (13 per solve) was a quarter of broker-predict's garbage
+// and made its peak RSS depend on where the last GC cycle fell.
+func TestSolveToeplitzAllocationBound(t *testing.T) {
+	tt := []float64{1, 0.8, 0.6, 0.45, 0.3, 0.2}
+	r := []float64{0.8, 0.6, 0.45, 0.3, 0.2, 0.1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := SolveToeplitz(tt, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("SolveToeplitz(order 6) = %v allocs, want <= 2 (solution + one scratch array)", allocs)
+	}
+}
+
 func TestVecHelpers(t *testing.T) {
 	if VecDot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("VecDot wrong")

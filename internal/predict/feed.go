@@ -49,9 +49,6 @@ func AttachHub(hub *pricefeed.Hub, name string, cfg PredictorConfig, hostIDs ...
 	return f, nil
 }
 
-// Name returns the streaming predictor family this feed runs.
-func (f *FeedForecasts) Name() string { return f.name }
-
 // Host returns hostID's streaming predictor, creating and attaching it to
 // the hub on first use.
 func (f *FeedForecasts) Host(hostID string) StreamingPredictor {

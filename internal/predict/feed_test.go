@@ -32,9 +32,6 @@ func TestAttachHubForecastsFromRingStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ff.Name() != StreamingAR {
-		t.Fatalf("Name() = %q", ff.Name())
-	}
 
 	src := priceSeries(rng.New(11), 80)
 	base := time.Unix(0, 0)

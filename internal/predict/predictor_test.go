@@ -22,9 +22,9 @@ func feed(t *testing.T, p Predictor, vs []float64, step time.Duration) {
 
 func TestPredictorRegistry(t *testing.T) {
 	names := PredictorNames()
-	// The streaming families register in the batch registry too (via the
-	// adapter), so anything that consumes Predictor can run them.
-	want := []string{"ar", "normal", "streaming-ar", "streaming-normal", "streaming-window", "window"}
+	// Exactly the reference models: the streaming families have their own
+	// registry (NewStreaming) and no entry here.
+	want := []string{"ar", "normal", "window"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v, want %v", names, want)
 	}

@@ -33,9 +33,9 @@ type StreamingPredictor interface {
 	Forecast(horizon time.Duration) (Forecast, error)
 }
 
-// Registered streaming predictor names. Each is also registered in the batch
-// Predictor registry through AsPredictor, so strategies select streaming
-// models with the same -predictor flag that selects batch ones.
+// Registered streaming predictor names. They live in their own registry
+// (NewStreaming); the batch Predictor registry holds only the reference
+// models the equivalence tests compare these against.
 const (
 	StreamingNormal = "streaming-normal"
 	StreamingWindow = "streaming-window"
@@ -82,13 +82,6 @@ func init() {
 	RegisterStreaming(StreamingAR, func(c PredictorConfig) StreamingPredictor {
 		return newStreamAR(c)
 	})
-	for _, name := range []string{StreamingNormal, StreamingWindow, StreamingAR} {
-		name := name
-		RegisterPredictor(name, func(c PredictorConfig) Predictor {
-			sp, _ := NewStreaming(name, c) // name is registered above
-			return AsPredictor(sp)
-		})
-	}
 }
 
 // NewStreaming builds a registered streaming predictor by name.
@@ -109,22 +102,6 @@ func StreamingNames() []string {
 	sort.Strings(out)
 	return out
 }
-
-// streamingAdapter presents a StreamingPredictor through the batch Predictor
-// interface (argument order flipped, Predict -> Forecast).
-type streamingAdapter struct{ sp StreamingPredictor }
-
-func (a streamingAdapter) Name() string { return a.sp.Name() }
-func (a streamingAdapter) Observe(at time.Time, price float64) error {
-	return a.sp.Observe(price, at)
-}
-func (a streamingAdapter) Predict(horizon time.Duration) (Forecast, error) {
-	return a.sp.Forecast(horizon)
-}
-
-// AsPredictor wraps a streaming predictor as a batch-interface Predictor, so
-// it can be driven by code written against the registry interface.
-func AsPredictor(sp StreamingPredictor) Predictor { return streamingAdapter{sp} }
 
 // validateSample applies the pricefeed boundary rules shared by every
 // streaming model: finite non-negative prices, strictly increasing

@@ -449,8 +449,9 @@ func TestStreamingAmortizedResolve(t *testing.T) {
 	}
 }
 
-// TestStreamingRegistry checks both registries expose the streaming models
-// and the batch-interface adapter round-trips observations.
+// TestStreamingRegistry checks the streaming registry exposes the three
+// models, each forecasting from its own observations, and that none of them
+// leaks into the batch registry.
 func TestStreamingRegistry(t *testing.T) {
 	names := StreamingNames()
 	want := []string{StreamingAR, StreamingNormal, StreamingWindow}
@@ -466,22 +467,25 @@ func TestStreamingRegistry(t *testing.T) {
 		t.Fatal("unknown streaming name accepted")
 	}
 	for _, name := range want {
-		p, err := NewPredictor(name, PredictorConfig{Order: 2})
-		if err != nil {
-			t.Fatalf("batch registry missing %s: %v", name, err)
+		if _, err := NewPredictor(name, PredictorConfig{}); err == nil {
+			t.Errorf("batch registry accepts %s", name)
 		}
-		if p.Name() != name {
-			t.Errorf("adapter name %q, want %q", p.Name(), name)
+		sp, err := NewStreaming(name, PredictorConfig{Order: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Name() != name {
+			t.Errorf("name %q, want %q", sp.Name(), name)
 		}
 		at := time.Unix(0, 0)
 		for i := 0; i < 12; i++ {
 			at = at.Add(streamStep)
-			if err := p.Observe(at, 1+0.1*float64(i%4)); err != nil {
+			if err := sp.Observe(1+0.1*float64(i%4), at); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := p.Predict(time.Minute); err != nil {
-			t.Errorf("%s via adapter: %v", name, err)
+		if _, err := sp.Forecast(time.Minute); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -59,9 +59,10 @@ func TestPredictedUsesHandle(t *testing.T) {
 	}
 }
 
-// TestHandleErrorFallsBack checks the legacy degradation contract survives
-// the handle path: a handle reporting insufficient history scores as the
-// current price, exactly like a failed batch fit.
+// TestHandleErrorFallsBack checks how a handle that cannot forecast degrades:
+// one reporting insufficient history (a predictor attached moments ago) or
+// any other error scores as the current price, exactly like a failed fit on
+// the History fallback.
 func TestHandleErrorFallsBack(t *testing.T) {
 	cands := []Candidate{
 		{ID: "a", CurrentPrice: 0.9,
@@ -122,8 +123,10 @@ func TestLazyHistMemoized(t *testing.T) {
 // TestPredictedHandleAllocs gates the matchmaking hot path: scoring via
 // streaming handles must stay O(candidates) small allocations — no history
 // slices, no predictor construction, no synthetic-timestamp replay. The
-// legacy rebuild path allocates hundreds of times more; a regression that
-// reintroduces per-candidate materialization trips this bound.
+// History fallback allocates hundreds of times more; a regression that
+// reintroduces per-candidate materialization trips this bound. (The same
+// gate over the meta-scheduler's own candidates is arc's
+// TestMetaPickReadsHandlesNotHistory.)
 func TestPredictedHandleAllocs(t *testing.T) {
 	var histCalls, fcCalls int
 	cands := handleCands(8, &histCalls, &fcCalls)
@@ -140,11 +143,15 @@ func TestPredictedHandleAllocs(t *testing.T) {
 	if avg > 6 {
 		t.Errorf("predicted-mean Pick allocates %.1f objects/op via handles, want <= 6", avg)
 	}
+	if histCalls != 0 {
+		t.Errorf("materialized history %d times across the runs, want 0", histCalls)
+	}
 }
 
-// legacyCands builds candidates the pre-streaming way: an eager history
-// slice per candidate that the strategy replays through a fresh predictor.
-func legacyCands(n, histLen int) []Candidate {
+// historyCands builds candidates with no handle: an eager history slice each,
+// which the strategy replays through a fresh batch predictor — the reference
+// path no in-tree scheduler takes any more, kept for the comparison below.
+func historyCands(n, histLen int) []Candidate {
 	cands := make([]Candidate, n)
 	for i := range cands {
 		vs := make([]float64, histLen)
@@ -161,11 +168,11 @@ func legacyCands(n, histLen int) []Candidate {
 	return cands
 }
 
-// BenchmarkPredictedPickLegacy measures the batch path: per candidate, Pick
-// constructs a predictor and replays the whole history with synthetic
+// BenchmarkPredictedPickHistory measures the reference path: per candidate,
+// Pick constructs a predictor and replays the whole history with synthetic
 // timestamps before every forecast.
-func BenchmarkPredictedPickLegacy(b *testing.B) {
-	cands := legacyCands(8, 256)
+func BenchmarkPredictedPickHistory(b *testing.B) {
+	cands := historyCands(8, 256)
 	s, err := New(PredictedMean, Config{})
 	if err != nil {
 		b.Fatal(err)
@@ -179,10 +186,10 @@ func BenchmarkPredictedPickLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictedPickStreaming measures the same decision through live
-// streaming-AR handles: the fit already happened at observation time, so
-// Pick only reads.
-func BenchmarkPredictedPickStreaming(b *testing.B) {
+// BenchmarkPredictedPickHandle measures the same decision the way the
+// meta-scheduler makes it, through live streaming-AR handles: the fit already
+// happened at observation time, so Pick only reads.
+func BenchmarkPredictedPickHandle(b *testing.B) {
 	const n, histLen = 8, 256
 	cands := make([]Candidate, n)
 	for i := range cands {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"time"
 
 	"tycoongrid/internal/tsdb"
@@ -48,8 +49,10 @@ func parseHistoryQuery(q url.Values) (historyQuery, error) {
 		out.window = d
 	}
 	if b := q.Get("buckets"); b != "" {
-		var n int
-		if _, err := fmt.Sscanf(b, "%d", &n); err != nil || n < 1 {
+		// Atoi, not Sscanf("%d"): the latter stops at the first non-digit
+		// and would serve buckets=12abc as 12.
+		n, err := strconv.Atoi(b)
+		if err != nil || n < 1 {
 			return out, fmt.Errorf("bad buckets %q", b)
 		}
 		if n > maxHistoryBuckets {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ func FuzzHistoryQuery(f *testing.F) {
 		"series=http_request_duration_seconds{*:p99&window=1h&buckets=1000",
 		"window=banana",
 		"buckets=-1",
+		"series=price&buckets=12abc",
 		"buckets=99999999999999999999",
 		"series=price&window=9999999h",
 		"raw=maybe",
@@ -59,9 +61,15 @@ func FuzzHistoryQuery(f *testing.F) {
 			t.Fatalf("query %q -> unexpected status %d", rawQuery, rec.Code)
 		}
 
-		// The parser alone must also be total.
+		// The parser alone must also be total, and a bucket count it lets
+		// through is a whole decimal number, not a number with a tail.
 		if vals, err := url.ParseQuery(rawQuery); err == nil {
-			_, _ = parseHistoryQuery(vals)
+			_, perr := parseHistoryQuery(vals)
+			if b := vals.Get("buckets"); b != "" && perr == nil {
+				if _, err := strconv.Atoi(b); err != nil {
+					t.Fatalf("query %q: buckets %q accepted", rawQuery, b)
+				}
+			}
 		}
 	})
 }

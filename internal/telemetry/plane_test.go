@@ -127,7 +127,7 @@ func TestHistoryHandler(t *testing.T) {
 	}
 
 	// Bad queries are 400s, never panics.
-	for _, q := range []string{"?series=price&window=banana", "?series=price&buckets=-3", "?series=price&raw=maybe", "?series=price&window=-5s"} {
+	for _, q := range []string{"?series=price&window=banana", "?series=price&buckets=-3", "?series=price&buckets=12abc", "?series=price&raw=maybe", "?series=price&window=-5s"} {
 		rec = httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history"+q, nil))
 		if rec.Code != 400 {
