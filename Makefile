@@ -104,11 +104,12 @@ bench-compare:
 # digests), and the allocation gates of the job path's fast paths — an idle
 # Market.Tick with both price-history observers and PriceExcluding on an empty
 # book allocate nothing, Best Response over 10 000 hosts allocates a handful,
-# and a streaming predictor in steady state allocates nothing per Observe or
-# Forecast. Wired into `check`.
+# a streaming predictor in steady state allocates nothing per Observe or
+# Forecast, and an all-idle cluster tick allocates a constant few bytes however
+# many hosts it sweeps (the plane's result slice is reused). Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core ./internal/matrix ./internal/predict
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict
 
 # Fast crash-recovery health check: the crash-storm test SIGKILLs a real
 # bankd mid-traffic (external kills plus failpoints inside the WAL append,

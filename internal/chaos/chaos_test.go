@@ -3,6 +3,7 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ type world struct {
 	nonce    int
 }
 
-func newWorld(t *testing.T, seed int64) *world {
+func newWorld(t *testing.T, seed int64, shards int) *world {
 	t.Helper()
 	eng := sim.NewEngine()
 	ca, err := pki.NewDeterministicCA("/O=Grid/CN=CA", [32]byte{1}, pki.WithTimeSource(eng.Now))
@@ -68,7 +69,7 @@ func newWorld(t *testing.T, seed int64) *world {
 		specs[i] = grid.HostSpec{ID: id, CPUs: 2, CPUMHz: 2800, MaxVMs: 30}
 		hostIDs[i] = id
 	}
-	cluster, err := grid.New(eng, grid.Config{Hosts: specs})
+	cluster, err := grid.New(eng, grid.Config{Hosts: specs, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +139,20 @@ func (w *world) xrslJob(t *testing.T, credits float64, count, cpuMinutes, wallMi
 
 // TestMarketSurvivesHostChurn is the end-to-end fault-tolerance invariant:
 // a full market under continuous host crash/recovery churn loses no money
-// and leaves no job in limbo.
+// and leaves no job in limbo — and does exactly the same thing whether one
+// shard clears the markets or four do.
 func TestMarketSurvivesHostChurn(t *testing.T) {
-	w := newWorld(t, *chaosSeed)
+	one := surviveHostChurn(t, 1)
+	if four := surviveHostChurn(t, 4); four != one {
+		t.Errorf("same seed, different outcome at 4 shards:\n%s\nvs at 1 shard:\n%s", four, one)
+	}
+}
+
+// surviveHostChurn runs the churn scenario at one shard count, asserts its
+// invariants and returns the outcome — churn counts, every job's end state
+// and charge, the final balances — for comparison across shard counts.
+func surviveHostChurn(t *testing.T, shards int) string {
+	w := newWorld(t, *chaosSeed, shards)
 	if err := w.injector.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +178,8 @@ func TestMarketSurvivesHostChurn(t *testing.T) {
 		t.Fatalf("injector produced %d host failures, want >= %d (20%% of %d hosts)",
 			got, minFailures, chaosHosts)
 	}
-	t.Logf("churn: %d failures, %d recoveries over the run",
+	var outcome strings.Builder
+	fmt.Fprintf(&outcome, "churn: %d failures, %d recoveries over the run\n",
 		w.injector.Failures(), w.injector.Recoveries())
 
 	// Invariant 1: every job reached a terminal state.
@@ -183,8 +196,13 @@ func TestMarketSurvivesHostChurn(t *testing.T) {
 		default:
 			t.Errorf("job %s stuck in state %s", gj.ID, gj.State)
 		}
+		fmt.Fprintf(&outcome, "%s %s %q", gj.ID, gj.State, gj.Error)
+		if gj.AgentJob != nil {
+			fmt.Fprintf(&outcome, " charged %v", gj.AgentJob.Charged)
+		}
+		outcome.WriteByte('\n')
 	}
-	t.Logf("jobs: %d finished, %d failed-and-refunded", finished, failed)
+	fmt.Fprintf(&outcome, "jobs: %d finished, %d failed-and-refunded\n", finished, failed)
 
 	// Invariant 2: every job sub-account drained — completed jobs refunded
 	// their surplus, failed jobs their full unspent budget.
@@ -227,6 +245,9 @@ func TestMarketSurvivesHostChurn(t *testing.T) {
 	if earnBal != charged {
 		t.Errorf("earnings = %v, want charged %v", earnBal, charged)
 	}
+	fmt.Fprintf(&outcome, "alice %v, broker %v, earnings %v\n", aliceBal, brokerBal, earnBal)
+	t.Logf("%d shards:\n%s", shards, &outcome)
+	return outcome.String()
 }
 
 // TestChurnIsDeterministic re-runs a shorter churn scenario twice with the
@@ -234,7 +255,7 @@ func TestMarketSurvivesHostChurn(t *testing.T) {
 // failures reproducible from a seed number.
 func TestChurnIsDeterministic(t *testing.T) {
 	run := func() (string, bank.Amount) {
-		w := newWorld(t, *chaosSeed)
+		w := newWorld(t, *chaosSeed, 1)
 		if err := w.injector.Start(); err != nil {
 			t.Fatal(err)
 		}

@@ -11,17 +11,17 @@ import (
 )
 
 // ScaleParams configures the horizontal-scale experiment family: the same
-// competing-users workload run at increasing auctioneer shard counts. Shard
-// count 0 (or 1) clears each host market inside the cluster's tick loop;
-// larger counts batch-clear them through the marketplane ahead of the same
-// loop. The family answers two questions — does the sharded plane produce a
-// healthy market (jobs complete, money conserved), and how do the outcome
-// metrics move as the plane is partitioned. Raw throughput at benchmark scale
-// is the bench package's plane-burst workload; this family exercises the full
-// stack (agent, grid, bank, VM managers) at workload scale.
+// competing-users workload run at increasing auctioneer shard counts, i.e.
+// with the cluster's markets cleared on that many goroutines. The family
+// answers two questions — does the sharded plane produce a healthy market
+// (jobs complete, money conserved), and do the outcome metrics stay put as
+// the plane is partitioned (they must: the rows are identical). Raw
+// throughput at benchmark scale is the bench package's plane-burst workload;
+// this family exercises the full stack (agent, grid, bank, VM managers) at
+// workload scale.
 type ScaleParams struct {
 	World        WorldConfig
-	ShardCounts  []int         // one run per entry; 0 or 1 = no plane
+	ShardCounts  []int         // one run per entry; values below 1 mean 1
 	Budget       bank.Amount   // per-user funding
 	Deadline     time.Duration // bid deadline
 	SubJobs      int           // chunks per user application
@@ -67,8 +67,8 @@ type ScaleResult struct {
 }
 
 // RunScale runs the workload once per shard count. Every run builds a fresh
-// world from the same seed, so differences between rows are attributable to
-// the tick structure alone.
+// world from the same seed, so any difference between rows would be the
+// shard count's doing.
 func RunScale(p ScaleParams) (*ScaleResult, error) {
 	if len(p.ShardCounts) == 0 {
 		return nil, errors.New("experiment: no shard counts")

@@ -50,23 +50,6 @@ func TestRunScale(t *testing.T) {
 	}
 }
 
-// Shards 0 and 1 are the same legacy code path: their rows must be
-// identical, which is the unsharded-compatibility half of the determinism
-// contract at the experiment layer.
-func TestScaleLegacyPathIdentity(t *testing.T) {
-	p := smallScaleParams()
-	p.ShardCounts = []int{0, 1}
-	res, err := RunScale(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := res.Rows[0], res.Rows[1]
-	a.Shards, b.Shards = 0, 0
-	if a != b {
-		t.Fatalf("legacy (0) and 1-shard rows differ:\n%+v\n%+v", a, b)
-	}
-}
-
 // The replication guarantee survives sharding being wired in: a 1-shard
 // scale experiment replicated 4 times renders byte-identically whether the
 // worker pool has 1 or 2 workers.

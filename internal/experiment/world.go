@@ -79,10 +79,9 @@ type WorldConfig struct {
 	// process-wide tracing.Default(); replication workers inject a private
 	// (and usually unsampled) tracer so concurrent worlds share nothing.
 	Tracer *tracing.Tracer
-	// Shards partitions the cluster's host markets across this many
-	// marketplane auctioneer shards. 0 or 1 clears each market inside the
-	// cluster's tick loop; >= 2 batch-clears them through a plane ahead of
-	// the same loop (see grid.Config.Shards).
+	// Shards is the number of goroutines the cluster clears its host markets
+	// on each tick (see grid.Config.Shards). Parallelism only: every outcome
+	// of a world is the same at every value.
 	Shards int
 	// Mechanism selects the host markets' clearing rule (see
 	// internal/mechanism); empty = proportional share.

@@ -89,11 +89,10 @@ type Config struct {
 	// experiments inject a per-world tracer so concurrent worlds never share
 	// scope stacks.
 	Tracer *tracing.Tracer
-	// Shards partitions the host markets across this many marketplane
-	// auctioneer shards. The tick loop is the same either way: with 0 or 1
-	// each host's market clears inside it; with >= 2 a plane batch-clears
-	// every up host's market first (concurrently across shards) and the
-	// loop delivers what it cleared (see Cluster.tick).
+	// Shards is the number of goroutines the clear phase of a tick spreads
+	// the host markets over (marketplane auctioneer shards); values below 1
+	// mean 1. It is parallelism only: a run's outcome is the same at every
+	// shard count (see Cluster.tick).
 	Shards int
 	// Mechanism names the clearing rule every host market runs
 	// (mechanism.Names: proportional, posted-price, vcg). Empty selects the
@@ -112,7 +111,8 @@ type Cluster struct {
 	list     []*Host  // the hosts in that order: list[i].Spec.ID == order[i]
 	taskSeq  int
 	tracer   *tracing.Tracer
-	plane    *marketplane.Plane // non-nil when cfg.Shards >= 2
+	plane    *marketplane.Plane // clears every host market, list[i] at index i
+	isDown   func(i int) bool   // list[i].down, the plane's skip predicate
 
 	// OnCharge and OnRefund, when set, observe every market charge/refund;
 	// the agent layer uses them to move real bank money.
@@ -210,23 +210,18 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	for i, id := range c.order {
 		c.list[i] = c.hosts[id]
 	}
-	if cfg.Shards >= 2 {
-		markets := make([]marketplane.HostMarket, len(c.list))
-		for i, h := range c.list {
-			markets[i] = h.Market
-		}
-		p, err := marketplane.New(marketplane.Config{Shards: cfg.Shards, Markets: markets})
-		if err != nil {
-			return nil, err
-		}
-		c.plane = p
+	markets := make([]marketplane.HostMarket, len(c.list))
+	for i, h := range c.list {
+		markets[i] = h.Market
 	}
+	p, err := marketplane.New(marketplane.Config{Shards: cfg.Shards, Markets: markets})
+	if err != nil {
+		return nil, err
+	}
+	c.plane = p
+	c.isDown = func(i int) bool { return c.list[i].down }
 	return c, nil
 }
-
-// Plane returns the market plane that batch-clears the host markets ahead of
-// the tick loop, or nil when each market clears inside it (Shards <= 1).
-func (c *Cluster) Plane() *marketplane.Plane { return c.plane }
 
 // Start begins the reallocation ticker. It must be called once before
 // running the simulation.
@@ -350,45 +345,43 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 // RunningTasks returns the number of live tasks on a host.
 func (h *Host) RunningTasks() int { return len(h.tasks) }
 
-// tick advances every market and every task by one interval.
+// tick advances every market and every task by one interval, in three passes
+// over the hosts:
 //
-// There is one loop: it walks the hosts in order, delivering charges and
-// refunds and advancing task progress. Without a plane each host's market
-// clears inside the walk; with one (Shards >= 2) the plane batch-clears every
-// up host's market first, shards running concurrently, and the walk delivers
-// what it cleared. The observable difference: with a plane, a rebid placed by
-// an OnDone callback during the walk lands on a market that already cleared
-// this tick, so it starts accruing at the next one — whereas without one a
-// rebid on a later-ordered host clears within the same sweep. Output is
-// deterministic for a fixed shard count but not bit-identical to the
-// Shards <= 1 run.
+//   - clear: the plane clears every up host's market (shards concurrently;
+//     each market's clear depends on that market alone);
+//   - settle: every host's charges, then its refunds, reach OnCharge and
+//     OnRefund, in host order;
+//   - advance: every host's tasks progress by the shares just cleared and the
+//     finished ones fire OnDone, in host order; idle VMs are purged.
+//
+// Settlement is complete before the first OnDone runs, so a callback that
+// drains a job's escrow cannot starve a charge the job already owes. And a
+// callback sees every market already cleared: a bid it places starts
+// accruing at the next tick, a bid it cancels has paid for the interval that
+// just ended — on whichever host, so billing does not depend on host order.
 func (c *Cluster) tick() {
 	now := c.engine.Now()
-	var cleared []marketplane.TickResult
-	if c.plane != nil {
-		cleared = c.plane.TickAll(now, func(id string) bool { return c.hosts[id].down })
-	}
-	running, busyHosts, downHosts := 0, 0, 0
-	for i, h := range c.list {
-		if h.down {
-			downHosts++
-			continue
-		}
-		var charges, refunds []auction.Charge
-		if cleared != nil {
-			charges, refunds = cleared[i].Charges, cleared[i].Refunds
-		} else {
-			charges, refunds = h.Market.Tick(now)
-		}
+	// A down host was skipped by the clear and has nothing to settle.
+	cleared := c.plane.TickAll(now, c.isDown)
+	for i := range cleared {
+		r := &cleared[i]
 		if c.OnCharge != nil {
-			for _, ch := range charges {
-				c.OnCharge(h.Spec.ID, ch)
+			for _, ch := range r.Charges {
+				c.OnCharge(r.Host, ch)
 			}
 		}
 		if c.OnRefund != nil {
-			for _, r := range refunds {
-				c.OnRefund(h.Spec.ID, r)
+			for _, rf := range r.Refunds {
+				c.OnRefund(r.Host, rf)
 			}
+		}
+	}
+	running, busyHosts, downHosts := 0, 0, 0
+	for _, h := range c.list {
+		if h.down {
+			downHosts++
+			continue
 		}
 		c.advanceTasks(h, now)
 		if c.purge > 0 {
@@ -457,7 +450,11 @@ func (c *Cluster) RecoverHost(hostID string) error {
 		return fmt.Errorf("grid: host %q is not down", hostID)
 	}
 	h.down = false
-	h.Market.Tick(c.engine.Now()) // empty market: just advances its clock
+	// A clock resync, not a clear of bids: FailHost cancelled every bid, so
+	// nothing is charged or refunded here, and no bid placed from now on is
+	// billed for the outage. The host's next clear comes from tick, through
+	// the plane, like every other.
+	h.Market.Tick(c.engine.Now())
 	mHostRecoveries.Inc()
 	if c.OnHostRecovery != nil {
 		c.OnHostRecovery(hostID)

@@ -17,13 +17,14 @@
 // conservation stays exactly checkable at every instant, under concurrent
 // clears and under injected shard crashes.
 //
-// Determinism contract: a 1-shard plane and a 1-shard bank take the exact
-// single-lock code paths of auction.Market and bank.Bank (sim.FanOut runs
-// n == 1 inline), so -shards 1 output is bit-for-bit identical to the
-// unsharded configuration and the replication guarantees of the experiment
-// harness survive. With N >= 2 shards, per-shard work runs concurrently but
-// every cross-shard merge happens in global host order, so simulation
-// results are a deterministic function of (seed, N) — independent of
-// goroutine scheduling — though not bit-identical across different N, since
-// batching changes when prices are read.
+// Determinism contract: a market's clear reads and writes that market
+// alone, queued bids are sorted before they are applied, and TickAll returns
+// results in canonical host order whichever shard cleared a host — so what a
+// plane computes is the same at every shard count, bit for bit, and
+// independent of goroutine scheduling (TestShardCountInvariance). One shard
+// runs inline on the caller's goroutine (sim.FanOut with n == 1). grid.Cluster
+// clears every tick through a plane and delivers the results afterwards, in
+// host order, so a whole simulated world inherits the contract: its Shards
+// setting is parallelism and nothing else. A 1-shard ShardedBank likewise
+// takes bank.Bank's single-lock path for every transfer.
 package marketplane

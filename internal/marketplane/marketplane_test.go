@@ -2,6 +2,7 @@ package marketplane
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,9 +48,6 @@ func TestPlaneCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ShardCount() != 3 || p.Hosts() != 20 {
-		t.Fatalf("shards=%d hosts=%d", p.ShardCount(), p.Hosts())
-	}
 	results := p.TickAll(sim.Epoch.Add(auction.DefaultInterval), nil)
 	if len(results) != 20 {
 		t.Fatalf("%d results", len(results))
@@ -58,32 +56,61 @@ func TestPlaneCanonicalOrder(t *testing.T) {
 		if want := fmt.Sprintf("h%03d", i); r.Host != want {
 			t.Fatalf("result %d is %q, want %q — canonical order broken", i, r.Host, want)
 		}
-		if got, ok := p.CachedPrice(r.Host); !ok || got != markets[i].SpotPrice() {
+		if got := p.PriceAt(i); got != markets[i].SpotPrice() {
 			t.Fatalf("cached price for %s = %v, want %v", r.Host, got, markets[i].SpotPrice())
 		}
 	}
-	if _, ok := p.HostIndex("h007"); !ok {
-		t.Fatal("HostIndex lost a host")
-	}
-	if _, ok := p.CachedPrice("nope"); ok {
-		t.Fatal("CachedPrice invented a host")
-	}
-	if err := p.EnqueueBid("nope", "b", bank.Credit, sim.Epoch.Add(time.Hour)); err == nil {
-		t.Fatal("EnqueueBid accepted an unknown host")
-	}
 }
 
+// A skipped host is neither cleared nor handed its queued bids, whether the
+// sweep is TickAll (canonical indices) or TickShard (host ids); every other
+// host clears, and TickShard returns exactly its shard's hosts in canonical
+// order.
 func TestPlaneSkipPredicate(t *testing.T) {
 	markets := testMarkets(t, 6)
 	p, err := New(Config{Shards: 2, Markets: markets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := p.TickAll(sim.Epoch.Add(auction.DefaultInterval), func(h string) bool { return h == "h002" })
-	for i, r := range results {
-		if r.Host == "" {
-			t.Fatalf("result %d has no host", i)
+	deadline := sim.Epoch.Add(time.Hour)
+	for i := range markets {
+		p.EnqueueBidAt(i, "b", bank.Credit, deadline)
+	}
+	now := sim.Epoch.Add(auction.DefaultInterval)
+	p.TickAll(now, func(i int) bool { return i == 2 }) // applies the bids
+	now = now.Add(auction.DefaultInterval)
+	for i, r := range p.TickAll(now, func(i int) bool { return i == 2 }) {
+		if want := fmt.Sprintf("h%03d", i); r.Host != want {
+			t.Fatalf("result %d is %q, want %q", i, r.Host, want)
 		}
+		if skipped := i == 2; skipped != (len(r.Charges) == 0) {
+			t.Errorf("%s: %d charges, skipped=%v", r.Host, len(r.Charges), skipped)
+		}
+	}
+	if markets[2].(*auction.Market).Bidders() != 0 {
+		t.Error("a skipped host was handed its queued bid")
+	}
+
+	now = now.Add(auction.DefaultInterval)
+	seen := 0
+	for sh := 0; sh < 2; sh++ {
+		prev := ""
+		for _, r := range p.TickShard(sh, now, func(h string) bool { return h == "h004" }) {
+			if owner, ok := p.ShardIndexOf(r.Host); !ok || owner != sh {
+				t.Errorf("TickShard(%d) returned %s, owned by shard %d", sh, r.Host, owner)
+			}
+			if r.Host <= prev {
+				t.Errorf("TickShard(%d): %s after %s — canonical order broken", sh, r.Host, prev)
+			}
+			prev = r.Host
+			if skipped := r.Host == "h002" || r.Host == "h004"; skipped != (len(r.Charges) == 0) {
+				t.Errorf("TickShard: %s has %d charges, skipped=%v", r.Host, len(r.Charges), skipped)
+			}
+			seen++
+		}
+	}
+	if seen != len(markets) {
+		t.Errorf("the shards returned %d hosts between them, want %d", seen, len(markets))
 	}
 }
 
@@ -117,7 +144,8 @@ func testShardCountInvariance(t *testing.T, mechName string) {
 				p.EnqueueBidAt(host, bidder, 3*bank.Credit, deadline)
 			}
 			now := sim.Epoch.Add(time.Duration(tk+1) * auction.DefaultInterval)
-			ticks = append(ticks, p.TickAll(now, nil))
+			// The result slice is the plane's and is rewritten by the next tick.
+			ticks = append(ticks, slices.Clone(p.TickAll(now, nil)))
 		}
 		prices := make([]float64, hosts)
 		for i := range prices {

@@ -26,8 +26,9 @@ type HostMarket interface {
 
 // Config configures a Plane.
 type Config struct {
-	// Shards is the number of auctioneer partitions; minimum 1. One shard is
-	// the exact sequential legacy path (see the package determinism contract).
+	// Shards is the number of auctioneer partitions; values below 1 mean 1.
+	// It sets how many goroutines a TickAll uses and nothing else (see the
+	// package determinism contract).
 	Shards int
 	// Markets are the host markets, in the caller's canonical host order;
 	// TickAll returns results in this order regardless of sharding.
@@ -71,6 +72,10 @@ type Plane struct {
 	byHost map[string]int  // host id -> canonical index
 	slot   []slotRef       // canonical index -> shard/local
 	prices []atomic.Uint64 // Float64bits of each host's cached spot price
+	// results is the one result slice every TickAll writes, in canonical host
+	// order with Host filled in at construction. Each shard writes only its
+	// own hosts' entries, so concurrent shards never touch the same one.
+	results []TickResult
 }
 
 type slotRef struct {
@@ -78,11 +83,8 @@ type slotRef struct {
 	local int
 }
 
-// Errors returned by the plane.
-var (
-	ErrUnknownPlaneHost = errors.New("marketplane: unknown host")
-	ErrBadPlaneConfig   = errors.New("marketplane: invalid config")
-)
+// ErrBadPlaneConfig is returned by New for a config no plane can be built on.
+var ErrBadPlaneConfig = errors.New("marketplane: invalid config")
 
 // New partitions the given markets across cfg.Shards auctioneer shards.
 func New(cfg Config) (*Plane, error) {
@@ -97,13 +99,18 @@ func New(cfg Config) (*Plane, error) {
 		n = len(cfg.Markets)
 	}
 	p := &Plane{
-		shards: make([]*shard, n),
-		byHost: make(map[string]int, len(cfg.Markets)),
-		slot:   make([]slotRef, len(cfg.Markets)),
-		prices: make([]atomic.Uint64, len(cfg.Markets)),
+		shards:  make([]*shard, n),
+		byHost:  make(map[string]int, len(cfg.Markets)),
+		slot:    make([]slotRef, len(cfg.Markets)),
+		prices:  make([]atomic.Uint64, len(cfg.Markets)),
+		results: make([]TickResult, len(cfg.Markets)),
 	}
+	// The hash spreads hosts evenly, so an even share is about what every
+	// shard will hold.
+	even := len(cfg.Markets)/n + 1
 	for i := range p.shards {
-		p.shards[i] = &shard{index: i, ctr: countersFor(i)}
+		p.shards[i] = &shard{index: i, ctr: countersFor(i),
+			markets: make([]HostMarket, 0, even), globals: make([]int, 0, even)}
 	}
 	for g, m := range cfg.Markets {
 		if m == nil {
@@ -119,21 +126,9 @@ func New(cfg Config) (*Plane, error) {
 		p.byHost[id] = g
 		p.slot[g] = slotRef{shard: s, local: len(s.markets) - 1}
 		p.prices[g].Store(math.Float64bits(m.SpotPrice()))
+		p.results[g].Host = id
 	}
 	return p, nil
-}
-
-// ShardCount returns the number of auctioneer shards.
-func (p *Plane) ShardCount() int { return len(p.shards) }
-
-// Hosts returns the number of host markets.
-func (p *Plane) Hosts() int { return len(p.slot) }
-
-// HostIndex returns the canonical index of a host, for the index-addressed
-// fast paths (PriceAt, EnqueueBidAt).
-func (p *Plane) HostIndex(host string) (int, bool) {
-	g, ok := p.byHost[host]
-	return g, ok
 }
 
 // ShardIndexOf returns which shard owns a host.
@@ -153,15 +148,6 @@ func (p *Plane) PriceAt(i int) float64 {
 	return math.Float64frombits(p.prices[i].Load())
 }
 
-// CachedPrice returns the cached spot price for a host by id.
-func (p *Plane) CachedPrice(host string) (float64, bool) {
-	g, ok := p.byHost[host]
-	if !ok {
-		return 0, false
-	}
-	return p.PriceAt(g), true
-}
-
 // EnqueueBidAt queues a bid for the host at canonical index i; it is entered
 // into the host's market at the owning shard's next batch clear. The call
 // takes only the shard's queue lock, never the auctioneer's.
@@ -175,48 +161,43 @@ func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount,
 	ref.shard.ctr.enqueued.Inc()
 }
 
-// EnqueueBid queues a bid for a host by id.
-func (p *Plane) EnqueueBid(host string, bidder auction.BidderID, budget bank.Amount, deadline time.Time) error {
-	g, ok := p.byHost[host]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownPlaneHost, host)
-	}
-	p.EnqueueBidAt(g, bidder, budget, deadline)
-	return nil
-}
-
 // TickAll advances every shard to now — applying queued bids, batch-clearing
 // each host market, refreshing the price cache — and returns per-host
-// results in canonical host order. skip (optional) excludes hosts (e.g.
-// crashed ones) from the sweep. Shards run concurrently when the plane has
-// more than one; with one shard the sweep is inline and sequential, matching
-// the legacy single-auctioneer execution exactly.
-func (p *Plane) TickAll(now time.Time, skip func(host string) bool) []TickResult {
-	results := make([]TickResult, len(p.slot))
+// results in canonical host order. skip (optional) excludes the hosts at the
+// canonical indices it accepts (e.g. crashed ones) from the sweep. Shards run
+// concurrently when the plane has more than one. The returned slice is the
+// plane's own and is valid until the next TickAll.
+func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 	sim.FanOut(len(p.shards), func(i int) {
-		p.shards[i].tick(p, now, skip, results)
+		p.shards[i].tickInto(p, now, skip, p.results, true)
 	})
 	mPlaneTicks.Inc()
-	return results
+	return p.results
 }
 
 // TickShard advances one shard to now and returns results for that shard's
-// hosts only, in canonical host order. Callers that already run one worker
-// per shard (the scale benchmark) use this instead of TickAll so the
-// goroutine structure stays theirs.
+// hosts only, in canonical host order, in a slice of the caller's own.
+// Callers that already run one worker per shard use this instead of TickAll
+// so the goroutine structure stays theirs, and no two workers write to
+// neighbouring memory.
 func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []TickResult {
 	s := p.shards[i]
-	results := make([]TickResult, len(s.markets))
-	s.tickInto(p, now, skip, func(local int) *TickResult { return &results[local] })
-	return results
+	out := make([]TickResult, len(s.markets))
+	for local, g := range s.globals {
+		out[local].Host = p.results[g].Host
+	}
+	var skipAt func(g int) bool
+	if skip != nil {
+		skipAt = func(g int) bool { return skip(p.results[g].Host) }
+	}
+	s.tickInto(p, now, skipAt, out, false)
+	return out
 }
 
-// tick clears the shard, writing each host's result at its canonical index.
-func (s *shard) tick(p *Plane, now time.Time, skip func(string) bool, results []TickResult) {
-	s.tickInto(p, now, skip, func(local int) *TickResult { return &results[s.globals[local]] })
-}
-
-func (s *shard) tickInto(p *Plane, now time.Time, skip func(string) bool, out func(local int) *TickResult) {
+// tickInto clears the shard's markets into out, which has Host filled in:
+// each result at its host's canonical index, or — for a slice holding this
+// shard's hosts only — at the market's index within the shard.
+func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []TickResult, canonical bool) {
 	// Drain the queue under the shard lock, then apply in deterministic
 	// (bidder, arrival) order: concurrent enqueuers from different goroutines
 	// may interleave arbitrarily, and the sort erases that nondeterminism.
@@ -229,12 +210,11 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(string) bool, out fu
 	applied, dropped := uint64(0), uint64(0)
 	applyStart := time.Now()
 	for _, b := range q {
-		m := s.markets[b.local]
-		if skip != nil && skip(m.HostID()) {
+		if skip != nil && skip(s.globals[b.local]) {
 			dropped++
 			continue
 		}
-		if _, err := m.PlaceBid(b.bidder, b.budget, b.deadline); err != nil {
+		if _, err := s.markets[b.local].PlaceBid(b.bidder, b.budget, b.deadline); err != nil {
 			dropped++
 			continue
 		}
@@ -260,14 +240,18 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(string) bool, out fu
 	clears := uint64(0)
 	spotSum := 0.0
 	for local, m := range s.markets {
-		r := out(local)
-		r.Host = m.HostID()
-		if skip != nil && skip(m.HostID()) {
+		g := s.globals[local]
+		r := &out[local]
+		if canonical {
+			r = &out[g]
+		}
+		if skip != nil && skip(g) {
+			r.Charges, r.Refunds = nil, nil
 			continue
 		}
 		r.Charges, r.Refunds = m.Tick(now)
 		spot := m.SpotPrice()
-		p.prices[s.globals[local]].Store(math.Float64bits(spot))
+		p.prices[g].Store(math.Float64bits(spot))
 		spotSum += spot
 		clears++
 	}

@@ -11,8 +11,8 @@ import "sync"
 //
 // This is the one concurrency primitive the simulation stack uses for
 // intra-tick parallelism (the sharded market plane fans a tick out across
-// shards); keeping it here makes the n == 1 inline guarantee — the basis of
-// the 1-shard bit-for-bit compatibility contract — easy to audit.
+// shards); keeping it here makes the n == 1 inline guarantee — a one-shard
+// cluster, the default, ticks without a goroutine — easy to audit.
 func FanOut(n int, fn func(i int)) {
 	if n <= 0 {
 		return
