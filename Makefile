@@ -106,7 +106,10 @@ bench-compare:
 # book allocate nothing, Best Response over 10 000 hosts allocates a handful,
 # a streaming predictor in steady state allocates nothing per Observe or
 # Forecast, and an all-idle cluster tick allocates a constant few bytes however
-# many hosts it sweeps (the plane's result slice is reused). Wired into `check`.
+# many hosts there are — and in a 10 000-host world executes no clear at all
+# over 100 ticks, after which Cluster.Sync hands every host's ring exactly the
+# 100 samples it was owed (TestSleepingWorldTickAllocationBound). Wired into
+# `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
 	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict

@@ -434,32 +434,70 @@ func BenchmarkAuctionClearTracingOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterTickIdle10k is one market sweep of a 10 000-host world with
-// every book empty, wired as experiment.NewWorld wires it (trace recorder and
-// price-feed observers on every market, VM reaping on): the job path's cost
-// per idle host-tick, which is what a wide grid spends its time on. Unlike
-// the in-cache BenchmarkTickIdle of internal/auction this walks 10 000
-// hosts' worth of scattered state, so it is bound by cache misses, not
-// instructions; ns/host-tick is the number to watch.
-func BenchmarkClusterTickIdle10k(b *testing.B) {
-	const hosts = 10000
+// idleWorld10k is a 10 000-host world wired as experiment.NewWorld wires it
+// (price-feed observers on every market, VM reaping on), warmed by one idle
+// simulated minute: every market has cleared once and gone to sleep.
+const idleWorldHosts = 10000
+
+func idleWorld10k(b *testing.B) *experiment.World {
 	tr := tracing.New(tracing.WithCapacity(8))
 	tr.SetSampleRatio(0)
 	wc := experiment.PaperWorld()
-	wc.Hosts, wc.Users, wc.Tracer = hosts, 1, tr
+	wc.Hosts, wc.Users, wc.Tracer = idleWorldHosts, 1, tr
 	wc.PurgeIdleAfter = 10 * time.Minute
 	w, err := experiment.NewWorld(wc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	interval := w.Cluster.Interval()
-	for i := 0; i < 6; i++ { // warm-up: one idle simulated minute
-		w.Engine.RunFor(interval)
+	for i := 0; i < 6; i++ {
+		w.Engine.RunFor(w.Cluster.Interval())
 	}
+	return w
+}
+
+// BenchmarkClusterTickIdle10k is one tick of a 10 000-host world with every
+// book empty: the job path's cost per idle host-tick, which is what a wide
+// grid used to spend its time on (≈ 390 ns, bound by the cache misses of
+// walking 10 000 hosts' scattered state). A tick visits awake markets and
+// busy hosts only, so ns/host-tick here is the tick's fixed cost spread over
+// hosts it never touches.
+func BenchmarkClusterTickIdle10k(b *testing.B) {
+	w := idleWorld10k(b)
+	interval := w.Cluster.Interval()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Engine.RunFor(interval)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hosts, "ns/host-tick")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/idleWorldHosts, "ns/host-tick")
+}
+
+// BenchmarkClusterTick10k800Busy is the same world in the shape the grid-wide
+// workload holds it in: 800 hosts with a live bid and a running task, 9 200
+// asleep. ns/busy-host-tick is what a host that does have work costs a tick:
+// a real clear with its observers, a charge routed to the agent's hook, and
+// the task's progress.
+func BenchmarkClusterTick10k800Busy(b *testing.B) {
+	const busy = 800
+	w := idleWorld10k(b)
+	ids := w.Cluster.HostIDs()
+	far := w.Engine.Now().Add(1e6 * time.Hour)
+	for i := 0; i < busy; i++ {
+		host := ids[i*len(ids)/busy]
+		bidder := auction.BidderID(fmt.Sprintf("busy-%03d", i))
+		if _, err := w.Cluster.PlaceBid(host, bidder, 1e6*bank.Credit, far); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := w.Cluster.StartTask(host, bidder, nil, 1e18, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	interval := w.Cluster.Interval()
+	w.Engine.RunFor(interval)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Engine.RunFor(interval)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/busy, "ns/busy-host-tick")
 }

@@ -565,9 +565,7 @@ func (a *Agent) splitBids(job *Job, budgetRate float64, hosts []core.Host) ([]co
 	if a.cfg.BidSplit == nil {
 		return nil, false
 	}
-	allocs, err := a.cfg.BidSplit.Split(budgetRate, hosts, func(id string) []float64 {
-		return a.feed.History(id, 0)
-	})
+	allocs, err := a.cfg.BidSplit.Split(budgetRate, hosts, a.HostHistory)
 	if err != nil || len(allocs) == 0 {
 		return nil, false
 	}
@@ -999,16 +997,29 @@ func (a *Agent) MeanSpotPrice() float64 {
 // returns everything recorded; samples are spaced Cluster().Interval() apart.
 // This is the history a meta-scheduler strategy forecasts from.
 func (a *Agent) PriceHistory(max int) []float64 {
+	a.syncFeed()
 	return a.feed.MeanHistory(a.cfg.Hosts, max)
 }
 
 // HostHistory returns one host's recorded spot-price history, oldest first.
 func (a *Agent) HostHistory(hostID string) []float64 {
+	a.cfg.Cluster.Sync(hostID)
 	return a.feed.History(hostID, 0)
 }
 
-// Feed exposes the agent's price-feed hub (e.g. for daemon diagnostics).
+// Feed exposes the agent's price-feed hub (e.g. for daemon diagnostics). An
+// idle host's ring lags its market until the host is synced (Cluster.Sync).
 func (a *Agent) Feed() *pricefeed.Hub { return a.feed }
+
+// syncFeed brings the feed up to date with the partition's markets. An idle
+// host's market sleeps through ticks and hands its observers the samples it
+// owes only when woken (auction.Market.Sleep), so everything that reads the
+// feed's rings or sinks goes through here first.
+func (a *Agent) syncFeed() {
+	for _, h := range a.hosts {
+		h.Market.Sync()
+	}
+}
 
 // ForecastHandle returns the forecast a meta-scheduler puts on its
 // strategy.Candidate: the combined forecast over this agent's hosts, read
@@ -1022,6 +1033,9 @@ func (a *Agent) Feed() *pricefeed.Hub { return a.feed }
 // first clear.
 func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 	if a.stream == nil {
+		// What the markets owe the feed from before now goes to the rings
+		// alone: the predictors attached below see nothing older than they are.
+		a.syncFeed()
 		stream, err := predict.AttachHub(a.feed, predict.StreamingAR, predict.PredictorConfig{
 			Window: a.cfg.FeedCapacity,
 			Step:   a.cfg.Cluster.Interval(),
@@ -1038,6 +1052,7 @@ func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 		a.stream = stream
 	}
 	return func(horizon time.Duration) (predict.Forecast, error) {
+		a.syncFeed()
 		return a.stream.ForecastMean(a.cfg.Hosts, horizon)
 	}
 }

@@ -352,3 +352,27 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 		t.Errorf("late handle mean = %v, want %v (the last 50 samples alone)", late.Mean, want.Mean)
 	}
 }
+
+// The same rule when nobody has looked since the start: after fifty idle
+// ticks the partition's markets are asleep and owe the feed fifty samples
+// each. Asking for the handle pays that debt into the rings before the
+// predictors exist, so they still see nothing older than themselves.
+func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
+	w := newWorld(t, 2)
+	w.eng.RunFor(50 * w.cluster.Interval())
+	id := w.agent.HostIDs()[0]
+	if n := w.agent.Feed().Ring(id).Len(); n >= 50 {
+		t.Fatalf("the ring already holds %d samples: the market never slept and the test shows nothing", n)
+	}
+	handle := w.agent.ForecastHandle()
+	if n := w.agent.Feed().Ring(id).Len(); n != 50 {
+		t.Errorf("the ring holds %d samples once the handle exists, want all 50", n)
+	}
+	if _, err := handle(10 * time.Minute); !errors.Is(err, predict.ErrInsufficientHistory) {
+		t.Errorf("forecast right after a late attach: err = %v, want ErrInsufficientHistory: the predictors were fed replayed samples", err)
+	}
+	w.eng.RunFor(50 * w.cluster.Interval())
+	if _, err := handle(10 * time.Minute); err != nil {
+		t.Errorf("forecast 50 clears after the attach: %v", err)
+	}
+}

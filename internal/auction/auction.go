@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tycoongrid/internal/bank"
@@ -77,7 +78,20 @@ type Market struct {
 	price     float64 // spot price at last reallocation, credits/second
 	now       time.Time
 	observers []func(price float64, at time.Time)
-	mech      mechanism.Mechanism // clearing rule; proportional share by default
+	// obs2 is inline room for the first two observers (a grid host's plane
+	// cache and price feed): wiring 10 000 markets allocates nothing for them.
+	obs2 [2]func(price float64, at time.Time)
+	mech mechanism.Mechanism // clearing rule; proportional share by default
+
+	// Sleep state (see Sleep). quiet: the last clear was of an empty book by a
+	// settled mechanism, so every further idle clear would publish m.price
+	// again. waker is non-nil while the market is asleep, and asleep mirrors
+	// that for Sync's lock-free look; wakeMu serialises wake-ups, so nobody
+	// enters the market while one is replaying.
+	quiet  bool
+	waker  Waker
+	asleep atomic.Bool
+	wakeMu sync.Mutex
 
 	priceGauge *metrics.Gauge  // this host's auction_clearing_price child
 	tracer     *tracing.Tracer // per-world scope source; Default unless injected
@@ -126,7 +140,7 @@ func NewMarket(cfg Config) (*Market, error) {
 	if mech == nil {
 		mech, _ = mechanism.New(mechanism.Proportional, mechanism.Config{})
 	}
-	return &Market{
+	m := &Market{
 		tracer:     tr,
 		mech:       mech,
 		hostID:     cfg.HostID,
@@ -136,7 +150,9 @@ func NewMarket(cfg Config) (*Market, error) {
 		price:      reserve,
 		now:        cfg.Start,
 		priceGauge: mClearingPrice.With(cfg.HostID),
-	}, nil
+	}
+	m.observers = m.obs2[:0]
+	return m, nil
 }
 
 // HostID returns the host this market allocates.
@@ -150,11 +166,96 @@ func (m *Market) CapacityMHz() float64 { return m.capacity }
 
 // Observe registers a callback invoked with the spot price after every
 // reallocation; the prediction stack attaches its moving-window statistics
-// here.
+// here. A sleeping market is woken first, so a subscriber never receives a
+// sample from before it subscribed. A callback may call back into the market
+// from a clear, but not from a replayed sample (see Sleep).
 func (m *Market) Observe(fn func(price float64, at time.Time)) {
-	m.mu.Lock()
+	m.lockAwake()
 	defer m.mu.Unlock()
 	m.observers = append(m.observers, fn)
+}
+
+// Waker is the side of Sleep that the market's driver implements.
+type Waker interface {
+	// Wake puts the market back into the driver's sweep and calls replay, in
+	// order, with every instant the driver has ticked its markets at since
+	// Sleep returned.
+	Wake(replay func(at time.Time))
+}
+
+// Sleep is for the driver that ticks this market (a marketplane shard): called
+// after a Tick, it puts a quiet market to sleep and reports whether it did. A
+// market is quiet when its book is empty and its last clear was of an empty
+// book by a settled mechanism: every further Tick would charge nobody and
+// publish the same price. The driver stops ticking a sleeping market, which
+// from then on owes its observers one (price, instant) sample per tick it was
+// excused from.
+//
+// The debt is paid the moment anything could tell the difference — PlaceBid,
+// Tick, Observe and Sync wake a sleeping market before they do anything else,
+// by calling w.Wake once. Each instant it replays is delivered to the
+// observers exactly as the clear it stands for would have been, and the
+// market's clock ends at the last one, so observers and later charges cannot
+// tell a market that slept from one that was ticked throughout. Replayed
+// clears are not counted as clears.
+func (m *Market) Sleep(w Waker) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.quiet || len(m.bids) != 0 || m.waker != nil {
+		return false
+	}
+	m.waker = w
+	m.asleep.Store(true)
+	return true
+}
+
+// Sync wakes the market if it is asleep, so that everything its observers
+// feed (price rings, recorders, predictors) is up to date. Read such state
+// only after syncing the hosts it covers; see Sleep. On a market that is
+// awake it costs one atomic load.
+func (m *Market) Sync() {
+	if m.asleep.Load() {
+		m.wakeUp()
+	}
+}
+
+// lockAwake takes the market lock with the market awake.
+func (m *Market) lockAwake() {
+	m.mu.Lock()
+	for m.waker != nil {
+		m.mu.Unlock()
+		m.wakeUp()
+		m.mu.Lock()
+	}
+}
+
+// wakeUp replays the samples a sleeping market owes. The observers run
+// outside the market lock, like those of a clear, but under wakeMu: a second
+// caller waits for the replay to finish and then finds the market awake.
+func (m *Market) wakeUp() {
+	m.wakeMu.Lock()
+	defer m.wakeMu.Unlock()
+	m.mu.Lock()
+	w, price, obs := m.waker, m.price, m.observers
+	m.mu.Unlock()
+	if w == nil {
+		return
+	}
+	var last time.Time
+	owed := false
+	w.Wake(func(at time.Time) {
+		for _, fn := range obs {
+			fn(price, at)
+		}
+		last, owed = at, true
+	})
+	m.mu.Lock()
+	if owed {
+		m.now = last
+	}
+	m.waker = nil
+	m.asleep.Store(false)
+	m.mu.Unlock()
 }
 
 // PlaceBid enters or replaces a bid for bidder: budget amortized until
@@ -163,7 +264,7 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 	if bidder == "" || budget <= 0 {
 		return 0, fmt.Errorf("%w: bidder %q budget %v", ErrBadBid, bidder, budget)
 	}
-	m.mu.Lock()
+	m.lockAwake() // the horizon below is measured from the market's clock
 	defer m.mu.Unlock()
 	horizon := deadline.Sub(m.now).Seconds()
 	if horizon <= 0 {
@@ -359,7 +460,7 @@ func (m *Market) mechCapacity() mechanism.Capacity {
 // deadline with money left (deadline reached: leftover goes back).
 func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	wallStart := time.Now()
-	m.mu.Lock()
+	m.lockAwake()
 	dt := now.Sub(m.now).Seconds()
 	if dt < 0 {
 		dt = 0
@@ -399,6 +500,11 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	// takes this same path in the same order and allocates nothing on it:
 	// the loops have nothing to visit, the snapshot is nil, and the
 	// mechanism still clears (posted-price moves its price on empty demand).
+	//
+	// Quiet is judged before the clear: a mechanism that settles during this
+	// clear (posted-price reaching its floor) published its last moving price
+	// here, and only the next clear publishes the price that repeats.
+	m.quiet = len(m.bids) == 0 && m.mech.Settled(m.mechCapacity())
 	cleared := m.mech.Clear(m.liveBidsLocked(), m.mechCapacity())
 	for id, b := range m.bids {
 		if l, ok := cleared.Line(string(id)); ok {

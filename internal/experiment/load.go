@@ -148,6 +148,10 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 		return nil, fmt.Errorf("experiment: load scenario submitted no jobs (%d failed)", res.JobsAged)
 	}
 
+	// The recorder is read from here on: idle hosts hand it the samples
+	// their sleeping markets still owe.
+	w.Cluster.Sync()
+
 	// Find the busiest host (highest mean recorded price) for the
 	// single-host analyses.
 	best := ""

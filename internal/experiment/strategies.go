@@ -426,6 +426,7 @@ func (w *stratWorld) jobPartition(gj *arc.GridJob) int {
 // price over [from, to], from the full recorded trace.
 func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, bool) {
 	hosts := w.partitions[pi]
+	w.Cluster.Sync(hosts...) // sleeping markets owe the recorder their idle clears
 	series := make([][]float64, 0, len(hosts))
 	n := math.MaxInt
 	for _, h := range hosts {

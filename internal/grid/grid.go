@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"tycoongrid/internal/auction"
@@ -41,8 +43,18 @@ type Host struct {
 	Spec   HostSpec
 	Market *auction.Market
 	VMs    *vm.Manager
-	tasks  map[string]*Task
-	down   bool
+	// tasks is ascending by ID, the order a tick advances and finishes them
+	// in. IDs are "task-%05d" of a counter, so the order stops being creation
+	// order at 100 000 tasks; only its being the same every run is relied on.
+	tasks []*Task
+	down  bool
+	index int  // position in Cluster.list
+	busy  bool // in Cluster.busy or Cluster.started
+}
+
+// task finds a task by ID: its position in h.tasks, or where it would go.
+func (h *Host) task(id string) (int, bool) {
+	return slices.BinarySearchFunc(h.tasks, id, func(t *Task, id string) int { return strings.Compare(t.ID, id) })
 }
 
 // Down reports whether the host is currently failed.
@@ -113,6 +125,16 @@ type Cluster struct {
 	tracer   *tracing.Tracer
 	plane    *marketplane.Plane // clears every host market, list[i] at index i
 	isDown   func(i int) bool   // list[i].down, the plane's skip predicate
+	down     int                // hosts currently failed
+
+	// busy holds the list indices of the hosts a tick has to advance or reap
+	// — those with a task, or with a VM while purging is on — ascending.
+	// started are the hosts that became busy since; they join at the next
+	// tick. owned and shareAt are advanceTasks' scratch.
+	busy    []int
+	started []int
+	owned   []int
+	shareAt []int
 
 	// OnCharge and OnRefund, when set, observe every market charge/refund;
 	// the agent layer uses them to move real bank money.
@@ -202,13 +224,14 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.hosts[spec.ID] = &Host{Spec: spec, Market: market, VMs: vmm, tasks: make(map[string]*Task)}
+		c.hosts[spec.ID] = &Host{Spec: spec, Market: market, VMs: vmm}
 		c.order = append(c.order, spec.ID)
 	}
 	sort.Strings(c.order)
 	c.list = make([]*Host, len(c.order))
 	for i, id := range c.order {
 		c.list[i] = c.hosts[id]
+		c.list[i].index = i
 	}
 	markets := make([]marketplane.HostMarket, len(c.list))
 	for i, h := range c.list {
@@ -265,6 +288,24 @@ func (c *Cluster) HostIDs() []string {
 	out := make([]string, len(c.order))
 	copy(out, c.order)
 	return out
+}
+
+// Sync brings the named hosts' markets up to date (auction.Market.Sync), or
+// every host's when none is named; ids the cluster does not know are ignored.
+// An idle host's market sleeps through ticks and catches up when touched, so
+// whoever reads what a market's observers have recorded syncs it first.
+func (c *Cluster) Sync(hosts ...string) {
+	if len(hosts) == 0 {
+		for _, h := range c.list {
+			h.Market.Sync()
+		}
+		return
+	}
+	for _, id := range hosts {
+		if h, ok := c.hosts[id]; ok {
+			h.Market.Sync()
+		}
+	}
 }
 
 // PlaceBid enters budget on a host's market for bidder, valid until
@@ -324,7 +365,12 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 		Started:   c.engine.Now(),
 		OnDone:    onDone,
 	}
-	h.tasks[t.ID] = t
+	at, _ := h.task(t.ID)
+	h.tasks = slices.Insert(h.tasks, at, t)
+	if !h.busy {
+		h.busy = true
+		c.started = append(c.started, h.index)
+	}
 	mTasksStarted.Inc()
 	// VM acquisition inside a job scope lands on that job's timeline: which
 	// machine the chunk got and when it becomes ready.
@@ -345,15 +391,16 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 // RunningTasks returns the number of live tasks on a host.
 func (h *Host) RunningTasks() int { return len(h.tasks) }
 
-// tick advances every market and every task by one interval, in three passes
-// over the hosts:
+// tick advances the markets and the tasks by one interval, in three passes,
+// each over the hosts it concerns and no others (an idle host costs a tick
+// nothing):
 //
-//   - clear: the plane clears every up host's market (shards concurrently;
-//     each market's clear depends on that market alone);
-//   - settle: every host's charges, then its refunds, reach OnCharge and
-//     OnRefund, in host order;
-//   - advance: every host's tasks progress by the shares just cleared and the
-//     finished ones fire OnDone, in host order; idle VMs are purged.
+//   - clear: the plane clears every awake, up host's market (shards
+//     concurrently; each market's clear depends on that market alone);
+//   - settle: every cleared host's charges, then its refunds, reach OnCharge
+//     and OnRefund, in host order;
+//   - advance: every busy host's tasks progress by the shares just cleared
+//     and the finished ones fire OnDone, in host order; idle VMs are purged.
 //
 // Settlement is complete before the first OnDone runs, so a callback that
 // drains a job's escrow cannot starve a charge the job already owes. And a
@@ -377,25 +424,40 @@ func (c *Cluster) tick() {
 			}
 		}
 	}
-	running, busyHosts, downHosts := 0, 0, 0
-	for _, h := range c.list {
-		if h.down {
-			downHosts++
-			continue
+	if len(c.started) > 0 {
+		c.busy = append(c.busy, c.started...)
+		slices.Sort(c.busy)
+		c.started = c.started[:0]
+	}
+	running, busyHosts := 0, 0
+	stay := c.busy[:0]
+	for _, i := range c.busy {
+		h := c.list[i]
+		if !h.down {
+			// An OnDone in here may start tasks: on this host, which then
+			// stays busy below, or on another, which is busy already or joins
+			// c.started; a task started now has nothing to advance by yet.
+			c.advanceTasks(h, now)
+			if c.purge > 0 {
+				h.VMs.PurgeIdleOlderThan(now.Add(-c.purge))
+			}
 		}
-		c.advanceTasks(h, now)
-		if c.purge > 0 {
-			h.VMs.PurgeIdleOlderThan(now.Add(-c.purge))
-		}
-		if n := len(h.tasks); n > 0 {
+		n := len(h.tasks)
+		if n > 0 {
 			running += n
 			busyHosts++
 		}
+		if n > 0 || (c.purge > 0 && h.VMs.Live() > 0) {
+			stay = append(stay, i)
+		} else {
+			h.busy = false
+		}
 	}
+	c.busy = stay
 	mTicks.Inc()
 	mRunningTasks.Set(float64(running))
 	mHostUtilization.Set(float64(busyHosts) / float64(len(c.list)))
-	mHostsDown.Set(float64(downHosts))
+	mHostsDown.Set(float64(c.down))
 }
 
 // FailHost crashes a host: every running task is killed (OnDone does not
@@ -411,17 +473,16 @@ func (c *Cluster) FailHost(hostID string) (HostFailure, error) {
 	if h.down {
 		return HostFailure{}, fmt.Errorf("%w: %q", ErrHostDown, hostID)
 	}
+	// A down host is skipped by the clear, which only asks about awake
+	// markets: the market catches up to now first, and stays awake while down.
+	h.Market.Sync()
 	h.down = true
+	c.down++
 	f := HostFailure{HostID: hostID}
-	ids := make([]string, 0, len(h.tasks))
-	for id := range h.tasks {
-		ids = append(ids, id)
+	if len(h.tasks) > 0 {
+		f.Tasks = h.tasks
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		f.Tasks = append(f.Tasks, h.tasks[id])
-	}
-	h.tasks = make(map[string]*Task)
+	h.tasks = nil
 	h.VMs.PurgeAll()
 	for _, s := range h.Market.Shares() { // sorted by bidder
 		remaining, err := h.Market.CancelBid(s.Bidder)
@@ -450,10 +511,12 @@ func (c *Cluster) RecoverHost(hostID string) error {
 		return fmt.Errorf("grid: host %q is not down", hostID)
 	}
 	h.down = false
+	c.down--
 	// A clock resync, not a clear of bids: FailHost cancelled every bid, so
 	// nothing is charged or refunded here, and no bid placed from now on is
-	// billed for the outage. The host's next clear comes from tick, through
-	// the plane, like every other.
+	// billed for the outage. It also publishes the empty book's price, which
+	// the plane's price cache follows. The host's next clear comes from tick,
+	// through the plane, like every other.
 	h.Market.Tick(c.engine.Now())
 	mHostRecoveries.Inc()
 	if c.OnHostRecovery != nil {
@@ -467,31 +530,35 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 	if len(h.tasks) == 0 {
 		return
 	}
-	shares := h.Market.Shares()
-	frac := make(map[auction.BidderID]float64, len(shares))
-	for _, s := range shares {
-		frac[s.Bidder] = s.Fraction
-	}
-	// Count concurrent tasks per owner on this host: an owner's share is
-	// divided among their tasks here.
-	perOwner := make(map[auction.BidderID]int)
+	shares := h.Market.Shares() // ascending by bidder
+	// An owner's share is divided among their concurrent tasks on this host:
+	// find each task's share, and count the tasks on each share. A task whose
+	// owner holds no bid has no share and does not progress.
+	c.owned = append(c.owned[:0], make([]int, len(shares))...)
+	c.shareAt = c.shareAt[:0]
 	for _, t := range h.tasks {
-		perOwner[t.Owner]++
+		at, ok := slices.BinarySearchFunc(shares, t.Owner, func(s auction.Share, owner auction.BidderID) int {
+			return strings.Compare(string(s.Bidder), string(owner))
+		})
+		if !ok {
+			at = -1
+		} else {
+			c.owned[at]++
+		}
+		c.shareAt = append(c.shareAt, at)
 	}
 	total := h.TotalMHz()
 	perCPU := h.PerCPUMHz()
 	dt := c.interval.Seconds()
 
-	// Deterministic order.
-	ids := make([]string, 0, len(h.tasks))
-	for id := range h.tasks {
-		ids = append(ids, id)
+	// A finished task, and whether it was its owner's only one on this host
+	// when the interval began.
+	type done struct {
+		t    *Task
+		sole bool
 	}
-	sort.Strings(ids)
-
-	var finished []*Task
-	for _, id := range ids {
-		t := h.tasks[id]
+	var finished []done
+	for i, t := range h.tasks {
 		// Effective compute window within (now-dt, now]: clip by VM readiness.
 		eff := dt
 		if t.ReadyAt.After(now) {
@@ -500,7 +567,11 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 		if windowStart := now.Add(-c.interval); t.ReadyAt.After(windowStart) {
 			eff = now.Sub(t.ReadyAt).Seconds()
 		}
-		share := frac[t.Owner] / float64(perOwner[t.Owner])
+		at := c.shareAt[i]
+		if at < 0 {
+			continue
+		}
+		share := shares[at].Fraction / float64(c.owned[at])
 		rate := share * total
 		// Dual-CPU rule: a single-threaded task caps at one processor.
 		if rate > perCPU {
@@ -515,18 +586,19 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 			overshoot := -t.Work / rate
 			t.DoneAt = now.Add(-time.Duration(overshoot * float64(time.Second)))
 			t.Work = 0
-			finished = append(finished, t)
+			finished = append(finished, done{t, c.owned[at] == 1})
 		}
 	}
 	mTasksCompleted.Add(uint64(len(finished)))
-	for _, t := range finished {
-		delete(h.tasks, t.ID)
+	for _, f := range finished {
+		t := f.t
+		h.removeTask(t.ID)
 		if err := h.VMs.Release(t.VMID, now); err != nil {
 			// A released VM in a bad state indicates an internal bug; tasks
 			// own their VM exclusively between Acquire and Release.
 			panic(fmt.Sprintf("grid: releasing %s: %v", t.VMID, err))
 		}
-		if perOwner[t.Owner] == 1 && !ownerHasTasks(h, t.Owner) {
+		if f.sole && !ownerHasTasks(h, t.Owner) {
 			// Owner no longer computes here: stop charging them.
 			_ = h.Market.SetActive(t.Owner, false)
 		}
@@ -534,6 +606,18 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 			t.OnDone(t)
 		}
 	}
+}
+
+// removeTask takes a task off the host and returns it, or nil if the host
+// does not run it.
+func (h *Host) removeTask(id string) *Task {
+	at, ok := h.task(id)
+	if !ok {
+		return nil
+	}
+	t := h.tasks[at]
+	h.tasks = slices.Delete(h.tasks, at, at+1)
+	return t
 }
 
 func ownerHasTasks(h *Host, owner auction.BidderID) bool {
@@ -554,11 +638,10 @@ func (c *Cluster) CancelTask(hostID, taskID string) error {
 	if err != nil {
 		return err
 	}
-	t, ok := h.tasks[taskID]
-	if !ok {
+	t := h.removeTask(taskID)
+	if t == nil {
 		return fmt.Errorf("grid: unknown task %q on %q", taskID, hostID)
 	}
-	delete(h.tasks, taskID)
 	mTasksCancelled.Inc()
 	if err := h.VMs.Release(t.VMID, c.engine.Now()); err != nil {
 		panic(fmt.Sprintf("grid: cancelling %s: %v", t.VMID, err))
@@ -576,9 +659,10 @@ func (c *Cluster) Progress(hostID, taskID string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t, ok := h.tasks[taskID]
+	at, ok := h.task(taskID)
 	if !ok {
 		return 0, fmt.Errorf("grid: unknown task %q on %q", taskID, hostID)
 	}
+	t := h.tasks[at]
 	return 1 - t.Work/t.TotalWork, nil
 }

@@ -1,0 +1,229 @@
+package grid
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"tycoongrid/internal/auction"
+	"tycoongrid/internal/bank"
+	"tycoongrid/internal/metrics"
+	"tycoongrid/internal/pricefeed"
+	"tycoongrid/internal/sim"
+	"tycoongrid/internal/trace"
+)
+
+// observedCluster is a cluster with what experiment worlds hang on every
+// market — a price-feed ring and an unbounded recorder series — and a log of
+// every charge and refund.
+type observedCluster struct {
+	*Cluster
+	eng   *sim.Engine
+	hub   *pricefeed.Hub
+	rec   *trace.Recorder
+	money []string
+}
+
+func newObservedCluster(t *testing.T, hosts int) *observedCluster {
+	t.Helper()
+	eng := sim.NewEngine()
+	specs := make([]HostSpec, hosts)
+	for i := range specs {
+		specs[i] = HostSpec{ID: fmt.Sprintf("h%02d", i), CPUs: 2, CPUMHz: 2800, MaxVMs: 30}
+	}
+	c, err := New(eng, Config{Hosts: specs, PurgeIdleAfter: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &observedCluster{Cluster: c, eng: eng, hub: pricefeed.NewHub(0), rec: trace.NewRecorder()}
+	for _, h := range c.list {
+		h.Market.Observe(w.hub.Observer(h.Spec.ID))
+		h.Market.Observe(w.rec.Observer(h.Spec.ID))
+	}
+	c.OnCharge = func(host string, ch auction.Charge) {
+		w.money = append(w.money, fmt.Sprintf("%v charge %s %s %v", eng.Now().Sub(sim.Epoch), host, ch.Bidder, ch.Amount))
+	}
+	c.OnRefund = func(host string, ch auction.Charge) {
+		w.money = append(w.money, fmt.Sprintf("%v refund %s %s %v", eng.Now().Sub(sim.Epoch), host, ch.Bidder, ch.Amount))
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// Everything that can happen to a host that has been asleep for a while — it
+// fails, it recovers, it is handed a task, it is bid on through the cluster
+// or by someone holding its Market — leaves the rings, the recorder, the
+// price cache and the money exactly as on a twin whose every market is woken
+// before every tick, and so never sleeps through one.
+func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
+	const hosts, ticks = 6, 90
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	script := map[int]func(w *observedCluster){
+		20: func(w *observedCluster) { // asleep since the first tick
+			_, err := w.FailHost("h01")
+			must(err)
+		},
+		24: func(w *observedCluster) { // a bid straight on a sleeping host's market
+			h, _ := w.Host("h02")
+			_, err := h.Market.PlaceBid("direct", 40*bank.Credit, w.eng.Now().Add(6*time.Minute))
+			must(err)
+			_, err = w.StartTask("h02", "direct", nil, 100*2800, nil)
+			must(err)
+		},
+		31: func(w *observedCluster) { // recovery between two ticks
+			w.eng.RunFor(3 * time.Second)
+			must(w.RecoverHost("h01"))
+		},
+		35: func(w *observedCluster) { // a task first, its bid later
+			_, err := w.StartTask("h03", "late", nil, 50*2800, nil)
+			must(err)
+		},
+		40: func(w *observedCluster) {
+			_, err := w.PlaceBid("h03", "late", 20*bank.Credit, w.eng.Now().Add(4*time.Minute))
+			must(err)
+			_, err = w.PlaceBid("h01", "back", 5*bank.Credit, w.eng.Now().Add(time.Minute))
+			must(err)
+		},
+		60: func(w *observedCluster) { // bids die with a host that was awake
+			_, err := w.PlaceBid("h04", "doomed", 30*bank.Credit, w.eng.Now().Add(time.Hour))
+			must(err)
+		},
+		63: func(w *observedCluster) {
+			_, err := w.FailHost("h04")
+			must(err)
+		},
+		70: func(w *observedCluster) { must(w.RecoverHost("h04")) },
+	}
+	run := func(neverSleep bool) *observedCluster {
+		w := newObservedCluster(t, hosts)
+		for k := 1; k <= ticks; k++ {
+			if neverSleep {
+				w.Sync()
+			}
+			w.eng.RunFor(w.Interval())
+			if act := script[k]; act != nil {
+				act(w)
+			}
+		}
+		return w
+	}
+	got, want := run(false), run(true)
+
+	behind := 0
+	for _, id := range got.HostIDs() {
+		if got.hub.Ring(id).Len() < want.hub.Ring(id).Len() {
+			behind++
+		}
+	}
+	if behind == 0 {
+		t.Error("no host is asleep at the end of the run: the test compares nothing")
+	}
+	got.Sync()
+	want.Sync()
+	for i, id := range got.HostIDs() {
+		if g, w := got.hub.Ring(id).Samples(), want.hub.Ring(id).Samples(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
+		}
+		if g, w := got.rec.Series(id).Points(), want.rec.Series(id).Points(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: recorder holds %d points, the twin's %d, or they differ", id, len(g), len(w))
+		}
+		if g, w := got.plane.PriceAt(i), want.plane.PriceAt(i); g != w || g != got.list[i].Market.SpotPrice() {
+			t.Errorf("%s: cached price %v, the twin's %v, spot %v", id, g, w, got.list[i].Market.SpotPrice())
+		}
+	}
+	if !reflect.DeepEqual(got.money, want.money) {
+		t.Errorf("charges and refunds differ from the twin's:\n%v\n%v", got.money, want.money)
+	}
+	if len(got.money) == 0 || got.hub.Rejected() != 0 {
+		t.Errorf("%d charges, %d samples rejected; want some and none", len(got.money), got.hub.Rejected())
+	}
+}
+
+// The plane's price cache used to keep a failed host's last spot price until
+// the next sweep reached the host. It follows the market now: the clear that
+// recovery runs refreshes it.
+func TestPriceCacheFreshAfterRecovery(t *testing.T) {
+	c, eng := testCluster(t, 2)
+	if _, err := c.PlaceBid("h00", "alice", 100*bank.Credit, eng.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(2 * c.Interval())
+	h, _ := c.Host("h00")
+	bid := c.plane.PriceAt(0)
+	if bid != h.Market.SpotPrice() || bid < 1 {
+		t.Fatalf("cached price %v with a live bid, spot %v", bid, h.Market.SpotPrice())
+	}
+	if _, err := c.FailHost("h00"); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(c.Interval() / 2)
+	if err := c.RecoverHost("h00"); err != nil {
+		t.Fatal(err)
+	}
+	if got, spot := c.plane.PriceAt(0), h.Market.SpotPrice(); got != spot || got >= bid {
+		t.Errorf("after recovery, before any tick: cached price %v, spot %v (pre-failure %v)", got, spot, bid)
+	}
+}
+
+// TestSleepingWorldTickAllocationBound is the counting gate on what an idle
+// host costs a tick: nothing. In a 10 000-host world with a price ring on
+// every market, 100 ticks execute no clear and allocate a constant; and the
+// hosts are owed, and on Sync handed, exactly one sample per tick.
+func TestSleepingWorldTickAllocationBound(t *testing.T) {
+	const hosts, ticks, maxBytesPerTick = 10000, 100, 512
+	eng := sim.NewEngine()
+	specs := make([]HostSpec, hosts)
+	for i := range specs {
+		specs[i] = HostSpec{ID: fmt.Sprintf("h%05d", i), CPUs: 2, CPUMHz: 2800}
+	}
+	c, err := New(eng, Config{Hosts: specs, PurgeIdleAfter: 10 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := pricefeed.NewHub(0)
+	for _, h := range c.list {
+		h.Market.Observe(hub.Observer(h.Spec.ID))
+	}
+	step := func() {
+		eng.RunFor(c.Interval())
+		c.tick()
+	}
+	const warm = 6
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	clears := metrics.Default().CounterValue("auction_clears_total")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ticks; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if got := metrics.Default().CounterValue("auction_clears_total") - clears; got != 0 {
+		t.Errorf("%d clears executed over %d idle ticks, want 0", got, ticks)
+	}
+	if perTick := (after.TotalAlloc - before.TotalAlloc) / ticks; perTick > maxBytesPerTick {
+		t.Errorf("%d B allocated per idle tick, want <= %d", perTick, maxBytesPerTick)
+	}
+	c.Sync()
+	for _, h := range c.list {
+		samples := hub.Ring(h.Spec.ID).Samples()
+		if len(samples) != warm+ticks {
+			t.Fatalf("%s: ring holds %d samples after Sync, want one per tick, %d", h.Spec.ID, len(samples), warm+ticks)
+		}
+		for k, s := range samples {
+			if want := sim.Epoch.Add(time.Duration(k+1) * c.Interval()); !s.At.Equal(want) {
+				t.Fatalf("%s: sample %d at %v, want the tick instant %v", h.Spec.ID, k, s.At, want)
+			}
+		}
+	}
+}

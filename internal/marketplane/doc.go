@@ -9,7 +9,10 @@
 // reproduces that by hash-partitioning host markets across shards, each
 // clearing its hosts once per tick in a single batch (instead of recomputing
 // prices per bid) and publishing spot prices to a lock-free cache that bid
-// placement reads without touching the auctioneer. GridBank (Barmouta &
+// placement reads without touching the auctioneer. An idle auctioneer does no
+// work there, and none here: a market whose clear left it quiet sleeps, its
+// shard sweeps the awake ones only, and the sleeper replays what it missed to
+// its observers when it is bid on or read (see Plane). GridBank (Barmouta &
 // Buyya, cs/0210002) distributes accounting across independent bank servers;
 // ShardedBank reproduces that by hash-partitioning accounts across bank
 // shards and moving money between shards with a two-phase prepare/commit

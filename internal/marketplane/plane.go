@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,8 @@ type HostMarket interface {
 	Tick(now time.Time) (charges, refunds []auction.Charge)
 	PlaceBid(bidder auction.BidderID, budget bank.Amount, deadline time.Time) (refund bank.Amount, err error)
 	SpotPrice() float64
+	Observe(fn func(price float64, at time.Time))
+	Sleep(w auction.Waker) bool
 }
 
 // Config configures a Plane.
@@ -36,7 +39,8 @@ type Config struct {
 }
 
 // TickResult is one host's outcome of a plane tick, in canonical host order.
-// Hosts skipped by the tick predicate have nil Charges and Refunds.
+// Hosts skipped by the tick predicate have nil Charges and Refunds; a sleeping
+// host owed nothing and, from TickAll, has no result at all.
 type TickResult struct {
 	Host    string
 	Charges []auction.Charge
@@ -51,31 +55,54 @@ type queuedBid struct {
 	deadline time.Time
 }
 
-// shard is one auctioneer partition: a subset of host markets, a bid queue
-// under the shard's own lock, and pre-resolved metric children.
+// shard is one auctioneer partition: a subset of host markets, the ones among
+// them that are awake, a bid queue and the log of swept instants under the
+// shard's own lock, and pre-resolved metric children.
 type shard struct {
 	index   int
 	markets []HostMarket
-	globals []int // canonical index of each local market
+	globals []int // canonical index of each local market, ascending
+	naps    []nap // each local market's way back from sleep
+
+	// awake holds the local indices a sweep visits, ascending. A sweep ticks
+	// each, and drops the ones that fall asleep (auction.Market.Sleep); only
+	// sweeps touch it. cleared and order are TickAll's results for this shard
+	// and their canonical indices.
+	awake   []int
+	cleared []TickResult
+	order   []int
 
 	mu    sync.Mutex
 	queue []queuedBid
+	ticks tickLog // every instant a sweep has ticked the awake markets at
+	woken []int   // markets woken since the last sweep began; they join the next
 
 	ctr shardCounters
 }
 
 // Plane is the sharded market: hosts hash-partitioned across auctioneer
-// shards, each clearing its hosts once per tick in a batch, plus a lock-free
-// spot-price cache refreshed at every clear. Safe for concurrent use.
+// shards, each clearing its awake hosts once per tick in a batch, plus a
+// lock-free spot-price cache refreshed at every clear. Safe for concurrent
+// use.
+//
+// Sleep/wake contract. A tick costs what is awake, not what exists: a market
+// whose clear left it quiet (auction.Market.Sleep) leaves its shard's sweep,
+// and the shard remembers the instants it sweeps at. The market wakes itself
+// when it is bid on, ticked, subscribed to or synced: it rejoins the sweep
+// and replays the instants it missed to its observers, which is exactly what
+// ticking it through them would have done. So whoever reads what observers
+// feed (a price ring, a recorder) must Sync the markets it reads first, and a
+// skip predicate must only accept awake hosts (Sync a host before the
+// predicate first accepts it): a sleeping host is not asked, and would replay
+// the instants it should have been skipped at.
 type Plane struct {
-	shards []*shard
-	byHost map[string]int  // host id -> canonical index
-	slot   []slotRef       // canonical index -> shard/local
-	prices []atomic.Uint64 // Float64bits of each host's cached spot price
-	// results is the one result slice every TickAll writes, in canonical host
-	// order with Host filled in at construction. Each shard writes only its
-	// own hosts' entries, so concurrent shards never touch the same one.
-	results []TickResult
+	shards  []*shard
+	byHost  map[string]int  // host id -> canonical index
+	hostIDs []string        // canonical index -> host id
+	slot    []slotRef       // canonical index -> shard/local
+	prices  []atomic.Uint64 // Float64bits of each host's cached spot price
+	results []TickResult    // TickAll's merge of the shards' results
+	merged  []int           // how far that merge has read into each shard's
 }
 
 type slotRef struct {
@@ -101,16 +128,18 @@ func New(cfg Config) (*Plane, error) {
 	p := &Plane{
 		shards:  make([]*shard, n),
 		byHost:  make(map[string]int, len(cfg.Markets)),
+		hostIDs: make([]string, len(cfg.Markets)),
 		slot:    make([]slotRef, len(cfg.Markets)),
 		prices:  make([]atomic.Uint64, len(cfg.Markets)),
-		results: make([]TickResult, len(cfg.Markets)),
+		merged:  make([]int, n),
 	}
 	// The hash spreads hosts evenly, so an even share is about what every
 	// shard will hold.
 	even := len(cfg.Markets)/n + 1
 	for i := range p.shards {
 		p.shards[i] = &shard{index: i, ctr: countersFor(i),
-			markets: make([]HostMarket, 0, even), globals: make([]int, 0, even)}
+			markets: make([]HostMarket, 0, even), globals: make([]int, 0, even),
+			naps: make([]nap, 0, even), awake: make([]int, 0, even)}
 	}
 	for g, m := range cfg.Markets {
 		if m == nil {
@@ -121,12 +150,20 @@ func New(cfg Config) (*Plane, error) {
 			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadPlaneConfig, id)
 		}
 		s := p.shards[ShardOf(id, n)]
+		local := len(s.markets)
 		s.markets = append(s.markets, m)
 		s.globals = append(s.globals, g)
+		s.awake = append(s.awake, local) // every market starts awake
+		s.naps = append(s.naps, nap{shard: s, local: local})
 		p.byHost[id] = g
-		p.slot[g] = slotRef{shard: s, local: len(s.markets) - 1}
-		p.prices[g].Store(math.Float64bits(m.SpotPrice()))
-		p.results[g].Host = id
+		p.hostIDs[g] = id
+		p.slot[g] = slotRef{shard: s, local: local}
+		// The cache follows the market's own publications: every clear
+		// refreshes it, whoever ran the clear (a sweep, or a caller holding
+		// the market), and a market falls asleep on the price it holds.
+		price := &p.prices[g]
+		price.Store(math.Float64bits(m.SpotPrice()))
+		m.Observe(func(spot float64, _ time.Time) { price.Store(math.Float64bits(spot)) })
 	}
 	return p, nil
 }
@@ -141,9 +178,10 @@ func (p *Plane) ShardIndexOf(host string) (int, bool) {
 }
 
 // PriceAt returns the cached spot price of the host at canonical index i —
-// one atomic load, no auctioneer lock. The cache is refreshed at each batch
-// clear, so between clears the value is up to one tick stale; that staleness
-// is the price of taking bid placement off the auctioneer's lock.
+// one atomic load, no auctioneer lock. The cache is refreshed at each clear,
+// so between clears the value is up to one tick stale; that staleness is the
+// price of taking bid placement off the auctioneer's lock. A sleeping host's
+// entry is exact: its price cannot move until it is bid on.
 func (p *Plane) PriceAt(i int) float64 {
 	return math.Float64frombits(p.prices[i].Load())
 }
@@ -162,42 +200,61 @@ func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount,
 }
 
 // TickAll advances every shard to now — applying queued bids, batch-clearing
-// each host market, refreshing the price cache — and returns per-host
-// results in canonical host order. skip (optional) excludes the hosts at the
-// canonical indices it accepts (e.g. crashed ones) from the sweep. Shards run
-// concurrently when the plane has more than one. The returned slice is the
-// plane's own and is valid until the next TickAll.
+// each awake host market — and returns the results of the hosts it swept, in
+// canonical host order. skip (optional) excludes the hosts at the canonical
+// indices it accepts (e.g. crashed ones) from the sweep; it is asked about
+// awake hosts only. Shards run concurrently when the plane has more than one.
+// The returned slice is the plane's own and is valid until the next TickAll.
 func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 	sim.FanOut(len(p.shards), func(i int) {
-		p.shards[i].tickInto(p, now, skip, p.results, true)
+		p.shards[i].tickInto(p, now, skip, nil)
 	})
 	mPlaneTicks.Inc()
-	return p.results
+	if len(p.shards) == 1 {
+		return p.shards[0].cleared
+	}
+	// Merge the shards' results, each ascending by canonical index.
+	p.results = p.results[:0]
+	at := p.merged
+	clear(at)
+	for {
+		next := -1
+		for i, s := range p.shards {
+			if at[i] < len(s.order) && (next < 0 || s.order[at[i]] < p.shards[next].order[at[next]]) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return p.results
+		}
+		p.results = append(p.results, p.shards[next].cleared[at[next]])
+		at[next]++
+	}
 }
 
 // TickShard advances one shard to now and returns results for that shard's
-// hosts only, in canonical host order, in a slice of the caller's own.
-// Callers that already run one worker per shard use this instead of TickAll
-// so the goroutine structure stays theirs, and no two workers write to
-// neighbouring memory.
+// hosts only, sleeping ones included, in canonical host order, in a slice of
+// the caller's own. Callers that already run one worker per shard use this
+// instead of TickAll so the goroutine structure stays theirs, and no two
+// workers write to neighbouring memory.
 func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []TickResult {
 	s := p.shards[i]
 	out := make([]TickResult, len(s.markets))
 	for local, g := range s.globals {
-		out[local].Host = p.results[g].Host
+		out[local].Host = p.hostIDs[g]
 	}
 	var skipAt func(g int) bool
 	if skip != nil {
-		skipAt = func(g int) bool { return skip(p.results[g].Host) }
+		skipAt = func(g int) bool { return skip(p.hostIDs[g]) }
 	}
-	s.tickInto(p, now, skipAt, out, false)
+	s.tickInto(p, now, skipAt, out)
 	return out
 }
 
-// tickInto clears the shard's markets into out, which has Host filled in:
-// each result at its host's canonical index, or — for a slice holding this
-// shard's hosts only — at the market's index within the shard.
-func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []TickResult, canonical bool) {
+// tickInto sweeps the shard's awake markets. With out nil the results go to
+// s.cleared, one per swept market; otherwise to out, which holds one result
+// per market of the shard with Host filled in.
+func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []TickResult) {
 	// Drain the queue under the shard lock, then apply in deterministic
 	// (bidder, arrival) order: concurrent enqueuers from different goroutines
 	// may interleave arbitrarily, and the sort erases that nondeterminism.
@@ -237,26 +294,127 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 		s.ctr.dropped.Add(dropped)
 	}
 
+	// The markets woken so far (by the bids above, among others) join this
+	// sweep, and now enters the log, in one step: a market that wakes later
+	// finds now among the instants it missed and joins the next sweep.
+	s.mu.Lock()
+	if len(s.woken) > 0 {
+		s.awake = append(s.awake, s.woken...)
+		slices.Sort(s.awake)
+		s.woken = s.woken[:0]
+	}
+	s.ticks.add(now)
+	logged := s.ticks.n
+	s.mu.Unlock()
+
+	s.cleared, s.order = s.cleared[:0], s.order[:0]
 	clears := uint64(0)
 	spotSum := 0.0
-	for local, m := range s.markets {
-		g := s.globals[local]
-		r := &out[local]
-		if canonical {
-			r = &out[g]
+	stay := s.awake[:0]
+	for _, local := range s.awake {
+		m, g := s.markets[local], s.globals[local]
+		var r *TickResult
+		if out != nil {
+			r = &out[local]
+		} else {
+			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g]})
+			s.order = append(s.order, g)
+			r = &s.cleared[len(s.cleared)-1]
 		}
 		if skip != nil && skip(g) {
-			r.Charges, r.Refunds = nil, nil
+			stay = append(stay, local)
 			continue
 		}
 		r.Charges, r.Refunds = m.Tick(now)
-		spot := m.SpotPrice()
-		p.prices[g].Store(math.Float64bits(spot))
-		spotSum += spot
+		spotSum += p.PriceAt(g)
 		clears++
+		// Written before Sleep arms the wake that reads it: the market's
+		// lock orders the two.
+		s.naps[local].from = logged
+		if !m.Sleep(&s.naps[local]) {
+			stay = append(stay, local)
+		}
 	}
+	s.awake = stay
 	if clears > 0 {
 		s.ctr.clears.Add(clears)
 		s.ctr.spotMean.Set(spotSum / float64(clears))
 	}
+}
+
+// nap is a sleeping market's way back (auction.Waker): which market it is,
+// and the log position its debt starts at.
+type nap struct {
+	shard *shard
+	local int
+	from  int
+}
+
+// Wake has the market join the next sweep and replays the instants swept
+// since it fell asleep — outside the shard lock, since replay runs the
+// market's observers.
+func (n *nap) Wake(replay func(at time.Time)) {
+	s := n.shard
+	s.mu.Lock()
+	var buf [4]tickRun
+	missed := s.ticks.since(n.from, buf[:0])
+	s.woken = append(s.woken, n.local)
+	s.mu.Unlock()
+	for _, r := range missed {
+		for k := 0; k < r.count; k++ {
+			replay(r.at(k))
+		}
+	}
+}
+
+// tickLog is the sequence of instants a shard has swept at, kept as runs of
+// evenly spaced instants: a periodic clock costs one run however long a
+// market sleeps.
+type tickLog struct {
+	runs []tickRun
+	n    int // instants logged
+}
+
+// tickRun is count instants step apart, the first at first; it holds log
+// positions start .. start+count-1.
+type tickRun struct {
+	first time.Time
+	step  time.Duration
+	start int
+	count int
+}
+
+func (r tickRun) at(k int) time.Time { return r.first.Add(time.Duration(k) * r.step) }
+
+// add appends an instant, extending the last run when the instant is exactly
+// (as a time.Time value, zone and all) what the run would produce next, so
+// that replaying the log hands observers the values the sweeps were given.
+func (l *tickLog) add(at time.Time) {
+	l.n++
+	if len(l.runs) > 0 {
+		r := &l.runs[len(l.runs)-1]
+		if r.count == 1 {
+			r.step = at.Sub(r.first) // a run of one takes its step from the second
+		}
+		if r.at(r.count) == at {
+			r.count++
+			return
+		}
+	}
+	l.runs = append(l.runs, tickRun{first: at, start: l.n - 1, count: 1})
+}
+
+// since appends to buf the runs covering log positions from .. n-1.
+func (l *tickLog) since(from int, buf []tickRun) []tickRun {
+	i := len(l.runs)
+	for i > 0 && l.runs[i-1].start+l.runs[i-1].count > from {
+		i--
+	}
+	for _, r := range l.runs[i:] {
+		if d := from - r.start; d > 0 {
+			r.first, r.count = r.at(d), r.count-d
+		}
+		buf = append(buf, r)
+	}
+	return buf
 }

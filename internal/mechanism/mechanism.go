@@ -85,10 +85,18 @@ func (o Outcome) Line(bidder string) (Line, bool) {
 // any internal state (safe to call for inspection, e.g. share queries between
 // ticks); Clear is the authoritative per-interval reallocation and may update
 // state such as the posted price. For stateless mechanisms the two coincide.
+//
+// Settled reports whether clearing an empty book has become a fixed point:
+// once it is true, Clear(nil, cap) publishes the same price every time and
+// changes nothing a later Quote or Clear can see, until a Clear with bids
+// moves the state again. It is what lets a market stop clearing an idle host
+// (auction.Market.Sleep). A stateless rule is always settled; posted-price is
+// once its price has decayed to the reserve.
 type Mechanism interface {
 	Name() string
 	Quote(bids []Bid, cap Capacity) Outcome
 	Clear(bids []Bid, cap Capacity) Outcome
+	Settled(cap Capacity) bool
 }
 
 // Canonical mechanism names accepted by New and the -mechanism CLI flags.

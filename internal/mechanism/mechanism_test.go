@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tycoongrid/internal/rng"
@@ -311,5 +312,63 @@ func TestOutcomeLine(t *testing.T) {
 	}
 	if l, ok := out.Line("c"); !ok || l.Bidder != "c" {
 		t.Error("missed line for present bidder")
+	}
+}
+
+// TestSettledIsAFixedPoint holds every mechanism to what Settled promises:
+// from the moment it reports true, a hundred further empty clears publish one
+// price and leave every quote as it was. Posted-price, raised by demand, is
+// not settled while its price decays, does settle, and settles at the reserve;
+// without a reserve to land on it never does.
+func TestSettledIsAFixedPoint(t *testing.T) {
+	capacity := Capacity{MHz: 2800, Reserve: 0.001}
+	book := []Bid{{Bidder: "a", Rate: 0.4}, {Bidder: "b", Rate: 0.1}, {Bidder: "c", Rate: 0.02}}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			m, err := New(name, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ { // demand: posted-price climbs
+				m.Clear(book, capacity)
+			}
+			if name == PostedPrice && m.Settled(capacity) {
+				t.Fatal("posted-price reports settled with its price raised")
+			}
+			decay := 0
+			for ; !m.Settled(capacity); decay++ {
+				if decay > 1000 {
+					t.Fatal("never settled on an empty book")
+				}
+				m.Clear(nil, capacity)
+			}
+			if name == PostedPrice && decay < 5 {
+				t.Errorf("posted-price settled after %d empty clears, from a price raised over five", decay)
+			}
+			quote := m.Quote(book, capacity)
+			price := m.Clear(nil, capacity).Price
+			if price != capacity.Reserve {
+				t.Errorf("settled at price %v, want the reserve %v", price, capacity.Reserve)
+			}
+			for i := 0; i < 100; i++ {
+				if got := m.Clear(nil, capacity).Price; got != price {
+					t.Fatalf("empty clear %d after settling published %v, want %v", i, got, price)
+				}
+				if !m.Settled(capacity) {
+					t.Fatalf("unsettled by empty clear %d", i)
+				}
+			}
+			if got := m.Quote(book, capacity); !reflect.DeepEqual(got, quote) {
+				t.Errorf("quote moved across settled clears: %+v, was %+v", got, quote)
+			}
+		})
+	}
+	free := Capacity{MHz: 2800}
+	p, _ := New(PostedPrice, Config{})
+	for i := 0; i < 200; i++ {
+		p.Clear(nil, free)
+		if p.Settled(free) {
+			t.Fatalf("posted-price with no reserve settled after %d clears; its price halves for ever", i+1)
+		}
 	}
 }

@@ -123,3 +123,11 @@ func (p *postedPrice) Clear(bids []Bid, capacity Capacity) Outcome {
 	p.price = next
 	return out
 }
+
+// Settled reports whether the price has decayed to the reserve: from there an
+// empty clear publishes the reserve, steps below it and is floored back to
+// it. A host with no reserve never settles — its price keeps halving.
+func (p *postedPrice) Settled(capacity Capacity) bool {
+	capacity, _ = saneCapacity(capacity)
+	return capacity.Reserve > 0 && p.price == capacity.Reserve
+}

@@ -44,3 +44,7 @@ func (proportional) Quote(bids []Bid, capacity Capacity) Outcome {
 func (p proportional) Clear(bids []Bid, capacity Capacity) Outcome {
 	return p.Quote(bids, capacity)
 }
+
+// Settled is always true: with no state, an empty book clears to the reserve
+// every time.
+func (proportional) Settled(Capacity) bool { return true }

@@ -131,3 +131,7 @@ func (v vcg) Quote(bids []Bid, capacity Capacity) Outcome {
 func (v vcg) Clear(bids []Bid, capacity Capacity) Outcome {
 	return v.Quote(bids, capacity)
 }
+
+// Settled is always true: with no state, an empty book clears to the reserve
+// every time.
+func (vcg) Settled(Capacity) bool { return true }

@@ -65,19 +65,22 @@ const (
 // is not kept.
 type Ring struct {
 	mu   sync.Mutex
-	buf  []slot
+	size int            // capacity
+	buf  []slot         // size slots, allocated by the first accepted sample
 	loc  *time.Location // zone of the first accepted sample
 	next int            // index the next sample is written to
-	n    int            // samples currently held (<= len(buf))
+	n    int            // samples currently held (<= size)
 	last int64          // newest accepted timestamp; meaningful once n > 0
 }
 
-// NewRing returns a ring holding the trailing capacity samples.
+// NewRing returns a ring holding the trailing capacity samples. The buffer is
+// allocated when the first sample arrives: most hosts of a wide grid are never
+// bid on, and their markets never hand their rings one.
 func NewRing(capacity int) (*Ring, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("pricefeed: ring capacity %d, want >= 1", capacity)
 	}
-	return &Ring{buf: make([]slot, capacity)}, nil
+	return &Ring{size: capacity}, nil
 }
 
 // sample rebuilds the Sample held in a slot.
@@ -111,10 +114,13 @@ func (r *Ring) Observe(at time.Time, price float64) error {
 		}
 	} else {
 		r.loc = at.Location()
+		if r.buf == nil {
+			r.buf = make([]slot, r.size)
+		}
 	}
 	r.buf[r.next] = slot{ns: ns, price: price}
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
+	r.next = (r.next + 1) % r.size
+	if r.n < r.size {
 		r.n++
 	}
 	r.last = ns
@@ -129,13 +135,13 @@ func (r *Ring) Len() int {
 }
 
 // Capacity returns the maximum number of samples the ring retains.
-func (r *Ring) Capacity() int { return len(r.buf) }
+func (r *Ring) Capacity() int { return r.size }
 
 // heldLocked returns the held slots, oldest first, as the buffer's two runs:
 // everything written so far until the ring fills, then from the write index
 // around to it again.
 func (r *Ring) heldLocked() [2][]slot {
-	if r.n < len(r.buf) {
+	if r.n < r.size {
 		return [2][]slot{r.buf[:r.n]}
 	}
 	return [2][]slot{r.buf[r.next:], r.buf[:r.next]}
@@ -177,7 +183,7 @@ func (r *Ring) Last() (Sample, bool) {
 	}
 	idx := r.next - 1
 	if idx < 0 {
-		idx += len(r.buf)
+		idx += r.size
 	}
 	return r.sample(r.buf[idx]), true
 }
