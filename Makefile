@@ -36,6 +36,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime $(FUZZTIME) ./internal/pricefeed
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzHistoryQuery$$' -fuzztime $(FUZZTIME) ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetIngest$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzMechanismClear$$' -fuzztime $(FUZZTIME) ./internal/mechanism
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValuation$$' -fuzztime $(FUZZTIME) ./internal/sla
 

@@ -7,7 +7,8 @@ package main
 //   - /metrics/history and /slo respond on a live daemon,
 //   - the injected latency trips the request-latency-p99 SLO within one
 //     evaluation window,
-//   - slsd's fleet aggregator scrapes the peer and serves /fleet, and
+//   - slsd's fleet aggregator scrapes the peer and serves /fleet, and a
+//     fleet :p99 series is the peer's own, point for point, and
 //   - gridtop -once renders a frame showing the violation (daemon mode)
 //     and the peer table (fleet mode).
 
@@ -15,6 +16,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -221,6 +223,46 @@ func TestTelemetrySmoke(t *testing.T) {
 	}
 	if !peerUp {
 		t.Fatal("aggregator never scraped bankd successfully")
+	}
+
+	// The fleet view derives nothing: a request-latency p99 series on slsd is
+	// bankd's own, point for point, as far as the last scrape reached. The
+	// fleet side is read first, so bankd can only be ahead.
+	type rawHistory struct {
+		Series []struct {
+			Name   string `json:"name"`
+			Points []struct {
+				T int64   `json:"t"`
+				V float64 `json:"v"`
+			} `json:"points"`
+		} `json:"series"`
+	}
+	var fleetHist, ownHist rawHistory
+	const pattern = "http_request_duration_seconds*"
+	getJSON(t, slsBase+"/fleet/history?raw=1&window=1h&series="+url.QueryEscape("bankd/"+pattern), &fleetHist)
+	getJSON(t, bankBase+"/metrics/history?raw=1&window=1h&series="+url.QueryEscape(pattern), &ownHist)
+	compared := false
+	for _, fs := range fleetHist.Series {
+		if !strings.HasSuffix(fs.Name, ":p99") || len(fs.Points) == 0 || compared {
+			continue
+		}
+		for _, own := range ownHist.Series {
+			if "bankd/"+own.Name != fs.Name {
+				continue
+			}
+			compared = true
+			if len(own.Points) < len(fs.Points) {
+				t.Fatalf("%s: fleet has %d points, bankd only %d", fs.Name, len(fs.Points), len(own.Points))
+			}
+			for i, p := range fs.Points {
+				if p != own.Points[i] {
+					t.Fatalf("%s[%d]: fleet %+v, bankd %+v", fs.Name, i, p, own.Points[i])
+				}
+			}
+		}
+	}
+	if !compared {
+		t.Fatalf("no bankd/http_request_duration_seconds…:p99 fleet series to compare: %+v", fleetHist)
 	}
 
 	// gridtop -once in daemon mode shows the violation.

@@ -4,8 +4,8 @@
 //
 // With -peers, slsd additionally hosts the fleet telemetry aggregator — the
 // natural home, since the SLS already plays the "who is alive" index role:
-// it scrapes each peer's /metrics on the scrape interval and serves
-// fleet-wide rollups at /fleet and /fleet/history.
+// it copies each peer's own series from its /metrics/history on the scrape
+// interval and serves fleet-wide rollups at /fleet and /fleet/history.
 //
 // Usage:
 //

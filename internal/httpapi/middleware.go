@@ -93,19 +93,12 @@ func strconv3(code int) string {
 }
 
 // MetricsHandler serves reg (nil means the default registry) in the
-// Prometheus text exposition format by default, switching to OpenMetrics —
-// exemplars on histogram buckets, explicit "# EOF" terminator — when the
-// client's Accept header asks for application/openmetrics-text.
+// Prometheus text exposition format, version 0.0.4.
 func MetricsHandler(reg *metrics.Registry) http.Handler {
 	if reg == nil {
 		reg = metrics.Default()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-			w.Header().Set("Content-Type", metrics.OpenMetricsContentType)
-			_ = reg.WriteOpenMetrics(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})

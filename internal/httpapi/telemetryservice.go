@@ -5,101 +5,59 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
-
-	"tycoongrid/internal/metrics"
 )
 
-// TelemetryClient scrapes a peer daemon's observability surface — /metrics
-// in the OpenMetrics exposition (exemplars included), /slo, and
-// /metrics/history — over the same fault-tolerant Caller the service
-// clients use: retries with backoff for these idempotent GETs, a circuit
-// breaker so a dead peer fails fast, and rpc.attempt spans so a slow scrape
-// is itself traceable.
+// TelemetryClient reads a peer daemon's observability surface — /slo,
+// /metrics/history and, on an aggregator host, /fleet — over the same
+// fault-tolerant Caller the service clients use: retries with backoff for
+// these idempotent GETs, a circuit breaker so a dead peer fails fast, and
+// rpc.attempt spans so a slow scrape is itself traceable. Every method
+// returns the peer's JSON as it came, for the caller to decode or pass on.
 type TelemetryClient struct {
 	base string
 	c    Caller
 }
 
 // NewTelemetryClient builds a scrape client for the daemon at baseURL
-// ("http://host:port"). A nil client gets DefaultClientTimeout. The Accept
-// header asks for OpenMetrics so the scrape carries exemplars; peers that
-// only speak the Prometheus 0.0.4 format ignore the header and still parse.
+// ("http://host:port"). A nil client gets DefaultClientTimeout.
 func NewTelemetryClient(baseURL string, client *http.Client) *TelemetryClient {
-	if client == nil {
-		client = &http.Client{Timeout: DefaultClientTimeout}
-	}
-	wrapped := *client
-	wrapped.Transport = acceptTransport{base: client.Transport, accept: metrics.OpenMetricsContentType}
 	return &TelemetryClient{
 		base: strings.TrimSuffix(baseURL, "/"),
-		c:    newCaller("telemetry", &wrapped),
+		c:    newCaller("telemetry", client),
 	}
 }
 
 // BaseURL returns the scrape target.
 func (t *TelemetryClient) BaseURL() string { return t.base }
 
-// ScrapeMetrics fetches the peer's /metrics exposition text.
-func (t *TelemetryClient) ScrapeMetrics(ctx context.Context) ([]byte, error) {
+func (t *TelemetryClient) getRaw(ctx context.Context, path string) (json.RawMessage, error) {
 	var raw []byte
-	if err := t.c.get(ctx, t.base+"/metrics", &raw); err != nil {
+	if err := t.c.get(ctx, t.base+path, &raw); err != nil {
 		return nil, err
 	}
 	return raw, nil
 }
 
-// SLO fetches the peer's /slo report as raw JSON for pass-through display.
+// SLO fetches the peer's /slo report.
 func (t *TelemetryClient) SLO(ctx context.Context) (json.RawMessage, error) {
-	var raw []byte
-	if err := t.c.get(ctx, t.base+"/slo", &raw); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(raw), nil
+	return t.getRaw(ctx, "/slo")
 }
 
-// History fetches one series' windowed history from the peer's
-// /metrics/history endpoint, already query-encoded by the caller.
+// History fetches from the peer's /metrics/history endpoint; rawQuery is
+// already query-encoded by the caller.
 func (t *TelemetryClient) History(ctx context.Context, rawQuery string) (json.RawMessage, error) {
-	var raw []byte
-	if err := t.c.get(ctx, t.base+"/metrics/history?"+rawQuery, &raw); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(raw), nil
+	return t.getRaw(ctx, "/metrics/history?"+rawQuery)
 }
 
-// Fleet fetches an aggregator host's /fleet rollup as raw JSON. A 404 means
-// the target is a plain daemon, not an aggregator host; callers fall back to
-// the single-daemon surface.
+// Fleet fetches an aggregator host's /fleet rollup. A 404 means the target
+// is a plain daemon, not an aggregator host; callers fall back to the
+// single-daemon surface.
 func (t *TelemetryClient) Fleet(ctx context.Context) (json.RawMessage, error) {
-	var raw []byte
-	if err := t.c.get(ctx, t.base+"/fleet", &raw); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(raw), nil
+	return t.getRaw(ctx, "/fleet")
 }
 
-// FleetHistory fetches windowed fleet-series history from an aggregator
-// host's /fleet/history endpoint, already query-encoded by the caller.
+// FleetHistory fetches from an aggregator host's /fleet/history endpoint;
+// rawQuery is already query-encoded by the caller.
 func (t *TelemetryClient) FleetHistory(ctx context.Context, rawQuery string) (json.RawMessage, error) {
-	var raw []byte
-	if err := t.c.get(ctx, t.base+"/fleet/history?"+rawQuery, &raw); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(raw), nil
-}
-
-// acceptTransport stamps every scrape request with an Accept header; the
-// Caller below it owns retries, so this layer stays a pure header decorator.
-type acceptTransport struct {
-	base   http.RoundTripper
-	accept string
-}
-
-func (t acceptTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rt := t.base
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
-	req.Header.Set("Accept", t.accept)
-	return rt.RoundTrip(req)
+	return t.getRaw(ctx, "/fleet/history?"+rawQuery)
 }

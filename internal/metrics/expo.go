@@ -27,7 +27,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		for i, c := range children {
 			values := splitLabelKey(keys[i], len(f.labels))
-			if err := writeChild(w, f, values, c, false); err != nil {
+			if err := writeChild(w, f, values, c); err != nil {
 				return err
 			}
 		}
@@ -42,10 +42,8 @@ func splitLabelKey(key string, n int) []string {
 	return strings.SplitN(key, labelSep, n)
 }
 
-// writeChild renders one child's sample lines. The two text formats share
-// them exactly, except that OpenMetrics (exemplars true) suffixes a _bucket
-// line with the bucket's exemplar: "# {trace_id=...} value timestamp".
-func writeChild(w io.Writer, f *family, values []string, child any, exemplars bool) error {
+// writeChild renders one child's sample lines.
+func writeChild(w io.Writer, f *family, values []string, child any) error {
 	switch m := child.(type) {
 	case *Counter:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), m.Value())
@@ -54,21 +52,13 @@ func writeChild(w io.Writer, f *family, values []string, child any, exemplars bo
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labelString(f.labels, values, "", ""), formatFloat(m.Value()))
 		return err
 	case *Histogram:
-		for bi, b := range m.Buckets() {
+		for _, b := range m.Buckets() {
 			le := "+Inf"
 			if !math.IsInf(b.UpperBound, 1) {
 				le = formatFloat(b.UpperBound)
 			}
-			exemplar := ""
-			if exemplars {
-				if ex := m.BucketExemplar(bi); ex != nil {
-					ts := float64(ex.At.UnixNano()) / 1e9
-					exemplar = fmt.Sprintf(" # {trace_id=\"%s\"} %s %s",
-						escapeLabel(ex.TraceID), formatFloat(ex.Value), strconv.FormatFloat(ts, 'f', 3, 64))
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n",
-				f.name, labelString(f.labels, values, "le", le), b.Cumulative, exemplar); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
+				f.name, labelString(f.labels, values, "le", le), b.Cumulative); err != nil {
 				return err
 			}
 		}

@@ -65,7 +65,8 @@ type Exemplar struct {
 //
 // Each bucket additionally holds the most recent exemplar recorded against
 // it (one atomic pointer store on the ObserveExemplar path, nothing on the
-// plain Observe path), exposed in the OpenMetrics exposition.
+// plain Observe path); Registry.Exemplars reads them out for the telemetry
+// plane's JSON surface.
 type Histogram struct {
 	bounds    []float64 // sorted upper bounds, +Inf excluded
 	shards    []histShard
@@ -169,15 +170,6 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// BucketExemplar returns the most recent exemplar recorded against bucket i
-// (indices align with Buckets), or nil when none was ever attached.
-func (h *Histogram) BucketExemplar(i int) *Exemplar {
-	if i < 0 || i >= len(h.exemplars) {
-		return nil
-	}
-	return h.exemplars[i].Load()
-}
-
 // Exemplars returns every bucket's latest exemplar, nil entries included,
 // indices aligned with Buckets.
 func (h *Histogram) Exemplars() []*Exemplar {
@@ -188,12 +180,23 @@ func (h *Histogram) Exemplars() []*Exemplar {
 	return out
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) by locating the bucket
-// containing the target rank and interpolating linearly inside it. Values
-// in the overflow bucket clamp to the highest finite bound. Returns NaN
-// when the histogram is empty.
+// Quantile estimates the q-quantile (q in [0,1]) of everything observed so
+// far; see bucketQuantile. Returns NaN when the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	buckets := h.Buckets()
+	return bucketQuantile(h.Buckets(), q)
+}
+
+// bucketQuantile estimates the q-quantile (q clamped to [0,1]) of a
+// cumulative bucket list ending in the +Inf bucket, by locating the bucket
+// containing the target rank and interpolating linearly inside it. Values in
+// the overflow bucket clamp to the highest finite bound. Returns NaN when
+// the buckets hold no observation. It is the only quantile estimator: a live
+// histogram and the difference of two snapshots of it both come here.
+func bucketQuantile(buckets []Bucket, q float64) float64 {
+	if len(buckets) < 2 {
+		return math.NaN()
+	}
+	highest := buckets[len(buckets)-2].UpperBound
 	total := buckets[len(buckets)-1].Cumulative
 	if total == 0 {
 		return math.NaN()
@@ -211,7 +214,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		if i == len(buckets)-1 {
 			// Overflow bucket: no finite upper bound to interpolate toward.
-			return h.bounds[len(h.bounds)-1]
+			return highest
 		}
 		lower, prev := 0.0, uint64(0)
 		if i > 0 {
@@ -225,5 +228,5 @@ func (h *Histogram) Quantile(q float64) float64 {
 		frac := (rank - float64(prev)) / float64(inBucket)
 		return lower + (b.UpperBound-lower)*frac
 	}
-	return h.bounds[len(h.bounds)-1]
+	return highest
 }

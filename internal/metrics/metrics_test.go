@@ -197,3 +197,81 @@ func TestDefaultRegistryIsSingleton(t *testing.T) {
 		t.Fatal("Default() must return the same registry")
 	}
 }
+
+func TestHistogramExemplars(t *testing.T) {
+	h := NewRegistry().Histogram("x_seconds", "probe", []float64{1, 10})
+	if got := h.Exemplars(); len(got) != 3 {
+		t.Fatalf("want one exemplar slot per bucket incl. +Inf, got %d", len(got))
+	}
+	h.ObserveExemplar(0.5, "aa")
+	h.ObserveExemplar(0.7, "bb") // same bucket: last writer wins
+	h.ObserveExemplar(100, "cc") // overflow bucket
+	h.ObserveExemplar(5, "")     // no trace: observation counted, no exemplar
+	got := h.Exemplars()
+	if ex := got[0]; ex == nil || ex.TraceID != "bb" || ex.Value != 0.7 {
+		t.Fatalf("bucket 0 exemplar = %+v, want trace bb value 0.7", ex)
+	}
+	if ex := got[1]; ex != nil {
+		t.Fatalf("bucket 1 should have no exemplar (empty trace id), got %+v", ex)
+	}
+	if ex := got[2]; ex == nil || ex.TraceID != "cc" {
+		t.Fatalf("overflow bucket exemplar = %+v, want trace cc", ex)
+	}
+	if h.Count() != 4 {
+		t.Fatalf("count = %d, want 4", h.Count())
+	}
+}
+
+// TestRegistryExemplars: the registry lists the exemplars of exactly the
+// histogram children that hold one, under the child's sample name.
+func TestRegistryExemplars(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ops_total", "ops").Inc()
+	r.Histogram("quiet_seconds", "never traced", []float64{1}).Observe(0.5)
+	v := r.HistogramVec("lat_seconds", "lat", []float64{1, 10}, "route")
+	v.With("/a").ObserveExemplar(0.5, "aa")
+	v.With("/a").ObserveExemplar(5, "bb")
+	v.With("/b").Observe(0.5)
+	got := r.Exemplars()
+	exs := got[`lat_seconds{route="/a"}`]
+	if len(got) != 1 || len(exs) != 2 || exs[0].TraceID != "aa" || exs[1].TraceID != "bb" || exs[1].Value != 5 {
+		t.Fatalf("exemplars = %+v, want aa and bb under lat_seconds{route=\"/a\"} only", got)
+	}
+}
+
+func TestSnapshotDelta(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ops_total", "ops")
+	g := r.Gauge("depth", "depth")
+	h := r.Histogram("lat_seconds", "lat", []float64{1})
+	c.Add(5)
+	g.Set(2)
+	h.Observe(0.5)
+	prev := r.Snapshot()
+	c.Add(7)
+	g.Set(9)
+	h.Observe(0.5)
+	h.Observe(0.5)
+	d := r.Snapshot().Delta(prev)
+	if d.Counters[0].Value != 7 {
+		t.Fatalf("counter delta = %d, want 7", d.Counters[0].Value)
+	}
+	if d.Gauges[0].Value != 9 {
+		t.Fatalf("gauge must be copied absolute, got %g", d.Gauges[0].Value)
+	}
+	if d.Histograms[0].Count != 2 || d.Histograms[0].Sum != 1 {
+		t.Fatalf("histogram delta = count %d sum %g, want 2/1", d.Histograms[0].Count, d.Histograms[0].Sum)
+	}
+	if b := d.Histograms[0].Buckets; len(b) != 2 || b[0].Cumulative != 2 || b[1].Cumulative != 2 {
+		t.Fatalf("histogram delta buckets = %+v, want 2 in (0,1] and none above", b)
+	}
+
+	// Counter regression (daemon restart): delta resets to the new absolute.
+	r2 := NewRegistry()
+	c2 := r2.Counter("ops_total", "ops")
+	c2.Add(3)
+	d2 := r2.Snapshot().Delta(prev) // prev had ops_total=5
+	if d2.Counters[0].Value != 3 {
+		t.Fatalf("restart delta = %d, want absolute 3", d2.Counters[0].Value)
+	}
+}

@@ -29,16 +29,28 @@ type GaugeSample struct {
 	Value  float64
 }
 
-// HistogramSample summarizes one histogram child: totals plus interpolated
-// p50/p95/p99 (NaN when empty).
+// HistogramSample summarizes one histogram child: the cumulative bucket
+// counts, the totals, and p50/p95/p99 interpolated from those buckets (NaN
+// when empty). Count is the +Inf bucket's count, so a sample always agrees
+// with itself even when it was read during concurrent observation.
 type HistogramSample struct {
-	Name   string
-	Labels map[string]string
-	Count  uint64
-	Sum    float64
-	P50    float64
-	P95    float64
-	P99    float64
+	Name    string
+	Labels  map[string]string
+	Count   uint64
+	Sum     float64
+	P50     float64
+	P95     float64
+	P99     float64
+	Buckets []Bucket
+}
+
+func newHistogramSample(name string, labels map[string]string, sum float64, buckets []Bucket) HistogramSample {
+	return HistogramSample{
+		Name: name, Labels: labels,
+		Count: buckets[len(buckets)-1].Cumulative, Sum: sum,
+		P50: bucketQuantile(buckets, 0.50), P95: bucketQuantile(buckets, 0.95), P99: bucketQuantile(buckets, 0.99),
+		Buckets: buckets,
+	}
 }
 
 // Snapshot reads every metric in the registry. Families and children come
@@ -55,11 +67,7 @@ func (r *Registry) Snapshot() Snapshot {
 			case *Gauge:
 				s.Gauges = append(s.Gauges, GaugeSample{Name: f.name, Labels: labels, Value: m.Value()})
 			case *Histogram:
-				s.Histograms = append(s.Histograms, HistogramSample{
-					Name: f.name, Labels: labels,
-					Count: m.Count(), Sum: m.Sum(),
-					P50: m.Quantile(0.50), P95: m.Quantile(0.95), P99: m.Quantile(0.99),
-				})
+				s.Histograms = append(s.Histograms, newHistogramSample(f.name, labels, m.Sum(), m.Buckets()))
 			}
 		}
 	}
@@ -77,10 +85,11 @@ func labelMap(names, values []string) map[string]string {
 	return m
 }
 
-// Delta returns the change from prev to s: counters and histogram
-// count/sum become differences (a child absent from prev counts from zero),
-// gauges and histogram quantiles are copied from s as-is, since they are
-// already instantaneous. A counter that went backwards — the process
+// Delta returns the change from prev to s: counters and histogram buckets,
+// count and sum become differences (a child absent from prev counts from
+// zero) and a histogram's quantiles are those of the observations made in
+// between; gauges are copied from s as-is, since they are already
+// instantaneous. A counter or bucket that went backwards — the process
 // restarted between snapshots — resets its delta to the new absolute value,
 // so a scraper never reports a negative rate across a daemon restart.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
@@ -88,13 +97,9 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	for _, c := range prev.Counters {
 		prevCounters[SampleName(c.Name, c.Labels)] = c.Value
 	}
-	type histPrev struct {
-		count uint64
-		sum   float64
-	}
-	prevHists := make(map[string]histPrev, len(prev.Histograms))
+	prevHists := make(map[string]HistogramSample, len(prev.Histograms))
 	for _, h := range prev.Histograms {
-		prevHists[SampleName(h.Name, h.Labels)] = histPrev{count: h.Count, sum: h.Sum}
+		prevHists[SampleName(h.Name, h.Labels)] = h
 	}
 	out := Snapshot{
 		Counters:   make([]CounterSample, len(s.Counters)),
@@ -110,11 +115,59 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 	}
 	for i, h := range s.Histograms {
 		d := h
-		if was, ok := prevHists[SampleName(h.Name, h.Labels)]; ok && was.count <= h.Count {
-			d.Count = h.Count - was.count
-			d.Sum = h.Sum - was.sum
+		if was, ok := prevHists[SampleName(h.Name, h.Labels)]; ok {
+			if since := subtractBuckets(h.Buckets, was.Buckets); since != nil {
+				d = newHistogramSample(h.Name, h.Labels, h.Sum-was.Sum, since)
+			}
 		}
 		out.Histograms[i] = d
+	}
+	return out
+}
+
+// subtractBuckets returns cur minus prev, bucket by bucket, or nil when prev
+// is not an earlier reading of the same histogram (other bounds, or a count
+// that went backwards).
+func subtractBuckets(cur, prev []Bucket) []Bucket {
+	if len(prev) != len(cur) {
+		return nil
+	}
+	out := make([]Bucket, len(cur))
+	var below uint64
+	for i, b := range cur {
+		if prev[i].UpperBound != b.UpperBound || prev[i].Cumulative > b.Cumulative {
+			return nil
+		}
+		d := b.Cumulative - prev[i].Cumulative
+		if d < below {
+			return nil
+		}
+		out[i] = Bucket{UpperBound: b.UpperBound, Cumulative: d}
+		below = d
+	}
+	return out
+}
+
+// Exemplars returns the current bucket exemplars of every histogram child
+// that holds one, keyed by the child's SampleName.
+func (r *Registry) Exemplars() map[string][]Exemplar {
+	out := make(map[string][]Exemplar)
+	for _, f := range r.sortedFamilies() {
+		if f.kind != KindHistogram {
+			continue
+		}
+		keys, children := f.sortedChildren()
+		for i, c := range children {
+			var held []Exemplar
+			for _, ex := range c.(*Histogram).Exemplars() {
+				if ex != nil {
+					held = append(held, *ex)
+				}
+			}
+			if len(held) > 0 {
+				out[SampleName(f.name, labelMap(f.labels, splitLabelKey(keys[i], len(f.labels))))] = held
+			}
+		}
 	}
 	return out
 }

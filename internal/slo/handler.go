@@ -62,15 +62,6 @@ func DefaultObjectives() []Objective {
 			Budget:      0.05, // 5% of scrape intervals may run hot
 		},
 		{
-			Name:        "bid-apply-latency-p99",
-			Description: "marketplane bid apply p99 stays under 50ms",
-			Series:      "marketplane_bid_apply_seconds" + tsdb.SuffixP99,
-			Op:          OpLT,
-			Threshold:   0.050,
-			Window:      DefaultWindow,
-			Budget:      0.05,
-		},
-		{
 			Name:        "money-conservation",
 			Description: "bank conservation drift is exactly zero",
 			Series:      "bank_conservation_drift_credits",
@@ -78,16 +69,6 @@ func DefaultObjectives() []Objective {
 			Threshold:   0,
 			Window:      DefaultWindow,
 			Budget:      0, // zero tolerance: any drift saturates the burn rate
-		},
-		{
-			Name:        "shard-clear-balance",
-			Description: "busiest shard clears at most 2x the quietest",
-			Series:      "marketplane_shard_clears_total{*" + tsdb.SuffixRate,
-			Op:          OpLT,
-			Threshold:   2,
-			Window:      DefaultWindow,
-			Budget:      0.10,
-			Reduce:      ReduceMaxOverMin,
 		},
 	}
 }

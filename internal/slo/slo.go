@@ -2,9 +2,9 @@
 // embedded time-series store (internal/tsdb) using multi-window burn rates.
 //
 // An Objective names a tsdb series (or a pattern over several), a goodness
-// predicate ("p99 < 50ms", "drift == 0", "max/min imbalance < 2x") and an
-// error budget: the fraction of samples inside the window that may be bad
-// before the objective is considered burning. Each evaluation computes the
+// predicate ("p99 < 50ms", "drift == 0") and an error budget: the fraction
+// of samples inside the window that may be bad before the objective is
+// considered burning. Each evaluation computes the
 // bad-sample fraction over two tail-anchored windows — the objective's full
 // window and a fast window one twelfth its size — and reports the burn rate
 // (bad fraction / budget) for both. An objective is violating when both
@@ -24,7 +24,6 @@ package slo
 import (
 	"fmt"
 	"log/slog"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -63,21 +62,6 @@ func (o Op) good(v, threshold float64) bool {
 	}
 }
 
-// Reduce selects how samples from multiple matching series fold into the
-// judged value stream.
-type Reduce string
-
-const (
-	// ReduceEach judges every sample of every matching series independently.
-	ReduceEach Reduce = "each"
-	// ReduceMaxOverMin groups samples by timestamp and judges the ratio of
-	// the largest to the smallest value across series — the shard-imbalance
-	// shape. Timestamps with fewer than two series present are skipped; a
-	// zero minimum with a non-zero maximum judges as +Inf (always bad for
-	// upper-bound objectives).
-	ReduceMaxOverMin Reduce = "max_over_min"
-)
-
 // Objective is one declarative SLO.
 type Objective struct {
 	// Name identifies the objective in /slo, metrics labels and logs.
@@ -100,8 +84,6 @@ type Objective struct {
 	// Alert is the burn-rate threshold at which the objective violates
 	// (both windows must reach it). Zero means 1.
 	Alert float64 `json:"alert,omitempty"`
-	// Reduce folds multi-series matches; empty means ReduceEach.
-	Reduce Reduce `json:"reduce,omitempty"`
 }
 
 // fastWindow derives the short window of the pair.
@@ -310,75 +292,28 @@ func (e *Evaluator) evaluateOne(rule Objective, at time.Time) Status {
 	return st
 }
 
-// judgedSample is one reduced, judged observation.
+// judgedSample is one judged observation.
 type judgedSample struct {
 	t    int64
 	v    float64
 	good bool
 }
 
-// judged gathers the window's samples across matching series, applies the
-// reduction and the goodness predicate. Results are ascending by time.
+// judged gathers the window's samples across matching series and judges
+// each against the goodness predicate. Results are ascending by time.
 func (e *Evaluator) judged(rule Objective, names []string, at time.Time, window time.Duration) []judgedSample {
-	switch rule.reduceOrDefault() {
-	case ReduceMaxOverMin:
-		byTime := map[int64][]float64{}
-		for _, name := range names {
-			s, ok := e.db.Lookup(name)
-			if !ok {
-				continue
-			}
-			for _, p := range s.WindowBefore(at, window) {
-				byTime[p.T] = append(byTime[p.T], p.V)
-			}
+	var out []judgedSample
+	for _, name := range names {
+		s, ok := e.db.Lookup(name)
+		if !ok {
+			continue
 		}
-		ts := make([]int64, 0, len(byTime))
-		for t := range byTime {
-			ts = append(ts, t)
+		for _, p := range s.WindowBefore(at, window) {
+			out = append(out, judgedSample{t: p.T, v: p.V, good: rule.Op.good(p.V, rule.Threshold)})
 		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-		var out []judgedSample
-		for _, t := range ts {
-			vs := byTime[t]
-			if len(vs) < 2 {
-				continue
-			}
-			lo, hi := vs[0], vs[0]
-			for _, v := range vs[1:] {
-				lo = math.Min(lo, v)
-				hi = math.Max(hi, v)
-			}
-			ratio := math.Inf(1)
-			switch {
-			case hi == 0 && lo == 0:
-				ratio = 1 // all shards idle: perfectly balanced
-			case lo > 0:
-				ratio = hi / lo
-			}
-			out = append(out, judgedSample{t: t, v: ratio, good: rule.Op.good(ratio, rule.Threshold)})
-		}
-		return out
-	default: // ReduceEach
-		var out []judgedSample
-		for _, name := range names {
-			s, ok := e.db.Lookup(name)
-			if !ok {
-				continue
-			}
-			for _, p := range s.WindowBefore(at, window) {
-				out = append(out, judgedSample{t: p.T, v: p.V, good: rule.Op.good(p.V, rule.Threshold)})
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].t < out[j].t })
-		return out
 	}
-}
-
-func (o Objective) reduceOrDefault() Reduce {
-	if o.Reduce == "" {
-		return ReduceEach
-	}
-	return o.Reduce
+	sort.Slice(out, func(i, j int) bool { return out[i].t < out[j].t })
+	return out
 }
 
 // burnRate maps a judged window to badFraction/budget. An empty window

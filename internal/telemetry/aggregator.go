@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"context"
-	"math"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,7 +28,12 @@ type PeerStatus struct {
 	Up         bool      `json:"up"`
 	LastScrape time.Time `json:"last_scrape,omitempty"`
 	LastError  string    `json:"last_error,omitempty"`
-	Samples    int       `json:"samples"`
+	// Samples counts the points the last scrape added to the fleet store.
+	Samples int `json:"samples"`
+
+	// since is when the last scrape that succeeded began; the next one asks
+	// for everything from then on.
+	since time.Time
 }
 
 // FleetExemplar is one exemplar surfaced from a peer scrape: a concrete
@@ -43,11 +50,26 @@ type FleetExemplar struct {
 // maxFleetExemplars bounds the aggregator's exemplar ring.
 const maxFleetExemplars = 64
 
-// Aggregator scrapes a fleet of peers' /metrics and rebuilds the derived
-// series — the same :rate/:p99/:mean convention the per-daemon collector
-// uses — in its own tsdb, prefixed "<peer>/". Scrapes ride the retrying,
-// circuit-broken httpapi transport, so one dead daemon costs one fast
-// breaker failure per sweep, not a hung fleet view.
+// maxScrapePages bounds one scrape of one peer. A peer is outside this
+// process: one that answers "truncated" forever must not hold a sweep.
+const maxScrapePages = 64
+
+// scrapeSlack is how much further back a scrape asks than to when the last
+// successful one began. A history window ends at the newest point the peer
+// holds when it answers, so the slack has to outlast the scrape itself,
+// retries and back-off included; one stalled for longer leaves the fleet
+// series a gap, as a missed scrape would.
+const scrapeSlack = time.Minute
+
+// Aggregator copies a fleet of peers' own series into one tsdb, prefixed
+// "<peer>/". It derives nothing: every daemon's collector computes its
+// :rate/:mean/:p99 once and serves the points at /metrics/history, and a
+// scrape appends them here with the peer's timestamps. Scrapes overlap on
+// purpose — a series takes only what is newer than its last point — so a
+// sweep remembers of the one before only when it ran, and a peer that was
+// unreachable is caught up from its own ring when it answers again. Scrapes
+// ride the retrying, circuit-broken httpapi transport, so one dead daemon
+// costs one fast breaker failure per sweep, not a hung fleet view.
 type Aggregator struct {
 	peers   []Peer
 	clients []*httpapi.TelemetryClient
@@ -55,8 +77,6 @@ type Aggregator struct {
 	now     func() time.Time
 
 	mu        sync.Mutex
-	prev      map[string]map[string]float64 // peer -> sample key -> value
-	prevAt    map[string]time.Time
 	status    map[string]*PeerStatus
 	exemplars []FleetExemplar
 
@@ -69,7 +89,7 @@ type Aggregator struct {
 // AggregatorConfig wires an Aggregator.
 type AggregatorConfig struct {
 	Peers []Peer
-	// Capacity per derived series; 0 means tsdb.DefaultCapacity.
+	// Capacity per fleet series; 0 means tsdb.DefaultCapacity.
 	Capacity int
 	// Client is the scrape transport; nil builds one per peer with the
 	// default timeout.
@@ -99,8 +119,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		peers:  append([]Peer(nil), cfg.Peers...),
 		db:     tsdb.NewDB(capacity),
 		now:    now,
-		prev:   map[string]map[string]float64{},
-		prevAt: map[string]time.Time{},
 		status: map[string]*PeerStatus{},
 		mScrapes: reg.CounterVec("telemetry_scrapes_total",
 			"Peer scrapes attempted by the aggregator.", "peer"),
@@ -124,33 +142,43 @@ func (a *Aggregator) DB() *tsdb.DB { return a.db }
 // Peers lists the configured targets.
 func (a *Aggregator) Peers() []Peer { return append([]Peer(nil), a.peers...) }
 
-// ScrapeOnce sweeps every peer concurrently and folds the results into the
-// fleet tsdb. Returns the number of peers that answered.
+// ScrapeOnce sweeps every peer concurrently, copying what each recorded
+// since its last scrape into the fleet tsdb. Returns the number of peers
+// that answered.
 func (a *Aggregator) ScrapeOnce(ctx context.Context) int {
 	start := a.now()
 	type result struct {
-		idx  int
-		text []byte
-		err  error
+		window    time.Duration
+		appended  int
+		exemplars []FleetExemplar
+		err       error
 	}
 	results := make([]result, len(a.peers))
+	a.mu.Lock()
+	for i, p := range a.peers {
+		results[i].window = maxHistoryWindow
+		if since := a.status[p.Name].since; !since.IsZero() {
+			results[i].window = start.Sub(since) + scrapeSlack
+		}
+	}
+	a.mu.Unlock()
 	var wg sync.WaitGroup
 	for i := range a.peers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			text, err := a.clients[i].ScrapeMetrics(ctx)
-			results[i] = result{idx: i, text: text, err: err}
+			r := &results[i]
+			r.appended, r.exemplars, r.err = a.scrapePeer(ctx, i, r.window)
 		}(i)
 	}
 	wg.Wait()
 
-	at := a.now()
+	done := a.now()
 	up := 0
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, res := range results {
-		peer := a.peers[res.idx]
+	for i, res := range results {
+		peer := a.peers[i]
 		st := a.status[peer.Name]
 		a.mScrapes.With(peer.Name).Inc()
 		if res.err != nil {
@@ -158,21 +186,100 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) int {
 			a.mUp.With(peer.Name).Set(0)
 			st.Up = false
 			st.LastError = res.err.Error()
-			// A dead peer's delta baseline is poison: when it comes back its
-			// counters restart, and rating across the outage would spike.
-			delete(a.prev, peer.Name)
-			delete(a.prevAt, peer.Name)
 			continue
 		}
 		up++
 		a.mUp.With(peer.Name).Set(1)
 		st.Up = true
 		st.LastError = ""
-		st.LastScrape = at
-		st.Samples = a.ingestLocked(peer.Name, ParseExposition(res.text), at)
+		st.LastScrape = done
+		st.Samples = res.appended
+		st.since = start
+		for _, ex := range res.exemplars {
+			a.addExemplarLocked(ex)
+		}
 	}
-	a.mDuration.Observe(a.now().Sub(start).Seconds())
+	a.mDuration.Observe(done.Sub(start).Seconds())
 	return up
+}
+
+// scrapePeer pulls peer i's raw points over the trailing window, page by
+// page, into the fleet db.
+func (a *Aggregator) scrapePeer(ctx context.Context, i int, window time.Duration) (appended int, exemplars []FleetExemplar, err error) {
+	q := url.Values{"series": {"*"}, "raw": {"1"}, "window": {window.String()}}
+	for page := 0; page < maxScrapePages; page++ {
+		body, err := a.clients[i].History(ctx, q.Encode())
+		if err != nil {
+			return appended, exemplars, err
+		}
+		n, exs, next, err := a.ingest(a.peers[i].Name, body)
+		appended += n
+		exemplars = append(exemplars, exs...)
+		if err != nil || next == "" {
+			return appended, exemplars, err
+		}
+		if next <= q.Get("after") {
+			return appended, exemplars, fmt.Errorf("telemetry: %s: page after %q ends at %q", a.peers[i].Name, q.Get("after"), next)
+		}
+		q.Set("after", next)
+	}
+	return appended, exemplars, fmt.Errorf("telemetry: %s: more than %d pages", a.peers[i].Name, maxScrapePages)
+}
+
+// ingest appends one /metrics/history page, as peer sent it, to the fleet db
+// under "<peer>/" and returns the exemplars it carried and the name to
+// continue after ("" on the last page). Points the fleet series already has
+// — the overlap with the previous scrape — are skipped; whatever else is out
+// of order or not finite the series itself drops.
+func (a *Aggregator) ingest(peer string, body []byte) (appended int, exemplars []FleetExemplar, next string, err error) {
+	var page historyResponse
+	if err := json.Unmarshal(body, &page); err != nil {
+		return 0, nil, "", fmt.Errorf("telemetry: %s: bad history page: %w", peer, err)
+	}
+	if len(page.Series) > maxHistorySeries {
+		return 0, nil, "", fmt.Errorf("telemetry: %s: %d series in one history page", peer, len(page.Series))
+	}
+	for _, hs := range page.Series {
+		s := a.db.Series(peer + "/" + hs.Name)
+		last, have := s.Latest()
+		for _, p := range hs.Points {
+			if have && p.T <= last.T {
+				continue
+			}
+			if s.AppendNanos(p.T, p.V) {
+				appended++
+			}
+		}
+		for _, ex := range hs.Exemplars {
+			exemplars = append(exemplars, FleetExemplar{
+				Peer:    peer,
+				Family:  strings.TrimSuffix(hs.Name, tsdb.SuffixP99),
+				TraceID: ex.TraceID,
+				Value:   ex.Value,
+				At:      ex.At,
+			})
+		}
+	}
+	if page.Truncated && len(page.Series) > 0 {
+		next = page.Series[len(page.Series)-1].Name
+	}
+	return appended, exemplars, next, nil
+}
+
+// addExemplarLocked rings ex unless the fleet view already holds it: a peer
+// re-serves a bucket's exemplar until a new trace lands there. Caller holds
+// mu.
+func (a *Aggregator) addExemplarLocked(ex FleetExemplar) {
+	for i := range a.exemplars {
+		e := &a.exemplars[i]
+		if e.Peer == ex.Peer && e.Family == ex.Family && e.TraceID == ex.TraceID {
+			return
+		}
+	}
+	a.exemplars = append(a.exemplars, ex)
+	if len(a.exemplars) > maxFleetExemplars {
+		a.exemplars = a.exemplars[len(a.exemplars)-maxFleetExemplars:]
+	}
 }
 
 // Run sweeps every interval until stop closes.
@@ -191,207 +298,6 @@ func (a *Aggregator) Run(stop <-chan struct{}, interval time.Duration) {
 			a.ScrapeOnce(context.Background())
 		}
 	}
-}
-
-// histAccum folds one histogram family's component samples back together.
-type histAccum struct {
-	buckets map[float64]float64 // le -> cumulative count
-	sum     float64
-	count   float64
-	hasSum  bool
-}
-
-// ingestLocked derives fleet series from one parsed scrape. Caller holds mu.
-func (a *Aggregator) ingestLocked(peer string, sc *Scrape, at time.Time) int {
-	tn := at.UnixNano()
-	cur := make(map[string]float64, len(sc.Samples))
-	hists := map[string]*histAccum{}
-	appended := 0
-
-	prev := a.prev[peer]
-	prevAt, seeded := a.prevAt[peer]
-	dt := 0.0
-	if seeded {
-		dt = at.Sub(prevAt).Seconds()
-	}
-
-	for i := range sc.Samples {
-		s := &sc.Samples[i]
-		cur[s.Key] = s.Value
-		switch sc.KindOf(s.Name) {
-		case KindGauge:
-			if a.db.Series(peer+"/"+s.Key).AppendNanos(tn, s.Value) {
-				appended++
-			}
-		case KindCounter:
-			if seeded && dt > 0 {
-				if pv, ok := prev[s.Key]; ok && s.Value >= pv {
-					if a.db.Series(peer+"/"+s.Key+tsdb.SuffixRate).AppendNanos(tn, (s.Value-pv)/dt) {
-						appended++
-					}
-				}
-			}
-		case KindHistogram:
-			a.foldHistogram(hists, s, peer, at)
-		}
-	}
-
-	if seeded && dt > 0 {
-		// Histogram families: delta the cumulative buckets against the
-		// previous scrape and derive rate/mean/p99 over just this interval.
-		famNames := make([]string, 0, len(hists))
-		for fam := range hists {
-			famNames = append(famNames, fam)
-		}
-		sort.Strings(famNames)
-		for _, fam := range famNames {
-			h := hists[fam]
-			base := peer + "/" + fam
-			pc, okC := prev[fam+"\x00count"]
-			ps, okS := prev[fam+"\x00sum"]
-			if !okC || !okS || h.count < pc {
-				continue // family appeared, or the peer restarted
-			}
-			dcount := h.count - pc
-			if a.db.Series(base+tsdb.SuffixRate).AppendNanos(tn, dcount/dt) {
-				appended++
-			}
-			if dcount > 0 {
-				if a.db.Series(base+tsdb.SuffixMean).AppendNanos(tn, (h.sum-ps)/dcount) {
-					appended++
-				}
-				if p99, ok := bucketQuantile(h, prev, fam, 0.99); ok {
-					if a.db.Series(base+tsdb.SuffixP99).AppendNanos(tn, p99) {
-						appended++
-					}
-				}
-			}
-		}
-	}
-
-	// Stash histogram components in the flat prev map for the next delta.
-	for fam, h := range hists {
-		cur[fam+"\x00count"] = h.count
-		cur[fam+"\x00sum"] = h.sum
-		for le, v := range h.buckets {
-			cur[fam+"\x00le\x00"+strconv.FormatFloat(le, 'g', -1, 64)] = v
-		}
-	}
-	a.prev[peer] = cur
-	a.prevAt[peer] = at
-	return appended
-}
-
-// foldHistogram routes one _bucket/_sum/_count sample into its family
-// accumulator, capturing bucket exemplars into the fleet ring.
-func (a *Aggregator) foldHistogram(hists map[string]*histAccum, s *Sample, peer string, at time.Time) {
-	var fam string
-	switch {
-	case len(s.Name) > 7 && s.Name[len(s.Name)-7:] == "_bucket":
-		fam = withoutLabel(s.Name[:len(s.Name)-7], s.Labels, "le")
-		h := histFor(hists, fam)
-		le := math.Inf(1)
-		if raw := s.Get("le"); raw != "" && raw != "+Inf" {
-			if v, err := strconv.ParseFloat(raw, 64); err == nil {
-				le = v
-			}
-		}
-		h.buckets[le] = s.Value
-		if s.Exemplar != nil {
-			// The exposition re-serves the last exemplar until a new one
-			// lands; only ring a trace the fleet view hasn't seen yet.
-			dup := false
-			for i := range a.exemplars {
-				e := &a.exemplars[i]
-				if e.Peer == peer && e.Family == fam && e.TraceID == s.Exemplar.TraceID {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				a.exemplars = append(a.exemplars, FleetExemplar{
-					Peer:    peer,
-					Family:  fam,
-					TraceID: s.Exemplar.TraceID,
-					Value:   s.Exemplar.Value,
-					At:      at,
-				})
-				if len(a.exemplars) > maxFleetExemplars {
-					a.exemplars = a.exemplars[len(a.exemplars)-maxFleetExemplars:]
-				}
-			}
-		}
-	case len(s.Name) > 4 && s.Name[len(s.Name)-4:] == "_sum":
-		h := histFor(hists, sampleKey(s.Name[:len(s.Name)-4], s.Labels))
-		h.sum = s.Value
-		h.hasSum = true
-	case len(s.Name) > 6 && s.Name[len(s.Name)-6:] == "_count":
-		h := histFor(hists, sampleKey(s.Name[:len(s.Name)-6], s.Labels))
-		h.count = s.Value
-	}
-}
-
-func histFor(hists map[string]*histAccum, fam string) *histAccum {
-	h, ok := hists[fam]
-	if !ok {
-		h = &histAccum{buckets: map[float64]float64{}}
-		hists[fam] = h
-	}
-	return h
-}
-
-// bucketQuantile interpolates a quantile from the interval's bucket deltas,
-// mirroring metrics.Histogram.Quantile so the fleet p99 and a daemon's own
-// p99 agree on identical data.
-func bucketQuantile(h *histAccum, prev map[string]float64, fam string, q float64) (float64, bool) {
-	les := make([]float64, 0, len(h.buckets))
-	for le := range h.buckets {
-		les = append(les, le)
-	}
-	sort.Float64s(les)
-	if len(les) == 0 {
-		return 0, false
-	}
-	deltas := make([]float64, len(les))
-	total := 0.0
-	prevCum := 0.0
-	for i, le := range les {
-		pv := prev[fam+"\x00le\x00"+strconv.FormatFloat(le, 'g', -1, 64)]
-		d := (h.buckets[le] - pv) - prevCum
-		prevCum = h.buckets[le] - pv
-		if d < 0 {
-			return 0, false // restart mid-family
-		}
-		deltas[i] = d
-		total += d
-	}
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * total
-	cum := 0.0
-	for i, d := range deltas {
-		cum += d
-		if cum < rank {
-			continue
-		}
-		if math.IsInf(les[i], 1) {
-			if i == 0 {
-				return 0, false
-			}
-			return les[i-1], true
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = les[i-1]
-		}
-		if d == 0 {
-			return les[i], true
-		}
-		frac := (rank - (cum - d)) / d
-		return lower + (les[i]-lower)*frac, true
-	}
-	return les[len(les)-1], true
 }
 
 // Exemplars returns the newest fleet exemplars, most recent last.

@@ -29,32 +29,23 @@ func (a *Aggregator) Report() FleetReport {
 	}
 }
 
-// Handler serves the aggregator surface:
+// MuxOptions mounts the aggregator surface on an ObservedMux:
 //
 //	GET /fleet            -> FleetReport JSON
 //	GET /fleet/history    -> HistoryHandler over the fleet tsdb
 //
-// Mount it on a daemon's ObservedMux via WithHandler, or serve it straight
-// from gridtop's in-process aggregator.
-func (a *Aggregator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /fleet", func(w http.ResponseWriter, r *http.Request) {
+// The SLS daemon hosts this in the deployed topology — the paper's service
+// location service already plays the "who is alive" directory role, so
+// fleet state naturally lives beside it.
+func (a *Aggregator) MuxOptions() []httpapi.MuxOption {
+	fleet := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(a.Report())
 	})
-	mux.Handle("GET /fleet/history", HistoryHandler(a.db))
-	return mux
-}
-
-// MuxOptions mounts the aggregator surface on an ObservedMux (the SLS
-// daemon hosts this in the deployed topology — the paper's service
-// location service already plays the "who is alive" directory role, so
-// fleet state naturally lives beside it).
-func (a *Aggregator) MuxOptions() []httpapi.MuxOption {
 	return []httpapi.MuxOption{
-		httpapi.WithHandler("GET /fleet", a.Handler()),
-		httpapi.WithHandler("GET /fleet/history", a.Handler()),
+		httpapi.WithHandler("GET /fleet", fleet),
+		httpapi.WithHandler("GET /fleet/history", HistoryHandler(a.db, nil)),
 	}
 }

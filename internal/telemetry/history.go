@@ -7,8 +7,10 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
+	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/tsdb"
 )
 
@@ -19,11 +21,17 @@ const (
 	maxHistoryWindow  = 24 * time.Hour
 	defaultBuckets    = 60
 	defaultWindow     = 5 * time.Minute
+
+	// maxHistoryPoints ends a page of raw points early: with one more series
+	// of tsdb.DefaultCapacity on top, the body stays inside the 1 MiB the
+	// HTTP clients read (httpapi.MaxBodyBytes).
+	maxHistoryPoints = 8192
 )
 
 // historyQuery is a validated /metrics/history request.
 type historyQuery struct {
 	series  string // empty = list series names only
+	after   string // continuation: only names sorting after this one
 	window  time.Duration
 	buckets int
 	raw     bool
@@ -35,6 +43,10 @@ type historyQuery struct {
 func parseHistoryQuery(q url.Values) (historyQuery, error) {
 	out := historyQuery{window: defaultWindow, buckets: defaultBuckets}
 	out.series = q.Get("series")
+	out.after = q.Get("after")
+	if out.after != "" && out.series == "" {
+		return out, fmt.Errorf("after %q continues a series query, and there is none", out.after)
+	}
 	if w := q.Get("window"); w != "" {
 		d, err := time.ParseDuration(w)
 		if err != nil {
@@ -76,6 +88,9 @@ type historySeries struct {
 	Points  []tsdb.Point      `json:"points,omitempty"`
 	Buckets []tsdb.BucketStat `json:"buckets,omitempty"`
 	Dropped uint64            `json:"dropped,omitempty"`
+	// Exemplars rides a histogram's ":p99" series: the traces last seen in
+	// its buckets, so a slow quantile links to /debug/traces/{id}.
+	Exemplars []metrics.Exemplar `json:"exemplars,omitempty"`
 }
 
 // historyResponse is the /metrics/history wire shape.
@@ -91,11 +106,18 @@ type historyResponse struct {
 //	GET /metrics/history                          -> {"names":[...]}
 //	GET /metrics/history?series=N&window=5m       -> downsampled buckets
 //	GET /metrics/history?series=N&raw=1           -> raw points
+//	GET /metrics/history?series=N&after=NAME      -> the page after NAME
 //
 // series accepts an exact name or a trailing-'*' prefix pattern; windows are
 // tail-aligned at each series' newest point (tsdb.Series.Window semantics),
-// so a quiet series shows its last activity instead of an empty frame.
-func HistoryHandler(db *tsdb.DB) http.Handler {
+// so a quiet series shows its last activity instead of an empty frame. A
+// response is one page — at most maxHistorySeries series in name order, fewer
+// once it carries maxHistoryPoints raw points — and says "truncated" when
+// names remain; after=<last name served> asks for the next page.
+//
+// exemplars, when not nil, is read once per request (metrics.Registry.Exemplars
+// has the shape) and attached to the ":p99" series of the histograms it names.
+func HistoryHandler(db *tsdb.DB, exemplars func() map[string][]metrics.Exemplar) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -113,22 +135,33 @@ func HistoryHandler(db *tsdb.DB) http.Handler {
 			_ = enc.Encode(historyResponse{Names: db.Names()})
 			return
 		}
-		names := db.Match(q.series)
-		sort.Strings(names)
-		resp := historyResponse{WindowSeconds: q.window.Seconds()}
-		if len(names) > maxHistorySeries {
-			names = names[:maxHistorySeries]
-			resp.Truncated = true
+		names := db.Match(q.series) // sorted
+		if q.after != "" {
+			names = names[sort.SearchStrings(names, q.after+"\x00"):]
 		}
+		var traced map[string][]metrics.Exemplar
+		if exemplars != nil {
+			traced = exemplars()
+		}
+		resp := historyResponse{WindowSeconds: q.window.Seconds()}
+		points := 0
 		for _, name := range names {
+			if len(resp.Series) == maxHistorySeries || points >= maxHistoryPoints {
+				resp.Truncated = true
+				break
+			}
 			s, ok := db.Lookup(name)
 			if !ok {
 				continue
 			}
 			pts := s.Window(q.window)
 			hs := historySeries{Name: name, Dropped: s.Dropped()}
+			if fam, ok := strings.CutSuffix(name, tsdb.SuffixP99); ok {
+				hs.Exemplars = traced[fam]
+			}
 			if q.raw {
 				hs.Points = pts
+				points += len(pts)
 			} else {
 				hs.Buckets = tsdb.Downsample(pts, q.buckets)
 			}

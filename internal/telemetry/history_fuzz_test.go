@@ -30,6 +30,10 @@ func FuzzHistoryQuery(f *testing.F) {
 		"raw=maybe",
 		"series=%00%ff&window=1ns",
 		"series=a&series=b&window=1s&window=2s",
+		"series=*&raw=1&after=price",
+		"series=p*&after=%00%ff&window=24h",
+		"series=*&raw=1&after=zzz&after=a",
+		"after=price",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -41,7 +45,7 @@ func FuzzHistoryQuery(f *testing.F) {
 	for i := 0; i < 50; i++ {
 		s.AppendNanos(base.Add(time.Duration(i)*time.Second).UnixNano(), float64(i))
 	}
-	h := HistoryHandler(db)
+	h := HistoryHandler(db, nil)
 
 	f.Fuzz(func(t *testing.T, rawQuery string) {
 		req := httptest.NewRequest("GET", "/metrics/history", nil)
@@ -51,9 +55,16 @@ func FuzzHistoryQuery(f *testing.F) {
 
 		switch rec.Code {
 		case 200:
-			var v any
-			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			var page historyResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 				t.Fatalf("200 with invalid JSON for query %q: %v", rawQuery, err)
+			}
+			// A continuation never serves the name it continues after, or
+			// one before it: a puller's next page always advances.
+			for _, hs := range page.Series {
+				if after := req.URL.Query().Get("after"); hs.Name <= after {
+					t.Fatalf("query %q served %q, not after %q", rawQuery, hs.Name, after)
+				}
 			}
 		case 400:
 			// fine: rejected input

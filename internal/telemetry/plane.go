@@ -41,6 +41,7 @@ type Config struct {
 // store, SLO evaluator and the HTTP handlers that expose them.
 type Plane struct {
 	service   string
+	reg       *metrics.Registry
 	db        *tsdb.DB
 	collector *tsdb.Collector
 	evaluator *slo.Evaluator
@@ -69,6 +70,7 @@ func NewPlane(cfg Config) *Plane {
 	db := tsdb.NewDB(capacity)
 	p := &Plane{
 		service:   cfg.Service,
+		reg:       reg,
 		db:        db,
 		collector: tsdb.NewCollector(reg, db, cfg.Now),
 		probes:    cfg.Probes,
@@ -120,10 +122,11 @@ func (p *Plane) Run(stop <-chan struct{}) {
 }
 
 // MuxOptions returns the ObservedMux options that mount the plane's
-// endpoints: GET /metrics/history and, when SLOs are enabled, GET /slo.
+// endpoints: GET /metrics/history — the series, and on each histogram's :p99
+// the registry's current exemplars — and, when SLOs are enabled, GET /slo.
 func (p *Plane) MuxOptions() []httpapi.MuxOption {
 	opts := []httpapi.MuxOption{
-		httpapi.WithHandler("GET /metrics/history", HistoryHandler(p.db)),
+		httpapi.WithHandler("GET /metrics/history", HistoryHandler(p.db, p.reg.Exemplars)),
 	}
 	if p.evaluator != nil {
 		opts = append(opts, httpapi.WithHandler("GET /slo", p.evaluator.Handler()))

@@ -2,7 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"net/url"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,7 +83,7 @@ func TestHistoryHandler(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.AppendNanos(base.Add(time.Duration(i)*time.Second).UnixNano(), float64(i))
 	}
-	h := HistoryHandler(db)
+	h := HistoryHandler(db, nil)
 
 	// Listing.
 	rec := httptest.NewRecorder()
@@ -127,7 +131,7 @@ func TestHistoryHandler(t *testing.T) {
 	}
 
 	// Bad queries are 400s, never panics.
-	for _, q := range []string{"?series=price&window=banana", "?series=price&buckets=-3", "?series=price&buckets=12abc", "?series=price&raw=maybe", "?series=price&window=-5s"} {
+	for _, q := range []string{"?series=price&window=banana", "?series=price&buckets=-3", "?series=price&buckets=12abc", "?series=price&raw=maybe", "?series=price&window=-5s", "?after=price"} {
 		rec = httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history"+q, nil))
 		if rec.Code != 400 {
@@ -140,5 +144,104 @@ func TestHistoryHandler(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history?series=zzz", nil))
 	if rec.Code != 200 {
 		t.Fatalf("unknown series -> %d", rec.Code)
+	}
+}
+
+// TestHistoryHandlerPages walks a store larger than one page with after= and
+// sees every series exactly once, in name order, with the exemplars of each
+// histogram on its :p99 series and nowhere else.
+func TestHistoryHandlerPages(t *testing.T) {
+	db := tsdb.NewDB(8)
+	var want []string
+	for i := 0; i < 2*maxHistorySeries+5; i++ {
+		name := fmt.Sprintf("lat_%03d%s", i, tsdb.SuffixP99)
+		db.Series(name).AppendNanos(1, float64(i))
+		want = append(want, name)
+	}
+	db.Series("lat_000"+tsdb.SuffixRate).AppendNanos(1, 1)
+	want = append(want, "lat_000"+tsdb.SuffixRate)
+	sort.Strings(want)
+	h := HistoryHandler(db, func() map[string][]metrics.Exemplar {
+		return map[string][]metrics.Exemplar{"lat_000": {{Value: 0.7, TraceID: "abc"}}}
+	})
+
+	var got []string
+	after, pages := "", 0
+	for {
+		q := url.Values{"series": {"*"}, "raw": {"1"}}
+		if after != "" {
+			q.Set("after", after)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history?"+q.Encode(), nil))
+		var page historyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("page after %q: %v", after, err)
+		}
+		pages++
+		if len(page.Series) > maxHistorySeries {
+			t.Fatalf("page after %q holds %d series", after, len(page.Series))
+		}
+		for _, hs := range page.Series {
+			got = append(got, hs.Name)
+			traced := len(hs.Exemplars) == 1 && hs.Exemplars[0].TraceID == "abc"
+			if traced != (hs.Name == "lat_000"+tsdb.SuffixP99) {
+				t.Fatalf("%s: exemplars = %+v", hs.Name, hs.Exemplars)
+			}
+		}
+		if !page.Truncated {
+			break
+		}
+		after = page.Series[len(page.Series)-1].Name
+	}
+	if pages != 3 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("%d pages served %d of %d series:\n%v", pages, len(got), len(want), got)
+	}
+}
+
+// TestLatencySLOClearsAfterSlowBurst is the scenario a lifetime p99 gets
+// wrong: one slow burst of 100 requests, then 2 000 fast ones an interval.
+// The burst's interval violates; the very next interval's :p99 is back under
+// the threshold, and once the burst has left the fast window — and later the
+// slow one — the objective stops violating and then counts no bad sample. A
+// cumulative p99 stays at 0.45 s for the next fifty-odd intervals.
+func TestLatencySLOClearsAfterSlowBurst(t *testing.T) {
+	reg := metrics.NewRegistry()
+	lat := reg.HistogramVec("http_request_duration_seconds", "latency", nil, "route").With("/transfers")
+	at := time.Unix(5000, 0)
+	p := NewPlane(Config{
+		Service:  "bankd",
+		Registry: reg,
+		Now:      func() time.Time { return at },
+		Objectives: []slo.Objective{{
+			Name: "request-latency-p99", Series: "http_request_duration_seconds{*" + tsdb.SuffixP99,
+			Op: slo.OpLT, Threshold: 0.050, Window: time.Minute, Budget: 0.05,
+		}},
+	})
+	interval := func(n int, seconds float64) slo.Status {
+		for i := 0; i < n; i++ {
+			lat.Observe(seconds)
+		}
+		at = at.Add(5 * time.Second)
+		p.Collect()
+		return p.Evaluator().Evaluate()[0]
+	}
+
+	interval(2000, 0.001) // the first collect seeds
+	if st := interval(100, 0.4); !st.Violating || st.LastValue < 0.25 {
+		t.Fatalf("a slow burst must violate: %+v", st)
+	}
+	series, _ := p.DB().Lookup(`http_request_duration_seconds{route="/transfers"}` + tsdb.SuffixP99)
+	for i := 1; i <= 20; i++ {
+		st := interval(2000, 0.001)
+		if last, _ := series.Latest(); last.V >= 0.050 {
+			t.Fatalf("interval %d after the burst: p99 = %g, of fast requests only", i, last.V)
+		}
+		if st.Violating {
+			t.Fatalf("interval %d after the burst: still violating: %+v", i, st)
+		}
+		if i >= 12 && st.BadSamples != 0 {
+			t.Fatalf("interval %d: the burst left the slow window, yet %+v", i, st)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // the stored series are directly plottable.
 const (
 	SuffixRate = ":rate" // counters & histogram counts: events per second
-	SuffixP99  = ":p99"  // histograms: interpolated 99th percentile
+	SuffixP99  = ":p99"  // histograms: interpolated 99th percentile of the interval's observations
 	SuffixMean = ":mean" // histograms: delta sum / delta count per interval
 )
 
@@ -21,8 +21,9 @@ const (
 //   - every counter child appends "<sample>:rate" — its per-second rate over
 //     the interval since the previous Collect,
 //   - every gauge child appends "<sample>" — its instantaneous value,
-//   - every histogram child appends "<sample>:p99", "<sample>:mean" (over
-//     the interval) and "<sample>:rate" (observations per second).
+//   - every histogram child appends "<sample>:p99" and "<sample>:mean" —
+//     both over the observations made since the previous Collect, none when
+//     there were none — and "<sample>:rate" (observations per second).
 //
 // The clock is injected: daemons run Collect on a wall ticker, tests and the
 // simulation harness drive it with engine time, making the stored history
@@ -54,9 +55,10 @@ func NewCollector(reg *metrics.Registry, db *DB, now func() time.Time) *Collecto
 func (c *Collector) DB() *DB { return c.db }
 
 // Collect performs one self-scrape and returns how many series points were
-// appended. The first call only seeds the delta baseline for cumulative
-// metrics (gauges and histogram quantiles still record), so rates never
-// report a cold process's lifetime totals as one giant spike.
+// appended. The first call only seeds the delta baseline for rates and means
+// (gauges still record, and a histogram's quantile is then the one of
+// everything it has seen), so rates never report a cold process's lifetime
+// totals as one giant spike.
 func (c *Collector) Collect() int {
 	at := c.now()
 	snap := c.reg.Snapshot()
@@ -68,10 +70,10 @@ func (c *Collector) Collect() int {
 			appended++
 		}
 	}
-	for _, h := range snap.Histograms {
-		name := metrics.SampleName(h.Name, h.Labels)
+	delta := snap.Delta(c.prev)
+	for _, h := range delta.Histograms {
 		if h.Count > 0 {
-			if c.db.Series(name+SuffixP99).AppendNanos(tn, h.P99) {
+			if c.db.Series(metrics.SampleName(h.Name, h.Labels)+SuffixP99).AppendNanos(tn, h.P99) {
 				appended++
 			}
 		}
@@ -80,7 +82,6 @@ func (c *Collector) Collect() int {
 	if c.seeded {
 		dt := at.Sub(c.prevAt).Seconds()
 		if dt > 0 {
-			delta := snap.Delta(c.prev)
 			for _, ctr := range delta.Counters {
 				name := metrics.SampleName(ctr.Name, ctr.Labels)
 				if c.db.Series(name+SuffixRate).AppendNanos(tn, float64(ctr.Value)/dt) {

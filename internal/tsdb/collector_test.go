@@ -112,3 +112,40 @@ func TestCollectorDeterministicUnderInjectedClock(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorP99IsPerInterval: the :p99 series is the 99th percentile of
+// what was observed since the previous collect. The first collect has no
+// previous one and records the lifetime value; an interval without
+// observations records nothing.
+func TestCollectorP99IsPerInterval(t *testing.T) {
+	reg := metrics.NewRegistry()
+	h := reg.Histogram("lat_seconds", "lat", []float64{0.01, 0.1, 1})
+	db := NewDB(16)
+	clock := &fakeClock{at: time.Unix(1000, 0), step: 5 * time.Second}
+	col := NewCollector(reg, db, clock.now)
+
+	for i := 0; i < 100; i++ {
+		h.Observe(0.5)
+	}
+	col.Collect()
+	p99, ok := db.Lookup("lat_seconds" + SuffixP99)
+	if !ok || p99.Len() != 1 {
+		t.Fatalf("the first collect must record the lifetime p99; have %v", db.Names())
+	}
+	if last, _ := p99.Latest(); last.V < 0.1 {
+		t.Fatalf("first p99 = %g, want inside (0.1, 1]", last.V)
+	}
+
+	col.Collect() // nothing observed
+	if p99.Len() != 1 {
+		t.Fatalf("an idle interval appended a p99 point: %v", p99.Since(0))
+	}
+
+	for i := 0; i < 1000; i++ {
+		h.Observe(0.005)
+	}
+	col.Collect()
+	if last, _ := p99.Latest(); p99.Len() != 2 || last.V > 0.01 {
+		t.Fatalf("p99 of 1000 fast observations = %g (%d points), want <= 0.01; the 100 slow ones were an interval ago", last.V, p99.Len())
+	}
+}
