@@ -25,10 +25,12 @@ race:
 
 race-check: race
 
-# Short fuzz pass over the grammar-shaped inputs: the xRSL job-description
-# parser and the W3C traceparent header decoder. Seed corpora live under each
-# package's testdata/fuzz/; FUZZTIME is per target. Go allows one fuzz target
-# per invocation, hence two runs.
+# Short fuzz pass over the grammar-shaped inputs (the xRSL job-description
+# parser, the W3C traceparent header decoder, ...) and the differential
+# targets (Best Response over runs of interchangeable candidates against its
+# per-host oracles). Seed corpora live under each package's testdata/fuzz/;
+# FUZZTIME is per target. Go allows one fuzz target per invocation, hence one
+# run each.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/xrsl
@@ -39,6 +41,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetIngest$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzMechanismClear$$' -fuzztime $(FUZZTIME) ./internal/mechanism
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValuation$$' -fuzztime $(FUZZTIME) ./internal/sla
+	$(GO) test -run '^$$' -fuzz '^FuzzBestResponseRuns$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Coverage gate for the market-critical packages: the clearing mechanisms,
 # the SLA terms/valuation layer, and the prediction models (batch + streaming
@@ -69,8 +72,9 @@ lint:
 
 # Paper-artifact regeneration plus the metrics and tracing micro-benchmarks,
 # including the auction-clear overhead bars (metrics overhead_% < 5, tracing
-# overhead_% < 2 with sampling off) and BenchmarkClusterTickIdle10k, which
-# reports the job path's unit cost as ns/host-tick.
+# overhead_% < 2 with sampling off), BenchmarkClusterTickIdle10k, which
+# reports the job path's unit cost as ns/host-tick, and BenchmarkSubmit10kIdle,
+# its other unit: one submission into 10 000 sleeping hosts.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
@@ -109,11 +113,12 @@ bench-compare:
 # Forecast, and an all-idle cluster tick allocates a constant few bytes however
 # many hosts there are — and in a 10 000-host world executes no clear at all
 # over 100 ticks, after which Cluster.Sync hands every host's ring exactly the
-# 100 samples it was owed (TestSleepingWorldTickAllocationBound). Wired into
-# `check`.
+# 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a
+# submission into 10 000 sleeping hosts allocates nothing per host
+# (TestSubmitAllocationBound). Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict
 
 # Fast crash-recovery health check: the crash-storm test SIGKILLs a real
 # bankd mid-traffic (external kills plus failpoints inside the WAL append,

@@ -224,6 +224,8 @@ type Agent struct {
 	pump     *sim.Ticker
 	feed     *pricefeed.Hub
 	stream   *predict.FeedForecasts // nil until ForecastHandle is first asked
+	// candidates is placeBids' scratch: the hosts of the last submission.
+	candidates []core.Host
 }
 
 // Errors returned by the agent.
@@ -303,7 +305,9 @@ func New(cfg Config) (*Agent, error) {
 
 // event appends a lifecycle event to job's span, stamped with engine time so
 // the timeline reads in simulated time. No-op (one nil check) when the job
-// has no recording span.
+// has no recording span — but its arguments are evaluated first, so a call
+// site whose attributes format an amount or read a balance checks
+// job.Span.Recording() itself.
 func (a *Agent) event(job *Job, name string, attrs ...tracing.Attr) {
 	if !job.Span.Recording() {
 		return
@@ -392,10 +396,12 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 		busy:       make(map[string]bool),
 		total:      len(chunkWork),
 	}
-	a.event(job, "funded",
-		tracing.String("sub_account", string(sub.ID)),
-		tracing.String("budget", amount.String()),
-		a.escrowAttr(job))
+	if job.Span.Recording() {
+		a.event(job, "funded",
+			tracing.String("sub_account", string(sub.ID)),
+			tracing.String("budget", amount.String()),
+			a.escrowAttr(job))
+	}
 
 	if err := a.placeBids(job, jr.Count); err != nil {
 		a.unwind(job)
@@ -492,7 +498,9 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return errors.New("agent: deadline already passed")
 	}
 
-	hosts := make([]core.Host, 0, len(a.hosts))
+	// One candidate slice serves every submission: the agent is
+	// single-threaded and the optimizer copies the hosts it funds.
+	hosts := a.candidates[:0]
 	for _, h := range a.hosts {
 		if h.Down() {
 			continue // a failed host cannot take bids
@@ -503,28 +511,20 @@ func (a *Agent) placeBids(job *Job, count int) error {
 			Price:      h.Market.PriceExcluding(bidder),
 		})
 	}
+	a.candidates = hosts
 	budgetRate := job.Budget.Credits() / horizon
 	allocs, split := a.splitBids(job, budgetRate, hosts)
-	if allocs == nil {
-		br, err := core.BestResponse(budgetRate, hosts)
+	if !split {
+		br, err := core.BestResponseCapped(budgetRate, hosts, count)
 		if err != nil {
 			return fmt.Errorf("agent: best response: %w", err)
 		}
 		allocs = br
-	}
-	if count > 0 && len(allocs) > count {
-		if split {
-			// Keep the portfolio's top-weighted hosts and rescale so the full
-			// budget still follows the weights; Rebalance would re-run Best
-			// Response and discard them.
-			allocs = rescale(core.TopN(allocs, count), budgetRate)
-		} else {
-			rb, err := core.Rebalance(budgetRate, core.TopNByUtility(allocs, count))
-			if err != nil {
-				return fmt.Errorf("agent: rebalance: %w", err)
-			}
-			allocs = rb
-		}
+	} else if count > 0 && len(allocs) > count {
+		// Keep the portfolio's top-weighted hosts and rescale so the full
+		// budget still follows the weights; Best Response over them would
+		// discard the weights.
+		allocs = rescale(core.TopN(allocs, count), budgetRate)
 	}
 	var allocated bank.Amount
 	for _, al := range allocs {
@@ -546,10 +546,12 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		}
 		allocated += budget
 		job.Hosts = append(job.Hosts, al.Host.ID)
-		a.event(job, "bid",
-			tracing.String("host", al.Host.ID),
-			tracing.String("amount", budget.String()),
-			tracing.String("price", fmt.Sprintf("%.6f", al.Host.Price)))
+		if job.Span.Recording() {
+			a.event(job, "bid",
+				tracing.String("host", al.Host.ID),
+				tracing.String("amount", budget.String()),
+				tracing.String("price", fmt.Sprintf("%.6f", al.Host.Price)))
+		}
 	}
 	sort.Strings(job.Hosts)
 	if len(job.Hosts) == 0 {
@@ -570,9 +572,11 @@ func (a *Agent) splitBids(job *Job, budgetRate float64, hosts []core.Host) ([]co
 		return nil, false
 	}
 	mBidSplits.Inc()
-	a.event(job, "bid-split",
-		tracing.String("splitter", a.cfg.BidSplit.Name()),
-		tracing.String("hosts", fmt.Sprintf("%d/%d", len(allocs), len(hosts))))
+	if job.Span.Recording() {
+		a.event(job, "bid-split",
+			tracing.String("splitter", a.cfg.BidSplit.Name()),
+			tracing.String("hosts", fmt.Sprintf("%d/%d", len(allocs), len(hosts))))
+	}
 	return allocs, true
 }
 
@@ -731,11 +735,13 @@ func (a *Agent) failover(job *Job, failedHost string, freed bank.Amount) {
 			}
 			if err == nil {
 				mEscrowFailedOver.Inc()
-				a.event(job, "failed-over",
-					tracing.String("from", failedHost),
-					tracing.String("to", host),
-					tracing.String("amount", freed.String()),
-					a.escrowAttr(job))
+				if job.Span.Recording() {
+					a.event(job, "failed-over",
+						tracing.String("from", failedHost),
+						tracing.String("to", host),
+						tracing.String("amount", freed.String()),
+						a.escrowAttr(job))
+				}
 			}
 			// On error (deadline passed, host just died) the money simply
 			// stays in the sub-account and is refunded at job end.
@@ -784,7 +790,9 @@ func (a *Agent) failJob(job *Job, reason string) {
 	}
 	job.chunks = nil
 	job.FailReason = reason
-	a.event(job, "failed", tracing.String("reason", reason), a.escrowAttr(job))
+	if job.Span.Recording() {
+		a.event(job, "failed", tracing.String("reason", reason), a.escrowAttr(job))
+	}
 	// Scope the unwind so the bank's refund entry lands on the timeline.
 	release := a.cfg.Tracer.PushScope(job.Span)
 	a.unwind(job) // cancels bids, refunds the sub-account, marks StateFailed
@@ -851,10 +859,12 @@ func (a *Agent) finish(job *Job) {
 			panic(fmt.Sprintf("agent: refund %s: %v", job.ID, err))
 		}
 	}
-	a.event(job, "completed",
-		tracing.String("charged", job.Charged.String()),
-		tracing.String("refunded", bal.String()),
-		tracing.String("sub_jobs", fmt.Sprintf("%d/%d", job.done, job.total)))
+	if job.Span.Recording() {
+		a.event(job, "completed",
+			tracing.String("charged", job.Charged.String()),
+			tracing.String("refunded", bal.String()),
+			tracing.String("sub_jobs", fmt.Sprintf("%d/%d", job.done, job.total)))
+	}
 	if job.OnComplete != nil {
 		job.OnComplete(job)
 	}
@@ -896,7 +906,9 @@ func (a *Agent) Cancel(jobID string) error {
 	}
 	job.chunks = nil
 	job.FailReason = "cancelled"
-	a.event(job, "cancelled", a.escrowAttr(job))
+	if job.Span.Recording() {
+		a.event(job, "cancelled", a.escrowAttr(job))
+	}
 	release := a.cfg.Tracer.PushScope(job.Span)
 	a.unwind(job) // cancels bids, refunds, marks StateFailed
 	release()
@@ -928,10 +940,12 @@ func (a *Agent) Boost(jobID string, tok token.Token) error {
 		return err
 	}
 	job.Budget += amount
-	a.event(job, "boosted",
-		tracing.String("amount", amount.String()),
-		tracing.String("budget", job.Budget.String()),
-		a.escrowAttr(job))
+	if job.Span.Recording() {
+		a.event(job, "boosted",
+			tracing.String("amount", amount.String()),
+			tracing.String("budget", job.Budget.String()),
+			a.escrowAttr(job))
+	}
 	bidder := auction.BidderID(job.SubAccount)
 	// Proportional to remaining bid budgets.
 	remaining := make(map[string]bank.Amount, len(job.Hosts))

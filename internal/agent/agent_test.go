@@ -20,6 +20,7 @@ type world struct {
 	eng      *sim.Engine
 	ca       *pki.CA
 	bank     *bank.Bank
+	ledger   *countingLedger // the agent's view of bank
 	cluster  *grid.Cluster
 	agent    *Agent
 	user     *pki.Identity
@@ -27,7 +28,27 @@ type world struct {
 	nonce    int
 }
 
+// countingLedger counts the balance reads the agent makes.
+type countingLedger struct {
+	Ledger
+	balanceReads int
+}
+
+func (l *countingLedger) Balance(id bank.AccountID) (bank.Amount, error) {
+	l.balanceReads++
+	return l.Ledger.Balance(id)
+}
+
 func newWorld(t *testing.T, hosts int) *world {
+	t.Helper()
+	specs := make([]grid.HostSpec, hosts)
+	for i := range specs {
+		specs[i] = grid.HostSpec{ID: fmt.Sprintf("h%02d", i), CPUs: 2, CPUMHz: 2800, MaxVMs: 30}
+	}
+	return newWorldOf(t, specs)
+}
+
+func newWorldOf(t *testing.T, specs []grid.HostSpec) *world {
 	t.Helper()
 	eng := sim.NewEngine()
 	ca, err := pki.NewDeterministicCA("/O=Grid/CN=CA", [32]byte{1}, pki.WithTimeSource(eng.Now))
@@ -50,10 +71,6 @@ func newWorld(t *testing.T, hosts int) *world {
 		t.Fatal(err)
 	}
 
-	specs := make([]grid.HostSpec, hosts)
-	for i := range specs {
-		specs[i] = grid.HostSpec{ID: fmt.Sprintf("h%02d", i), CPUs: 2, CPUMHz: 2800, MaxVMs: 30}
-	}
 	cluster, err := grid.New(eng, grid.Config{Hosts: specs})
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +83,10 @@ func newWorld(t *testing.T, hosts int) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ledger := &countingLedger{Ledger: b}
 	a, err := New(Config{
 		Cluster:  cluster,
-		Bank:     b,
+		Bank:     ledger,
 		Identity: brokerID,
 		Account:  "broker",
 		Verifier: v,
@@ -76,7 +94,7 @@ func newWorld(t *testing.T, hosts int) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{eng: eng, ca: ca, bank: b, cluster: cluster, agent: a, user: user, userBank: userBank}
+	return &world{eng: eng, ca: ca, bank: b, ledger: ledger, cluster: cluster, agent: a, user: user, userBank: userBank}
 }
 
 // payToken transfers credits to the broker and attaches the user's DN.

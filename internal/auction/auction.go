@@ -376,8 +376,13 @@ func (m *Market) PricePerMHz() float64 {
 
 // PriceExcluding returns the sum of live spend rates excluding one bidder:
 // the y_j the Best Response optimizer needs (total of *other* bids), floored
-// at the reserve price.
+// at the reserve price. A sleeping market answers without its lock and stays
+// asleep: nothing but a wake-up can enter a bid, so its book is empty, and
+// the reserve never changes.
 func (m *Market) PriceExcluding(bidder BidderID) float64 {
+	if m.asleep.Load() {
+		return m.reserve
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.bids) == 0 {

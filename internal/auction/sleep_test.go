@@ -101,7 +101,9 @@ func TestSleepOnlyWhenQuiet(t *testing.T) {
 // sync — finds it as if it had been ticked all along: the observers it had
 // got one sample per missed instant, in order, at the price it slept on; its
 // clock stands at the last of them; a subscriber that arrives now gets none
-// of them; and none of them counted as a clear.
+// of them; and none of them counted as a clear. Asking a sleeping market its
+// price is not a touch: the answer is what a twin that was ticked all along
+// gives under its lock, and the market sleeps on, owing what it owed.
 func TestSleepingMarketWakesBeforeAnythingCanTell(t *testing.T) {
 	const missed = 7
 	touches := map[string]func(m *Market){
@@ -125,6 +127,17 @@ func TestSleepingMarketWakesBeforeAnythingCanTell(t *testing.T) {
 			}
 			if !d.asleep || len(seen) != 1 {
 				t.Fatalf("after %d idle ticks: asleep=%v, %d samples delivered; want asleep since the first", 1+missed, d.asleep, len(seen))
+			}
+			twin := newMarketWith(t, mechanism.Proportional, sim.Epoch)
+			for i := 1; i <= 1+missed; i++ {
+				twin.Tick(tickAt(i))
+			}
+			if got, want := m.PriceExcluding("x"), twin.PriceExcluding("x"); got != want {
+				t.Errorf("asleep for %d ticks: PriceExcluding = %v, a market that never slept says %v", missed, got, want)
+			}
+			if !d.asleep || !m.asleep.Load() || len(seen) != 1 || len(d.missed) != missed {
+				t.Fatalf("after PriceExcluding: driver asleep=%v market asleep=%v, %d samples, %d instants owed; want the market still asleep, 1 and %d",
+					d.asleep, m.asleep.Load(), len(seen), len(d.missed), missed)
 			}
 			clears := mClears.Value()
 			touch(m)

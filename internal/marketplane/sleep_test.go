@@ -249,9 +249,10 @@ func testSleepingPlane(t *testing.T, mechName string, shards int, skipping bool,
 	}
 }
 
-// Bids land on sleeping markets from other goroutines while sweeps run. No
-// market misses an instant or gets one twice: after a final sync, every
-// observer holds exactly the swept instants, in order.
+// Bids land on sleeping markets from other goroutines while sweeps run, and
+// submitters price every market, asleep or not, without waking it. No market
+// misses an instant or gets one twice: after a final sync, every observer
+// holds exactly the swept instants, in order.
 func TestConcurrentBidsOnSleepingMarkets(t *testing.T) {
 	const hosts, sweeps, bidders = 16, 300, 4
 	markets, streams := observedMarkets(t, hosts, mechanism.Proportional)
@@ -283,6 +284,28 @@ func TestConcurrentBidsOnSleepingMarkets(t *testing.T) {
 				}
 				// Withdraw it again, so that markets keep falling asleep.
 				_, _ = m.CancelBid(id) // unknown while the bid is still queued
+			}
+		}()
+	}
+	idle := markets[0].(*auction.Market).PriceExcluding("reader") // the reserve: nothing has bid yet
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for h, m := range markets {
+					// The reserve, or the bidders' one credit each over 1000
+					// hours (2.8e-7 a second) where that comes to more.
+					if got := m.(*auction.Market).PriceExcluding("reader"); got < idle || got > 2*idle {
+						t.Errorf("host %d priced at %v, want the reserve %v or the sum of at most %d bids", h, got, idle, bidders)
+						return
+					}
+				}
 			}
 		}()
 	}
