@@ -12,14 +12,12 @@ package main
 import (
 	"flag"
 	"log/slog"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/durable"
-	"tycoongrid/internal/fault"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/sls"
@@ -152,40 +150,18 @@ func main() {
 		}()
 	}
 
-	plane := telemetry.NewPlane(telemetry.Config{
-		Service:  "auctioneerd",
-		Interval: *scrapeEvery,
-	})
-	stopTelemetry := make(chan struct{})
-	go plane.Run(stopTelemetry)
-
-	opts := []httpapi.MuxOption{httpapi.WithHealth(health)}
-	opts = append(opts, plane.MuxOptions()...)
-	if *pprofOn {
-		opts = append(opts, httpapi.WithPprof())
-	}
-
-	var app http.Handler = svc
-	if ccfg, armed, cerr := fault.HandlerFromEnv(); cerr != nil {
-		slog.Error("auctioneerd: bad chaos handler spec", "err", cerr)
-		os.Exit(1)
-	} else if armed {
-		slog.Warn("auctioneerd: handler chaos armed",
-			"max_latency", ccfg.MaxLatency, "error_rate", ccfg.ErrorRate)
-		app = fault.Handler(ccfg, app)
-	}
-
 	slog.Info("auctioneerd: listening", "host", *host, "capacity_mhz", *capacity, "addr", *addr)
-	drain := func() {
-		close(stopTelemetry)
-		health.StartDrain()
-		if prices != nil {
-			if err := prices.close(); err != nil {
-				slog.Error("auctioneerd: price log close failed", "err", err)
+	if err := telemetry.Serve(telemetry.Daemon{
+		Service: "auctioneerd", Addr: *addr, App: svc, Health: health,
+		ScrapeEvery: *scrapeEvery, Pprof: *pprofOn,
+		OnDrain: func() {
+			if prices != nil {
+				if err := prices.close(); err != nil {
+					slog.Error("auctioneerd: price log close failed", "err", err)
+				}
 			}
-		}
-	}
-	if err := httpapi.Serve(*addr, httpapi.ObservedMux("auctioneerd", app, opts...), drain); err != nil {
+		},
+	}); err != nil {
 		slog.Error("auctioneerd: serve failed", "err", err)
 		os.Exit(1)
 	}

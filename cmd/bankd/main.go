@@ -33,7 +33,6 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/durable"
-	"tycoongrid/internal/fault"
 	"tycoongrid/internal/fault/failpoint"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/pki"
@@ -123,46 +122,20 @@ func main() {
 		}()
 	}
 
-	// Telemetry plane: self-scrape into the embedded tsdb, evaluate the
-	// stock SLOs (the conservation probe recomputes the drift gauge each
-	// tick), and expose /metrics/history + /slo.
-	plane := telemetry.NewPlane(telemetry.Config{
-		Service:  "bankd",
-		Interval: *scrapeEvery,
-		Probes:   []func(){b.RecordConservation},
-	})
-	stopTelemetry := make(chan struct{})
-	go plane.Run(stopTelemetry)
-
-	opts := []httpapi.MuxOption{httpapi.WithHealth(health)}
-	opts = append(opts, plane.MuxOptions()...)
-	if *pprofOn {
-		opts = append(opts, httpapi.WithPprof())
-	}
-
-	var app = health.GateUntilReady(svc)
-	if ccfg, armed, cerr := fault.HandlerFromEnv(); cerr != nil {
-		slog.Error("bankd: bad chaos handler spec", "err", cerr)
-		os.Exit(1)
-	} else if armed {
-		slog.Warn("bankd: handler chaos armed",
-			"max_latency", ccfg.MaxLatency, "error_rate", ccfg.ErrorRate)
-		app = fault.Handler(ccfg, app)
-	}
-
 	slog.Info("bankd: listening", "addr", *addr,
 		"receipt_key", httpapi.EncodeKey(b.PublicKey()))
-	err = httpapi.Serve(*addr,
-		httpapi.ObservedMux("bankd", app, opts...),
-		func() {
-			close(stopTelemetry)
-			health.StartDrain()
+	// The conservation probe recomputes the drift gauge each scrape tick.
+	err = telemetry.Serve(telemetry.Daemon{
+		Service: "bankd", Addr: *addr, App: health.GateUntilReady(svc), Health: health,
+		Probes: []func(){b.RecordConservation}, ScrapeEvery: *scrapeEvery, Pprof: *pprofOn,
+		OnDrain: func() {
 			if store != nil {
 				if cerr := store.Close(); cerr != nil {
 					slog.Error("bankd: wal close failed", "err", cerr)
 				}
 			}
-		})
+		},
+	})
 	if err != nil {
 		slog.Error("bankd: serve failed", "err", err)
 		os.Exit(1)

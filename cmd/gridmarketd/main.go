@@ -27,6 +27,7 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -37,7 +38,6 @@ import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
 	"tycoongrid/internal/durable"
-	"tycoongrid/internal/fault"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/telemetry"
@@ -126,7 +126,7 @@ func main() {
 		}
 	}()
 
-	demo := &demoAPI{box: b, jobs: jobs}
+	demo := &demoAPI{box: b, jobs: jobs, users: make(map[string]*box.User)}
 	mux := http.NewServeMux()
 	mux.Handle("/jobs", jobs)
 	mux.Handle("/jobs/", jobs) // subtree: GET /jobs/{id}/timeline
@@ -137,40 +137,13 @@ func main() {
 	mux.HandleFunc("POST /demo/users", demo.createUser)
 	mux.HandleFunc("POST /demo/tokens", demo.mintToken)
 
-	// Telemetry plane: self-scrape into the embedded tsdb, evaluate the
-	// stock SLOs, expose /metrics/history + /slo. The conservation probe
-	// runs against the box's single in-process bank.
-	plane := telemetry.NewPlane(telemetry.Config{
-		Service:  "gridmarketd",
-		Interval: *scrapeEvery,
-		Probes:   []func(){b.Bank.RecordConservation},
-	})
-	stopTelemetry := make(chan struct{})
-	go plane.Run(stopTelemetry)
-
-	opts := []httpapi.MuxOption{httpapi.WithHealth(health)}
-	opts = append(opts, plane.MuxOptions()...)
-	if *pprofOn {
-		opts = append(opts, httpapi.WithPprof())
-	}
-
-	var app http.Handler = mux
-	if ccfg, armed, cerr := fault.HandlerFromEnv(); cerr != nil {
-		slog.Error("gridmarketd: bad chaos handler spec", "err", cerr)
-		os.Exit(1)
-	} else if armed {
-		slog.Warn("gridmarketd: handler chaos armed",
-			"max_latency", ccfg.MaxLatency, "error_rate", ccfg.ErrorRate)
-		app = fault.Handler(ccfg, app)
-	}
-
-	drain := func() {
-		close(stopTelemetry)
-		health.StartDrain()
-	}
 	slog.Info("gridmarketd: listening",
 		"hosts", *hosts, "cpus", *cpus, "speedup", *speedup, "addr", *addr)
-	if err := httpapi.Serve(*addr, httpapi.ObservedMux("gridmarketd", app, opts...), drain); err != nil {
+	// The conservation probe runs against the box's single in-process bank.
+	if err := telemetry.Serve(telemetry.Daemon{
+		Service: "gridmarketd", Addr: *addr, App: mux, Health: health,
+		Probes: []func(){b.Bank.RecordConservation}, ScrapeEvery: *scrapeEvery, Pprof: *pprofOn,
+	}); err != nil {
 		slog.Error("gridmarketd: serve failed", "err", err)
 		os.Exit(1)
 	}
@@ -179,11 +152,12 @@ func main() {
 
 // demoAPI mints server-side demo identities; the box serializes access to
 // the single-threaded engine through the job service lock, so the demo API
-// needs its own mutex only for the box's user map.
+// needs its own mutex only for its map of the users it created.
 type demoAPI struct {
-	mu   sync.Mutex
-	box  *box.Box
-	jobs *httpapi.JobService
+	mu    sync.Mutex
+	box   *box.Box
+	jobs  *httpapi.JobService
+	users map[string]*box.User
 }
 
 type userReq struct {
@@ -210,6 +184,9 @@ func (d *demoAPI) createUser(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
 	var u *box.User
 	d.jobs.WithLock(func() { u, err = d.box.CreateUser(req.Name, grant) })
+	if err == nil {
+		d.users[u.Name] = u
+	}
 	d.mu.Unlock()
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, err)
@@ -232,12 +209,21 @@ func (d *demoAPI) mintToken(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.mu.Lock()
-	var tok string
-	d.jobs.WithLock(func() { tok, err = d.box.MintToken(req.User, amount) })
+	u, ok := d.users[req.User]
 	d.mu.Unlock()
+	if !ok {
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("gridmarketd: unknown user %q", req.User))
+		return
+	}
+	var tok token.Token
+	d.jobs.WithLock(func() { tok, err = d.box.MintToken(u, amount) })
+	var enc string
+	if err == nil {
+		enc, err = token.Encode(tok)
+	}
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	httpapi.WriteJSON(w, map[string]string{"token": tok})
+	httpapi.WriteJSON(w, map[string]string{"token": enc})
 }

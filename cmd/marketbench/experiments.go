@@ -184,14 +184,6 @@ func runExperiment(name string, seed int64, csvDir string, strat string, horizon
 			}
 		}
 		return "Window approximation of Normal/Exp/Beta inputs (paper Figure 7)\n" + res.String(), nil
-	case "scale":
-		p := experiment.DefaultScaleParams()
-		p.World.Seed = seed
-		res, err := experiment.RunScale(p)
-		if err != nil {
-			return "", err
-		}
-		return "Workload outcomes across auctioneer shard counts (marketplane)\n" + res.String(), nil
 	case "ablation-scheduler":
 		p := experiment.Table2Params()
 		p.World.Seed = seed

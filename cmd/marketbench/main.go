@@ -14,7 +14,6 @@
 //	marketbench -run figure6        # hour/day/week price distributions
 //	marketbench -run figure7        # window approximation accuracy
 //	marketbench -run strategies     # matchmaking strategies, paired seeds
-//	marketbench -run scale          # the same workload at 1/2/4 auctioneer shards
 //	marketbench -run mechanisms     # clearing rules, paired seeds
 //	marketbench -run sla            # SLA terms and valuations
 //	marketbench -run ablation-cap   # also -scheduler, -smoothing, -interval
@@ -39,7 +38,7 @@ import (
 func main() {
 	names := []string{
 		"table1", "table2", "figure3", "figure4", "figure5", "figure6", "figure7",
-		"strategies", "scale", "mechanisms",
+		"strategies", "mechanisms",
 		"ablation-scheduler", "ablation-cap", "ablation-smoothing", "ablation-interval",
 		"sla",
 	}

@@ -16,11 +16,9 @@ package main
 import (
 	"flag"
 	"log/slog"
-	"net/http"
 	"os"
 	"time"
 
-	"tycoongrid/internal/fault"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/sls"
@@ -51,21 +49,8 @@ func main() {
 		}
 	}()
 
-	plane := telemetry.NewPlane(telemetry.Config{
-		Service:  "slsd",
-		Interval: *scrapeEvery,
-	})
-	stopTelemetry := make(chan struct{})
-	go plane.Run(stopTelemetry)
-
-	// The directory is ready as soon as it binds.
-	health := httpapi.NewHealth("slsd")
-	opts := []httpapi.MuxOption{httpapi.WithHealth(health)}
-	opts = append(opts, plane.MuxOptions()...)
-	if *pprofOn {
-		opts = append(opts, httpapi.WithPprof())
-	}
-
+	var fleet []httpapi.MuxOption
+	stopFleet := make(chan struct{})
 	if *peers != "" {
 		peerList, err := telemetry.ParsePeers(*peers)
 		if err != nil {
@@ -73,27 +58,18 @@ func main() {
 			os.Exit(1)
 		}
 		agg := telemetry.NewAggregator(telemetry.AggregatorConfig{Peers: peerList})
-		go agg.Run(stopTelemetry, *scrapeEvery)
-		opts = append(opts, agg.MuxOptions()...)
+		go agg.Run(stopFleet, *scrapeEvery)
+		fleet = agg.MuxOptions()
 		slog.Info("slsd: hosting fleet aggregator", "peers", len(peerList))
 	}
 
-	var app http.Handler = httpapi.NewSLSService(reg)
-	if ccfg, armed, cerr := fault.HandlerFromEnv(); cerr != nil {
-		slog.Error("slsd: bad chaos handler spec", "err", cerr)
-		os.Exit(1)
-	} else if armed {
-		slog.Warn("slsd: handler chaos armed",
-			"max_latency", ccfg.MaxLatency, "error_rate", ccfg.ErrorRate)
-		app = fault.Handler(ccfg, app)
-	}
-
-	drain := func() {
-		close(stopTelemetry)
-		health.StartDrain()
-	}
 	slog.Info("slsd: listening", "addr", *addr, "ttl", ttl.String())
-	if err := httpapi.Serve(*addr, httpapi.ObservedMux("slsd", app, opts...), drain); err != nil {
+	// The directory is ready as soon as it binds.
+	if err := telemetry.Serve(telemetry.Daemon{
+		Service: "slsd", Addr: *addr, App: httpapi.NewSLSService(reg), Health: httpapi.NewHealth("slsd"),
+		ScrapeEvery: *scrapeEvery, Pprof: *pprofOn, MuxOptions: fleet,
+		OnDrain: func() { close(stopFleet) },
+	}); err != nil {
 		slog.Error("slsd: serve failed", "err", err)
 		os.Exit(1)
 	}

@@ -9,10 +9,12 @@ import (
 
 // TestDocsNameOnlyWhatExists keeps the prose from outliving the code: every
 // `make <target>` the documents name is a rule in the Makefile, every
-// cmd/<name> directory or top-level *.json file they name exists, and every
-// `marketbench -run <name>` / `-experiment <name>` is an experiment
-// marketbench accepts. Deleting a target, a binary, an artifact or an
-// experiment without editing the documents fails here.
+// cmd/<name> directory, `internal/<pkg>` package or top-level *.json file
+// they name exists, and every `marketbench -run <name>` / `-experiment <name>`
+// is an experiment marketbench accepts. Deleting a target, a binary, a
+// package, an artifact or an experiment without editing the documents fails
+// here. And the other way round for packages: every directory under internal/
+// has a row in the module map, DESIGN.md §3.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -44,6 +46,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		spanMake  = regexp.MustCompile("`make ([a-z][a-z0-9-]*)")
 		fenceMake = regexp.MustCompile(`^make ([a-z][a-z0-9-]*)`)
 		cmdDir    = regexp.MustCompile(`\bcmd/[a-z]+`)
+		pkgDir    = regexp.MustCompile("`(internal/[a-z]+)")
 		// A bare file name in a code span is a path from the repository
 		// root; after.json on a command line is the reader's own file.
 		rootJSON = regexp.MustCompile("`[A-Za-z0-9_.-]+\\.json`")
@@ -86,12 +89,34 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 					}
 				}
 			}
-			for _, p := range append(cmdDir.FindAllString(line, -1), rootJSON.FindAllString(line, -1)...) {
+			paths := append(cmdDir.FindAllString(line, -1), rootJSON.FindAllString(line, -1)...)
+			for _, m := range pkgDir.FindAllStringSubmatch(line, -1) {
+				paths = append(paths, m[1])
+			}
+			for _, p := range paths {
 				p = strings.Trim(p, "`")
 				if _, err := os.Stat(p); err != nil {
 					t.Errorf("%s:%d: names %s, which does not exist", doc, i+1, p)
 				}
 			}
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inventory := regexp.MustCompile(`(?s)\n## 3\. .*?\n## 4\. `).Find(design)
+	if inventory == nil {
+		t.Fatal("DESIGN.md: no section 3 followed by a section 4")
+	}
+	pkgs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range pkgs {
+		if d.IsDir() && !strings.Contains(string(inventory), "\n| `internal/"+d.Name()+"` |") {
+			t.Errorf("DESIGN.md §3: internal/%s has no row in the module map", d.Name())
 		}
 	}
 }

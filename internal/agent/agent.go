@@ -807,40 +807,16 @@ func (a *Agent) failJob(job *Job, reason string) {
 // balance to the broker — used when a submission is rejected after funding
 // (hold-back policy or a bidding failure).
 func (a *Agent) unwind(job *Job) {
-	bidder := auction.BidderID(job.SubAccount)
-	for _, h := range job.Hosts {
-		host, err := a.cfg.Cluster.Host(h)
-		if err != nil {
-			continue
-		}
-		if _, err := host.Market.CancelBid(bidder); err != nil &&
-			!errors.Is(err, auction.ErrUnknownBidder) {
-			panic(fmt.Sprintf("agent: unwinding bid on %s: %v", h, err))
-		}
-	}
+	a.teardown(job, "hold-back refund ")
 	job.Hosts = nil
 	job.State = StateFailed
 	a.retire(job)
-	bal, err := a.cfg.Bank.Balance(job.SubAccount)
-	if err == nil && bal > 0 {
-		if err := a.cfg.Bank.MoveInternal(a.cfg.Identity, job.SubAccount, a.cfg.Account,
-			bal, bank.EntryRefund, "hold-back refund "+job.ID); err != nil {
-			panic(fmt.Sprintf("agent: unwinding %s: %v", job.ID, err))
-		}
-	}
 }
 
-// finish cancels outstanding bids and refunds the sub-account's unspent
-// balance to the broker account ("the outstanding balance will be refunded
-// to the user").
-func (a *Agent) finish(job *Job) {
-	job.State = StateDone
-	a.retire(job)
-	// Exact end: the latest sub-job completion (back-dated by the grid).
-	job.endedAt = latestDone(job.SubJobs, a.cfg.Cluster.Engine().Now())
-	// Scope the teardown so the bank's refund entry lands on the timeline.
-	release := a.cfg.Tracer.PushScope(job.Span)
-	defer release()
+// teardown cancels the job's bid on every funded host, then refunds what is
+// left in its sub-account to the broker under memo+job.ID (the memo reaches
+// receipts and timelines). It returns the amount refunded.
+func (a *Agent) teardown(job *Job, memo string) bank.Amount {
 	bidder := auction.BidderID(job.SubAccount)
 	for _, h := range job.Hosts {
 		host, err := a.cfg.Cluster.Host(h)
@@ -855,10 +831,25 @@ func (a *Agent) finish(job *Job) {
 	bal, err := a.cfg.Bank.Balance(job.SubAccount)
 	if err == nil && bal > 0 {
 		if err := a.cfg.Bank.MoveInternal(a.cfg.Identity, job.SubAccount, a.cfg.Account,
-			bal, bank.EntryRefund, "refund "+job.ID); err != nil {
-			panic(fmt.Sprintf("agent: refund %s: %v", job.ID, err))
+			bal, bank.EntryRefund, memo+job.ID); err != nil {
+			panic(fmt.Sprintf("agent: %s%s: %v", memo, job.ID, err))
 		}
 	}
+	return bal
+}
+
+// finish cancels outstanding bids and refunds the sub-account's unspent
+// balance to the broker account ("the outstanding balance will be refunded
+// to the user").
+func (a *Agent) finish(job *Job) {
+	job.State = StateDone
+	a.retire(job)
+	// Exact end: the latest sub-job completion (back-dated by the grid).
+	job.endedAt = latestDone(job.SubJobs, a.cfg.Cluster.Engine().Now())
+	// Scope the teardown so the bank's refund entry lands on the timeline.
+	release := a.cfg.Tracer.PushScope(job.Span)
+	defer release()
+	bal := a.teardown(job, "refund ")
 	if job.Span.Recording() {
 		a.event(job, "completed",
 			tracing.String("charged", job.Charged.String()),

@@ -10,6 +10,19 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
+// Scheduler is the job-scheduling front door both deployments offer: a single
+// *Manager, or a *Meta matchmaking across partitioned ones. The HTTP layer and
+// the assembled world hold one without knowing which.
+type Scheduler interface {
+	Submit(xrslText string, chunkWork []float64) (*GridJob, error)
+	Job(id string) (*GridJob, error)
+	Jobs() []*GridJob
+	Boost(jobID, encodedToken string) error
+	Cancel(jobID string) error
+	Timeline(id string) (Timeline, error)
+	Monitor() MonitorSnapshot
+}
+
 // Meta is the paper's replicated-agent deployment (§3): several Managers,
 // each backed by an agent partitioned onto a different set of compute nodes,
 // with "the ARC meta-scheduler ... used to load balance and do job to

@@ -7,13 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"tycoongrid/internal/agent"
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/box"
 	"tycoongrid/internal/fault"
-	"tycoongrid/internal/grid"
-	"tycoongrid/internal/pki"
-	"tycoongrid/internal/sim"
 	"tycoongrid/internal/token"
 )
 
@@ -22,76 +19,23 @@ var chaosSeed = flag.Int64("chaos.seed", 1, "seed for the chaos fault injector")
 const (
 	chaosHosts  = 10
 	chaosJobs   = 8
-	initialBank = 100000 * bank.Credit // alice's opening deposit
+	initialBank = 100000 * bank.Credit // the user's opening deposit
 	jobBudget   = 50.0                 // credits per job
 )
 
-// world is the full grid-market stack plus the chaos injector.
+// world is the full grid-market stack, as the daemon and the experiments
+// assemble it, plus the chaos injector.
 type world struct {
-	eng      *sim.Engine
-	bank     *bank.Bank
-	cluster  *grid.Cluster
-	agent    *agent.Agent
-	manager  *arc.Manager
+	*box.Box
 	injector *fault.Injector
-	user     *pki.Identity
-	userBank *pki.Identity
-	nonce    int
 }
 
 func newWorld(t *testing.T, seed int64, shards int) *world {
 	t.Helper()
-	eng := sim.NewEngine()
-	ca, err := pki.NewDeterministicCA("/O=Grid/CN=CA", [32]byte{1}, pki.WithTimeSource(eng.Now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bankID, _ := ca.IssueDeterministic("/CN=Bank", [32]byte{2})
-	brokerID, _ := ca.IssueDeterministic("/CN=Broker", [32]byte{3})
-	user, _ := ca.IssueDeterministic("/O=Grid/CN=Alice", [32]byte{4})
-	userBank, _ := ca.IssueDeterministic("/CN=AliceBank", [32]byte{5})
-
-	b := bank.New(bankID, eng)
-	if _, err := b.CreateAccount("alice", userBank.Public()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.CreateAccount("broker", brokerID.Public()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Deposit("alice", initialBank, "grant"); err != nil {
-		t.Fatal(err)
-	}
-
-	specs := make([]grid.HostSpec, chaosHosts)
-	hostIDs := make([]string, chaosHosts)
-	for i := range specs {
-		id := fmt.Sprintf("h%02d", i)
-		specs[i] = grid.HostSpec{ID: id, CPUs: 2, CPUMHz: 2800, MaxVMs: 30}
-		hostIDs[i] = id
-	}
-	cluster, err := grid.New(eng, grid.Config{Hosts: specs, Shards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	v, err := token.NewVerifier(b.PublicKey(), ca.Certificate(), "broker", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag, err := agent.New(agent.Config{
-		Cluster: cluster, Bank: b, Identity: brokerID, Account: "broker", Verifier: v,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := arc.New(arc.Config{
-		ClusterName:  "chaos-grid",
-		Agent:        ag,
-		StageInTime:  30 * time.Second,
-		StageOutTime: 30 * time.Second,
+	b, err := box.New(box.Config{
+		Hosts: chaosHosts, CPUsPerHost: 2, CPUMHz: 2800, Shards: shards,
+		Seed: 1, Users: 1, GrantPerUser: initialBank,
+		ClusterName: "chaos-grid", StageInTime: 30 * time.Second, StageOutTime: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,32 +43,27 @@ func newWorld(t *testing.T, seed int64, shards int) *world {
 	// MTTF 20 min across 10 hosts over a 6 h run: each host fails many
 	// times, far past the 20% churn floor the test asserts, and enough
 	// that some jobs lose every funded host and exercise the refund path.
-	inj, err := fault.NewInjector(cluster, fault.InjectorConfig{
+	inj, err := fault.NewInjector(b.Cluster, fault.InjectorConfig{
 		Seed:  seed,
 		MTTF:  20 * time.Minute,
 		MTTR:  10 * time.Minute,
-		Hosts: hostIDs,
+		Hosts: b.Cluster.HostIDs(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{eng: eng, bank: b, cluster: cluster, agent: ag, manager: mgr,
-		injector: inj, user: user, userBank: userBank}
+	return &world{Box: b, injector: inj}
 }
 
 // xrslJob mints a fresh transfer token and wraps it in a paper-shaped xRSL
 // description: count sub-jobs, cputime per sub-job, walltime deadline.
 func (w *world) xrslJob(t *testing.T, credits float64, count, cpuMinutes, wallMinutes int) string {
 	t.Helper()
-	w.nonce++
-	req := bank.TransferRequest{From: "alice", To: "broker",
-		Amount: bank.MustCredits(credits), Nonce: fmt.Sprintf("chaos%04d", w.nonce)}
-	req.Sig = w.userBank.Sign(req.SigningBytes())
-	r, err := w.bank.Transfer(req)
+	tok, err := w.MintToken(w.Users[0], bank.MustCredits(credits))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := token.Encode(token.Attach(r, w.user))
+	s, err := token.Encode(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +100,16 @@ func surviveHostChurn(t *testing.T, shards int) string {
 	// fail over to surviving hosts, some die at the deadline. All must end.
 	jobs := make([]*arc.GridJob, 0, chaosJobs)
 	for i := 0; i < chaosJobs; i++ {
-		gj, err := w.manager.Submit(w.xrslJob(t, jobBudget, 3, 20, 180), nil)
+		gj, err := w.Manager.Submit(w.xrslJob(t, jobBudget, 3, 20, 180), nil)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		jobs = append(jobs, gj)
-		w.eng.RunFor(10 * time.Minute)
+		w.Engine.RunFor(10 * time.Minute)
 	}
-	w.eng.RunFor(6 * time.Hour)
+	w.Engine.RunFor(6 * time.Hour)
 	w.injector.Stop()
-	w.eng.RunFor(30 * time.Minute) // drain recoveries, stage-outs, pump ticks
+	w.Engine.RunFor(30 * time.Minute) // drain recoveries, stage-outs, pump ticks
 
 	// Churn floor: at least 20% of hosts actually failed during the run.
 	minFailures := chaosHosts / 5
@@ -210,7 +149,7 @@ func surviveHostChurn(t *testing.T, shards int) string {
 		if gj.AgentJob == nil {
 			continue // failed before the agent accepted it; nothing escrowed
 		}
-		bal, err := w.bank.Balance(gj.AgentJob.SubAccount)
+		bal, err := w.Bank.Balance(gj.AgentJob.SubAccount)
 		if err != nil || bal != 0 {
 			t.Errorf("sub-account %s balance = %v (%v), want 0",
 				gj.AgentJob.SubAccount, bal, err)
@@ -218,9 +157,9 @@ func surviveHostChurn(t *testing.T, shards int) string {
 	}
 
 	// Invariant 3: total currency conserved — the money supply still equals
-	// alice's opening deposit, spread over alice, broker refunds, and
+	// the user's opening deposit, spread over the user, broker refunds, and
 	// earnings.
-	if got := w.bank.TotalMoney(); got != initialBank {
+	if got := w.Bank.TotalMoney(); got != initialBank {
 		t.Errorf("total money = %v, want %v", got, initialBank)
 	}
 
@@ -233,11 +172,11 @@ func surviveHostChurn(t *testing.T, shards int) string {
 			charged += gj.AgentJob.Charged
 		}
 	}
-	aliceBal, _ := w.bank.Balance("alice")
-	brokerBal, _ := w.bank.Balance("broker")
-	earnBal, _ := w.bank.Balance("grid-earnings")
-	if aliceBal != initialBank-spent {
-		t.Errorf("alice = %v, want %v", aliceBal, initialBank-spent)
+	userBal, _ := w.Bank.Balance(w.Users[0].Account)
+	brokerBal, _ := w.Bank.Balance("broker")
+	earnBal, _ := w.Bank.Balance("grid-earnings")
+	if userBal != initialBank-spent {
+		t.Errorf("user = %v, want %v", userBal, initialBank-spent)
 	}
 	if brokerBal != spent-charged {
 		t.Errorf("broker = %v, want unspent %v", brokerBal, spent-charged)
@@ -245,7 +184,7 @@ func surviveHostChurn(t *testing.T, shards int) string {
 	if earnBal != charged {
 		t.Errorf("earnings = %v, want charged %v", earnBal, charged)
 	}
-	fmt.Fprintf(&outcome, "alice %v, broker %v, earnings %v\n", aliceBal, brokerBal, earnBal)
+	fmt.Fprintf(&outcome, "user %v, broker %v, earnings %v\n", userBal, brokerBal, earnBal)
 	t.Logf("%d shards:\n%s", shards, &outcome)
 	return outcome.String()
 }
@@ -259,11 +198,11 @@ func TestChurnIsDeterministic(t *testing.T) {
 		if err := w.injector.Start(); err != nil {
 			t.Fatal(err)
 		}
-		gj, err := w.manager.Submit(w.xrslJob(t, jobBudget, 3, 20, 120), nil)
+		gj, err := w.Manager.Submit(w.xrslJob(t, jobBudget, 3, 20, 120), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.eng.RunFor(4 * time.Hour)
+		w.Engine.RunFor(4 * time.Hour)
 		w.injector.Stop()
 		var ch bank.Amount
 		if gj.AgentJob != nil {

@@ -76,7 +76,7 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 		return nil, err
 	}
 	res := &LoadResult{World: w, Recorder: rec}
-	src := w.src.Split()
+	src := w.Src.Split()
 	horizon := time.Duration(p.Hours * float64(time.Hour))
 
 	var schedule func(at time.Duration)

@@ -23,7 +23,7 @@ type MechanismsParams struct {
 	World      WorldConfig
 	Mechanisms []string // clearing rules to compare; default mechanism.Names()
 
-	// Full-stack workload shape (as in the scale family).
+	// Full-stack workload shape.
 	Budget       bank.Amount
 	Deadline     time.Duration
 	SubJobs      int

@@ -408,8 +408,6 @@ func DefaultRepSpec(name string) (RepSpec, error) {
 		return RepSpecAblationSmoothing(p), nil
 	case "strategies":
 		return RepSpecStrategies(DefaultStrategiesParams()), nil
-	case "scale":
-		return RepSpecScale(DefaultScaleParams()), nil
 	case "mechanisms":
 		return RepSpecMechanisms(DefaultMechanismsParams()), nil
 	}

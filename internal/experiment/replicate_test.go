@@ -55,7 +55,8 @@ func shrunkFigure4Params() Figure4Params {
 }
 
 // deterministicSpecs returns one shrunken replication spec per experiment
-// family, so the property below covers every figure/table harness.
+// family, so the property below covers every figure/table harness, plus one
+// whose worlds clear on two shards.
 func deterministicSpecs() []RepSpec {
 	f3 := DefaultFigure3Params()
 	f3.Load = shrunkLoadParams()
@@ -69,9 +70,17 @@ func deterministicSpecs() []RepSpec {
 	f6.Slots = 6
 	f6.Windows = map[string]int{"hour": 360, "quarter": 1080}
 
+	// Sharded clearing inside replication workers: a world's own goroutines
+	// must not leak into the cross-worker determinism.
+	f3s := f3
+	f3s.Load.World.Shards = 2
+	sharded := RepSpecFigure3(f3s)
+	sharded.Name += "-2-shards"
+
 	return []RepSpec{
 		RepSpecTable("table-shrunk", shrunkTableParams()),
 		RepSpecFigure3(f3),
+		sharded,
 		RepSpecFigure4(shrunkFigure4Params()),
 		RepSpecFigure5(DefaultFigure5Params()),
 		RepSpecFigure6(f6),

@@ -81,7 +81,7 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 		}
 	}
 
-	src := w.src.Split()
+	src := w.Src.Split()
 	var arrive func()
 	arrive = func() {
 		u := w.Users[src.Intn(len(w.Users))]

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"time"
 
-	"tycoongrid/internal/agent"
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/box"
 	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/strategy"
@@ -33,8 +33,8 @@ import (
 
 // StrategiesParams shapes the strategy-comparison scenario.
 type StrategiesParams struct {
-	World      WorldConfig // cluster shape; Hosts are split evenly over Partitions
-	Partitions int
+	World      WorldConfig // cluster shape; its Partitions, Strategy and Horizon are set from the fields below
+	Partitions int         // Hosts are split evenly over them
 	Hours      float64
 
 	// Strategies to compare; empty means every registered strategy.
@@ -42,9 +42,9 @@ type StrategiesParams struct {
 	// Horizon is the forecast horizon handed to prediction strategies and the
 	// delay after which predicted-vs-realized error is scored.
 	Horizon time.Duration
-	// Predictor is the batch registry model passed on as
-	// strategy.Config.Predictor; only a candidate without a forecast handle
-	// is fitted with it, which the meta-scheduler never offers.
+	// Predictor names the batch registry model a candidate without a forecast
+	// handle would be fitted with. The meta-scheduler never offers one, so no
+	// world reads it; bench's replay of that batch path does.
 	Predictor string
 	// Window is the trailing history (in market ticks) forecasts and the
 	// portfolio covariance see: every partition agent's price-ring capacity.
@@ -141,10 +141,6 @@ func RunStrategies(p StrategiesParams) (*StrategiesResult, error) {
 	if p.Partitions < 2 {
 		return nil, errors.New("experiment: strategies needs at least 2 partitions")
 	}
-	if p.World.Hosts%p.Partitions != 0 {
-		return nil, fmt.Errorf("experiment: %d hosts not divisible into %d partitions",
-			p.World.Hosts, p.Partitions)
-	}
 	if p.Hours <= 0 || p.MeasureEvery <= 0 || p.MeasureDeadline <= 0 {
 		return nil, errors.New("experiment: bad strategies timing")
 	}
@@ -165,75 +161,35 @@ func RunStrategies(p StrategiesParams) (*StrategiesResult, error) {
 
 // stratWorld is the partitioned meta-scheduler testbed.
 type stratWorld struct {
-	*Testbed
+	*World
 	rec        *trace.Recorder
-	meta       *arc.Meta
-	agents     []*agent.Agent
-	partitions [][]string
+	partitions [][]string // host ids per partition
 	hostPart   map[string]int
 }
 
-// buildStrategiesWorld puts one agent + ARC manager per partition on the
-// testbed — all sharing its ONE broker identity, account and token verifier
-// (so a token pays "the grid" and verifies no matter which partition
-// matchmaking picks) — under a Meta running the named strategy.
+// buildStrategiesWorld is the world of p.World split into p.Partitions under
+// a Meta running the named strategy, every partition agent's price ring sized
+// to the prediction window.
 func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, error) {
-	tb, err := newTestbed(p.World)
+	cfg := p.World
+	cfg.Partitions, cfg.Strategy, cfg.Horizon = p.Partitions, stratName, p.Horizon
+	b, err := box.NewWindowed(cfg, p.Window)
 	if err != nil {
 		return nil, err
 	}
+	w := &stratWorld{World: &World{b}, hostPart: make(map[string]int)}
 	// The full price trace, for the volatility column (partitionPriceStd);
 	// the agents' rings keep only the last p.Window ticks.
-	rec, err := tb.recordPrices()
-	if err != nil {
+	if w.rec, err = w.recordPrices(); err != nil {
 		return nil, err
 	}
-
-	per := p.World.Hosts / p.Partitions
-	w := &stratWorld{Testbed: tb, rec: rec, hostPart: make(map[string]int)}
-	var managers []*arc.Manager
-	for i := 0; i < p.Partitions; i++ {
-		part := make([]string, per)
-		for j := range part {
-			part[j] = fmt.Sprintf("h%02d", i*per+j)
-			w.hostPart[part[j]] = i
+	for i, ag := range w.Agents {
+		part := ag.HostIDs()
+		for _, h := range part {
+			w.hostPart[h] = i
 		}
-		ag, err := agent.New(agent.Config{
-			Cluster: tb.Cluster, Bank: tb.Bank, Identity: tb.broker, Account: "broker",
-			Verifier: tb.verifier, Hosts: part, Tracer: tb.Tracer,
-			// Shared broker account: distinct prefixes keep the per-job
-			// sub-accounts (broker/p0-0001, ...) collision-free.
-			JobIDPrefix:  fmt.Sprintf("p%d", i),
-			FeedCapacity: p.Window,
-		})
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := arc.New(arc.Config{
-			ClusterName: fmt.Sprintf("p%d", i), Agent: ag, Tracer: tb.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		w.agents = append(w.agents, ag)
 		w.partitions = append(w.partitions, part)
-		managers = append(managers, mgr)
 	}
-	// Before the first clear: NewMeta attaches every agent's predictors.
-	meta, err := arc.NewMeta(managers...)
-	if err != nil {
-		return nil, err
-	}
-	s, err := strategy.New(stratName, strategy.Config{
-		Horizon:   p.Horizon,
-		Predictor: p.Predictor,
-		Window:    p.Window,
-	})
-	if err != nil {
-		return nil, err
-	}
-	meta.SetStrategy(s, p.Horizon)
-	w.meta = meta
 	return w, nil
 }
 
@@ -256,7 +212,7 @@ func (w *stratWorld) background(u *GridUser, pi int, credits float64,
 	for i := range chunks {
 		chunks[i] = chunkMin * 60 * workload.ReferenceMHz
 	}
-	_, err = w.agents[pi].Submit(tok, jr, chunks)
+	_, err = w.Agents[pi].Submit(tok, jr, chunks)
 	return err
 }
 
@@ -271,7 +227,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	// Bursty waves on partition 0. Each wave's jobs are funded heavily and
 	// sized to finish within the period, so the partition cycles between
 	// expensive (wave running) and reserve-price troughs (wave done).
-	waveSrc := w.src.Split()
+	waveSrc := w.Src.Split()
 	waveUser := 0
 	var wave func()
 	wave = func() {
@@ -296,7 +252,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	// reserve floor but far below a wave.
 	for pi := 1; pi < len(w.partitions); pi++ {
 		pi := pi
-		steadySrc := w.src.Split()
+		steadySrc := w.Src.Split()
 		userOff := pi
 		var drip func()
 		drip = func() {
@@ -343,7 +299,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 			xrslText := fmt.Sprintf(
 				"&(executable=scan.sh)(jobname=measured)(count=%d)(walltime=%d)(transfertoken=%s)",
 				p.MeasureMaxNodes, int(p.MeasureDeadline.Minutes()), enc)
-			gj, err := w.meta.Submit(xrslText, chunks)
+			gj, err := w.Meta.Submit(xrslText, chunks)
 			if err != nil {
 				measureErrs++
 				return
@@ -389,7 +345,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	out.MeanCost = costW.Mean()
 	out.MeanMakespanMin = mkspW.Mean()
 	out.Volatility = volW.Mean()
-	out.PredMAE = w.meta.PredictionStats().MeanAbsError
+	out.PredMAE = w.Meta.PredictionStats().MeanAbsError
 	return out, nil
 }
 

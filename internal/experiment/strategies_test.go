@@ -129,7 +129,7 @@ func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
 			t.Errorf("%s overheads = %v/%v/%v", id, h.Spec.CreateOverhead, h.Spec.InstallOverhead, h.Spec.VirtOverhead)
 		}
 	}
-	for i, ag := range w.agents {
+	for i, ag := range w.Agents {
 		if got := ag.Feed().Ring(w.partitions[i][0]).Capacity(); got != p.Window {
 			t.Errorf("partition %d ring capacity = %d, want the window %d", i, got, p.Window)
 		}

@@ -15,25 +15,6 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
-// JobManager is the scheduling surface the HTTP layer requires. Both
-// *arc.Manager (a single partition) and *arc.Meta (strategy-driven
-// matchmaking across partitions) satisfy it, so a daemon can swap in the
-// partitioned deployment without the API changing shape.
-type JobManager interface {
-	Submit(xrslText string, chunkWork []float64) (*arc.GridJob, error)
-	Job(id string) (*arc.GridJob, error)
-	Jobs() []*arc.GridJob
-	Boost(jobID, encodedToken string) error
-	Cancel(jobID string) error
-	Timeline(id string) (arc.Timeline, error)
-	Monitor() arc.MonitorSnapshot
-}
-
-var (
-	_ JobManager = (*arc.Manager)(nil)
-	_ JobManager = (*arc.Meta)(nil)
-)
-
 // JobService exposes the ARC-analog job manager over HTTP: xRSL submission,
 // job status, boosting, and the Grid-monitor view. Because the job manager
 // and its grid cluster run on a single-threaded simulation engine, every
@@ -42,13 +23,13 @@ var (
 // a live service ("grid market in a box").
 type JobService struct {
 	mu     sync.Mutex
-	mgr    JobManager
+	mgr    arc.Scheduler
 	engine *sim.Engine
 	mux    *http.ServeMux
 }
 
 // NewJobService wraps mgr (whose agent runs on engine).
-func NewJobService(mgr JobManager, engine *sim.Engine) (*JobService, error) {
+func NewJobService(mgr arc.Scheduler, engine *sim.Engine) (*JobService, error) {
 	if mgr == nil || engine == nil {
 		return nil, errors.New("httpapi: nil job manager or engine")
 	}

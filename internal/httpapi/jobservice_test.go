@@ -9,22 +9,42 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
+	"tycoongrid/internal/token"
 )
 
-// jobWorld spins up a box behind a JobService.
-func jobWorld(t *testing.T) (*box.Box, *JobClient, *JobService) {
+// jobWorld spins up a box behind a JobService, with one funded user whose
+// encoded transfer tokens mint hands out.
+func jobWorld(t *testing.T) (mint func(bank.Amount) string, client *JobClient, svc *JobService) {
 	t.Helper()
-	b, err := box.New(box.DefaultConfig())
+	cfg := box.DefaultConfig()
+	cfg.Users, cfg.GrantPerUser = 1, 10000*bank.Credit
+	b, err := box.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewJobService(b.Manager, b.Engine)
+	svc, err = NewJobService(b.Manager, b.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc)
 	t.Cleanup(srv.Close)
-	return b, NewJobClient(srv.URL, nil), svc
+	mint = func(amount bank.Amount) string {
+		t.Helper()
+		var tok token.Token
+		var err error
+		// Minting moves money on the engine's bank: under the service lock,
+		// as the daemon does it.
+		svc.WithLock(func() { tok, err = b.MintToken(b.Users[0], amount) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := token.Encode(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	return mint, NewJobClient(srv.URL, nil), svc
 }
 
 func (s *JobService) driveFor(d time.Duration) {
@@ -38,14 +58,8 @@ func TestNewJobServiceValidation(t *testing.T) {
 }
 
 func TestJobSubmissionOverHTTP(t *testing.T) {
-	b, client, svc := jobWorld(t)
-	if _, err := b.CreateUser("alice", 100*bank.Credit); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := b.MintToken("alice", 25*bank.Credit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mint, client, svc := jobWorld(t)
+	tok := mint(25 * bank.Credit)
 	xrsl := fmt.Sprintf(
 		"&(executable=scan.sh)(jobname=http-job)(count=2)(cputime=5)(walltime=60)(transfertoken=%s)", tok)
 	jw, err := client.Submit(xrsl)
@@ -89,14 +103,8 @@ func TestJobSubmitErrorsOverHTTP(t *testing.T) {
 }
 
 func TestJobBoostOverHTTP(t *testing.T) {
-	b, client, svc := jobWorld(t)
-	if _, err := b.CreateUser("alice", 1000*bank.Credit); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := b.MintToken("alice", 20*bank.Credit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mint, client, svc := jobWorld(t)
+	tok := mint(20 * bank.Credit)
 	xrsl := fmt.Sprintf(
 		"&(executable=x)(count=2)(cputime=30)(walltime=600)(transfertoken=%s)", tok)
 	jw, err := client.Submit(xrsl)
@@ -104,10 +112,7 @@ func TestJobBoostOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.driveFor(time.Minute)
-	boost, err := b.MintToken("alice", 50*bank.Credit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	boost := mint(50 * bank.Credit)
 	if err := client.Boost(jw.ID, boost); err != nil {
 		t.Fatalf("boost: %v", err)
 	}
@@ -120,7 +125,7 @@ func TestJobBoostOverHTTP(t *testing.T) {
 }
 
 func TestMonitorOverHTTP(t *testing.T) {
-	b, client, svc := jobWorld(t)
+	mint, client, svc := jobWorld(t)
 	snap, err := client.Monitor()
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +133,7 @@ func TestMonitorOverHTTP(t *testing.T) {
 	if snap.PhysicalNodes != 8 || snap.ClusterName != "tycoon-box" {
 		t.Errorf("snapshot = %+v", snap)
 	}
-	if _, err := b.CreateUser("alice", 100*bank.Credit); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := b.MintToken("alice", 10*bank.Credit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tok := mint(10 * bank.Credit)
 	if _, err := client.Submit(fmt.Sprintf(
 		"&(executable=x)(count=2)(cputime=30)(walltime=300)(transfertoken=%s)", tok)); err != nil {
 		t.Fatal(err)
@@ -150,14 +149,8 @@ func TestMonitorOverHTTP(t *testing.T) {
 }
 
 func TestJobCancelOverHTTP(t *testing.T) {
-	b, client, svc := jobWorld(t)
-	if _, err := b.CreateUser("alice", 200*bank.Credit); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := b.MintToken("alice", 50*bank.Credit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mint, client, svc := jobWorld(t)
+	tok := mint(50 * bank.Credit)
 	jw, err := client.Submit(fmt.Sprintf(
 		"&(executable=x)(count=2)(cputime=120)(walltime=600)(transfertoken=%s)", tok))
 	if err != nil {
@@ -185,10 +178,7 @@ func TestJobCancelOverHTTP(t *testing.T) {
 func TestConcurrentDriveAndRequests(t *testing.T) {
 	// The daemon drives the engine from a goroutine while HTTP requests
 	// arrive concurrently; under -race this catches any locking gap.
-	b, client, svc := jobWorld(t)
-	if _, err := b.CreateUser("alice", 10000*bank.Credit); err != nil {
-		t.Fatal(err)
-	}
+	mint, client, svc := jobWorld(t)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -203,12 +193,7 @@ func TestConcurrentDriveAndRequests(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		var tok string
-		var mintErr error
-		svc.WithLock(func() { tok, mintErr = b.MintToken("alice", 10*bank.Credit) })
-		if mintErr != nil {
-			t.Fatal(mintErr)
-		}
+		tok := mint(10 * bank.Credit)
 		if _, err := client.Submit(fmt.Sprintf(
 			"&(executable=x)(count=2)(cputime=2)(walltime=60)(transfertoken=%s)", tok)); err != nil {
 			t.Fatal(err)

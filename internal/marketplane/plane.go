@@ -12,6 +12,7 @@ import (
 
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
+	keyshard "tycoongrid/internal/shard"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/tracing"
 )
@@ -149,7 +150,7 @@ func New(cfg Config) (*Plane, error) {
 		if _, dup := p.byHost[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadPlaneConfig, id)
 		}
-		s := p.shards[ShardOf(id, n)]
+		s := p.shards[keyshard.Of(id, n)]
 		local := len(s.markets)
 		s.markets = append(s.markets, m)
 		s.globals = append(s.globals, g)

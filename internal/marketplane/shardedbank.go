@@ -11,6 +11,7 @@ import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/pki"
+	keyshard "tycoongrid/internal/shard"
 	"tycoongrid/internal/sim"
 )
 
@@ -108,7 +109,7 @@ func (sb *ShardedBank) ShardCount() int { return len(sb.shards) }
 
 // ShardFor returns the shard index owning an account id.
 func (sb *ShardedBank) ShardFor(id bank.AccountID) int {
-	return ShardOf(string(id), len(sb.shards))
+	return keyshard.Of(string(id), len(sb.shards))
 }
 
 func (sb *ShardedBank) shardOf(id bank.AccountID) *bankShard {

@@ -42,28 +42,6 @@ func shardedAccounts(t *testing.T, sb *ShardedBank, op *pki.Identity, n int) []b
 	return ids
 }
 
-func TestShardOf(t *testing.T) {
-	if got := ShardOf("anything", 1); got != 0 {
-		t.Fatalf("ShardOf(_, 1) = %d, want 0", got)
-	}
-	for n := 2; n <= 16; n *= 2 {
-		seen := map[int]bool{}
-		for i := 0; i < 200; i++ {
-			s := ShardOf(fmt.Sprintf("host-%03d", i), n)
-			if s < 0 || s >= n {
-				t.Fatalf("ShardOf out of range: %d of %d", s, n)
-			}
-			seen[s] = true
-			if s != ShardOf(fmt.Sprintf("host-%03d", i), n) {
-				t.Fatal("ShardOf not stable")
-			}
-		}
-		if len(seen) != n {
-			t.Fatalf("200 hosts hit only %d of %d shards", len(seen), n)
-		}
-	}
-}
-
 // A 1-shard ShardedBank must behave exactly like a plain bank.Bank: every
 // operation takes the same single-lock fast path, so balances, receipts and
 // ledger histories agree entry for entry.
