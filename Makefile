@@ -28,7 +28,8 @@ race-check: race
 # Short fuzz pass over the grammar-shaped inputs (the xRSL job-description
 # parser, the W3C traceparent header decoder, ...) and the differential
 # targets (Best Response over runs of interchangeable candidates against its
-# per-host oracles). Seed corpora live under each package's testdata/fuzz/;
+# per-host oracles, the ordered order book against the map-keyed market it
+# replaced). Seed corpora live under each package's testdata/fuzz/;
 # FUZZTIME is per target. Go allows one fuzz target per invocation, hence one
 # run each.
 FUZZTIME ?= 5s
@@ -42,6 +43,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzMechanismClear$$' -fuzztime $(FUZZTIME) ./internal/mechanism
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValuation$$' -fuzztime $(FUZZTIME) ./internal/sla
 	$(GO) test -run '^$$' -fuzz '^FuzzBestResponseRuns$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBookOps$$' -fuzztime $(FUZZTIME) ./internal/auction
 
 # Coverage gate for the market-critical packages: the clearing mechanisms,
 # the SLA terms/valuation layer, and the prediction models (batch + streaming
@@ -115,7 +117,11 @@ bench-compare:
 # over 100 ticks, after which Cluster.Sync hands every host's ring exactly the
 # 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a
 # submission into 10 000 sleeping hosts allocates nothing per host
-# (TestSubmitAllocationBound). Wired into `check`.
+# (TestSubmitAllocationBound), and a busy tick — 300 hosts with 8 bids and 8
+# tasks each, every charge settled on a real bank — allocates at most 4 times
+# per busy host (it reads 2: the clear's outcome lines and its charges;
+# nothing for the shares, the live-bid snapshot or the ledger batch)
+# (TestBusyTickAllocationBound). Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
 	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict

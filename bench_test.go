@@ -506,6 +506,43 @@ func BenchmarkClusterTick10k800Busy(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/busy, "ns/busy-host-tick")
 }
 
+// BenchmarkClusterTickDense is one tick of the grid-dense workload's steady
+// state: 300 hosts, each with 8 live bids and 8 running tasks of jobs the
+// agent manages, so every one of the tick's 2 400 charges is a real move on
+// the world's bank. BenchmarkClusterTick10k800Busy books one foreign bid a
+// host — a one-line book, nothing settled — which is why it read 1.4 µs a
+// busy host while the workload paid 7: ns/busy-host-tick here is the clear of
+// an 8-bid book, its share of the tick's one ledger batch, and 8 tasks'
+// progress (and the agent's pump over 300 running jobs).
+func BenchmarkClusterTickDense(b *testing.B) {
+	const hosts = 300
+	tr := tracing.New(tracing.WithCapacity(8))
+	tr.SetSampleRatio(0)
+	wc := experiment.PaperWorld()
+	wc.Hosts, wc.Users, wc.Tracer = hosts, 1, tr
+	wc.GrantPerUser = 1e9 * bank.Credit
+	wc.PurgeIdleAfter = 10 * time.Minute
+	w, err := experiment.NewWorld(wc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < hosts; i++ { // 8 endless chunks each: Best Response spreads them 8 a host
+		if _, err := w.SubmitApp(w.Users[0], 1e6*bank.Credit, 1e5*time.Hour, 8, 1e15, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+	interval := w.Cluster.Interval()
+	for i := 0; i < 50; i++ { // VMs boot, scratch buffers reach their size
+		w.Engine.RunFor(interval)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Engine.RunFor(interval)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hosts, "ns/busy-host-tick")
+}
+
 // BenchmarkSubmit10kIdle is one submission of the paper's job (8 chunks of 10
 // CPU minutes on at most 8 nodes, 50 credits, two-hour deadline) into the
 // same world with every market asleep: verify the token, fund escrow, price

@@ -21,6 +21,7 @@ import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/core"
 	"tycoongrid/internal/grid"
+	"tycoongrid/internal/marketplane"
 	"tycoongrid/internal/pki"
 	"tycoongrid/internal/predict"
 	"tycoongrid/internal/pricefeed"
@@ -174,6 +175,7 @@ type Ledger interface {
 	CreateSubAccount(parent bank.AccountID, child string, owner ed25519.PublicKey) (*bank.Account, error)
 	Balance(id bank.AccountID) (bank.Amount, error)
 	MoveInternal(owner *pki.Identity, from, to bank.AccountID, amount bank.Amount, kind bank.EntryKind, memo string) error
+	MoveBatch(owner *pki.Identity, legs []bank.Move, kind bank.EntryKind) error
 }
 
 // Config wires an Agent.
@@ -226,6 +228,10 @@ type Agent struct {
 	stream   *predict.FeedForecasts // nil until ForecastHandle is first asked
 	// candidates is placeBids' scratch: the hosts of the last submission.
 	candidates []core.Host
+	// legs is settle's scratch: the last tick's charges as bank moves. cpuMemo
+	// holds each host's "cpu <host>" ledger memo, built once.
+	legs    []bank.Move
+	cpuMemo map[string]string
 }
 
 // Errors returned by the agent.
@@ -239,7 +245,8 @@ var (
 	ErrHoldBack = errors.New("agent: best response funded fewer hosts than minhosts")
 )
 
-// New creates an agent and installs its charge/refund hooks on the cluster.
+// New creates an agent and installs its settle and host-failure hooks on the
+// cluster.
 func New(cfg Config) (*Agent, error) {
 	if cfg.Cluster == nil || cfg.Bank == nil || cfg.Identity == nil || cfg.Verifier == nil {
 		return nil, errors.New("agent: incomplete configuration")
@@ -265,6 +272,7 @@ func New(cfg Config) (*Agent, error) {
 		jobs:     make(map[string]*Job),
 		byBidder: make(map[auction.BidderID]*Job),
 		feed:     pricefeed.NewHub(cfg.FeedCapacity),
+		cpuMemo:  make(map[string]string),
 	}
 	// A cluster's host set is fixed at construction, so the partition is
 	// resolved once here and walked as a slice afterwards. Record every
@@ -282,13 +290,13 @@ func New(cfg Config) (*Agent, error) {
 	// Chain rather than replace any existing hook, so replicated agents
 	// (paper §3: "the agent itself can be replicated and partitioned") can
 	// share one cluster — each ignores bidders it does not manage.
-	if prev := cfg.Cluster.OnCharge; prev != nil {
-		cfg.Cluster.OnCharge = func(hostID string, ch auction.Charge) {
-			prev(hostID, ch)
-			a.onCharge(hostID, ch)
+	if prev := cfg.Cluster.OnSettle; prev != nil {
+		cfg.Cluster.OnSettle = func(cleared []marketplane.TickResult) {
+			prev(cleared)
+			a.settle(cleared)
 		}
 	} else {
-		cfg.Cluster.OnCharge = a.onCharge
+		cfg.Cluster.OnSettle = a.settle
 	}
 	// Subscribe to host failures the same way, so killed chunks are
 	// resubmitted and freed escrow re-bid on surviving hosts.
@@ -339,20 +347,40 @@ func (a *Agent) earningsAccount(hostID string) bank.AccountID {
 	return a.earnings
 }
 
-// onCharge moves real money for every market charge.
-func (a *Agent) onCharge(hostID string, ch auction.Charge) {
-	job, ok := a.byBidder[ch.Bidder]
-	if !ok {
-		return // bidder not managed by this agent
+// settle moves real money for a tick's market charges: every charge of a
+// bidder this agent manages, host by host and bidder by bidder, goes to the
+// bank as one batch — job sub-account to host earnings.
+func (a *Agent) settle(cleared []marketplane.TickResult) {
+	legs := a.legs[:0]
+	for i := range cleared {
+		r := &cleared[i]
+		var dest bank.AccountID // resolved at this host's first managed charge
+		var memo string
+		for _, ch := range r.Charges {
+			job, ok := a.byBidder[ch.Bidder]
+			if !ok {
+				continue // bidder not managed by this agent
+			}
+			if memo == "" {
+				dest = a.earningsAccount(r.Host)
+				if memo, ok = a.cpuMemo[r.Host]; !ok {
+					memo = "cpu " + r.Host
+					a.cpuMemo[r.Host] = memo
+				}
+			}
+			legs = append(legs, bank.Move{From: bank.AccountID(ch.Bidder), To: dest, Amount: ch.Amount, Memo: memo})
+			job.Charged += ch.Amount
+		}
 	}
-	dest := a.earningsAccount(hostID)
-	if err := a.cfg.Bank.MoveInternal(a.cfg.Identity, bank.AccountID(ch.Bidder), dest,
-		ch.Amount, bank.EntryCharge, "cpu "+hostID); err != nil {
-		// The sub-account holds the full verified budget and market charges
+	a.legs = legs
+	if len(legs) == 0 {
+		return
+	}
+	if err := a.cfg.Bank.MoveBatch(a.cfg.Identity, legs, bank.EntryCharge); err != nil {
+		// The sub-accounts hold the full verified budgets and market charges
 		// never exceed placed bids, so this indicates an internal bug.
-		panic(fmt.Sprintf("agent: charging %s: %v", ch.Bidder, err))
+		panic(fmt.Sprintf("agent: settling %d charges: %v", len(legs), err))
 	}
-	job.Charged += ch.Amount
 }
 
 // Submit verifies tok, funds a sub-account, distributes bids with Best

@@ -18,6 +18,14 @@
 // posted-price clearing plug in through Config.Mechanism. The Market does not
 // itself touch a bank; the auctioneer layer applies the returned charges to
 // host accounts. Price statistics hooks feed the prediction stack of §4.
+//
+// The book is one slice of bids kept ascending by bidder, because that is the
+// order everything reads it in: the mechanisms' input contract, the fixed
+// fold order of every price sum, and the order charges, refunds and shares
+// are reported in. A clear walks it once and sorts nothing. The market also
+// keeps the share table of its current book — filled from the clear's own
+// outcome when the mechanism is stateless, dropped by every mutation of the
+// book — so reading shares between clears does not run the mechanism again.
 package auction
 
 import (
@@ -25,14 +33,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/tracing"
@@ -72,16 +78,24 @@ type Charge struct {
 type Market struct {
 	mu        sync.Mutex
 	hostID    string
-	capacity  float64 // MHz
-	reserve   float64 // reserve price, credits/second, floor for the spot price
-	bids      map[BidderID]*bidState
-	price     float64 // spot price at last reallocation, credits/second
+	capacity  float64    // MHz
+	reserve   float64    // reserve price, credits/second, floor for the spot price
+	bids      []bidState // the book, ascending by bidder, unique bidders
+	price     float64    // spot price at last reallocation, credits/second
 	now       time.Time
 	observers []func(price float64, at time.Time)
 	// obs2 is inline room for the first two observers (a grid host's plane
 	// cache and price feed): wiring 10 000 markets allocates nothing for them.
 	obs2 [2]func(price float64, at time.Time)
 	mech mechanism.Mechanism // clearing rule; proportional share by default
+
+	// live is the clear's scratch for the mechanism's input, reused under the
+	// lock (no mechanism retains its input). shares is the share table of the
+	// current book while sharesOK; every mutation of the book drops it. Both
+	// are allocated on first use, so a market nobody bids on carries neither.
+	live     []mechanism.Bid
+	shares   []Share
+	sharesOK bool
 
 	// Sleep state (see Sleep). quiet: the last clear was of an empty book by a
 	// settled mechanism, so every further idle clear would publish m.price
@@ -146,7 +160,6 @@ func NewMarket(cfg Config) (*Market, error) {
 		hostID:     cfg.HostID,
 		capacity:   cfg.CapacityMHz,
 		reserve:    reserve,
-		bids:       make(map[BidderID]*bidState),
 		price:      reserve,
 		now:        cfg.Start,
 		priceGauge: mClearingPrice.With(cfg.HostID),
@@ -258,6 +271,14 @@ func (m *Market) wakeUp() {
 	m.mu.Unlock()
 }
 
+// find returns the position of bidder's bid in the book, or where it would
+// be inserted. Callers hold m.mu.
+func (m *Market) find(bidder BidderID) (int, bool) {
+	return slices.BinarySearchFunc(m.bids, bidder, func(b bidState, id BidderID) int {
+		return strings.Compare(string(b.bidder), string(id))
+	})
+}
+
 // PlaceBid enters or replaces a bid for bidder: budget amortized until
 // deadline. A replaced bid's unspent budget is returned as refund.
 func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Time) (refund bank.Amount, err error) {
@@ -270,11 +291,8 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 	if horizon <= 0 {
 		return 0, fmt.Errorf("%w: deadline not in the future", ErrBadBid)
 	}
-	if old, ok := m.bids[bidder]; ok {
-		refund = old.remaining
-	}
 	rate := budget.Credits() / horizon
-	m.bids[bidder] = &bidState{
+	bid := bidState{
 		bidder:    bidder,
 		remaining: budget,
 		deadline:  deadline,
@@ -285,6 +303,13 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 		payRate: rate,
 		active:  true,
 	}
+	if at, ok := m.find(bidder); ok {
+		refund = m.bids[at].remaining
+		m.bids[at] = bid
+	} else {
+		m.bids = slices.Insert(m.bids, at, bid)
+	}
+	m.sharesOK = false
 	mBidsPlaced.Inc()
 	mBidBudget.Observe(budget.Credits())
 	// Auditable auction trail: when a job scope is active (the agent bidding
@@ -293,7 +318,7 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 		s.AddEventAt(m.now, "auction.bid",
 			tracing.String("host", m.hostID),
 			tracing.String("bidder", string(bidder)),
-			tracing.String("rate", fmt.Sprintf("%.6f", m.bids[bidder].rate)))
+			tracing.String("rate", fmt.Sprintf("%.6f", rate)))
 	}
 	return refund, nil
 }
@@ -307,10 +332,11 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.bids[bidder]
+	at, ok := m.find(bidder)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
+	b := &m.bids[at]
 	b.remaining += extra
 	horizon := b.deadline.Sub(m.now).Seconds()
 	if horizon <= 0 {
@@ -318,6 +344,7 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 	}
 	b.rate = b.remaining.Credits() / horizon
 	b.payRate = b.rate // boosted spend applies immediately, repriced at next clear
+	m.sharesOK = false
 	mBoosts.Inc()
 	return nil
 }
@@ -328,11 +355,11 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 func (m *Market) SetActive(bidder BidderID, active bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.bids[bidder]
+	at, ok := m.find(bidder)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	b.active = active
+	m.bids[at].active = active // shares do not depend on it
 	return nil
 }
 
@@ -340,24 +367,45 @@ func (m *Market) SetActive(bidder BidderID, active bool) error {
 func (m *Market) CancelBid(bidder BidderID) (bank.Amount, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.bids[bidder]
+	at, ok := m.find(bidder)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	delete(m.bids, bidder)
+	remaining := m.bids[at].remaining
+	m.bids = slices.Delete(m.bids, at, at+1)
+	m.sharesOK = false
 	mBidsCancelled.Inc()
-	return b.remaining, nil
+	return remaining, nil
+}
+
+// CancelAll withdraws every bid at once — a host that died can no longer
+// deliver CPU — and returns the unspent budgets to refund, ascending by
+// bidder, positive remainders only.
+func (m *Market) CancelAll() []Charge {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var refunds []Charge
+	for i := range m.bids {
+		if b := &m.bids[i]; b.remaining > 0 {
+			refunds = append(refunds, Charge{Bidder: b.bidder, Amount: b.remaining})
+		}
+	}
+	mBidsCancelled.Add(uint64(len(m.bids)))
+	clear(m.bids) // drop the bidder strings
+	m.bids = m.bids[:0]
+	m.sharesOK = false
+	return refunds
 }
 
 // Remaining returns the bidder's unspent budget.
 func (m *Market) Remaining(bidder BidderID) (bank.Amount, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.bids[bidder]
+	at, ok := m.find(bidder)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	return b.remaining, nil
+	return m.bids[at].remaining, nil
 }
 
 // SpotPrice returns the host's current spot price in credits/second: the sum
@@ -385,48 +433,76 @@ func (m *Market) PriceExcluding(bidder BidderID) float64 {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.bids) == 0 {
-		return m.reserve // an empty book folds to zero, floored at the reserve
+	// Float sums over the bids must fold in a fixed order — map-order
+	// summation perturbs the spot price in the last bit, and the market
+	// amplifies that into visibly different traces run over run. The book's
+	// own order is that order: a plain += ascending by bidder, the add
+	// sequence mathx.SortedSum gives. An empty book folds to zero.
+	var sum float64
+	for i := range m.bids {
+		if b := &m.bids[i]; b.bidder != bidder && b.remaining > 0 {
+			sum += b.rate
+		}
 	}
-	sum := mathx.SortedSum(m.bidderIDsLocked(), func(id BidderID) (float64, bool) {
-		b := m.bids[id]
-		return b.rate, id != bidder && b.remaining > 0
-	})
 	if sum < m.reserve {
 		sum = m.reserve
 	}
 	return sum
 }
 
-// bidderIDsLocked collects the bidder ids in map order; mathx.SortedSum
-// sorts them before folding. Float sums over the bids must fold in a fixed
-// order: map-order summation perturbs the spot price in the last bit, and
-// the market amplifies that into visibly different traces run over run.
-func (m *Market) bidderIDsLocked() []BidderID {
-	ids := make([]BidderID, 0, len(m.bids))
-	for id := range m.bids {
-		ids = append(ids, id)
-	}
-	return ids
-}
+// Shares returns the allocation under the current bids, ascending by bidder,
+// in a slice of the caller's own (never nil, as it never was).
+func (m *Market) Shares() []Share { return m.AppendShares([]Share{}) }
 
-// Shares returns the allocation under the current bids, computed by the
-// mechanism's side-effect-free Quote (stateful mechanisms such as
-// posted-price are not advanced), sorted by bidder for determinism.
-func (m *Market) Shares() []Share {
+// AppendShares is Shares for a caller that reads them every tick and keeps
+// its own buffer: it appends the allocation to dst and returns the extended
+// slice.
+func (m *Market) AppendShares(dst []Share) []Share {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	quote := m.mech.Quote(m.liveBidsLocked(), m.mechCapacity())
-	out := make([]Share, 0, len(m.bids))
-	for _, b := range m.bids {
+	return append(dst, m.sharesLocked()...)
+}
+
+// sharesLocked returns the market's share table, valid until the lock is
+// released. Between a clear and the next change to the book it is already
+// there; after a change the first read re-quotes the book through the
+// mechanism's side-effect-free Quote (stateful mechanisms such as
+// posted-price are not advanced).
+func (m *Market) sharesLocked() []Share {
+	if !m.sharesOK {
+		m.fillSharesLocked(m.mech.Quote(m.liveBidsLocked(), m.mechCapacity()))
+	}
+	return m.shares
+}
+
+// fillSharesLocked rebuilds the share table from an outcome of the current
+// book: one row per bid, the mechanism's fraction where it allocated one.
+// Book and outcome lines are both ascending by bidder, so it is a merge walk.
+func (m *Market) fillSharesLocked(o mechanism.Outcome) {
+	m.shares = m.shares[:0]
+	at := 0
+	for i := range m.bids {
+		b := &m.bids[i]
 		frac := 0.0
-		if l, ok := quote.Line(string(b.bidder)); ok {
+		if l, ok := lineFor(o.Lines, &at, b.bidder); ok {
 			frac = l.Fraction
 		}
-		out = append(out, Share{Bidder: b.bidder, Fraction: frac, Rate: b.rate, Remaining: b.remaining})
+		m.shares = append(m.shares, Share{Bidder: b.bidder, Fraction: frac, Rate: b.rate, Remaining: b.remaining})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bidder < out[j].Bidder })
-	return out
+	m.sharesOK = true
+}
+
+// lineFor advances *at through lines (ascending by bidder) to bidder's line
+// and reports whether there is one; successive calls ask for ascending
+// bidders.
+func lineFor(lines []mechanism.Line, at *int, bidder BidderID) (mechanism.Line, bool) {
+	for *at < len(lines) && lines[*at].Bidder < string(bidder) {
+		*at++
+	}
+	if *at < len(lines) && lines[*at].Bidder == string(bidder) {
+		return lines[*at], true
+	}
+	return mechanism.Line{}, false
 }
 
 // Bidders returns the number of live bids.
@@ -437,22 +513,22 @@ func (m *Market) Bidders() int {
 }
 
 // liveBidsLocked snapshots the live bids (unspent budget remaining) in the
-// mechanism's input shape: ascending bidder order, unique bidders. The
-// ascending order is load-bearing — the proportional mechanism folds rates in
-// slice order, which must equal the legacy mathx.SortedSum sequence for
-// bit-identical spot prices.
+// mechanism's input shape — ascending bidder order, unique bidders: the
+// book's own order — into the market's scratch slice. The ascending order is
+// load-bearing: the proportional mechanism folds rates in slice order, which
+// must equal the legacy mathx.SortedSum sequence for bit-identical spot
+// prices.
 func (m *Market) liveBidsLocked() []mechanism.Bid {
 	if len(m.bids) == 0 {
 		return nil
 	}
-	out := make([]mechanism.Bid, 0, len(m.bids))
-	for id, b := range m.bids {
-		if b.remaining > 0 {
-			out = append(out, mechanism.Bid{Bidder: string(id), Rate: b.rate})
+	m.live = m.live[:0]
+	for i := range m.bids {
+		if b := &m.bids[i]; b.remaining > 0 {
+			m.live = append(m.live, mechanism.Bid{Bidder: string(b.bidder), Rate: b.rate})
 		}
 	}
-	slices.SortFunc(out, func(a, b mechanism.Bid) int { return strings.Compare(a.Bidder, b.Bidder) })
-	return out
+	return m.live
 }
 
 func (m *Market) mechCapacity() mechanism.Capacity {
@@ -462,7 +538,8 @@ func (m *Market) mechCapacity() mechanism.Capacity {
 // Tick advances the market clock to now, charging each active bidder
 // rate * dt (capped at its remaining budget) and expiring exhausted bids.
 // It returns the charges and the refunds of bids that expired past their
-// deadline with money left (deadline reached: leftover goes back).
+// deadline with money left (deadline reached: leftover goes back), both
+// ascending by bidder.
 func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	wallStart := time.Now()
 	m.lockAwake()
@@ -472,7 +549,11 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	}
 	m.now = now
 
-	for id, b := range m.bids {
+	// One walk of the book in bidder order charges, expires and compacts:
+	// charges and refunds come out sorted, survivors keep their order.
+	kept := 0
+	for i := range m.bids {
+		b := &m.bids[i]
 		if b.active && b.remaining > 0 && dt > 0 {
 			owe, err := bank.FromCredits(b.payRate * dt)
 			if err != nil || owe < 0 {
@@ -483,18 +564,25 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 			}
 			if owe > 0 {
 				b.remaining -= owe
-				charges = append(charges, Charge{Bidder: id, Amount: owe})
+				if charges == nil {
+					charges = make([]Charge, 0, len(m.bids)-i)
+				}
+				charges = append(charges, Charge{Bidder: b.bidder, Amount: owe})
 			}
 		}
 		expired := !now.Before(b.deadline)
 		if b.remaining <= 0 || expired {
 			if b.remaining > 0 {
-				refunds = append(refunds, Charge{Bidder: id, Amount: b.remaining})
+				refunds = append(refunds, Charge{Bidder: b.bidder, Amount: b.remaining})
 			}
-			delete(m.bids, id)
 			mBidsExpired.Inc()
+			continue
 		}
+		m.bids[kept] = *b
+		kept++
 	}
+	clear(m.bids[kept:]) // drop the expired bidders' strings
+	m.bids = m.bids[:kept]
 
 	// Reallocate through the mechanism: it publishes the new spot price and
 	// reprices every surviving bid for the coming interval. Bids the
@@ -511,12 +599,19 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	// here, and only the next clear publishes the price that repeats.
 	m.quiet = len(m.bids) == 0 && m.mech.Settled(m.mechCapacity())
 	cleared := m.mech.Clear(m.liveBidsLocked(), m.mechCapacity())
-	for id, b := range m.bids {
-		if l, ok := cleared.Line(string(id)); ok {
-			b.payRate = l.PayRate
-		} else {
-			b.payRate = 0
-		}
+	at := 0
+	for i := range m.bids {
+		b := &m.bids[i]
+		l, _ := lineFor(cleared.Lines, &at, b.bidder) // no line: pay rate 0
+		b.payRate = l.PayRate
+	}
+	// A stateless mechanism would quote this book exactly as it just cleared
+	// it, so the clear's outcome is the share table. One that moved its state
+	// in the clear (posted-price) quotes anew at the first read.
+	if m.mech.Stateless() {
+		m.fillSharesLocked(cleared)
+	} else {
+		m.sharesOK = false
 	}
 	price := cleared.Price
 	m.price = price
@@ -545,18 +640,7 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	for _, fn := range obs {
 		fn(price, now)
 	}
-
-	sortCharges(charges)
-	sortCharges(refunds)
 	return charges, refunds
-}
-
-// sortCharges orders charges ascending by bidder (bidders are unique within
-// one clear, so the order is total).
-func sortCharges(cs []Charge) {
-	if len(cs) > 1 {
-		sort.Slice(cs, func(i, j int) bool { return cs[i].Bidder < cs[j].Bidder })
-	}
 }
 
 // DeliveredMHz returns the CPU capacity a bidder with the given share

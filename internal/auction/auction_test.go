@@ -3,12 +3,15 @@ package auction
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mathx"
+	"tycoongrid/internal/mechanism"
+	"tycoongrid/internal/rng"
 	"tycoongrid/internal/sim"
 )
 
@@ -245,6 +248,54 @@ func TestCancelRefundsRemaining(t *testing.T) {
 	}
 	if _, err := m.CancelBid("u1"); !errors.Is(err, ErrUnknownBidder) {
 		t.Errorf("double cancel: %v", err)
+	}
+}
+
+// TestCancelAllMatchesCancellingEachShare holds CancelAll to what it replaced
+// in grid.FailHost: list the book through Shares, then CancelBid one bidder
+// at a time, keeping the positive remainders. Twin markets go through the
+// same random books under every mechanism; the refunds must be equal, value
+// and order, and both books empty afterwards and open for business.
+func TestCancelAllMatchesCancellingEachShare(t *testing.T) {
+	for _, name := range mechanism.Names() {
+		t.Run(name, func(t *testing.T) {
+			src := rng.New(5)
+			for round := 0; round < 200; round++ {
+				all, each := newMarketWith(t, name, sim.Epoch), newMarketWith(t, name, sim.Epoch)
+				now := sim.Epoch
+				for n := src.Intn(13); n > 0; n-- {
+					bidder := BidderID(fmt.Sprintf("u%02d", src.Intn(12)))
+					budget := bank.Amount(1 + src.Intn(3_000_000))
+					deadline := now.Add(time.Duration(1+src.Intn(6)) * DefaultInterval)
+					for _, m := range []*Market{all, each} {
+						if _, err := m.PlaceBid(bidder, budget, deadline); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if src.Intn(3) == 0 { // a clear or two in between: budgets part-spent
+						now = now.Add(DefaultInterval)
+						all.Tick(now)
+						each.Tick(now)
+					}
+				}
+				var want []Charge
+				for _, s := range each.Shares() {
+					if remaining, err := each.CancelBid(s.Bidder); err == nil && remaining > 0 {
+						want = append(want, Charge{Bidder: s.Bidder, Amount: remaining})
+					}
+				}
+				got := all.CancelAll()
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("round %d: CancelAll = %v, cancelling each share gave %v", round, got, want)
+				}
+				if all.Bidders() != 0 || len(all.Shares()) != 0 || all.PriceExcluding("") != each.PriceExcluding("") {
+					t.Fatalf("round %d: book not empty after CancelAll: %d bidders", round, all.Bidders())
+				}
+				if _, err := all.PlaceBid("late", bank.Credit, now.Add(time.Hour)); err != nil || all.Bidders() != 1 {
+					t.Fatalf("round %d: bid after CancelAll: %v", round, err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,9 +3,7 @@ package auction
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
-	"time"
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
@@ -16,168 +14,113 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
-// referenceTick is Market.Tick as it stood before an empty book got to skip
-// the bid work: every clear snapshots and sorts the live bids, copies the
-// observer list and sorts the charge and refund slices, book or no book. It
-// is the oracle the differential test below holds Tick to. (Metrics and the
-// trace event are left out: they do not feed back into the market.)
-func referenceTick(m *Market, now time.Time) (charges []Charge, refunds []Charge) {
-	m.mu.Lock()
-	dt := now.Sub(m.now).Seconds()
-	if dt < 0 {
-		dt = 0
-	}
-	m.now = now
-	for id, b := range m.bids {
-		if b.active && b.remaining > 0 && dt > 0 {
-			owe, err := bank.FromCredits(b.payRate * dt)
-			if err != nil || owe < 0 {
-				owe = b.remaining
-			}
-			if owe > b.remaining {
-				owe = b.remaining
-			}
-			if owe > 0 {
-				b.remaining -= owe
-				charges = append(charges, Charge{Bidder: id, Amount: owe})
-			}
-		}
-		expired := !now.Before(b.deadline)
-		if b.remaining <= 0 || expired {
-			if b.remaining > 0 {
-				refunds = append(refunds, Charge{Bidder: id, Amount: b.remaining})
-			}
-			delete(m.bids, id)
-		}
-	}
-	ids := m.bidderIDsLocked()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	live := make([]mechanism.Bid, 0, len(ids))
-	for _, id := range ids {
-		if b := m.bids[id]; b.remaining > 0 {
-			live = append(live, mechanism.Bid{Bidder: string(id), Rate: b.rate})
-		}
-	}
-	cleared := m.mech.Clear(live, m.mechCapacity())
-	for id, b := range m.bids {
-		if l, ok := cleared.Line(string(id)); ok {
-			b.payRate = l.PayRate
-		} else {
-			b.payRate = 0
-		}
-	}
-	price := cleared.Price
-	m.price = price
-	obs := make([]func(float64, time.Time), len(m.observers))
-	copy(obs, m.observers)
-	m.mu.Unlock()
-	for _, fn := range obs {
-		fn(price, now)
-	}
-	sort.Slice(charges, func(i, j int) bool { return charges[i].Bidder < charges[j].Bidder })
-	sort.Slice(refunds, func(i, j int) bool { return refunds[i].Bidder < refunds[j].Bidder })
-	return charges, refunds
-}
-
-type observed struct {
-	price float64
-	at    time.Time
-}
-
-// TestIdleTickMatchesReference runs twin markets — one through Tick, one
-// through the pre-change referenceTick — over 2 500 ticks of a mostly idle
-// host for each mechanism: long empty stretches, bids landing between two
-// idle ticks, books that drain back to empty, an observer registered late.
-// Every tick must agree on charges, refunds, spot price, PriceExcluding,
-// shares and the observer's samples; at the end the mechanisms' own state
-// (the posted price) must agree too.
+// TestIdleTickMatchesReference runs twin markets — the ordered book and the
+// map-book reference it replaced (reference_test.go) — through two schedules
+// for each mechanism and compares, bit for bit at every tick, the charges,
+// the refunds, the spot price, PriceExcluding for a present and an absent
+// bidder, Shares (values and order) and the observers' samples; at the end
+// the mechanisms' own state (the posted price) must agree too.
+//
+// idle: 2 500 ticks of a mostly idle host — long empty stretches, bids
+// landing between two idle ticks, books that drain back to empty, an observer
+// registered late.
+//
+// busy: 3 000 ticks of a book of up to 12 bidders under the whole op
+// alphabet — boosts, cancels, SetActive flips, re-bids replacing a live bid,
+// budgets running dry and deadlines expiring in the same tick, and reads
+// between a mutation and the next clear.
 func TestIdleTickMatchesReference(t *testing.T) {
 	for _, name := range mechanism.Names() {
-		t.Run(name, func(t *testing.T) {
+		t.Run(name+"/idle", func(t *testing.T) {
 			src := rng.New(7)
-			fast := newMarketWith(t, name, sim.Epoch)
-			ref := newMarketWith(t, name, sim.Epoch)
-			var fastSeen, refSeen []observed
-			fast.Observe(func(p float64, at time.Time) { fastSeen = append(fastSeen, observed{p, at}) })
-			ref.Observe(func(p float64, at time.Time) { refSeen = append(refSeen, observed{p, at}) })
-
-			now := sim.Epoch
-			idleTicks, busyTicks := 0, 0
+			w := newTwins(t, name, sim.Epoch)
 			for tick := 0; tick < 2500; tick++ {
 				// Between ticks: now and then a bid or two lands on the book,
 				// short-lived so the book drains again; sometimes one is
 				// withdrawn or parked inactive.
 				if src.Intn(20) == 0 {
 					for n := 1 + src.Intn(2); n > 0; n-- {
-						bidder := BidderID(fmt.Sprintf("u%d", src.Intn(4)))
-						budget := bank.Amount(1 + src.Intn(5_000_000))
-						deadline := now.Add(time.Duration(1+src.Intn(8)) * DefaultInterval)
-						r1, err1 := fast.PlaceBid(bidder, budget, deadline)
-						r2, err2 := ref.PlaceBid(bidder, budget, deadline)
-						if r1 != r2 || (err1 == nil) != (err2 == nil) {
-							t.Fatalf("tick %d: PlaceBid diverged: %v/%v vs %v/%v", tick, r1, err1, r2, err2)
-						}
+						bidder := BidderID(fmt.Sprintf("u%02d", src.Intn(4)))
+						w.place(bidder, bank.Amount(1+src.Intn(5_000_000)), 1+src.Intn(8))
 						if src.Intn(3) == 0 {
-							_ = fast.SetActive(bidder, false)
-							_ = ref.SetActive(bidder, false)
+							w.setActive(bidder, false)
 						}
 					}
 				}
 				if src.Intn(40) == 0 {
-					bidder := BidderID(fmt.Sprintf("u%d", src.Intn(4)))
-					r1, err1 := fast.CancelBid(bidder)
-					r2, err2 := ref.CancelBid(bidder)
-					if r1 != r2 || (err1 == nil) != (err2 == nil) {
-						t.Fatalf("tick %d: CancelBid diverged", tick)
-					}
+					w.cancel(BidderID(fmt.Sprintf("u%02d", src.Intn(4))))
 				}
 				if tick == 700 {
-					fast.Observe(func(p float64, at time.Time) { fastSeen = append(fastSeen, observed{-p, at}) })
-					ref.Observe(func(p float64, at time.Time) { refSeen = append(refSeen, observed{-p, at}) })
+					w.observe(-1)
 				}
-				if fast.Bidders() == 0 {
-					idleTicks++
-				} else {
-					busyTicks++
-				}
-
-				now = now.Add(DefaultInterval)
-				c1, f1 := fast.Tick(now)
-				c2, f2 := referenceTick(ref, now)
-				if !slices.Equal(c1, c2) || !slices.Equal(f1, f2) {
-					t.Fatalf("tick %d: charges %v / refunds %v, reference %v / %v", tick, c1, f1, c2, f2)
-				}
-				if p1, p2 := fast.SpotPrice(), ref.SpotPrice(); p1 != p2 {
-					t.Fatalf("tick %d: spot price %v, reference %v", tick, p1, p2)
-				}
-				if p1, p2 := fast.PriceExcluding("u0"), ref.PriceExcluding("u0"); p1 != p2 {
-					t.Fatalf("tick %d: PriceExcluding %v, reference %v", tick, p1, p2)
-				}
-				if s1, s2 := fast.Shares(), ref.Shares(); !slices.Equal(s1, s2) {
-					t.Fatalf("tick %d: shares %+v, reference %+v", tick, s1, s2)
-				}
+				w.tick()
 			}
-			if idleTicks < 1000 || busyTicks < 100 {
-				t.Fatalf("schedule exercised %d idle and %d busy ticks; want >= 1000 and >= 100", idleTicks, busyTicks)
+			w.finish()
+			if busy := w.ticks - w.idleTicks; w.idleTicks < 1000 || busy < 100 {
+				t.Fatalf("schedule exercised %d idle and %d busy ticks; want >= 1000 and >= 100", w.idleTicks, busy)
 			}
-			if len(fastSeen) != len(refSeen) || len(fastSeen) != 2500+1800 {
-				t.Fatalf("observers saw %d samples, reference %d, want %d", len(fastSeen), len(refSeen), 2500+1800)
+			if w.samples != 2500+1800 {
+				t.Fatalf("observers saw %d samples, want %d", w.samples, 2500+1800)
 			}
-			if !slices.Equal(fastSeen, refSeen) {
-				t.Fatal("observer samples differ from the reference's")
+		})
+		t.Run(name+"/busy", func(t *testing.T) {
+			src := rng.New(11)
+			w := newTwins(t, name, sim.Epoch)
+			for w.ticks < 3000 {
+				// The book is topped up towards a wandering target, so it
+				// spends time at every size from 1 to 12; the other operations
+				// mostly aim at a bidder that is on the book.
+				target := 1 + (w.ticks/40)%12
+				for n := src.Intn(5); n > 0; n-- {
+					op, who := byte(src.Intn(6)), byte(src.Intn(12)) // everything but tick
+					if book := w.fast.Shares(); len(book) < target {
+						op = 0
+						for slices.ContainsFunc(book, func(s Share) bool { return s.Bidder == bidderName(who) }) {
+							who = (who + 1) % 12
+						}
+					} else if src.Intn(4) > 0 {
+						fmt.Sscanf(string(book[src.Intn(len(book))].Bidder), "u%d", &who)
+					}
+					w.bookOp(op, who, byte(src.Intn(256)))
+				}
+				w.tick()
 			}
-			// What the mechanism carries over to the next clear (the posted
-			// price) must have moved identically through the idle stretches.
-			q1 := fast.mech.Quote(nil, fast.mechCapacity())
-			q2 := ref.mech.Quote(nil, ref.mechCapacity())
-			if q1.Price != q2.Price {
-				t.Fatalf("mechanism state diverged: quotes %v, reference %v", q1.Price, q2.Price)
+			w.finish()
+			if w.maxBook < 12 || w.idleTicks > w.ticks/10 {
+				t.Errorf("book reached %d bidders with %d of %d ticks idle; want 12 and mostly busy", w.maxBook, w.idleTicks, w.ticks)
 			}
-			if fast.now != ref.now || !fast.now.Equal(now) {
-				t.Fatalf("market clocks %v / %v, want %v", fast.now, ref.now, now)
+			if w.boosts < 100 || w.cancels < 100 || w.rebids < 100 || w.flips < 100 {
+				t.Errorf("schedule made %d boosts, %d cancels, %d re-bids, %d SetActive calls; want >= 100 of each",
+					w.boosts, w.cancels, w.rebids, w.flips)
+			}
+			if w.exhausted < 50 || w.expired < 50 || w.exhaustedAndExpired < 5 {
+				t.Errorf("%d ticks ran a budget dry, %d expired a deadline, %d did both; want >= 50, 50, 5",
+					w.exhausted, w.expired, w.exhaustedAndExpired)
 			}
 		})
 	}
+}
+
+// FuzzBookOps feeds the twins arbitrary sequences of the book-op alphabet,
+// three bytes an operation, under every mechanism; the twins fail at the
+// first difference between the ordered book and the map-book reference.
+func FuzzBookOps(f *testing.F) {
+	f.Add([]byte{0, 3, 9, 0, 1, 200, 6, 0, 0, 2, 3, 50, 5, 0, 0, 6, 0, 0})                 // bid, bid, tick, boost, read, tick
+	f.Add([]byte{0, 5, 4, 0, 5, 77, 3, 5, 0, 6, 0, 0, 0, 7, 8, 4, 7, 1, 6, 0, 0, 6, 0, 0}) // dry bid, re-bid, cancel, park
+	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 5, 6, 0, 0, 6, 0, 0, 6, 0, 0, 6, 0, 0, 6, 0, 0, 6, 0, 0, 6, 0, 0, 6, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 3*400 {
+			ops = ops[:3*400]
+		}
+		for _, name := range mechanism.Names() {
+			w := newTwins(t, name, sim.Epoch)
+			for ; len(ops) >= 3; ops = ops[3:] {
+				w.bookOp(ops[0], ops[1], ops[2])
+			}
+			w.tick()
+			w.finish()
+		}
+	})
 }
 
 // TestPostedPriceMovesOnIdleTicks pins the reason an empty book may not skip

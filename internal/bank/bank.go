@@ -381,49 +381,89 @@ func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error
 	return r, b.stage(func() []byte { return encTransfer(r) }), nil
 }
 
+// Move is one leg of a MoveBatch: what MoveInternal takes, less the owner and
+// the entry kind the whole batch shares.
+type Move struct {
+	From, To AccountID
+	Amount   Amount
+	Memo     string
+}
+
 // MoveInternal transfers between two accounts that share an owner key, on
 // the owner's behalf, without a signed request. It is used by services that
 // already hold the owner identity (the broker funding host accounts from a
-// sub-account, or an auctioneer charging a host account).
+// sub-account, or an auctioneer charging a host account). It is a MoveBatch
+// of one leg.
 func (b *Bank) MoveInternal(owner *pki.Identity, from, to AccountID, amount Amount, kind EntryKind, memo string) error {
-	if amount <= 0 {
-		return ErrNonPositive
-	}
-	wait, err := b.moveInternalLocked(owner, from, to, amount, kind, memo)
-	if err != nil {
-		return err
-	}
-	return commitWait(wait)
+	return b.MoveBatch(owner, []Move{{From: from, To: to, Amount: amount, Memo: memo}}, kind)
 }
 
-func (b *Bank) moveInternalLocked(owner *pki.Identity, from, to AccountID, amount Amount, kind EntryKind, memo string) (func() error, error) {
+// MoveBatch makes a run of moves by one owner, all of one kind: the legs are
+// checked, applied and recorded one by one in order (one ledger entry and one
+// WAL record each), but under one lock round-trip and — on a durable bank —
+// one wait for the log, so a batch costs one fsync however many legs it has.
+// It stops at the first leg that fails and returns that leg's error: the legs
+// before it stay applied and the ones after it are not tried.
+func (b *Bank) MoveBatch(owner *pki.Identity, legs []Move, kind EntryKind) error {
+	waits, err := b.moveBatchLocked(owner.Public(), legs, kind)
+	// The first wait syncs everything staged so far, so the rest return at
+	// once; a log failure on an earlier leg outranks a later leg's refusal.
+	for _, wait := range waits {
+		if werr := wait(); werr != nil {
+			return werr
+		}
+	}
+	return err
+}
+
+func (b *Bank) moveBatchLocked(owner ed25519.PublicKey, legs []Move, kind EntryKind) ([]func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f, ok := b.accounts[from]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoAccount, from)
+	var waits []func() error
+	for i, mv := range legs {
+		wait, err := b.applyMove(owner, mv, kind)
+		if err != nil {
+			mInternalMoves.Add(uint64(i))
+			return waits, err
+		}
+		if wait != nil { // only a durable bank has anything to wait for
+			waits = append(waits, wait)
+		}
 	}
-	t, ok := b.accounts[to]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoAccount, to)
+	mInternalMoves.Add(uint64(len(legs)))
+	return waits, nil
+}
+
+// applyMove checks and applies one owner-authorized move, appends its ledger
+// entry and stages its WAL record; callers hold b.mu.
+func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func() error, error) {
+	if mv.Amount <= 0 {
+		return nil, ErrNonPositive
 	}
-	if !f.Owner.Equal(owner.Public()) {
+	f, ok := b.accounts[mv.From]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoAccount, mv.From)
+	}
+	t, ok := b.accounts[mv.To]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoAccount, mv.To)
+	}
+	if !f.Owner.Equal(owner) {
 		return nil, ErrBadAuthorization
 	}
-	if f.Balance < amount {
+	if f.Balance < mv.Amount {
 		mInsufficient.Inc()
-		return nil, fmt.Errorf("%w: %q has %v, needs %v", ErrInsufficientFunds, from, f.Balance, amount)
+		return nil, fmt.Errorf("%w: %q has %v, needs %v", ErrInsufficientFunds, mv.From, f.Balance, mv.Amount)
 	}
-	nb, err := addChecked(t.Balance, amount)
+	nb, err := addChecked(t.Balance, mv.Amount)
 	if err != nil {
 		return nil, err
 	}
-	f.Balance -= amount
+	f.Balance -= mv.Amount
 	t.Balance = nb
 	at := b.clock.Now()
-	b.appendEntryAt(kind, from, to, amount, memo, at)
-	mInternalMoves.Inc()
-	return b.stage(func() []byte { return encMove(kind, from, to, amount, memo, at) }), nil
+	b.appendEntryAt(kind, mv.From, mv.To, mv.Amount, mv.Memo, at)
+	return b.stage(func() []byte { return encMove(kind, mv.From, mv.To, mv.Amount, mv.Memo, at) }), nil
 }
 
 // VerifyReceipt checks a receipt's bank signature against bankKey.

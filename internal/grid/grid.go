@@ -130,16 +130,18 @@ type Cluster struct {
 	// busy holds the list indices of the hosts a tick has to advance or reap
 	// — those with a task, or with a VM while purging is on — ascending.
 	// started are the hosts that became busy since; they join at the next
-	// tick. owned and shareAt are advanceTasks' scratch.
+	// tick. shares, owned and shareAt are advanceTasks' scratch.
 	busy    []int
 	started []int
+	shares  []auction.Share
 	owned   []int
 	shareAt []int
 
-	// OnCharge and OnRefund, when set, observe every market charge/refund;
-	// the agent layer uses them to move real bank money.
-	OnCharge func(hostID string, c auction.Charge)
-	OnRefund func(hostID string, c auction.Charge)
+	// OnSettle, when set, is handed each tick's clears — every cleared
+	// host's charges and refunds, in host order — as one batch; the agent
+	// layer uses it to move real bank money in one ledger round-trip. The
+	// slice is the plane's and is valid only during the call.
+	OnSettle func(cleared []marketplane.TickResult)
 	// OnHostFailure and OnHostRecovery, when set, observe FailHost/
 	// RecoverHost. The broker layer uses them to resubmit killed chunks and
 	// reclaim escrow.
@@ -397,10 +399,13 @@ func (h *Host) RunningTasks() int { return len(h.tasks) }
 //
 //   - clear: the plane clears every awake, up host's market (shards
 //     concurrently; each market's clear depends on that market alone);
-//   - settle: every cleared host's charges, then its refunds, reach OnCharge
-//     and OnRefund, in host order;
-//   - advance: every busy host's tasks progress by the shares just cleared
-//     and the finished ones fire OnDone, in host order; idle VMs are purged.
+//   - settle: the charges and refunds of every cleared host reach OnSettle,
+//     in host order, as one batch — one ledger round-trip a tick, not one a
+//     charge;
+//   - advance: every busy host's tasks progress by its market's shares — the
+//     table the clear left, or a fresh quote if an earlier host's OnDone has
+//     changed this host's book since — and the finished ones fire OnDone, in
+//     host order; idle VMs are purged.
 //
 // Settlement is complete before the first OnDone runs, so a callback that
 // drains a job's escrow cannot starve a charge the job already owes. And a
@@ -411,18 +416,8 @@ func (c *Cluster) tick() {
 	now := c.engine.Now()
 	// A down host was skipped by the clear and has nothing to settle.
 	cleared := c.plane.TickAll(now, c.isDown)
-	for i := range cleared {
-		r := &cleared[i]
-		if c.OnCharge != nil {
-			for _, ch := range r.Charges {
-				c.OnCharge(r.Host, ch)
-			}
-		}
-		if c.OnRefund != nil {
-			for _, rf := range r.Refunds {
-				c.OnRefund(r.Host, rf)
-			}
-		}
+	if c.OnSettle != nil {
+		c.OnSettle(cleared)
 	}
 	if len(c.started) > 0 {
 		c.busy = append(c.busy, c.started...)
@@ -484,13 +479,7 @@ func (c *Cluster) FailHost(hostID string) (HostFailure, error) {
 	}
 	h.tasks = nil
 	h.VMs.PurgeAll()
-	for _, s := range h.Market.Shares() { // sorted by bidder
-		remaining, err := h.Market.CancelBid(s.Bidder)
-		if err != nil || remaining <= 0 {
-			continue
-		}
-		f.Bids = append(f.Bids, auction.Charge{Bidder: s.Bidder, Amount: remaining})
-	}
+	f.Bids = h.Market.CancelAll()
 	mHostFailures.Inc()
 	mTasksKilled.Add(uint64(len(f.Tasks)))
 	if c.OnHostFailure != nil {
@@ -530,7 +519,10 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 	if len(h.tasks) == 0 {
 		return
 	}
-	shares := h.Market.Shares() // ascending by bidder
+	// The market's share table, ascending by bidder, copied into the cluster's
+	// own buffer (the table itself is only the market's to read).
+	c.shares = h.Market.AppendShares(c.shares[:0])
+	shares := c.shares
 	// An owner's share is divided among their concurrent tasks on this host:
 	// find each task's share, and count the tasks on each share. A task whose
 	// owner holds no bid has no share and does not progress.

@@ -8,6 +8,7 @@ import (
 
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/marketplane"
 	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/sim"
 )
@@ -200,17 +201,35 @@ func TestVMOverheadDelaysStart(t *testing.T) {
 	}
 }
 
+// eachSettled adapts per-charge and per-refund callbacks (either may be nil)
+// to OnSettle: every cleared host's charges, then its refunds, in host order.
+func eachSettled(charge, refund func(host string, ch auction.Charge)) func([]marketplane.TickResult) {
+	return func(cleared []marketplane.TickResult) {
+		for _, r := range cleared {
+			for _, ch := range r.Charges {
+				if charge != nil {
+					charge(r.Host, ch)
+				}
+			}
+			for _, rf := range r.Refunds {
+				if refund != nil {
+					refund(r.Host, rf)
+				}
+			}
+		}
+	}
+}
+
 func TestChargesFlowThroughCallback(t *testing.T) {
 	c, eng := testCluster(t, 1)
 	var charged bank.Amount
 	var refunded bank.Amount
-	c.OnCharge = func(host string, ch auction.Charge) {
+	c.OnSettle = eachSettled(func(host string, ch auction.Charge) {
 		if host != "h00" || ch.Bidder != "u" {
 			t.Errorf("unexpected charge %v on %s", ch, host)
 		}
 		charged += ch.Amount
-	}
-	c.OnRefund = func(host string, ch auction.Charge) { refunded += ch.Amount }
+	}, func(host string, ch auction.Charge) { refunded += ch.Amount })
 	deadline := eng.Now().Add(10 * time.Minute)
 	if _, err := c.PlaceBid("h00", "u", 10*bank.Credit, deadline); err != nil {
 		t.Fatal(err)
@@ -231,8 +250,8 @@ func TestChargesFlowThroughCallback(t *testing.T) {
 func TestIdleOwnerRefundedNotCharged(t *testing.T) {
 	c, eng := testCluster(t, 1)
 	var charged, refunded bank.Amount
-	c.OnCharge = func(string, auction.Charge) { t.Error("idle bidder charged") }
-	c.OnRefund = func(_ string, ch auction.Charge) { refunded += ch.Amount }
+	c.OnSettle = eachSettled(func(string, auction.Charge) { t.Error("idle bidder charged") },
+		func(_ string, ch auction.Charge) { refunded += ch.Amount })
 	_ = charged
 	deadline := eng.Now().Add(5 * time.Minute)
 	if _, err := c.PlaceBid("h00", "idle", 10*bank.Credit, deadline); err != nil {
@@ -270,7 +289,7 @@ func TestTaskCompletionFreesVMAndDeactivates(t *testing.T) {
 	}
 	// After completion the owner is inactive: no further charges.
 	var lateCharges bank.Amount
-	c.OnCharge = func(_ string, ch auction.Charge) { lateCharges += ch.Amount }
+	c.OnSettle = eachSettled(func(_ string, ch auction.Charge) { lateCharges += ch.Amount }, nil)
 	eng.RunFor(5 * time.Minute)
 	if lateCharges != 0 {
 		t.Errorf("charged %v after task completion", lateCharges)

@@ -42,12 +42,11 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 		h.Market.Observe(w.hub.Observer(h.Spec.ID))
 		h.Market.Observe(w.rec.Observer(h.Spec.ID))
 	}
-	c.OnCharge = func(host string, ch auction.Charge) {
+	c.OnSettle = eachSettled(func(host string, ch auction.Charge) {
 		w.money = append(w.money, fmt.Sprintf("%v charge %s %s %v", eng.Now().Sub(sim.Epoch), host, ch.Bidder, ch.Amount))
-	}
-	c.OnRefund = func(host string, ch auction.Charge) {
+	}, func(host string, ch auction.Charge) {
 		w.money = append(w.money, fmt.Sprintf("%v refund %s %s %v", eng.Now().Sub(sim.Epoch), host, ch.Bidder, ch.Amount))
-	}
+	})
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 	"tycoongrid/internal/sim"
 )
 
-// charge is one OnCharge delivery, stamped with the tick that delivered it.
+// charge is one settled charge, stamped with the tick that delivered it.
 type charge struct {
 	at     time.Time
 	amount bank.Amount
@@ -25,11 +26,11 @@ func twoHostsFinishingTogether(t *testing.T, from string, watch auction.BidderID
 	t.Helper()
 	c, eng := testCluster(t, 2)
 	seen := new([]charge)
-	c.OnCharge = func(_ string, ch auction.Charge) {
+	c.OnSettle = eachSettled(func(_ string, ch auction.Charge) {
 		if ch.Bidder == watch {
 			*seen = append(*seen, charge{eng.Now(), ch.Amount})
 		}
-	}
+	}, nil)
 	for _, host := range []string{"h00", "h01"} {
 		owner := auction.BidderID("owner-" + host)
 		if _, err := c.PlaceBid(host, owner, 10*bank.Credit, eng.Now().Add(time.Hour)); err != nil {
@@ -116,6 +117,86 @@ func TestMidTickCancelStillPaysClearedInterval(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// An OnDone that runs while host h00 advances may change the book of h01,
+// which advances after it in the same tick: h01's tasks must progress by the
+// shares of the book as it then stands, not by the table its clear left a
+// moment earlier. Here h00's callback cancels one of h01's bids, boosts
+// another and places a new one; in that very tick the cancelled bidder's task
+// stands still, the new bidder's task starts moving, and all move by exactly
+// what the market quotes for the changed book. (A share table handed down
+// from the clear — riding the tick's results — would get all three wrong.)
+func TestMidTickBookChangeReachesLaterHostsShares(t *testing.T) {
+	c, eng := testCluster(t, 2)
+	hour := eng.Now().Add(time.Hour)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	bid := func(host string, who auction.BidderID, credits bank.Amount) {
+		t.Helper()
+		_, err := c.PlaceBid(host, who, credits*bank.Credit, hour)
+		must(err)
+	}
+	h01, err := c.Host("h01")
+	must(err)
+	var actedAt time.Time
+	bid("h00", "trigger", 10)
+	// 25 CPU-seconds at a full processor: done in the third tick.
+	_, err = c.StartTask("h00", "trigger", nil, 25*2800, func(*Task) {
+		actedAt = eng.Now()
+		_, err := h01.Market.CancelBid("gone")
+		must(err)
+		must(c.Boost("h01", "boosted", 90*bank.Credit))
+		_, err = c.PlaceBid("h01", "fresh", 50*bank.Credit, hour)
+		must(err)
+	})
+	must(err)
+	bid("h01", "gone", 36)
+	bid("h01", "boosted", 36)
+	bid("h01", "steady", 72)
+	tasks := map[auction.BidderID]*Task{}
+	for _, who := range []auction.BidderID{"gone", "boosted", "steady", "fresh"} {
+		// fresh has a task but no bid yet: no share, no progress.
+		tasks[who], err = c.StartTask("h01", who, nil, 1e9, nil)
+		must(err)
+	}
+
+	eng.RunFor(20 * time.Second)
+	before := map[auction.BidderID]float64{}
+	for who, task := range tasks {
+		before[who] = task.Work
+	}
+	if before["fresh"] != 1e9 || before["gone"] == 1e9 {
+		t.Fatalf("before the change: fresh has %v of 1e9 left, gone %v", before["fresh"], before["gone"])
+	}
+	eng.RunFor(10 * time.Second) // the third tick: h00 finishes, its callback acts, h01 advances
+	if want := sim.Epoch.Add(30 * time.Second); !actedAt.Equal(want) {
+		t.Fatalf("the callback ran at %v, want the third tick %v", actedAt, want)
+	}
+	// Nothing has touched h01's book since the callback, so what the market
+	// quotes now is what the advance had to go by.
+	quoted := map[auction.BidderID]float64{}
+	for _, s := range h01.Market.Shares() {
+		quoted[s.Bidder] = s.Fraction
+	}
+	if _, held := quoted["gone"]; held || quoted["fresh"] <= 0 || len(quoted) != 3 {
+		t.Fatalf("h01's book after the callback: %v", quoted)
+	}
+	for who, task := range tasks {
+		rate := quoted[who] * h01.TotalMHz()
+		if rate > h01.PerCPUMHz() {
+			rate = h01.PerCPUMHz()
+		}
+		// Work is of the order of 1e9: the subtraction keeps about 1e-6.
+		if got, want := before[who]-task.Work, rate*10; math.Abs(got-want) > 1e-3 {
+			t.Errorf("%s advanced by %v MHz-s in the tick of the change, want %v (share %v of the changed book)",
+				who, got, want, quoted[who])
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,7 +263,7 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	q := s.queue
 	s.queue = nil
 	s.mu.Unlock()
-	sort.SliceStable(q, func(i, j int) bool { return q[i].bidder < q[j].bidder })
+	slices.SortStableFunc(q, func(a, b queuedBid) int { return strings.Compare(string(a.bidder), string(b.bidder)) })
 
 	applied, dropped := uint64(0), uint64(0)
 	applyStart := time.Now()

@@ -225,6 +225,18 @@ func (sb *ShardedBank) MoveInternal(owner *pki.Identity, from, to bank.AccountID
 	return sb.completeCross(src, dst, to, amount, tx, memo)
 }
 
+// MoveBatch applies the legs in order through MoveInternal, each on its own
+// shards, stopping at the first that fails (bank.Bank.MoveBatch's contract,
+// without the shared lock: the legs of one batch may span shards).
+func (sb *ShardedBank) MoveBatch(owner *pki.Identity, legs []bank.Move, kind bank.EntryKind) error {
+	for _, mv := range legs {
+		if err := sb.MoveInternal(owner, mv.From, mv.To, mv.Amount, kind, mv.Memo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Transfer executes an owner-signed transfer and returns a bank-signed
 // receipt. Cross-shard requests are prepared under the request's own nonce,
 // so replay protection and the two-phase hold share one identifier.

@@ -92,11 +92,19 @@ func (o Outcome) Line(bidder string) (Line, bool) {
 // moves the state again. It is what lets a market stop clearing an idle host
 // (auction.Market.Sleep). A stateless rule is always settled; posted-price is
 // once its price has decayed to the reserve.
+//
+// Stateless reports whether Clear is Quote — the rule carries nothing from
+// one clear to the next — so that the outcome of a clear is also the quote of
+// the same book for as long as the book does not change. It is what lets a
+// market serve shares from its last clear instead of quoting again.
+//
+// No method retains the bids slice it is given; callers may reuse it.
 type Mechanism interface {
 	Name() string
 	Quote(bids []Bid, cap Capacity) Outcome
 	Clear(bids []Bid, cap Capacity) Outcome
 	Settled(cap Capacity) bool
+	Stateless() bool
 }
 
 // Canonical mechanism names accepted by New and the -mechanism CLI flags.

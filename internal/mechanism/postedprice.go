@@ -131,3 +131,7 @@ func (p *postedPrice) Settled(capacity Capacity) bool {
 	capacity, _ = saneCapacity(capacity)
 	return capacity.Reserve > 0 && p.price == capacity.Reserve
 }
+
+// Stateless is false: Clear moves the posted price, so the next Quote of the
+// same book admits at a different price than the clear did.
+func (*postedPrice) Stateless() bool { return false }

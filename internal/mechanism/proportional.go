@@ -14,7 +14,13 @@ type proportional struct{}
 
 func (proportional) Name() string { return Proportional }
 
-func (proportional) Quote(bids []Bid, capacity Capacity) Outcome {
+// Quote and Clear are the same function, share: the rule carries no state.
+// (They call it rather than each other so that a profile tells a clear from
+// a re-quote.)
+func (proportional) Quote(bids []Bid, capacity Capacity) Outcome { return share(bids, capacity) }
+func (proportional) Clear(bids []Bid, capacity Capacity) Outcome { return share(bids, capacity) }
+
+func share(bids []Bid, capacity Capacity) Outcome {
 	bids = normalize(bids)
 	capacity, allocatable := saneCapacity(capacity)
 	var total float64
@@ -40,11 +46,9 @@ func (proportional) Quote(bids []Bid, capacity Capacity) Outcome {
 	return out
 }
 
-// Clear is identical to Quote: proportional share carries no state.
-func (p proportional) Clear(bids []Bid, capacity Capacity) Outcome {
-	return p.Quote(bids, capacity)
-}
-
 // Settled is always true: with no state, an empty book clears to the reserve
 // every time.
 func (proportional) Settled(Capacity) bool { return true }
+
+// Stateless is true: Clear is Quote.
+func (proportional) Stateless() bool { return true }

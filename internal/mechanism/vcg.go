@@ -135,3 +135,6 @@ func (v vcg) Clear(bids []Bid, capacity Capacity) Outcome {
 // Settled is always true: with no state, an empty book clears to the reserve
 // every time.
 func (vcg) Settled(Capacity) bool { return true }
+
+// Stateless is true: Clear is Quote.
+func (vcg) Stateless() bool { return true }

@@ -82,6 +82,13 @@ type Manager struct {
 	byOwner                 map[string]map[string]*VM
 	seq                     int
 	created, reused, purged int
+	// idleSince is a lower bound on the LastUsed of every idle or hibernated
+	// VM while anyIdle, so the per-tick reaper can tell without a walk that
+	// nothing is old enough yet. Release and Hibernate lower it; a reaper scan
+	// recomputes it exactly. It may lag low (a VM reused or purged by hand
+	// since), which costs one scan, never a missed victim.
+	idleSince time.Time
+	anyIdle   bool
 }
 
 // Errors returned by the manager.
@@ -208,7 +215,15 @@ func (m *Manager) Release(id string, now time.Time) error {
 	}
 	v.State = StateIdle
 	v.LastUsed = now
+	m.noteIdle(now)
 	return nil
+}
+
+// noteIdle lowers the reaper's bound to cover a VM idle since at.
+func (m *Manager) noteIdle(at time.Time) {
+	if !m.anyIdle || at.Before(m.idleSince) {
+		m.idleSince, m.anyIdle = at, true
+	}
 }
 
 // Hibernate parks an idle VM, keeping its image but freeing runtime
@@ -223,6 +238,7 @@ func (m *Manager) Hibernate(id string) error {
 		return fmt.Errorf("%w: hibernate of %s vm", ErrBadState, v.State)
 	}
 	v.State = StateHibernated
+	m.noteIdle(v.LastUsed)
 	return nil
 }
 
@@ -249,16 +265,23 @@ func (m *Manager) Purge(id string) error {
 
 // PurgeIdleOlderThan purges VMs idle since before cutoff; returns how many.
 // It runs every reallocation tick when the cluster enables purging, so it
-// avoids sorting: purge order does not affect the outcome (every victim is
-// removed).
+// costs nothing while no idle VM can be old enough (see idleSince), and when
+// it does walk it avoids sorting: purge order does not affect the outcome
+// (every victim is removed).
 func (m *Manager) PurgeIdleOlderThan(cutoff time.Time) int {
-	if len(m.vms) == 0 {
-		return 0 // the common case on a wide grid: nothing to reap
+	if !m.anyIdle || !m.idleSince.Before(cutoff) {
+		return 0 // the common case: nothing idle, or nothing idle long enough
 	}
 	var victims []string
+	m.anyIdle = false
 	for id, v := range m.vms {
-		if (v.State == StateIdle || v.State == StateHibernated) && v.LastUsed.Before(cutoff) {
+		if v.State != StateIdle && v.State != StateHibernated {
+			continue
+		}
+		if v.LastUsed.Before(cutoff) {
 			victims = append(victims, id)
+		} else {
+			m.noteIdle(v.LastUsed)
 		}
 	}
 	n := 0
@@ -281,6 +304,7 @@ func (m *Manager) PurgeAll() int {
 	}
 	m.vms = make(map[string]*VM)
 	m.byOwner = make(map[string]map[string]*VM)
+	m.anyIdle = false
 	m.purged += n
 	return n
 }

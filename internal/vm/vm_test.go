@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tycoongrid/internal/rng"
 	"tycoongrid/internal/sim"
 )
 
@@ -308,4 +309,109 @@ func TestPurgeAll(t *testing.T) {
 		t.Error("purged VM ID reused for a fresh VM")
 	}
 	_ = fmt.Sprintf("%v", fresh)
+}
+
+// scanPurge is PurgeIdleOlderThan as it stood while it walked every VM on
+// every call: the oracle for the reaper's early return.
+func scanPurge(m *Manager, cutoff time.Time) int {
+	var victims []string
+	for id, v := range m.vms {
+		if (v.State == StateIdle || v.State == StateHibernated) && v.LastUsed.Before(cutoff) {
+			victims = append(victims, id)
+		}
+	}
+	n := 0
+	for _, id := range victims {
+		if m.Purge(id) == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPurgeIdleMatchesScanEveryTick drives twin managers — 12 running and 3
+// idle VMs to begin with — through 1 000 reallocation ticks of releases,
+// reuses, fresh boots, hibernations and hand purges. One reaps through
+// PurgeIdleOlderThan, which returns before walking while no idle VM can be
+// old enough; the other scans every VM every tick. Every tick must purge the
+// same number, and leave the same VMs in the same states.
+func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
+	const window = 5 * time.Minute
+	fast, scan := mgr(t, 40), mgr(t, 40)
+	now := sim.Epoch
+	both := func(op func(m *Manager) error) {
+		t.Helper()
+		err1, err2 := op(fast), op(scan)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("at %v: managers disagree: %v vs %v", now.Sub(sim.Epoch), err1, err2)
+		}
+	}
+	acquire := func(owner string) {
+		both(func(m *Manager) error { _, err := m.Acquire(owner, nil, now); return err })
+	}
+	// pick returns the n-th VM (by ID) in the given state, or "".
+	pick := func(state State, n int) string {
+		var ids []string
+		for _, v := range scan.sorted() {
+			if v.State == state {
+				ids = append(ids, v.ID)
+			}
+		}
+		if len(ids) == 0 {
+			return ""
+		}
+		return ids[n%len(ids)]
+	}
+	for i := 0; i < 15; i++ {
+		acquire(fmt.Sprintf("owner-%02d", i))
+	}
+	for i := 0; i < 3; i++ {
+		id := pick(StateRunning, i*5)
+		both(func(m *Manager) error { return m.Release(id, now) })
+	}
+
+	src := rng.New(3)
+	purgedTicks, purged := 0, 0
+	for tick := 0; tick < 1000; tick++ {
+		now = now.Add(10 * time.Second)
+		switch src.Intn(12) {
+		case 0, 1: // a job ends: its VM goes idle
+			if id := pick(StateRunning, src.Intn(40)); id != "" {
+				both(func(m *Manager) error { return m.Release(id, now) })
+			}
+		case 2, 3: // a job starts: reuse the owner's idle VM or boot one
+			acquire(fmt.Sprintf("owner-%02d", src.Intn(20)))
+		case 4: // none at first: the first reap must come from Release's bound alone
+			if id := pick(StateIdle, src.Intn(40)); id != "" && tick > 100 {
+				both(func(m *Manager) error { return m.Hibernate(id) })
+			}
+		case 5:
+			if id := pick(StateHibernated, src.Intn(40)); id != "" && src.Intn(4) == 0 {
+				both(func(m *Manager) error { return m.Purge(id) })
+			}
+		}
+		n1, n2 := fast.PurgeIdleOlderThan(now.Add(-window)), scanPurge(scan, now.Add(-window))
+		if n1 != n2 {
+			t.Fatalf("tick %d: purged %d, scan-every-tick twin purged %d", tick, n1, n2)
+		}
+		if n2 > 0 {
+			purgedTicks++
+			purged += n2
+		}
+		a, b := fast.sorted(), scan.sorted()
+		if len(a) != len(b) {
+			t.Fatalf("tick %d: %d VMs live, twin %d", tick, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].State != b[i].State || !a[i].LastUsed.Equal(b[i].LastUsed) {
+				t.Fatalf("tick %d: VM %s %v, twin %s %v", tick, a[i].ID, a[i].State, b[i].ID, b[i].State)
+			}
+		}
+		if fast.Stats() != scan.Stats() {
+			t.Fatalf("tick %d: stats %+v, twin %+v", tick, fast.Stats(), scan.Stats())
+		}
+	}
+	if purgedTicks < 20 || purged < 30 {
+		t.Fatalf("schedule reaped %d VMs over %d ticks; want >= 30 over >= 20", purged, purgedTicks)
+	}
 }
