@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare perf-gates recovery-smoke telemetry-smoke chaos trace-demo lint check
+.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare simplicity-ledger perf-gates recovery-smoke telemetry-smoke chaos trace-demo lint check
 
 all: build test
 
@@ -105,6 +105,25 @@ bench-suite:
 bench-compare:
 	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then echo "usage: make bench-compare A=before.json B=after.json"; exit 2; fi
 	$(GO) run ./bench -compare $(A) $(B)
+
+# What ROADMAP's judging rule asks of a simplicity claim, since BASE: non-test
+# Go lines outside bench/ added, deleted and net, then every command-line flag
+# defined (flag.X("name", ...) or fs.X("name", ...)) that a changed file gained
+# or lost, compared file by file so a flag that only moved is not listed.
+#   make simplicity-ledger BASE=HEAD~1
+LEDGER_PATHS = '*.go' ':!*_test.go' ':!bench'
+LEDGER_FLAGS = grep -oE '\b(flag|fs)\.[A-Z][a-z0-9]*\("[^"]+"' | sed 's/.*("/-/; s/"$$//' | sort -u
+simplicity-ledger:
+	@if [ -z "$(BASE)" ]; then echo "usage: make simplicity-ledger BASE=<rev>"; exit 2; fi
+	@git diff --numstat $(BASE) -- $(LEDGER_PATHS) | awk '{ a += $$1; d += $$2 } \
+		END { printf "non-test Go lines outside bench/ since $(BASE): +%d / -%d = %+d net\n", a, d, a - d }'
+	@old=$$(mktemp); new=$$(mktemp); \
+	for f in $$(git diff --name-only $(BASE) -- $(LEDGER_PATHS)); do \
+		git show $(BASE):$$f 2>/dev/null | $(LEDGER_FLAGS) > $$old; \
+		cat $$f 2>/dev/null | $(LEDGER_FLAGS) > $$new; \
+		comm -13 $$old $$new | sed "s|^|flag added:   $$f |"; \
+		comm -23 $$old $$new | sed "s|^|flag removed: $$f |"; \
+	done; rm -f $$old $$new
 
 # Performance gates that cannot flake, because they count instead of timing:
 # the benchmark's own smoke test (every workload at toy size, run twice, equal

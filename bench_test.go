@@ -95,7 +95,7 @@ func BenchmarkReplicatedFigure4(b *testing.B) {
 	p.Stride = 2
 	p.FitWindow = 100
 	p.ResampleSnapshots = 30
-	spec := experiment.RepSpecFigure4(p)
+	spec := experiment.Figure4(p)
 	for _, bc := range []struct {
 		name    string
 		workers int

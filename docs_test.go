@@ -5,16 +5,20 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"tycoongrid/internal/experiment"
 )
 
 // TestDocsNameOnlyWhatExists keeps the prose from outliving the code: every
 // `make <target>` the documents name is a rule in the Makefile, every
 // cmd/<name> directory, `internal/<pkg>` package or top-level *.json file
-// they name exists, and every `marketbench -run <name>` / `-experiment <name>`
-// is an experiment marketbench accepts. Deleting a target, a binary, a
-// package, an artifact or an experiment without editing the documents fails
-// here. And the other way round for packages: every directory under internal/
-// has a row in the module map, DESIGN.md §3.
+// they name exists, and every `marketbench -run <name>` is an entry of
+// experiment.Catalog(), the list marketbench itself loops over. Deleting a
+// target, a binary, a package, an artifact or an experiment without editing
+// the documents fails here. And the other way round for packages and
+// experiments: every directory under internal/ has a row in the module map,
+// DESIGN.md §3, and every catalog entry a `-run <name>` in the experiment
+// index, DESIGN.md §4.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -25,19 +29,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		rules[string(m[1])] = true
 	}
 
-	// marketbench's experiment list is the names literal at the top of its
-	// main; "all" is the flag's default.
-	mainGo, err := os.ReadFile("cmd/marketbench/main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lit := regexp.MustCompile(`(?s)names := \[\]string\{(.*?)\}`).FindSubmatch(mainGo)
-	if lit == nil {
-		t.Fatal("cmd/marketbench/main.go: no names := []string{...} literal")
-	}
+	// "all" is the -run flag's default.
 	experiments := map[string]bool{"all": true}
-	for _, m := range regexp.MustCompile(`"([a-z0-9-]+)"`).FindAllSubmatch(lit[1], -1) {
-		experiments[string(m[1])] = true
+	for _, e := range experiment.Catalog() {
+		experiments[e.Name] = true
 	}
 
 	var (
@@ -50,10 +45,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		// A bare file name in a code span is a path from the repository
 		// root; after.json on a command line is the reader's own file.
 		rootJSON = regexp.MustCompile("`[A-Za-z0-9_.-]+\\.json`")
-		// An experiment is named after -run or -experiment, in a code span
-		// or on a fenced command line; `go test -run` selects tests instead.
+		// An experiment is named after -run, in a code span or on a fenced
+		// command line; `go test -run` selects tests instead.
 		codeSpan = regexp.MustCompile("`[^`]+`")
-		runFlag  = regexp.MustCompile(`(?:^|[^a-z])-(?:run|experiment) ([a-z][a-z0-9-]*)`)
+		runFlag  = regexp.MustCompile(`(?:^|[^a-z])-run ([a-z][a-z0-9-]*)`)
 	)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -85,7 +80,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 				for _, m := range runFlag.FindAllStringSubmatch(c, -1) {
 					if !experiments[m[1]] {
-						t.Errorf("%s:%d: experiment %q is not in marketbench's names", doc, i+1, m[1])
+						t.Errorf("%s:%d: experiment %q is not in experiment.Catalog()", doc, i+1, m[1])
 					}
 				}
 			}
@@ -107,8 +102,14 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	inventory := regexp.MustCompile(`(?s)\n## 3\. .*?\n## 4\. `).Find(design)
-	if inventory == nil {
-		t.Fatal("DESIGN.md: no section 3 followed by a section 4")
+	index := regexp.MustCompile(`(?s)\n## 4\. .*?\n## 5\. `).Find(design)
+	if inventory == nil || index == nil {
+		t.Fatal("DESIGN.md: no sections 3, 4 and 5 in a row")
+	}
+	for _, e := range experiment.Catalog() {
+		if !strings.Contains(string(index), "-run "+e.Name+"`") {
+			t.Errorf("DESIGN.md §4: experiment %s has no `-run %s` in the index", e.Name, e.Name)
+		}
 	}
 	pkgs, err := os.ReadDir("internal")
 	if err != nil {

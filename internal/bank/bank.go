@@ -21,6 +21,7 @@ var (
 	ErrDuplicateAccount  = errors.New("bank: account already exists")
 	ErrInsufficientFunds = errors.New("bank: insufficient funds")
 	ErrNonPositive       = errors.New("bank: amount must be positive")
+	ErrSameAccount       = errors.New("bank: source and destination are the same account")
 	ErrBadAuthorization  = errors.New("bank: bad transfer authorization")
 	ErrNonceReused       = errors.New("bank: transfer nonce already used")
 	ErrNotSubAccount     = errors.New("bank: not a sub-account of the claimed parent")
@@ -337,6 +338,11 @@ func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error
 	if !ok {
 		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
 	}
+	if from == to {
+		// Debit then credit of one account would store the credit over the
+		// debit and mint the amount; refused before the nonce is spent.
+		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrSameAccount, req.From)
+	}
 	if !pki.Verify(from.Owner, req.SigningBytes(), req.Sig) {
 		mRejectedSigs.Inc()
 		return Receipt{}, nil, ErrBadAuthorization
@@ -447,6 +453,9 @@ func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func
 	t, ok := b.accounts[mv.To]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoAccount, mv.To)
+	}
+	if f == t {
+		return nil, fmt.Errorf("%w: %q", ErrSameAccount, mv.From)
 	}
 	if !f.Owner.Equal(owner) {
 		return nil, ErrBadAuthorization

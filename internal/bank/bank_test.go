@@ -145,6 +145,34 @@ func TestTransferNonceReplay(t *testing.T) {
 	}
 }
 
+// TestTransferToSelfRefused: a signed transfer from an account to itself used
+// to store the credit over the debit and mint the amount. It is refused before
+// anything is written: balance, money supply, drift, ledger and nonce are as
+// they were, and the same nonce still pays somebody else.
+func TestTransferToSelfRefused(t *testing.T) {
+	f := newFixture(t)
+	history := len(f.bank.History("alice"))
+	_, err := f.bank.Transfer(signedTransfer(f.alice, "alice", "alice", 4*Credit, "n-self"))
+	if !errors.Is(err, ErrSameAccount) {
+		t.Fatalf("self-transfer: %v, want ErrSameAccount", err)
+	}
+	if got, _ := f.bank.Balance("alice"); got != 100*Credit {
+		t.Errorf("alice = %v after a refused self-transfer, want 100", got)
+	}
+	if total, drift := f.bank.TotalMoney(), f.bank.Drift(); total != 100*Credit || drift != 0 {
+		t.Errorf("TotalMoney = %v, Drift = %v; want 100, 0", total, drift)
+	}
+	if got := len(f.bank.History("alice")); got != history {
+		t.Errorf("history grew from %d to %d entries", history, got)
+	}
+	if _, err := f.bank.Transfer(signedTransfer(f.alice, "alice", "bob", 4*Credit, "n-self")); err != nil {
+		t.Errorf("the refused transfer spent its nonce: %v", err)
+	}
+	if got, _ := f.bank.Balance("alice"); got != 96*Credit {
+		t.Errorf("alice = %v, want 96", got)
+	}
+}
+
 func TestTransferInsufficientFunds(t *testing.T) {
 	f := newFixture(t)
 	req := signedTransfer(f.alice, "alice", "bob", 1000*Credit, "big")

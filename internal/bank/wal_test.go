@@ -147,6 +147,50 @@ func TestDurableBankRecoversEverything(t *testing.T) {
 	}
 }
 
+// TestDurableBankRefusedSelfMovesRecover: a live bank that refused a
+// self-transfer and a self-move and the bank recovered from its log agree —
+// the refusals wrote no record, so there is nothing for replay to disagree on.
+func TestDurableBankRefusedSelfMovesRecover(t *testing.T) {
+	dir := t.TempDir()
+	f := newDurableFixture(t, dir, 0)
+	for id, owner := range map[AccountID]*pki.Identity{"alice": f.alice, "bob": f.bob} {
+		if _, err := f.bank.CreateAccount(id, owner.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.bank.Deposit("alice", 10*Credit, "grant"); err != nil {
+		t.Fatal(err)
+	}
+	self := TransferRequest{From: "alice", To: "alice", Amount: 4 * Credit, Nonce: "n-self"}
+	self.Sig = f.alice.Sign(self.SigningBytes())
+	if _, err := f.bank.Transfer(self); !errors.Is(err, ErrSameAccount) {
+		t.Fatalf("self-transfer: %v, want ErrSameAccount", err)
+	}
+	if err := f.bank.MoveInternal(f.alice, "alice", "alice", 3*Credit, EntryCharge, "self"); !errors.Is(err, ErrSameAccount) {
+		t.Fatalf("self-move: %v, want ErrSameAccount", err)
+	}
+	f.transfer(t, "alice", "bob", 2*Credit, "n-self") // the nonce was not spent
+	live := map[AccountID]Amount{}
+	for _, id := range []AccountID{"alice", "bob"} {
+		live[id], _ = f.bank.Balance(id)
+	}
+	if live["alice"] != 8*Credit || f.bank.TotalMoney() != 10*Credit || f.bank.Drift() != 0 {
+		t.Fatalf("live bank: alice %v, total %v, drift %v", live["alice"], f.bank.TotalMoney(), f.bank.Drift())
+	}
+	f.close(t)
+
+	f.reopen(t, dir, 0)
+	defer f.close(t)
+	for id, want := range live {
+		if got, err := f.bank.Balance(id); err != nil || got != want {
+			t.Errorf("%s recovered with %v (%v), held %v before the restart", id, got, err, want)
+		}
+	}
+	if f.bank.TotalMoney() != 10*Credit || f.bank.Drift() != 0 {
+		t.Errorf("recovered bank: total %v, drift %v", f.bank.TotalMoney(), f.bank.Drift())
+	}
+}
+
 func TestDurableBankSnapshotThreshold(t *testing.T) {
 	dir := t.TempDir()
 	f := newDurableFixture(t, dir, 8) // snapshot every 8 records

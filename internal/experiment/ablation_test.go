@@ -66,17 +66,13 @@ func TestAblationCapUtilityRankingWins(t *testing.T) {
 func TestAblationSmoothingHelps(t *testing.T) {
 	// Run the ablation on the raw 10 s snapshots, where the sharp
 	// batch-completion price drops live (pre-aggregating into 10-minute
-	// buckets already smooths most of them away).
-	p := DefaultFigure4Params()
-	p.ResampleSnapshots = 1
-	p.Lambda = 2000
-	p.HorizonSteps = 360
-	p.Stride = 360
-	p.FitWindow = 17280
-	res, err := RunAblationSmoothing(p)
+	// buckets already smooths most of them away): the catalog's declaration.
+	e, _ := Lookup("ablation-smoothing")
+	out, err := e.Run(PaperWorld().Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.(*AblationSmoothingResult)
 	t.Logf("\n%s", res)
 	if res.EpsilonSmoothed <= 0 || res.EpsilonRaw <= 0 {
 		t.Fatal("degenerate epsilons")

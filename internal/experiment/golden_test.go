@@ -27,14 +27,11 @@ func TestGoldenProportionalCSVs(t *testing.T) {
 	}
 	cfg := ReplicationConfig{Reps: 4, Parallel: 2, BaseSeed: 2006}
 
-	fig4, err := DefaultRepSpec("figure4")
-	if err != nil {
-		t.Fatalf("figure4 spec: %v", err)
-	}
-	specs := []RepSpec{fig4, RepSpecStrategies(DefaultStrategiesParams())}
-
-	for _, spec := range specs {
-		spec := spec
+	for _, name := range []string{"figure4", "strategies"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s is not in the catalog", name)
+		}
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			agg, err := Replicate(spec, cfg)

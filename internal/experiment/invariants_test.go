@@ -8,6 +8,7 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
+	"tycoongrid/internal/tracing"
 )
 
 // TestMoneyConservedAcrossRandomWorkloads is the repository's end-to-end
@@ -48,13 +49,11 @@ func TestInvariantsAcrossReplications(t *testing.T) {
 	// Ablation A workload: the market side of the scheduler comparison,
 	// run to completion so escrow must be fully unwound.
 	table := shrunkTableParams()
-	tableSpec := RepSpec{
-		Name: "invariants-ablation-scheduler",
-		Cols: []string{"money_delta", "undrained_subaccounts", "negative_accounts"},
-		Run: func(seed int64) ([]float64, error) {
+	tableSpec := probe("invariants-ablation-scheduler",
+		[]string{"money_delta", "undrained_subaccounts", "negative_accounts"},
+		func(seed int64, tr *tracing.Tracer) ([]float64, error) {
 			p := table
-			p.World.Seed = seed
-			p.World.Tracer = quietTracer()
+			p.World.Seed, p.World.Tracer = seed, tr
 			w, err := NewWorld(p.World)
 			if err != nil {
 				return nil, err
@@ -81,19 +80,16 @@ func TestInvariantsAcrossReplications(t *testing.T) {
 				}
 			}
 			return []float64{delta, undrained, negative}, nil
-		},
-	}
+		})
 	// Ablation C workload: the load scenario behind the smoothing ablation.
 	// Jobs may still be in flight at the horizon, so escrow can legitimately
 	// hold money — assert conservation and non-negativity only.
 	load := shrunkFigure4Params().Load
-	loadSpec := RepSpec{
-		Name: "invariants-ablation-smoothing",
-		Cols: []string{"money_delta", "negative_accounts"},
-		Run: func(seed int64) ([]float64, error) {
+	loadSpec := probe("invariants-ablation-smoothing",
+		[]string{"money_delta", "negative_accounts"},
+		func(seed int64, tr *tracing.Tracer) ([]float64, error) {
 			p := load
-			p.World.Seed = seed
-			p.World.Tracer = quietTracer()
+			p.World.Seed, p.World.Tracer = seed, tr
 			res, err := RunLoad(p)
 			if err != nil {
 				return nil, err
@@ -111,22 +107,19 @@ func TestInvariantsAcrossReplications(t *testing.T) {
 				}
 			}
 			return []float64{delta, negative}, nil
-		},
-	}
+		})
 	// Mechanism workloads: the ablation-scheduler invariants must hold no
 	// matter which clearing rule the host markets run — posted price and VCG
 	// charge differently from proportional share, but none may mint, burn or
 	// strand a microcredit.
-	mechSpecs := make([]RepSpec, 0, len(mechanism.Names()))
+	mechSpecs := make([]Experiment, 0, len(mechanism.Names()))
 	for _, mechName := range mechanism.Names() {
 		mechName := mechName
-		mechSpecs = append(mechSpecs, RepSpec{
-			Name: "invariants-mechanism-" + mechName,
-			Cols: []string{"money_delta", "undrained_subaccounts", "negative_accounts"},
-			Run: func(seed int64) ([]float64, error) {
+		mechSpecs = append(mechSpecs, probe("invariants-mechanism-"+mechName,
+			[]string{"money_delta", "undrained_subaccounts", "negative_accounts"},
+			func(seed int64, tr *tracing.Tracer) ([]float64, error) {
 				p := table
-				p.World.Seed = seed
-				p.World.Tracer = quietTracer()
+				p.World.Seed, p.World.Tracer = seed, tr
 				p.World.Mechanism = mechName
 				w, err := NewWorld(p.World)
 				if err != nil {
@@ -154,11 +147,10 @@ func TestInvariantsAcrossReplications(t *testing.T) {
 					}
 				}
 				return []float64{delta, undrained, negative}, nil
-			},
-		})
+			}))
 	}
 
-	for _, spec := range append([]RepSpec{tableSpec, loadSpec}, mechSpecs...) {
+	for _, spec := range append([]Experiment{tableSpec, loadSpec}, mechSpecs...) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
@@ -185,7 +177,7 @@ func TestInvariantsAcrossReplications(t *testing.T) {
 func TestMechanismsFamilyConservation(t *testing.T) {
 	p := DefaultMechanismsParams()
 	p.ProbeProfiles = 5 // conservation lives in the full-stack run, keep the probe cheap
-	agg, err := Replicate(RepSpecMechanisms(p), ReplicationConfig{Reps: 3, Parallel: 3, BaseSeed: 2006})
+	agg, err := Replicate(Mechanisms(p), ReplicationConfig{Reps: 3, Parallel: 3, BaseSeed: 2006})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,39 +227,3 @@ func (r *MechanismsResult) String() string {
 	}
 	return b.String()
 }
-
-// RepSpecMechanisms replicates the mechanism sweep under the paired
-// same-seed harness: one column group per clearing rule, every rule driven
-// by the same per-replication seed.
-func RepSpecMechanisms(p MechanismsParams) RepSpec {
-	var cols []string
-	for _, name := range p.Mechanisms {
-		n := strings.ReplaceAll(name, "-", "_")
-		for _, m := range []string{"done", "cost_per_job", "charged", "welfare", "truth_gain", "conserved"} {
-			cols = append(cols, fmt.Sprintf("%s_%s", n, m))
-		}
-	}
-	return RepSpec{
-		Name: "mechanisms",
-		Cols: cols,
-		Run: func(seed int64) ([]float64, error) {
-			q := p
-			q.World.Seed = seed
-			q.World.Tracer = quietTracer()
-			res, err := RunMechanisms(q)
-			if err != nil {
-				return nil, err
-			}
-			var out []float64
-			for _, row := range res.Rows {
-				conserved := 0.0
-				if row.MoneyConserved {
-					conserved = 1
-				}
-				out = append(out, float64(row.JobsDone), row.CostPerJob,
-					row.ChargedCredits, row.Welfare, row.TruthGain, conserved)
-			}
-			return out, nil
-		},
-	}
-}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/tracing"
 )
 
 // shrunkTableParams is a small best-response scenario: three users on six
@@ -54,10 +55,10 @@ func shrunkFigure4Params() Figure4Params {
 	return p
 }
 
-// deterministicSpecs returns one shrunken replication spec per experiment
-// family, so the property below covers every figure/table harness, plus one
-// whose worlds clear on two shards.
-func deterministicSpecs() []RepSpec {
+// shrunkExperiments returns one shrunken declaration per replicable family —
+// the catalog's constructors on small parameters — plus one whose worlds
+// clear on two shards.
+func shrunkExperiments() []Experiment {
 	f3 := DefaultFigure3Params()
 	f3.Load = shrunkLoadParams()
 	f3.Guarantees = []float64{0.80, 0.90}
@@ -74,20 +75,43 @@ func deterministicSpecs() []RepSpec {
 	// must not leak into the cross-worker determinism.
 	f3s := f3
 	f3s.Load.World.Shards = 2
-	sharded := RepSpecFigure3(f3s)
+	sharded := Figure3(f3s)
 	sharded.Name += "-2-shards"
 
-	return []RepSpec{
-		RepSpecTable("table-shrunk", shrunkTableParams()),
-		RepSpecFigure3(f3),
+	strat := shortStrategiesParams()
+	strat.Strategies = []string{"current-price", "predicted-mean"}
+	mech := DefaultMechanismsParams()
+	mech.ProbeProfiles = 5
+
+	return []Experiment{
+		Table("table-shrunk", "", shrunkTableParams()),
+		Figure3(f3),
 		sharded,
-		RepSpecFigure4(shrunkFigure4Params()),
-		RepSpecFigure5(DefaultFigure5Params()),
-		RepSpecFigure6(f6),
-		RepSpecFigure7(DefaultFigure7Params()),
-		RepSpecAblationScheduler(shrunkTableParams()),
-		RepSpecAblationSmoothing(shrunkFigure4Params()),
+		Figure4(shrunkFigure4Params()),
+		Figure5(DefaultFigure5Params()),
+		Figure6(f6),
+		Figure7(DefaultFigure7Params()),
+		Strategies(strat),
+		Mechanisms(mech),
+		AblationScheduler(shrunkTableParams()),
+		AblationSmoothing(shrunkFigure4Params()),
 	}
+}
+
+// vector is the Result of a test probe: bare metric values.
+type vector []float64
+
+func (v vector) String() string     { return fmt.Sprint([]float64(v)) }
+func (v vector) Metrics() []float64 { return v }
+
+// probe declares a test-only experiment from a function that returns the
+// metric vector directly.
+func probe(name string, cols []string, run func(seed int64, tr *tracing.Tracer) ([]float64, error)) Experiment {
+	return Experiment{Name: name, Cols: cols,
+		Run: func(seed int64, tr *tracing.Tracer) (Result, error) {
+			v, err := run(seed, tr)
+			return vector(v), err
+		}}
 }
 
 // TestReplicationDeterminism is the parallelism property: for every
@@ -95,7 +119,7 @@ func deterministicSpecs() []RepSpec {
 // output and equal aggregates whether the replications run on one worker or
 // four.
 func TestReplicationDeterminism(t *testing.T) {
-	for _, spec := range deterministicSpecs() {
+	for _, spec := range shrunkExperiments() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
@@ -147,7 +171,7 @@ func TestReplicationDeterminism(t *testing.T) {
 // TestReplicateRepeatable checks that two identically-configured runs of the
 // same spec agree exactly — replications share no hidden state.
 func TestReplicateRepeatable(t *testing.T) {
-	spec := RepSpecTable("table-shrunk", shrunkTableParams())
+	spec := Table("table-shrunk", "", shrunkTableParams())
 	a, err := Replicate(spec, ReplicationConfig{Reps: 2, Parallel: 2, BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -166,13 +190,9 @@ func TestReplicateRepeatable(t *testing.T) {
 // scheduling.
 func TestReplicateFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
-	spec := RepSpec{
-		Name: "failing",
-		Cols: []string{"x"},
-		Run: func(seed int64) ([]float64, error) {
-			return nil, fmt.Errorf("seed %d: %w", seed, boom)
-		},
-	}
+	spec := probe("failing", []string{"x"}, func(seed int64, _ *tracing.Tracer) ([]float64, error) {
+		return nil, fmt.Errorf("seed %d: %w", seed, boom)
+	})
 	_, err := Replicate(spec, ReplicationConfig{Reps: 5, Parallel: 4, BaseSeed: 1})
 	if err == nil {
 		t.Fatal("expected error")
@@ -187,8 +207,8 @@ func TestReplicateFirstErrorWins(t *testing.T) {
 
 // TestReplicateValidation covers the config error paths.
 func TestReplicateValidation(t *testing.T) {
-	ok := RepSpec{Name: "ok", Cols: []string{"x"}, Run: func(int64) ([]float64, error) { return []float64{1}, nil }}
-	if _, err := Replicate(RepSpec{}, ReplicationConfig{Reps: 1}); err == nil {
+	ok := probe("ok", []string{"x"}, func(int64, *tracing.Tracer) ([]float64, error) { return []float64{1}, nil })
+	if _, err := Replicate(Experiment{}, ReplicationConfig{Reps: 1}); err == nil {
 		t.Error("nil Run accepted")
 	}
 	if _, err := Replicate(ok, ReplicationConfig{Reps: 0}); err == nil {
@@ -209,24 +229,53 @@ func TestReplicateValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultRepSpecNames pins the dispatcher: every replicable marketbench
-// experiment resolves, the deterministic ones refuse.
-func TestDefaultRepSpecNames(t *testing.T) {
-	for _, name := range []string{
-		"table1", "table2", "figure3", "figure4", "figure5", "figure6", "figure7",
-		"ablation-scheduler", "ablation-smoothing",
-	} {
-		spec, err := DefaultRepSpec(name)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if len(spec.Cols) == 0 || spec.Run == nil {
-			t.Errorf("%s: incomplete spec", name)
-		}
+// TestCatalog pins the one enumeration: names are unique and round-trip
+// through Lookup, and every replicable entry's family, run on the shrunk
+// parameters, returns one metric per column its constructor declared. Nothing
+// is hand-listed, so a family added to Catalog() without a shrunk run fails.
+func TestCatalog(t *testing.T) {
+	shrunk := map[string]Experiment{}
+	for _, e := range shrunkExperiments() {
+		shrunk[e.Name] = e
 	}
-	for _, name := range []string{"ablation-cap", "ablation-interval", "sla", "nonsense"} {
-		if _, err := DefaultRepSpec(name); err == nil {
-			t.Errorf("%s: expected no spec", name)
+	shrunk["table1"], shrunk["table2"] = shrunk["table-shrunk"], shrunk["table-shrunk"]
+
+	seen := map[string]bool{}
+	for _, e := range Catalog() {
+		if seen[e.Name] {
+			t.Errorf("%s: listed twice", e.Name)
 		}
+		seen[e.Name] = true
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("%s: incomplete declaration", e.Name)
+		}
+		if got, ok := Lookup(e.Name); !ok || got.Title != e.Title || !reflect.DeepEqual(got.Cols, e.Cols) {
+			t.Errorf("%s: Lookup returned %q (%v)", e.Name, got.Title, ok)
+		}
+		if e.Cols == nil {
+			continue // a deterministic sweep: Replicate refuses it, below
+		}
+		small, ok := shrunk[e.Name]
+		if !ok {
+			t.Errorf("%s: replicable, but shrunkExperiments has no run of its family", e.Name)
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			res, err := small.Run(2006, quietTracer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(res.Metrics()); got == 0 || got != len(small.Cols) {
+				t.Errorf("%d metrics for %d columns %v", got, len(small.Cols), small.Cols)
+			}
+		})
+	}
+	if _, ok := Lookup("nonsense"); ok {
+		t.Error("Lookup found an experiment nobody declared")
+	}
+	sweep, _ := Lookup("ablation-cap")
+	if _, err := Replicate(sweep, ReplicationConfig{Reps: 2}); err == nil {
+		t.Error("an experiment without columns was replicated")
 	}
 }

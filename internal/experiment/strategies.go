@@ -450,38 +450,3 @@ func (r *StrategiesResult) WriteCSV(dir string) error {
 	}
 	return writeNamedCSVFile(dir, "strategies.csv", header, names, rows)
 }
-
-// RepSpecStrategies replicates the full strategy comparison: each
-// replication replays every strategy under one derived seed (a paired
-// design), reporting cost, makespan, volatility and prediction error per
-// strategy.
-func RepSpecStrategies(p StrategiesParams) RepSpec {
-	names := p.Strategies
-	if len(names) == 0 {
-		names = strategy.Names()
-	}
-	var cols []string
-	for _, n := range names {
-		short := strings.ReplaceAll(n, "-", "_")
-		cols = append(cols, short+"_cost", short+"_mksp_min", short+"_vol", short+"_prederr")
-	}
-	return RepSpec{
-		Name: "strategies",
-		Cols: cols,
-		Run: func(seed int64) ([]float64, error) {
-			q := p
-			q.Strategies = names
-			q.World.Seed = seed
-			q.World.Tracer = quietTracer()
-			res, err := RunStrategies(q)
-			if err != nil {
-				return nil, err
-			}
-			var out []float64
-			for _, o := range res.Outcomes {
-				out = append(out, o.MeanCost, o.MeanMakespanMin, o.Volatility, o.PredMAE)
-			}
-			return out, nil
-		},
-	}
-}

@@ -81,10 +81,10 @@ func TestRunStrategiesDeterministic(t *testing.T) {
 	}
 }
 
-func TestRepSpecStrategiesColumns(t *testing.T) {
-	spec, err := DefaultRepSpec("strategies")
-	if err != nil {
-		t.Fatal(err)
+func TestStrategiesColumns(t *testing.T) {
+	spec, ok := Lookup("strategies")
+	if !ok {
+		t.Fatal("strategies is not in the catalog")
 	}
 	if spec.Name != "strategies" {
 		t.Errorf("name = %q", spec.Name)

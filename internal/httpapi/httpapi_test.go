@@ -166,6 +166,16 @@ func TestBankServiceSignedTransferOverHTTP(t *testing.T) {
 	if _, err := s.bankC.Transfer(big); err == nil || !strings.Contains(err.Error(), "402") {
 		t.Errorf("overdraft: %v", err)
 	}
+	// An owner-signed transfer to the account itself is a 400 and moves (and
+	// mints) nothing.
+	self := bank.TransferRequest{From: "alice", To: "alice", Amount: 4 * bank.Credit, Nonce: "http-4"}
+	self.Sig = s.alice.Sign(self.SigningBytes())
+	if _, err := s.bankC.Transfer(self); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("self-transfer: %v", err)
+	}
+	if bal, _ := s.bankC.Balance("alice"); bal != 30*bank.Credit || s.bank.TotalMoney() != 50*bank.Credit {
+		t.Errorf("self-transfer changed money: alice = %v, total = %v", bal, s.bank.TotalMoney())
+	}
 }
 
 func TestBankServiceSubAccountsAndHistory(t *testing.T) {

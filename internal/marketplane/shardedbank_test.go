@@ -143,6 +143,40 @@ func TestCrossShardMoveAndTransfer(t *testing.T) {
 	}
 }
 
+// A move from an account to itself is refused by the shard that holds it, and
+// mints nothing.
+func TestShardedSelfMoveRefused(t *testing.T) {
+	op := benchIdentity(t)
+	sb := NewShardedBank(op, sim.NewEngine(), 4, nil)
+	ids := shardedAccounts(t, sb, op, 4)
+	total := sb.TotalMoney()
+	err := sb.MoveInternal(op, ids[1], ids[1], 3*bank.Credit, bank.EntryCharge, "self")
+	if !errors.Is(err, bank.ErrSameAccount) {
+		t.Fatalf("self-move: %v, want ErrSameAccount", err)
+	}
+	if got, _ := sb.Balance(ids[1]); got != 100*bank.Credit || sb.TotalMoney() != total {
+		t.Fatalf("balance %v, money supply %v -> %v", got, total, sb.TotalMoney())
+	}
+	// In a batch it is the failing leg: the one before it stays, the one after
+	// it is not tried.
+	err = sb.MoveBatch(op, []bank.Move{
+		{From: ids[0], To: ids[2], Amount: bank.Credit},
+		{From: ids[1], To: ids[1], Amount: bank.Credit},
+		{From: ids[0], To: ids[3], Amount: bank.Credit},
+	}, bank.EntryCharge)
+	if !errors.Is(err, bank.ErrSameAccount) {
+		t.Fatalf("batch with a self-move: %v, want ErrSameAccount", err)
+	}
+	for i, want := range []bank.Amount{99 * bank.Credit, 100 * bank.Credit, 101 * bank.Credit, 100 * bank.Credit} {
+		if got, _ := sb.Balance(ids[i]); got != want {
+			t.Errorf("%s = %v, want %v", ids[i], got, want)
+		}
+	}
+	if sb.TotalMoney() != total {
+		t.Errorf("money supply %v -> %v", total, sb.TotalMoney())
+	}
+}
+
 // The satellite property test: two-phase transfers conserve money and leave
 // no orphaned prepares when shards crash mid-protocol. A seeded failpoint.Points
 // stream decides, at every protocol stage of every transfer, whether to
