@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare simplicity-ledger perf-gates recovery-smoke telemetry-smoke chaos trace-demo lint check
+.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare bench-pairs simplicity-ledger perf-gates recovery-smoke telemetry-smoke chaos trace-demo lint check
 
 all: build test
 
@@ -106,6 +106,58 @@ bench-compare:
 	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then echo "usage: make bench-compare A=before.json B=after.json"; exit 2; fi
 	$(GO) run ./bench -compare $(A) $(B)
 
+# bench-pairs is the other half of the judging rule for a perf claim — "ten
+# alternating pairs on seeds not used while writing the change" — which every
+# perf PR had been rolling by hand:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=grid-dense SEEDS="91 92 93 94 95 96 97 98 99 100"
+# BASE is checked out as a worktree under the git-ignored .bench_build/, each
+# tree's ./bench is built once, and each binary runs from its own tree's root
+# (so bank-* builds and serves that tree's bankd) — BASE first on odd
+# positions, the working tree first on even ones, so neither side always runs
+# on the warmer machine; the run length is each tree's own BENCHMARK.json
+# run_seconds, as in bench-suite. One row per run (the five end-to-end metrics, the
+# machine-speed reading, failed operations, sim.digest), then each side's
+# median and quartiles and the working tree's wins over the pairs, metric by
+# metric. The worktree is removed on the way out.
+bench-pairs:
+	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEEDS)" ]; then \
+		echo 'usage: make bench-pairs BASE=<rev> WORKLOAD=<name> SEEDS="91 92 ..."'; exit 2; fi
+	@set -e; root=$$(pwd); base=$$root/.bench_build/pairs-base; rows=$$(mktemp); \
+	git worktree remove --force "$$base" >/dev/null 2>&1 || true; \
+	git worktree add --detach "$$base" $(BASE) >/dev/null; \
+	trap 'cd "$$root"; git worktree remove --force "$$base"; rm -f "$$rows"' EXIT; \
+	trap 'exit 130' INT TERM; \
+	(cd "$$base" && $(GO) build -o .bench_build/pairs-bench ./bench); \
+	$(GO) build -o .bench_build/pairs-bench ./bench; \
+	run() { \
+		out=$$(cd "$$2" && ./.bench_build/pairs-bench --workload $(WORKLOAD) --seed $$3 --trace 0 2>&1) || true; \
+		echo "$$out" | awk -v side=$$1 -v seed=$$3 ' \
+			$$1 == "setup_s" || $$1 == "ops_per_s" || $$1 == "op_p50_us" || $$1 == "cpu_us_per_op" || $$1 == "peak_rss_mb" { m[$$1] = $$2 } \
+			$$1 == "note" && $$2 == "machine" { speed = $$4 } \
+			$$1 == "note" && $$2 == "sim.digest" { digest = $$3 } \
+			$$1 == "attempted" { failed = $$4 } \
+			END { if (!("ops_per_s" in m)) exit 1; \
+				printf "%-5s %-6s %10.4f %12.2f %12.2f %14.2f %12.1f %6s %6s %s\n", seed, side, \
+					m["setup_s"], m["ops_per_s"], m["op_p50_us"], m["cpu_us_per_op"], m["peak_rss_mb"], speed, failed, digest }' \
+			| tee -a "$$rows" | grep . || { echo "$$out"; echo "bench-pairs: $$1 run on seed $$3 printed no metrics"; exit 1; }; \
+	}; \
+	echo "$(WORKLOAD): base = $(BASE) ($$(git rev-parse --short $(BASE))), head = the working tree at $$(git rev-parse --short HEAD)"; \
+	printf "%-5s %-6s %10s %12s %12s %14s %12s %6s %6s %s\n" seed side setup_s ops_per_s op_p50_us cpu_us_per_op peak_rss_mb speed failed sim.digest; \
+	i=0; for seed in $(SEEDS); do i=$$((i + 1)); \
+		if [ $$((i % 2)) -eq 1 ]; then run base "$$base" $$seed; run head "$$root" $$seed; \
+		else run head "$$root" $$seed; run base "$$base" $$seed; fi; \
+	done; \
+	awk ' \
+		function q(a, n, p,   x, lo) { x = (n - 1) * p + 1; lo = int(x); return lo >= n ? a[n] : a[lo] + (x - lo) * (a[lo + 1] - a[lo]) } \
+		function line(side, k,   a, n, i, j, t, s, key) { n = 0; for (s in v) { split(s, key, SUBSEP); if (key[1] == side && key[2] == k) a[++n] = v[s] } \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } \
+			printf "%-14s %-5s median %12.4f  quartiles %12.4f .. %-12.4f\n", name[k], side, q(a, n, 0.5), q(a, n, 0.25), q(a, n, 0.75) } \
+		BEGIN { name[3] = "setup_s"; name[4] = "ops_per_s"; name[5] = "op_p50_us"; name[6] = "cpu_us_per_op"; name[7] = "peak_rss_mb" } \
+		{ for (k = 3; k <= 7; k++) v[$$2, k, $$1] = $$k; seeds[$$1] = 1 } \
+		END { print ""; for (k = 3; k <= 7; k++) { line("base", k); line("head", k); wins = 0; pairs = 0; \
+			for (s in seeds) { pairs++; b = v["base", k, s]; h = v["head", k, s]; if (k == 4 ? h > b : h < b) wins++ } \
+			printf "%-14s head better in %d / %d pairs\n", name[k], wins, pairs } }' "$$rows"
+
 # What ROADMAP's judging rule asks of a simplicity claim, since BASE: non-test
 # Go lines outside bench/ added, deleted and net, then every command-line flag
 # defined (flag.X("name", ...) or fs.X("name", ...)) that a changed file gained
@@ -137,10 +189,11 @@ simplicity-ledger:
 # 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a
 # submission into 10 000 sleeping hosts allocates nothing per host
 # (TestSubmitAllocationBound), and a busy tick — 300 hosts with 8 bids and 8
-# tasks each, every charge settled on a real bank — allocates at most 4 times
+# tasks each, every charge booked on its job's tab — allocates at most 4 times
 # per busy host (it reads 2: the clear's outcome lines and its charges;
-# nothing for the shares, the live-bid snapshot or the ledger batch)
-# (TestBusyTickAllocationBound). Wired into `check`.
+# nothing for the shares, the live-bid snapshot or the tabs) and makes no bank
+# move at all; the bank gets one charge entry per (job, host) when the jobs
+# are released (TestBusyTickAllocationBound). Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
 	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict

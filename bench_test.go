@@ -508,12 +508,14 @@ func BenchmarkClusterTick10k800Busy(b *testing.B) {
 
 // BenchmarkClusterTickDense is one tick of the grid-dense workload's steady
 // state: 300 hosts, each with 8 live bids and 8 running tasks of jobs the
-// agent manages, so every one of the tick's 2 400 charges is a real move on
-// the world's bank. BenchmarkClusterTick10k800Busy books one foreign bid a
-// host — a one-line book, nothing settled — which is why it read 1.4 µs a
-// busy host while the workload paid 7: ns/busy-host-tick here is the clear of
-// an 8-bid book, its share of the tick's one ledger batch, and 8 tasks'
-// progress (and the agent's pump over 300 running jobs).
+// agent manages, so every one of the tick's 2 400 charges is booked on its
+// job's tab (the bank hears of a tab when the job's escrow is released, never
+// in a tick). BenchmarkClusterTick10k800Busy books one foreign bid a host — a
+// one-line book, nothing settled — which is why it read 1.4 µs a busy host
+// while the workload paid 7: ns/busy-host-tick here is the clear of an 8-bid
+// book, 8 tab rows found and added to, and 8 tasks' progress (and the agent's
+// pump over 300 running jobs). ≈ 2.4–2.9 µs; it was ≈ 3.6–4.1 µs while every
+// charge was a bank move.
 func BenchmarkClusterTickDense(b *testing.B) {
 	const hosts = 300
 	tr := tracing.New(tracing.WithCapacity(8))

@@ -148,7 +148,8 @@ func (p *poller) autoPick(ctx context.Context, fleet *fleetReport) []string {
 	for _, name := range resp.Names {
 		if strings.HasSuffix(name, ":rate") || strings.HasSuffix(name, ":p99") ||
 			strings.HasPrefix(name, "slo_burn_rate") ||
-			strings.HasPrefix(name, "bank_conservation") {
+			strings.HasPrefix(name, "bank_conservation") ||
+			name == "agent_unbanked_credits" { // how far host earnings lag the market
 			picks = append(picks, name)
 		}
 	}

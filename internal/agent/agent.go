@@ -114,6 +114,74 @@ type Job struct {
 	done    int
 	total   int
 	endedAt time.Time
+
+	// tab is what each host has charged the job and how much of that the bank
+	// has been told, one row a host that ever charged, ascending by host. A
+	// tick books its charges here; teardown banks the difference, once, when
+	// it releases the job's escrow. Rows are cumulative and outlive both
+	// release and a failover that drops the host from Hosts.
+	tab      []tabRow
+	released bool // teardown has banked the tab and refunded the escrow
+}
+
+// tabRow is one host's line on a job's tab. charged - banked is what the
+// job's sub-account still owes the host's earnings account.
+type tabRow struct {
+	host            string
+	charged, banked bank.Amount
+}
+
+// HostCharge is what one host has charged a job so far.
+type HostCharge struct {
+	Host    string
+	Charged bank.Amount
+}
+
+// ChargedByHost breaks Charged down by the host that charged it, ascending by
+// host. A host lost to failover keeps its row.
+func (j *Job) ChargedByHost() []HostCharge {
+	out := make([]HostCharge, len(j.tab))
+	for i, row := range j.tab {
+		out[i] = HostCharge{Host: row.host, Charged: row.charged}
+	}
+	return out
+}
+
+// unbanked is the job's tab: what it has been charged that the bank has not
+// been told yet. Zero once the escrow is released.
+func (j *Job) unbanked() bank.Amount {
+	var sum bank.Amount
+	for _, row := range j.tab {
+		sum += row.charged - row.banked
+	}
+	return sum
+}
+
+// book puts one market charge on the job's own books: Charged and the host's
+// row of the tab. The bank hears of it at teardown. A charge the escrow
+// cannot cover, or one that arrives after the escrow went back to the broker,
+// is a bug (market charges never exceed placed bids, and a released job has
+// no bid left), as it was when the bank refused such a move.
+func (j *Job) book(host string, amount bank.Amount) {
+	if j.released {
+		panic(fmt.Sprintf("agent: %s charged %v for %s after its escrow was released", host, amount, j.ID))
+	}
+	j.Charged += amount
+	if j.Charged > j.Budget {
+		panic(fmt.Sprintf("agent: %s charged %v, its escrow holds %v", j.ID, j.Charged, j.Budget))
+	}
+	for i := range j.tab {
+		if j.tab[i].host == host {
+			j.tab[i].charged += amount
+			return
+		}
+	}
+	// The host's first charge to this job: a job funds at most count hosts,
+	// so the tab stays a short slice.
+	at, _ := slices.BinarySearchFunc(j.tab, host, func(row tabRow, h string) int {
+		return strings.Compare(row.host, h)
+	})
+	j.tab = slices.Insert(j.tab, at, tabRow{host: host, charged: amount})
 }
 
 // Completed reports how many sub-jobs have finished.
@@ -186,7 +254,7 @@ type Config struct {
 	Account  bank.AccountID // broker bank account tokens pay into
 	Verifier *token.Verifier
 	// HostOwnerAccount maps a host to the account its earnings accrue to.
-	// Defaults to one shared "grid-earnings" account created on first use.
+	// Defaults to one shared "grid-earnings" account, created by New.
 	HostOwnerAccount func(hostID string) bank.AccountID
 	// Hosts restricts this agent to a subset of the cluster's hosts — the
 	// paper's partitioned-agent deployment ("the agent itself can be
@@ -222,15 +290,14 @@ type Agent struct {
 	running  []*Job          // the StateRunning jobs, ascending by ID: what the pump walks
 	byBidder map[auction.BidderID]*Job
 	seq      int
-	earnings bank.AccountID
 	pump     *sim.Ticker
 	feed     *pricefeed.Hub
 	stream   *predict.FeedForecasts // nil until ForecastHandle is first asked
 	// candidates is placeBids' scratch: the hosts of the last submission.
 	candidates []core.Host
-	// legs is settle's scratch: the last tick's charges as bank moves. cpuMemo
-	// holds each host's "cpu <host>" ledger memo, built once.
-	legs    []bank.Move
+	// cpuMemo holds each host's "cpu <host>" ledger memo, built the first
+	// time a tab with that host is banked; every later charge entry of the
+	// host shares the string. No tick reads it.
 	cpuMemo map[string]string
 }
 
@@ -266,6 +333,14 @@ func New(cfg Config) (*Agent, error) {
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = cfg.Cluster.HostIDs()
 	}
+	if cfg.HostOwnerAccount == nil {
+		// Charges reach the bank only when a job's escrow is released, so the
+		// account exists from the start rather than from the first release.
+		if _, err := cfg.Bank.CreateAccount(defaultEarnings, cfg.Identity.Public()); err != nil &&
+			!errors.Is(err, bank.ErrDuplicateAccount) {
+			return nil, fmt.Errorf("agent: creating earnings account: %w", err)
+		}
+	}
 	a := &Agent{
 		cfg:      cfg,
 		hosts:    make([]*grid.Host, len(cfg.Hosts)),
@@ -286,8 +361,9 @@ func New(cfg Config) (*Agent, error) {
 		a.hosts[i] = h
 		h.Market.Observe(a.feed.Observer(id))
 	}
-	// Route market charges to bank transfers: sub-account -> host earnings.
-	// Chain rather than replace any existing hook, so replicated agents
+	// Route market charges to the jobs' tabs (and from there, at release, to
+	// bank moves: sub-account -> host earnings). Chain rather than replace
+	// any existing hook, so replicated agents
 	// (paper §3: "the agent itself can be replicated and partitioned") can
 	// share one cluster — each ignores bidders it does not manage.
 	if prev := cfg.Cluster.OnSettle; prev != nil {
@@ -323,64 +399,79 @@ func (a *Agent) event(job *Job, name string, attrs ...tracing.Attr) {
 	job.Span.AddEventAt(a.cfg.Cluster.Engine().Now(), name, attrs...)
 }
 
-// escrowAttr snapshots the job sub-account's balance — the escrow backing
-// its outstanding bids — for timeline events.
+// escrowAttr snapshots the escrow backing the job's outstanding bids — its
+// sub-account's balance net of the tab — for timeline events. It banks
+// nothing: observing a job does not change the ledger.
 func (a *Agent) escrowAttr(job *Job) tracing.Attr {
 	bal, err := a.cfg.Bank.Balance(job.SubAccount)
 	if err != nil {
 		return tracing.String("escrow", "unknown")
 	}
-	return tracing.String("escrow", bal.String())
+	return tracing.String("escrow", (bal - job.unbanked()).String())
 }
+
+// defaultEarnings is where every host's charges are paid when the
+// configuration names no per-host owner account.
+const defaultEarnings bank.AccountID = "grid-earnings"
 
 func (a *Agent) earningsAccount(hostID string) bank.AccountID {
 	if a.cfg.HostOwnerAccount != nil {
 		return a.cfg.HostOwnerAccount(hostID)
 	}
-	if a.earnings == "" {
-		a.earnings = "grid-earnings"
-		if _, err := a.cfg.Bank.CreateAccount(a.earnings, a.cfg.Identity.Public()); err != nil &&
-			!errors.Is(err, bank.ErrDuplicateAccount) {
-			panic(fmt.Sprintf("agent: creating earnings account: %v", err))
-		}
-	}
-	return a.earnings
+	return defaultEarnings
 }
 
-// settle moves real money for a tick's market charges: every charge of a
-// bidder this agent manages, host by host and bidder by bidder, goes to the
-// bank as one batch — job sub-account to host earnings.
+// settle books a tick's market charges: every charge of a bidder this agent
+// manages, host by host and bidder by bidder, goes on its job's tab. No money
+// moves and the bank is not called; teardown banks a job's tab when it
+// releases the job's escrow.
 func (a *Agent) settle(cleared []marketplane.TickResult) {
-	legs := a.legs[:0]
+	var booked bank.Amount
 	for i := range cleared {
 		r := &cleared[i]
-		var dest bank.AccountID // resolved at this host's first managed charge
-		var memo string
 		for _, ch := range r.Charges {
 			job, ok := a.byBidder[ch.Bidder]
 			if !ok {
 				continue // bidder not managed by this agent
 			}
-			if memo == "" {
-				dest = a.earningsAccount(r.Host)
-				if memo, ok = a.cpuMemo[r.Host]; !ok {
-					memo = "cpu " + r.Host
-					a.cpuMemo[r.Host] = memo
-				}
-			}
-			legs = append(legs, bank.Move{From: bank.AccountID(ch.Bidder), To: dest, Amount: ch.Amount, Memo: memo})
-			job.Charged += ch.Amount
+			job.book(r.Host, ch.Amount)
+			booked += ch.Amount
 		}
 	}
-	a.legs = legs
-	if len(legs) == 0 {
+	if booked > 0 {
+		mUnbanked.Add(booked.Credits())
+	}
+}
+
+// bankTab tells the bank what job's tab holds: one batch of one charge leg a
+// host with something unbanked, ascending by host, job sub-account to host
+// earnings.
+func (a *Agent) bankTab(job *Job) {
+	due := job.unbanked()
+	if due == 0 {
 		return
 	}
-	if err := a.cfg.Bank.MoveBatch(a.cfg.Identity, legs, bank.EntryCharge); err != nil {
-		// The sub-accounts hold the full verified budgets and market charges
-		// never exceed placed bids, so this indicates an internal bug.
-		panic(fmt.Sprintf("agent: settling %d charges: %v", len(legs), err))
+	legs := make([]bank.Move, 0, len(job.tab))
+	for i := range job.tab {
+		row := &job.tab[i]
+		if row.charged == row.banked {
+			continue
+		}
+		memo, ok := a.cpuMemo[row.host]
+		if !ok {
+			memo = "cpu " + row.host
+			a.cpuMemo[row.host] = memo
+		}
+		legs = append(legs, bank.Move{From: job.SubAccount, To: a.earningsAccount(row.host),
+			Amount: row.charged - row.banked, Memo: memo})
+		row.banked = row.charged
 	}
+	if err := a.cfg.Bank.MoveBatch(a.cfg.Identity, legs, bank.EntryCharge); err != nil {
+		// The sub-account holds the full verified budget and book refuses a
+		// charge past it, so this indicates an internal bug.
+		panic(fmt.Sprintf("agent: banking %s's tab of %d hosts: %v", job.ID, len(legs), err))
+	}
+	mUnbanked.Add(-due.Credits())
 }
 
 // Submit verifies tok, funds a sub-account, distributes bids with Best
@@ -554,6 +645,9 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		// discard the weights.
 		allocs = rescale(core.TopN(allocs, count), budgetRate)
 	}
+	// Every host bid on will charge: the tab is sized with the placement.
+	job.Hosts = make([]string, 0, len(allocs))
+	job.tab = make([]tabRow, 0, len(allocs))
 	var allocated bank.Amount
 	for _, al := range allocs {
 		budget, err := bank.FromCredits(al.Bid * horizon)
@@ -750,18 +844,14 @@ func (a *Agent) failover(job *Job, failedHost string, freed bank.Amount) {
 	delete(job.busy, failedHost)
 	if freed > 0 {
 		if host := a.cheapestLiveHost(); host != "" {
-			bidder := auction.BidderID(job.SubAccount)
-			// Boost an existing bid rather than re-placing: PlaceBid REPLACES
-			// a live bid and would hand back its remainder, silently shrinking
-			// the job's working escrow.
-			err := a.cfg.Cluster.Boost(host, bidder, freed)
-			if errors.Is(err, auction.ErrUnknownBidder) {
-				if _, err = a.cfg.Cluster.PlaceBid(host, bidder, freed, job.Deadline); err == nil {
+			err := a.fund(job, host, freed)
+			if err == nil {
+				// The cheapest host may be one of the job's own, its bid run
+				// dry and dropped: it is re-funded, not listed twice.
+				if !slices.Contains(job.Hosts, host) {
 					job.Hosts = append(job.Hosts, host)
 					sort.Strings(job.Hosts)
 				}
-			}
-			if err == nil {
 				mEscrowFailedOver.Inc()
 				if job.Span.Recording() {
 					a.event(job, "failed-over",
@@ -841,9 +931,11 @@ func (a *Agent) unwind(job *Job) {
 	a.retire(job)
 }
 
-// teardown cancels the job's bid on every funded host, then refunds what is
-// left in its sub-account to the broker under memo+job.ID (the memo reaches
-// receipts and timelines). It returns the amount refunded.
+// teardown releases the job's escrow, and is the only place that does: it
+// cancels the job's bid on every funded host, banks the job's tab (so every
+// host is paid what it charged before anything goes back), then refunds what
+// is left in the sub-account to the broker under memo+job.ID (the memo
+// reaches receipts and timelines). It returns the amount refunded.
 func (a *Agent) teardown(job *Job, memo string) bank.Amount {
 	bidder := auction.BidderID(job.SubAccount)
 	for _, h := range job.Hosts {
@@ -856,6 +948,8 @@ func (a *Agent) teardown(job *Job, memo string) bank.Amount {
 			panic(fmt.Sprintf("agent: cancel bid on %s: %v", h, err))
 		}
 	}
+	a.bankTab(job)
+	job.released = true
 	bal, err := a.cfg.Bank.Balance(job.SubAccount)
 	if err == nil && bal > 0 {
 		if err := a.cfg.Bank.MoveInternal(a.cfg.Identity, job.SubAccount, a.cfg.Account,
@@ -938,7 +1032,8 @@ func (a *Agent) Cancel(jobID string) error {
 // Boost verifies an additional transfer token and spreads its amount over
 // the job's funded hosts proportionally to their current bids — the paper's
 // "jobs that have been submitted may be boosted with additional funding to
-// complete sooner".
+// complete sooner". The token is redeemed into the job's escrow first; an
+// error after that means no bid, or not every bid, was raised.
 func (a *Agent) Boost(jobID string, tok token.Token) error {
 	job, ok := a.jobs[jobID]
 	if !ok {
@@ -965,41 +1060,61 @@ func (a *Agent) Boost(jobID string, tok token.Token) error {
 			tracing.String("budget", job.Budget.String()),
 			a.escrowAttr(job))
 	}
+	// Proportional to the bids' remaining budgets, over the job's hosts in
+	// order. The market drops a bid at the tick it runs dry, so a host may
+	// hold none; when no host holds one the split is even over the hosts that
+	// are up, each share placed as a fresh bid.
 	bidder := auction.BidderID(job.SubAccount)
-	// Proportional to remaining bid budgets.
-	remaining := make(map[string]bank.Amount, len(job.Hosts))
-	var total bank.Amount
-	for _, h := range job.Hosts {
+	weight := make([]bank.Amount, len(job.Hosts))
+	var total, up bank.Amount
+	for i, h := range job.Hosts {
 		host, err := a.cfg.Cluster.Host(h)
 		if err != nil || host.Down() {
+			weight[i] = -1 // cannot take a bid
 			continue
 		}
-		r, err := host.Market.Remaining(bidder)
-		if err != nil {
+		up++
+		if r, err := host.Market.Remaining(bidder); err == nil {
+			weight[i] = r
+			total += r
+		}
+	}
+	funded := false
+	for i, h := range job.Hosts {
+		var share bank.Amount
+		switch {
+		case weight[i] < 0:
+		case total > 0:
+			share = bank.Amount(int64(float64(amount) * float64(weight[i]) / float64(total)))
+		default:
+			share = amount / up
+		}
+		if share <= 0 {
 			continue
 		}
-		remaining[h] = r
-		total += r
-	}
-	if total == 0 {
-		// All bids exhausted: split evenly.
-		per := amount / bank.Amount(len(job.Hosts))
-		for _, h := range job.Hosts {
-			if per > 0 {
-				_ = a.cfg.Cluster.Boost(h, bidder, per)
-			}
+		if err := a.fund(job, h, share); err != nil {
+			return fmt.Errorf("agent: boosting %s on %s: %w", jobID, h, err)
 		}
-		return nil
+		funded = true
 	}
-	for h, r := range remaining {
-		share := bank.Amount(int64(float64(amount) * float64(r) / float64(total)))
-		if share > 0 {
-			if err := a.cfg.Cluster.Boost(h, bidder, share); err != nil {
-				return err
-			}
-		}
+	if !funded {
+		// The money stays in the sub-account and is refunded at job end.
+		return fmt.Errorf("agent: boost %s: none of its %d hosts could take a share of %v", jobID, len(job.Hosts), amount)
 	}
 	return nil
+}
+
+// fund adds amount to the job's bid on host, or — the market having dropped a
+// bid that ran dry — places it as a fresh bid valid to the job's deadline.
+// Boost comes first because PlaceBid REPLACES a live bid and would hand back
+// its remainder, silently shrinking the job's working escrow.
+func (a *Agent) fund(job *Job, host string, amount bank.Amount) error {
+	bidder := auction.BidderID(job.SubAccount)
+	err := a.cfg.Cluster.Boost(host, bidder, amount)
+	if errors.Is(err, auction.ErrUnknownBidder) {
+		_, err = a.cfg.Cluster.PlaceBid(host, bidder, amount, job.Deadline)
+	}
+	return err
 }
 
 // HostIDs returns the (possibly partitioned) host set this agent uses.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/grid"
 	"tycoongrid/internal/pki"
@@ -50,6 +51,13 @@ func newWorld(t *testing.T, hosts int) *world {
 
 func newWorldOf(t *testing.T, specs []grid.HostSpec) *world {
 	t.Helper()
+	return newWorldClearing(t, specs, "")
+}
+
+// newWorldClearing is newWorldOf with every host market clearing by the named
+// mechanism ("" is the proportional default).
+func newWorldClearing(t *testing.T, specs []grid.HostSpec, mech string) *world {
+	t.Helper()
 	eng := sim.NewEngine()
 	ca, err := pki.NewDeterministicCA("/O=Grid/CN=CA", [32]byte{1}, pki.WithTimeSource(eng.Now))
 	if err != nil {
@@ -71,7 +79,7 @@ func newWorldOf(t *testing.T, specs []grid.HostSpec) *world {
 		t.Fatal(err)
 	}
 
-	cluster, err := grid.New(eng, grid.Config{Hosts: specs})
+	cluster, err := grid.New(eng, grid.Config{Hosts: specs, Mechanism: mech})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +301,97 @@ func TestBoostValidation(t *testing.T) {
 	}
 	if err := w.agent.Boost(job2.ID, tok); err == nil {
 		t.Error("reused boost token accepted")
+	}
+}
+
+// TestBoostRebidsWhereTheBidRanDry: the market drops a bid at the tick it
+// runs dry, so a boost may find no bid to raise on any of the job's hosts. It
+// must then place the money as fresh bids — it used to call Boost on each
+// host, discard ErrUnknownBidder and return nil with the token redeemed and
+// no bid anywhere.
+func TestBoostRebidsWhereTheBidRanDry(t *testing.T) {
+	w := newWorld(t, 3)
+	job, err := w.agent.Submit(w.payToken(t, 30), request(3, 6*time.Hour), chunks(6, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(5 * time.Minute)
+	bidder := auction.BidderID(job.SubAccount)
+	for _, h := range job.Hosts { // what running dry does to a bid
+		host, err := w.cluster.Host(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := host.Market.CancelBid(bidder); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.agent.Boost(job.ID, w.payToken(t, 12)); err != nil {
+		t.Fatalf("boost of a job with no live bid: %v", err)
+	}
+	var placed bank.Amount
+	for _, h := range job.Hosts {
+		host, _ := w.cluster.Host(h)
+		r, err := host.Market.Remaining(bidder)
+		if err != nil {
+			t.Fatalf("boost accepted, but %s holds no bid of the job: %v", h, err)
+		}
+		placed += r
+	}
+	if placed != 12*bank.Credit {
+		t.Errorf("the boost put %v on the job's hosts, want the 12 credits it redeemed", placed)
+	}
+
+	// A boost no host can take a share of says so, and the money is refunded
+	// with the rest of the escrow.
+	before, _ := w.bank.Balance("broker")
+	if err := w.agent.Boost(job.ID, w.payToken(t, 0.000002)); err == nil {
+		t.Error("a boost of 2 microcredits over 3 hosts raised no bid and reported success")
+	}
+	if err := w.agent.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := w.bank.Balance("broker")
+	if got, want := after-before, 42*bank.Credit+2-job.Charged; got != want {
+		t.Errorf("cancel returned %v to the broker, want everything funded less the %v charged (%v)", got, job.Charged, want)
+	}
+}
+
+// TestBoostSkipsHostsWithoutABid: while any host holds a live bid the boost
+// goes to the live bids, in proportion, walking job.Hosts in order; the host
+// whose bid is gone is left alone.
+func TestBoostSkipsHostsWithoutABid(t *testing.T) {
+	w := newWorld(t, 3)
+	job, err := w.agent.Submit(w.payToken(t, 30), request(3, 6*time.Hour), chunks(6, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bidder := auction.BidderID(job.SubAccount)
+	mid, _ := w.cluster.Host(job.Hosts[1])
+	if _, err := mid.Market.CancelBid(bidder); err != nil {
+		t.Fatal(err)
+	}
+	live := func() (sum bank.Amount) {
+		for _, h := range []string{job.Hosts[0], job.Hosts[2]} {
+			host, _ := w.cluster.Host(h)
+			r, err := host.Market.Remaining(bidder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += r
+		}
+		return sum
+	}
+	before := live()
+	if err := w.agent.Boost(job.ID, w.payToken(t, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mid.Market.Remaining(bidder); !errors.Is(err, auction.ErrUnknownBidder) {
+		t.Errorf("the host without a bid got one while others had live bids: %v", err)
+	}
+	// Each share is rounded down to the microcredit.
+	if got := live() - before; got > 10*bank.Credit || got < 10*bank.Credit-2 {
+		t.Errorf("the two live bids grew by %v, want the 10 credits boosted", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +84,44 @@ func TestHostFailureMovesEscrowToSurvivor(t *testing.T) {
 	}
 	if got := []string{survivor}; len(job.Hosts) != 1 || job.Hosts[0] != got[0] {
 		t.Errorf("placement after failover = %v, want %v", job.Hosts, got)
+	}
+}
+
+// TestFailoverOntoOwnDryHostListsItOnce: the cheapest live host can be one of
+// the job's own whose bid the market dropped. The freed escrow is placed there
+// as a fresh bid and the host stays listed once — Boost weighs job.Hosts by
+// index, and the tab has one row a host.
+func TestFailoverOntoOwnDryHostListsItOnce(t *testing.T) {
+	w := newWorld(t, 3)
+	job, err := w.agent.Submit(w.payToken(t, 60), request(3, 6*time.Hour), chunks(3, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(job.Hosts) != 3 {
+		t.Fatalf("hosts = %v", job.Hosts)
+	}
+	w.eng.RunFor(5 * time.Minute)
+	victim, dry, other := job.Hosts[0], job.Hosts[1], job.Hosts[2]
+	h, err := w.cluster.Host(dry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bidder := auction.BidderID(job.SubAccount)
+	if _, err := h.Market.CancelBid(bidder); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(10 * time.Second) // the next clear prices the emptied market
+	if got := w.agent.cheapestLiveHost(); got != dry {
+		t.Fatalf("cheapest live host = %s, want the bidless %s", got, dry)
+	}
+	if _, err := w.cluster.FailHost(victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Market.Remaining(bidder); err != nil {
+		t.Errorf("freed escrow was not re-bid on %s: %v", dry, err)
+	}
+	if want := []string{dry, other}; !slices.Equal(job.Hosts, want) {
+		t.Errorf("placement after failover = %v, want %v", job.Hosts, want)
 	}
 }
 
@@ -197,4 +237,58 @@ func hostBudget(t *testing.T, shares []auction.Share, job *Job) bank.Amount {
 		}
 	}
 	return sum
+}
+
+// TestFailoverKeepsTheLostHostsTabRow: a host that charged a job and then
+// died leaves job.Hosts, but what it charged stays on the job's books — the
+// per-host breakdown still sums to Charged, the unbanked gauge still counts
+// it, and the dead host is paid with the others when the job ends.
+func TestFailoverKeepsTheLostHostsTabRow(t *testing.T) {
+	w := newWorld(t, 3)
+	// The gauge is the process's and moves by float deltas: other tests'
+	// abandoned worlds are in it, so read it against where it started.
+	start := mUnbanked.Value()
+	unbanked := func() float64 { return mUnbanked.Value() - start }
+	job, err := w.agent.Submit(w.payToken(t, 60), request(3, 8*time.Hour), chunks(3, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(10 * time.Minute)
+	victim := job.Hosts[0]
+	if _, err := w.cluster.FailHost(victim); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(10 * time.Minute)
+	var sum, lost bank.Amount
+	for _, hc := range job.ChargedByHost() {
+		sum += hc.Charged
+		if hc.Host == victim {
+			lost = hc.Charged
+		}
+	}
+	if lost <= 0 || sum != job.Charged {
+		t.Fatalf("by host %v (victim %s charged %v) sums to %v, charged %v", job.ChargedByHost(), victim, lost, sum, job.Charged)
+	}
+	if got := unbanked(); math.Abs(got-job.Charged.Credits()) > 1e-9 {
+		t.Errorf("agent_unbanked_credits rose by %v with one job charged %v running", got, job.Charged)
+	}
+	if earned := w.bank.History("grid-earnings"); len(earned) != 0 {
+		t.Errorf("the bank heard of %d charges before the job ended", len(earned))
+	}
+	w.eng.RunFor(8 * time.Hour)
+	if job.State != StateDone {
+		t.Fatalf("job = %v, want done on the survivors", job.State)
+	}
+	if got := unbanked(); math.Abs(got) > 1e-9 {
+		t.Errorf("agent_unbanked_credits is %v above where it started with no job running", got)
+	}
+	var paid bank.Amount
+	for _, e := range w.bank.History("grid-earnings") {
+		if e.Memo == "cpu "+victim {
+			paid += e.Amount
+		}
+	}
+	if paid != lost {
+		t.Errorf("the dead host was paid %v at the job's end, it had charged %v", paid, lost)
+	}
 }

@@ -19,3 +19,10 @@ var (
 	mBidSplits = metrics.Default().Counter("agent_bid_splits_total",
 		"Bid budgets distributed by a portfolio splitter instead of Best Response.")
 )
+
+// mUnbanked is how far the bank lags the market: charges booked on running
+// jobs' tabs and not banked yet, over every agent of the process. It moves by
+// deltas — up once a tick for an agent that booked charges, down once for a
+// job released — so worlds replicated in parallel share it without a lock.
+var mUnbanked = metrics.Default().Gauge("agent_unbanked_credits",
+	"Credits charged to running jobs that their escrow has not yet paid out to host earnings.")

@@ -13,7 +13,8 @@ import (
 // denseWorld is the grid-dense workload's steady state: hosts hosts, and as
 // many of the paper's jobs with 8 endless chunks each, so that Best Response
 // leaves every host with 8 live bids and 8 running tasks, every bidder one of
-// the agent's own — each charge is a real move on the world's bank.
+// the agent's own — each charge is booked on its job's tab, and reaches the
+// world's bank when the job's escrow is released.
 func denseWorld(tb testing.TB, hosts int) *experiment.World {
 	tb.Helper()
 	tr := tracing.New(tracing.WithCapacity(8))
@@ -43,14 +44,25 @@ func bankMoves() uint64 {
 	return 0
 }
 
+// charged sums what the agent's jobs have been charged so far.
+func charged(w *experiment.World) bank.Amount {
+	var sum bank.Amount
+	for _, j := range w.Agent.Jobs() {
+		sum += j.Charged
+	}
+	return sum
+}
+
 // TestBusyTickAllocationBound gates what a busy host costs a tick in
-// allocations: 300 hosts with 8 bidders and 8 tasks each, the agent settling
-// every charge on a real bank. A host's clear allocates its outcome lines and
-// its charges; its shares, its live-bid snapshot, the tick's bank legs and
-// the agent's pump reuse their buffers, nothing is sorted or boxed, and the
-// ledger grows in amortised chunks: 2 a host, 3 under the race detector, so
-// the bound is 4. Before the book was kept in order and the tick settled in
-// one batch this read 23 a host.
+// allocations, and what it costs the bank — nothing: 300 hosts with 8 bidders
+// and 8 tasks each, every bidder a job of the agent's, every charge booked on
+// that job's tab. A host's clear allocates its outcome lines and its charges;
+// its shares, its live-bid snapshot and the agent's pump reuse their buffers,
+// nothing is sorted or boxed, and no bank move is made: 2 a host, 3 under the
+// race detector, so the bound is 4. Before the book was kept in order this
+// read 23 a host. The bank sees the charges when the jobs' escrows are
+// released: one charge entry per (job, host), summing to what the jobs were
+// charged.
 func TestBusyTickAllocationBound(t *testing.T) {
 	const hosts, maxPerHost = 300, 4
 	w := denseWorld(t, hosts)
@@ -70,14 +82,67 @@ func TestBusyTickAllocationBound(t *testing.T) {
 	for i := 0; i < 50; i++ { // warm: VMs boot, scratch buffers reach their size
 		w.Engine.RunFor(interval)
 	}
+	// One tick makes 8 charges a host if every row of every job's tab grows
+	// (a job has a row for each of its 8 hosts); the steady state then charges
+	// the same sum every tick, so 51 ticks that charge 51 times that are 51
+	// busy ticks.
+	rows := func() (out []bank.Amount) {
+		for _, j := range w.Agent.Jobs() {
+			for _, hc := range j.ChargedByHost() {
+				out = append(out, hc.Charged)
+			}
+		}
+		return out
+	}
+	before, rowsBefore := charged(w), rows()
+	w.Engine.RunFor(interval)
+	oneTick, rowsAfter := charged(w)-before, rows()
+	if len(rowsBefore) != 8*hosts || len(rowsAfter) != 8*hosts {
+		t.Fatalf("the jobs' tabs hold %d rows, want %d", len(rowsAfter), 8*hosts)
+	}
+	for i := range rowsAfter {
+		if rowsAfter[i] <= rowsBefore[i] {
+			t.Fatalf("tab row %d did not grow over a tick: the tick made fewer than %d charges", i, 8*hosts)
+		}
+	}
+	before = charged(w)
 	moves := bankMoves()
 	perTick := testing.AllocsPerRun(50, func() { w.Engine.RunFor(interval) })
-	if got := bankMoves() - moves; got != 51*8*hosts {
-		t.Fatalf("51 ticks made %d bank moves, want %d: the tick is not the busy tick", got, 51*8*hosts)
+	if got, want := charged(w)-before, 51*oneTick; got != want {
+		t.Fatalf("51 ticks charged %v, want %d charges' worth (%v): the tick is not the busy tick", got, 51*8*hosts, want)
+	}
+	if got := bankMoves() - moves; got != 0 {
+		t.Errorf("51 busy ticks made %d bank moves, want 0: a tick books charges, it does not bank them", got)
 	}
 	if perHost := perTick / hosts; perHost > maxPerHost {
 		t.Errorf("busy tick: %.1f allocations per tick, %.2f per busy host, want <= %d", perTick, perHost, maxPerHost)
 	} else {
 		t.Logf("busy tick: %.1f allocations per tick, %.2f per busy host", perTick, perHost)
+	}
+
+	// Release: every job's tab reaches the bank as one charge entry a host.
+	total := charged(w)
+	for _, j := range w.Agent.Jobs() {
+		if err := w.Agent.Cancel(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := bankMoves() - moves; got != uint64(8*hosts+hosts) {
+		t.Errorf("cancelling %d jobs made %d bank moves, want %d charges and %d refunds", hosts, got, 8*hosts, hosts)
+	}
+	entries, banked := 0, bank.Amount(0)
+	for _, j := range w.Agent.Jobs() {
+		for _, e := range w.Bank.History(j.SubAccount) {
+			if e.Kind == bank.EntryCharge {
+				entries++
+				banked += e.Amount
+			}
+		}
+		if bal, err := w.Bank.Balance(j.SubAccount); err != nil || bal != 0 {
+			t.Fatalf("%s: sub-account holds %v after release (%v), want 0", j.ID, bal, err)
+		}
+	}
+	if entries != 8*hosts || banked != total || charged(w) != total {
+		t.Errorf("release banked %d charge entries summing to %v, want %d summing to the %v charged", entries, banked, 8*hosts, total)
 	}
 }

@@ -139,8 +139,8 @@ type Cluster struct {
 
 	// OnSettle, when set, is handed each tick's clears — every cleared
 	// host's charges and refunds, in host order — as one batch; the agent
-	// layer uses it to move real bank money in one ledger round-trip. The
-	// slice is the plane's and is valid only during the call.
+	// layer books them on its jobs' tabs. The slice is the plane's and is
+	// valid only during the call.
 	OnSettle func(cleared []marketplane.TickResult)
 	// OnHostFailure and OnHostRecovery, when set, observe FailHost/
 	// RecoverHost. The broker layer uses them to resubmit killed chunks and
@@ -400,15 +400,16 @@ func (h *Host) RunningTasks() int { return len(h.tasks) }
 //   - clear: the plane clears every awake, up host's market (shards
 //     concurrently; each market's clear depends on that market alone);
 //   - settle: the charges and refunds of every cleared host reach OnSettle,
-//     in host order, as one batch — one ledger round-trip a tick, not one a
-//     charge;
+//     in host order, as one batch — the agent books each charge on its job's
+//     tab and calls no bank (a job's tab is banked when its escrow is
+//     released);
 //   - advance: every busy host's tasks progress by its market's shares — the
 //     table the clear left, or a fresh quote if an earlier host's OnDone has
 //     changed this host's book since — and the finished ones fire OnDone, in
 //     host order; idle VMs are purged.
 //
 // Settlement is complete before the first OnDone runs, so a callback that
-// drains a job's escrow cannot starve a charge the job already owes. And a
+// releases a job's escrow finds every charge the job owes on its tab. And a
 // callback sees every market already cleared: a bid it places starts
 // accruing at the next tick, a bid it cancels has paid for the interval that
 // just ended — on whichever host, so billing does not depend on host order.

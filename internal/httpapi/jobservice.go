@@ -82,7 +82,18 @@ type JobWire struct {
 	SubJobsTotal int      `json:"sub_jobs_total"`
 	Hosts        []string `json:"hosts,omitempty"`
 	Charged      string   `json:"charged,omitempty"`
-	DN           string   `json:"dn,omitempty"`
+	// ChargedByHost breaks Charged down by the host that charged it,
+	// ascending by host — read off the job's tab, so it is current to the
+	// last tick while the job runs and final once it has ended. A host lost
+	// to failover keeps its row.
+	ChargedByHost []HostChargeWire `json:"charged_by_host,omitempty"`
+	DN            string           `json:"dn,omitempty"`
+}
+
+// HostChargeWire is one host's part of what a job has been charged.
+type HostChargeWire struct {
+	Host    string `json:"host"`
+	Charged string `json:"charged"`
 }
 
 // BoostWire requests additional funding for a job.
@@ -113,6 +124,9 @@ func jobWire(gj *arc.GridJob) JobWire {
 		w.SubJobsTotal = aj.Total()
 		w.Hosts = aj.Hosts
 		w.Charged = aj.Charged.String()
+		for _, hc := range aj.ChargedByHost() {
+			w.ChargedByHost = append(w.ChargedByHost, HostChargeWire{Host: hc.Host, Charged: hc.Charged.String()})
+		}
 		w.DN = string(aj.DN)
 	}
 	return w

@@ -89,6 +89,55 @@ func TestJobSubmissionOverHTTP(t *testing.T) {
 	}
 }
 
+// TestJobChargedByHostOverHTTP: "why did this job cost what it cost", first
+// column. The per-host breakdown is read off the job's tab: it sums to
+// charged while the job runs (when the bank has not heard of any of it) and
+// after it has finished (when the bank has heard of all of it).
+func TestJobChargedByHostOverHTTP(t *testing.T) {
+	mint, client, svc := jobWorld(t)
+	xrsl := fmt.Sprintf(
+		"&(executable=scan.sh)(count=2)(cputime=20)(walltime=120)(transfertoken=%s)", mint(25*bank.Credit))
+	jw, err := client.Submit(xrsl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when, state string) {
+		t.Helper()
+		got, err := client.Job(jw.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != state {
+			t.Fatalf("%s: state = %q (%s), want %s", when, got.State, got.Error, state)
+		}
+		total, err := bank.ParseAmount(got.Charged)
+		if err != nil || total <= 0 {
+			t.Fatalf("%s: charged = %q (%v), want a positive amount", when, got.Charged, err)
+		}
+		if len(got.ChargedByHost) != len(got.Hosts) {
+			t.Fatalf("%s: %d rows for hosts %v: %+v", when, len(got.ChargedByHost), got.Hosts, got.ChargedByHost)
+		}
+		var sum bank.Amount
+		for i, row := range got.ChargedByHost {
+			if row.Host != got.Hosts[i] {
+				t.Errorf("%s: row %d is %s, want %s (ascending by host)", when, i, row.Host, got.Hosts[i])
+			}
+			amount, err := bank.ParseAmount(row.Charged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += amount
+		}
+		if sum != total {
+			t.Errorf("%s: charged_by_host sums to %v, charged is %v", when, sum, total)
+		}
+	}
+	svc.driveFor(5 * time.Minute)
+	check("mid-run", "INLRMS:R")
+	svc.driveFor(2 * time.Hour)
+	check("after the job", "FINISHED")
+}
+
 func TestJobSubmitErrorsOverHTTP(t *testing.T) {
 	_, client, _ := jobWorld(t)
 	if _, err := client.Submit("not xrsl"); err == nil {
