@@ -17,9 +17,10 @@ test:
 # that keeps it honest (see internal/metrics/stress_test.go). With the
 # replication runner driving whole simulated worlds concurrently
 # (internal/experiment/replicate.go) and the sharded market plane fanning
-# bid application, batch clears and two-phase bank transfers across shard
-# goroutines (internal/marketplane, internal/bank two-phase primitives,
-# internal/sim FanOut), this covers every concurrent path end to end.
+# bid application and batch clears across shard goroutines
+# (internal/marketplane, internal/sim FanOut), plus the bank's group-committed
+# log under concurrent writers (internal/bank, internal/durable), this covers
+# every concurrent path end to end.
 race:
 	$(GO) test -race ./...
 
@@ -29,7 +30,8 @@ race-check: race
 # parser, the W3C traceparent header decoder, ...) and the differential
 # targets (Best Response over runs of interchangeable candidates against its
 # per-host oracles, the ordered order book against the map-keyed market it
-# replaced). Seed corpora live under each package's testdata/fuzz/;
+# replaced), and WAL replay (bytes -> a bank record applied to a live ledger).
+# Seed corpora live under each package's testdata/fuzz/;
 # FUZZTIME is per target. Go allows one fuzz target per invocation, hence one
 # run each.
 FUZZTIME ?= 5s
@@ -38,6 +40,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime $(FUZZTIME) ./internal/tracing
 	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime $(FUZZTIME) ./internal/pricefeed
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecover$$' -fuzztime $(FUZZTIME) ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzBankRecord$$' -fuzztime $(FUZZTIME) ./internal/bank
 	$(GO) test -run '^$$' -fuzz '^FuzzHistoryQuery$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetIngest$$' -fuzztime $(FUZZTIME) ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzMechanismClear$$' -fuzztime $(FUZZTIME) ./internal/mechanism
@@ -200,8 +203,9 @@ perf-gates:
 
 # Fast crash-recovery health check: the crash-storm test SIGKILLs a real
 # bankd mid-traffic (external kills plus failpoints inside the WAL append,
-# fsync and snapshot paths) and asserts exact money conservation, no orphaned
-# escrow holds and no duplicate receipt application. Wired into `check`; the
+# fsync and snapshot paths) under two concurrent transfer writers and asserts
+# exact money conservation, every balance equal to what the receipts imply and
+# no duplicate receipt application. Wired into `check`; the
 # full 20-cycle storm runs in `go test ./cmd/bankd`.
 recovery-smoke:
 	$(GO) test -run '^TestCrashStorm$$' -count=1 ./cmd/bankd -args -storm.cycles=6

@@ -4,8 +4,8 @@ package main
 // SIGKILL it mid-traffic over and over (sometimes via externally-timed
 // kills, sometimes via failpoints armed inside the WAL append/fsync/snapshot
 // paths), and verify after the dust settles that money is exactly conserved,
-// no escrow hold is orphaned, and no acknowledged transfer was applied
-// twice.
+// every balance is what the acknowledged receipts imply, and no acknowledged
+// transfer was applied twice.
 
 import (
 	"bytes"
@@ -158,24 +158,33 @@ func transferWire(req bank.TransferRequest) httpapi.TransferWire {
 	}
 }
 
-func TestCrashStorm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash storm builds and repeatedly kills a real bankd binary")
-	}
+// buildBankd builds this directory's bankd into a test temp dir.
+func buildBankd(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "bankd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build bankd: %v\n%s", err, out)
 	}
+	return bin
+}
 
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
+	return ln.Addr().String()
+}
 
-	proc := &stormProc{bin: bin, addr: addr, dataDir: t.TempDir()}
+func TestCrashStorm(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash storm builds and repeatedly kills a real bankd binary")
+	}
+	addr := freeAddr(t)
+	proc := &stormProc{bin: buildBankd(t), addr: addr, dataDir: t.TempDir()}
 	proc.start(t, "")
 	if !proc.waitReady(10 * time.Second) {
 		t.Fatal("bankd never became ready")
@@ -206,38 +215,44 @@ func TestCrashStorm(t *testing.T) {
 		}
 	}
 	const deposit = 100_000
-	if _, err := boot.do("POST", "/deposits", httpapi.DepositRequest{
-		ID: "alice", Amount: (deposit * bank.Credit).String(), Memo: "storm seed",
-	}, nil); err != nil {
-		t.Fatalf("deposit: %v", err)
+	for _, id := range []string{"alice", "bob"} {
+		if _, err := boot.do("POST", "/deposits", httpapi.DepositRequest{
+			ID: id, Amount: (deposit * bank.Credit).String(), Memo: "storm seed",
+		}, nil); err != nil {
+			t.Fatalf("deposit %s: %v", id, err)
+		}
 	}
 
 	// Acknowledged state, for the post-storm audit.
-	var mu sync.Mutex
-	acked := map[string]struct {
+	type ack struct {
 		wire    httpapi.TransferWire
 		receipt httpapi.ReceiptWire
-	}{}
-	prepares := 0
+	}
+	var mu sync.Mutex
+	acked := map[string]ack{}
+	inflight := map[string]httpapi.TransferWire{} // by worker: the request not yet acknowledged
 
 	var wg sync.WaitGroup
 
-	// Plain-transfer worker: every acknowledged receipt is recorded so it
-	// can be replay-audited after the storm. Retried POSTs whose first
-	// attempt actually landed are answered from the receipt store, so any
-	// non-2xx here is a real bug.
-	wg.Add(1)
-	go func() {
+	// Two transfer workers, one each way with its own nonce prefix, so kills
+	// land between two writers' group-committed records. Every acknowledged
+	// receipt is recorded so it can be replay-audited after the storm.
+	// Retried POSTs whose first attempt actually landed are answered from the
+	// receipt store, so any non-2xx here is a real bug.
+	worker := func(from, to bank.AccountID, prefix string) {
 		defer wg.Done()
 		c := &stormClient{base: "http://" + addr, stop: stop}
 		for i := 0; ; i++ {
 			req := bank.TransferRequest{
-				From: "alice", To: "bob",
+				From: from, To: to,
 				Amount: bank.Amount(1+i%5) * bank.Credit,
-				Nonce:  fmt.Sprintf("t-%04d", i),
+				Nonce:  fmt.Sprintf("%s-%04d", prefix, i),
 			}
 			req.Sig = alice.Sign(req.SigningBytes())
 			wire := transferWire(req)
+			mu.Lock()
+			inflight[prefix] = wire
+			mu.Unlock()
 			var rc httpapi.ReceiptWire
 			if _, err := c.do("POST", "/transfers", wire, &rc); err != nil {
 				if !errors.Is(err, errStormStopped) {
@@ -246,70 +261,14 @@ func TestCrashStorm(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			acked[req.Nonce] = struct {
-				wire    httpapi.TransferWire
-				receipt httpapi.ReceiptWire
-			}{wire, rc}
+			acked[req.Nonce] = ack{wire, rc}
+			delete(inflight, prefix)
 			mu.Unlock()
 		}
-	}()
-
-	// Two-phase worker: drives holds through the full protocol so kills
-	// land inside every window (post-prepare, post-commit, post-credit).
-	// Because a kill can eat the response to an applied step, retried steps
-	// legitimately answer 409 (prepare: duplicate hold) or 404 (abort /
-	// finalize: hold already gone); those statuses mean "already done".
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c := &stormClient{base: "http://" + addr, stop: stop}
-		step := func(path string, body any, alreadyDone ...int) bool {
-			status, err := c.do("POST", path, body, nil)
-			if err == nil {
-				return true
-			}
-			if errors.Is(err, errStormStopped) {
-				return false
-			}
-			for _, s := range alreadyDone {
-				if status == s {
-					return true
-				}
-			}
-			t.Errorf("%s: %v", path, err)
-			return false
-		}
-		for j := 0; ; j++ {
-			tx := fmt.Sprintf("p-%04d", j)
-			req := bank.TransferRequest{
-				From: "alice", To: "bob",
-				Amount: bank.Amount(1+j%3) * bank.Credit,
-				Nonce:  tx,
-			}
-			req.Sig = alice.Sign(req.SigningBytes())
-			if !step("/tx/prepare", transferWire(req), http.StatusConflict) {
-				return
-			}
-			mu.Lock()
-			prepares++
-			mu.Unlock()
-			if j%3 == 0 {
-				if !step("/tx/"+tx+"/abort", nil, http.StatusNotFound) {
-					return
-				}
-				continue
-			}
-			if !step("/tx/"+tx+"/commit", nil) {
-				return
-			}
-			if !step("/tx/"+tx+"/credit", nil) {
-				return
-			}
-			if !step("/tx/"+tx+"/finalize", nil, http.StatusNotFound) {
-				return
-			}
-		}
-	}()
+	}
+	wg.Add(2)
+	go worker("alice", "bob", "t")
+	go worker("bob", "alice", "r")
 
 	// The storm: alternate externally-timed SIGKILLs with failpoint-armed
 	// runs that crash inside the durability layer itself.
@@ -349,58 +308,60 @@ func TestCrashStorm(t *testing.T) {
 	}
 	audit := &stormClient{base: "http://" + addr, stop: make(chan struct{})}
 
-	// Resolve every in-doubt hold the way a recovering coordinator would:
-	// committed holds complete, uncommitted holds abort.
-	var holds []httpapi.HoldWire
-	if _, err := audit.do("GET", "/tx", nil, &holds); err != nil {
-		t.Fatalf("list holds: %v", err)
-	}
-	resolved := len(holds)
-	for _, h := range holds {
-		if h.Committed {
-			if _, err := audit.do("POST", "/tx/"+h.TX+"/credit", nil, nil); err != nil {
-				t.Errorf("credit %s: %v", h.TX, err)
-			}
-			if _, err := audit.do("POST", "/tx/"+h.TX+"/finalize", nil, nil); err != nil {
-				t.Errorf("finalize %s: %v", h.TX, err)
-			}
-		} else {
-			if _, err := audit.do("POST", "/tx/"+h.TX+"/abort", nil, nil); err != nil {
-				t.Errorf("abort %s: %v", h.TX, err)
-			}
-		}
-	}
-
-	// No orphaned escrow holds.
-	holds = nil
-	if _, err := audit.do("GET", "/tx", nil, &holds); err != nil {
-		t.Fatal(err)
-	}
-	if len(holds) != 0 {
-		t.Errorf("%d orphaned holds after resolution: %+v", len(holds), holds)
-	}
-
 	// Money exactly conserved: every credit deposited is still there, no
 	// matter where the kills landed.
 	var totals httpapi.TotalsResponse
 	if _, err := audit.do("GET", "/total", nil, &totals); err != nil {
 		t.Fatal(err)
 	}
-	if want := (deposit * bank.Credit).String(); totals.Conserved != want {
-		t.Errorf("conserved = %s (total %s held %s landed %s), want %s",
-			totals.Conserved, totals.Total, totals.Held, totals.Landed, want)
+	if want := (2 * deposit * bank.Credit).String(); totals.Conserved != want {
+		t.Errorf("conserved = %s, want %s", totals.Conserved, want)
 	}
+
+	// Every balance is what the receipts imply. The request each worker had
+	// in flight when the storm stopped may or may not have landed; sending it
+	// once more settles which — it lands now or answers its stored receipt —
+	// and its receipt joins the acknowledged ones.
+	mu.Lock()
+	defer mu.Unlock()
+	for _, wire := range inflight {
+		var rc httpapi.ReceiptWire
+		if _, err := audit.do("POST", "/transfers", wire, &rc); err != nil {
+			t.Fatalf("in-flight %s: %v", wire.Nonce, err)
+		}
+		acked[wire.Nonce] = ack{wire, rc}
+	}
+	want := map[string]bank.Amount{"alice": deposit * bank.Credit, "bob": deposit * bank.Credit}
+	for _, a := range acked {
+		amt, err := bank.ParseAmount(a.receipt.Amount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[a.receipt.From] -= amt
+		want[a.receipt.To] += amt
+	}
+	balances := func() map[string]string {
+		out := map[string]string{}
+		for id := range want {
+			var info httpapi.AccountInfo
+			if _, err := audit.do("GET", "/accounts/"+id, nil, &info); err != nil {
+				t.Fatal(err)
+			}
+			out[id] = info.Balance
+		}
+		return out
+	}
+	before := balances()
+	for id, amt := range want {
+		if before[id] != amt.String() {
+			t.Errorf("%s holds %s, receipts imply %s", id, before[id], amt)
+		}
+	}
+	t.Logf("storm summary: %d cycles, %d acked transfers", *stormCycles, len(acked))
 
 	// No duplicate receipt application: replaying every acknowledged
 	// transfer returns the original bank signature (stored receipt), and the
 	// replays move no money.
-	var before httpapi.AccountInfo
-	if _, err := audit.do("GET", "/accounts/bob", nil, &before); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	t.Logf("storm summary: %d cycles, %d acked transfers, %d acked prepares, %d in-doubt holds resolved",
-		*stormCycles, len(acked), prepares, resolved)
 	for nonce, a := range acked {
 		var rc httpapi.ReceiptWire
 		if _, err := audit.do("POST", "/transfers", a.wire, &rc); err != nil {
@@ -410,12 +371,7 @@ func TestCrashStorm(t *testing.T) {
 			t.Errorf("transfer %s: replayed receipt differs — applied more than once?", nonce)
 		}
 	}
-	mu.Unlock()
-	var after httpapi.AccountInfo
-	if _, err := audit.do("GET", "/accounts/bob", nil, &after); err != nil {
-		t.Fatal(err)
-	}
-	if before.Balance != after.Balance {
-		t.Errorf("replay audit moved money: bob %s -> %s", before.Balance, after.Balance)
+	if after := balances(); after["alice"] != before["alice"] || after["bob"] != before["bob"] {
+		t.Errorf("replay audit moved money: %v -> %v", before, after)
 	}
 }

@@ -235,9 +235,8 @@ func (j *Job) CostRate() float64 {
 }
 
 // Ledger is the banking surface the agent needs: account creation, job
-// sub-accounts, balance reads and owner-authorized moves. *bank.Bank
-// satisfies it, and so does marketplane.ShardedBank — the agent neither
-// knows nor cares how accounts are partitioned across bank shards.
+// sub-accounts, balance reads and owner-authorized moves. *bank.Bank, the one
+// ledger, satisfies it.
 type Ledger interface {
 	CreateAccount(id bank.AccountID, owner ed25519.PublicKey) (*bank.Account, error)
 	CreateSubAccount(parent bank.AccountID, child string, owner ed25519.PublicKey) (*bank.Account, error)

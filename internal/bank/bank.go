@@ -24,7 +24,6 @@ var (
 	ErrSameAccount       = errors.New("bank: source and destination are the same account")
 	ErrBadAuthorization  = errors.New("bank: bad transfer authorization")
 	ErrNonceReused       = errors.New("bank: transfer nonce already used")
-	ErrNotSubAccount     = errors.New("bank: not a sub-account of the claimed parent")
 )
 
 // AccountID names an account. Sub-accounts use "parent/child" ids.
@@ -131,17 +130,14 @@ type Bank struct {
 	id        *pki.Identity
 	clock     sim.Clock
 	accounts  map[AccountID]*Account
-	nonces    map[string]bool
-	receipts  map[string]Receipt // issued receipts by nonce (idempotent replay)
-	holds     map[string]*Hold   // prepared two-phase debits by tx (twophase.go)
-	credited  map[string]bool    // applied two-phase credits by tx (idempotence)
+	receipts  map[string]Receipt // issued receipts by nonce: the spent nonces, and the idempotent replay
 	ledger    []Entry
 	seq       uint64
 	ledgerCap int // 0 = unbounded
 	tracer    *tracing.Tracer
 
-	// Conservation accounting (conservation.go): baseline is the invariant
-	// total captured at construction or after WAL recovery; minted is the
+	// Conservation accounting (conservation.go): baseline is the total money
+	// captured at construction or after WAL recovery; minted is the
 	// money legitimately created by Deposit since then. Drift() should be
 	// zero forever — the money-conservation SLO alerts when it is not.
 	baseline Amount
@@ -183,10 +179,7 @@ func New(id *pki.Identity, clock sim.Clock, opts ...Option) *Bank {
 		id:       id,
 		clock:    clock,
 		accounts: make(map[AccountID]*Account),
-		nonces:   make(map[string]bool),
 		receipts: make(map[string]Receipt),
-		holds:    make(map[string]*Hold),
-		credited: make(map[string]bool),
 		tracer:   tracing.Default(),
 	}
 	for _, o := range opts {
@@ -302,8 +295,10 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 // bank-signed receipt. The request nonce is consumed; replaying the exact
 // same request (same from/to/amount, valid signature) returns the original
 // receipt without moving money again — the idempotence HTTP clients rely on
-// when they retry after a timeout or a bank restart. A request that reuses
-// the nonce with different terms fails with ErrNonceReused.
+// when they retry after a timeout or a bank restart — and answers only once
+// the original's log record is as durable as the original's own answer
+// required. A request that reuses the nonce with different terms fails with
+// ErrNonceReused.
 func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	if req.Amount <= 0 {
 		return Receipt{}, ErrNonPositive
@@ -349,13 +344,13 @@ func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error
 	}
 	if prev, ok := b.receipts[req.Nonce]; ok {
 		if prev.From == req.From && prev.To == req.To && prev.Amount == req.Amount {
+			// Already applied: return the stored receipt, but not before the
+			// original's record is durable — it may still be waiting on its
+			// fsync, and a receipt for a transfer recovery would not contain
+			// is money the payer never lost.
 			mTransferReplays.Inc()
-			return prev, nil, nil // already applied — return the stored receipt
+			return prev, b.barrier(), nil
 		}
-		mNonceReuse.Inc()
-		return Receipt{}, nil, ErrNonceReused
-	}
-	if b.nonces[req.Nonce] {
 		mNonceReuse.Inc()
 		return Receipt{}, nil, ErrNonceReused
 	}
@@ -370,7 +365,6 @@ func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error
 	}
 	from.Balance -= req.Amount
 	to.Balance = nb
-	b.nonces[req.Nonce] = true
 	mTransfers.Inc()
 	mTransferAmount.Observe(req.Amount.Credits())
 
@@ -521,30 +515,18 @@ func (b *Bank) History(id AccountID) []Entry {
 // TotalMoney returns the sum of all balances — conserved by every operation
 // except Deposit; the invariant the property tests verify.
 func (b *Bank) TotalMoney() Amount {
-	total, _, _ := b.Totals()
-	return total
-}
-
-// Totals returns the three quantities a single-bank conservation check
-// needs: the sum of all balances, the money parked in outstanding holds,
-// and the portion of held money whose two-phase credit has already landed
-// on this same bank (so counting both the hold and the credited balance
-// would double-count it). TotalMoney + HeldTotal − landed is invariant
-// under every operation except Deposit, at every stage of the two-phase
-// protocol and across any crash schedule.
-func (b *Bank) Totals() (total, held, landed Amount) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.totalLocked()
+}
+
+// totalLocked sums every balance; callers hold b.mu.
+func (b *Bank) totalLocked() Amount {
+	var total Amount
 	for _, a := range b.accounts {
 		total += a.Balance
 	}
-	for _, h := range b.holds {
-		held += h.Amount
-		if b.credited[h.TX] {
-			landed += h.Amount
-		}
-	}
-	return total, held, landed
+	return total
 }
 
 // Accounts returns the ids of all accounts, in no particular order.

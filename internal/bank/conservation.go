@@ -4,53 +4,21 @@ import "tycoongrid/internal/metrics"
 
 // mConservationDrift is set by RecordConservation — once per telemetry
 // scrape tick, not per transaction, because computing the invariant walks
-// every account and hold.
+// every account.
 var mConservationDrift = metrics.Default().Gauge("bank_conservation_drift_credits",
 	"Invariant total minus baseline minus minted deposits; nonzero means money was created or destroyed.")
 
-// invariantLocked computes TotalMoney + HeldTotal − landed (see Totals for
-// the derivation). Caller holds b.mu.
-func (b *Bank) invariantLocked() Amount {
-	var total, held, landed Amount
-	for _, a := range b.accounts {
-		total += a.Balance
-	}
-	for _, h := range b.holds {
-		held += h.Amount
-		if b.credited[h.TX] {
-			landed += h.Amount
-		}
-	}
-	return total + held - landed
-}
-
-// Drift returns how far the bank's invariant total has diverged from what
-// its deposit history can explain. Zero always, if the ledger is sound.
-//
-// For a single bank (the bankd deployment) any nonzero value is corruption.
-// In a sharded plane a cross-shard transfer legitimately shows −amount on
-// the source shard and +amount on the destination between the two commit
-// legs, so the conservation check there is the SUM of Drift across shards —
-// which the marketbench and experiment harnesses compute before gauging it.
+// Drift returns how far the bank's total money has diverged from what its
+// deposit history can explain. Zero always, if the ledger is sound: any
+// nonzero value is corruption.
 func (b *Bank) Drift() Amount {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.invariantLocked() - b.baseline - b.minted
+	return b.totalLocked() - b.baseline - b.minted
 }
 
 // RecordConservation publishes Drift to the bank_conservation_drift_credits
-// gauge. Single-bank daemons wire this as a telemetry probe; sharded
-// harnesses sum Drift themselves and call RecordConservationSum instead.
+// gauge; daemons wire it as a telemetry probe.
 func (b *Bank) RecordConservation() {
 	mConservationDrift.Set(b.Drift().Credits())
-}
-
-// RecordConservationSum publishes a harness-computed fleet drift (the sum
-// across all bank shards) to the same gauge.
-func RecordConservationSum(banks []*Bank) {
-	var sum Amount
-	for _, b := range banks {
-		sum += b.Drift()
-	}
-	mConservationDrift.Set(sum.Credits())
 }

@@ -42,7 +42,6 @@ func TestDriftZeroAcrossOperations(t *testing.T) {
 	}
 	// RecordConservation must not panic and publishes the gauge.
 	b.RecordConservation()
-	RecordConservationSum([]*Bank{b})
 }
 
 // TestDriftBaselineSurvivesRecovery reopens a WAL-backed bank: the recovered

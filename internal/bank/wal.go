@@ -6,9 +6,8 @@ package bank
 // atop the latest snapshot through apply functions that repeat the original
 // mutation exactly — no signature re-verification, no re-deciding — so the
 // recovered bank is bit-identical to some acknowledged prefix of the
-// pre-crash bank. Two-phase transfers log a record at every protocol stage
-// (prepare, commit, credit, finalize/abort), which is what lets a
-// coordinator resolve in-doubt transfers identically after a restart.
+// pre-crash bank. There are four record kinds, one per mutation: account
+// creation, deposit, signed transfer and owner move.
 
 import (
 	"crypto/ed25519"
@@ -27,24 +26,22 @@ const DefaultSnapshotEvery = 65536
 
 // maxSnapshotLedger bounds the ledger tail carried in a snapshot; History
 // may therefore be truncated to the most recent entries across a restart.
-// Balances, nonces, receipts and holds are never truncated.
+// Balances and receipts are never truncated.
 const maxSnapshotLedger = 65536
 
-// WAL record kinds.
+// WAL record kinds. Kinds 5–10 were the retired two-phase transfer records;
+// a log holding one fails recovery as an unknown kind rather than coming up
+// without the money its hold carried.
 const (
 	walCreateAccount byte = 1
 	walDeposit       byte = 2
 	walTransfer      byte = 3
 	walMove          byte = 4
-	walPrepare       byte = 5
-	walCommit        byte = 6
-	walCredit        byte = 7
-	walFinalize      byte = 8
-	walAbort         byte = 9
-	walForget        byte = 10
 )
 
-const snapshotVersion byte = 1
+// snapshotVersion 2 dropped version 1's nonce, hold and credited-set
+// sections; a version-1 snapshot fails recovery.
+const snapshotVersion byte = 2
 
 // AttachDurability wires the bank to st: the latest snapshot and WAL are
 // replayed into the (necessarily still empty) bank, and from then on every
@@ -73,7 +70,7 @@ func (b *Bank) AttachDurability(st *durable.Store, snapshotEvery int) (durable.R
 	b.snapshotEvery = snapshotEvery
 	// Recovered state is the new conservation baseline: replayed deposits
 	// are already inside it, so the minted ledger restarts from zero.
-	b.baseline = b.invariantLocked()
+	b.baseline = b.totalLocked()
 	b.minted = 0
 	return stats, nil
 }
@@ -104,6 +101,16 @@ func (b *Bank) stage(encode func() []byte) func() error {
 	return wait
 }
 
+// barrier returns a wait for every record staged so far (nil without a
+// journal), for an answer built on state an earlier record created; callers
+// hold b.mu.
+func (b *Bank) barrier() func() error {
+	if b.journal == nil {
+		return nil
+	}
+	return b.journal.Barrier()
+}
+
 // commitWait runs a stage wait function, treating nil as already-durable.
 func commitWait(wait func() error) error {
 	if wait == nil {
@@ -119,7 +126,6 @@ type walEnc struct{ b []byte }
 func (e *walEnc) kind(k byte)      { e.b = append(e.b, k) }
 func (e *walEnc) u64(v uint64)     { e.b = binary.AppendUvarint(e.b, v) }
 func (e *walEnc) i64(v int64)      { e.b = binary.AppendVarint(e.b, v) }
-func (e *walEnc) flag(v bool)      { e.b = append(e.b, map[bool]byte{false: 0, true: 1}[v]) }
 func (e *walEnc) time(t time.Time) { e.i64(t.UnixNano()) }
 func (e *walEnc) bytes(p []byte) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(p)))
@@ -176,8 +182,6 @@ func (d *walDec) i64() int64 {
 	d.b = d.b[n:]
 	return v
 }
-
-func (d *walDec) flag() bool { return d.kind() != 0 }
 
 func (d *walDec) time() time.Time { return time.Unix(0, d.i64()) }
 
@@ -240,44 +244,6 @@ func encMove(kind EntryKind, from, to AccountID, amount Amount, memo string, at 
 	return e.b
 }
 
-func encPrepare(h *Hold, nonceConsumed bool) []byte {
-	var e walEnc
-	e.kind(walPrepare)
-	e.str(h.TX)
-	e.str(string(h.From))
-	e.str(string(h.To))
-	e.i64(int64(h.Amount))
-	e.time(h.At)
-	e.flag(nonceConsumed)
-	return e.b
-}
-
-func encTx(kind byte, tx string) []byte {
-	var e walEnc
-	e.kind(kind)
-	e.str(tx)
-	return e.b
-}
-
-func encCredit(tx string, to AccountID, amount Amount, memo string, at time.Time) []byte {
-	var e walEnc
-	e.kind(walCredit)
-	e.str(tx)
-	e.str(string(to))
-	e.i64(int64(amount))
-	e.str(memo)
-	e.time(at)
-	return e.b
-}
-
-func encAbort(tx string, at time.Time) []byte {
-	var e walEnc
-	e.kind(walAbort)
-	e.str(tx)
-	e.time(at)
-	return e.b
-}
-
 // ---- replay ----
 
 // applyRecord repeats one logged mutation during recovery; callers hold
@@ -335,7 +301,6 @@ func (b *Bank) applyRecord(rec []byte) error {
 		}
 		f.Balance -= amount
 		t.Balance += amount
-		b.nonces[nonce] = true
 		b.receipts[nonce] = Receipt{
 			TransferID: nonce, From: from, To: to, Amount: amount, At: at, BankSig: sig,
 		}
@@ -362,90 +327,6 @@ func (b *Bank) applyRecord(rec []byte) error {
 		f.Balance -= amount
 		t.Balance += amount
 		b.appendEntryAt(ekind, from, to, amount, memo, at)
-
-	case walPrepare:
-		tx := d.str()
-		from := AccountID(d.str())
-		to := AccountID(d.str())
-		amount := Amount(d.i64())
-		at := d.time()
-		nonceConsumed := d.flag()
-		if d.err != nil {
-			return d.err
-		}
-		f, ok := b.accounts[from]
-		if !ok {
-			return fmt.Errorf("bank: replayed prepare from missing account %q", from)
-		}
-		f.Balance -= amount
-		b.holds[tx] = &Hold{TX: tx, From: from, To: to, Amount: amount, At: at}
-		if nonceConsumed {
-			b.nonces[tx] = true
-		}
-		b.appendEntryAt(EntryPrepare, from, "", amount, tx, at)
-
-	case walCommit:
-		tx := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		h, ok := b.holds[tx]
-		if !ok {
-			return fmt.Errorf("bank: replayed commit of missing hold %q", tx)
-		}
-		h.Committed = true
-
-	case walCredit:
-		tx := d.str()
-		to := AccountID(d.str())
-		amount := Amount(d.i64())
-		memo := d.str()
-		at := d.time()
-		if d.err != nil {
-			return d.err
-		}
-		if b.credited[tx] {
-			return nil
-		}
-		t, ok := b.accounts[to]
-		if !ok {
-			return fmt.Errorf("bank: replayed credit to missing account %q", to)
-		}
-		t.Balance += amount
-		b.credited[tx] = true
-		b.appendEntryAt(EntryCommitCredit, "", to, amount, memo, at)
-
-	case walFinalize:
-		tx := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		delete(b.holds, tx)
-
-	case walAbort:
-		tx := d.str()
-		at := d.time()
-		if d.err != nil {
-			return d.err
-		}
-		h, ok := b.holds[tx]
-		if !ok {
-			return fmt.Errorf("bank: replayed abort of missing hold %q", tx)
-		}
-		a, ok := b.accounts[h.From]
-		if !ok {
-			return fmt.Errorf("bank: replayed abort to missing account %q", h.From)
-		}
-		a.Balance += h.Amount
-		delete(b.holds, tx)
-		b.appendEntryAt(EntryAbort, "", h.From, h.Amount, tx, at)
-
-	case walForget:
-		tx := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		delete(b.credited, tx)
 
 	default:
 		return fmt.Errorf("bank: unknown wal record kind %d", kind)
@@ -477,16 +358,6 @@ func (b *Bank) encodeSnapshot() []byte {
 		e.time(a.Created)
 	}
 
-	nonces := make([]string, 0, len(b.nonces))
-	for n := range b.nonces {
-		nonces = append(nonces, n)
-	}
-	sort.Strings(nonces)
-	e.u64(uint64(len(nonces)))
-	for _, n := range nonces {
-		e.str(n)
-	}
-
 	rids := make([]string, 0, len(b.receipts))
 	for id := range b.receipts {
 		rids = append(rids, id)
@@ -501,32 +372,6 @@ func (b *Bank) encodeSnapshot() []byte {
 		e.i64(int64(r.Amount))
 		e.time(r.At)
 		e.bytes(r.BankSig)
-	}
-
-	txs := make([]string, 0, len(b.holds))
-	for tx := range b.holds {
-		txs = append(txs, tx)
-	}
-	sort.Strings(txs)
-	e.u64(uint64(len(txs)))
-	for _, tx := range txs {
-		h := b.holds[tx]
-		e.str(h.TX)
-		e.str(string(h.From))
-		e.str(string(h.To))
-		e.i64(int64(h.Amount))
-		e.flag(h.Committed)
-		e.time(h.At)
-	}
-
-	creds := make([]string, 0, len(b.credited))
-	for tx := range b.credited {
-		creds = append(creds, tx)
-	}
-	sort.Strings(creds)
-	e.u64(uint64(len(creds)))
-	for _, tx := range creds {
-		e.str(tx)
 	}
 
 	ledger := b.ledger
@@ -567,11 +412,6 @@ func (b *Bank) restoreSnapshot(payload []byte) error {
 
 	n = d.u64()
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		b.nonces[d.str()] = true
-	}
-
-	n = d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
 		r := Receipt{
 			TransferID: d.str(),
 			From:       AccountID(d.str()),
@@ -581,24 +421,6 @@ func (b *Bank) restoreSnapshot(payload []byte) error {
 			BankSig:    d.bytes(),
 		}
 		b.receipts[r.TransferID] = r
-	}
-
-	n = d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		h := &Hold{
-			TX:        d.str(),
-			From:      AccountID(d.str()),
-			To:        AccountID(d.str()),
-			Amount:    Amount(d.i64()),
-			Committed: d.flag(),
-			At:        d.time(),
-		}
-		b.holds[h.TX] = h
-	}
-
-	n = d.u64()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		b.credited[d.str()] = true
 	}
 
 	n = d.u64()

@@ -2,10 +2,15 @@ package bank
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tycoongrid/internal/durable"
+	"tycoongrid/internal/fault/failpoint"
 	"tycoongrid/internal/pki"
 	"tycoongrid/internal/sim"
 )
@@ -14,6 +19,7 @@ import (
 type durableFixture struct {
 	bank  *Bank
 	store *durable.Store
+	sync  durable.SyncPolicy
 	id    *pki.Identity
 	alice *pki.Identity
 	bob   *pki.Identity
@@ -37,7 +43,7 @@ func newDurableFixture(t *testing.T, dir string, snapshotEvery int) *durableFixt
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &durableFixture{id: bankID, alice: alice, bob: bob}
+	f := &durableFixture{sync: durable.SyncNone, id: bankID, alice: alice, bob: bob}
 	f.reopen(t, dir, snapshotEvery)
 	return f
 }
@@ -45,7 +51,7 @@ func newDurableFixture(t *testing.T, dir string, snapshotEvery int) *durableFixt
 // reopen simulates a restart: a fresh Bank recovers from dir.
 func (f *durableFixture) reopen(t *testing.T, dir string, snapshotEvery int) {
 	t.Helper()
-	st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+	st, err := durable.Open(dir, durable.Options{Sync: f.sync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,118 +230,133 @@ func TestDurableBankSnapshotThreshold(t *testing.T) {
 	}
 }
 
+// TestReplayWaitsForTheOriginalsSync: under -fsync always, a replayed
+// transfer answers with the stored receipt only once the original's record is
+// durable. The original is held inside its fsync by a fail point; the replay
+// must still be waiting when the fsync is let go, else a crash at that instant
+// leaves the client a bank-signed receipt for a transfer recovery does not
+// contain.
+func TestReplayWaitsForTheOriginalsSync(t *testing.T) {
+	dir := t.TempDir()
+	f := newDurableFixture(t, dir, 0)
+	f.close(t)
+	f.sync = durable.SyncAlways
+	f.reopen(t, dir, 0)
+	defer f.close(t)
+	for id, owner := range map[AccountID]*pki.Identity{"alice": f.alice, "bob": f.bob} {
+		if _, err := f.bank.CreateAccount(id, owner.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.bank.Deposit("alice", 10*Credit, "grant"); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	failpoint.SetCrash(func(string) {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
+		}
+	})
+	failpoint.Arm("durable.wal.sync", 1, 1)
+	defer func() {
+		failpoint.Disarm("durable.wal.sync")
+		failpoint.SetCrash(nil)
+	}()
+
+	type result struct {
+		r   Receipt
+		err error
+	}
+	req := TransferRequest{From: "alice", To: "bob", Amount: 3 * Credit, Nonce: "n-held"}
+	req.Sig = f.alice.Sign(req.SigningBytes())
+	transfer := func(out chan<- result) {
+		r, err := f.bank.Transfer(req)
+		out <- result{r, err}
+	}
+	orig, replay := make(chan result, 1), make(chan result, 1)
+	go transfer(orig)
+	<-entered // the original's record is staged, its fsync held
+	go transfer(replay)
+	select {
+	case r := <-replay:
+		close(release)
+		t.Fatalf("replay answered (err %v) while the original's record was not yet synced", r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	o, r := <-orig, <-replay
+	if o.err != nil || r.err != nil {
+		t.Fatalf("original: %v, replay: %v", o.err, r.err)
+	}
+	if !bytes.Equal(o.r.BankSig, r.r.BankSig) {
+		t.Error("replay returned a different receipt")
+	}
+	if got, _ := f.bank.Balance("bob"); got != 3*Credit {
+		t.Errorf("bob = %v, want 3", got)
+	}
+}
+
+// TestRetiredFormatsFailRecovery: a data dir written while the bank still had
+// two-phase transfers — a WAL record of kind 5–10, or a version-1 snapshot —
+// makes AttachDurability fail loudly rather than come up without the money a
+// hold carried. The bytes are written by hand: their encoders are gone.
+func TestRetiredFormatsFailRecovery(t *testing.T) {
+	str := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	num := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	rec := func(kind byte, fields ...[]byte) []byte { return append([]byte{kind}, bytes.Join(fields, nil)...) }
+	for _, c := range []struct {
+		name      string
+		wal, snap []byte
+		want      string
+	}{
+		{name: "prepare", wal: rec(5, str("tx"), str("alice"), str("bob"), num(int64(Credit)), num(0), []byte{1}), want: "unknown wal record kind 5"},
+		{name: "commit", wal: rec(6, str("tx")), want: "unknown wal record kind 6"},
+		{name: "credit", wal: rec(7, str("tx"), str("bob"), num(int64(Credit)), str("2pc"), num(0)), want: "unknown wal record kind 7"},
+		{name: "finalize", wal: rec(8, str("tx")), want: "unknown wal record kind 8"},
+		{name: "abort", wal: rec(9, str("tx"), num(0)), want: "unknown wal record kind 9"},
+		{name: "forget", wal: rec(10, str("tx")), want: "unknown wal record kind 10"},
+		// Version 1, seq 0, then six empty sections: accounts, nonces,
+		// receipts, holds, the credited set, the ledger.
+		{name: "snapshot-v1", snap: []byte{1, 0, 0, 0, 0, 0, 0, 0}, want: "unknown snapshot version 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Recover(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if c.snap != nil {
+				err = st.Snapshot(c.snap)
+			} else {
+				err = st.Append(c.wal)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err = durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			_, err = New(nil, sim.WallClock{}).AttachDurability(st, 0)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("AttachDurability = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 func nonceN(i int) string {
 	return string(rune('a'+i/26)) + string(rune('a'+i%26))
-}
-
-func TestDurableBankTwoPhaseRecovery(t *testing.T) {
-	dir := t.TempDir()
-	f := newDurableFixture(t, dir, 0)
-	if _, err := f.bank.CreateAccount("alice", f.alice.Public()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.bank.CreateAccount("bob", f.bob.Public()); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.Deposit("alice", 100*Credit, "seed"); err != nil {
-		t.Fatal(err)
-	}
-
-	// tx-a: prepared only (in doubt, decision will be abort).
-	if err := f.bank.PrepareDebit(f.alice, "alice", "bob", 10*Credit, "tx-a"); err != nil {
-		t.Fatal(err)
-	}
-	// tx-b: prepared and committed (decision recorded, credit pending).
-	if err := f.bank.PrepareDebit(f.alice, "alice", "bob", 20*Credit, "tx-b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.MarkCommitted("tx-b"); err != nil {
-		t.Fatal(err)
-	}
-	// tx-c: full cycle completed before the crash.
-	if err := f.bank.PrepareDebit(f.alice, "alice", "bob", 5*Credit, "tx-c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.MarkCommitted("tx-c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.CreditPrepared("bob", 5*Credit, "tx-c", "landed"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.FinalizeDebit("tx-c"); err != nil {
-		t.Fatal(err)
-	}
-	f.close(t)
-
-	f.reopen(t, dir, 0)
-	defer f.close(t)
-
-	holds := f.bank.Holds()
-	if len(holds) != 2 {
-		t.Fatalf("recovered %d holds, want 2: %+v", len(holds), holds)
-	}
-	byTX := map[string]Hold{}
-	for _, h := range holds {
-		byTX[h.TX] = h
-	}
-	if h := byTX["tx-a"]; h.Committed || h.Amount != 10*Credit {
-		t.Errorf("tx-a recovered wrong: %+v", h)
-	}
-	if h := byTX["tx-b"]; !h.Committed || h.Amount != 20*Credit {
-		t.Errorf("tx-b lost its commit decision: %+v", h)
-	}
-	if f.bank.CreditRecorded("tx-b") {
-		t.Error("tx-b credit should not have landed yet")
-	}
-	if !f.bank.CreditRecorded("tx-c") {
-		t.Error("tx-c credit record lost")
-	}
-
-	// Resolve exactly as a recovering coordinator would: abort the
-	// uncommitted hold, complete the committed one.
-	if err := f.bank.AbortDebit("tx-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.CreditPrepared("bob", 20*Credit, "tx-b", "recovered"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.FinalizeDebit("tx-b"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := f.bank.Balance("alice"); got != 75*Credit {
-		t.Errorf("alice = %v, want 75", got)
-	}
-	if got, _ := f.bank.Balance("bob"); got != 25*Credit {
-		t.Errorf("bob = %v, want 25", got)
-	}
-	if total := f.bank.TotalMoney(); total != 100*Credit {
-		t.Errorf("money not conserved: %v", total)
-	}
-	if held := f.bank.HeldTotal(); held != 0 {
-		t.Errorf("orphaned holds worth %v", held)
-	}
-}
-
-func TestDurableBankCreditReplayedOnceAfterRestart(t *testing.T) {
-	dir := t.TempDir()
-	f := newDurableFixture(t, dir, 0)
-	if _, err := f.bank.CreateAccount("bob", f.bob.Public()); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.bank.CreditPrepared("bob", 7*Credit, "tx-x", "inbound"); err != nil {
-		t.Fatal(err)
-	}
-	f.close(t)
-
-	f.reopen(t, dir, 0)
-	defer f.close(t)
-	// A recovering coordinator replays the credit; it must dedupe.
-	if err := f.bank.CreditPrepared("bob", 7*Credit, "tx-x", "inbound"); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := f.bank.Balance("bob"); got != 7*Credit {
-		t.Errorf("credit applied twice: bob = %v", got)
-	}
 }
 
 func TestAttachDurabilityRejectsUsedBank(t *testing.T) {
@@ -375,7 +396,7 @@ func TestSnapshotEncodeRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.transfer(t, "alice", "bob", 10*Credit, "rt")
-	if err := f.bank.PrepareDebit(f.alice, "alice", "bob", 5*Credit, "tx-rt"); err != nil {
+	if err := f.bank.MoveInternal(f.bob, "bob", "alice", 5*Credit, EntryRefund, "back"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -413,7 +434,7 @@ func TestStageEncodesOnlyWithAJournal(t *testing.T) {
 
 	dir := t.TempDir()
 	f := newDurableFixture(t, dir, 0)
-	rec := encTx(walForget, "tx-1")
+	rec := encDeposit("alice", Credit, "direct", time.Unix(0, 1))
 	f.bank.mu.Lock()
 	wait := f.bank.stage(func() []byte { return rec })
 	f.bank.mu.Unlock()

@@ -110,6 +110,10 @@ type Options struct {
 var (
 	ErrClosed       = errors.New("durable: store is closed")
 	ErrNotRecovered = errors.New("durable: Recover must run before Append")
+	// ErrFailed wraps the store's first unrecoverable write, sync or
+	// snapshot error. The store then refuses every later record: its log may
+	// lack what it was asked to keep, so nothing built on it is durable.
+	ErrFailed = errors.New("durable: log failed")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -391,53 +395,79 @@ func (s *Store) AppendAsync(payload []byte) func() error {
 	my := s.staged
 	s.mu.Unlock()
 	failpoint.Maybe("durable.wal.append")
-
-	switch s.opts.Sync {
-	case SyncAlways:
-		return func() error { return s.syncUpTo(my) }
-	case SyncInterval:
-		// Acknowledge immediately; the flush loop bounds the loss window.
-		return func() error { return s.errNow() }
-	default: // SyncNone
-		return func() error { return s.errNow() }
-	}
+	return s.waitFor(my)
 }
 
-// appendLocked frames payload into the write buffer; callers hold s.mu.
-func (s *Store) appendLocked(payload []byte) error {
+// Barrier returns the wait AppendAsync would have returned for a record
+// staged now, without staging one: it blocks until every record staged so far
+// is durable per the sync policy. A caller that answers from state an earlier,
+// possibly still unsynced record created (an idempotent replay) waits on it
+// exactly as the original writer does.
+func (s *Store) Barrier() func() error {
+	s.mu.Lock()
+	err := s.usableLocked()
+	my := s.staged
+	s.mu.Unlock()
+	if err != nil {
+		return func() error { return err }
+	}
+	return s.waitFor(my)
+}
+
+// waitFor returns the wait for record number my per the sync policy.
+func (s *Store) waitFor(my uint64) func() error {
+	if s.opts.Sync == SyncAlways {
+		return func() error { return s.syncUpTo(my) }
+	}
+	// SyncInterval acknowledges at once (the flush loop bounds the loss
+	// window); SyncNone never fsyncs.
+	return s.errNow
+}
+
+// usableLocked reports why the store cannot take records, or nil; callers
+// hold s.mu.
+func (s *Store) usableLocked() error {
 	switch {
 	case s.closed:
 		return ErrClosed
 	case !s.recovered:
 		return ErrNotRecovered
-	case s.firstErr != nil:
-		return s.firstErr
-	case len(payload) == 0 || len(payload) > MaxRecord:
+	}
+	return s.firstErr
+}
+
+// appendLocked frames payload into the write buffer; callers hold s.mu.
+func (s *Store) appendLocked(payload []byte) error {
+	if err := s.usableLocked(); err != nil {
+		return err
+	}
+	if len(payload) == 0 || len(payload) > MaxRecord {
 		return fmt.Errorf("durable: record size %d out of range", len(payload))
 	}
 	var header [frameHeader]byte
 	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := s.w.Write(header[:]); err != nil {
-		s.poison(err)
-		return err
+		return s.poison(err)
 	}
 	if _, err := s.w.Write(payload); err != nil {
-		s.poison(err)
-		return err
+		return s.poison(err)
 	}
 	s.staged++
 	mRecords.Inc()
 	return nil
 }
 
-// poison records the first unrecoverable error; callers hold s.mu. A store
-// that cannot write its log must stop acknowledging operations.
-func (s *Store) poison(err error) {
+// poison records the first unrecoverable error, wrapped in ErrFailed, and
+// returns err so wrapped; callers hold s.mu. A store that cannot write its log
+// must stop acknowledging operations.
+func (s *Store) poison(err error) error {
+	err = fmt.Errorf("%w: %w", ErrFailed, err)
 	if s.firstErr == nil {
 		s.firstErr = err
 	}
 	s.cond.Broadcast()
+	return err
 }
 
 func (s *Store) errNow() error {

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -291,6 +292,33 @@ func TestAppendBeforeRecoverRejected(t *testing.T) {
 	}
 	if err := st.Append([]byte("x")); err != ErrNotRecovered {
 		t.Fatalf("err = %v, want ErrNotRecovered", err)
+	}
+}
+
+// TestFailedLogRefusesEverything: the first sync error poisons the store with
+// an ErrFailed, which every later append, barrier and snapshot returns; a
+// closed store answers ErrClosed the same way.
+func TestFailedLogRefusesEverything(t *testing.T) {
+	st, _, _ := reopen(t, t.TempDir(), Options{Sync: SyncAlways})
+	if err := st.Barrier()(); err != nil {
+		t.Fatalf("barrier over nothing staged: %v", err)
+	}
+	st.f.Close() // the next fsync fails
+	if err := st.Append([]byte("lost")); !errors.Is(err, ErrFailed) {
+		t.Fatalf("append whose fsync failed: %v, want ErrFailed", err)
+	}
+	for what, err := range map[string]error{
+		"append":   st.Append([]byte("after")),
+		"barrier":  st.Barrier()(),
+		"snapshot": st.Snapshot([]byte("state")),
+	} {
+		if !errors.Is(err, ErrFailed) {
+			t.Errorf("%s on a failed log: %v, want ErrFailed", what, err)
+		}
+	}
+	st.Close()
+	if err := st.Barrier()(); !errors.Is(err, ErrClosed) {
+		t.Errorf("barrier on a closed log: %v, want ErrClosed", err)
 	}
 }
 

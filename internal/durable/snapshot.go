@@ -31,15 +31,7 @@ func (s *Store) Snapshot(state []byte) error {
 	for s.syncing && s.firstErr == nil && !s.closed {
 		s.cond.Wait()
 	}
-	switch {
-	case s.closed:
-		s.mu.Unlock()
-		return ErrClosed
-	case !s.recovered:
-		s.mu.Unlock()
-		return ErrNotRecovered
-	case s.firstErr != nil:
-		err := s.firstErr
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -53,7 +45,7 @@ func (s *Store) Snapshot(state []byte) error {
 		s.mu.Lock()
 		s.syncing = false
 		if err != nil {
-			s.poison(err)
+			err = s.poison(err)
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()

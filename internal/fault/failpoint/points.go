@@ -1,22 +1,21 @@
-// Package failpoint holds the seeded fail-point decider used to crash
-// protocols from the inside, mid-step. It lives in its own leaf package —
-// rather than in fault proper — so that packages underneath the grid (the
-// sharded bank's two-phase transfer tests, for one) can import it without
-// pulling in fault's grid dependency and closing an import cycle.
+// Package failpoint holds the named, seeded crash points that durable
+// storage code calls at its commit steps (see registry.go). It lives in its
+// own leaf package — rather than in fault proper — so that packages
+// underneath the grid (internal/durable, and the bank's tests that hold a
+// commit mid-step) can import it without pulling in fault's grid dependency
+// and closing an import cycle.
 package failpoint
 
 import "tycoongrid/internal/rng"
 
 // Points is a seeded fail-point decider: a deterministic stream of
-// crash/no-crash decisions that protocol code consults at its commit points.
-// The two-phase bank transfer tests use it to crash a shard between
-// "prepared" and "committed" (and between "committed" and "credited") on a
-// replayable schedule, composing with the fault.Injector's host churn: the
-// Injector kills hosts from the outside, Points kills a protocol from the
-// inside, mid-step.
+// crash/no-crash decisions, one per armed crash point, consulted at every
+// Maybe of that point — so a crash schedule replays from its seed. The
+// fault.Injector kills hosts from the outside; armed points kill a process
+// from the inside, mid-step.
 //
-// Points is not safe for concurrent use; give each worker its own stream
-// (split from one root) when deciding from multiple goroutines.
+// Points is not safe for concurrent use; the registry consults each one
+// under its lock.
 type Points struct {
 	src  *rng.Source
 	rate float64

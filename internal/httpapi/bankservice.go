@@ -5,12 +5,12 @@ import (
 	"crypto/ed25519"
 	"encoding/base64"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/durable"
 )
 
 // BankService exposes a bank.Bank over HTTP.
@@ -28,15 +28,6 @@ func NewBankService(b *bank.Bank) *BankService {
 	s.mux.HandleFunc("POST /transfers", s.transfer)
 	s.mux.HandleFunc("GET /history/{id...}", s.history)
 	s.mux.HandleFunc("GET /publickey", s.publicKey)
-	// Two-phase transfer protocol: a coordinator (or an operator resolving
-	// in-doubt transfers after a crash) drives each hold through
-	// prepare -> commit -> credit -> finalize, or prepare -> abort.
-	s.mux.HandleFunc("POST /tx/prepare", s.txPrepare)
-	s.mux.HandleFunc("POST /tx/{tx}/commit", s.txCommit)
-	s.mux.HandleFunc("POST /tx/{tx}/credit", s.txCredit)
-	s.mux.HandleFunc("POST /tx/{tx}/finalize", s.txFinalize)
-	s.mux.HandleFunc("POST /tx/{tx}/abort", s.txAbort)
-	s.mux.HandleFunc("GET /tx", s.txList)
 	s.mux.HandleFunc("GET /total", s.total)
 	return s
 }
@@ -98,27 +89,10 @@ type (
 	PublicKeyResponse struct {
 		Key string `json:"key"`
 	}
-	// HoldWire is one outstanding two-phase hold — the in-doubt set a
-	// recovering coordinator walks.
-	HoldWire struct {
-		TX        string    `json:"tx"`
-		From      string    `json:"from"`
-		To        string    `json:"to"`
-		Amount    string    `json:"amount"`
-		Committed bool      `json:"committed"`
-		At        time.Time `json:"at"`
-		// CreditRecorded reports whether the idempotent credit for this tx
-		// has already landed on this same bank.
-		CreditRecorded bool `json:"credit_recorded"`
-	}
-	// TotalsResponse is the single-bank conservation check. Conserved =
-	// Total + Held − Landed: money in balances, plus money parked in holds,
-	// minus held money whose credit already landed on this bank (it would
-	// otherwise be counted twice).
+	// TotalsResponse is the conservation check: the money in all balances,
+	// which only deposits change. Total and Conserved are the same number.
 	TotalsResponse struct {
 		Total     string `json:"total"`
-		Held      string `json:"held"`
-		Landed    string `json:"landed"`
 		Conserved string `json:"conserved"`
 	}
 )
@@ -139,12 +113,17 @@ func EncodeKey(k ed25519.PublicKey) string {
 	return base64.RawURLEncoding.EncodeToString(k)
 }
 
+// statusFor maps a bank error to its HTTP status. A failed or closed log is
+// 503: the operation may have changed memory but not the log, the retry is
+// refused the same way, and a client's retry loop keeps trying instead of
+// taking a 4xx as final.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, bank.ErrNoAccount), errors.Is(err, bank.ErrUnknownHold):
+	case errors.Is(err, durable.ErrFailed), errors.Is(err, durable.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, bank.ErrNoAccount):
 		return http.StatusNotFound
-	case errors.Is(err, bank.ErrDuplicateAccount), errors.Is(err, bank.ErrNonceReused),
-		errors.Is(err, bank.ErrDuplicateHold), errors.Is(err, bank.ErrHoldState):
+	case errors.Is(err, bank.ErrDuplicateAccount), errors.Is(err, bank.ErrNonceReused):
 		return http.StatusConflict
 	case errors.Is(err, bank.ErrBadAuthorization):
 		return http.StatusForbidden
@@ -304,128 +283,9 @@ func (s *BankService) publicKey(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, PublicKeyResponse{Key: EncodeKey(s.bank.PublicKey())})
 }
 
-// txPrepare starts a two-phase transfer from a signed authorization: the
-// money moves into a hold named by the request nonce instead of landing at
-// the destination.
-func (s *BankService) txPrepare(w http.ResponseWriter, r *http.Request) {
-	var req TransferWire
-	if err := ReadJSON(r, &req); err != nil {
-		WriteError(w, ReadStatus(err), err)
-		return
-	}
-	amount, err := bank.ParseAmount(req.Amount)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	sig, err := base64.RawURLEncoding.DecodeString(req.Sig)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.bank.PrepareTransfer(bank.TransferRequest{
-		From:   bank.AccountID(req.From),
-		To:     bank.AccountID(req.To),
-		Amount: amount,
-		Nonce:  req.Nonce,
-		Sig:    sig,
-	}); err != nil {
-		WriteError(w, statusFor(err), err)
-		return
-	}
-	s.writeHold(w, req.Nonce)
-}
-
-func (s *BankService) writeHold(w http.ResponseWriter, tx string) {
-	for _, h := range s.bank.Holds() {
-		if h.TX == tx {
-			WriteJSON(w, holdWire(h, s.bank.CreditRecorded(tx)))
-			return
-		}
-	}
-	WriteError(w, http.StatusNotFound, bank.ErrUnknownHold)
-}
-
-func holdWire(h bank.Hold, credited bool) HoldWire {
-	return HoldWire{
-		TX: h.TX, From: string(h.From), To: string(h.To),
-		Amount: h.Amount.String(), Committed: h.Committed, At: h.At,
-		CreditRecorded: credited,
-	}
-}
-
-func (s *BankService) txCommit(w http.ResponseWriter, r *http.Request) {
-	tx := r.PathValue("tx")
-	if err := s.bank.MarkCommitted(tx); err != nil {
-		WriteError(w, statusFor(err), err)
-		return
-	}
-	s.writeHold(w, tx)
-}
-
-// txCredit applies the destination half of a committed hold on this bank.
-// It is idempotent by tx id, so a coordinator may replay it after a crash.
-func (s *BankService) txCredit(w http.ResponseWriter, r *http.Request) {
-	tx := r.PathValue("tx")
-	var hold *bank.Hold
-	for _, h := range s.bank.Holds() {
-		if h.TX == tx {
-			c := h
-			hold = &c
-			break
-		}
-	}
-	if hold == nil {
-		WriteError(w, http.StatusNotFound, bank.ErrUnknownHold)
-		return
-	}
-	if !hold.Committed {
-		WriteError(w, http.StatusConflict,
-			fmt.Errorf("%w: credit of uncommitted %q", bank.ErrHoldState, tx))
-		return
-	}
-	if err := s.bank.CreditPrepared(hold.To, hold.Amount, tx, "2pc"); err != nil {
-		WriteError(w, statusFor(err), err)
-		return
-	}
-	s.writeHold(w, tx)
-}
-
-func (s *BankService) txFinalize(w http.ResponseWriter, r *http.Request) {
-	tx := r.PathValue("tx")
-	if err := s.bank.FinalizeDebit(tx); err != nil {
-		WriteError(w, statusFor(err), err)
-		return
-	}
-	WriteJSON(w, map[string]string{"tx": tx, "state": "finalized"})
-}
-
-func (s *BankService) txAbort(w http.ResponseWriter, r *http.Request) {
-	tx := r.PathValue("tx")
-	if err := s.bank.AbortDebit(tx); err != nil {
-		WriteError(w, statusFor(err), err)
-		return
-	}
-	WriteJSON(w, map[string]string{"tx": tx, "state": "aborted"})
-}
-
-func (s *BankService) txList(w http.ResponseWriter, r *http.Request) {
-	holds := s.bank.Holds()
-	out := make([]HoldWire, len(holds))
-	for i, h := range holds {
-		out[i] = holdWire(h, s.bank.CreditRecorded(h.TX))
-	}
-	WriteJSON(w, out)
-}
-
 func (s *BankService) total(w http.ResponseWriter, r *http.Request) {
-	total, held, landed := s.bank.Totals()
-	WriteJSON(w, TotalsResponse{
-		Total:     total.String(),
-		Held:      held.String(),
-		Landed:    landed.String(),
-		Conserved: (total + held - landed).String(),
-	})
+	total := s.bank.TotalMoney().String()
+	WriteJSON(w, TotalsResponse{Total: total, Conserved: total})
 }
 
 // BankClient is the typed client for a BankService.
@@ -490,53 +350,6 @@ func (c *BankClient) Transfer(req bank.TransferRequest) (bank.Receipt, error) {
 		return bank.Receipt{}, err
 	}
 	return out.ToReceipt()
-}
-
-// PrepareTransfer starts a two-phase transfer; the hold is named by the
-// request nonce. Idempotently retried like Transfer — a duplicate-hold
-// conflict after a lost response means the prepare already took.
-func (c *BankClient) PrepareTransfer(req bank.TransferRequest) (HoldWire, error) {
-	wirereq := TransferWire{
-		From:   string(req.From),
-		To:     string(req.To),
-		Amount: req.Amount.String(),
-		Nonce:  req.Nonce,
-		Sig:    base64.RawURLEncoding.EncodeToString(req.Sig),
-	}
-	var out HoldWire
-	err := c.call.postIdempotent(context.Background(), c.base+"/tx/prepare", wirereq, &out)
-	return out, err
-}
-
-// CommitTx durably records the commit decision for a hold.
-func (c *BankClient) CommitTx(tx string) (HoldWire, error) {
-	var out HoldWire
-	err := c.call.postIdempotent(context.Background(), c.base+"/tx/"+tx+"/commit", nil, &out)
-	return out, err
-}
-
-// CreditTx applies the destination credit of a committed hold (idempotent).
-func (c *BankClient) CreditTx(tx string) (HoldWire, error) {
-	var out HoldWire
-	err := c.call.postIdempotent(context.Background(), c.base+"/tx/"+tx+"/credit", nil, &out)
-	return out, err
-}
-
-// FinalizeTx burns a committed, credited hold.
-func (c *BankClient) FinalizeTx(tx string) error {
-	return c.call.postIdempotent(context.Background(), c.base+"/tx/"+tx+"/finalize", nil, nil)
-}
-
-// AbortTx cancels an uncommitted hold, refunding the source.
-func (c *BankClient) AbortTx(tx string) error {
-	return c.call.postIdempotent(context.Background(), c.base+"/tx/"+tx+"/abort", nil, nil)
-}
-
-// Holds lists the outstanding two-phase holds.
-func (c *BankClient) Holds() ([]HoldWire, error) {
-	var out []HoldWire
-	err := c.call.get(context.Background(), c.base+"/tx", &out)
-	return out, err
 }
 
 // Totals fetches the bank's conservation numbers.

@@ -2,9 +2,11 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"tycoongrid/internal/bank"
@@ -93,7 +95,11 @@ func TestTransferRetryAcrossBankRestart(t *testing.T) {
 	}
 }
 
-func TestTwoPhaseOverHTTP(t *testing.T) {
+// TestClosedLogAnswers503: once the bank's log is closed (or has failed) a
+// write answers 503, and so does its identical retry. At 4xx the client's
+// retry loop stops; and a retried transfer must not get a bank-signed receipt
+// for a transfer the log never took.
+func TestClosedLogAnswers503(t *testing.T) {
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {
 		t.Fatal(err)
@@ -106,71 +112,50 @@ func TestTwoPhaseOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := bank.New(bankID, sim.WallClock{})
+	b, st := durableBank(t, t.TempDir(), bankID)
 	srv := httptest.NewServer(NewBankService(b))
 	defer srv.Close()
 	client := NewBankClient(srv.URL, nil)
-	if _, err := client.CreateAccount("alice", alice.Public(), ""); err != nil {
+	for _, id := range []string{"alice", "bob"} {
+		if _, err := client.CreateAccount(id, alice.Public(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Deposit("alice", 10*bank.Credit, "seed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.CreateAccount("bob", alice.Public(), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Deposit("alice", 100*bank.Credit, "seed"); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	req := bank.TransferRequest{From: "alice", To: "bob", Amount: 25 * bank.Credit, Nonce: "tx2pc"}
+	req := bank.TransferRequest{From: "alice", To: "bob", Amount: bank.Credit, Nonce: "after-close"}
 	req.Sig = alice.Sign(req.SigningBytes())
-	hold, err := client.PrepareTransfer(req)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	if hold.Committed || hold.Amount != (25*bank.Credit).String() {
-		t.Fatalf("hold = %+v", hold)
-	}
-	// Conservation mid-protocol: balances 75, held 25.
-	totals, err := client.Totals()
+	transfer, err := json.Marshal(TransferWire{
+		From: "alice", To: "bob", Amount: req.Amount.String(), Nonce: req.Nonce,
+		Sig: base64.RawURLEncoding.EncodeToString(req.Sig),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if totals.Conserved != (100 * bank.Credit).String() {
-		t.Errorf("mid-protocol conserved = %s", totals.Conserved)
-	}
-
-	if _, err := client.CreditTx("tx2pc"); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Errorf("credit before commit: %v", err)
-	}
-	if hold, err = client.CommitTx("tx2pc"); err != nil || !hold.Committed {
-		t.Fatalf("commit: %v %+v", err, hold)
-	}
-	if err := client.AbortTx("tx2pc"); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Errorf("abort after commit: %v", err)
-	}
-	if hold, err = client.CreditTx("tx2pc"); err != nil || !hold.CreditRecorded {
-		t.Fatalf("credit: %v %+v", err, hold)
-	}
-	// Credit landed but hold not finalized: /total must not double-count.
-	totals, err = client.Totals()
+	deposit, err := json.Marshal(DepositRequest{ID: "bob", Amount: "1", Memo: "after close"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if totals.Conserved != (100 * bank.Credit).String() {
-		t.Errorf("post-credit conserved = %s (total %s held %s landed %s)",
-			totals.Conserved, totals.Total, totals.Held, totals.Landed)
-	}
-	if err := client.FinalizeTx("tx2pc"); err != nil {
-		t.Fatalf("finalize: %v", err)
-	}
-	holds, err := client.Holds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(holds) != 0 {
-		t.Errorf("outstanding holds after finalize: %+v", holds)
-	}
-	if bal, _ := client.Balance("bob"); bal != 25*bank.Credit {
-		t.Errorf("bob = %v", bal)
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{{"/transfers", transfer}, {"/deposits", deposit}} {
+		for attempt := 1; attempt <= 2; attempt++ {
+			resp, err := http.Post(srv.URL+c.path, "application/json", bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Errorf("POST %s attempt %d: %d %s, want 503", c.path, attempt, resp.StatusCode, body)
+			}
+		}
 	}
 }
 

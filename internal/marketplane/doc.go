@@ -1,7 +1,6 @@
 // Package marketplane is the horizontal-scaling layer of the market: it
-// shards the per-host auctioneers and the bank across N in-process
-// partitions so clears and transfers proceed under N independent locks
-// instead of one.
+// shards the per-host auctioneers across N in-process partitions so clears
+// proceed under N independent locks instead of one.
 //
 // The shape follows the two systems the paper builds on. Tycoon (Lai et al.,
 // cs/0412038) runs one auctioneer per host with only a thin stateless index
@@ -12,13 +11,10 @@
 // placement reads without touching the auctioneer. An idle auctioneer does no
 // work there, and none here: a market whose clear left it quiet sleeps, its
 // shard sweeps the awake ones only, and the sleeper replays what it missed to
-// its observers when it is bid on or read (see Plane). GridBank (Barmouta &
-// Buyya, cs/0210002) distributes accounting across independent bank servers;
-// ShardedBank reproduces that by hash-partitioning accounts across bank
-// shards and moving money between shards with a two-phase prepare/commit
-// protocol (bank/twophase.go) whose holds are part of the money supply — so
-// conservation stays exactly checkable at every instant, under concurrent
-// clears and under injected shard crashes.
+// its observers when it is bid on or read (see Plane). The bank is not
+// sharded: like the paper's (§2.2) and Tycoon's, it is one service every
+// broker and auctioneer calls, one bank.Bank. ShardedBank is only a name
+// bench/plane.go still calls (see its comment).
 //
 // Determinism contract: a market's clear reads and writes that market
 // alone, queued bids are sorted before they are applied, and TickAll returns
@@ -28,6 +24,5 @@
 // runs inline on the caller's goroutine (sim.FanOut with n == 1). grid.Cluster
 // clears every tick through a plane and delivers the results afterwards, in
 // host order, so a whole simulated world inherits the contract: its Shards
-// setting is parallelism and nothing else. A 1-shard ShardedBank likewise
-// takes bank.Bank's single-lock path for every transfer.
+// setting is parallelism and nothing else.
 package marketplane

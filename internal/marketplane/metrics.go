@@ -6,7 +6,7 @@ import (
 	"tycoongrid/internal/metrics"
 )
 
-// Plane and bank instrumentation. Families are registered once at package
+// Plane instrumentation. Families are registered once at package
 // init and per-shard children are resolved at construction time: CounterVec
 // .With() takes the family's read lock and a map lookup, which profiles as
 // real contention when ten thousand hosts bid through a handful of shards,
@@ -29,20 +29,10 @@ var (
 	mShardSpotMean = metrics.Default().GaugeVec("marketplane_shard_spot_price_mean",
 		"Mean spot price across the shard's host markets after its last clear.", "shard")
 
-	m2pcPrepares = metrics.Default().Counter("marketplane_2pc_prepares_total",
-		"Cross-shard transfers prepared (debit held at source shard).")
-	m2pcCommits = metrics.Default().Counter("marketplane_2pc_commits_total",
-		"Cross-shard transfers whose commit decision was recorded.")
-	m2pcAborts = metrics.Default().Counter("marketplane_2pc_aborts_total",
-		"Cross-shard transfers aborted (hold returned to source).")
-	m2pcResolved = metrics.Default().Counter("marketplane_2pc_resolved_total",
-		"In-doubt transfers completed by crash recovery.")
 	mXferLocal = metrics.Default().Counter("marketplane_transfers_local_total",
-		"Transfers settled entirely within one bank shard (single-lock fast path).")
+		"ShardedBank moves whose two accounts hash to one shard (bench/plane.go only).")
 	mXferCross = metrics.Default().Counter("marketplane_transfers_cross_shard_total",
-		"Transfers settled with the two-phase cross-shard protocol.")
-	mBankShardDown = metrics.Default().GaugeVec("marketplane_bank_shard_down",
-		"1 while the bank shard is crashed, else 0.", "shard")
+		"ShardedBank moves whose two accounts hash to different shards (bench/plane.go only).")
 )
 
 // shardCounters are the per-shard children a shard resolves once and holds.
