@@ -210,14 +210,18 @@ perf-gates:
 recovery-smoke:
 	$(GO) test -run '^TestCrashStorm$$' -count=1 ./cmd/bankd -args -storm.cycles=6
 
-# Observability smoke: run the quickstart under tracing and assert the job's
-# lifecycle timeline came back non-empty — the "completed" event proves the
-# whole funded -> bid -> placed -> completed chain recorded.
+# Observability smoke: run the quickstart with every trace sampled and with
+# none, and assert both times that the job's lifecycle timeline came back
+# non-empty — the "completed" event proves the whole funded -> bid -> placed
+# -> completed chain recorded, and the ratio-0 run that it does not depend on
+# tracing.
 trace-demo:
-	@out=$$($(GO) run ./examples/quickstart); \
-	echo "$$out" | grep -q 'timeline (trace ' || { echo "trace-demo: no timeline header"; exit 1; }; \
-	echo "$$out" | grep -q 'completed' || { echo "trace-demo: no completed event"; exit 1; }; \
-	echo "trace-demo: timeline OK"
+	@for ratio in 1 0; do \
+		out=$$($(GO) run ./examples/quickstart $$ratio) || exit 1; \
+		echo "$$out" | grep -q 'timeline (trace ' || { echo "trace-demo: no timeline header at sampling $$ratio"; exit 1; }; \
+		echo "$$out" | grep -q ' completed ' || { echo "trace-demo: no completed event at sampling $$ratio"; exit 1; }; \
+		echo "trace-demo: timeline OK at sampling $$ratio"; \
+	done
 
 # Telemetry-plane smoke: boot real bankd (handler-latency chaos armed via
 # TYCOON_CHAOS_HANDLER_*) and slsd hosting the fleet aggregator, assert

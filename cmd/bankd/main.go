@@ -17,13 +17,16 @@
 // bank's signing key is persisted alongside (identity.seed) so receipts
 // issued before a crash still verify after it. Without -data-dir the bank is
 // purely in-memory, exactly as before. While recovery runs, /healthz/ready
-// and every API route answer 503.
+// and every API route answer 503. If the log fails (durable.ErrFailed) the
+// daemon stops: every request answers 503, readiness drops, and the process
+// exits 1 so that a supervisor restarts it from the log.
 package main
 
 import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -91,6 +94,14 @@ func main() {
 		health = httpapi.NewHealth("bankd")
 	} else {
 		health = httpapi.NewHealth("bankd", "wal")
+		svc.OnLogFailure = func(err error) {
+			if !errors.Is(err, durable.ErrFailed) {
+				return // closed by the drain: the process is on its way out
+			}
+			health.StartDrain() // readiness off for good
+			slog.Error("bankd: write-ahead log failed; exiting so a restart recovers from it", "err", err)
+			os.Exit(1)
+		}
 		policy, err := durable.ParseSyncPolicy(*fsyncMode)
 		if err != nil {
 			slog.Error("bankd: bad -fsync", "err", err)

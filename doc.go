@@ -18,9 +18,9 @@
 // internal/tracing, a dependency-free distributed tracer: W3C traceparent
 // propagation stitches every retry attempt, daemon handler and job-lifecycle
 // span of one submission into a single tree, structured slog records carry
-// the active trace and span ids, and each job's span events assemble into a
-// per-job timeline (GET /jobs/{id}/timeline) of every funding move, bid and
-// placement with prices and escrow balances attached.
+// the active trace and span ids. Each job's own record — not its sampled span
+// — yields a per-job timeline (GET /jobs/{id}/timeline) of every funding
+// move, bid and placement with prices and escrow balances attached.
 //
 // A fault-tolerance layer hardens the stack against host and network
 // failure: internal/retry provides context-aware exponential backoff with

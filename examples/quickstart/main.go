@@ -11,7 +11,10 @@
 //     with the Best Response algorithm, and runs her 6-chunk job.
 //  4. When the job completes the unspent balance is refunded.
 //
-// Run with:  go run ./examples/quickstart
+// Run with:  go run ./examples/quickstart [sampling-ratio]
+//
+// The optional argument is the tracer's root-sampling ratio (default 1). The
+// job's timeline, printed last, is the job's own record: the same at any ratio.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"strconv"
 	"time"
 
 	"tycoongrid/internal/agent"
@@ -33,6 +37,12 @@ import (
 
 func main() {
 	tracing.InitSlog("quickstart", os.Stderr, slog.LevelInfo)
+	tr := tracing.Default()
+	if len(os.Args) > 1 {
+		ratio, err := strconv.ParseFloat(os.Args[1], 64)
+		check(err)
+		tr.SetSampleRatio(ratio)
+	}
 	// --- Assemble the market -------------------------------------------
 	eng := sim.NewEngine()
 	ca, err := pki.NewCA("/O=Grid/CN=DemoCA", pki.WithTimeSource(eng.Now))
@@ -96,10 +106,8 @@ func main() {
 	for i := range chunks {
 		chunks[i] = 10 * 60 * 2800
 	}
-	// Submitting under a pushed span scope makes that span the job's
-	// lifecycle span: every funding move, bid, placement and completion the
-	// market records becomes an event on it — the job's timeline.
-	tr := tracing.Default()
+	// Submitting under a pushed span scope ties what the market core
+	// measures meanwhile (clear and transfer latency exemplars) to this trace.
 	root, _ := tr.StartSpan(context.Background(), "quickstart.job")
 	release := tr.PushScope(root)
 	job, err := broker.Submit(tok, jr, chunks)
@@ -123,8 +131,9 @@ func main() {
 		brokerBal, earned)
 
 	root.End()
-	fmt.Printf("\ntimeline (trace %s):\n", root.Context().TraceID)
-	for _, e := range root.Events() {
+	fmt.Printf("\ntimeline (trace %s, sampled %v):\n", root.Context().TraceID, root.Recording())
+	events, _ := broker.Timeline(job)
+	for _, e := range events {
 		fmt.Printf("  %s  %-12s", e.Time.Format("15:04:05"), e.Name)
 		for _, a := range e.Attrs {
 			fmt.Printf(" %s=%s", a.Key, a.Value)

@@ -28,7 +28,6 @@ import (
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
 	"tycoongrid/internal/token"
-	"tycoongrid/internal/tracing"
 	"tycoongrid/internal/xrsl"
 )
 
@@ -65,7 +64,10 @@ type SubJob struct {
 	TaskID  string
 	Started time.Time
 	Done    time.Time
-	Failed  bool // host crashed mid-run; chunk was re-queued
+	Failed  bool    // host crashed mid-run; chunk was re-queued
+	Price   float64 // the host's spot price when the sub-job was placed
+	VM      string  // the virtual machine the sub-job runs in
+	ReadyAt time.Time
 }
 
 // Latency returns the sub-job's wall-clock duration (zero until done).
@@ -87,6 +89,7 @@ type Job struct {
 	State      JobState
 
 	Hosts   []string // hosts funded by the best response placement
+	Bids    []Bid    // the bids the submission placed, in placement order
 	SubJobs []SubJob
 	Charged bank.Amount // money actually paid to hosts
 
@@ -101,13 +104,6 @@ type Job struct {
 	OnFail     func(*Job)
 	FailReason string
 
-	// Span is the job's lifecycle span, inherited from the scope active at
-	// Submit (the arc layer's job.lifecycle span). The agent appends its
-	// market decisions — funding, bids, placements, preemptions, failovers —
-	// as events here, with prices and escrow balances attached; nil-safe
-	// when tracing is off.
-	Span *tracing.Span
-
 	chunks  []float64 // remaining chunk sizes (MHz-seconds), FIFO
 	envs    []string
 	busy    map[string]bool // host -> has a running sub-job of this job
@@ -120,9 +116,28 @@ type Job struct {
 	// tick books its charges here; teardown banks the difference, once, when
 	// it releases the job's escrow. Rows are cumulative and outlive both
 	// release and a failover that drops the host from Hosts.
-	tab      []tabRow
-	released bool // teardown has banked the tab and refunded the escrow
+	tab []tabRow
+
+	funded     bank.Amount // what the submission's token put in the sub-account
+	refunded   bank.Amount // what teardown returned to the broker
+	releasedAt time.Time   // when teardown banked the tab and refunded the escrow; zero before
+	records    []record    // what the fields above do not keep, at most MaxRecords
+	dropped    int         // records past MaxRecords
 }
+
+// Bid is one bid a submission placed: the host, the budget, the host's price
+// (excluding this job) that Best Response or the portfolio split saw, and the
+// spend rate in credits/second the market amortizes the budget at.
+type Bid struct {
+	Host   string
+	Amount bank.Amount
+	Price  float64
+	Rate   float64
+}
+
+// Released returns when the job's escrow was released — it completed, failed
+// or was cancelled — or the zero time while it runs.
+func (j *Job) Released() time.Time { return j.releasedAt }
 
 // tabRow is one host's line on a job's tab. charged - banked is what the
 // job's sub-account still owes the host's earnings account.
@@ -163,7 +178,7 @@ func (j *Job) unbanked() bank.Amount {
 // is a bug (market charges never exceed placed bids, and a released job has
 // no bid left), as it was when the bank refused such a move.
 func (j *Job) book(host string, amount bank.Amount) {
-	if j.released {
+	if !j.releasedAt.IsZero() {
 		panic(fmt.Sprintf("agent: %s charged %v for %s after its escrow was released", host, amount, j.ID))
 	}
 	j.Charged += amount
@@ -260,11 +275,6 @@ type Config struct {
 	// replicated and partitioned to pick up a different set of compute
 	// nodes", §3). Empty means the whole cluster.
 	Hosts []string
-	// Tracer supplies the job-lifecycle scope (and receives the agent's
-	// scoped teardown pushes). Nil means tracing.Default(). Replicated
-	// experiments give each world its own tracer so concurrently running
-	// worlds never share a scope stack.
-	Tracer *tracing.Tracer
 	// JobIDPrefix names this agent's jobs ("<prefix>-0001", ...). Partitioned
 	// deployments sharing one broker account must use distinct prefixes so
 	// their job sub-accounts never collide. Empty means "job", preserving the
@@ -319,9 +329,6 @@ func New(cfg Config) (*Agent, error) {
 	}
 	if cfg.Account == "" {
 		return nil, errors.New("agent: empty broker account")
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = tracing.Default()
 	}
 	if cfg.JobIDPrefix == "" {
 		cfg.JobIDPrefix = "job"
@@ -384,29 +391,6 @@ func New(cfg Config) (*Agent, error) {
 		cfg.Cluster.OnHostFailure = a.onHostFailure
 	}
 	return a, nil
-}
-
-// event appends a lifecycle event to job's span, stamped with engine time so
-// the timeline reads in simulated time. No-op (one nil check) when the job
-// has no recording span — but its arguments are evaluated first, so a call
-// site whose attributes format an amount or read a balance checks
-// job.Span.Recording() itself.
-func (a *Agent) event(job *Job, name string, attrs ...tracing.Attr) {
-	if !job.Span.Recording() {
-		return
-	}
-	job.Span.AddEventAt(a.cfg.Cluster.Engine().Now(), name, attrs...)
-}
-
-// escrowAttr snapshots the escrow backing the job's outstanding bids — its
-// sub-account's balance net of the tab — for timeline events. It banks
-// nothing: observing a job does not change the ledger.
-func (a *Agent) escrowAttr(job *Job) tracing.Attr {
-	bal, err := a.cfg.Bank.Balance(job.SubAccount)
-	if err != nil {
-		return tracing.String("escrow", "unknown")
-	}
-	return tracing.String("escrow", (bal - job.unbanked()).String())
 }
 
 // defaultEarnings is where every host's charges are paid when the
@@ -475,7 +459,10 @@ func (a *Agent) bankTab(job *Job) {
 
 // Submit verifies tok, funds a sub-account, distributes bids with Best
 // Response, and starts the job's sub-jobs. chunkWork lists each sub-job's
-// size in MHz-seconds; jr.Count caps concurrent hosts.
+// size in MHz-seconds; jr.Count caps concurrent hosts. A submission refused
+// after its sub-account was funded (no bid could be placed, or the hold-back
+// policy) returns the error together with the unwound job, whose timeline
+// records the funding and the refund.
 func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64) (*Job, error) {
 	if jr == nil || len(chunkWork) == 0 {
 		return nil, errors.New("agent: empty job")
@@ -508,29 +495,23 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 		Deadline:   deadline,
 		Submitted:  now,
 		State:      StateRunning,
-		Span:       a.cfg.Tracer.Current(),
 		chunks:     append([]float64(nil), chunkWork...),
 		envs:       jr.RuntimeEnvs,
 		busy:       make(map[string]bool),
 		total:      len(chunkWork),
-	}
-	if job.Span.Recording() {
-		a.event(job, "funded",
-			tracing.String("sub_account", string(sub.ID)),
-			tracing.String("budget", amount.String()),
-			a.escrowAttr(job))
+		funded:     amount,
 	}
 
 	if err := a.placeBids(job, jr.Count); err != nil {
 		a.unwind(job)
-		return nil, err
+		return job, err
 	}
 	// The paper's hold-back policy: if the market is too expensive to fund
 	// the required number of hosts, do not start at all — refund instead of
 	// delivering degraded QoS.
 	if jr.MinHosts > 0 && len(job.Hosts) < jr.MinHosts {
 		a.unwind(job)
-		return nil, fmt.Errorf("%w: funded %d, need %d", ErrHoldBack, len(job.Hosts), jr.MinHosts)
+		return job, fmt.Errorf("%w: funded %d, need %d", ErrHoldBack, len(job.Hosts), jr.MinHosts)
 	}
 	a.jobs[jobID] = job
 	a.byBidder[auction.BidderID(sub.ID)] = job
@@ -646,6 +627,7 @@ func (a *Agent) placeBids(job *Job, count int) error {
 	}
 	// Every host bid on will charge: the tab is sized with the placement.
 	job.Hosts = make([]string, 0, len(allocs))
+	job.Bids = make([]Bid, 0, len(allocs))
 	job.tab = make([]tabRow, 0, len(allocs))
 	var allocated bank.Amount
 	for _, al := range allocs {
@@ -667,12 +649,10 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		}
 		allocated += budget
 		job.Hosts = append(job.Hosts, al.Host.ID)
-		if job.Span.Recording() {
-			a.event(job, "bid",
-				tracing.String("host", al.Host.ID),
-				tracing.String("amount", budget.String()),
-				tracing.String("price", fmt.Sprintf("%.6f", al.Host.Price)))
-		}
+		// The bid was just placed, so the market knows the bidder.
+		h, _ := cl.Host(al.Host.ID)
+		rate, _ := h.Market.Rate(bidder)
+		job.Bids = append(job.Bids, Bid{Host: al.Host.ID, Amount: budget, Price: al.Host.Price, Rate: rate})
 	}
 	sort.Strings(job.Hosts)
 	if len(job.Hosts) == 0 {
@@ -693,11 +673,8 @@ func (a *Agent) splitBids(job *Job, budgetRate float64, hosts []core.Host) ([]co
 		return nil, false
 	}
 	mBidSplits.Inc()
-	if job.Span.Recording() {
-		a.event(job, "bid-split",
-			tracing.String("splitter", a.cfg.BidSplit.Name()),
-			tracing.String("hosts", fmt.Sprintf("%d/%d", len(allocs), len(hosts))))
-	}
+	job.note(record{at: job.Submitted, kind: recBidSplit, host: a.cfg.BidSplit.Name(),
+		kept: len(allocs), of: len(hosts)})
 	return allocs, true
 }
 
@@ -738,23 +715,16 @@ func (a *Agent) startChunk(job *Job, host string) {
 	}
 	job.chunks = job.chunks[1:]
 	job.busy[host] = true
+	h, _ := a.cfg.Cluster.Host(host) // StartTask found it
 	job.SubJobs = append(job.SubJobs, SubJob{
 		Index:   idx,
 		Host:    host,
 		TaskID:  t.ID,
 		Started: a.cfg.Cluster.Engine().Now(),
+		Price:   h.Market.SpotPrice(),
+		VM:      t.VMID,
+		ReadyAt: t.ReadyAt,
 	})
-	if job.Span.Recording() {
-		price := "unknown"
-		if h, err := a.cfg.Cluster.Host(host); err == nil {
-			price = fmt.Sprintf("%.6f", h.Market.SpotPrice())
-		}
-		a.event(job, "placed",
-			tracing.String("host", host),
-			tracing.String("task", t.ID),
-			tracing.String("sub_job", fmt.Sprintf("%d/%d", idx+1, job.total)),
-			tracing.String("price", price))
-	}
 }
 
 // onTaskDone records completion and schedules the next chunk.
@@ -788,6 +758,7 @@ func (a *Agent) onTaskDone(job *Job, host string, t *grid.Task) {
 // bank money moves here — bid budgets live in the job's sub-account until
 // charged, so cancelled-bid remainders are simply free to re-bid.
 func (a *Agent) onHostFailure(f grid.HostFailure) {
+	now := a.cfg.Cluster.Engine().Now()
 	freed := make(map[string]bank.Amount)
 	affected := make(map[string]*Job)
 	for _, b := range f.Bids {
@@ -814,10 +785,7 @@ func (a *Agent) onHostFailure(f grid.HostFailure) {
 		job.chunks = append(job.chunks, t.TotalWork)
 		job.busy[f.HostID] = false
 		mChunksResubmitted.Inc()
-		a.event(job, "preempted",
-			tracing.String("host", f.HostID),
-			tracing.String("task", t.ID),
-			tracing.String("reason", "host failure"))
+		job.note(record{at: now, kind: recPreempted, host: f.HostID, other: t.ID})
 	}
 	ids := make([]string, 0, len(affected))
 	for id := range affected {
@@ -852,13 +820,8 @@ func (a *Agent) failover(job *Job, failedHost string, freed bank.Amount) {
 					sort.Strings(job.Hosts)
 				}
 				mEscrowFailedOver.Inc()
-				if job.Span.Recording() {
-					a.event(job, "failed-over",
-						tracing.String("from", failedHost),
-						tracing.String("to", host),
-						tracing.String("amount", freed.String()),
-						a.escrowAttr(job))
-				}
+				job.note(record{at: a.cfg.Cluster.Engine().Now(), kind: recFailedOver,
+					host: failedHost, other: host, amount: freed, escrow: job.Budget - job.Charged})
 			}
 			// On error (deadline passed, host just died) the money simply
 			// stays in the sub-account and is refunded at job end.
@@ -907,13 +870,7 @@ func (a *Agent) failJob(job *Job, reason string) {
 	}
 	job.chunks = nil
 	job.FailReason = reason
-	if job.Span.Recording() {
-		a.event(job, "failed", tracing.String("reason", reason), a.escrowAttr(job))
-	}
-	// Scope the unwind so the bank's refund entry lands on the timeline.
-	release := a.cfg.Tracer.PushScope(job.Span)
 	a.unwind(job) // cancels bids, refunds the sub-account, marks StateFailed
-	release()
 	mJobsFailed.Inc()
 	if job.OnFail != nil {
 		job.OnFail(job)
@@ -934,8 +891,8 @@ func (a *Agent) unwind(job *Job) {
 // cancels the job's bid on every funded host, banks the job's tab (so every
 // host is paid what it charged before anything goes back), then refunds what
 // is left in the sub-account to the broker under memo+job.ID (the memo
-// reaches receipts and timelines). It returns the amount refunded.
-func (a *Agent) teardown(job *Job, memo string) bank.Amount {
+// reaches receipts and timelines).
+func (a *Agent) teardown(job *Job, memo string) {
 	bidder := auction.BidderID(job.SubAccount)
 	for _, h := range job.Hosts {
 		host, err := a.cfg.Cluster.Host(h)
@@ -948,15 +905,15 @@ func (a *Agent) teardown(job *Job, memo string) bank.Amount {
 		}
 	}
 	a.bankTab(job)
-	job.released = true
+	job.releasedAt = a.cfg.Cluster.Engine().Now()
 	bal, err := a.cfg.Bank.Balance(job.SubAccount)
 	if err == nil && bal > 0 {
 		if err := a.cfg.Bank.MoveInternal(a.cfg.Identity, job.SubAccount, a.cfg.Account,
 			bal, bank.EntryRefund, memo+job.ID); err != nil {
 			panic(fmt.Sprintf("agent: %s%s: %v", memo, job.ID, err))
 		}
+		job.refunded = bal
 	}
-	return bal
 }
 
 // finish cancels outstanding bids and refunds the sub-account's unspent
@@ -967,16 +924,7 @@ func (a *Agent) finish(job *Job) {
 	a.retire(job)
 	// Exact end: the latest sub-job completion (back-dated by the grid).
 	job.endedAt = latestDone(job.SubJobs, a.cfg.Cluster.Engine().Now())
-	// Scope the teardown so the bank's refund entry lands on the timeline.
-	release := a.cfg.Tracer.PushScope(job.Span)
-	defer release()
-	bal := a.teardown(job, "refund ")
-	if job.Span.Recording() {
-		a.event(job, "completed",
-			tracing.String("charged", job.Charged.String()),
-			tracing.String("refunded", bal.String()),
-			tracing.String("sub_jobs", fmt.Sprintf("%d/%d", job.done, job.total)))
-	}
+	a.teardown(job, "refund ")
 	if job.OnComplete != nil {
 		job.OnComplete(job)
 	}
@@ -1017,13 +965,8 @@ func (a *Agent) Cancel(jobID string) error {
 		}
 	}
 	job.chunks = nil
-	job.FailReason = "cancelled"
-	if job.Span.Recording() {
-		a.event(job, "cancelled", a.escrowAttr(job))
-	}
-	release := a.cfg.Tracer.PushScope(job.Span)
+	job.FailReason = reasonCancelled
 	a.unwind(job) // cancels bids, refunds, marks StateFailed
-	release()
 	mJobsFailed.Inc()
 	return nil
 }
@@ -1053,12 +996,8 @@ func (a *Agent) Boost(jobID string, tok token.Token) error {
 		return err
 	}
 	job.Budget += amount
-	if job.Span.Recording() {
-		a.event(job, "boosted",
-			tracing.String("amount", amount.String()),
-			tracing.String("budget", job.Budget.String()),
-			a.escrowAttr(job))
-	}
+	job.note(record{at: now, kind: recBoosted, amount: amount, budget: job.Budget,
+		escrow: job.Budget - job.Charged})
 	// Proportional to the bids' remaining budgets, over the job's hosts in
 	// order. The market drops a bid at the tick it runs dry, so a host may
 	// hold none; when no host holds one the split is even over the hosts that

@@ -11,32 +11,31 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
-// TestUnsampledSubmissionBuildsNoEventAttributes: the lifecycle events'
-// attributes — an escrow balance read under the bank's lock, formatted
-// amounts and prices — are built only for a span that records them.
-func TestUnsampledSubmissionBuildsNoEventAttributes(t *testing.T) {
+// TestSubmissionReadsNoBalance: a submission reads no balance, sampled or
+// not. The job's timeline shows escrow as the budget net of the charges, both
+// of which the job keeps, so nothing recorded at funding asks the bank — and
+// the tracer's sampling cannot change what a submission does.
+func TestSubmissionReadsNoBalance(t *testing.T) {
 	w := newWorld(t, 4)
-	if _, err := w.agent.Submit(w.payToken(t, 100), request(2, 2*time.Hour), chunks(2, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if w.ledger.balanceReads != 0 {
-		t.Errorf("submission with no recording span read a balance %d times, want 0", w.ledger.balanceReads)
-	}
-
 	tr := tracing.Default()
-	span := tr.StartRemote(tracing.SpanContext{}, "test.submit")
-	release := tr.PushScope(span)
-	job, err := w.agent.Submit(w.payToken(t, 100), request(2, 2*time.Hour), chunks(2, 10))
-	release()
-	span.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !job.Span.Recording() {
-		t.Skip("default tracer is not sampling")
-	}
-	if w.ledger.balanceReads != 1 {
-		t.Errorf("traced submission read a balance %d times, want 1 (the funded event's escrow)", w.ledger.balanceReads)
+	defer tr.SetSampleRatio(tr.SampleRatio())
+	for _, ratio := range []float64{0, 1} {
+		tr.SetSampleRatio(ratio)
+		span := tr.StartRemote(tracing.SpanContext{}, "test.submit")
+		release := tr.PushScope(span)
+		job, err := w.agent.Submit(w.payToken(t, 100), request(2, 2*time.Hour), chunks(2, 10))
+		release()
+		span.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.ledger.balanceReads != 0 {
+			t.Errorf("submission at sampling %v read a balance %d times, want 0", ratio, w.ledger.balanceReads)
+		}
+		events, _ := w.agent.Timeline(job)
+		if len(events) < 2 || events[1].Name != "funded" || events[1].Attrs[2] != tracing.String("escrow", "100") {
+			t.Errorf("sampling %v: timeline starts %+v, want a funded event with escrow 100", ratio, events)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -44,12 +45,16 @@ type GridJob struct {
 	Submitted time.Time
 	Started   time.Time // execution start (after stage-in)
 	Finished  time.Time
-	AgentJob  *agent.Job
-	// Span is the job's lifecycle span: every layer of the market appends
-	// timestamped events to it (submitted, parsed, funded, bid, placed,
-	// preempted, failed-over, completed, ...), and the /jobs/{id}/timeline
-	// endpoint serves them back as the job's audit trail.
+	AgentJob  *agent.Job // nil until the agent accepts the job
+	// Span is the job's lifecycle span, open until the job is terminal. It is
+	// sampled like any span; the timeline does not read it.
 	Span *tracing.Span
+
+	// What the timeline is derived from beyond the fields above.
+	xrslBytes int        // length of the submitted description
+	subJobs   int        // chunks handed to the agent
+	record    *agent.Job // the agent's job: AgentJob, or one refused after funding
+	match     *match     // the meta-scheduler's pick; nil when no Meta routed the job
 }
 
 // Config wires a Manager.
@@ -120,19 +125,12 @@ func DefaultChunkWork(jr *xrsl.JobRequest) []float64 {
 // passes PREPARING (stage-in) before execution and FINISHING (stage-out)
 // after; both are modeled as fixed per-file delays on the simulation clock.
 func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
-	tr := m.cfg.Tracer
 	eng := m.cfg.Agent.Engine()
 	// The lifecycle span parents under whatever is active — the HTTP server
 	// span of a POST /jobs, or a CLI's root span — and stays open until the
-	// job reaches a terminal state. Events are stamped with engine time so
-	// the timeline reads in simulated time.
-	span, _ := tr.StartSpan(context.Background(), "job.lifecycle")
-	release := tr.PushScope(span)
-	defer release()
-	span.AddEventAt(eng.Now(), "submitted",
-		tracing.String("xrsl_bytes", strconv.Itoa(len(xrslText))))
+	// job reaches a terminal state.
+	span, _ := m.cfg.Tracer.StartSpan(context.Background(), "job.lifecycle")
 	reject := func(err error) (*GridJob, error) {
-		span.AddEventAt(eng.Now(), "failed", tracing.String("reason", err.Error()))
 		span.EndErr(err)
 		return nil, err
 	}
@@ -163,37 +161,28 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		State:     StateAccepted,
 		Submitted: eng.Now(),
 		Span:      span,
+		xrslBytes: len(xrslText),
+		subJobs:   len(chunkWork),
 	}
 	m.jobs[gj.ID] = gj
 	mJobsSubmitted.Inc()
 	mJobsQueued.Inc()
 	span.SetAttr(tracing.String("job_id", gj.ID))
-	span.AddEventAt(eng.Now(), "parsed",
-		tracing.String("sub_jobs", strconv.Itoa(len(chunkWork))),
-		tracing.String("deadline", jr.Deadline().String()))
 
 	// Stage-in: one delay per input file, then hand off to the agent.
-	stageIn := time.Duration(len(jr.InputFiles)) * m.cfg.StageInTime
 	gj.State = StatePreparing
-	span.AddEventAt(eng.Now(), "stage-in",
-		tracing.String("files", strconv.Itoa(len(jr.InputFiles))),
-		tracing.String("duration", stageIn.String()))
-	if _, err := eng.After(stageIn, func() {
+	if _, err := eng.After(m.stageIn(jr), func() {
 		if gj.State != StatePreparing {
 			return // killed (or otherwise terminal) during stage-in
 		}
-		// Re-enter the job's scope: the agent, auction and bank below all
-		// append their events to the current scope span.
-		rel := tr.PushScope(span)
-		defer rel()
 		aj, err := m.cfg.Agent.Submit(tok, jr, chunkWork)
+		gj.record = aj
 		if err != nil {
 			gj.State = StateFailed
 			gj.Error = err.Error()
 			gj.Finished = eng.Now()
 			mJobsQueued.Dec()
 			noteTerminal(StateFailed)
-			span.AddEventAt(eng.Now(), "failed", tracing.String("reason", err.Error()))
 			span.EndErr(err)
 			return
 		}
@@ -204,16 +193,14 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		mJobsRunning.Inc()
 		aj.OnComplete = func(*agent.Job) {
 			gj.State = StateFinishing
-			span.AddEventAt(eng.Now(), "stage-out",
-				tracing.String("files", strconv.Itoa(len(jr.OutputFiles))))
 			finish := func() {
+				if gj.State != StateFinishing {
+					return // killed during stage-out
+				}
 				gj.State = StateFinished
 				gj.Finished = eng.Now()
 				mJobsRunning.Dec()
 				noteTerminal(StateFinished)
-				span.AddEventAt(eng.Now(), "finished",
-					tracing.String("charged", aj.Charged.String()),
-					tracing.String("wall", gj.Finished.Sub(gj.Submitted).String()))
 				span.End()
 			}
 			stageOut := time.Duration(len(jr.OutputFiles)) * m.cfg.StageOutTime
@@ -233,15 +220,14 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 			gj.Finished = eng.Now()
 			mJobsRunning.Dec()
 			noteTerminal(StateFailed)
-			span.AddEventAt(eng.Now(), "failed", tracing.String("reason", gj.Error))
 			span.EndErr(errors.New(gj.Error))
 		}
 	}); err != nil {
 		gj.State = StateFailed
 		gj.Error = err.Error()
+		gj.Finished = eng.Now()
 		mJobsQueued.Dec()
 		noteTerminal(StateFailed)
-		span.AddEventAt(eng.Now(), "failed", tracing.String("reason", err.Error()))
 		span.EndErr(err)
 		return gj, err
 	}
@@ -277,11 +263,7 @@ func (m *Manager) Cancel(jobID string) error {
 	}
 	if gj.AgentJob != nil {
 		gj.AgentJob.OnComplete = nil // suppress the stage-out path
-		// Scope the kill so the agent's refund and bid-cancel events land on
-		// this job's timeline.
-		release := m.cfg.Tracer.PushScope(gj.Span)
 		err := m.cfg.Agent.Cancel(gj.AgentJob.ID)
-		release()
 		if err != nil && !errors.Is(err, agent.ErrJobDone) {
 			return err
 		}
@@ -295,33 +277,29 @@ func (m *Manager) Cancel(jobID string) error {
 	gj.State = StateKilled
 	gj.Finished = m.cfg.Agent.Engine().Now()
 	noteTerminal(StateKilled)
-	gj.Span.AddEventAt(gj.Finished, "killed")
 	gj.Span.End()
 	return nil
 }
 
-// TimelineEvent is one step of a job's lifecycle timeline.
-type TimelineEvent struct {
-	Time  time.Time      `json:"time"`
-	Name  string         `json:"name"`
-	Attrs []tracing.Attr `json:"attrs,omitempty"`
-}
-
-// Timeline is the ordered audit trail of one job, assembled from its
-// lifecycle span's events — the paper's "why did this job get that price"
-// record: every state change, funding move, bid and placement with prices
-// and escrow balances attached.
+// Timeline is the ordered audit trail of one job — the paper's "why did this
+// job get that price" record: every state change, funding move, bid and
+// placement with prices and escrow balances attached. TraceID and SpanID name
+// the job's lifecycle span, which the tracer may or may not have recorded;
+// the events do not come from it. Dropped counts the agent's records past
+// agent.MaxRecords.
 type Timeline struct {
-	JobID   string          `json:"job_id"`
-	State   State           `json:"state"`
-	Error   string          `json:"error,omitempty"`
-	TraceID string          `json:"trace_id,omitempty"`
-	SpanID  string          `json:"span_id,omitempty"`
-	Dropped int             `json:"dropped_events,omitempty"`
-	Events  []TimelineEvent `json:"events"`
+	JobID   string        `json:"job_id"`
+	State   State         `json:"state"`
+	Error   string        `json:"error,omitempty"`
+	TraceID string        `json:"trace_id,omitempty"`
+	SpanID  string        `json:"span_id,omitempty"`
+	Dropped int           `json:"dropped_events,omitempty"`
+	Events  []agent.Event `json:"events"`
 }
 
-// Timeline returns the lifecycle timeline of a job, events in time order.
+// Timeline returns the lifecycle timeline of a job, events in time order. It
+// is derived on every call from what the job and its agent job keep, so every
+// job has one whatever the tracer samples.
 func (m *Manager) Timeline(id string) (Timeline, error) {
 	gj, ok := m.jobs[id]
 	if !ok {
@@ -332,14 +310,46 @@ func (m *Manager) Timeline(id string) (Timeline, error) {
 		tl.TraceID = sc.TraceID.String()
 		tl.SpanID = sc.SpanID.String()
 	}
-	tl.Dropped = gj.Span.Dropped()
-	evs := gj.Span.Events()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
-	tl.Events = make([]TimelineEvent, 0, len(evs))
-	for _, e := range evs {
-		tl.Events = append(tl.Events, TimelineEvent{Time: e.Time, Name: e.Name, Attrs: e.Attrs})
+	jr, mt, at := gj.Request, gj.match, gj.Submitted
+	evs := []agent.Event{
+		agent.NewEvent(at, "submitted", "xrsl_bytes", strconv.Itoa(gj.xrslBytes)),
+		agent.NewEvent(at, "parsed", "sub_jobs", strconv.Itoa(gj.subJobs), "deadline", jr.Deadline().String()),
+		agent.NewEvent(at, "stage-in", "files", strconv.Itoa(len(jr.InputFiles)), "duration", m.stageIn(jr).String()),
 	}
+	if mt != nil {
+		evs = append(evs, agent.NewEvent(mt.at, "matchmade", "strategy", mt.strategy, "replica", mt.replica,
+			"predicted", fmt.Sprintf("%.6f", mt.predicted), "current", fmt.Sprintf("%.6f", mt.current)))
+	}
+	if aj := gj.record; aj != nil {
+		agentEvs, dropped := m.cfg.Agent.Timeline(aj)
+		evs, tl.Dropped = append(evs, agentEvs...), dropped
+		if aj.State == agent.StateDone {
+			evs = append(evs, agent.NewEvent(aj.Released(), "stage-out", "files", strconv.Itoa(len(jr.OutputFiles))))
+		}
+	}
+	switch gj.State {
+	case StateFinished:
+		evs = append(evs, agent.NewEvent(gj.Finished, "finished", "charged", gj.AgentJob.Charged.String(),
+			"wall", gj.Finished.Sub(gj.Submitted).String()))
+	case StateKilled:
+		evs = append(evs, agent.NewEvent(gj.Finished, "killed"))
+	case StateFailed:
+		evs = append(evs, agent.NewEvent(gj.Finished, "failed", "reason", gj.Error))
+	}
+	if mt != nil && !mt.scoredAt.IsZero() {
+		evs = append(evs, agent.NewEvent(mt.scoredAt, "prediction-scored", "strategy", mt.scoredBy,
+			"predicted", fmt.Sprintf("%.6f", mt.predicted), "realized", fmt.Sprintf("%.6f", mt.realized),
+			"abs_error", fmt.Sprintf("%.6f", math.Abs(mt.predicted-mt.realized))))
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+	tl.Events = evs
 	return tl, nil
+}
+
+// stageIn is the modeled stage-in delay of a request: one StageInTime per
+// input file.
+func (m *Manager) stageIn(jr *xrsl.JobRequest) time.Duration {
+	return time.Duration(len(jr.InputFiles)) * m.cfg.StageInTime
 }
 
 // Job returns a job by id.

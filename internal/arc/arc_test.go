@@ -221,6 +221,42 @@ func TestBoost(t *testing.T) {
 	}
 }
 
+// TestTimelineRecordsAreBounded pins the cap on a job's records: boosts past
+// agent.MaxRecords are left off the timeline and counted in dropped_events,
+// while the job's other events — derived from its fields — are all there.
+func TestTimelineRecordsAreBounded(t *testing.T) {
+	if agent.MaxRecords != 128 {
+		t.Fatalf("agent.MaxRecords = %d, want 128", agent.MaxRecords)
+	}
+	const extra = 3
+	w := newWorld(t, 2)
+	gj, err := w.manager.Submit(w.xrslJob(t, 50, 2, 60, 600), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(2 * time.Minute)
+	for i := 0; i < agent.MaxRecords+extra; i++ {
+		if err := w.manager.Boost(gj.ID, w.encodedToken(t, 1)); err != nil {
+			t.Fatalf("boost %d: %v", i, err)
+		}
+	}
+	w.eng.RunFor(6 * time.Hour)
+	tl, err := w.manager.Timeline(gj.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl.State != StateFinished || tl.Dropped != extra {
+		t.Fatalf("%s dropped %d events, want %d", tl.State, tl.Dropped, extra)
+	}
+	count := map[string]int{}
+	for _, e := range tl.Events {
+		count[e.Name]++
+	}
+	if count["boosted"] != agent.MaxRecords || count["placed"] != 2 || count["completed"] != 1 || count["finished"] != 1 {
+		t.Errorf("event counts %v, want %d boosted and every derived event", count, agent.MaxRecords)
+	}
+}
+
 func TestMonitor(t *testing.T) {
 	w := newWorld(t, 3)
 	snap := w.manager.Monitor()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tycoongrid/internal/strategy"
-	"tycoongrid/internal/tracing"
 )
 
 // Scheduler is the job-scheduling front door both deployments offer: a single
@@ -130,17 +129,11 @@ func (m *Meta) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
 	m.index[gj.ID] = r
 	mMetaPicks.With(m.strat.Name(), r.cfg.ClusterName).Inc()
 	eng := r.cfg.Agent.Engine()
-	if gj.Span.Recording() {
-		gj.Span.AddEventAt(eng.Now(), "matchmade",
-			tracing.String("strategy", m.strat.Name()),
-			tracing.String("replica", r.cfg.ClusterName),
-			tracing.String("predicted", fmt.Sprintf("%.6f", p.Predicted)),
-			tracing.String("current", fmt.Sprintf("%.6f", r.cfg.Agent.MeanSpotPrice())))
-	}
+	gj.match = &match{at: eng.Now(), strategy: m.strat.Name(), replica: r.cfg.ClusterName,
+		predicted: p.Predicted, current: r.cfg.Agent.MeanSpotPrice()}
 	if m.horizon > 0 {
-		predicted := p.Predicted
 		if _, err := eng.After(m.horizon, func() {
-			m.scorePrediction(r, gj, predicted)
+			m.scorePrediction(r, gj)
 		}); err != nil {
 			// Engine already stopped; scoring is best-effort diagnostics.
 			_ = err
@@ -151,22 +144,29 @@ func (m *Meta) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
 
 // scorePrediction compares the price the strategy forecast at matchmaking
 // time against the partition's realized mean spot price one horizon later.
-func (m *Meta) scorePrediction(r *Manager, gj *GridJob, predicted float64) {
-	realized := r.cfg.Agent.MeanSpotPrice()
-	absErr := math.Abs(predicted - realized)
+func (m *Meta) scorePrediction(r *Manager, gj *GridJob) {
+	mt := gj.match
+	mt.scoredAt, mt.scoredBy = r.cfg.Agent.Engine().Now(), m.strat.Name()
+	mt.realized = r.cfg.Agent.MeanSpotPrice()
+	absErr := math.Abs(mt.predicted - mt.realized)
 	m.scored++
 	m.absErrSum += absErr
 	if absErr > m.absErrPeak {
 		m.absErrPeak = absErr
 	}
 	mMetaPredictionError.Observe(absErr)
-	if gj.Span.Recording() {
-		gj.Span.AddEventAt(r.cfg.Agent.Engine().Now(), "prediction-scored",
-			tracing.String("strategy", m.strat.Name()),
-			tracing.String("predicted", fmt.Sprintf("%.6f", predicted)),
-			tracing.String("realized", fmt.Sprintf("%.6f", realized)),
-			tracing.String("abs_error", fmt.Sprintf("%.6f", absErr)))
-	}
+}
+
+// match is a job's record of its matchmaking: the pick, and one horizon later
+// the realized price it is scored against.
+type match struct {
+	at                 time.Time
+	strategy, replica  string
+	predicted, current float64
+
+	scoredAt time.Time // zero until scored
+	scoredBy string    // the strategy at scoring time
+	realized float64
 }
 
 // PredictionStats summarizes predicted-vs-realized price accuracy across all

@@ -108,7 +108,7 @@ type Market struct {
 	wakeMu sync.Mutex
 
 	priceGauge *metrics.Gauge  // this host's auction_clearing_price child
-	tracer     *tracing.Tracer // per-world scope source; Default unless injected
+	tracer     *tracing.Tracer // per-world exemplar scope; Default unless injected
 }
 
 // Config configures a Market.
@@ -121,9 +121,10 @@ type Config struct {
 	ReservePrice float64
 	// Start is the market's initial clock reading.
 	Start time.Time
-	// Tracer supplies the active job scope for the auditable auction trail.
-	// Nil means the process-wide tracing.Default(). Replicated experiments
-	// inject a per-world tracer so concurrent worlds never share scopes.
+	// Tracer supplies the active scope whose trace a clear's latency exemplar
+	// names. Nil means the process-wide tracing.Default(). Replicated
+	// experiments inject a per-world tracer so concurrent worlds never share
+	// scopes.
 	Tracer *tracing.Tracer
 	// Mechanism is the clearing rule applied at every Tick. Nil selects the
 	// paper's proportional-share rule. The instance must not be shared across
@@ -312,14 +313,6 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 	m.sharesOK = false
 	mBidsPlaced.Inc()
 	mBidBudget.Observe(budget.Credits())
-	// Auditable auction trail: when a job scope is active (the agent bidding
-	// on this job's behalf), record the auctioneer's view of the bid.
-	if s := m.tracer.Current(); s.Recording() {
-		s.AddEventAt(m.now, "auction.bid",
-			tracing.String("host", m.hostID),
-			tracing.String("bidder", string(bidder)),
-			tracing.String("rate", fmt.Sprintf("%.6f", rate)))
-	}
 	return refund, nil
 }
 
@@ -395,6 +388,19 @@ func (m *Market) CancelAll() []Charge {
 	m.bids = m.bids[:0]
 	m.sharesOK = false
 	return refunds
+}
+
+// Rate returns the bidder's spend rate in credits/second: its budget over the
+// time to its deadline on the market's clock when it was placed or last
+// boosted.
+func (m *Market) Rate(bidder BidderID) (float64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	at, ok := m.find(bidder)
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
+	}
+	return m.bids[at].rate, nil
 }
 
 // Remaining returns the bidder's unspent budget.
@@ -622,15 +628,11 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 
 	mClears.Inc()
 	m.priceGauge.Set(price)
-	// Hot path: with no active scope (the common case — ticks run from the
-	// engine pump) this is a single atomic load and a nil check.
+	// The exemplar pins this exact clear's trace to whatever latency bucket it
+	// lands in, so a fleet p99 regression links to a trace. Hot path: with no
+	// active scope (the common case — ticks run from the engine pump) this is
+	// a single atomic load and a nil check.
 	if s := m.tracer.Current(); s.Recording() {
-		s.AddEventAt(now, "auction.clear",
-			tracing.String("host", m.hostID),
-			tracing.String("price", fmt.Sprintf("%.6f", price)),
-			tracing.String("charges", fmt.Sprintf("%d", len(charges))))
-		// The exemplar pins this exact clear's trace to whatever latency
-		// bucket it lands in, so a fleet p99 regression links to a trace.
 		mClearSeconds.ObserveExemplar(time.Since(wallStart).Seconds(), s.Context().TraceID.String())
 	} else {
 		mClearSeconds.Observe(time.Since(wallStart).Seconds())

@@ -159,9 +159,10 @@ func WithLedgerRetention(n int) Option {
 	return func(b *Bank) { b.ledgerCap = n }
 }
 
-// WithTracer makes the bank read its active job scope from t instead of the
-// process-wide tracing.Default(). Replicated experiments give each world its
-// own tracer so concurrent worlds never observe each other's scopes.
+// WithTracer makes the bank read the active scope that a transfer's latency
+// exemplar names from t instead of the process-wide tracing.Default().
+// Replicated experiments give each world its own tracer so concurrent worlds
+// never observe each other's scopes.
 func WithTracer(t *tracing.Tracer) Option {
 	return func(b *Bank) {
 		if t != nil {
@@ -483,15 +484,6 @@ func (b *Bank) appendEntryAt(kind EntryKind, from, to AccountID, amount Amount, 
 		Seq: b.seq, Kind: kind, From: from, To: to,
 		Amount: amount, Memo: memo, At: at,
 	})
-	// Money moves executed inside a job scope (funding, refunds, boosts) show
-	// up on that job's timeline — the GridBank-style per-job accounting trail.
-	if s := b.tracer.Current(); s.Recording() {
-		s.AddEventAt(at, "bank."+string(kind),
-			tracing.String("from", string(from)),
-			tracing.String("to", string(to)),
-			tracing.String("amount", amount.String()),
-			tracing.String("memo", memo))
-	}
 	// Trim lazily at 2x the cap so the copy cost amortizes to O(1).
 	if b.ledgerCap > 0 && len(b.ledger) > 2*b.ledgerCap {
 		drop := len(b.ledger) - b.ledgerCap

@@ -246,7 +246,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	for i := range managers {
 		acfg := agent.Config{
 			Cluster: b.Cluster, Bank: b.Bank, Identity: broker, Account: "broker",
-			Verifier: verifier, Tracer: tr, FeedCapacity: window,
+			Verifier: verifier, FeedCapacity: window,
 		}
 		name := cfg.ClusterName
 		if parts > 1 {

@@ -566,13 +566,6 @@ func (s *Store) flushOnce() {
 	s.mu.Unlock()
 }
 
-// Records returns how many records have been staged since Recover.
-func (s *Store) Records() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.staged
-}
-
 // Close flushes and fsyncs outstanding records (whatever the policy — a
 // graceful shutdown should never lose acknowledged state) and releases the
 // file. Further operations return ErrClosed.

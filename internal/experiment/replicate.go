@@ -146,7 +146,7 @@ func (a *Aggregate) String() string {
 // quietTracer builds the private tracer a replication world runs under:
 // unsampled (replications need numbers, not span trees) and detached from
 // the process-wide scope stack so concurrent worlds cannot cross-pollute
-// each other's timelines.
+// each other's spans and exemplars.
 func quietTracer() *tracing.Tracer {
 	t := tracing.New(tracing.WithCapacity(64))
 	t.SetSampleRatio(0)

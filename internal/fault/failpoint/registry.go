@@ -53,13 +53,6 @@ func Disarm(name string) {
 	delete(reg.points, name)
 }
 
-// DisarmAll removes every armed point (test cleanup).
-func DisarmAll() {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	reg.points = make(map[string]*Points)
-}
-
 // SetCrash replaces the crash action — by default an immediate process exit
 // with CrashExitCode. In-process tests substitute a panic or a recorder. A
 // nil fn restores the default.

@@ -96,10 +96,10 @@ type Config struct {
 	// hibernation model that could increase this number further" (§3),
 	// freeing slots for other users at the price of a fresh boot later.
 	PurgeIdleAfter time.Duration
-	// Tracer supplies the active job scope for timeline events; it is also
-	// handed to every host market. Nil means tracing.Default(). Replicated
-	// experiments inject a per-world tracer so concurrent worlds never share
-	// scope stacks.
+	// Tracer is handed to every host market, whose clears name the active
+	// scope's trace in their latency exemplars. Nil means tracing.Default().
+	// Replicated experiments inject a per-world tracer so concurrent worlds
+	// never share scope stacks.
 	Tracer *tracing.Tracer
 	// Shards is the number of goroutines the clear phase of a tick spreads
 	// the host markets over (marketplane auctioneer shards); values below 1
@@ -122,7 +122,6 @@ type Cluster struct {
 	order    []string // deterministic host iteration order
 	list     []*Host  // the hosts in that order: list[i].Spec.ID == order[i]
 	taskSeq  int
-	tracer   *tracing.Tracer
 	plane    *marketplane.Plane // clears every host market, list[i] at index i
 	isDown   func(i int) bool   // list[i].down, the plane's skip predicate
 	down     int                // hosts currently failed
@@ -189,7 +188,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		interval: interval,
 		purge:    cfg.PurgeIdleAfter,
 		hosts:    make(map[string]*Host, len(cfg.Hosts)),
-		tracer:   tr,
 	}
 	for _, spec := range cfg.Hosts {
 		if spec.ID == "" || spec.CPUs < 1 || spec.CPUMHz <= 0 {
@@ -374,15 +372,6 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 		c.started = append(c.started, h.index)
 	}
 	mTasksStarted.Inc()
-	// VM acquisition inside a job scope lands on that job's timeline: which
-	// machine the chunk got and when it becomes ready.
-	if s := c.tracer.Current(); s.Recording() {
-		s.AddEventAt(c.engine.Now(), "grid.vm-acquire",
-			tracing.String("host", hostID),
-			tracing.String("vm", machine.ID),
-			tracing.String("task", t.ID),
-			tracing.String("ready_at", machine.ReadyAt.Format(time.RFC3339)))
-	}
 	// The owner is consuming CPU on this host now.
 	if err := h.Market.SetActive(owner, true); err != nil && !errors.Is(err, auction.ErrUnknownBidder) {
 		return nil, err

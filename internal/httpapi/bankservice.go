@@ -7,16 +7,24 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/durable"
 )
 
-// BankService exposes a bank.Bank over HTTP.
+// BankService exposes a bank.Bank over HTTP. It stops with the bank's log:
+// after a mutation meets a failed or closed log, memory may hold a change the
+// log never took, so every later request, reads included, answers 503.
 type BankService struct {
 	bank *bank.Bank
 	mux  *http.ServeMux
+
+	// OnLogFailure, if set, runs once with the error that stopped the service
+	// (bankd exits there, so a supervisor restarts it from the log).
+	OnLogFailure func(error)
+	stopped      atomic.Pointer[error]
 }
 
 // NewBankService wraps b.
@@ -34,7 +42,21 @@ func NewBankService(b *bank.Bank) *BankService {
 
 // ServeHTTP implements http.Handler.
 func (s *BankService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if err := s.stopped.Load(); err != nil {
+		WriteError(w, http.StatusServiceUnavailable, *err)
+		return
+	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// writeErr answers err with its status; a 503 — the log failed or closed —
+// also stops the service.
+func (s *BankService) writeErr(w http.ResponseWriter, err error) {
+	status := statusFor(err)
+	if status == http.StatusServiceUnavailable && s.stopped.CompareAndSwap(nil, &err) && s.OnLogFailure != nil {
+		s.OnLogFailure(err)
+	}
+	WriteError(w, status, err)
 }
 
 // Wire types.
@@ -153,7 +175,7 @@ func (s *BankService) createAccount(w http.ResponseWriter, r *http.Request) {
 		acct, err = s.bank.CreateAccount(bank.AccountID(req.ID), key)
 	}
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		s.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, accountInfo(*acct))
@@ -172,7 +194,7 @@ func (s *BankService) getAccount(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	a, err := s.bank.Lookup(bank.AccountID(id))
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		s.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, accountInfo(a))
@@ -190,12 +212,12 @@ func (s *BankService) deposit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.bank.Deposit(bank.AccountID(req.ID), amount, req.Memo); err != nil {
-		WriteError(w, statusFor(err), err)
+		s.writeErr(w, err)
 		return
 	}
 	bal, err := s.bank.Balance(bank.AccountID(req.ID))
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		s.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, AccountInfo{ID: req.ID, Balance: bal.String()})
@@ -225,7 +247,7 @@ func (s *BankService) transfer(w http.ResponseWriter, r *http.Request) {
 		Sig:    sig,
 	})
 	if err != nil {
-		WriteError(w, statusFor(err), err)
+		s.writeErr(w, err)
 		return
 	}
 	WriteJSON(w, receiptWire(receipt))
@@ -265,7 +287,7 @@ func (rw ReceiptWire) ToReceipt() (bank.Receipt, error) {
 func (s *BankService) history(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.bank.Lookup(bank.AccountID(id)); err != nil {
-		WriteError(w, statusFor(err), err)
+		s.writeErr(w, err)
 		return
 	}
 	entries := s.bank.History(bank.AccountID(id))

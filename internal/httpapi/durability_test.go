@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -98,7 +99,9 @@ func TestTransferRetryAcrossBankRestart(t *testing.T) {
 // TestClosedLogAnswers503: once the bank's log is closed (or has failed) a
 // write answers 503, and so does its identical retry. At 4xx the client's
 // retry loop stops; and a retried transfer must not get a bank-signed receipt
-// for a transfer the log never took.
+// for a transfer the log never took. The refused transfer may still have
+// moved the money in memory, so after it every read of that state answers 503
+// too, and the service tells its daemon once, to stop.
 func TestClosedLogAnswers503(t *testing.T) {
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {
@@ -113,7 +116,10 @@ func TestClosedLogAnswers503(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, st := durableBank(t, t.TempDir(), bankID)
-	srv := httptest.NewServer(NewBankService(b))
+	svc := NewBankService(b)
+	var stops []error
+	svc.OnLogFailure = func(err error) { stops = append(stops, err) }
+	srv := httptest.NewServer(svc)
 	defer srv.Close()
 	client := NewBankClient(srv.URL, nil)
 	for _, id := range []string{"alice", "bob"} {
@@ -156,6 +162,20 @@ func TestClosedLogAnswers503(t *testing.T) {
 				t.Errorf("POST %s attempt %d: %d %s, want 503", c.path, attempt, resp.StatusCode, body)
 			}
 		}
+	}
+	for _, path := range []string{"/accounts/alice", "/accounts/bob", "/history/bob", "/total"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("GET %s after the log closed: %d %s, want 503", path, resp.StatusCode, body)
+		}
+	}
+	if len(stops) != 1 || !errors.Is(stops[0], durable.ErrClosed) {
+		t.Errorf("OnLogFailure heard %v, want ErrClosed once", stops)
 	}
 }
 

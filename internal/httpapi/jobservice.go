@@ -139,8 +139,8 @@ func (s *JobService) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	// Scope the server span so the job's lifecycle span (and everything the
-	// market core records beneath it) joins this request's trace. The scope
+	// Scope the server span so the job's lifecycle span (and any exemplar the
+	// market core records meanwhile) joins this request's trace. The scope
 	// stack is safe here because the whole market runs under s.mu.
 	release := tracing.Default().PushScope(tracing.SpanFromContext(r.Context()))
 	gj, err := s.mgr.Submit(string(body), nil)

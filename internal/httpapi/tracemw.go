@@ -41,17 +41,15 @@ func Traced(service string, next http.Handler) http.Handler {
 
 // SpanWire is the JSON form of one span on /debug/traces/{id}.
 type SpanWire struct {
-	TraceID    string          `json:"trace_id"`
-	SpanID     string          `json:"span_id"`
-	ParentID   string          `json:"parent_id,omitempty"`
-	Name       string          `json:"name"`
-	Start      time.Time       `json:"start"`
-	End        *time.Time      `json:"end,omitempty"`
-	DurationMS float64         `json:"duration_ms"`
-	Error      string          `json:"error,omitempty"`
-	Attrs      []tracing.Attr  `json:"attrs,omitempty"`
-	Events     []tracing.Event `json:"events,omitempty"`
-	Dropped    int             `json:"dropped,omitempty"`
+	TraceID    string         `json:"trace_id"`
+	SpanID     string         `json:"span_id"`
+	ParentID   string         `json:"parent_id,omitempty"`
+	Name       string         `json:"name"`
+	Start      time.Time      `json:"start"`
+	End        *time.Time     `json:"end,omitempty"`
+	DurationMS float64        `json:"duration_ms"`
+	Error      string         `json:"error,omitempty"`
+	Attrs      []tracing.Attr `json:"attrs,omitempty"`
 }
 
 // spanWire flattens a span for the wire.
@@ -64,8 +62,6 @@ func spanWire(s *tracing.Span) SpanWire {
 		DurationMS: float64(s.Duration()) / float64(time.Millisecond),
 		Error:      s.Err(),
 		Attrs:      s.Attrs(),
-		Events:     s.Events(),
-		Dropped:    s.Dropped(),
 	}
 	if p := s.Parent(); !p.IsZero() {
 		w.ParentID = p.String()

@@ -49,12 +49,6 @@ func DeriveSeed(base int64, index uint64) int64 {
 	return int64(z >> 1) // clear the sign bit
 }
 
-// NewReplica returns a Source for replication index of a base-seeded
-// experiment family, via DeriveSeed.
-func NewReplica(base int64, index uint64) *Source {
-	return New(DeriveSeed(base, index))
-}
-
 // Float64 returns a uniform draw in [0, 1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 

@@ -128,7 +128,6 @@ type Evaluator struct {
 	db      *tsdb.DB
 	rules   []Objective
 	now     func() time.Time
-	tracer  *tracing.Tracer
 	service string
 
 	// Burn metrics live on the evaluator's registry (the daemon's own), so
@@ -162,16 +161,6 @@ func WithNow(fn func() time.Time) Option {
 	}
 }
 
-// WithTracer routes violation events to a specific tracer (default: the
-// process tracer).
-func WithTracer(t *tracing.Tracer) Option {
-	return func(e *Evaluator) {
-		if t != nil {
-			e.tracer = t
-		}
-	}
-}
-
 // WithRegistry places the slo_* burn metrics on reg (default: the process
 // registry).
 func WithRegistry(reg *metrics.Registry) Option {
@@ -188,7 +177,6 @@ func New(service string, db *tsdb.DB, rules []Objective, opts ...Option) *Evalua
 		db:      db,
 		rules:   append([]Objective(nil), rules...),
 		now:     time.Now,
-		tracer:  tracing.Default(),
 		service: service,
 		evalMu:  make(chan struct{}, 1),
 		wasViol: make(map[string]bool),
@@ -209,9 +197,6 @@ func (e *Evaluator) bindMetrics(reg *metrics.Registry) {
 	e.mViolations = reg.CounterVec("slo_violations_total",
 		"Transitions into violation, by objective.", "objective")
 }
-
-// Objectives returns the rule set.
-func (e *Evaluator) Objectives() []Objective { return append([]Objective(nil), e.rules...) }
 
 // Evaluate judges every objective now, updates the slo_* metrics, logs
 // violation transitions and returns the statuses sorted by objective name.
@@ -240,12 +225,11 @@ func (e *Evaluator) Evaluate() []Status {
 				"burn_fast", st.BurnFast, "burn_slow", st.BurnSlow,
 				"bad", st.BadSamples, "samples", st.Samples,
 				"last_value", st.LastValue, "series", rule.Series)
-			span := e.tracer.StartRemote(tracing.SpanContext{}, "slo.violation",
+			span := tracing.Default().StartRemote(tracing.SpanContext{}, "slo.violation",
 				tracing.String("objective", rule.Name),
 				tracing.String("service", e.service),
 				tracing.String("series", rule.Series),
-				tracing.String("burn_slow", fmt.Sprintf("%.3f", st.BurnSlow)))
-			span.AddEvent("violation-entered",
+				tracing.String("burn_slow", fmt.Sprintf("%.3f", st.BurnSlow)),
 				tracing.String("last_value", fmt.Sprintf("%g", st.LastValue)))
 			span.End()
 		} else if !st.Violating && was {

@@ -139,9 +139,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 // DB exposes the fleet series store (serve it with HistoryHandler).
 func (a *Aggregator) DB() *tsdb.DB { return a.db }
 
-// Peers lists the configured targets.
-func (a *Aggregator) Peers() []Peer { return append([]Peer(nil), a.peers...) }
-
 // ScrapeOnce sweeps every peer concurrently, copying what each recorded
 // since its last scrape into the fleet tsdb. Returns the number of peers
 // that answered.

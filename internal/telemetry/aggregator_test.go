@@ -356,8 +356,9 @@ func TestAggregatorPeerDownAndRecovery(t *testing.T) {
 // is scraped, and GET /debug/traces/{id} on that peer resolving it.
 func TestExemplarRoundTrip(t *testing.T) {
 	p := newTestPeer(t, time.Unix(6000, 0))
-	span, _ := tracing.Default().StartSpan(context.Background(), "bank.transfer")
-	span.StartChild("wal.fsync").End()
+	span, ctx := tracing.Default().StartSpan(context.Background(), "bank.transfer")
+	fsync, _ := tracing.Default().StartSpan(ctx, "wal.fsync")
+	fsync.End()
 	span.End()
 	traceID := span.Context().TraceID.String()
 

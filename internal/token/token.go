@@ -160,27 +160,3 @@ func (v *Verifier) Verify(t Token, now time.Time) (bank.Amount, error) {
 	}
 	return t.Receipt.Amount, nil
 }
-
-// Peek runs all checks except double-spend consumption; monitoring UIs use
-// it to display token status without burning the token.
-func (v *Verifier) Peek(t Token, now time.Time) (bank.Amount, error) {
-	if !bank.VerifyReceipt(v.bankKey, t.Receipt) {
-		return 0, ErrBadBankSignature
-	}
-	if t.Receipt.To != v.broker {
-		return 0, ErrWrongPayee
-	}
-	if err := pki.VerifyCertAgainst(v.caCert, t.UserCert, now); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadCertificate, err)
-	}
-	if t.UserCert.Subject != t.GridDN {
-		return 0, ErrDNMismatch
-	}
-	if !pki.Verify(t.UserCert.PublicKey, MappingBytes(t.Receipt, t.GridDN), t.UserSig) {
-		return 0, ErrBadMapping
-	}
-	if v.spent.Spent(t.Receipt.TransferID) {
-		return 0, ErrSpent
-	}
-	return t.Receipt.Amount, nil
-}

@@ -187,23 +187,6 @@ func TestGiftCertificateFlow(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotConsume(t *testing.T) {
-	w := newWorld(t)
-	tok := Attach(w.pay(t, bank.Credit, "peek"), w.user)
-	if _, err := w.verifier.Peek(tok, w.now()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.verifier.Peek(tok, w.now()); err != nil {
-		t.Fatalf("second peek: %v", err)
-	}
-	if _, err := w.verifier.Verify(tok, w.now()); err != nil {
-		t.Fatalf("verify after peeks: %v", err)
-	}
-	if _, err := w.verifier.Peek(tok, w.now()); !errors.Is(err, ErrSpent) {
-		t.Errorf("peek after spend: %v", err)
-	}
-}
-
 func TestConcurrentVerifySpendOnce(t *testing.T) {
 	w := newWorld(t)
 	tok := Attach(w.pay(t, bank.Credit, "race"), w.user)

@@ -1,13 +1,13 @@
 // Package tracing is the repository's dependency-free distributed-tracing
-// core: spans with parent links, attributes and timestamped events, recorded
-// into a bounded in-memory ring with sampling, and propagated across daemon
-// boundaries via W3C traceparent headers (traceparent.go).
+// core: spans with parent links and attributes, recorded into a bounded
+// in-memory ring with sampling, and propagated across daemon boundaries via
+// W3C traceparent headers (traceparent.go).
 //
-// The motivation mirrors the accounting argument of the Tycoon and GridBank
-// papers: a market allocator is only trustworthy when a single job can be
-// followed end to end — submission, bidding, escrow transfers, VM placement,
-// host failure, resubmission, completion. Metrics (internal/metrics) answer
-// "how much"; this package answers "why did *this* job get *that* price".
+// Spans answer "which layer of this request was slow" and, through metric
+// exemplars, tie a slow histogram bucket to one trace. They are sampled, so
+// they hold no record anything else depends on: a job's audit trail — "why
+// did *this* job get *that* price" — is the job's own data (agent.Job,
+// arc.GridJob), served whatever the sampling ratio.
 //
 // Two propagation styles coexist:
 //
@@ -22,8 +22,8 @@
 //     contexts and never touch the scope stack.
 //
 // Hot paths stay cheap: Current is one atomic load, an unsampled span's
-// methods are nil-check no-ops, and per-span attribute/event counts are
-// capped so a runaway loop cannot grow memory without bound.
+// methods are nil-check no-ops, and per-span attribute counts are capped so a
+// runaway loop cannot grow memory without bound.
 package tracing
 
 import (
@@ -80,7 +80,7 @@ type SpanContext struct {
 // Valid reports whether both ids are non-zero.
 func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
-// Attr is one key/value annotation on a span or event.
+// Attr is one key/value annotation on a span.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
@@ -89,21 +89,8 @@ type Attr struct {
 // String builds a string attribute.
 func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 
-// Event is a timestamped occurrence within a span — the unit the per-job
-// lifecycle timeline is assembled from.
-type Event struct {
-	Time  time.Time `json:"time"`
-	Name  string    `json:"name"`
-	Attrs []Attr    `json:"attrs,omitempty"`
-}
-
-// Per-span caps. A week-long simulated job can emit thousands of placement
-// events; the caps bound memory while the dropped counter keeps the loss
-// visible.
-const (
-	MaxEventsPerSpan = 512
-	MaxAttrsPerSpan  = 64
-)
+// MaxAttrsPerSpan caps a span's attributes.
+const MaxAttrsPerSpan = 64
 
 // Span is one timed operation. All methods are safe on a nil receiver (the
 // no-trace case) and safe for concurrent use.
@@ -116,13 +103,11 @@ type Span struct {
 	start   time.Time
 	sampled bool
 
-	mu      sync.Mutex
-	end     time.Time
-	attrs   []Attr
-	events  []Event
-	dropped int
-	errMsg  string
-	ended   bool
+	mu     sync.Mutex
+	end    time.Time
+	attrs  []Attr
+	errMsg string
+	ended  bool
 }
 
 // Context returns the span's propagated identity (zero when s is nil).
@@ -203,35 +188,10 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	defer s.mu.Unlock()
 	for _, a := range attrs {
 		if len(s.attrs) >= MaxAttrsPerSpan {
-			s.dropped++
-			continue
+			return
 		}
 		s.attrs = append(s.attrs, a)
 	}
-}
-
-// AddEvent records an event stamped with the tracer's clock.
-func (s *Span) AddEvent(name string, attrs ...Attr) {
-	if !s.Recording() {
-		return
-	}
-	s.AddEventAt(s.tracer.now(), name, attrs...)
-}
-
-// AddEventAt records an event with an explicit timestamp — the simulation
-// core stamps events with engine time so a job's timeline reads in simulated
-// time even though the span itself is timed on the wall clock.
-func (s *Span) AddEventAt(at time.Time, name string, attrs ...Attr) {
-	if !s.Recording() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.events) >= MaxEventsPerSpan {
-		s.dropped++
-		return
-	}
-	s.events = append(s.events, Event{Time: at, Name: name, Attrs: attrs})
 }
 
 // Attrs returns a copy of the span's attributes.
@@ -242,26 +202,6 @@ func (s *Span) Attrs() []Attr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Attr(nil), s.attrs...)
-}
-
-// Events returns a copy of the span's events in recording order.
-func (s *Span) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
-}
-
-// Dropped returns how many events/attributes were discarded by the caps.
-func (s *Span) Dropped() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // End closes the span and moves it into the tracer's completed ring.
@@ -285,15 +225,6 @@ func (s *Span) EndErr(err error) {
 	}
 	s.mu.Unlock()
 	s.tracer.record(s)
-}
-
-// StartChild starts a child span of s via s's tracer. On a nil receiver it
-// returns nil, so deep call chains need no trace-enabled checks.
-func (s *Span) StartChild(name string, attrs ...Attr) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tracer.newSpan(s.Context(), true, name, attrs)
 }
 
 // Option configures a Tracer.

@@ -31,7 +31,7 @@ func TestSpanLifecycle(t *testing.T) {
 	if child.parent != rc.SpanID {
 		t.Fatal("child parent link wrong")
 	}
-	child.AddEvent("ev", String("a", "b"))
+	child.SetAttr(String("a", "b"))
 	child.EndErr(errors.New("boom"))
 	root.End()
 
@@ -45,8 +45,8 @@ func TestSpanLifecycle(t *testing.T) {
 	if child.Err() != "boom" {
 		t.Fatalf("child err = %q", child.Err())
 	}
-	if evs := child.Events(); len(evs) != 1 || evs[0].Name != "ev" {
-		t.Fatalf("child events = %+v", evs)
+	if attrs := child.Attrs(); len(attrs) != 1 || attrs[0] != String("a", "b") {
+		t.Fatalf("child attrs = %+v", attrs)
 	}
 	if d := root.Duration(); d < 0 {
 		t.Fatalf("negative duration %v", d)
@@ -56,11 +56,9 @@ func TestSpanLifecycle(t *testing.T) {
 func TestNilSpanIsSafe(t *testing.T) {
 	var s *Span
 	s.SetAttr(String("k", "v"))
-	s.AddEvent("ev")
-	s.AddEventAt(time.Now(), "ev2")
 	s.End()
 	s.EndErr(errors.New("x"))
-	if s.Recording() || s.StartChild("c") != nil || s.Name() != "" {
+	if s.Recording() || s.Name() != "" {
 		t.Fatal("nil span methods must be no-ops")
 	}
 	if s.Context().Valid() {
@@ -117,23 +115,14 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestEventAndAttrCaps(t *testing.T) {
+func TestAttrCap(t *testing.T) {
 	tr := newTestTracer()
 	s, _ := tr.StartSpan(context.Background(), "busy")
-	for i := 0; i < MaxEventsPerSpan+10; i++ {
-		s.AddEvent("ev")
-	}
 	for i := 0; i < MaxAttrsPerSpan+5; i++ {
 		s.SetAttr(String("k", "v"))
 	}
-	if n := len(s.Events()); n != MaxEventsPerSpan {
-		t.Fatalf("events = %d, want cap %d", n, MaxEventsPerSpan)
-	}
 	if n := len(s.Attrs()); n != MaxAttrsPerSpan {
 		t.Fatalf("attrs = %d, want cap %d", n, MaxAttrsPerSpan)
-	}
-	if d := s.Dropped(); d != 15 {
-		t.Fatalf("dropped = %d, want 15", d)
 	}
 	s.End()
 }
@@ -227,18 +216,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestAddEventAtUsesExplicitTime(t *testing.T) {
-	tr := newTestTracer()
-	s, _ := tr.StartSpan(context.Background(), "sim")
-	at := time.Date(2006, 6, 19, 12, 0, 0, 0, time.UTC) // engine time
-	s.AddEventAt(at, "placed", String("price", "0.25"))
-	evs := s.Events()
-	if len(evs) != 1 || !evs[0].Time.Equal(at) {
-		t.Fatalf("events = %+v", evs)
-	}
-	s.End()
-}
-
 func TestConcurrentSpansNoRace(t *testing.T) {
 	tr := newTestTracer()
 	root, ctx := tr.StartSpan(context.Background(), "root")
@@ -248,7 +225,6 @@ func TestConcurrentSpansNoRace(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 50; j++ {
 				s, _ := tr.StartSpan(ctx, "worker")
-				s.AddEvent("tick")
 				s.SetAttr(String("i", "x"))
 				s.End()
 			}
@@ -282,11 +258,10 @@ func TestRenderTreeShape(t *testing.T) {
 	c2, _ := tr.StartSpan(cctx, "transfer")
 	c2.EndErr(errors.New("no funds"))
 	c1.End()
-	root.AddEvent("done")
 	root.End()
 
 	out := RenderTree(tr.Spans(root.Context().TraceID))
-	for _, want := range []string{"submit", "bid", "transfer", `ERROR="no funds"`, "events=1"} {
+	for _, want := range []string{"submit", "bid", "transfer", `ERROR="no funds"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("tree missing %q:\n%s", want, out)
 		}

@@ -49,7 +49,7 @@ func BuildTree(spans []*Span) []*Node {
 }
 
 // RenderTree renders a trace's spans as an indented ASCII tree with
-// durations, errors and event counts — the marketbench exit report and the
+// durations and errors — the marketbench exit report and the
 // gridclient `trace` subcommand both print this.
 func RenderTree(spans []*Span) string {
 	if len(spans) == 0 {
@@ -73,12 +73,6 @@ func renderNode(b *strings.Builder, n *Node, depth int) {
 	fmt.Fprintf(b, "- %s [%s] %s", s.Name(), s.id.String(), dur)
 	if errMsg := s.Err(); errMsg != "" {
 		fmt.Fprintf(b, " ERROR=%q", errMsg)
-	}
-	if ev := len(s.Events()); ev > 0 {
-		fmt.Fprintf(b, " events=%d", ev)
-	}
-	if d := s.Dropped(); d > 0 {
-		fmt.Fprintf(b, " dropped=%d", d)
 	}
 	b.WriteByte('\n')
 	for _, c := range n.Children {
