@@ -49,8 +49,9 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzBookOps$$' -fuzztime $(FUZZTIME) ./internal/auction
 
 # Coverage gate for the market-critical packages: the clearing mechanisms,
-# the SLA terms/valuation layer, and the prediction models (batch + streaming
-# — every scheduling decision flows through their forecasts) must stay
+# the SLA terms/valuation layer, and the prediction models (the streaming AR
+# every forecast handle reads, and the batch AR it is held to within 1e-9 —
+# every predicted-* pick flows through their forecasts) must stay
 # >= $(COVER_MIN)% statement coverage. Money changes hands through these
 # packages; untested branches there are billing bugs waiting to happen.
 COVER_MIN ?= 85
@@ -162,31 +163,51 @@ bench-pairs:
 			printf "%-14s head better in %d / %d pairs\n", name[k], wins, pairs } }' "$$rows"
 
 # What ROADMAP's judging rule asks of a simplicity claim, since BASE: non-test
-# Go lines outside bench/ added, deleted and net, then every command-line flag
+# Go lines outside bench/ added, deleted and net; then every command-line flag
 # defined (flag.X("name", ...) or fs.X("name", ...)) that a changed file gained
-# or lost, compared file by file so a flag that only moved is not listed.
+# or lost, compared file by file so a flag that only moved is not listed; then
+# every exported top-level declaration (func, method as Type.Method on an
+# exported type, type, const, var) the changed files gained or lost, named by
+# package directory and compared across the whole changed set, so one that
+# only moved between files of a package is not listed.
 #   make simplicity-ledger BASE=HEAD~1
 LEDGER_PATHS = '*.go' ':!*_test.go' ':!bench'
 LEDGER_FLAGS = grep -oE '\b(flag|fs)\.[A-Z][a-z0-9]*\("[^"]+"' | sed 's/.*("/-/; s/"$$//' | sort -u
+LEDGER_DECLS = awk -v pkg="$$(dirname $$f)" ' \
+	function out(kind, name) { sub(/[\[(].*/, "", name); if (name ~ /^[A-Z]/) print pkg "." name " (" kind ")" } \
+	/^\)/ { grp = "" } \
+	grp != "" && /^\t[A-Z]/ { for (i = 1; i <= NF; i++) { n = $$i; more = sub(/,$$/, "", n); out(grp, n); if (!more) break } } \
+	/^(const|var|type) \($$/ { grp = $$1; next } \
+	/^(const|var|type) [A-Za-z]/ { for (i = 2; i <= NF; i++) { n = $$i; more = sub(/,$$/, "", n); out($$1, n); if (!more) break } } \
+	/^func [A-Z]/ { out("func", $$2) } \
+	/^func \(/ { r = $$0; sub(/^func \(/, "", r); m = r; sub(/^[^)]*\) */, "", m); sub(/\).*/, "", r); \
+		n = split(r, a, " "); t = a[n]; sub(/^\*/, "", t); sub(/\[.*/, "", t); \
+		if (t ~ /^[A-Z]/ && m ~ /^[A-Z]/) out("method", t "." m) }'
 simplicity-ledger:
 	@if [ -z "$(BASE)" ]; then echo "usage: make simplicity-ledger BASE=<rev>"; exit 2; fi
 	@git diff --numstat $(BASE) -- $(LEDGER_PATHS) | awk '{ a += $$1; d += $$2 } \
 		END { printf "non-test Go lines outside bench/ since $(BASE): +%d / -%d = %+d net\n", a, d, a - d }'
-	@old=$$(mktemp); new=$$(mktemp); \
+	@old=$$(mktemp); new=$$(mktemp); oldd=$$(mktemp); newd=$$(mktemp); \
 	for f in $$(git diff --name-only $(BASE) -- $(LEDGER_PATHS)); do \
 		git show $(BASE):$$f 2>/dev/null | $(LEDGER_FLAGS) > $$old; \
 		cat $$f 2>/dev/null | $(LEDGER_FLAGS) > $$new; \
 		comm -13 $$old $$new | sed "s|^|flag added:   $$f |"; \
 		comm -23 $$old $$new | sed "s|^|flag removed: $$f |"; \
-	done; rm -f $$old $$new
+		git show $(BASE):$$f 2>/dev/null | $(LEDGER_DECLS) >> $$oldd; \
+		cat $$f 2>/dev/null | $(LEDGER_DECLS) >> $$newd; \
+	done; \
+	sort -u -o $$oldd $$oldd; sort -u -o $$newd $$newd; \
+	comm -13 $$oldd $$newd | sed "s|^|identifier added:   |"; \
+	comm -23 $$oldd $$newd | sed "s|^|identifier removed: |"; \
+	rm -f $$old $$new $$oldd $$newd
 
 # Performance gates that cannot flake, because they count instead of timing:
 # the benchmark's own smoke test (every workload at toy size, run twice, equal
 # digests), and the allocation gates of the job path's fast paths — an idle
 # Market.Tick with both price-history observers and PriceExcluding on an empty
 # book allocate nothing, Best Response over 10 000 hosts allocates a handful,
-# a streaming predictor in steady state allocates nothing per Observe or
-# Forecast, and an all-idle cluster tick allocates a constant few bytes however
+# the streaming AR model in steady state allocates nothing per Observe or
+# Forecast, a forecast that re-solves Yule-Walker included, and an all-idle cluster tick allocates a constant few bytes however
 # many hosts there are — and in a 10 000-host world executes no clear at all
 # over 100 ticks, after which Cluster.Sync hands every host's ring exactly the
 # 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a

@@ -267,9 +267,6 @@ type Config struct {
 	Identity *pki.Identity  // broker identity (owns the broker account)
 	Account  bank.AccountID // broker bank account tokens pay into
 	Verifier *token.Verifier
-	// HostOwnerAccount maps a host to the account its earnings accrue to.
-	// Defaults to one shared "grid-earnings" account, created by New.
-	HostOwnerAccount func(hostID string) bank.AccountID
 	// Hosts restricts this agent to a subset of the cluster's hosts — the
 	// paper's partitioned-agent deployment ("the agent itself can be
 	// replicated and partitioned to pick up a different set of compute
@@ -339,13 +336,12 @@ func New(cfg Config) (*Agent, error) {
 	if len(cfg.Hosts) == 0 {
 		cfg.Hosts = cfg.Cluster.HostIDs()
 	}
-	if cfg.HostOwnerAccount == nil {
-		// Charges reach the bank only when a job's escrow is released, so the
-		// account exists from the start rather than from the first release.
-		if _, err := cfg.Bank.CreateAccount(defaultEarnings, cfg.Identity.Public()); err != nil &&
-			!errors.Is(err, bank.ErrDuplicateAccount) {
-			return nil, fmt.Errorf("agent: creating earnings account: %w", err)
-		}
+	// Charges reach the bank only when a job's escrow is released, so the
+	// earnings account exists from the start rather than from the first
+	// release.
+	if _, err := cfg.Bank.CreateAccount(earningsAccount, cfg.Identity.Public()); err != nil &&
+		!errors.Is(err, bank.ErrDuplicateAccount) {
+		return nil, fmt.Errorf("agent: creating earnings account: %w", err)
 	}
 	a := &Agent{
 		cfg:      cfg,
@@ -393,16 +389,8 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// defaultEarnings is where every host's charges are paid when the
-// configuration names no per-host owner account.
-const defaultEarnings bank.AccountID = "grid-earnings"
-
-func (a *Agent) earningsAccount(hostID string) bank.AccountID {
-	if a.cfg.HostOwnerAccount != nil {
-		return a.cfg.HostOwnerAccount(hostID)
-	}
-	return defaultEarnings
-}
+// earningsAccount is where every host's charges are paid.
+const earningsAccount bank.AccountID = "grid-earnings"
 
 // settle books a tick's market charges: every charge of a bidder this agent
 // manages, host by host and bidder by bidder, goes on its job's tab. No money
@@ -445,7 +433,7 @@ func (a *Agent) bankTab(job *Job) {
 			memo = "cpu " + row.host
 			a.cpuMemo[row.host] = memo
 		}
-		legs = append(legs, bank.Move{From: job.SubAccount, To: a.earningsAccount(row.host),
+		legs = append(legs, bank.Move{From: job.SubAccount, To: earningsAccount,
 			Amount: row.charged - row.banked, Memo: memo})
 		row.banked = row.charged
 	}
@@ -509,9 +497,9 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 	// The paper's hold-back policy: if the market is too expensive to fund
 	// the required number of hosts, do not start at all — refund instead of
 	// delivering degraded QoS.
-	if jr.MinHosts > 0 && len(job.Hosts) < jr.MinHosts {
-		a.unwind(job)
-		return job, fmt.Errorf("%w: funded %d, need %d", ErrHoldBack, len(job.Hosts), jr.MinHosts)
+	if funded := len(job.Hosts); jr.MinHosts > 0 && funded < jr.MinHosts {
+		a.unwind(job) // clears job.Hosts
+		return job, fmt.Errorf("%w: funded %d, need %d", ErrHoldBack, funded, jr.MinHosts)
 	}
 	a.jobs[jobID] = job
 	a.byBidder[auction.BidderID(sub.ID)] = job
@@ -1122,20 +1110,10 @@ func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 		// What the markets owe the feed from before now goes to the rings
 		// alone: the predictors attached below see nothing older than they are.
 		a.syncFeed()
-		stream, err := predict.AttachHub(a.feed, predict.StreamingAR, predict.PredictorConfig{
+		a.stream = predict.AttachHub(a.feed, predict.PredictorConfig{
 			Window: a.cfg.FeedCapacity,
 			Step:   a.cfg.Cluster.Interval(),
-			// Refit at every forecast that follows a new clear (the solve is
-			// lazy, so clears alone cost nothing). The predictor's default
-			// reuses coefficients and mean for up to 16 clears, which is not
-			// what the batch reference does and misroutes jobs when picks
-			// come every tick: +55 % cost per job on broker-predict.
-			ResolveEvery: 1,
 		}, a.cfg.Hosts...)
-		if err != nil {
-			panic("agent: " + err.Error()) // predict registers StreamingAR itself
-		}
-		a.stream = stream
 	}
 	return func(horizon time.Duration) (predict.Forecast, error) {
 		a.syncFeed()

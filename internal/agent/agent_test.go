@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -474,6 +475,25 @@ func TestHoldBackPolicy(t *testing.T) {
 	w.eng.RunFor(time.Hour)
 	if job.State != StateDone {
 		t.Errorf("job state = %v", job.State)
+	}
+}
+
+// TestHoldBackErrorCountsFundedHosts pins the hold-back refusal's message to
+// what Best Response funded before the job was unwound: two hosts, not the
+// zero the unwound job is left with.
+func TestHoldBackErrorCountsFundedHosts(t *testing.T) {
+	w := newWorld(t, 2)
+	jr := request(5, time.Hour)
+	jr.MinHosts = 5
+	job, err := w.agent.Submit(w.payToken(t, 20), jr, chunks(5, 10))
+	if !errors.Is(err, ErrHoldBack) {
+		t.Fatalf("err = %v, want ErrHoldBack", err)
+	}
+	if len(job.Bids) != 2 {
+		t.Fatalf("best response placed %d bids, want 2 (both hosts)", len(job.Bids))
+	}
+	if want := "funded 2, need 5"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %q, want it to say %q", err, want)
 	}
 }
 

@@ -129,7 +129,7 @@ func (a *Agent) Timeline(job *Job) (events []Event, dropped int) {
 	}
 	for _, row := range job.tab {
 		if row.charged > 0 {
-			add(at, "bank.charge", "from", sub, "to", string(a.earningsAccount(row.host)),
+			add(at, "bank.charge", "from", sub, "to", string(earningsAccount),
 				"amount", row.charged.String(), "memo", "cpu "+row.host)
 		}
 	}

@@ -72,9 +72,6 @@ func newMetaWorld(t *testing.T) *metaWorld {
 			Cluster: cluster, Bank: b, Identity: brokerID,
 			Account: bank.AccountID(brokerName), Verifier: v,
 			Hosts: part,
-			HostOwnerAccount: func(string) bank.AccountID {
-				return "earnings" // shared earnings account, created below
-			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -85,12 +82,6 @@ func newMetaWorld(t *testing.T) *metaWorld {
 		}
 		managers = append(managers, mgr)
 		brokers = append(brokers, brokerName)
-	}
-	// Shared earnings account owned by... both brokers move money into it;
-	// MoveInternal only checks the *source* owner, so any key works here.
-	earnID, _ := ca.IssueDeterministic("/CN=Earnings", [32]byte{99})
-	if _, err := b.CreateAccount("earnings", earnID.Public()); err != nil {
-		t.Fatal(err)
 	}
 	meta, err := NewMeta(managers...)
 	if err != nil {

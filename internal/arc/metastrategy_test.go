@@ -192,8 +192,7 @@ func benchMetaWorld(tb testing.TB) *metaWorld {
 		ag, err := agent.New(agent.Config{
 			Cluster: cluster, Bank: b, Identity: brokerID,
 			Account: bank.AccountID(brokerName), Verifier: v,
-			Hosts:            part,
-			HostOwnerAccount: func(string) bank.AccountID { return "earnings" },
+			Hosts: part,
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -204,10 +203,6 @@ func benchMetaWorld(tb testing.TB) *metaWorld {
 		}
 		managers = append(managers, mgr)
 		brokers = append(brokers, brokerName)
-	}
-	earnID, _ := ca.IssueDeterministic("/CN=Earnings", [32]byte{99})
-	if _, err := b.CreateAccount("earnings", earnID.Public()); err != nil {
-		tb.Fatal(err)
 	}
 	meta, err := NewMeta(managers...)
 	if err != nil {

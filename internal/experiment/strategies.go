@@ -42,8 +42,8 @@ type StrategiesParams struct {
 	// Horizon is the forecast horizon handed to prediction strategies and the
 	// delay after which predicted-vs-realized error is scored.
 	Horizon time.Duration
-	// Predictor names the batch registry model a candidate without a forecast
-	// handle would be fitted with. The meta-scheduler never offers one, so no
+	// Predictor names the batch model ("ar", the only one) a candidate without
+	// a forecast handle would be fitted with. The meta-scheduler never offers one, so no
 	// world reads it; bench's replay of that batch path does.
 	Predictor string
 	// Window is the trailing history (in market ticks) forecasts and the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tycoongrid/internal/metrics"
+	"tycoongrid/internal/tracing"
 )
 
 // HTTP-layer metric families, shared by every daemon. The route label is
@@ -57,7 +58,10 @@ func routeLabel(path string) string {
 
 // Instrument wraps next so every request is recorded in the default
 // registry: request count by route/method/code, error count, in-flight
-// gauge and a latency histogram.
+// gauge and a latency histogram. When the request runs inside a recording
+// server span (Traced, wrapped around Instrument), the latency lands in its
+// bucket with the span's trace id as the bucket's exemplar; nothing is read
+// from the tracer's scope stack, which concurrent handlers do not push.
 func Instrument(service string, next http.Handler) http.Handler {
 	inFlight := mInFlight.With(service)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -72,7 +76,11 @@ func Instrument(service string, next http.Handler) http.Handler {
 			rec.status = http.StatusOK
 		}
 		mRequests.With(service, route, r.Method, strconv3(rec.status)).Inc()
-		mDuration.With(service, route).Observe(elapsed)
+		if span := tracing.SpanFromContext(r.Context()); span.Recording() {
+			mDuration.With(service, route).ObserveExemplar(elapsed, span.Context().TraceID.String())
+		} else {
+			mDuration.With(service, route).Observe(elapsed)
+		}
 		if rec.status >= 400 {
 			mErrors.With(service, route).Inc()
 		}
@@ -148,7 +156,8 @@ func WithPprof() MuxOption {
 // optionally /debug/pprof/, and every other path delegated to app. The
 // whole mux is instrumented, scrapes and health probes included, so a
 // freshly booted daemon exposes http_requests_total from its first scrape
-// on; application routes additionally run inside a server span (Traced).
+// on; application routes additionally run inside a server span (Traced),
+// which is outermost so the latency histogram can name the span's trace.
 func ObservedMux(service string, app http.Handler, opts ...MuxOption) http.Handler {
 	var cfg muxConfig
 	for _, o := range opts {
@@ -175,5 +184,5 @@ func ObservedMux(service string, app http.Handler, opts ...MuxOption) http.Handl
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	mux.Handle("/", app)
-	return Instrument(service, Traced(service, mux))
+	return Traced(service, Instrument(service, mux))
 }

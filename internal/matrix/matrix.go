@@ -284,6 +284,13 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 // This is the Yule-Walker solve of the paper's AR(k) model: t holds
 // autocorrelations R(0..k-1) and r holds R(1..k).
 func SolveToeplitz(t, r []float64) ([]float64, error) {
+	return SolveToeplitzInto(make([]float64, len(r)), make([]float64, 4*len(r)), t, r)
+}
+
+// SolveToeplitzInto is SolveToeplitz writing the solution into x (length
+// len(r)) and working in scratch (length 4*len(r)), so a caller that solves
+// once per forecast allocates nothing. x holds garbage after an error.
+func SolveToeplitzInto(x, scratch, t, r []float64) ([]float64, error) {
 	n := len(r)
 	if len(t) != n {
 		return nil, fmt.Errorf("matrix: Toeplitz sizes t=%d r=%d", len(t), n)
@@ -299,8 +306,8 @@ func SolveToeplitz(t, r []float64) ([]float64, error) {
 	// and nb their extensions by one term; all four share one scratch array
 	// (a solve per forecast handle per pick makes per-step slices the
 	// broker's largest source of garbage).
-	x := make([]float64, n)
-	scratch := make([]float64, 4*n)
+	x, scratch = x[:n], scratch[:4*n]
+	clear(x)
 	f, b := scratch[:n], scratch[n:2*n]
 	f[0] = 1 / t[0]
 	b[0] = 1 / t[0]

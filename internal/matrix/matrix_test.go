@@ -281,7 +281,9 @@ func TestSolveToeplitzErrors(t *testing.T) {
 
 // The forecast handles solve one order-6 system per host per pick; a slice
 // per recursion step (13 per solve) was a quarter of broker-predict's garbage
-// and made its peak RSS depend on where the last GC cycle fell.
+// and made its peak RSS depend on where the last GC cycle fell. The handles
+// pass their own buffers, so their solve allocates nothing; reused buffers
+// holding an earlier solve must give the same bits as fresh ones.
 func TestSolveToeplitzAllocationBound(t *testing.T) {
 	tt := []float64{1, 0.8, 0.6, 0.45, 0.3, 0.2}
 	r := []float64{0.8, 0.6, 0.45, 0.3, 0.2, 0.1}
@@ -292,6 +294,25 @@ func TestSolveToeplitzAllocationBound(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("SolveToeplitz(order 6) = %v allocs, want <= 2 (solution + one scratch array)", allocs)
+	}
+
+	want, _ := SolveToeplitz(tt, r)
+	x, scratch := make([]float64, len(r)), make([]float64, 4*len(r))
+	for i := range x {
+		x[i] = 1e6 // garbage an earlier solve could leave
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := SolveToeplitzInto(x, scratch, tt, r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SolveToeplitzInto(order 6) = %v allocs, want 0", allocs)
+	}
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("reused-buffer solve x[%d] = %v, fresh %v", i, x[i], want[i])
+		}
 	}
 }
 

@@ -3,69 +3,49 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"tycoongrid/internal/pricefeed"
 )
 
-// FeedForecasts manages one streaming predictor per host, attached as a sink
-// to a pricefeed.Hub: predictor state lives with the host's ring and is
+// FeedForecasts holds one streaming AR model per host, each attached as a
+// sink to a pricefeed.Hub: a model's state lives with its host's ring and is
 // updated once per market clear, so a scheduler reads forecasts through a
 // handle instead of materializing history slices and refitting per decision.
 //
-// Safe for concurrent use: the hub's observe path feeds the predictors while
+// The host set is fixed by AttachHub, so the map is only read afterwards.
+// Each model guards its own state: the hub's observe path feeds it while
 // strategies read forecasts.
 type FeedForecasts struct {
-	hub  *pricefeed.Hub
-	name string
-	cfg  PredictorConfig
-
-	mu     sync.Mutex
-	byHost map[string]StreamingPredictor
+	byHost map[string]*streamAR
 }
 
-// hubSink adapts a StreamingPredictor to the pricefeed.Sink signature.
-type hubSink struct{ sp StreamingPredictor }
+// hubSink adapts a streaming model to the pricefeed.Sink signature.
+type hubSink struct{ sp *streamAR }
 
 func (s hubSink) Observe(at time.Time, price float64) error {
 	return s.sp.Observe(price, at)
 }
 
-// AttachHub builds a FeedForecasts over hub using the named streaming
-// predictor, eagerly attaching one per listed host (more are attached lazily
-// on first Host call). The name must be in the streaming registry.
-func AttachHub(hub *pricefeed.Hub, name string, cfg PredictorConfig, hostIDs ...string) (*FeedForecasts, error) {
-	if hub == nil {
-		return nil, fmt.Errorf("predict: AttachHub: nil hub")
-	}
-	if _, err := NewStreaming(name, cfg); err != nil {
-		return nil, err
-	}
-	f := &FeedForecasts{hub: hub, name: name, cfg: cfg, byHost: make(map[string]StreamingPredictor)}
+// AttachHub attaches one streaming AR model, shaped by cfg, to each listed
+// host's stream on hub.
+func AttachHub(hub *pricefeed.Hub, cfg PredictorConfig, hostIDs ...string) *FeedForecasts {
+	f := &FeedForecasts{byHost: make(map[string]*streamAR, len(hostIDs))}
 	for _, id := range hostIDs {
-		f.Host(id)
+		sp := newStreamAR(cfg)
+		hub.Attach(id, hubSink{sp})
+		f.byHost[id] = sp
 	}
-	return f, nil
-}
-
-// Host returns hostID's streaming predictor, creating and attaching it to
-// the hub on first use.
-func (f *FeedForecasts) Host(hostID string) StreamingPredictor {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if sp, ok := f.byHost[hostID]; ok {
-		return sp
-	}
-	sp, _ := NewStreaming(f.name, f.cfg) // name validated in AttachHub
-	f.hub.Attach(hostID, hubSink{sp})
-	f.byHost[hostID] = sp
-	return sp
+	return f
 }
 
 // ForecastHost returns one host's forecast over the horizon.
 func (f *FeedForecasts) ForecastHost(hostID string, horizon time.Duration) (Forecast, error) {
-	return f.Host(hostID).Forecast(horizon)
+	sp, ok := f.byHost[hostID]
+	if !ok {
+		return Forecast{}, fmt.Errorf("predict: host %q has no attached model", hostID)
+	}
+	return sp.Forecast(horizon)
 }
 
 // ForecastMean combines the hosts' forecasts into one partition-level

@@ -28,10 +28,7 @@ func feedHub(t *testing.T, h *pricefeed.Hub, hostID string, vs []float64, base t
 func TestAttachHubForecastsFromRingStream(t *testing.T) {
 	hub := pricefeed.NewHub(64)
 	cfg := PredictorConfig{Window: 64, Order: 3}
-	ff, err := AttachHub(hub, StreamingAR, cfg, "h00", "h01")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ff := AttachHub(hub, cfg, "h00", "h01")
 
 	src := priceSeries(rng.New(11), 80)
 	base := time.Unix(0, 0)
@@ -67,19 +64,15 @@ func TestAttachHubForecastsFromRingStream(t *testing.T) {
 }
 
 // TestForecastMeanCombinesAndSkips checks the partition fold: means average,
-// sigmas combine as RMS, hosts without history are skipped, and a partition
-// with no ready host reports insufficient history.
+// sigmas combine as RMS, hosts without history or without a model are
+// skipped, and a partition with no ready host reports insufficient history.
 func TestForecastMeanCombinesAndSkips(t *testing.T) {
 	hub := pricefeed.NewHub(64)
-	ff, err := AttachHub(hub, StreamingWindow, PredictorConfig{Window: 32}, "hA", "hB")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ff := AttachHub(hub, PredictorConfig{Window: 32, Order: 3}, "hA", "hB", "hC")
 	base := time.Unix(0, 0)
 	feedHub(t, hub, "hA", priceSeries(rng.New(21), 40), base, DefaultStep)
 	feedHub(t, hub, "hB", priceSeries(rng.New(22), 40), base, DefaultStep)
 	// hC attached but never fed.
-	ff.Host("hC")
 
 	fa, err := ff.ForecastHost("hA", time.Hour)
 	if err != nil {
@@ -89,7 +82,7 @@ func TestForecastMeanCombinesAndSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ff.ForecastMean([]string{"hA", "hB", "hC"}, time.Hour)
+	got, err := ff.ForecastMean([]string{"hA", "hB", "hC", "unattached"}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,36 +100,25 @@ func TestForecastMeanCombinesAndSkips(t *testing.T) {
 	}
 }
 
-// TestAttachHubValidates checks constructor error paths: nil hub and an
-// unknown streaming family are both refused up front.
-func TestAttachHubValidates(t *testing.T) {
-	if _, err := AttachHub(nil, StreamingAR, PredictorConfig{}); err == nil {
-		t.Error("nil hub accepted")
-	}
-	if _, err := AttachHub(pricefeed.NewHub(8), "no-such-model", PredictorConfig{}); err == nil {
-		t.Error("unknown streaming family accepted")
-	}
-}
+// TestForecastHostUnattachedHost checks that the host set is the one
+// AttachHub was given: a host it never listed has no model, even once the hub
+// carries its prices, and asking for it is an error of its own rather than a
+// lack of history that more samples would cure.
+func TestForecastHostUnattachedHost(t *testing.T) {
+	hub := pricefeed.NewHub(64)
+	ff := AttachHub(hub, PredictorConfig{Window: 32, Order: 3}, "hA")
+	base := time.Unix(0, 0)
+	feedHub(t, hub, "hA", priceSeries(rng.New(31), 40), base, DefaultStep)
+	feedHub(t, hub, "hX", priceSeries(rng.New(32), 40), base, DefaultStep)
 
-// TestHostLazyAndMemoized checks Host creates one predictor per host and
-// returns the same instance thereafter, so feed state never forks.
-func TestHostLazyAndMemoized(t *testing.T) {
-	hub := pricefeed.NewHub(16)
-	ff, err := AttachHub(hub, StreamingNormal, PredictorConfig{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ff.ForecastHost("hA", time.Hour); err != nil {
+		t.Fatalf("attached host: %v", err)
 	}
-	a, b := ff.Host("hZ"), ff.Host("hZ")
-	if a != b {
-		t.Error("Host returned distinct predictors for one host")
+	_, err := ff.ForecastHost("hX", time.Hour)
+	if err == nil || errors.Is(err, ErrInsufficientHistory) {
+		t.Fatalf("unattached host err = %v, want a no-model error", err)
 	}
-	// The lazily created host is attached: hub samples must reach it.
-	feedHub(t, hub, "hZ", []float64{1, 2, 3}, time.Unix(0, 0), DefaultStep)
-	f, err := a.Forecast(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !closeTo(f.Mean, 2) {
-		t.Errorf("mean = %v, want 2", f.Mean)
+	if _, merr := ff.ForecastMean([]string{"hX"}, time.Hour); merr == nil || merr.Error() != err.Error() {
+		t.Errorf("partition of unattached hosts err = %v, want %v", merr, err)
 	}
 }

@@ -3,19 +3,18 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/pricefeed"
 )
 
-// This file unifies the package's price models — the normal distribution of
-// §4.2, the moving window of §4.1 and the smoothed AR(k) of §4.3/§5.4 —
-// behind one streaming Predictor interface, so schedulers can swap models
-// without knowing their internals. Observations arrive from the live
-// pricefeed; Predict collapses the model's view of the horizon into a
-// mean+quantile distribution.
+// This file holds the package's price-model interface and the batch AR(k)
+// reference of §4.3/§5.4. The model a running world reads is its streaming
+// twin (streaming.go); the batch form remains the reference it is checked
+// against and the fallback of a strategy candidate that carries a history
+// instead of a forecast handle. Predict collapses the model's view of the
+// horizon into a mean+quantile distribution.
 
 // Forecast is a price distribution over a horizon, summarized by its first
 // two moments. Quantile treats it as Normal(Mean, Sigma^2), matching the
@@ -38,42 +37,32 @@ func (f Forecast) Quantile(p float64) (float64, error) {
 	return q, nil
 }
 
-// Predictor is a streaming price model: feed it spot-price observations as
-// the market clears, ask it for the price distribution over a horizon.
-// Implementations reject invalid observations (non-finite, out-of-order) at
-// the boundary, like FitAR, and return an error from Predict until they have
-// enough history. Not safe for concurrent use.
+// Predictor is the batch price model: feed it spot-price observations, ask
+// it for the price distribution over a horizon, and it refits from its
+// window on every Predict. It rejects invalid observations (non-finite,
+// out-of-order) at the boundary, like FitAR, and returns an error from
+// Predict until it has enough history. Not safe for concurrent use.
 type Predictor interface {
-	Name() string
 	Observe(at time.Time, price float64) error
 	Predict(horizon time.Duration) (Forecast, error)
 }
 
-// PredictorConfig shapes a predictor from the registry.
+// PredictorConfig shapes an AR predictor, batch or streaming.
 type PredictorConfig struct {
-	// Window is the trailing observation count the windowed models keep
+	// Window is the trailing observation count the model keeps
 	// (<= 0 means DefaultWindow).
 	Window int
 	// Order is the AR model order (<= 0 means DefaultOrder).
 	Order int
-	// Lambda is the Whittaker-Henderson smoothing strength applied before an
-	// AR fit (< 0 means DefaultLambda; 0 disables smoothing).
+	// Lambda is the Whittaker-Henderson smoothing strength applied before a
+	// batch AR fit (< 0 means DefaultLambda; 0 disables smoothing).
 	Lambda float64
 	// Step is the expected observation spacing, used to convert a horizon
 	// into forecast steps (<= 0 means the paper's 10 s reallocation period).
 	Step time.Duration
-	// ResolveEvery is the streaming AR model's amortized Levinson cadence:
-	// the Yule-Walker system is re-solved once per this many accepted
-	// observations (<= 0 means DefaultResolveEvery). Batch models ignore it.
-	ResolveEvery int
-	// Shrink is the stabilization target for iterated streaming AR
-	// forecasts: coefficients are rescaled so sum |alpha_j| <= Shrink before
-	// iterating, exactly like the batch pipeline's ARModel.Shrink(0.995)
-	// (<= 0 means DefaultShrink). Batch models ignore it.
-	Shrink float64
 }
 
-// Registry defaults.
+// Model defaults.
 const (
 	DefaultWindow = 360 // one hour of 10 s ticks
 	DefaultOrder  = 6   // the paper's AR(6)
@@ -97,123 +86,19 @@ func (c PredictorConfig) withDefaults() PredictorConfig {
 	return c
 }
 
-// predictorMakers is the registry: name -> constructor. Populated at init;
-// RegisterPredictor allows extensions (tests, future models).
-var predictorMakers = map[string]func(PredictorConfig) Predictor{}
-
-// RegisterPredictor adds a named constructor to the registry. Registering a
-// duplicate name panics: two models silently shadowing each other would make
-// experiment results unattributable.
-func RegisterPredictor(name string, make func(PredictorConfig) Predictor) {
-	if name == "" || make == nil {
-		panic("predict: empty predictor registration")
-	}
-	if _, ok := predictorMakers[name]; ok {
-		panic("predict: duplicate predictor " + name)
-	}
-	predictorMakers[name] = make
-}
-
-func init() {
-	RegisterPredictor("normal", func(c PredictorConfig) Predictor {
-		return &normalPredictor{}
-	})
-	RegisterPredictor("window", func(c PredictorConfig) Predictor {
-		c = c.withDefaults()
-		ring, _ := pricefeed.NewRing(c.Window)
-		return &windowPredictor{ring: ring}
-	})
-	RegisterPredictor("ar", func(c PredictorConfig) Predictor {
-		c = c.withDefaults()
-		ring, _ := pricefeed.NewRing(c.Window)
-		return &arPredictor{cfg: c, ring: ring}
-	})
-}
-
-// NewPredictor builds a registered predictor by name.
+// NewPredictor builds the batch AR reference model, whose one name is "ar".
 func NewPredictor(name string, cfg PredictorConfig) (Predictor, error) {
-	make, ok := predictorMakers[name]
-	if !ok {
-		return nil, fmt.Errorf("predict: unknown predictor %q (have %v)", name, PredictorNames())
+	if name != "ar" {
+		return nil, fmt.Errorf("predict: unknown predictor %q (want \"ar\")", name)
 	}
-	return make(cfg), nil
-}
-
-// PredictorNames returns the registered predictor names, sorted.
-func PredictorNames() []string {
-	out := make([]string, 0, len(predictorMakers))
-	for name := range predictorMakers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	cfg = cfg.withDefaults()
+	ring, _ := pricefeed.NewRing(cfg.Window)
+	return &arPredictor{cfg: cfg, ring: ring}, nil
 }
 
 // ErrInsufficientHistory is wrapped by Predict when the model has not seen
 // enough observations yet; callers fall back to the current price.
 var ErrInsufficientHistory = fmt.Errorf("predict: insufficient history")
-
-// normalPredictor is the §4.2 model: the price is Normal(mu, sigma) with
-// moments accumulated over the whole stream. "The advantage of this method
-// is that no data points need to be stored" — a running Welford fold, so
-// Observe is O(1) and the forecast is horizon-independent.
-type normalPredictor struct {
-	n    int
-	mean float64
-	m2   float64
-	last time.Time
-	seen bool
-}
-
-func (p *normalPredictor) Name() string { return "normal" }
-
-func (p *normalPredictor) Observe(at time.Time, price float64) error {
-	if math.IsNaN(price) || math.IsInf(price, 0) {
-		return fmt.Errorf("%w: %v", pricefeed.ErrNonFinite, price)
-	}
-	if price < 0 {
-		return fmt.Errorf("%w: %v", pricefeed.ErrNegative, price)
-	}
-	if p.seen && !at.After(p.last) {
-		return fmt.Errorf("%w: %v <= %v", pricefeed.ErrOutOfOrder, at, p.last)
-	}
-	p.seen = true
-	p.last = at
-	p.n++
-	d := price - p.mean
-	p.mean += d / float64(p.n)
-	p.m2 += d * (price - p.mean)
-	return nil
-}
-
-func (p *normalPredictor) Predict(time.Duration) (Forecast, error) {
-	if p.n < 2 {
-		return Forecast{}, fmt.Errorf("%w: normal model has %d points, want >= 2", ErrInsufficientHistory, p.n)
-	}
-	return Forecast{Mean: p.mean, Sigma: math.Sqrt(p.m2 / float64(p.n-1))}, nil
-}
-
-// windowPredictor is the §4.1 moving-window model: mean and deviation of the
-// trailing Window observations. It tracks regime shifts the all-time normal
-// model averages away.
-type windowPredictor struct {
-	ring *pricefeed.Ring
-}
-
-func (p *windowPredictor) Name() string { return "window" }
-
-func (p *windowPredictor) Observe(at time.Time, price float64) error {
-	return p.ring.Observe(at, price)
-}
-
-func (p *windowPredictor) Predict(time.Duration) (Forecast, error) {
-	vs := p.ring.Prices()
-	if len(vs) < 2 {
-		return Forecast{}, fmt.Errorf("%w: window has %d points, want >= 2", ErrInsufficientHistory, len(vs))
-	}
-	mu, sigma := meanStd(vs)
-	return Forecast{Mean: mu, Sigma: sigma}, nil
-}
 
 // arPredictor is the §4.3/§5.4 model: smooth the trailing window, fit AR(k),
 // and iterate the forecast horizon/step steps ahead. Sigma is the window's
@@ -222,8 +107,6 @@ type arPredictor struct {
 	cfg  PredictorConfig
 	ring *pricefeed.Ring
 }
-
-func (p *arPredictor) Name() string { return "ar" }
 
 func (p *arPredictor) Observe(at time.Time, price float64) error {
 	return p.ring.Observe(at, price)

@@ -20,70 +20,69 @@ func feed(t *testing.T, p Predictor, vs []float64, step time.Duration) {
 	}
 }
 
-func TestPredictorRegistry(t *testing.T) {
-	names := PredictorNames()
-	// Exactly the reference models: the streaming families have their own
-	// registry (NewStreaming) and no entry here.
-	want := []string{"ar", "normal", "window"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
+// TestNewPredictorBuildsOnlyAR checks the batch constructor: "ar" is the one
+// name, and a fresh model refuses to predict rather than guess.
+func TestNewPredictorBuildsOnlyAR(t *testing.T) {
+	for _, name := range []string{"normal", "window", "streaming-ar", ""} {
+		if _, err := NewPredictor(name, PredictorConfig{}); err == nil {
+			t.Errorf("NewPredictor(%q) accepted", name)
 		}
 	}
-	for _, n := range names {
-		p, err := NewPredictor(n, PredictorConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", n, err)
-		}
-		if p.Name() != n {
-			t.Errorf("predictor %q reports name %q", n, p.Name())
-		}
-		// Fresh predictors must refuse to predict rather than guess.
-		if _, err := p.Predict(time.Hour); !errors.Is(err, ErrInsufficientHistory) {
-			t.Errorf("%s: empty predict err = %v", n, err)
-		}
-	}
-	if _, err := NewPredictor("oracle", PredictorConfig{}); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-}
-
-func TestPredictorsRejectBadObservations(t *testing.T) {
-	for _, name := range PredictorNames() {
-		p, err := NewPredictor(name, PredictorConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Observe(pt0, math.NaN()); !errors.Is(err, pricefeed.ErrNonFinite) {
-			t.Errorf("%s: NaN err = %v", name, err)
-		}
-		if err := p.Observe(pt0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Observe(pt0.Add(-time.Second), 1); !errors.Is(err, pricefeed.ErrOutOfOrder) {
-			t.Errorf("%s: out-of-order err = %v", name, err)
-		}
-	}
-}
-
-func TestNormalPredictorMoments(t *testing.T) {
-	p, _ := NewPredictor("normal", PredictorConfig{})
-	vs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	feed(t, p, vs, 10*time.Second)
-	f, err := p.Predict(time.Hour)
+	p, err := NewPredictor("ar", PredictorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(f.Mean-5) > 1e-12 {
-		t.Errorf("mean = %v, want 5", f.Mean)
+	if _, err := p.Predict(time.Hour); !errors.Is(err, ErrInsufficientHistory) {
+		t.Errorf("empty predict err = %v", err)
 	}
-	// Sample (n-1) deviation of the classic dataset.
-	if want := math.Sqrt(32.0 / 7.0); math.Abs(f.Sigma-want) > 1e-12 {
-		t.Errorf("sigma = %v, want %v", f.Sigma, want)
+}
+
+// TestPredictorsRejectBadObservations checks that the batch reference and the
+// streaming model apply one boundary: each poisoned sample is refused with
+// the pricefeed error a ring gives it, and refusals leave the model usable.
+func TestPredictorsRejectBadObservations(t *testing.T) {
+	models := map[string]func(at time.Time, price float64) error{}
+	batch, err := NewPredictor("ar", PredictorConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	models["ar"] = batch.Observe
+	stream, err := NewStreaming(StreamingAR, PredictorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models[StreamingAR] = func(at time.Time, price float64) error { return stream.Observe(price, at) }
+
+	for _, name := range []string{"ar", StreamingAR} {
+		observe := models[name]
+		t.Run(name, func(t *testing.T) {
+			if err := observe(pt0, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				at    time.Time
+				price float64
+				want  error
+			}{
+				{pt0.Add(time.Second), math.NaN(), pricefeed.ErrNonFinite},
+				{pt0.Add(time.Second), math.Inf(1), pricefeed.ErrNonFinite},
+				{pt0.Add(time.Second), -0.5, pricefeed.ErrNegative},
+				{pt0.Add(-time.Second), 1, pricefeed.ErrOutOfOrder},
+				{pt0, 1, pricefeed.ErrDuplicate},
+			} {
+				if err := observe(c.at, c.price); !errors.Is(err, c.want) {
+					t.Errorf("Observe(%v, %v) = %v, want %v", c.at, c.price, err, c.want)
+				}
+			}
+			if err := observe(pt0.Add(time.Minute), 1.1); err != nil {
+				t.Errorf("model poisoned by rejected samples: %v", err)
+			}
+		})
+	}
+}
+
+func TestForecastQuantile(t *testing.T) {
+	f := Forecast{Mean: 5, Sigma: 2}
 	med, err := f.Quantile(0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +95,10 @@ func TestNormalPredictorMoments(t *testing.T) {
 	if !(lo < med && med < hi) {
 		t.Errorf("quantiles not ordered: %v %v %v", lo, med, hi)
 	}
-	if _, err := f.Quantile(0); err == nil {
-		t.Error("quantile 0 accepted")
+	for _, p := range []float64{0, 1} {
+		if _, err := f.Quantile(p); err == nil {
+			t.Errorf("quantile %v accepted", p)
+		}
 	}
 }
 
@@ -109,24 +110,6 @@ func TestForecastQuantileClipsAtZero(t *testing.T) {
 	}
 	if q != 0 {
 		t.Errorf("low quantile = %v, want clipped 0", q)
-	}
-}
-
-func TestWindowPredictorTracksRegime(t *testing.T) {
-	p, _ := NewPredictor("window", PredictorConfig{Window: 4})
-	// Old cheap regime followed by an expensive one; the window must only
-	// see the new regime.
-	vs := []float64{1, 1, 1, 1, 1, 9, 9, 9, 9}
-	feed(t, p, vs, 10*time.Second)
-	f, err := p.Predict(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Mean != 9 {
-		t.Errorf("windowed mean = %v, want 9", f.Mean)
-	}
-	if f.Sigma != 0 {
-		t.Errorf("windowed sigma = %v, want 0", f.Sigma)
 	}
 }
 
@@ -167,17 +150,4 @@ func TestARPredictorForecastsTrend(t *testing.T) {
 	if fc.Mean != 0 {
 		t.Errorf("constant forecast = %v, want 0", fc.Mean)
 	}
-}
-
-func TestRegisterPredictorGuards(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty name", func() { RegisterPredictor("", func(PredictorConfig) Predictor { return nil }) })
-	mustPanic("duplicate", func() { RegisterPredictor("ar", func(PredictorConfig) Predictor { return nil }) })
 }

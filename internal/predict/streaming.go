@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -11,101 +10,42 @@ import (
 	"tycoongrid/internal/pricefeed"
 )
 
-// This file is the streaming side of the prediction pipeline: every model is
-// updated in O(1) per observation instead of being refitted from a copied
-// history window per forecast. The batch predictors (predictor.go) remain the
-// reference implementations — the contract tests in streaming_test.go pin the
-// streaming AR fit to the batch FitAR result within 1e-9 on identical
-// windows — but at 10k hosts x per-tick clears the scheduler's hot loop runs
-// through these.
+// This file is the model the price feed carries: one streaming AR(k) per
+// host, updated in O(1) per observation instead of being refitted from a
+// copied history window per forecast. The batch arPredictor (predictor.go)
+// remains the reference — the contract tests in streaming_test.go pin the
+// streaming fit to the batch FitAR result within 1e-9 on identical windows.
 //
-// Unlike the batch Predictor implementations, StreamingPredictor
-// implementations are safe for concurrent use: the market's observe path and
-// the scheduler's forecast reads run on different goroutines once the
-// pricefeed hub is sharded.
+// Unlike the batch Predictor, a StreamingPredictor is safe for concurrent
+// use: at Shards >= 2 the market plane's shard goroutines feed it while the
+// engine goroutine reads forecasts.
 
 // StreamingPredictor is a price model maintained incrementally: Observe
-// folds one spot-price sample into running state in O(1) (amortized, for the
-// AR model) and Forecast reads the current model without touching history.
+// folds one spot-price sample into running state in O(1) and Forecast reads
+// the current model without touching history.
 type StreamingPredictor interface {
-	Name() string
 	Observe(price float64, at time.Time) error
 	Forecast(horizon time.Duration) (Forecast, error)
 }
 
-// Registered streaming predictor names. They live in their own registry
-// (NewStreaming); the batch Predictor registry holds only the reference
-// models the equivalence tests compare these against.
-const (
-	StreamingNormal = "streaming-normal"
-	StreamingWindow = "streaming-window"
-	StreamingAR     = "streaming-ar"
-)
-
-// DefaultResolveEvery is the amortized Levinson cadence: the streaming AR
-// model re-solves Yule-Walker once per this many accepted observations and
-// reuses the coefficients in between (the autocovariances stay exact; only
-// the solve is amortized).
-const DefaultResolveEvery = 16
+// StreamingAR names the streaming AR model, the only one NewStreaming builds.
+const StreamingAR = "streaming-ar"
 
 // DefaultShrink matches the batch pipeline's stabilization: iterated
 // forecasts shrink near-unit-root fits to sum |alpha_j| <= 0.995.
 const DefaultShrink = 0.995
 
-// streamMakers is the streaming registry: name -> constructor.
-var streamMakers = map[string]func(PredictorConfig) StreamingPredictor{}
-
-// RegisterStreaming adds a named streaming constructor. Duplicate or empty
-// registrations panic, mirroring RegisterPredictor.
-func RegisterStreaming(name string, make func(PredictorConfig) StreamingPredictor) {
-	if name == "" || make == nil {
-		panic("predict: empty streaming predictor registration")
-	}
-	if _, ok := streamMakers[name]; ok {
-		panic("predict: duplicate streaming predictor " + name)
-	}
-	streamMakers[name] = make
-}
-
-func init() {
-	RegisterStreaming(StreamingNormal, func(c PredictorConfig) StreamingPredictor {
-		// The §4.2 normal model is already a running Welford fold; its
-		// streaming form is the same fold behind the streaming interface.
-		return &streamMoments{name: StreamingNormal}
-	})
-	RegisterStreaming(StreamingWindow, func(c PredictorConfig) StreamingPredictor {
-		c = c.withDefaults()
-		// Exponentially-weighted moments with span = Window: the O(1),
-		// storage-free analogue of the §4.1 trailing-window mean/deviation.
-		return &streamMoments{name: StreamingWindow, alpha: 2 / (float64(c.Window) + 1)}
-	})
-	RegisterStreaming(StreamingAR, func(c PredictorConfig) StreamingPredictor {
-		return newStreamAR(c)
-	})
-}
-
-// NewStreaming builds a registered streaming predictor by name.
+// NewStreaming builds the streaming AR model. name must be StreamingAR.
 func NewStreaming(name string, cfg PredictorConfig) (StreamingPredictor, error) {
-	mk, ok := streamMakers[name]
-	if !ok {
-		return nil, fmt.Errorf("predict: unknown streaming predictor %q (have %v)", name, StreamingNames())
+	if name != StreamingAR {
+		return nil, fmt.Errorf("predict: unknown streaming predictor %q (want %q)", name, StreamingAR)
 	}
-	return mk(cfg), nil
+	return newStreamAR(cfg), nil
 }
 
-// StreamingNames returns the registered streaming predictor names, sorted.
-func StreamingNames() []string {
-	out := make([]string, 0, len(streamMakers))
-	for name := range streamMakers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// validateSample applies the pricefeed boundary rules shared by every
-// streaming model: finite non-negative prices, strictly increasing
-// timestamps. last/seen are the caller's ordering state.
+// validateSample applies the pricefeed boundary rules to one streaming
+// sample: finite non-negative prices, strictly increasing timestamps.
+// last/seen are the model's ordering state.
 func validateSample(price float64, at time.Time, last time.Time, seen bool) error {
 	if math.IsNaN(price) || math.IsInf(price, 0) {
 		return fmt.Errorf("%w: %v", pricefeed.ErrNonFinite, price)
@@ -124,70 +64,13 @@ func validateSample(price float64, at time.Time, last time.Time, seen bool) erro
 	return nil
 }
 
-// streamMoments is the shared mean/variance stream: a cumulative Welford
-// fold when alpha == 0 (streaming-normal, identical to the batch normal
-// model), exponentially-weighted moments when alpha > 0 (streaming-window,
-// West's recurrence with alpha = 2/(span+1)).
-type streamMoments struct {
-	mu    sync.Mutex
-	name  string
-	alpha float64
-
-	n    int
-	mean float64
-	m2   float64 // Welford M2 (alpha == 0) or EW variance (alpha > 0)
-	last time.Time
-	seen bool
-}
-
-func (p *streamMoments) Name() string { return p.name }
-
-func (p *streamMoments) Observe(price float64, at time.Time) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := validateSample(price, at, p.last, p.seen); err != nil {
-		return err
-	}
-	p.seen = true
-	p.last = at
-	p.n++
-	if p.alpha > 0 {
-		if p.n == 1 {
-			p.mean = price
-			return nil
-		}
-		d := price - p.mean
-		incr := p.alpha * d
-		p.mean += incr
-		p.m2 = (1 - p.alpha) * (p.m2 + d*incr)
-		return nil
-	}
-	d := price - p.mean
-	p.mean += d / float64(p.n)
-	p.m2 += d * (price - p.mean)
-	return nil
-}
-
-func (p *streamMoments) Forecast(time.Duration) (Forecast, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.n < 2 {
-		return Forecast{}, fmt.Errorf("%w: %s has %d points, want >= 2",
-			ErrInsufficientHistory, p.name, p.n)
-	}
-	if p.alpha > 0 {
-		return Forecast{Mean: p.mean, Sigma: math.Sqrt(p.m2)}, nil
-	}
-	return Forecast{Mean: p.mean, Sigma: math.Sqrt(p.m2 / float64(p.n-1))}, nil
-}
-
 // streamAR is the incremental AR(k) model. It keeps the trailing Window
 // observations in a ring, but — unlike the batch arPredictor — never copies
 // them out or refits from scratch. Instead it maintains the running lagged
 // product sums the Yule-Walker autocorrelations are built from, applying a
 // rank-1 update as each sample enters and the displaced one leaves, and
-// re-solves the k x k Toeplitz system only once per ResolveEvery
-// observations.
+// re-solves the k x k Toeplitz system lazily, at the first forecast after a
+// new observation.
 //
 // Numerical contract (see DESIGN.md "Incremental-fit contract"):
 //
@@ -206,43 +89,34 @@ type streamAR struct {
 	mu  sync.Mutex
 	cfg PredictorConfig
 
-	buf    []float64 // ring of centered values, capacity Window
-	head   int       // index of the oldest value
-	n      int
-	ref    float64 // centering reference: the first accepted price
-	refSet bool
-	last   time.Time
-	seen   bool
+	buf  []float64 // ring of centered values, capacity Window
+	head int       // index of the oldest value
+	n    int
+	ref  float64   // centering reference: the first accepted price
+	last time.Time // newest accepted timestamp
+	seen bool      // an observation has been accepted; ref and last are set
 
 	sum       float64   // sum of z_i over the window
 	lagProd   []float64 // P_k = sum z_{i+k} z_i, k = 0..Order
 	evictions int       // evictions since the last exact refresh
 
-	model    ARModel
-	fitted   bool
-	sinceFit int // accepted observations since the last Levinson solve
+	model  ARModel
+	fitted bool // model is solved over the current window
 
-	tbuf, rbuf, work []float64 // reusable solve/forecast scratch
+	tbuf, rbuf, sbuf, work []float64 // reusable solve/forecast scratch
 }
 
 func newStreamAR(c PredictorConfig) *streamAR {
 	c = c.withDefaults()
-	if c.ResolveEvery <= 0 {
-		c.ResolveEvery = DefaultResolveEvery
-	}
-	if c.Shrink <= 0 {
-		c.Shrink = DefaultShrink
-	}
 	return &streamAR{
 		cfg:     c,
 		buf:     make([]float64, c.Window),
 		lagProd: make([]float64, c.Order+1),
 		tbuf:    make([]float64, c.Order),
 		rbuf:    make([]float64, c.Order),
+		sbuf:    make([]float64, 5*c.Order),
 	}
 }
-
-func (p *streamAR) Name() string { return StreamingAR }
 
 // at returns the i-th oldest centered value (0 <= i < n).
 func (p *streamAR) at(i int) float64 {
@@ -255,9 +129,8 @@ func (p *streamAR) Observe(price float64, at time.Time) error {
 	if err := validateSample(price, at, p.last, p.seen); err != nil {
 		return err
 	}
-	if !p.refSet {
+	if !p.seen {
 		p.ref = price
-		p.refSet = true
 	}
 	z := price - p.ref
 	k := p.cfg.Order
@@ -284,7 +157,7 @@ func (p *streamAR) Observe(price float64, at time.Time) error {
 	}
 	p.n++
 	p.sum += z
-	p.sinceFit++
+	p.fitted = false
 	p.seen = true
 	p.last = at
 
@@ -330,8 +203,8 @@ func (p *streamAR) autocorr(j int, mu float64) float64 {
 	return (p.lagProd[j] - mu*(2*p.sum-headSum-tailSum) + nj*mu*mu) / nj
 }
 
-// solve refits the Yule-Walker system from the running sums — the amortized
-// step the rank-1 updates exist to make rare.
+// solve refits the Yule-Walker system from the running sums, an O(Order^2)
+// step the rank-1 updates keep off the observe path.
 func (p *streamAR) solve() error {
 	k := p.cfg.Order
 	mu := p.sum / float64(p.n)
@@ -352,16 +225,14 @@ func (p *streamAR) solve() error {
 			p.model.Coeffs[j] = 0
 		}
 		p.fitted = true
-		p.sinceFit = 0
 		return nil
 	}
-	alpha, err := matrix.SolveToeplitz(p.tbuf, p.rbuf)
+	alpha, err := matrix.SolveToeplitzInto(p.sbuf[:k], p.sbuf[k:], p.tbuf, p.rbuf)
 	if err != nil {
 		return fmt.Errorf("predict: streaming Yule-Walker solve: %w", err)
 	}
 	copy(p.model.Coeffs, alpha)
 	p.fitted = true
-	p.sinceFit = 0
 	return nil
 }
 
@@ -397,7 +268,7 @@ func (p *streamAR) Forecast(horizon time.Duration) (Forecast, error) {
 	if err := p.requireHistory(); err != nil {
 		return Forecast{}, err
 	}
-	if !p.fitted || p.sinceFit >= p.cfg.ResolveEvery {
+	if !p.fitted {
 		if err := p.solve(); err != nil {
 			return Forecast{}, err
 		}
@@ -415,22 +286,20 @@ func (p *streamAR) Forecast(horizon time.Duration) (Forecast, error) {
 	k := p.cfg.Order
 	coeffs := p.model.Coeffs
 	var shrunk [16]float64 // Order is small; avoid allocating per forecast
-	if p.cfg.Shrink > 0 {
-		var s float64
+	var s float64
+	for _, a := range coeffs {
+		s += math.Abs(a)
+	}
+	if s > DefaultShrink {
+		f := DefaultShrink / s
+		dst := shrunk[:0]
+		if k > len(shrunk) {
+			dst = make([]float64, 0, k)
+		}
 		for _, a := range coeffs {
-			s += math.Abs(a)
+			dst = append(dst, a*f)
 		}
-		if s > p.cfg.Shrink {
-			f := p.cfg.Shrink / s
-			dst := shrunk[:0]
-			if k > len(shrunk) {
-				dst = make([]float64, 0, k)
-			}
-			for _, a := range coeffs {
-				dst = append(dst, a*f)
-			}
-			coeffs = dst
-		}
+		coeffs = dst
 	}
 
 	// Iterate the forecast in z-space over a reusable scratch window seeded

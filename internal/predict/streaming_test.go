@@ -87,7 +87,7 @@ func TestStreamingAREquivalence(t *testing.T) {
 		xs := priceSeries(src, n)
 
 		sp := newStreamAR(PredictorConfig{
-			Window: n, Order: order, Step: streamStep, ResolveEvery: 1,
+			Window: n, Order: order, Step: streamStep,
 		})
 		feedStream(t, sp, xs)
 
@@ -136,7 +136,7 @@ func TestStreamingARWraparound(t *testing.T) {
 	xs := priceSeries(src, window*7+13)
 
 	sp := newStreamAR(PredictorConfig{
-		Window: window, Order: order, Step: streamStep, ResolveEvery: 1,
+		Window: window, Order: order, Step: streamStep,
 	})
 	at := time.Unix(0, 0)
 	for i, x := range xs {
@@ -184,7 +184,7 @@ func TestStreamingARWraparound(t *testing.T) {
 // too-short histories, and poisoned samples.
 func TestStreamingDegenerateSeries(t *testing.T) {
 	t.Run("constant series predicts the mean", func(t *testing.T) {
-		sp := newStreamAR(PredictorConfig{Window: 64, Order: 6, Step: streamStep, ResolveEvery: 1})
+		sp := newStreamAR(PredictorConfig{Window: 64, Order: 6, Step: streamStep})
 		constant := make([]float64, 40)
 		for i := range constant {
 			constant[i] = 0.25
@@ -212,7 +212,7 @@ func TestStreamingDegenerateSeries(t *testing.T) {
 	})
 
 	t.Run("near-constant series stays finite and matches batch", func(t *testing.T) {
-		sp := newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep, ResolveEvery: 1})
+		sp := newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
 		near := make([]float64, 40)
 		for i := range near {
 			near[i] = 0.25 + 1e-12*float64(i%3)
@@ -245,335 +245,175 @@ func TestStreamingDegenerateSeries(t *testing.T) {
 	})
 
 	t.Run("short history reports ErrInsufficientHistory", func(t *testing.T) {
-		for _, name := range []string{StreamingNormal, StreamingWindow, StreamingAR} {
-			sp, err := NewStreaming(name, PredictorConfig{Order: 4, Step: streamStep})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sp.Observe(1.5, time.Unix(1, 0)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sp.Forecast(time.Minute); !errors.Is(err, ErrInsufficientHistory) {
-				t.Errorf("%s: error %v, want ErrInsufficientHistory", name, err)
-			}
+		sp := newStreamAR(PredictorConfig{Order: 4, Step: streamStep})
+		if err := sp.Observe(1.5, time.Unix(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.Forecast(time.Minute); !errors.Is(err, ErrInsufficientHistory) {
+			t.Errorf("error %v, want ErrInsufficientHistory", err)
 		}
 	})
 
 	t.Run("poisoned samples rejected at the boundary", func(t *testing.T) {
-		for _, name := range []string{StreamingNormal, StreamingWindow, StreamingAR} {
-			sp, err := NewStreaming(name, PredictorConfig{Step: streamStep})
-			if err != nil {
-				t.Fatal(err)
+		sp := newStreamAR(PredictorConfig{Step: streamStep})
+		base := time.Unix(100, 0)
+		if err := sp.Observe(1, base); err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			price float64
+			at    time.Time
+			want  error
+		}{
+			{math.NaN(), base.Add(time.Second), pricefeed.ErrNonFinite},
+			{math.Inf(1), base.Add(time.Second), pricefeed.ErrNonFinite},
+			{math.Inf(-1), base.Add(time.Second), pricefeed.ErrNonFinite},
+			{-0.5, base.Add(time.Second), pricefeed.ErrNegative},
+			{1, base.Add(-time.Second), pricefeed.ErrOutOfOrder},
+			{1, base, pricefeed.ErrDuplicate},
+		}
+		for _, c := range cases {
+			if err := sp.Observe(c.price, c.at); !errors.Is(err, c.want) {
+				t.Errorf("Observe(%v, %v) = %v, want %v", c.price, c.at, err, c.want)
 			}
-			base := time.Unix(100, 0)
-			if err := sp.Observe(1, base); err != nil {
-				t.Fatal(err)
-			}
-			cases := []struct {
-				price float64
-				at    time.Time
-				want  error
-			}{
-				{math.NaN(), base.Add(time.Second), pricefeed.ErrNonFinite},
-				{math.Inf(1), base.Add(time.Second), pricefeed.ErrNonFinite},
-				{math.Inf(-1), base.Add(time.Second), pricefeed.ErrNonFinite},
-				{-0.5, base.Add(time.Second), pricefeed.ErrNegative},
-				{1, base.Add(-time.Second), pricefeed.ErrOutOfOrder},
-				{1, base, pricefeed.ErrDuplicate},
-			}
-			for _, c := range cases {
-				if err := sp.Observe(c.price, c.at); !errors.Is(err, c.want) {
-					t.Errorf("%s: Observe(%v, %v) = %v, want %v", name, c.price, c.at, err, c.want)
-				}
-			}
-			// Rejections must leave the stream usable.
-			if err := sp.Observe(1.1, base.Add(time.Minute)); err != nil {
-				t.Errorf("%s: stream poisoned by rejected samples: %v", name, err)
-			}
+		}
+		// Rejections must leave the stream usable.
+		if err := sp.Observe(1.1, base.Add(time.Minute)); err != nil {
+			t.Errorf("stream poisoned by rejected samples: %v", err)
 		}
 	})
 }
 
-// TestStreamingNormalMatchesBatch pins streaming-normal to the batch normal
-// model exactly: they are the same Welford fold, so equality is bitwise.
-func TestStreamingNormalMatchesBatch(t *testing.T) {
-	src := rng.New(7)
-	xs := priceSeries(src, 300)
-	sp, _ := NewStreaming(StreamingNormal, PredictorConfig{})
-	batch := &normalPredictor{}
-	at := time.Unix(0, 0)
-	for _, x := range xs {
-		at = at.Add(streamStep)
-		if err := sp.Observe(x, at); err != nil {
-			t.Fatal(err)
-		}
-		if err := batch.Observe(at, x); err != nil {
-			t.Fatal(err)
-		}
+// TestStreamingResolvesAfterEveryObservation pins when the model re-solves:
+// at the first forecast after any new observation, so a forecast always
+// reflects the whole current window, and never while no sample has arrived.
+func TestStreamingResolvesAfterEveryObservation(t *testing.T) {
+	xs := priceSeries(rng.New(99), 80)
+	sp := newStreamAR(PredictorConfig{Window: 200, Order: 4, Step: streamStep})
+	feedStream(t, sp, xs)
+	if _, err := sp.Forecast(streamStep); err != nil {
+		t.Fatal(err)
 	}
-	got, err := sp.Forecast(time.Hour)
+	if !sp.fitted {
+		t.Fatal("a forecast left the model unsolved")
+	}
+	before := append([]float64(nil), sp.model.Coeffs...)
+	if _, err := sp.Forecast(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	// A regime change: one new observation must move the fit.
+	at := time.Unix(0, 0).Add(time.Duration(len(xs)+1) * streamStep)
+	if err := sp.Observe(20, at); err != nil {
+		t.Fatal(err)
+	}
+	if sp.fitted {
+		t.Fatal("an observation left a stale fit marked current")
+	}
+	fc, err := sp.Forecast(streamStep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := batch.Predict(time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	moved := false
+	for j := range before {
+		moved = moved || sp.model.Coeffs[j] != before[j]
 	}
-	if got != want {
-		t.Fatalf("streaming-normal %+v != batch normal %+v", got, want)
+	if !moved {
+		t.Fatal("fit unchanged by a new observation")
+	}
+	if want := batchForecastMean(t, append(xs, 20), 4, 1); !closeTo(fc.Mean, want) {
+		t.Errorf("forecast after one new sample %v, batch %v", fc.Mean, want)
 	}
 }
 
-// TestStreamingWindowMoments pins the exponentially-weighted recurrence on a
-// hand-checked sequence, and its regime-tracking behavior: after a level
-// shift the EW mean converges to the new level like the trailing window
-// does, while the all-time normal model does not.
-func TestStreamingWindowMoments(t *testing.T) {
-	sp, _ := NewStreaming(StreamingWindow, PredictorConfig{Window: 3}) // alpha = 0.5
-	at := time.Unix(0, 0)
-	mean, v := 0.0, 0.0
-	for i, x := range []float64{4, 8, 2, 6} {
-		at = at.Add(streamStep)
-		if err := sp.Observe(x, at); err != nil {
-			t.Fatal(err)
+// TestNewStreamingBuildsOnlyAR checks the streaming constructor: StreamingAR
+// is the one name.
+func TestNewStreamingBuildsOnlyAR(t *testing.T) {
+	for _, name := range []string{"streaming-normal", "streaming-window", "ar", ""} {
+		if _, err := NewStreaming(name, PredictorConfig{}); err == nil {
+			t.Errorf("NewStreaming(%q) accepted", name)
 		}
-		if i == 0 {
-			mean = x
-			continue
-		}
-		d := x - mean
-		incr := 0.5 * d
-		mean += incr
-		v = 0.5 * (v + d*incr)
 	}
-	fc, err := sp.Forecast(time.Hour)
-	if err != nil {
+	if _, err := NewStreaming(StreamingAR, PredictorConfig{}); err != nil {
 		t.Fatal(err)
-	}
-	if !closeTo(fc.Mean, mean) || !closeTo(fc.Sigma, math.Sqrt(v)) {
-		t.Fatalf("EW moments (%v, %v), want (%v, %v)", fc.Mean, fc.Sigma, mean, math.Sqrt(v))
-	}
-
-	// Regime shift: 200 ticks at 1.0, then 200 at 5.0.
-	sp2, _ := NewStreaming(StreamingWindow, PredictorConfig{Window: 60})
-	norm, _ := NewStreaming(StreamingNormal, PredictorConfig{})
-	at = time.Unix(0, 0)
-	for i := 0; i < 400; i++ {
-		price := 1.0
-		if i >= 200 {
-			price = 5.0
-		}
-		at = at.Add(streamStep)
-		if err := sp2.Observe(price, at); err != nil {
-			t.Fatal(err)
-		}
-		if err := norm.Observe(price, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w, _ := sp2.Forecast(time.Hour)
-	n, _ := norm.Forecast(time.Hour)
-	if math.Abs(w.Mean-5) > 0.1 {
-		t.Errorf("EW window mean %v did not track the new regime", w.Mean)
-	}
-	if math.Abs(n.Mean-3) > 0.1 {
-		t.Errorf("all-time normal mean %v, want ~3 (averages both regimes)", n.Mean)
-	}
-}
-
-// TestStreamingAmortizedResolve verifies the ResolveEvery contract: between
-// solve boundaries the coefficients stay fixed (forecasts still see new
-// window values), and the fit refreshes at the boundary.
-func TestStreamingAmortizedResolve(t *testing.T) {
-	src := rng.New(99)
-	xs := priceSeries(src, 80)
-
-	lazy := newStreamAR(PredictorConfig{Window: 200, Order: 4, Step: streamStep, ResolveEvery: 1 << 20})
-	eager := newStreamAR(PredictorConfig{Window: 200, Order: 4, Step: streamStep, ResolveEvery: 1})
-	at := time.Unix(0, 0)
-	observe := func(x float64) {
-		at = at.Add(streamStep)
-		if err := lazy.Observe(x, at); err != nil {
-			t.Fatal(err)
-		}
-		if err := eager.Observe(x, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, x := range xs {
-		observe(x)
-	}
-	if _, err := lazy.Forecast(streamStep); err != nil { // first forecast solves
-		t.Fatal(err)
-	}
-	frozen := append([]float64(nil), lazy.model.Coeffs...)
-
-	// A violent regime change the lazy model must not refit to yet.
-	for i := 0; i < 30; i++ {
-		observe(20 + float64(i%3))
-	}
-	if _, err := lazy.Forecast(streamStep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eager.Forecast(streamStep); err != nil {
-		t.Fatal(err)
-	}
-	for j := range frozen {
-		if lazy.model.Coeffs[j] != frozen[j] {
-			t.Fatalf("coeff %d moved between solve boundaries: %v -> %v",
-				j, frozen[j], lazy.model.Coeffs[j])
-		}
-	}
-	same := true
-	for j := range frozen {
-		if lazy.model.Coeffs[j] != eager.model.Coeffs[j] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("eager fit unchanged by the regime shift; test is vacuous")
-	}
-	// Model() forces a fresh solve regardless of cadence.
-	lm, err := lazy.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, err := eager.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range lm.Coeffs {
-		if !closeTo(lm.Coeffs[j], em.Coeffs[j]) {
-			t.Fatalf("post-Model coeff %d: %v vs %v", j, lm.Coeffs[j], em.Coeffs[j])
-		}
-	}
-}
-
-// TestStreamingRegistry checks the streaming registry exposes the three
-// models, each forecasting from its own observations, and that none of them
-// leaks into the batch registry.
-func TestStreamingRegistry(t *testing.T) {
-	names := StreamingNames()
-	want := []string{StreamingAR, StreamingNormal, StreamingWindow}
-	if len(names) != len(want) {
-		t.Fatalf("streaming names %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("streaming names %v, want %v", names, want)
-		}
-	}
-	if _, err := NewStreaming("no-such-model", PredictorConfig{}); err == nil {
-		t.Fatal("unknown streaming name accepted")
-	}
-	for _, name := range want {
-		if _, err := NewPredictor(name, PredictorConfig{}); err == nil {
-			t.Errorf("batch registry accepts %s", name)
-		}
-		sp, err := NewStreaming(name, PredictorConfig{Order: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp.Name() != name {
-			t.Errorf("name %q, want %q", sp.Name(), name)
-		}
-		at := time.Unix(0, 0)
-		for i := 0; i < 12; i++ {
-			at = at.Add(streamStep)
-			if err := sp.Observe(1+0.1*float64(i%4), at); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := sp.Forecast(time.Minute); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
 	}
 }
 
 // TestStreamingConcurrentReads exercises the concurrency contract: one
 // writer observing, many readers forecasting. Run under -race.
 func TestStreamingConcurrentReads(t *testing.T) {
-	for _, name := range []string{StreamingNormal, StreamingWindow, StreamingAR} {
-		sp, err := NewStreaming(name, PredictorConfig{Window: 64, Order: 4, Step: streamStep})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for r := 0; r < 4; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
+	sp := newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if fc, err := sp.Forecast(time.Minute); err == nil {
+					if math.IsNaN(fc.Mean) {
+						t.Error("NaN forecast under concurrency")
 						return
-					default:
-					}
-					if fc, err := sp.Forecast(time.Minute); err == nil {
-						if math.IsNaN(fc.Mean) {
-							t.Error("NaN forecast under concurrency")
-							return
-						}
 					}
 				}
-			}()
-		}
-		at := time.Unix(0, 0)
-		src := rng.New(3)
-		for i := 0; i < 2000; i++ {
-			at = at.Add(streamStep)
-			_ = sp.Observe(src.Uniform(0.1, 2), at)
-		}
-		close(stop)
-		wg.Wait()
+			}
+		}()
 	}
+	at := time.Unix(0, 0)
+	src := rng.New(3)
+	for i := 0; i < 2000; i++ {
+		at = at.Add(streamStep)
+		_ = sp.Observe(src.Uniform(0.1, 2), at)
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestStreamingSteadyStateAllocatesNothing is the count-based gate on the
 // streaming read path: once the ring has turned over (window 240, 600
 // observations) and one Forecast has sized the scratch buffers, Observe,
-// Forecast, and the two interleaved allocate nothing. The interleaved run is
-// 64 rounds, so the AR family's every-16-observations Levinson re-solve falls
-// inside the measured window. A change that reintroduces per-forecast
-// refitting or per-read allocation fails here, on any machine.
+// Forecast, and the two interleaved allocate nothing. In the interleaved run
+// every forecast follows a new observation, so each one re-solves the
+// Yule-Walker system. A change that reintroduces per-forecast refitting from
+// history or per-read allocation fails here, on any machine.
 func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
-	for _, name := range StreamingNames() {
-		t.Run(name, func(t *testing.T) {
-			sp, err := NewStreaming(name, PredictorConfig{Window: 240})
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs := priceSeries(rng.New(2006), 600)
-			feedStream(t, sp, xs)
-			if _, err := sp.Forecast(time.Hour); err != nil {
-				t.Fatal(err)
-			}
-			at := time.Unix(0, 0).Add(time.Duration(len(xs)) * streamStep)
-			i := 0
-			observe := func() {
-				at = at.Add(streamStep)
-				if err := sp.Observe(xs[i%len(xs)], at); err != nil {
-					t.Fatal(err)
-				}
-				i++
-			}
-			forecast := func() {
-				if _, err := sp.Forecast(time.Hour); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, c := range []struct {
-				what string
-				f    func()
-			}{
-				{"Observe", observe},
-				{"Forecast(1h)", forecast},
-				{"Observe+Forecast(1h)", func() { observe(); forecast() }},
-			} {
-				if allocs := testing.AllocsPerRun(64, c.f); allocs != 0 {
-					t.Errorf("%s: %v allocs per run in steady state, want 0", c.what, allocs)
-				}
+	sp := newStreamAR(PredictorConfig{Window: 240})
+	xs := priceSeries(rng.New(2006), 600)
+	feedStream(t, sp, xs)
+	if _, err := sp.Forecast(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Unix(0, 0).Add(time.Duration(len(xs)) * streamStep)
+	i := 0
+	// The closures run on the subtests' goroutines, so they report with
+	// Error: FailNow must be called from the goroutine of the test it fails.
+	observe := func() {
+		at = at.Add(streamStep)
+		if err := sp.Observe(xs[i%len(xs)], at); err != nil {
+			t.Error(err)
+		}
+		i++
+	}
+	forecast := func() {
+		if _, err := sp.Forecast(time.Hour); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, c := range []struct {
+		what string
+		f    func()
+	}{
+		{"Observe", observe},
+		{"Forecast(1h)", forecast},
+		{"Observe+Forecast(1h)", func() { observe(); forecast() }},
+	} {
+		t.Run(c.what, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(64, c.f); allocs != 0 {
+				t.Errorf("%v allocs per run in steady state, want 0", allocs)
 			}
 		})
 	}

@@ -3,10 +3,10 @@
 // and scheduling strategies (internal/strategy) see the same history the
 // market actually produced rather than an offline trace. Each host gets one
 // Ring; a Hub fans observations in from the auction's Observe injection
-// point (the same hook the trace recorder uses). The hub is lock-striped by
-// the repo-wide shard hash, and each host entry can carry attached Sinks —
-// streaming predictors whose state lives with the ring, updated once per
-// clear instead of refitted from a copied history per decision.
+// point (the same hook the trace recorder uses), and each host entry can
+// carry attached Sinks — streaming predictors whose state lives with the
+// ring, updated once per clear instead of refitted from a copied history per
+// decision.
 //
 // The ring is a validation boundary in the spirit of predict.FitAR: a single
 // NaN, infinite price, out-of-order tick, or duplicate timestamp would
@@ -22,8 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"tycoongrid/internal/shard"
 )
 
 // Errors returned by Ring.Observe.
@@ -192,12 +190,6 @@ func (r *Ring) Last() (Sample, bool) {
 // configured: two hours of the paper's 10-second reallocation ticks.
 const DefaultCapacity = 720
 
-// DefaultStripes is the hub's lock-stripe count. Hosts are spread over the
-// stripes by the repo-wide shard hash, so concurrent worlds, auctioneer
-// shards and strategy reads contend only when they touch hosts that landed
-// on the same stripe, never on one global hub lock.
-const DefaultStripes = 16
-
 // Sink consumes the same observation stream a host's ring records: the hook
 // that lets streaming predictor state live *with* the ring instead of being
 // rebuilt from copied history slices per forecast. Sinks must be safe for
@@ -208,29 +200,25 @@ type Sink interface {
 }
 
 // Hub fans per-host price observations into one Ring per host, plus any
-// attached per-host sinks, across lock-striped shards.
+// attached per-host sinks. One mutex guards the host map. Entries are made
+// while a world is wired (Observer, Attach) and looked up by history reads;
+// the observe path holds its own entry and never takes the mutex, so a clear
+// costs one ring lock and one atomic load of the sink list.
 type Hub struct {
 	capacity int
-	stripes  []hubStripe
 	rejected atomic.Uint64
-}
 
-// hubStripe is one lock stripe: an RWMutex-guarded slice of the host map.
-// Lookups of existing hosts (every Observe after the first) take only the
-// read lock; the write lock is taken once per host, to create its entry.
-type hubStripe struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	hosts map[string]*hubEntry
 }
 
 // hubEntry is one host's feed state: the price ring and the sinks fed from
 // it. The ring has its own internal lock. The sink list is copy-on-write:
-// attachMu serializes the writers, and the observer path reads the published
-// list with one atomic load, taking no lock beyond the ring's.
+// Attach replaces it under the hub's mutex, and the observer path reads the
+// published list with one atomic load.
 type hubEntry struct {
-	ring     *Ring
-	attachMu sync.Mutex
-	sinks    atomic.Pointer[[]Sink] // the slice is never modified once stored
+	ring  *Ring
+	sinks atomic.Pointer[[]Sink] // the slice is never modified once stored
 }
 
 // NewHub returns a hub whose rings hold capacity samples each
@@ -239,43 +227,25 @@ func NewHub(capacity int) *Hub {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	h := &Hub{capacity: capacity, stripes: make([]hubStripe, DefaultStripes)}
-	for i := range h.stripes {
-		h.stripes[i].hosts = make(map[string]*hubEntry)
-	}
-	return h
+	return &Hub{capacity: capacity, hosts: make(map[string]*hubEntry)}
 }
 
-func (h *Hub) stripe(hostID string) *hubStripe {
-	return &h.stripes[shard.Of(hostID, len(h.stripes))]
-}
-
-// peek returns hostID's entry without creating it.
-func (h *Hub) peek(hostID string) (*hubEntry, bool) {
-	s := h.stripe(hostID)
-	s.mu.RLock()
-	e, ok := s.hosts[hostID]
-	s.mu.RUnlock()
-	return e, ok
-}
-
-// entry returns hostID's entry, creating it on first use: a read-locked fast
-// path, then the classic upgrade — take the write lock and re-check before
-// creating, so two racing first observers agree on one entry.
-func (h *Hub) entry(hostID string) *hubEntry {
-	if e, ok := h.peek(hostID); ok {
-		return e
+// entryLocked returns hostID's entry, creating it on first use. h.mu is held.
+func (h *Hub) entryLocked(hostID string) *hubEntry {
+	e, ok := h.hosts[hostID]
+	if !ok {
+		ring, _ := NewRing(h.capacity) // capacity validated in NewHub
+		e = &hubEntry{ring: ring}
+		h.hosts[hostID] = e
 	}
-	s := h.stripe(hostID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.hosts[hostID]; ok {
-		return e
-	}
-	ring, _ := NewRing(h.capacity) // capacity validated in NewHub
-	e := &hubEntry{ring: ring}
-	s.hosts[hostID] = e
 	return e
+}
+
+// entry returns hostID's entry, creating it on first use.
+func (h *Hub) entry(hostID string) *hubEntry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.entryLocked(hostID)
 }
 
 // Ring returns the ring for hostID, creating it on first use.
@@ -291,14 +261,14 @@ func (h *Hub) Attach(hostID string, sink Sink) {
 	if sink == nil {
 		return
 	}
-	e := h.entry(hostID)
-	e.attachMu.Lock()
-	defer e.attachMu.Unlock()
-	var sinks []Sink
-	if old := e.sinks.Load(); old != nil {
-		sinks = append(make([]Sink, 0, len(*old)+1), *old...)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	e := h.entryLocked(hostID)
+	var old []Sink
+	if p := e.sinks.Load(); p != nil {
+		old = *p
 	}
-	sinks = append(sinks, sink)
+	sinks := append(old[:len(old):len(old)], sink) // a copy: readers may hold old
 	e.sinks.Store(&sinks)
 }
 
@@ -335,15 +305,12 @@ func (h *Hub) Rejected() uint64 { return h.rejected.Load() }
 
 // Hosts returns the hosts with a ring, sorted.
 func (h *Hub) Hosts() []string {
-	var out []string
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.RLock()
-		for id := range s.hosts {
-			out = append(out, id)
-		}
-		s.mu.RUnlock()
+	h.mu.Lock()
+	out := make([]string, 0, len(h.hosts))
+	for id := range h.hosts {
+		out = append(out, id)
 	}
+	h.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -351,7 +318,9 @@ func (h *Hub) Hosts() []string {
 // History returns hostID's trailing prices, oldest first (nil when the host
 // has no ring yet). max > 0 keeps only the newest max values.
 func (h *Hub) History(hostID string, max int) []float64 {
-	e, ok := h.peek(hostID)
+	h.mu.Lock()
+	e, ok := h.hosts[hostID]
+	h.mu.Unlock()
 	if !ok {
 		return nil
 	}

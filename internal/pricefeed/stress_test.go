@@ -49,14 +49,14 @@ func TestHubAttachFansOut(t *testing.T) {
 	}
 }
 
-// TestHubStressConcurrent hammers Observer, Ring, History, Hosts and
-// MeanHistory from concurrent goroutines across many hosts — the shape a
-// sharded market plane produces, with auctioneer shards writing and strategy
-// readers forecasting. Run under -race; the striped RWMutex fast path and
-// the double-checked entry creation are the code under test.
+// TestHubStressConcurrent hammers Observer, Attach, Ring, History, Hosts and
+// MeanHistory from concurrent goroutines across many hosts. Run under -race:
+// entry creation racing lookups under the one host-map mutex, and
+// copy-on-write sink lists read by observers that take no hub lock, are the
+// code under test.
 func TestHubStressConcurrent(t *testing.T) {
 	h := NewHub(32)
-	const hosts = 37 // not a multiple of the stripe count
+	const hosts = 37
 	const writesPerHost = 300
 
 	ids := make([]string, hosts)

@@ -75,7 +75,7 @@ type Strategy interface {
 type Config struct {
 	Horizon   time.Duration // forecast horizon; default DefaultHorizon
 	Quantile  float64       // quantile for predicted-quantile; default DefaultQuantile
-	Predictor string        // predict registry name; default DefaultPredictor
+	Predictor string        // batch predict model name ("ar"); default DefaultPredictor
 	Window    int           // history window for predictors; 0 = predict default
 	MinObs    int           // min history length before portfolio math; default DefaultMinObs
 }

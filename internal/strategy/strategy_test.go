@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"tycoongrid/internal/core"
+	"tycoongrid/internal/predict"
 )
 
 func TestRegistry(t *testing.T) {
@@ -97,9 +99,6 @@ func TestCurrentPriceRoundRobinsTies(t *testing.T) {
 	}
 }
 
-// synth builds a history of the given values.
-func hist(vs ...float64) []float64 { return vs }
-
 func constHist(v float64, n int) []float64 {
 	h := make([]float64, n)
 	for i := range h {
@@ -108,18 +107,21 @@ func constHist(v float64, n int) []float64 {
 	return h
 }
 
-func TestPredictedMeanSeesThroughTransientTrough(t *testing.T) {
-	// Partition a's price is in a momentary trough of a high-priced sawtooth;
-	// partition b is steady at a mid price. Current price prefers a; the
-	// windowed forecast knows a's typical price is higher and prefers b.
-	saw := make([]float64, 40)
-	for i := range saw {
-		saw[i] = 4 + 3*math.Sin(float64(i)/3)
+// forecastOf is a stub forecast handle: the strategies below are tested on
+// what a model says, not on any model.
+func forecastOf(mean, sigma float64) ForecastFunc {
+	return func(time.Duration) (predict.Forecast, error) {
+		return predict.Forecast{Mean: mean, Sigma: sigma}, nil
 	}
-	saw[len(saw)-1] = 0.5 // transient trough "now"
+}
+
+func TestPredictedMeanSeesThroughTransientTrough(t *testing.T) {
+	// Partition a's price is in a momentary trough of a high-priced regime;
+	// partition b is steady at a mid price. Current price prefers a; the
+	// forecast knows a's price will be higher and prefers b.
 	cands := []Candidate{
-		{ID: "bursty", CurrentPrice: 0.5, History: saw},
-		{ID: "steady", CurrentPrice: 2, History: constHist(2, 40)},
+		{ID: "bursty", CurrentPrice: 0.5, Forecast: forecastOf(4, 2)},
+		{ID: "steady", CurrentPrice: 2, Forecast: forecastOf(2, 0)},
 	}
 
 	cp, _ := New(CurrentPrice, Config{})
@@ -131,7 +133,7 @@ func TestPredictedMeanSeesThroughTransientTrough(t *testing.T) {
 		t.Fatalf("current-price picked %d, want the trough 0", p.Index)
 	}
 
-	pm, _ := New(PredictedMean, Config{Predictor: "window"})
+	pm, _ := New(PredictedMean, Config{})
 	p, err = pm.Pick(cands)
 	if err != nil {
 		t.Fatal(err)
@@ -145,20 +147,22 @@ func TestPredictedMeanSeesThroughTransientTrough(t *testing.T) {
 }
 
 func TestPredictedQuantilePenalizesVolatility(t *testing.T) {
-	// Same mean, different variance: the upper quantile must prefer calm.
-	volatile := hist(1, 5, 1, 5, 1, 5, 1, 5, 1, 5)
-	calm := constHist(3, 10)
+	// Same mean, different deviation: the mean ties, the upper quantile must
+	// prefer calm even when volatile comes first.
 	cands := []Candidate{
-		{ID: "volatile", CurrentPrice: 3, History: volatile},
-		{ID: "calm", CurrentPrice: 3, History: calm},
+		{ID: "volatile", CurrentPrice: 3, Forecast: forecastOf(3, 2)},
+		{ID: "calm", CurrentPrice: 3, Forecast: forecastOf(3, 0)},
 	}
-	s, _ := New(PredictedQuantile, Config{Predictor: "window", Quantile: 0.9})
+	s, _ := New(PredictedQuantile, Config{Quantile: 0.9})
 	p, err := s.Pick(cands)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Index != 1 {
 		t.Errorf("predicted-quantile picked %d, want calm 1", p.Index)
+	}
+	if p.Predicted != 3 {
+		t.Errorf("predicted = %v, want calm's 0.9-quantile 3", p.Predicted)
 	}
 }
 
