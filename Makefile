@@ -30,7 +30,8 @@ race-check: race
 # parser, the W3C traceparent header decoder, ...) and the differential
 # targets (Best Response over runs of interchangeable candidates against its
 # per-host oracles, the ordered order book against the map-keyed market it
-# replaced), and WAL replay (bytes -> a bank record applied to a live ledger).
+# replaced), WAL replay (bytes -> a bank record applied to a live ledger) and
+# the bank's HTTP transfer route (bytes -> POST /transfers on a live ledger).
 # Seed corpora live under each package's testdata/fuzz/;
 # FUZZTIME is per target. Go allows one fuzz target per invocation, hence one
 # run each.
@@ -47,6 +48,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValuation$$' -fuzztime $(FUZZTIME) ./internal/sla
 	$(GO) test -run '^$$' -fuzz '^FuzzBestResponseRuns$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBookOps$$' -fuzztime $(FUZZTIME) ./internal/auction
+	$(GO) test -run '^$$' -fuzz '^FuzzTransferBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 
 # Coverage gate for the market-critical packages: the clearing mechanisms,
 # the SLA terms/valuation layer, and the prediction models (the streaming AR
@@ -167,14 +169,24 @@ bench-pairs:
 # defined (flag.X("name", ...) or fs.X("name", ...)) that a changed file gained
 # or lost, compared file by file so a flag that only moved is not listed; then
 # every exported top-level declaration (func, method as Type.Method on an
-# exported type, type, const, var) the changed files gained or lost, named by
-# package directory and compared across the whole changed set, so one that
-# only moved between files of a package is not listed.
+# exported type, type, const, var) and every exported field of an exported
+# struct type (Type.Field — each one an option when the struct is a config)
+# the changed files gained or lost, named by package directory and compared
+# across the whole changed set, so one that only moved between files of a
+# package is not listed.
 #   make simplicity-ledger BASE=HEAD~1
 LEDGER_PATHS = '*.go' ':!*_test.go' ':!bench'
 LEDGER_FLAGS = grep -oE '\b(flag|fs)\.[A-Z][a-z0-9]*\("[^"]+"' | sed 's/.*("/-/; s/"$$//' | sort -u
 LEDGER_DECLS = awk -v pkg="$$(dirname $$f)" ' \
 	function out(kind, name) { sub(/[\[(].*/, "", name); if (name ~ /^[A-Z]/) print pkg "." name " (" kind ")" } \
+	function open(name, line) { sub(/[\[].*/, "", name); st = name; depth = 0; braces(line) } \
+	function braces(line) { sub(/\/\/.*/, "", line); gsub(/`[^`]*`/, "", line); gsub(/"[^"]*"/, "", line); \
+		depth += gsub(/[{]/, "{", line) - gsub(/[}]/, "}", line); if (depth <= 0) st = "" } \
+	st != "" { line = $$0; sub(/\/\/.*/, "", line); gsub(/`[^`]*`/, "", line); \
+		if (depth == 1 && st ~ /^[A-Z]/ && line ~ /^\t+[A-Z]/) { n = split(line, w, " "); \
+			for (i = 1; i <= n; i++) { fld = w[i]; more = sub(/,$$/, "", fld); \
+				if (fld ~ /^[A-Z][A-Za-z0-9_]*$$/) print pkg "." st "." fld " (field)"; if (!more) break } } \
+		braces($$0); next } \
 	/^\)/ { grp = "" } \
 	grp != "" && /^\t[A-Z]/ { for (i = 1; i <= NF; i++) { n = $$i; more = sub(/,$$/, "", n); out(grp, n); if (!more) break } } \
 	/^(const|var|type) \($$/ { grp = $$1; next } \
@@ -182,7 +194,9 @@ LEDGER_DECLS = awk -v pkg="$$(dirname $$f)" ' \
 	/^func [A-Z]/ { out("func", $$2) } \
 	/^func \(/ { r = $$0; sub(/^func \(/, "", r); m = r; sub(/^[^)]*\) */, "", m); sub(/\).*/, "", r); \
 		n = split(r, a, " "); t = a[n]; sub(/^\*/, "", t); sub(/\[.*/, "", t); \
-		if (t ~ /^[A-Z]/ && m ~ /^[A-Z]/) out("method", t "." m) }'
+		if (t ~ /^[A-Z]/ && m ~ /^[A-Z]/) out("method", t "." m) } \
+	/^type [A-Za-z_][A-Za-z0-9_]*(\[.*\])? struct [{]/ { open($$2, $$0) } \
+	grp == "type" && /^\t[A-Za-z_][A-Za-z0-9_]*(\[.*\])? struct [{]/ { open($$1, $$0) }'
 simplicity-ledger:
 	@if [ -z "$(BASE)" ]; then echo "usage: make simplicity-ledger BASE=<rev>"; exit 2; fi
 	@git diff --numstat $(BASE) -- $(LEDGER_PATHS) | awk '{ a += $$1; d += $$2 } \

@@ -126,8 +126,8 @@ type Job struct {
 }
 
 // Bid is one bid a submission placed: the host, the budget, the host's price
-// (excluding this job) that Best Response or the portfolio split saw, and the
-// spend rate in credits/second the market amortizes the budget at.
+// (excluding this job) that Best Response saw, and the spend rate in
+// credits/second the market amortizes the budget at.
 type Bid struct {
 	Host   string
 	Amount bank.Amount
@@ -280,11 +280,6 @@ type Config struct {
 	// FeedCapacity bounds the per-host price-history ring the agent records
 	// from the auction clears. 0 means pricefeed.DefaultCapacity.
 	FeedCapacity int
-	// BidSplit, when set, is consulted before Best Response: if it accepts
-	// (returns allocations), the job's budget is split by its weights instead
-	// of the KKT solution — the paper's §4.4 portfolio bidding. On decline
-	// (nil, nil) or error the agent falls back to Best Response.
-	BidSplit strategy.BidSplitter
 }
 
 // Agent is the broker-side scheduler. Not safe for concurrent use; it runs
@@ -354,7 +349,7 @@ func New(cfg Config) (*Agent, error) {
 	// A cluster's host set is fixed at construction, so the partition is
 	// resolved once here and walked as a slice afterwards. Record every
 	// auction clear of it into the price feed; the histories drive the
-	// prediction strategies and portfolio bid splitting.
+	// prediction strategies.
 	for i, id := range cfg.Hosts {
 		h, err := cfg.Cluster.Host(id)
 		if err != nil {
@@ -599,19 +594,9 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		})
 	}
 	a.candidates = hosts
-	budgetRate := job.Budget.Credits() / horizon
-	allocs, split := a.splitBids(job, budgetRate, hosts)
-	if !split {
-		br, err := core.BestResponseCapped(budgetRate, hosts, count)
-		if err != nil {
-			return fmt.Errorf("agent: best response: %w", err)
-		}
-		allocs = br
-	} else if count > 0 && len(allocs) > count {
-		// Keep the portfolio's top-weighted hosts and rescale so the full
-		// budget still follows the weights; Best Response over them would
-		// discard the weights.
-		allocs = rescale(core.TopN(allocs, count), budgetRate)
+	allocs, err := core.BestResponseCapped(job.Budget.Credits()/horizon, hosts, count)
+	if err != nil {
+		return fmt.Errorf("agent: best response: %w", err)
 	}
 	// Every host bid on will charge: the tab is sized with the placement.
 	job.Hosts = make([]string, 0, len(allocs))
@@ -647,40 +632,6 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return ErrNoBudget
 	}
 	return nil
-}
-
-// splitBids consults the configured BidSplitter, handing it each host's
-// recorded price history. A decline (no splitter, nil result, or error)
-// returns nil allocations and the caller falls back to Best Response.
-func (a *Agent) splitBids(job *Job, budgetRate float64, hosts []core.Host) ([]core.Allocation, bool) {
-	if a.cfg.BidSplit == nil {
-		return nil, false
-	}
-	allocs, err := a.cfg.BidSplit.Split(budgetRate, hosts, a.HostHistory)
-	if err != nil || len(allocs) == 0 {
-		return nil, false
-	}
-	mBidSplits.Inc()
-	job.note(record{at: job.Submitted, kind: recBidSplit, host: a.cfg.BidSplit.Name(),
-		kept: len(allocs), of: len(hosts)})
-	return allocs, true
-}
-
-// rescale scales kept allocations so their bids again sum to budgetRate.
-func rescale(allocs []core.Allocation, budgetRate float64) []core.Allocation {
-	var total float64
-	for _, al := range allocs {
-		total += al.Bid
-	}
-	if total <= 0 {
-		return allocs
-	}
-	out := make([]core.Allocation, len(allocs))
-	copy(out, allocs)
-	for i := range out {
-		out[i].Bid *= budgetRate / total
-	}
-	return out
 }
 
 // startChunk pops the next chunk and runs it on host. One concurrent
@@ -1074,16 +1025,6 @@ func (a *Agent) PriceHistory(max int) []float64 {
 	a.syncFeed()
 	return a.feed.MeanHistory(a.cfg.Hosts, max)
 }
-
-// HostHistory returns one host's recorded spot-price history, oldest first.
-func (a *Agent) HostHistory(hostID string) []float64 {
-	a.cfg.Cluster.Sync(hostID)
-	return a.feed.History(hostID, 0)
-}
-
-// Feed exposes the agent's price-feed hub (e.g. for daemon diagnostics). An
-// idle host's ring lags its market until the host is synced (Cluster.Sync).
-func (a *Agent) Feed() *pricefeed.Hub { return a.feed }
 
 // syncFeed brings the feed up to date with the partition's markets. An idle
 // host's market sleeps through ticks and hands its observers the samples it

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
-	"tycoongrid/internal/core"
 	"tycoongrid/internal/grid"
 	"tycoongrid/internal/predict"
 	"tycoongrid/internal/sim"
@@ -36,7 +34,8 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 	}
 	// Per-host histories exist for every partition host and match in length.
 	for _, id := range w.agent.HostIDs() {
-		hh := w.agent.HostHistory(id)
+		w.cluster.Sync(id)
+		hh := w.agent.feed.History(id, 0)
 		if len(hh) != len(hist) {
 			t.Errorf("host %s history len %d, mean history len %d", id, len(hh), len(hist))
 		}
@@ -45,8 +44,8 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 	if tail := w.agent.PriceHistory(3); len(tail) != 3 {
 		t.Errorf("tail len = %d, want 3", len(tail))
 	}
-	if w.agent.Feed().Rejected() != 0 {
-		t.Errorf("feed rejected %d samples", w.agent.Feed().Rejected())
+	if w.agent.feed.Rejected() != 0 {
+		t.Errorf("feed rejected %d samples", w.agent.feed.Rejected())
 	}
 }
 
@@ -88,143 +87,6 @@ func TestAgentJobIDPrefix(t *testing.T) {
 	if j0.State != StateDone || j1.State != StateDone {
 		t.Errorf("states = %v, %v", j0.State, j1.State)
 	}
-}
-
-// recordingSplitter splits evenly and records the histories it was offered.
-type recordingSplitter struct {
-	calls     int
-	histLens  map[string]int
-	declining bool
-}
-
-func (r *recordingSplitter) Name() string { return "recording" }
-
-func (r *recordingSplitter) Split(budget float64, hosts []core.Host, history func(string) []float64) ([]core.Allocation, error) {
-	r.calls++
-	r.histLens = map[string]int{}
-	for _, h := range hosts {
-		r.histLens[h.ID] = len(history(h.ID))
-	}
-	if r.declining {
-		return nil, nil
-	}
-	w := make([]float64, len(hosts))
-	for i := range w {
-		w[i] = 1
-	}
-	return core.SplitByWeights(budget, hosts, w)
-}
-
-func TestAgentBidSplitPath(t *testing.T) {
-	w := newWorld(t, 2)
-	sp := &recordingSplitter{}
-	v := w.agent.cfg.Verifier
-	a, err := New(Config{
-		Cluster:  w.cluster,
-		Bank:     w.bank,
-		Identity: w.agent.cfg.Identity,
-		Account:  "broker",
-		Verifier: v,
-		BidSplit: sp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.eng.RunFor(30 * time.Minute) // accrue some price history first
-	job, err := a.Submit(w.payToken(t, 100), request(2, 5*time.Hour), chunks(4, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.calls != 1 {
-		t.Fatalf("splitter called %d times", sp.calls)
-	}
-	if len(job.Hosts) != 2 {
-		t.Fatalf("even split funded %v, want both hosts", job.Hosts)
-	}
-	for id, n := range sp.histLens {
-		if n == 0 {
-			t.Errorf("splitter saw empty history for %s", id)
-		}
-	}
-	w.eng.RunFor(4 * time.Hour)
-	if job.State != StateDone {
-		t.Fatalf("state = %v (%s)", job.State, job.FailReason)
-	}
-	if job.Charged <= 0 {
-		t.Error("no charges under split bidding")
-	}
-}
-
-func TestAgentBidSplitDeclineFallsBackToBestResponse(t *testing.T) {
-	w := newWorld(t, 2)
-	sp := &recordingSplitter{declining: true}
-	v := w.agent.cfg.Verifier
-	a, err := New(Config{
-		Cluster:  w.cluster,
-		Bank:     w.bank,
-		Identity: w.agent.cfg.Identity,
-		Account:  "broker",
-		Verifier: v,
-		BidSplit: sp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := a.Submit(w.payToken(t, 100), request(2, 5*time.Hour), chunks(4, 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.calls != 1 {
-		t.Fatalf("splitter called %d times", sp.calls)
-	}
-	if len(job.Hosts) == 0 {
-		t.Fatal("fallback Best Response funded no hosts")
-	}
-	w.eng.RunFor(4 * time.Hour)
-	if job.State != StateDone {
-		t.Fatalf("state = %v (%s)", job.State, job.FailReason)
-	}
-}
-
-func TestAgentPortfolioSplitterEndToEnd(t *testing.T) {
-	w := newWorld(t, 3)
-	v := w.agent.cfg.Verifier
-	a, err := New(Config{
-		Cluster:  w.cluster,
-		Bank:     w.bank,
-		Identity: w.agent.cfg.Identity,
-		Account:  "broker",
-		Verifier: v,
-		BidSplit: strategy.NewPortfolioSplitter(4),
-		// Shares the broker account with w.agent: distinct prefix required.
-		JobIDPrefix: "pf",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Disturb prices so per-host histories are not all identical: keep a
-	// background job bidding on one host via the original agent.
-	if _, err := w.agent.Submit(w.payToken(t, 200), request(1, 10*time.Hour), chunks(6, 45)); err != nil {
-		t.Fatal(err)
-	}
-	w.eng.RunFor(2 * time.Hour)
-	job, err := a.Submit(w.payToken(t, 100), request(3, 6*time.Hour), chunks(6, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.eng.RunFor(5 * time.Hour)
-	if job.State != StateDone {
-		t.Fatalf("state = %v (%s)", job.State, job.FailReason)
-	}
-	if job.Charged <= 0 {
-		t.Error("portfolio-split job paid nothing")
-	}
-	for _, id := range job.Hosts {
-		if !strings.HasPrefix(id, "h") {
-			t.Errorf("funded unknown host %q", id)
-		}
-	}
-	_ = fmt.Sprintf("%v", job.Hosts)
 }
 
 // TestForecastHandleAttachesOnFirstRequest pins the attach rule from both
@@ -338,7 +200,7 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := w.agent.HostIDs()[0]
-	ring := w.agent.Feed().Ring(id).Samples()
+	ring := w.agent.feed.Ring(id).Samples()
 	for _, smp := range ring[len(ring)-50:] {
 		if err := sp.Observe(smp.Price, smp.At); err != nil {
 			t.Fatal(err)
@@ -361,11 +223,11 @@ func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
 	w := newWorld(t, 2)
 	w.eng.RunFor(50 * w.cluster.Interval())
 	id := w.agent.HostIDs()[0]
-	if n := w.agent.Feed().Ring(id).Len(); n >= 50 {
+	if n := w.agent.feed.Ring(id).Len(); n >= 50 {
 		t.Fatalf("the ring already holds %d samples: the market never slept and the test shows nothing", n)
 	}
 	handle := w.agent.ForecastHandle()
-	if n := w.agent.Feed().Ring(id).Len(); n != 50 {
+	if n := w.agent.feed.Ring(id).Len(); n != 50 {
 		t.Errorf("the ring holds %d samples once the handle exists, want all 50", n)
 	}
 	if _, err := handle(10 * time.Minute); !errors.Is(err, predict.ErrInsufficientHistory) {

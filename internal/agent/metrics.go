@@ -16,8 +16,6 @@ var (
 		"Escrow re-bids onto a surviving host after a host failure.")
 	mJobsFailed = metrics.Default().Counter("agent_jobs_failed_total",
 		"Jobs terminated as failed (all hosts lost, deadline exceeded, or cancelled).")
-	mBidSplits = metrics.Default().Counter("agent_bid_splits_total",
-		"Bid budgets distributed by a portfolio splitter instead of Best Response.")
 )
 
 // mUnbanked is how far the bank lags the market: charges booked on running

@@ -8,9 +8,9 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
-// MaxRecords caps a job's records: the boosts, preemptions, failovers and
-// portfolio splits its other fields do not keep. Records past the cap are
-// counted, not kept, and the timeline reports the count as dropped.
+// MaxRecords caps a job's records: the boosts, preemptions and failovers its
+// other fields do not keep. Records past the cap are counted, not kept, and
+// the timeline reports the count as dropped.
 const MaxRecords = 128
 
 // reasonCancelled is the FailReason of a job ended by Cancel.
@@ -19,8 +19,7 @@ const reasonCancelled = "cancelled"
 type recordKind uint8
 
 const (
-	recBidSplit recordKind = iota
-	recBoosted
+	recBoosted recordKind = iota
 	recPreempted
 	recFailedOver
 )
@@ -32,13 +31,11 @@ type record struct {
 	at     time.Time
 	kind   recordKind
 	placed int         // len(SubJobs) when recorded: the placements it follows
-	host   string      // preempted: the failed host; failed-over: from; bid-split: the splitter
+	host   string      // preempted: the failed host; failed-over: from
 	other  string      // preempted: the killed task; failed-over: to
 	amount bank.Amount // boosted, failed-over: the amount
 	budget bank.Amount // boosted: the budget after it
 	escrow bank.Amount // boosted, failed-over: the budget net of the charges so far
-	kept   int         // bid-split: hosts the portfolio allocated to
-	of     int         // bid-split: hosts it was offered
 }
 
 // note appends r to the job's records, stamped with the number of sub-jobs
@@ -54,8 +51,6 @@ func (j *Job) note(r record) {
 
 func (r *record) event() Event {
 	switch r.kind {
-	case recBidSplit:
-		return NewEvent(r.at, "bid-split", "splitter", r.host, "hosts", fmt.Sprintf("%d/%d", r.kept, r.of))
 	case recBoosted:
 		return NewEvent(r.at, "boosted", "amount", r.amount.String(), "budget", r.budget.String(),
 			"escrow", r.escrow.String())
@@ -95,14 +90,11 @@ func (a *Agent) Timeline(job *Job) (events []Event, dropped int) {
 	sub, broker, funded := string(job.SubAccount), string(a.cfg.Account), job.funded.String()
 	add(job.Submitted, "bank.transfer", "from", broker, "to", sub, "amount", funded, "memo", "fund "+job.ID)
 	add(job.Submitted, "funded", "sub_account", sub, "budget", funded, "escrow", funded)
-	recs := job.records
-	if len(recs) > 0 && recs[0].kind == recBidSplit {
-		events, recs = append(events, recs[0].event()), recs[1:]
-	}
 	for _, b := range job.Bids {
 		add(job.Submitted, "bid", "host", b.Host, "amount", b.Amount.String(), "price", price(b.Price),
 			"rate", price(b.Rate))
 	}
+	recs := job.records
 	for i, s := range job.SubJobs {
 		for ; len(recs) > 0 && recs[0].placed <= i; recs = recs[1:] {
 			events = append(events, recs[0].event())

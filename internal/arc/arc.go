@@ -64,11 +64,6 @@ type Config struct {
 	// StageInTime and StageOutTime model data transfer per staged file.
 	StageInTime  time.Duration
 	StageOutTime time.Duration
-	// ChunkWork estimates per-sub-job CPU work (MHz-seconds) from a request
-	// when the submitter does not supply explicit sizes. The default models
-	// the paper's application: Count sub-jobs of CPUTime (or WallTime) each
-	// at the reference CPU speed.
-	ChunkWork func(*xrsl.JobRequest) []float64
 	// Tracer receives job lifecycle spans. Nil means the process-wide
 	// tracing.Default(); replicated experiments inject a per-world tracer so
 	// concurrent worlds do not share a scope stack.
@@ -96,9 +91,6 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.ClusterName == "" {
 		cfg.ClusterName = "tycoon-grid"
 	}
-	if cfg.ChunkWork == nil {
-		cfg.ChunkWork = DefaultChunkWork
-	}
 	if cfg.Tracer == nil {
 		cfg.Tracer = tracing.Default()
 	}
@@ -121,9 +113,9 @@ func DefaultChunkWork(jr *xrsl.JobRequest) []float64 {
 }
 
 // Submit accepts an xRSL description. chunkWork overrides the per-sub-job
-// CPU work estimate; pass nil to use the configured estimator. The job
-// passes PREPARING (stage-in) before execution and FINISHING (stage-out)
-// after; both are modeled as fixed per-file delays on the simulation clock.
+// CPU work estimate; pass nil to use DefaultChunkWork. The job passes
+// PREPARING (stage-in) before execution and FINISHING (stage-out) after; both
+// are modeled as fixed per-file delays on the simulation clock.
 func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
 	eng := m.cfg.Agent.Engine()
 	// The lifecycle span parents under whatever is active — the HTTP server
@@ -151,7 +143,7 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		return reject(fmt.Errorf("arc: bad transfer token: %w", err))
 	}
 	if chunkWork == nil {
-		chunkWork = m.cfg.ChunkWork(jr)
+		chunkWork = DefaultChunkWork(jr)
 	}
 
 	m.seq++

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -334,57 +333,6 @@ func rankOrder(id func(index int) string) func(a, b rankKey) int {
 
 func sortRanked(keys []rankKey, id func(index int) string) {
 	slices.SortFunc(keys, rankOrder(id))
-}
-
-// ErrBadWeights is returned by SplitByWeights for weight vectors that cannot
-// direct a budget: wrong length, negative, non-finite, or summing to zero.
-var ErrBadWeights = errors.New("core: weights must be non-negative, finite, and sum positive")
-
-// SplitByWeights distributes budget across hosts in proportion to the given
-// weights — the portfolio-directed alternative to the greedy equal-marginal
-// shares of BestResponse (paper §4.4: bids follow the Markowitz portfolio
-// over hosts instead of the myopic KKT solution). Hosts with zero weight are
-// omitted; the result follows the BestResponse contract (bids sum to the
-// budget, sorted by descending bid then host ID).
-func SplitByWeights(budget float64, hosts []Host, weights []float64) ([]Allocation, error) {
-	if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
-		return nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
-	}
-	if len(hosts) == 0 {
-		return nil, ErrNoHosts
-	}
-	if len(weights) != len(hosts) {
-		return nil, fmt.Errorf("%w: %d weights for %d hosts", ErrBadWeights, len(weights), len(hosts))
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("%w: weight %v for host %q", ErrBadWeights, w, hosts[i].ID)
-		}
-		sum += w
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("%w: sum %v", ErrBadWeights, sum)
-	}
-	allocs := make([]Allocation, 0, len(hosts))
-	for i, h := range hosts {
-		if weights[i] == 0 {
-			continue
-		}
-		if h.Preference <= 0 || h.Price <= 0 ||
-			math.IsNaN(h.Preference) || math.IsNaN(h.Price) ||
-			math.IsInf(h.Preference, 0) || math.IsInf(h.Price, 0) {
-			return nil, fmt.Errorf("%w: host %q w=%v y=%v", ErrBadHost, h.ID, h.Preference, h.Price)
-		}
-		allocs = append(allocs, Allocation{Host: h, Bid: budget * weights[i] / sum})
-	}
-	sort.Slice(allocs, func(i, j int) bool {
-		if allocs[i].Bid != allocs[j].Bid {
-			return allocs[i].Bid > allocs[j].Bid
-		}
-		return allocs[i].Host.ID < allocs[j].Host.ID
-	})
-	return allocs, nil
 }
 
 // Utility evaluates eq. (1) for a set of allocations: the total utility the

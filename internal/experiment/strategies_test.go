@@ -81,6 +81,39 @@ func TestRunStrategiesDeterministic(t *testing.T) {
 	}
 }
 
+// TestPredictionBeatsReaction gates the sign of the paper's headline (§5):
+// over four replications of the catalog's strategies scenario, jobs routed on
+// the predicted mean price cost less than jobs routed on the current price,
+// with the two 95% confidence intervals apart.
+func TestPredictionBeatsReaction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four replications of the strategies scenario take ~2 s")
+	}
+	spec, ok := Lookup("strategies")
+	if !ok {
+		t.Fatal("strategies is not in the catalog")
+	}
+	agg, err := Replicate(spec, ReplicationConfig{Reps: 4, Parallel: 2, BaseSeed: 2006})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(name string) (mean, ci float64) {
+		for c, n := range agg.Cols {
+			if n == name {
+				return agg.Mean[c], agg.CI95[c]
+			}
+		}
+		t.Fatalf("no column %q in %v", name, agg.Cols)
+		return 0, 0
+	}
+	pm, pmCI := col("predicted_mean_cost")
+	cp, cpCI := col("current_price_cost")
+	if pm+pmCI >= cp-cpCI {
+		t.Errorf("predicted-mean costs %.2f ± %.2f a job, current-price %.2f ± %.2f: prediction does not beat reaction",
+			pm, pmCI, cp, cpCI)
+	}
+}
+
 func TestStrategiesColumns(t *testing.T) {
 	spec, ok := Lookup("strategies")
 	if !ok {
@@ -129,9 +162,11 @@ func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
 			t.Errorf("%s overheads = %v/%v/%v", id, h.Spec.CreateOverhead, h.Spec.InstallOverhead, h.Spec.VirtOverhead)
 		}
 	}
+	// Past a window of clears, each partition's history is exactly the window.
+	w.Engine.RunFor(time.Duration(p.Window+10) * w.Cluster.Interval())
 	for i, ag := range w.Agents {
-		if got := ag.Feed().Ring(w.partitions[i][0]).Capacity(); got != p.Window {
-			t.Errorf("partition %d ring capacity = %d, want the window %d", i, got, p.Window)
+		if got := len(ag.PriceHistory(0)); got != p.Window {
+			t.Errorf("partition %d holds %d samples, want the window %d", i, got, p.Window)
 		}
 	}
 

@@ -141,11 +141,9 @@ type Cluster struct {
 	// layer books them on its jobs' tabs. The slice is the plane's and is
 	// valid only during the call.
 	OnSettle func(cleared []marketplane.TickResult)
-	// OnHostFailure and OnHostRecovery, when set, observe FailHost/
-	// RecoverHost. The broker layer uses them to resubmit killed chunks and
-	// reclaim escrow.
-	OnHostFailure  func(HostFailure)
-	OnHostRecovery func(hostID string)
+	// OnHostFailure, when set, observes FailHost. The broker layer uses it to
+	// resubmit killed chunks and reclaim escrow.
+	OnHostFailure func(HostFailure)
 
 	ticker *sim.Ticker
 }
@@ -498,9 +496,6 @@ func (c *Cluster) RecoverHost(hostID string) error {
 	// through the plane, like every other.
 	h.Market.Tick(c.engine.Now())
 	mHostRecoveries.Inc()
-	if c.OnHostRecovery != nil {
-		c.OnHostRecovery(hostID)
-	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -274,7 +275,7 @@ func (c *AuctioneerClient) Boost(bidder string, extra bank.Amount) error {
 // CancelBid withdraws a bid, returning the unspent budget.
 func (c *AuctioneerClient) CancelBid(bidder string) (bank.Amount, error) {
 	var out BidResponse
-	if err := c.call.del(context.Background(), c.base+"/bids/"+bidder, &out); err != nil {
+	if err := c.call.del(context.Background(), c.base+"/bids/"+url.PathEscape(bidder), &out); err != nil {
 		return 0, err
 	}
 	return bank.ParseAmount(out.Refund)
@@ -290,6 +291,6 @@ func (c *AuctioneerClient) Shares() ([]ShareWire, error) {
 // WindowStats fetches the §4 statistics for one window label.
 func (c *AuctioneerClient) WindowStats(window string) (WindowStats, error) {
 	var out WindowStats
-	err := c.call.get(context.Background(), c.base+"/stats/"+window, &out)
+	err := c.call.get(context.Background(), c.base+"/stats/"+url.PathEscape(window), &out)
 	return out, err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -335,7 +336,7 @@ func (c *BankClient) CreateAccount(id string, owner ed25519.PublicKey, parent st
 // Account fetches an account's public view.
 func (c *BankClient) Account(id string) (AccountInfo, error) {
 	var out AccountInfo
-	err := c.call.get(context.Background(), c.base+"/accounts/"+id, &out)
+	err := c.call.get(context.Background(), c.base+"/accounts/"+url.PathEscape(id), &out)
 	return out, err
 }
 
@@ -384,7 +385,7 @@ func (c *BankClient) Totals() (TotalsResponse, error) {
 // History lists ledger entries touching id.
 func (c *BankClient) History(id string) ([]EntryWire, error) {
 	var out []EntryWire
-	err := c.call.get(context.Background(), c.base+"/history/"+id, &out)
+	err := c.call.get(context.Background(), c.base+"/history/"+url.PathEscape(id), &out)
 	return out, err
 }
 

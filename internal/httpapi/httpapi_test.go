@@ -357,3 +357,98 @@ func TestDecodeKeyErrors(t *testing.T) {
 		t.Error("short key accepted")
 	}
 }
+
+// TestClientsEscapeIDs: the typed clients put a caller's id into a URL path
+// segment or query value escaped, so an id holding URL syntax reaches the
+// service whole. Unescaped, "alice?x" is cut at the '?' and names alice, "#"
+// starts a fragment, "%41" decodes to "A", "&site=b" adds a query parameter
+// and "/" splits a path segment. Each case registers the id's decoy — what
+// the unescaped URL would name — beside it, and checks that every call
+// reached the id's own record and left the decoy's alone.
+func TestClientsEscapeIDs(t *testing.T) {
+	cases := []struct{ name, id, decoy string }{
+		{"question", "alice?x", "alice"},
+		{"hash", "frag#1", "frag"},
+		{"percent", "pct%41", "pctA"},
+		{"ampersand", "a&site=b", "a"},
+		{"slash", "broker/p0-0001", "broker"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServices(t)
+			id, decoy := tc.id, tc.decoy
+
+			// Bank: Account and History.
+			if _, err := s.bankC.CreateAccount(decoy, s.alice.Public(), ""); err != nil {
+				t.Fatal(err)
+			}
+			parent := ""
+			if strings.HasPrefix(id, decoy+"/") {
+				parent = decoy // a job sub-account, as the broker names them
+			}
+			if _, err := s.bankC.CreateAccount(id, s.alice.Public(), parent); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.bankC.Deposit(decoy, 5*bank.Credit, ""); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.bankC.Deposit(id, 7*bank.Credit, ""); err != nil {
+				t.Fatal(err)
+			}
+			if a, err := s.bankC.Account(id); err != nil || a.ID != id || a.Balance != "7" {
+				t.Errorf("Account(%q) = %+v, %v; want its own balance 7", id, a, err)
+			}
+			if h, err := s.bankC.History(id); err != nil || len(h) != 1 || h[0].To != id || h[0].Amount != "7" {
+				t.Errorf("History(%q) = %+v, %v; want its own deposit of 7", id, h, err)
+			}
+
+			// SLS: Select by site, Lookup and Deregister.
+			for _, h := range []string{decoy, id} {
+				if err := s.slsC.Register(sls.HostInfo{ID: h, Endpoint: "e", CapacityMHz: 2800, CPUs: 1, Site: h}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if hs, err := s.slsC.Select(sls.Query{Site: id}); err != nil || len(hs) != 1 || hs[0].ID != id {
+				t.Errorf("Select(site %q) = %+v, %v; want the one host of that site", id, hs, err)
+			}
+			if h, err := s.slsC.Lookup(id); err != nil || h.ID != id {
+				t.Errorf("Lookup(%q) = %+v, %v", id, h, err)
+			}
+			if err := s.slsC.Deregister(id); err != nil {
+				t.Errorf("Deregister(%q): %v", id, err)
+			}
+			if _, err := s.slsC.Lookup(id); err == nil || !strings.Contains(err.Error(), "404") {
+				t.Errorf("Lookup(%q) after its deregistration: %v, want 404", id, err)
+			}
+			if _, err := s.slsC.Lookup(decoy); err != nil {
+				t.Errorf("deregistering %q removed %q: %v", id, decoy, err)
+			}
+
+			// Auctioneer: CancelBid refunds the id's own bid and only it.
+			deadline := time.Now().Add(time.Hour)
+			if _, err := s.auctC.PlaceBid(decoy, 5*bank.Credit, deadline); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.auctC.PlaceBid(id, 7*bank.Credit, deadline); err != nil {
+				t.Fatal(err)
+			}
+			if refund, err := s.auctC.CancelBid(id); err != nil || refund != 7*bank.Credit {
+				t.Errorf("CancelBid(%q) = %v, %v; want its own 7 credits back", id, refund, err)
+			}
+			if refund, err := s.market.CancelBid(auction.BidderID(decoy)); err != nil || refund != 5*bank.Credit {
+				t.Errorf("%q's bid after cancelling %q: refund %v, %v; want it untouched at 5", decoy, id, refund, err)
+			}
+
+			// Auctioneer: WindowStats of a window named like the id.
+			svc, err := NewAuctioneerService(s.market, map[string]int{decoy: 4, id: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(svc)
+			t.Cleanup(srv.Close)
+			if ws, err := NewAuctioneerClient(srv.URL, nil).WindowStats(id); err != nil || ws.Window != id {
+				t.Errorf("WindowStats(%q) = window %q, %v", id, ws.Window, err)
+			}
+		})
+	}
+}

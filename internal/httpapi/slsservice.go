@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -146,25 +147,26 @@ func (c *SLSClient) Heartbeat(id string, spotPrice float64) error {
 
 // Select queries live hosts.
 func (c *SLSClient) Select(q sls.Query) ([]sls.HostInfo, error) {
-	u := c.base + "/hosts?min_capacity=" + strconv.FormatFloat(q.MinCapacityMHz, 'g', -1, 64) +
-		"&max_price=" + strconv.FormatFloat(q.MaxSpotPrice, 'g', -1, 64) +
-		"&limit=" + strconv.Itoa(q.Limit)
+	v := url.Values{}
+	v.Set("min_capacity", strconv.FormatFloat(q.MinCapacityMHz, 'g', -1, 64))
+	v.Set("max_price", strconv.FormatFloat(q.MaxSpotPrice, 'g', -1, 64))
+	v.Set("limit", strconv.Itoa(q.Limit))
 	if q.Site != "" {
-		u += "&site=" + q.Site
+		v.Set("site", q.Site)
 	}
 	var out []sls.HostInfo
-	err := c.call.get(context.Background(), u, &out)
+	err := c.call.get(context.Background(), c.base+"/hosts?"+v.Encode(), &out)
 	return out, err
 }
 
 // Lookup fetches one host.
 func (c *SLSClient) Lookup(id string) (sls.HostInfo, error) {
 	var out sls.HostInfo
-	err := c.call.get(context.Background(), c.base+"/hosts/"+id, &out)
+	err := c.call.get(context.Background(), c.base+"/hosts/"+url.PathEscape(id), &out)
 	return out, err
 }
 
 // Deregister removes a host.
 func (c *SLSClient) Deregister(id string) error {
-	return c.call.del(context.Background(), c.base+"/hosts/"+id, nil)
+	return c.call.del(context.Background(), c.base+"/hosts/"+url.PathEscape(id), nil)
 }

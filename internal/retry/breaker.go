@@ -38,25 +38,19 @@ func (s State) String() string {
 // fails fast instead of burning the whole retry budget.
 var ErrOpen = errors.New("retry: circuit breaker open")
 
-// Breaker defaults.
+// The one breaker: five consecutive failures open it, and after a 30 s
+// cool-down one probe call at a time tests recovery.
 const (
-	DefaultFailureThreshold = 5
-	DefaultOpenTimeout      = 30 * time.Second
-	DefaultHalfOpenProbes   = 1
+	failureThreshold = 5
+	openTimeout      = 30 * time.Second
+	halfOpenProbes   = 1
 )
 
-// BreakerConfig tunes a Breaker. The zero value (plus a Name) is usable.
+// BreakerConfig names a Breaker. The zero value (plus a Name) is the
+// production breaker; Now is for tests.
 type BreakerConfig struct {
 	// Name labels the breaker's metrics (breaker_state{name=...}).
 	Name string
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker.
-	FailureThreshold int
-	// OpenTimeout is the cool-down before an open breaker lets probes
-	// through.
-	OpenTimeout time.Duration
-	// HalfOpenProbes bounds concurrent probe calls in the half-open state.
-	HalfOpenProbes int
 	// Now supplies the clock; nil means time.Now. Tests inject a manual
 	// clock so breaker timelines run without sleeping.
 	Now func() time.Time
@@ -79,15 +73,6 @@ type Breaker struct {
 
 // NewBreaker builds a breaker, registering its metrics under cfg.Name.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultFailureThreshold
-	}
-	if cfg.OpenTimeout <= 0 {
-		cfg.OpenTimeout = DefaultOpenTimeout
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = DefaultHalfOpenProbes
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -116,7 +101,7 @@ func (b *Breaker) setStateLocked(s State) {
 }
 
 func (b *Breaker) maybeHalfOpenLocked() {
-	if b.state == Open && !b.cfg.Now().Before(b.openedAt.Add(b.cfg.OpenTimeout)) {
+	if b.state == Open && !b.cfg.Now().Before(b.openedAt.Add(openTimeout)) {
 		b.setStateLocked(HalfOpen)
 		b.probes = 0
 	}
@@ -133,7 +118,7 @@ func (b *Breaker) Allow() error {
 	case Closed:
 		return nil
 	case HalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return nil
 		}
@@ -166,7 +151,7 @@ func (b *Breaker) Record(err error) {
 		b.tripLocked()
 	case Closed:
 		b.fails++
-		if b.fails >= b.cfg.FailureThreshold {
+		if b.fails >= failureThreshold {
 			b.tripLocked()
 		}
 	}

@@ -14,13 +14,14 @@ func (c *manualClock) Now() time.Time          { return c.t }
 func (c *manualClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestBreaker(name string, clk *manualClock) *Breaker {
-	return NewBreaker(BreakerConfig{
-		Name:             name,
-		FailureThreshold: 3,
-		OpenTimeout:      10 * time.Second,
-		HalfOpenProbes:   1,
-		Now:              clk.Now,
-	})
+	return NewBreaker(BreakerConfig{Name: name, Now: clk.Now})
+}
+
+// fail records n failures.
+func fail(b *Breaker, n int) {
+	for i := 0; i < n; i++ {
+		b.Record(errors.New("down"))
+	}
 }
 
 func TestBreakerTransitions(t *testing.T) {
@@ -32,48 +33,35 @@ func TestBreakerTransitions(t *testing.T) {
 	}{
 		{"starts closed", func(b *Breaker, clk *manualClock) {}, Closed},
 		{"stays closed below threshold", func(b *Breaker, clk *manualClock) {
-			b.Record(boom)
-			b.Record(boom)
+			fail(b, failureThreshold-1)
 		}, Closed},
 		{"opens at threshold", func(b *Breaker, clk *manualClock) {
-			b.Record(boom)
-			b.Record(boom)
-			b.Record(boom)
+			fail(b, failureThreshold)
 		}, Open},
 		{"success resets failure count", func(b *Breaker, clk *manualClock) {
-			b.Record(boom)
-			b.Record(boom)
+			fail(b, failureThreshold-1)
 			b.Record(nil)
-			b.Record(boom)
-			b.Record(boom)
+			fail(b, failureThreshold-1)
 		}, Closed},
 		{"half-open after cool-down", func(b *Breaker, clk *manualClock) {
-			for i := 0; i < 3; i++ {
-				b.Record(boom)
-			}
-			clk.Advance(10 * time.Second)
+			fail(b, failureThreshold)
+			clk.Advance(openTimeout)
 		}, HalfOpen},
 		{"still open before cool-down", func(b *Breaker, clk *manualClock) {
-			for i := 0; i < 3; i++ {
-				b.Record(boom)
-			}
-			clk.Advance(9 * time.Second)
+			fail(b, failureThreshold)
+			clk.Advance(openTimeout - time.Second)
 		}, Open},
 		{"probe success closes", func(b *Breaker, clk *manualClock) {
-			for i := 0; i < 3; i++ {
-				b.Record(boom)
-			}
-			clk.Advance(10 * time.Second)
+			fail(b, failureThreshold)
+			clk.Advance(openTimeout)
 			if err := b.Allow(); err != nil {
 				t.Fatalf("probe rejected: %v", err)
 			}
 			b.Record(nil)
 		}, Closed},
 		{"probe failure re-opens", func(b *Breaker, clk *manualClock) {
-			for i := 0; i < 3; i++ {
-				b.Record(boom)
-			}
-			clk.Advance(10 * time.Second)
+			fail(b, failureThreshold)
+			clk.Advance(openTimeout)
 			if err := b.Allow(); err != nil {
 				t.Fatalf("probe rejected: %v", err)
 			}
@@ -95,9 +83,7 @@ func TestBreakerTransitions(t *testing.T) {
 func TestBreakerRejectsWhileOpen(t *testing.T) {
 	clk := &manualClock{t: time.Unix(0, 0)}
 	b := newTestBreaker("reject-open", clk)
-	for i := 0; i < 3; i++ {
-		b.Record(errors.New("down"))
-	}
+	fail(b, failureThreshold)
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Errorf("Allow while open = %v, want ErrOpen", err)
 	}
@@ -111,10 +97,8 @@ func TestBreakerRejectsWhileOpen(t *testing.T) {
 func TestBreakerHalfOpenProbeLimit(t *testing.T) {
 	clk := &manualClock{t: time.Unix(0, 0)}
 	b := newTestBreaker("probe-limit", clk)
-	for i := 0; i < 3; i++ {
-		b.Record(errors.New("down"))
-	}
-	clk.Advance(10 * time.Second)
+	fail(b, failureThreshold)
+	clk.Advance(openTimeout)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("first probe rejected: %v", err)
 	}
@@ -132,21 +116,19 @@ func TestBreakerHalfOpenProbeLimit(t *testing.T) {
 func TestBreakerOpenCoolDownRestartsOnReTrip(t *testing.T) {
 	clk := &manualClock{t: time.Unix(0, 0)}
 	b := newTestBreaker("re-trip", clk)
-	for i := 0; i < 3; i++ {
-		b.Record(errors.New("down"))
-	}
-	clk.Advance(10 * time.Second)
+	fail(b, failureThreshold)
+	clk.Advance(openTimeout)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("probe rejected: %v", err)
 	}
 	b.Record(errors.New("still down")) // re-trips: cool-down restarts now
-	clk.Advance(9 * time.Second)
+	clk.Advance(openTimeout - time.Second)
 	if got := b.State(); got != Open {
-		t.Errorf("state 9s after re-trip = %v, want Open", got)
+		t.Errorf("state 1s before the cool-down ends = %v, want Open", got)
 	}
 	clk.Advance(time.Second)
 	if got := b.State(); got != HalfOpen {
-		t.Errorf("state 10s after re-trip = %v, want HalfOpen", got)
+		t.Errorf("state a cool-down after re-trip = %v, want HalfOpen", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package retry is the fault-tolerance core of the grid market: a
-// context-aware retry policy with exponential backoff, full jitter and
-// per-attempt deadlines, plus a three-state circuit breaker (breaker.go).
+// context-aware retry policy with exponential backoff and full jitter, plus a
+// three-state circuit breaker (breaker.go).
 //
 // The paper's Grid is explicitly best-effort — hosts join and leave, and the
 // Tycoon design paper (Lai et al.) stresses that a market allocator must
@@ -23,37 +23,22 @@ import (
 	"time"
 )
 
-// Defaults for a zero-value Policy. A policy taking four attempts with
-// 50 ms base and 2x growth sleeps at most ~50+100+200 ms of jittered
-// backoff before giving up — fast enough for an interactive bid path,
-// patient enough to ride out a daemon restart.
+// The one retry schedule: four attempts with 50 ms base and 2x growth sleep
+// at most ~50+100+200 ms of jittered backoff before giving up — fast enough
+// for an interactive bid path, patient enough to ride out a daemon restart.
+// The HTTP client's timeout bounds each attempt.
 const (
-	DefaultMaxAttempts = 4
-	DefaultBaseDelay   = 50 * time.Millisecond
-	DefaultMaxDelay    = 2 * time.Second
-	DefaultMultiplier  = 2.0
+	maxAttempts = 4
+	baseDelay   = 50 * time.Millisecond
+	maxDelay    = 2 * time.Second
+	multiplier  = 2.0
 )
 
-// Policy describes how an operation is retried. The zero value (plus a Name)
-// is a usable production policy; every field has a documented default.
+// Policy retries an operation on the schedule above. The zero value (plus a
+// Name) is the production policy; Sleep and Rand are for tests.
 type Policy struct {
 	// Name labels this policy's metrics (retries_total{name=...}).
 	Name string
-	// MaxAttempts is the total number of tries including the first.
-	MaxAttempts int
-	// BaseDelay is the pre-jitter backoff before the second attempt.
-	BaseDelay time.Duration
-	// MaxDelay caps the pre-jitter backoff.
-	MaxDelay time.Duration
-	// Multiplier grows the backoff between attempts.
-	Multiplier float64
-	// PerAttempt, when positive, bounds each attempt with its own
-	// context deadline.
-	PerAttempt time.Duration
-	// Retryable reports whether an error is worth another attempt. Nil
-	// means everything except Permanent-wrapped errors, breaker ErrOpen
-	// and context cancellation/expiry.
-	Retryable func(error) bool
 	// Sleep waits between attempts. Nil means a real timer honoring ctx.
 	// Tests inject a recording stub so schedules are checked instantly.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -68,9 +53,9 @@ type permanentError struct{ err error }
 func (p *permanentError) Error() string { return p.err.Error() }
 func (p *permanentError) Unwrap() error { return p.err }
 
-// Permanent wraps err so the default Retryable classifier refuses to retry
-// it — used for application-level rejections (4xx responses, validation
-// failures) where re-sending the same request can only fail the same way.
+// Permanent wraps err so Do refuses to retry it — used for application-level
+// rejections (4xx responses, validation failures) where re-sending the same
+// request can only fail the same way.
 func Permanent(err error) error {
 	if err == nil {
 		return nil
@@ -109,52 +94,26 @@ func defaultSleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func defaultRetryable(err error) bool {
+// retryable reports whether err is worth another attempt: everything except
+// Permanent-wrapped errors, breaker ErrOpen and context cancellation/expiry.
+func retryable(err error) bool {
 	return !IsPermanent(err) &&
 		!errors.Is(err, ErrOpen) &&
 		!errors.Is(err, context.Canceled) &&
 		!errors.Is(err, context.DeadlineExceeded)
 }
 
-func (p Policy) maxAttempts() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return DefaultMaxAttempts
-}
-
-func (p Policy) baseDelay() time.Duration {
-	if p.BaseDelay > 0 {
-		return p.BaseDelay
-	}
-	return DefaultBaseDelay
-}
-
-func (p Policy) maxDelay() time.Duration {
-	if p.MaxDelay > 0 {
-		return p.MaxDelay
-	}
-	return DefaultMaxDelay
-}
-
-func (p Policy) multiplier() float64 {
-	if p.Multiplier > 1 {
-		return p.Multiplier
-	}
-	return DefaultMultiplier
-}
-
-// Backoff returns the pre-jitter delay before attempt+2 (attempt counts
-// completed tries, zero-based): min(MaxDelay, BaseDelay * Multiplier^attempt).
-func (p Policy) Backoff(attempt int) time.Duration {
-	base := float64(p.baseDelay()) * math.Pow(p.multiplier(), float64(attempt))
-	if cap := float64(p.maxDelay()); base > cap {
+// backoff returns the pre-jitter delay before attempt+2 (attempt counts
+// completed tries, zero-based): min(maxDelay, baseDelay * multiplier^attempt).
+func backoff(attempt int) time.Duration {
+	base := float64(baseDelay) * math.Pow(multiplier, float64(attempt))
+	if cap := float64(maxDelay); base > cap {
 		base = cap
 	}
 	return time.Duration(base)
 }
 
-// jittered applies full jitter: a uniform draw in [0, Backoff(attempt)).
+// jittered applies full jitter: a uniform draw in [0, backoff(attempt)).
 // Full jitter (rather than equal or decorrelated) maximally decorrelates a
 // thundering herd of brokers retrying against one recovering auctioneer.
 func (p Policy) jittered(attempt int) time.Duration {
@@ -162,40 +121,26 @@ func (p Policy) jittered(attempt int) time.Duration {
 	if r == nil {
 		r = defaultRand
 	}
-	return time.Duration(r() * float64(p.Backoff(attempt)))
+	return time.Duration(r() * float64(backoff(attempt)))
 }
 
-// Do runs op until it succeeds, exhausts MaxAttempts, hits a non-retryable
-// error, or ctx is cancelled. Each attempt gets a child context bounded by
-// PerAttempt when set. The returned error is the last attempt's.
+// Do runs op until it succeeds, exhausts maxAttempts, hits a non-retryable
+// error, or ctx is cancelled. The returned error is the last attempt's.
 func (p Policy) Do(ctx context.Context, op func(ctx context.Context) error) error {
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = defaultSleep
 	}
-	retryable := p.Retryable
-	if retryable == nil {
-		retryable = defaultRetryable
-	}
-	attempts := p.maxAttempts()
 	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			mRetries.With(p.Name).Inc()
 		}
-		actx := ctx
-		cancel := context.CancelFunc(nil)
-		if p.PerAttempt > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.PerAttempt)
-		}
-		err = op(actx)
-		if cancel != nil {
-			cancel()
-		}
+		err = op(ctx)
 		if err == nil {
 			return nil
 		}
-		if !retryable(err) || attempt == attempts-1 {
+		if !retryable(err) || attempt == maxAttempts-1 {
 			break
 		}
 		if serr := sleep(ctx, p.jittered(attempt)); serr != nil {

@@ -9,40 +9,38 @@ import (
 )
 
 func TestBackoffSchedule(t *testing.T) {
+	// 50 ms doubling per attempt, capped at 2 s.
 	cases := []struct {
 		name    string
-		policy  Policy
 		attempt int
 		want    time.Duration
 	}{
-		{"defaults attempt 0", Policy{}, 0, 50 * time.Millisecond},
-		{"defaults attempt 1", Policy{}, 1, 100 * time.Millisecond},
-		{"defaults attempt 2", Policy{}, 2, 200 * time.Millisecond},
-		{"defaults capped", Policy{}, 10, 2 * time.Second},
-		{"custom base", Policy{BaseDelay: time.Second}, 0, time.Second},
-		{"custom growth", Policy{BaseDelay: time.Second, Multiplier: 3, MaxDelay: time.Minute}, 2, 9 * time.Second},
-		{"custom cap", Policy{BaseDelay: time.Second, MaxDelay: 5 * time.Second}, 4, 5 * time.Second},
-		{"multiplier below 1 falls back", Policy{BaseDelay: time.Second, Multiplier: 0.5}, 1, 2 * time.Second},
+		{"defaults attempt 0", 0, 50 * time.Millisecond},
+		{"defaults attempt 1", 1, 100 * time.Millisecond},
+		{"defaults attempt 2", 2, 200 * time.Millisecond},
+		{"last below the cap", 5, 1600 * time.Millisecond},
+		{"first at the cap", 6, 2 * time.Second},
+		{"defaults capped", 10, 2 * time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.policy.Backoff(tc.attempt); got != tc.want {
-				t.Errorf("Backoff(%d) = %v, want %v", tc.attempt, got, tc.want)
+			if got := backoff(tc.attempt); got != tc.want {
+				t.Errorf("backoff(%d) = %v, want %v", tc.attempt, got, tc.want)
 			}
 		})
 	}
 }
 
 func TestJitterBounds(t *testing.T) {
-	// Full jitter: for any rand draw r in [0,1), delay = r * Backoff.
+	// Full jitter: for any rand draw r in [0,1), delay = r * backoff.
 	for _, r := range []float64{0, 0.25, 0.5, 0.999999} {
-		p := Policy{BaseDelay: time.Second, Rand: func() float64 { return r }}
+		p := Policy{Rand: func() float64 { return r }}
 		got := p.jittered(0)
-		want := time.Duration(r * float64(time.Second))
+		want := time.Duration(r * float64(baseDelay))
 		if got != want {
 			t.Errorf("jittered(0) with r=%v = %v, want %v", r, got, want)
 		}
-		if got < 0 || got >= time.Second {
+		if got < 0 || got >= baseDelay {
 			t.Errorf("jitter %v outside [0, base)", got)
 		}
 	}
@@ -52,9 +50,8 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 	var slept []time.Duration
 	calls := 0
 	p := Policy{
-		Name:      "test",
-		BaseDelay: 100 * time.Millisecond,
-		Rand:      func() float64 { return 0.5 },
+		Name: "test",
+		Rand: func() float64 { return 0.5 },
 		Sleep: func(_ context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -73,8 +70,8 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("calls = %d, want 3", calls)
 	}
-	// Two sleeps, at 0.5 * (100ms, 200ms).
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
+	// Two sleeps, at 0.5 * (50ms, 100ms).
+	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond}
 	if len(slept) != 2 || slept[0] != want[0] || slept[1] != want[1] {
 		t.Errorf("sleeps = %v, want %v", slept, want)
 	}
@@ -82,11 +79,14 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 
 func TestDoExhaustsAttempts(t *testing.T) {
 	calls := 0
+	var slept []time.Duration
 	p := Policy{
-		Name:        "exhaust",
-		MaxAttempts: 3,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-		Rand:        func() float64 { return 0 },
+		Name: "exhaust",
+		Sleep: func(_ context.Context, d time.Duration) error {
+			slept = append(slept, d)
+			return nil
+		},
+		Rand: func() float64 { return 0.5 },
 	}
 	boom := errors.New("down")
 	err := p.Do(context.Background(), func(context.Context) error {
@@ -96,8 +96,13 @@ func TestDoExhaustsAttempts(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
+	// Four attempts, no sleep after the last.
+	if calls != 4 {
+		t.Errorf("calls = %d, want 4", calls)
+	}
+	want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
+	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] || slept[2] != want[2] {
+		t.Errorf("sleeps = %v, want %v", slept, want)
 	}
 }
 
@@ -150,28 +155,6 @@ func TestDoHonorsCancellation(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("calls = %d after cancel", calls)
-	}
-}
-
-func TestDoPerAttemptDeadline(t *testing.T) {
-	p := Policy{
-		MaxAttempts: 2,
-		PerAttempt:  time.Millisecond,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-		Rand:        func() float64 { return 0 },
-	}
-	sawDeadline := 0
-	err := p.Do(context.Background(), func(ctx context.Context) error {
-		if _, ok := ctx.Deadline(); ok {
-			sawDeadline++
-		}
-		return errors.New("flaky")
-	})
-	if err == nil {
-		t.Fatal("expected failure")
-	}
-	if sawDeadline != 2 {
-		t.Errorf("attempts with deadline = %d, want 2", sawDeadline)
 	}
 }
 

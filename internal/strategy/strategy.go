@@ -20,7 +20,6 @@ import (
 	"sort"
 	"time"
 
-	"tycoongrid/internal/core"
 	"tycoongrid/internal/portfolio"
 	"tycoongrid/internal/predict"
 )
@@ -74,32 +73,29 @@ type Strategy interface {
 // Config parameterizes strategy construction. The zero value is usable.
 type Config struct {
 	Horizon   time.Duration // forecast horizon; default DefaultHorizon
-	Quantile  float64       // quantile for predicted-quantile; default DefaultQuantile
 	Predictor string        // batch predict model name ("ar"); default DefaultPredictor
 	Window    int           // history window for predictors; 0 = predict default
-	MinObs    int           // min history length before portfolio math; default DefaultMinObs
 }
 
 // Defaults for Config.
 const (
 	DefaultHorizon   = 30 * time.Minute
-	DefaultQuantile  = 0.8
 	DefaultPredictor = "ar"
-	DefaultMinObs    = 8
+)
+
+// predicted-quantile scores the 80th percentile of the forecast; portfolio
+// weights need at least minObs aligned samples per candidate.
+const (
+	quantileLevel = 0.8
+	minObs        = 8
 )
 
 func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = DefaultHorizon
 	}
-	if c.Quantile <= 0 || c.Quantile >= 1 {
-		c.Quantile = DefaultQuantile
-	}
 	if c.Predictor == "" {
 		c.Predictor = DefaultPredictor
-	}
-	if c.MinObs <= 0 {
-		c.MinObs = DefaultMinObs
 	}
 	return c
 }
@@ -133,10 +129,10 @@ func init() {
 	})
 	Register(PredictedQuantile, func(c Config) Strategy {
 		c = c.withDefaults()
-		return &predicted{name: PredictedQuantile, cfg: c, quantile: c.Quantile}
+		return &predicted{name: PredictedQuantile, cfg: c, quantile: quantileLevel}
 	})
-	Register(Portfolio, func(c Config) Strategy {
-		return &portfolioStrategy{cfg: c.withDefaults(), credits: map[string]float64{}}
+	Register(Portfolio, func(Config) Strategy {
+		return &portfolioStrategy{credits: map[string]float64{}}
 	})
 }
 
@@ -292,7 +288,6 @@ func (s *predicted) forecast(c *Candidate) (predict.Forecast, error) {
 // and pays 1 credit. Over n picks the visit counts converge to the weights,
 // and the sequence is fully deterministic.
 type portfolioStrategy struct {
-	cfg     Config
 	credits map[string]float64
 }
 
@@ -339,7 +334,7 @@ func (s *portfolioStrategy) weights(cands []Candidate) []float64 {
 	if n == 1 {
 		return equal
 	}
-	series, assets, ok := returnSeries(cands, s.cfg.MinObs)
+	series, assets, ok := returnSeries(cands)
 	if !ok {
 		return equal
 	}
@@ -357,14 +352,14 @@ func (s *portfolioStrategy) weights(cands []Candidate) []float64 {
 // returnSeries builds tail-aligned 1/price series for all candidates. All
 // series are truncated to the shortest history so the covariance is over a
 // common time span; below minObs the portfolio math is not attempted.
-func returnSeries(cands []Candidate, minObs int) ([][]float64, []portfolio.Asset, bool) {
+func returnSeries(cands []Candidate) ([][]float64, []portfolio.Asset, bool) {
 	m := math.MaxInt
 	for i := range cands {
 		if n := len(cands[i].history()); n < m {
 			m = n
 		}
 	}
-	if m < minObs || m < 2 {
+	if m < minObs {
 		return nil, nil, false
 	}
 	series := make([][]float64, len(cands))
@@ -405,65 +400,4 @@ func clipNormalize(w, fallback []float64) []float64 {
 		out[i] /= sum
 	}
 	return out
-}
-
-// BidSplitter is the host-level analogue of a Strategy: instead of picking a
-// partition for a whole job, it splits one job's bid budget across hosts.
-// The agent consults it before the Best Response optimizer; returning
-// (nil, nil) declines — not enough history yet — and the agent falls back.
-type BidSplitter interface {
-	Name() string
-	// Split distributes budget across hosts. history returns the recent price
-	// samples for a host (oldest first), or nil if none are recorded.
-	Split(budget float64, hosts []core.Host, history func(hostID string) []float64) ([]core.Allocation, error)
-}
-
-// portfolioSplitter splits bids by the minimum-variance portfolio over
-// per-host return histories (paper §4.4's bid-level experiment).
-type portfolioSplitter struct{ minObs int }
-
-// NewPortfolioSplitter returns a BidSplitter that weights hosts by the
-// Markowitz minimum-variance portfolio. minObs <= 0 uses DefaultMinObs.
-func NewPortfolioSplitter(minObs int) BidSplitter {
-	if minObs <= 0 {
-		minObs = DefaultMinObs
-	}
-	return &portfolioSplitter{minObs: minObs}
-}
-
-func (p *portfolioSplitter) Name() string { return Portfolio }
-
-func (p *portfolioSplitter) Split(budget float64, hosts []core.Host, history func(string) []float64) ([]core.Allocation, error) {
-	if len(hosts) == 0 {
-		return nil, core.ErrNoHosts
-	}
-	cands := make([]Candidate, len(hosts))
-	for i, h := range hosts {
-		cands[i] = Candidate{ID: h.ID, CurrentPrice: h.Price, History: history(h.ID)}
-	}
-	series, assets, ok := returnSeries(cands, p.minObs)
-	if !ok {
-		return nil, nil // decline: not enough aligned history yet
-	}
-	cov, err := portfolio.CovarianceFromSeries(series)
-	if err != nil {
-		return nil, nil
-	}
-	var weights []float64
-	mv, err := portfolio.MinimumVariance(assets, cov)
-	if err != nil {
-		eq := equalWeights(len(hosts))
-		weights = eq
-	} else {
-		weights = clipNormalize(mv.Weights, equalWeights(len(hosts)))
-	}
-	return core.SplitByWeights(budget, hosts, weights)
-}
-
-func equalWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1 / float64(n)
-	}
-	return w
 }

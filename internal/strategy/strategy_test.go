@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tycoongrid/internal/core"
 	"tycoongrid/internal/predict"
 )
 
@@ -153,7 +152,7 @@ func TestPredictedQuantilePenalizesVolatility(t *testing.T) {
 		{ID: "volatile", CurrentPrice: 3, Forecast: forecastOf(3, 2)},
 		{ID: "calm", CurrentPrice: 3, Forecast: forecastOf(3, 0)},
 	}
-	s, _ := New(PredictedQuantile, Config{Quantile: 0.9})
+	s, _ := New(PredictedQuantile, Config{})
 	p, err := s.Pick(cands)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +161,15 @@ func TestPredictedQuantilePenalizesVolatility(t *testing.T) {
 		t.Errorf("predicted-quantile picked %d, want calm 1", p.Index)
 	}
 	if p.Predicted != 3 {
-		t.Errorf("predicted = %v, want calm's 0.9-quantile 3", p.Predicted)
+		t.Errorf("predicted = %v, want calm's 0.8-quantile 3", p.Predicted)
+	}
+	// The score is the forecast's 80th percentile.
+	want, err := predict.Forecast{Mean: 3, Sigma: 2}.Quantile(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := s.Pick(cands[:1]); err != nil || p.Predicted != want {
+		t.Errorf("volatile alone: pick = %+v, %v; want predicted %v", p, err, want)
 	}
 }
 
@@ -280,71 +287,53 @@ func TestPortfolioDeterministicSequence(t *testing.T) {
 	}
 }
 
-func TestPortfolioSplitterDeclinesThenSplits(t *testing.T) {
-	hosts := []core.Host{
-		{ID: "h0", Preference: 2800, Price: 1},
-		{ID: "h1", Preference: 2800, Price: 1},
+// TestPortfolioWeightsNeedMinObsValidPrices walks returnSeries' declines
+// through the portfolio strategy: fewer than minObs aligned samples, or a
+// non-positive or non-finite price in the aligned tail, gives equal weights;
+// minObs clean samples are enough for the minimum-variance weights, which
+// favour the steady candidate; identical histories are a singular covariance
+// and also split equally.
+func TestPortfolioWeightsNeedMinObsValidPrices(t *testing.T) {
+	steady := []float64{1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1}
+	swinging := []float64{0.3, 3, 0.4, 2.5, 0.2, 3.5, 0.3, 3}
+	withPrice := func(h []float64, i int, v float64) []float64 {
+		h = append([]float64(nil), h...)
+		h[i] = v
+		return h
 	}
-	sp := NewPortfolioSplitter(4)
-	if sp.Name() != Portfolio {
-		t.Errorf("name = %q", sp.Name())
+	cases := []struct {
+		name        string
+		a, b        []float64
+		steadyFirst bool // want weights[0] > weights[1]; otherwise equal
+	}{
+		{"minObs samples", steady, swinging, true},
+		{"one short of minObs", steady[1:], swinging[1:], false},
+		{"shortest history decides", steady, swinging[1:], false},
+		{"zero price", steady, withPrice(swinging, 3, 0), false},
+		{"negative price", withPrice(steady, 7, -1), swinging, false},
+		{"NaN price", steady, withPrice(swinging, 0, math.NaN()), false},
+		{"identical histories", steady, steady, false},
 	}
-
-	// No history: decline without error.
-	allocs, err := sp.Split(10, hosts, func(string) []float64 { return nil })
-	if err != nil || allocs != nil {
-		t.Fatalf("expected decline, got allocs=%v err=%v", allocs, err)
-	}
-
-	// Enough history: h0 steady, h1 wildly swinging; the min-variance split
-	// must put more budget on h0, and bids must sum to the budget.
-	histories := map[string][]float64{
-		"h0": {1, 1.01, 0.99, 1, 1.02, 0.98, 1, 1},
-		"h1": {0.3, 3, 0.4, 2.5, 0.2, 3.5, 0.3, 3},
-	}
-	allocs, err = sp.Split(10, hosts, func(id string) []float64 { return histories[id] })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(allocs) == 0 {
-		t.Fatal("no allocations")
-	}
-	var total, h0bid float64
-	for _, a := range allocs {
-		total += a.Bid
-		if a.Host.ID == "h0" {
-			h0bid = a.Bid
-		}
-	}
-	if math.Abs(total-10) > 1e-9 {
-		t.Errorf("bids sum to %v, want 10", total)
-	}
-	if h0bid <= 10.0/2 {
-		t.Errorf("steady host got %v of 10, want the majority", h0bid)
-	}
-}
-
-func TestPortfolioSplitterIdenticalHostsEqualSplit(t *testing.T) {
-	hosts := []core.Host{
-		{ID: "h0", Preference: 2800, Price: 2},
-		{ID: "h1", Preference: 2800, Price: 2},
-		{ID: "h2", Preference: 2800, Price: 2},
-	}
-	h := []float64{2, 2.2, 1.8, 2, 2.1, 1.9, 2, 2}
-	sp := NewPortfolioSplitter(4)
-	allocs, err := sp.Split(9, hosts, func(string) []float64 { return h })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(allocs) != 3 {
-		t.Fatalf("allocs = %v", allocs)
-	}
-	for _, a := range allocs {
-		if math.Abs(a.Bid-3) > 1e-9 {
-			t.Errorf("bid %v, want equal 3", a.Bid)
-		}
-		if math.IsNaN(a.Bid) {
-			t.Errorf("NaN bid for %s", a.Host.ID)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := New(Portfolio, Config{})
+			p, err := s.Pick([]Candidate{
+				{ID: "a", CurrentPrice: 1, History: tc.a},
+				{ID: "b", CurrentPrice: 1, History: tc.b},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := p.Weights
+			if tc.steadyFirst {
+				if w[0] <= w[1] || math.Abs(w[0]+w[1]-1) > 1e-9 {
+					t.Errorf("weights = %v, want the steady candidate's larger, summing to 1", w)
+				}
+				return
+			}
+			if w[0] != 0.5 || w[1] != 0.5 {
+				t.Errorf("weights = %v, want equal", w)
+			}
+		})
 	}
 }
