@@ -337,7 +337,17 @@ func BenchmarkAuctionClearTelemetryOverhead(b *testing.B) {
 	scrapeDone := make(chan struct{})
 	go func() {
 		defer close(scrapeDone)
-		collector.Run(stopScrape, 5*time.Millisecond)
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		collector.Collect()
+		for {
+			select {
+			case <-stopScrape:
+				return
+			case <-tick.C:
+				collector.Collect()
+			}
+		}
 	}()
 	defer func() { close(stopScrape); <-scrapeDone }()
 

@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/url"
@@ -23,6 +22,8 @@ import (
 	"time"
 
 	"tycoongrid/internal/httpapi"
+	"tycoongrid/internal/slo"
+	"tycoongrid/internal/telemetry"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 	once := flag.Bool("once", false, "render a single frame and exit (CI mode)")
 	window := flag.Duration("window", 5*time.Minute, "history window for sparklines")
 	seriesFlag := flag.String("series", "",
-		"comma-separated series names or trailing-'*' patterns (default: an automatic pick)")
+		"comma-separated series names or patterns with one '*' (default: an automatic pick)")
 	maxSeries := flag.Int("max-series", 12, "series rows shown")
 	sparkWidth := flag.Int("spark-width", 40, "sparkline width in buckets")
 	flag.Parse()
@@ -88,22 +89,14 @@ func newPoller(target string, window time.Duration, seriesSpec string, maxSeries
 func (p *poller) poll(ctx context.Context) frame {
 	f := frame{Target: p.target, At: time.Now(), Window: p.window}
 
-	if raw, err := p.client.Fleet(ctx); err == nil {
-		var fr fleetReport
-		if jerr := json.Unmarshal(raw, &fr); jerr == nil {
-			f.Fleet = &fr
-		} else {
-			f.FetchErr = append(f.FetchErr, "fleet: bad JSON: "+jerr.Error())
-		}
+	var fr telemetry.FleetReport
+	if err := p.client.Fleet(ctx, &fr); err == nil {
+		f.Fleet = &fr
 	}
 
-	if raw, err := p.client.SLO(ctx); err == nil {
-		var rep sloReport
-		if jerr := json.Unmarshal(raw, &rep); jerr == nil {
-			f.SLO = &rep
-		} else {
-			f.FetchErr = append(f.FetchErr, "slo: bad JSON: "+jerr.Error())
-		}
+	var rep slo.Report
+	if err := p.client.SLO(ctx, &rep); err == nil {
+		f.SLO = &rep
 	} else {
 		f.FetchErr = append(f.FetchErr, "slo: "+err.Error())
 	}
@@ -118,7 +111,7 @@ func (p *poller) poll(ctx context.Context) frame {
 
 // autoPick chooses default series: in fleet mode the derived rate/p99
 // series across peers; in daemon mode a stock set of market vitals.
-func (p *poller) autoPick(ctx context.Context, fleet *fleetReport) []string {
+func (p *poller) autoPick(ctx context.Context, fleet *telemetry.FleetReport) []string {
 	if fleet != nil {
 		var picks []string
 		for _, name := range fleet.Series {
@@ -136,12 +129,8 @@ func (p *poller) autoPick(ctx context.Context, fleet *fleetReport) []string {
 		return fleet.Series
 	}
 	// Daemon mode: ask the daemon what it has and keep the derived series.
-	raw, err := p.client.History(ctx, "")
-	if err != nil {
-		return nil
-	}
-	var resp historyResponse
-	if json.Unmarshal(raw, &resp) != nil {
+	var resp telemetry.HistoryResponse
+	if p.client.History(ctx, "", &resp) != nil {
 		return nil
 	}
 	var picks []string
@@ -162,8 +151,8 @@ func (p *poller) autoPick(ctx context.Context, fleet *fleetReport) []string {
 
 // fetchHistory pulls downsampled buckets for each pattern from the right
 // history endpoint (fleet vs daemon).
-func (p *poller) fetchHistory(ctx context.Context, fleetMode bool, patterns []string, errs *[]string) []historySeries {
-	var out []historySeries
+func (p *poller) fetchHistory(ctx context.Context, fleetMode bool, patterns []string, errs *[]string) []telemetry.HistorySeries {
+	var out []telemetry.HistorySeries
 	seen := make(map[string]bool)
 	for _, pattern := range patterns {
 		if len(out) >= p.maxSeries {
@@ -173,20 +162,15 @@ func (p *poller) fetchHistory(ctx context.Context, fleetMode bool, patterns []st
 		q.Set("series", pattern)
 		q.Set("window", p.window.String())
 		q.Set("buckets", fmt.Sprint(p.sparkWidth))
-		var raw json.RawMessage
+		var resp telemetry.HistoryResponse
 		var err error
 		if fleetMode {
-			raw, err = p.client.FleetHistory(ctx, q.Encode())
+			err = p.client.FleetHistory(ctx, q.Encode(), &resp)
 		} else {
-			raw, err = p.client.History(ctx, q.Encode())
+			err = p.client.History(ctx, q.Encode(), &resp)
 		}
 		if err != nil {
 			*errs = append(*errs, "history "+pattern+": "+err.Error())
-			continue
-		}
-		var resp historyResponse
-		if jerr := json.Unmarshal(raw, &resp); jerr != nil {
-			*errs = append(*errs, "history "+pattern+": bad JSON: "+jerr.Error())
 			continue
 		}
 		for _, hs := range resp.Series {

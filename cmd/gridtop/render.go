@@ -5,92 +5,19 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"tycoongrid/internal/slo"
+	"tycoongrid/internal/telemetry"
+	"tycoongrid/internal/tsdb"
 )
-
-// Wire shapes mirrored from internal/telemetry and internal/slo — gridtop
-// decodes the daemons' public JSON, deliberately not their Go types, so it
-// exercises the same contract any external dashboard would.
-
-type bucketStat struct {
-	Start int64   `json:"start"`
-	End   int64   `json:"end"`
-	Count int     `json:"count"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	Mean  float64 `json:"mean"`
-	P99   float64 `json:"p99"`
-}
-
-type historySeries struct {
-	Name    string       `json:"name"`
-	Buckets []bucketStat `json:"buckets"`
-	Dropped uint64       `json:"dropped"`
-}
-
-type historyResponse struct {
-	WindowSeconds float64         `json:"window_seconds"`
-	Names         []string        `json:"names"`
-	Series        []historySeries `json:"series"`
-	Truncated     bool            `json:"truncated"`
-}
-
-type sloObjective struct {
-	Name        string  `json:"name"`
-	Description string  `json:"description"`
-	Series      string  `json:"series"`
-	Threshold   float64 `json:"threshold"`
-}
-
-type sloStatus struct {
-	Objective  sloObjective `json:"objective"`
-	NoData     bool         `json:"no_data"`
-	Violating  bool         `json:"violating"`
-	BurnFast   float64      `json:"burn_fast"`
-	BurnSlow   float64      `json:"burn_slow"`
-	Samples    int          `json:"samples"`
-	BadSamples int          `json:"bad_samples"`
-	LastValue  float64      `json:"last_value"`
-}
-
-type sloReport struct {
-	Service   string      `json:"service"`
-	At        time.Time   `json:"at"`
-	Violating int         `json:"violating"`
-	NoData    int         `json:"no_data"`
-	Statuses  []sloStatus `json:"objectives"`
-}
-
-type fleetPeer struct {
-	Name       string    `json:"name"`
-	BaseURL    string    `json:"url"`
-	Up         bool      `json:"up"`
-	LastScrape time.Time `json:"last_scrape"`
-	LastError  string    `json:"last_error"`
-	Samples    int       `json:"samples"`
-}
-
-type fleetExemplar struct {
-	Peer    string    `json:"peer"`
-	Family  string    `json:"family"`
-	TraceID string    `json:"trace_id"`
-	Value   float64   `json:"value"`
-	At      time.Time `json:"at"`
-}
-
-type fleetReport struct {
-	At        time.Time       `json:"at"`
-	Peers     []fleetPeer     `json:"peers"`
-	Series    []string        `json:"series"`
-	Exemplars []fleetExemplar `json:"exemplars"`
-}
 
 // frame is everything one render needs, assembled by the poller.
 type frame struct {
 	Target   string
 	At       time.Time
-	Fleet    *fleetReport // nil when the target is a plain daemon
-	SLO      *sloReport   // nil when /slo was unreachable
-	History  []historySeries
+	Fleet    *telemetry.FleetReport // nil when the target is a plain daemon
+	SLO      *slo.Report            // nil when /slo was unreachable
+	History  []telemetry.HistorySeries
 	Window   time.Duration
 	FetchErr []string // non-fatal fetch problems, shown in the footer
 }
@@ -145,7 +72,7 @@ func sparkline(vals []float64, present []bool) string {
 
 // sparkSeries turns downsampled buckets into a sparkline over bucket means,
 // padded on the left to width so short histories right-align at "now".
-func sparkSeries(buckets []bucketStat, width int) string {
+func sparkSeries(buckets []tsdb.BucketStat, width int) string {
 	if width <= 0 {
 		width = len(buckets)
 	}
@@ -185,7 +112,7 @@ func fmtVal(v float64) string {
 }
 
 // lastMean returns the newest non-empty bucket's mean.
-func lastMean(buckets []bucketStat) (float64, bool) {
+func lastMean(buckets []tsdb.BucketStat) (float64, bool) {
 	for i := len(buckets) - 1; i >= 0; i-- {
 		if buckets[i].Count > 0 {
 			return buckets[i].Mean, true
@@ -208,7 +135,7 @@ func render(f frame, sparkWidth int) string {
 
 	if f.Fleet != nil {
 		b.WriteString("PEERS\n")
-		peers := append([]fleetPeer(nil), f.Fleet.Peers...)
+		peers := append([]telemetry.PeerStatus(nil), f.Fleet.Peers...)
 		sort.Slice(peers, func(i, j int) bool { return peers[i].Name < peers[j].Name })
 		for _, p := range peers {
 			state := "UP  "
@@ -257,7 +184,7 @@ func render(f frame, sparkWidth int) string {
 
 	if f.Fleet != nil && len(f.Fleet.Exemplars) > 0 {
 		b.WriteString("EXEMPLARS (slowest traced requests)\n")
-		ex := append([]fleetExemplar(nil), f.Fleet.Exemplars...)
+		ex := append([]telemetry.FleetExemplar(nil), f.Fleet.Exemplars...)
 		sort.Slice(ex, func(i, j int) bool { return ex[i].Value > ex[j].Value })
 		if len(ex) > 5 {
 			ex = ex[:5]

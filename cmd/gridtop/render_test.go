@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tycoongrid/internal/slo"
+	"tycoongrid/internal/telemetry"
+	"tycoongrid/internal/tsdb"
 )
 
 func TestSparkline(t *testing.T) {
@@ -26,7 +30,7 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestSparkSeriesRightAligns(t *testing.T) {
-	buckets := []bucketStat{
+	buckets := []tsdb.BucketStat{
 		{Count: 1, Mean: 1},
 		{Count: 1, Mean: 2},
 	}
@@ -61,25 +65,25 @@ func TestRenderFrame(t *testing.T) {
 		Target: "http://localhost:7701",
 		At:     at,
 		Window: 5 * time.Minute,
-		Fleet: &fleetReport{
+		Fleet: &telemetry.FleetReport{
 			At: at,
-			Peers: []fleetPeer{
-				{Name: "bankd", BaseURL: "http://localhost:7700", Up: true, Samples: 42},
-				{Name: "h1", BaseURL: "http://localhost:7710", Up: false, LastError: "connection refused"},
+			Peers: []telemetry.PeerStatus{
+				{Peer: telemetry.Peer{Name: "bankd", BaseURL: "http://localhost:7700"}, Up: true, Samples: 42},
+				{Peer: telemetry.Peer{Name: "h1", BaseURL: "http://localhost:7710"}, Up: false, LastError: "connection refused"},
 			},
-			Exemplars: []fleetExemplar{
+			Exemplars: []telemetry.FleetExemplar{
 				{Peer: "bankd", Family: "bank_transfer_seconds", TraceID: "deadbeef", Value: 0.2, At: at},
 			},
 		},
-		SLO: &sloReport{
+		SLO: &slo.Report{
 			Service: "slsd", At: at, Violating: 1,
-			Statuses: []sloStatus{
-				{Objective: sloObjective{Name: "request-latency-p99"}, Violating: true, BurnFast: 12, BurnSlow: 4},
-				{Objective: sloObjective{Name: "money-conservation"}, NoData: true},
+			Statuses: []slo.Status{
+				{Objective: slo.Objective{Name: "request-latency-p99"}, Violating: true, BurnFast: 12, BurnSlow: 4},
+				{Objective: slo.Objective{Name: "money-conservation"}, NoData: true},
 			},
 		},
-		History: []historySeries{
-			{Name: "bankd/http_requests_total:rate", Buckets: []bucketStat{
+		History: []telemetry.HistorySeries{
+			{Name: "bankd/http_requests_total:rate", Buckets: []tsdb.BucketStat{
 				{Count: 3, Mean: 1}, {Count: 3, Mean: 9},
 			}},
 		},

@@ -25,6 +25,8 @@ import (
 	"time"
 
 	"tycoongrid/internal/fault"
+	"tycoongrid/internal/slo"
+	"tycoongrid/internal/telemetry"
 )
 
 // buildBinary compiles a command package into dir and returns the path.
@@ -159,9 +161,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	defer close(trafficStop)
 
 	// The observability surface answers immediately.
-	var hist struct {
-		Names []string `json:"names"`
-	}
+	var hist telemetry.HistoryResponse
 	if code := getJSON(t, bankBase+"/metrics/history", &hist); code != http.StatusOK {
 		t.Fatalf("/metrics/history = %d", code)
 	}
@@ -176,7 +176,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	violated := false
 	for time.Now().Before(deadline) {
-		var rep sloReport
+		var rep slo.Report
 		getJSON(t, bankBase+"/slo", &rep)
 		for _, st := range rep.Statuses {
 			if st.Objective.Name == "request-latency-p99" && st.Violating {
@@ -209,7 +209,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	fleetDeadline := time.Now().Add(15 * time.Second)
 	peerUp := false
 	for time.Now().Before(fleetDeadline) {
-		var fr fleetReport
+		var fr telemetry.FleetReport
 		getJSON(t, slsBase+"/fleet", &fr)
 		for _, p := range fr.Peers {
 			if p.Name == "bankd" && p.Up && p.Samples > 0 {
@@ -228,16 +228,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	// The fleet view derives nothing: a request-latency p99 series on slsd is
 	// bankd's own, point for point, as far as the last scrape reached. The
 	// fleet side is read first, so bankd can only be ahead.
-	type rawHistory struct {
-		Series []struct {
-			Name   string `json:"name"`
-			Points []struct {
-				T int64   `json:"t"`
-				V float64 `json:"v"`
-			} `json:"points"`
-		} `json:"series"`
-	}
-	var fleetHist, ownHist rawHistory
+	var fleetHist, ownHist telemetry.HistoryResponse
 	const pattern = "http_request_duration_seconds*"
 	getJSON(t, slsBase+"/fleet/history?raw=1&window=1h&series="+url.QueryEscape("bankd/"+pattern), &fleetHist)
 	getJSON(t, bankBase+"/metrics/history?raw=1&window=1h&series="+url.QueryEscape(pattern), &ownHist)

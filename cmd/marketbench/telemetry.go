@@ -8,16 +8,16 @@ import (
 
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/slo"
-	"tycoongrid/internal/tsdb"
+	"tycoongrid/internal/telemetry"
 )
 
-// telemetryFinish runs the end-of-run telemetry capture — two tsdb collects
-// bracketing one SLO evaluation, so the derived :rate series and the slo_*
-// gauge families all exist — and renders the final snapshot.
+// telemetryFinish runs the end-of-run telemetry capture — two ticks of a
+// telemetry plane over the process registry, so the derived :rate series and
+// the slo_* gauge families all exist — and renders the final snapshot.
 //
 // Two renderings share the capture:
 //
-//   - full (single runs): the complete metrics snapshot with values, the
+//   - full (single runs): the registry in the /metrics exposition format, the
 //     tsdb series with point counts, and the SLO table. Values include wall
 //     timings, so this stays out of replicated output.
 //   - deterministic (replicated runs): the telemetry *catalogue* — sorted
@@ -26,12 +26,11 @@ import (
 //     so replicated runs stay byte-identical across reruns and across any
 //     -parallel worker count.
 func telemetryFinish(deterministic bool) string {
-	db := tsdb.NewDB(256)
-	collector := tsdb.NewCollector(metrics.Default(), db, time.Now)
-	collector.Collect() // seeds the rate baseline; stores gauges + quantiles
-	eval := slo.New("marketbench", db, slo.DefaultObjectives())
-	statuses := eval.Evaluate() // binds slo_* gauges into the default registry
-	collector.Collect()         // second pass: derived :rate series + slo_* gauges
+	plane := telemetry.NewPlane(telemetry.Config{Service: "marketbench"})
+	plane.Collect() // seeds the rate baseline; stores gauges + quantiles; sets the slo_* gauges
+	plane.Collect() // second pass: derived :rate series + slo_* gauges
+	db := plane.DB()
+	statuses := plane.Evaluator().Evaluate()
 
 	var sb strings.Builder
 	if deterministic {
@@ -61,7 +60,7 @@ func telemetryFinish(deterministic bool) string {
 	}
 
 	sb.WriteString("=== METRICS SNAPSHOT ===\n")
-	metrics.Default().Snapshot().WriteText(&sb)
+	_ = metrics.Default().WritePrometheus(&sb) // a strings.Builder never fails a write
 	sb.WriteString("=== TSDB SERIES ===\n")
 	for _, n := range db.Names() {
 		s, ok := db.Lookup(n)

@@ -108,11 +108,11 @@ func main() {
 	}
 	// Submitting under a pushed span scope ties what the market core
 	// measures meanwhile (clear and transfer latency exemplars) to this trace.
-	root, _ := tr.StartSpan(context.Background(), "quickstart.job")
+	root, ctx := tr.StartSpan(context.Background(), "quickstart.job")
 	release := tr.PushScope(root)
 	job, err := broker.Submit(tok, jr, chunks)
 	release()
-	check(err)
+	checkCtx(ctx, err)
 	fmt.Printf("job %s submitted for %s; best response funded hosts %v\n",
 		job.ID, job.DN, job.Hosts)
 
@@ -142,9 +142,13 @@ func main() {
 	}
 }
 
-func check(err error) {
+func check(err error) { checkCtx(context.Background(), err) }
+
+// checkCtx exits on err, logging it with ctx so that the line carries the
+// ids of ctx's span.
+func checkCtx(ctx context.Context, err error) {
 	if err != nil {
-		slog.Error("quickstart failed", "err", err)
+		slog.ErrorContext(ctx, "quickstart failed", "err", err)
 		os.Exit(1)
 	}
 }

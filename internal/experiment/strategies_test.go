@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/strategy"
 )
 
@@ -81,36 +82,53 @@ func TestRunStrategiesDeterministic(t *testing.T) {
 	}
 }
 
-// TestPredictionBeatsReaction gates the sign of the paper's headline (§5):
-// over four replications of the catalog's strategies scenario, jobs routed on
-// the predicted mean price cost less than jobs routed on the current price,
-// with the two 95% confidence intervals apart.
+// TestPredictionBeatsReaction gates the sign of the paper's headline (§5)
+// under each clearing mechanism: over four replications of the catalog's
+// strategies scenario, jobs routed on the predicted mean price cost less than
+// jobs routed on the current price, with the two 95% confidence intervals
+// apart. Under VCG the sign flips — reacting is the cheaper policy there
+// (EXPERIMENTS.md, "Telemetry, once") — and the cell is pinned in that measured
+// direction, so a change that closes or reverses the gap has to say so.
 func TestPredictionBeatsReaction(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four replications of the strategies scenario take ~2 s")
+		t.Skip("four replications of the strategies scenario per mechanism take ~7 s")
 	}
-	spec, ok := Lookup("strategies")
-	if !ok {
-		t.Fatal("strategies is not in the catalog")
-	}
-	agg, err := Replicate(spec, ReplicationConfig{Reps: 4, Parallel: 2, BaseSeed: 2006})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := func(name string) (mean, ci float64) {
-		for c, n := range agg.Cols {
-			if n == name {
-				return agg.Mean[c], agg.CI95[c]
+	for _, c := range []struct {
+		mechanism      string
+		predictionWins bool
+	}{
+		{mechanism.Proportional, true},
+		{mechanism.PostedPrice, true},
+		{mechanism.VCG, false},
+	} {
+		t.Run(c.mechanism, func(t *testing.T) {
+			p := DefaultStrategiesParams()
+			p.World.Mechanism = c.mechanism
+			agg, err := Replicate(Strategies(p), ReplicationConfig{Reps: 4, Parallel: 2, BaseSeed: 2006})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("no column %q in %v", name, agg.Cols)
-		return 0, 0
-	}
-	pm, pmCI := col("predicted_mean_cost")
-	cp, cpCI := col("current_price_cost")
-	if pm+pmCI >= cp-cpCI {
-		t.Errorf("predicted-mean costs %.2f ± %.2f a job, current-price %.2f ± %.2f: prediction does not beat reaction",
-			pm, pmCI, cp, cpCI)
+			col := func(name string) (mean, ci float64) {
+				for i, n := range agg.Cols {
+					if n == name {
+						return agg.Mean[i], agg.CI95[i]
+					}
+				}
+				t.Fatalf("no column %q in %v", name, agg.Cols)
+				return 0, 0
+			}
+			pm, pmCI := col("predicted_mean_cost")
+			cp, cpCI := col("current_price_cost")
+			t.Logf("predicted-mean %.2f ± %.2f, current-price %.2f ± %.2f credits a job", pm, pmCI, cp, cpCI)
+			if c.predictionWins && pm+pmCI >= cp-cpCI {
+				t.Errorf("predicted-mean costs %.2f ± %.2f a job, current-price %.2f ± %.2f: prediction does not beat reaction",
+					pm, pmCI, cp, cpCI)
+			}
+			if !c.predictionWins && cp+cpCI >= pm-pmCI {
+				t.Errorf("predicted-mean costs %.2f ± %.2f a job, current-price %.2f ± %.2f: the measured flip (reaction cheaper) no longer holds",
+					pm, pmCI, cp, cpCI)
+			}
+		})
 	}
 }
 

@@ -246,16 +246,11 @@ func send(ctx context.Context, client *http.Client, method, url, contentType str
 		}
 		return err
 	}
-	switch dst := out.(type) {
-	case nil:
-	case *[]byte:
-		// Raw capture for non-JSON payloads (the telemetry scraper pulling
-		// a peer's text exposition) — bytes pass through untouched.
-		*dst = raw
-	default:
-		if err := json.Unmarshal(raw, out); err != nil {
-			return fmt.Errorf("httpapi: decoding response: %w", err)
-		}
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("httpapi: decoding response: %w", err)
 	}
 	return nil
 }

@@ -28,8 +28,11 @@ func TestInstrumentRecordsRequests(t *testing.T) {
 	srv := httptest.NewServer(ObservedMux("testsvc", app))
 	defer srv.Close()
 
-	before := metrics.Default().CounterValue("http_requests_total", "testsvc", "/accounts", "GET", "200")
-	errBefore := metrics.Default().CounterValue("http_request_errors_total", "testsvc", "/boom")
+	const (
+		requests = `http_requests_total{code="200",method="GET",route="/accounts",service="testsvc"}`
+		failures = `http_request_errors_total{route="/boom",service="testsvc"}`
+	)
+	before, errBefore := counter(requests), counter(failures)
 
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(srv.URL + "/accounts/alice")
@@ -44,14 +47,25 @@ func TestInstrumentRecordsRequests(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	got := metrics.Default().CounterValue("http_requests_total", "testsvc", "/accounts", "GET", "200")
+	got := counter(requests)
 	if got-before != 3 {
 		t.Fatalf("http_requests_total for /accounts grew by %d, want 3", got-before)
 	}
-	errGot := metrics.Default().CounterValue("http_request_errors_total", "testsvc", "/boom")
+	errGot := counter(failures)
 	if errGot-errBefore != 1 {
 		t.Fatalf("http_request_errors_total for /boom grew by %d, want 1", errGot-errBefore)
 	}
+}
+
+// counter reads one counter child of the default registry out of a
+// snapshot, by its metrics.SampleName; an absent child reads 0.
+func counter(sample string) uint64 {
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if metrics.SampleName(c.Name, c.Labels) == sample {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 func TestObservedMuxMetricsEndpoint(t *testing.T) {
@@ -199,9 +213,10 @@ func TestRequestLatencyExemplarOnlyWhenRecording(t *testing.T) {
 			srv := httptest.NewServer(ObservedMux(c.service, app))
 			defer srv.Close()
 			route := routeLabel(c.path)
-			before := metrics.Default().CounterValue("http_requests_total", c.service, route, "GET", "200")
+			requests := `http_requests_total{code="200",method="GET",route="` + route + `",service="` + c.service + `"}`
+			before := counter(requests)
 			getWithTraceparent(t, srv.URL+c.path, c.traceparent)
-			if got := metrics.Default().CounterValue("http_requests_total", c.service, route, "GET", "200"); got != before+1 {
+			if got := counter(requests); got != before+1 {
 				t.Fatalf("http_requests_total grew by %d, want 1", got-before)
 			}
 			key := `http_request_duration_seconds{route="` + route + `",service="` + c.service + `"}`

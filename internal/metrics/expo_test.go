@@ -61,21 +61,6 @@ func TestExpositionSkipsEmptyFamilies(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.CounterVec("jobs_total", "", "state").With("done").Add(4)
-	r.Gauge("depth", "").Set(2)
-	var sb strings.Builder
-	r.Snapshot().WriteText(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `jobs_total{state="done"} 4`) {
-		t.Fatalf("missing counter line in %q", out)
-	}
-	if !strings.Contains(out, "depth 2") {
-		t.Fatalf("missing gauge line in %q", out)
-	}
-}
-
 // TestExpositionEscaping pins the text-format escaping rules on their own:
 // label values escape backslash, double-quote and newline; HELP text escapes
 // backslash and newline but leaves double-quotes alone. A scraper fed the

@@ -20,12 +20,23 @@ func TestCounterBasics(t *testing.T) {
 	if r.Counter("requests_total", "Requests served.").Value() != 42 {
 		t.Fatal("re-lookup did not return the same counter")
 	}
-	if got := r.CounterValue("requests_total"); got != 42 {
-		t.Fatalf("CounterValue = %d, want 42", got)
+	if got := counterIn(r.Snapshot(), "requests_total"); got != 42 {
+		t.Fatalf("snapshot counter = %d, want 42", got)
 	}
-	if got := r.CounterValue("missing_total"); got != 0 {
-		t.Fatalf("CounterValue(missing) = %d, want 0", got)
+	if got := counterIn(r.Snapshot(), "missing_total"); got != 0 {
+		t.Fatalf("snapshot counter (missing) = %d, want 0", got)
 	}
+}
+
+// counterIn reads one counter child out of s by its SampleName; an absent
+// child reads 0.
+func counterIn(s Snapshot, sample string) uint64 {
+	for _, c := range s.Counters {
+		if SampleName(c.Name, c.Labels) == sample {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 func TestCounterVecChildrenAreIndependent(t *testing.T) {
@@ -34,13 +45,14 @@ func TestCounterVecChildrenAreIndependent(t *testing.T) {
 	vec.With("/bids", "200").Add(3)
 	vec.With("/bids", "400").Inc()
 	vec.With("/status", "200").Add(7)
-	if got := r.CounterValue("http_requests_total", "/bids", "200"); got != 3 {
+	snap := r.Snapshot()
+	if got := counterIn(snap, `http_requests_total{code="200",route="/bids"}`); got != 3 {
 		t.Fatalf(`/bids 200 = %d, want 3`, got)
 	}
-	if got := r.CounterValue("http_requests_total", "/bids", "400"); got != 1 {
+	if got := counterIn(snap, `http_requests_total{code="400",route="/bids"}`); got != 1 {
 		t.Fatalf(`/bids 400 = %d, want 1`, got)
 	}
-	if got := r.CounterValue("http_requests_total", "/status", "200"); got != 7 {
+	if got := counterIn(snap, `http_requests_total{code="200",route="/status"}`); got != 7 {
 		t.Fatalf(`/status 200 = %d, want 7`, got)
 	}
 }

@@ -1,14 +1,11 @@
 package metrics
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Snapshot is a point-in-time programmatic read of a registry, for code
 // that wants values rather than exposition text: the benchmark harness
-// prints one after each run, and tests assert on it.
+// reads the counts of a run as a Delta of two, the telemetry collector
+// derives its series from one, and tests assert on it.
 type Snapshot struct {
 	Counters   []CounterSample
 	Gauges     []GaugeSample
@@ -171,55 +168,6 @@ func (r *Registry) Exemplars() map[string][]Exemplar {
 	}
 	return out
 }
-
-// Counter returns the value of the named counter child (labels in family
-// order), or 0 when absent — convenient for tests and health summaries.
-func (r *Registry) CounterValue(name string, labelValues ...string) uint64 {
-	r.mu.RLock()
-	f, ok := r.families[name]
-	r.mu.RUnlock()
-	if !ok || f.kind != KindCounter {
-		return 0
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	c, ok := f.children[joinKey(labelValues)]
-	if !ok {
-		return 0
-	}
-	return c.(*Counter).Value()
-}
-
-func joinKey(values []string) string {
-	switch len(values) {
-	case 0:
-		return ""
-	case 1:
-		return values[0]
-	}
-	out := values[0]
-	for _, v := range values[1:] {
-		out += labelSep + v
-	}
-	return out
-}
-
-// WriteText renders the snapshot as aligned human-readable lines: counters
-// and gauges as "name{labels} value", histograms with count/sum/percentiles.
-func (s Snapshot) WriteText(w io.Writer) {
-	for _, c := range s.Counters {
-		fmt.Fprintf(w, "%s %d\n", sampleName(c.Name, c.Labels), c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(w, "%s %g\n", sampleName(g.Name, g.Labels), g.Value)
-	}
-	for _, h := range s.Histograms {
-		fmt.Fprintf(w, "%s count=%d sum=%.6g p50=%.4g p95=%.4g p99=%.4g\n",
-			sampleName(h.Name, h.Labels), h.Count, h.Sum, h.P50, h.P95, h.P99)
-	}
-}
-
-func sampleName(name string, labels map[string]string) string { return SampleName(name, labels) }
 
 // SampleName renders the canonical identity of one sample — `name{k="v",...}`
 // with label keys sorted — the key the telemetry plane uses to address a

@@ -68,8 +68,9 @@ func TestConcurrentHammer(t *testing.T) {
 		t.Fatalf("unlabeled counter = %d, want %d (lost updates)", got, want)
 	}
 	var labeled uint64
+	snap := r.Snapshot()
 	for _, l := range labels {
-		labeled += r.CounterValue("hammer_labeled_total", l)
+		labeled += counterIn(snap, `hammer_labeled_total{worker="`+l+`"}`)
 	}
 	if labeled != want {
 		t.Fatalf("labeled counters sum = %d, want %d", labeled, want)

@@ -8,8 +8,8 @@ import (
 	"tycoongrid/internal/tsdb"
 )
 
-// report is the GET /slo wire shape.
-type report struct {
+// Report is the GET /slo wire shape.
+type Report struct {
 	Service   string    `json:"service"`
 	At        time.Time `json:"at"`
 	Violating int       `json:"violating"`
@@ -27,7 +27,7 @@ func (e *Evaluator) Handler() http.Handler {
 			return
 		}
 		statuses := e.Evaluate()
-		rep := report{Service: e.service, At: e.now(), Statuses: statuses}
+		rep := Report{Service: e.service, At: e.now(), Statuses: statuses}
 		for _, st := range statuses {
 			if st.Violating {
 				rep.Violating++

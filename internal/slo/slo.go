@@ -8,24 +8,25 @@
 // bad-sample fraction over two tail-anchored windows — the objective's full
 // window and a fast window one twelfth its size — and reports the burn rate
 // (bad fraction / budget) for both. An objective is violating when both
-// burn rates reach the alert threshold: the slow window proves the problem
-// is sustained, the fast window proves it is still happening, the classic
-// multi-window construction that keeps one transient spike from paging and
+// burn rates reach 1: the slow window proves the problem is sustained, the
+// fast window proves it is still happening, the classic multi-window
+// construction that keeps one transient spike from paging and
 // one smoldering regression from hiding.
 //
 // Evaluations are pure reads of the tsdb plus gauge writes, cheap enough to
-// run on every self-scrape tick and on every GET /slo. Violation
-// transitions additionally emit slog warnings and a tracer event, so an SLO
-// breach is visible in logs, in /metrics (slo_burn_rate, slo_violations_total),
-// in /slo and in /debug/traces without any external alerting stack — the
-// Tycoon SLS-status-index argument applied to objectives instead of hosts.
+// run on every self-scrape tick and on every GET /slo. A transition into
+// violation additionally logs a slog warning and records an "slo.violation"
+// span whose attributes name the objective, so an SLO breach is visible in
+// logs, in /metrics (slo_burn_rate, slo_violations_total), in /slo and in
+// /debug/traces without any external alerting stack — the Tycoon
+// SLS-status-index argument applied to objectives instead of hosts.
 package slo
 
 import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"strings"
+	"sync"
 	"time"
 
 	"tycoongrid/internal/metrics"
@@ -36,12 +37,9 @@ import (
 // Op is a goodness comparison: a sample v is good when "v Op Threshold".
 type Op string
 
-// Comparison operators.
+// Comparison operators: a latency under its bound, an invariant held exactly.
 const (
 	OpLT Op = "<"
-	OpLE Op = "<="
-	OpGT Op = ">"
-	OpGE Op = ">="
 	OpEQ Op = "=="
 )
 
@@ -49,12 +47,6 @@ func (o Op) good(v, threshold float64) bool {
 	switch o {
 	case OpLT:
 		return v < threshold
-	case OpLE:
-		return v <= threshold
-	case OpGT:
-		return v > threshold
-	case OpGE:
-		return v >= threshold
 	case OpEQ:
 		return v == threshold
 	default:
@@ -69,7 +61,8 @@ type Objective struct {
 	// Description is the operator-facing one-liner.
 	Description string `json:"description,omitempty"`
 	// Series is the tsdb series to judge: an exact name, or a pattern with
-	// one '*' matching any substring ("http_request_duration_seconds{*:p99").
+	// one '*' matching any substring ("http_request_duration_seconds{*:p99"),
+	// resolved by tsdb.DB.Match.
 	Series string `json:"series"`
 	// Op and Threshold define goodness: a sample is good when v Op Threshold.
 	Op        Op      `json:"op"`
@@ -81,9 +74,6 @@ type Objective struct {
 	// before the burn rate reaches 1. Zero means zero tolerance: any bad
 	// sample saturates the burn rate.
 	Budget float64 `json:"budget"`
-	// Alert is the burn-rate threshold at which the objective violates
-	// (both windows must reach it). Zero means 1.
-	Alert float64 `json:"alert,omitempty"`
 }
 
 // fastWindow derives the short window of the pair.
@@ -106,7 +96,7 @@ type Status struct {
 	// series gap after a restart, or a daemon that never emits the series).
 	// A no-data objective is not violating: absence of evidence pages nobody.
 	NoData bool `json:"no_data"`
-	// Violating is true when both burn rates reached the alert threshold.
+	// Violating is true when both burn rates reached 1.
 	Violating bool `json:"violating"`
 	// BurnFast and BurnSlow are badFraction/budget over each window.
 	BurnFast float64 `json:"burn_fast"`
@@ -137,14 +127,10 @@ type Evaluator struct {
 	mViolating  *metrics.GaugeVec
 	mViolations *metrics.CounterVec
 
-	// violating tracks each objective's last state for transition logging;
-	// Evaluate is called from one goroutine (the collector loop) and from
-	// HTTP handlers, so it is guarded by the tsdb's own synchronization plus
-	// this map's owner lock living in Plane. To keep the evaluator
-	// self-contained it uses its own tiny mutex via the gauge side effects
-	// being idempotent; the map below is only read/written under evalMu.
-	evalMu  chan struct{} // 1-buffered semaphore; avoids importing sync for one lock
-	wasViol map[string]bool
+	// Evaluate runs on the scrape loop and on every GET /slo; evalMu
+	// serialises them so each transition is logged and counted once.
+	evalMu  sync.Mutex
+	wasViol map[string]bool // each objective's state at the last evaluation
 }
 
 // Option configures an Evaluator.
@@ -178,7 +164,6 @@ func New(service string, db *tsdb.DB, rules []Objective, opts ...Option) *Evalua
 		rules:   append([]Objective(nil), rules...),
 		now:     time.Now,
 		service: service,
-		evalMu:  make(chan struct{}, 1),
 		wasViol: make(map[string]bool),
 	}
 	e.bindMetrics(metrics.Default())
@@ -201,8 +186,8 @@ func (e *Evaluator) bindMetrics(reg *metrics.Registry) {
 // Evaluate judges every objective now, updates the slo_* metrics, logs
 // violation transitions and returns the statuses sorted by objective name.
 func (e *Evaluator) Evaluate() []Status {
-	e.evalMu <- struct{}{}
-	defer func() { <-e.evalMu }()
+	e.evalMu.Lock()
+	defer e.evalMu.Unlock()
 
 	at := e.now()
 	out := make([]Status, 0, len(e.rules))
@@ -250,7 +235,7 @@ func (e *Evaluator) evaluateOne(rule Objective, at time.Time) Status {
 		WindowSeconds:     rule.Window.Seconds(),
 		FastWindowSeconds: rule.fastWindow().Seconds(),
 	}
-	names := matchSeries(e.db, rule.Series)
+	names := e.db.Match(rule.Series)
 	slow := e.judged(rule, names, at, rule.Window)
 	fast := e.judged(rule, names, at, rule.fastWindow())
 	if len(slow) == 0 {
@@ -268,11 +253,7 @@ func (e *Evaluator) evaluateOne(rule Objective, at time.Time) Status {
 	}
 	st.BurnSlow = burnRate(slow, rule.Budget)
 	st.BurnFast = burnRate(fast, rule.Budget)
-	alert := rule.Alert
-	if alert <= 0 {
-		alert = 1
-	}
-	st.Violating = st.BurnSlow >= alert && st.BurnFast >= alert
+	st.Violating = st.BurnSlow >= 1 && st.BurnFast >= 1
 	return st
 }
 
@@ -324,25 +305,4 @@ func burnRate(samples []judgedSample, budget float64) float64 {
 		return saturatedBurn
 	}
 	return rate
-}
-
-// matchSeries resolves an objective's series pattern: exact name, or one '*'
-// matching any substring ("prefix*suffix").
-func matchSeries(db *tsdb.DB, pattern string) []string {
-	star := strings.IndexByte(pattern, '*')
-	if star < 0 {
-		if _, ok := db.Lookup(pattern); ok {
-			return []string{pattern}
-		}
-		return nil
-	}
-	prefix, suffix := pattern[:star], pattern[star+1:]
-	var out []string
-	for _, name := range db.Names() {
-		if len(name) >= len(prefix)+len(suffix) &&
-			strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
-			out = append(out, name)
-		}
-	}
-	return out
 }

@@ -59,12 +59,12 @@ func TestBurnRateViolationAndRecovery(t *testing.T) {
 	if st.BurnSlow < 3.2 || st.BurnSlow > 3.5 {
 		t.Fatalf("burn slow = %g, want ~3.33", st.BurnSlow)
 	}
-	if got := reg2.CounterValue("slo_violations_total", "latency"); got != 1 {
+	if got := violations(reg2, "latency"); got != 1 {
 		t.Fatalf("violations counter = %d, want 1", got)
 	}
 	// Second evaluation while still violating must not double-count.
 	e2.Evaluate()
-	if got := reg2.CounterValue("slo_violations_total", "latency"); got != 1 {
+	if got := violations(reg2, "latency"); got != 1 {
 		t.Fatalf("violations counter after re-eval = %d, want still 1", got)
 	}
 	_ = reg
@@ -156,28 +156,6 @@ func TestZeroBudgetSaturates(t *testing.T) {
 	}
 }
 
-// TestPatternMidStar guards the classic footgun: a pattern ending in ":p99"
-// with a mid-string '*' must not sweep in ":rate" series.
-func TestPatternMidStar(t *testing.T) {
-	db := tsdb.NewDB(16)
-	db.Series(`http_request_duration_seconds{route="/bids"}` + tsdb.SuffixP99)
-	db.Series(`http_request_duration_seconds{route="/bids"}` + tsdb.SuffixRate)
-	db.Series(`http_request_duration_seconds{route="/auction"}` + tsdb.SuffixP99)
-
-	got := matchSeries(db, "http_request_duration_seconds{*"+tsdb.SuffixP99)
-	if len(got) != 2 {
-		t.Fatalf("mid-star match = %v, want the two :p99 series only", got)
-	}
-	for _, name := range got {
-		if name[len(name)-4:] != tsdb.SuffixP99 {
-			t.Fatalf("matched non-p99 series %q", name)
-		}
-	}
-	if got := matchSeries(db, "nope*"+tsdb.SuffixP99); got != nil {
-		t.Fatalf("unmatched pattern = %v, want nil", got)
-	}
-}
-
 func TestHandler(t *testing.T) {
 	now := time.Unix(10_000, 0)
 	db := tsdb.NewDB(64)
@@ -240,4 +218,15 @@ func repeat(v float64, n int) []float64 {
 		out[i] = v
 	}
 	return out
+}
+
+// violations reads slo_violations_total for one objective out of a snapshot
+// of reg.
+func violations(reg *metrics.Registry, objective string) uint64 {
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "slo_violations_total" && c.Labels["objective"] == objective {
+			return c.Value
+		}
+	}
+	return 0
 }

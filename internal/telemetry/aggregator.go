@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -89,8 +88,6 @@ type Aggregator struct {
 // AggregatorConfig wires an Aggregator.
 type AggregatorConfig struct {
 	Peers []Peer
-	// Capacity per fleet series; 0 means tsdb.DefaultCapacity.
-	Capacity int
 	// Client is the scrape transport; nil builds one per peer with the
 	// default timeout.
 	Client *http.Client
@@ -103,10 +100,6 @@ type AggregatorConfig struct {
 
 // NewAggregator builds an aggregator over cfg.Peers.
 func NewAggregator(cfg AggregatorConfig) *Aggregator {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = tsdb.DefaultCapacity
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = metrics.Default()
@@ -117,7 +110,7 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	}
 	a := &Aggregator{
 		peers:  append([]Peer(nil), cfg.Peers...),
-		db:     tsdb.NewDB(capacity),
+		db:     tsdb.NewDB(tsdb.DefaultCapacity),
 		now:    now,
 		status: map[string]*PeerStatus{},
 		mScrapes: reg.CounterVec("telemetry_scrapes_total",
@@ -205,11 +198,11 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) int {
 func (a *Aggregator) scrapePeer(ctx context.Context, i int, window time.Duration) (appended int, exemplars []FleetExemplar, err error) {
 	q := url.Values{"series": {"*"}, "raw": {"1"}, "window": {window.String()}}
 	for page := 0; page < maxScrapePages; page++ {
-		body, err := a.clients[i].History(ctx, q.Encode())
-		if err != nil {
+		var resp HistoryResponse
+		if err := a.clients[i].History(ctx, q.Encode(), &resp); err != nil {
 			return appended, exemplars, err
 		}
-		n, exs, next, err := a.ingest(a.peers[i].Name, body)
+		n, exs, next, err := a.ingest(a.peers[i].Name, resp)
 		appended += n
 		exemplars = append(exemplars, exs...)
 		if err != nil || next == "" {
@@ -228,11 +221,7 @@ func (a *Aggregator) scrapePeer(ctx context.Context, i int, window time.Duration
 // continue after ("" on the last page). Points the fleet series already has
 // — the overlap with the previous scrape — are skipped; whatever else is out
 // of order or not finite the series itself drops.
-func (a *Aggregator) ingest(peer string, body []byte) (appended int, exemplars []FleetExemplar, next string, err error) {
-	var page historyResponse
-	if err := json.Unmarshal(body, &page); err != nil {
-		return 0, nil, "", fmt.Errorf("telemetry: %s: bad history page: %w", peer, err)
-	}
+func (a *Aggregator) ingest(peer string, page HistoryResponse) (appended int, exemplars []FleetExemplar, next string, err error) {
 	if len(page.Series) > maxHistorySeries {
 		return 0, nil, "", fmt.Errorf("telemetry: %s: %d series in one history page", peer, len(page.Series))
 	}

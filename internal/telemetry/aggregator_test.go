@@ -14,20 +14,21 @@ import (
 
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/metrics"
-	"tycoongrid/internal/slo"
 	"tycoongrid/internal/tracing"
 	"tycoongrid/internal/tsdb"
 )
 
 // testPeer is a daemon as the aggregator sees one: a real Plane over a
 // private registry and an injected clock, served through ObservedMux. Each
-// tick is one scrape interval of steady traffic followed by a self-scrape.
+// tick is one scrape interval of steady traffic followed by a self-scrape;
+// the clock moves only between ticks, so the collector and the evaluator of
+// one Collect read the same instant.
 type testPeer struct {
 	srv     *httptest.Server
 	mu      sync.Mutex
 	mux     http.Handler // swapped by restart
 	windows []string     // the window of every history request, in order
-	clock   *stepClock   // keeps running across a restart, like wall time
+	clock   *stepClock   // moved by tick alone; keeps running across a restart, like wall time
 
 	reg    *metrics.Registry
 	plane  *Plane
@@ -36,7 +37,7 @@ type testPeer struct {
 }
 
 func newTestPeer(t *testing.T, start time.Time) *testPeer {
-	p := &testPeer{clock: &stepClock{at: start, step: 10 * time.Second}}
+	p := &testPeer{clock: &stepClock{at: start}}
 	p.boot()
 	p.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
@@ -52,12 +53,7 @@ func newTestPeer(t *testing.T, start time.Time) *testPeer {
 // boot gives the peer a fresh process image: empty registry, empty tsdb.
 func (p *testPeer) boot() {
 	p.reg = metrics.NewRegistry()
-	p.plane = NewPlane(Config{
-		Service:    "peer",
-		Registry:   p.reg,
-		Now:        p.clock.now,
-		Objectives: []slo.Objective{}, // the clock is read once per Collect
-	})
+	p.plane = NewPlane(Config{Service: "peer", Registry: p.reg, Now: p.clock.now})
 	p.clears = p.reg.Counter("clears_total", "clears")
 	p.lat = p.reg.Histogram("lat_seconds", "lat", []float64{0.01, 0.1})
 	p.serve(httpapi.ObservedMux("peer", http.NotFoundHandler(), p.plane.MuxOptions()...))
@@ -74,6 +70,7 @@ func (p *testPeer) serve(h http.Handler) {
 // the interval's mean is 0.014 and its p99 interpolates to
 // .01 + (.1-.01)*(1.9/2) = .0955.
 func (p *testPeer) tick() {
+	p.clock.at = p.clock.at.Add(10 * time.Second)
 	p.clears.Add(100)
 	p.reg.Gauge("spot_price", "price").Set(1.5)
 	for i := 0; i < 8; i++ {
@@ -331,7 +328,7 @@ func TestAggregatorPeerDownAndRecovery(t *testing.T) {
 	if len(agg.DB().Match("dead/*"))+len(agg.DB().Match("away/*")) != 0 {
 		t.Fatalf("down peers left series: %v", agg.DB().Names())
 	}
-	if reg.CounterValue("telemetry_scrape_errors_total", "dead") == 0 {
+	if counter(reg, `telemetry_scrape_errors_total{peer="dead"}`) == 0 {
 		t.Fatal("scrape errors not counted")
 	}
 
@@ -404,6 +401,17 @@ func TestExemplarRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(tree), "bank.transfer") || !strings.Contains(string(tree), "wal.fsync") {
 		t.Fatalf("trace %s on %s -> %d:\n%s", ex.TraceID, peerURL, resp.StatusCode, tree)
 	}
+}
+
+// counter reads one counter child out of a snapshot of reg by its
+// metrics.SampleName; an absent child reads 0.
+func counter(reg *metrics.Registry, sample string) uint64 {
+	for _, c := range reg.Snapshot().Counters {
+		if metrics.SampleName(c.Name, c.Labels) == sample {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 func getInto(t *testing.T, url string, out any) {

@@ -1,18 +1,20 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 
 	"tycoongrid/internal/metrics"
+	"tycoongrid/internal/tsdb"
 )
 
 // FuzzFleetIngest feeds arbitrary bytes to the aggregator as a peer's
-// /metrics/history body. A peer is outside this process: whatever it sends,
-// ingest must not panic, every fleet series must stay under "<peer>/" with
-// finite values and strictly increasing timestamps, and a page it rejects
-// must leave no trace.
+// /metrics/history body, decoded as the scrape client decodes it. A peer is
+// outside this process: whatever it sends, ingest must not panic, every fleet
+// series must stay under "<peer>/" with finite values and strictly increasing
+// timestamps, and a page it rejects must leave no trace.
 func FuzzFleetIngest(f *testing.F) {
 	seeds := []string{
 		``,
@@ -36,18 +38,22 @@ func FuzzFleetIngest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var page HistoryResponse
+		if json.Unmarshal(body, &page) != nil {
+			return // the client's decode error: the scrape fails before ingest
+		}
 		agg := NewAggregator(AggregatorConfig{
 			Peers:    []Peer{{Name: "bankd", BaseURL: "http://bankd.invalid"}},
-			Capacity: 8,
 			Registry: metrics.NewRegistry(),
 		})
-		// Two fixed points first, so the body lands on a series with history.
-		if _, _, _, err := agg.ingest("bankd", []byte(`{"series":[{"name":"price","points":[{"t":1000,"v":1},{"t":2000,"v":2}]}]}`)); err != nil {
+		// Two fixed points first, so the page lands on a series with history.
+		seed := HistoryResponse{Series: []HistorySeries{{Name: "price", Points: []tsdb.Point{{T: 1000, V: 1}, {T: 2000, V: 2}}}}}
+		if _, _, _, err := agg.ingest("bankd", seed); err != nil {
 			t.Fatal(err)
 		}
 		before := len(agg.DB().Names())
 
-		appended, exemplars, next, err := agg.ingest("bankd", body) // must not panic
+		appended, exemplars, next, err := agg.ingest("bankd", page) // must not panic
 		if err != nil && (appended != 0 || len(exemplars) != 0 || next != "" || len(agg.DB().Names()) != before) {
 			t.Fatalf("rejected page left a trace: appended %d, %d exemplars, next %q, series %v",
 				appended, len(exemplars), next, agg.DB().Names())

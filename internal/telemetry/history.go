@@ -82,8 +82,8 @@ func parseHistoryQuery(q url.Values) (historyQuery, error) {
 	return out, nil
 }
 
-// historySeries is one series' slice of the response.
-type historySeries struct {
+// HistorySeries is one series' slice of a HistoryResponse.
+type HistorySeries struct {
 	Name    string            `json:"name"`
 	Points  []tsdb.Point      `json:"points,omitempty"`
 	Buckets []tsdb.BucketStat `json:"buckets,omitempty"`
@@ -93,11 +93,11 @@ type historySeries struct {
 	Exemplars []metrics.Exemplar `json:"exemplars,omitempty"`
 }
 
-// historyResponse is the /metrics/history wire shape.
-type historyResponse struct {
+// HistoryResponse is the wire shape of /metrics/history and /fleet/history.
+type HistoryResponse struct {
 	WindowSeconds float64         `json:"window_seconds,omitempty"`
 	Names         []string        `json:"names,omitempty"`
-	Series        []historySeries `json:"series,omitempty"`
+	Series        []HistorySeries `json:"series,omitempty"`
 	Truncated     bool            `json:"truncated,omitempty"`
 }
 
@@ -108,7 +108,7 @@ type historyResponse struct {
 //	GET /metrics/history?series=N&raw=1           -> raw points
 //	GET /metrics/history?series=N&after=NAME      -> the page after NAME
 //
-// series accepts an exact name or a trailing-'*' prefix pattern; windows are
+// series accepts an exact name or a pattern with one '*' (tsdb.DB.Match); windows are
 // tail-aligned at each series' newest point (tsdb.Series.Window semantics),
 // so a quiet series shows its last activity instead of an empty frame. A
 // response is one page — at most maxHistorySeries series in name order, fewer
@@ -132,7 +132,7 @@ func HistoryHandler(db *tsdb.DB, exemplars func() map[string][]metrics.Exemplar)
 		enc := json.NewEncoder(w)
 
 		if q.series == "" {
-			_ = enc.Encode(historyResponse{Names: db.Names()})
+			_ = enc.Encode(HistoryResponse{Names: db.Names()})
 			return
 		}
 		names := db.Match(q.series) // sorted
@@ -143,7 +143,7 @@ func HistoryHandler(db *tsdb.DB, exemplars func() map[string][]metrics.Exemplar)
 		if exemplars != nil {
 			traced = exemplars()
 		}
-		resp := historyResponse{WindowSeconds: q.window.Seconds()}
+		resp := HistoryResponse{WindowSeconds: q.window.Seconds()}
 		points := 0
 		for _, name := range names {
 			if len(resp.Series) == maxHistorySeries || points >= maxHistoryPoints {
@@ -155,7 +155,7 @@ func HistoryHandler(db *tsdb.DB, exemplars func() map[string][]metrics.Exemplar)
 				continue
 			}
 			pts := s.Window(q.window)
-			hs := historySeries{Name: name, Dropped: s.Dropped()}
+			hs := HistorySeries{Name: name, Dropped: s.Dropped()}
 			if fam, ok := strings.CutSuffix(name, tsdb.SuffixP99); ok {
 				hs.Exemplars = traced[fam]
 			}

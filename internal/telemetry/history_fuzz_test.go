@@ -55,7 +55,7 @@ func FuzzHistoryQuery(f *testing.F) {
 
 		switch rec.Code {
 		case 200:
-			var page historyResponse
+			var page HistoryResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 				t.Fatalf("200 with invalid JSON for query %q: %v", rawQuery, err)
 			}

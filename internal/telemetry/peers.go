@@ -11,7 +11,8 @@ import (
 //	bankd=http://localhost:7700,h1=http://localhost:7710
 //
 // Names must be unique — they prefix every fleet series, so a collision
-// would silently merge two daemons' samples.
+// would silently merge two daemons' samples — and may not hold the '*' of a
+// series pattern, or "a*/x:rate" would name every peer's x:rate.
 func ParsePeers(spec string) ([]Peer, error) {
 	seen := make(map[string]bool)
 	var peers []Peer
@@ -25,8 +26,8 @@ func ParsePeers(spec string) ([]Peer, error) {
 		if !ok || name == "" || url == "" {
 			return nil, fmt.Errorf("telemetry: peer entry %q is not name=url", entry)
 		}
-		if strings.ContainsAny(name, "/ ") {
-			return nil, fmt.Errorf("telemetry: peer name %q may not contain '/' or spaces", name)
+		if strings.ContainsAny(name, "/ *") {
+			return nil, fmt.Errorf("telemetry: peer name %q may not contain '/', '*' or spaces", name)
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("telemetry: duplicate peer name %q", name)

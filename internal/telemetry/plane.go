@@ -20,15 +20,12 @@ type Config struct {
 	Service string
 	// Registry to self-scrape; nil means the process default.
 	Registry *metrics.Registry
-	// Capacity is the per-series ring size; 0 means tsdb.DefaultCapacity.
-	Capacity int
 	// Interval between self-scrapes for Run; 0 means DefaultScrapeInterval.
 	Interval time.Duration
 	// Now is the scrape/evaluation clock; nil means time.Now. Simulations
 	// inject engine time here so stored history is deterministic.
 	Now func() time.Time
 	// Objectives to evaluate; nil means slo.DefaultObjectives().
-	// An explicitly empty, non-nil slice disables SLO evaluation.
 	Objectives []slo.Objective
 	// Probes run before every self-scrape. They exist for derived gauges
 	// that are too expensive to maintain inline — the bank's conservation
@@ -40,7 +37,6 @@ type Config struct {
 // Plane is one daemon's telemetry stack: self-scrape collector, series
 // store, SLO evaluator and the HTTP handlers that expose them.
 type Plane struct {
-	service   string
 	reg       *metrics.Registry
 	db        *tsdb.DB
 	collector *tsdb.Collector
@@ -55,10 +51,6 @@ func NewPlane(cfg Config) *Plane {
 	if reg == nil {
 		reg = metrics.Default()
 	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = tsdb.DefaultCapacity
-	}
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = DefaultScrapeInterval
@@ -67,29 +59,21 @@ func NewPlane(cfg Config) *Plane {
 	if rules == nil {
 		rules = slo.DefaultObjectives()
 	}
-	db := tsdb.NewDB(capacity)
-	p := &Plane{
-		service:   cfg.Service,
+	db := tsdb.NewDB(tsdb.DefaultCapacity)
+	return &Plane{
 		reg:       reg,
 		db:        db,
 		collector: tsdb.NewCollector(reg, db, cfg.Now),
+		evaluator: slo.New(cfg.Service, db, rules, slo.WithRegistry(reg), slo.WithNow(cfg.Now)),
 		probes:    cfg.Probes,
 		interval:  interval,
 	}
-	if len(rules) > 0 {
-		opts := []slo.Option{slo.WithRegistry(reg)}
-		if cfg.Now != nil {
-			opts = append(opts, slo.WithNow(cfg.Now))
-		}
-		p.evaluator = slo.New(cfg.Service, db, rules, opts...)
-	}
-	return p
 }
 
 // DB exposes the plane's series store.
 func (p *Plane) DB() *tsdb.DB { return p.db }
 
-// Evaluator returns the SLO evaluator (nil when objectives are disabled).
+// Evaluator returns the SLO evaluator.
 func (p *Plane) Evaluator() *slo.Evaluator { return p.evaluator }
 
 // Collect runs one telemetry tick: probes, self-scrape, SLO evaluation.
@@ -99,9 +83,7 @@ func (p *Plane) Collect() int {
 		probe()
 	}
 	n := p.collector.Collect()
-	if p.evaluator != nil {
-		p.evaluator.Evaluate()
-	}
+	p.evaluator.Evaluate()
 	return n
 }
 
@@ -123,13 +105,10 @@ func (p *Plane) Run(stop <-chan struct{}) {
 
 // MuxOptions returns the ObservedMux options that mount the plane's
 // endpoints: GET /metrics/history — the series, and on each histogram's :p99
-// the registry's current exemplars — and, when SLOs are enabled, GET /slo.
+// the registry's current exemplars — and GET /slo.
 func (p *Plane) MuxOptions() []httpapi.MuxOption {
-	opts := []httpapi.MuxOption{
+	return []httpapi.MuxOption{
 		httpapi.WithHandler("GET /metrics/history", HistoryHandler(p.db, p.reg.Exemplars)),
+		httpapi.WithHandler("GET /slo", p.evaluator.Handler()),
 	}
-	if p.evaluator != nil {
-		opts = append(opts, httpapi.WithHandler("GET /slo", p.evaluator.Handler()))
-	}
-	return opts
 }

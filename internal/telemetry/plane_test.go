@@ -55,7 +55,7 @@ func TestPlaneCollectFeedsProbesAndSLO(t *testing.T) {
 		t.Fatalf("drift series missing or short: %v", p.DB().Names())
 	}
 	// Burn gauges land back in the registry, so they self-scrape next tick.
-	if reg.CounterValue("slo_violations_total", "conservation") != 0 {
+	if counter(reg, `slo_violations_total{objective="conservation"}`) != 0 {
 		t.Fatal("zero drift must not violate")
 	}
 
@@ -71,7 +71,7 @@ func TestPlaneCollectFeedsProbesAndSLO(t *testing.T) {
 		Probes: []func(){func() { drift.Set(3) }},
 	})
 	p2.Collect()
-	if reg.CounterValue("slo_violations_total", "conservation") != 1 {
+	if counter(reg, `slo_violations_total{objective="conservation"}`) != 1 {
 		t.Fatal("drift must violate within one collection tick")
 	}
 }
@@ -174,7 +174,7 @@ func TestHistoryHandlerPages(t *testing.T) {
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history?"+q.Encode(), nil))
-		var page historyResponse
+		var page HistoryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 			t.Fatalf("page after %q: %v", after, err)
 		}

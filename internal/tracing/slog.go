@@ -7,19 +7,18 @@ import (
 )
 
 // Handler wraps a slog.Handler and stamps trace_id/span_id onto every record
-// whose context (or, failing that, the tracer's current scope) carries a
-// span. All daemons share it via InitSlog so log lines join up with traces.
+// whose context carries a span. All daemons share it via InitSlog so log
+// lines join up with traces. It never reads the tracer's scope stack: that
+// stack is process-wide, so a line logged by one goroutine would carry the
+// ids of a span another goroutine pushed. Log with the span's context
+// (slog.InfoContext and friends) to stamp it.
 type Handler struct {
-	inner  slog.Handler
-	tracer *Tracer
+	inner slog.Handler
 }
 
-// NewHandler wraps inner; a nil tracer means Default().
-func NewHandler(inner slog.Handler, tracer *Tracer) *Handler {
-	if tracer == nil {
-		tracer = Default()
-	}
-	return &Handler{inner: inner, tracer: tracer}
+// NewHandler wraps inner.
+func NewHandler(inner slog.Handler) *Handler {
+	return &Handler{inner: inner}
 }
 
 // Enabled implements slog.Handler.
@@ -27,13 +26,9 @@ func (h *Handler) Enabled(ctx context.Context, level slog.Level) bool {
 	return h.inner.Enabled(ctx, level)
 }
 
-// Handle stamps the active span's ids onto the record, then delegates.
+// Handle stamps the context span's ids onto the record, then delegates.
 func (h *Handler) Handle(ctx context.Context, rec slog.Record) error {
-	s := SpanFromContext(ctx)
-	if s == nil {
-		s = h.tracer.Current()
-	}
-	if sc := s.Context(); sc.Valid() {
+	if sc := SpanFromContext(ctx).Context(); sc.Valid() {
 		rec.AddAttrs(
 			slog.String("trace_id", sc.TraceID.String()),
 			slog.String("span_id", sc.SpanID.String()),
@@ -44,20 +39,20 @@ func (h *Handler) Handle(ctx context.Context, rec slog.Record) error {
 
 // WithAttrs implements slog.Handler.
 func (h *Handler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &Handler{inner: h.inner.WithAttrs(attrs), tracer: h.tracer}
+	return &Handler{inner: h.inner.WithAttrs(attrs)}
 }
 
 // WithGroup implements slog.Handler.
 func (h *Handler) WithGroup(name string) slog.Handler {
-	return &Handler{inner: h.inner.WithGroup(name), tracer: h.tracer}
+	return &Handler{inner: h.inner.WithGroup(name)}
 }
 
 // InitSlog installs the process-wide logger: JSON records to w with a
 // "service" attribute on every line and trace/span ids stamped from the
-// active span. Returns the logger for callers that want a handle.
+// record's context. Returns the logger for callers that want a handle.
 func InitSlog(service string, w io.Writer, level slog.Level) *slog.Logger {
 	inner := slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})
-	logger := slog.New(NewHandler(inner, Default())).With(slog.String("service", service))
+	logger := slog.New(NewHandler(inner)).With(slog.String("service", service))
 	slog.SetDefault(logger)
 	return logger
 }

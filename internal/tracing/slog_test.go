@@ -20,7 +20,7 @@ func logLine(t *testing.T, buf *bytes.Buffer) map[string]any {
 func TestHandlerStampsContextSpan(t *testing.T) {
 	tr := newTestTracer()
 	var buf bytes.Buffer
-	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil), tr))
+	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil)))
 
 	s, ctx := tr.StartSpan(context.Background(), "op")
 	logger.InfoContext(ctx, "hello")
@@ -32,27 +32,44 @@ func TestHandlerStampsContextSpan(t *testing.T) {
 	}
 }
 
-func TestHandlerStampsScopeSpan(t *testing.T) {
-	tr := newTestTracer()
+// TestHandlerIgnoresAnotherGoroutinesScope: a span pushed as the tracer's
+// scope by one goroutine (JobService.submit does, under its lock) must not
+// stamp a line logged meanwhile by another goroutine with no span in its
+// context — the scope stack is process-wide, so it cannot say whose line it
+// is.
+func TestHandlerIgnoresAnotherGoroutinesScope(t *testing.T) {
+	tr := Default()
+	old := tr.SampleRatio()
+	tr.SetSampleRatio(1)
+	defer tr.SetSampleRatio(old)
 	var buf bytes.Buffer
-	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil), tr))
+	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil)))
 
-	s, _ := tr.StartSpan(context.Background(), "op")
-	release := tr.PushScope(s)
-	logger.Info("scoped") // background ctx — falls back to the scope stack
-	release()
-	s.End()
+	pushed, logged, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s, _ := tr.StartSpan(context.Background(), "submit")
+	go func() {
+		defer close(done)
+		release := tr.PushScope(s)
+		close(pushed)
+		<-logged
+		release()
+		s.End()
+	}()
+	<-pushed
+	logger.Warn("slo: objective violating") // another goroutine, background ctx
+	close(logged)
+	<-done
 
 	m := logLine(t, &buf)
-	if m["trace_id"] != s.Context().TraceID.String() {
-		t.Fatalf("scope span not stamped: %v", m)
+	if id, ok := m["trace_id"]; ok {
+		t.Fatalf("line from another goroutine stamped with the pushed span's trace %v (span %s): %v",
+			id, s.Context().TraceID, m)
 	}
 }
 
 func TestHandlerNoSpanNoStamp(t *testing.T) {
-	tr := newTestTracer()
 	var buf bytes.Buffer
-	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil), tr))
+	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil)))
 	logger.Info("plain")
 	m := logLine(t, &buf)
 	if _, ok := m["trace_id"]; ok {

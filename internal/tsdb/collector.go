@@ -51,9 +51,6 @@ func NewCollector(reg *metrics.Registry, db *DB, now func() time.Time) *Collecto
 	return &Collector{reg: reg, db: db, now: now}
 }
 
-// DB returns the database the collector feeds.
-func (c *Collector) DB() *DB { return c.db }
-
 // Collect performs one self-scrape and returns how many series points were
 // appended. The first call only seeds the delta baseline for rates and means
 // (gauges still record, and a histogram's quantile is then the one of
@@ -105,23 +102,4 @@ func (c *Collector) Collect() int {
 	c.prevAt = at
 	c.seeded = true
 	return appended
-}
-
-// Run collects every interval until stop closes. Daemons run this in one
-// goroutine per process; everything it touches is concurrency-safe.
-func (c *Collector) Run(stop <-chan struct{}, interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	c.Collect() // seed immediately so the first real sample lands one interval in
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			c.Collect()
-		}
-	}
 }

@@ -22,6 +22,7 @@ package tsdb
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -218,25 +219,25 @@ func (db *DB) Names() []string {
 	return out
 }
 
-// Match returns the sorted names matching pattern: an exact name, or a
-// prefix when the pattern ends in '*'. SLO rules use the wildcard form to
-// cover per-label children ("...{shard=*}:rate") without enumerating them.
+// Match returns the sorted names matching pattern: an exact name, or, when
+// the pattern holds a '*', every name that starts with what precedes the
+// first '*' and ends with what follows it. SLO rules and history queries use
+// it to cover per-label children ("http_request_duration_seconds{*:p99")
+// without enumerating them.
 func (db *DB) Match(pattern string) []string {
-	if len(pattern) == 0 {
-		return nil
-	}
-	if pattern[len(pattern)-1] != '*' {
+	prefix, suffix, wild := strings.Cut(pattern, "*")
+	if !wild {
 		if _, ok := db.Lookup(pattern); ok {
 			return []string{pattern}
 		}
 		return nil
 	}
-	prefix := pattern[:len(pattern)-1]
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []string
 	for name := range db.series {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
+		if len(name) >= len(prefix)+len(suffix) &&
+			strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
 			out = append(out, name)
 		}
 	}

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -184,5 +185,28 @@ func TestDBMatch(t *testing.T) {
 	}
 	if got := db.Names(); len(got) != 3 || got[2] != "b" {
 		t.Fatalf("names = %v, want sorted 3", got)
+	}
+
+	// A mid-string '*' keeps its suffix: a ":p99" pattern must not sweep in
+	// ":rate" series, and the two ends may not overlap inside one name.
+	db.Series(`lat{route="/bids"}:p99`)
+	db.Series(`lat{route="/bids"}:rate`)
+	db.Series(`lat{route="/auction"}:p99`)
+	db.Series("ab")
+	for _, c := range []struct {
+		pattern string
+		want    string
+	}{
+		{"lat{*:p99", `lat{route="/auction"}:p99 lat{route="/bids"}:p99`},
+		{"*:rate", `a{shard="0"}:rate a{shard="1"}:rate lat{route="/bids"}:rate`},
+		{`a{shard=*"}:rate`, `a{shard="0"}:rate a{shard="1"}:rate`},
+		{"*", strings.Join(db.Names(), " ")},
+		{"ab*b", ""},
+		{"a*b", "ab"},
+		{"nope*:p99", ""},
+	} {
+		if got := strings.Join(db.Match(c.pattern), " "); got != c.want {
+			t.Errorf("Match(%q) = %q, want %q", c.pattern, got, c.want)
+		}
 	}
 }
