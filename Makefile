@@ -81,8 +81,9 @@ lint:
 # Paper-artifact regeneration plus the metrics and tracing micro-benchmarks,
 # including the auction-clear overhead bars (metrics overhead_% < 5, tracing
 # overhead_% < 2 with sampling off), BenchmarkClusterTickIdle10k, which
-# reports the job path's unit cost as ns/host-tick, and BenchmarkSubmit10kIdle,
-# its other unit: one submission into 10 000 sleeping hosts.
+# reports the job path's unit cost as ns/host-tick, and BenchmarkSubmit10kIdle
+# and BenchmarkSubmit10k800Awake, its other unit: one submission into 10 000
+# sleeping hosts, and one among 800 awake ones as grid-wide makes mid-wave.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
@@ -225,8 +226,8 @@ simplicity-ledger:
 # many hosts there are — and in a 10 000-host world executes no clear at all
 # over 100 ticks, after which Cluster.Sync hands every host's ring exactly the
 # 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a
-# submission into 10 000 sleeping hosts allocates nothing per host
-# (TestSubmitAllocationBound), and a busy tick — 300 hosts with 8 bids and 8
+# submission into 10 000 sleeping hosts hands Best Response at most 2 runs and
+# allocates nothing per host (TestSubmitAllocationBound), and a busy tick — 300 hosts with 8 bids and 8
 # tasks each, every charge booked on its job's tab — allocates at most 4 times
 # per busy host (it reads 2: the clear's outcome lines and its charges;
 # nothing for the shares, the live-bid snapshot or the tabs) and makes no bank

@@ -493,6 +493,19 @@ func BenchmarkClusterTickIdle10k(b *testing.B) {
 // the task's progress.
 func BenchmarkClusterTick10k800Busy(b *testing.B) {
 	const busy = 800
+	w := busyWorld10k(b, busy)
+	interval := w.Cluster.Interval()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Engine.RunFor(interval)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/busy, "ns/busy-host-tick")
+}
+
+// busyWorld10k is idleWorld10k with busy hosts, spread evenly over the ID
+// order, each holding a live bid and running an endless task, one tick on.
+func busyWorld10k(b *testing.B, busy int) *experiment.World {
 	w := idleWorld10k(b)
 	ids := w.Cluster.HostIDs()
 	far := w.Engine.Now().Add(1e6 * time.Hour)
@@ -506,14 +519,8 @@ func BenchmarkClusterTick10k800Busy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	interval := w.Cluster.Interval()
-	w.Engine.RunFor(interval)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Engine.RunFor(interval)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/busy, "ns/busy-host-tick")
+	w.Engine.RunFor(w.Cluster.Interval())
+	return w
 }
 
 // BenchmarkClusterTickDense is one tick of the grid-dense workload's steady
@@ -558,15 +565,28 @@ func BenchmarkClusterTickDense(b *testing.B) {
 // BenchmarkSubmit10kIdle is one submission of the paper's job (8 chunks of 10
 // CPU minutes on at most 8 nodes, 50 credits, two-hour deadline) into the
 // same world with every market asleep: verify the token, fund escrow, price
-// 10 000 candidates, Best Response, 8 bids, 8 tasks. The candidates are one
-// run of interchangeable hosts, so neither time nor memory is per host: it
-// was ≈ 1.05 ms and 1.2 MB when every candidate was keyed, ranked and made an
-// allocation of (and ≈ 1.8 ms on grid-wide, where booked hosts scattered
-// among the idle ones leave the sorts something to do). Each
-// job is cancelled and its markets ticked back to sleep off the clock, so
-// ns/op and B/op are per submission.
+// the candidates, Best Response, 8 bids, 8 tasks. The agent reads which
+// markets are awake — none — and hands Best Response the 10 000 sleeping
+// hosts as one run, so neither time nor memory is per host; the token's
+// signatures are most of what is left. It was ≈ 1.05 ms and 1.2 MB when every
+// candidate was keyed, ranked and made an allocation of, and ≈ 0.46–0.6 ms
+// while the agent still asked each of the 10 000 markets its capacity and
+// price and Best Response compared their IDs to find the run. Each job is
+// cancelled and its markets ticked back to sleep off the clock, so ns/op and
+// B/op are per submission.
 func BenchmarkSubmit10kIdle(b *testing.B) {
-	w := idleWorld10k(b)
+	benchmarkSubmit(b, idleWorld10k(b))
+}
+
+// BenchmarkSubmit10k800Awake is a submission in the shape grid-wide makes
+// mid-wave: 800 hosts awake with a bid and a task, 9 200 asleep between
+// them. The candidates are the 800 awake hosts, each priced by its market,
+// and the runs of sleeping hosts between them: the cost is per awake host.
+func BenchmarkSubmit10k800Awake(b *testing.B) {
+	benchmarkSubmit(b, busyWorld10k(b, 800))
+}
+
+func benchmarkSubmit(b *testing.B, w *experiment.World) {
 	interval := w.Cluster.Interval()
 	jr := &xrsl.JobRequest{JobName: "bench", Executable: "scan.sh", Count: 8, WallTime: 2 * time.Hour}
 	chunks := make([]float64, 8)

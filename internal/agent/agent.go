@@ -294,8 +294,19 @@ type Agent struct {
 	pump     *sim.Ticker
 	feed     *pricefeed.Hub
 	stream   *predict.FeedForecasts // nil until ForecastHandle is first asked
-	// candidates is placeBids' scratch: the hosts of the last submission.
-	candidates []core.Host
+
+	// Price discovery (see discover). ids is the partition in the cluster's
+	// canonical order — HostIDs order, ascending — byIndex its hosts, at each
+	// cluster index's position in ids (-1 outside the partition), and
+	// stretches cuts ids into maximal stretches of equal capacity and reserve.
+	// awake and runs are discover's scratch; runs holds the last submission's
+	// candidates.
+	ids       []string
+	byIndex   []*grid.Host
+	at        []int32
+	stretches []stretch
+	awake     []int
+	runs      []core.Run
 	// cpuMemo holds each host's "cpu <host>" ledger memo, built the first
 	// time a tab with that host is banked; every later charge entry of the
 	// host shares the string. No tick reads it.
@@ -328,15 +339,9 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.FeedCapacity <= 0 {
 		cfg.FeedCapacity = pricefeed.DefaultCapacity
 	}
+	all := cfg.Cluster.HostIDs()
 	if len(cfg.Hosts) == 0 {
-		cfg.Hosts = cfg.Cluster.HostIDs()
-	}
-	// Charges reach the bank only when a job's escrow is released, so the
-	// earnings account exists from the start rather than from the first
-	// release.
-	if _, err := cfg.Bank.CreateAccount(earningsAccount, cfg.Identity.Public()); err != nil &&
-		!errors.Is(err, bank.ErrDuplicateAccount) {
-		return nil, fmt.Errorf("agent: creating earnings account: %w", err)
+		cfg.Hosts = all
 	}
 	a := &Agent{
 		cfg:      cfg,
@@ -345,18 +350,36 @@ func New(cfg Config) (*Agent, error) {
 		byBidder: make(map[auction.BidderID]*Job),
 		feed:     pricefeed.NewHub(cfg.FeedCapacity),
 		cpuMemo:  make(map[string]string),
+		at:       make([]int32, len(all)),
 	}
 	// A cluster's host set is fixed at construction, so the partition is
-	// resolved once here and walked as a slice afterwards. Record every
-	// auction clear of it into the price feed; the histories drive the
-	// prediction strategies.
+	// resolved once here and walked as a slice afterwards.
+	for g := range a.at {
+		a.at[g] = -1
+	}
 	for i, id := range cfg.Hosts {
 		h, err := cfg.Cluster.Host(id)
 		if err != nil {
 			return nil, fmt.Errorf("agent: partition host %q: %w", id, err)
 		}
+		if a.at[h.Index()] >= 0 {
+			return nil, fmt.Errorf("agent: partition names host %q twice", id)
+		}
+		a.at[h.Index()] = int32(i)
 		a.hosts[i] = h
-		h.Market.Observe(a.feed.Observer(id))
+	}
+	a.index()
+	// Charges reach the bank only when a job's escrow is released, so the
+	// earnings account exists from the start rather than from the first
+	// release.
+	if _, err := cfg.Bank.CreateAccount(earningsAccount, cfg.Identity.Public()); err != nil &&
+		!errors.Is(err, bank.ErrDuplicateAccount) {
+		return nil, fmt.Errorf("agent: creating earnings account: %w", err)
+	}
+	// Record every auction clear of the partition into the price feed; the
+	// histories drive the prediction strategies.
+	for i, h := range a.hosts {
+		h.Market.Observe(a.feed.Observer(cfg.Hosts[i]))
 	}
 	// Route market charges to the jobs' tabs (and from there, at release, to
 	// bank moves: sub-account -> host earnings). Chain rather than replace
@@ -382,6 +405,35 @@ func New(cfg Config) (*Agent, error) {
 		cfg.Cluster.OnHostFailure = a.onHostFailure
 	}
 	return a, nil
+}
+
+// stretch is a maximal stretch of the partition, in canonical order, whose
+// hosts share a capacity and a reserve price: it ends before position end.
+type stretch struct {
+	end               int
+	capacity, reserve float64
+}
+
+// index lays the partition out for discover. On entry a.at holds, at each
+// cluster index of the partition, that host's position in a.hosts.
+func (a *Agent) index() {
+	a.ids = make([]string, 0, len(a.hosts))
+	a.byIndex = make([]*grid.Host, 0, len(a.hosts))
+	for g, i := range a.at {
+		if i < 0 {
+			continue
+		}
+		h := a.hosts[i]
+		a.at[g] = int32(len(a.ids))
+		a.ids = append(a.ids, h.Spec.ID)
+		a.byIndex = append(a.byIndex, h)
+		c, r := h.Market.CapacityMHz(), h.Market.ReservePrice()
+		if n := len(a.stretches); n > 0 && a.stretches[n-1].capacity == c && a.stretches[n-1].reserve == r {
+			a.stretches[n-1].end++
+			continue
+		}
+		a.stretches = append(a.stretches, stretch{end: len(a.ids), capacity: c, reserve: r})
+	}
 }
 
 // earningsAccount is where every host's charges are paid.
@@ -569,8 +621,8 @@ func (a *Agent) retire(job *Job) {
 	}
 }
 
-// placeBids runs Best Response over the cluster's hosts and enters bids for
-// the job's sub-account.
+// placeBids runs Best Response over the partition's hosts and enters bids
+// for the job's sub-account.
 func (a *Agent) placeBids(job *Job, count int) error {
 	cl := a.cfg.Cluster
 	bidder := auction.BidderID(job.SubAccount)
@@ -580,21 +632,7 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return errors.New("agent: deadline already passed")
 	}
 
-	// One candidate slice serves every submission: the agent is
-	// single-threaded and the optimizer copies the hosts it funds.
-	hosts := a.candidates[:0]
-	for _, h := range a.hosts {
-		if h.Down() {
-			continue // a failed host cannot take bids
-		}
-		hosts = append(hosts, core.Host{
-			ID:         h.Spec.ID,
-			Preference: h.Market.CapacityMHz(),
-			Price:      h.Market.PriceExcluding(bidder),
-		})
-	}
-	a.candidates = hosts
-	allocs, err := core.BestResponseCapped(job.Budget.Credits()/horizon, hosts, count)
+	allocs, err := core.BestResponseRuns(job.Budget.Credits()/horizon, a.discover(bidder), count)
 	if err != nil {
 		return fmt.Errorf("agent: best response: %w", err)
 	}
@@ -632,6 +670,58 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return ErrNoBudget
 	}
 	return nil
+}
+
+// discover lists Best Response's candidates for bidder, the partition's up
+// hosts each with its capacity and the price of the other bids on it, as runs
+// in canonical order. An awake host is priced by its market. A sleeping one
+// has an empty book, so its market would answer the reserve: the sleeping
+// hosts between two awake ones are one run per stretch they fall in, a
+// subslice of a.ids, and cost nothing each. Neighbours with equal capacity and
+// price share a run, so an awake host priced at the reserve joins its
+// sleeping neighbours. A failed host is awake (grid.Cluster.AppendAwake), and
+// is left out: it cannot take bids. The slice is the agent's scratch, valid
+// until the next call: the agent is single-threaded and the optimizer copies
+// the hosts it funds.
+func (a *Agent) discover(bidder auction.BidderID) []core.Run {
+	runs := a.runs[:0]
+	end := 0 // position after the last host listed; the last run ends there
+	add := func(lo, hi int, capacity, price float64) {
+		if n := len(runs); n > 0 && end == lo && runs[n-1].Preference == capacity && runs[n-1].Price == price {
+			runs[n-1].IDs = a.ids[lo-len(runs[n-1].IDs) : hi]
+		} else {
+			runs = append(runs, core.Run{IDs: a.ids[lo:hi], Preference: capacity, Price: price})
+		}
+		end = hi
+	}
+	st := 0 // the stretch of the first sleeping host not yet listed
+	asleep := func(lo, hi int) {
+		for lo < hi {
+			for a.stretches[st].end <= lo {
+				st++
+			}
+			s := a.stretches[st]
+			cut := min(hi, s.end)
+			add(lo, cut, s.capacity, s.reserve)
+			lo = cut
+		}
+	}
+	next := 0 // the first position not yet listed or skipped
+	a.awake = a.cfg.Cluster.AppendAwake(a.awake[:0])
+	for _, g := range a.awake {
+		p := int(a.at[g])
+		if p < 0 {
+			continue // another partition's
+		}
+		asleep(next, p)
+		next = p + 1
+		if h := a.byIndex[p]; !h.Down() {
+			add(p, p+1, h.Market.CapacityMHz(), h.Market.PriceExcluding(bidder))
+		}
+	}
+	asleep(next, len(a.ids))
+	a.runs = runs
+	return runs
 }
 
 // startChunk pops the next chunk and runs it on host. One concurrent

@@ -665,6 +665,20 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestPartitionNamingAHostTwiceIsRefused: a partition that lists a host twice
+// used to attach the host's feed observer twice — each clear offered to its
+// ring twice, the copy rejected as a duplicate — and to offer it to Best
+// Response twice, which could fund it twice, the second bid replacing the
+// first.
+func TestPartitionNamingAHostTwiceIsRefused(t *testing.T) {
+	w := newWorld(t, 3)
+	_, err := New(Config{Cluster: w.cluster, Bank: w.bank, Identity: w.agent.cfg.Identity,
+		Account: "broker", Verifier: w.agent.cfg.Verifier, Hosts: []string{"h00", "h02", "h00"}, JobIDPrefix: "p1"})
+	if err == nil || !strings.Contains(err.Error(), `"h00"`) {
+		t.Fatalf("partition h00 h02 h00: %v, want an error naming h00", err)
+	}
+}
+
 func TestJobStateString(t *testing.T) {
 	if StateRunning.String() != "running" || StateDone.String() != "done" ||
 		StateFailed.String() != "failed" || JobState(9).String() != "state(9)" {

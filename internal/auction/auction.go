@@ -178,6 +178,11 @@ func (m *Market) MechanismName() string { return m.mech.Name() }
 // CapacityMHz returns the host's CPU capacity.
 func (m *Market) CapacityMHz() float64 { return m.capacity }
 
+// ReservePrice returns the floor of the spot price: what PriceExcluding
+// answers for every bidder while the book is empty, and so while the market
+// sleeps. Like the capacity, it never changes.
+func (m *Market) ReservePrice() float64 { return m.reserve }
+
 // Observe registers a callback invoked with the spot price after every
 // reallocation; the prediction stack attaches its moving-window statistics
 // here. A sleeping market is woken first, so a subscriber never receives a

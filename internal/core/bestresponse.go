@@ -47,15 +47,25 @@ var (
 	ErrBadHost   = errors.New("core: host preference and price must be positive")
 )
 
+// Run is a stretch of interchangeable candidates: hosts that share one
+// preference and one price, listed by strictly ascending ID. Tycoon prices an
+// idle host at its reserve, so on a wide grid almost every candidate belongs
+// to one of a few long runs, and ranking runs instead of hosts is what keeps a
+// submission from sorting 10 000 keys.
+type Run struct {
+	IDs        []string // strictly ascending; read, never written
+	Preference float64
+	Price      float64
+}
+
+// host returns the run's m-th member as a candidate.
+func (r Run) host(m int) Host { return Host{ID: r.IDs[m], Preference: r.Preference, Price: r.Price} }
+
 // BestResponse computes the optimal bid distribution of budget X across
 // hosts. Hosts that receive a zero bid are omitted from the result. The
 // returned allocations are sorted by descending bid, then host ID.
 func BestResponse(budget float64, hosts []Host) ([]Allocation, error) {
-	funded, err := solve(budget, hosts)
-	if err != nil {
-		return nil, err
-	}
-	return allocations(hosts, funded), nil
+	return BestResponseCapped(budget, hosts, 0)
 }
 
 // BestResponseCapped is Best Response for a bidder that can use at most n
@@ -65,27 +75,45 @@ func BestResponse(budget float64, hosts []Host) ([]Allocation, error) {
 //
 //	Rebalance(budget, TopNByUtility(BestResponse(budget, hosts), n))
 //
-// returns, and otherwise (or when n <= 0) what BestResponse returns — without
-// building or ranking an Allocation per funded host, which on a wide, mostly
-// idle grid is every candidate.
+// returns, and otherwise (or when n <= 0) what BestResponse returns. It finds
+// the runs among neighbouring hosts and solves them with BestResponseRuns.
 func BestResponseCapped(budget float64, hosts []Host, n int) ([]Allocation, error) {
-	funded, err := solve(budget, hosts)
+	return BestResponseRuns(budget, runsOf(hosts), n)
+}
+
+// BestResponseRuns is BestResponseCapped over candidates given as runs: every
+// member of a run is one candidate host with the run's preference and price.
+// The result is BestResponseCapped's over the members, listed one Host each in
+// any order, bit for bit: the solver admits members in (w/y desc, ID asc)
+// order with one addend each, so only the set of candidates matters. Nothing
+// is done per member but those sums and the funded hosts' allocations, so a
+// caller that knows its runs — a broker that knows which hosts sleep — pays
+// neither for finding them nor for their length.
+//
+// The caller keeps the run contract: IDs ascend strictly within a run and no
+// ID is in two runs. Runs may come in any order, and their ID ranges may
+// interleave.
+func BestResponseRuns(budget float64, runs []Run, n int) ([]Allocation, error) {
+	funded, runs, err := solve(budget, runs)
 	if err != nil {
 		return nil, err
 	}
 	if n <= 0 || members(funded) <= n {
-		return allocations(hosts, funded), nil
+		return allocations(runs, funded), nil
 	}
 	// Bounded insertion into the n best by (utility desc, ID asc). The members
 	// of a run share one utility and come in ID order, so once one of them is
-	// refused the rest would be too.
-	before := rankOrder(func(i int) string { return hosts[i].ID })
+	// refused the rest would be too. cand lists every member ranked as a run of
+	// its own, so that a key's index names its host.
+	cand := make([]Run, 0, len(funded)+n)
+	before := rankOrder(func(i int) string { return cand[i].IDs[0] })
 	top := make([]rankKey, 0, n)
 	for _, r := range funded {
-		first, end := r.span()
-		u := UtilityAt(hosts[first], r.primary)
-		for h := first; h < end; h++ {
-			key := newRankKey(u, hosts[h].ID, h)
+		run := runs[r.index]
+		u := UtilityAt(run.host(0), r.primary)
+		for m := 0; m < int(r.n); m++ {
+			cand = append(cand, Run{IDs: run.IDs[m : m+1], Preference: run.Preference, Price: run.Price})
+			key := newRankKey(u, run.IDs[m], len(cand)-1)
 			if len(top) == n {
 				if before(key, top[n-1]) >= 0 {
 					break
@@ -99,56 +127,75 @@ func BestResponseCapped(budget float64, hosts []Host, n int) ([]Allocation, erro
 			top = slices.Insert(top, at, key)
 		}
 	}
-	keep := make([]Host, len(top))
+	keep := make([]Run, len(top))
 	for i, key := range top {
-		keep[i] = hosts[key.index]
+		keep[i] = cand[key.index]
 	}
-	return BestResponse(budget, keep)
+	return BestResponseRuns(budget, keep, 0)
 }
 
-// solve is the water-fill behind BestResponse and BestResponseCapped. It
-// returns the funded hosts as runs in admission order, each keyed by the bid
-// every one of its members gets.
-//
-// A run is a stretch of consecutive candidates with equal preference and
-// price and strictly ascending IDs. Tycoon prices an idle host at its
-// reserve, so on a wide grid almost every candidate belongs to one of a few
-// long runs, and ranking runs instead of hosts is what keeps a submission
-// from sorting 10 000 keys. The result is the per-host result bit for bit:
-// the sums below still take one addend per member, in admission order.
-func solve(budget float64, hosts []Host) ([]rankKey, error) {
-	if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
-		return nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
-	}
-	if len(hosts) == 0 {
-		return nil, ErrNoHosts
-	}
+// runsOf splits hosts, in their order, into maximal runs of neighbours with
+// equal preference and price and ascending IDs. The runs' IDs share one slice.
+func runsOf(hosts []Host) []Run {
+	ids := make([]string, len(hosts))
 	// starts has a bit per candidate, set where a run starts.
 	starts := make([]uint64, (len(hosts)+63)/64)
 	nRuns := 0
 	for i, h := range hosts {
-		if h.Preference <= 0 || h.Price <= 0 ||
-			math.IsNaN(h.Preference) || math.IsNaN(h.Price) ||
-			math.IsInf(h.Preference, 0) || math.IsInf(h.Price, 0) {
-			return nil, fmt.Errorf("%w: host %q w=%v y=%v", ErrBadHost, h.ID, h.Preference, h.Price)
-		}
+		ids[i] = h.ID
 		if i == 0 || !extendsRun(hosts[i-1], h) {
 			starts[i/64] |= 1 << (i % 64)
 			nRuns++
 		}
 	}
-
-	// Admit hosts in order of decreasing marginal utility at x=0, which is
-	// w_j/y_j; ties broken by ID for determinism.
-	runs := make([]rankKey, 0, nRuns)
+	runs := make([]Run, 0, nRuns)
 	for i, h := range hosts {
 		if starts[i/64]>>(i%64)&1 == 0 {
-			runs[len(runs)-1].n++
+			r := &runs[len(runs)-1]
+			r.IDs = r.IDs[:len(r.IDs)+1]
 			continue
 		}
-		runs = append(runs, newRankKey(h.Preference/h.Price, h.ID, i))
+		runs = append(runs, Run{IDs: ids[i : i+1], Preference: h.Preference, Price: h.Price})
 	}
-	runs = sortRuns(runs, hosts)
+	return runs
+}
+
+// extendsRun reports whether h, the candidate after prev, belongs to prev's
+// run.
+func extendsRun(prev, h Host) bool {
+	return h.Preference == prev.Preference && h.Price == prev.Price && prev.ID < h.ID
+}
+
+// solve is the water-fill behind every entry point. It returns the funded
+// runs in admission order, each keyed by the bid every one of its members
+// gets, and the runs the keys index — runs itself, or its members one run
+// each when ranking had to split them (see sortRuns). The result is the
+// per-host result bit for bit: the sums below still take one addend per
+// member, in admission order.
+func solve(budget float64, runs []Run) ([]rankKey, []Run, error) {
+	if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
+	}
+	if len(runs) == 0 {
+		return nil, nil, ErrNoHosts
+	}
+	// Admit hosts in order of decreasing marginal utility at x=0, which is
+	// w_j/y_j; ties broken by ID for determinism. Runs come in input order and
+	// a run's first member is its earliest host, so an error names the first
+	// bad host in input order.
+	keys := make([]rankKey, len(runs))
+	for i, r := range runs {
+		if len(r.IDs) == 0 {
+			return nil, nil, fmt.Errorf("%w: run %d lists no host", ErrBadHost, i)
+		}
+		if r.Preference <= 0 || r.Price <= 0 ||
+			math.IsNaN(r.Preference) || math.IsNaN(r.Price) ||
+			math.IsInf(r.Preference, 0) || math.IsInf(r.Price, 0) {
+			return nil, nil, fmt.Errorf("%w: host %q w=%v y=%v", ErrBadHost, r.IDs[0], r.Preference, r.Price)
+		}
+		keys[i] = rankKey{primary: r.Preference / r.Price, prefix: idPrefix(r.IDs[0]), index: int32(i), n: int32(len(r.IDs))}
+	}
+	keys, runs = sortRuns(keys, runs)
 
 	// Water-filling: find the largest prefix S of the ordering such that the
 	// marginal host's bid stays positive. sumY and sumSqrt accumulate
@@ -158,17 +205,17 @@ func solve(budget float64, hosts []Host) ([]rankKey, error) {
 	// equal addends is not n times the addend, and the test may fail mid-run.
 	var sumY, sumSqrt float64
 	admitted := 0 // runs, the last of them perhaps cut short
-	for k := range runs {
-		r := &runs[k]
-		h := hosts[r.index]
-		sq := math.Sqrt(h.Preference * h.Price)
+	for k := range keys {
+		r := &keys[k]
+		run := runs[r.index]
+		sq := math.Sqrt(run.Preference * run.Price)
 		m := int32(0)
 		for ; m < r.n; m++ {
-			sY := sumY + h.Price
+			sY := sumY + run.Price
 			sS := sumSqrt + sq
 			c := (budget + sY) / sS
 			// Bid of this host under the prefix that ends with it.
-			if sq*c-h.Price <= 0 {
+			if sq*c-run.Price <= 0 {
 				break
 			}
 			sumY, sumSqrt = sY, sS
@@ -185,21 +232,21 @@ func solve(budget float64, hosts []Host) ([]rankKey, error) {
 		// Even the single most attractive host would get a non-positive bid,
 		// which cannot happen with positive budget: for S={j},
 		// x_j = sqrt(w y)*(X+y)/sqrt(w y) - y = X > 0. Guard anyway.
-		first := hosts[runs[0].index]
-		admitted, runs[0].n = 1, 1
+		first := runs[keys[0].index]
+		admitted, keys[0].n = 1, 1
 		sumY = first.Price
 		sumSqrt = math.Sqrt(first.Preference * first.Price)
 	}
-	runs = runs[:admitted]
+	keys = keys[:admitted]
 
 	// The funded runs are re-keyed by bid in place, in admission order —
 	// which is also the fold order of total.
 	c := (budget + sumY) / sumSqrt
-	funded := runs[:0]
+	funded := keys[:0]
 	var total float64
-	for _, r := range runs {
-		h := hosts[r.index]
-		x := math.Sqrt(h.Preference*h.Price)*c - h.Price
+	for _, r := range keys {
+		run := runs[r.index]
+		x := math.Sqrt(run.Preference*run.Price)*c - run.Price
 		if x <= 0 {
 			continue
 		}
@@ -216,60 +263,58 @@ func solve(budget float64, hosts []Host) ([]rankKey, error) {
 			funded[i].primary *= scale
 		}
 	}
-	return funded, nil
+	return funded, runs, nil
 }
 
-// extendsRun reports whether h, the candidate after prev, belongs to prev's
-// run.
-func extendsRun(prev, h Host) bool {
-	return h.Preference == prev.Preference && h.Price == prev.Price && prev.ID < h.ID
-}
-
-// sortRuns orders runs, whose members share the run's primary, so that read
-// run by run the hosts come by descending primary, then ascending ID. Sorting
-// the runs by (primary, first ID) does that unless two runs of one primary
-// overlap in ID range — candidates not in ID order, or one ratio from
-// different (w, y) at interleaved IDs. Then every host becomes its own run,
-// which sorts to that order by definition.
-func sortRuns(runs []rankKey, hosts []Host) []rankKey {
-	id := func(i int) string { return hosts[i].ID }
-	sortRanked(runs, id)
+// sortRuns orders keys, each standing for the first n members of a run and
+// sharing the run's primary, so that read key by key the hosts come by
+// descending primary, then ascending ID, and returns them with the runs they
+// index. Sorting the keys by (primary, first ID) does that unless two keys of
+// one primary overlap in ID range — runs listed out of ID order, or one ratio
+// from different (w, y) at interleaved IDs. Then every member becomes a run of
+// its own, which sorts to that order by definition.
+func sortRuns(keys []rankKey, runs []Run) ([]rankKey, []Run) {
+	sortRanked(keys, func(i int) string { return runs[i].IDs[0] })
 	disjoint := true
-	for k := 1; k < len(runs) && disjoint; k++ {
+	for k := 1; k < len(keys) && disjoint; k++ {
 		// A single host ends where it starts, below the start of its successor.
-		a, b := runs[k-1], runs[k]
-		disjoint = a.n == 1 || a.primary != b.primary || hosts[a.index+a.n-1].ID < hosts[b.index].ID
+		a, b := keys[k-1], keys[k]
+		disjoint = a.n == 1 || a.primary != b.primary || runs[a.index].IDs[a.n-1] < runs[b.index].IDs[0]
 	}
 	if disjoint {
-		return runs
+		return keys, runs
 	}
-	split := make([]rankKey, 0, members(runs))
-	for _, r := range runs {
-		for h, end := r.span(); h < end; h++ {
-			split = append(split, newRankKey(r.primary, hosts[h].ID, h))
+	singles := make([]Run, 0, members(keys))
+	split := make([]rankKey, 0, cap(singles))
+	for _, k := range keys {
+		r := runs[k.index]
+		for m := 0; m < int(k.n); m++ {
+			singles = append(singles, Run{IDs: r.IDs[m : m+1], Preference: r.Preference, Price: r.Price})
+			split = append(split, newRankKey(k.primary, r.IDs[m], len(singles)-1))
 		}
 	}
-	sortRanked(split, id)
-	return split
+	sortRanked(split, func(i int) string { return singles[i].IDs[0] })
+	return split, singles
 }
 
-// members counts the hosts that runs stand for.
-func members(runs []rankKey) int {
+// members counts the hosts that keys stand for.
+func members(keys []rankKey) int {
 	total := 0
-	for _, r := range runs {
-		total += int(r.n)
+	for _, k := range keys {
+		total += int(k.n)
 	}
 	return total
 }
 
-// allocations lists the members of funded runs, each run keyed by its
+// allocations lists the members of funded runs, each key holding its
 // members' bid, by descending bid, then host ID.
-func allocations(hosts []Host, funded []rankKey) []Allocation {
-	funded = sortRuns(funded, hosts)
+func allocations(runs []Run, funded []rankKey) []Allocation {
+	funded, runs = sortRuns(funded, runs)
 	allocs := make([]Allocation, 0, members(funded))
-	for _, r := range funded {
-		for h, end := r.span(); h < end; h++ {
-			allocs = append(allocs, Allocation{Host: hosts[h], Bid: r.primary})
+	for _, k := range funded {
+		r := runs[k.index]
+		for m := 0; m < int(k.n); m++ {
+			allocs = append(allocs, Allocation{Host: r.host(m), Bid: k.primary})
 		}
 	}
 	return allocs
@@ -281,24 +326,19 @@ func allocations(hosts []Host, funded []rankKey) []Allocation {
 // instead of the elements, and the first eight bytes of the ID — compared as
 // one big-endian integer — settle almost every tie without touching the
 // string. A key stands for one element of the slice being ranked or, inside
-// Best Response, for a run of n consecutive ones, ranked by the ID of the
+// Best Response, for the first n members of a run, ranked by the ID of the
 // first. Its two counts are 32-bit so that it stays 24 bytes, a tenth of the
 // sort's time at 10 000 keys; a slice of 2^31 candidates would be 80 GB.
 type rankKey struct {
 	primary float64
 	prefix  uint64
-	index   int32 // of the first element the key stands for
-	n       int32 // how many it stands for
+	index   int32 // of the element, or of the run, the key stands for
+	n       int32 // how many members it stands for
 }
 
 // newRankKey keys the single element at index.
 func newRankKey(primary float64, id string, index int) rankKey {
 	return rankKey{primary: primary, prefix: idPrefix(id), index: int32(index), n: 1}
-}
-
-// span returns the half-open index range of the elements k stands for.
-func (k rankKey) span() (first, end int) {
-	return int(k.index), int(k.index + k.n)
 }
 
 // idPrefix packs the first eight bytes of id, zero-padded, so that unequal

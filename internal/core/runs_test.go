@@ -174,6 +174,70 @@ func TestRunsMatchPerHostOracles(t *testing.T) {
 	}
 }
 
+// cutRuns hands hosts, which are in ID order, over as a caller that knows its
+// runs does: runs of equal (w, y) cut at random places (a broker's stretch of
+// sleeping hosts ends wherever an awake one sits), in shuffled order, and now
+// and then one split into its even and odd members — two runs whose ID ranges
+// interleave.
+func cutRuns(src *rng.Source, hosts []Host) []Run {
+	var runs []Run
+	for i := 0; i < len(hosts); {
+		end := i + 1
+		for end < len(hosts) && extendsRun(hosts[end-1], hosts[end]) && src.Intn(40) != 0 {
+			end++
+		}
+		ids := make([]string, 0, end-i)
+		for _, h := range hosts[i:end] {
+			ids = append(ids, h.ID)
+		}
+		w, y := hosts[i].Preference, hosts[i].Price
+		if len(ids) > 1 && src.Intn(3) == 0 {
+			var even, odd []string
+			for k, id := range ids {
+				if k%2 == 0 {
+					even = append(even, id)
+				} else {
+					odd = append(odd, id)
+				}
+			}
+			runs = append(runs, Run{IDs: even, Preference: w, Price: y}, Run{IDs: odd, Preference: w, Price: y})
+		} else {
+			runs = append(runs, Run{IDs: ids, Preference: w, Price: y})
+		}
+		i = end
+	}
+	src.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+	return runs
+}
+
+// TestRunsEntryMatchesPerHostOracles: BestResponseRuns over runs a caller
+// made equals the per-host oracles bit for bit, however the runs are cut,
+// ordered or interleaved.
+func TestRunsEntryMatchesPerHostOracles(t *testing.T) {
+	src := rng.New(31)
+	budgets := []float64{50.0 / 7200, 1e-4, 0.3, 40}
+	trial := 0
+	for shape := range runShapes {
+		for _, n := range []int{1, 2, 7, 40, 300, 3000} {
+			trial++
+			hosts := shapedHosts(src, shape, 0, n)
+			runs := cutRuns(src, hosts)
+			budget := budgets[trial%len(budgets)] * src.Uniform(0.5, 2)
+			for _, keep := range []int{0, 1, 8, 50} {
+				what := fmt.Sprintf("%s/%d hosts/%d runs/cap %d", runShapes[shape].name, n, len(runs), keep)
+				got, err := BestResponseRuns(budget, runs, keep)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameAllocations(t, what, got, oracleCapped(budget, hosts, keep))
+			}
+		}
+	}
+	if _, err := BestResponseRuns(1, []Run{{IDs: nil, Preference: 1, Price: 1}}, 0); !errors.Is(err, ErrBadHost) {
+		t.Errorf("empty run: %v, want ErrBadHost", err)
+	}
+}
+
 // TestSupportEndsAtRunBoundaryAndCapCutsARun pins the two places a run can
 // be cut. The budget funds every idle host and no booked one, so the support
 // ends exactly where the last idle run does; a cap of 8 then keeps the first

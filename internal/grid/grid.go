@@ -57,6 +57,9 @@ func (h *Host) task(id string) (int, bool) {
 	return slices.BinarySearchFunc(h.tasks, id, func(t *Task, id string) int { return strings.Compare(t.ID, id) })
 }
 
+// Index returns the host's position in its cluster's HostIDs.
+func (h *Host) Index() int { return h.index }
+
 // Down reports whether the host is currently failed.
 func (h *Host) Down() bool { return h.down }
 
@@ -305,6 +308,12 @@ func (c *Cluster) Sync(hosts ...string) {
 		}
 	}
 }
+
+// AppendAwake appends to dst the indices into HostIDs of the hosts whose
+// market is awake, ascending, and returns the extended slice. Every other
+// host's market sleeps: its book is empty, so it prices every bidder at its
+// reserve, and it is up — a failed host stays awake until it recovers.
+func (c *Cluster) AppendAwake(dst []int) []int { return c.plane.AppendAwake(dst) }
 
 // PlaceBid enters budget on a host's market for bidder, valid until
 // deadline.

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -235,5 +236,59 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 				t.Fatalf("%s: sample %d at %v, want the tick instant %v", h.Spec.ID, k, s.At, want)
 			}
 		}
+	}
+}
+
+// TestSleepingHostIsNeverDown: a failed host is awake until it recovers —
+// FailHost syncs a sleeping market first, and the sweep skips a down host
+// without letting it sleep — so a host AppendAwake leaves out is up, which is
+// what lets a broker price the hosts it leaves out at their reserve.
+func TestSleepingHostIsNeverDown(t *testing.T) {
+	const hosts = 16
+	w := newObservedCluster(t, hosts)
+	ids := w.HostIDs()
+	check := func(when string) {
+		t.Helper()
+		awake := map[int]bool{}
+		for _, i := range w.AppendAwake(nil) {
+			awake[i] = true
+		}
+		for i, id := range ids {
+			h, _ := w.Host(id)
+			if h.Down() && !awake[i] {
+				t.Fatalf("%s: %s is down and asleep", when, id)
+			}
+		}
+	}
+	src := rand.New(rand.NewSource(5))
+	w.eng.RunFor(3 * w.Interval())
+	if n := len(w.AppendAwake(nil)); n != 0 {
+		t.Fatalf("%d hosts awake after idle ticks, want every one asleep", n)
+	}
+	failures := 0
+	for step := 0; step < 300; step++ {
+		id := ids[src.Intn(hosts)]
+		h, _ := w.Host(id)
+		switch k := src.Intn(6); {
+		case k == 0 && !h.Down():
+			if _, err := w.FailHost(id); err != nil {
+				t.Fatal(err)
+			}
+			failures++
+		case k == 1 && h.Down():
+			if err := w.RecoverHost(id); err != nil {
+				t.Fatal(err)
+			}
+		case k == 2 && !h.Down():
+			if _, err := w.PlaceBid(id, "b", bank.Credit, w.eng.Now().Add(time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			w.eng.RunFor(time.Duration(1+src.Intn(8)) * w.Interval())
+		}
+		check(fmt.Sprintf("step %d", step))
+	}
+	if failures < 10 {
+		t.Fatalf("%d failures: the schedule does not exercise churn", failures)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -104,6 +105,7 @@ type Plane struct {
 	prices  []atomic.Uint64 // Float64bits of each host's cached spot price
 	results []TickResult    // TickAll's merge of the shards' results
 	merged  []int           // how far that merge has read into each shard's
+	awake   []uint64        // AppendAwake's scratch, a bit per canonical index
 }
 
 type slotRef struct {
@@ -133,6 +135,7 @@ func New(cfg Config) (*Plane, error) {
 		slot:    make([]slotRef, len(cfg.Markets)),
 		prices:  make([]atomic.Uint64, len(cfg.Markets)),
 		merged:  make([]int, n),
+		awake:   make([]uint64, (len(cfg.Markets)+63)/64),
 	}
 	// The hash spreads hosts evenly, so an even share is about what every
 	// shard will hold.
@@ -185,6 +188,35 @@ func (p *Plane) ShardIndexOf(host string) (int, bool) {
 // entry is exact: its price cannot move until it is bid on.
 func (p *Plane) PriceAt(i int) float64 {
 	return math.Float64frombits(p.prices[i].Load())
+}
+
+// AppendAwake appends the canonical indices of the awake markets to dst,
+// ascending, and returns the extended slice: those in a shard's sweep and
+// those woken since it. Every other market is asleep, with an empty book and
+// the price it fell asleep on. The cost is a bit per market plus the awake
+// ones. Like TickAll it reads the sweeps' own lists, so it must not run
+// concurrently with a tick, or with another AppendAwake.
+func (p *Plane) AppendAwake(dst []int) []int {
+	set := p.awake
+	clear(set)
+	for _, s := range p.shards {
+		for _, local := range s.awake {
+			g := s.globals[local]
+			set[g/64] |= 1 << (g % 64)
+		}
+		s.mu.Lock()
+		for _, local := range s.woken {
+			g := s.globals[local]
+			set[g/64] |= 1 << (g % 64)
+		}
+		s.mu.Unlock()
+	}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+		}
+	}
+	return dst
 }
 
 // EnqueueBidAt queues a bid for the host at canonical index i; it is entered

@@ -328,3 +328,85 @@ func TestConcurrentBidsOnSleepingMarkets(t *testing.T) {
 		}
 	}
 }
+
+// sleepTracked is a market that knows whether it is asleep: it fell asleep
+// when Sleep said so, and woke when its waker was called.
+type sleepTracked struct {
+	*auction.Market
+	asleep bool
+}
+
+func (m *sleepTracked) Sleep(w auction.Waker) bool {
+	slept := m.Market.Sleep(wakeTracked{w, m})
+	m.asleep = m.asleep || slept
+	return slept
+}
+
+type wakeTracked struct {
+	auction.Waker
+	m *sleepTracked
+}
+
+func (w wakeTracked) Wake(replay func(at time.Time)) {
+	w.m.asleep = false
+	w.Waker.Wake(replay)
+}
+
+// AppendAwake lists, ascending, exactly the markets that are not asleep —
+// after the ops that wake markets between sweeps, before the sweep that takes
+// them in, and after it — at every shard count.
+func TestAppendAwakeListsEveryMarketNotAsleep(t *testing.T) {
+	const hosts, ticks = 12, 160
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tracked := make([]*sleepTracked, hosts)
+			markets := make([]HostMarket, hosts)
+			for i, m := range testMechanismMarkets(t, hosts, mechanism.PostedPrice) {
+				tracked[i] = &sleepTracked{Market: m.(*auction.Market)}
+				markets[i] = tracked[i]
+			}
+			p, err := New(Config{Shards: shards, Markets: markets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(when string) {
+				t.Helper()
+				var want []int
+				for i, m := range tracked {
+					if !m.asleep {
+						want = append(want, i)
+					}
+				}
+				if got := p.AppendAwake(nil); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: AppendAwake %v, awake markets %v", when, got, want)
+				}
+			}
+			slept := 0
+			for tk, ops := range sleepSchedule(int64(shards)*5+2, hosts, ticks) {
+				now, prev := instantOf(tk), sim.Epoch
+				if tk > 0 {
+					prev = instantOf(tk - 1)
+				}
+				for _, op := range ops {
+					switch op.kind {
+					case "enqueue":
+						p.EnqueueBidAt(op.host, op.bidder, op.amount, now.Add(time.Duration(op.life)*auction.DefaultInterval))
+					case "sync":
+						tracked[op.host].Sync()
+					default:
+						applyOp(tracked[op.host].Market, op, prev)
+					}
+				}
+				check(fmt.Sprintf("tick %d, before the sweep", tk))
+				p.TickAll(now, nil)
+				check(fmt.Sprintf("tick %d, after the sweep", tk))
+				if n := len(p.AppendAwake(nil)); n < hosts {
+					slept++
+				}
+			}
+			if slept == 0 {
+				t.Fatal("no market ever slept")
+			}
+		})
+	}
+}

@@ -68,8 +68,10 @@ type Certificate struct {
 	Signature []byte
 }
 
-// tbs returns the deterministic to-be-signed encoding of the certificate.
-func (c *Certificate) tbs() []byte {
+// SignedBytes returns what the issuer signed: every field but the signature,
+// in a deterministic encoding of length-prefixed fields, so that no two
+// certificates share it and the signature appended to it is unambiguous.
+func (c *Certificate) SignedBytes() []byte {
 	var b bytes.Buffer
 	writeField := func(p []byte) {
 		var l [8]byte
@@ -174,7 +176,7 @@ func newCAFromKey(name DN, priv ed25519.PrivateKey, opts ...CAOption) (*CA, erro
 		NotBefore: now,
 		NotAfter:  now.Add(ca.ttl),
 	}
-	cert.Signature = ed25519.Sign(priv, cert.tbs())
+	cert.Signature = ed25519.Sign(priv, cert.SignedBytes())
 	ca.id = &Identity{Cert: cert, priv: priv}
 	return ca, nil
 }
@@ -213,7 +215,7 @@ func (ca *CA) issueFromKey(subject DN, priv ed25519.PrivateKey) (*Identity, erro
 		NotBefore: now,
 		NotAfter:  now.Add(ca.ttl),
 	}
-	cert.Signature = ed25519.Sign(ca.id.priv, cert.tbs())
+	cert.Signature = ed25519.Sign(ca.id.priv, cert.SignedBytes())
 	return &Identity{Cert: cert, priv: priv}, nil
 }
 
@@ -235,10 +237,15 @@ func VerifyCertAgainst(caCert Certificate, cert Certificate, t time.Time) error 
 	if cert.Issuer != caCert.Subject {
 		return ErrWrongIssuer
 	}
-	if !ed25519.Verify(caCert.PublicKey, cert.tbs(), cert.Signature) {
+	if !Verify(caCert.PublicKey, cert.SignedBytes(), cert.Signature) {
 		return ErrBadSignature
 	}
-	if t.Before(cert.NotBefore) || t.After(cert.NotAfter) {
+	return cert.ValidAt(t)
+}
+
+// ValidAt returns ErrExpired unless t lies within c's validity window.
+func (c *Certificate) ValidAt(t time.Time) error {
+	if t.Before(c.NotBefore) || t.After(c.NotAfter) {
 		return ErrExpired
 	}
 	return nil

@@ -21,6 +21,7 @@
 package token
 
 import (
+	"crypto/ed25519"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -111,19 +112,37 @@ func (s *MemorySpentStore) Spent(id string) bool {
 	return s.used[id]
 }
 
-// Verifier checks tokens on behalf of one broker account.
+// Verifier checks tokens on behalf of one broker account. Safe for concurrent
+// use.
 type Verifier struct {
 	bankKey []byte // ed25519 public key of the bank
 	caCert  pki.Certificate
 	broker  bank.AccountID
 	spent   SpentStore
+
+	// caVerify checks a user certificate's CA signature (pki.Verify). certs
+	// holds, keyed by a certificate's signed bytes followed by its signature,
+	// every certificate that passed the CA check: a user's certificate is the
+	// same on every token they send, so its signature is verified once. Only
+	// certificates the trusted CA signed get in, so the set grows with the
+	// users the CA has issued, not with what callers send.
+	caVerify func(pub ed25519.PublicKey, msg, sig []byte) bool
+	mu       sync.Mutex
+	certs    map[string]struct{}
 }
 
 // NewVerifier returns a verifier that accepts tokens paying broker, signed
-// by the bank key inside bankCert, with user certificates issued by caCert.
+// by the bank's Ed25519 key bankKey, with user certificates issued by the
+// self-signed CA certificate caCert.
 func NewVerifier(bankKey []byte, caCert pki.Certificate, broker bank.AccountID, spent SpentStore) (*Verifier, error) {
-	if len(bankKey) == 0 {
-		return nil, errors.New("token: empty bank key")
+	if len(bankKey) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("token: bank key is %d bytes, want %d", len(bankKey), ed25519.PublicKeySize)
+	}
+	if len(caCert.PublicKey) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("token: CA key is %d bytes, want %d", len(caCert.PublicKey), ed25519.PublicKeySize)
+	}
+	if err := pki.VerifyCertAgainst(caCert, caCert, caCert.NotBefore); err != nil {
+		return nil, fmt.Errorf("token: CA certificate %q is not self-signed: %w", caCert.Subject, err)
 	}
 	if broker == "" {
 		return nil, errors.New("token: empty broker account")
@@ -131,7 +150,8 @@ func NewVerifier(bankKey []byte, caCert pki.Certificate, broker bank.AccountID, 
 	if spent == nil {
 		spent = NewMemorySpentStore()
 	}
-	return &Verifier{bankKey: bankKey, caCert: caCert, broker: broker, spent: spent}, nil
+	return &Verifier{bankKey: bankKey, caCert: caCert, broker: broker, spent: spent,
+		caVerify: pki.Verify, certs: make(map[string]struct{})}, nil
 }
 
 // Verify checks every property of the token at time now and, on success,
@@ -143,7 +163,7 @@ func (v *Verifier) Verify(t Token, now time.Time) (bank.Amount, error) {
 	if t.Receipt.To != v.broker {
 		return 0, fmt.Errorf("%w: paid to %q, I am %q", ErrWrongPayee, t.Receipt.To, v.broker)
 	}
-	if err := pki.VerifyCertAgainst(v.caCert, t.UserCert, now); err != nil {
+	if err := v.checkCert(&t.UserCert, now); err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrBadCertificate, err)
 	}
 	if t.UserCert.Subject != t.GridDN {
@@ -159,4 +179,34 @@ func (v *Verifier) Verify(t Token, now time.Time) (bank.Amount, error) {
 		return 0, ErrSpent // lost the race to a concurrent verification
 	}
 	return t.Receipt.Amount, nil
+}
+
+// checkCert is pki.VerifyCertAgainst(v.caCert, c, now) with the CA signature
+// verified once per certificate: the issuer and the validity window are
+// checked on every call, and a certificate is remembered only once it has
+// passed all three checks. The key is the exact signed bytes plus the
+// signature, so a signature copied onto any other subject, key or window
+// misses and is verified, and fails.
+func (v *Verifier) checkCert(c *pki.Certificate, now time.Time) error {
+	if c.Issuer != v.caCert.Subject {
+		return pki.ErrWrongIssuer
+	}
+	signed := c.SignedBytes()
+	key := append(signed, c.Signature...)
+	v.mu.Lock()
+	_, known := v.certs[string(key)]
+	v.mu.Unlock()
+	if known {
+		return c.ValidAt(now)
+	}
+	if !v.caVerify(v.caCert.PublicKey, signed, c.Signature) {
+		return pki.ErrBadSignature
+	}
+	if err := c.ValidAt(now); err != nil {
+		return err
+	}
+	v.mu.Lock()
+	v.certs[string(key)] = struct{}{}
+	v.mu.Unlock()
+	return nil
 }

@@ -1,9 +1,11 @@
 package token
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,13 +230,201 @@ func TestSpentStore(t *testing.T) {
 	}
 }
 
+// TestNewVerifierValidation: a verifier is built only on keys an Ed25519
+// verify accepts and on a CA certificate that signed itself. A short bank key
+// used to build a verifier that refused every token as a bad bank signature,
+// and a CA key of the wrong size one that panicked at the first token whose
+// issuer matched.
 func TestNewVerifierValidation(t *testing.T) {
 	w := newWorld(t)
-	if _, err := NewVerifier(nil, w.ca.Certificate(), "broker", nil); err == nil {
-		t.Error("nil bank key accepted")
+	ca := w.ca.Certificate()
+	withKey := func(key []byte) pki.Certificate {
+		c := ca
+		c.PublicKey = key
+		return c
 	}
-	if _, err := NewVerifier(w.bank.PublicKey(), w.ca.Certificate(), "", nil); err == nil {
-		t.Error("empty broker accepted")
+	renamed := ca
+	renamed.Subject = "/O=Grid/CN=OtherCA"
+	renamed.Issuer = renamed.Subject
+	for _, tc := range []struct {
+		name    string
+		bankKey []byte
+		ca      pki.Certificate
+		broker  bank.AccountID
+	}{
+		{"nil bank key", nil, ca, "broker"},
+		{"5-byte bank key", w.bank.PublicKey()[:5], ca, "broker"},
+		{"33-byte bank key", append(append([]byte(nil), w.bank.PublicKey()...), 0), ca, "broker"},
+		{"31-byte CA key", w.bank.PublicKey(), withKey(ca.PublicKey[:31]), "broker"},
+		{"no CA key", w.bank.PublicKey(), withKey(nil), "broker"},
+		{"CA signature over another subject", w.bank.PublicKey(), renamed, "broker"},
+		{"CA certificate signed by another key", w.bank.PublicKey(), withKey(w.user.Public()), "broker"},
+		{"CA certificate issued by another CA", w.bank.PublicKey(), w.user.Cert, "broker"},
+		{"zero CA certificate", w.bank.PublicKey(), pki.Certificate{}, "broker"},
+		{"empty broker", w.bank.PublicKey(), ca, ""},
+	} {
+		if _, err := NewVerifier(tc.bankKey, tc.ca, tc.broker, nil); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := NewVerifier(w.bank.PublicKey(), ca, "broker", nil); err != nil {
+		t.Errorf("the world's own keys: %v", err)
+	}
+}
+
+// countCA counts the CA signature checks v makes.
+func countCA(v *Verifier) *atomic.Int64 {
+	var n atomic.Int64
+	verify := v.caVerify
+	v.caVerify = func(pub ed25519.PublicKey, msg, sig []byte) bool {
+		n.Add(1)
+		return verify(pub, msg, sig)
+	}
+	return &n
+}
+
+// TestOneCACheckPerCertificate: a thousand tokens from one user cost one CA
+// signature check between them; the receipt and the mapping are still checked
+// on every token.
+func TestOneCACheckPerCertificate(t *testing.T) {
+	w := newWorld(t)
+	checks := countCA(w.verifier)
+	for i := 0; i < 1000; i++ {
+		tok := Attach(w.pay(t, bank.Credit/1000, fmt.Sprintf("c%d", i)), w.user)
+		if _, err := w.verifier.Verify(tok, w.now()); err != nil {
+			t.Fatalf("token %d: %v", i, err)
+		}
+	}
+	if n := checks.Load(); n != 1 {
+		t.Errorf("1000 tokens from one user made %d CA checks, want 1", n)
+	}
+	tok := Attach(w.pay(t, bank.Credit, "remapped"), w.user)
+	tok.UserSig[0] ^= 1
+	if _, err := w.verifier.Verify(tok, w.now()); !errors.Is(err, ErrBadMapping) {
+		t.Errorf("mapping signature flipped after the certificate was remembered: %v", err)
+	}
+	tok = Attach(w.pay(t, bank.Credit, "inflated"), w.user)
+	tok.Receipt.Amount *= 10
+	tok.UserSig = w.user.Sign(MappingBytes(tok.Receipt, tok.GridDN))
+	if _, err := w.verifier.Verify(tok, w.now()); !errors.Is(err, ErrBadBankSignature) {
+		t.Errorf("receipt altered after the certificate was remembered: %v", err)
+	}
+}
+
+// TestCopiedCASignatureIsRefused: once alice's certificate is remembered, her
+// CA signature copied onto a certificate that differs in subject, key or
+// validity window is verified afresh, and refused.
+func TestCopiedCASignatureIsRefused(t *testing.T) {
+	w := newWorld(t)
+	if _, err := w.verifier.Verify(Attach(w.pay(t, bank.Credit, "first"), w.user), w.now()); err != nil {
+		t.Fatal(err)
+	}
+	checks := countCA(w.verifier)
+	mallory, _ := w.ca.IssueDeterministic("/O=Grid/CN=Mallory", [32]byte{9})
+	for i, alter := range []struct {
+		name string
+		edit func(c *pki.Certificate)
+	}{
+		{"subject", func(c *pki.Certificate) { c.Subject = "/O=Grid/OU=KTH/CN=Alicia" }},
+		{"key", func(c *pki.Certificate) { c.PublicKey = mallory.Public() }},
+		{"NotAfter", func(c *pki.Certificate) { c.NotAfter = c.NotAfter.Add(365 * 24 * time.Hour) }},
+	} {
+		// Mallory holds the key that signs the mapping; the certificate is
+		// alice's, altered, under alice's CA signature.
+		cert := w.user.Cert
+		alter.edit(&cert)
+		r := w.pay(t, bank.Credit, fmt.Sprintf("copy%d", i))
+		tok := Token{Receipt: r, GridDN: cert.Subject, UserCert: cert,
+			UserSig: mallory.Sign(MappingBytes(r, cert.Subject))}
+		if alter.name != "key" {
+			tok.UserSig = w.user.Sign(MappingBytes(r, cert.Subject))
+		}
+		if _, err := w.verifier.Verify(tok, w.now()); !errors.Is(err, ErrBadCertificate) {
+			t.Errorf("alice's CA signature on an altered %s: %v, want ErrBadCertificate", alter.name, err)
+		}
+		if n := checks.Load(); n != int64(i+1) {
+			t.Errorf("altered %s: %d CA checks so far, want %d: it hit the memo", alter.name, n, i+1)
+		}
+	}
+}
+
+// TestRememberedCertificateStillExpires: the validity window is checked on
+// every token, remembered certificate or not.
+func TestRememberedCertificateStillExpires(t *testing.T) {
+	w := newWorld(t)
+	if _, err := w.verifier.Verify(Attach(w.pay(t, bank.Credit, "before"), w.user), w.now()); err != nil {
+		t.Fatal(err)
+	}
+	checks := countCA(w.verifier)
+	late := w.user.Cert.NotAfter.Add(time.Second)
+	if _, err := w.verifier.Verify(Attach(w.pay(t, bank.Credit, "after"), w.user), late); !errors.Is(err, ErrBadCertificate) {
+		t.Errorf("remembered certificate past NotAfter: %v, want ErrBadCertificate", err)
+	}
+	if n := checks.Load(); n != 0 {
+		t.Errorf("%d CA checks, want 0: the certificate was remembered", n)
+	}
+}
+
+// TestFailedCertificateIsNotRemembered: a certificate that fails any check —
+// a signature from another CA under the trusted CA's name, or a good one
+// outside its window — leaves nothing behind, and is checked again next time.
+func TestFailedCertificateIsNotRemembered(t *testing.T) {
+	w := newWorld(t)
+	checks := countCA(w.verifier)
+	evilCA, _ := pki.NewDeterministicCA(w.ca.DN(), [32]byte{66})
+	evil, _ := evilCA.IssueDeterministic("/O=Grid/OU=KTH/CN=Alice", [32]byte{67})
+	early := w.user.Cert.NotBefore.Add(-time.Second)
+	for i, tc := range []struct {
+		name string
+		id   *pki.Identity
+		at   time.Time
+	}{
+		{"forged", evil, w.now()},
+		{"forged again", evil, w.now()},
+		{"not yet valid", w.user, early},
+		{"not yet valid again", w.user, early},
+	} {
+		tok := Attach(w.pay(t, bank.Credit, fmt.Sprintf("f%d", i)), tc.id)
+		if _, err := w.verifier.Verify(tok, tc.at); !errors.Is(err, ErrBadCertificate) {
+			t.Errorf("%s: %v, want ErrBadCertificate", tc.name, err)
+		}
+		if n := checks.Load(); n != int64(i+1) {
+			t.Errorf("%s: %d CA checks, want %d", tc.name, n, i+1)
+		}
+	}
+	if n := len(w.verifier.certs); n != 0 {
+		t.Errorf("%d certificates remembered after failed verifications", n)
+	}
+}
+
+// TestConcurrentVerifyRemembersSafely: many goroutines verify tokens of two
+// users at once, under -race; every token passes, and each certificate is
+// remembered once.
+func TestConcurrentVerifyRemembersSafely(t *testing.T) {
+	w := newWorld(t)
+	bob, _ := w.ca.IssueDeterministic("/O=Grid/CN=Bob", [32]byte{8})
+	const n = 64
+	toks := make([]Token, n)
+	for i := range toks {
+		id := w.user
+		if i%2 == 1 {
+			id = bob
+		}
+		toks[i] = Attach(w.pay(t, bank.Credit/100, fmt.Sprintf("cc%d", i)), id)
+	}
+	var wg sync.WaitGroup
+	for _, tok := range toks {
+		wg.Add(1)
+		go func(tok Token) {
+			defer wg.Done()
+			if _, err := w.verifier.Verify(tok, w.now()); err != nil {
+				t.Error(err)
+			}
+		}(tok)
+	}
+	wg.Wait()
+	if got := len(w.verifier.certs); got != 2 {
+		t.Errorf("%d certificates remembered, want 2", got)
 	}
 }
 
