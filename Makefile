@@ -78,9 +78,10 @@ lint:
 		echo "lint: install with: go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)"; \
 	fi
 
-# Paper-artifact regeneration plus the metrics and tracing micro-benchmarks,
-# including the auction-clear overhead bars (metrics overhead_% < 5, tracing
-# overhead_% < 2 with sampling off), BenchmarkClusterTickIdle10k, which
+# Paper-artifact regeneration plus the metrics micro-benchmarks, including the
+# instrumentation overhead bars priced against one 300-host busy tick (the
+# clears' counters and gauges overhead_% < 5, the tick's phase timing under a
+# self-scraping collector overhead_% < 2), BenchmarkClusterTickIdle10k, which
 # reports the job path's unit cost as ns/host-tick, and BenchmarkSubmit10kIdle
 # and BenchmarkSubmit10k800Awake, its other unit: one submission into 10 000
 # sleeping hosts, and one among 800 awake ones as grid-wide makes mid-wave.
@@ -230,9 +231,12 @@ simplicity-ledger:
 # allocates nothing per host (TestSubmitAllocationBound), and a busy tick — 300 hosts with 8 bids and 8
 # tasks each, every charge booked on its job's tab — allocates at most 4 times
 # per busy host (it reads 2: the clear's outcome lines and its charges;
-# nothing for the shares, the live-bid snapshot or the tabs) and makes no bank
-# move at all; the bank gets one charge entry per (job, host) when the jobs
-# are released (TestBusyTickAllocationBound). Wired into `check`.
+# nothing for the shares, the live-bid snapshot, the tabs or settle's memo)
+# and makes no bank move at all; the bank gets one charge entry per (job,
+# host) when the jobs are released; and one such tick adds exactly its 300
+# clears to auction_clears_total and exactly one observation to each
+# grid_tick_phase_seconds{phase} (TestBusyTickAllocationBound). Wired into
+# `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
 	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict

@@ -113,6 +113,7 @@ func main() {
 	go func() {
 		for now := range time.Tick(*interval) {
 			charges, refunds := market.Tick(now)
+			auction.CountClears(1)
 			if len(charges)+len(refunds) > 0 {
 				slog.Info("auctioneerd: tick", "price", market.SpotPrice(),
 					"charges", len(charges), "refunds", len(refunds))

@@ -177,7 +177,10 @@ func (j *Job) unbanked() bank.Amount {
 // cannot cover, or one that arrives after the escrow went back to the broker,
 // is a bug (market charges never exceed placed bids, and a released job has
 // no bid left), as it was when the bank refused such a move.
-func (j *Job) book(host string, amount bank.Amount) {
+//
+// row is where the caller last found host's row, or -1; book trusts it only
+// while the row there is host's, and returns where the row is now.
+func (j *Job) book(host string, row int, amount bank.Amount) int {
 	if !j.releasedAt.IsZero() {
 		panic(fmt.Sprintf("agent: %s charged %v for %s after its escrow was released", host, amount, j.ID))
 	}
@@ -185,18 +188,19 @@ func (j *Job) book(host string, amount bank.Amount) {
 	if j.Charged > j.Budget {
 		panic(fmt.Sprintf("agent: %s charged %v, its escrow holds %v", j.ID, j.Charged, j.Budget))
 	}
-	for i := range j.tab {
-		if j.tab[i].host == host {
-			j.tab[i].charged += amount
-			return
+	if row < 0 || row >= len(j.tab) || j.tab[row].host != host {
+		var found bool
+		row, found = slices.BinarySearchFunc(j.tab, host, func(row tabRow, h string) int {
+			return strings.Compare(row.host, h)
+		})
+		if !found {
+			// The host's first charge to this job: a job funds at most count
+			// hosts, so the tab stays a short slice.
+			j.tab = slices.Insert(j.tab, row, tabRow{host: host})
 		}
 	}
-	// The host's first charge to this job: a job funds at most count hosts,
-	// so the tab stays a short slice.
-	at, _ := slices.BinarySearchFunc(j.tab, host, func(row tabRow, h string) int {
-		return strings.Compare(row.host, h)
-	})
-	j.tab = slices.Insert(j.tab, at, tabRow{host: host, charged: amount})
+	j.tab[row].charged += amount
+	return row
 }
 
 // Completed reports how many sub-jobs have finished.
@@ -307,6 +311,10 @@ type Agent struct {
 	stretches []stretch
 	awake     []int
 	runs      []core.Run
+	// booked holds, at each partition position, the bidders the host charged
+	// at the last tick, in charge order, each with its job (nil: another
+	// agent's) and its row on that job's tab: settle's memo (see settle).
+	booked [][]bookedBidder
 	// cpuMemo holds each host's "cpu <host>" ledger memo, built the first
 	// time a tab with that host is banked; every later charge entry of the
 	// host shares the string. No tick reads it.
@@ -351,6 +359,7 @@ func New(cfg Config) (*Agent, error) {
 		feed:     pricefeed.NewHub(cfg.FeedCapacity),
 		cpuMemo:  make(map[string]string),
 		at:       make([]int32, len(all)),
+		booked:   make([][]bookedBidder, len(cfg.Hosts)),
 	}
 	// A cluster's host set is fixed at construction, so the partition is
 	// resolved once here and walked as a slice afterwards.
@@ -436,6 +445,14 @@ func (a *Agent) index() {
 	}
 }
 
+// bookedBidder is one entry of settle's memo: a bidder, the job it is (nil if
+// this agent does not manage it), and the row of the host on that job's tab.
+type bookedBidder struct {
+	bidder auction.BidderID
+	job    *Job
+	row    int
+}
+
 // earningsAccount is where every host's charges are paid.
 const earningsAccount bank.AccountID = "grid-earnings"
 
@@ -443,18 +460,39 @@ const earningsAccount bank.AccountID = "grid-earnings"
 // manages, host by host and bidder by bidder, goes on its job's tab. No money
 // moves and the bank is not called; teardown banks a job's tab when it
 // releases the job's escrow.
+//
+// A host outside the partition is passed over at once: no bidder of this
+// agent's bids there. On a host of the partition a busy market charges the
+// same bidders tick after tick, in the same order, so the k-th charge is
+// checked against the bidder the memo holds at k — one pointer compare while
+// the book is unchanged, since both strings share the bid's backing — and only
+// a bidder that differs is looked up in byBidder, the source of truth. A
+// bidder maps to one job for good (byBidder only grows, and a job's bidder is
+// registered before its bids can clear), so a matching entry is exact.
 func (a *Agent) settle(cleared []marketplane.TickResult) {
 	var booked bank.Amount
 	for i := range cleared {
 		r := &cleared[i]
-		for _, ch := range r.Charges {
-			job, ok := a.byBidder[ch.Bidder]
-			if !ok {
+		p := a.at[r.Index]
+		if p < 0 || len(r.Charges) == 0 {
+			continue
+		}
+		memo := a.booked[p]
+		for k, ch := range r.Charges {
+			if k == len(memo) {
+				memo = append(memo, bookedBidder{})
+			}
+			e := &memo[k]
+			if e.bidder != ch.Bidder {
+				*e = bookedBidder{bidder: ch.Bidder, job: a.byBidder[ch.Bidder], row: -1}
+			}
+			if e.job == nil {
 				continue // bidder not managed by this agent
 			}
-			job.book(r.Host, ch.Amount)
+			e.row = e.job.book(r.Host, e.row, ch.Amount)
 			booked += ch.Amount
 		}
+		a.booked[p] = memo
 	}
 	if booked > 0 {
 		mUnbanked.Add(booked.Credits())

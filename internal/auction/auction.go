@@ -107,8 +107,7 @@ type Market struct {
 	asleep atomic.Bool
 	wakeMu sync.Mutex
 
-	priceGauge *metrics.Gauge  // this host's auction_clearing_price child
-	tracer     *tracing.Tracer // per-world exemplar scope; Default unless injected
+	priceGauge *metrics.Gauge // this host's auction_clearing_price child
 }
 
 // Config configures a Market.
@@ -121,10 +120,9 @@ type Config struct {
 	ReservePrice float64
 	// Start is the market's initial clock reading.
 	Start time.Time
-	// Tracer supplies the active scope whose trace a clear's latency exemplar
-	// names. Nil means the process-wide tracing.Default(). Replicated
-	// experiments inject a per-world tracer so concurrent worlds never share
-	// scopes.
+	// Tracer is read by nothing: a clear no longer times itself, so it names
+	// no trace. It is kept for bench/replay.go and bench/plane.go, which are
+	// frozen until ROADMAP item 1's bench PR drops it from both.
 	Tracer *tracing.Tracer
 	// Mechanism is the clearing rule applied at every Tick. Nil selects the
 	// paper's proportional-share rule. The instance must not be shared across
@@ -147,16 +145,11 @@ func NewMarket(cfg Config) (*Market, error) {
 	if reserve <= 0 {
 		reserve = 1e-6 // one microcredit/second
 	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = tracing.Default()
-	}
 	mech := cfg.Mechanism
 	if mech == nil {
 		mech, _ = mechanism.New(mechanism.Proportional, mechanism.Config{})
 	}
 	m := &Market{
-		tracer:     tr,
 		mech:       mech,
 		hostID:     cfg.HostID,
 		capacity:   cfg.CapacityMHz,
@@ -546,13 +539,17 @@ func (m *Market) mechCapacity() mechanism.Capacity {
 	return mechanism.Capacity{MHz: m.capacity, Reserve: m.reserve}
 }
 
+// CountClears adds n executed clears to auction_clears_total. Tick does not
+// count itself: whoever runs clears counts them, a plane sweep once for all
+// of its clears and a caller that ticks one market once per Tick.
+func CountClears(n int) { mClears.Add(uint64(n)) }
+
 // Tick advances the market clock to now, charging each active bidder
 // rate * dt (capped at its remaining budget) and expiring exhausted bids.
 // It returns the charges and the refunds of bids that expired past their
 // deadline with money left (deadline reached: leftover goes back), both
-// ascending by bidder.
+// ascending by bidder. The caller counts the clear (CountClears).
 func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
-	wallStart := time.Now()
 	m.lockAwake()
 	dt := now.Sub(m.now).Seconds()
 	if dt < 0 {
@@ -631,17 +628,7 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	obs := m.observers
 	m.mu.Unlock()
 
-	mClears.Inc()
 	m.priceGauge.Set(price)
-	// The exemplar pins this exact clear's trace to whatever latency bucket it
-	// lands in, so a fleet p99 regression links to a trace. Hot path: with no
-	// active scope (the common case — ticks run from the engine pump) this is
-	// a single atomic load and a nil check.
-	if s := m.tracer.Current(); s.Recording() {
-		mClearSeconds.ObserveExemplar(time.Since(wallStart).Seconds(), s.Context().TraceID.String())
-	} else {
-		mClearSeconds.Observe(time.Since(wallStart).Seconds())
-	}
 
 	// Observers run outside the lock so they may call back into the market.
 	for _, fn := range obs {

@@ -11,7 +11,6 @@ import (
 	"tycoongrid/internal/rng"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/trace"
-	"tycoongrid/internal/tracing"
 )
 
 // TestIdleTickMatchesReference runs twin markets — the ordered book and the
@@ -146,9 +145,7 @@ func TestPostedPriceMovesOnIdleTicks(t *testing.T) {
 // it: a trace.Recorder observer and a pricefeed.Hub observer.
 func idleHost(tb testing.TB) *Market {
 	tb.Helper()
-	quiet := tracing.New(tracing.WithCapacity(8))
-	quiet.SetSampleRatio(0)
-	m, err := NewMarket(Config{HostID: "h0042", CapacityMHz: 5600, ReservePrice: 1.0 / 3600, Start: sim.Epoch, Tracer: quiet})
+	m, err := NewMarket(Config{HostID: "h0042", CapacityMHz: 5600, ReservePrice: 1.0 / 3600, Start: sim.Epoch})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -21,7 +21,4 @@ var (
 		[]float64{0.1, 1, 10, 100, 1000, 10000, 100000})
 	mClearingPrice = metrics.Default().GaugeVec("auction_clearing_price_credits_per_sec",
 		"Spot price set by the last clear.", "host")
-	mClearSeconds = metrics.Default().Histogram("auction_clear_seconds",
-		"Wall time of one market clear (Tick); exemplars carry the active trace.",
-		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 0.005, 0.01, 0.05, 0.1, 0.5})
 )

@@ -215,7 +215,6 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 		ReservePrice:   cfg.ReservePrice,
 		Interval:       cfg.Interval,
 		PurgeIdleAfter: cfg.PurgeIdleAfter,
-		Tracer:         tr,
 		Shards:         cfg.Shards,
 		Mechanism:      cfg.Mechanism,
 	})

@@ -35,6 +35,31 @@ func denseWorld(tb testing.TB, hosts int) *experiment.World {
 	return w
 }
 
+// checkTickTelemetry checks the registry delta of one tick that ran clears
+// clears: every clear counted once, every phase observed once.
+func checkTickTelemetry(t *testing.T, d metrics.Snapshot, clears int) {
+	t.Helper()
+	for _, c := range d.Counters {
+		if c.Name == "auction_clears_total" && c.Value != uint64(clears) {
+			t.Errorf("one tick added %d to auction_clears_total, want its %d clears", c.Value, clears)
+		}
+	}
+	phases := map[string]uint64{}
+	for _, h := range d.Histograms {
+		if h.Name == "grid_tick_phase_seconds" {
+			phases[h.Labels["phase"]] = h.Count
+		}
+	}
+	for _, phase := range []string{"clear", "settle", "advance"} {
+		if phases[phase] != 1 {
+			t.Errorf("one tick observed grid_tick_phase_seconds{phase=%q} %d times, want once", phase, phases[phase])
+		}
+	}
+	if len(phases) != 3 {
+		t.Errorf("grid_tick_phase_seconds has phases %v, want clear, settle and advance", phases)
+	}
+}
+
 func bankMoves() uint64 {
 	for _, c := range metrics.Default().Snapshot().Counters {
 		if c.Name == "bank_internal_moves_total" {
@@ -57,12 +82,17 @@ func charged(w *experiment.World) bank.Amount {
 // allocations, and what it costs the bank — nothing: 300 hosts with 8 bidders
 // and 8 tasks each, every bidder a job of the agent's, every charge booked on
 // that job's tab. A host's clear allocates its outcome lines and its charges;
-// its shares, its live-bid snapshot and the agent's pump reuse their buffers,
-// nothing is sorted or boxed, and no bank move is made: 2 a host, 3 under the
-// race detector, so the bound is 4. Before the book was kept in order this
-// read 23 a host. The bank sees the charges when the jobs' escrows are
-// released: one charge entry per (job, host), summing to what the jobs were
-// charged.
+// its shares, its live-bid snapshot, the agent's pump and settle's memo of
+// bidders and tab rows reuse their buffers, nothing is sorted or boxed, and no
+// bank move is made: 2 a host, 3 under the race detector, so the bound is 4.
+// Before the book was kept in order this read 23 a host. The bank sees the
+// charges when the jobs' escrows are released: one charge entry per (job,
+// host), summing to what the jobs were charged.
+//
+// It also counts what the tick's telemetry costs: the tick is timed once per
+// pass, not once per clear, so one busy tick adds exactly its 300 clears to
+// auction_clears_total and exactly one observation to each
+// grid_tick_phase_seconds{phase}.
 func TestBusyTickAllocationBound(t *testing.T) {
 	const hosts, maxPerHost = 300, 4
 	w := denseWorld(t, hosts)
@@ -95,8 +125,10 @@ func TestBusyTickAllocationBound(t *testing.T) {
 		return out
 	}
 	before, rowsBefore := charged(w), rows()
+	snap := metrics.Default().Snapshot()
 	w.Engine.RunFor(interval)
 	oneTick, rowsAfter := charged(w)-before, rows()
+	checkTickTelemetry(t, metrics.Default().Snapshot().Delta(snap), hosts)
 	if len(rowsBefore) != 8*hosts || len(rowsAfter) != 8*hosts {
 		t.Fatalf("the jobs' tabs hold %d rows, want %d", len(rowsAfter), 8*hosts)
 	}

@@ -22,7 +22,6 @@ import (
 	"tycoongrid/internal/marketplane"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/tracing"
 	"tycoongrid/internal/vm"
 )
 
@@ -87,6 +86,12 @@ type Task struct {
 	Started   time.Time // submission time
 	DoneAt    time.Time // exact completion time (set when finished)
 	OnDone    func(*Task)
+
+	// shareAt is where Owner's row was in the host's share table at the last
+	// advance, or -1. A hint: the advance trusts it only while the row there
+	// is Owner's, and searches otherwise. Checking costs a pointer compare
+	// when the bid and the task were made with one string, as the agent's are.
+	shareAt int
 }
 
 // Config configures a cluster.
@@ -99,11 +104,6 @@ type Config struct {
 	// hibernation model that could increase this number further" (§3),
 	// freeing slots for other users at the price of a fresh boot later.
 	PurgeIdleAfter time.Duration
-	// Tracer is handed to every host market, whose clears name the active
-	// scope's trace in their latency exemplars. Nil means tracing.Default().
-	// Replicated experiments inject a per-world tracer so concurrent worlds
-	// never share scope stacks.
-	Tracer *tracing.Tracer
 	// Shards is the number of goroutines the clear phase of a tick spreads
 	// the host markets over (marketplane auctioneer shards); values below 1
 	// mean 1. It is parallelism only: a run's outcome is the same at every
@@ -132,12 +132,11 @@ type Cluster struct {
 	// busy holds the list indices of the hosts a tick has to advance or reap
 	// — those with a task, or with a VM while purging is on — ascending.
 	// started are the hosts that became busy since; they join at the next
-	// tick. shares, owned and shareAt are advanceTasks' scratch.
+	// tick. shares and owned are advanceTasks' scratch.
 	busy    []int
 	started []int
 	shares  []auction.Share
 	owned   []int
-	shareAt []int
 
 	// OnSettle, when set, is handed each tick's clears — every cleared
 	// host's charges and refunds, in host order — as one batch; the agent
@@ -180,10 +179,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	if interval <= 0 {
 		interval = auction.DefaultInterval
 	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = tracing.Default()
-	}
 	c := &Cluster{
 		engine:   engine,
 		interval: interval,
@@ -219,7 +214,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 			CapacityMHz:  vmm.EffectiveCapacity(spec.CPUMHz * float64(spec.CPUs)),
 			ReservePrice: cfg.ReservePrice,
 			Start:        engine.Now(),
-			Tracer:       tr,
 			Mechanism:    mech,
 		})
 		if err != nil {
@@ -371,6 +365,7 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 		ReadyAt:   machine.ReadyAt,
 		Started:   c.engine.Now(),
 		OnDone:    onDone,
+		shareAt:   -1,
 	}
 	at, _ := h.task(t.ID)
 	h.tasks = slices.Insert(h.tasks, at, t)
@@ -409,13 +404,19 @@ func (h *Host) RunningTasks() int { return len(h.tasks) }
 // callback sees every market already cleared: a bid it places starts
 // accruing at the next tick, a bid it cancels has paid for the interval that
 // just ended — on whichever host, so billing does not depend on host order.
+//
+// The tick times itself once per pass (grid_tick_phase_seconds), not once
+// per clear: four clock reads a tick, however many markets it clears.
 func (c *Cluster) tick() {
 	now := c.engine.Now()
+	start := time.Now()
 	// A down host was skipped by the clear and has nothing to settle.
 	cleared := c.plane.TickAll(now, c.isDown)
+	settleStart := time.Now()
 	if c.OnSettle != nil {
 		c.OnSettle(cleared)
 	}
+	advanceStart := time.Now()
 	if len(c.started) > 0 {
 		c.busy = append(c.busy, c.started...)
 		slices.Sort(c.busy)
@@ -446,6 +447,10 @@ func (c *Cluster) tick() {
 		}
 	}
 	c.busy = stay
+	end := time.Now()
+	mPhaseClear.Observe(settleStart.Sub(start).Seconds())
+	mPhaseSettle.Observe(advanceStart.Sub(settleStart).Seconds())
+	mPhaseAdvance.Observe(end.Sub(advanceStart).Seconds())
 	mTicks.Inc()
 	mRunningTasks.Set(float64(running))
 	mHostUtilization.Set(float64(busyHosts) / float64(len(c.list)))
@@ -504,6 +509,7 @@ func (c *Cluster) RecoverHost(hostID string) error {
 	// the plane's price cache follows. The host's next clear comes from tick,
 	// through the plane, like every other.
 	h.Market.Tick(c.engine.Now())
+	auction.CountClears(1)
 	mHostRecoveries.Inc()
 	return nil
 }
@@ -519,19 +525,22 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 	shares := c.shares
 	// An owner's share is divided among their concurrent tasks on this host:
 	// find each task's share, and count the tasks on each share. A task whose
-	// owner holds no bid has no share and does not progress.
+	// owner holds no bid has no share and does not progress. The row a task
+	// found last tick is where it is now unless the book changed before it.
 	c.owned = append(c.owned[:0], make([]int, len(shares))...)
-	c.shareAt = c.shareAt[:0]
 	for _, t := range h.tasks {
-		at, ok := slices.BinarySearchFunc(shares, t.Owner, func(s auction.Share, owner auction.BidderID) int {
-			return strings.Compare(string(s.Bidder), string(owner))
-		})
-		if !ok {
-			at = -1
-		} else {
-			c.owned[at]++
+		if at := t.shareAt; at < 0 || at >= len(shares) || shares[at].Bidder != t.Owner {
+			at, ok := slices.BinarySearchFunc(shares, t.Owner, func(s auction.Share, owner auction.BidderID) int {
+				return strings.Compare(string(s.Bidder), string(owner))
+			})
+			if !ok {
+				at = -1
+			}
+			t.shareAt = at
 		}
-		c.shareAt = append(c.shareAt, at)
+		if t.shareAt >= 0 {
+			c.owned[t.shareAt]++
+		}
 	}
 	total := h.TotalMHz()
 	perCPU := h.PerCPUMHz()
@@ -544,7 +553,7 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 		sole bool
 	}
 	var finished []done
-	for i, t := range h.tasks {
+	for _, t := range h.tasks {
 		// Effective compute window within (now-dt, now]: clip by VM readiness.
 		eff := dt
 		if t.ReadyAt.After(now) {
@@ -553,7 +562,7 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 		if windowStart := now.Add(-c.interval); t.ReadyAt.After(windowStart) {
 			eff = now.Sub(t.ReadyAt).Seconds()
 		}
-		at := c.shareAt[i]
+		at := t.shareAt
 		if at < 0 {
 			continue
 		}

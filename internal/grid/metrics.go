@@ -26,4 +26,13 @@ var (
 		"Hosts currently failed, sampled at the last tick.")
 	mTasksKilled = metrics.Default().Counter("grid_tasks_killed_total",
 		"Running tasks killed by host failures.")
+
+	// The tick's three passes, each timed once a tick (Cluster.tick). The
+	// children are resolved here, so a tick makes no label lookup.
+	mTickPhase = metrics.Default().HistogramVec("grid_tick_phase_seconds",
+		"Wall time of one pass of a reallocation tick: clear (every awake market), settle (OnSettle), advance (busy hosts' tasks).",
+		[]float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 1}, "phase")
+	mPhaseClear   = mTickPhase.With("clear")
+	mPhaseSettle  = mTickPhase.With("settle")
+	mPhaseAdvance = mTickPhase.With("advance")
 )

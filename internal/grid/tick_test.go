@@ -231,3 +231,103 @@ func TestIdleTickAllocationBound(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskShareRowMatchesSearch holds the share row a task remembers to the
+// binary search it stands in for. Two clusters run one schedule; in the twin
+// every task forgets its row before every tick, so each advance searches the
+// share table. Between ticks a bid is cancelled, two expire and one arrives
+// that sorts first, each moving the row of every bidder after it,
+// while two owners run two tasks each and one task has no bid until late.
+// After every tick each task's remaining work and completion instant are
+// bit-equal in the two, and the schedule is shown to have moved rows.
+func TestTaskShareRowMatchesSearch(t *testing.T) {
+	type world struct {
+		c     *Cluster
+		eng   *sim.Engine
+		tasks []*Task
+	}
+	build := func() world {
+		c, eng := testCluster(t, 1)
+		w := world{c: c, eng: eng}
+		hour := eng.Now().Add(time.Hour)
+		bids := []struct {
+			who      auction.BidderID
+			credits  bank.Amount
+			deadline time.Time
+		}{
+			{"b1", 30, hour},
+			{"b2", 40, hour},
+			{"b3", 50, eng.Now().Add(45 * time.Second)}, // expires at the fifth tick
+			{"b4", 60, hour},
+			{"b5", 10, eng.Now().Add(115 * time.Second)}, // expires at the twelfth tick
+			{"b6", 80, hour},
+		}
+		for _, b := range bids {
+			if _, err := c.PlaceBid("h00", b.who, b.credits*bank.Credit, b.deadline); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, task := range []struct {
+			who  auction.BidderID
+			work float64
+		}{
+			{"b0", 1e9}, {"b1", 1e9}, {"b2", 20 * 2800}, {"b2", 1e9}, {"b3", 1e9},
+			{"b4", 35 * 2800}, {"b4", 1e9}, {"b5", 1e9}, {"b6", 60 * 2800},
+		} {
+			tk, err := c.StartTask("h00", task.who, nil, task.work, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.tasks = append(w.tasks, tk)
+		}
+		return w
+	}
+	hinted, searched := build(), build()
+	ops := map[int]func(w world){
+		2: func(w world) { // every row after b1's moves up
+			h, _ := w.c.Host("h00")
+			if _, err := h.Market.CancelBid("b1"); err != nil {
+				t.Fatal(err)
+			}
+		},
+		7: func(w world) { // b0 sorts first: every row moves down
+			if _, err := w.c.PlaceBid("h00", "b0", 90*bank.Credit, w.eng.Now().Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	moved := 0
+	for tick := 1; tick <= 40; tick++ {
+		if op := ops[tick]; op != nil {
+			op(hinted)
+			op(searched)
+		}
+		was := make([]int, len(hinted.tasks))
+		for i, tk := range hinted.tasks {
+			was[i] = tk.shareAt
+		}
+		for _, tk := range searched.tasks {
+			tk.shareAt = -1
+		}
+		hinted.eng.RunFor(10 * time.Second)
+		searched.eng.RunFor(10 * time.Second)
+		for i, tk := range hinted.tasks {
+			twin := searched.tasks[i]
+			if math.Float64bits(tk.Work) != math.Float64bits(twin.Work) || !tk.DoneAt.Equal(twin.DoneAt) {
+				t.Fatalf("tick %d: %s of %s has %v left, done at %v; searching every tick, %v left, done at %v",
+					tick, tk.ID, tk.Owner, tk.Work, tk.DoneAt, twin.Work, twin.DoneAt)
+			}
+			if was[i] >= 0 && tk.shareAt >= 0 && tk.shareAt != was[i] {
+				moved++
+			}
+		}
+	}
+	h, _ := hinted.c.Host("h00")
+	if moved < 3 || h.RunningTasks() == len(hinted.tasks) {
+		t.Fatalf("%d remembered rows moved and %d of %d tasks still run: the schedule does not exercise the hint",
+			moved, h.RunningTasks(), len(hinted.tasks))
+	}
+	if n := h.Market.Bidders(); n != 4 {
+		t.Errorf("%d bids left, want b0, b2, b4 and b6", n)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/tracing"
 )
 
 func testMarkets(t *testing.T, n int) []HostMarket {
@@ -19,8 +18,6 @@ func testMarkets(t *testing.T, n int) []HostMarket {
 
 func testMechanismMarkets(t *testing.T, n int, mechName string) []HostMarket {
 	t.Helper()
-	quiet := tracing.New(tracing.WithCapacity(8))
-	quiet.SetSampleRatio(0)
 	out := make([]HostMarket, n)
 	for i := range out {
 		mech, err := mechanism.New(mechName, mechanism.Config{})
@@ -31,7 +28,6 @@ func testMechanismMarkets(t *testing.T, n int, mechName string) []HostMarket {
 			HostID:      fmt.Sprintf("h%03d", i),
 			CapacityMHz: 1000,
 			Start:       sim.Epoch,
-			Tracer:      quiet,
 			Mechanism:   mech,
 		})
 		if err != nil {

@@ -45,6 +45,7 @@ type Config struct {
 // host owed nothing and, from TickAll, has no result at all.
 type TickResult struct {
 	Host    string
+	Index   int // the host's canonical index: its market's position in Config.Markets
 	Charges []auction.Charge
 	Refunds []auction.Charge
 }
@@ -274,7 +275,7 @@ func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []T
 	s := p.shards[i]
 	out := make([]TickResult, len(s.markets))
 	for local, g := range s.globals {
-		out[local].Host = p.hostIDs[g]
+		out[local].Host, out[local].Index = p.hostIDs[g], g
 	}
 	var skipAt func(g int) bool
 	if skip != nil {
@@ -286,7 +287,7 @@ func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []T
 
 // tickInto sweeps the shard's awake markets. With out nil the results go to
 // s.cleared, one per swept market; otherwise to out, which holds one result
-// per market of the shard with Host filled in.
+// per market of the shard with Host and Index filled in.
 func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []TickResult) {
 	// Drain the queue under the shard lock, then apply in deterministic
 	// (bidder, arrival) order: concurrent enqueuers from different goroutines
@@ -341,7 +342,7 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	s.mu.Unlock()
 
 	s.cleared, s.order = s.cleared[:0], s.order[:0]
-	clears := uint64(0)
+	clears := 0
 	spotSum := 0.0
 	stay := s.awake[:0]
 	for _, local := range s.awake {
@@ -350,7 +351,7 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 		if out != nil {
 			r = &out[local]
 		} else {
-			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g]})
+			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g], Index: g})
 			s.order = append(s.order, g)
 			r = &s.cleared[len(s.cleared)-1]
 		}
@@ -370,7 +371,9 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	}
 	s.awake = stay
 	if clears > 0 {
-		s.ctr.clears.Add(clears)
+		// The markets' clears are counted here, once a sweep, not by each Tick.
+		auction.CountClears(clears)
+		s.ctr.clears.Add(uint64(clears))
 		s.ctr.spotMean.Set(spotSum / float64(clears))
 	}
 }

@@ -208,6 +208,11 @@ func testSleepingPlane(t *testing.T, mechName string, shards int, skipping bool,
 				}
 			}
 		}
+		for host, r := range gotRes {
+			if r.Index != p.byHost[host] {
+				t.Fatalf("tick %d: %s's result carries index %d, its canonical index is %d", tk, host, r.Index, p.byHost[host])
+			}
+		}
 		if tk == len(sched)-5 { // just before every host is bid on
 			behind := 0
 			for h := range want {
