@@ -235,11 +235,32 @@ simplicity-ledger:
 # and makes no bank move at all; the bank gets one charge entry per (job,
 # host) when the jobs are released; and one such tick adds exactly its 300
 # clears to auction_clears_total and exactly one observation to each
-# grid_tick_phase_seconds{phase} (TestBusyTickAllocationBound). Wired into
-# `check`.
+# grid_tick_phase_seconds{phase} (TestBusyTickAllocationBound); a signed POST
+# /transfers allocates at most 39 times, the httptest fixture's 11 included
+# (TestTransferServeAllocationBound). One gate times instead of counting,
+# because what it holds is a ratio of two timings no count can stand for:
+# signed transfers into an in-memory bank scale with cores, since Ed25519 runs
+# outside the ledger lock — BenchmarkBankTransferParallel's transfers/s at
+# -cpu 2 over -cpu 1 must be at least 1.4x in the median of nine short rounds.
+# Each round runs the two back to back, so that the machine's speed changing
+# between them (this runner's swings by 1.6x within seconds) makes an outlier
+# round, not a verdict. The median read 0.91-0.99x while the lock covered the
+# signatures and 1.58-2.01x since; Ed25519 verify alone scales ~1.6x on the
+# 2-vCPU runner when it runs at full speed. It needs two cores and is
+# skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/matrix ./internal/predict
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/httpapi ./internal/matrix ./internal/predict
+	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \
+	out=$$(for round in 1 2 3 4 5 6 7 8 9; do "$$dir/bank.test" -test.run '^$$' -test.bench '^BenchmarkBankTransferParallel$$' -test.benchtime 2000x -test.cpu 1,2 || exit 1; done) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk ' \
+		$$1 ~ /^BenchmarkBankTransferParallel/ { for (i = 2; i <= NF; i++) if ($$i == "transfers/s") { if ($$1 !~ /-2$$/) one = $$(i - 1); else if (one) { r[++n] = $$(i - 1) / one; one = 0 } } } \
+		END { if (n != 9) { print "perf-gates: BenchmarkBankTransferParallel printed " n " of 9 rounds"; exit 1 } \
+			for (i = 2; i <= n; i++) for (j = i; j > 1 && r[j - 1] > r[j]; j--) { t = r[j]; r[j] = r[j - 1]; r[j - 1] = t } \
+			printf "perf-gates: signed transfers at -cpu 2 over -cpu 1, nine rounds: %.2fx .. %.2fx, median %.2fx (want >= 1.4x)\n", r[1], r[9], r[5]; \
+			exit r[5] < 1.4 }'
 
 # Fast crash-recovery health check: the crash-storm test SIGKILLs a real
 # bankd mid-traffic (external kills plus failpoints inside the WAL append,

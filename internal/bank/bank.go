@@ -1,7 +1,6 @@
 package bank
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -70,10 +69,21 @@ type TransferRequest struct {
 	Sig    []byte // owner signature over SigningBytes
 }
 
+// Domain tags, the first field of each canonical encoding, so that a bank
+// signature over a receipt can never pass for an owner's over a request.
+const (
+	transferTag = "tycoongrid-transfer-v1"
+	receiptTag  = "tycoongrid-receipt-v1"
+)
+
 // SigningBytes returns the canonical bytes the owner signs.
 func (r *TransferRequest) SigningBytes() []byte {
-	return canonical("tycoongrid-transfer-v1",
-		string(r.From), string(r.To), amountBytes(r.Amount), r.Nonce)
+	p := make([]byte, 0, 5*8+len(transferTag)+len(r.From)+len(r.To)+8+len(r.Nonce))
+	p = appendField(p, transferTag)
+	p = appendField(p, string(r.From))
+	p = appendField(p, string(r.To))
+	p = appendAmount(p, r.Amount)
+	return appendField(p, r.Nonce)
 }
 
 // Receipt is the bank-signed proof that a transfer happened. It is the raw
@@ -90,36 +100,32 @@ type Receipt struct {
 
 // SigningBytes returns the canonical bytes the bank signs.
 func (r *Receipt) SigningBytes() []byte {
-	return canonical("tycoongrid-receipt-v1",
-		r.TransferID, string(r.From), string(r.To),
-		amountBytes(r.Amount), r.At.UTC().Format(time.RFC3339Nano))
+	// len(time.RFC3339Nano) bounds the formatted UTC time of any four-digit year.
+	p := make([]byte, 0, 6*8+len(receiptTag)+len(r.TransferID)+len(r.From)+len(r.To)+8+len(time.RFC3339Nano))
+	p = appendField(p, receiptTag)
+	p = appendField(p, r.TransferID)
+	p = appendField(p, string(r.From))
+	p = appendField(p, string(r.To))
+	p = appendAmount(p, r.Amount)
+	// The time's length is known once it is formatted: reserve the prefix,
+	// format after it, then fill it in.
+	at := len(p)
+	p = r.At.UTC().AppendFormat(binary.BigEndian.AppendUint64(p, 0), time.RFC3339Nano)
+	binary.BigEndian.PutUint64(p[at:], uint64(len(p)-at-8))
+	return p
 }
 
-// canonical builds a length-prefixed deterministic encoding of fields.
-func canonical(fields ...any) []byte {
-	var b bytes.Buffer
-	for _, f := range fields {
-		var p []byte
-		switch v := f.(type) {
-		case string:
-			p = []byte(v)
-		case []byte:
-			p = v
-		default:
-			panic("bank: unsupported canonical field type")
-		}
-		var l [8]byte
-		binary.BigEndian.PutUint64(l[:], uint64(len(p)))
-		b.Write(l[:])
-		b.Write(p)
-	}
-	return b.Bytes()
+// appendField appends one field of a canonical encoding: its length as 8
+// bytes big-endian, then its bytes.
+func appendField(p []byte, s string) []byte {
+	p = binary.BigEndian.AppendUint64(p, uint64(len(s)))
+	return append(p, s...)
 }
 
-func amountBytes(a Amount) []byte {
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], uint64(a))
-	return p[:]
+// appendAmount appends an amount as an 8-byte field holding its two's
+// complement big-endian.
+func appendAmount(p []byte, a Amount) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(p, 8), uint64(a))
 }
 
 // Bank is a thread-safe ledger with signed receipts. By default it is purely
@@ -300,6 +306,14 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 // the original's log record is as durable as the original's own answer
 // required. A request that reuses the nonce with different terms fails with
 // ErrNonceReused.
+//
+// No signature work runs under b.mu. A transfer takes it twice:
+// admit finds the accounts and stamps the time, then the owner signature is
+// verified and the receipt signed with no lock held, then commit decides the
+// nonce and the funds and applies the transfer. So concurrent transfers
+// verify and sign on as many cores as they have. A receipt signed for a
+// request that commit refuses, or answers from the stored receipt, is
+// dropped.
 func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	if req.Amount <= 0 {
 		return Receipt{}, ErrNonPositive
@@ -307,44 +321,74 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	if req.Nonce == "" {
 		return Receipt{}, errors.New("bank: empty transfer nonce")
 	}
-	wallStart := time.Now()
-	r, wait, err := b.transferLocked(req)
+	start := time.Now()
+	from, to, owner, at, err := b.admit(req)
 	if err != nil {
 		return Receipt{}, err
 	}
+	verifyStart := time.Now()
+	if !pki.Verify(owner, req.SigningBytes(), req.Sig) {
+		mRejectedSigs.Inc()
+		return Receipt{}, ErrBadAuthorization
+	}
+	signStart := time.Now()
+	r := Receipt{TransferID: req.Nonce, From: req.From, To: req.To, Amount: req.Amount, At: at}
+	r.BankSig = b.id.Sign(r.SigningBytes())
+	commitStart := time.Now()
+	r, wait, err := b.commit(from, to, r)
+	if err != nil {
+		return Receipt{}, err
+	}
+	walStart := time.Now()
 	if err := commitWait(wait); err != nil {
 		return Receipt{}, err
 	}
+	end := time.Now()
+	mPhaseLedger.Observe((verifyStart.Sub(start) + walStart.Sub(commitStart)).Seconds())
+	mPhaseVerify.Observe(signStart.Sub(verifyStart).Seconds())
+	mPhaseSign.Observe(commitStart.Sub(signStart).Seconds())
+	mPhaseWAL.Observe(end.Sub(walStart).Seconds())
 	if s := b.tracer.Current(); s.Recording() {
-		mTransferSeconds.ObserveExemplar(time.Since(wallStart).Seconds(), s.Context().TraceID.String())
+		mTransferSeconds.ObserveExemplar(end.Sub(start).Seconds(), s.Context().TraceID.String())
 	} else {
-		mTransferSeconds.Observe(time.Since(wallStart).Seconds())
+		mTransferSeconds.Observe(end.Sub(start).Seconds())
 	}
 	return r, nil
 }
 
-func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error) {
+// admit is a transfer's first step under b.mu: it finds both accounts, takes
+// the owner key the signature must verify against, and stamps the transfer's
+// time. The clock is read here, under the lock, because a simulated clock is
+// not safe for concurrent use. Accounts are never removed, so the pointers
+// stay the accounts commit mutates.
+func (b *Bank) admit(req TransferRequest) (from, to *Account, owner ed25519.PublicKey, at time.Time, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	from, ok := b.accounts[req.From]
 	if !ok {
-		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
+		return nil, nil, nil, time.Time{}, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
 	}
-	to, ok := b.accounts[req.To]
+	to, ok = b.accounts[req.To]
 	if !ok {
-		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
+		return nil, nil, nil, time.Time{}, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
 	}
 	if from == to {
 		// Debit then credit of one account would store the credit over the
 		// debit and mint the amount; refused before the nonce is spent.
-		return Receipt{}, nil, fmt.Errorf("%w: %q", ErrSameAccount, req.From)
+		return nil, nil, nil, time.Time{}, fmt.Errorf("%w: %q", ErrSameAccount, req.From)
 	}
-	if !pki.Verify(from.Owner, req.SigningBytes(), req.Sig) {
-		mRejectedSigs.Inc()
-		return Receipt{}, nil, ErrBadAuthorization
-	}
-	if prev, ok := b.receipts[req.Nonce]; ok {
-		if prev.From == req.From && prev.To == req.To && prev.Amount == req.Amount {
+	return from, to, from.Owner, b.clock.Now(), nil
+}
+
+// commit is a transfer's last step under b.mu, given its verified request as
+// the signed receipt r: the nonce, the funds and the credit are decided here,
+// against the state of this moment, and only then is r stored, entered in the
+// ledger at r.At and staged. A replay returns the stored receipt instead of r.
+func (b *Bank) commit(from, to *Account, r Receipt) (Receipt, func() error, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if prev, ok := b.receipts[r.TransferID]; ok {
+		if prev.From == r.From && prev.To == r.To && prev.Amount == r.Amount {
 			// Already applied: return the stored receipt, but not before the
 			// original's record is durable — it may still be waiting on its
 			// fsync, and a receipt for a transfer recovery would not contain
@@ -355,30 +399,21 @@ func (b *Bank) transferLocked(req TransferRequest) (Receipt, func() error, error
 		mNonceReuse.Inc()
 		return Receipt{}, nil, ErrNonceReused
 	}
-	if from.Balance < req.Amount {
+	if from.Balance < r.Amount {
 		mInsufficient.Inc()
 		return Receipt{}, nil, fmt.Errorf("%w: %q has %v, needs %v",
-			ErrInsufficientFunds, req.From, from.Balance, req.Amount)
+			ErrInsufficientFunds, r.From, from.Balance, r.Amount)
 	}
-	nb, err := addChecked(to.Balance, req.Amount)
+	nb, err := addChecked(to.Balance, r.Amount)
 	if err != nil {
 		return Receipt{}, nil, err
 	}
-	from.Balance -= req.Amount
+	from.Balance -= r.Amount
 	to.Balance = nb
 	mTransfers.Inc()
-	mTransferAmount.Observe(req.Amount.Credits())
-
-	r := Receipt{
-		TransferID: req.Nonce,
-		From:       req.From,
-		To:         req.To,
-		Amount:     req.Amount,
-		At:         b.clock.Now(),
-	}
-	r.BankSig = b.id.Sign(r.SigningBytes())
-	b.receipts[req.Nonce] = r
-	b.appendEntryAt(EntryTransfer, req.From, req.To, req.Amount, "", r.At)
+	mTransferAmount.Observe(r.Amount.Credits())
+	b.receipts[r.TransferID] = r
+	b.appendEntryAt(EntryTransfer, r.From, r.To, r.Amount, "", r.At)
 	return r, b.stage(func() []byte { return encTransfer(r) }), nil
 }
 

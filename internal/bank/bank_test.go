@@ -2,11 +2,14 @@ package bank
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/pki"
 	"tycoongrid/internal/sim"
 )
@@ -203,6 +206,52 @@ func TestTransferValidation(t *testing.T) {
 	}
 }
 
+// TestTransferPhasesObservedOnce: bank_transfer_phase_seconds gets one
+// observation per phase for each transfer bank_transfer_seconds observes — an
+// executed transfer and a replay — and none for a refusal.
+func TestTransferPhasesObservedOnce(t *testing.T) {
+	f := newFixture(t)
+	counts := func(d metrics.Snapshot) (transfers uint64, phases map[string]uint64) {
+		phases = map[string]uint64{}
+		for _, h := range d.Histograms {
+			switch h.Name {
+			case "bank_transfer_seconds":
+				transfers = h.Count
+			case "bank_transfer_phase_seconds":
+				phases[h.Labels["phase"]] = h.Count
+			}
+		}
+		return transfers, phases
+	}
+	req := signedTransfer(f.alice, "alice", "bob", Credit, "phases")
+	for _, c := range []struct {
+		name string
+		req  TransferRequest
+		want uint64
+	}{
+		{"executed", req, 1},
+		{"replayed", req, 1},
+		{"forged", signedTransfer(f.bob, "alice", "bob", Credit, "phases-forged"), 0},
+		{"overdrawn", signedTransfer(f.alice, "alice", "bob", 1000*Credit, "phases-big"), 0},
+		{"reused", signedTransfer(f.alice, "alice", "bob", 2*Credit, "phases"), 0},
+	} {
+		snap := metrics.Default().Snapshot()
+		_, err := f.bank.Transfer(c.req)
+		if (err == nil) != (c.want == 1) {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		transfers, phases := counts(metrics.Default().Snapshot().Delta(snap))
+		if transfers != c.want {
+			t.Errorf("%s: bank_transfer_seconds observed %d times, want %d", c.name, transfers, c.want)
+		}
+		for _, phase := range []string{"verify", "sign", "ledger", "wal"} {
+			if phases[phase] != c.want {
+				t.Errorf("%s: bank_transfer_phase_seconds{phase=%q} observed %d times, want %d", c.name, phase, phases[phase], c.want)
+			}
+		}
+	}
+}
+
 func TestVerifyReceiptRejectsTampering(t *testing.T) {
 	f := newFixture(t)
 	r, err := f.bank.Transfer(signedTransfer(f.alice, "alice", "bob", Credit, "vr"))
@@ -218,6 +267,44 @@ func TestVerifyReceiptRejectsTampering(t *testing.T) {
 	bad.To = "mallory"
 	if VerifyReceipt(f.bank.PublicKey(), bad) {
 		t.Error("redirected receipt verified")
+	}
+}
+
+// TestSigningBytesGolden pins the canonical encodings byte for byte: every
+// signature ever issued — in a client's hand, in a WAL record, in a snapshot —
+// is over these bytes. The hex was taken from the bytes.Buffer encoder these
+// replaced. The receipt cases cover a zone other than UTC, a whole second
+// (RFC3339Nano drops the fraction) and the zero time.
+func TestSigningBytesGolden(t *testing.T) {
+	zone := time.FixedZone("X", -7*3600-30*60)
+	for _, c := range []struct {
+		got  []byte
+		want string
+	}{
+		{(&TransferRequest{From: "alice", To: "bob/job-1", Amount: 30*Credit + 7, Nonce: "c0-00000042"}).SigningBytes(),
+			"00000000000000167479636f6f6e677269642d7472616e736665722d76310000000000000005616c6963650000000000000009626f622f6a6f622d3100000000000000080000000001c9c387000000000000000b63302d3030303030303432"},
+		{(&TransferRequest{}).SigningBytes(),
+			"00000000000000167479636f6f6e677269642d7472616e736665722d763100000000000000000000000000000000000000000000000800000000000000000000000000000000"},
+		{(&TransferRequest{From: "a", To: "b", Amount: -1, Nonce: "é"}).SigningBytes(),
+			"00000000000000167479636f6f6e677269642d7472616e736665722d76310000000000000001610000000000000001620000000000000008ffffffffffffffff0000000000000002c3a9"},
+		{(&Receipt{TransferID: "c0-00000042", From: "alice", To: "bob/job-1", Amount: 30*Credit + 7,
+			At: time.Date(2006, 6, 19, 12, 34, 56, 789000000, time.UTC)}).SigningBytes(),
+			"00000000000000157479636f6f6e677269642d726563656970742d7631000000000000000b63302d30303030303034320000000000000005616c6963650000000000000009626f622f6a6f622d3100000000000000080000000001c9c3870000000000000018323030362d30362d31395431323a33343a35362e3738395a"},
+		{(&Receipt{TransferID: "n", From: "a", To: "b", Amount: 1, At: time.Date(2026, 10, 15, 1, 2, 3, 0, zone)}).SigningBytes(),
+			"00000000000000157479636f6f6e677269642d726563656970742d763100000000000000016e000000000000000161000000000000000162000000000000000800000000000000010000000000000014323032362d31302d31355430383a33323a30335a"},
+		{(&Receipt{At: time.Date(1999, 12, 31, 23, 59, 59, 123456789, zone)}).SigningBytes(),
+			"00000000000000157479636f6f6e677269642d726563656970742d763100000000000000000000000000000000000000000000000000000000000000080000000000000000000000000000001e323030302d30312d30315430373a32393a35392e3132333435363738395a"},
+		{(&Receipt{TransferID: "z"}).SigningBytes(),
+			"00000000000000157479636f6f6e677269642d726563656970742d763100000000000000017a00000000000000000000000000000000000000000000000800000000000000000000000000000014303030312d30312d30315430303a30303a30305a"},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("signing bytes\n got %s\nwant %s", got, c.want)
+		}
+	}
+	req := TransferRequest{From: "alice", To: "bob", Amount: Credit, Nonce: "c0-00000042"}
+	r := Receipt{TransferID: "c0-00000042", From: "alice", To: "bob", Amount: Credit, At: time.Now()}
+	if n := testing.AllocsPerRun(100, func() { req.SigningBytes(); r.SigningBytes() }); n != 2 {
+		t.Errorf("a request's and a receipt's signing bytes take %v allocations, want one each", n)
 	}
 }
 

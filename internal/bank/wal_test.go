@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -235,67 +237,174 @@ func TestDurableBankSnapshotThreshold(t *testing.T) {
 // durable. The original is held inside its fsync by a fail point; the replay
 // must still be waiting when the fsync is let go, else a crash at that instant
 // leaves the client a bank-signed receipt for a transfer recovery does not
-// contain.
+// contain. The replay is sent once the original's record is staged, and —
+// since both verify and sign outside the ledger lock — together with the
+// original, so that whichever commits second is the replay.
 func TestReplayWaitsForTheOriginalsSync(t *testing.T) {
+	for _, racing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("racing=%v", racing), func(t *testing.T) {
+			dir := t.TempDir()
+			f := newDurableFixture(t, dir, 0)
+			f.close(t)
+			f.sync = durable.SyncAlways
+			f.reopen(t, dir, 0)
+			defer f.close(t)
+			for id, owner := range map[AccountID]*pki.Identity{"alice": f.alice, "bob": f.bob} {
+				if _, err := f.bank.CreateAccount(id, owner.Public()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.bank.Deposit("alice", 10*Credit, "grant"); err != nil {
+				t.Fatal(err)
+			}
+
+			entered, release := make(chan struct{}), make(chan struct{})
+			var held atomic.Bool
+			failpoint.SetCrash(func(string) {
+				if held.CompareAndSwap(false, true) {
+					close(entered)
+					<-release
+				}
+			})
+			failpoint.Arm("durable.wal.sync", 1, 1)
+			defer func() {
+				failpoint.Disarm("durable.wal.sync")
+				failpoint.SetCrash(nil)
+			}()
+
+			type result struct {
+				r   Receipt
+				err error
+			}
+			req := TransferRequest{From: "alice", To: "bob", Amount: 3 * Credit, Nonce: "n-held"}
+			req.Sig = f.alice.Sign(req.SigningBytes())
+			transfer := func(out chan<- result) {
+				r, err := f.bank.Transfer(req)
+				out <- result{r, err}
+			}
+			first, second := make(chan result, 1), make(chan result, 1)
+			go transfer(first)
+			if racing {
+				go transfer(second)
+			}
+			<-entered // the first committed's record is staged, its fsync held
+			if !racing {
+				go transfer(second)
+			}
+			select {
+			case r := <-first:
+				close(release)
+				t.Fatalf("a transfer answered (err %v) while the record was not yet synced", r.err)
+			case r := <-second:
+				close(release)
+				t.Fatalf("a transfer answered (err %v) while the record was not yet synced", r.err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(release)
+			o, r := <-first, <-second
+			if o.err != nil || r.err != nil {
+				t.Fatalf("first: %v, second: %v", o.err, r.err)
+			}
+			if !reflect.DeepEqual(o.r, r.r) {
+				t.Errorf("the two answers differ:\n %+v\n %+v", o.r, r.r)
+			}
+			if got, _ := f.bank.Balance("bob"); got != 3*Credit {
+				t.Errorf("bob = %v, want 3", got)
+			}
+		})
+	}
+}
+
+// TestWALSignatureIsTheReceipts: the transfer record in the log carries the
+// signature the client was handed and the bank stored — not that of a receipt
+// signed for an admission that lost the race to commit — and a reopened bank
+// answers every replay with it. Two writers send every request twice, the
+// copies at once.
+func TestWALSignatureIsTheReceipts(t *testing.T) {
 	dir := t.TempDir()
 	f := newDurableFixture(t, dir, 0)
-	f.close(t)
-	f.sync = durable.SyncAlways
-	f.reopen(t, dir, 0)
-	defer f.close(t)
 	for id, owner := range map[AccountID]*pki.Identity{"alice": f.alice, "bob": f.bob} {
 		if _, err := f.bank.CreateAccount(id, owner.Public()); err != nil {
 			t.Fatal(err)
 		}
+		if err := f.bank.Deposit(id, 100*Credit, "grant"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := f.bank.Deposit("alice", 10*Credit, "grant"); err != nil {
+	const each = 20
+	var reqs []TransferRequest
+	for i := 0; i < each; i++ {
+		reqs = append(reqs, signedTransfer(f.alice, "alice", "bob", Credit, fmt.Sprintf("a-%d", i)),
+			signedTransfer(f.bob, "bob", "alice", 2*Credit, fmt.Sprintf("b-%d", i)))
+	}
+	returned := map[string]Receipt{}
+	for _, req := range reqs {
+		for _, got := range race(f.bank, req, req) {
+			if got.err != nil {
+				t.Fatalf("%s: %v", req.Nonce, got.err)
+			}
+			if prev, ok := returned[req.Nonce]; ok && !reflect.DeepEqual(prev, got.r) {
+				t.Fatalf("%s answered two receipts:\n %+v\n %+v", req.Nonce, prev, got.r)
+			}
+			returned[req.Nonce] = got.r
+		}
+	}
+	for nonce, r := range returned {
+		if stored, _ := storedReceipt(f.bank, nonce); !reflect.DeepEqual(stored, r) {
+			t.Fatalf("%s: returned %+v, stored %+v", nonce, r, stored)
+		}
+	}
+	f.close(t)
+
+	st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	entered, release := make(chan struct{}), make(chan struct{})
-	var held atomic.Bool
-	failpoint.SetCrash(func(string) {
-		if held.CompareAndSwap(false, true) {
-			close(entered)
-			<-release
+	logged := map[string][]byte{}
+	if _, err := st.Recover(func([]byte) error { return nil }, func(rec []byte) error {
+		d := walDec{b: rec}
+		if d.kind() != walTransfer {
+			return nil
 		}
-	})
-	failpoint.Arm("durable.wal.sync", 1, 1)
-	defer func() {
-		failpoint.Disarm("durable.wal.sync")
-		failpoint.SetCrash(nil)
-	}()
+		d.str() // from
+		d.str() // to
+		d.i64() // amount
+		nonce := d.str()
+		d.time()
+		sig := d.bytes()
+		if _, dup := logged[nonce]; dup {
+			t.Errorf("%s: two transfer records", nonce)
+		}
+		logged[nonce] = sig
+		return d.err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != len(returned) {
+		t.Fatalf("%d transfer records for %d transfers", len(logged), len(returned))
+	}
+	for nonce, r := range returned {
+		if !bytes.Equal(logged[nonce], r.BankSig) {
+			t.Fatalf("%s: the log carries another signature than the receipt's", nonce)
+		}
+	}
 
-	type result struct {
-		r   Receipt
-		err error
+	f.reopen(t, dir, 0)
+	defer f.close(t)
+	for _, req := range reqs {
+		again, err := f.bank.Transfer(req)
+		if err != nil {
+			t.Fatalf("replay of %s after reopen: %v", req.Nonce, err)
+		}
+		if r := returned[req.Nonce]; !bytes.Equal(again.BankSig, r.BankSig) || !again.At.Equal(r.At) {
+			t.Fatalf("%s after reopen: %+v, first answered %+v", req.Nonce, again, r)
+		}
 	}
-	req := TransferRequest{From: "alice", To: "bob", Amount: 3 * Credit, Nonce: "n-held"}
-	req.Sig = f.alice.Sign(req.SigningBytes())
-	transfer := func(out chan<- result) {
-		r, err := f.bank.Transfer(req)
-		out <- result{r, err}
-	}
-	orig, replay := make(chan result, 1), make(chan result, 1)
-	go transfer(orig)
-	<-entered // the original's record is staged, its fsync held
-	go transfer(replay)
-	select {
-	case r := <-replay:
-		close(release)
-		t.Fatalf("replay answered (err %v) while the original's record was not yet synced", r.err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(release)
-	o, r := <-orig, <-replay
-	if o.err != nil || r.err != nil {
-		t.Fatalf("original: %v, replay: %v", o.err, r.err)
-	}
-	if !bytes.Equal(o.r.BankSig, r.r.BankSig) {
-		t.Error("replay returned a different receipt")
-	}
-	if got, _ := f.bank.Balance("bob"); got != 3*Credit {
-		t.Errorf("bob = %v, want 3", got)
+	if a, _ := f.bank.Balance("alice"); a != 100*Credit-each*Credit+each*2*Credit {
+		t.Errorf("alice = %v after the replays", a)
 	}
 }
 
