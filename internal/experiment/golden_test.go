@@ -12,11 +12,13 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden CSVs from the current implementation")
 
 // TestGoldenProportionalCSVs pins the default proportional-share market
-// bit-for-bit: the figure4 and strategies replicated summary and per-rep CSVs
-// (seed 2006, 4 reps, 2 workers — the marketbench -reps 4 -parallel 2
-// invocation) must stay byte-identical to the files under testdata/golden.
-// Any last-ulp drift in the clearing fold, the charge sequence, the forecast
-// or the reduction order shows up here as a diff.
+// bit-for-bit: the replicated summary and per-rep CSVs of every experiment
+// that reads a recorded price trace (seed 2006, 4 reps, 2 workers — the
+// marketbench -reps 4 -parallel 2 invocation), and the printed table of the
+// single-run sla calibration, must stay byte-identical to the files under
+// testdata/golden. Any last-ulp drift in the clearing fold, the charge
+// sequence, the recorded trace, the forecast or the reduction order shows up
+// here as a diff.
 //
 // Regenerate only when an intentional behavior change is being made, with the
 // row-by-row diff explained in EXPERIMENTS.md:
@@ -27,7 +29,19 @@ func TestGoldenProportionalCSVs(t *testing.T) {
 	}
 	cfg := ReplicationConfig{Reps: 4, Parallel: 2, BaseSeed: 2006}
 
-	for _, name := range []string{"figure4", "strategies"} {
+	t.Run("sla", func(t *testing.T) {
+		t.Parallel()
+		spec, ok := Lookup("sla")
+		if !ok {
+			t.Fatal("sla is not in the catalog")
+		}
+		res, err := spec.Run(cfg.BaseSeed, quietTracer())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareGolden(t, "sla.txt", []byte(res.String()))
+	})
+	for _, name := range []string{"figure3", "figure4", "figure6", "ablation-smoothing", "strategies"} {
 		spec, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("%s is not in the catalog", name)
