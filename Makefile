@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare bench-pairs simplicity-ledger perf-gates recovery-smoke telemetry-smoke chaos trace-demo lint check
+.PHONY: all build vet test race race-check fuzz-short cover bench bench-grid bench-suite bench-compare bench-pairs simplicity-ledger perf-gates recovery-smoke telemetry-smoke chaos trace-demo examples lint check
 
 all: build test
 
@@ -220,8 +220,9 @@ simplicity-ledger:
 # Performance gates that cannot flake, because they count instead of timing:
 # the benchmark's own smoke test (every workload at toy size, run twice, equal
 # digests), and the allocation gates of the job path's fast paths — an idle
-# Market.Tick with both price-history observers and PriceExcluding on an empty
-# book allocate nothing, Best Response over 10 000 hosts allocates a handful,
+# Market.Tick feeding a run-long price ring and the agent's feed hub (what
+# an experiment world that reads a whole run hangs on every host) and
+# PriceExcluding on an empty book allocate nothing, Best Response over 10 000 hosts allocates a handful,
 # the streaming AR model in steady state allocates nothing per Observe or
 # Forecast, a forecast that re-solves Yule-Walker included, and an all-idle cluster tick allocates a constant few bytes however
 # many hosts there are — and in a 10 000-host world executes no clear at all
@@ -284,6 +285,17 @@ trace-demo:
 		echo "trace-demo: timeline OK at sampling $$ratio"; \
 	done
 
+# Every example program runs to completion: a non-zero exit fails the target.
+# Three of them (portfolio, reservations, priceprediction) read the price
+# trace a load run records; trace-demo above runs only the quickstart. Each
+# takes under a second once built.
+examples:
+	@for d in examples/*/; do \
+		d=$${d%/}; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d exited non-zero"; exit 1; }; \
+		echo "examples: $$d OK"; \
+	done
+
 # Telemetry-plane smoke: boot real bankd (handler-latency chaos armed via
 # TYCOON_CHAOS_HANDLER_*) and slsd hosting the fleet aggregator, assert
 # /metrics/history and /slo respond, the injected latency trips the
@@ -298,4 +310,4 @@ CHAOS_SEED ?= 1
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos -args -chaos.seed=$(CHAOS_SEED)
 
-check: vet lint race-check cover fuzz-short chaos trace-demo perf-gates recovery-smoke telemetry-smoke
+check: vet lint race-check cover fuzz-short chaos trace-demo examples perf-gates recovery-smoke telemetry-smoke

@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	hosts := res.Recorder.Hosts()
+	hosts := res.World.Cluster.HostIDs()
 	var returns [][]float64
 	minLen := math.MaxInt
 	for _, h := range hosts {
@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 		capacity := host.Market.CapacityMHz()
-		vals := res.Recorder.Series(h).Values()
+		vals := res.Prices(h)
 		rets := make([]float64, len(vals))
 		for i, price := range vals {
 			// GHz-seconds delivered per credit spent.

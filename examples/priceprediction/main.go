@@ -34,8 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	series := res.Recorder.Series(res.BusiestID)
-	xs := series.Values()
+	xs := res.Prices(res.BusiestID)
 	fmt.Printf("recorded %d price snapshots on %s (%d jobs submitted)\n",
 		len(xs), res.BusiestID, res.JobsSent)
 

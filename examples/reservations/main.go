@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	hostMHz := host.Market.CapacityMHz()
-	xs := res.Recorder.Series(res.BusiestID).Values()
+	xs := res.Prices(res.BusiestID)
 	d := stats.DescribeSample(xs)
 	fmt.Printf("host %s: %.0f MHz, %d snapshots, price mean %.6f sd %.6f skew %+.2f\n\n",
 		res.BusiestID, hostMHz, len(xs), d.Mean, d.StdDev, d.Skewness)

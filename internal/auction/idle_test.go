@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/rng"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/trace"
 )
 
 // TestIdleTickMatchesReference runs twin markets — the ordered book and the
@@ -141,25 +141,28 @@ func TestPostedPriceMovesOnIdleTicks(t *testing.T) {
 	}
 }
 
-// idleHost builds one simulated host's market as experiment.NewWorld wires
-// it: a trace.Recorder observer and a pricefeed.Hub observer.
+// idleHost builds one simulated host's market as an experiment world that
+// reads a whole run wires it: a run-long pricefeed.Ring observer and the
+// agent's pricefeed.Hub observer.
 func idleHost(tb testing.TB) *Market {
 	tb.Helper()
 	m, err := NewMarket(Config{HostID: "h0042", CapacityMHz: 5600, ReservePrice: 1.0 / 3600, Start: sim.Epoch})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m.Observe(trace.NewRecorder().Observer("h0042"))
+	run, err := pricefeed.NewRing(4000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Observe(func(price float64, at time.Time) { _ = run.Observe(at, price) })
 	m.Observe(pricefeed.NewHub(0).Observer("h0042"))
 	return m
 }
 
 // TestIdleTickAllocatesNothing is the allocation gate of the idle host-tick:
 // clearing an empty book and feeding both price histories must not touch the
-// heap once the recorder's series has room. 2 000 warm-up ticks leave the
-// series' backing array with several hundred free slots (append grows it by
-// a quarter at that size), so no growth falls inside the measured runs — and
-// the ring never grows at all.
+// heap. Each ring allocates its buffer at its first sample and never grows,
+// so after the warm-up nothing is left to allocate.
 func TestIdleTickAllocatesNothing(t *testing.T) {
 	m := idleHost(t)
 	now := sim.Epoch

@@ -238,11 +238,7 @@ func RunAblationSmoothing(p Figure4Params) (*AblationSmoothingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := load.Recorder.Series(load.BusiestID)
-	if series == nil {
-		return nil, errors.New("experiment: no trace")
-	}
-	xs := resample(series.Values(), p.ResampleSnapshots)
+	xs := resample(load.Prices(load.BusiestID), p.ResampleSnapshots)
 	fit := len(xs) / 2
 
 	eval := func(f predict.Forecaster) (float64, error) {

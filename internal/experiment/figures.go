@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -74,11 +76,11 @@ func RunFigure3(p Figure3Params) (*Figure3Result, error) {
 		return nil, err
 	}
 	hostID := load.BusiestID
-	series := load.Recorder.Series(hostID)
-	if series == nil || series.Len() < 100 {
+	xs := load.Prices(hostID)
+	if len(xs) < 100 {
 		return nil, errors.New("experiment: price trace too short")
 	}
-	d := stats.DescribeSample(series.Values())
+	d := stats.DescribeSample(xs)
 	host, err := load.World.Cluster.Host(hostID)
 	if err != nil {
 		return nil, err
@@ -222,22 +224,7 @@ func RunFigure4(p Figure4Params) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := load.Recorder.Series(load.BusiestID)
-	if series == nil {
-		return nil, errors.New("experiment: no trace for busiest host")
-	}
-	xs := series.Values()
-	if rs := p.ResampleSnapshots; rs > 1 {
-		agg := make([]float64, 0, len(xs)/rs)
-		for i := 0; i+rs <= len(xs); i += rs {
-			var s float64
-			for _, v := range xs[i : i+rs] {
-				s += v
-			}
-			agg = append(agg, s/float64(rs))
-		}
-		xs = agg
-	}
+	xs := resample(load.Prices(load.BusiestID), p.ResampleSnapshots)
 	if len(xs) < 4*p.HorizonSteps {
 		return nil, fmt.Errorf("experiment: trace too short (%d points)", len(xs))
 	}
@@ -393,14 +380,8 @@ func RunFigure5(p Figure5Params) (*Figure5Result, error) {
 }
 
 func percentileOf(xs []float64, q float64) float64 {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	// insertion sort is fine at these sizes
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	return stats.Percentile(cp, q)
 }
 
@@ -476,11 +457,7 @@ func RunFigure6(p Figure6Params) (*Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := load.Recorder.Series(load.BusiestID)
-	if series == nil {
-		return nil, errors.New("experiment: no price trace")
-	}
-	xs := series.Values()
+	xs := load.Prices(load.BusiestID)
 
 	type tracker struct {
 		name string
@@ -517,16 +494,16 @@ func RunFigure6(p Figure6Params) (*Figure6Result, error) {
 	return res, nil
 }
 
+// sortedKeys returns the window names smallest window first, equal sizes by
+// name, so the catalog's columns and the run's rows agree.
 func sortedKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && m[keys[j]] < m[keys[j-1]]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.SortFunc(keys, func(a, b string) int {
+		return cmp.Or(cmp.Compare(m[a], m[b]), strings.Compare(a, b))
+	})
 	return keys
 }
 

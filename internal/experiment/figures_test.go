@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -18,13 +19,12 @@ func TestRunLoadProducesTraces(t *testing.T) {
 	if res.BusiestID == "" {
 		t.Fatal("no busiest host")
 	}
-	s := res.Recorder.Series(res.BusiestID)
-	// 6 hours of 10 s ticks = 2160 snapshots.
-	if s.Len() < 2000 {
-		t.Errorf("trace too short: %d", s.Len())
+	// 6 hours of 10 s ticks = 2160 snapshots, every one of them.
+	vals := res.Prices(res.BusiestID)
+	if len(vals) != 2160 {
+		t.Fatalf("trace holds %d snapshots, want 2160", len(vals))
 	}
 	// Prices vary under load.
-	vals := s.Values()
 	min, max := vals[0], vals[0]
 	for _, v := range vals {
 		if v < min {
@@ -36,6 +36,38 @@ func TestRunLoadProducesTraces(t *testing.T) {
 	}
 	if max <= min {
 		t.Error("price never moved")
+	}
+}
+
+// Of hosts with equal mean prices the first in ID order is the busiest, and a
+// host without samples is never picked.
+func TestBusiestHostTieBreak(t *testing.T) {
+	prices := map[string][]float64{
+		"h00": {0.5},
+		"h01": {1, 3},
+		"h02": {2, 2},
+		"h03": {},
+		"h04": {2},
+	}
+	get := func(h string) []float64 { return prices[h] }
+	if got := busiestHost([]string{"h00", "h01", "h02", "h03", "h04"}, get); got != "h01" {
+		t.Errorf("busiest = %q, want h01, the first of three at mean 2", got)
+	}
+	if got := busiestHost([]string{"h03"}, get); got != "" {
+		t.Errorf("busiest of a host without samples = %q, want none", got)
+	}
+}
+
+// Windows of equal size are ordered by name, so Figure6's catalog columns and
+// RunFigure6's rows name the same window at every position; map iteration
+// order used to decide.
+func TestSortedKeysOrdersTiesByName(t *testing.T) {
+	windows := map[string]int{"shift": 360, "day": 8640, "hour": 360}
+	want := []string{"hour", "shift", "day"}
+	for i := 0; i < 200; i++ {
+		if got := sortedKeys(windows); !slices.Equal(got, want) {
+			t.Fatalf("try %d: sortedKeys = %v, want %v", i, got, want)
+		}
 	}
 }
 

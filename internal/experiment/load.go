@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/trace"
 )
 
 // LoadParams drives the background-load scenario that generates realistic
@@ -53,10 +52,19 @@ func DefaultLoadParams() LoadParams {
 // LoadResult is the recorded market activity.
 type LoadResult struct {
 	World     *World
-	Recorder  *trace.Recorder
 	JobsSent  int
 	JobsAged  int // submissions rejected (e.g. funds exhausted)
 	BusiestID string
+	trace     *runPrices
+}
+
+// Prices returns host's spot price at every tick of the run, oldest first
+// (nil for a host the world does not have).
+func (r *LoadResult) Prices(host string) []float64 {
+	if ring := r.trace.rings[host]; ring != nil {
+		return ring.Prices()
+	}
+	return nil
 }
 
 // RunLoad executes the scenario and returns the recorded traces.
@@ -71,13 +79,13 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := w.recordPrices()
+	horizon := time.Duration(p.Hours * float64(time.Hour))
+	trace, err := w.recordPrices(horizon)
 	if err != nil {
 		return nil, err
 	}
-	res := &LoadResult{World: w, Recorder: rec}
+	res := &LoadResult{World: w, trace: trace}
 	src := w.Src.Split()
-	horizon := time.Duration(p.Hours * float64(time.Hour))
 
 	var schedule func(at time.Duration)
 	schedule = func(at time.Duration) {
@@ -148,16 +156,25 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 		return nil, fmt.Errorf("experiment: load scenario submitted no jobs (%d failed)", res.JobsAged)
 	}
 
-	// The recorder is read from here on: idle hosts hand it the samples
-	// their sleeping markets still owe.
+	// The trace is read from here on: idle hosts hand it the samples their
+	// sleeping markets still owe.
 	w.Cluster.Sync()
+	if err := trace.check(); err != nil {
+		return nil, err
+	}
 
-	// Find the busiest host (highest mean recorded price) for the
-	// single-host analyses.
+	res.BusiestID = busiestHost(w.Cluster.HostIDs(), res.Prices)
+	return res, nil
+}
+
+// busiestHost returns the host of highest mean recorded price, for the
+// single-host analyses: of equal means the first of ids (sorted, from
+// Cluster.HostIDs), and never a host without samples.
+func busiestHost(ids []string, prices func(host string) []float64) string {
 	best := ""
 	bestMean := -1.0
-	for _, h := range rec.Hosts() {
-		vs := rec.Series(h).Values()
+	for _, h := range ids {
+		vs := prices(h)
 		if len(vs) == 0 {
 			continue
 		}
@@ -170,6 +187,5 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 			best = h
 		}
 	}
-	res.BusiestID = best
-	return res, nil
+	return best
 }

@@ -64,7 +64,8 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := w.recordPrices()
+	// Room for the nine hours' ticks plus the clears each recovery runs.
+	trace, err := w.recordPrices(10 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +120,12 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 		}
 		fmt.Fprintf(&out, "job %s %s charged=%d duration=%d\n", job.ID, job.State, job.Charged, job.Duration())
 	}
-	for _, h := range rec.Hosts() {
-		for _, pt := range rec.Series(h).Points() {
-			fmt.Fprintf(&out, "price %s %d %016x\n", h, pt.At.UnixNano(), math.Float64bits(pt.Value))
+	if err := trace.check(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range w.Cluster.HostIDs() {
+		for _, s := range trace.rings[h].Samples() {
+			fmt.Fprintf(&out, "price %s %d %016x\n", h, s.At.UnixNano(), math.Float64bits(s.Price))
 		}
 	}
 	return out.String()

@@ -72,11 +72,10 @@ func RunSLACalibration(p SLAParams) (*SLAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := load.Recorder.Series(load.BusiestID)
-	if series == nil || series.Len() < 1000 {
+	xs := load.Prices(load.BusiestID)
+	if len(xs) < 1000 {
 		return nil, errors.New("experiment: trace too short")
 	}
-	xs := series.Values()
 	fit, eval := xs, xs
 
 	host, err := load.World.Cluster.Host(load.BusiestID)
@@ -92,7 +91,7 @@ func RunSLACalibration(p SLAParams) (*SLAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	window := time.Duration(len(eval)) * load.World.intervalOrDefault()
+	window := time.Duration(len(eval)) * load.World.Cluster.Interval()
 
 	res := &SLAResult{HostID: load.BusiestID}
 	for _, conf := range p.Confidences {
@@ -125,11 +124,6 @@ func RunSLACalibration(p SLAParams) (*SLAResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// intervalOrDefault returns the cluster interval used by this world.
-func (w *World) intervalOrDefault() time.Duration {
-	return w.Cluster.Interval()
 }
 
 // String renders the calibration table.

@@ -15,7 +15,6 @@ import (
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/strategy"
 	"tycoongrid/internal/token"
-	"tycoongrid/internal/trace"
 	"tycoongrid/internal/workload"
 	"tycoongrid/internal/xrsl"
 )
@@ -162,7 +161,7 @@ func RunStrategies(p StrategiesParams) (*StrategiesResult, error) {
 // stratWorld is the partitioned meta-scheduler testbed.
 type stratWorld struct {
 	*World
-	rec        *trace.Recorder
+	trace      *runPrices
 	partitions [][]string // host ids per partition
 	hostPart   map[string]int
 }
@@ -180,7 +179,7 @@ func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, er
 	w := &stratWorld{World: &World{b}, hostPart: make(map[string]int)}
 	// The full price trace, for the volatility column (partitionPriceStd);
 	// the agents' rings keep only the last p.Window ticks.
-	if w.rec, err = w.recordPrices(); err != nil {
+	if w.trace, err = w.recordPrices(time.Duration(p.Hours * float64(time.Hour))); err != nil {
 		return nil, err
 	}
 	for i, ag := range w.Agents {
@@ -339,6 +338,9 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 			}
 		}
 	}
+	if err := w.trace.check(); err != nil {
+		return nil, err
+	}
 	if out.Jobs == 0 {
 		return nil, fmt.Errorf("no measured jobs finished (%d failed)", out.Failed)
 	}
@@ -379,18 +381,14 @@ func (w *stratWorld) jobPartition(gj *arc.GridJob) int {
 }
 
 // partitionPriceStd is the standard deviation of the partition's mean spot
-// price over [from, to], from the full recorded trace.
+// price over (from, to], from the full recorded trace.
 func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, bool) {
 	hosts := w.partitions[pi]
-	w.Cluster.Sync(hosts...) // sleeping markets owe the recorder their idle clears
+	w.Cluster.Sync(hosts...) // sleeping markets owe the trace their idle clears
 	series := make([][]float64, 0, len(hosts))
 	n := math.MaxInt
 	for _, h := range hosts {
-		s := w.rec.Series(h)
-		if s == nil {
-			return 0, false
-		}
-		vs := s.Window(from, to)
+		vs := w.trace.rings[h].Window(from, to)
 		if len(vs) < 2 {
 			return 0, false
 		}

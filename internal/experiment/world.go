@@ -8,12 +8,14 @@
 package experiment
 
 import (
+	"fmt"
+	"sync/atomic"
 	"time"
 
 	"tycoongrid/internal/agent"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
-	"tycoongrid/internal/trace"
+	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/workload"
 	"tycoongrid/internal/xrsl"
 )
@@ -54,19 +56,45 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return &World{b}, nil
 }
 
-// recordPrices attaches an unbounded trace.Recorder series to every host
-// market, for the experiments that read a whole run's prices afterwards
-// (RunLoad, the strategies volatility column); no other world keeps one.
-func (w *World) recordPrices() (*trace.Recorder, error) {
-	rec := trace.NewRecorder()
+// runPrices is a whole run's spot-price history: one pricefeed.Ring per host
+// with room for every tick of the run, for the experiments that read a run's
+// prices afterwards (RunLoad, the strategies volatility column); no other
+// world keeps one. Read a host's ring after Cluster.Sync of that host.
+type runPrices struct {
+	rings   map[string]*pricefeed.Ring
+	refused atomic.Int64 // samples a ring rejected or had no room for
+}
+
+// recordPrices attaches a ring to every host market with room for one sample
+// per Cluster.Interval() of run.
+func (w *World) recordPrices(run time.Duration) (*runPrices, error) {
+	rp := &runPrices{rings: make(map[string]*pricefeed.Ring)}
 	for _, id := range w.Cluster.HostIDs() {
 		h, err := w.Cluster.Host(id)
 		if err != nil {
 			return nil, err
 		}
-		h.Market.Observe(rec.Observer(id))
+		ring, err := pricefeed.NewRing(int(run / w.Cluster.Interval()))
+		if err != nil {
+			return nil, err
+		}
+		rp.rings[id] = ring
+		h.Market.Observe(func(price float64, at time.Time) {
+			if ring.Len() == ring.Capacity() || ring.Observe(at, price) != nil {
+				rp.refused.Add(1)
+			}
+		})
 	}
-	return rec, nil
+	return rp, nil
+}
+
+// check fails a run whose trace lost a sample: it is never truncated
+// silently.
+func (rp *runPrices) check() error {
+	if n := rp.refused.Load(); n > 0 {
+		return fmt.Errorf("experiment: the run's price trace refused %d samples", n)
+	}
+	return nil
 }
 
 // SubmitApp submits the paper's bioinformatics application for user u:

@@ -13,17 +13,16 @@ import (
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/trace"
 )
 
 // observedCluster is a cluster with what experiment worlds hang on every
-// market — a price-feed ring and an unbounded recorder series — and a log of
-// every charge and refund.
+// market — the agent's price-feed hub and a ring sized to the whole run — and
+// a log of every charge and refund.
 type observedCluster struct {
 	*Cluster
 	eng   *sim.Engine
 	hub   *pricefeed.Hub
-	rec   *trace.Recorder
+	run   map[string]*pricefeed.Ring
 	money []string
 }
 
@@ -38,10 +37,17 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &observedCluster{Cluster: c, eng: eng, hub: pricefeed.NewHub(0), rec: trace.NewRecorder()}
+	w := &observedCluster{Cluster: c, eng: eng, hub: pricefeed.NewHub(0), run: map[string]*pricefeed.Ring{}}
 	for _, h := range c.list {
 		h.Market.Observe(w.hub.Observer(h.Spec.ID))
-		h.Market.Observe(w.rec.Observer(h.Spec.ID))
+		ring, err := pricefeed.NewRing(1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.run[h.Spec.ID] = ring
+		// It refuses what the hub's rings refuse (a recovery's clear at a
+		// tick instant repeats that instant), and hub.Rejected counts those.
+		h.Market.Observe(func(price float64, at time.Time) { _ = ring.Observe(at, price) })
 	}
 	c.OnSettle = eachSettled(func(host string, ch auction.Charge) {
 		w.money = append(w.money, fmt.Sprintf("%v charge %s %s %v", eng.Now().Sub(sim.Epoch), host, ch.Bidder, ch.Amount))
@@ -56,9 +62,9 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 
 // Everything that can happen to a host that has been asleep for a while — it
 // fails, it recovers, it is handed a task, it is bid on through the cluster
-// or by someone holding its Market — leaves the rings, the recorder, the
-// price cache and the money exactly as on a twin whose every market is woken
-// before every tick, and so never sleeps through one.
+// or by someone holding its Market — leaves the hub's rings, the run rings,
+// the price cache and the money exactly as on a twin whose every market is
+// woken before every tick, and so never sleeps through one.
 func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	const hosts, ticks = 6, 90
 	must := func(err error) {
@@ -130,11 +136,17 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	got.Sync()
 	want.Sync()
 	for i, id := range got.HostIDs() {
-		if g, w := got.hub.Ring(id).Samples(), want.hub.Ring(id).Samples(); !reflect.DeepEqual(g, w) {
+		g, w := got.hub.Ring(id).Samples(), want.hub.Ring(id).Samples()
+		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
 		}
-		if g, w := got.rec.Series(id).Points(), want.rec.Series(id).Points(); !reflect.DeepEqual(g, w) {
-			t.Errorf("%s: recorder holds %d points, the twin's %d, or they differ", id, len(g), len(w))
+		// The hub's ring has room for the whole run here, so it holds what
+		// the run ring holds.
+		if r := got.run[id].Samples(); !reflect.DeepEqual(r, g) {
+			t.Errorf("%s: run ring holds %d samples, the hub's ring %d, or they differ", id, len(r), len(g))
+		}
+		if g, w := got.run[id].Samples(), want.run[id].Samples(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: run ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
 		}
 		if g, w := got.plane.PriceAt(i), want.plane.PriceAt(i); g != w || g != got.list[i].Market.SpotPrice() {
 			t.Errorf("%s: cached price %v, the twin's %v, spot %v", id, g, w, got.list[i].Market.SpotPrice())

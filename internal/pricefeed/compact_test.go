@@ -57,10 +57,23 @@ func (r *refRing) samples() []Sample {
 	return out
 }
 
+// window is the linear scan a Window answers by binary search: the prices
+// held in (from, to].
+func (r *refRing) window(from, to time.Time) []float64 {
+	var out []float64
+	for _, s := range r.samples() {
+		if s.At.After(from) && !s.At.After(to) {
+			out = append(out, s.Price)
+		}
+	}
+	return out
+}
+
 // TestRingMatchesTimeValuedReference feeds the compact ring and the reference
 // the same seeded stream — good samples, every kind of bad one, enough to
 // wrap several times — on simulation time (UTC) and on a wall clock in a
-// non-UTC zone, and compares verdicts and contents after every operation.
+// non-UTC zone, and compares verdicts, contents and a random window after
+// every operation.
 func TestRingMatchesTimeValuedReference(t *testing.T) {
 	clocks := map[string]time.Time{
 		"sim-utc":    time.Date(2006, time.June, 19, 0, 0, 0, 0, time.UTC),
@@ -116,6 +129,22 @@ func TestRingMatchesTimeValuedReference(t *testing.T) {
 				last, ok := ring.Last()
 				if ok != (len(wantSamples) > 0) || (ok && last != wantSamples[len(wantSamples)-1]) {
 					t.Fatalf("op %d: Last() = %v, %v", op, last, ok)
+				}
+				// A window somewhere around the held span, its ends on a
+				// sample or between two.
+				from := now.Add(-time.Duration(src.Intn(int(8 * time.Minute))))
+				if len(wantSamples) > 0 && src.Intn(3) == 0 {
+					from = wantSamples[src.Intn(len(wantSamples))].At
+				}
+				to := from.Add(time.Duration(src.Intn(int(3 * time.Minute))))
+				gotW, wantW := ring.Window(from, to), ref.window(from, to)
+				if len(gotW) != len(wantW) {
+					t.Fatalf("op %d: Window(%v, %v) = %v, reference %v", op, from, to, gotW, wantW)
+				}
+				for i := range wantW {
+					if gotW[i] != wantW[i] {
+						t.Fatalf("op %d: Window(%v, %v) = %v, reference %v", op, from, to, gotW, wantW)
+					}
 				}
 			}
 			if ring.Len() != ring.Capacity() {

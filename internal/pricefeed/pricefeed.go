@@ -1,9 +1,10 @@
 // Package pricefeed collects live spot-price observations from the per-host
 // auctions into bounded rings, so the prediction models (internal/predict)
 // and scheduling strategies (internal/strategy) see the same history the
-// market actually produced rather than an offline trace. Each host gets one
-// Ring; a Hub fans observations in from the auction's Observe injection
-// point (the same hook the trace recorder uses), and each host entry can
+// market actually produced rather than an offline trace. A Ring is the one
+// price-history type: the experiments that read a whole run keep one per host
+// sized to the run. A Hub gives each host one Ring, fans observations in from
+// the auction's Observe injection point, and each host entry can
 // carry attached Sinks — streaming predictors whose state lives with the
 // ring, updated once per clear instead of refitted from a copied history per
 // decision.
@@ -166,6 +167,29 @@ func (r *Ring) Prices() []float64 {
 	out := make([]float64, 0, r.n)
 	for _, run := range r.heldLocked() {
 		for _, s := range run {
+			out = append(out, s.price)
+		}
+	}
+	return out
+}
+
+// Window returns the prices observed in (from, to], oldest first. It finds
+// them by binary search on the held timestamps and allocates only the result,
+// so a run-long ring answers many short windows cheaply.
+func (r *Ring) Window(from, to time.Time) []float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var spans [2][]slot
+	n := 0
+	for k, run := range r.heldLocked() {
+		i := sort.Search(len(run), func(m int) bool { return time.Unix(0, run[m].ns).After(from) })
+		j := sort.Search(len(run), func(m int) bool { return time.Unix(0, run[m].ns).After(to) })
+		spans[k] = run[i:max(i, j)]
+		n += len(spans[k])
+	}
+	out := make([]float64, 0, n)
+	for _, span := range spans {
+		for _, s := range span {
 			out = append(out, s.price)
 		}
 	}

@@ -84,6 +84,56 @@ func TestRingBoundedAndChronological(t *testing.T) {
 	}
 }
 
+// TestRingWindowBounds: a window is (from, to] — a sample at from is out, one
+// at to is in — on a ring that has wrapped, so the window spans the buffer's
+// two runs, and on a clock in a non-UTC zone.
+func TestRingWindowBounds(t *testing.T) {
+	zone := time.FixedZone("CEST", 2*3600)
+	for name, start := range map[string]time.Time{"utc": t0, "zoned": time.Date(2026, 9, 27, 23, 59, 58, 0, zone)} {
+		t.Run(name, func(t *testing.T) {
+			r, _ := NewRing(6)
+			tick := func(i int) time.Time { return start.Add(time.Duration(i) * time.Minute) }
+			for i := 0; i < 10; i++ { // holds 4..9, wrapped after 7
+				if err := r.Observe(tick(i), float64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cases := []struct {
+				name     string
+				from, to time.Time
+				want     []float64
+			}{
+				{"from excluded, to included", tick(5), tick(8), []float64{6, 7, 8}},
+				{"across the wrap", tick(3), tick(9), []float64{4, 5, 6, 7, 8, 9}},
+				{"between samples", tick(5).Add(time.Second), tick(7).Add(-time.Second), []float64{6}},
+				{"one instant", tick(7), tick(7), nil},
+				{"to before from", tick(8), tick(5), nil},
+				{"evicted range", tick(0), tick(3), nil},
+				{"after the newest", tick(9), tick(20), nil},
+				{"in the other zone", tick(5).UTC(), tick(6).In(time.FixedZone("EST", -5*3600)), []float64{6}},
+				{"unrepresentable ends", time.Time{}, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), []float64{4, 5, 6, 7, 8, 9}},
+			}
+			for _, c := range cases {
+				got := r.Window(c.from, c.to)
+				if len(got) != len(c.want) {
+					t.Errorf("%s: Window = %v, want %v", c.name, got, c.want)
+					continue
+				}
+				for i := range c.want {
+					if got[i] != c.want[i] {
+						t.Errorf("%s: Window = %v, want %v", c.name, got, c.want)
+						break
+					}
+				}
+			}
+		})
+	}
+	empty, _ := NewRing(4)
+	if got := empty.Window(t0, at(100)); len(got) != 0 {
+		t.Errorf("empty ring: Window = %v", got)
+	}
+}
+
 func TestHubObserverAndHistory(t *testing.T) {
 	h := NewHub(16)
 	obsA := h.Observer("hA")

@@ -1,168 +1,33 @@
 package trace
 
 import (
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
-	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/sim"
 )
 
 func at(d time.Duration) time.Time { return sim.Epoch.Add(d) }
 
-func TestSeriesAppendOrdering(t *testing.T) {
-	s := NewSeries("h1")
-	if err := s.Append(at(0), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(at(10*time.Second), 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(at(5*time.Second), 3); err == nil {
-		t.Error("out-of-order append accepted")
-	}
-	if err := s.Append(at(10*time.Second), 4); err != nil {
-		t.Errorf("equal timestamp rejected: %v", err)
-	}
-	if s.Len() != 3 {
-		t.Errorf("len = %d", s.Len())
-	}
-	if got := s.Values(); got[0] != 1 || got[1] != 2 || got[2] != 4 {
-		t.Errorf("values = %v", got)
-	}
-}
-
-func TestWindow(t *testing.T) {
-	s := NewSeries("h")
-	for i := 0; i < 10; i++ {
-		if err := s.Append(at(time.Duration(i)*time.Minute), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// (2min, 5min] -> values at 3, 4, 5.
-	w := s.Window(at(2*time.Minute), at(5*time.Minute))
-	if len(w) != 3 || w[0] != 3 || w[2] != 5 {
-		t.Errorf("window = %v", w)
-	}
-	if got := s.Window(at(time.Hour), at(2*time.Hour)); len(got) != 0 {
-		t.Errorf("empty window = %v", got)
-	}
-}
-
-func TestScale(t *testing.T) {
-	s := NewSeries("h")
-	if err := s.Append(at(0), 2); err != nil {
-		t.Fatal(err)
-	}
-	sc := s.Scale(0.5)
-	if sc.Values()[0] != 1 {
-		t.Errorf("scaled = %v", sc.Values())
-	}
-	if s.Values()[0] != 2 {
-		t.Error("scale mutated original")
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := NewSeries("h")
-	// Points every 10s for 1 minute: 0..6.
-	for i := 0; i <= 6; i++ {
-		if err := s.Append(at(time.Duration(i)*10*time.Second), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := s.Resample(20 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buckets [0,20): mean(0,1)=0.5; [20,40): mean(2,3)=2.5; [40,60): 4.5; [60,80): 6.
-	want := []float64{0.5, 2.5, 4.5, 6}
-	got := r.Values()
-	if len(got) != len(want) {
-		t.Fatalf("resampled = %v", got)
-	}
-	for i := range want {
-		if !mathx.AlmostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("bucket %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("zero step accepted")
-	}
-	empty, err := NewSeries("e").Resample(time.Second)
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("empty resample: %v, %d", err, empty.Len())
-	}
-}
-
-func TestResampleFillsGaps(t *testing.T) {
-	s := NewSeries("h")
-	if err := s.Append(at(0), 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(at(50*time.Second), 9); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Resample(10 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.Values()
-	// Gap buckets hold the previous value (spot price persists).
-	want := []float64{5, 5, 5, 5, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("resampled = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bucket %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	s := NewSeries("price")
-	if err := s.Append(at(0), 1.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(at(10*time.Second), 2); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := s.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 || lines[0] != "time,price" {
-		t.Errorf("csv = %q", b.String())
-	}
-	if !strings.HasSuffix(lines[1], ",1.5") {
-		t.Errorf("row = %q", lines[1])
-	}
-}
-
-func TestRecorder(t *testing.T) {
+// Record keeps each host's observations in order: an older one is dropped,
+// one at the newest instant is kept, and hosts do not disturb each other.
+func TestRecordDropsOutOfOrder(t *testing.T) {
 	r := NewRecorder()
-	obs := r.Observer("h1")
-	obs(0.5, at(0))
-	obs(0.7, at(10*time.Second))
+	r.Record("h1", at(0), 0.5)
+	r.Record("h1", at(10*time.Second), 0.7)
 	r.Record("h2", at(0), 1.0)
-	// Out-of-order records are dropped silently.
 	r.Record("h1", at(5*time.Second), 9.9)
+	r.Record("h1", at(10*time.Second), 0.8)
 
-	if hosts := r.Hosts(); len(hosts) != 2 || hosts[0] != "h1" || hosts[1] != "h2" {
-		t.Errorf("hosts = %v", hosts)
+	var got []float64
+	for _, p := range r.hosts["h1"] {
+		got = append(got, p.value)
 	}
-	s := r.Series("h1")
-	if s == nil || s.Len() != 2 {
-		t.Fatalf("h1 series = %+v", s)
+	if want := []float64{0.5, 0.7, 0.8}; !slices.Equal(got, want) {
+		t.Errorf("h1 holds %v, want %v", got, want)
 	}
-	if r.Series("ghost") != nil {
-		t.Error("ghost series should be nil")
-	}
-	pts := s.Points()
-	if pts[1].Value != 0.7 {
-		t.Errorf("points = %v", pts)
+	if h2 := r.hosts["h2"]; len(h2) != 1 || h2[0].value != 1.0 {
+		t.Errorf("h2 holds %v", h2)
 	}
 }
