@@ -230,15 +230,23 @@ simplicity-ledger:
 # 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a
 # submission into 10 000 sleeping hosts hands Best Response at most 2 runs and
 # allocates nothing per host (TestSubmitAllocationBound), and a busy tick — 300 hosts with 8 bids and 8
-# tasks each, every charge booked on its job's tab — allocates at most 4 times
-# per busy host (it reads 2: the clear's outcome lines and its charges;
-# nothing for the shares, the live-bid snapshot, the tabs or settle's memo)
+# tasks each, every charge booked on its job's tab — allocates at most 0.05
+# times per busy host (it reads 10 for the whole tick, none of them a host's:
+# the charges, refunds, outcome lines, shares and live-bid snapshot reuse
+# their market's buffers, the tabs and settle's memo the agent's)
 # and makes no bank move at all; the bank gets one charge entry per (job,
 # host) when the jobs are released; and one such tick adds exactly its 300
 # clears to auction_clears_total and exactly one observation to each
 # grid_tick_phase_seconds{phase} (TestBusyTickAllocationBound); a signed POST
 # /transfers allocates at most 39 times, the httptest fixture's 11 included
-# (TestTransferServeAllocationBound). One gate times instead of counting,
+# (TestTransferServeAllocationBound); a host's price history costs what it
+# holds — a ring with one sample keeps an 8-slot buffer, a full one observes
+# in place (TestRingAllocationBound), and the first tick of a 10 000-host
+# world grows the heap by at most 16 MB, where reserving every ring's 720
+# slots took 115 MB (TestWideGridRingAllocationBound); a proportional clear
+# into a reused line buffer allocates nothing
+# (TestProportionalReusedDstAllocatesNothing); and an identity's public key
+# is handed out, not copied (TestPublicAllocatesNothing). One gate times instead of counting,
 # because what it holds is a ratio of two timings no count can stand for:
 # signed transfers into an in-memory bank scale with cores, since Ed25519 runs
 # outside the ledger lock — BenchmarkBankTransferParallel's transfers/s at
@@ -251,7 +259,7 @@ simplicity-ledger:
 # skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/grid ./internal/httpapi ./internal/matrix ./internal/predict
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/pricefeed
 	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \

@@ -89,11 +89,17 @@ type Market struct {
 	obs2 [2]func(price float64, at time.Time)
 	mech mechanism.Mechanism // clearing rule; proportional share by default
 
-	// live is the clear's scratch for the mechanism's input, reused under the
-	// lock (no mechanism retains its input). shares is the share table of the
-	// current book while sharesOK; every mutation of the book drops it. Both
-	// are allocated on first use, so a market nobody bids on carries neither.
+	// live and lines are the scratch of a clear or quote — the mechanism's
+	// input and the outcome lines it appends to — reused under the lock (no
+	// mechanism retains either). charges and refunds back the slices Tick
+	// returns, which are therefore valid until the next Tick. shares is the
+	// share table of the current book while sharesOK; every mutation of the
+	// book drops it. All are allocated on first use, so a market nobody bids
+	// on carries none of them.
 	live     []mechanism.Bid
+	lines    []mechanism.Line
+	charges  []Charge
+	refunds  []Charge
 	shares   []Share
 	sharesOK bool
 
@@ -474,9 +480,18 @@ func (m *Market) AppendShares(dst []Share) []Share {
 // posted-price are not advanced).
 func (m *Market) sharesLocked() []Share {
 	if !m.sharesOK {
-		m.fillSharesLocked(m.mech.Quote(m.liveBidsLocked(), m.mechCapacity()))
+		m.fillSharesLocked(m.keepLines(m.mech.Quote(m.liveBidsLocked(), m.mechCapacity(), m.lines...)))
 	}
 	return m.shares
+}
+
+// keepLines keeps the buffer an outcome's lines were appended to for the
+// next clear or quote, and returns the outcome. Callers hold m.mu.
+func (m *Market) keepLines(o mechanism.Outcome) mechanism.Outcome {
+	if o.Lines != nil {
+		m.lines = o.Lines
+	}
+	return o
 }
 
 // fillSharesLocked rebuilds the share table from an outcome of the current
@@ -548,7 +563,9 @@ func CountClears(n int) { mClears.Add(uint64(n)) }
 // rate * dt (capped at its remaining budget) and expiring exhausted bids.
 // It returns the charges and the refunds of bids that expired past their
 // deadline with money left (deadline reached: leftover goes back), both
-// ascending by bidder. The caller counts the clear (CountClears).
+// ascending by bidder, nil when there are none. Both slices are the market's
+// own and are valid until its next Tick: a caller that keeps them longer
+// clones them. The caller counts the clear (CountClears).
 func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	m.lockAwake()
 	dt := now.Sub(m.now).Seconds()
@@ -559,6 +576,7 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 
 	// One walk of the book in bidder order charges, expires and compacts:
 	// charges and refunds come out sorted, survivors keep their order.
+	charges, refunds = m.charges[:0], m.refunds[:0]
 	kept := 0
 	for i := range m.bids {
 		b := &m.bids[i]
@@ -572,9 +590,6 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 			}
 			if owe > 0 {
 				b.remaining -= owe
-				if charges == nil {
-					charges = make([]Charge, 0, len(m.bids)-i)
-				}
 				charges = append(charges, Charge{Bidder: b.bidder, Amount: owe})
 			}
 		}
@@ -591,6 +606,13 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	}
 	clear(m.bids[kept:]) // drop the expired bidders' strings
 	m.bids = m.bids[:kept]
+	m.charges, m.refunds = charges, refunds // keep what append grew
+	if len(charges) == 0 {
+		charges = nil
+	}
+	if len(refunds) == 0 {
+		refunds = nil
+	}
 
 	// Reallocate through the mechanism: it publishes the new spot price and
 	// reprices every surviving bid for the coming interval. Bids the
@@ -606,7 +628,7 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	// clear (posted-price reaching its floor) published its last moving price
 	// here, and only the next clear publishes the price that repeats.
 	m.quiet = len(m.bids) == 0 && m.mech.Settled(m.mechCapacity())
-	cleared := m.mech.Clear(m.liveBidsLocked(), m.mechCapacity())
+	cleared := m.keepLines(m.mech.Clear(m.liveBidsLocked(), m.mechCapacity(), m.lines...))
 	at := 0
 	for i := range m.bids {
 		b := &m.bids[i]

@@ -141,6 +141,9 @@ func TestPostedPriceMovesOnIdleTicks(t *testing.T) {
 	}
 }
 
+// runRingSlots is the capacity of idleHost's run-long ring.
+const runRingSlots = 4000
+
 // idleHost builds one simulated host's market as an experiment world that
 // reads a whole run wires it: a run-long pricefeed.Ring observer and the
 // agent's pricefeed.Hub observer.
@@ -150,7 +153,7 @@ func idleHost(tb testing.TB) *Market {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	run, err := pricefeed.NewRing(4000)
+	run, err := pricefeed.NewRing(runRingSlots)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -161,12 +164,15 @@ func idleHost(tb testing.TB) *Market {
 
 // TestIdleTickAllocatesNothing is the allocation gate of the idle host-tick:
 // clearing an empty book and feeding both price histories must not touch the
-// heap. Each ring allocates its buffer at its first sample and never grows,
-// so after the warm-up nothing is left to allocate.
+// heap. Each ring's buffer grows with the samples it holds until it reaches
+// its capacity, and from then on wraps around in place; the warm-up fills
+// both rings past their capacities, so the ticks measured are the steady
+// state and not a stretch between two growths (AllocsPerRun truncates: one
+// growth in 101 ticks would read as 0).
 func TestIdleTickAllocatesNothing(t *testing.T) {
 	m := idleHost(t)
 	now := sim.Epoch
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < runRingSlots+100; i++ {
 		now = now.Add(DefaultInterval)
 		m.Tick(now)
 	}

@@ -1,10 +1,43 @@
 package experiment
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestWideGridRingAllocationBound gates what a wide grid's price history
+// costs: the first tick of a 10 000-host world hands every host's feed ring
+// its first sample, and the heap may grow by at most 16 MB over it. A ring
+// that reserved its capacity at the first sample grew it by ≈ 115 MB here
+// (720 slots of 16 bytes on each of 10 000 hosts); one that grows with what
+// it holds keeps 8 slots a host.
+func TestWideGridRingAllocationBound(t *testing.T) {
+	const hosts, maxGrowth = 10_000, 16 << 20
+	cfg := PaperWorld()
+	cfg.Hosts = hosts
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w.Engine.RunFor(w.Cluster.Interval())
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	if n := len(w.Agent.PriceHistory(0)); n != 1 {
+		t.Fatalf("the feed holds %d samples of every host after one tick, want 1", n)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if growth > maxGrowth {
+		t.Errorf("one tick of %d hosts grew the heap by %.1f MB, want <= %d MB", hosts, float64(growth)/(1<<20), maxGrowth>>20)
+	} else {
+		t.Logf("one tick of %d hosts grew the heap by %.1f MB", hosts, float64(growth)/(1<<20))
+	}
+}
 
 // A run's price trace holds every tick of the run or fails the run: a sample
 // the ring has no room for, or one it refuses, is counted by check and never

@@ -527,7 +527,10 @@ func (c *Cluster) advanceTasks(h *Host, now time.Time) {
 	// find each task's share, and count the tasks on each share. A task whose
 	// owner holds no bid has no share and does not progress. The row a task
 	// found last tick is where it is now unless the book changed before it.
-	c.owned = append(c.owned[:0], make([]int, len(shares))...)
+	// (Grow and clear, not append of a make: the race detector's build
+	// allocates the make.)
+	c.owned = slices.Grow(c.owned[:0], len(shares))[:len(shares)]
+	clear(c.owned)
 	for _, t := range h.tasks {
 		if at := t.shareAt; at < 0 || at >= len(shares) || shares[at].Bidder != t.Owner {
 			at, ok := slices.BinarySearchFunc(shares, t.Owner, func(s auction.Share, owner auction.BidderID) int {

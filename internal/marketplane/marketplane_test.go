@@ -140,8 +140,14 @@ func testShardCountInvariance(t *testing.T, mechName string) {
 				p.EnqueueBidAt(host, bidder, 3*bank.Credit, deadline)
 			}
 			now := sim.Epoch.Add(time.Duration(tk+1) * auction.DefaultInterval)
-			// The result slice is the plane's and is rewritten by the next tick.
-			ticks = append(ticks, slices.Clone(p.TickAll(now, nil)))
+			// The result slice is the plane's and is rewritten by the next
+			// tick, and each result's charges and refunds are its market's,
+			// rewritten by that market's next Tick.
+			tick := slices.Clone(p.TickAll(now, nil))
+			for i := range tick {
+				tick[i].Charges, tick[i].Refunds = slices.Clone(tick[i].Charges), slices.Clone(tick[i].Refunds)
+			}
+			ticks = append(ticks, tick)
 		}
 		prices := make([]float64, hosts)
 		for i := range prices {

@@ -42,7 +42,9 @@ type Config struct {
 
 // TickResult is one host's outcome of a plane tick, in canonical host order.
 // Hosts skipped by the tick predicate have nil Charges and Refunds; a sleeping
-// host owed nothing and, from TickAll, has no result at all.
+// host owed nothing and, from TickAll, has no result at all. Charges and
+// Refunds are what the host's auction.Market.Tick returned: its own slices,
+// valid until that market's next Tick. Clone them to keep them longer.
 type TickResult struct {
 	Host    string
 	Index   int // the host's canonical index: its market's position in Config.Markets

@@ -3,6 +3,7 @@ package mechanism
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,10 @@ import (
 // bid sets and capacities at every mechanism and checks the safety
 // invariants: no panic, total allocation within the host, price and pay
 // rates finite and non-negative, lines sorted and unique. Each mechanism is
-// cleared twice so stateful price updates (posted-price) are exercised too.
+// cleared twice so stateful price updates (posted-price) are exercised too,
+// the way a market clears: both rounds append to one dst buffer, which starts
+// out holding a stale line, and each must equal what a twin instance clears
+// into a fresh slice.
 //
 // Input encoding: mechIdx selects the mechanism; capMHz/reserve come in raw;
 // each 9-byte chunk of data is one bid — 1 byte of bidder name, 8 bytes of
@@ -41,6 +45,8 @@ func FuzzMechanismClear(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		twin, _ := New(m.Name(), Config{})
+		dst := []Line{{Bidder: "stale", Fraction: 1, PayRate: 1}}
 		var bids []Bid
 		for len(data) >= 9 {
 			bids = append(bids, Bid{
@@ -51,7 +57,10 @@ func FuzzMechanismClear(f *testing.F) {
 		}
 		capacity := Capacity{MHz: capMHz, Reserve: reserve}
 		for round := 0; round < 2; round++ {
-			out := m.Clear(bids, capacity)
+			out := m.Clear(bids, capacity, dst...)
+			if out.Lines != nil {
+				dst = out.Lines
+			}
 			if math.IsNaN(out.Price) || math.IsInf(out.Price, 0) || out.Price < 0 {
 				t.Fatalf("%s: price %v", m.Name(), out.Price)
 			}
@@ -70,6 +79,9 @@ func FuzzMechanismClear(f *testing.F) {
 			}
 			if alloc > 1+1e-9 {
 				t.Fatalf("%s: allocated %v of the host", m.Name(), alloc)
+			}
+			if want := twin.Clear(bids, capacity); out.Price != want.Price || !slices.Equal(out.Lines, want.Lines) {
+				t.Fatalf("%s round %d: into a reused buffer %+v, into a fresh one %+v", m.Name(), round, out, want)
 			}
 		}
 	})

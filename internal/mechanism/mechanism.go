@@ -98,13 +98,30 @@ func (o Outcome) Line(bidder string) (Line, bool) {
 // the same book for as long as the book does not change. It is what lets a
 // market serve shares from its last clear instead of quoting again.
 //
-// No method retains the bids slice it is given; callers may reuse it.
+// Quote and Clear append the outcome's lines to dst[:0], a buffer of the
+// caller's passed as buf... — a market hands the same one to every clear and
+// quote it runs under its lock, so clearing a busy host allocates nothing.
+// With no dst the lines are a fresh slice. Either way the lines are the
+// caller's: a mechanism instance keeps no buffer of its own, so two quotes on
+// one instance (a truthful and a deviated report, say) never share lines.
+//
+// No method retains the bids slice or the dst buffer it is given; callers
+// may reuse both.
 type Mechanism interface {
 	Name() string
-	Quote(bids []Bid, cap Capacity) Outcome
-	Clear(bids []Bid, cap Capacity) Outcome
+	Quote(bids []Bid, cap Capacity, dst ...Line) Outcome
+	Clear(bids []Bid, cap Capacity, dst ...Line) Outcome
 	Settled(cap Capacity) bool
 	Stateless() bool
+}
+
+// linesInto returns the empty slice an outcome of n lines is appended to:
+// dst's backing array, or a fresh one with room for n when dst is nil.
+func linesInto(dst []Line, n int) []Line {
+	if dst == nil {
+		return make([]Line, 0, n)
+	}
+	return dst[:0]
 }
 
 // Canonical mechanism names accepted by New and the -mechanism CLI flags.

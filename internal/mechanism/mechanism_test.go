@@ -372,3 +372,63 @@ func TestSettledIsAFixedPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestQuotesWithoutDstAreIndependent: with no dst, every quote's lines are a
+// slice of its own, so a caller may hold a truthful quote while it quotes a
+// deviation on the same instance (experiment's truth-gain probe does) — the
+// instance keeps no buffer the second quote could write the first's lines
+// into.
+func TestQuotesWithoutDstAreIndependent(t *testing.T) {
+	bids := []Bid{{Bidder: "a", Rate: 0.3}, {Bidder: "b", Rate: 0.1}, {Bidder: "c", Rate: 0.6}}
+	deviated := []Bid{{Bidder: "a", Rate: 0.9}, {Bidder: "b", Rate: 0.1}, {Bidder: "c", Rate: 0.6}}
+	for _, name := range Names() {
+		m, _ := New(name, Config{})
+		truthful := m.Quote(bids, testCap)
+		want := append([]Line(nil), truthful.Lines...)
+		if dev := m.Quote(deviated, testCap); reflect.DeepEqual(dev.Lines, want) {
+			t.Fatalf("%s: the deviated quote allocates as the truthful one; the test proves nothing", name)
+		}
+		if !reflect.DeepEqual(truthful.Lines, want) {
+			t.Errorf("%s: a second Quote changed the first's lines to %+v, were %+v", name, truthful.Lines, want)
+		}
+	}
+}
+
+// TestQuoteAppendsToDst: the lines go to dst's own backing array, from its
+// start, whatever it held; and they equal a quote into a fresh slice.
+func TestQuoteAppendsToDst(t *testing.T) {
+	bids := []Bid{{Bidder: "a", Rate: 0.3}, {Bidder: "b", Rate: 0.1}, {Bidder: "c", Rate: 0.6}}
+	for _, name := range Names() {
+		m, _ := New(name, Config{})
+		dst := make([]Line, 5, 8)
+		for i := range dst {
+			dst[i] = Line{Bidder: "stale", Fraction: 1, PayRate: 1}
+		}
+		got := m.Quote(bids, testCap, dst...)
+		if want := m.Quote(bids, testCap); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: into dst %+v, into a fresh slice %+v", name, got, want)
+		}
+		if len(got.Lines) == 0 || &got.Lines[0] != &dst[0] {
+			t.Errorf("%s: lines not appended to dst's backing array", name)
+		}
+	}
+}
+
+// TestProportionalReusedDstAllocatesNothing: the market's clear of a busy
+// host, a proportional Clear into the buffer the last one returned, touches
+// no heap.
+func TestProportionalReusedDstAllocatesNothing(t *testing.T) {
+	bids := make([]Bid, 8)
+	for i := range bids {
+		bids[i] = Bid{Bidder: string(rune('a' + i)), Rate: 0.1 * float64(i+1)}
+	}
+	m, _ := New(Proportional, Config{})
+	dst := m.Clear(bids, testCap).Lines
+	allocs := testing.AllocsPerRun(100, func() { dst = m.Clear(bids, testCap, dst...).Lines })
+	if allocs != 0 {
+		t.Errorf("proportional Clear into a reused dst: %v allocations, want 0", allocs)
+	}
+	if len(dst) != len(bids) {
+		t.Errorf("%d lines for %d bids", len(dst), len(bids))
+	}
+}

@@ -54,7 +54,7 @@ func (p *postedPrice) published(capacity Capacity) float64 {
 	return price
 }
 
-func (p *postedPrice) Quote(bids []Bid, capacity Capacity) Outcome {
+func (p *postedPrice) Quote(bids []Bid, capacity Capacity, dst ...Line) Outcome {
 	bids = normalize(bids)
 	capacity, allocatable := saneCapacity(capacity)
 	price := p.published(capacity)
@@ -74,7 +74,7 @@ func (p *postedPrice) Quote(bids []Bid, capacity Capacity) Outcome {
 		return order[i].Bidder < order[j].Bidder
 	})
 
-	out.Lines = make([]Line, 0, len(bids))
+	out.Lines = linesInto(dst, len(bids))
 	free := 1.0
 	for _, b := range order {
 		if free <= 0 {
@@ -93,8 +93,8 @@ func (p *postedPrice) Quote(bids []Bid, capacity Capacity) Outcome {
 
 // Clear quotes at the current posted price, then moves the price toward the
 // demand target for the next interval.
-func (p *postedPrice) Clear(bids []Bid, capacity Capacity) Outcome {
-	out := p.Quote(bids, capacity)
+func (p *postedPrice) Clear(bids []Bid, capacity Capacity, dst ...Line) Outcome {
+	out := p.Quote(bids, capacity, dst...)
 	price := out.Price
 
 	// Total demanded share at the posted price, in ascending bidder order

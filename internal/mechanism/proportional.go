@@ -17,10 +17,14 @@ func (proportional) Name() string { return Proportional }
 // Quote and Clear are the same function, share: the rule carries no state.
 // (They call it rather than each other so that a profile tells a clear from
 // a re-quote.)
-func (proportional) Quote(bids []Bid, capacity Capacity) Outcome { return share(bids, capacity) }
-func (proportional) Clear(bids []Bid, capacity Capacity) Outcome { return share(bids, capacity) }
+func (proportional) Quote(bids []Bid, capacity Capacity, dst ...Line) Outcome {
+	return share(bids, capacity, dst)
+}
+func (proportional) Clear(bids []Bid, capacity Capacity, dst ...Line) Outcome {
+	return share(bids, capacity, dst)
+}
 
-func share(bids []Bid, capacity Capacity) Outcome {
+func share(bids []Bid, capacity Capacity, dst []Line) Outcome {
 	bids = normalize(bids)
 	capacity, allocatable := saneCapacity(capacity)
 	var total float64
@@ -35,7 +39,7 @@ func share(bids []Bid, capacity Capacity) Outcome {
 	if !allocatable {
 		return out
 	}
-	out.Lines = make([]Line, 0, len(bids))
+	out.Lines = linesInto(dst, len(bids))
 	for _, b := range bids {
 		frac := 0.0
 		if total > 0 {

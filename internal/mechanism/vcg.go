@@ -67,7 +67,7 @@ func vcgFill(segs []vcgSeg, n int, capMHz float64, skip int) (q []float64, welfa
 	return q, welfare
 }
 
-func (v vcg) Quote(bids []Bid, capacity Capacity) Outcome {
+func (v vcg) Quote(bids []Bid, capacity Capacity, dst ...Line) Outcome {
 	bids = normalize(bids)
 	capacity, allocatable := saneCapacity(capacity)
 	out := Outcome{Price: capacity.Reserve}
@@ -100,7 +100,7 @@ func (v vcg) Quote(bids []Bid, capacity Capacity) Outcome {
 
 	q, total := vcgFill(segs, len(bids), capacity.MHz, -1)
 
-	out.Lines = make([]Line, 0, len(bids))
+	out.Lines = linesInto(dst, len(bids))
 	var priceSum float64
 	for i, b := range bids {
 		got := vals[i].ValueRate(q[i])
@@ -128,8 +128,8 @@ func (v vcg) Quote(bids []Bid, capacity Capacity) Outcome {
 }
 
 // Clear is identical to Quote: VCG carries no state between intervals.
-func (v vcg) Clear(bids []Bid, capacity Capacity) Outcome {
-	return v.Quote(bids, capacity)
+func (v vcg) Clear(bids []Bid, capacity Capacity, dst ...Line) Outcome {
+	return v.Quote(bids, capacity, dst...)
 }
 
 // Settled is always true: with no state, an empty book clears to the reserve

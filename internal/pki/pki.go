@@ -101,6 +101,7 @@ func (c Certificate) Fingerprint() string {
 type Identity struct {
 	Cert Certificate
 	priv ed25519.PrivateKey
+	pub  ed25519.PublicKey // computed at issue; Public hands out this one
 }
 
 // Sign signs msg with the identity's private key.
@@ -108,9 +109,11 @@ func (id *Identity) Sign(msg []byte) []byte {
 	return ed25519.Sign(id.priv, msg)
 }
 
-// Public returns the identity's public key.
+// Public returns the identity's public key: the one slice computed when the
+// identity was issued, which every caller shares (a bank keeping it for each
+// account keeps no copy). Callers must not modify it.
 func (id *Identity) Public() ed25519.PublicKey {
-	return id.priv.Public().(ed25519.PublicKey)
+	return id.pub
 }
 
 // DN returns the identity's distinguished name.
@@ -177,7 +180,7 @@ func newCAFromKey(name DN, priv ed25519.PrivateKey, opts ...CAOption) (*CA, erro
 		NotAfter:  now.Add(ca.ttl),
 	}
 	cert.Signature = ed25519.Sign(priv, cert.SignedBytes())
-	ca.id = &Identity{Cert: cert, priv: priv}
+	ca.id = &Identity{Cert: cert, priv: priv, pub: priv.Public().(ed25519.PublicKey)}
 	return ca, nil
 }
 
@@ -216,7 +219,7 @@ func (ca *CA) issueFromKey(subject DN, priv ed25519.PrivateKey) (*Identity, erro
 		NotAfter:  now.Add(ca.ttl),
 	}
 	cert.Signature = ed25519.Sign(ca.id.priv, cert.SignedBytes())
-	return &Identity{Cert: cert, priv: priv}, nil
+	return &Identity{Cert: cert, priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
 }
 
 // Verification errors.

@@ -1,6 +1,9 @@
 package pki
 
 import (
+	"bytes"
+	"crypto/ed25519"
+	"sync"
 	"testing"
 	"time"
 )
@@ -184,5 +187,47 @@ func TestNewCARandomKeys(t *testing.T) {
 	}
 	if a.Certificate().Fingerprint() == b.Certificate().Fingerprint() {
 		t.Error("two random CAs share a key")
+	}
+}
+
+// publicSink keeps what Public returns reachable, so a copy made per call
+// cannot live on the stack.
+var publicSink ed25519.PublicKey
+
+// TestPublicAllocatesNothing: Public hands out the key computed when the
+// identity was issued — no copy a call, so a bank that keeps it for every
+// account keeps nothing extra — and it is the certified key, for a CA's own
+// identity and an issued one alike. Two goroutines asking at once (the
+// plane's two bidding workers do) read the same key; run under -race.
+func TestPublicAllocatesNothing(t *testing.T) {
+	ca := testCA(t)
+	id, err := ca.IssueDeterministic("/O=Grid/CN=Alice", [32]byte{9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, who := range []*Identity{ca.id, id} {
+		if !who.Public().Equal(who.Cert.PublicKey) {
+			t.Errorf("%s: Public() = %x, certificate key %x", who.DN(), who.Public(), who.Cert.PublicKey)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { publicSink = who.Public() }); allocs != 0 {
+			t.Errorf("%s: Public() makes %v allocations, want 0", who.DN(), allocs)
+		}
+	}
+	var wg sync.WaitGroup
+	keys := make([][]byte, 2)
+	for w := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				keys[w] = id.Public()
+			}
+		}()
+	}
+	wg.Wait()
+	for w, k := range keys {
+		if !bytes.Equal(k, id.Cert.PublicKey) {
+			t.Errorf("worker %d read %x, want %x", w, k, id.Cert.PublicKey)
+		}
 	}
 }

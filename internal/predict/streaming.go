@@ -89,8 +89,8 @@ type streamAR struct {
 	mu  sync.Mutex
 	cfg PredictorConfig
 
-	buf  []float64 // ring of centered values, capacity Window
-	head int       // index of the oldest value
+	buf  []float64 // ring of centered values, grown up to Window as they arrive
+	head int       // index of the oldest value; 0 until the window first fills
 	n    int
 	ref  float64   // centering reference: the first accepted price
 	last time.Time // newest accepted timestamp
@@ -106,11 +106,15 @@ type streamAR struct {
 	tbuf, rbuf, sbuf, work []float64 // reusable solve/forecast scratch
 }
 
+// firstValues is the ring a model's first observation allocates; it doubles
+// as values arrive, up to Window, so a host that is never bid on costs a few
+// floats and not a window's worth.
+const firstValues = 8
+
 func newStreamAR(c PredictorConfig) *streamAR {
 	c = c.withDefaults()
 	return &streamAR{
 		cfg:     c,
-		buf:     make([]float64, c.Window),
 		lagProd: make([]float64, c.Order+1),
 		tbuf:    make([]float64, c.Order),
 		rbuf:    make([]float64, c.Order),
@@ -135,7 +139,7 @@ func (p *streamAR) Observe(price float64, at time.Time) error {
 	z := price - p.ref
 	k := p.cfg.Order
 
-	if p.n == len(p.buf) {
+	if p.n == p.cfg.Window {
 		// Evict the oldest value z_0: it participates in exactly the pairs
 		// (z_j, z_0) for j = 0..Order (z_0^2 at lag 0).
 		z0 := p.buf[p.head]
@@ -146,6 +150,12 @@ func (p *streamAR) Observe(price float64, at time.Time) error {
 		p.head = (p.head + 1) % len(p.buf)
 		p.n--
 		p.evictions++
+	} else if p.n == len(p.buf) {
+		// Not yet a full window, so nothing was ever evicted: the values sit
+		// in buf[:n] from head 0.
+		buf := make([]float64, min(max(2*len(p.buf), firstValues), p.cfg.Window))
+		copy(buf, p.buf)
+		p.buf = buf
 	}
 
 	// Append z as the newest value: it adds the pairs (z, z_{n-j}) for
@@ -161,7 +171,7 @@ func (p *streamAR) Observe(price float64, at time.Time) error {
 	p.seen = true
 	p.last = at
 
-	if p.evictions >= len(p.buf) {
+	if p.evictions >= p.cfg.Window {
 		p.refresh()
 	}
 	return nil

@@ -179,6 +179,72 @@ func TestStreamingARWraparound(t *testing.T) {
 	}
 }
 
+// TestStreamingARGrowsToItsWindow: the model's ring grows with the values it
+// holds, up to its window, so the fill and eviction boundaries move with it.
+// At windows that the first buffer fills exactly (8), misses by one (9),
+// reaches after two doublings and one (17) and after a capped doubling (48),
+// after every observation past the first fit through the first turnover
+// refresh and beyond, the fit and forecast match batch FitAR over the
+// trailing window within 1e-9; the buffer never holds more than twice the
+// values (the first 8 aside) or more than the window; and the refresh fires
+// after exactly Window evictions.
+func TestStreamingARGrowsToItsWindow(t *testing.T) {
+	src := rng.New(43)
+	for _, c := range []struct{ window, order int }{{firstValues, 2}, {firstValues + 1, 3}, {17, 4}, {48, 6}} {
+		xs := priceSeries(src, 2*c.window+5)
+		sp := newStreamAR(PredictorConfig{Window: c.window, Order: c.order, Step: streamStep})
+		if sp.buf != nil {
+			t.Fatalf("window %d: a new model holds %d values, want none", c.window, len(sp.buf))
+		}
+		at := time.Unix(0, 0)
+		for i, x := range xs {
+			at = at.Add(streamStep)
+			if err := sp.Observe(x, at); err != nil {
+				t.Fatalf("window %d, observe %d: %v", c.window, i, err)
+			}
+			n := min(i+1, c.window)
+			if slots := len(sp.buf); slots < n || slots > c.window || slots > max(firstValues, 2*n-1) {
+				t.Fatalf("window %d, observe %d: %d values in a %d-value ring", c.window, i, n, slots)
+			}
+			// Evictions start at observation Window (0-based) and the
+			// refresh zeroes them at the Window-th.
+			if want := max(0, i+1-c.window) % c.window; sp.evictions != want {
+				t.Fatalf("window %d, observe %d: %d evictions since the refresh, want %d", c.window, i, sp.evictions, want)
+			}
+			if n < 2*c.order+1 {
+				continue
+			}
+			tail := xs[i+1-n : i+1]
+			batch, err := FitAR(tail, c.order)
+			if err != nil {
+				t.Fatalf("window %d, observe %d: batch: %v", c.window, i, err)
+			}
+			got, err := sp.Model()
+			if err != nil {
+				t.Fatalf("window %d, observe %d: streaming: %v", c.window, i, err)
+			}
+			if !closeTo(got.Mu, batch.Mu) {
+				t.Fatalf("window %d, observe %d: Mu %v vs batch %v", c.window, i, got.Mu, batch.Mu)
+			}
+			for j := range batch.Coeffs {
+				if !closeTo(got.Coeffs[j], batch.Coeffs[j]) {
+					t.Fatalf("window %d, observe %d, coeff %d: %v vs batch %v", c.window, i, j, got.Coeffs[j], batch.Coeffs[j])
+				}
+			}
+			fc, err := sp.Forecast(3 * streamStep)
+			if err != nil {
+				t.Fatalf("window %d, observe %d: forecast: %v", c.window, i, err)
+			}
+			if want := batchForecastMean(t, tail, c.order, 3); !closeTo(fc.Mean, want) {
+				t.Fatalf("window %d, observe %d: forecast %v vs batch %v", c.window, i, fc.Mean, want)
+			}
+		}
+		if len(sp.buf) != c.window {
+			t.Errorf("window %d: ring holds %d values after %d observations", c.window, len(sp.buf), len(xs))
+		}
+	}
+}
+
 // TestStreamingDegenerateSeries mirrors the batch edge cases through the
 // streaming interface: flat reserve-price stretches, near-flat windows,
 // too-short histories, and poisoned samples.

@@ -40,9 +40,10 @@ type Sample struct {
 	Price float64
 }
 
-// slot is one stored sample: Unix nanoseconds and a price. Holding no
-// pointer, a ring's buffer is never scanned by the garbage collector — with
-// one 720-slot ring per host that is most of a wide grid's heap.
+// slot is one stored sample: Unix nanoseconds and a price, 16 bytes. Holding
+// no pointer, a ring's buffer is never scanned by the garbage collector; and
+// since the buffer grows with what the ring holds, a host with one sample
+// costs 8 slots, not its capacity's worth.
 type slot struct {
 	ns    int64
 	price float64
@@ -65,21 +66,34 @@ const (
 type Ring struct {
 	mu   sync.Mutex
 	size int            // capacity
-	buf  []slot         // size slots, allocated by the first accepted sample
+	buf  []slot         // grows with the samples held, up to size slots
 	loc  *time.Location // zone of the first accepted sample
 	next int            // index the next sample is written to
 	n    int            // samples currently held (<= size)
 	last int64          // newest accepted timestamp; meaningful once n > 0
 }
 
-// NewRing returns a ring holding the trailing capacity samples. The buffer is
-// allocated when the first sample arrives: most hosts of a wide grid are never
-// bid on, and their markets never hand their rings one.
+// firstSlots is the buffer a ring's first sample allocates.
+const firstSlots = 8
+
+// NewRing returns a ring holding the trailing capacity samples. It reserves
+// nothing: the first sample allocates a buffer of a few slots, which doubles
+// as samples arrive until it holds capacity, and only then does the ring
+// wrap around. A host of a wide grid that is never bid on sees one sample
+// (or none), and its ring costs that, not capacity slots.
 func NewRing(capacity int) (*Ring, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("pricefeed: ring capacity %d, want >= 1", capacity)
 	}
 	return &Ring{size: capacity}, nil
+}
+
+// growLocked doubles the buffer, capped at the capacity. It is called only
+// while the ring is not yet full, when the samples sit in buf[:n] in order.
+func (r *Ring) growLocked() {
+	buf := make([]slot, min(max(2*len(r.buf), firstSlots), r.size))
+	copy(buf, r.buf[:r.n])
+	r.buf = buf
 }
 
 // sample rebuilds the Sample held in a slot.
@@ -113,9 +127,9 @@ func (r *Ring) Observe(at time.Time, price float64) error {
 		}
 	} else {
 		r.loc = at.Location()
-		if r.buf == nil {
-			r.buf = make([]slot, r.size)
-		}
+	}
+	if r.next == len(r.buf) {
+		r.growLocked() // only before the ring is full: then next wraps to 0
 	}
 	r.buf[r.next] = slot{ns: ns, price: price}
 	r.next = (r.next + 1) % r.size
