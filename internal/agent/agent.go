@@ -296,8 +296,11 @@ type Agent struct {
 	byBidder map[auction.BidderID]*Job
 	seq      int
 	pump     *sim.Ticker
-	feed     *pricefeed.Hub
-	stream   *predict.FeedForecasts // nil until ForecastHandle is first asked
+	// feed holds each partition host's price ring, aligned with hosts, and
+	// models its forecast model (nil until ForecastHandle is first asked).
+	// Both hang on the host's market as observers.
+	feed   []*pricefeed.Ring
+	models []predict.StreamingPredictor
 
 	// Price discovery (see discover). ids is the partition in the cluster's
 	// canonical order — HostIDs order, ascending — byIndex its hosts, at each
@@ -356,7 +359,7 @@ func New(cfg Config) (*Agent, error) {
 		hosts:    make([]*grid.Host, len(cfg.Hosts)),
 		jobs:     make(map[string]*Job),
 		byBidder: make(map[auction.BidderID]*Job),
-		feed:     pricefeed.NewHub(cfg.FeedCapacity),
+		feed:     make([]*pricefeed.Ring, len(cfg.Hosts)),
 		cpuMemo:  make(map[string]string),
 		at:       make([]int32, len(all)),
 		booked:   make([][]bookedBidder, len(cfg.Hosts)),
@@ -388,7 +391,8 @@ func New(cfg Config) (*Agent, error) {
 	// Record every auction clear of the partition into the price feed; the
 	// histories drive the prediction strategies.
 	for i, h := range a.hosts {
-		h.Market.Observe(a.feed.Observer(cfg.Hosts[i]))
+		a.feed[i], _ = pricefeed.NewRing(cfg.FeedCapacity) // FeedCapacity > 0, set above
+		h.Market.Observe(a.feed[i].Observer())
 	}
 	// Route market charges to the jobs' tabs (and from there, at release, to
 	// bank moves: sub-account -> host earnings). Chain rather than replace
@@ -1151,13 +1155,13 @@ func (a *Agent) MeanSpotPrice() float64 {
 // This is the history a meta-scheduler strategy forecasts from.
 func (a *Agent) PriceHistory(max int) []float64 {
 	a.syncFeed()
-	return a.feed.MeanHistory(a.cfg.Hosts, max)
+	return pricefeed.MeanHistory(a.feed, max)
 }
 
 // syncFeed brings the feed up to date with the partition's markets. An idle
 // host's market sleeps through ticks and hands its observers the samples it
 // owes only when woken (auction.Market.Sleep), so everything that reads the
-// feed's rings or sinks goes through here first.
+// rings or the forecast models goes through here first.
 func (a *Agent) syncFeed() {
 	for _, h := range a.hosts {
 		h.Market.Sync()
@@ -1166,27 +1170,32 @@ func (a *Agent) syncFeed() {
 
 // ForecastHandle returns the forecast a meta-scheduler puts on its
 // strategy.Candidate: the combined forecast over this agent's hosts, read
-// from one predict.StreamingAR per host that the feed updates on every clear.
+// from one predict.StreamingAR per host, which hangs on the host's market
+// beside its price ring and is updated on every clear.
 //
-// The predictors are attached the first time the handle is asked for, so an
+// The models are attached the first time the handle is asked for, so an
 // agent nobody forecasts from carries none, and they are not backfilled: a
 // handle first requested after prices have flowed reports
 // predict.ErrInsufficientHistory (which prediction strategies score as the
 // current price) until enough new clears arrive. arc.NewMeta asks before the
 // first clear.
 func (a *Agent) ForecastHandle() strategy.ForecastFunc {
-	if a.stream == nil {
-		// What the markets owe the feed from before now goes to the rings
-		// alone: the predictors attached below see nothing older than they are.
-		a.syncFeed()
-		a.stream = predict.AttachHub(a.feed, predict.PredictorConfig{
-			Window: a.cfg.FeedCapacity,
-			Step:   a.cfg.Cluster.Interval(),
-		}, a.cfg.Hosts...)
+	if a.models == nil {
+		cfg := predict.PredictorConfig{Window: a.cfg.FeedCapacity, Step: a.cfg.Cluster.Interval()}
+		a.models = make([]predict.StreamingPredictor, len(a.hosts))
+		for i, h := range a.hosts {
+			sp, _ := predict.NewStreaming(predict.StreamingAR, cfg) // the one model there is
+			a.models[i] = sp
+			// Market.Observe first pays what a sleeping market owes its
+			// observers, so the model sees nothing older than itself. It
+			// refuses only what the host's ring, attached before it and held
+			// to the same rules, refuses and counts.
+			h.Market.Observe(func(price float64, at time.Time) { _ = sp.Observe(price, at) })
+		}
 	}
 	return func(horizon time.Duration) (predict.Forecast, error) {
 		a.syncFeed()
-		return a.stream.ForecastMean(a.cfg.Hosts, horizon)
+		return predict.ForecastMean(a.models, horizon)
 	}
 }
 

@@ -4,16 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"tycoongrid/internal/grid"
+	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/predict"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
 )
 
+// rejectedSamples reads pricefeed_samples_rejected_total out of a snapshot
+// of the default registry.
+func rejectedSamples() uint64 {
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if c.Name == "pricefeed_samples_rejected_total" {
+			return c.Value
+		}
+	}
+	return 0
+}
+
 func TestAgentRecordsPriceHistory(t *testing.T) {
+	rejected := rejectedSamples()
 	w := newWorld(t, 2)
 	if h := w.agent.PriceHistory(0); len(h) != 0 {
 		t.Fatalf("history before any tick: %v", h)
@@ -33,9 +47,9 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 		}
 	}
 	// Per-host histories exist for every partition host and match in length.
-	for _, id := range w.agent.HostIDs() {
+	for i, id := range w.agent.HostIDs() {
 		w.cluster.Sync(id)
-		hh := w.agent.feed.History(id, 0)
+		hh := w.agent.feed[i].Prices()
 		if len(hh) != len(hist) {
 			t.Errorf("host %s history len %d, mean history len %d", id, len(hh), len(hist))
 		}
@@ -44,8 +58,8 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 	if tail := w.agent.PriceHistory(3); len(tail) != 3 {
 		t.Errorf("tail len = %d, want 3", len(tail))
 	}
-	if w.agent.feed.Rejected() != 0 {
-		t.Errorf("feed rejected %d samples", w.agent.feed.Rejected())
+	if got := rejectedSamples() - rejected; got != 0 {
+		t.Errorf("feed rejected %d samples", got)
 	}
 }
 
@@ -100,7 +114,7 @@ func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
 	if n := len(idle.agent.PriceHistory(0)); n != 100 {
 		t.Fatalf("recorded %d ticks, want 100", n)
 	}
-	if idle.agent.stream != nil {
+	if idle.agent.models != nil {
 		t.Fatal("predictors attached to an agent whose handle was never requested")
 	}
 
@@ -144,19 +158,26 @@ func TestNewAllocatesNoPredictor(t *testing.T) {
 	small := newWorld(t, 1)
 	cfg := small.agent.cfg
 	cfg.Cluster, cfg.Hosts = cluster, nil
-	var a *Agent
-	perHost := testing.AllocsPerRun(1, func() {
-		if a, err = New(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}) / hosts
-	if a.stream != nil {
+	// One call, counted by MemStats: AllocsPerRun would run New twice on one
+	// cluster, and the second agent's observers outgrow the room each market
+	// keeps inline for two.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perHost := float64(after.Mallocs-before.Mallocs) / hosts
+	bytesPerHost := float64(after.TotalAlloc-before.TotalAlloc) / hosts
+	if a.models != nil {
 		t.Fatal("New attached predictors")
 	}
-	// Ring, hub entry, observer closure, map growth: 5.0 per host when
-	// written; a streaming AR model and its sink are 7 more.
-	if perHost > 7 {
-		t.Errorf("agent.New allocates %.1f objects per host, want <= 7", perHost)
+	// A ring and its observer closure: 2.0 objects and ≈ 180 B a host (3.0
+	// and ≈ 290 B while a hub kept a map of host entries); a streaming AR
+	// model and its observer are 7 objects more.
+	if perHost > 2.5 || bytesPerHost > 200 {
+		t.Errorf("agent.New allocates %.1f objects and %.0f B per host, want <= 2.5 and <= 200", perHost, bytesPerHost)
 	}
 }
 
@@ -199,8 +220,7 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := w.agent.HostIDs()[0]
-	ring := w.agent.feed.Ring(id).Samples()
+	ring := w.agent.feed[0].Samples()
 	for _, smp := range ring[len(ring)-50:] {
 		if err := sp.Observe(smp.Price, smp.At); err != nil {
 			t.Fatal(err)
@@ -222,12 +242,11 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
 	w := newWorld(t, 2)
 	w.eng.RunFor(50 * w.cluster.Interval())
-	id := w.agent.HostIDs()[0]
-	if n := w.agent.feed.Ring(id).Len(); n >= 50 {
+	if n := w.agent.feed[0].Len(); n >= 50 {
 		t.Fatalf("the ring already holds %d samples: the market never slept and the test shows nothing", n)
 	}
 	handle := w.agent.ForecastHandle()
-	if n := w.agent.feed.Ring(id).Len(); n != 50 {
+	if n := w.agent.feed[0].Len(); n != 50 {
 		t.Errorf("the ring holds %d samples once the handle exists, want all 50", n)
 	}
 	if _, err := handle(10 * time.Minute); !errors.Is(err, predict.ErrInsufficientHistory) {
@@ -236,5 +255,53 @@ func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
 	w.eng.RunFor(50 * w.cluster.Interval())
 	if _, err := handle(10 * time.Minute); err != nil {
 		t.Errorf("forecast 50 clears after the attach: %v", err)
+	}
+}
+
+// TestForecastHandleReadsWhatTheRingsHold: a host's forecast model and its
+// price ring hang side by side on the host's market, so models hand-fed the
+// samples the rings hold give the handle's forecast to the last bit — over a
+// job's clears on some hosts and, on the others, samples their sleeping
+// markets replayed.
+func TestForecastHandleReadsWhatTheRingsHold(t *testing.T) {
+	const ticks = 300
+	w := newWorld(t, 4)
+	handle := w.agent.ForecastHandle()
+	if _, err := w.agent.Submit(w.payToken(t, 100), request(2, 5*time.Hour), chunks(4, 30)); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(ticks * w.cluster.Interval())
+	behind := 0
+	for _, ring := range w.agent.feed {
+		if ring.Len() < ticks {
+			behind++
+		}
+	}
+	if behind == 0 {
+		t.Fatal("no market slept: the test shows nothing about replayed samples")
+	}
+	got, err := handle(10 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := make([]predict.StreamingPredictor, len(w.agent.feed))
+	for i, ring := range w.agent.feed {
+		if ring.Len() != ticks {
+			t.Fatalf("host %d: ring holds %d samples after the handle synced, want %d", i, ring.Len(), ticks)
+		}
+		if models[i], err = predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{
+			Window: w.agent.cfg.FeedCapacity, Step: w.cluster.Interval(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, smp := range ring.Samples() {
+			if err := models[i].Observe(smp.Price, smp.At); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := predict.ForecastMean(models, 10*time.Minute)
+	if err != nil || got != want {
+		t.Errorf("handle forecast %+v; models fed the rings' samples: %+v, %v", got, want, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
+	"tycoongrid/internal/predict"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/rng"
 	"tycoongrid/internal/sim"
@@ -145,8 +146,9 @@ func TestPostedPriceMovesOnIdleTicks(t *testing.T) {
 const runRingSlots = 4000
 
 // idleHost builds one simulated host's market as an experiment world that
-// reads a whole run wires it: a run-long pricefeed.Ring observer and the
-// agent's pricefeed.Hub observer.
+// reads a whole run under a meta-scheduler wires it: three observers, a
+// run-long pricefeed.Ring, the agent's feed ring and its streaming forecast
+// model.
 func idleHost(tb testing.TB) *Market {
 	tb.Helper()
 	m, err := NewMarket(Config{HostID: "h0042", CapacityMHz: 5600, ReservePrice: 1.0 / 3600, Start: sim.Epoch})
@@ -158,17 +160,24 @@ func idleHost(tb testing.TB) *Market {
 		tb.Fatal(err)
 	}
 	m.Observe(func(price float64, at time.Time) { _ = run.Observe(at, price) })
-	m.Observe(pricefeed.NewHub(0).Observer("h0042"))
+	feed, _ := pricefeed.NewRing(pricefeed.DefaultCapacity)
+	m.Observe(feed.Observer())
+	model, err := predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{Window: pricefeed.DefaultCapacity, Step: DefaultInterval})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Observe(func(price float64, at time.Time) { _ = model.Observe(price, at) })
 	return m
 }
 
 // TestIdleTickAllocatesNothing is the allocation gate of the idle host-tick:
-// clearing an empty book and feeding both price histories must not touch the
-// heap. Each ring's buffer grows with the samples it holds until it reaches
-// its capacity, and from then on wraps around in place; the warm-up fills
-// both rings past their capacities, so the ticks measured are the steady
-// state and not a stretch between two growths (AllocsPerRun truncates: one
-// growth in 101 ticks would read as 0).
+// clearing an empty book and feeding both price histories and the forecast
+// model must not touch the heap. Each ring's buffer, and the model's window,
+// grows with the samples it holds until it reaches its capacity, and from
+// then on wraps around in place; the warm-up fills all three past their
+// capacities, so the ticks measured are the steady state and not a stretch
+// between two growths (AllocsPerRun truncates: one growth in 101 ticks would
+// read as 0).
 func TestIdleTickAllocatesNothing(t *testing.T) {
 	m := idleHost(t)
 	now := sim.Epoch
@@ -183,7 +192,7 @@ func TestIdleTickAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("idle Tick with recorder and feed observers: %v allocations per tick, want 0", allocs)
+		t.Errorf("idle Tick with run ring, feed ring and model observers: %v allocations per tick, want 0", allocs)
 	}
 }
 
@@ -200,7 +209,8 @@ func TestPriceExcludingEmptyBookAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkTickIdle is the unit cost of an idle host-tick with everything in
-// cache: the clear of an empty book plus both price histories.
+// cache: the clear of an empty book plus both price histories and the
+// forecast model.
 func BenchmarkTickIdle(b *testing.B) {
 	m := idleHost(b)
 	now := sim.Epoch

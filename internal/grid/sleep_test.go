@@ -16,14 +16,25 @@ import (
 )
 
 // observedCluster is a cluster with what experiment worlds hang on every
-// market — the agent's price-feed hub and a ring sized to the whole run — and
-// a log of every charge and refund.
+// market — the agent's price-feed ring and a ring sized to the whole run —
+// and a log of every charge and refund.
 type observedCluster struct {
 	*Cluster
 	eng   *sim.Engine
-	hub   *pricefeed.Hub
+	feed  map[string]*pricefeed.Ring
 	run   map[string]*pricefeed.Ring
 	money []string
+}
+
+// rejectedSamples reads pricefeed_samples_rejected_total out of a snapshot
+// of the default registry: what the feed rings refused.
+func rejectedSamples() uint64 {
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if c.Name == "pricefeed_samples_rejected_total" {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 func newObservedCluster(t *testing.T, hosts int) *observedCluster {
@@ -37,16 +48,18 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &observedCluster{Cluster: c, eng: eng, hub: pricefeed.NewHub(0), run: map[string]*pricefeed.Ring{}}
+	w := &observedCluster{Cluster: c, eng: eng, feed: map[string]*pricefeed.Ring{}, run: map[string]*pricefeed.Ring{}}
 	for _, h := range c.list {
-		h.Market.Observe(w.hub.Observer(h.Spec.ID))
+		feed, _ := pricefeed.NewRing(pricefeed.DefaultCapacity)
+		w.feed[h.Spec.ID] = feed
+		h.Market.Observe(feed.Observer())
 		ring, err := pricefeed.NewRing(1000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.run[h.Spec.ID] = ring
-		// It refuses what the hub's rings refuse (a recovery's clear at a
-		// tick instant repeats that instant), and hub.Rejected counts those.
+		// It refuses what the feed rings refuse (a recovery's clear at a
+		// tick instant repeats that instant), and their observers count those.
 		h.Market.Observe(func(price float64, at time.Time) { _ = ring.Observe(at, price) })
 	}
 	c.OnSettle = eachSettled(func(host string, ch auction.Charge) {
@@ -62,7 +75,7 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 
 // Everything that can happen to a host that has been asleep for a while — it
 // fails, it recovers, it is handed a task, it is bid on through the cluster
-// or by someone holding its Market — leaves the hub's rings, the run rings,
+// or by someone holding its Market — leaves the feed rings, the run rings,
 // the price cache and the money exactly as on a twin whose every market is
 // woken before every tick, and so never sleeps through one.
 func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
@@ -122,11 +135,12 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 		}
 		return w
 	}
+	rejected := rejectedSamples()
 	got, want := run(false), run(true)
 
 	behind := 0
 	for _, id := range got.HostIDs() {
-		if got.hub.Ring(id).Len() < want.hub.Ring(id).Len() {
+		if got.feed[id].Len() < want.feed[id].Len() {
 			behind++
 		}
 	}
@@ -136,14 +150,14 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	got.Sync()
 	want.Sync()
 	for i, id := range got.HostIDs() {
-		g, w := got.hub.Ring(id).Samples(), want.hub.Ring(id).Samples()
+		g, w := got.feed[id].Samples(), want.feed[id].Samples()
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
 		}
-		// The hub's ring has room for the whole run here, so it holds what
+		// The feed ring has room for the whole run here, so it holds what
 		// the run ring holds.
 		if r := got.run[id].Samples(); !reflect.DeepEqual(r, g) {
-			t.Errorf("%s: run ring holds %d samples, the hub's ring %d, or they differ", id, len(r), len(g))
+			t.Errorf("%s: run ring holds %d samples, the feed ring %d, or they differ", id, len(r), len(g))
 		}
 		if g, w := got.run[id].Samples(), want.run[id].Samples(); !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: run ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
@@ -155,8 +169,8 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	if !reflect.DeepEqual(got.money, want.money) {
 		t.Errorf("charges and refunds differ from the twin's:\n%v\n%v", got.money, want.money)
 	}
-	if len(got.money) == 0 || got.hub.Rejected() != 0 {
-		t.Errorf("%d charges, %d samples rejected; want some and none", len(got.money), got.hub.Rejected())
+	if n := rejectedSamples() - rejected; len(got.money) == 0 || n != 0 {
+		t.Errorf("%d charges, %d samples rejected; want some and none", len(got.money), n)
 	}
 }
 
@@ -212,9 +226,10 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := pricefeed.NewHub(0)
-	for _, h := range c.list {
-		h.Market.Observe(hub.Observer(h.Spec.ID))
+	feed := make([]*pricefeed.Ring, hosts)
+	for i, h := range c.list {
+		feed[i], _ = pricefeed.NewRing(pricefeed.DefaultCapacity)
+		h.Market.Observe(feed[i].Observer())
 	}
 	step := func() {
 		eng.RunFor(c.Interval())
@@ -238,8 +253,8 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 		t.Errorf("%d B allocated per idle tick, want <= %d", perTick, maxBytesPerTick)
 	}
 	c.Sync()
-	for _, h := range c.list {
-		samples := hub.Ring(h.Spec.ID).Samples()
+	for i, h := range c.list {
+		samples := feed[i].Samples()
 		if len(samples) != warm+ticks {
 			t.Fatalf("%s: ring holds %d samples after Sync, want one per tick, %d", h.Spec.ID, len(samples), warm+ticks)
 		}

@@ -10,79 +10,42 @@ import (
 	"tycoongrid/internal/rng"
 )
 
-// feedHub pushes vs through a hub observer for hostID, spacing samples step
-// apart starting after base — the exact path an auction clear takes.
-func feedHub(t *testing.T, h *pricefeed.Hub, hostID string, vs []float64, base time.Time, step time.Duration) {
+// fedModel returns a streaming AR model shaped by cfg that has observed vs,
+// spaced DefaultStep apart from the epoch.
+func fedModel(t *testing.T, cfg PredictorConfig, vs []float64) StreamingPredictor {
 	t.Helper()
-	obs := h.Observer(hostID)
-	at := base
-	for _, v := range vs {
-		at = at.Add(step)
-		obs(v, at)
-	}
-}
-
-// TestAttachHubForecastsFromRingStream checks the whole colocation contract:
-// samples observed through the hub reach the attached streaming predictor,
-// and the handle's forecast matches a predictor fed the same stream by hand.
-func TestAttachHubForecastsFromRingStream(t *testing.T) {
-	hub := pricefeed.NewHub(64)
-	cfg := PredictorConfig{Window: 64, Order: 3}
-	ff := AttachHub(hub, cfg, "h00", "h01")
-
-	src := priceSeries(rng.New(11), 80)
-	base := time.Unix(0, 0)
-	feedHub(t, hub, "h00", src, base, DefaultStep)
-
-	want, err := NewStreaming(StreamingAR, cfg)
+	sp, err := NewStreaming(StreamingAR, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := base
-	for _, v := range src {
+	at := time.Unix(0, 0)
+	for _, v := range vs {
 		at = at.Add(DefaultStep)
-		if err := want.Observe(v, at); err != nil {
+		if err := sp.Observe(v, at); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wf, err := want.Forecast(30 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf, err := ff.ForecastHost("h00", 30*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gf != wf {
-		t.Errorf("hub-fed forecast %+v != hand-fed %+v", gf, wf)
-	}
-
-	// h01 never saw a sample: per-host insufficiency must surface.
-	if _, err := ff.ForecastHost("h01", 30*time.Minute); !errors.Is(err, ErrInsufficientHistory) {
-		t.Errorf("empty host forecast err = %v, want ErrInsufficientHistory", err)
-	}
+	return sp
 }
 
 // TestForecastMeanCombinesAndSkips checks the partition fold: means average,
-// sigmas combine as RMS, hosts without history or without a model are
-// skipped, and a partition with no ready host reports insufficient history.
+// sigmas combine as RMS, models without enough history are skipped, and a
+// partition with no ready model reports insufficient history.
 func TestForecastMeanCombinesAndSkips(t *testing.T) {
-	hub := pricefeed.NewHub(64)
-	ff := AttachHub(hub, PredictorConfig{Window: 32, Order: 3}, "hA", "hB", "hC")
-	base := time.Unix(0, 0)
-	feedHub(t, hub, "hA", priceSeries(rng.New(21), 40), base, DefaultStep)
-	feedHub(t, hub, "hB", priceSeries(rng.New(22), 40), base, DefaultStep)
-	// hC attached but never fed.
+	cfg := PredictorConfig{Window: 32, Order: 3}
+	a := fedModel(t, cfg, priceSeries(rng.New(21), 40))
+	b := fedModel(t, cfg, priceSeries(rng.New(22), 40))
+	empty := fedModel(t, cfg, nil)
 
-	fa, err := ff.ForecastHost("hA", time.Hour)
+	fa, err := a.Forecast(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, err := ff.ForecastHost("hB", time.Hour)
+	fb, err := b.Forecast(time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ff.ForecastMean([]string{"hA", "hB", "hC", "unattached"}, time.Hour)
+	got, err := ForecastMean([]StreamingPredictor{a, empty, b}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,34 +54,65 @@ func TestForecastMeanCombinesAndSkips(t *testing.T) {
 	if !closeTo(got.Mean, wantMean) || !closeTo(got.Sigma, wantSigma) {
 		t.Errorf("combined = %+v, want mean %v sigma %v", got, wantMean, wantSigma)
 	}
+	if one, err := ForecastMean([]StreamingPredictor{a}, time.Hour); err != nil || one != fa {
+		t.Errorf("one model's partition = %+v, %v; want its own forecast %+v", one, err, fa)
+	}
 
-	if _, err := ff.ForecastMean([]string{"hC"}, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
+	if _, err := ForecastMean([]StreamingPredictor{empty}, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
 		t.Errorf("all-empty partition err = %v, want ErrInsufficientHistory", err)
 	}
-	if _, err := ff.ForecastMean(nil, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
+	if _, err := ForecastMean(nil, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
 		t.Errorf("no-host partition err = %v, want ErrInsufficientHistory", err)
 	}
 }
 
-// TestForecastHostUnattachedHost checks that the host set is the one
-// AttachHub was given: a host it never listed has no model, even once the hub
-// carries its prices, and asking for it is an error of its own rather than a
-// lack of history that more samples would cure.
-func TestForecastHostUnattachedHost(t *testing.T) {
-	hub := pricefeed.NewHub(64)
-	ff := AttachHub(hub, PredictorConfig{Window: 32, Order: 3}, "hA")
-	base := time.Unix(0, 0)
-	feedHub(t, hub, "hA", priceSeries(rng.New(31), 40), base, DefaultStep)
-	feedHub(t, hub, "hX", priceSeries(rng.New(32), 40), base, DefaultStep)
-
-	if _, err := ff.ForecastHost("hA", time.Hour); err != nil {
-		t.Fatalf("attached host: %v", err)
-	}
-	_, err := ff.ForecastHost("hX", time.Hour)
-	if err == nil || errors.Is(err, ErrInsufficientHistory) {
-		t.Fatalf("unattached host err = %v, want a no-model error", err)
-	}
-	if _, merr := ff.ForecastMean([]string{"hX"}, time.Hour); merr == nil || merr.Error() != err.Error() {
-		t.Errorf("partition of unattached hosts err = %v, want %v", merr, err)
+// TestModelRefusesOnlyWhatItsRingRefuses is why a model hung on a market
+// counts no refusals of its own: fed the stream its host's ring was fed from
+// some sample on, a model refuses a sample only when the ring refuses it too,
+// and the ring's observer counts that. The stream mixes good samples with
+// non-finite and negative prices, duplicates and steps back in time; the
+// model is attached after the ring has seen a prefix of it.
+func TestModelRefusesOnlyWhatItsRingRefuses(t *testing.T) {
+	src := rng.New(41)
+	for trial := 0; trial < 50; trial++ {
+		ring, _ := pricefeed.NewRing(64)
+		model, err := NewStreaming(StreamingAR, PredictorConfig{Window: 64, Order: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		attach := src.Intn(40)
+		at := time.Unix(1_000_000, 0)
+		refusedByModel := 0
+		for i := 0; i < 200; i++ {
+			price := src.Uniform(0.1, 2)
+			switch src.Intn(10) {
+			case 0:
+				price = math.NaN()
+			case 1:
+				price = -price
+			case 2:
+				price = math.Inf(1)
+			}
+			switch src.Intn(8) {
+			case 0: // a duplicate instant
+			case 1:
+				at = at.Add(-time.Duration(src.Intn(30)) * time.Second)
+			default:
+				at = at.Add(time.Duration(1+src.Intn(20)) * time.Second)
+			}
+			ringErr := ring.Observe(at, price)
+			if i < attach {
+				continue
+			}
+			if modelErr := model.Observe(price, at); modelErr != nil {
+				refusedByModel++
+				if ringErr == nil {
+					t.Fatalf("trial %d, sample %d (%v at %v): the model refused it (%v), the ring took it", trial, i, price, at, modelErr)
+				}
+			}
+		}
+		if refusedByModel == 0 {
+			t.Fatalf("trial %d: the model refused nothing; the stream tests nothing", trial)
+		}
 	}
 }

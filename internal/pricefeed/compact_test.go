@@ -158,7 +158,7 @@ func TestRingMatchesTimeValuedReference(t *testing.T) {
 }
 
 // TestRingGrowsWithWhatItHolds walks rings of capacity 1, 8 (the first
-// buffer exactly), 9 (one past it) and 720 (the hub's default) across every
+// buffer exactly), 9 (one past it) and 720 (an agent's default) across every
 // growth boundary and twice around the wrap, against the reference ring,
 // which reserves its capacity up front. After every sample — and after a
 // duplicate the ring must refuse without growing — contents, Last and a

@@ -3,7 +3,7 @@ package pricefeed
 import "tycoongrid/internal/metrics"
 
 // The feed sits between the auctions and the predictors; these two counters
-// say whether the predictors are seeing the market (recorded grows every
+// say whether the agents' rings are seeing the market (recorded grows every
 // clear) and whether anything upstream ever produced a sample the boundary
 // had to refuse (rejected should stay 0 in a healthy market).
 var (
@@ -11,6 +11,4 @@ var (
 		"Spot-price observations accepted into per-host rings.")
 	mSamplesRejected = metrics.Default().Counter("pricefeed_samples_rejected_total",
 		"Spot-price observations refused at the ring boundary (non-finite, out-of-order, duplicate).")
-	mSinkRejected = metrics.Default().Counter("pricefeed_sink_rejects_total",
-		"Ring-accepted observations an attached sink (streaming predictor) refused.")
 )

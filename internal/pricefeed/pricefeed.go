@@ -3,11 +3,11 @@
 // and scheduling strategies (internal/strategy) see the same history the
 // market actually produced rather than an offline trace. A Ring is the one
 // price-history type: the experiments that read a whole run keep one per host
-// sized to the run. A Hub gives each host one Ring, fans observations in from
-// the auction's Observe injection point, and each host entry can
-// carry attached Sinks — streaming predictors whose state lives with the
-// ring, updated once per clear instead of refitted from a copied history per
-// decision.
+// sized to the run. A ring hangs on its host's auction market as one of the
+// market's observers (Ring.Observer), and so does the host's streaming
+// forecast model (internal/predict) when a meta-scheduler asks for one: the
+// market's observer list is the only fan-out, and each model is updated once
+// per clear instead of refitted from a copied history per decision.
 //
 // The ring is a validation boundary in the spirit of predict.FitAR: a single
 // NaN, infinite price, out-of-order tick, or duplicate timestamp would
@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -224,161 +223,40 @@ func (r *Ring) Last() (Sample, bool) {
 	return r.sample(r.buf[idx]), true
 }
 
-// DefaultCapacity is the per-host history the hub keeps when none is
+// DefaultCapacity is the per-host history an agent keeps when none is
 // configured: two hours of the paper's 10-second reallocation ticks.
 const DefaultCapacity = 720
 
-// Sink consumes the same observation stream a host's ring records: the hook
-// that lets streaming predictor state live *with* the ring instead of being
-// rebuilt from copied history slices per forecast. Sinks must be safe for
-// concurrent use with their own readers; the hub serializes nothing beyond
-// the per-host observation order.
-type Sink interface {
-	Observe(at time.Time, price float64) error
-}
-
-// Hub fans per-host price observations into one Ring per host, plus any
-// attached per-host sinks. One mutex guards the host map. Entries are made
-// while a world is wired (Observer, Attach) and looked up by history reads;
-// the observe path holds its own entry and never takes the mutex, so a clear
-// costs one ring lock and one atomic load of the sink list.
-type Hub struct {
-	capacity int
-	rejected atomic.Uint64
-
-	mu    sync.Mutex
-	hosts map[string]*hubEntry
-}
-
-// hubEntry is one host's feed state: the price ring and the sinks fed from
-// it. The ring has its own internal lock. The sink list is copy-on-write:
-// Attach replaces it under the hub's mutex, and the observer path reads the
-// published list with one atomic load.
-type hubEntry struct {
-	ring  *Ring
-	sinks atomic.Pointer[[]Sink] // the slice is never modified once stored
-}
-
-// NewHub returns a hub whose rings hold capacity samples each
-// (<= 0 means DefaultCapacity).
-func NewHub(capacity int) *Hub {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Hub{capacity: capacity, hosts: make(map[string]*hubEntry)}
-}
-
-// entryLocked returns hostID's entry, creating it on first use. h.mu is held.
-func (h *Hub) entryLocked(hostID string) *hubEntry {
-	e, ok := h.hosts[hostID]
-	if !ok {
-		ring, _ := NewRing(h.capacity) // capacity validated in NewHub
-		e = &hubEntry{ring: ring}
-		h.hosts[hostID] = e
-	}
-	return e
-}
-
-// entry returns hostID's entry, creating it on first use.
-func (h *Hub) entry(hostID string) *hubEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.entryLocked(hostID)
-}
-
-// Ring returns the ring for hostID, creating it on first use.
-func (h *Hub) Ring(hostID string) *Ring {
-	return h.entry(hostID).ring
-}
-
-// Attach subscribes a sink to hostID's observation stream: every sample the
-// host's ring accepts is forwarded to the sink, in ring order. This is how
-// streaming predictors colocate their state with the ring — one Observe per
-// market clear instead of one history copy per scheduling decision.
-func (h *Hub) Attach(hostID string, sink Sink) {
-	if sink == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e := h.entryLocked(hostID)
-	var old []Sink
-	if p := e.sinks.Load(); p != nil {
-		old = *p
-	}
-	sinks := append(old[:len(old):len(old)], sink) // a copy: readers may hold old
-	e.sinks.Store(&sinks)
-}
-
-// Observer returns a callback with the auction Market.Observe signature that
-// records hostID's clears into its ring and forwards accepted samples to the
-// host's sinks. Samples the ring's boundary rejects (the market never
-// produces them; a bug or clock glitch might) are counted, not propagated —
-// the feed is advisory and must not disturb the market. Sink rejections are
-// likewise counted only: the ring already vetted the sample, so a sink
-// refusing it is the sink's own ordering state talking.
-func (h *Hub) Observer(hostID string) func(price float64, at time.Time) {
-	e := h.entry(hostID)
+// Observer returns the callback, with auction.Market.Observe's signature,
+// that hangs r on a host's market as its price feed: every clear is recorded
+// into r and counted in pricefeed_samples_recorded_total. A sample the ring
+// refuses (the market never produces one; a bug or clock glitch might) is
+// counted in pricefeed_samples_rejected_total, not propagated: the feed is
+// advisory and must not disturb the market.
+func (r *Ring) Observer() func(price float64, at time.Time) {
 	return func(price float64, at time.Time) {
-		if err := e.ring.Observe(at, price); err != nil {
-			h.rejected.Add(1)
+		if err := r.Observe(at, price); err != nil {
 			mSamplesRejected.Inc()
 			return
 		}
 		mSamplesRecorded.Inc()
-		sinks := e.sinks.Load()
-		if sinks == nil {
-			return
-		}
-		for _, s := range *sinks {
-			if err := s.Observe(at, price); err != nil {
-				mSinkRejected.Inc()
-			}
-		}
 	}
 }
 
-// Rejected returns how many observations the hub's rings refused.
-func (h *Hub) Rejected() uint64 { return h.rejected.Load() }
-
-// Hosts returns the hosts with a ring, sorted.
-func (h *Hub) Hosts() []string {
-	h.mu.Lock()
-	out := make([]string, 0, len(h.hosts))
-	for id := range h.hosts {
-		out = append(out, id)
-	}
-	h.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// History returns hostID's trailing prices, oldest first (nil when the host
-// has no ring yet). max > 0 keeps only the newest max values.
-func (h *Hub) History(hostID string, max int) []float64 {
-	h.mu.Lock()
-	e, ok := h.hosts[hostID]
-	h.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	vs := e.ring.Prices()
-	if max > 0 && len(vs) > max {
-		vs = vs[len(vs)-max:]
-	}
-	return vs
-}
-
-// MeanHistory returns the tail-aligned mean price series across the given
-// hosts: element i averages the hosts' i-th newest common observation, with
-// the result oldest first. Hosts without samples are skipped; the series
-// length is the shortest participating history. This is the partition-level
-// price signal a meta-scheduler feeds its selection strategy.
-func (h *Hub) MeanHistory(hostIDs []string, max int) []float64 {
-	series := make([][]float64, 0, len(hostIDs))
+// MeanHistory returns the tail-aligned mean price series across rings:
+// element i averages the rings' i-th newest common sample, with the result
+// oldest first. max > 0 keeps only the newest max samples of each ring. Empty
+// rings are skipped; the series length is the shortest participating
+// history. This is the partition-level price signal a meta-scheduler feeds
+// its selection strategy.
+func MeanHistory(rings []*Ring, max int) []float64 {
+	series := make([][]float64, 0, len(rings))
 	minLen := -1
-	for _, id := range hostIDs {
-		vs := h.History(id, max)
+	for _, r := range rings {
+		vs := r.Prices()
+		if max > 0 && len(vs) > max {
+			vs = vs[len(vs)-max:]
+		}
 		if len(vs) == 0 {
 			continue
 		}
@@ -387,7 +265,7 @@ func (h *Hub) MeanHistory(hostIDs []string, max int) []float64 {
 			minLen = len(vs)
 		}
 	}
-	if len(series) == 0 || minLen <= 0 {
+	if len(series) == 0 {
 		return nil
 	}
 	out := make([]float64, minLen)
@@ -401,4 +279,24 @@ func (h *Hub) MeanHistory(hostIDs []string, max int) []float64 {
 		out[i] /= float64(len(series))
 	}
 	return out
+}
+
+// Hub is the name bench/replay.go times a feed's observe path under, and
+// nothing else builds one: a host's ring hangs on its market by
+// Ring.Observer. It goes with ROADMAP item 1's bench change.
+type Hub struct{ capacity int }
+
+// NewHub returns a Hub whose rings hold capacity samples each
+// (<= 0 means DefaultCapacity).
+func NewHub(capacity int) *Hub {
+	if capacity <= 0 {
+		capacity = DefaultCapacity
+	}
+	return &Hub{capacity: capacity}
+}
+
+// Observer returns the Observer of a new ring; hostID names nothing.
+func (h *Hub) Observer(hostID string) func(price float64, at time.Time) {
+	r, _ := NewRing(h.capacity) // capacity validated in NewHub
+	return r.Observer()
 }

@@ -3,6 +3,7 @@ package pricefeed
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,86 +135,95 @@ func TestRingWindowBounds(t *testing.T) {
 	}
 }
 
-func TestHubObserverAndHistory(t *testing.T) {
-	h := NewHub(16)
-	obsA := h.Observer("hA")
-	obsB := h.Observer("hB")
+// TestRingObserverRecordsAndCounts: the observer a ring hangs on its market
+// records every clear and counts it; a sample the ring refuses is counted as
+// rejected, not recorded, and leaves the ring as it was. The bench's Hub
+// observer is the same path.
+func TestRingObserverRecordsAndCounts(t *testing.T) {
+	r, err := NewRing(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, rejected := mSamplesRecorded.Value(), mSamplesRejected.Value()
+	obs := r.Observer()
 	for i := 0; i < 6; i++ {
-		obsA(float64(i), at(i))
-		obsB(10+float64(i), at(i))
+		obs(float64(i), at(i))
 	}
-	// The B ring started one tick later than A in many real runs; model that
-	// by giving A two extra early points for the tail alignment check.
-	if got := h.History("hA", 3); len(got) != 3 || got[2] != 5 {
-		t.Errorf("History = %v", got)
+	obs(math.NaN(), at(100))
+	obs(1, at(0)) // out of order
+	if got := r.Prices(); !slices.Equal(got, []float64{0, 1, 2, 3, 4, 5}) {
+		t.Errorf("ring holds %v, want 0..5", got)
 	}
-	if got := h.History("ghost", 0); got != nil {
-		t.Errorf("ghost history = %v", got)
+	if got := mSamplesRecorded.Value() - recorded; got != 6 {
+		t.Errorf("recorded %d samples, want 6", got)
 	}
-	hosts := h.Hosts()
-	if len(hosts) != 2 || hosts[0] != "hA" || hosts[1] != "hB" {
-		t.Errorf("hosts = %v", hosts)
-	}
-	mean := h.MeanHistory([]string{"hA", "hB"}, 0)
-	if len(mean) != 6 {
-		t.Fatalf("mean len = %d", len(mean))
-	}
-	// Element i averages i and 10+i.
-	if mean[0] != 5 || mean[5] != 10 {
-		t.Errorf("mean = %v", mean)
-	}
-	// Rejections are counted, not propagated.
-	obsA(math.NaN(), at(100))
-	obsA(1, at(0)) // out of order
-	if h.Rejected() != 2 {
-		t.Errorf("rejected = %d, want 2", h.Rejected())
+	if got := mSamplesRejected.Value() - rejected; got != 2 {
+		t.Errorf("rejected %d samples, want 2", got)
 	}
 }
 
-func TestHubMeanHistoryAlignsTails(t *testing.T) {
-	h := NewHub(16)
-	a := h.Observer("a")
-	b := h.Observer("b")
-	for i := 0; i < 8; i++ {
-		a(1, at(i))
+// TestHubObserverRecordsIntoAFreshRing: the Hub that bench/replay.go times is
+// a fresh ring's Observer per call, so two observers of one host name share
+// nothing, and each records and counts its samples like any ring's.
+func TestHubObserverRecordsIntoAFreshRing(t *testing.T) {
+	recorded, rejected := mSamplesRecorded.Value(), mSamplesRejected.Value()
+	h := NewHub(0)
+	a, b := h.Observer("replay-host"), h.Observer("replay-host")
+	a(1, at(1))
+	b(1, at(1)) // a duplicate of a's sample, but not of anything in b's ring
+	a(1, at(1))
+	if got := mSamplesRecorded.Value() - recorded; got != 2 {
+		t.Errorf("recorded %d samples, want 2", got)
 	}
-	for i := 5; i < 8; i++ {
-		b(3, at(i))
+	if got := mSamplesRejected.Value() - rejected; got != 1 {
+		t.Errorf("rejected %d samples, want 1 (a's duplicate)", got)
 	}
-	mean := h.MeanHistory([]string{"a", "b", "empty"}, 0)
-	if len(mean) != 3 {
-		t.Fatalf("mean len = %d, want 3 (shortest history)", len(mean))
-	}
-	for _, v := range mean {
-		if v != 2 {
-			t.Fatalf("mean = %v, want all 2", mean)
+}
+
+func TestMeanHistoryAlignsTails(t *testing.T) {
+	ring := func(from, to int, price float64) *Ring {
+		r, _ := NewRing(16)
+		for i := from; i < to; i++ {
+			if err := r.Observe(at(i), price+float64(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return r
 	}
-	if h.MeanHistory([]string{"empty"}, 0) != nil {
-		t.Error("mean over empty hosts should be nil")
+	a, b, empty := ring(0, 8, 0), ring(5, 8, 10), ring(0, 0, 0)
+	// Element i averages a's and b's i-th newest: (5+15)/2, (6+16)/2, (7+17)/2.
+	if got := MeanHistory([]*Ring{a, b, empty}, 0); !slices.Equal(got, []float64{10, 11, 12}) {
+		t.Errorf("mean = %v, want [10 11 12] (the shortest history, tails aligned)", got)
+	}
+	if got := MeanHistory([]*Ring{a, b}, 2); !slices.Equal(got, []float64{11, 12}) {
+		t.Errorf("mean of the newest 2 = %v, want [11 12]", got)
+	}
+	if got := MeanHistory([]*Ring{a}, 0); !slices.Equal(got, a.Prices()) {
+		t.Errorf("mean of one ring = %v, want its prices %v", got, a.Prices())
+	}
+	if MeanHistory([]*Ring{empty}, 0) != nil || MeanHistory(nil, 0) != nil {
+		t.Error("mean over empty rings should be nil")
 	}
 }
 
-// TestRingConcurrentFanIn drives one hub from several goroutines under the
-// race detector: the acceptance criterion for `go test -race` with the new
-// pricefeed fan-in.
+// TestRingConcurrentFanIn drives one ring's observer from several goroutines
+// while others read the mean history, under the race detector.
 func TestRingConcurrentFanIn(t *testing.T) {
-	h := NewHub(64)
+	r, _ := NewRing(64)
+	obs := r.Observer()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			obs := h.Observer("shared")
 			for i := 0; i < 200; i++ {
 				obs(float64(i), at(g*1000+i))
-				_ = h.History("shared", 10)
-				_ = h.MeanHistory([]string{"shared"}, 5)
+				_ = MeanHistory([]*Ring{r}, 5)
 			}
 		}(g)
 	}
 	wg.Wait()
-	samples := h.Ring("shared").Samples()
+	samples := r.Samples()
 	for i := 1; i < len(samples); i++ {
 		if !samples[i].At.After(samples[i-1].At) {
 			t.Fatal("concurrent fan-in broke chronological order")

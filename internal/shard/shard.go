@@ -1,8 +1,7 @@
 // Package shard provides the repo-wide key-to-shard partition function.
-// It sits below every plane that stripes state by key — the market plane's
-// auctioneer shards, the sharded bank, and the pricefeed hub's lock stripes —
-// so all of them agree on one hash and none of them need to import each
-// other.
+// Its one caller is internal/marketplane: the plane's auctioneer shards and
+// ShardedBank.ShardFor, which counts a move as local or cross-shard, hash
+// keys with it, so they agree on one hash.
 package shard
 
 // FNV-1a 64-bit, inlined so the per-key hash is allocation-free (the stdlib

@@ -24,9 +24,10 @@ import (
 	"tycoongrid/internal/predict"
 )
 
-// ForecastFunc is a streaming forecast handle: the partition's predictor
-// state already lives with its price ring (see predict.FeedForecasts), so a
-// strategy can read a forecast in O(1) without materializing history.
+// ForecastFunc is a streaming forecast handle: each of the partition's hosts
+// carries a model on its market beside its price ring (see
+// predict.ForecastMean), so a strategy can read a forecast in O(1) without
+// materializing history.
 type ForecastFunc func(horizon time.Duration) (predict.Forecast, error)
 
 // Candidate is one partition the strategy can pick.
