@@ -225,7 +225,10 @@ simplicity-ledger:
 # meta-scheduler hangs on every host) and
 # PriceExcluding on an empty book allocate nothing, Best Response over 10 000 hosts allocates a handful,
 # the streaming AR model in steady state allocates nothing per Observe or
-# Forecast, a forecast that re-solves Yule-Walker included, and an all-idle cluster tick allocates a constant few bytes however
+# Forecast, a forecast that re-solves Yule-Walker included, nor does
+# ForecastMean over a partition of 4 models and one of 5 (a full lane pass,
+# then one with a remainder lane), each model re-solving at every call
+# (TestStreamingSteadyStateAllocatesNothing), and an all-idle cluster tick allocates a constant few bytes however
 # many hosts there are — and in a 10 000-host world executes no clear at all
 # over 100 ticks, after which Cluster.Sync hands every host's ring exactly the
 # 100 samples it was owed (TestSleepingWorldTickAllocationBound) — and a

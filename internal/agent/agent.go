@@ -300,7 +300,7 @@ type Agent struct {
 	// models its forecast model (nil until ForecastHandle is first asked).
 	// Both hang on the host's market as observers.
 	feed   []*pricefeed.Ring
-	models []predict.StreamingPredictor
+	models []*predict.StreamAR
 
 	// Price discovery (see discover). ids is the partition in the cluster's
 	// canonical order — HostIDs order, ascending — byIndex its hosts, at each
@@ -1182,7 +1182,7 @@ func (a *Agent) syncFeed() {
 func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 	if a.models == nil {
 		cfg := predict.PredictorConfig{Window: a.cfg.FeedCapacity, Step: a.cfg.Cluster.Interval()}
-		a.models = make([]predict.StreamingPredictor, len(a.hosts))
+		a.models = make([]*predict.StreamAR, len(a.hosts))
 		for i, h := range a.hosts {
 			sp, _ := predict.NewStreaming(predict.StreamingAR, cfg) // the one model there is
 			a.models[i] = sp

@@ -284,7 +284,7 @@ func TestForecastHandleReadsWhatTheRingsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]predict.StreamingPredictor, len(w.agent.feed))
+	models := make([]*predict.StreamAR, len(w.agent.feed))
 	for i, ring := range w.agent.feed {
 		if ring.Len() != ticks {
 			t.Fatalf("host %d: ring holds %d samples after the handle synced, want %d", i, ring.Len(), ticks)

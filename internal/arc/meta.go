@@ -33,7 +33,10 @@ type Meta struct {
 	replicas []*Manager
 	// cands holds, per replica, the candidate fields that outlive a pick: id,
 	// step, the lazy history source and the forecast handle.
-	cands   []strategy.Candidate
+	cands []strategy.Candidate
+	// picking is the copy of cands a pick hands the strategy, kept between
+	// picks so a pick allocates no candidate slice.
+	picking []strategy.Candidate
 	strat   strategy.Strategy
 	horizon time.Duration
 	index   map[string]*Manager // jobID -> owning replica
@@ -103,10 +106,12 @@ func (m *Meta) Replicas() int { return len(m.replicas) }
 // pick delegates replica selection to the strategy, handing it each
 // partition's current price, its forecast handle — which the predicted-*
 // strategies read instead of a history — and a lazy history source that only
-// the portfolio strategy materializes. The candidates are a fresh copy per
-// pick because a strategy memoizes the history it fetched on its Candidate.
+// the portfolio strategy materializes. Every pick copies the candidates
+// afresh, into storage the Meta keeps, because a strategy memoizes the
+// history it fetched on its Candidate: the copy resets that memo.
 func (m *Meta) pick() (*Manager, strategy.Pick) {
-	cands := append([]strategy.Candidate(nil), m.cands...)
+	m.picking = append(m.picking[:0], m.cands...)
+	cands := m.picking
 	for i, r := range m.replicas {
 		cands[i].CurrentPrice = r.cfg.Agent.MeanSpotPrice()
 	}

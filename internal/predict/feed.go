@@ -19,19 +19,32 @@ import (
 // forecast reports ErrInsufficientHistory. Models are folded in the order
 // given, so a caller passing them in a fixed host order gets a deterministic
 // result.
-func ForecastMean(models []StreamingPredictor, horizon time.Duration) (Forecast, error) {
+//
+// The models' recurrences advance together, up to laneWidth of one order per
+// pass of the forecast kernel: each model's state is read under its own lock,
+// one model at a time, and the iteration runs with no lock held. The result
+// is bit for bit what folding each model's own Forecast gives.
+func ForecastMean(models []*StreamAR, horizon time.Duration) (Forecast, error) {
+	var g lanes
 	var meanSum, varSum float64
 	ready := 0
 	var lastErr error
-	for _, sp := range models {
-		fc, err := sp.Forecast(horizon)
-		if err != nil {
+	for i, m := range models {
+		if err := g.load(m, horizon); err != nil {
 			lastErr = err
-			continue
 		}
-		meanSum += fc.Mean
-		varSum += fc.Sigma * fc.Sigma
-		ready++
+		// A pass runs when the lanes are full, after the last model, and
+		// before a model of another order.
+		if g.n == laneWidth || g.n > 0 && (i == len(models)-1 || models[i+1].cfg.Order != g.k) {
+			g.run()
+			for l := 0; l < g.n; l++ {
+				fc := g.forecast(l)
+				meanSum += fc.Mean
+				varSum += fc.Sigma * fc.Sigma
+			}
+			ready += g.n
+			g.n = 0
+		}
 	}
 	if ready == 0 {
 		if lastErr != nil {

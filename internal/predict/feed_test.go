@@ -12,7 +12,7 @@ import (
 
 // fedModel returns a streaming AR model shaped by cfg that has observed vs,
 // spaced DefaultStep apart from the epoch.
-func fedModel(t *testing.T, cfg PredictorConfig, vs []float64) StreamingPredictor {
+func fedModel(t *testing.T, cfg PredictorConfig, vs []float64) *StreamAR {
 	t.Helper()
 	sp, err := NewStreaming(StreamingAR, cfg)
 	if err != nil {
@@ -45,7 +45,7 @@ func TestForecastMeanCombinesAndSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ForecastMean([]StreamingPredictor{a, empty, b}, time.Hour)
+	got, err := ForecastMean([]*StreamAR{a, empty, b}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestForecastMeanCombinesAndSkips(t *testing.T) {
 	if !closeTo(got.Mean, wantMean) || !closeTo(got.Sigma, wantSigma) {
 		t.Errorf("combined = %+v, want mean %v sigma %v", got, wantMean, wantSigma)
 	}
-	if one, err := ForecastMean([]StreamingPredictor{a}, time.Hour); err != nil || one != fa {
+	if one, err := ForecastMean([]*StreamAR{a}, time.Hour); err != nil || one != fa {
 		t.Errorf("one model's partition = %+v, %v; want its own forecast %+v", one, err, fa)
 	}
 
-	if _, err := ForecastMean([]StreamingPredictor{empty}, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
+	if _, err := ForecastMean([]*StreamAR{empty}, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
 		t.Errorf("all-empty partition err = %v, want ErrInsufficientHistory", err)
 	}
 	if _, err := ForecastMean(nil, time.Hour); !errors.Is(err, ErrInsufficientHistory) {
@@ -113,6 +113,42 @@ func TestModelRefusesOnlyWhatItsRingRefuses(t *testing.T) {
 		}
 		if refusedByModel == 0 {
 			t.Fatalf("trial %d: the model refused nothing; the stream tests nothing", trial)
+		}
+	}
+}
+
+// BenchmarkForecastMeanPartition is one broker-predict candidate per op: a
+// partition of 4 hosts' models with the strategies world's window (600) and
+// horizon (30 min, 180 steps of 10 s), each model fed one new clear before
+// the call, so every call re-solves all four fits and iterates four horizons.
+func BenchmarkForecastMeanPartition(b *testing.B) {
+	models := make([]*StreamAR, 4)
+	for m := range models {
+		sp, err := NewStreaming(StreamingAR, PredictorConfig{Window: 600, Step: DefaultStep})
+		if err != nil {
+			b.Fatal(err)
+		}
+		models[m] = sp
+	}
+	xs := priceSeries(rng.New(2006), 1200)
+	at := time.Unix(0, 0)
+	observe := func(i int) {
+		at = at.Add(DefaultStep)
+		for m, sp := range models {
+			if err := sp.Observe(xs[(i+97*m)%len(xs)], at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 600; i++ {
+		observe(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe(i)
+		if _, err := ForecastMean(models, 30*time.Minute); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -15,7 +15,7 @@ const streamStep = 10 * time.Second
 
 // feedStream pushes xs into sp with synthetic timestamps spaced streamStep
 // apart, failing the test on any rejection.
-func feedStream(t *testing.T, sp StreamingPredictor, xs []float64) {
+func feedStream(t *testing.T, sp *StreamAR, xs []float64) {
 	t.Helper()
 	at := time.Unix(0, 0)
 	for i, x := range xs {
@@ -439,13 +439,56 @@ func TestStreamingConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestForecastMeanConcurrentWithObserve is the partition read under the
+// same contract: while one goroutine feeds five models, as a shard of the
+// market plane does, two read their combined forecast. Run under -race: each
+// model's state is read under its own lock and the lanes iterate on the
+// reader's stack.
+func TestForecastMeanConcurrentWithObserve(t *testing.T) {
+	models := make([]*StreamAR, 5)
+	for m := range models {
+		models[m] = newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if fc, err := ForecastMean(models, 30*time.Minute); err == nil && (math.IsNaN(fc.Mean) || math.IsNaN(fc.Sigma)) {
+					t.Error("NaN partition forecast under concurrency")
+					return
+				}
+			}
+		}()
+	}
+	at := time.Unix(0, 0)
+	src := rng.New(5)
+	for i := 0; i < 2000; i++ {
+		at = at.Add(streamStep)
+		for _, sp := range models {
+			_ = sp.Observe(src.Uniform(0.1, 2), at)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestStreamingSteadyStateAllocatesNothing is the count-based gate on the
 // streaming read path: once the ring has turned over (window 240, 600
-// observations) and one Forecast has sized the scratch buffers, Observe,
-// Forecast, and the two interleaved allocate nothing. In the interleaved run
-// every forecast follows a new observation, so each one re-solves the
-// Yule-Walker system. A change that reintroduces per-forecast refitting from
-// history or per-read allocation fails here, on any machine.
+// observations) and one Forecast has allocated the fit's coefficients, Observe,
+// Forecast, and the two interleaved allocate nothing, and so does
+// ForecastMean over partitions of 4 and 5 such models (one full lane pass,
+// then a pass with a remainder lane). In the interleaved runs every forecast
+// follows a new observation, so each one re-solves the Yule-Walker system. A
+// change that reintroduces per-forecast refitting from history or per-read
+// allocation fails here, on any machine.
 func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
 	sp := newStreamAR(PredictorConfig{Window: 240})
 	xs := priceSeries(rng.New(2006), 600)
@@ -469,6 +512,28 @@ func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
 			t.Error(err)
 		}
 	}
+	// partition returns a call that feeds each of n such models one new
+	// observation and then forecasts their partition.
+	partition := func(n int) func() {
+		models := make([]*StreamAR, n)
+		for m := range models {
+			models[m] = newStreamAR(PredictorConfig{Window: 240})
+			feedStream(t, models[m], priceSeries(rng.New(int64(2007+m)), 600))
+		}
+		at := time.Unix(0, 0).Add(600 * streamStep)
+		return func() {
+			at = at.Add(streamStep)
+			for m, sp := range models {
+				if err := sp.Observe(xs[(i+m)%len(xs)], at); err != nil {
+					t.Error(err)
+				}
+			}
+			i++
+			if _, err := ForecastMean(models, time.Hour); err != nil {
+				t.Error(err)
+			}
+		}
+	}
 	for _, c := range []struct {
 		what string
 		f    func()
@@ -476,6 +541,8 @@ func TestStreamingSteadyStateAllocatesNothing(t *testing.T) {
 		{"Observe", observe},
 		{"Forecast(1h)", forecast},
 		{"Observe+Forecast(1h)", func() { observe(); forecast() }},
+		{"Observe+ForecastMean(4 models, 1h)", partition(4)},
+		{"Observe+ForecastMean(5 models, 1h)", partition(5)},
 	} {
 		t.Run(c.what, func(t *testing.T) {
 			if allocs := testing.AllocsPerRun(64, c.f); allocs != 0 {

@@ -179,10 +179,11 @@ func (r *roundRobin) pick(tied []int) int {
 	return i
 }
 
-// argminScores returns the indices sharing the minimum score.
-func argminScores(scores []float64) []int {
+// argminScores returns the indices sharing the minimum score, in tied's
+// storage.
+func argminScores(tied []int, scores []float64) []int {
 	best := math.Inf(1)
-	var tied []int
+	tied = tied[:0]
 	for i, s := range scores {
 		if s < best {
 			best = s
@@ -209,7 +210,7 @@ func (s *currentPrice) Pick(cands []Candidate) (Pick, error) {
 	for i, c := range cands {
 		scores[i] = c.CurrentPrice
 	}
-	i := s.rr.pick(argminScores(scores))
+	i := s.rr.pick(argminScores(nil, scores))
 	return Pick{Index: i, Predicted: cands[i].CurrentPrice}, nil
 }
 
@@ -223,6 +224,10 @@ type predicted struct {
 	cfg      Config
 	quantile float64 // 0 = use the mean
 	rr       roundRobin
+
+	// scores and tied are Pick's scratch, reused from pick to pick.
+	scores []float64
+	tied   []int
 }
 
 func (s *predicted) Name() string { return s.name }
@@ -231,12 +236,13 @@ func (s *predicted) Pick(cands []Candidate) (Pick, error) {
 	if len(cands) == 0 {
 		return Pick{}, ErrNoCandidates
 	}
-	scores := make([]float64, len(cands))
+	s.scores = s.scores[:0]
 	for i := range cands {
-		scores[i] = s.score(&cands[i])
+		s.scores = append(s.scores, s.score(&cands[i]))
 	}
-	i := s.rr.pick(argminScores(scores))
-	return Pick{Index: i, Predicted: scores[i]}, nil
+	s.tied = argminScores(s.tied, s.scores)
+	i := s.rr.pick(s.tied)
+	return Pick{Index: i, Predicted: s.scores[i]}, nil
 }
 
 func (s *predicted) score(c *Candidate) float64 {
