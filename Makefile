@@ -245,9 +245,13 @@ simplicity-ledger:
 # /transfers allocates at most 39 times, the httptest fixture's 11 included
 # (TestTransferServeAllocationBound); a host's price history costs what it
 # holds — a ring with one sample keeps an 8-slot buffer, a full one observes
-# in place (TestRingAllocationBound), and the first tick of a 10 000-host
-# world grows the heap by at most 16 MB, where reserving every ring's 720
-# slots took 115 MB (TestWideGridRingAllocationBound); a proportional clear
+# in place (TestRingAllocationBound), and a history nobody reads is not kept:
+# the first tick of a 10 000-host world without a meta-scheduler records no
+# price sample and grows the heap by at most 1.5 MB, where the agent's rings
+# made it 2.2 MB and reserving every ring's 720 slots 115 MB
+# (TestWideGridRingAllocationBound), and agent.New over 10 000 hosts
+# allocates no object per host and at most 96 B a host, where hanging a ring
+# on each took 2.0 objects and 183 B (TestNewAllocationBound); a proportional clear
 # into a reused line buffer allocates nothing
 # (TestProportionalReusedDstAllocatesNothing); and an identity's public key
 # is handed out, not copied (TestPublicAllocatesNothing). One gate times instead of counting,

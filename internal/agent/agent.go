@@ -282,7 +282,8 @@ type Config struct {
 	// historical single-agent IDs.
 	JobIDPrefix string
 	// FeedCapacity bounds the per-host price-history ring the agent records
-	// from the auction clears. 0 means pricefeed.DefaultCapacity.
+	// from the auction clears once a reader asks for it (HistoryHandle), and
+	// each forecast model's window. 0 means pricefeed.DefaultCapacity.
 	FeedCapacity int
 }
 
@@ -296,9 +297,10 @@ type Agent struct {
 	byBidder map[auction.BidderID]*Job
 	seq      int
 	pump     *sim.Ticker
-	// feed holds each partition host's price ring, aligned with hosts, and
-	// models its forecast model (nil until ForecastHandle is first asked).
-	// Both hang on the host's market as observers.
+	// feed holds each partition host's price ring, aligned with hosts (nil
+	// until HistoryHandle or ForecastHandle is first asked), and models its
+	// forecast model (nil until ForecastHandle is first asked). Both hang on
+	// the host's market as observers.
 	feed   []*pricefeed.Ring
 	models []*predict.StreamAR
 
@@ -359,7 +361,6 @@ func New(cfg Config) (*Agent, error) {
 		hosts:    make([]*grid.Host, len(cfg.Hosts)),
 		jobs:     make(map[string]*Job),
 		byBidder: make(map[auction.BidderID]*Job),
-		feed:     make([]*pricefeed.Ring, len(cfg.Hosts)),
 		cpuMemo:  make(map[string]string),
 		at:       make([]int32, len(all)),
 		booked:   make([][]bookedBidder, len(cfg.Hosts)),
@@ -387,12 +388,6 @@ func New(cfg Config) (*Agent, error) {
 	if _, err := cfg.Bank.CreateAccount(earningsAccount, cfg.Identity.Public()); err != nil &&
 		!errors.Is(err, bank.ErrDuplicateAccount) {
 		return nil, fmt.Errorf("agent: creating earnings account: %w", err)
-	}
-	// Record every auction clear of the partition into the price feed; the
-	// histories drive the prediction strategies.
-	for i, h := range a.hosts {
-		a.feed[i], _ = pricefeed.NewRing(cfg.FeedCapacity) // FeedCapacity > 0, set above
-		h.Market.Observe(a.feed[i].Observer())
 	}
 	// Route market charges to the jobs' tabs (and from there, at release, to
 	// bank moves: sub-account -> host earnings). Chain rather than replace
@@ -1149,13 +1144,30 @@ func (a *Agent) MeanSpotPrice() float64 {
 	return sum / float64(n)
 }
 
-// PriceHistory returns the partition's mean spot-price history (oldest
-// first), averaged across this agent's hosts per auction tick. max <= 0
-// returns everything recorded; samples are spaced Cluster().Interval() apart.
-// This is the history a meta-scheduler strategy forecasts from.
-func (a *Agent) PriceHistory(max int) []float64 {
-	a.syncFeed()
-	return pricefeed.MeanHistory(a.feed, max)
+// HistoryHandle returns the partition's price-history reader, which a
+// meta-scheduler puts on its strategy.Candidate as Hist: each call returns
+// the mean spot-price history (oldest first), averaged across this agent's
+// hosts per auction tick, spaced Cluster().Interval() apart.
+//
+// The rings it reads, one per partition host, are hung on the hosts' markets
+// the first time a handle is asked for (or ForecastHandle), so an agent
+// nobody reads carries none, and they are not backfilled: a handle first
+// requested after prices have flowed holds only the clears after it.
+// arc.NewMeta asks before the first clear.
+func (a *Agent) HistoryHandle() func() []float64 {
+	if a.feed == nil {
+		a.feed = make([]*pricefeed.Ring, len(a.hosts))
+		for i, h := range a.hosts {
+			a.feed[i], _ = pricefeed.NewRing(a.cfg.FeedCapacity) // FeedCapacity > 0, set in New
+			// Market.Observe first pays what a sleeping market owes its
+			// observers, so the ring sees nothing older than itself.
+			h.Market.Observe(a.feed[i].Observer())
+		}
+	}
+	return func() []float64 {
+		a.syncFeed()
+		return pricefeed.MeanHistory(a.feed, 0)
+	}
 }
 
 // syncFeed brings the feed up to date with the partition's markets. An idle
@@ -1173,14 +1185,16 @@ func (a *Agent) syncFeed() {
 // from one predict.StreamingAR per host, which hangs on the host's market
 // beside its price ring and is updated on every clear.
 //
-// The models are attached the first time the handle is asked for, so an
-// agent nobody forecasts from carries none, and they are not backfilled: a
-// handle first requested after prices have flowed reports
+// The models are attached the first time the handle is asked for, each
+// after its host's ring (the rings are attached here if no HistoryHandle
+// has), so an agent nobody forecasts from carries none, and they are not
+// backfilled: a handle first requested after prices have flowed reports
 // predict.ErrInsufficientHistory (which prediction strategies score as the
 // current price) until enough new clears arrive. arc.NewMeta asks before the
 // first clear.
 func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 	if a.models == nil {
+		a.HistoryHandle()
 		cfg := predict.PredictorConfig{Window: a.cfg.FeedCapacity, Step: a.cfg.Cluster.Interval()}
 		a.models = make([]*predict.StreamAR, len(a.hosts))
 		for i, h := range a.hosts {

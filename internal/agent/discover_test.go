@@ -102,7 +102,7 @@ func runDiscoverySchedule(t *testing.T, mech string, churn, partitioned bool, se
 				submissions++
 			}
 		case k == 4:
-			agents[src.Intn(len(agents))].PriceHistory(8) // wakes the partition
+			agents[src.Intn(len(agents))].syncFeed() // wakes the partition
 		case k == 5:
 			a := agents[src.Intn(len(agents))]
 			if n := len(a.running); n > 0 {

@@ -5,41 +5,62 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"tycoongrid/internal/grid"
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/predict"
+	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
 )
 
-// rejectedSamples reads pricefeed_samples_rejected_total out of a snapshot
-// of the default registry.
-func rejectedSamples() uint64 {
+// counter reads the named counter out of a snapshot of the default registry.
+func counter(name string) uint64 {
 	for _, c := range metrics.Default().Snapshot().Counters {
-		if c.Name == "pricefeed_samples_rejected_total" {
+		if c.Name == name {
 			return c.Value
 		}
 	}
 	return 0
 }
 
+// hangRing hangs a ring of its own on the market of the agent's first host,
+// to show what the agent's rings would have seen had they been there.
+func hangRing(t *testing.T, w *world) *pricefeed.Ring {
+	t.Helper()
+	h, err := w.cluster.Host(w.agent.HostIDs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := pricefeed.NewRing(w.agent.cfg.FeedCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Market.Observe(ring.Observer())
+	return ring
+}
+
+// TestAgentRecordsPriceHistory: a history handle asked for before the first
+// clear sees every tick of every partition host.
 func TestAgentRecordsPriceHistory(t *testing.T) {
-	rejected := rejectedSamples()
+	rejected := counter("pricefeed_samples_rejected_total")
 	w := newWorld(t, 2)
-	if h := w.agent.PriceHistory(0); len(h) != 0 {
+	history := w.agent.HistoryHandle()
+	if h := history(); len(h) != 0 {
 		t.Fatalf("history before any tick: %v", h)
 	}
 	if _, err := w.agent.Submit(w.payToken(t, 100), request(2, 5*time.Hour), chunks(4, 30)); err != nil {
 		t.Fatal(err)
 	}
-	w.eng.RunFor(time.Hour)
+	const ticks = 120
+	w.eng.RunFor(ticks * w.cluster.Interval())
 
-	hist := w.agent.PriceHistory(0)
-	if len(hist) == 0 {
-		t.Fatal("no price history after an hour of auction ticks")
+	hist := history()
+	if len(hist) != ticks {
+		t.Fatalf("history holds %d ticks after %d auction ticks", len(hist), ticks)
 	}
 	for i, p := range hist {
 		if p <= 0 || math.IsNaN(p) {
@@ -48,18 +69,48 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 	}
 	// Per-host histories exist for every partition host and match in length.
 	for i, id := range w.agent.HostIDs() {
-		w.cluster.Sync(id)
-		hh := w.agent.feed[i].Prices()
-		if len(hh) != len(hist) {
-			t.Errorf("host %s history len %d, mean history len %d", id, len(hh), len(hist))
+		if n := len(w.agent.feed[i].Prices()); n != ticks {
+			t.Errorf("host %s history len %d, want %d", id, n, ticks)
 		}
 	}
-	// max truncates to the tail.
-	if tail := w.agent.PriceHistory(3); len(tail) != 3 {
-		t.Errorf("tail len = %d, want 3", len(tail))
+	// Asking again reads the same rings.
+	if again := w.agent.HistoryHandle()(); !slices.Equal(again, hist) {
+		t.Errorf("second handle reads %d ticks, want the first handle's %d", len(again), len(hist))
 	}
-	if got := rejectedSamples() - rejected; got != 0 {
+	if got := counter("pricefeed_samples_rejected_total") - rejected; got != 0 {
 		t.Errorf("feed rejected %d samples", got)
+	}
+}
+
+// TestHistoryHandleRequestedLateHasNoBackfill is the mirror of the forecast
+// rule: an agent nobody reads carries no ring, however many clears flow, and
+// a handle first asked after prices have flowed holds only the clears after
+// it. A ring hung on one host's market from the start shows what flowed.
+func TestHistoryHandleRequestedLateHasNoBackfill(t *testing.T) {
+	w := newWorld(t, 2)
+	all := hangRing(t, w)
+	if _, err := w.agent.Submit(w.payToken(t, 100), request(2, 5*time.Hour), chunks(4, 30)); err != nil {
+		t.Fatal(err)
+	}
+	w.eng.RunFor(200 * w.cluster.Interval())
+	if w.agent.feed != nil {
+		t.Fatal("price rings attached to an agent whose history was never requested")
+	}
+
+	history := w.agent.HistoryHandle()
+	if h := history(); len(h) != 0 {
+		t.Fatalf("a handle asked for after 200 clears holds %d ticks, want none", len(h))
+	}
+	if all.Len() != 200 {
+		t.Fatalf("the ring hung from the start holds %d ticks, want 200", all.Len())
+	}
+	w.eng.RunFor(50 * w.cluster.Interval())
+	if n := len(history()); n != 50 {
+		t.Errorf("the late handle holds %d ticks 50 clears after it, want 50", n)
+	}
+	samples := all.Samples()
+	if got, want := w.agent.feed[0].Samples(), samples[len(samples)-50:]; !slices.Equal(got, want) {
+		t.Errorf("host 0's ring holds %v, want the last 50 samples %v", got, want)
 	}
 }
 
@@ -104,18 +155,21 @@ func TestAgentJobIDPrefix(t *testing.T) {
 }
 
 // TestForecastHandleAttachesOnFirstRequest pins the attach rule from both
-// sides. An agent nobody forecasts from carries no predictor, however many
-// clears flow — an eager attach in New would put one AR update per host per
-// tick on every world without a meta-scheduler. A handle asked for before the
-// first clear has seen every sample its hosts' rings hold.
+// sides. An agent nobody forecasts from carries no predictor and no ring,
+// however many clears flow — an eager attach in New would put one AR update
+// and one ring write per host per tick on every world without a
+// meta-scheduler. A handle asked for before the first clear hangs the rings
+// beside its models and has seen every sample they hold.
 func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
 	idle := newWorld(t, 2)
+	recorded := counter("pricefeed_samples_recorded_total")
 	idle.eng.RunFor(100 * idle.cluster.Interval())
-	if n := len(idle.agent.PriceHistory(0)); n != 100 {
-		t.Fatalf("recorded %d ticks, want 100", n)
+	idle.cluster.Sync()
+	if idle.agent.models != nil || idle.agent.feed != nil {
+		t.Fatal("predictors or rings attached to an agent whose handles were never requested")
 	}
-	if idle.agent.models != nil {
-		t.Fatal("predictors attached to an agent whose handle was never requested")
+	if n := counter("pricefeed_samples_recorded_total") - recorded; n != 0 {
+		t.Fatalf("100 ticks of an agent nobody reads recorded %d samples, want 0", n)
 	}
 
 	w := newWorld(t, 2)
@@ -131,6 +185,11 @@ func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("forecast after 100 clears: %v", err)
 	}
+	for i, ring := range w.agent.feed {
+		if ring.Len() != 100 {
+			t.Errorf("host %d: the ring beside the model holds %d samples, want 100", i, ring.Len())
+		}
+	}
 	if fc.Mean <= 0 || math.IsNaN(fc.Mean) || fc.Sigma < 0 {
 		t.Errorf("forecast = %+v", fc)
 	}
@@ -141,10 +200,11 @@ func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
 	}
 }
 
-// TestNewAllocatesNoPredictor is the count behind the rule above at
-// grid-wide's size: constructing an agent over 10 000 hosts allocates the
-// price rings and nothing per host for prediction.
-func TestNewAllocatesNoPredictor(t *testing.T) {
+// TestNewAllocationBound is the count behind the rules above at grid-wide's
+// size: constructing an agent over 10 000 hosts hangs nothing on their
+// markets — no price ring, no predictor — and allocates only the partition's
+// own slices, no object per host.
+func TestNewAllocationBound(t *testing.T) {
 	const hosts = 10000
 	eng := sim.NewEngine()
 	specs := make([]grid.HostSpec, hosts)
@@ -158,9 +218,8 @@ func TestNewAllocatesNoPredictor(t *testing.T) {
 	small := newWorld(t, 1)
 	cfg := small.agent.cfg
 	cfg.Cluster, cfg.Hosts = cluster, nil
-	// One call, counted by MemStats: AllocsPerRun would run New twice on one
-	// cluster, and the second agent's observers outgrow the room each market
-	// keeps inline for two.
+	// One call, counted by MemStats: AllocsPerRun would run New more than
+	// once on one cluster, each agent chaining its hooks onto the last's.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	a, err := New(cfg)
@@ -170,28 +229,32 @@ func TestNewAllocatesNoPredictor(t *testing.T) {
 	}
 	perHost := float64(after.Mallocs-before.Mallocs) / hosts
 	bytesPerHost := float64(after.TotalAlloc-before.TotalAlloc) / hosts
-	if a.models != nil {
-		t.Fatal("New attached predictors")
+	if a.models != nil || a.feed != nil {
+		t.Error("New attached predictors or price rings")
 	}
-	// A ring and its observer closure: 2.0 objects and ≈ 180 B a host (3.0
-	// and ≈ 290 B while a hub kept a map of host entries); a streaming AR
-	// model and its observer are 7 objects more.
-	if perHost > 2.5 || bytesPerHost > 200 {
-		t.Errorf("agent.New allocates %.1f objects and %.0f B per host, want <= 2.5 and <= 200", perHost, bytesPerHost)
+	// The partition's slices: 0.00 objects and ≈ 78 B a host. A ring and its
+	// observer closure, which New hung on every host until a reader had to
+	// ask for them, are 2.0 objects and ≈ 100 B more; a streaming AR model
+	// and its observer are 7 objects more.
+	if perHost > 0.1 || bytesPerHost > 96 {
+		t.Errorf("agent.New allocates %.2f objects and %.0f B per host, want <= 0.1 and <= 96", perHost, bytesPerHost)
 	}
 }
 
 // TestForecastHandleRequestedLateHasNoBackfill pins what a late first request
-// costs: the predictors see only the clears after the attach, so the handle
-// reports ErrInsufficientHistory — which prediction strategies score as the
-// current price — although the ring beside them is full.
+// costs: the predictors, and the rings the handle hangs beside them, see only
+// the clears after the attach, so the handle reports ErrInsufficientHistory —
+// which prediction strategies score as the current price — although prices
+// have flowed all along, as a ring hung on one host's market from the start
+// shows.
 func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 	w := newWorld(t, 2)
+	all := hangRing(t, w)
 	w.eng.RunFor(200 * w.cluster.Interval())
-	if n := len(w.agent.PriceHistory(0)); n != 200 {
-		t.Fatalf("recorded %d ticks, want 200", n)
-	}
 	handle := w.agent.ForecastHandle()
+	if all.Len() != 200 {
+		t.Fatalf("the ring hung from the start holds %d ticks, want 200", all.Len())
+	}
 	_, err := handle(10 * time.Minute)
 	if !errors.Is(err, predict.ErrInsufficientHistory) {
 		t.Fatalf("forecast right after a late attach: err = %v, want ErrInsufficientHistory", err)
@@ -206,13 +269,16 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 		t.Errorf("pick = %+v, %v; want the current price %v", p, err, current)
 	}
 
-	// Only what came after the attach counts: a late-attached agent and one
-	// attached from the start, on the same market, disagree until the window
-	// has turned over.
+	// Only what came after the attach counts: a late-attached model and one
+	// fed from the start, on the same market, disagree until the window has
+	// turned over.
 	w.eng.RunFor(50 * w.cluster.Interval())
 	late, err := handle(10 * time.Minute)
 	if err != nil {
 		t.Fatalf("forecast 50 clears after the attach: %v", err)
+	}
+	if n := w.agent.feed[0].Len(); n != 50 {
+		t.Errorf("the ring beside host 0's model holds %d samples, want the 50 after the attach", n)
 	}
 	sp, err := predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{
 		Window: w.agent.cfg.FeedCapacity, Step: w.cluster.Interval(),
@@ -220,7 +286,7 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := w.agent.feed[0].Samples()
+	ring := all.Samples()
 	for _, smp := range ring[len(ring)-50:] {
 		if err := sp.Observe(smp.Price, smp.At); err != nil {
 			t.Fatal(err)
@@ -235,19 +301,23 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 	}
 }
 
-// The same rule when nobody has looked since the start: after fifty idle
-// ticks the partition's markets are asleep and owe the feed fifty samples
-// each. Asking for the handle pays that debt into the rings before the
+// The same rule when the markets are asleep: after fifty idle ticks the
+// partition's markets owe the ring hung on host 0's market fifty samples
+// each. Asking for the handle pays that debt before the agent's rings and
 // predictors exist, so they still see nothing older than themselves.
 func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
 	w := newWorld(t, 2)
+	owed := hangRing(t, w)
 	w.eng.RunFor(50 * w.cluster.Interval())
-	if n := w.agent.feed[0].Len(); n >= 50 {
+	if n := owed.Len(); n >= 50 {
 		t.Fatalf("the ring already holds %d samples: the market never slept and the test shows nothing", n)
 	}
 	handle := w.agent.ForecastHandle()
-	if n := w.agent.feed[0].Len(); n != 50 {
-		t.Errorf("the ring holds %d samples once the handle exists, want all 50", n)
+	if n := owed.Len(); n != 50 {
+		t.Errorf("the ring hung from the start holds %d samples once the handle exists, want all 50", n)
+	}
+	if n := w.agent.feed[0].Len(); n != 0 {
+		t.Errorf("the agent's ring holds %d samples right after a late attach, want none: it was fed replayed samples", n)
 	}
 	if _, err := handle(10 * time.Minute); !errors.Is(err, predict.ErrInsufficientHistory) {
 		t.Errorf("forecast right after a late attach: err = %v, want ErrInsufficientHistory: the predictors were fed replayed samples", err)

@@ -52,9 +52,10 @@ type Meta struct {
 // price, rotating deterministically among exact ties; use SetStrategy to
 // inject a prediction- or portfolio-driven policy.
 //
-// NewMeta asks every replica's agent for its forecast handle, which attaches
-// the agent's predictors (agent.ForecastHandle): build the meta-scheduler
-// before the first market clear, or the forecasts miss the clears before it.
+// NewMeta asks every replica's agent for its history and forecast handles,
+// which attach the agent's price rings and predictors (agent.HistoryHandle,
+// agent.ForecastHandle): build the meta-scheduler before the first market
+// clear, or the histories and forecasts miss the clears before it.
 func NewMeta(replicas ...*Manager) (*Meta, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("arc: meta-scheduler needs at least one replica")
@@ -68,7 +69,7 @@ func NewMeta(replicas ...*Manager) (*Meta, error) {
 		cands[i] = strategy.Candidate{
 			ID:       r.cfg.ClusterName,
 			Step:     ag.Cluster().Interval(),
-			Hist:     func() []float64 { return ag.PriceHistory(0) },
+			Hist:     ag.HistoryHandle(),
 			Forecast: ag.ForecastHandle(),
 		}
 	}

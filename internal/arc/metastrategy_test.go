@@ -281,7 +281,7 @@ func (s *historySpy) Pick(cands []strategy.Candidate) (strategy.Pick, error) {
 
 // TestMetaPickReadsHandlesNotHistory pins the one forecast path at the
 // scheduler: under a prediction strategy a pick reads every replica's
-// forecast handle, pulls no price history (PriceHistory copies and averages
+// forecast handle, pulls no price history (the history reader copies and averages
 // the partition's rings), and allocates nothing. The
 // portfolio strategy, which needs the series, still gets it through Hist.
 func TestMetaPickReadsHandlesNotHistory(t *testing.T) {

@@ -274,7 +274,8 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	b.Agent, b.Manager = b.Agents[0], managers[0]
 	if parts > 1 {
-		// Before the first clear: NewMeta attaches every agent's predictors.
+		// Before the first clear: NewMeta attaches every agent's price rings and
+		// predictors.
 		if b.Meta, err = arc.NewMeta(managers...); err != nil {
 			return nil, err
 		}

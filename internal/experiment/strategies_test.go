@@ -183,7 +183,7 @@ func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
 	// Past a window of clears, each partition's history is exactly the window.
 	w.Engine.RunFor(time.Duration(p.Window+10) * w.Cluster.Interval())
 	for i, ag := range w.Agents {
-		if got := len(ag.PriceHistory(0)); got != p.Window {
+		if got := len(ag.HistoryHandle()()); got != p.Window {
 			t.Errorf("partition %d holds %d samples, want the window %d", i, got, p.Window)
 		}
 	}

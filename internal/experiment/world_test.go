@@ -5,38 +5,57 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tycoongrid/internal/metrics"
 )
 
-// TestWideGridRingAllocationBound gates what a wide grid's price history
-// costs: the first tick of a 10 000-host world hands every host's feed ring
-// its first sample, and the heap may grow by at most 16 MB over it. A ring
-// that reserved its capacity at the first sample grew it by ≈ 115 MB here
-// (720 slots of 16 bytes on each of 10 000 hosts); one that grows with what
-// it holds keeps 8 slots a host.
+// TestWideGridRingAllocationBound gates "no reader, no ring": a world without
+// a meta-scheduler reads no agent price history, so the first tick of a
+// 10 000-host world records no sample and the heap may grow by at most
+// maxGrowth over it. What it grows by, ≈ 1 MB, is the market plane's clear
+// list, kept for every later tick. An agent that hung a ring on every host in
+// New grew it by ≈ 2.2 MB here (an 8-slot buffer a host at the first sample),
+// and by ≈ 115 MB when each ring reserved its 720 slots.
 func TestWideGridRingAllocationBound(t *testing.T) {
-	const hosts, maxGrowth = 10_000, 16 << 20
+	const hosts, maxGrowth = 10_000, 1536 << 10
 	cfg := PaperWorld()
 	cfg.Hosts = hosts
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if w.Meta != nil {
+		t.Fatal("a single-partition world built a meta-scheduler")
+	}
 	var before, after runtime.MemStats
+	recorded := samplesRecorded()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	w.Engine.RunFor(w.Cluster.Interval())
+	w.Cluster.Sync()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(w)
-	if n := len(w.Agent.PriceHistory(0)); n != 1 {
-		t.Fatalf("the feed holds %d samples of every host after one tick, want 1", n)
+	if n := samplesRecorded() - recorded; n != 0 {
+		t.Errorf("one tick of %d hosts nobody reads recorded %d price samples, want 0", hosts, n)
 	}
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > maxGrowth {
-		t.Errorf("one tick of %d hosts grew the heap by %.1f MB, want <= %d MB", hosts, float64(growth)/(1<<20), maxGrowth>>20)
+		t.Errorf("one tick of %d hosts grew the heap by %.2f MB, want <= %.2f MB", hosts, float64(growth)/(1<<20), float64(maxGrowth)/(1<<20))
 	} else {
-		t.Logf("one tick of %d hosts grew the heap by %.1f MB", hosts, float64(growth)/(1<<20))
+		t.Logf("one tick of %d hosts grew the heap by %.2f MB", hosts, float64(growth)/(1<<20))
 	}
+}
+
+// samplesRecorded reads pricefeed_samples_recorded_total out of a snapshot of
+// the default registry.
+func samplesRecorded() uint64 {
+	for _, c := range metrics.Default().Snapshot().Counters {
+		if c.Name == "pricefeed_samples_recorded_total" {
+			return c.Value
+		}
+	}
+	return 0
 }
 
 // A run's price trace holds every tick of the run or fails the run: a sample
