@@ -220,9 +220,9 @@ simplicity-ledger:
 # Performance gates that cannot flake, because they count instead of timing:
 # the benchmark's own smoke test (every workload at toy size, run twice, equal
 # digests), and the allocation gates of the job path's fast paths — an idle
-# Market.Tick feeding a run-long price ring, the agent's feed ring and its
-# forecast model (what an experiment world that reads a whole run under a
-# meta-scheduler hangs on every host) and
+# Market.Tick feeding the market's one price ring, raised to a run's length,
+# and the agent's forecast model (what an experiment world that reads a whole
+# run under a meta-scheduler hangs on every host) and
 # PriceExcluding on an empty book allocate nothing, Best Response over 10 000 hosts allocates a handful,
 # the streaming AR model in steady state allocates nothing per Observe or
 # Forecast, a forecast that re-solves Yule-Walker included, nor does

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"tycoongrid/internal/auction"
-	"tycoongrid/internal/durable"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/sls"
@@ -69,35 +68,12 @@ func main() {
 		os.Exit(1)
 	}
 	slog.Info("auctioneerd: market", "host", *host, "mechanism", market.MechanismName())
-	svc, err := httpapi.NewAuctioneerService(market, map[string]int{
-		"hour": int(time.Hour / *interval),
-		"day":  int(24 * time.Hour / *interval),
-		"week": int(7 * 24 * time.Hour / *interval),
-	})
+
+	// With -data-dir, the price history is recovered and journaled.
+	svc, prices, err := newService(market, *interval, *dataDir, *fsyncMode, *snapshotEvery)
 	if err != nil {
 		slog.Error("auctioneerd: service construction failed", "err", err)
 		os.Exit(1)
-	}
-
-	// Durable price history: recover the logged samples into the prediction
-	// windows, then journal every subsequent tick's spot price.
-	var prices *priceLog
-	if *dataDir != "" {
-		policy, err := durable.ParseSyncPolicy(*fsyncMode)
-		if err != nil {
-			slog.Error("auctioneerd: bad -fsync", "err", err)
-			os.Exit(1)
-		}
-		prices, err = openPriceLog(*dataDir, durable.Options{Sync: policy}, *snapshotEvery)
-		if err != nil {
-			slog.Error("auctioneerd: open price log", "err", err)
-			os.Exit(1)
-		}
-		recovered := prices.recovered()
-		svc.ReplayPrices(recovered)
-		slog.Info("auctioneerd: price history recovered",
-			"samples", len(recovered), "dir", *dataDir)
-		market.Observe(prices.record)
 	}
 
 	// Readiness: with an SLS configured, not ready until the directory has

@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
+	"log/slog"
 	"math"
 	"sync"
 	"time"
 
+	"tycoongrid/internal/auction"
 	"tycoongrid/internal/durable"
+	"tycoongrid/internal/httpapi"
+	"tycoongrid/internal/pricefeed"
 )
 
 // maxPriceSamples bounds the retained price history at one week of
@@ -14,92 +21,100 @@ import (
 // prediction window after a restart.
 const maxPriceSamples = 7 * 24 * 360
 
-// priceLog makes the auctioneer's price history durable: one 16-byte record
-// (price float bits, unixnano) per reallocation tick, snapshotted as the
-// bounded sample tail so the WAL never grows past roughly one week.
+// snapshotTag opens every snapshot. Read as a price its bits are a NaN, so a
+// snapshot of the earlier untagged, price-only format, which starts with a
+// finite price, is never misread as samples.
+var snapshotTag = []byte{'p', 'r', 'i', 'c', 'e', 's', 0xf8, 0xff}
+
+// priceLog makes the market's week-long price ring (auction.Market.History)
+// durable: one 16-byte record (price float bits, unixnano) per clear, and
+// every `every` records a snapshot of the ring's samples in the same shape
+// behind snapshotTag, so the WAL never grows past about one week.
 type priceLog struct {
-	mu      sync.Mutex
-	store   *durable.Store
-	samples []float64
-	every   int
-	since   int
+	mu    sync.Mutex
+	store *durable.Store
+	ring  *pricefeed.Ring
+	every int
+	since int
 }
 
-// openPriceLog recovers the retained samples from dir and returns the log
-// ready for recording. snapshotEvery <= 0 snapshots once per maxPriceSamples
-// records.
-func openPriceLog(dir string, opts durable.Options, snapshotEvery int) (*priceLog, error) {
-	st, err := durable.Open(dir, opts)
+// newService wraps market in the HTTP service with its hour, day and week
+// /stats windows. With a data directory it also opens the price log under
+// the fsync policy, which recovers the market's ring from dir, and seeds the
+// windows from that ring; prices is nil without one. snapshotEvery <= 0
+// snapshots once per maxPriceSamples records.
+func newService(market *auction.Market, interval time.Duration, dir, fsync string, snapshotEvery int) (svc *httpapi.AuctioneerService, prices *priceLog, err error) {
+	svc, err = httpapi.NewAuctioneerService(market, map[string]int{
+		"hour": int(time.Hour / interval),
+		"day":  int(24 * time.Hour / interval),
+		"week": int(7 * 24 * time.Hour / interval),
+	})
+	if err != nil || dir == "" {
+		return svc, nil, err
+	}
+	policy, err := durable.ParseSyncPolicy(fsync)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if snapshotEvery <= 0 {
-		snapshotEvery = maxPriceSamples
+	st, err := durable.Open(dir, durable.Options{Sync: policy})
+	if err != nil {
+		return nil, nil, err
 	}
-	l := &priceLog{store: st, every: snapshotEvery}
-	_, err = st.Recover(
-		func(snap []byte) error {
-			for len(snap) >= 8 {
-				l.push(math.Float64frombits(binary.LittleEndian.Uint64(snap)))
-				snap = snap[8:]
-			}
-			return nil
-		},
-		func(rec []byte) error {
-			if len(rec) >= 8 {
-				l.push(math.Float64frombits(binary.LittleEndian.Uint64(rec)))
-			}
-			return nil
-		},
-	)
+	l := &priceLog{store: st, ring: market.History(maxPriceSamples), every: cmp.Or(max(snapshotEvery, 0), maxPriceSamples)}
+	_, err = st.Recover(func(snap []byte) error {
+		samples, ok := bytes.CutPrefix(snap, snapshotTag)
+		if !ok {
+			return errors.New("price snapshot holds prices without timestamps (an earlier format); " +
+				"move the -data-dir directory aside, or point -data-dir at an empty one, to start a fresh history")
+		}
+		l.replay(samples)
+		return nil
+	}, func(rec []byte) error {
+		l.replay(rec)
+		return nil
+	})
 	if err != nil {
 		st.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	return l, nil
+	svc.ReplayPrices(l.ring.Prices())
+	slog.Info("auctioneerd: price history recovered", "samples", l.ring.Len(), "dir", dir)
+	market.Observe(l.record) // after the ring: a snapshot there covers the record
+	return svc, l, nil
 }
 
-func (l *priceLog) push(p float64) {
-	l.samples = append(l.samples, p)
-	if len(l.samples) > 2*maxPriceSamples {
-		drop := len(l.samples) - maxPriceSamples
-		l.samples = append(l.samples[:0], l.samples[drop:]...)
-	}
+// appendSample encodes one sample onto dst, a WAL record and a snapshot entry
+// alike.
+func appendSample(dst []byte, price float64, at time.Time) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(price))
+	return binary.LittleEndian.AppendUint64(dst, uint64(at.UnixNano()))
 }
 
-// recovered returns the replayed sample history, oldest first.
-func (l *priceLog) recovered() []float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) > maxPriceSamples {
-		return l.samples[len(l.samples)-maxPriceSamples:]
+// replay observes the encoded samples in b into the ring. One the ring
+// refuses, the live ring refused when it was journaled.
+func (l *priceLog) replay(b []byte) {
+	for ; len(b) >= 16; b = b[16:] {
+		price := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		_ = l.ring.Observe(time.Unix(0, int64(binary.LittleEndian.Uint64(b[8:]))), price)
 	}
-	return l.samples
 }
 
 // record journals one tick's spot price. Price history is telemetry, not
 // money: the append is asynchronous and errors surface on close.
 func (l *priceLog) record(price float64, at time.Time) {
 	var rec [16]byte
-	binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(price))
-	binary.LittleEndian.PutUint64(rec[8:16], uint64(at.UnixNano()))
 
 	// l.mu also serializes Append with Snapshot, which the durable.Store
 	// contract requires of its caller.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.push(price)
-	l.store.AppendAsync(rec[:])
+	l.store.AppendAsync(appendSample(rec[:0], price, at))
 	l.since++
 	if l.since >= l.every {
 		l.since = 0
-		tail := l.samples
-		if len(tail) > maxPriceSamples {
-			tail = tail[len(tail)-maxPriceSamples:]
-		}
-		state := make([]byte, 0, 8*len(tail))
-		for _, p := range tail {
-			state = binary.LittleEndian.AppendUint64(state, math.Float64bits(p))
+		state := bytes.Clone(snapshotTag)
+		for _, s := range l.ring.Samples() {
+			state = appendSample(state, s.Price, s.At)
 		}
 		l.store.Snapshot(state)
 	}

@@ -281,10 +281,10 @@ type Config struct {
 	// their job sub-accounts never collide. Empty means "job", preserving the
 	// historical single-agent IDs.
 	JobIDPrefix string
-	// FeedCapacity bounds the per-host price-history ring the agent records
-	// from the auction clears once a reader asks for it (HistoryHandle), and
-	// each forecast model's window. 0 means pricefeed.DefaultCapacity.
-	FeedCapacity int
+	// Window is the agent's forecast window in market ticks: each forecast
+	// model's window and the history HistoryHandle returns, which the hosts'
+	// market rings hold at least. 0 means pricefeed.DefaultCapacity.
+	Window int
 }
 
 // Agent is the broker-side scheduler. Not safe for concurrent use; it runs
@@ -297,11 +297,8 @@ type Agent struct {
 	byBidder map[auction.BidderID]*Job
 	seq      int
 	pump     *sim.Ticker
-	// feed holds each partition host's price ring, aligned with hosts (nil
-	// until HistoryHandle or ForecastHandle is first asked), and models its
-	// forecast model (nil until ForecastHandle is first asked). Both hang on
-	// the host's market as observers.
-	feed   []*pricefeed.Ring
+	// models holds each partition host's forecast model, aligned with hosts
+	// (nil until ForecastHandle is first asked), beside its market's ring.
 	models []*predict.StreamAR
 
 	// Price discovery (see discover). ids is the partition in the cluster's
@@ -349,8 +346,8 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.JobIDPrefix == "" {
 		cfg.JobIDPrefix = "job"
 	}
-	if cfg.FeedCapacity <= 0 {
-		cfg.FeedCapacity = pricefeed.DefaultCapacity
+	if cfg.Window <= 0 {
+		cfg.Window = pricefeed.DefaultCapacity
 	}
 	all := cfg.Cluster.HostIDs()
 	if len(cfg.Hosts) == 0 {
@@ -1146,34 +1143,28 @@ func (a *Agent) MeanSpotPrice() float64 {
 
 // HistoryHandle returns the partition's price-history reader, which a
 // meta-scheduler puts on its strategy.Candidate as Hist: each call returns
-// the mean spot-price history (oldest first), averaged across this agent's
-// hosts per auction tick, spaced Cluster().Interval() apart.
+// the mean spot-price history (oldest first) of the last Window ticks,
+// averaged across this agent's hosts per auction tick.
 //
-// The rings it reads, one per partition host, are hung on the hosts' markets
-// the first time a handle is asked for (or ForecastHandle), so an agent
-// nobody reads carries none, and they are not backfilled: a handle first
-// requested after prices have flowed holds only the clears after it.
-// arc.NewMeta asks before the first clear.
+// It reads the hosts' market rings (auction.Market.History), which the
+// markets hang when first asked, so an agent nobody reads has none, and do
+// not backfill: a ring first hung after prices have flowed holds only the
+// clears after it. arc.NewMeta asks before the first clear.
 func (a *Agent) HistoryHandle() func() []float64 {
-	if a.feed == nil {
-		a.feed = make([]*pricefeed.Ring, len(a.hosts))
-		for i, h := range a.hosts {
-			a.feed[i], _ = pricefeed.NewRing(a.cfg.FeedCapacity) // FeedCapacity > 0, set in New
-			// Market.Observe first pays what a sleeping market owes its
-			// observers, so the ring sees nothing older than itself.
-			h.Market.Observe(a.feed[i].Observer())
-		}
+	rings := make([]*pricefeed.Ring, len(a.hosts))
+	for i, h := range a.hosts {
+		rings[i] = h.Market.History(a.cfg.Window)
 	}
 	return func() []float64 {
 		a.syncFeed()
-		return pricefeed.MeanHistory(a.feed, 0)
+		return pricefeed.MeanHistory(rings, a.cfg.Window)
 	}
 }
 
-// syncFeed brings the feed up to date with the partition's markets. An idle
-// host's market sleeps through ticks and hands its observers the samples it
-// owes only when woken (auction.Market.Sleep), so everything that reads the
-// rings or the forecast models goes through here first.
+// syncFeed brings the hosts' rings and models up to date with their markets.
+// An idle host's market sleeps through ticks and hands its observers the
+// samples it owes only when woken (auction.Market.Sleep), so everything that
+// reads the rings or the forecast models goes through here first.
 func (a *Agent) syncFeed() {
 	for _, h := range a.hosts {
 		h.Market.Sync()
@@ -1185,17 +1176,15 @@ func (a *Agent) syncFeed() {
 // from one predict.StreamingAR per host, which hangs on the host's market
 // beside its price ring and is updated on every clear.
 //
-// The models are attached the first time the handle is asked for, each
-// after its host's ring (the rings are attached here if no HistoryHandle
-// has), so an agent nobody forecasts from carries none, and they are not
-// backfilled: a handle first requested after prices have flowed reports
-// predict.ErrInsufficientHistory (which prediction strategies score as the
-// current price) until enough new clears arrive. arc.NewMeta asks before the
-// first clear.
+// The models are hung the first time the handle is asked for, each after its
+// host's ring, so an agent nobody forecasts from carries none, and they are
+// not backfilled: until enough clears arrive after that, the handle reports
+// predict.ErrInsufficientHistory, which prediction strategies score as the
+// current price. arc.NewMeta asks before the first clear.
 func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 	if a.models == nil {
 		a.HistoryHandle()
-		cfg := predict.PredictorConfig{Window: a.cfg.FeedCapacity, Step: a.cfg.Cluster.Interval()}
+		cfg := predict.PredictorConfig{Window: a.cfg.Window, Step: a.cfg.Cluster.Interval()}
 		a.models = make([]*predict.StreamAR, len(a.hosts))
 		for i, h := range a.hosts {
 			sp, _ := predict.NewStreaming(predict.StreamingAR, cfg) // the one model there is

@@ -27,20 +27,36 @@ func counter(name string) uint64 {
 	return 0
 }
 
-// hangRing hangs a ring of its own on the market of the agent's first host,
-// to show what the agent's rings would have seen had they been there.
+// hangRing hangs a witness ring of its own on the market of the agent's first
+// host, beside the market's history, to show what that history would have
+// seen had it been there.
 func hangRing(t *testing.T, w *world) *pricefeed.Ring {
 	t.Helper()
 	h, err := w.cluster.Host(w.agent.HostIDs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := pricefeed.NewRing(w.agent.cfg.FeedCapacity)
+	ring, err := pricefeed.NewRing(w.agent.cfg.Window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Market.Observe(ring.Observer())
 	return ring
+}
+
+// hostRing returns the market ring of the agent's i-th host, nil if no reader
+// has hung one.
+func hostRing(a *Agent, i int) *pricefeed.Ring { return a.hosts[i].Market.History(0) }
+
+// readsNothing reports whether no market of the agent's partition keeps a
+// history and the agent holds no forecast model.
+func readsNothing(a *Agent) bool {
+	for i := range a.hosts {
+		if hostRing(a, i) != nil {
+			return false
+		}
+	}
+	return a.models == nil
 }
 
 // TestAgentRecordsPriceHistory: a history handle asked for before the first
@@ -69,11 +85,13 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 	}
 	// Per-host histories exist for every partition host and match in length.
 	for i, id := range w.agent.HostIDs() {
-		if n := len(w.agent.feed[i].Prices()); n != ticks {
+		if n := len(hostRing(w.agent, i).Prices()); n != ticks {
 			t.Errorf("host %s history len %d, want %d", id, n, ticks)
 		}
 	}
-	// Asking again reads the same rings.
+	// Asking again reads the same rings, and a market's ring raised past the
+	// window does not lengthen the history.
+	hostRing(w.agent, 0).Raise(10 * ticks)
 	if again := w.agent.HistoryHandle()(); !slices.Equal(again, hist) {
 		t.Errorf("second handle reads %d ticks, want the first handle's %d", len(again), len(hist))
 	}
@@ -83,9 +101,10 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 }
 
 // TestHistoryHandleRequestedLateHasNoBackfill is the mirror of the forecast
-// rule: an agent nobody reads carries no ring, however many clears flow, and
-// a handle first asked after prices have flowed holds only the clears after
-// it. A ring hung on one host's market from the start shows what flowed.
+// rule: the markets of an agent nobody reads carry no history, however many
+// clears flow, and a handle first asked after prices have flowed holds only
+// the clears after it. A witness ring hung on one host's market from the
+// start shows what flowed.
 func TestHistoryHandleRequestedLateHasNoBackfill(t *testing.T) {
 	w := newWorld(t, 2)
 	all := hangRing(t, w)
@@ -93,8 +112,8 @@ func TestHistoryHandleRequestedLateHasNoBackfill(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.eng.RunFor(200 * w.cluster.Interval())
-	if w.agent.feed != nil {
-		t.Fatal("price rings attached to an agent whose history was never requested")
+	if !readsNothing(w.agent) {
+		t.Fatal("price rings hung for an agent whose history was never requested")
 	}
 
 	history := w.agent.HistoryHandle()
@@ -109,7 +128,7 @@ func TestHistoryHandleRequestedLateHasNoBackfill(t *testing.T) {
 		t.Errorf("the late handle holds %d ticks 50 clears after it, want 50", n)
 	}
 	samples := all.Samples()
-	if got, want := w.agent.feed[0].Samples(), samples[len(samples)-50:]; !slices.Equal(got, want) {
+	if got, want := hostRing(w.agent, 0).Samples(), samples[len(samples)-50:]; !slices.Equal(got, want) {
 		t.Errorf("host 0's ring holds %v, want the last 50 samples %v", got, want)
 	}
 }
@@ -165,7 +184,7 @@ func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
 	recorded := counter("pricefeed_samples_recorded_total")
 	idle.eng.RunFor(100 * idle.cluster.Interval())
 	idle.cluster.Sync()
-	if idle.agent.models != nil || idle.agent.feed != nil {
+	if !readsNothing(idle.agent) {
 		t.Fatal("predictors or rings attached to an agent whose handles were never requested")
 	}
 	if n := counter("pricefeed_samples_recorded_total") - recorded; n != 0 {
@@ -185,9 +204,9 @@ func TestForecastHandleAttachesOnFirstRequest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("forecast after 100 clears: %v", err)
 	}
-	for i, ring := range w.agent.feed {
-		if ring.Len() != 100 {
-			t.Errorf("host %d: the ring beside the model holds %d samples, want 100", i, ring.Len())
+	for i := range w.agent.hosts {
+		if n := hostRing(w.agent, i).Len(); n != 100 {
+			t.Errorf("host %d: the ring beside the model holds %d samples, want 100", i, n)
 		}
 	}
 	if fc.Mean <= 0 || math.IsNaN(fc.Mean) || fc.Sigma < 0 {
@@ -229,7 +248,7 @@ func TestNewAllocationBound(t *testing.T) {
 	}
 	perHost := float64(after.Mallocs-before.Mallocs) / hosts
 	bytesPerHost := float64(after.TotalAlloc-before.TotalAlloc) / hosts
-	if a.models != nil || a.feed != nil {
+	if !readsNothing(a) {
 		t.Error("New attached predictors or price rings")
 	}
 	// The partition's slices: 0.00 objects and ≈ 78 B a host. A ring and its
@@ -277,17 +296,17 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("forecast 50 clears after the attach: %v", err)
 	}
-	if n := w.agent.feed[0].Len(); n != 50 {
+	if n := hostRing(w.agent, 0).Len(); n != 50 {
 		t.Errorf("the ring beside host 0's model holds %d samples, want the 50 after the attach", n)
 	}
 	sp, err := predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{
-		Window: w.agent.cfg.FeedCapacity, Step: w.cluster.Interval(),
+		Window: w.agent.cfg.Window, Step: w.cluster.Interval(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := all.Samples()
-	for _, smp := range ring[len(ring)-50:] {
+	seen := all.Samples()
+	for _, smp := range seen[len(seen)-50:] {
 		if err := sp.Observe(smp.Price, smp.At); err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +323,8 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 // The same rule when the markets are asleep: after fifty idle ticks the
 // partition's markets owe the ring hung on host 0's market fifty samples
 // each. Asking for the handle pays that debt before the agent's rings and
-// predictors exist, so they still see nothing older than themselves.
+// predictors exist, so the market's ring and the models still see nothing
+// older than themselves.
 func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
 	w := newWorld(t, 2)
 	owed := hangRing(t, w)
@@ -316,8 +336,8 @@ func TestForecastHandleFirstTouchAfterIdleTicks(t *testing.T) {
 	if n := owed.Len(); n != 50 {
 		t.Errorf("the ring hung from the start holds %d samples once the handle exists, want all 50", n)
 	}
-	if n := w.agent.feed[0].Len(); n != 0 {
-		t.Errorf("the agent's ring holds %d samples right after a late attach, want none: it was fed replayed samples", n)
+	if n := hostRing(w.agent, 0).Len(); n != 0 {
+		t.Errorf("the market's ring holds %d samples right after a late attach, want none: it was fed replayed samples", n)
 	}
 	if _, err := handle(10 * time.Minute); !errors.Is(err, predict.ErrInsufficientHistory) {
 		t.Errorf("forecast right after a late attach: err = %v, want ErrInsufficientHistory: the predictors were fed replayed samples", err)
@@ -342,8 +362,8 @@ func TestForecastHandleReadsWhatTheRingsHold(t *testing.T) {
 	}
 	w.eng.RunFor(ticks * w.cluster.Interval())
 	behind := 0
-	for _, ring := range w.agent.feed {
-		if ring.Len() < ticks {
+	for i := range w.agent.hosts {
+		if hostRing(w.agent, i).Len() < ticks {
 			behind++
 		}
 	}
@@ -354,17 +374,18 @@ func TestForecastHandleReadsWhatTheRingsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]*predict.StreamAR, len(w.agent.feed))
-	for i, ring := range w.agent.feed {
-		if ring.Len() != ticks {
-			t.Fatalf("host %d: ring holds %d samples after the handle synced, want %d", i, ring.Len(), ticks)
+	models := make([]*predict.StreamAR, len(w.agent.hosts))
+	for i := range w.agent.hosts {
+		r := hostRing(w.agent, i)
+		if r.Len() != ticks {
+			t.Fatalf("host %d: ring holds %d samples after the handle synced, want %d", i, r.Len(), ticks)
 		}
 		if models[i], err = predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{
-			Window: w.agent.cfg.FeedCapacity, Step: w.cluster.Interval(),
+			Window: w.agent.cfg.Window, Step: w.cluster.Interval(),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		for _, smp := range ring.Samples() {
+		for _, smp := range r.Samples() {
 			if err := models[i].Observe(smp.Price, smp.At); err != nil {
 				t.Fatal(err)
 			}

@@ -53,7 +53,7 @@ type Meta struct {
 // inject a prediction- or portfolio-driven policy.
 //
 // NewMeta asks every replica's agent for its history and forecast handles,
-// which attach the agent's price rings and predictors (agent.HistoryHandle,
+// which hang the markets' price rings and the predictors (agent.HistoryHandle,
 // agent.ForecastHandle): build the meta-scheduler before the first market
 // clear, or the histories and forecasts miss the clears before it.
 func NewMeta(replicas ...*Manager) (*Meta, error) {

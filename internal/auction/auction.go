@@ -41,6 +41,7 @@ import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/metrics"
+	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/tracing"
 )
 
@@ -86,8 +87,9 @@ type Market struct {
 	observers []func(price float64, at time.Time)
 	// obs2 is inline room for the first two observers (a grid host's plane
 	// cache and price feed): wiring 10 000 markets allocates nothing for them.
-	obs2 [2]func(price float64, at time.Time)
-	mech mechanism.Mechanism // clearing rule; proportional share by default
+	obs2    [2]func(price float64, at time.Time)
+	mech    mechanism.Mechanism // clearing rule; proportional share by default
+	history *pricefeed.Ring     // nil until a reader asks (History)
 
 	// live and lines are the scratch of a clear or quote — the mechanism's
 	// input and the outcome lines it appends to — reused under the lock (no
@@ -193,6 +195,27 @@ func (m *Market) Observe(fn func(price float64, at time.Time)) {
 	m.observers = append(m.observers, fn)
 }
 
+// History returns the market's one price ring, which every reader of its
+// past prices shares. The first call with capacity >= 1 hangs it (after a
+// sleeping market pays its other observers, so it holds nothing older than
+// itself); a later one raises it to capacity if that is larger. capacity < 1
+// only looks: nil if no reader has asked.
+func (m *Market) History(capacity int) *pricefeed.Ring {
+	if capacity < 1 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.history
+	}
+	m.lockAwake()
+	defer m.mu.Unlock()
+	if m.history == nil {
+		m.history, _ = pricefeed.NewRing(capacity) // capacity >= 1
+		m.observers = append(m.observers, m.history.Observer())
+	}
+	m.history.Raise(capacity)
+	return m.history
+}
+
 // Waker is the side of Sleep that the market's driver implements.
 type Waker interface {
 	// Wake puts the market back into the driver's sweep and calls replay, in
@@ -228,7 +251,7 @@ func (m *Market) Sleep(w Waker) bool {
 }
 
 // Sync wakes the market if it is asleep, so that everything its observers
-// feed (price rings, recorders, predictors) is up to date. Read such state
+// feed (its price ring, predictors) is up to date. Read such state
 // only after syncing the hosts it covers; see Sleep. On a market that is
 // awake it costs one atomic load.
 func (m *Market) Sync() {
@@ -342,7 +365,6 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 	b.rate = b.remaining.Credits() / horizon
 	b.payRate = b.rate // boosted spend applies immediately, repriced at next clear
 	m.sharesOK = false
-	mBoosts.Inc()
 	return nil
 }
 
@@ -371,7 +393,6 @@ func (m *Market) CancelBid(bidder BidderID) (bank.Amount, error) {
 	remaining := m.bids[at].remaining
 	m.bids = slices.Delete(m.bids, at, at+1)
 	m.sharesOK = false
-	mBidsCancelled.Inc()
 	return remaining, nil
 }
 
@@ -387,7 +408,6 @@ func (m *Market) CancelAll() []Charge {
 			refunds = append(refunds, Charge{Bidder: b.bidder, Amount: b.remaining})
 		}
 	}
-	mBidsCancelled.Add(uint64(len(m.bids)))
 	clear(m.bids) // drop the bidder strings
 	m.bids = m.bids[:0]
 	m.sharesOK = false
@@ -598,7 +618,6 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 			if b.remaining > 0 {
 				refunds = append(refunds, Charge{Bidder: b.bidder, Amount: b.remaining})
 			}
-			mBidsExpired.Inc()
 			continue
 		}
 		m.bids[kept] = *b

@@ -142,39 +142,36 @@ func TestPostedPriceMovesOnIdleTicks(t *testing.T) {
 	}
 }
 
-// runRingSlots is the capacity of idleHost's run-long ring.
+// runRingSlots is the capacity of idleHost's history ring.
 const runRingSlots = 4000
 
 // idleHost builds one simulated host's market as an experiment world that
-// reads a whole run under a meta-scheduler wires it: three observers, a
-// run-long pricefeed.Ring, the agent's feed ring and its streaming forecast
-// model.
+// reads a whole run under a meta-scheduler wires it: the market's one price
+// history, asked for by the agent's forecast window and raised by the run to
+// runRingSlots, and the agent's streaming forecast model beside it.
 func idleHost(tb testing.TB) *Market {
 	tb.Helper()
 	m, err := NewMarket(Config{HostID: "h0042", CapacityMHz: 5600, ReservePrice: 1.0 / 3600, Start: sim.Epoch})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	run, err := pricefeed.NewRing(runRingSlots)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m.Observe(func(price float64, at time.Time) { _ = run.Observe(at, price) })
-	feed, _ := pricefeed.NewRing(pricefeed.DefaultCapacity)
-	m.Observe(feed.Observer())
+	ring := m.History(pricefeed.DefaultCapacity)
 	model, err := predict.NewStreaming(predict.StreamingAR, predict.PredictorConfig{Window: pricefeed.DefaultCapacity, Step: DefaultInterval})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	m.Observe(func(price float64, at time.Time) { _ = model.Observe(price, at) })
+	if run := m.History(runRingSlots); run != ring || run.Capacity() != runRingSlots {
+		tb.Fatalf("the run's history is another ring, or holds %d slots, want the agent's raised to %d", run.Capacity(), runRingSlots)
+	}
 	return m
 }
 
 // TestIdleTickAllocatesNothing is the allocation gate of the idle host-tick:
-// clearing an empty book and feeding both price histories and the forecast
-// model must not touch the heap. Each ring's buffer, and the model's window,
-// grows with the samples it holds until it reaches its capacity, and from
-// then on wraps around in place; the warm-up fills all three past their
+// clearing an empty book and feeding the market's price history and the
+// forecast model must not touch the heap. The ring's buffer, and the model's
+// window, grows with the samples it holds until it reaches its capacity, and
+// from then on wraps around in place; the warm-up fills both past their
 // capacities, so the ticks measured are the steady state and not a stretch
 // between two growths (AllocsPerRun truncates: one growth in 101 ticks would
 // read as 0).
@@ -185,6 +182,9 @@ func TestIdleTickAllocatesNothing(t *testing.T) {
 		now = now.Add(DefaultInterval)
 		m.Tick(now)
 	}
+	if ring := m.History(0); ring.Len() != runRingSlots || ring.Lost() != 100 {
+		t.Fatalf("after the warm-up the ring holds %d samples and lost %d, want %d and 100", ring.Len(), ring.Lost(), runRingSlots)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		now = now.Add(DefaultInterval)
 		if charges, refunds := m.Tick(now); charges != nil || refunds != nil {
@@ -192,7 +192,7 @@ func TestIdleTickAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("idle Tick with run ring, feed ring and model observers: %v allocations per tick, want 0", allocs)
+		t.Errorf("idle Tick with the history ring and a model observer: %v allocations per tick, want 0", allocs)
 	}
 }
 
@@ -209,8 +209,8 @@ func TestPriceExcludingEmptyBookAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkTickIdle is the unit cost of an idle host-tick with everything in
-// cache: the clear of an empty book plus both price histories and the
-// forecast model.
+// cache: the clear of an empty book plus the price history and the forecast
+// model.
 func BenchmarkTickIdle(b *testing.B) {
 	m := idleHost(b)
 	now := sim.Epoch

@@ -210,3 +210,40 @@ func TestLateSubscriberGetsNoReplayedSamples(t *testing.T) {
 		t.Errorf("after the next clear: %d and %d samples, want 51 and 1", len(early), len(late))
 	}
 }
+
+// TestHistoryIsTheMarketsOneRing: a market nobody reads keeps no history; the
+// first reader hangs one ring, after the samples a sleeping market owes its
+// other observers, so it holds nothing older than itself; every later reader
+// gets that ring back, raised to its window if that is larger.
+func TestHistoryIsTheMarketsOneRing(t *testing.T) {
+	m := newMarketWith(t, mechanism.Proportional, sim.Epoch)
+	d := &napDriver{m: m}
+	var all []priceAt
+	m.Observe(recordInto(&all))
+	for i := 1; i <= 5; i++ {
+		d.tick(tickAt(i))
+	}
+	if m.History(0) != nil {
+		t.Fatal("a market nobody reads keeps a history")
+	}
+	if !d.asleep || len(all) == 5 {
+		t.Fatal("the market never slept: the test shows nothing about owed samples")
+	}
+	r := m.History(10)
+	if len(all) != 5 || r.Len() != 0 {
+		t.Fatalf("hanging the ring: the witness holds %d samples, the ring %d; want 5 and none", len(all), r.Len())
+	}
+	for i := 6; i <= 8; i++ {
+		d.tick(tickAt(i))
+	}
+	m.Sync()
+	if again := m.History(20); again != r || r.Capacity() != 20 {
+		t.Fatalf("a second reader: same ring %v, capacity %d; want the same ring at 20", again == r, r.Capacity())
+	}
+	if m.History(5) != r || r.Capacity() != 20 || m.History(0) != r {
+		t.Errorf("a smaller window: capacity %d, want 20 and the same ring", r.Capacity())
+	}
+	if got := r.Samples(); len(got) != 3 || !got[0].At.Equal(tickAt(6)) || !got[2].At.Equal(tickAt(8)) {
+		t.Errorf("the ring holds %v, want the clears at ticks 6..8", got)
+	}
+}

@@ -132,13 +132,13 @@ func (b *Box) Scheduler() arc.Scheduler {
 	return b.Manager
 }
 
-// New assembles a world whose agents keep the default price history.
+// New assembles a world whose agents read the default forecast window.
 func New(cfg Config) (*Box, error) { return NewWindowed(cfg, 0) }
 
-// NewWindowed is New with the agents' price rings — the trailing history, in
-// market ticks, that forecasts and the portfolio covariance see — sized to
-// window (0 = pricefeed.DefaultCapacity). The whole configuration is checked
-// before anything is built.
+// NewWindowed is New with the agents' forecast window — the trailing
+// history, in market ticks, that forecasts and the portfolio covariance see —
+// set to window (0 = pricefeed.DefaultCapacity). The whole configuration is
+// checked before anything is built.
 func NewWindowed(cfg Config, window int) (*Box, error) {
 	if cfg.Hosts < 1 || cfg.CPUsPerHost < 1 || cfg.CPUMHz <= 0 {
 		return nil, fmt.Errorf("box: bad cluster shape %d x %d x %v", cfg.Hosts, cfg.CPUsPerHost, cfg.CPUMHz)
@@ -245,7 +245,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	for i := range managers {
 		acfg := agent.Config{
 			Cluster: b.Cluster, Bank: b.Bank, Identity: broker, Account: "broker",
-			Verifier: verifier, FeedCapacity: window,
+			Verifier: verifier, Window: window,
 		}
 		name := cfg.ClusterName
 		if parts > 1 {
@@ -274,8 +274,8 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	b.Agent, b.Manager = b.Agents[0], managers[0]
 	if parts > 1 {
-		// Before the first clear: NewMeta attaches every agent's price rings and
-		// predictors.
+		// Before the first clear: NewMeta hangs the markets' price rings and
+		// the agents' predictors.
 		if b.Meta, err = arc.NewMeta(managers...); err != nil {
 			return nil, err
 		}

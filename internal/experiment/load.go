@@ -55,13 +55,12 @@ type LoadResult struct {
 	JobsSent  int
 	JobsAged  int // submissions rejected (e.g. funds exhausted)
 	BusiestID string
-	trace     *runPrices
 }
 
-// Prices returns host's spot price at every tick of the run, oldest first
-// (nil for a host the world does not have).
+// Prices returns host's spot price at every tick of the run, oldest first,
+// read from the host's market ring (nil for a host the world does not have).
 func (r *LoadResult) Prices(host string) []float64 {
-	if ring := r.trace.rings[host]; ring != nil {
+	if ring := r.World.history(host, 0); ring != nil {
 		return ring.Prices()
 	}
 	return nil
@@ -80,11 +79,10 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 		return nil, err
 	}
 	horizon := time.Duration(p.Hours * float64(time.Hour))
-	trace, err := w.recordPrices(horizon)
-	if err != nil {
+	if err := w.holdRun(horizon); err != nil {
 		return nil, err
 	}
-	res := &LoadResult{World: w, trace: trace}
+	res := &LoadResult{World: w}
 	src := w.Src.Split()
 
 	var schedule func(at time.Duration)
@@ -159,7 +157,7 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 	// The trace is read from here on: idle hosts hand it the samples their
 	// sleeping markets still owe.
 	w.Cluster.Sync()
-	if err := trace.check(); err != nil {
+	if err := w.checkRun(); err != nil {
 		return nil, err
 	}
 

@@ -65,8 +65,7 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 		t.Fatal(err)
 	}
 	// Room for the nine hours' ticks plus the clears each recovery runs.
-	trace, err := w.recordPrices(10 * time.Hour)
-	if err != nil {
+	if err := w.holdRun(10 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	var inj *fault.Injector
@@ -120,11 +119,11 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 		}
 		fmt.Fprintf(&out, "job %s %s charged=%d duration=%d\n", job.ID, job.State, job.Charged, job.Duration())
 	}
-	if err := trace.check(); err != nil {
+	if err := w.checkRun(); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range w.Cluster.HostIDs() {
-		for _, s := range trace.rings[h].Samples() {
+		for _, s := range w.history(h, 0).Samples() {
 			fmt.Fprintf(&out, "price %s %d %016x\n", h, s.At.UnixNano(), math.Float64bits(s.Price))
 		}
 	}

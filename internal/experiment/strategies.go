@@ -161,14 +161,13 @@ func RunStrategies(p StrategiesParams) (*StrategiesResult, error) {
 // stratWorld is the partitioned meta-scheduler testbed.
 type stratWorld struct {
 	*World
-	trace      *runPrices
 	partitions [][]string // host ids per partition
 	hostPart   map[string]int
 }
 
 // buildStrategiesWorld is the world of p.World split into p.Partitions under
-// a Meta running the named strategy, every partition agent's price ring sized
-// to the prediction window.
+// a Meta running the named strategy, every partition agent's forecast window
+// set to the prediction window.
 func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, error) {
 	cfg := p.World
 	cfg.Partitions, cfg.Strategy, cfg.Horizon = p.Partitions, stratName, p.Horizon
@@ -177,9 +176,9 @@ func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, er
 		return nil, err
 	}
 	w := &stratWorld{World: &World{b}, hostPart: make(map[string]int)}
-	// The full price trace, for the volatility column (partitionPriceStd);
-	// the agents' rings keep only the last p.Window ticks.
-	if w.trace, err = w.recordPrices(time.Duration(p.Hours * float64(time.Hour))); err != nil {
+	// The full price trace, for the volatility column (partitionPriceStd):
+	// the markets' rings, of which the agents read the last p.Window ticks.
+	if err := w.holdRun(time.Duration(p.Hours * float64(time.Hour))); err != nil {
 		return nil, err
 	}
 	for i, ag := range w.Agents {
@@ -338,7 +337,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 			}
 		}
 	}
-	if err := w.trace.check(); err != nil {
+	if err := w.checkRun(); err != nil {
 		return nil, err
 	}
 	if out.Jobs == 0 {
@@ -388,7 +387,7 @@ func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, boo
 	series := make([][]float64, 0, len(hosts))
 	n := math.MaxInt
 	for _, h := range hosts {
-		vs := w.trace.rings[h].Window(from, to)
+		vs := w.history(h, 0).Window(from, to)
 		if len(vs) < 2 {
 			return 0, false
 		}

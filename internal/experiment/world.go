@@ -9,7 +9,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"tycoongrid/internal/agent"
@@ -56,43 +55,42 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	return &World{b}, nil
 }
 
-// runPrices is a whole run's spot-price history: one pricefeed.Ring per host
-// with room for every tick of the run, for the experiments that read a run's
-// prices afterwards (RunLoad, the strategies volatility column); no other
-// world keeps one. Read a host's ring after Cluster.Sync of that host.
-type runPrices struct {
-	rings   map[string]*pricefeed.Ring
-	refused atomic.Int64 // samples a ring rejected or had no room for
-}
-
-// recordPrices attaches a ring to every host market with room for one sample
-// per Cluster.Interval() of run.
-func (w *World) recordPrices(run time.Duration) (*runPrices, error) {
-	rp := &runPrices{rings: make(map[string]*pricefeed.Ring)}
-	for _, id := range w.Cluster.HostIDs() {
-		h, err := w.Cluster.Host(id)
-		if err != nil {
-			return nil, err
-		}
-		ring, err := pricefeed.NewRing(int(run / w.Cluster.Interval()))
-		if err != nil {
-			return nil, err
-		}
-		rp.rings[id] = ring
-		h.Market.Observe(func(price float64, at time.Time) {
-			if ring.Len() == ring.Capacity() || ring.Observe(at, price) != nil {
-				rp.refused.Add(1)
-			}
-		})
+// holdRun raises every host market's price ring to one sample per
+// Cluster.Interval() of run, for the experiments that read a whole run's
+// prices afterwards (RunLoad, the strategies volatility column). Read a
+// host's ring after Cluster.Sync of that host.
+func (w *World) holdRun(run time.Duration) error {
+	ticks := int(run / w.Cluster.Interval())
+	if ticks < 1 {
+		return fmt.Errorf("experiment: a %v run holds no market tick", run)
 	}
-	return rp, nil
+	for _, id := range w.Cluster.HostIDs() {
+		w.history(id, ticks)
+	}
+	return nil
 }
 
-// check fails a run whose trace lost a sample: it is never truncated
-// silently.
-func (rp *runPrices) check() error {
-	if n := rp.refused.Load(); n > 0 {
-		return fmt.Errorf("experiment: the run's price trace refused %d samples", n)
+// history asks host's market for its price ring with room for capacity
+// samples (0 only looks); nil for a host the world does not have.
+func (w *World) history(host string, capacity int) *pricefeed.Ring {
+	if h, err := w.Cluster.Host(host); err == nil {
+		return h.Market.History(capacity)
+	}
+	return nil
+}
+
+// checkRun fails a run whose trace lost a sample, one a host's ring refused
+// or had no room for: it is never truncated silently. Each ring counts its
+// own, so replications running side by side do not see each other's.
+func (w *World) checkRun() error {
+	var lost int64
+	for _, id := range w.Cluster.HostIDs() {
+		if ring := w.history(id, 0); ring != nil {
+			lost += ring.Lost()
+		}
+	}
+	if lost > 0 {
+		return fmt.Errorf("experiment: the run's price trace refused %d samples", lost)
 	}
 	return nil
 }

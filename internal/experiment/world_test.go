@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"tycoongrid/internal/metrics"
+	"tycoongrid/internal/pricefeed"
+	"tycoongrid/internal/strategy"
 )
 
 // TestWideGridRingAllocationBound gates "no reader, no ring": a world without
@@ -59,11 +61,11 @@ func samplesRecorded() uint64 {
 }
 
 // A run's price trace holds every tick of the run or fails the run: a sample
-// the ring has no room for, or one it refuses, is counted by check and never
-// dropped silently.
+// the market's ring has no room for, or one it refuses, is counted by the
+// ring and fails checkRun, never dropped silently.
 func TestRunPricesFailsALostSample(t *testing.T) {
 	const run = 30 * time.Minute
-	world := func(t *testing.T) (*World, *runPrices) {
+	world := func(t *testing.T) *World {
 		t.Helper()
 		cfg := PaperWorld()
 		cfg.Hosts = 3
@@ -71,40 +73,39 @@ func TestRunPricesFailsALostSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := w.recordPrices(run)
-		if err != nil {
+		if err := w.holdRun(run); err != nil {
 			t.Fatal(err)
 		}
-		return w, rp
+		return w
 	}
 
 	t.Run("whole run", func(t *testing.T) {
-		w, rp := world(t)
+		w := world(t)
 		w.Engine.RunFor(run)
 		w.Cluster.Sync()
-		if err := rp.check(); err != nil {
+		if err := w.checkRun(); err != nil {
 			t.Fatal(err)
 		}
 		want := int(run / w.Cluster.Interval())
 		for _, id := range w.Cluster.HostIDs() {
-			if got := len(rp.rings[id].Prices()); got != want {
+			if got := len(w.history(id, 0).Prices()); got != want {
 				t.Errorf("%s holds %d samples, want %d", id, got, want)
 			}
 		}
 	})
 
 	t.Run("longer than the run", func(t *testing.T) {
-		w, rp := world(t)
+		w := world(t)
 		w.Engine.RunFor(run + 2*w.Cluster.Interval())
 		w.Cluster.Sync()
-		err := rp.check()
+		err := w.checkRun()
 		if err == nil || !strings.Contains(err.Error(), "refused 6 samples") {
-			t.Fatalf("check = %v, want 2 samples refused on each of 3 hosts", err)
+			t.Fatalf("checkRun = %v, want 2 samples lost on each of 3 hosts", err)
 		}
 	})
 
 	t.Run("out of order", func(t *testing.T) {
-		w, rp := world(t)
+		w := world(t)
 		w.Engine.RunFor(run / 2)
 		w.Cluster.Sync()
 		h, err := w.Cluster.Host(w.Cluster.HostIDs()[0])
@@ -112,9 +113,128 @@ func TestRunPricesFailsALostSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.Market.Tick(w.Engine.Now().Add(-w.Cluster.Interval()))
-		err = rp.check()
+		err = w.checkRun()
 		if err == nil || !strings.Contains(err.Error(), "refused 1 samples") {
-			t.Fatalf("check = %v, want the one older sample refused", err)
+			t.Fatalf("checkRun = %v, want the one older sample refused", err)
 		}
+	})
+}
+
+// TestOneRingPerMarket: every world that reads prices keeps one price
+// history per market. Whoever asks — the meta-scheduled agents of box.New,
+// the strategies world's run trace on top of them, RunLoad's trace — gets the
+// market's ring, sized to the largest window asked for; a reader asking for
+// more raises it and gets the same ring back. Each market's ring takes one
+// sample a clear, and the process-wide count of ring samples is exactly
+// those, so no second ring hangs anywhere.
+func TestOneRingPerMarket(t *testing.T) {
+	// rings returns every market's ring, failing on a market without one.
+	rings := func(t *testing.T, w *World) []*pricefeed.Ring {
+		t.Helper()
+		var out []*pricefeed.Ring
+		for _, id := range w.Cluster.HostIDs() {
+			r := w.history(id, 0)
+			if r == nil {
+				t.Fatalf("%s: a read market keeps no history", id)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	// oneTick runs one clear and checks it reached each ring exactly once
+	// and no other ring at all.
+	oneTick := func(t *testing.T, w *World) {
+		t.Helper()
+		rs := rings(t, w)
+		before := make([]int, len(rs))
+		for i, r := range rs {
+			before[i] = r.Len()
+		}
+		recorded := samplesRecorded()
+		w.Engine.RunFor(w.Cluster.Interval())
+		w.Cluster.Sync()
+		for i, r := range rs {
+			if got := r.Len() - before[i]; got != 1 {
+				t.Errorf("ring %d took %d samples in one clear, want 1", i, got)
+			}
+		}
+		if n := samplesRecorded() - recorded; n != uint64(len(rs)) {
+			t.Errorf("one clear of %d markets recorded %d ring samples, want %d: a second ring hangs somewhere", len(rs), n, len(rs))
+		}
+	}
+	// raise asks for a larger history and checks it comes back the same.
+	raise := func(t *testing.T, w *World) {
+		t.Helper()
+		for _, id := range w.Cluster.HostIDs() {
+			h, err := w.Cluster.Host(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := h.Market.History(0)
+			want := r.Capacity() + 1
+			if again := h.Market.History(want); again != r {
+				t.Fatalf("%s: a second reader got another ring", id)
+			}
+			if got := r.Capacity(); got != want {
+				t.Errorf("%s: capacity %d after asking for %d", id, got, want)
+			}
+			if again := h.Market.History(1); again != r || r.Capacity() != want {
+				t.Errorf("%s: a smaller window lowered the capacity to %d", id, r.Capacity())
+			}
+		}
+	}
+
+	t.Run("box with a meta-scheduler", func(t *testing.T) {
+		cfg := PaperWorld()
+		cfg.Hosts, cfg.Partitions, cfg.Strategy = 4, 2, strategy.PredictedMean
+		w, err := NewWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rings(t, w) {
+			if r.Capacity() != pricefeed.DefaultCapacity {
+				t.Errorf("ring capacity %d, want the agents' window %d", r.Capacity(), pricefeed.DefaultCapacity)
+			}
+		}
+		oneTick(t, w)
+		raise(t, w)
+		oneTick(t, w)
+	})
+
+	t.Run("strategies", func(t *testing.T) {
+		p := shortStrategiesParams()
+		sw, err := buildStrategiesWorld(p, strategy.PredictedMean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := int(time.Duration(p.Hours*float64(time.Hour)) / sw.Cluster.Interval())
+		for _, r := range rings(t, sw.World) {
+			if r.Capacity() != max(run, p.Window) {
+				t.Errorf("ring capacity %d, want the run's %d ticks", r.Capacity(), run)
+			}
+		}
+		oneTick(t, sw.World)
+		raise(t, sw.World)
+		oneTick(t, sw.World)
+	})
+
+	t.Run("RunLoad", func(t *testing.T) {
+		p := DefaultLoadParams()
+		p.World.Hosts, p.Hours = 4, 4
+		recorded := samplesRecorded()
+		res, err := RunLoad(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := int(4 * time.Hour / res.World.Cluster.Interval())
+		for _, r := range rings(t, res.World) {
+			if r.Capacity() != run || r.Len() != run {
+				t.Errorf("ring holds %d of %d samples, want the run's %d", r.Len(), r.Capacity(), run)
+			}
+		}
+		if n := samplesRecorded() - recorded; n != uint64(4*run) {
+			t.Errorf("the run recorded %d ring samples, want %d: a second ring hangs somewhere", n, 4*run)
+		}
+		raise(t, res.World)
 	})
 }

@@ -16,18 +16,17 @@ import (
 )
 
 // observedCluster is a cluster with what experiment worlds hang on every
-// market — the agent's price-feed ring and a ring sized to the whole run —
-// and a log of every charge and refund.
+// market — its one price ring, asked for by an agent's window and raised to
+// the whole run — and a log of every charge and refund.
 type observedCluster struct {
 	*Cluster
 	eng   *sim.Engine
-	feed  map[string]*pricefeed.Ring
-	run   map[string]*pricefeed.Ring
+	rings map[string]*pricefeed.Ring
 	money []string
 }
 
 // rejectedSamples reads pricefeed_samples_rejected_total out of a snapshot
-// of the default registry: what the feed rings refused.
+// of the default registry: what the rings refused.
 func rejectedSamples() uint64 {
 	for _, c := range metrics.Default().Snapshot().Counters {
 		if c.Name == "pricefeed_samples_rejected_total" {
@@ -48,19 +47,10 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &observedCluster{Cluster: c, eng: eng, feed: map[string]*pricefeed.Ring{}, run: map[string]*pricefeed.Ring{}}
+	w := &observedCluster{Cluster: c, eng: eng, rings: map[string]*pricefeed.Ring{}}
 	for _, h := range c.list {
-		feed, _ := pricefeed.NewRing(pricefeed.DefaultCapacity)
-		w.feed[h.Spec.ID] = feed
-		h.Market.Observe(feed.Observer())
-		ring, err := pricefeed.NewRing(1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.run[h.Spec.ID] = ring
-		// It refuses what the feed rings refuse (a recovery's clear at a
-		// tick instant repeats that instant), and their observers count those.
-		h.Market.Observe(func(price float64, at time.Time) { _ = ring.Observe(at, price) })
+		h.Market.History(pricefeed.DefaultCapacity)
+		w.rings[h.Spec.ID] = h.Market.History(1000)
 	}
 	c.OnSettle = eachSettled(func(host string, ch auction.Charge) {
 		w.money = append(w.money, fmt.Sprintf("%v charge %s %s %v", eng.Now().Sub(sim.Epoch), host, ch.Bidder, ch.Amount))
@@ -75,8 +65,8 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 
 // Everything that can happen to a host that has been asleep for a while — it
 // fails, it recovers, it is handed a task, it is bid on through the cluster
-// or by someone holding its Market — leaves the feed rings, the run rings,
-// the price cache and the money exactly as on a twin whose every market is
+// or by someone holding its Market — leaves the price rings, the price cache
+// and the money exactly as on a twin whose every market is
 // woken before every tick, and so never sleeps through one.
 func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	const hosts, ticks = 6, 90
@@ -140,7 +130,7 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 
 	behind := 0
 	for _, id := range got.HostIDs() {
-		if got.feed[id].Len() < want.feed[id].Len() {
+		if got.rings[id].Len() < want.rings[id].Len() {
 			behind++
 		}
 	}
@@ -150,17 +140,13 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	got.Sync()
 	want.Sync()
 	for i, id := range got.HostIDs() {
-		g, w := got.feed[id].Samples(), want.feed[id].Samples()
+		g, w := got.rings[id].Samples(), want.rings[id].Samples()
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
 		}
-		// The feed ring has room for the whole run here, so it holds what
-		// the run ring holds.
-		if r := got.run[id].Samples(); !reflect.DeepEqual(r, g) {
-			t.Errorf("%s: run ring holds %d samples, the feed ring %d, or they differ", id, len(r), len(g))
-		}
-		if g, w := got.run[id].Samples(), want.run[id].Samples(); !reflect.DeepEqual(g, w) {
-			t.Errorf("%s: run ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
+		// The ring has room for the whole run, so it lost nothing.
+		if n := got.rings[id].Lost(); n != 0 {
+			t.Errorf("%s: ring lost %d samples, want none", id, n)
 		}
 		if g, w := got.plane.PriceAt(i), want.plane.PriceAt(i); g != w || g != got.list[i].Market.SpotPrice() {
 			t.Errorf("%s: cached price %v, the twin's %v, spot %v", id, g, w, got.list[i].Market.SpotPrice())

@@ -129,10 +129,6 @@ func TestRingMatchesTimeValuedReference(t *testing.T) {
 						t.Fatalf("op %d: Prices()[%d] = %v, reference %v", op, i, prices[i], w.Price)
 					}
 				}
-				last, ok := ring.Last()
-				if ok != (len(wantSamples) > 0) || (ok && last != wantSamples[len(wantSamples)-1]) {
-					t.Fatalf("op %d: Last() = %v, %v", op, last, ok)
-				}
 				// A window somewhere around the held span, its ends on a
 				// sample or between two.
 				from := now.Add(-time.Duration(src.Intn(int(8 * time.Minute))))
@@ -161,7 +157,7 @@ func TestRingMatchesTimeValuedReference(t *testing.T) {
 // buffer exactly), 9 (one past it) and 720 (an agent's default) across every
 // growth boundary and twice around the wrap, against the reference ring,
 // which reserves its capacity up front. After every sample — and after a
-// duplicate the ring must refuse without growing — contents, Last and a
+// duplicate the ring must refuse without growing — contents and a
 // window over everything agree, and the buffer holds at most twice the
 // samples (the first 8 slots aside) and never more than the capacity.
 // TestRingAllocationBound bounds what a one-sample ring keeps.
@@ -195,9 +191,6 @@ func TestRingGrowsWithWhatItHolds(t *testing.T) {
 					if got[k] != want[k] {
 						t.Fatalf("sample %d: sample %d = %v, reference %v", i, k, got[k], want[k])
 					}
-				}
-				if last, ok := ring.Last(); !ok || last != want[len(want)-1] {
-					t.Fatalf("sample %d: Last() = %v, %v, reference %v", i, last, ok, want[len(want)-1])
 				}
 				if got, want := ring.Window(start, at), ref.window(start, at); !slices.Equal(got, want) || len(got) != len(ring.Prices()) {
 					t.Fatalf("sample %d: Window over everything = %v, reference %v", i, got, want)
@@ -254,9 +247,8 @@ func TestRingDropsMonotonicReadingOnly(t *testing.T) {
 	if err := ring.Observe(at, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := ring.Last()
-	if got.At != at.Round(0) {
-		t.Errorf("Last().At = %#v, want %#v", got.At, at.Round(0))
+	if got := ring.Samples()[0]; got.At != at.Round(0) {
+		t.Errorf("Samples()[0].At = %#v, want %#v", got.At, at.Round(0))
 	}
 }
 
@@ -299,8 +291,8 @@ func TestRingReaderWhileWriter(t *testing.T) {
 						return
 					}
 				}
-				if last, ok := ring.Last(); ok && len(samples) > 0 && last.At.Before(samples[len(samples)-1].At) {
-					t.Errorf("Last() %v older than an earlier snapshot's tail %v", last.At, samples[len(samples)-1].At)
+				if later := ring.Samples(); len(samples) > 0 && later[len(later)-1].At.Before(samples[len(samples)-1].At) {
+					t.Errorf("a later snapshot's tail %v older than an earlier one's %v", later[len(later)-1].At, samples[len(samples)-1].At)
 					return
 				}
 				_ = ring.Prices()

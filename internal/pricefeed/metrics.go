@@ -3,7 +3,7 @@ package pricefeed
 import "tycoongrid/internal/metrics"
 
 // The feed sits between the auctions and the predictors; these two counters
-// say whether the agents' rings are seeing the market (recorded grows every
+// say whether the markets' rings are seeing the clears (recorded grows every
 // clear) and whether anything upstream ever produced a sample the boundary
 // had to refuse (rejected should stay 0 in a healthy market).
 var (

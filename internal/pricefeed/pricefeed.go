@@ -1,13 +1,12 @@
-// Package pricefeed collects live spot-price observations from the per-host
-// auctions into bounded rings, so the prediction models (internal/predict)
-// and scheduling strategies (internal/strategy) see the same history the
-// market actually produced rather than an offline trace. A Ring is the one
-// price-history type: the experiments that read a whole run keep one per host
-// sized to the run. A ring hangs on its host's auction market as one of the
-// market's observers (Ring.Observer), and so does the host's streaming
-// forecast model (internal/predict) when a meta-scheduler asks for one: the
-// market's observer list is the only fan-out, and each model is updated once
-// per clear instead of refitted from a copied history per decision.
+// Package pricefeed holds live spot-price observations from the per-host
+// auctions in bounded rings, so the prediction models (internal/predict) and
+// scheduling strategies (internal/strategy) see the history the market
+// actually produced rather than an offline trace. A Ring is the one
+// price-history type, and a host keeps at most one: its auction market hangs
+// it for the first reader (auction.Market.History) and raises it to the
+// largest window any reader declares — an agent's forecast window, an
+// experiment's run, auctioneerd's week. The host's streaming forecast model
+// hangs beside it; the market's observer list is the only fan-out.
 //
 // The ring is a validation boundary in the spirit of predict.FitAR: a single
 // NaN, infinite price, out-of-order tick, or duplicate timestamp would
@@ -19,8 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -70,6 +71,7 @@ type Ring struct {
 	next int            // index the next sample is written to
 	n    int            // samples currently held (<= size)
 	last int64          // newest accepted timestamp; meaningful once n > 0
+	lost atomic.Int64   // samples Observer refused or a newer sample evicted
 }
 
 // firstSlots is the buffer a ring's first sample allocates.
@@ -134,6 +136,8 @@ func (r *Ring) Observe(at time.Time, price float64) error {
 	r.next = (r.next + 1) % r.size
 	if r.n < r.size {
 		r.n++
+	} else {
+		r.lost.Add(1) // overwrote the oldest
 	}
 	r.last = ns
 	return nil
@@ -147,7 +151,26 @@ func (r *Ring) Len() int {
 }
 
 // Capacity returns the maximum number of samples the ring retains.
-func (r *Ring) Capacity() int { return r.size }
+func (r *Ring) Capacity() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.size
+}
+
+// Raise lifts the ring's capacity to capacity if that is larger, keeping
+// every sample held, oldest first from the buffer's start.
+func (r *Ring) Raise(capacity int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if capacity > r.size {
+		held := r.heldLocked()
+		r.buf, r.next, r.size = slices.Concat(held[0], held[1]), r.n, capacity
+	}
+}
+
+// Lost returns how many samples the ring has let go of: those its Observer
+// refused and those a newer sample pushed out of the full ring.
+func (r *Ring) Lost() int64 { return r.lost.Load() }
 
 // heldLocked returns the held slots, oldest first, as the buffer's two runs:
 // everything written so far until the ring fills, then from the write index
@@ -209,33 +232,20 @@ func (r *Ring) Window(from, to time.Time) []float64 {
 	return out
 }
 
-// Last returns the newest sample, if any.
-func (r *Ring) Last() (Sample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		return Sample{}, false
-	}
-	idx := r.next - 1
-	if idx < 0 {
-		idx += r.size
-	}
-	return r.sample(r.buf[idx]), true
-}
-
-// DefaultCapacity is the per-host history an agent keeps when none is
-// configured: two hours of the paper's 10-second reallocation ticks.
+// DefaultCapacity is an agent's forecast window when none is configured: two
+// hours of the paper's 10-second reallocation ticks.
 const DefaultCapacity = 720
 
 // Observer returns the callback, with auction.Market.Observe's signature,
-// that hangs r on a host's market as its price feed: every clear is recorded
-// into r and counted in pricefeed_samples_recorded_total. A sample the ring
-// refuses (the market never produces one; a bug or clock glitch might) is
-// counted in pricefeed_samples_rejected_total, not propagated: the feed is
-// advisory and must not disturb the market.
+// that hangs r on a host's market as its price history: every clear is
+// recorded into r and counted in pricefeed_samples_recorded_total. A sample
+// the ring refuses (the market never produces one; a bug or clock glitch
+// might) is counted in r.Lost and pricefeed_samples_rejected_total, not
+// propagated: the history is advisory and must not disturb the market.
 func (r *Ring) Observer() func(price float64, at time.Time) {
 	return func(price float64, at time.Time) {
 		if err := r.Observe(at, price); err != nil {
+			r.lost.Add(1)
 			mSamplesRejected.Inc()
 			return
 		}
@@ -283,7 +293,7 @@ func MeanHistory(rings []*Ring, max int) []float64 {
 
 // Hub is the name bench/replay.go times a feed's observe path under, and
 // nothing else builds one: a host's ring hangs on its market by
-// Ring.Observer. It goes with ROADMAP item 1's bench change.
+// auction.Market.History. It goes with ROADMAP item 1's bench change.
 type Hub struct{ capacity int }
 
 // NewHub returns a Hub whose rings hold capacity samples each

@@ -79,9 +79,8 @@ func TestRingBoundedAndChronological(t *testing.T) {
 			t.Fatalf("samples not strictly increasing: %v", samples)
 		}
 	}
-	last, ok := r.Last()
-	if !ok || last.Price != 9 {
-		t.Errorf("last = %+v ok=%v", last, ok)
+	if last := samples[len(samples)-1]; last.Price != 9 {
+		t.Errorf("last = %+v", last)
 	}
 }
 
@@ -228,5 +227,65 @@ func TestRingConcurrentFanIn(t *testing.T) {
 		if !samples[i].At.After(samples[i-1].At) {
 			t.Fatal("concurrent fan-in broke chronological order")
 		}
+	}
+}
+
+// TestRingRaiseKeepsWhatItHolds: raising a full, wrapped ring keeps every
+// sample in order and makes room for more; a smaller capacity changes
+// nothing.
+func TestRingRaiseKeepsWhatItHolds(t *testing.T) {
+	r, err := NewRing(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ { // wraps: holds 2..5
+		if err := r.Observe(at(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Raise(3)
+	if r.Capacity() != 4 {
+		t.Fatalf("Raise(3) set the capacity to %d, want it left at 4", r.Capacity())
+	}
+	r.Raise(20)
+	if got := r.Prices(); r.Capacity() != 20 || !slices.Equal(got, []float64{2, 3, 4, 5}) {
+		t.Fatalf("after Raise(20): capacity %d, prices %v, want 20 and [2 3 4 5]", r.Capacity(), got)
+	}
+	for i := 6; i < 30; i++ {
+		if err := r.Observe(at(i), float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]float64, 0, 20)
+	for i := 10; i < 30; i++ {
+		want = append(want, float64(i))
+	}
+	if got := r.Prices(); !slices.Equal(got, want) {
+		t.Errorf("raised ring holds %v, want %v", got, want)
+	}
+	if got := r.Window(at(27), at(29)); !slices.Equal(got, []float64{28, 29}) {
+		t.Errorf("Window over the raised ring = %v, want [28 29]", got)
+	}
+}
+
+// TestRingLostCountsEvictionsAndRefusals: a ring counts every sample it let
+// go of — pushed out by a newer one, or refused through its Observer — so a
+// reader that needs all of them can tell it does not have them.
+func TestRingLostCountsEvictionsAndRefusals(t *testing.T) {
+	r, err := NewRing(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := r.Observer()
+	for i := 0; i < 5; i++ {
+		obs(float64(i), at(i))
+	}
+	if r.Lost() != 2 {
+		t.Fatalf("5 samples into 3 slots: lost %d, want 2", r.Lost())
+	}
+	obs(1, at(4))          // duplicate
+	obs(math.NaN(), at(9)) // non-finite
+	if r.Lost() != 4 || r.Len() != 3 {
+		t.Errorf("after two refusals: lost %d, len %d, want 4 and 3", r.Lost(), r.Len())
 	}
 }

@@ -42,9 +42,7 @@ func TestFeedStressConcurrent(t *testing.T) {
 				default:
 				}
 				_ = MeanHistory(rings[:5], 16)
-				if _, ok := rings[3].Last(); ok {
-					_ = rings[3].Prices()
-				}
+				_ = rings[3].Samples()
 			}
 		}()
 	}
