@@ -280,31 +280,31 @@ func busyTickNs(b *testing.B, w *experiment.World) float64 {
 }
 
 // BenchmarkAuctionClearMetricsOverhead quantifies what the instrumentation
-// costs a busy tick. Each of its 300 clears sets its host's price gauge and
-// each busy host's advance adds its finished tasks to a counter; once a sweep
-// the plane adds the sweep's clears to auction_clears_total and its shard's
-// counters, and the cluster and the agent set their gauges and counters. The
+// costs a busy tick. Each busy host's advance adds its finished tasks to a
+// counter; once a sweep the plane adds the sweep's clears to
+// auction_clears_total and to its shard's clears counter, and the cluster and
+// the agent set their gauges and count the tick. No clear writes a metric of
+// its own: a host's spot price is read from its market, not from a gauge. The
 // reported overhead_% prices those operations, on their own registry, against
 // one 300-host busy tick. The acceptance bar is overhead_% < 5.
 func BenchmarkAuctionClearMetricsOverhead(b *testing.B) {
 	w := denseWorld300(b)
 	tickNs := busyTickNs(b, w)
 
-	// Per host: the price gauge and the completed-task counter. Per sweep: four
-	// counters (auction clears, shard clears, plane ticks, grid ticks) and five
-	// gauges (shard spot mean, running tasks, utilization, hosts down, and the
-	// agent's unbanked credits, which is an Add).
+	// Per host: the completed-task counter. Per sweep: three counters
+	// (auction clears, shard clears, grid ticks) and four gauges (running
+	// tasks, utilization, hosts down, and the agent's unbanked credits, which
+	// is an Add).
 	reg := metrics.NewRegistry()
-	price, completed := reg.Gauge("bench_price", "probe"), reg.Counter("bench_completed_total", "probe")
+	completed := reg.Counter("bench_completed_total", "probe")
 	counters := []*metrics.Counter{reg.Counter("bench_a_total", "probe"), reg.Counter("bench_b_total", "probe"),
-		reg.Counter("bench_c_total", "probe"), reg.Counter("bench_d_total", "probe")}
+		reg.Counter("bench_c_total", "probe")}
 	gauges := []*metrics.Gauge{reg.Gauge("bench_a", "probe"), reg.Gauge("bench_b", "probe"),
-		reg.Gauge("bench_c", "probe"), reg.Gauge("bench_d", "probe"), reg.Gauge("bench_e", "probe")}
+		reg.Gauge("bench_c", "probe"), reg.Gauge("bench_d", "probe")}
 	const probes = 1 << 10
 	probeStart := time.Now()
 	for i := 0; i < probes; i++ {
 		for h := 0; h < denseTickHosts; h++ {
-			price.Set(0.000123)
 			completed.Add(0)
 		}
 		for _, c := range counters {

@@ -18,7 +18,10 @@ import (
 // the documents fails here. And the other way round for packages and
 // experiments: every directory under internal/ has a row in the module map,
 // DESIGN.md §3, and every catalog entry a `-run <name>` in the experiment
-// index, DESIGN.md §4.
+// index, DESIGN.md §4. And every metric family README.md or the verify
+// skill names in a code span is registered (TestEveryMetricHasAReader's
+// scan): a family of a registered family's namespace (bank_, wal_, ...) that
+// no registration names is a deleted one.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -35,6 +38,16 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		experiments[e.Name] = true
 	}
 
+	metrics := registeredMetrics(t)
+	namespaces := map[string]bool{}
+	for name := range metrics {
+		ns, _, _ := strings.Cut(name, "_")
+		namespaces[ns] = true
+	}
+	// Words of a metric's namespace that are not metrics: a receipt's
+	// JSON field.
+	notMetrics := map[string]bool{"bank_sig": true}
+
 	var (
 		// A target is named in an inline code span, or by a command line of
 		// a fenced block; "make sense" in running prose is neither.
@@ -49,6 +62,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		// command line; `go test -run` selects tests instead.
 		codeSpan = regexp.MustCompile("`[^`]+`")
 		runFlag  = regexp.MustCompile(`(?:^|[^a-z])-run ([a-z][a-z0-9-]*)`)
+		family   = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])(([a-z][a-z0-9]*)_[a-z0-9_]*[a-z0-9])`)
 	)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -71,6 +85,15 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				}
 			}
 			commands := codeSpan.FindAllString(line, -1)
+			if !inFence && (doc == "README.md" || strings.HasPrefix(doc, ".claude/")) {
+				for _, span := range commands {
+					for _, m := range family.FindAllStringSubmatch(span, -1) {
+						if _, ok := metrics[m[1]]; namespaces[m[2]] && !ok && !notMetrics[m[1]] {
+							t.Errorf("%s:%d: names metric %s, which is not registered", doc, i+1, m[1])
+						}
+					}
+				}
+			}
 			if inFence {
 				commands = []string{line}
 			}

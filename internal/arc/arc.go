@@ -182,7 +182,6 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		gj.State = StateRunning
 		gj.Started = eng.Now()
 		mJobsQueued.Dec()
-		mJobsRunning.Inc()
 		aj.OnComplete = func(*agent.Job) {
 			gj.State = StateFinishing
 			finish := func() {
@@ -191,7 +190,6 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 				}
 				gj.State = StateFinished
 				gj.Finished = eng.Now()
-				mJobsRunning.Dec()
 				noteTerminal(StateFinished)
 				span.End()
 			}
@@ -210,7 +208,6 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 			gj.State = StateFailed
 			gj.Error = "agent: " + failed.FailReason
 			gj.Finished = eng.Now()
-			mJobsRunning.Dec()
 			noteTerminal(StateFailed)
 			span.EndErr(errors.New(gj.Error))
 		}
@@ -260,11 +257,8 @@ func (m *Manager) Cancel(jobID string) error {
 			return err
 		}
 	}
-	switch gj.State {
-	case StateAccepted, StatePreparing:
+	if gj.State == StateAccepted || gj.State == StatePreparing {
 		mJobsQueued.Dec()
-	case StateRunning, StateFinishing:
-		mJobsRunning.Dec()
 	}
 	gj.State = StateKilled
 	gj.Finished = m.cfg.Agent.Engine().Now()

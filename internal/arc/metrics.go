@@ -3,8 +3,8 @@ package arc
 import "tycoongrid/internal/metrics"
 
 // Job-lifecycle instrumentation mirroring the states of the Grid monitor:
-// gauges track the live ACCEPTED/PREPARING queue and the running set,
-// counters record submissions and terminal outcomes.
+// a gauge tracks the live ACCEPTED/PREPARING queue, counters record
+// submissions and terminal outcomes.
 var (
 	mJobsSubmitted = metrics.Default().Counter("arc_jobs_submitted_total",
 		"xRSL jobs accepted by the meta-scheduler.")
@@ -12,8 +12,6 @@ var (
 		"Jobs reaching a terminal state.", "state")
 	mJobsQueued = metrics.Default().Gauge("arc_jobs_queued",
 		"Jobs in ACCEPTED or PREPARING (stage-in).")
-	mJobsRunning = metrics.Default().Gauge("arc_jobs_running",
-		"Jobs in INLRMS:R or FINISHING.")
 	mMetaPicks = metrics.Default().CounterVec("arc_meta_picks_total",
 		"Meta-scheduler matchmaking decisions by strategy and chosen replica.",
 		"strategy", "replica")

@@ -40,7 +40,6 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/mechanism"
-	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/tracing"
 )
@@ -114,8 +113,6 @@ type Market struct {
 	waker  Waker
 	asleep atomic.Bool
 	wakeMu sync.Mutex
-
-	priceGauge *metrics.Gauge // this host's auction_clearing_price child
 }
 
 // Config configures a Market.
@@ -158,13 +155,12 @@ func NewMarket(cfg Config) (*Market, error) {
 		mech, _ = mechanism.New(mechanism.Proportional, mechanism.Config{})
 	}
 	m := &Market{
-		mech:       mech,
-		hostID:     cfg.HostID,
-		capacity:   cfg.CapacityMHz,
-		reserve:    reserve,
-		price:      reserve,
-		now:        cfg.Start,
-		priceGauge: mClearingPrice.With(cfg.HostID),
+		mech:     mech,
+		hostID:   cfg.HostID,
+		capacity: cfg.CapacityMHz,
+		reserve:  reserve,
+		price:    reserve,
+		now:      cfg.Start,
 	}
 	m.observers = m.obs2[:0]
 	return m, nil
@@ -668,8 +664,6 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	// change and the slice header is a stable snapshot: no copy needed.
 	obs := m.observers
 	m.mu.Unlock()
-
-	m.priceGauge.Set(price)
 
 	// Observers run outside the lock so they may call back into the market.
 	for _, fn := range obs {

@@ -3,8 +3,8 @@ package auction
 import "tycoongrid/internal/metrics"
 
 // Market instrumentation, registered in the process-wide default registry.
-// The clearing-price gauge is labeled by host; each Market resolves its
-// child once at construction so the Tick hot path pays one atomic store.
+// A host's spot price is not among it: the market's price ring holds its
+// history (History) and an auctioneer's /status publishes the current one.
 var (
 	mClears = metrics.Default().Counter("auction_clears_total",
 		"Reallocation clears executed across all host markets.")
@@ -13,6 +13,4 @@ var (
 	mBidBudget = metrics.Default().Histogram("auction_bid_budget_credits",
 		"Budget of each placed bid in credits; the _sum is total bid volume.",
 		[]float64{0.1, 1, 10, 100, 1000, 10000, 100000})
-	mClearingPrice = metrics.Default().GaugeVec("auction_clearing_price_credits_per_sec",
-		"Spot price set by the last clear.", "host")
 )

@@ -294,7 +294,6 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 	b.minted += amount
 	at := b.clock.Now()
 	b.appendEntryAt(EntryDeposit, "", id, amount, memo, at)
-	mDeposits.Inc()
 	return b.stage(func() []byte { return encDeposit(id, amount, memo, at) }), nil
 }
 
@@ -393,14 +392,11 @@ func (b *Bank) commit(from, to *Account, r Receipt) (Receipt, func() error, erro
 			// original's record is durable — it may still be waiting on its
 			// fsync, and a receipt for a transfer recovery would not contain
 			// is money the payer never lost.
-			mTransferReplays.Inc()
 			return prev, b.barrier(), nil
 		}
-		mNonceReuse.Inc()
 		return Receipt{}, nil, ErrNonceReused
 	}
 	if from.Balance < r.Amount {
-		mInsufficient.Inc()
 		return Receipt{}, nil, fmt.Errorf("%w: %q has %v, needs %v",
 			ErrInsufficientFunds, r.From, from.Balance, r.Amount)
 	}
@@ -411,7 +407,6 @@ func (b *Bank) commit(from, to *Account, r Receipt) (Receipt, func() error, erro
 	from.Balance -= r.Amount
 	to.Balance = nb
 	mTransfers.Inc()
-	mTransferAmount.Observe(r.Amount.Credits())
 	b.receipts[r.TransferID] = r
 	b.appendEntryAt(EntryTransfer, r.From, r.To, r.Amount, "", r.At)
 	return r, b.stage(func() []byte { return encTransfer(r) }), nil
@@ -491,7 +486,6 @@ func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func
 		return nil, ErrBadAuthorization
 	}
 	if f.Balance < mv.Amount {
-		mInsufficient.Inc()
 		return nil, fmt.Errorf("%w: %q has %v, needs %v", ErrInsufficientFunds, mv.From, f.Balance, mv.Amount)
 	}
 	nb, err := addChecked(t.Balance, mv.Amount)

@@ -170,7 +170,6 @@ func (s *Scheduler) Submit(user string, priority int, subJobs []float64, maxNode
 	}
 	s.jobs[j.ID] = j
 	heap.Push(&s.queue, j)
-	mBatchSubmitted.Inc()
 	s.dispatch()
 	return j, nil
 }
@@ -213,7 +212,6 @@ func (s *Scheduler) startSubJob(j *Job) {
 		j.completed++
 		j.running--
 		s.free = append(s.free, cpuID)
-		mBatchSubjobsDone.Inc()
 		s.dispatch()
 	}); err != nil {
 		// Scheduling in the past cannot happen with runFor >= 0.

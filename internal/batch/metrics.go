@@ -2,13 +2,8 @@ package batch
 
 import "tycoongrid/internal/metrics"
 
-// Baseline-scheduler instrumentation, kept name-parallel with the market
-// metrics so the ablation comparison can be read off one scrape.
+// Baseline-scheduler state after each dispatch pass.
 var (
-	mBatchSubmitted = metrics.Default().Counter("batch_jobs_submitted_total",
-		"Jobs queued on the FIFO baseline scheduler.")
-	mBatchSubjobsDone = metrics.Default().Counter("batch_subjobs_completed_total",
-		"Sub-jobs completed by the FIFO baseline scheduler.")
 	mBatchQueueDepth = metrics.Default().Gauge("batch_queue_depth",
 		"Jobs with undispatched sub-jobs after the last dispatch pass.")
 	mBatchFreeCPUs = metrics.Default().Gauge("batch_free_cpus",

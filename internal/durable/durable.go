@@ -236,11 +236,6 @@ func (s *Store) Recover(snapshot func(payload []byte) error, record func(payload
 		stats.Records += n
 		stats.TruncatedBytes += truncated
 	}
-	mRecoveredRecords.Add(uint64(stats.Records))
-	if stats.TruncatedBytes > 0 {
-		mTruncatedBytes.Add(uint64(stats.TruncatedBytes))
-	}
-
 	// Open (or create) the active segment for appending.
 	s.gen = base
 	if len(replay) > 0 {

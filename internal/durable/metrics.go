@@ -11,13 +11,4 @@ var (
 	mFsync = metrics.Default().Histogram("wal_fsync_seconds",
 		"Latency of each WAL fsync (one per group-commit batch).",
 		[]float64{0.00001, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 1})
-	mSnapshots = metrics.Default().Counter("wal_snapshots_total",
-		"Snapshots written (each truncates the log).")
-	mSnapshotSeconds = metrics.Default().Histogram("wal_snapshot_seconds",
-		"Time to write a snapshot and rotate the log.",
-		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
-	mRecoveredRecords = metrics.Default().Counter("wal_recovered_records_total",
-		"Records replayed from the log during recovery.")
-	mTruncatedBytes = metrics.Default().Counter("wal_truncated_bytes_total",
-		"Torn or corrupt tail bytes discarded during recovery.")
 )

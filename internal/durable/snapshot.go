@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 
 	"tycoongrid/internal/fault/failpoint"
 )
@@ -22,8 +21,6 @@ import (
 // stream: every record staged before the call is covered by state, and
 // every record staged after lands in the new generation.
 func (s *Store) Snapshot(state []byte) error {
-	start := time.Now()
-
 	// Exclude in-flight leader fsyncs, then make the current log durable up
 	// to its end: the snapshot claims to cover those records, so they must
 	// not outlive it only in a user-space buffer.
@@ -113,8 +110,6 @@ func (s *Store) Snapshot(state []byte) error {
 		}
 	}
 
-	mSnapshots.Inc()
-	mSnapshotSeconds.Observe(time.Since(start).Seconds())
 	return finish(nil)
 }
 

@@ -18,8 +18,13 @@ import (
 // list, kept for every later tick. An agent that hung a ring on every host in
 // New grew it by ≈ 2.2 MB here (an 8-slot buffer a host at the first sample),
 // and by ≈ 115 MB when each ring reserved its 720 slots.
+//
+// Nor may the world, built and ticked, add more than maxSamples children to
+// the default registry: what a snapshot (a daemon's scrape) costs must not
+// grow with the hosts.
 func TestWideGridRingAllocationBound(t *testing.T) {
-	const hosts, maxGrowth = 10_000, 1536 << 10
+	const hosts, maxGrowth, maxSamples = 10_000, 1536 << 10, 16
+	samples := snapshotSamples()
 	cfg := PaperWorld()
 	cfg.Hosts = hosts
 	w, err := NewWorld(cfg)
@@ -41,6 +46,11 @@ func TestWideGridRingAllocationBound(t *testing.T) {
 	if n := samplesRecorded() - recorded; n != 0 {
 		t.Errorf("one tick of %d hosts nobody reads recorded %d price samples, want 0", hosts, n)
 	}
+	if n := snapshotSamples(); n-samples > maxSamples {
+		t.Errorf("a world of %d hosts took a metrics snapshot from %d samples to %d, want at most %d more", hosts, samples, n, maxSamples)
+	} else {
+		t.Logf("a world of %d hosts took a metrics snapshot from %d samples to %d", hosts, samples, n)
+	}
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > maxGrowth {
 		t.Errorf("one tick of %d hosts grew the heap by %.2f MB, want <= %.2f MB", hosts, float64(growth)/(1<<20), float64(maxGrowth)/(1<<20))
@@ -58,6 +68,12 @@ func samplesRecorded() uint64 {
 		}
 	}
 	return 0
+}
+
+// snapshotSamples counts the children in a snapshot of the default registry.
+func snapshotSamples() int {
+	s := metrics.Default().Snapshot()
+	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 }
 
 // A run's price trace holds every tick of the run or fails the run: a sample

@@ -373,7 +373,6 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 		h.busy = true
 		c.started = append(c.started, h.index)
 	}
-	mTasksStarted.Inc()
 	// The owner is consuming CPU on this host now.
 	if err := h.Market.SetActive(owner, true); err != nil && !errors.Is(err, auction.ErrUnknownBidder) {
 		return nil, err
@@ -640,7 +639,6 @@ func (c *Cluster) CancelTask(hostID, taskID string) error {
 	if t == nil {
 		return fmt.Errorf("grid: unknown task %q on %q", taskID, hostID)
 	}
-	mTasksCancelled.Inc()
 	if err := h.VMs.Release(t.VMID, c.engine.Now()); err != nil {
 		panic(fmt.Sprintf("grid: cancelling %s: %v", t.VMID, err))
 	}

@@ -8,12 +8,8 @@ import "tycoongrid/internal/metrics"
 var (
 	mTicks = metrics.Default().Counter("grid_reallocation_ticks_total",
 		"Cluster-wide reallocation ticks executed.")
-	mTasksStarted = metrics.Default().Counter("grid_tasks_started_total",
-		"Sub-job tasks launched into VMs.")
 	mTasksCompleted = metrics.Default().Counter("grid_tasks_completed_total",
 		"Tasks that ran to completion.")
-	mTasksCancelled = metrics.Default().Counter("grid_tasks_cancelled_total",
-		"Tasks aborted before completion.")
 	mRunningTasks = metrics.Default().Gauge("grid_running_tasks",
 		"Live tasks across all hosts, sampled at the last tick.")
 	mHostUtilization = metrics.Default().Gauge("grid_host_utilization",

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,9 +14,9 @@ import (
 
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/metrics"
 	keyshard "tycoongrid/internal/shard"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/tracing"
 )
 
 // HostMarket is the slice of auction.Market the plane drives. *auction.Market
@@ -82,7 +83,7 @@ type shard struct {
 	ticks tickLog // every instant a sweep has ticked the awake markets at
 	woken []int   // markets woken since the last sweep began; they join the next
 
-	ctr shardCounters
+	clears *metrics.Counter // this shard's marketplane_shard_clears_total child
 }
 
 // Plane is the sharded market: hosts hash-partitioned across auctioneer
@@ -144,7 +145,7 @@ func New(cfg Config) (*Plane, error) {
 	// shard will hold.
 	even := len(cfg.Markets)/n + 1
 	for i := range p.shards {
-		p.shards[i] = &shard{index: i, ctr: countersFor(i),
+		p.shards[i] = &shard{index: i, clears: mShardClears.With(strconv.Itoa(i)),
 			markets: make([]HostMarket, 0, even), globals: make([]int, 0, even),
 			naps: make([]nap, 0, even), awake: make([]int, 0, even)}
 	}
@@ -232,7 +233,6 @@ func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount,
 		local: ref.local, bidder: bidder, budget: budget, deadline: deadline,
 	})
 	ref.shard.mu.Unlock()
-	ref.shard.ctr.enqueued.Inc()
 }
 
 // TickAll advances every shard to now — applying queued bids, batch-clearing
@@ -245,7 +245,6 @@ func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 	sim.FanOut(len(p.shards), func(i int) {
 		p.shards[i].tickInto(p, now, skip, nil)
 	})
-	mPlaneTicks.Inc()
 	if len(p.shards) == 1 {
 		return p.shards[0].cleared
 	}
@@ -300,34 +299,11 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	s.mu.Unlock()
 	slices.SortStableFunc(q, func(a, b queuedBid) int { return strings.Compare(string(a.bidder), string(b.bidder)) })
 
-	applied, dropped := uint64(0), uint64(0)
-	applyStart := time.Now()
+	// A bid for a skipped host, or one its market refuses, is dropped.
 	for _, b := range q {
-		if skip != nil && skip(s.globals[b.local]) {
-			dropped++
-			continue
+		if skip == nil || !skip(s.globals[b.local]) {
+			_, _ = s.markets[b.local].PlaceBid(b.bidder, b.budget, b.deadline)
 		}
-		if _, err := s.markets[b.local].PlaceBid(b.bidder, b.budget, b.deadline); err != nil {
-			dropped++
-			continue
-		}
-		applied++
-	}
-	if len(q) > 0 {
-		// One observation per drained batch; the exemplar ties a slow apply
-		// to the trace that was active when the batch cleared.
-		elapsed := time.Since(applyStart).Seconds()
-		if sp := tracing.Default().Current(); sp.Recording() {
-			mBidApplySeconds.ObserveExemplar(elapsed, sp.Context().TraceID.String())
-		} else {
-			mBidApplySeconds.Observe(elapsed)
-		}
-	}
-	if applied > 0 {
-		s.ctr.applied.Add(applied)
-	}
-	if dropped > 0 {
-		s.ctr.dropped.Add(dropped)
 	}
 
 	// The markets woken so far (by the bids above, among others) join this
@@ -345,7 +321,6 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 
 	s.cleared, s.order = s.cleared[:0], s.order[:0]
 	clears := 0
-	spotSum := 0.0
 	stay := s.awake[:0]
 	for _, local := range s.awake {
 		m, g := s.markets[local], s.globals[local]
@@ -362,7 +337,6 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 			continue
 		}
 		r.Charges, r.Refunds = m.Tick(now)
-		spotSum += p.PriceAt(g)
 		clears++
 		// Written before Sleep arms the wake that reads it: the market's
 		// lock orders the two.
@@ -375,8 +349,7 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	if clears > 0 {
 		// The markets' clears are counted here, once a sweep, not by each Tick.
 		auction.CountClears(clears)
-		s.ctr.clears.Add(uint64(clears))
-		s.ctr.spotMean.Set(spotSum / float64(clears))
+		s.clears.Add(uint64(clears))
 	}
 }
 

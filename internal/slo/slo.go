@@ -124,7 +124,6 @@ type Evaluator struct {
 	// the self-scrape collector stores slo_burn_rate history like any other
 	// gauge and fleet scrapes can aggregate burn rates across daemons.
 	mBurnRate   *metrics.GaugeVec
-	mViolating  *metrics.GaugeVec
 	mViolations *metrics.CounterVec
 
 	// Evaluate runs on the scrape loop and on every GET /slo; evalMu
@@ -177,8 +176,6 @@ func (e *Evaluator) bindMetrics(reg *metrics.Registry) {
 	e.mBurnRate = reg.GaugeVec("slo_burn_rate",
 		"Error-budget burn rate per objective and window (bad fraction / budget).",
 		"objective", "window")
-	e.mViolating = reg.GaugeVec("slo_violating",
-		"1 while the objective is in violation, else 0.", "objective")
 	e.mViolations = reg.CounterVec("slo_violations_total",
 		"Transitions into violation, by objective.", "objective")
 }
@@ -197,11 +194,6 @@ func (e *Evaluator) Evaluate() []Status {
 
 		e.mBurnRate.With(rule.Name, "fast").Set(st.BurnFast)
 		e.mBurnRate.With(rule.Name, "slow").Set(st.BurnSlow)
-		if st.Violating {
-			e.mViolating.With(rule.Name).Set(1)
-		} else {
-			e.mViolating.With(rule.Name).Set(0)
-		}
 		was := e.wasViol[rule.Name]
 		if st.Violating && !was {
 			e.mViolations.With(rule.Name).Inc()

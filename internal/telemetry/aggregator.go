@@ -79,10 +79,7 @@ type Aggregator struct {
 	status    map[string]*PeerStatus
 	exemplars []FleetExemplar
 
-	mScrapes  *metrics.CounterVec
-	mErrors   *metrics.CounterVec
-	mDuration *metrics.Histogram
-	mUp       *metrics.GaugeVec
+	mErrors *metrics.CounterVec
 }
 
 // AggregatorConfig wires an Aggregator.
@@ -91,7 +88,7 @@ type AggregatorConfig struct {
 	// Client is the scrape transport; nil builds one per peer with the
 	// default timeout.
 	Client *http.Client
-	// Registry receives the aggregator's own scrape metrics; nil means the
+	// Registry receives the aggregator's scrape-error counter; nil means the
 	// process default.
 	Registry *metrics.Registry
 	// Now stamps scrapes; nil means time.Now.
@@ -113,14 +110,8 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		db:     tsdb.NewDB(tsdb.DefaultCapacity),
 		now:    now,
 		status: map[string]*PeerStatus{},
-		mScrapes: reg.CounterVec("telemetry_scrapes_total",
-			"Peer scrapes attempted by the aggregator.", "peer"),
 		mErrors: reg.CounterVec("telemetry_scrape_errors_total",
 			"Peer scrapes that failed.", "peer"),
-		mDuration: reg.Histogram("telemetry_scrape_seconds",
-			"Wall time of one full fleet sweep.", nil),
-		mUp: reg.GaugeVec("telemetry_peer_up",
-			"1 when the last scrape of the peer succeeded.", "peer"),
 	}
 	for _, p := range a.peers {
 		a.clients = append(a.clients, httpapi.NewTelemetryClient(p.BaseURL, cfg.Client))
@@ -170,16 +161,13 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) int {
 	for i, res := range results {
 		peer := a.peers[i]
 		st := a.status[peer.Name]
-		a.mScrapes.With(peer.Name).Inc()
 		if res.err != nil {
 			a.mErrors.With(peer.Name).Inc()
-			a.mUp.With(peer.Name).Set(0)
 			st.Up = false
 			st.LastError = res.err.Error()
 			continue
 		}
 		up++
-		a.mUp.With(peer.Name).Set(1)
 		st.Up = true
 		st.LastError = ""
 		st.LastScrape = done
@@ -189,7 +177,6 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) int {
 			a.addExemplarLocked(ex)
 		}
 	}
-	a.mDuration.Observe(done.Sub(start).Seconds())
 	return up
 }
 
