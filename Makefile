@@ -245,7 +245,10 @@ simplicity-ledger:
 # /transfers allocates at most 39 times, the httptest fixture's 11 included
 # (TestTransferServeAllocationBound); a host's price history costs what it
 # holds — a ring with one sample keeps an 8-slot buffer, a full one observes
-# in place (TestRingAllocationBound), and a history nobody reads is not kept:
+# in place (TestRingAllocationBound), a daemon's metric series, the same
+# ring, likewise: 32 series after 100 scrapes hold at most 128 points' buffer
+# (2 KiB) and 1 KiB besides each, where reserved rings held 64 KiB each
+# (TestDBAllocationBound) — and a history nobody reads is not kept:
 # the first tick of a 10 000-host world without a meta-scheduler records no
 # price sample and grows the heap by at most 1.5 MB, where the agent's rings
 # made it 2.2 MB and reserving every ring's 720 slots 115 MB
@@ -267,7 +270,7 @@ simplicity-ledger:
 # skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/pricefeed
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/tsdb
 	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \

@@ -14,6 +14,7 @@ import (
 	"tycoongrid/internal/durable"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/pricefeed"
+	"tycoongrid/internal/tsdb"
 )
 
 // maxPriceSamples bounds the retained price history at one week of
@@ -33,7 +34,7 @@ var snapshotTag = []byte{'p', 'r', 'i', 'c', 'e', 's', 0xf8, 0xff}
 type priceLog struct {
 	mu    sync.Mutex
 	store *durable.Store
-	ring  *pricefeed.Ring
+	ring  *tsdb.Ring
 	every int
 	since int
 }
@@ -77,25 +78,27 @@ func newService(market *auction.Market, interval time.Duration, dir, fsync strin
 		st.Close()
 		return nil, nil, err
 	}
-	svc.ReplayPrices(l.ring.Prices())
+	svc.ReplayPrices(tsdb.Values(l.ring.Since(math.MinInt64)))
 	slog.Info("auctioneerd: price history recovered", "samples", l.ring.Len(), "dir", dir)
 	market.Observe(l.record) // after the ring: a snapshot there covers the record
 	return svc, l, nil
 }
 
-// appendSample encodes one sample onto dst, a WAL record and a snapshot entry
-// alike.
-func appendSample(dst []byte, price float64, at time.Time) []byte {
+// appendSample encodes one sample, its price and unix-nanosecond instant,
+// onto dst: a WAL record and a snapshot entry alike.
+func appendSample(dst []byte, price float64, ns int64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(price))
-	return binary.LittleEndian.AppendUint64(dst, uint64(at.UnixNano()))
+	return binary.LittleEndian.AppendUint64(dst, uint64(ns))
 }
 
-// replay observes the encoded samples in b into the ring. One the ring
-// refuses, the live ring refused when it was journaled.
+// replay records the encoded samples in b into the ring. One the ring or
+// pricefeed.Check refuses, the live ring refused when it was journaled.
 func (l *priceLog) replay(b []byte) {
 	for ; len(b) >= 16; b = b[16:] {
-		price := math.Float64frombits(binary.LittleEndian.Uint64(b))
-		_ = l.ring.Observe(time.Unix(0, int64(binary.LittleEndian.Uint64(b[8:]))), price)
+		price, ns := math.Float64frombits(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:]))
+		if pricefeed.Check(price, time.Unix(0, ns), time.Time{}, false) == nil {
+			l.ring.AppendNanos(ns, price)
+		}
 	}
 }
 
@@ -108,13 +111,13 @@ func (l *priceLog) record(price float64, at time.Time) {
 	// contract requires of its caller.
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.store.AppendAsync(appendSample(rec[:0], price, at))
+	l.store.AppendAsync(appendSample(rec[:0], price, at.UnixNano()))
 	l.since++
 	if l.since >= l.every {
 		l.since = 0
 		state := bytes.Clone(snapshotTag)
-		for _, s := range l.ring.Samples() {
-			state = appendSample(state, s.Price, s.At)
+		for _, p := range l.ring.Since(math.MinInt64) {
+			state = appendSample(state, p.V, p.T)
 		}
 		l.store.Snapshot(state)
 	}

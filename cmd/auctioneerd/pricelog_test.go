@@ -69,13 +69,13 @@ func (d *daemon) stats(t *testing.T, window string) string {
 // prices and instants both, and answer every /stats window alike.
 func sameHistory(t *testing.T, got, want *daemon, n int) {
 	t.Helper()
-	g, w := got.prices.ring.Samples(), want.prices.ring.Samples()
+	g, w := got.prices.ring.Since(math.MinInt64), want.prices.ring.Since(math.MinInt64)
 	if len(g) != n || len(w) != n {
 		t.Fatalf("rings hold %d and %d samples, want %d", len(g), len(w), n)
 	}
 	for i := range w {
-		if g[i].At.UnixNano() != w[i].At.UnixNano() || math.Float64bits(g[i].Price) != math.Float64bits(w[i].Price) {
-			t.Fatalf("sample %d: %v at %v, want %v at %v", i, g[i].Price, g[i].At, w[i].Price, w[i].At)
+		if g[i].T != w[i].T || math.Float64bits(g[i].V) != math.Float64bits(w[i].V) {
+			t.Fatalf("sample %d: %v at %v, want %v at %v", i, g[i].V, g[i].T, w[i].V, w[i].T)
 		}
 	}
 	for _, window := range []string{"hour", "day", "week"} {

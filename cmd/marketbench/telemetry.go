@@ -67,7 +67,8 @@ func telemetryFinish(deterministic bool) string {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(&sb, "%s points=%d\n", n, len(s.Window(24*time.Hour)))
+		last, _ := s.Latest() // none held: an empty range
+		fmt.Fprintf(&sb, "%s points=%d\n", n, len(s.Range(last.T-(24*time.Hour).Nanoseconds(), last.T)))
 	}
 	sb.WriteString("=== SLO ===\n")
 	for _, st := range statuses {

@@ -28,6 +28,7 @@ import (
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
 	"tycoongrid/internal/token"
+	"tycoongrid/internal/tsdb"
 	"tycoongrid/internal/xrsl"
 )
 
@@ -1151,7 +1152,7 @@ func (a *Agent) MeanSpotPrice() float64 {
 // not backfill: a ring first hung after prices have flowed holds only the
 // clears after it. arc.NewMeta asks before the first clear.
 func (a *Agent) HistoryHandle() func() []float64 {
-	rings := make([]*pricefeed.Ring, len(a.hosts))
+	rings := make([]*tsdb.Ring, len(a.hosts))
 	for i, h := range a.hosts {
 		rings[i] = h.Market.History(a.cfg.Window)
 	}

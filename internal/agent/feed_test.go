@@ -15,6 +15,7 @@ import (
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
+	"tycoongrid/internal/tsdb"
 )
 
 // counter reads the named counter out of a snapshot of the default registry.
@@ -30,23 +31,20 @@ func counter(name string) uint64 {
 // hangRing hangs a witness ring of its own on the market of the agent's first
 // host, beside the market's history, to show what that history would have
 // seen had it been there.
-func hangRing(t *testing.T, w *world) *pricefeed.Ring {
+func hangRing(t *testing.T, w *world) *tsdb.Ring {
 	t.Helper()
 	h, err := w.cluster.Host(w.agent.HostIDs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := pricefeed.NewRing(w.agent.cfg.Window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Market.Observe(ring.Observer())
+	ring := tsdb.NewRing(w.agent.cfg.Window)
+	h.Market.Observe(pricefeed.Observer(ring))
 	return ring
 }
 
 // hostRing returns the market ring of the agent's i-th host, nil if no reader
 // has hung one.
-func hostRing(a *Agent, i int) *pricefeed.Ring { return a.hosts[i].Market.History(0) }
+func hostRing(a *Agent, i int) *tsdb.Ring { return a.hosts[i].Market.History(0) }
 
 // readsNothing reports whether no market of the agent's partition keeps a
 // history and the agent holds no forecast model.
@@ -85,7 +83,7 @@ func TestAgentRecordsPriceHistory(t *testing.T) {
 	}
 	// Per-host histories exist for every partition host and match in length.
 	for i, id := range w.agent.HostIDs() {
-		if n := len(hostRing(w.agent, i).Prices()); n != ticks {
+		if n := hostRing(w.agent, i).Len(); n != ticks {
 			t.Errorf("host %s history len %d, want %d", id, n, ticks)
 		}
 	}
@@ -127,8 +125,8 @@ func TestHistoryHandleRequestedLateHasNoBackfill(t *testing.T) {
 	if n := len(history()); n != 50 {
 		t.Errorf("the late handle holds %d ticks 50 clears after it, want 50", n)
 	}
-	samples := all.Samples()
-	if got, want := hostRing(w.agent, 0).Samples(), samples[len(samples)-50:]; !slices.Equal(got, want) {
+	samples := all.Since(math.MinInt64)
+	if got, want := hostRing(w.agent, 0).Since(math.MinInt64), samples[len(samples)-50:]; !slices.Equal(got, want) {
 		t.Errorf("host 0's ring holds %v, want the last 50 samples %v", got, want)
 	}
 }
@@ -305,9 +303,9 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := all.Samples()
+	seen := all.Since(math.MinInt64)
 	for _, smp := range seen[len(seen)-50:] {
-		if err := sp.Observe(smp.Price, smp.At); err != nil {
+		if err := sp.Observe(smp.V, time.Unix(0, smp.T)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,8 +383,8 @@ func TestForecastHandleReadsWhatTheRingsHold(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		for _, smp := range r.Samples() {
-			if err := models[i].Observe(smp.Price, smp.At); err != nil {
+		for _, smp := range r.Since(math.MinInt64) {
+			if err := models[i].Observe(smp.V, time.Unix(0, smp.T)); err != nil {
 				t.Fatal(err)
 			}
 		}

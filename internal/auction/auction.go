@@ -42,6 +42,7 @@ import (
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/tracing"
+	"tycoongrid/internal/tsdb"
 )
 
 // DefaultInterval is the paper's reallocation period.
@@ -88,7 +89,7 @@ type Market struct {
 	// cache and price feed): wiring 10 000 markets allocates nothing for them.
 	obs2    [2]func(price float64, at time.Time)
 	mech    mechanism.Mechanism // clearing rule; proportional share by default
-	history *pricefeed.Ring     // nil until a reader asks (History)
+	history *tsdb.Ring          // nil until a reader asks (History)
 
 	// live and lines are the scratch of a clear or quote — the mechanism's
 	// input and the outcome lines it appends to — reused under the lock (no
@@ -196,7 +197,7 @@ func (m *Market) Observe(fn func(price float64, at time.Time)) {
 // sleeping market pays its other observers, so it holds nothing older than
 // itself); a later one raises it to capacity if that is larger. capacity < 1
 // only looks: nil if no reader has asked.
-func (m *Market) History(capacity int) *pricefeed.Ring {
+func (m *Market) History(capacity int) *tsdb.Ring {
 	if capacity < 1 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
@@ -205,8 +206,8 @@ func (m *Market) History(capacity int) *pricefeed.Ring {
 	m.lockAwake()
 	defer m.mu.Unlock()
 	if m.history == nil {
-		m.history, _ = pricefeed.NewRing(capacity) // capacity >= 1
-		m.observers = append(m.observers, m.history.Observer())
+		m.history = tsdb.NewRing(capacity)
+		m.observers = append(m.observers, pricefeed.Observer(m.history))
 	}
 	m.history.Raise(capacity)
 	return m.history

@@ -1,6 +1,7 @@
 package auction
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -243,7 +244,7 @@ func TestHistoryIsTheMarketsOneRing(t *testing.T) {
 	if m.History(5) != r || r.Capacity() != 20 || m.History(0) != r {
 		t.Errorf("a smaller window: capacity %d, want 20 and the same ring", r.Capacity())
 	}
-	if got := r.Samples(); len(got) != 3 || !got[0].At.Equal(tickAt(6)) || !got[2].At.Equal(tickAt(8)) {
+	if got := r.Since(math.MinInt64); len(got) != 3 || got[0].T != tickAt(6).UnixNano() || got[2].T != tickAt(8).UnixNano() {
 		t.Errorf("the ring holds %v, want the clears at ticks 6..8", got)
 	}
 }

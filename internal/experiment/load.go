@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/tsdb"
 )
 
 // LoadParams drives the background-load scenario that generates realistic
@@ -61,7 +62,7 @@ type LoadResult struct {
 // read from the host's market ring (nil for a host the world does not have).
 func (r *LoadResult) Prices(host string) []float64 {
 	if ring := r.World.history(host, 0); ring != nil {
-		return ring.Prices()
+		return tsdb.Values(ring.Since(math.MinInt64))
 	}
 	return nil
 }

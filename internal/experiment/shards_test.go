@@ -123,8 +123,8 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 		t.Fatal(err)
 	}
 	for _, h := range w.Cluster.HostIDs() {
-		for _, s := range w.history(h, 0).Samples() {
-			fmt.Fprintf(&out, "price %s %d %016x\n", h, s.At.UnixNano(), math.Float64bits(s.Price))
+		for _, p := range w.history(h, 0).Since(math.MinInt64) {
+			fmt.Fprintf(&out, "price %s %d %016x\n", h, p.T, math.Float64bits(p.V))
 		}
 	}
 	return out.String()

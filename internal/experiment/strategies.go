@@ -15,6 +15,7 @@ import (
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/strategy"
 	"tycoongrid/internal/token"
+	"tycoongrid/internal/tsdb"
 	"tycoongrid/internal/workload"
 	"tycoongrid/internal/xrsl"
 )
@@ -384,23 +385,23 @@ func (w *stratWorld) jobPartition(gj *arc.GridJob) int {
 func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, bool) {
 	hosts := w.partitions[pi]
 	w.Cluster.Sync(hosts...) // sleeping markets owe the trace their idle clears
-	series := make([][]float64, 0, len(hosts))
+	series := make([][]tsdb.Point, 0, len(hosts))
 	n := math.MaxInt
 	for _, h := range hosts {
-		vs := w.history(h, 0).Window(from, to)
-		if len(vs) < 2 {
+		pts := w.history(h, 0).Range(from.UnixNano(), to.UnixNano())
+		if len(pts) < 2 {
 			return 0, false
 		}
-		series = append(series, vs)
-		if len(vs) < n {
-			n = len(vs)
+		series = append(series, pts)
+		if len(pts) < n {
+			n = len(pts)
 		}
 	}
 	var sd mathx.Welford
 	for i := 0; i < n; i++ {
 		var sum float64
-		for _, vs := range series {
-			sum += vs[len(vs)-n+i]
+		for _, pts := range series {
+			sum += pts[len(pts)-n+i].V
 		}
 		sd.Add(sum / float64(len(series)))
 	}

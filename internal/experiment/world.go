@@ -14,7 +14,7 @@ import (
 	"tycoongrid/internal/agent"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
-	"tycoongrid/internal/pricefeed"
+	"tycoongrid/internal/tsdb"
 	"tycoongrid/internal/workload"
 	"tycoongrid/internal/xrsl"
 )
@@ -72,7 +72,7 @@ func (w *World) holdRun(run time.Duration) error {
 
 // history asks host's market for its price ring with room for capacity
 // samples (0 only looks); nil for a host the world does not have.
-func (w *World) history(host string, capacity int) *pricefeed.Ring {
+func (w *World) history(host string, capacity int) *tsdb.Ring {
 	if h, err := w.Cluster.Host(host); err == nil {
 		return h.Market.History(capacity)
 	}
@@ -83,7 +83,7 @@ func (w *World) history(host string, capacity int) *pricefeed.Ring {
 // or had no room for: it is never truncated silently. Each ring counts its
 // own, so replications running side by side do not see each other's.
 func (w *World) checkRun() error {
-	var lost int64
+	var lost uint64
 	for _, id := range w.Cluster.HostIDs() {
 		if ring := w.history(id, 0); ring != nil {
 			lost += ring.Lost()

@@ -9,6 +9,7 @@ import (
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/strategy"
+	"tycoongrid/internal/tsdb"
 )
 
 // TestWideGridRingAllocationBound gates "no reader, no ring": a world without
@@ -104,7 +105,7 @@ func TestRunPricesFailsALostSample(t *testing.T) {
 		}
 		want := int(run / w.Cluster.Interval())
 		for _, id := range w.Cluster.HostIDs() {
-			if got := len(w.history(id, 0).Prices()); got != want {
+			if got := w.history(id, 0).Len(); got != want {
 				t.Errorf("%s holds %d samples, want %d", id, got, want)
 			}
 		}
@@ -134,6 +135,21 @@ func TestRunPricesFailsALostSample(t *testing.T) {
 			t.Fatalf("checkRun = %v, want the one older sample refused", err)
 		}
 	})
+
+	// A ring holds any finite value; a price may not be negative, and the
+	// observer a market records its ring through refuses one, counting it
+	// where checkRun looks.
+	t.Run("negative price", func(t *testing.T) {
+		w := world(t)
+		w.Engine.RunFor(run / 2)
+		w.Cluster.Sync()
+		ring := w.history(w.Cluster.HostIDs()[0], 0)
+		pricefeed.Observer(ring)(-1, w.Engine.Now().Add(time.Second))
+		err := w.checkRun()
+		if err == nil || !strings.Contains(err.Error(), "refused 1 samples") {
+			t.Fatalf("checkRun = %v, want the negative price refused", err)
+		}
+	})
 }
 
 // TestOneRingPerMarket: every world that reads prices keeps one price
@@ -145,9 +161,9 @@ func TestRunPricesFailsALostSample(t *testing.T) {
 // those, so no second ring hangs anywhere.
 func TestOneRingPerMarket(t *testing.T) {
 	// rings returns every market's ring, failing on a market without one.
-	rings := func(t *testing.T, w *World) []*pricefeed.Ring {
+	rings := func(t *testing.T, w *World) []*tsdb.Ring {
 		t.Helper()
-		var out []*pricefeed.Ring
+		var out []*tsdb.Ring
 		for _, id := range w.Cluster.HostIDs() {
 			r := w.history(id, 0)
 			if r == nil {

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"tycoongrid/internal/metrics"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/sim"
+	"tycoongrid/internal/tsdb"
 )
 
 // observedCluster is a cluster with what experiment worlds hang on every
@@ -21,7 +23,7 @@ import (
 type observedCluster struct {
 	*Cluster
 	eng   *sim.Engine
-	rings map[string]*pricefeed.Ring
+	rings map[string]*tsdb.Ring
 	money []string
 }
 
@@ -47,7 +49,7 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &observedCluster{Cluster: c, eng: eng, rings: map[string]*pricefeed.Ring{}}
+	w := &observedCluster{Cluster: c, eng: eng, rings: map[string]*tsdb.Ring{}}
 	for _, h := range c.list {
 		h.Market.History(pricefeed.DefaultCapacity)
 		w.rings[h.Spec.ID] = h.Market.History(1000)
@@ -140,7 +142,7 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 	got.Sync()
 	want.Sync()
 	for i, id := range got.HostIDs() {
-		g, w := got.rings[id].Samples(), want.rings[id].Samples()
+		g, w := got.rings[id].Since(math.MinInt64), want.rings[id].Since(math.MinInt64)
 		if !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: ring holds %d samples, the twin's %d, or they differ", id, len(g), len(w))
 		}
@@ -212,10 +214,10 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := make([]*pricefeed.Ring, hosts)
+	feed := make([]*tsdb.Ring, hosts)
 	for i, h := range c.list {
-		feed[i], _ = pricefeed.NewRing(pricefeed.DefaultCapacity)
-		h.Market.Observe(feed[i].Observer())
+		feed[i] = tsdb.NewRing(pricefeed.DefaultCapacity)
+		h.Market.Observe(pricefeed.Observer(feed[i]))
 	}
 	step := func() {
 		eng.RunFor(c.Interval())
@@ -240,13 +242,13 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 	}
 	c.Sync()
 	for i, h := range c.list {
-		samples := feed[i].Samples()
+		samples := feed[i].Since(math.MinInt64)
 		if len(samples) != warm+ticks {
 			t.Fatalf("%s: ring holds %d samples after Sync, want one per tick, %d", h.Spec.ID, len(samples), warm+ticks)
 		}
 		for k, s := range samples {
-			if want := sim.Epoch.Add(time.Duration(k+1) * c.Interval()); !s.At.Equal(want) {
-				t.Fatalf("%s: sample %d at %v, want the tick instant %v", h.Spec.ID, k, s.At, want)
+			if want := sim.Epoch.Add(time.Duration(k+1) * c.Interval()); s.T != want.UnixNano() {
+				t.Fatalf("%s: sample %d at %v, want the tick instant %v", h.Spec.ID, k, time.Unix(0, s.T), want)
 			}
 		}
 	}

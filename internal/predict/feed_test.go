@@ -8,6 +8,7 @@ import (
 
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/rng"
+	"tycoongrid/internal/tsdb"
 )
 
 // fedModel returns a streaming AR model shaped by cfg that has observed vs,
@@ -75,7 +76,8 @@ func TestForecastMeanCombinesAndSkips(t *testing.T) {
 func TestModelRefusesOnlyWhatItsRingRefuses(t *testing.T) {
 	src := rng.New(41)
 	for trial := 0; trial < 50; trial++ {
-		ring, _ := pricefeed.NewRing(64)
+		ring := tsdb.NewRing(64)
+		observe := pricefeed.Observer(ring)
 		model, err := NewStreaming(StreamingAR, PredictorConfig{Window: 64, Order: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -100,13 +102,15 @@ func TestModelRefusesOnlyWhatItsRingRefuses(t *testing.T) {
 			default:
 				at = at.Add(time.Duration(1+src.Intn(20)) * time.Second)
 			}
-			ringErr := ring.Observe(at, price)
+			dropped := ring.Dropped()
+			observe(price, at)
+			ringRefused := ring.Dropped() != dropped
 			if i < attach {
 				continue
 			}
 			if modelErr := model.Observe(price, at); modelErr != nil {
 				refusedByModel++
-				if ringErr == nil {
+				if !ringRefused {
 					t.Fatalf("trial %d, sample %d (%v at %v): the model refused it (%v), the ring took it", trial, i, price, at, modelErr)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/pricefeed"
+	"tycoongrid/internal/tsdb"
 )
 
 // This file holds the package's price-model interface and the batch AR(k)
@@ -92,8 +93,7 @@ func NewPredictor(name string, cfg PredictorConfig) (Predictor, error) {
 		return nil, fmt.Errorf("predict: unknown predictor %q (want \"ar\")", name)
 	}
 	cfg = cfg.withDefaults()
-	ring, _ := pricefeed.NewRing(cfg.Window)
-	return &arPredictor{cfg: cfg, ring: ring}, nil
+	return &arPredictor{cfg: cfg, ring: tsdb.NewRing(cfg.Window)}, nil
 }
 
 // ErrInsufficientHistory is wrapped by Predict when the model has not seen
@@ -105,15 +105,20 @@ var ErrInsufficientHistory = fmt.Errorf("predict: insufficient history")
 // sample deviation — the market's recent variability around the AR path.
 type arPredictor struct {
 	cfg  PredictorConfig
-	ring *pricefeed.Ring
+	ring *tsdb.Ring
 }
 
 func (p *arPredictor) Observe(at time.Time, price float64) error {
-	return p.ring.Observe(at, price)
+	last, held := p.ring.Latest()
+	if err := pricefeed.Check(price, at, time.Unix(0, last.T), held); err != nil {
+		return err
+	}
+	p.ring.AppendNanos(at.UnixNano(), price)
+	return nil
 }
 
 func (p *arPredictor) Predict(horizon time.Duration) (Forecast, error) {
-	vs := p.ring.Prices()
+	vs := tsdb.Values(p.ring.Since(math.MinInt64))
 	if need := 2*p.cfg.Order + 1; len(vs) < need {
 		return Forecast{}, fmt.Errorf("%w: AR(%d) has %d points, want >= %d",
 			ErrInsufficientHistory, p.cfg.Order, len(vs), need)

@@ -31,27 +31,6 @@ func NewStreaming(name string, cfg PredictorConfig) (*StreamAR, error) {
 	return newStreamAR(cfg), nil
 }
 
-// validateSample applies the pricefeed boundary rules to one streaming
-// sample: finite non-negative prices, strictly increasing timestamps.
-// last/seen are the model's ordering state.
-func validateSample(price float64, at time.Time, last time.Time, seen bool) error {
-	if math.IsNaN(price) || math.IsInf(price, 0) {
-		return fmt.Errorf("%w: %v", pricefeed.ErrNonFinite, price)
-	}
-	if price < 0 {
-		return fmt.Errorf("%w: %v", pricefeed.ErrNegative, price)
-	}
-	if seen {
-		if at.Before(last) {
-			return fmt.Errorf("%w: %v < %v", pricefeed.ErrOutOfOrder, at, last)
-		}
-		if at.Equal(last) {
-			return fmt.Errorf("%w: %v", pricefeed.ErrDuplicate, at)
-		}
-	}
-	return nil
-}
-
 // StreamAR is the incremental AR(k) model: Observe folds one spot-price
 // sample into running state in O(Order) and Forecast reads the current model
 // without touching history. It keeps the trailing Window observations in a
@@ -123,7 +102,7 @@ func (p *StreamAR) at(i int) float64 {
 func (p *StreamAR) Observe(price float64, at time.Time) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := validateSample(price, at, p.last, p.seen); err != nil {
+	if err := pricefeed.Check(price, at, p.last, p.seen); err != nil {
 		return err
 	}
 	if !p.seen {

@@ -4,14 +4,17 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"tycoongrid/internal/tsdb"
 )
 
 // FuzzRing decodes the input as a stream of (time-delta, price) operations —
 // including negative and zero deltas (out-of-order and duplicate ticks) and
-// sentinel bytes for NaN/Inf/negative prices — and asserts the ring's
-// boundary invariants: bad samples are rejected with a typed error and leave
-// the ring unchanged, accepted samples keep the buffer bounded and strictly
-// chronological, and no held price is ever non-finite.
+// sentinel bytes for NaN/Inf/negative prices — feeds it to a market's ring
+// through its observer and asserts the price boundary's invariants: bad
+// samples are refused, counted in Dropped and leave the ring unchanged,
+// accepted samples keep the buffer bounded and strictly chronological, and
+// no held price is ever non-finite or negative.
 func FuzzRing(f *testing.F) {
 	// Seeds mirror the attack surface spelled out in the satellite task:
 	// in-order ticks, out-of-order timestamps, duplicate ticks, NaN/Inf and
@@ -23,10 +26,8 @@ func FuzzRing(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 1, 10}) // wrap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 4
-		r, err := NewRing(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := tsdb.NewRing(capacity)
+		observe := Observer(r)
 		base := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
 		now := base
 		var accepted int
@@ -47,12 +48,12 @@ func FuzzRing(f *testing.F) {
 			default:
 				price = float64(data[i+1]) / 8
 			}
-			before := r.Len()
-			err := r.Observe(now, price)
+			before, dropped := r.Len(), r.Dropped()
+			observe(price, now)
 			badPrice := math.IsNaN(price) || math.IsInf(price, 0) || price < 0
 			stale := accepted > 0 && !now.After(lastAccepted)
 			if badPrice || stale {
-				if err == nil {
+				if r.Dropped() != dropped+1 {
 					t.Fatalf("op %d: accepted invalid sample (price=%v, at=%v, last=%v)",
 						i/2, price, now, lastAccepted)
 				}
@@ -61,8 +62,8 @@ func FuzzRing(f *testing.F) {
 				}
 				continue
 			}
-			if err != nil {
-				t.Fatalf("op %d: valid sample rejected: %v", i/2, err)
+			if r.Dropped() != dropped {
+				t.Fatalf("op %d: valid sample rejected (price=%v, at=%v)", i/2, price, now)
 			}
 			accepted++
 			lastAccepted = now
@@ -74,13 +75,13 @@ func FuzzRing(f *testing.F) {
 		if r.Len() != want {
 			t.Fatalf("len = %d, want %d (accepted %d, capacity %d)", r.Len(), want, accepted, capacity)
 		}
-		samples := r.Samples()
-		for i, s := range samples {
-			if math.IsNaN(s.Price) || math.IsInf(s.Price, 0) || s.Price < 0 {
-				t.Fatalf("held sample %d has invalid price %v", i, s.Price)
+		pts := r.Since(math.MinInt64)
+		for i, p := range pts {
+			if math.IsNaN(p.V) || math.IsInf(p.V, 0) || p.V < 0 {
+				t.Fatalf("held sample %d has invalid price %v", i, p.V)
 			}
-			if i > 0 && !samples[i].At.After(samples[i-1].At) {
-				t.Fatalf("samples out of order at %d: %v", i, samples)
+			if i > 0 && p.T <= pts[i-1].T {
+				t.Fatalf("samples out of order at %d: %v", i, pts)
 			}
 		}
 	})

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tycoongrid/internal/tsdb"
 )
 
 // TestFeedStressConcurrent hammers many hosts' ring observers, each from its
@@ -12,9 +14,9 @@ import (
 // observers share nothing but the ring locks and the two counters.
 func TestFeedStressConcurrent(t *testing.T) {
 	const hosts, capacity, writesPerHost = 37, 32, 300
-	rings := make([]*Ring, hosts)
+	rings := make([]*tsdb.Ring, hosts)
 	for i := range rings {
-		rings[i], _ = NewRing(capacity)
+		rings[i] = tsdb.NewRing(capacity)
 	}
 	rejected := mSamplesRejected.Value()
 
@@ -27,7 +29,7 @@ func TestFeedStressConcurrent(t *testing.T) {
 			for k := 0; k < writesPerHost; k++ {
 				obs(0.1+float64(k%17)*0.01, base.Add(time.Duration(k+1)*time.Second))
 			}
-		}(i, r.Observer())
+		}(i, Observer(r))
 	}
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -42,7 +44,7 @@ func TestFeedStressConcurrent(t *testing.T) {
 				default:
 				}
 				_ = MeanHistory(rings[:5], 16)
-				_ = rings[3].Samples()
+				_, _ = rings[3].Latest()
 			}
 		}()
 	}

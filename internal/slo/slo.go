@@ -265,7 +265,7 @@ func (e *Evaluator) judged(rule Objective, names []string, at time.Time, window 
 		if !ok {
 			continue
 		}
-		for _, p := range s.WindowBefore(at, window) {
+		for _, p := range s.Range(at.UnixNano()-window.Nanoseconds(), at.UnixNano()) {
 			out = append(out, judgedSample{t: p.T, v: p.V, good: rule.Op.good(p.V, rule.Threshold)})
 		}
 	}

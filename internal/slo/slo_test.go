@@ -52,7 +52,7 @@ func TestBurnRateViolationAndRecovery(t *testing.T) {
 		t.Fatalf("sustained bad tail must violate: %+v", st)
 	}
 	// 59, not 60: the oldest sample lands exactly on the window boundary and
-	// WindowBefore is exclusive at the start.
+	// the window, (now-60s, now], is exclusive at the start.
 	if st.BadSamples != 20 || st.Samples != 59 {
 		t.Fatalf("bad/samples = %d/%d, want 20/59", st.BadSamples, st.Samples)
 	}
@@ -98,7 +98,7 @@ func TestBurnRateTransientSpikeDoesNotPage(t *testing.T) {
 
 // TestBurnRateWithSeriesGap models a daemon restart: the series stops, the
 // evaluator clock keeps moving. Windows are anchored at the evaluator clock
-// (WindowBefore), so stale data ages out instead of freezing its verdict.
+// (Ring.Range), so stale data ages out instead of freezing its verdict.
 func TestBurnRateWithSeriesGap(t *testing.T) {
 	rule := Objective{
 		Name: "latency", Series: "lat:p99", Op: OpLT, Threshold: 0.05,
@@ -154,6 +154,34 @@ func TestZeroBudgetSaturates(t *testing.T) {
 	if st := e2.Evaluate()[0]; st.Violating || st.BurnSlow != 0 {
 		t.Fatalf("zero drift must not burn: %+v", st)
 	}
+}
+
+// TestNegativeDriftViolatesMoneyConservation: a ring holds any finite
+// value, so money destroyed — a conservation drift of -1 — travels from the
+// gauge through the collector and the store to the stock money-conservation
+// objective, which violates on it.
+func TestNegativeDriftViolatesMoneyConservation(t *testing.T) {
+	reg := metrics.NewRegistry()
+	drift := reg.Gauge("bank_conservation_drift_credits", "drift")
+	db := tsdb.NewDB(0)
+	now := time.Unix(10_000, 0)
+	clock := func() time.Time { return now }
+	col := tsdb.NewCollector(reg, db, clock)
+	e := New("bankd", db, DefaultObjectives(), WithNow(clock), WithRegistry(metrics.NewRegistry()))
+	col.Collect() // no drift yet
+	now = now.Add(5 * time.Second)
+	drift.Set(-1)
+	col.Collect()
+	for _, st := range e.Evaluate() {
+		if st.Objective.Name != "money-conservation" {
+			continue
+		}
+		if !st.Violating || st.Samples != 2 || st.BadSamples != 1 || st.LastValue != -1 {
+			t.Fatalf("a drift of -1 must violate money-conservation: %+v", st)
+		}
+		return
+	}
+	t.Fatal("no money-conservation objective")
 }
 
 func TestHandler(t *testing.T) {

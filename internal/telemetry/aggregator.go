@@ -62,7 +62,7 @@ const scrapeSlack = time.Minute
 
 // Aggregator copies a fleet of peers' own series into one tsdb, prefixed
 // "<peer>/". It derives nothing: every daemon's collector computes its
-// :rate/:mean/:p99 once and serves the points at /metrics/history, and a
+// :rate/:p99 once and serves the points at /metrics/history, and a
 // scrape appends them here with the peer's timestamps. Scrapes overlap on
 // purpose — a series takes only what is newer than its last point — so a
 // sweep remembers of the one before only when it ran, and a peer that was

@@ -174,8 +174,8 @@ func TestFleetEqualsPeerPointForPoint(t *testing.T) {
 		if v := latest(t, agg.DB(), peer+"lat_seconds"+tsdb.SuffixRate); v != 1 {
 			t.Fatalf("%shistogram rate = %g, want 1/s", peer, v)
 		}
-		if v := latest(t, agg.DB(), peer+"lat_seconds"+tsdb.SuffixMean); v < 0.0139 || v > 0.0141 {
-			t.Fatalf("%shistogram mean = %g, want 0.014", peer, v)
+		if got := agg.DB().Match(peer + "lat_seconds:*"); len(got) != 2 {
+			t.Fatalf("%shistogram series %v, want its :p99 and :rate", peer, got)
 		}
 		if v := latest(t, agg.DB(), peer+"lat_seconds"+tsdb.SuffixP99); v < 0.095 || v > 0.096 {
 			t.Fatalf("%sfleet p99 = %g, want ~0.0955", peer, v)

@@ -22,9 +22,10 @@ const (
 	defaultBuckets    = 60
 	defaultWindow     = 5 * time.Minute
 
-	// maxHistoryPoints ends a page of raw points early: with one more series
-	// of tsdb.DefaultCapacity on top, the body stays inside the 1 MiB the
-	// HTTP clients read (httpapi.MaxBodyBytes).
+	// maxHistoryPoints ends a page of raw points early: the series that
+	// crosses it adds at most one full ring, tsdb.DefaultCapacity points
+	// (a ring holds what it was fed, up to that), so the body stays inside
+	// the 1 MiB the HTTP clients read (httpapi.MaxBodyBytes).
 	maxHistoryPoints = 8192
 )
 
@@ -109,7 +110,7 @@ type HistoryResponse struct {
 //	GET /metrics/history?series=N&after=NAME      -> the page after NAME
 //
 // series accepts an exact name or a pattern with one '*' (tsdb.DB.Match); windows are
-// tail-aligned at each series' newest point (tsdb.Series.Window semantics),
+// tail-aligned at each series' newest point: (newest-window, newest],
 // so a quiet series shows its last activity instead of an empty frame. A
 // response is one page — at most maxHistorySeries series in name order, fewer
 // once it carries maxHistoryPoints raw points — and says "truncated" when
@@ -154,7 +155,10 @@ func HistoryHandler(db *tsdb.DB, exemplars func() map[string][]metrics.Exemplar)
 			if !ok {
 				continue
 			}
-			pts := s.Window(q.window)
+			var pts []tsdb.Point
+			if last, ok := s.Latest(); ok {
+				pts = s.Range(last.T-q.window.Nanoseconds(), last.T)
+			}
 			hs := HistorySeries{Name: name, Dropped: s.Dropped()}
 			if fam, ok := strings.CutSuffix(name, tsdb.SuffixP99); ok {
 				hs.Exemplars = traced[fam]

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"net/url"
 	"sort"
@@ -144,6 +145,28 @@ func TestHistoryHandler(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history?series=zzz", nil))
 	if rec.Code != 200 {
 		t.Fatalf("unknown series -> %d", rec.Code)
+	}
+}
+
+// TestHistoryDroppedCountsRefusalsOnly: a series' "dropped" is the appends
+// its ring refused — here a stale one and a NaN — not the points a full ring
+// let go to make room, which a bounded history does by design.
+func TestHistoryDroppedCountsRefusalsOnly(t *testing.T) {
+	db := tsdb.NewDB(4)
+	s := db.Series("price")
+	for i := int64(1); i <= 10; i++ { // 6 evicted
+		s.AppendNanos(i*int64(time.Second), float64(i))
+	}
+	s.AppendNanos(int64(time.Second), 1)             // stale
+	s.AppendNanos(11*int64(time.Second), math.NaN()) // not finite
+	rec := httptest.NewRecorder()
+	HistoryHandler(db, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics/history?series=price&window=1h&raw=1", nil))
+	var resp HistoryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Series) != 1 {
+		t.Fatalf("resp = %s (err %v)", rec.Body.String(), err)
+	}
+	if hs := resp.Series[0]; hs.Dropped != 2 || len(hs.Points) != 4 {
+		t.Errorf("dropped %d, %d points; want the 2 refusals, not the 6 evictions, and 4 points", hs.Dropped, len(hs.Points))
 	}
 }
 

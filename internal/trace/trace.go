@@ -1,6 +1,6 @@
 // Package trace holds the two names bench/replay.go still calls: NewRecorder
 // and Recorder.Record, which it times as trace.record_ns. Nothing else
-// records or reads one — a run's price history is a pricefeed.Ring — and
+// records or reads one — a run's price history is a tsdb.Ring — and
 // both go with that replay in ROADMAP item 1, as marketplane.ShardedBank
 // does.
 package trace
@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Recorder keeps every observation per host, pointer-free as a
-// pricefeed.Ring does. Safe for concurrent use.
+// Recorder keeps every observation per host, pointer-free as a tsdb.Ring
+// does. Safe for concurrent use.
 type Recorder struct {
 	mu    sync.Mutex
 	hosts map[string][]point

@@ -12,7 +12,6 @@ import (
 const (
 	SuffixRate = ":rate" // counters & histogram counts: events per second
 	SuffixP99  = ":p99"  // histograms: interpolated 99th percentile of the interval's observations
-	SuffixMean = ":mean" // histograms: delta sum / delta count per interval
 )
 
 // Collector turns a metrics.Registry into tsdb series by self-scraping
@@ -21,9 +20,9 @@ const (
 //   - every counter child appends "<sample>:rate" — its per-second rate over
 //     the interval since the previous Collect,
 //   - every gauge child appends "<sample>" — its instantaneous value,
-//   - every histogram child appends "<sample>:p99" and "<sample>:mean" —
-//     both over the observations made since the previous Collect, none when
-//     there were none — and "<sample>:rate" (observations per second).
+//   - every histogram child appends "<sample>:p99" — over the observations
+//     made since the previous Collect, none when there were none — and
+//     "<sample>:rate" (observations per second).
 //
 // The clock is injected: daemons run Collect on a wall ticker, tests and the
 // simulation harness drive it with engine time, making the stored history
@@ -52,7 +51,7 @@ func NewCollector(reg *metrics.Registry, db *DB, now func() time.Time) *Collecto
 }
 
 // Collect performs one self-scrape and returns how many series points were
-// appended. The first call only seeds the delta baseline for rates and means
+// appended. The first call only seeds the delta baseline for rates
 // (gauges still record, and a histogram's quantile is then the one of
 // everything it has seen), so rates never report a cold process's lifetime
 // totals as one giant spike.
@@ -89,11 +88,6 @@ func (c *Collector) Collect() int {
 				name := metrics.SampleName(h.Name, h.Labels)
 				if c.db.Series(name+SuffixRate).AppendNanos(tn, float64(h.Count)/dt) {
 					appended++
-				}
-				if h.Count > 0 {
-					if c.db.Series(name+SuffixMean).AppendNanos(tn, h.Sum/float64(h.Count)) {
-						appended++
-					}
 				}
 			}
 		}

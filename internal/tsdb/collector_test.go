@@ -1,6 +1,8 @@
 package tsdb
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,15 +64,15 @@ func TestCollectorDerivesSeries(t *testing.T) {
 	if last, _ := hr.Latest(); last.V != 20 {
 		t.Fatalf("histogram rate = %g, want 20/s", last.V)
 	}
-	if _, ok := db.Lookup("lat_seconds" + SuffixP99); !ok {
+	p99, ok := db.Lookup("lat_seconds" + SuffixP99)
+	if !ok {
 		t.Fatal("missing histogram p99 series")
 	}
-	mean, ok := db.Lookup("lat_seconds" + SuffixMean)
-	if !ok {
-		t.Fatal("missing histogram mean series")
+	if last, _ := p99.Latest(); last.V <= 0.01 || last.V > 0.1 {
+		t.Fatalf("interval p99 = %g, want inside (0.01, 0.1], the bucket of 0.05", last.V)
 	}
-	if last, _ := mean.Latest(); last.V < 0.049 || last.V > 0.051 {
-		t.Fatalf("interval mean = %g, want ~0.05", last.V)
+	if got := len(db.Names()); got != 4 {
+		t.Fatalf("series %v, want 4: a counter's rate, a gauge, a histogram's p99 and rate", db.Names())
 	}
 }
 
@@ -148,4 +150,52 @@ func TestCollectorP99IsPerInterval(t *testing.T) {
 	if last, _ := p99.Latest(); p99.Len() != 2 || last.V > 0.01 {
 		t.Fatalf("p99 of 1000 fast observations = %g (%d points), want <= 0.01; the 100 slow ones were an interval ago", last.V, p99.Len())
 	}
+}
+
+// TestDBAllocationBound: a DB fed 100 scrapes of a registry of 24 families
+// (32 series) keeps each series in a buffer of at most 128 points — the
+// doubling past 100 — not a reserved DefaultCapacity (64 KiB a series). Its
+// live heap is at most 128 × 16 B a series plus 1 KiB for the ring's header,
+// its name, its map slot and its share of the collector's last snapshot and
+// the registry's state (they use ≈ 200–400 B).
+func TestDBAllocationBound(t *testing.T) {
+	reg := metrics.NewRegistry()
+	var (
+		counters []*metrics.Counter
+		gauges   []*metrics.Gauge
+		hists    []*metrics.Histogram
+	)
+	for i := 0; i < 8; i++ {
+		counters = append(counters, reg.Counter(fmt.Sprintf("ops_%d_total", i), "ops"))
+		gauges = append(gauges, reg.Gauge(fmt.Sprintf("depth_%d", i), "depth"))
+		hists = append(hists, reg.Histogram(fmt.Sprintf("lat_%d_seconds", i), "lat", []float64{0.01, 0.1, 1}))
+	}
+	clock := &fakeClock{at: time.Unix(1000, 0), step: 5 * time.Second}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the first collection can leave the one before's garbage counted
+	runtime.ReadMemStats(&before)
+	db := NewDB(0)
+	col := NewCollector(reg, db, clock.now)
+	for tick := 0; tick < 100; tick++ {
+		for i := range counters {
+			counters[i].Inc()
+			gauges[i].Set(float64(tick))
+			hists[i].Observe(0.05)
+		}
+		col.Collect()
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	series := len(db.Names())
+	heap, bound := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(series*(128*16+1024))
+	if heap > bound {
+		t.Errorf("a DB of %d series after 100 scrapes holds %d heap bytes, want <= %d", series, heap, bound)
+	}
+	if series != 32 {
+		t.Errorf("%d series, want 32: a counter's rate, a gauge, a histogram's p99 and rate, 8 each", series)
+	}
+	t.Logf("%d series after 100 scrapes: %d heap bytes, %d a series", series, heap, heap/int64(series))
+	runtime.KeepAlive(col)
 }

@@ -1,7 +1,9 @@
 // Package tsdb is the repository's dependency-free embedded time-series
-// store: fixed-capacity rings of (timestamp, value) points, one per named
-// series, with monotonic append, tail-aligned windowed queries and
-// downsampling into min/max/mean/p99 buckets.
+// store: bounded rings of (timestamp, value) points, one per named series,
+// with monotonic append, range queries and downsampling into
+// min/max/mean/p99 buckets. Its Ring is the one time-ordered ring of the
+// process: a daemon's metric series and a host market's price history
+// (auction.Market.History) are both one.
 //
 // It exists because the paper's central claim — price prediction stabilizes
 // cost in a volatile spot market — is only checkable in production when the
@@ -13,23 +15,24 @@
 // reads a clock, so a simulated world's telemetry is exactly as
 // deterministic as the world.
 //
-// Memory is strictly bounded: a series is one pre-allocated ring of
-// DefaultCapacity points (64 KiB at the default), appends past capacity
-// overwrite the oldest point, and out-of-order appends are dropped and
-// counted rather than sorted in.
+// Memory is strictly bounded and paid as used: a ring's buffer starts at a
+// few points and doubles up to its capacity (DefaultCapacity, 64 KiB, in a
+// zero-configured DB), appends past capacity overwrite the oldest point, and
+// out-of-order appends are dropped and counted rather than sorted in. An
+// idle series costs what it holds.
 package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // DefaultCapacity is the per-series ring size of a zero-configured DB: at
 // the daemons' default 5 s self-scrape interval it holds ~5.7 hours of
-// history in 64 KiB per series.
+// history, 64 KiB per series once full.
 const DefaultCapacity = 4096
 
 // Point is one sample: a unix-nanosecond timestamp and a value.
@@ -38,151 +41,190 @@ type Point struct {
 	V float64 `json:"v"`
 }
 
-// Series is one named metric's ring of points. Appends are monotonic: a
-// point not strictly newer than the last accepted one is dropped (and
-// counted), so the ring is always sorted by construction and window queries
-// never need a sort. Safe for concurrent use.
-type Series struct {
-	mu      sync.Mutex
-	buf     []Point
-	head    int // next write slot once full
-	n       int // points stored
-	dropped uint64
-}
-
-func newSeries(capacity int) *Series {
-	return &Series{buf: make([]Point, 0, capacity)}
-}
-
-// Append records (t, v). It reports whether the point was accepted: NaN/Inf
-// values and timestamps not after the newest stored point are dropped.
-func (s *Series) Append(t time.Time, v float64) bool {
-	return s.AppendNanos(t.UnixNano(), v)
-}
-
-// AppendNanos is Append with a raw unix-nanosecond timestamp.
-func (s *Series) AppendNanos(tn int64, v float64) bool {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		s.mu.Lock()
-		s.dropped++
-		s.mu.Unlock()
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n > 0 {
-		last := s.at(s.n - 1)
-		if tn <= last.T {
-			s.dropped++
-			return false
-		}
-	}
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, Point{T: tn, V: v})
-		s.n++
-		return true
-	}
-	// Ring is full: overwrite the oldest point.
-	s.buf[s.head] = Point{T: tn, V: v}
-	s.head = (s.head + 1) % len(s.buf)
-	return true
-}
-
-// at returns the i-th oldest stored point. Caller holds mu.
-func (s *Series) at(i int) Point {
-	if len(s.buf) < cap(s.buf) {
-		return s.buf[i]
-	}
-	return s.buf[(s.head+i)%len(s.buf)]
-}
-
-// Len returns how many points are stored.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Dropped returns how many appends were rejected (non-monotonic timestamps
-// or non-finite values).
-func (s *Series) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Latest returns the newest point, if any.
-func (s *Series) Latest() (Point, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Point{}, false
-	}
-	return s.at(s.n - 1), true
-}
-
-// Since returns a copy of every point with T >= tn, in ascending time order.
-func (s *Series) Since(tn int64) []Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Binary search over the logically-ordered ring for the first index with
-	// T >= tn.
-	lo := sort.Search(s.n, func(i int) bool { return s.at(i).T >= tn })
-	if lo == s.n {
-		return nil
-	}
-	out := make([]Point, 0, s.n-lo)
-	for i := lo; i < s.n; i++ {
-		out = append(out, s.at(i))
+// Values returns the values of pts, in order: the shape a price reader (the
+// batch predictor, a run's price trace, auctioneerd's /stats) consumes.
+func Values(pts []Point) []float64 {
+	out := make([]float64, len(pts))
+	for i, p := range pts {
+		out[i] = p.V
 	}
 	return out
 }
 
-// Window returns the tail-aligned window of the series: every point within d
-// of the newest point, the newest included. The window is anchored at the
-// data's own tail, not the wall clock, so a simulated or idle series still
-// answers "the last five minutes of what I have" exactly.
-func (s *Series) Window(d time.Duration) []Point {
-	last, ok := s.Latest()
-	if !ok {
-		return nil
-	}
-	return s.Since(last.T - d.Nanoseconds() + 1)
+// firstSlots is the buffer a ring's first point allocates.
+const firstSlots = 8
+
+// Ring is a bounded, chronologically ordered buffer of points. Appends are
+// monotonic: a point not strictly newer than the newest held, or whose value
+// is not finite, is refused and counted, so the ring is sorted by
+// construction and a range query is a binary search. Any finite value is
+// held, negatives included (a conservation drift is signed); rules of a
+// particular series, such as a price's, are its writer's (pricefeed.Check).
+// The buffer holds no pointer, so the garbage collector never scans it.
+// Safe for concurrent use.
+type Ring struct {
+	mu      sync.Mutex
+	size    int     // capacity
+	buf     []Point // grows with the points held, up to size
+	next    int     // index the next point is written to
+	n       int     // points held (<= size)
+	dropped uint64  // appends refused
+	evicted uint64  // points a newer one overwrote
 }
 
-// WindowBefore returns every point in (end-d, end], for callers that anchor
-// the window at an explicit instant (the SLO evaluator anchors at its clock
-// so a silent daemon violates "freshness" instead of forever re-reporting
-// its last good window).
-func (s *Series) WindowBefore(end time.Time, d time.Duration) []Point {
-	endN := end.UnixNano()
-	pts := s.Since(endN - d.Nanoseconds() + 1)
-	// Trim points after end (possible only when the caller's clock lags the
-	// appender's; keep the semantics exact anyway).
-	for len(pts) > 0 && pts[len(pts)-1].T > endN {
-		pts = pts[:len(pts)-1]
+// NewRing returns a ring holding the trailing capacity points (at least
+// one). It reserves nothing: the first point allocates a buffer of a few
+// slots, which doubles as points arrive until it holds capacity, and only
+// then does the ring wrap around. A host of a wide grid that is never bid on
+// sees one sample (or none), and its ring costs that, not capacity slots.
+func NewRing(capacity int) *Ring {
+	return &Ring{size: max(capacity, 1)}
+}
+
+// AppendNanos records v at t (unix nanoseconds) and reports whether it was
+// held: a non-finite v, or a t not after the newest held point, is refused
+// and counted in Dropped.
+func (r *Ring) AppendNanos(t int64, v float64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if math.IsNaN(v) || math.IsInf(v, 0) || r.n > 0 && t <= r.latestLocked().T {
+		r.dropped++
+		return false
 	}
-	return pts
+	if r.next == len(r.buf) { // only before the ring is full: then next wraps to 0
+		buf := make([]Point, min(max(2*len(r.buf), firstSlots), r.size))
+		copy(buf, r.buf[:r.n])
+		r.buf = buf
+	}
+	r.buf[r.next] = Point{T: t, V: v}
+	r.next = (r.next + 1) % r.size
+	if r.n < r.size {
+		r.n++
+	} else {
+		r.evicted++
+	}
+	return true
+}
+
+// Drop counts one point its writer refused before offering it, so Dropped
+// and Lost account for it as for a point AppendNanos refused.
+func (r *Ring) Drop() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.dropped++
+}
+
+// Len returns the number of points held.
+func (r *Ring) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+// Capacity returns the maximum number of points the ring retains.
+func (r *Ring) Capacity() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.size
+}
+
+// Raise lifts the ring's capacity to capacity if that is larger, keeping
+// every point held, oldest first from the buffer's start.
+func (r *Ring) Raise(capacity int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if capacity > r.size {
+		held := r.heldLocked()
+		r.buf, r.next, r.size = slices.Concat(held[0], held[1]), r.n, capacity
+	}
+}
+
+// Dropped returns how many appends the ring refused (non-finite values,
+// timestamps not after the newest point, and its writer's Drops).
+func (r *Ring) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Lost returns how many points the ring has let go of: those it refused and
+// those a newer point pushed out of the full ring.
+func (r *Ring) Lost() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped + r.evicted
+}
+
+// Latest returns the newest point, if any.
+func (r *Ring) Latest() (Point, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n == 0 {
+		return Point{}, false
+	}
+	return r.latestLocked(), true
+}
+
+func (r *Ring) latestLocked() Point {
+	return r.buf[(r.next+r.size-1)%r.size]
+}
+
+// heldLocked returns the held points, oldest first, as the buffer's two
+// runs: everything written so far until the ring fills, then from the write
+// index around to it again.
+func (r *Ring) heldLocked() [2][]Point {
+	if r.n < r.size {
+		return [2][]Point{r.buf[:r.n]}
+	}
+	return [2][]Point{r.buf[r.next:], r.buf[:r.next]}
+}
+
+// Range returns a copy of the points held in (from, to], oldest first (nil
+// if none). It finds them by binary search and allocates only the result, so
+// a run-long ring answers many short windows cheaply. A tail-aligned window
+// of d is Range(latest.T-d, latest.T).
+func (r *Ring) Range(from, to int64) []Point {
+	if from == math.MaxInt64 {
+		return nil
+	}
+	return r.span(from+1, to)
+}
+
+// Since returns a copy of every point held at or after t, oldest first:
+// Since(math.MinInt64) is the whole ring.
+func (r *Ring) Since(t int64) []Point { return r.span(t, math.MaxInt64) }
+
+// span returns the points held in [lo, hi].
+func (r *Ring) span(lo, hi int64) []Point {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var spans [2][]Point
+	for k, run := range r.heldLocked() {
+		i := sort.Search(len(run), func(m int) bool { return run[m].T >= lo })
+		j := sort.Search(len(run), func(m int) bool { return run[m].T > hi })
+		spans[k] = run[i:max(i, j)]
+	}
+	return slices.Concat(spans[0], spans[1])
 }
 
 // DB is a registry of series by name. Safe for concurrent use.
 type DB struct {
 	mu       sync.RWMutex
 	capacity int
-	series   map[string]*Series
+	series   map[string]*Ring
 }
 
-// NewDB creates a DB whose series hold capacity points each (<= 0 means
-// DefaultCapacity).
+// NewDB creates a DB whose series hold up to capacity points each (<= 0
+// means DefaultCapacity).
 func NewDB(capacity int) *DB {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &DB{capacity: capacity, series: make(map[string]*Series)}
+	return &DB{capacity: capacity, series: make(map[string]*Ring)}
 }
 
 // Series returns the named series, creating it on first use.
-func (db *DB) Series(name string) *Series {
+func (db *DB) Series(name string) *Ring {
 	db.mu.RLock()
 	s, ok := db.series[name]
 	db.mu.RUnlock()
@@ -194,13 +236,13 @@ func (db *DB) Series(name string) *Series {
 	if s, ok := db.series[name]; ok {
 		return s
 	}
-	s = newSeries(db.capacity)
+	s = NewRing(db.capacity)
 	db.series[name] = s
 	return s
 }
 
 // Lookup returns the named series without creating it.
-func (db *DB) Lookup(name string) (*Series, bool) {
+func (db *DB) Lookup(name string) (*Ring, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	s, ok := db.series[name]

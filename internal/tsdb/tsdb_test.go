@@ -9,7 +9,7 @@ import (
 
 func tn(sec int64) int64 { return sec * int64(time.Second) }
 
-func fill(s *Series, secs ...int64) {
+func fill(s *Ring, secs ...int64) {
 	for _, sec := range secs {
 		if !s.AppendNanos(tn(sec), float64(sec)) {
 			panic("append rejected in fixture")
@@ -17,8 +17,18 @@ func fill(s *Series, secs ...int64) {
 	}
 }
 
-func TestSeriesMonotonicAppend(t *testing.T) {
-	s := newSeries(8)
+// tail is the tail-aligned window of d a /metrics/history query answers:
+// every point within d of the newest, the newest included.
+func tail(s *Ring, d time.Duration) []Point {
+	last, ok := s.Latest()
+	if !ok {
+		return nil
+	}
+	return s.Range(last.T-d.Nanoseconds(), last.T)
+}
+
+func TestRingMonotonicAppend(t *testing.T) {
+	s := NewRing(8)
 	if !s.AppendNanos(tn(10), 1) {
 		t.Fatal("first append rejected")
 	}
@@ -37,15 +47,19 @@ func TestSeriesMonotonicAppend(t *testing.T) {
 	if got := s.Len(); got != 1 {
 		t.Fatalf("len = %d, want 1", got)
 	}
+	// Any finite value is held, negatives too: a conservation drift is signed.
+	if !s.AppendNanos(tn(13), -1) || s.Len() != 2 {
+		t.Fatal("a negative value must be held")
+	}
 }
 
-// TestSeriesWindowAtWraparound drives a capacity-4 ring past wraparound and
+// TestRingWindowAtWraparound drives a capacity-4 ring past wraparound and
 // asserts tail-aligned window queries at every boundary the ring can
 // present: window entirely inside the live tail, window spanning the
 // physical wrap point, window larger than retention, and the exact
 // inclusive/exclusive edges of the window start.
-func TestSeriesWindowAtWraparound(t *testing.T) {
-	s := newSeries(4)
+func TestRingWindowAtWraparound(t *testing.T) {
+	s := NewRing(4)
 	fill(s, 1, 2, 3, 4, 5, 6) // retains 3,4,5,6; physical buffer wrapped twice
 
 	if got := s.Len(); got != 4 {
@@ -68,7 +82,7 @@ func TestSeriesWindowAtWraparound(t *testing.T) {
 		{3*time.Second + time.Nanosecond, []int64{3, 4, 5, 6}}, // boundary: start lands exactly on oldest
 	}
 	for _, tc := range cases {
-		got := s.Window(tc.window)
+		got := tail(s, tc.window)
 		if len(got) != len(tc.want) {
 			t.Fatalf("Window(%v) returned %d points %v, want %v", tc.window, len(got), got, tc.want)
 		}
@@ -91,14 +105,14 @@ func TestSeriesWindowAtWraparound(t *testing.T) {
 	}
 }
 
-// TestSeriesWindowBoundaryExactlyAtWrapSlot appends one more point after
+// TestRingWindowBoundaryExactlyAtWrapSlot appends one more point after
 // every window query, so the wrap cursor sits at each physical index at
 // least once while queries keep returning the correct logical tail.
-func TestSeriesWindowBoundaryExactlyAtWrapSlot(t *testing.T) {
-	s := newSeries(3)
+func TestRingWindowBoundaryExactlyAtWrapSlot(t *testing.T) {
+	s := NewRing(3)
 	for sec := int64(1); sec <= 12; sec++ {
 		s.AppendNanos(tn(sec), float64(sec))
-		pts := s.Window(2 * time.Second)
+		pts := tail(s, 2*time.Second)
 		wantLen := 2
 		if sec == 1 {
 			wantLen = 1
@@ -112,17 +126,18 @@ func TestSeriesWindowBoundaryExactlyAtWrapSlot(t *testing.T) {
 	}
 }
 
-func TestWindowBefore(t *testing.T) {
-	s := newSeries(8)
+// TestRangeAnchoredAtAnInstant: the window the SLO evaluator reads, (end-d,
+// end] at its clock, whatever the series' newest point.
+func TestRangeAnchoredAtAnInstant(t *testing.T) {
+	s := NewRing(8)
 	fill(s, 10, 20, 30)
-	end := time.Unix(25, 0)
-	got := s.WindowBefore(end, 10*time.Second)
+	got := s.Range(tn(15), tn(25))
 	if len(got) != 1 || got[0].T != tn(20) {
-		t.Fatalf("WindowBefore(25s, 10s) = %v, want just t=20s", got)
+		t.Fatalf("Range(15s, 25s) = %v, want just t=20s", got)
 	}
 	// Anchored after the data: empty window, no phantom freshness.
-	if got := s.WindowBefore(time.Unix(100, 0), 5*time.Second); len(got) != 0 {
-		t.Fatalf("WindowBefore far future = %v, want empty", got)
+	if got := s.Range(tn(95), tn(100)); len(got) != 0 {
+		t.Fatalf("Range far future = %v, want empty", got)
 	}
 }
 
