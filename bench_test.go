@@ -480,8 +480,9 @@ func BenchmarkClusterTickDense(b *testing.B) {
 // same world with every market asleep: verify the token, fund escrow, price
 // the candidates, Best Response, 8 bids, 8 tasks. The agent reads which
 // markets are awake — none — and hands Best Response the 10 000 sleeping
-// hosts as one run, so neither time nor memory is per host; the token's
-// signatures are most of what is left. It was ≈ 1.05 ms and 1.2 MB when every
+// hosts as one run, so memory is not per host; time still is, because
+// core.solve admits a run one host at a time (≈ 257 µs at 10 000 hosts,
+// ≈ 648 µs at 100 000). It was ≈ 1.05 ms and 1.2 MB when every
 // candidate was keyed, ranked and made an allocation of, and ≈ 0.46–0.6 ms
 // while the agent still asked each of the 10 000 markets its capacity and
 // price and Best Response compared their IDs to find the run. Each job is

@@ -1,6 +1,7 @@
 package tycoongrid_test
 
 import (
+	"go/types"
 	"os"
 	"regexp"
 	"strings"
@@ -21,7 +22,11 @@ import (
 // index, DESIGN.md §4. And every metric family README.md or the verify
 // skill names in a code span is registered (TestEveryMetricHasAReader's
 // scan): a family of a registered family's namespace (bank_, wal_, ...) that
-// no registration names is a deleted one.
+// no registration names is a deleted one. And every pkg.Name or
+// pkg.Type.Member that README.md, DESIGN.md or PAPER.md names in a code span,
+// pkg being a package under internal/, is declared by that package's non-test
+// code (TestEveryExportedNameHasACaller's type-checked load); EXPERIMENTS.md
+// is a dated record and keeps the names it was written with.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -115,6 +120,43 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				p = strings.Trim(p, "`")
 				if _, err := os.Stat(p); err != nil {
 					t.Errorf("%s:%d: names %s, which does not exist", doc, i+1, p)
+				}
+			}
+		}
+	}
+
+	internal := map[string]*types.Package{}
+	for path, p := range loadModule(t).pkgs {
+		if strings.HasPrefix(path, modulePath+"/internal/") {
+			internal[p.types.Name()] = p.types
+		}
+	}
+	// A selector chain starts a span or follows a non-identifier character,
+	// so h.VMs.Live() and cmd/x.Y are not read as package selectors.
+	selector := regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Z][A-Za-z0-9_]*))?`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "PAPER.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range selector.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+					pkg, ok := internal[m[1]]
+					if !ok {
+						continue
+					}
+					obj := pkg.Scope().Lookup(m[2])
+					if obj == nil {
+						t.Errorf("%s:%d: names %s.%s, which internal/%s does not declare", doc, i+1, m[1], m[2], m[1])
+						continue
+					}
+					switch obj.(type) {
+					case *types.TypeName, *types.Var: // a function or constant has no members
+						if member, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg, m[3]); m[3] != "" && member == nil {
+							t.Errorf("%s:%d: names %s.%s.%s, which internal/%s does not declare", doc, i+1, m[1], m[2], m[3], m[1])
+						}
+					}
 				}
 			}
 		}

@@ -1209,15 +1209,6 @@ func (a *Agent) Cluster() *grid.Cluster { return a.cfg.Cluster }
 // Engine returns the simulation engine (via the cluster).
 func (a *Agent) Engine() *sim.Engine { return a.cfg.Cluster.Engine() }
 
-// Job returns a submitted job by id.
-func (a *Agent) Job(id string) (*Job, error) {
-	j, ok := a.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
-	}
-	return j, nil
-}
-
 // Jobs returns all jobs sorted by id.
 func (a *Agent) Jobs() []*Job {
 	out := make([]*Job, 0, len(a.jobs))

@@ -685,3 +685,12 @@ func TestJobStateString(t *testing.T) {
 		t.Error("state strings")
 	}
 }
+
+// Job returns a submitted job by id.
+func (a *Agent) Job(id string) (*Job, error) {
+	j, ok := a.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	}
+	return j, nil
+}

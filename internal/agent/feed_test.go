@@ -309,7 +309,7 @@ func TestForecastHandleRequestedLateHasNoBackfill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := sp.Forecast(10 * time.Minute)
+	want, err := predict.ForecastMean([]*predict.StreamAR{sp}, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

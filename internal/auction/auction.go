@@ -31,7 +31,6 @@ package auction
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -464,7 +463,8 @@ func (m *Market) PriceExcluding(bidder BidderID) float64 {
 	// summation perturbs the spot price in the last bit, and the market
 	// amplifies that into visibly different traces run over run. The book's
 	// own order is that order: a plain += ascending by bidder, the add
-	// sequence mathx.SortedSum gives. An empty book folds to zero.
+	// sequence the map-book oracle's sortedSum gives. An empty book folds to
+	// zero.
 	var sum float64
 	for i := range m.bids {
 		if b := &m.bids[i]; b.bidder != bidder && b.remaining > 0 {
@@ -552,7 +552,7 @@ func (m *Market) Bidders() int {
 // mechanism's input shape — ascending bidder order, unique bidders: the
 // book's own order — into the market's scratch slice. The ascending order is
 // load-bearing: the proportional mechanism folds rates in slice order, which
-// must equal the legacy mathx.SortedSum sequence for bit-identical spot
+// must equal the legacy map book's sorted fold for bit-identical spot
 // prices.
 func (m *Market) liveBidsLocked() []mechanism.Bid {
 	if len(m.bids) == 0 {
@@ -671,10 +671,4 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 		fn(price, now)
 	}
 	return charges, refunds
-}
-
-// DeliveredMHz returns the CPU capacity a bidder with the given share
-// fraction receives, the quantity the paper's Figure 3 plots against budget.
-func (m *Market) DeliveredMHz(fraction float64) float64 {
-	return m.capacity * math.Max(0, math.Min(1, fraction))
 }

@@ -3,6 +3,7 @@ package auction
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -420,4 +421,10 @@ func BenchmarkTick(b *testing.B) {
 		now = now.Add(10 * time.Second)
 		m.Tick(now)
 	}
+}
+
+// DeliveredMHz returns the CPU capacity a bidder with the given share
+// fraction receives, the quantity the paper's Figure 3 plots against budget.
+func (m *Market) DeliveredMHz(fraction float64) float64 {
+	return m.capacity * math.Max(0, math.Min(1, fraction))
 }

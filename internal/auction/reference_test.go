@@ -1,6 +1,7 @@
 package auction
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -9,13 +10,12 @@ import (
 	"time"
 
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/mathx"
 	"tycoongrid/internal/mechanism"
 )
 
 // refMarket is the market as it stood while the book was a map keyed by
 // bidder: every read collects the map, sorts it and folds it with
-// mathx.SortedSum, every clear sorts its charges and refunds afterwards, and
+// sortedSum, every clear sorts its charges and refunds afterwards, and
 // Shares runs the mechanism's Quote each time it is asked. It is kept here,
 // whole and independent of Market's internals, as the oracle the ordered book
 // is held to bit for bit. (Metrics, tracing and sleep are left out: they do
@@ -120,7 +120,7 @@ func (m *refMarket) PriceExcluding(bidder BidderID) float64 {
 	if len(m.bids) == 0 {
 		return m.reserve
 	}
-	sum := mathx.SortedSum(m.ids(), func(id BidderID) (float64, bool) {
+	sum := sortedSum(m.ids(), func(id BidderID) (float64, bool) {
 		b := m.bids[id]
 		return b.rate, id != bidder && b.remaining > 0
 	})
@@ -389,3 +389,24 @@ func (w *twins) bookOp(op, who, arg byte) {
 
 // bidderName is the who-th of the alphabet's 12 bidders.
 func bidderName(who byte) BidderID { return BidderID(fmt.Sprintf("u%02d", who%12)) }
+
+// sortedSum folds value(k) over keys in ascending key order and returns the
+// plain (uncompensated) float64 sum of every contribution whose ok result is
+// true: the map book's deterministic float fold. Map-order summation perturbs
+// totals in the last bit, and the market amplifies that into visibly
+// different traces run over run, so every price-like sum — the auction's spot
+// price, a shard's batched clear — folds in this fixed order. Plain += is
+// deliberate: compensated summation would change results in the last ulp and
+// break bit-for-bit compatibility with recorded baselines.
+//
+// keys is sorted in place; callers pass a scratch slice they own.
+func sortedSum[K cmp.Ordered](keys []K, value func(K) (float64, bool)) float64 {
+	slices.Sort(keys)
+	var sum float64
+	for _, k := range keys {
+		if v, ok := value(k); ok {
+			sum += v
+		}
+	}
+	return sum
+}

@@ -20,15 +20,8 @@ import (
 // Amount is a quantity of money in microcredits.
 type Amount int64
 
-// Microcredits per credit ("dollar" in the paper's tables).
-const (
-	Microcredit Amount = 1
-	Millicredit Amount = 1000
-	Credit      Amount = 1_000_000
-)
-
-// MaxAmount is the largest representable amount.
-const MaxAmount = Amount(math.MaxInt64)
+// Credit is one credit ("dollar" in the paper's tables) in microcredits.
+const Credit Amount = 1_000_000
 
 // FromCredits converts a floating-point credit value to an Amount,
 // rounding to the nearest microcredit. It returns an error when the value

@@ -134,3 +134,9 @@ func TestAddChecked(t *testing.T) {
 		t.Errorf("addChecked = %v, %v", s, err)
 	}
 }
+
+// Millicredit is a thousandth of a credit.
+const Millicredit Amount = 1000
+
+// MaxAmount is the largest representable amount.
+const MaxAmount = Amount(math.MaxInt64)

@@ -40,9 +40,6 @@ type Job struct {
 	next      int
 }
 
-// Completed reports finished sub-jobs.
-func (j *Job) Completed() int { return j.completed }
-
 // Done reports whether every sub-job finished.
 func (j *Job) Done() bool { return j.completed == len(j.SubJobs) }
 
@@ -126,7 +123,6 @@ type Scheduler struct {
 	cpuMHz float64
 	free   []int // free CPU ids
 	queue  queue
-	jobs   map[string]*Job
 	seq    int
 }
 
@@ -141,7 +137,6 @@ func New(engine *sim.Engine, hosts, cpusPerHost int, cpuMHz float64) (*Scheduler
 	s := &Scheduler{
 		engine: engine,
 		cpuMHz: cpuMHz,
-		jobs:   make(map[string]*Job),
 	}
 	for i := 0; i < hosts*cpusPerHost; i++ {
 		s.free = append(s.free, i)
@@ -168,7 +163,6 @@ func (s *Scheduler) Submit(user string, priority int, subJobs []float64, maxNode
 		started:   make([]time.Time, len(subJobs)),
 		done:      make([]time.Time, len(subJobs)),
 	}
-	s.jobs[j.ID] = j
 	heap.Push(&s.queue, j)
 	s.dispatch()
 	return j, nil
@@ -229,19 +223,4 @@ func (s *Scheduler) compactQueue() {
 	}
 	s.queue = kept
 	heap.Init(&s.queue)
-}
-
-// QueueLength returns the number of jobs with undispatched sub-jobs.
-func (s *Scheduler) QueueLength() int { return len(s.queue) }
-
-// FreeCPUs returns the number of idle processors.
-func (s *Scheduler) FreeCPUs() int { return len(s.free) }
-
-// Job returns a submitted job.
-func (s *Scheduler) Job(id string) (*Job, error) {
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("batch: unknown job %q", id)
-	}
-	return j, nil
 }

@@ -40,7 +40,7 @@ func TestSingleJobRunsAtFullSpeed(t *testing.T) {
 	}
 	eng.RunFor(time.Hour)
 	if !j.Done() {
-		t.Fatalf("job unfinished: %d/4", j.Completed())
+		t.Fatalf("job unfinished: %d/4", j.completed)
 	}
 	// 4 sub-jobs on 4 CPUs: one wave of 10 minutes.
 	if j.Duration() != 10*time.Minute {
@@ -153,28 +153,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
+func TestQueueDrains(t *testing.T) {
 	s, eng := sched(t, 1, 2)
 	j, err := s.Submit("a", 0, []float64{work(5), work(5), work(5)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.FreeCPUs() != 0 {
-		t.Errorf("free = %d", s.FreeCPUs())
+	if len(s.free) != 0 {
+		t.Errorf("free = %d", len(s.free))
 	}
-	if s.QueueLength() != 1 { // one sub-job still queued
-		t.Errorf("queue = %d", s.QueueLength())
-	}
-	got, err := s.Job(j.ID)
-	if err != nil || got != j {
-		t.Errorf("Job() = %v, %v", got, err)
-	}
-	if _, err := s.Job("nope"); err == nil {
-		t.Error("ghost job accepted")
+	if len(s.queue) != 1 { // one sub-job still queued
+		t.Errorf("queue = %d", len(s.queue))
 	}
 	eng.RunFor(time.Hour)
-	if s.FreeCPUs() != 2 || s.QueueLength() != 0 {
-		t.Errorf("after drain: free=%d queue=%d", s.FreeCPUs(), s.QueueLength())
+	if len(s.free) != 2 || len(s.queue) != 0 {
+		t.Errorf("after drain: free=%d queue=%d", len(s.free), len(s.queue))
 	}
 	if j.Duration() != 10*time.Minute { // 3 sub-jobs on 2 CPUs
 		t.Errorf("duration = %v", j.Duration())

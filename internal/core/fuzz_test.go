@@ -41,7 +41,7 @@ func FuzzBestResponseRuns(f *testing.F) {
 			hosts[i] = Host{ID: fmt.Sprintf("h%04d", i), Preference: l[0], Price: l[1]}
 		}
 		if order != 0 {
-			rng.New(int64(order)).Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+			shuffle(rng.New(int64(order)), len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
 		}
 		budget := (float64(microBudget) + 1) * 1e-6
 		checkAgainstOracles(t, "fuzz", budget, hosts, []int{int(keep)})

@@ -121,7 +121,7 @@ func rankInstance(src *rng.Source, trial, n int) (float64, []Host) {
 	}
 	// Present the candidates in a scrambled order, not the ID order they were
 	// generated in.
-	src.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+	shuffle(src, len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
 	return src.Uniform(0.001, 50), hosts
 }
 

@@ -10,6 +10,26 @@ import (
 	"tycoongrid/internal/rng"
 )
 
+// shuffle is a Fisher-Yates shuffle drawn from src: the scrambled order the
+// differential tests present candidates in.
+func shuffle(src *rng.Source, n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, src.Intn(i+1))
+	}
+}
+
+// perm is math/rand's Perm drawn from src, the same permutation for the
+// same seed.
+func perm(src *rng.Source, n int) []int {
+	m := make([]int, n)
+	for i := range m {
+		j := src.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
 // oracleCapped is what a submission computed before BestResponseCapped
 // existed, composed from the two sort.Slice oracles: Best Response over every
 // candidate and, when more than n hosts are funded, Best Response again over
@@ -80,7 +100,7 @@ var runOrders = []struct {
 }{
 	{"id-order", func(*rng.Source, []Host) {}},
 	{"shuffled", func(src *rng.Source, hosts []Host) {
-		src.Shuffle(len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
+		shuffle(src, len(hosts), func(i, j int) { hosts[i], hosts[j] = hosts[j], hosts[i] })
 	}},
 	// Even positions first, then odd ones, each ascending: long ascending
 	// stretches whose ID ranges overlap completely. With "interleaved" that is
@@ -206,7 +226,7 @@ func cutRuns(src *rng.Source, hosts []Host) []Run {
 		}
 		i = end
 	}
-	src.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+	shuffle(src, len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
 	return runs
 }
 
@@ -311,7 +331,7 @@ func idleRunCandidates() []Host {
 	for i := range hosts {
 		hosts[i] = Host{ID: fmt.Sprintf("h%05d", i), Preference: idleW, Price: idlePrice}
 	}
-	for _, i := range src.Perm(len(hosts))[:800] {
+	for _, i := range perm(src, len(hosts))[:800] {
 		hosts[i].Price += src.Uniform(1e-5, 1e-2)
 	}
 	return hosts

@@ -169,12 +169,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Sync returns the store's fsync policy.
-func (s *Store) Sync() SyncPolicy { return s.opts.Sync }
-
 // Recover loads the latest valid snapshot (calling snapshot with its
 // payload, if one exists) and replays every WAL record written after it
 // through record, in append order. It then truncates any torn tail and opens

@@ -356,3 +356,38 @@ func buildFrame(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, crcTable))
 	return append(header[:], payload...)
 }
+
+// TestParseSyncPolicy: each -fsync spelling parses to its policy and back
+// through String, ignoring case and surrounding space; anything else is
+// refused.
+func TestParseSyncPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want SyncPolicy
+		ok   bool
+	}{
+		{"always", SyncAlways, true},
+		{"interval", SyncInterval, true},
+		{"none", SyncNone, true},
+		{" Interval\n", SyncInterval, true},
+		{"ALWAYS", SyncAlways, true},
+		{"", 0, false},
+		{"sometimes", 0, false},
+	} {
+		t.Run(fmt.Sprintf("%q", tc.in), func(t *testing.T) {
+			got, err := ParseSyncPolicy(tc.in)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("accepted as %v", got)
+				}
+				return
+			}
+			if err != nil || got != tc.want {
+				t.Fatalf("= %v, %v; want %v", got, err, tc.want)
+			}
+			if back, err := ParseSyncPolicy(got.String()); err != nil || back != got {
+				t.Errorf("String %q parses to %v, %v", got.String(), back, err)
+			}
+		})
+	}
+}

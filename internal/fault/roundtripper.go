@@ -81,13 +81,6 @@ func (t *Transport) draw() float64 {
 	return t.rnd()
 }
 
-// Stats reports how many failures the transport has injected.
-func (t *Transport) Stats() (transportErrors, serverErrors int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.injectedErrs, t.injected5xx
-}
-
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.cfg.MaxLatency > 0 {

@@ -122,3 +122,10 @@ func TestTransportLatency(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// Stats reports how many failures the transport has injected.
+func (t *Transport) Stats() (transportErrors, serverErrors int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.injectedErrs, t.injected5xx
+}

@@ -255,14 +255,6 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// Stop halts the reallocation ticker.
-func (c *Cluster) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-		c.ticker = nil
-	}
-}
-
 // Engine returns the simulation engine driving the cluster.
 func (c *Cluster) Engine() *sim.Engine { return c.engine }
 
@@ -379,9 +371,6 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 	}
 	return t, nil
 }
-
-// RunningTasks returns the number of live tasks on a host.
-func (h *Host) RunningTasks() int { return len(h.tasks) }
 
 // tick advances the markets and the tasks by one interval, in three passes,
 // each over the hosts it concerns and no others (an idle host costs a tick
@@ -646,19 +635,4 @@ func (c *Cluster) CancelTask(hostID, taskID string) error {
 		_ = h.Market.SetActive(t.Owner, false)
 	}
 	return nil
-}
-
-// Progress returns a task's completed fraction in [0, 1], or an error if the
-// task is unknown on that host (completed tasks are forgotten).
-func (c *Cluster) Progress(hostID, taskID string) (float64, error) {
-	h, err := c.Host(hostID)
-	if err != nil {
-		return 0, err
-	}
-	at, ok := h.task(taskID)
-	if !ok {
-		return 0, fmt.Errorf("grid: unknown task %q on %q", taskID, hostID)
-	}
-	t := h.tasks[at]
-	return 1 - t.Work/t.TotalWork, nil
 }

@@ -375,13 +375,6 @@ func (c *BankClient) Transfer(req bank.TransferRequest) (bank.Receipt, error) {
 	return out.ToReceipt()
 }
 
-// Totals fetches the bank's conservation numbers.
-func (c *BankClient) Totals() (TotalsResponse, error) {
-	var out TotalsResponse
-	err := c.call.get(context.Background(), c.base+"/total", &out)
-	return out, err
-}
-
 // History lists ledger entries touching id.
 func (c *BankClient) History(id string) ([]EntryWire, error) {
 	var out []EntryWire

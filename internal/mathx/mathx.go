@@ -235,28 +235,6 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	return lo + (hi-lo)/2, nil
 }
 
-// KahanSum accumulates float64 values with compensated (Kahan) summation,
-// which keeps the price statistics stable over millions of 10-second
-// snapshots.
-type KahanSum struct {
-	sum float64
-	c   float64 // running compensation
-}
-
-// Add accumulates v.
-func (k *KahanSum) Add(v float64) {
-	y := v - k.c
-	t := k.sum + y
-	k.c = (t - k.sum) - y
-	k.sum = t
-}
-
-// Sum returns the compensated total.
-func (k *KahanSum) Sum() float64 { return k.sum }
-
-// Reset clears the accumulator.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
 // Welford tracks a running mean and variance without storing samples,
 // the "stateless" representation of §4.2 of the paper: only running sums
 // are kept on the auctioneer.
@@ -298,34 +276,6 @@ func (w *Welford) SampleVariance() float64 {
 
 // StdDev returns the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge folds another accumulator into this one (parallel Welford / Chan et
-// al.), used when a broker aggregates statistics from several auctioneers.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
 
 // AlmostEqual reports whether a and b are within tol of each other, treating
 // NaN as never equal.

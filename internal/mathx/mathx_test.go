@@ -119,23 +119,6 @@ func TestBisectNoBracket(t *testing.T) {
 	}
 }
 
-func TestKahanSumPrecision(t *testing.T) {
-	var k KahanSum
-	// 1 + 1e-16 added 1e7 times loses the small term with naive summation.
-	k.Add(1)
-	for i := 0; i < 10_000_000; i++ {
-		k.Add(1e-16)
-	}
-	want := 1 + 1e-9
-	if !AlmostEqual(k.Sum(), want, 1e-12) {
-		t.Errorf("Kahan sum = %.17g, want %.17g", k.Sum(), want)
-	}
-	k.Reset()
-	if k.Sum() != 0 {
-		t.Error("Reset did not zero the sum")
-	}
-}
-
 func TestWelfordMatchesDirectComputation(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
 	var w Welford
@@ -175,41 +158,6 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 	w.Add(7)
 	if w.Mean() != 7 || w.Variance() != 0 || w.SampleVariance() != 0 {
 		t.Error("single-sample Welford should have zero variance")
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	f := func(seedA, seedB uint8) bool {
-		a := make([]float64, int(seedA)%17)
-		b := make([]float64, int(seedB)%23)
-		for i := range a {
-			a[i] = float64(i)*1.3 + float64(seedA)
-		}
-		for i := range b {
-			b[i] = float64(i)*-0.7 + float64(seedB)/3
-		}
-		var wa, wb, all Welford
-		for _, x := range a {
-			wa.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			wb.Add(x)
-			all.Add(x)
-		}
-		wa.Merge(wb)
-		return wa.N() == all.N() &&
-			AlmostEqual(wa.Mean(), all.Mean(), 1e-9) &&
-			AlmostEqual(wa.Variance(), all.Variance(), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
 	}
 }
 

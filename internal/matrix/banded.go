@@ -29,9 +29,6 @@ func NewSymBanded(n, bw int) (*SymBanded, error) {
 	return &SymBanded{n: n, bw: bw, diag: d}, nil
 }
 
-// N returns the matrix dimension.
-func (m *SymBanded) N() int { return m.n }
-
 // At returns A[i][j]; |i-j| beyond the bandwidth is zero.
 func (m *SymBanded) At(i, j int) float64 {
 	if j < i {

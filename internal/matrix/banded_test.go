@@ -34,9 +34,6 @@ func TestSymBandedAccessors(t *testing.T) {
 	if err := m.Add(0, 4, 1); err == nil {
 		t.Error("write outside band accepted")
 	}
-	if m.N() != 5 {
-		t.Errorf("N = %d", m.N())
-	}
 }
 
 // buildSPD constructs a random banded SPD matrix as (banded part of)

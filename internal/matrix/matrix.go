@@ -1,9 +1,9 @@
-// Package matrix implements the small dense linear algebra needed by the
-// prediction stack: general solves and inverses via Gaussian elimination with
-// partial pivoting (portfolio covariance equations, §4.4), Cholesky
-// factorization for symmetric positive-definite covariances, and the
-// Levinson-Durbin recursion for the Toeplitz Yule-Walker systems of the AR(k)
-// price model (§4.3).
+// Package matrix implements the small linear algebra needed by the
+// prediction stack: general solves via Gaussian elimination with partial
+// pivoting (portfolio covariance equations, §4.4), a banded symmetric
+// positive-definite solve for the smoothing spline, and the Levinson-Durbin
+// recursion for the Toeplitz Yule-Walker systems of the AR(k) price model
+// (§4.3).
 //
 // Matrices in this package are row-major and sized at most a few dozen rows
 // (number of hosts in a portfolio, AR model order), so clarity beats cache
@@ -47,15 +47,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -75,37 +66,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m * b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("matrix: dimension mismatch %dx%d * %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := New(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.data[i*out.cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out, nil
-}
-
 // MulVec returns m * v for a column vector v.
 func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	if m.cols != len(v) {
@@ -119,26 +79,6 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 			s += a * v[j]
 		}
 		out[i] = s
-	}
-	return out, nil
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, errors.New("matrix: Add dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
 	}
 	return out, nil
 }
@@ -158,8 +98,8 @@ func (m *Matrix) String() string {
 	return b.String()
 }
 
-// ErrSingular is returned when a solve or inverse encounters a (numerically)
-// singular matrix.
+// ErrSingular is returned when a solve encounters a (numerically) singular
+// matrix.
 var ErrSingular = errors.New("matrix: singular matrix")
 
 // Solve solves A x = b by Gaussian elimination with partial pivoting.
@@ -224,60 +164,9 @@ func swapRows(m *Matrix, a, b int) {
 	}
 }
 
-// Inverse returns A^-1 computed column by column via Solve.
-func Inverse(a *Matrix) (*Matrix, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, errors.New("matrix: Inverse requires a square matrix")
-	}
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
-// ErrNotPositiveDefinite is returned by Cholesky for matrices that are not
-// symmetric positive definite.
+// ErrNotPositiveDefinite is returned by SymBanded.SolveSPD for matrices that
+// are not symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("matrix: not positive definite")
-
-// Cholesky returns the lower-triangular L with A = L L^T. A must be
-// symmetric positive definite (covariance matrices in portfolio selection).
-func Cholesky(a *Matrix) (*Matrix, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, errors.New("matrix: Cholesky requires a square matrix")
-	}
-	l := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrNotPositiveDefinite
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
 
 // SolveToeplitz solves the symmetric Toeplitz system T x = r where
 // T[i][j] = t[|i-j|], using the Levinson-Durbin recursion in O(n^2).

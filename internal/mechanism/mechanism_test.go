@@ -432,3 +432,35 @@ func TestProportionalReusedDstAllocatesNothing(t *testing.T) {
 		t.Errorf("%d lines for %d bids", len(dst), len(bids))
 	}
 }
+
+// TestStatelessMeansClearIsQuote pins what a market relies on when it serves
+// shares from its last clear: a stateless rule's Clear equals its Quote of
+// the same book and leaves the next Quote unchanged, while posted-price,
+// the one stateful rule, moves its next Quote when it clears a busy book.
+func TestStatelessMeansClearIsQuote(t *testing.T) {
+	want := map[string]bool{Proportional: true, VCG: true, PostedPrice: false}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			m, _ := New(name, Config{PostedInitialPrice: 1})
+			if m.Stateless() != want[name] {
+				t.Fatalf("Stateless() = %v, want %v", m.Stateless(), want[name])
+			}
+			bids := randomBids(rng.New(43), 6, true)
+			before := m.Quote(bids, testCap)
+			cleared := m.Clear(bids, testCap)
+			after := m.Quote(bids, testCap)
+			if m.Stateless() {
+				if !reflect.DeepEqual(cleared, before) {
+					t.Errorf("Clear %+v differs from Quote %+v", cleared, before)
+				}
+				if !reflect.DeepEqual(after, before) {
+					t.Errorf("Quote moved across a Clear: %+v -> %+v", before, after)
+				}
+				return
+			}
+			if after.Price == before.Price {
+				t.Errorf("a busy Clear left the posted price at %v", after.Price)
+			}
+		})
+	}
+}

@@ -6,7 +6,7 @@ package mechanism
 // published spot price is the rate sum floored at the reserve.
 //
 // Bit-identity note: the price fold below is a plain += over bids in
-// ascending bidder order — the same add sequence as mathx.SortedSum over the
+// ascending bidder order — the same add sequence as the sorted fold over the
 // legacy auction's bid map — so the refactored auction reproduces the
 // pre-mechanism spot prices exactly (see the golden test in
 // internal/experiment).

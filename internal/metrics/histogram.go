@@ -180,12 +180,6 @@ func (h *Histogram) Exemplars() []*Exemplar {
 	return out
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of everything observed so
-// far; see bucketQuantile. Returns NaN when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	return bucketQuantile(h.Buckets(), q)
-}
-
 // bucketQuantile estimates the q-quantile (q clamped to [0,1]) of a
 // cumulative bucket list ending in the +Inf bucket, by locating the bucket
 // containing the target rank and interpolating linearly inside it. Values in

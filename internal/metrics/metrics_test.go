@@ -287,3 +287,9 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Fatalf("restart delta = %d, want absolute 3", d2.Counters[0].Value)
 	}
 }
+
+// Quantile estimates the q-quantile (q in [0,1]) of everything observed so
+// far; see bucketQuantile. Returns NaN when the histogram is empty.
+func (h *Histogram) Quantile(q float64) float64 {
+	return bucketQuantile(h.Buckets(), q)
+}

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,16 +44,6 @@ func (d DN) Validate() error {
 		}
 	}
 	return nil
-}
-
-// CommonName returns the CN component, or "" if absent.
-func (d DN) CommonName() string {
-	for _, part := range strings.Split(strings.TrimPrefix(string(d), "/"), "/") {
-		if v, ok := strings.CutPrefix(part, "CN="); ok {
-			return v
-		}
-	}
-	return ""
 }
 
 // Certificate binds a DN to an Ed25519 public key, signed by a CA.
@@ -89,12 +78,6 @@ func (c *Certificate) SignedBytes() []byte {
 	writeField([]byte(c.NotBefore.UTC().Format(time.RFC3339Nano)))
 	writeField([]byte(c.NotAfter.UTC().Format(time.RFC3339Nano)))
 	return b.Bytes()
-}
-
-// Fingerprint returns a short printable digest of the public key, used in
-// logs and account ids.
-func (c Certificate) Fingerprint() string {
-	return base64.RawURLEncoding.EncodeToString(c.PublicKey)[:16]
 }
 
 // Identity is a private key plus its certificate.
@@ -134,11 +117,6 @@ type CA struct {
 
 // CAOption customizes a CA.
 type CAOption func(*CA)
-
-// WithTTL sets the validity period of issued certificates (default 10 years).
-func WithTTL(ttl time.Duration) CAOption {
-	return func(ca *CA) { ca.ttl = ttl }
-}
 
 // WithTimeSource overrides the CA's clock, letting simulations issue
 // certificates in virtual time.
@@ -187,9 +165,6 @@ func newCAFromKey(name DN, priv ed25519.PrivateKey, opts ...CAOption) (*CA, erro
 // Certificate returns the CA's self-signed certificate.
 func (ca *CA) Certificate() Certificate { return ca.id.Cert }
 
-// DN returns the CA's name.
-func (ca *CA) DN() DN { return ca.id.Cert.Subject }
-
 // Issue creates a new identity for subject with a fresh random key.
 func (ca *CA) Issue(subject DN) (*Identity, error) {
 	_, priv, err := ed25519.GenerateKey(rand.Reader)
@@ -228,11 +203,6 @@ var (
 	ErrExpired      = errors.New("pki: certificate expired or not yet valid")
 	ErrWrongIssuer  = errors.New("pki: certificate issuer mismatch")
 )
-
-// VerifyCert checks that cert was signed by this CA and is valid at time t.
-func (ca *CA) VerifyCert(cert Certificate, t time.Time) error {
-	return VerifyCertAgainst(ca.id.Cert, cert, t)
-}
 
 // VerifyCertAgainst checks cert against an out-of-band trusted CA
 // certificate — what a resource broker holds instead of the CA itself.

@@ -32,28 +32,19 @@ func TestDNValidate(t *testing.T) {
 	}
 }
 
-func TestDNCommonName(t *testing.T) {
-	if cn := DN("/O=Grid/CN=Alice").CommonName(); cn != "Alice" {
-		t.Errorf("CN = %q", cn)
-	}
-	if cn := DN("/O=Grid").CommonName(); cn != "" {
-		t.Errorf("CN = %q, want empty", cn)
-	}
-}
-
 func TestIssueAndVerify(t *testing.T) {
 	ca := testCA(t)
 	id, err := ca.Issue("/O=Grid/CN=Alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ca.VerifyCert(id.Cert, time.Now()); err != nil {
+	if err := VerifyCertAgainst(ca.Certificate(), id.Cert, time.Now()); err != nil {
 		t.Errorf("verify: %v", err)
 	}
 	if id.DN() != "/O=Grid/CN=Alice" {
 		t.Errorf("DN = %q", id.DN())
 	}
-	if id.Cert.Issuer != ca.DN() {
+	if id.Cert.Issuer != ca.Certificate().Subject {
 		t.Errorf("issuer = %q", id.Cert.Issuer)
 	}
 }
@@ -72,14 +63,14 @@ func TestRejectsForgedCertificate(t *testing.T) {
 	id, _ := ca.Issue("/O=Grid/CN=Mallory")
 	forged := id.Cert
 	forged.Subject = "/O=Grid/CN=Admin" // tamper with the DN
-	if err := ca.VerifyCert(forged, time.Now()); err != ErrBadSignature {
+	if err := VerifyCertAgainst(ca.Certificate(), forged, time.Now()); err != ErrBadSignature {
 		t.Errorf("err = %v, want ErrBadSignature", err)
 	}
 	// Tampered public key must also fail.
 	forged2 := id.Cert
 	other, _ := ca.Issue("/O=Grid/CN=Other")
 	forged2.PublicKey = other.Cert.PublicKey
-	if err := ca.VerifyCert(forged2, time.Now()); err != ErrBadSignature {
+	if err := VerifyCertAgainst(ca.Certificate(), forged2, time.Now()); err != ErrBadSignature {
 		t.Errorf("err = %v, want ErrBadSignature", err)
 	}
 }
@@ -88,13 +79,13 @@ func TestRejectsWrongIssuer(t *testing.T) {
 	ca := testCA(t)
 	other, _ := NewDeterministicCA("/O=Evil/CN=OtherCA", [32]byte{9})
 	id, _ := other.Issue("/O=Grid/CN=Alice")
-	if err := ca.VerifyCert(id.Cert, time.Now()); err != ErrWrongIssuer {
+	if err := VerifyCertAgainst(ca.Certificate(), id.Cert, time.Now()); err != ErrWrongIssuer {
 		t.Errorf("err = %v, want ErrWrongIssuer", err)
 	}
 	// Same issuer name but different key must fail the signature check.
 	impostor, _ := NewDeterministicCA("/O=Grid/CN=TestCA", [32]byte{7})
 	id2, _ := impostor.Issue("/O=Grid/CN=Alice")
-	if err := ca.VerifyCert(id2.Cert, time.Now()); err != ErrBadSignature {
+	if err := VerifyCertAgainst(ca.Certificate(), id2.Cert, time.Now()); err != ErrBadSignature {
 		t.Errorf("err = %v, want ErrBadSignature", err)
 	}
 }
@@ -107,13 +98,13 @@ func TestExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, _ := ca.Issue("/CN=U")
-	if err := ca.VerifyCert(id.Cert, base.Add(30*time.Minute)); err != nil {
+	if err := VerifyCertAgainst(ca.Certificate(), id.Cert, base.Add(30*time.Minute)); err != nil {
 		t.Errorf("inside window: %v", err)
 	}
-	if err := ca.VerifyCert(id.Cert, base.Add(2*time.Hour)); err != ErrExpired {
+	if err := VerifyCertAgainst(ca.Certificate(), id.Cert, base.Add(2*time.Hour)); err != ErrExpired {
 		t.Errorf("after expiry: %v, want ErrExpired", err)
 	}
-	if err := ca.VerifyCert(id.Cert, base.Add(-time.Minute)); err != ErrExpired {
+	if err := VerifyCertAgainst(ca.Certificate(), id.Cert, base.Add(-time.Minute)); err != ErrExpired {
 		t.Errorf("before validity: %v, want ErrExpired", err)
 	}
 }
@@ -166,16 +157,6 @@ func TestIssueRejectsBadDN(t *testing.T) {
 	}
 }
 
-func TestFingerprintStable(t *testing.T) {
-	ca := testCA(t)
-	id, _ := ca.IssueDeterministic("/CN=F", [32]byte{8})
-	f1 := id.Cert.Fingerprint()
-	f2 := id.Cert.Fingerprint()
-	if f1 != f2 || len(f1) != 16 {
-		t.Errorf("fingerprint %q/%q", f1, f2)
-	}
-}
-
 func TestNewCARandomKeys(t *testing.T) {
 	a, err := NewCA("/CN=A")
 	if err != nil {
@@ -185,7 +166,7 @@ func TestNewCARandomKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Certificate().Fingerprint() == b.Certificate().Fingerprint() {
+	if a.Certificate().PublicKey.Equal(b.Certificate().PublicKey) {
 		t.Error("two random CAs share a key")
 	}
 }
@@ -230,4 +211,10 @@ func TestPublicAllocatesNothing(t *testing.T) {
 			t.Errorf("worker %d read %x, want %x", w, k, id.Cert.PublicKey)
 		}
 	}
+}
+
+// WithTTL sets the validity period of issued certificates (default 10
+// years).
+func WithTTL(ttl time.Duration) CAOption {
+	return func(ca *CA) { ca.ttl = ttl }
 }

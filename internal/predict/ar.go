@@ -120,17 +120,6 @@ func (m *ARModel) Forecast(history []float64, steps int) ([]float64, error) {
 	return out, nil
 }
 
-// Stable reports whether the fitted model is (weakly) stationary in the
-// practical sense that iterated forecasts cannot blow up: sum |alpha_j| <= 1
-// is a sufficient condition cheap enough to check on every fit.
-func (m *ARModel) Stable() bool {
-	var s float64
-	for _, a := range m.Coeffs {
-		s += math.Abs(a)
-	}
-	return s <= 1+1e-9
-}
-
 // Shrink rescales the coefficients so that sum |alpha_j| <= target,
 // stabilizing near-unit-root fits (spot prices are strongly persistent, so
 // raw Yule-Walker solutions often land a hair above 1 and would explode
@@ -181,16 +170,8 @@ func PredictionError(predicted, measured []float64) (float64, error) {
 }
 
 // Persistence is the paper's benchmark model: it always predicts that the
-// current price will persist. ForecastNext returns the last history point.
+// current price will persist.
 type Persistence struct{}
-
-// ForecastNext returns the last observed value.
-func (Persistence) ForecastNext(history []float64) (float64, error) {
-	if len(history) == 0 {
-		return 0, errors.New("predict: empty history")
-	}
-	return history[len(history)-1], nil
-}
 
 // Forecast repeats the last observed value steps times.
 func (Persistence) Forecast(history []float64, steps int) ([]float64, error) {

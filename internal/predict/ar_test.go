@@ -65,9 +65,6 @@ func TestFitARRecoversCoefficients(t *testing.T) {
 			t.Errorf("alpha_%d = %v, want %v", j+1, m.Coeffs[j], want)
 		}
 	}
-	if !m.Stable() {
-		t.Error("fitted model reported unstable")
-	}
 }
 
 func TestFitARValidation(t *testing.T) {
@@ -126,15 +123,6 @@ func TestForecastValidation(t *testing.T) {
 	}
 }
 
-func TestStable(t *testing.T) {
-	if !(&ARModel{Coeffs: []float64{0.5, 0.4}}).Stable() {
-		t.Error("stable model reported unstable")
-	}
-	if (&ARModel{Coeffs: []float64{0.9, 0.4}}).Stable() {
-		t.Error("unstable model reported stable")
-	}
-}
-
 func TestPredictionErrorKnownValue(t *testing.T) {
 	// pairs (2,4), (4,4): sigma = 1, 0; mu_d = 4; eps = (1+0)/2/4 = 0.125.
 	eps, err := PredictionError([]float64{2, 4}, []float64{4, 4})
@@ -172,9 +160,6 @@ func TestPersistence(t *testing.T) {
 		}
 	}
 	if _, err := p.Forecast(nil, 1); err == nil {
-		t.Error("empty history accepted")
-	}
-	if _, err := p.ForecastNext(nil); err == nil {
 		t.Error("empty history accepted")
 	}
 }

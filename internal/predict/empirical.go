@@ -102,29 +102,3 @@ func (e *EmpiricalPrice) QuantilePrice(p float64) (float64, error) {
 	}
 	return last.Hi, nil
 }
-
-// Mean returns the distribution's mean price.
-func (e *EmpiricalPrice) Mean() float64 {
-	var m float64
-	for _, b := range e.buckets {
-		m += b.Proportion / e.total * (b.Lo + b.Hi) / 2
-	}
-	return m
-}
-
-// GuaranteedCapacityMHzModel generalizes GuaranteedCapacityMHz to any
-// QuantileModel: the capacity (MHz) a user spending `budget` credits/second
-// on a host with capacity `preference` holds with probability p.
-func GuaranteedCapacityMHzModel(m QuantileModel, preference, budget, p float64) (float64, error) {
-	if budget <= 0 {
-		return 0, fmt.Errorf("predict: non-positive budget %v", budget)
-	}
-	if preference <= 0 {
-		return 0, fmt.Errorf("predict: non-positive preference %v", preference)
-	}
-	y, err := m.QuantilePrice(p)
-	if err != nil {
-		return 0, err
-	}
-	return preference * budget / (budget + y), nil
-}

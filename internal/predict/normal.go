@@ -116,40 +116,6 @@ func RecommendBudget(h HostPrice, targetMHz, p float64) (float64, error) {
 	return y * targetMHz / (h.Preference - targetMHz), nil
 }
 
-// RecommendBudgetMultiHost finds the smallest total budget whose
-// GuaranteedUtility reaches targetUtility across hosts, by bisection on the
-// monotone budget-utility curve. hi bounds the search; it fails when even hi
-// cannot reach the target.
-func RecommendBudgetMultiHost(hosts []HostPrice, targetUtility, p, hi float64) (float64, error) {
-	if targetUtility <= 0 || hi <= 0 {
-		return 0, errors.New("predict: target and search bound must be positive")
-	}
-	uHi, err := GuaranteedUtility(hi, p, hosts)
-	if err != nil {
-		return 0, err
-	}
-	if uHi < targetUtility {
-		return 0, fmt.Errorf("predict: target utility %v unreachable with budget %v (max %v)",
-			targetUtility, hi, uHi)
-	}
-	f := func(x float64) float64 {
-		u, err := GuaranteedUtility(x, p, hosts)
-		if err != nil {
-			return -targetUtility
-		}
-		return u - targetUtility
-	}
-	lo := hi * 1e-9
-	if f(lo) >= 0 {
-		return lo, nil
-	}
-	root, err := mathx.Bisect(f, lo, hi, hi*1e-9)
-	if err != nil {
-		return 0, fmt.Errorf("predict: budget search failed: %w", err)
-	}
-	return root, nil
-}
-
 // DeadlineProbability answers "will the job make its deadline": given that
 // meeting deadline d requires utility of at least uRequired, it returns the
 // largest guarantee level p (searched over (0,1)) at which the budget still
@@ -186,20 +152,6 @@ func DeadlineProbability(budget, uRequired float64, hosts []HostPrice) (float64,
 		return 0, err
 	}
 	return root, nil
-}
-
-// Curve samples GuaranteedCapacityMHz over a budget sweep — one Figure 3
-// line. Budgets and the returned capacities are parallel slices.
-func Curve(h HostPrice, budgets []float64, p float64) ([]float64, error) {
-	out := make([]float64, len(budgets))
-	for i, b := range budgets {
-		c, err := GuaranteedCapacityMHz(h, b, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // Knee returns the "recommended budget" of Figure 3's discussion: the point

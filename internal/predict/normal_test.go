@@ -145,32 +145,6 @@ func TestGuaranteedUtilityMultiHost(t *testing.T) {
 	}
 }
 
-func TestRecommendBudgetMultiHost(t *testing.T) {
-	hosts := []HostPrice{
-		{HostID: "a", Preference: 2800, Mu: 0.01, Sigma: 0.002},
-		{HostID: "b", Preference: 1400, Mu: 0.02, Sigma: 0.01},
-	}
-	target := 2000.0
-	x, err := RecommendBudgetMultiHost(hosts, target, 0.9, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := GuaranteedUtility(x, 0.9, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.AlmostEqual(u, target, 1e-3*target) {
-		t.Errorf("budget %v delivers %v, want %v", x, u, target)
-	}
-	// Unreachable target fails loudly.
-	if _, err := RecommendBudgetMultiHost(hosts, 1e9, 0.9, 10); err == nil {
-		t.Error("unreachable target accepted")
-	}
-	if _, err := RecommendBudgetMultiHost(hosts, 0, 0.9, 10); err == nil {
-		t.Error("zero target accepted")
-	}
-}
-
 func TestDeadlineProbability(t *testing.T) {
 	hosts := []HostPrice{
 		{HostID: "a", Preference: 2800, Mu: 0.01, Sigma: 0.002},
@@ -207,18 +181,16 @@ func TestDeadlineProbability(t *testing.T) {
 }
 
 func TestCurveAndKnee(t *testing.T) {
-	budgets := []float64{0.001, 0.01, 0.02, 0.05, 0.1}
-	c, err := Curve(testHost, budgets, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) != len(budgets) {
-		t.Fatalf("curve length %d", len(c))
-	}
-	for i := 1; i < len(c); i++ {
-		if c[i] <= c[i-1] {
-			t.Errorf("curve not increasing at %d", i)
+	prev := 0.0
+	for _, b := range []float64{0.001, 0.01, 0.02, 0.05, 0.1} {
+		c, err := GuaranteedCapacityMHz(testHost, b, 0.9)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if c <= prev {
+			t.Errorf("capacity %v at budget %v does not exceed %v", c, b, prev)
+		}
+		prev = c
 	}
 	knee, err := Knee(testHost, 0.9, 0.05, 0.5)
 	if err != nil {

@@ -59,16 +59,6 @@ func Smooth(xs []float64, lambda float64) ([]float64, error) {
 	return g, nil
 }
 
-// SmoothedAR is the paper's Figure 4 pipeline in one call: smooth the
-// training series, fit AR(k) on the smoothed values, and return the model.
-func SmoothedAR(xs []float64, k int, lambda float64) (*ARModel, error) {
-	sm, err := Smooth(xs, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return FitAR(sm, k)
-}
-
 // smoothedForecaster wraps an AR model so that every forecast first smooths
 // its history, matching how the model was fitted.
 type smoothedForecaster struct {
@@ -77,16 +67,11 @@ type smoothedForecaster struct {
 	window int
 }
 
-// NewSmoothedForecaster returns a Forecaster that, at each forecast origin,
-// smooths the available history with lambda and fits a fresh AR(k) to it —
-// the honest walk-forward evaluation used by the Figure 4 harness (no
-// look-ahead into the validation interval).
-func NewSmoothedForecaster(k int, lambda float64) Forecaster {
-	return &smoothedForecaster{k: k, lambda: lambda}
-}
-
-// NewWindowedSmoothedForecaster is NewSmoothedForecaster restricted to the
-// trailing `window` points of history, so the model's mean tracks the
+// NewWindowedSmoothedForecaster returns a Forecaster that, at each forecast
+// origin, smooths the trailing `window` points of history (all of it when
+// window is 0) with lambda and fits a fresh AR(k) to them — the honest
+// walk-forward evaluation used by the Figure 4 harness (no look-ahead into
+// the validation interval). The window makes the model's mean track the
 // current price regime instead of the all-time average — important for spot
 // prices whose level shifts as batches arrive and complete.
 func NewWindowedSmoothedForecaster(k int, lambda float64, window int) Forecaster {

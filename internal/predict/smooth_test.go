@@ -130,25 +130,10 @@ func TestSmoothPreservesMeanApproximately(t *testing.T) {
 	}
 }
 
-func TestSmoothedAR(t *testing.T) {
-	src := rng.New(11)
-	xs := genAR(src, 2, []float64{0.8}, 0.2, 2000)
-	m, err := SmoothedAR(xs, 6, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Order != 6 {
-		t.Errorf("order = %d", m.Order)
-	}
-	if !mathx.AlmostEqual(m.Mu, 2, 0.2) {
-		t.Errorf("mu = %v", m.Mu)
-	}
-}
-
 func TestSmoothedForecasterWalkForward(t *testing.T) {
 	src := rng.New(13)
 	xs := genAR(src, 3, []float64{0.7, 0.2}, 0.2, 1500)
-	f := NewSmoothedForecaster(6, 25)
+	f := NewWindowedSmoothedForecaster(6, 25, 0)
 	fc, err := f.Forecast(xs[:1000], 30)
 	if err != nil {
 		t.Fatal(err)

@@ -32,11 +32,11 @@ func NewStreaming(name string, cfg PredictorConfig) (*StreamAR, error) {
 }
 
 // StreamAR is the incremental AR(k) model: Observe folds one spot-price
-// sample into running state in O(Order) and Forecast reads the current model
-// without touching history. It keeps the trailing Window observations in a
-// ring, but — unlike the batch arPredictor — never copies them out or refits
-// from scratch. Instead it maintains the running lagged product sums the
-// Yule-Walker autocorrelations are built from, applying a rank-1 update as
+// sample into running state in O(Order) and ForecastMean reads the current
+// model without touching history. It keeps the trailing Window observations
+// in a ring, but — unlike the batch arPredictor — never copies them out or
+// refits from scratch. Instead it maintains the running lagged product sums
+// the Yule-Walker autocorrelations are built from, applying a rank-1 update as
 // each sample enters and the displaced one leaves, and re-solves the k x k
 // Toeplitz system lazily, at the first forecast after a new observation.
 //
@@ -236,43 +236,12 @@ func (p *StreamAR) solve() error {
 	return nil
 }
 
-// Model returns the current raw Yule-Walker fit in raw (uncentered) space,
-// re-solving first if the cached fit is stale. This is the hook the
-// equivalence contract tests compare against batch FitAR; no shrink is
-// applied.
-func (p *StreamAR) Model() (*ARModel, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.requireHistory(); err != nil {
-		return nil, err
-	}
-	if err := p.solve(); err != nil {
-		return nil, err
-	}
-	m := &ARModel{Order: p.model.Order, Mu: p.ref + p.model.Mu,
-		Coeffs: append([]float64(nil), p.model.Coeffs...)}
-	return m, nil
-}
-
 func (p *StreamAR) requireHistory() error {
 	if need := 2*p.cfg.Order + 1; p.n < need {
 		return fmt.Errorf("%w: streaming AR(%d) has %d points, want >= %d",
 			ErrInsufficientHistory, p.cfg.Order, p.n, need)
 	}
 	return nil
-}
-
-// Forecast returns the model's price distribution over horizon: the AR
-// recurrence iterated horizon/Step steps ahead (at least one, at most the
-// window), and the window's sample deviation. It is ForecastMean's kernel
-// run on one lane.
-func (p *StreamAR) Forecast(horizon time.Duration) (Forecast, error) {
-	var g lanes
-	if err := g.load(p, horizon); err != nil {
-		return Forecast{}, err
-	}
-	g.run()
-	return g.forecast(0), nil
 }
 
 // The forecast kernel. Iterating the AR recurrence is a chain of Order

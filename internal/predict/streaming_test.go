@@ -13,6 +13,37 @@ import (
 
 const streamStep = 10 * time.Second
 
+// Model returns the current raw Yule-Walker fit in raw (uncentered) space,
+// re-solving first if the cached fit is stale. It is the hook the
+// equivalence contract tests compare against batch FitAR; no shrink is
+// applied.
+func (p *StreamAR) Model() (*ARModel, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.requireHistory(); err != nil {
+		return nil, err
+	}
+	if err := p.solve(); err != nil {
+		return nil, err
+	}
+	m := &ARModel{Order: p.model.Order, Mu: p.ref + p.model.Mu,
+		Coeffs: append([]float64(nil), p.model.Coeffs...)}
+	return m, nil
+}
+
+// Forecast returns the model's price distribution over horizon: the AR
+// recurrence iterated horizon/Step steps ahead (at least one, at most the
+// window), and the window's sample deviation: ForecastMean's kernel run on
+// one lane, the per-model reference the lane tests hold ForecastMean to.
+func (p *StreamAR) Forecast(horizon time.Duration) (Forecast, error) {
+	var g lanes
+	if err := g.load(p, horizon); err != nil {
+		return Forecast{}, err
+	}
+	g.run()
+	return g.forecast(0), nil
+}
+
 // feedStream pushes xs into sp with synthetic timestamps spaced streamStep
 // apart, failing the test on any rejection.
 func feedStream(t *testing.T, sp *StreamAR, xs []float64) {

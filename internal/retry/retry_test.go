@@ -166,3 +166,19 @@ func TestPermanentNil(t *testing.T) {
 		t.Error("plain error reported permanent")
 	}
 }
+
+// TestPermanentKeepsCause: the marker wraps, it does not replace — the
+// caller's error is still reachable through errors.Is and the message.
+func TestPermanentKeepsCause(t *testing.T) {
+	cause := errors.New("409 conflict")
+	err := Permanent(cause)
+	if !IsPermanent(err) {
+		t.Fatal("Permanent(err) not reported permanent")
+	}
+	if !errors.Is(err, cause) {
+		t.Error("cause not reachable through errors.Is")
+	}
+	if err.Error() != cause.Error() {
+		t.Errorf("message %q, want %q", err.Error(), cause.Error())
+	}
+}

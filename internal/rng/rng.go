@@ -1,6 +1,6 @@
 // Package rng provides the deterministic random variate generators used by
 // the workload generators and the prediction simulations: uniform, normal,
-// exponential, gamma, beta, lognormal and Pareto draws, all seeded explicitly
+// exponential, gamma, beta and lognormal draws, all seeded explicitly
 // so every experiment in the paper reproduction is replayable bit-for-bit.
 //
 // The Beta and Gamma samplers exist because Figure 7 of the paper validates
@@ -124,41 +124,4 @@ func (s *Source) Beta(a, b float64) float64 {
 // LogNormal returns a draw whose logarithm is N(mu, sigma^2).
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
-}
-
-// Pareto returns a draw from a Pareto distribution with minimum xm and tail
-// index alpha; used for heavy-tailed job-size workloads.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto requires positive xm and alpha")
-	}
-	u := s.r.Float64()
-	for u == 0 {
-		u = s.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// TruncatedNormal returns a draw from N(mu, sigma^2) conditioned on
-// [lo, hi], by rejection. The interval must have non-trivial mass; host
-// capacity jitter uses mu well inside [lo, hi] so rejection terminates fast.
-func (s *Source) TruncatedNormal(mu, sigma, lo, hi float64) float64 {
-	if lo >= hi {
-		panic("rng: TruncatedNormal requires lo < hi")
-	}
-	for i := 0; i < 10000; i++ {
-		x := s.Normal(mu, sigma)
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	// Distribution mass in the window is negligible; fall back to clamping,
-	// preserving determinism rather than looping forever.
-	return math.Min(math.Max(mu, lo), hi)
 }

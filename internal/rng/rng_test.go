@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -147,45 +148,12 @@ func TestLogNormalMoments(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	s := New(29)
-	xm, alpha := 1.0, 3.0
-	wantMean := alpha * xm / (alpha - 1)
-	mean, _ := moments(500000, func() float64 { return s.Pareto(xm, alpha) })
-	if !mathx.AlmostEqual(mean, wantMean, 0.03) {
-		t.Errorf("pareto mean = %v, want %v", mean, wantMean)
-	}
-	for i := 0; i < 1000; i++ {
-		if s.Pareto(xm, alpha) < xm {
-			t.Fatal("pareto draw below minimum")
-		}
-	}
-}
-
-func TestTruncatedNormalBounds(t *testing.T) {
-	s := New(31)
-	for i := 0; i < 5000; i++ {
-		v := s.TruncatedNormal(0, 1, -0.5, 0.5)
-		if v < -0.5 || v > 0.5 {
-			t.Fatalf("truncated normal out of bounds: %v", v)
-		}
-	}
-	// Degenerate window far from the mean falls back to clamping.
-	v := s.TruncatedNormal(0, 0.0001, 5, 6)
-	if v != 5 {
-		t.Errorf("fallback clamp = %v, want 5", v)
-	}
-}
-
 func TestPanicsOnBadParameters(t *testing.T) {
 	s := New(1)
 	cases := []func(){
 		func() { s.Exponential(0) },
 		func() { s.Gamma(0, 1) },
 		func() { s.Gamma(1, 0) },
-		func() { s.Pareto(0, 1) },
-		func() { s.Pareto(1, 0) },
-		func() { s.TruncatedNormal(0, 1, 1, 1) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -199,25 +167,93 @@ func TestPanicsOnBadParameters(t *testing.T) {
 	}
 }
 
-func TestPermAndShuffle(t *testing.T) {
-	s := New(37)
-	p := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad permutation: %v", p)
+// TestIntn: every draw lands in [0, n), and for small n each value turns up
+// about 1/n of the time (within 5 % of its expected count over 60 000
+// draws, ≈ 5 standard deviations at n = 10).
+func TestIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 10, 1000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			s := New(int64(n))
+			const draws = 60000
+			counts := make([]int, n)
+			for i := 0; i < draws; i++ {
+				v := s.Intn(n)
+				if v < 0 || v >= n {
+					t.Fatalf("Intn(%d) = %d", n, v)
+				}
+				counts[v]++
+			}
+			if n > 10 {
+				return
+			}
+			want := float64(draws) / float64(n)
+			for v, c := range counts {
+				if math.Abs(float64(c)-want) > 0.05*want {
+					t.Errorf("value %d drawn %d times, want ≈ %.0f", v, c, want)
+				}
+			}
+		})
+	}
+}
+
+// TestInt63 draws non-negative values and replays them from the same seed.
+func TestInt63(t *testing.T) {
+	a, b := New(63), New(63)
+	for i := 0; i < 1000; i++ {
+		x, y := a.Int63(), b.Int63()
+		if x < 0 {
+			t.Fatalf("Int63 = %d", x)
 		}
-		seen[v] = true
+		if x != y {
+			t.Fatalf("draw %d: %d then %d from the same seed", i, x, y)
+		}
 	}
-	xs := []int{1, 2, 3, 4, 5}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 15 {
-		t.Error("shuffle lost elements")
-	}
+}
+
+// TestDeriveSeed pins the replication-seed contract: a pure function of
+// (base, index), never negative, and distinct across indices and bases.
+func TestDeriveSeed(t *testing.T) {
+	t.Run("pure", func(t *testing.T) {
+		for i := uint64(0); i < 100; i++ {
+			if DeriveSeed(2006, i) != DeriveSeed(2006, i) {
+				t.Fatalf("index %d: two calls disagree", i)
+			}
+		}
+	})
+	t.Run("non-negative", func(t *testing.T) {
+		for _, base := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+			for i := uint64(0); i < 1000; i++ {
+				if s := DeriveSeed(base, i); s < 0 {
+					t.Fatalf("DeriveSeed(%d, %d) = %d", base, i, s)
+				}
+			}
+		}
+	})
+	t.Run("distinct", func(t *testing.T) {
+		seen := make(map[int64]string)
+		for _, base := range []int64{0, 1, 2006} {
+			for i := uint64(0); i < 10000; i++ {
+				s := DeriveSeed(base, i)
+				at := fmt.Sprintf("(%d, %d)", base, i)
+				if prev, dup := seen[s]; dup {
+					t.Fatalf("%s and %s share seed %d", prev, at, s)
+				}
+				seen[s] = at
+			}
+		}
+	})
+	t.Run("streams differ", func(t *testing.T) {
+		a, b := New(DeriveSeed(7, 0)), New(DeriveSeed(7, 1))
+		same := 0
+		for i := 0; i < 100; i++ {
+			if a.Float64() == b.Float64() {
+				same++
+			}
+		}
+		if same > 0 {
+			t.Errorf("%d of 100 draws equal across replications 0 and 1", same)
+		}
+	})
 }
 
 func BenchmarkGamma(b *testing.B) {

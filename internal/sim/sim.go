@@ -139,17 +139,6 @@ func (e *Engine) Elapsed() time.Duration { return e.now.Sub(Epoch) }
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.off {
-			n++
-		}
-	}
-	return n
-}
-
 // Handle identifies a scheduled event so it can be cancelled. The handle
 // remembers the event's generation, so one that outlives its event (which
 // may have been recycled for a new schedule) cancels nothing.
@@ -225,12 +214,6 @@ func (t *Ticker) arm() error {
 	return nil
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.handle.Cancel()
-}
-
 // Step executes the next event, advancing the clock. It reports false when
 // the queue is empty.
 func (e *Engine) Step() bool {
@@ -275,16 +258,4 @@ func (e *Engine) RunUntil(t time.Time) {
 // RunFor advances the simulation by d of virtual time.
 func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.now.Add(d))
-}
-
-// Drain executes every remaining event (bounded by maxSteps to catch
-// runaway self-rescheduling processes). It returns the number of events run
-// and whether the queue fully drained.
-func (e *Engine) Drain(maxSteps int) (int, bool) {
-	for i := 0; i < maxSteps; i++ {
-		if !e.Step() {
-			return i, true
-		}
-	}
-	return maxSteps, e.queue.Len() == 0
 }

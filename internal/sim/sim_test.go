@@ -77,9 +77,6 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if e.Pending() != 0 {
-		t.Errorf("pending = %d", e.Pending())
-	}
 	Handle{}.Cancel() // zero handle is safe
 }
 
@@ -121,9 +118,6 @@ func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 	e.RunFor(time.Minute)
 	if fired {
 		t.Error("event beyond horizon fired")
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d", e.Pending())
 	}
 	e.RunFor(time.Hour)
 	if !fired {
@@ -180,31 +174,16 @@ func TestEveryValidation(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
+func TestStepsCountsExecutedEvents(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
 		if _, err := e.After(time.Duration(i)*time.Second, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, done := e.Drain(100)
-	if n != 5 || !done {
-		t.Errorf("drain = %d, %v", n, done)
-	}
-	// Runaway process bounded by maxSteps.
-	var reschedule func()
-	reschedule = func() {
-		if _, err := e.After(time.Second, reschedule); err != nil {
-			t.Error(err)
-		}
-	}
-	reschedule()
-	n, done = e.Drain(10)
-	if n != 10 || done {
-		t.Errorf("runaway drain = %d, %v", n, done)
-	}
-	if e.Steps() == 0 {
-		t.Error("steps counter not advancing")
+	e.RunFor(time.Minute)
+	if e.Steps() != 5 {
+		t.Errorf("steps = %d, want 5", e.Steps())
 	}
 }
 
@@ -215,5 +194,30 @@ func TestWallClock(t *testing.T) {
 	after := time.Now()
 	if got.Before(before) || got.After(after) {
 		t.Errorf("WallClock.Now outside bracket")
+	}
+}
+
+// Stop cancels future ticks.
+func (t *Ticker) Stop() {
+	t.stopped = true
+	t.handle.Cancel()
+}
+
+func TestNewEngineAt(t *testing.T) {
+	start := time.Date(2006, 6, 1, 12, 0, 0, 0, time.UTC)
+	e := NewEngineAt(start)
+	if !e.Now().Equal(start) {
+		t.Fatalf("Now = %v, want %v", e.Now(), start)
+	}
+	var fired time.Time
+	if _, err := e.After(90*time.Second, func() { fired = e.Now() }); err != nil {
+		t.Fatal(err)
+	}
+	e.RunFor(time.Hour)
+	if want := start.Add(90 * time.Second); !fired.Equal(want) {
+		t.Errorf("event fired at %v, want %v", fired, want)
+	}
+	if want := start.Add(time.Hour); !e.Now().Equal(want) {
+		t.Errorf("Now after RunFor(1h) = %v, want %v", e.Now(), want)
 	}
 }

@@ -8,7 +8,8 @@
 //
 //   - Agreement: a capacity SLA — the broker promises at least C MHz on a
 //     host for a time window; every monitoring interval in which delivery
-//     falls short accrues a penalty credit to the customer. The premium is
+//     falls short is a violation, which the quote prices at PenaltyRate
+//     credits/second. The premium is
 //     the predicted cost of holding the capacity at confidence level p plus
 //     a margin; the prediction theory says the violation rate should
 //     calibrate to about 1-p.
@@ -91,8 +92,6 @@ type Agreement struct {
 
 	intervals  int
 	violations int
-	penalty    float64 // accrued penalty, credits
-	closed     bool
 }
 
 // Accept activates a quoted agreement at start.
@@ -104,35 +103,16 @@ func Accept(q Quote, customer string, start time.Time) (*Agreement, error) {
 }
 
 // Observe records one monitoring interval: the capacity actually delivered
-// over dt. Deliveries below the contracted capacity accrue penalty.
+// over dt. Deliveries below the contracted capacity are violations.
 func (a *Agreement) Observe(deliveredMHz float64, dt time.Duration) error {
-	if a.closed {
-		return errors.New("sla: agreement closed")
-	}
 	if dt <= 0 {
 		return fmt.Errorf("%w: non-positive interval", ErrBadTerms)
 	}
 	a.intervals++
 	if deliveredMHz < a.Quote.CapacityMHz {
 		a.violations++
-		a.penalty += a.Quote.PenaltyRate * dt.Seconds()
 	}
 	return nil
-}
-
-// Close finalizes the agreement and returns the settlement: the penalty owed
-// to the customer (capped at the premium — the broker never pays out more
-// than it was paid).
-func (a *Agreement) Close() bank.Amount {
-	a.closed = true
-	owed, err := bank.FromCredits(a.penalty)
-	if err != nil || owed > a.Quote.Premium {
-		owed = a.Quote.Premium
-	}
-	if owed < 0 {
-		owed = 0
-	}
-	return owed
 }
 
 // ViolationRate returns the fraction of observed intervals in violation.
@@ -142,9 +122,6 @@ func (a *Agreement) ViolationRate() float64 {
 	}
 	return float64(a.violations) / float64(a.intervals)
 }
-
-// Intervals returns the number of observed monitoring intervals.
-func (a *Agreement) Intervals() int { return a.intervals }
 
 // ---------------------------------------------------------------------------
 // Swing options

@@ -1,6 +1,7 @@
 package sla
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -85,38 +86,42 @@ func TestAgreementLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Intervals() != 6 {
-		t.Errorf("intervals = %d", a.Intervals())
-	}
 	if !mathx.AlmostEqual(a.ViolationRate(), 2.0/6, 1e-12) {
 		t.Errorf("violation rate = %v", a.ViolationRate())
-	}
-	owed := a.Close()
-	want := bank.MustCredits(q.PenaltyRate * 20)
-	if owed != want {
-		t.Errorf("settlement = %v, want %v", owed, want)
-	}
-	if err := a.Observe(100, time.Second); err == nil {
-		t.Error("observe after close accepted")
 	}
 	if _, err := Accept(q, "", time.Now()); err == nil {
 		t.Error("empty customer accepted")
 	}
 }
 
-func TestAgreementPenaltyCappedAtPremium(t *testing.T) {
-	q, err := PriceAgreement(model, "h1", 5600, 2800, time.Hour, 0.9, 0, 100) // huge penalty factor
+// TestAgreementObserveEdges: before any interval the rate is zero, a
+// delivery of exactly the contracted capacity is no violation, and a
+// non-positive interval is refused without being counted.
+func TestAgreementObserveEdges(t *testing.T) {
+	q, err := PriceAgreement(model, "h1", 5600, 2800, time.Hour, 0.9, 0.2, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := Accept(q, "alice", time.Now())
-	for i := 0; i < 360; i++ { // violate the whole hour
-		if err := a.Observe(0, 10*time.Second); err != nil {
-			t.Fatal(err)
+	a, err := Accept(q, "alice", time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := a.ViolationRate(); r != 0 {
+		t.Errorf("rate before any interval = %v", r)
+	}
+	if err := a.Observe(q.CapacityMHz, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, dt := range []time.Duration{0, -time.Second} {
+		if err := a.Observe(0, dt); !errors.Is(err, ErrBadTerms) {
+			t.Errorf("interval %v: err = %v, want ErrBadTerms", dt, err)
 		}
 	}
-	if owed := a.Close(); owed != q.Premium {
-		t.Errorf("settlement %v, want cap at premium %v", owed, q.Premium)
+	if err := a.Observe(q.CapacityMHz-1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if r := a.ViolationRate(); r != 0.5 {
+		t.Errorf("rate = %v, want 1 violation in 2 counted intervals", r)
 	}
 }
 

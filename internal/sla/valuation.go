@@ -15,8 +15,6 @@ package sla
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"tycoongrid/internal/rng"
 )
@@ -54,15 +52,6 @@ func (v Valuation) Validate() error {
 	return nil
 }
 
-// WidthMHz returns the capacity beyond which the valuation is flat.
-func (v Valuation) WidthMHz() float64 {
-	var w float64
-	for _, s := range v.Segments {
-		w += s.WidthMHz
-	}
-	return w
-}
-
 // ValueRate returns the value, in credits/second, of holding qMHz of
 // capacity: the integral of the marginal curve from 0 to qMHz. Negative q is
 // worth zero; q beyond the last segment adds nothing.
@@ -90,48 +79,6 @@ func (v Valuation) Scale(f float64) Valuation {
 		out.Segments[i] = ValuationSegment{WidthMHz: s.WidthMHz, Marginal: s.Marginal * f}
 	}
 	return out
-}
-
-// String renders the valuation in the ParseValuation grammar.
-func (v Valuation) String() string {
-	parts := make([]string, len(v.Segments))
-	for i, s := range v.Segments {
-		parts[i] = strconv.FormatFloat(s.WidthMHz, 'g', -1, 64) + ":" +
-			strconv.FormatFloat(s.Marginal, 'g', -1, 64)
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseValuation parses "width:marginal,width:marginal,..." — e.g.
-// "1400:0.002,1400:0.001" is 1400 MHz at 2 millicredits/s/MHz then another
-// 1400 MHz at half that. The result always satisfies Validate; the empty
-// string is the zero valuation.
-func ParseValuation(text string) (Valuation, error) {
-	text = strings.TrimSpace(text)
-	if text == "" {
-		return Valuation{}, nil
-	}
-	parts := strings.Split(text, ",")
-	v := Valuation{Segments: make([]ValuationSegment, 0, len(parts))}
-	for i, part := range parts {
-		w, m, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return Valuation{}, fmt.Errorf("%w: segment %d %q is not width:marginal", ErrBadTerms, i, part)
-		}
-		width, err := strconv.ParseFloat(strings.TrimSpace(w), 64)
-		if err != nil {
-			return Valuation{}, fmt.Errorf("%w: segment %d width %q", ErrBadTerms, i, w)
-		}
-		marginal, err := strconv.ParseFloat(strings.TrimSpace(m), 64)
-		if err != nil {
-			return Valuation{}, fmt.Errorf("%w: segment %d marginal %q", ErrBadTerms, i, m)
-		}
-		v.Segments = append(v.Segments, ValuationSegment{WidthMHz: width, Marginal: marginal})
-	}
-	if err := v.Validate(); err != nil {
-		return Valuation{}, err
-	}
-	return v, nil
 }
 
 // RandomValuation draws a random valid concave valuation spanning roughly a

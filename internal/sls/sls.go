@@ -154,9 +154,6 @@ func (r *Registry) Select(q Query) []HostInfo {
 	return out
 }
 
-// All returns every live host.
-func (r *Registry) All() []HostInfo { return r.Select(Query{}) }
-
 // Prune removes expired entries and returns how many were dropped.
 func (r *Registry) Prune() int {
 	r.mu.Lock()
@@ -165,19 +162,6 @@ func (r *Registry) Prune() int {
 	for id, e := range r.hosts {
 		if r.expired(e) {
 			delete(r.hosts, id)
-			n++
-		}
-	}
-	return n
-}
-
-// Len returns the number of live hosts.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, e := range r.hosts {
-		if !r.expired(e) {
 			n++
 		}
 	}

@@ -184,3 +184,19 @@ func TestPrune(t *testing.T) {
 		t.Errorf("len = %d, want 1", r.Len())
 	}
 }
+
+// All returns every live host.
+func (r *Registry) All() []HostInfo { return r.Select(Query{}) }
+
+// Len returns the number of live hosts.
+func (r *Registry) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, e := range r.hosts {
+		if !r.expired(e) {
+			n++
+		}
+	}
+	return n
+}

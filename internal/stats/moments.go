@@ -22,7 +22,6 @@ import (
 //
 // For window size 1 the previous moments are ignored, as the paper notes.
 type MovingMoments struct {
-	n     int
 	alpha float64
 	count int64
 	mu    [4]float64 // moments about zero, p = 1..4
@@ -33,14 +32,8 @@ func NewMovingMoments(n int) (*MovingMoments, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("stats: window size %d, want >= 1", n)
 	}
-	return &MovingMoments{n: n, alpha: 1 - 1/float64(n)}, nil
+	return &MovingMoments{alpha: 1 - 1/float64(n)}, nil
 }
-
-// WindowSize returns the configured window length in snapshots.
-func (m *MovingMoments) WindowSize() int { return m.n }
-
-// Count returns how many snapshots have been observed.
-func (m *MovingMoments) Count() int64 { return m.count }
 
 // Observe records a price snapshot.
 func (m *MovingMoments) Observe(x float64) {
@@ -59,14 +52,6 @@ func (m *MovingMoments) Observe(x float64) {
 	m.count++
 }
 
-// Moment returns the smoothed p-th moment about zero, p in 1..4.
-func (m *MovingMoments) Moment(p int) float64 {
-	if p < 1 || p > 4 {
-		panic("stats: moment order out of range")
-	}
-	return m.mu[p-1]
-}
-
 // Mean returns the smoothed window mean.
 func (m *MovingMoments) Mean() float64 { return m.mu[0] }
 
@@ -79,12 +64,6 @@ func (m *MovingMoments) StdDev() float64 {
 		return 0
 	}
 	return math.Sqrt(v)
-}
-
-// Variance returns the smoothed window variance.
-func (m *MovingMoments) Variance() float64 {
-	s := m.StdDev()
-	return s * s
 }
 
 // Skewness returns the smoothed window skewness

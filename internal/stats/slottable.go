@@ -27,12 +27,6 @@ func NewSlotTable(slots int) (*SlotTable, error) {
 	return &SlotTable{slots: make([]float64, slots)}, nil
 }
 
-// Slots returns the number of slots.
-func (t *SlotTable) Slots() int { return len(t.slots) }
-
-// Count returns the number of observations recorded.
-func (t *SlotTable) Count() float64 { return t.n }
-
 // Reset clears all observations but keeps the learned range, so a recycled
 // window array starts with sensible bins.
 func (t *SlotTable) Reset() {
@@ -173,9 +167,6 @@ func NewWindowDistribution(n, slots int) (*WindowDistribution, error) {
 	}
 	return &WindowDistribution{n: n, a: a, b: b, slots: slots}, nil
 }
-
-// WindowSize returns n.
-func (w *WindowDistribution) WindowSize() int { return w.n }
 
 // Observe records one price snapshot into both arrays, maintaining the
 // invariant |n1 - n2| = n (after warm-up): array B starts collecting n

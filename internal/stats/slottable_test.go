@@ -23,8 +23,8 @@ func TestSlotTableBasicCounting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		st.Observe(1.0)
 	}
-	if st.Count() != 100 {
-		t.Errorf("count = %v", st.Count())
+	if st.n != 100 {
+		t.Errorf("count = %v", st.n)
 	}
 	props := st.Proportions()
 	var sum float64
@@ -48,8 +48,8 @@ func TestSlotTableExpandsRange(t *testing.T) {
 	if min+width*8 < 100 {
 		t.Errorf("range [%v, %v) should cover 100", min, min+width*8)
 	}
-	if st.Count() != 3 {
-		t.Errorf("count = %v, expansion must not lose observations", st.Count())
+	if st.n != 3 {
+		t.Errorf("count = %v, expansion must not lose observations", st.n)
 	}
 }
 
@@ -58,11 +58,11 @@ func TestSlotTableIgnoresNonFinite(t *testing.T) {
 	st.Observe(math.NaN())
 	st.Observe(math.Inf(1))
 	st.Observe(math.Inf(-1))
-	if st.Count() != 0 {
+	if st.n != 0 {
 		t.Error("non-finite prices must be dropped")
 	}
 	st.Observe(2)
-	if st.Count() != 1 {
+	if st.n != 1 {
 		t.Error("finite price after junk must count")
 	}
 }
@@ -82,7 +82,7 @@ func TestSlotTableResetKeepsRange(t *testing.T) {
 	st.Observe(20)
 	minBefore, widthBefore := st.Bounds()
 	st.Reset()
-	if st.Count() != 0 {
+	if st.n != 0 {
 		t.Error("reset should clear counts")
 	}
 	minAfter, widthAfter := st.Bounds()
@@ -112,7 +112,7 @@ func TestSlotTableProportionsSumToOneProperty(t *testing.T) {
 		for _, p := range st.Proportions() {
 			sum += p
 		}
-		return mathx.AlmostEqual(sum, 1, 1e-9) && st.Count() == float64(n)
+		return mathx.AlmostEqual(sum, 1, 1e-9) && st.n == float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

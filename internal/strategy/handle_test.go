@@ -207,11 +207,14 @@ func BenchmarkPredictedPickHandle(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		models := []*predict.StreamAR{sp}
 		cands[i] = Candidate{
 			ID:           fmt.Sprintf("p%02d", i),
 			CurrentPrice: 0.25,
 			Step:         10 * time.Second,
-			Forecast:     sp.Forecast,
+			Forecast: func(h time.Duration) (predict.Forecast, error) {
+				return predict.ForecastMean(models, h)
+			},
 		}
 	}
 	s, err := New(PredictedMean, Config{})

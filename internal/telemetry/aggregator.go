@@ -120,9 +120,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	return a
 }
 
-// DB exposes the fleet series store (serve it with HistoryHandler).
-func (a *Aggregator) DB() *tsdb.DB { return a.db }
-
 // ScrapeOnce sweeps every peer concurrently, copying what each recorded
 // since its last scrape into the fleet tsdb. Returns the number of peers
 // that answered.

@@ -428,3 +428,6 @@ func getInto(t *testing.T, url string, out any) {
 		t.Fatalf("GET %s: %v", url, err)
 	}
 }
+
+// DB exposes the fleet series store (serve it with HistoryHandler).
+func (a *Aggregator) DB() *tsdb.DB { return a.db }

@@ -371,7 +371,7 @@ func TestRememberedCertificateStillExpires(t *testing.T) {
 func TestFailedCertificateIsNotRemembered(t *testing.T) {
 	w := newWorld(t)
 	checks := countCA(w.verifier)
-	evilCA, _ := pki.NewDeterministicCA(w.ca.DN(), [32]byte{66})
+	evilCA, _ := pki.NewDeterministicCA(w.ca.Certificate().Subject, [32]byte{66})
 	evil, _ := evilCA.IssueDeterministic("/O=Grid/OU=KTH/CN=Alice", [32]byte{67})
 	early := w.user.Cert.NotBefore.Add(-time.Second)
 	for i, tc := range []struct {

@@ -239,15 +239,6 @@ func WithCapacity(n int) Option {
 	}
 }
 
-// WithNow injects a clock (tests and simulations).
-func WithNow(fn func() time.Time) Option {
-	return func(t *Tracer) {
-		if fn != nil {
-			t.nowFn = fn
-		}
-	}
-}
-
 // WithSeed makes id generation and sampling draws deterministic.
 func WithSeed(seed int64) Option {
 	return func(t *Tracer) { t.rng = rand.New(rand.NewSource(seed)) }
@@ -448,16 +439,6 @@ func (t *Tracer) Spans(id TraceID) []*Span {
 	t.mu.Unlock()
 	sortSpans(out)
 	return out
-}
-
-// Stats reports tracer counters: spans started, spans sampled, completed
-// spans currently stored, live sampled spans.
-func (t *Tracer) Stats() (started, sampled uint64, stored, live int) {
-	t.mu.Lock()
-	stored = len(t.ring)
-	live = len(t.active)
-	t.mu.Unlock()
-	return t.started.Load(), t.sampled.Load(), stored, live
 }
 
 // Reset drops all stored and live spans and zeroes the scope stack — test

@@ -319,3 +319,22 @@ func TestBuildTreeOrphanBecomesRoot(t *testing.T) {
 }
 
 func mustIDs(t *Tracer) (TraceID, SpanID) { return t.newIDs(true) }
+
+// WithNow injects a clock (tests and simulations).
+func WithNow(fn func() time.Time) Option {
+	return func(t *Tracer) {
+		if fn != nil {
+			t.nowFn = fn
+		}
+	}
+}
+
+// Stats reports tracer counters: spans started, spans sampled, completed
+// spans currently stored, live sampled spans.
+func (t *Tracer) Stats() (started, sampled uint64, stored, live int) {
+	t.mu.Lock()
+	stored = len(t.ring)
+	live = len(t.active)
+	t.mu.Unlock()
+	return t.started.Load(), t.sampled.Load(), stored, live
+}

@@ -4,9 +4,9 @@
 // overhead, automatic software installation ("yum") for requested runtime
 // environments, reuse of a user's existing VM between jobs on the same host
 // (with scratch space wiped — "no application data or scratch space is
-// shared by different jobs"), hibernation and purging to free capacity, and
-// the host-wide VM limit that caps how many virtual CPUs the Grid monitor
-// can report (the paper's ~15 VMs per physical node).
+// shared by different jobs"), purging to free capacity, and the host-wide
+// VM limit that caps how many virtual CPUs the Grid monitor can report (the
+// paper's ~15 VMs per physical node).
 package vm
 
 import (
@@ -24,7 +24,6 @@ const (
 	StateCreating State = iota
 	StateIdle
 	StateRunning
-	StateHibernated
 	StatePurged
 )
 
@@ -37,8 +36,6 @@ func (s State) String() string {
 		return "idle"
 	case StateRunning:
 		return "running"
-	case StateHibernated:
-		return "hibernated"
 	case StatePurged:
 		return "purged"
 	default:
@@ -77,16 +74,15 @@ type Config struct {
 // Manager owns the VMs of one host. It is not safe for concurrent use; the
 // grid layer serializes access per host.
 type Manager struct {
-	cfg                     Config
-	vms                     map[string]*VM
-	byOwner                 map[string]map[string]*VM
-	seq                     int
-	created, reused, purged int
-	// idleSince is a lower bound on the LastUsed of every idle or hibernated
-	// VM while anyIdle, so the per-tick reaper can tell without a walk that
-	// nothing is old enough yet. Release and Hibernate lower it; a reaper scan
-	// recomputes it exactly. It may lag low (a VM reused or purged by hand
-	// since), which costs one scan, never a missed victim.
+	cfg     Config
+	vms     map[string]*VM
+	byOwner map[string]map[string]*VM
+	seq     int
+	// idleSince is a lower bound on the LastUsed of every idle VM while
+	// anyIdle, so the per-tick reaper can tell without a walk that nothing
+	// is old enough yet. Release lowers it; a reaper scan recomputes it
+	// exactly. It may lag low (a VM reused or purged by hand since), which
+	// costs one scan, never a missed victim.
 	idleSince time.Time
 	anyIdle   bool
 }
@@ -124,7 +120,7 @@ func (m *Manager) EffectiveCapacity(rawMHz float64) float64 {
 
 // Acquire finds or creates a VM for owner with the given runtime
 // environments installed, at time now. Reuse policy (paper §3): a user may
-// reuse their own idle or hibernated VM on the same physical host; scratch
+// reuse their own idle VM on the same physical host; scratch
 // is always wiped. The returned VM is in StateRunning; its ReadyAt tells the
 // caller when the job can actually start (boot/install overheads).
 func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, error) {
@@ -139,7 +135,7 @@ func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, erro
 	var best *VM
 	bestMissing := 0
 	for _, v := range m.byOwner[owner] {
-		if v.State != StateIdle && v.State != StateHibernated {
+		if v.State != StateIdle {
 			continue
 		}
 		miss := missingEnvs(v, envs)
@@ -149,11 +145,7 @@ func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, erro
 		}
 	}
 	if best != nil {
-		ready := now
-		if best.State == StateHibernated {
-			ready = ready.Add(m.cfg.CreateOverhead / 2) // resume is cheaper than boot
-		}
-		ready = ready.Add(time.Duration(missingEnvs(best, envs)) * m.cfg.InstallOverhead)
+		ready := now.Add(time.Duration(missingEnvs(best, envs)) * m.cfg.InstallOverhead)
 		for _, e := range envs {
 			best.Envs[e] = true
 		}
@@ -162,7 +154,6 @@ func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, erro
 		best.Scratch++ // no scratch sharing between jobs
 		best.JobsRun++
 		best.LastUsed = now
-		m.reused++
 		return best, nil
 	}
 
@@ -190,7 +181,6 @@ func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, erro
 		m.byOwner[owner] = make(map[string]*VM)
 	}
 	m.byOwner[owner][v.ID] = v
-	m.created++
 	return v, nil
 }
 
@@ -226,23 +216,7 @@ func (m *Manager) noteIdle(at time.Time) {
 	}
 }
 
-// Hibernate parks an idle VM, keeping its image but freeing runtime
-// resources — the paper's suggested model for offering more virtual CPUs
-// than are concurrently active.
-func (m *Manager) Hibernate(id string) error {
-	v, ok := m.vms[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVM, id)
-	}
-	if v.State != StateIdle {
-		return fmt.Errorf("%w: hibernate of %s vm", ErrBadState, v.State)
-	}
-	v.State = StateHibernated
-	m.noteIdle(v.LastUsed)
-	return nil
-}
-
-// Purge destroys an idle or hibernated VM, freeing a slot.
+// Purge destroys an idle VM, freeing a slot.
 func (m *Manager) Purge(id string) error {
 	v, ok := m.vms[id]
 	if !ok {
@@ -259,7 +233,6 @@ func (m *Manager) Purge(id string) error {
 			delete(m.byOwner, v.Owner)
 		}
 	}
-	m.purged++
 	return nil
 }
 
@@ -275,7 +248,7 @@ func (m *Manager) PurgeIdleOlderThan(cutoff time.Time) int {
 	var victims []string
 	m.anyIdle = false
 	for id, v := range m.vms {
-		if v.State != StateIdle && v.State != StateHibernated {
+		if v.State != StateIdle {
 			continue
 		}
 		if v.LastUsed.Before(cutoff) {
@@ -305,17 +278,7 @@ func (m *Manager) PurgeAll() int {
 	m.vms = make(map[string]*VM)
 	m.byOwner = make(map[string]map[string]*VM)
 	m.anyIdle = false
-	m.purged += n
 	return n
-}
-
-// Get returns a VM by id.
-func (m *Manager) Get(id string) (*VM, error) {
-	v, ok := m.vms[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownVM, id)
-	}
-	return v, nil
 }
 
 // liveCount counts non-purged VMs.
@@ -333,22 +296,6 @@ func (m *Manager) Running() int {
 		}
 	}
 	return n
-}
-
-// Stats reports manager counters for the grid monitor.
-type Stats struct {
-	Live, Running, Created, Reused, Purged int
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Live:    m.liveCount(),
-		Running: m.Running(),
-		Created: m.created,
-		Reused:  m.reused,
-		Purged:  m.purged,
-	}
 }
 
 // sorted returns VMs ordered by ID for deterministic iteration.

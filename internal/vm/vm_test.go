@@ -94,9 +94,6 @@ func TestReuseSameOwnerWipesScratch(t *testing.T) {
 	if v2.JobsRun != 2 {
 		t.Errorf("JobsRun = %d", v2.JobsRun)
 	}
-	if m.Stats().Reused != 1 {
-		t.Errorf("reused = %d", m.Stats().Reused)
-	}
 }
 
 func TestReuseInstallsMissingEnvs(t *testing.T) {
@@ -150,32 +147,6 @@ func TestHostFull(t *testing.T) {
 	}
 }
 
-func TestHibernateAndResume(t *testing.T) {
-	m := mgr(t, 5)
-	now := sim.Epoch
-	v, _ := m.Acquire("alice", nil, now)
-	if err := m.Hibernate(v.ID); !errors.Is(err, ErrBadState) {
-		t.Errorf("hibernate running: %v", err)
-	}
-	if err := m.Release(v.ID, now); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Hibernate(v.ID); err != nil {
-		t.Fatal(err)
-	}
-	// Resuming costs half the boot overhead.
-	v2, err := m.Acquire("alice", nil, now.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.ID != v.ID {
-		t.Fatal("hibernated VM not reused")
-	}
-	if want := now.Add(time.Hour).Add(30 * time.Second); !v2.ReadyAt.Equal(want) {
-		t.Errorf("resume ReadyAt = %v, want %v", v2.ReadyAt, want)
-	}
-}
-
 func TestPurge(t *testing.T) {
 	m := mgr(t, 2)
 	now := sim.Epoch
@@ -189,15 +160,12 @@ func TestPurge(t *testing.T) {
 	if err := m.Purge(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Get(v.ID); !errors.Is(err, ErrUnknownVM) {
-		t.Errorf("purged VM still visible: %v", err)
+	if _, ok := m.vms[v.ID]; ok {
+		t.Error("purged VM still visible")
 	}
 	// Slot freed: a full host can admit again.
 	if _, err := m.Acquire("bob", nil, now); err != nil {
 		t.Errorf("slot not freed: %v", err)
-	}
-	if m.Stats().Purged != 1 {
-		t.Errorf("purged = %d", m.Stats().Purged)
 	}
 }
 
@@ -238,7 +206,7 @@ func TestReleaseErrors(t *testing.T) {
 func TestStateString(t *testing.T) {
 	want := map[State]string{
 		StateCreating: "creating", StateIdle: "idle", StateRunning: "running",
-		StateHibernated: "hibernated", StatePurged: "purged", State(99): "state(99)",
+		StatePurged: "purged", State(99): "state(99)",
 	}
 	for s, str := range want {
 		if s.String() != str {
@@ -294,11 +262,8 @@ func TestPurgeAll(t *testing.T) {
 	if running.State != StatePurged || idle.State != StatePurged {
 		t.Errorf("states = %v, %v, want purged", running.State, idle.State)
 	}
-	if _, err := m.Get(running.ID); !errors.Is(err, ErrUnknownVM) {
-		t.Errorf("Get after PurgeAll: %v", err)
-	}
-	if got := m.Stats().Purged; got != 2 {
-		t.Errorf("Stats().Purged = %d, want 2", got)
+	if _, ok := m.vms[running.ID]; ok {
+		t.Error("VM still visible after PurgeAll")
 	}
 	// The host is empty again: new acquisitions start fresh.
 	fresh, err := m.Acquire("alice", nil, now)
@@ -316,7 +281,7 @@ func TestPurgeAll(t *testing.T) {
 func scanPurge(m *Manager, cutoff time.Time) int {
 	var victims []string
 	for id, v := range m.vms {
-		if (v.State == StateIdle || v.State == StateHibernated) && v.LastUsed.Before(cutoff) {
+		if v.State == StateIdle && v.LastUsed.Before(cutoff) {
 			victims = append(victims, id)
 		}
 	}
@@ -331,7 +296,7 @@ func scanPurge(m *Manager, cutoff time.Time) int {
 
 // TestPurgeIdleMatchesScanEveryTick drives twin managers — 12 running and 3
 // idle VMs to begin with — through 1 000 reallocation ticks of releases,
-// reuses, fresh boots, hibernations and hand purges. One reaps through
+// reuses, fresh boots and hand purges. One reaps through
 // PurgeIdleOlderThan, which returns before walking while no idle VM can be
 // old enough; the other scans every VM every tick. Every tick must purge the
 // same number, and leave the same VMs in the same states.
@@ -382,11 +347,7 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 		case 2, 3: // a job starts: reuse the owner's idle VM or boot one
 			acquire(fmt.Sprintf("owner-%02d", src.Intn(20)))
 		case 4: // none at first: the first reap must come from Release's bound alone
-			if id := pick(StateIdle, src.Intn(40)); id != "" && tick > 100 {
-				both(func(m *Manager) error { return m.Hibernate(id) })
-			}
-		case 5:
-			if id := pick(StateHibernated, src.Intn(40)); id != "" && src.Intn(4) == 0 {
+			if id := pick(StateIdle, src.Intn(40)); id != "" && tick > 100 && src.Intn(4) == 0 {
 				both(func(m *Manager) error { return m.Purge(id) })
 			}
 		}
@@ -406,9 +367,6 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 			if a[i].ID != b[i].ID || a[i].State != b[i].State || !a[i].LastUsed.Equal(b[i].LastUsed) {
 				t.Fatalf("tick %d: VM %s %v, twin %s %v", tick, a[i].ID, a[i].State, b[i].ID, b[i].State)
 			}
-		}
-		if fast.Stats() != scan.Stats() {
-			t.Fatalf("tick %d: stats %+v, twin %+v", tick, fast.Stats(), scan.Stats())
 		}
 	}
 	if purgedTicks < 20 || purged < 30 {

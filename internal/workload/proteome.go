@@ -21,9 +21,6 @@ import (
 	"tycoongrid/internal/rng"
 )
 
-// Alphabet is the 20 standard amino acids.
-const Alphabet = "ACDEFGHIKLMNPQRSTVWY"
-
 // Protein is one sequence in the proteome database.
 type Protein struct {
 	ID  string

@@ -235,3 +235,6 @@ func BenchmarkWindowScore(b *testing.B) {
 		WindowScore(window, subject)
 	}
 }
+
+// Alphabet is the 20 standard amino acids.
+const Alphabet = "ACDEFGHIKLMNPQRSTVWY"

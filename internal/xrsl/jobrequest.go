@@ -44,7 +44,6 @@ type JobRequest struct {
 var (
 	ErrNoExecutable = errors.New("xrsl: job has no executable")
 	ErrNoDeadline   = errors.New("xrsl: job has neither walltime nor cputime")
-	ErrNoToken      = errors.New("xrsl: job has no transfertoken")
 )
 
 // ToJobRequest extracts the typed request. Walltime and cputime are in
@@ -158,55 +157,4 @@ func (jr *JobRequest) Deadline() time.Duration {
 		return jr.WallTime
 	}
 	return jr.CPUTime
-}
-
-// ToDescription converts the typed request back to xRSL (used by clients
-// constructing submissions programmatically).
-func (jr *JobRequest) ToDescription() *Description {
-	var d Description
-	d.Set("executable", jr.Executable)
-	if len(jr.Arguments) > 0 {
-		d.Set("arguments", jr.Arguments...)
-	}
-	if jr.JobName != "" {
-		d.Set("jobname", jr.JobName)
-	}
-	if jr.Count > 1 {
-		d.Set("count", fmt.Sprint(jr.Count))
-	}
-	if jr.MinHosts > 0 {
-		d.Set("minhosts", fmt.Sprint(jr.MinHosts))
-	}
-	if jr.WallTime > 0 {
-		d.Set("walltime", fmt.Sprint(int(jr.WallTime.Minutes())))
-	}
-	if jr.CPUTime > 0 {
-		d.Set("cputime", fmt.Sprint(int(jr.CPUTime.Minutes())))
-	}
-	if jr.Memory > 0 {
-		d.Set("memory", fmt.Sprint(jr.Memory))
-	}
-	if len(jr.RuntimeEnvs) > 0 {
-		d.Set("runtimeenvironment", jr.RuntimeEnvs...)
-	}
-	if jr.TransferToken != "" {
-		d.Set("transfertoken", jr.TransferToken)
-	}
-	setStaging := func(attr string, files []FileStaging) {
-		if len(files) == 0 {
-			return
-		}
-		vals := make([]Value, len(files))
-		for i, f := range files {
-			t := []Value{{Word: f.Name}}
-			if f.URL != "" {
-				t = append(t, Value{Word: f.URL})
-			}
-			vals[i] = Value{Tuple: t}
-		}
-		d.Relations = append(d.Relations, Relation{Attr: attr, Values: vals})
-	}
-	setStaging("inputfiles", jr.InputFiles)
-	setStaging("outputfiles", jr.OutputFiles)
-	return &d
 }

@@ -109,22 +109,6 @@ func (d *Description) GetInt(attr string) (int, error) {
 	return n, nil
 }
 
-// Set replaces (or appends) a scalar attribute.
-func (d *Description) Set(attr string, words ...string) {
-	vals := make([]Value, len(words))
-	for i, w := range words {
-		vals[i] = Value{Word: w}
-	}
-	attr = strings.ToLower(attr)
-	for i := range d.Relations {
-		if d.Relations[i].Attr == attr {
-			d.Relations[i].Values = vals
-			return
-		}
-	}
-	d.Relations = append(d.Relations, Relation{Attr: attr, Values: vals})
-}
-
 // String serializes the description back to xRSL.
 func (d *Description) String() string {
 	var b strings.Builder

@@ -2,6 +2,7 @@ package xrsl
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -275,4 +276,71 @@ func BenchmarkParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ToDescription converts the typed request back to xRSL: the inverse the
+// round-trip tests hold ToJobRequest to.
+func (jr *JobRequest) ToDescription() *Description {
+	var d Description
+	d.Set("executable", jr.Executable)
+	if len(jr.Arguments) > 0 {
+		d.Set("arguments", jr.Arguments...)
+	}
+	if jr.JobName != "" {
+		d.Set("jobname", jr.JobName)
+	}
+	if jr.Count > 1 {
+		d.Set("count", fmt.Sprint(jr.Count))
+	}
+	if jr.MinHosts > 0 {
+		d.Set("minhosts", fmt.Sprint(jr.MinHosts))
+	}
+	if jr.WallTime > 0 {
+		d.Set("walltime", fmt.Sprint(int(jr.WallTime.Minutes())))
+	}
+	if jr.CPUTime > 0 {
+		d.Set("cputime", fmt.Sprint(int(jr.CPUTime.Minutes())))
+	}
+	if jr.Memory > 0 {
+		d.Set("memory", fmt.Sprint(jr.Memory))
+	}
+	if len(jr.RuntimeEnvs) > 0 {
+		d.Set("runtimeenvironment", jr.RuntimeEnvs...)
+	}
+	if jr.TransferToken != "" {
+		d.Set("transfertoken", jr.TransferToken)
+	}
+	setStaging := func(attr string, files []FileStaging) {
+		if len(files) == 0 {
+			return
+		}
+		vals := make([]Value, len(files))
+		for i, f := range files {
+			t := []Value{{Word: f.Name}}
+			if f.URL != "" {
+				t = append(t, Value{Word: f.URL})
+			}
+			vals[i] = Value{Tuple: t}
+		}
+		d.Relations = append(d.Relations, Relation{Attr: attr, Values: vals})
+	}
+	setStaging("inputfiles", jr.InputFiles)
+	setStaging("outputfiles", jr.OutputFiles)
+	return &d
+}
+
+// Set replaces (or appends) a scalar attribute.
+func (d *Description) Set(attr string, words ...string) {
+	vals := make([]Value, len(words))
+	for i, w := range words {
+		vals[i] = Value{Word: w}
+	}
+	attr = strings.ToLower(attr)
+	for i := range d.Relations {
+		if d.Relations[i].Attr == attr {
+			d.Relations[i].Values = vals
+			return
+		}
+	}
+	d.Relations = append(d.Relations, Relation{Attr: attr, Values: vals})
 }
