@@ -22,6 +22,10 @@
 //	curl localhost:7750/jobs
 //	curl localhost:7750/monitor
 //	curl localhost:7750/bank/accounts/alice
+//
+// gridmarketd keeps no state across restarts. Every start draws fresh CA and
+// bank keys, so a token minted before a restart fails the bank-signature
+// check after it, and users must be created again.
 package main
 
 import (
@@ -29,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -37,7 +42,6 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
-	"tycoongrid/internal/durable"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/telemetry"
@@ -61,14 +65,14 @@ func main() {
 	horizon := flag.Duration("horizon", 30*time.Minute, "forecast horizon for prediction strategies")
 	mechName := flag.String("mechanism", mechanism.Proportional,
 		"host market clearing rule: "+strings.Join(mechanism.Names(), "|"))
-	dataDir := flag.String("data-dir", "",
-		"directory for the broker's durable spent-token log; empty = in-memory (spent ids lost on restart)")
 	scrapeEvery := flag.Duration("scrape-interval", telemetry.DefaultScrapeInterval,
 		"self-scrape cadence feeding /metrics/history and the SLO evaluator")
 	flag.Parse()
 	tracing.InitSlog("gridmarketd", os.Stderr, slog.LevelInfo)
-	if *speedup <= 0 {
-		slog.Error("gridmarketd: -speedup must be positive")
+	// NaN fails every comparison, so test for the good case; the value is
+	// logged as text because JSON has no NaN or Inf.
+	if !(*speedup > 0) || math.IsInf(*speedup, 1) {
+		slog.Error("gridmarketd: -speedup must be finite and positive", "speedup", fmt.Sprint(*speedup))
 		os.Exit(1)
 	}
 	tracing.Default().SetSampleRatio(*traceRatio)
@@ -83,21 +87,6 @@ func main() {
 	cfg.Strategy = *strategyName
 	cfg.Horizon = *horizon
 	cfg.Mechanism = *mechName
-	if *dataDir != "" {
-		st, err := durable.Open(*dataDir, durable.Options{Sync: durable.SyncInterval})
-		if err != nil {
-			slog.Error("gridmarketd: open data dir", "err", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		spent, err := token.NewDurableSpentStore(st, 0)
-		if err != nil {
-			slog.Error("gridmarketd: recover spent-token log", "err", err)
-			os.Exit(1)
-		}
-		cfg.SpentStore = spent
-		slog.Info("gridmarketd: durable spent-token log", "dir", *dataDir)
-	}
 	b, err := box.New(cfg)
 	if err != nil {
 		slog.Error("gridmarketd: box construction failed", "err", err)

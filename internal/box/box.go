@@ -42,7 +42,9 @@ type Config struct {
 	Interval     time.Duration // market reallocation period; 0 = the paper's 10 s
 	// Seed keys the world: CA, bank, broker and every user's identity and
 	// bank key are drawn from it in that order, so a seed names the same keys
-	// whatever is built on top. 0 draws the keys from crypto/rand.
+	// whatever is built on top. 0 draws the keys from crypto/rand. A seeded
+	// world's tokens therefore verify in any world with the same seed; seeds
+	// exist for reproducible runs, and no daemon takes one.
 	Seed  int64
 	Start time.Time // engine start; zero = sim.Epoch
 	// VM overheads; zero means instant (exact arithmetic in analyses).
@@ -76,10 +78,6 @@ type Config struct {
 	Partitions int
 	Strategy   string        // "" = the meta default (current-price); needs Partitions > 1
 	Horizon    time.Duration // forecast horizon for prediction strategies
-	// SpentStore overrides the broker verifier's double-spend set; nil keeps
-	// the in-memory default. Daemons pass a token.DurableSpentStore so spent
-	// transfer ids survive restarts.
-	SpentStore token.SpentStore
 }
 
 // DefaultConfig returns a small but real market.
@@ -226,7 +224,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	// One verifier for all partitions: replay protection must be global, or
 	// the same token could be redeemed once per partition agent.
-	verifier, err := token.NewVerifier(b.Bank.PublicKey(), b.CA.Certificate(), "broker", cfg.SpentStore)
+	verifier, err := token.NewVerifier(b.Bank.PublicKey(), b.CA.Certificate(), "broker", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,11 @@ package box
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/durable"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/strategy"
@@ -331,42 +329,17 @@ func TestPartitionedBoxPicksThroughForecastHandles(t *testing.T) {
 
 // TestEveryAxisComposes builds a world no constructor could before there was
 // one: two partitions under predicted-mean, markets cleared by two shards at
-// a posted price, the broker's spent-token set on disk. A job runs to
-// FINISHED leaving its sub-account empty and the money supply whole, and
-// after a restart — same seed, so the same bank and CA keys, and the spent
-// log reopened — the token it was paid with is still refused.
+// a posted price. A job runs to FINISHED leaving its sub-account empty and
+// the money supply whole.
 func TestEveryAxisComposes(t *testing.T) {
-	dir := t.TempDir()
-	boot := func() (*Box, *durable.Store) {
-		st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spent, err := token.NewDurableSpentStore(st, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Seed, cfg.Users, cfg.GrantPerUser = 21, 1, 500*bank.Credit
-		cfg.Partitions, cfg.Strategy, cfg.Horizon = 2, strategy.PredictedMean, 10*time.Minute
-		cfg.Shards, cfg.Mechanism, cfg.SpentStore = 2, mechanism.PostedPrice, spent
-		b, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b, st
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Users, cfg.GrantPerUser = 21, 1, 500*bank.Credit
+	cfg.Partitions, cfg.Strategy, cfg.Horizon = 2, strategy.PredictedMean, 10*time.Minute
+	cfg.Shards, cfg.Mechanism = 2, mechanism.PostedPrice
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	submit := func(b *Box, tok string) *arc.GridJob {
-		gj, err := b.Scheduler().Submit(fmt.Sprintf(
-			"&(executable=scan.sh)(count=2)(cputime=10)(walltime=120)(transfertoken=%s)", tok), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Engine.RunFor(3 * time.Hour)
-		return gj
-	}
-
-	b, st := boot()
 	if b.Meta.Strategy() != strategy.PredictedMean || len(b.Agents) != 2 {
 		t.Fatalf("strategy %q over %d agents", b.Meta.Strategy(), len(b.Agents))
 	}
@@ -383,7 +356,12 @@ func TestEveryAxisComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gj := submit(b, enc)
+	gj, err := b.Scheduler().Submit(fmt.Sprintf(
+		"&(executable=scan.sh)(count=2)(cputime=10)(walltime=120)(transfertoken=%s)", enc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Engine.RunFor(3 * time.Hour)
 	if gj.State != arc.StateFinished {
 		t.Fatalf("job state = %v (%s)", gj.State, gj.Error)
 	}
@@ -395,14 +373,5 @@ func TestEveryAxisComposes(t *testing.T) {
 	}
 	if got := b.Bank.TotalMoney(); got != 500*bank.Credit {
 		t.Errorf("money supply %v, want the 500 granted", got)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	b, st = boot()
-	defer st.Close()
-	if replay := submit(b, enc); replay.State != arc.StateFailed || !strings.Contains(replay.Error, token.ErrSpent.Error()) {
-		t.Errorf("replayed token after restart: job %v (%s), want FAILED as already used", replay.State, replay.Error)
 	}
 }

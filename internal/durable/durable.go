@@ -2,8 +2,8 @@
 // siblings: a length-prefixed, CRC32C-checksummed write-ahead log with
 // group-commit batching and a configurable fsync policy, plus periodic
 // snapshots with log truncation. It stores opaque byte records — the bank
-// (internal/bank), the token spent-store (internal/token) and the
-// auctioneer's price log each define their own record encoding on top.
+// (internal/bank) and the auctioneer's price log each define their own
+// record encoding on top.
 //
 // # On-disk layout
 //

@@ -79,8 +79,6 @@ var (
 type SpentStore interface {
 	// Spend marks id as used; it returns false if id was already used.
 	Spend(id string) bool
-	// Spent reports whether id has been used.
-	Spent(id string) bool
 }
 
 // MemorySpentStore is the in-memory SpentStore used by brokers.
@@ -103,13 +101,6 @@ func (s *MemorySpentStore) Spend(id string) bool {
 	}
 	s.used[id] = true
 	return true
-}
-
-// Spent implements SpentStore.
-func (s *MemorySpentStore) Spent(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used[id]
 }
 
 // Verifier checks tokens on behalf of one broker account. Safe for concurrent
@@ -172,11 +163,8 @@ func (v *Verifier) Verify(t Token, now time.Time) (bank.Amount, error) {
 	if !pki.Verify(t.UserCert.PublicKey, MappingBytes(t.Receipt, t.GridDN), t.UserSig) {
 		return 0, ErrBadMapping
 	}
-	if v.spent.Spent(t.Receipt.TransferID) {
-		return 0, ErrSpent
-	}
 	if !v.spent.Spend(t.Receipt.TransferID) {
-		return 0, ErrSpent // lost the race to a concurrent verification
+		return 0, ErrSpent
 	}
 	return t.Receipt.Amount, nil
 }
