@@ -273,7 +273,7 @@ simplicity-ledger:
 # skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/tsdb
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/tsdb
 	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \

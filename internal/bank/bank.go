@@ -128,6 +128,27 @@ func appendAmount(p []byte, a Amount) []byte {
 	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(p, 8), uint64(a))
 }
 
+// issued is what the bank keeps of a receipt: the facts it states. The
+// signature is not kept: Ed25519 signing is deterministic (RFC 8032 §5.1.6)
+// and the bank's key is fixed for its life, so signing the facts again gives
+// the bytes first issued (Bank.receipt).
+type issued struct {
+	from, to *Account
+	amount   Amount
+	at       int64 // Unix nanoseconds
+}
+
+// line is one ledger entry as the bank keeps it: its accounts by pointer
+// (from is nil for a deposit) and its time in Unix nanoseconds. Its Seq is
+// its place in the ledger. History expands it into an Entry.
+type line struct {
+	from, to *Account
+	kind     EntryKind
+	amount   Amount
+	memo     string
+	at       int64
+}
+
 // Bank is a thread-safe ledger with signed receipts. By default it is purely
 // in-memory; AttachDurability (wal.go) journals every mutation to a
 // write-ahead log so the bank survives crashes.
@@ -136,10 +157,10 @@ type Bank struct {
 	id        *pki.Identity
 	clock     sim.Clock
 	accounts  map[AccountID]*Account
-	receipts  map[string]Receipt // issued receipts by nonce: the spent nonces, and the idempotent replay
-	ledger    []Entry
-	seq       uint64
-	ledgerCap int // 0 = unbounded
+	receipts  map[string]issued // issued receipts by nonce: the spent nonces, and the idempotent replay
+	ledger    []line
+	seq       uint64 // Seq of the newest line; the oldest's is seq-len(ledger)+1
+	ledgerCap int    // 0 = unbounded
 	tracer    *tracing.Tracer
 
 	// Conservation accounting (conservation.go): baseline is the total money
@@ -186,7 +207,7 @@ func New(id *pki.Identity, clock sim.Clock, opts ...Option) *Bank {
 		id:       id,
 		clock:    clock,
 		accounts: make(map[AccountID]*Account),
-		receipts: make(map[string]Receipt),
+		receipts: make(map[string]issued),
 		tracer:   tracing.Default(),
 	}
 	for _, o := range opts {
@@ -292,8 +313,8 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 	}
 	a.Balance = nb
 	b.minted += amount
-	at := b.clock.Now()
-	b.appendEntryAt(EntryDeposit, "", id, amount, memo, at)
+	at := b.clock.Now().UnixNano()
+	b.appendEntryAt(EntryDeposit, nil, a, amount, memo, at)
 	return b.stage(func() []byte { return encDeposit(id, amount, memo, at) }), nil
 }
 
@@ -306,13 +327,17 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 // required. A request that reuses the nonce with different terms fails with
 // ErrNonceReused.
 //
+// The bank keeps a receipt's facts, not its signature: a replay signs the
+// stored facts again, and since Ed25519 signing is deterministic and the
+// bank's key never changes, it answers the receipt first issued byte for
+// byte.
+//
 // No signature work runs under b.mu. A transfer takes it twice:
 // admit finds the accounts and stamps the time, then the owner signature is
-// verified and the receipt signed with no lock held, then commit decides the
-// nonce and the funds and applies the transfer. So concurrent transfers
-// verify and sign on as many cores as they have. A receipt signed for a
-// request that commit refuses, or answers from the stored receipt, is
-// dropped.
+// verified with no lock held, then commit decides the nonce and the funds and
+// applies the transfer (or finds the facts a replay answers), and then the
+// receipt is signed with no lock held. So concurrent transfers verify and
+// sign on as many cores as they have, and a refused request signs nothing.
 func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	if req.Amount <= 0 {
 		return Receipt{}, ErrNonPositive
@@ -321,7 +346,7 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 		return Receipt{}, errors.New("bank: empty transfer nonce")
 	}
 	start := time.Now()
-	from, to, owner, at, err := b.admit(req)
+	facts, owner, err := b.admit(req)
 	if err != nil {
 		return Receipt{}, err
 	}
@@ -330,22 +355,21 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 		mRejectedSigs.Inc()
 		return Receipt{}, ErrBadAuthorization
 	}
-	signStart := time.Now()
-	r := Receipt{TransferID: req.Nonce, From: req.From, To: req.To, Amount: req.Amount, At: at}
-	r.BankSig = b.id.Sign(r.SigningBytes())
 	commitStart := time.Now()
-	r, wait, err := b.commit(from, to, r)
+	facts, wait, err := b.commit(req.Nonce, facts)
 	if err != nil {
 		return Receipt{}, err
 	}
+	signStart := time.Now()
+	r := b.receipt(req.Nonce, facts)
 	walStart := time.Now()
 	if err := commitWait(wait); err != nil {
 		return Receipt{}, err
 	}
 	end := time.Now()
-	mPhaseLedger.Observe((verifyStart.Sub(start) + walStart.Sub(commitStart)).Seconds())
-	mPhaseVerify.Observe(signStart.Sub(verifyStart).Seconds())
-	mPhaseSign.Observe(commitStart.Sub(signStart).Seconds())
+	mPhaseLedger.Observe((verifyStart.Sub(start) + signStart.Sub(commitStart)).Seconds())
+	mPhaseVerify.Observe(commitStart.Sub(verifyStart).Seconds())
+	mPhaseSign.Observe(walStart.Sub(signStart).Seconds())
 	mPhaseWAL.Observe(end.Sub(walStart).Seconds())
 	if s := b.tracer.Current(); s.Recording() {
 		mTransferSeconds.ObserveExemplar(end.Sub(start).Seconds(), s.Context().TraceID.String())
@@ -360,57 +384,70 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 // time. The clock is read here, under the lock, because a simulated clock is
 // not safe for concurrent use. Accounts are never removed, so the pointers
 // stay the accounts commit mutates.
-func (b *Bank) admit(req TransferRequest) (from, to *Account, owner ed25519.PublicKey, at time.Time, err error) {
+func (b *Bank) admit(req TransferRequest) (issued, ed25519.PublicKey, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	from, ok := b.accounts[req.From]
 	if !ok {
-		return nil, nil, nil, time.Time{}, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
+		return issued{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.From)
 	}
-	to, ok = b.accounts[req.To]
+	to, ok := b.accounts[req.To]
 	if !ok {
-		return nil, nil, nil, time.Time{}, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
+		return issued{}, nil, fmt.Errorf("%w: %q", ErrNoAccount, req.To)
 	}
 	if from == to {
 		// Debit then credit of one account would store the credit over the
 		// debit and mint the amount; refused before the nonce is spent.
-		return nil, nil, nil, time.Time{}, fmt.Errorf("%w: %q", ErrSameAccount, req.From)
+		return issued{}, nil, fmt.Errorf("%w: %q", ErrSameAccount, req.From)
 	}
-	return from, to, from.Owner, b.clock.Now(), nil
+	return issued{from: from, to: to, amount: req.Amount, at: b.clock.Now().UnixNano()}, from.Owner, nil
 }
 
-// commit is a transfer's last step under b.mu, given its verified request as
-// the signed receipt r: the nonce, the funds and the credit are decided here,
-// against the state of this moment, and only then is r stored, entered in the
-// ledger at r.At and staged. A replay returns the stored receipt instead of r.
-func (b *Bank) commit(from, to *Account, r Receipt) (Receipt, func() error, error) {
+// commit is a transfer's last step under b.mu, given the facts of its verified
+// request: the nonce, the funds and the credit are decided here, against the
+// state of this moment, and only then are the facts stored, entered in the
+// ledger and staged. A replay returns the stored facts instead of t.
+func (b *Bank) commit(nonce string, t issued) (issued, func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if prev, ok := b.receipts[r.TransferID]; ok {
-		if prev.From == r.From && prev.To == r.To && prev.Amount == r.Amount {
-			// Already applied: return the stored receipt, but not before the
+	if prev, ok := b.receipts[nonce]; ok {
+		if prev.from == t.from && prev.to == t.to && prev.amount == t.amount {
+			// Already applied: answer the stored facts, but not before the
 			// original's record is durable — it may still be waiting on its
 			// fsync, and a receipt for a transfer recovery would not contain
 			// is money the payer never lost.
 			return prev, b.barrier(), nil
 		}
-		return Receipt{}, nil, ErrNonceReused
+		return issued{}, nil, ErrNonceReused
 	}
-	if from.Balance < r.Amount {
-		return Receipt{}, nil, fmt.Errorf("%w: %q has %v, needs %v",
-			ErrInsufficientFunds, r.From, from.Balance, r.Amount)
+	if t.from.Balance < t.amount {
+		return issued{}, nil, fmt.Errorf("%w: %q has %v, needs %v",
+			ErrInsufficientFunds, t.from.ID, t.from.Balance, t.amount)
 	}
-	nb, err := addChecked(to.Balance, r.Amount)
+	nb, err := addChecked(t.to.Balance, t.amount)
 	if err != nil {
-		return Receipt{}, nil, err
+		return issued{}, nil, err
 	}
-	from.Balance -= r.Amount
-	to.Balance = nb
+	t.from.Balance -= t.amount
+	t.to.Balance = nb
 	mTransfers.Inc()
-	b.receipts[r.TransferID] = r
-	b.appendEntryAt(EntryTransfer, r.From, r.To, r.Amount, "", r.At)
-	return r, b.stage(func() []byte { return encTransfer(r) }), nil
+	b.receipts[nonce] = t
+	b.appendEntryAt(EntryTransfer, t.from, t.to, t.amount, "", t.at)
+	return t, b.stage(func() []byte { return encTransfer(nonce, t) }), nil
 }
+
+// receipt is the bank-signed receipt of the transfer nonce names, built from
+// its facts; callers do not hold b.mu.
+func (b *Bank) receipt(nonce string, t issued) Receipt {
+	r := Receipt{TransferID: nonce, From: t.from.ID, To: t.to.ID, Amount: t.amount, At: instant(t.at)}
+	r.BankSig = b.id.Sign(r.SigningBytes())
+	return r
+}
+
+// instant is the time a line or receipt stamped at ns carries: whole
+// nanoseconds in UTC with no monotonic reading, the same before and after a
+// restart.
+func instant(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // Move is one leg of a MoveBatch: what MoveInternal takes, less the owner and
 // the entry kind the whole batch shares.
@@ -494,8 +531,8 @@ func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func
 	}
 	f.Balance -= mv.Amount
 	t.Balance = nb
-	at := b.clock.Now()
-	b.appendEntryAt(kind, mv.From, mv.To, mv.Amount, mv.Memo, at)
+	at := b.clock.Now().UnixNano()
+	b.appendEntryAt(kind, f, t, mv.Amount, mv.Memo, at)
 	return b.stage(func() []byte { return encMove(kind, mv.From, mv.To, mv.Amount, mv.Memo, at) }), nil
 }
 
@@ -504,15 +541,12 @@ func VerifyReceipt(bankKey ed25519.PublicKey, r Receipt) bool {
 	return pki.Verify(bankKey, r.SigningBytes(), r.BankSig)
 }
 
-// appendEntryAt records a ledger entry stamped at; callers hold b.mu. WAL
-// replay passes the originally recorded time so recovered ledgers match the
-// pre-crash ones.
-func (b *Bank) appendEntryAt(kind EntryKind, from, to AccountID, amount Amount, memo string, at time.Time) {
+// appendEntryAt records a ledger line stamped at (Unix nanoseconds); callers
+// hold b.mu. WAL replay passes the originally recorded time so recovered
+// ledgers match the pre-crash ones.
+func (b *Bank) appendEntryAt(kind EntryKind, from, to *Account, amount Amount, memo string, at int64) {
 	b.seq++
-	b.ledger = append(b.ledger, Entry{
-		Seq: b.seq, Kind: kind, From: from, To: to,
-		Amount: amount, Memo: memo, At: at,
-	})
+	b.ledger = append(b.ledger, line{from: from, to: to, kind: kind, amount: amount, memo: memo, at: at})
 	// Trim lazily at 2x the cap so the copy cost amortizes to O(1).
 	if b.ledgerCap > 0 && len(b.ledger) > 2*b.ledgerCap {
 		drop := len(b.ledger) - b.ledgerCap
@@ -524,13 +558,27 @@ func (b *Bank) appendEntryAt(kind EntryKind, from, to AccountID, amount Amount, 
 func (b *Bank) History(id AccountID) []Entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	a, ok := b.accounts[id]
+	if !ok {
+		return nil
+	}
+	first := b.seq - uint64(len(b.ledger)) + 1
 	var out []Entry
-	for _, e := range b.ledger {
-		if e.From == id || e.To == id {
-			out = append(out, e)
+	for i := range b.ledger {
+		if l := &b.ledger[i]; l.from == a || l.to == a {
+			out = append(out, l.entry(first+uint64(i)))
 		}
 	}
 	return out
+}
+
+// entry is the Entry l is, given its Seq.
+func (l *line) entry(seq uint64) Entry {
+	e := Entry{Seq: seq, Kind: l.kind, To: l.to.ID, Amount: l.amount, Memo: l.memo, At: instant(l.at)}
+	if l.from != nil {
+		e.From = l.from.ID
+	}
+	return e
 }
 
 // TotalMoney returns the sum of all balances — conserved by every operation

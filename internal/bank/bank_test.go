@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -428,5 +429,62 @@ func TestAccountsListing(t *testing.T) {
 	ids := f.bank.Accounts()
 	if len(ids) != 2 {
 		t.Errorf("accounts = %v", ids)
+	}
+}
+
+// TestTransferRetentionAllocationBound: what an in-memory bank keeps of one
+// executed transfer — the receipt's facts under its nonce and one ledger
+// line pointing at the two accounts — is at most maxPerTransfer bytes of
+// heap. The requests are signed beforehand and kept alive, so their strings
+// are not counted, and the receipts Transfer returns are dropped. It read
+// ≈ 430 B while the bank kept every receipt whole, signature included, and
+// every ledger entry with its account ids and its time as a time.Time.
+func TestTransferRetentionAllocationBound(t *testing.T) {
+	const accounts, transfers, maxPerTransfer = 64, 8000, 256
+	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bankID, err := ca.IssueDeterministic("/CN=Bank", [32]byte{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := ca.IssueDeterministic("/O=Grid/CN=Owner", [32]byte{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(bankID, sim.WallClock{})
+	ids := make([]AccountID, accounts)
+	for i := range ids {
+		ids[i] = AccountID(fmt.Sprintf("acct-%02d", i))
+		if _, err := b.CreateAccount(ids[i], owner.Public()); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Deposit(ids[i], MustCredits(1_000_000), "grant"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := make([]TransferRequest, transfers)
+	for i := range reqs {
+		to := ids[(i+1+i/accounts%(accounts-1))%accounts] // never ids[i%accounts]
+		reqs[i] = signedTransfer(owner, ids[i%accounts], to, Credit, fmt.Sprintf("keep-%05d", i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs {
+		if _, err := b.Transfer(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(reqs)
+	runtime.KeepAlive(b)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / transfers
+	if per > maxPerTransfer {
+		t.Errorf("the bank keeps %.0f B of heap per transfer, want <= %d", per, maxPerTransfer)
+	} else {
+		t.Logf("the bank keeps %.0f B of heap per transfer", per)
 	}
 }

@@ -72,11 +72,16 @@ func race(b *Bank, reqs ...TransferRequest) []transferResult {
 	return out
 }
 
+// storedReceipt is the receipt the bank answers a replay of nonce with: its
+// stored facts, signed.
 func storedReceipt(b *Bank, nonce string) (Receipt, bool) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.receipts[nonce]
-	return r, ok
+	t, ok := b.receipts[nonce]
+	b.mu.Unlock()
+	if !ok {
+		return Receipt{}, false
+	}
+	return b.receipt(nonce, t), true
 }
 
 // TestConcurrentSameRequestDebitsOnce: two goroutines send one signed request

@@ -38,7 +38,7 @@ func FuzzParseAmount(f *testing.F) {
 // bank: replay never panics, a record it rejects leaves the bank's snapshot
 // byte-identical, and the state after a record it accepts survives a snapshot
 // round trip into a fresh bank byte for byte. The seed corpus holds one record
-// of each kind and one of retired kind 5.
+// of each kind and one each of retired kinds 3 and 5.
 func FuzzBankRecord(f *testing.F) {
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {

@@ -7,7 +7,9 @@ package bank
 // mutation exactly — no signature re-verification, no re-deciding — so the
 // recovered bank is bit-identical to some acknowledged prefix of the
 // pre-crash bank. There are four record kinds, one per mutation: account
-// creation, deposit, signed transfer and owner move.
+// creation, deposit, signed transfer and owner move. A transfer record and a
+// snapshot carry a receipt's facts, not its signature: the bank signs them
+// again when a replay asks (Bank.receipt).
 
 import (
 	"crypto/ed25519"
@@ -29,19 +31,22 @@ const DefaultSnapshotEvery = 65536
 // Balances and receipts are never truncated.
 const maxSnapshotLedger = 65536
 
-// WAL record kinds. Kinds 5–10 were the retired two-phase transfer records;
+// WAL record kinds. Kind 3 was the transfer record that also carried the
+// receipt's signature, and kinds 5–10 the retired two-phase transfer records;
 // a log holding one fails recovery as an unknown kind rather than coming up
-// without the money its hold carried.
+// without the money its record moved.
 const (
 	walCreateAccount byte = 1
 	walDeposit       byte = 2
-	walTransfer      byte = 3
 	walMove          byte = 4
+	walTransfer      byte = 11
 )
 
-// snapshotVersion 2 dropped version 1's nonce, hold and credited-set
-// sections; a version-1 snapshot fails recovery.
-const snapshotVersion byte = 2
+// snapshotVersion 3 dropped version 2's receipt signatures and the ledger
+// lines' Seq (the snapshot's seq is the last line's); version 2 dropped
+// version 1's nonce, hold and credited-set sections. An older snapshot fails
+// recovery.
+const snapshotVersion byte = 3
 
 // AttachDurability wires the bank to st: the latest snapshot and WAL are
 // replayed into the (necessarily still empty) bank, and from then on every
@@ -183,7 +188,7 @@ func (d *walDec) i64() int64 {
 	return v
 }
 
-func (d *walDec) time() time.Time { return time.Unix(0, d.i64()) }
+func (d *walDec) time() time.Time { return instant(d.i64()) }
 
 func (d *walDec) bytes() []byte {
 	n := d.u64()
@@ -210,29 +215,28 @@ func encCreateAccount(a *Account) []byte {
 	return e.b
 }
 
-func encDeposit(id AccountID, amount Amount, memo string, at time.Time) []byte {
+func encDeposit(id AccountID, amount Amount, memo string, at int64) []byte {
 	var e walEnc
 	e.kind(walDeposit)
 	e.str(string(id))
 	e.i64(int64(amount))
 	e.str(memo)
-	e.time(at)
+	e.i64(at)
 	return e.b
 }
 
-func encTransfer(r Receipt) []byte {
+func encTransfer(nonce string, t issued) []byte {
 	var e walEnc
 	e.kind(walTransfer)
-	e.str(string(r.From))
-	e.str(string(r.To))
-	e.i64(int64(r.Amount))
-	e.str(r.TransferID)
-	e.time(r.At)
-	e.bytes(r.BankSig)
+	e.str(string(t.from.ID))
+	e.str(string(t.to.ID))
+	e.i64(int64(t.amount))
+	e.str(nonce)
+	e.i64(t.at)
 	return e.b
 }
 
-func encMove(kind EntryKind, from, to AccountID, amount Amount, memo string, at time.Time) []byte {
+func encMove(kind EntryKind, from, to AccountID, amount Amount, memo string, at int64) []byte {
 	var e walEnc
 	e.kind(walMove)
 	e.str(string(kind))
@@ -240,7 +244,7 @@ func encMove(kind EntryKind, from, to AccountID, amount Amount, memo string, at 
 	e.str(string(to))
 	e.i64(int64(amount))
 	e.str(memo)
-	e.time(at)
+	e.i64(at)
 	return e.b
 }
 
@@ -270,7 +274,7 @@ func (b *Bank) applyRecord(rec []byte) error {
 		id := AccountID(d.str())
 		amount := Amount(d.i64())
 		memo := d.str()
-		at := d.time()
+		at := d.i64()
 		if d.err != nil {
 			return d.err
 		}
@@ -279,15 +283,14 @@ func (b *Bank) applyRecord(rec []byte) error {
 			return fmt.Errorf("bank: replayed deposit to missing account %q", id)
 		}
 		a.Balance += amount
-		b.appendEntryAt(EntryDeposit, "", id, amount, memo, at)
+		b.appendEntryAt(EntryDeposit, nil, a, amount, memo, at)
 
 	case walTransfer:
 		from := AccountID(d.str())
 		to := AccountID(d.str())
 		amount := Amount(d.i64())
 		nonce := d.str()
-		at := d.time()
-		sig := d.bytes()
+		at := d.i64()
 		if d.err != nil {
 			return d.err
 		}
@@ -301,10 +304,8 @@ func (b *Bank) applyRecord(rec []byte) error {
 		}
 		f.Balance -= amount
 		t.Balance += amount
-		b.receipts[nonce] = Receipt{
-			TransferID: nonce, From: from, To: to, Amount: amount, At: at, BankSig: sig,
-		}
-		b.appendEntryAt(EntryTransfer, from, to, amount, "", at)
+		b.receipts[nonce] = issued{from: f, to: t, amount: amount, at: at}
+		b.appendEntryAt(EntryTransfer, f, t, amount, "", at)
 
 	case walMove:
 		ekind := EntryKind(d.str())
@@ -312,7 +313,7 @@ func (b *Bank) applyRecord(rec []byte) error {
 		to := AccountID(d.str())
 		amount := Amount(d.i64())
 		memo := d.str()
-		at := d.time()
+		at := d.i64()
 		if d.err != nil {
 			return d.err
 		}
@@ -326,7 +327,7 @@ func (b *Bank) applyRecord(rec []byte) error {
 		}
 		f.Balance -= amount
 		t.Balance += amount
-		b.appendEntryAt(ekind, from, to, amount, memo, at)
+		b.appendEntryAt(ekind, f, t, amount, memo, at)
 
 	default:
 		return fmt.Errorf("bank: unknown wal record kind %d", kind)
@@ -366,12 +367,11 @@ func (b *Bank) encodeSnapshot() []byte {
 	e.u64(uint64(len(rids)))
 	for _, id := range rids {
 		r := b.receipts[id]
-		e.str(r.TransferID)
-		e.str(string(r.From))
-		e.str(string(r.To))
-		e.i64(int64(r.Amount))
-		e.time(r.At)
-		e.bytes(r.BankSig)
+		e.str(id)
+		e.str(string(r.from.ID))
+		e.str(string(r.to.ID))
+		e.i64(int64(r.amount))
+		e.i64(r.at)
 	}
 
 	ledger := b.ledger
@@ -379,14 +379,17 @@ func (b *Bank) encodeSnapshot() []byte {
 		ledger = ledger[len(ledger)-maxSnapshotLedger:]
 	}
 	e.u64(uint64(len(ledger)))
-	for _, ent := range ledger {
-		e.u64(ent.Seq)
-		e.str(string(ent.Kind))
-		e.str(string(ent.From))
-		e.str(string(ent.To))
-		e.i64(int64(ent.Amount))
-		e.str(ent.Memo)
-		e.time(ent.At)
+	for _, l := range ledger {
+		var from AccountID
+		if l.from != nil {
+			from = l.from.ID
+		}
+		e.str(string(l.kind))
+		e.str(string(from))
+		e.str(string(l.to.ID))
+		e.i64(int64(l.amount))
+		e.str(l.memo)
+		e.i64(l.at)
 	}
 	return e.b
 }
@@ -412,28 +415,35 @@ func (b *Bank) restoreSnapshot(payload []byte) error {
 
 	n = d.u64()
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		r := Receipt{
-			TransferID: d.str(),
-			From:       AccountID(d.str()),
-			To:         AccountID(d.str()),
-			Amount:     Amount(d.i64()),
-			At:         d.time(),
-			BankSig:    d.bytes(),
+		nonce := d.str()
+		from, to := d.str(), d.str()
+		r := issued{amount: Amount(d.i64()), at: d.i64()}
+		if d.err != nil {
+			break
 		}
-		b.receipts[r.TransferID] = r
+		r.from, r.to = b.accounts[AccountID(from)], b.accounts[AccountID(to)]
+		if r.from == nil || r.to == nil {
+			return fmt.Errorf("bank: snapshot receipt %q names a missing account", nonce)
+		}
+		b.receipts[nonce] = r
 	}
 
 	n = d.u64()
+	if d.err == nil && n > b.seq {
+		return fmt.Errorf("bank: snapshot holds %d ledger lines up to seq %d", n, b.seq)
+	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		b.ledger = append(b.ledger, Entry{
-			Seq:    d.u64(),
-			Kind:   EntryKind(d.str()),
-			From:   AccountID(d.str()),
-			To:     AccountID(d.str()),
-			Amount: Amount(d.i64()),
-			Memo:   d.str(),
-			At:     d.time(),
-		})
+		kind := EntryKind(d.str())
+		from, to := d.str(), d.str()
+		l := line{kind: kind, amount: Amount(d.i64()), memo: d.str(), at: d.i64()}
+		if d.err != nil {
+			break
+		}
+		l.from, l.to = b.accounts[AccountID(from)], b.accounts[AccountID(to)]
+		if (l.from == nil && from != "") || l.to == nil {
+			return fmt.Errorf("bank: snapshot ledger line %d names a missing account", i)
+		}
+		b.ledger = append(b.ledger, l)
 	}
 	return d.err
 }
