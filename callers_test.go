@@ -39,11 +39,11 @@ var allowedUncalled = []struct {
 	{"trace.NewRecorder", benchOnly},
 	{"trace.Recorder.Record", benchOnly},
 
-	{"fault.NewInjector", churn},
-	{"fault.Injector.Start", churn},
-	{"fault.Injector.Stop", churn},
-	{"fault.Injector.Failures", churn},
-	{"fault.Injector.Recoveries", churn},
+	{"chaos.NewInjector", churn},
+	{"chaos.Injector.Start", churn},
+	{"chaos.Injector.Stop", churn},
+	{"chaos.Injector.Failures", churn},
+	{"chaos.Injector.Recoveries", churn},
 
 	{"agent.Agent.Jobs", testDouble},     // experiment's and grid's tests
 	{"arc.Meta.Replicas", testDouble},    // box's tests
@@ -62,12 +62,12 @@ var allowedUncalled = []struct {
 	// DELETE /hosts/{id}.
 	{"httpapi.BankClient.History", routeCall},
 	{"httpapi.BankClient.PublicKey", routeCall},
-	{"httpapi.JobClient.Boost", routeCall},
-	{"httpapi.JobClient.Cancel", routeCall},
-	{"httpapi.JobClient.Jobs", routeCall},
-	{"httpapi.JobClient.Monitor", routeCall},
 	{"httpapi.SLSClient.Deregister", routeCall},
 	{"httpapi.SLSClient.Lookup", routeCall},
+	{"jobapi.Client.Boost", routeCall},
+	{"jobapi.Client.Cancel", routeCall},
+	{"jobapi.Client.Jobs", routeCall},
+	{"jobapi.Client.Monitor", routeCall},
 }
 
 const (

@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"tycoongrid/internal/auction"
+	"tycoongrid/internal/auctioneerapi"
 	"tycoongrid/internal/durable"
-	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/tsdb"
 )
@@ -44,8 +44,8 @@ type priceLog struct {
 // the fsync policy, which recovers the market's ring from dir, and seeds the
 // windows from that ring; prices is nil without one. snapshotEvery <= 0
 // snapshots once per maxPriceSamples records.
-func newService(market *auction.Market, interval time.Duration, dir, fsync string, snapshotEvery int) (svc *httpapi.AuctioneerService, prices *priceLog, err error) {
-	svc, err = httpapi.NewAuctioneerService(market, map[string]int{
+func newService(market *auction.Market, interval time.Duration, dir, fsync string, snapshotEvery int) (svc *auctioneerapi.Service, prices *priceLog, err error) {
+	svc, err = auctioneerapi.NewService(market, map[string]int{
 		"hour": int(time.Hour / interval),
 		"day":  int(24 * time.Hour / interval),
 		"week": int(7 * 24 * time.Hour / interval),

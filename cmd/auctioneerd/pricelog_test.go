@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"tycoongrid/internal/auction"
+	"tycoongrid/internal/auctioneerapi"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/durable"
-	"tycoongrid/internal/httpapi"
 )
 
 const testInterval = 10 * time.Second
@@ -23,7 +23,7 @@ var testStart = time.Date(2006, 6, 19, 0, 0, 0, 0, time.UTC)
 // them, on data directory dir.
 type daemon struct {
 	market *auction.Market
-	svc    *httpapi.AuctioneerService
+	svc    *auctioneerapi.Service
 	prices *priceLog
 }
 

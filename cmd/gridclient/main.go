@@ -37,8 +37,10 @@ import (
 	"time"
 
 	"tycoongrid/internal/arc"
+	"tycoongrid/internal/auctioneerapi"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/httpapi"
+	"tycoongrid/internal/jobapi"
 	"tycoongrid/internal/sls"
 	"tycoongrid/internal/tracing"
 )
@@ -282,7 +284,7 @@ func marketCmd(cmd string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c := httpapi.NewAuctioneerClient(*auct, nil)
+	c := auctioneerapi.NewClient(*auct, nil)
 	switch cmd {
 	case "status":
 		st, err := c.Status()
@@ -375,7 +377,7 @@ func submitCmd(args []string) error {
 	release := tr.PushScope(span)
 	defer func() { release(); span.End() }()
 
-	c := httpapi.NewJobClient(*gridURL, nil)
+	c := jobapi.NewClient(*gridURL, nil)
 	jw, err := c.Submit(string(text))
 	if err != nil {
 		span.EndErr(err)
@@ -415,7 +417,7 @@ func timelineCmd(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("timeline: -id required")
 	}
-	tl, err := httpapi.NewJobClient(*gridURL, nil).Timeline(*id)
+	tl, err := jobapi.NewClient(*gridURL, nil).Timeline(*id)
 	if err != nil {
 		return err
 	}
@@ -454,14 +456,18 @@ func traceCmd(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("trace: -id required")
 	}
-	resp, err := http.Get(strings.TrimSuffix(*gridURL, "/") + "/debug/traces/" + url.PathEscape(*id) + "?format=tree")
+	client := &http.Client{Timeout: httpapi.DefaultClientTimeout}
+	resp, err := client.Get(strings.TrimSuffix(*gridURL, "/") + "/debug/traces/" + url.PathEscape(*id) + "?format=tree")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, httpapi.MaxBodyBytes+1))
 	if err != nil {
 		return err
+	}
+	if len(body) > httpapi.MaxBodyBytes {
+		return fmt.Errorf("trace: response exceeds %d bytes", httpapi.MaxBodyBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("trace: %s: %s", resp.Status, strings.TrimSpace(string(body)))

@@ -43,6 +43,7 @@ import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
 	"tycoongrid/internal/httpapi"
+	"tycoongrid/internal/jobapi"
 	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/telemetry"
 	"tycoongrid/internal/token"
@@ -92,7 +93,7 @@ func main() {
 		slog.Error("gridmarketd: box construction failed", "err", err)
 		os.Exit(1)
 	}
-	jobs, err := httpapi.NewJobService(b.Scheduler(), b.Engine)
+	jobs, err := jobapi.NewService(b.Scheduler(), b.Engine)
 	if err != nil {
 		slog.Error("gridmarketd: job service construction failed", "err", err)
 		os.Exit(1)
@@ -145,7 +146,7 @@ func main() {
 type demoAPI struct {
 	mu    sync.Mutex
 	box   *box.Box
-	jobs  *httpapi.JobService
+	jobs  *jobapi.Service
 	users map[string]*box.User
 }
 

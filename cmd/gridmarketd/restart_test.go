@@ -17,6 +17,7 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/httpapi"
+	"tycoongrid/internal/jobapi"
 	"tycoongrid/internal/token"
 )
 
@@ -107,9 +108,9 @@ func (d *daemon) createUser(t *testing.T, name string) string {
 
 // runJob submits a job paid with tok and returns it once it is FINISHED or
 // FAILED.
-func (d *daemon) runJob(t *testing.T, tok string) httpapi.JobWire {
+func (d *daemon) runJob(t *testing.T, tok string) jobapi.JobWire {
 	t.Helper()
-	var job httpapi.JobWire
+	var job jobapi.JobWire
 	d.call(t, "POST", "/jobs",
 		"&(executable=a.sh)(count=2)(cputime=2)(walltime=30)(transfertoken="+tok+")", &job)
 	deadline := time.Now().Add(30 * time.Second)

@@ -1,4 +1,8 @@
-package httpapi
+// Package auctioneerapi serves one host's auction market over JSON/HTTP,
+// with its typed Go client, on httpapi's transport. Only auctioneerd and
+// gridclient import it, so the bank and SLS daemons do not link the
+// auction, its clearing mechanisms or the predictors.
+package auctioneerapi
 
 import (
 	"context"
@@ -11,13 +15,14 @@ import (
 
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
+	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/stats"
 )
 
-// AuctioneerService exposes one host's market over HTTP, with the §4
-// statistics trackers attached: moving-window moments and slot-table
-// distributions per configured window.
-type AuctioneerService struct {
+// Service exposes one host's market over HTTP, with the §4 statistics
+// trackers attached: moving-window moments and slot-table distributions per
+// configured window.
+type Service struct {
 	market *auction.Market
 	mux    *http.ServeMux
 
@@ -30,10 +35,10 @@ type windowTracker struct {
 	dist    *stats.WindowDistribution
 }
 
-// NewAuctioneerService wraps a market and attaches statistics windows named
-// by label ("hour" -> 360 snapshots etc.).
-func NewAuctioneerService(m *auction.Market, windows map[string]int) (*AuctioneerService, error) {
-	s := &AuctioneerService{
+// NewService wraps a market and attaches statistics windows named by label
+// ("hour" -> 360 snapshots etc.).
+func NewService(m *auction.Market, windows map[string]int) (*Service, error) {
+	s := &Service{
 		market:   m,
 		mux:      http.NewServeMux(),
 		trackers: make(map[string]*windowTracker),
@@ -67,7 +72,7 @@ func NewAuctioneerService(m *auction.Market, windows map[string]int) (*Auctionee
 }
 
 // ServeHTTP implements http.Handler.
-func (s *AuctioneerService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -76,7 +81,7 @@ func (s *AuctioneerService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // through this before serving, so prediction quantiles and moving moments
 // pick up where the crashed process left off instead of relearning from an
 // empty window.
-func (s *AuctioneerService) ReplayPrices(prices []float64) {
+func (s *Service) ReplayPrices(prices []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range prices {
@@ -140,8 +145,8 @@ func auctionStatus(err error) int {
 	}
 }
 
-func (s *AuctioneerService) status(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, MarketStatus{
+func (s *Service) status(w http.ResponseWriter, r *http.Request) {
+	httpapi.WriteJSON(w, MarketStatus{
 		HostID:      s.market.HostID(),
 		CapacityMHz: s.market.CapacityMHz(),
 		SpotPrice:   s.market.SpotPrice(),
@@ -150,53 +155,53 @@ func (s *AuctioneerService) status(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *AuctioneerService) placeBid(w http.ResponseWriter, r *http.Request) {
+func (s *Service) placeBid(w http.ResponseWriter, r *http.Request) {
 	var req BidRequest
-	if err := ReadJSON(r, &req); err != nil {
-		WriteError(w, ReadStatus(err), err)
+	if err := httpapi.ReadJSON(r, &req); err != nil {
+		httpapi.WriteError(w, httpapi.ReadStatus(err), err)
 		return
 	}
 	budget, err := bank.ParseAmount(req.Budget)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	refund, err := s.market.PlaceBid(auction.BidderID(req.Bidder), budget, req.Deadline)
 	if err != nil {
-		WriteError(w, auctionStatus(err), err)
+		httpapi.WriteError(w, auctionStatus(err), err)
 		return
 	}
-	WriteJSON(w, BidResponse{Refund: refund.String()})
+	httpapi.WriteJSON(w, BidResponse{Refund: refund.String()})
 }
 
-func (s *AuctioneerService) boost(w http.ResponseWriter, r *http.Request) {
+func (s *Service) boost(w http.ResponseWriter, r *http.Request) {
 	var req BoostRequest
-	if err := ReadJSON(r, &req); err != nil {
-		WriteError(w, ReadStatus(err), err)
+	if err := httpapi.ReadJSON(r, &req); err != nil {
+		httpapi.WriteError(w, httpapi.ReadStatus(err), err)
 		return
 	}
 	extra, err := bank.ParseAmount(req.Extra)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.market.Boost(auction.BidderID(req.Bidder), extra); err != nil {
-		WriteError(w, auctionStatus(err), err)
+		httpapi.WriteError(w, auctionStatus(err), err)
 		return
 	}
-	WriteJSON(w, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
-func (s *AuctioneerService) cancelBid(w http.ResponseWriter, r *http.Request) {
+func (s *Service) cancelBid(w http.ResponseWriter, r *http.Request) {
 	refund, err := s.market.CancelBid(auction.BidderID(r.PathValue("bidder")))
 	if err != nil {
-		WriteError(w, auctionStatus(err), err)
+		httpapi.WriteError(w, auctionStatus(err), err)
 		return
 	}
-	WriteJSON(w, BidResponse{Refund: refund.String()})
+	httpapi.WriteJSON(w, BidResponse{Refund: refund.String()})
 }
 
-func (s *AuctioneerService) shares(w http.ResponseWriter, r *http.Request) {
+func (s *Service) shares(w http.ResponseWriter, r *http.Request) {
 	shares := s.market.Shares()
 	out := make([]ShareWire, len(shares))
 	for i, sh := range shares {
@@ -207,22 +212,22 @@ func (s *AuctioneerService) shares(w http.ResponseWriter, r *http.Request) {
 			Remaining: sh.Remaining.String(),
 		}
 	}
-	WriteJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }
 
-func (s *AuctioneerService) windowStats(w http.ResponseWriter, r *http.Request) {
+func (s *Service) windowStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("window")
 	s.mu.Lock()
 	t, ok := s.trackers[name]
 	if !ok {
 		s.mu.Unlock()
-		WriteError(w, http.StatusNotFound, errors.New("httpapi: unknown stats window "+name))
+		httpapi.WriteError(w, http.StatusNotFound, errors.New("auctioneerapi: unknown stats window "+name))
 		return
 	}
 	snap := t.moments.Snapshot()
 	buckets := t.dist.Buckets()
 	s.mu.Unlock()
-	WriteJSON(w, WindowStats{
+	httpapi.WriteJSON(w, WindowStats{
 		Window:   name,
 		Mean:     snap.Mean,
 		StdDev:   snap.StdDev,
@@ -233,32 +238,32 @@ func (s *AuctioneerService) windowStats(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// AuctioneerClient is the typed client for one host's auctioneer.
-type AuctioneerClient struct {
+// Client is the typed client for one host's auctioneer.
+type Client struct {
 	base string
-	call Caller
+	call httpapi.Caller
 }
 
-// NewAuctioneerClient targets base. A nil client defaults to one with
-// DefaultClientTimeout. Reads are retried with backoff; PlaceBid, Boost and
-// CancelBid move money without replay protection, so they are single
-// attempts. All calls share one circuit breaker named "auctioneer".
-func NewAuctioneerClient(base string, client *http.Client) *AuctioneerClient {
-	return &AuctioneerClient{base: strings.TrimSuffix(base, "/"), call: newCaller("auctioneer", client)}
+// NewClient targets base. A nil client defaults to one with
+// httpapi.DefaultClientTimeout. Reads are retried with backoff; PlaceBid,
+// Boost and CancelBid move money without replay protection, so they are
+// single attempts. All calls share one circuit breaker named "auctioneer".
+func NewClient(base string, client *http.Client) *Client {
+	return &Client{base: strings.TrimSuffix(base, "/"), call: httpapi.NewCaller("auctioneer", client)}
 }
 
 // Status fetches the market state.
-func (c *AuctioneerClient) Status() (MarketStatus, error) {
+func (c *Client) Status() (MarketStatus, error) {
 	var out MarketStatus
-	err := c.call.get(context.Background(), c.base+"/status", &out)
+	err := c.call.Get(context.Background(), c.base+"/status", &out)
 	return out, err
 }
 
 // PlaceBid enters a bid; the returned amount is the refund of any replaced
 // bid.
-func (c *AuctioneerClient) PlaceBid(bidder string, budget bank.Amount, deadline time.Time) (bank.Amount, error) {
+func (c *Client) PlaceBid(bidder string, budget bank.Amount, deadline time.Time) (bank.Amount, error) {
 	var out BidResponse
-	err := c.call.post(context.Background(), c.base+"/bids",
+	err := c.call.Post(context.Background(), c.base+"/bids",
 		BidRequest{Bidder: bidder, Budget: budget.String(), Deadline: deadline}, &out)
 	if err != nil {
 		return 0, err
@@ -267,30 +272,30 @@ func (c *AuctioneerClient) PlaceBid(bidder string, budget bank.Amount, deadline 
 }
 
 // Boost adds funds to a bid.
-func (c *AuctioneerClient) Boost(bidder string, extra bank.Amount) error {
-	return c.call.post(context.Background(), c.base+"/boosts",
+func (c *Client) Boost(bidder string, extra bank.Amount) error {
+	return c.call.Post(context.Background(), c.base+"/boosts",
 		BoostRequest{Bidder: bidder, Extra: extra.String()}, nil)
 }
 
 // CancelBid withdraws a bid, returning the unspent budget.
-func (c *AuctioneerClient) CancelBid(bidder string) (bank.Amount, error) {
+func (c *Client) CancelBid(bidder string) (bank.Amount, error) {
 	var out BidResponse
-	if err := c.call.del(context.Background(), c.base+"/bids/"+url.PathEscape(bidder), &out); err != nil {
+	if err := c.call.Delete(context.Background(), c.base+"/bids/"+url.PathEscape(bidder), &out); err != nil {
 		return 0, err
 	}
 	return bank.ParseAmount(out.Refund)
 }
 
 // Shares lists current allocations.
-func (c *AuctioneerClient) Shares() ([]ShareWire, error) {
+func (c *Client) Shares() ([]ShareWire, error) {
 	var out []ShareWire
-	err := c.call.get(context.Background(), c.base+"/shares", &out)
+	err := c.call.Get(context.Background(), c.base+"/shares", &out)
 	return out, err
 }
 
 // WindowStats fetches the §4 statistics for one window label.
-func (c *AuctioneerClient) WindowStats(window string) (WindowStats, error) {
+func (c *Client) WindowStats(window string) (WindowStats, error) {
 	var out WindowStats
-	err := c.call.get(context.Background(), c.base+"/stats/"+url.PathEscape(window), &out)
+	err := c.call.Get(context.Background(), c.base+"/stats/"+url.PathEscape(window), &out)
 	return out, err
 }

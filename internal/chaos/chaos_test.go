@@ -10,7 +10,6 @@ import (
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
-	"tycoongrid/internal/fault"
 	"tycoongrid/internal/token"
 )
 
@@ -27,7 +26,7 @@ const (
 // assemble it, plus the chaos injector.
 type world struct {
 	*box.Box
-	injector *fault.Injector
+	injector *Injector
 }
 
 func newWorld(t *testing.T, seed int64, shards int) *world {
@@ -43,7 +42,7 @@ func newWorld(t *testing.T, seed int64, shards int) *world {
 	// MTTF 20 min across 10 hosts over a 6 h run: each host fails many
 	// times, far past the 20% churn floor the test asserts, and enough
 	// that some jobs lose every funded host and exercise the refund path.
-	inj, err := fault.NewInjector(b.Cluster, fault.InjectorConfig{
+	inj, err := NewInjector(b.Cluster, InjectorConfig{
 		Seed:  seed,
 		MTTF:  20 * time.Minute,
 		MTTR:  10 * time.Minute,

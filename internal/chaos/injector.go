@@ -1,11 +1,22 @@
-// Package fault injects deterministic failures into the simulated grid. It
-// has two halves: an Injector that schedules host crashes and recoveries on
-// the sim.Engine (exponential MTTF/MTTR, one independent seeded stream per
-// host), and a chaos http.RoundTripper (roundtripper.go) that corrupts the
-// typed httpapi clients' traffic with transport errors, 5xx responses and
-// latency. Both are seeded explicitly so every chaos run is replayable
-// bit-for-bit.
-package fault
+// Package chaos churns the simulated grid's hosts and holds the end-to-end
+// fault-tolerance test of the grid market. The Injector schedules host
+// crashes and recoveries on the sim.Engine (exponential MTTF/MTTR, one
+// independent seeded stream per host), so every churned run is replayable
+// bit-for-bit. The test runs a full bank + cluster + agent + ARC stack under
+// continuous churn from it; `go test ./internal/chaos` (and the `make chaos`
+// target) address it directly.
+//
+// The test is deterministic: host crash/recovery times come from a seeded
+// injector, selectable with `-chaos.seed` (default 1), e.g.
+//
+//	go test -race ./internal/chaos -args -chaos.seed=7
+//
+// Its invariants are the whole point of the fault-tolerance layer: with at
+// least 20% of hosts failing during the run, every submitted job still
+// reaches a terminal state (finished, or failed with its unspent budget
+// refunded), every job sub-account drains to zero, and the bank's total
+// money supply is exactly conserved.
+package chaos
 
 import (
 	"errors"
@@ -59,7 +70,7 @@ type Injector struct {
 // does not perturb the schedules of existing ones.
 func NewInjector(cluster *grid.Cluster, cfg InjectorConfig) (*Injector, error) {
 	if cluster == nil {
-		return nil, errors.New("fault: nil cluster")
+		return nil, errors.New("chaos: nil cluster")
 	}
 	if cfg.MTTF <= 0 {
 		cfg.MTTF = DefaultMTTF
@@ -72,7 +83,7 @@ func NewInjector(cluster *grid.Cluster, cfg InjectorConfig) (*Injector, error) {
 		hosts = cluster.HostIDs()
 	}
 	if len(hosts) == 0 {
-		return nil, errors.New("fault: no hosts to churn")
+		return nil, errors.New("chaos: no hosts to churn")
 	}
 	root := rng.New(cfg.Seed)
 	inj := &Injector{
@@ -85,7 +96,7 @@ func NewInjector(cluster *grid.Cluster, cfg InjectorConfig) (*Injector, error) {
 	}
 	for _, id := range hosts {
 		if _, err := cluster.Host(id); err != nil {
-			return nil, fmt.Errorf("fault: %w", err)
+			return nil, fmt.Errorf("chaos: %w", err)
 		}
 		inj.streams[id] = root.Split()
 	}
@@ -95,7 +106,7 @@ func NewInjector(cluster *grid.Cluster, cfg InjectorConfig) (*Injector, error) {
 // Start schedules the first crash of every churned host.
 func (inj *Injector) Start() error {
 	if inj.running {
-		return errors.New("fault: injector already started")
+		return errors.New("chaos: injector already started")
 	}
 	inj.running = true
 	for _, id := range inj.hosts {

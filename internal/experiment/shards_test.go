@@ -9,7 +9,7 @@ import (
 
 	"tycoongrid/internal/agent"
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/fault"
+	"tycoongrid/internal/chaos"
 	"tycoongrid/internal/mechanism"
 )
 
@@ -68,9 +68,9 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 	if err := w.holdRun(10 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	var inj *fault.Injector
+	var inj *chaos.Injector
 	if churn {
-		inj, err = fault.NewInjector(w.Cluster, fault.InjectorConfig{
+		inj, err = chaos.NewInjector(w.Cluster, chaos.InjectorConfig{
 			Seed: 5, MTTF: 90 * time.Minute, MTTR: 10 * time.Minute,
 		})
 		if err != nil {

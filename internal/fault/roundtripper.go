@@ -1,3 +1,9 @@
+// Package fault injects seeded failures into the daemons' HTTP traffic: a
+// chaos http.RoundTripper (Transport) that corrupts the typed httpapi
+// clients' requests with transport errors, 5xx responses and latency, and its
+// server-side twin (Handler) that delays or fails a daemon's own request
+// handling. Both are seeded explicitly so every chaos run is replayable
+// bit-for-bit. Host churn in the simulated grid is chaos.Injector's.
 package fault
 
 import (

@@ -322,13 +322,13 @@ type BankClient struct {
 // Transfer are retried with backoff; CreateAccount and Deposit are single
 // attempts. All calls share one circuit breaker named "bank".
 func NewBankClient(base string, client *http.Client) *BankClient {
-	return &BankClient{base: strings.TrimSuffix(base, "/"), call: newCaller("bank", client)}
+	return &BankClient{base: strings.TrimSuffix(base, "/"), call: NewCaller("bank", client)}
 }
 
 // CreateAccount registers an account.
 func (c *BankClient) CreateAccount(id string, owner ed25519.PublicKey, parent string) (AccountInfo, error) {
 	var out AccountInfo
-	err := c.call.post(context.Background(), c.base+"/accounts",
+	err := c.call.Post(context.Background(), c.base+"/accounts",
 		CreateAccountRequest{ID: id, OwnerKey: EncodeKey(owner), Parent: parent}, &out)
 	return out, err
 }
@@ -336,7 +336,7 @@ func (c *BankClient) CreateAccount(id string, owner ed25519.PublicKey, parent st
 // Account fetches an account's public view.
 func (c *BankClient) Account(id string) (AccountInfo, error) {
 	var out AccountInfo
-	err := c.call.get(context.Background(), c.base+"/accounts/"+url.PathEscape(id), &out)
+	err := c.call.Get(context.Background(), c.base+"/accounts/"+url.PathEscape(id), &out)
 	return out, err
 }
 
@@ -351,7 +351,7 @@ func (c *BankClient) Balance(id string) (bank.Amount, error) {
 
 // Deposit grants funds (operator API).
 func (c *BankClient) Deposit(id string, amount bank.Amount, memo string) error {
-	return c.call.post(context.Background(), c.base+"/deposits",
+	return c.call.Post(context.Background(), c.base+"/deposits",
 		DepositRequest{ID: id, Amount: amount.String(), Memo: memo}, nil)
 }
 
@@ -369,7 +369,7 @@ func (c *BankClient) Transfer(req bank.TransferRequest) (bank.Receipt, error) {
 	var out ReceiptWire
 	// Retried: the bank's nonce spent-store rejects replays, so a transfer
 	// whose response was lost can be re-sent without double-spending.
-	if err := c.call.postIdempotent(context.Background(), c.base+"/transfers", wirereq, &out); err != nil {
+	if err := c.call.PostIdempotent(context.Background(), c.base+"/transfers", wirereq, &out); err != nil {
 		return bank.Receipt{}, err
 	}
 	return out.ToReceipt()
@@ -378,14 +378,14 @@ func (c *BankClient) Transfer(req bank.TransferRequest) (bank.Receipt, error) {
 // History lists ledger entries touching id.
 func (c *BankClient) History(id string) ([]EntryWire, error) {
 	var out []EntryWire
-	err := c.call.get(context.Background(), c.base+"/history/"+url.PathEscape(id), &out)
+	err := c.call.Get(context.Background(), c.base+"/history/"+url.PathEscape(id), &out)
 	return out, err
 }
 
 // PublicKey fetches the bank's receipt-verification key.
 func (c *BankClient) PublicKey() (ed25519.PublicKey, error) {
 	var out PublicKeyResponse
-	if err := c.call.get(context.Background(), c.base+"/publickey", &out); err != nil {
+	if err := c.call.Get(context.Background(), c.base+"/publickey", &out); err != nil {
 		return nil, err
 	}
 	return decodeKey(out.Key)

@@ -1,9 +1,12 @@
-// Package httpapi exposes the market services over JSON/HTTP: the Bank, the
-// Service Location Service, and per-host Auctioneers, each with a typed Go
-// client. These are the deployable counterparts of the in-process components
-// the simulator wires directly — the same bank.Bank, sls.Registry and
-// auction.Market instances sit behind the handlers, so daemon and simulation
-// behaviour cannot drift apart.
+// Package httpapi is the daemons' JSON/HTTP transport — codec, the
+// fault-tolerant Caller, middleware, server, health and trace propagation —
+// plus the services and typed Go clients of the Bank, the Service Location
+// Service and the telemetry plane. These are the deployable counterparts of
+// the in-process components the simulator wires directly — the same
+// bank.Bank and sls.Registry instances sit behind the handlers, so daemon and
+// simulation behaviour cannot drift apart. The job and auctioneer services
+// are built on this transport in jobapi and auctioneerapi, so a daemon links
+// only the services it serves.
 //
 // Authentication follows the paper's model: operations that move money carry
 // an application-level Ed25519 signature inside the request body (the bank
@@ -38,7 +41,7 @@ const MaxBodyBytes = 1 << 20
 // to 413 Request Entity Too Large via ReadStatus.
 var ErrBodyTooLarge = errors.New("httpapi: request body exceeds 1 MiB limit")
 
-// ReadStatus maps a ReadJSON error to its HTTP status.
+// ReadStatus maps a ReadBody or ReadJSON error to its HTTP status.
 func ReadStatus(err error) int {
 	if errors.Is(err, ErrBodyTooLarge) {
 		return http.StatusRequestEntityTooLarge
@@ -62,19 +65,28 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(apiError{Error: err.Error()})
 }
 
-// ReadJSON decodes a request body with a size cap. Bodies over MaxBodyBytes
-// are rejected with ErrBodyTooLarge rather than silently truncated into a
-// confusing decode error.
-func ReadJSON(r *http.Request, v any) error {
+// ReadBody reads a non-empty request body with a size cap. Bodies over
+// MaxBodyBytes are rejected with ErrBodyTooLarge rather than silently
+// truncated into a confusing decode error, or a shorter valid request.
+func ReadBody(r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
 	if err != nil {
-		return fmt.Errorf("httpapi: reading body: %w", err)
+		return nil, fmt.Errorf("httpapi: reading body: %w", err)
 	}
 	if len(body) > MaxBodyBytes {
-		return ErrBodyTooLarge
+		return nil, ErrBodyTooLarge
 	}
 	if len(body) == 0 {
-		return errors.New("httpapi: empty request body")
+		return nil, errors.New("httpapi: empty request body")
+	}
+	return body, nil
+}
+
+// ReadJSON decodes a ReadBody body into v.
+func ReadJSON(r *http.Request, v any) error {
+	body, err := ReadBody(r)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("httpapi: decoding body: %w", err)
@@ -87,7 +99,7 @@ func ReadJSON(r *http.Request, v any) error {
 // http.DefaultClient would wait forever on a hung daemon.
 const DefaultClientTimeout = 15 * time.Second
 
-// Caller is the shared fault-tolerant transport of the four typed clients:
+// Caller is the shared fault-tolerant transport of the typed clients:
 // an HTTP client plus a retry.Policy and a circuit breaker, both labeled
 // with the client's name in /metrics. Idempotent calls go through the retry
 // policy; single-shot calls still get the breaker, so a dead daemon fails
@@ -99,9 +111,9 @@ type Caller struct {
 	breaker *retry.Breaker
 }
 
-// newCaller builds a Caller named name (the metrics label). A nil client
+// NewCaller builds a Caller named name (the metrics label). A nil client
 // defaults to one with DefaultClientTimeout.
-func newCaller(name string, client *http.Client) Caller {
+func NewCaller(name string, client *http.Client) Caller {
 	if client == nil {
 		client = &http.Client{Timeout: DefaultClientTimeout}
 	}
@@ -160,14 +172,14 @@ func (c *Caller) call(ctx context.Context, retries bool, method, url, contentTyp
 	return err
 }
 
-// get fetches url with retries — GETs are idempotent by construction.
-func (c *Caller) get(ctx context.Context, url string, out any) error {
+// Get fetches url with retries — GETs are idempotent by construction.
+func (c *Caller) Get(ctx context.Context, url string, out any) error {
 	return c.call(ctx, true, http.MethodGet, url, "", nil, out)
 }
 
-// post sends one non-idempotent JSON request: a single attempt under the
+// Post sends one non-idempotent JSON request: a single attempt under the
 // breaker, because replaying it could repeat a side effect.
-func (c *Caller) post(ctx context.Context, url string, in, out any) error {
+func (c *Caller) Post(ctx context.Context, url string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("httpapi: encoding request: %w", err)
@@ -175,10 +187,10 @@ func (c *Caller) post(ctx context.Context, url string, in, out any) error {
 	return c.call(ctx, false, http.MethodPost, url, "application/json", body, out)
 }
 
-// postIdempotent sends a JSON request that is safe to replay — the server
+// PostIdempotent sends a JSON request that is safe to replay — the server
 // deduplicates it (nonce-protected transfers, token-protected boosts) or the
 // operation is a state refresh (heartbeats) — with full retries.
-func (c *Caller) postIdempotent(ctx context.Context, url string, in, out any) error {
+func (c *Caller) PostIdempotent(ctx context.Context, url string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("httpapi: encoding request: %w", err)
@@ -186,14 +198,14 @@ func (c *Caller) postIdempotent(ctx context.Context, url string, in, out any) er
 	return c.call(ctx, true, http.MethodPost, url, "application/json", body, out)
 }
 
-// del sends a DELETE as a single attempt under the breaker: deletes answer
+// Delete sends a DELETE as a single attempt under the breaker: deletes answer
 // 404 on replay, so a retry after a lost response would mask the outcome.
-func (c *Caller) del(ctx context.Context, url string, out any) error {
+func (c *Caller) Delete(ctx context.Context, url string, out any) error {
 	return c.call(ctx, false, http.MethodDelete, url, "", nil, out)
 }
 
-// rawPost sends a non-JSON body (xRSL submissions) as a single attempt.
-func (c *Caller) rawPost(ctx context.Context, url, contentType, body string, out any) error {
+// PostRaw sends a non-JSON body (xRSL submissions) as a single attempt.
+func (c *Caller) PostRaw(ctx context.Context, url, contentType, body string, out any) error {
 	return c.call(ctx, false, http.MethodPost, url, contentType, []byte(body), out)
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/pki"
 	"tycoongrid/internal/sim"
@@ -15,13 +14,11 @@ import (
 	"tycoongrid/internal/token"
 )
 
-// services spins up bank, SLS and one auctioneer on httptest servers.
+// services spins up bank and SLS on httptest servers.
 type services struct {
 	bank      *bank.Bank
 	bankC     *BankClient
 	slsC      *SLSClient
-	market    *auction.Market
-	auctC     *AuctioneerClient
 	ca        *pki.CA
 	alice     *pki.Identity // bank key
 	aliceGrid *pki.Identity
@@ -45,25 +42,10 @@ func startServices(t *testing.T) *services {
 	slsSrv := httptest.NewServer(NewSLSService(reg))
 	t.Cleanup(slsSrv.Close)
 
-	market, err := auction.NewMarket(auction.Config{
-		HostID: "h1", CapacityMHz: 2800, Start: time.Now(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auctSvc, err := NewAuctioneerService(market, map[string]int{"hour": 360})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auctSrv := httptest.NewServer(auctSvc)
-	t.Cleanup(auctSrv.Close)
-
 	return &services{
 		bank:      b,
 		bankC:     NewBankClient(bankSrv.URL, nil),
 		slsC:      NewSLSClient(slsSrv.URL, nil),
-		market:    market,
-		auctC:     NewAuctioneerClient(auctSrv.URL, nil),
 		ca:        ca,
 		alice:     alice,
 		aliceGrid: aliceGrid,
@@ -245,90 +227,6 @@ func TestSLSServiceOverHTTP(t *testing.T) {
 	}
 }
 
-func TestAuctioneerServiceOverHTTP(t *testing.T) {
-	s := startServices(t)
-	st, err := s.auctC.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.HostID != "h1" || st.CapacityMHz != 2800 || st.Bidders != 0 {
-		t.Errorf("status = %+v", st)
-	}
-	deadline := time.Now().Add(time.Hour)
-	if _, err := s.auctC.PlaceBid("alice", 36*bank.Credit, deadline); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.auctC.PlaceBid("bob", 36*bank.Credit, deadline); err != nil {
-		t.Fatal(err)
-	}
-	// Tick the market manually (the daemon would do this on a timer).
-	s.market.Tick(time.Now())
-	shares, err := s.auctC.Shares()
-	if err != nil || len(shares) != 2 {
-		t.Fatalf("shares = %+v, %v", shares, err)
-	}
-	if shares[0].Fraction != 0.5 {
-		t.Errorf("share = %+v", shares[0])
-	}
-	if err := s.auctC.Boost("alice", 36*bank.Credit); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.auctC.Boost("ghost", bank.Credit); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("ghost boost: %v", err)
-	}
-	refund, err := s.auctC.CancelBid("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The wall-clock tick charged a few milliseconds of spend; the refund is
-	// the budget minus that sliver.
-	if refund <= 35*bank.Credit || refund > 36*bank.Credit {
-		t.Errorf("refund = %v", refund)
-	}
-	// Replacing a bid reports the old (boosted) budget as refund.
-	r2, err := s.auctC.PlaceBid("alice", bank.Credit, deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 <= 71*bank.Credit || r2 > 72*bank.Credit {
-		t.Errorf("replace refund = %v", r2)
-	}
-	// Bad requests are 400s.
-	if _, err := s.auctC.PlaceBid("", bank.Credit, deadline); err == nil {
-		t.Error("empty bidder accepted")
-	}
-}
-
-func TestAuctioneerWindowStatsOverHTTP(t *testing.T) {
-	s := startServices(t)
-	deadline := time.Now().Add(time.Hour)
-	if _, err := s.auctC.PlaceBid("alice", 36*bank.Credit, deadline); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	for i := 0; i < 5; i++ {
-		now = now.Add(10 * time.Second)
-		s.market.Tick(now)
-	}
-	ws, err := s.auctC.WindowStats("hour")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Count != 5 || ws.Mean <= 0 {
-		t.Errorf("window stats = %+v", ws)
-	}
-	var sum float64
-	for _, b := range ws.Buckets {
-		sum += b.Proportion
-	}
-	if sum < 0.99 || sum > 1.01 {
-		t.Errorf("bucket proportions sum to %v", sum)
-	}
-	if _, err := s.auctC.WindowStats("nope"); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Errorf("unknown window: %v", err)
-	}
-}
-
 func TestReceiptWireRoundTrip(t *testing.T) {
 	rw := ReceiptWire{
 		TransferID: "t1", From: "a", To: "b", Amount: "12.5",
@@ -422,32 +320,6 @@ func TestClientsEscapeIDs(t *testing.T) {
 			}
 			if _, err := s.slsC.Lookup(decoy); err != nil {
 				t.Errorf("deregistering %q removed %q: %v", id, decoy, err)
-			}
-
-			// Auctioneer: CancelBid refunds the id's own bid and only it.
-			deadline := time.Now().Add(time.Hour)
-			if _, err := s.auctC.PlaceBid(decoy, 5*bank.Credit, deadline); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.auctC.PlaceBid(id, 7*bank.Credit, deadline); err != nil {
-				t.Fatal(err)
-			}
-			if refund, err := s.auctC.CancelBid(id); err != nil || refund != 7*bank.Credit {
-				t.Errorf("CancelBid(%q) = %v, %v; want its own 7 credits back", id, refund, err)
-			}
-			if refund, err := s.market.CancelBid(auction.BidderID(decoy)); err != nil || refund != 5*bank.Credit {
-				t.Errorf("%q's bid after cancelling %q: refund %v, %v; want it untouched at 5", decoy, id, refund, err)
-			}
-
-			// Auctioneer: WindowStats of a window named like the id.
-			svc, err := NewAuctioneerService(s.market, map[string]int{decoy: 4, id: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(svc)
-			t.Cleanup(srv.Close)
-			if ws, err := NewAuctioneerClient(srv.URL, nil).WindowStats(id); err != nil || ws.Window != id {
-				t.Errorf("WindowStats(%q) = window %q, %v", id, ws.Window, err)
 			}
 		})
 	}

@@ -129,19 +129,19 @@ type SLSClient struct {
 // refreshes) are retried with backoff; Deregister is a single attempt. All
 // calls share one circuit breaker named "sls".
 func NewSLSClient(base string, client *http.Client) *SLSClient {
-	return &SLSClient{base: strings.TrimSuffix(base, "/"), call: newCaller("sls", client)}
+	return &SLSClient{base: strings.TrimSuffix(base, "/"), call: NewCaller("sls", client)}
 }
 
 // Register announces a host.
 func (c *SLSClient) Register(h sls.HostInfo) error {
 	// Retried: registration upserts the host record.
-	return c.call.postIdempotent(context.Background(), c.base+"/hosts", h, nil)
+	return c.call.PostIdempotent(context.Background(), c.base+"/hosts", h, nil)
 }
 
 // Heartbeat refreshes liveness and (optionally) the advertised spot price.
 func (c *SLSClient) Heartbeat(id string, spotPrice float64) error {
 	// Retried: a heartbeat just refreshes liveness and price.
-	return c.call.postIdempotent(context.Background(), c.base+"/heartbeats",
+	return c.call.PostIdempotent(context.Background(), c.base+"/heartbeats",
 		HeartbeatRequest{ID: id, SpotPrice: spotPrice}, nil)
 }
 
@@ -155,18 +155,18 @@ func (c *SLSClient) Select(q sls.Query) ([]sls.HostInfo, error) {
 		v.Set("site", q.Site)
 	}
 	var out []sls.HostInfo
-	err := c.call.get(context.Background(), c.base+"/hosts?"+v.Encode(), &out)
+	err := c.call.Get(context.Background(), c.base+"/hosts?"+v.Encode(), &out)
 	return out, err
 }
 
 // Lookup fetches one host.
 func (c *SLSClient) Lookup(id string) (sls.HostInfo, error) {
 	var out sls.HostInfo
-	err := c.call.get(context.Background(), c.base+"/hosts/"+url.PathEscape(id), &out)
+	err := c.call.Get(context.Background(), c.base+"/hosts/"+url.PathEscape(id), &out)
 	return out, err
 }
 
 // Deregister removes a host.
 func (c *SLSClient) Deregister(id string) error {
-	return c.call.del(context.Background(), c.base+"/hosts/"+url.PathEscape(id), nil)
+	return c.call.Delete(context.Background(), c.base+"/hosts/"+url.PathEscape(id), nil)
 }

@@ -23,30 +23,30 @@ type TelemetryClient struct {
 func NewTelemetryClient(baseURL string, client *http.Client) *TelemetryClient {
 	return &TelemetryClient{
 		base: strings.TrimSuffix(baseURL, "/"),
-		c:    newCaller("telemetry", client),
+		c:    NewCaller("telemetry", client),
 	}
 }
 
 // SLO fetches the peer's /slo report.
 func (t *TelemetryClient) SLO(ctx context.Context, out any) error {
-	return t.c.get(ctx, t.base+"/slo", out)
+	return t.c.Get(ctx, t.base+"/slo", out)
 }
 
 // History fetches from the peer's /metrics/history endpoint; rawQuery is
 // already query-encoded by the caller.
 func (t *TelemetryClient) History(ctx context.Context, rawQuery string, out any) error {
-	return t.c.get(ctx, t.base+"/metrics/history?"+rawQuery, out)
+	return t.c.Get(ctx, t.base+"/metrics/history?"+rawQuery, out)
 }
 
 // Fleet fetches an aggregator host's /fleet rollup. A 404 means the target
 // is a plain daemon, not an aggregator host; callers fall back to the
 // single-daemon surface.
 func (t *TelemetryClient) Fleet(ctx context.Context, out any) error {
-	return t.c.get(ctx, t.base+"/fleet", out)
+	return t.c.Get(ctx, t.base+"/fleet", out)
 }
 
 // FleetHistory fetches from an aggregator host's /fleet/history endpoint;
 // rawQuery is already query-encoded by the caller.
 func (t *TelemetryClient) FleetHistory(ctx context.Context, rawQuery string, out any) error {
-	return t.c.get(ctx, t.base+"/fleet/history?"+rawQuery, out)
+	return t.c.Get(ctx, t.base+"/fleet/history?"+rawQuery, out)
 }

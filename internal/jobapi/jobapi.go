@@ -1,9 +1,12 @@
-package httpapi
+// Package jobapi serves the ARC-analog job manager over JSON/HTTP, with its
+// typed Go client, on httpapi's transport. Only the daemons that run or call
+// the whole grid market (gridmarketd, gridclient) import it, so the bank,
+// SLS and auctioneer daemons do not link the simulated grid.
+package jobapi
 
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -11,29 +14,30 @@ import (
 	"time"
 
 	"tycoongrid/internal/arc"
+	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/sim"
 	"tycoongrid/internal/tracing"
 )
 
-// JobService exposes the ARC-analog job manager over HTTP: xRSL submission,
+// Service exposes the ARC-analog job manager over HTTP: xRSL submission,
 // job status, boosting, and the Grid-monitor view. Because the job manager
 // and its grid cluster run on a single-threaded simulation engine, every
 // request and every engine advance goes through one mutex; the Drive method
 // pulls the engine along the wall clock, turning the simulated cluster into
 // a live service ("grid market in a box").
-type JobService struct {
+type Service struct {
 	mu     sync.Mutex
 	mgr    arc.Scheduler
 	engine *sim.Engine
 	mux    *http.ServeMux
 }
 
-// NewJobService wraps mgr (whose agent runs on engine).
-func NewJobService(mgr arc.Scheduler, engine *sim.Engine) (*JobService, error) {
+// NewService wraps mgr (whose agent runs on engine).
+func NewService(mgr arc.Scheduler, engine *sim.Engine) (*Service, error) {
 	if mgr == nil || engine == nil {
-		return nil, errors.New("httpapi: nil job manager or engine")
+		return nil, errors.New("jobapi: nil job manager or engine")
 	}
-	s := &JobService{mgr: mgr, engine: engine, mux: http.NewServeMux()}
+	s := &Service{mgr: mgr, engine: engine, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /jobs", s.submit)
 	s.mux.HandleFunc("GET /jobs", s.list)
 	s.mux.HandleFunc("GET /jobs/{id}/timeline", s.timeline)
@@ -44,13 +48,13 @@ func NewJobService(mgr arc.Scheduler, engine *sim.Engine) (*JobService, error) {
 }
 
 // ServeHTTP implements http.Handler.
-func (s *JobService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
 // Drive advances the simulation engine to the given wall-clock instant.
 // Daemons call it from a ticker goroutine; tests call it directly.
-func (s *JobService) Drive(now time.Time) {
+func (s *Service) Drive(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if now.After(s.engine.Now()) {
@@ -62,7 +66,7 @@ func (s *JobService) Drive(now time.Time) {
 // engine, the bank, or the job manager from outside an HTTP handler — e.g. a
 // daemon's demo-token minting, which reads the engine clock — must go
 // through here, because Drive mutates the engine concurrently.
-func (s *JobService) WithLock(fn func()) {
+func (s *Service) WithLock(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fn()
@@ -132,10 +136,10 @@ func jobWire(gj *arc.GridJob) JobWire {
 	return w
 }
 
-func (s *JobService) submit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil || len(body) == 0 {
-		WriteError(w, http.StatusBadRequest, errors.New("httpapi: empty xRSL body"))
+func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
+	body, err := httpapi.ReadBody(r)
+	if err != nil {
+		httpapi.WriteError(w, httpapi.ReadStatus(err), err)
 		return
 	}
 	s.mu.Lock()
@@ -151,16 +155,16 @@ func (s *JobService) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	WriteJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }
 
 // list returns all jobs, or a single job when the id query parameter is
 // present (job ids are gsiftp URLs, so they travel as a query value rather
 // than a path segment).
-func (s *JobService) list(w http.ResponseWriter, r *http.Request) {
+func (s *Service) list(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("id"); id != "" {
 		s.mu.Lock()
 		gj, err := s.mgr.Job(id)
@@ -170,10 +174,10 @@ func (s *JobService) list(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 		if err != nil {
-			WriteError(w, http.StatusNotFound, err)
+			httpapi.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		WriteJSON(w, out)
+		httpapi.WriteJSON(w, out)
 		return
 	}
 	s.mu.Lock()
@@ -183,13 +187,13 @@ func (s *JobService) list(w http.ResponseWriter, r *http.Request) {
 		out[i] = jobWire(gj)
 	}
 	s.mu.Unlock()
-	WriteJSON(w, out)
+	httpapi.WriteJSON(w, out)
 }
 
-func (s *JobService) boost(w http.ResponseWriter, r *http.Request) {
+func (s *Service) boost(w http.ResponseWriter, r *http.Request) {
 	var req BoostWire
-	if err := ReadJSON(r, &req); err != nil {
-		WriteError(w, ReadStatus(err), err)
+	if err := httpapi.ReadJSON(r, &req); err != nil {
+		httpapi.WriteError(w, httpapi.ReadStatus(err), err)
 		return
 	}
 	s.mu.Lock()
@@ -200,16 +204,16 @@ func (s *JobService) boost(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, arc.ErrUnknownJob) {
 			status = http.StatusNotFound
 		}
-		WriteError(w, status, err)
+		httpapi.WriteError(w, status, err)
 		return
 	}
-	WriteJSON(w, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, map[string]string{"status": "ok"})
 }
 
-func (s *JobService) cancel(w http.ResponseWriter, r *http.Request) {
+func (s *Service) cancel(w http.ResponseWriter, r *http.Request) {
 	var req CancelWire
-	if err := ReadJSON(r, &req); err != nil {
-		WriteError(w, ReadStatus(err), err)
+	if err := httpapi.ReadJSON(r, &req); err != nil {
+		httpapi.WriteError(w, httpapi.ReadStatus(err), err)
 		return
 	}
 	s.mu.Lock()
@@ -220,15 +224,15 @@ func (s *JobService) cancel(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, arc.ErrUnknownJob) {
 			status = http.StatusNotFound
 		}
-		WriteError(w, status, err)
+		httpapi.WriteError(w, status, err)
 		return
 	}
-	WriteJSON(w, map[string]string{"status": "killed"})
+	httpapi.WriteJSON(w, map[string]string{"status": "killed"})
 }
 
 // timeline serves a job's lifecycle audit trail. Job ids are gsiftp URLs, so
 // clients path-escape them into the single {id} segment.
-func (s *JobService) timeline(w http.ResponseWriter, r *http.Request) {
+func (s *Service) timeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	tl, err := s.mgr.Timeline(id)
@@ -238,77 +242,77 @@ func (s *JobService) timeline(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, arc.ErrUnknownJob) {
 			status = http.StatusNotFound
 		}
-		WriteError(w, status, err)
+		httpapi.WriteError(w, status, err)
 		return
 	}
-	WriteJSON(w, tl)
+	httpapi.WriteJSON(w, tl)
 }
 
-func (s *JobService) monitor(w http.ResponseWriter, r *http.Request) {
+func (s *Service) monitor(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	snap := s.mgr.Monitor()
 	s.mu.Unlock()
-	WriteJSON(w, snap)
+	httpapi.WriteJSON(w, snap)
 }
 
-// JobClient is the typed client for a JobService.
-type JobClient struct {
+// Client is the typed client for a Service.
+type Client struct {
 	base string
-	call Caller
+	call httpapi.Caller
 }
 
-// NewJobClient targets base. A nil client defaults to one with
-// DefaultClientTimeout. Reads and the token-protected Boost (the bank's
-// spent-store rejects a replayed transfer token) are retried with backoff;
-// Submit and Cancel are single attempts. All calls share one circuit
-// breaker named "job".
-func NewJobClient(base string, client *http.Client) *JobClient {
-	return &JobClient{base: strings.TrimSuffix(base, "/"), call: newCaller("job", client)}
+// NewClient targets base. A nil client defaults to one with
+// httpapi.DefaultClientTimeout. Reads and the token-protected Boost (the
+// bank's spent-store rejects a replayed transfer token) are retried with
+// backoff; Submit and Cancel are single attempts. All calls share one
+// circuit breaker named "job".
+func NewClient(base string, client *http.Client) *Client {
+	return &Client{base: strings.TrimSuffix(base, "/"), call: httpapi.NewCaller("job", client)}
 }
 
 // Submit posts an xRSL description and returns the accepted job.
-func (c *JobClient) Submit(xrslText string) (JobWire, error) {
+func (c *Client) Submit(xrslText string) (JobWire, error) {
 	var out JobWire
-	err := c.call.rawPost(context.Background(), c.base+"/jobs", "text/plain", xrslText, &out)
+	err := c.call.PostRaw(context.Background(), c.base+"/jobs", "text/plain", xrslText, &out)
 	return out, err
 }
 
 // Job fetches one job.
-func (c *JobClient) Job(id string) (JobWire, error) {
+func (c *Client) Job(id string) (JobWire, error) {
 	var out JobWire
-	err := c.call.get(context.Background(), c.base+"/jobs?id="+url.QueryEscape(id), &out)
+	err := c.call.Get(context.Background(), c.base+"/jobs?id="+url.QueryEscape(id), &out)
 	return out, err
 }
 
 // Jobs lists all jobs.
-func (c *JobClient) Jobs() ([]JobWire, error) {
+func (c *Client) Jobs() ([]JobWire, error) {
 	var out []JobWire
-	err := c.call.get(context.Background(), c.base+"/jobs", &out)
+	err := c.call.Get(context.Background(), c.base+"/jobs", &out)
 	return out, err
 }
 
 // Boost adds funding to a running job.
-func (c *JobClient) Boost(jobID, encodedToken string) error {
+func (c *Client) Boost(jobID, encodedToken string) error {
 	// Retried: the token can only be deposited once, so a replayed boost
 	// whose first response was lost is rejected harmlessly by the bank.
-	return c.call.postIdempotent(context.Background(), c.base+"/boosts", BoostWire{JobID: jobID, Token: encodedToken}, nil)
+	return c.call.PostIdempotent(context.Background(), c.base+"/boosts", BoostWire{JobID: jobID, Token: encodedToken}, nil)
 }
 
 // Cancel kills a job.
-func (c *JobClient) Cancel(jobID string) error {
-	return c.call.post(context.Background(), c.base+"/cancels", CancelWire{JobID: jobID}, nil)
+func (c *Client) Cancel(jobID string) error {
+	return c.call.Post(context.Background(), c.base+"/cancels", CancelWire{JobID: jobID}, nil)
 }
 
 // Timeline fetches a job's lifecycle timeline.
-func (c *JobClient) Timeline(id string) (arc.Timeline, error) {
+func (c *Client) Timeline(id string) (arc.Timeline, error) {
 	var out arc.Timeline
-	err := c.call.get(context.Background(), c.base+"/jobs/"+url.PathEscape(id)+"/timeline", &out)
+	err := c.call.Get(context.Background(), c.base+"/jobs/"+url.PathEscape(id)+"/timeline", &out)
 	return out, err
 }
 
 // Monitor fetches the Grid-monitor snapshot.
-func (c *JobClient) Monitor() (arc.MonitorSnapshot, error) {
+func (c *Client) Monitor() (arc.MonitorSnapshot, error) {
 	var out arc.MonitorSnapshot
-	err := c.call.get(context.Background(), c.base+"/monitor", &out)
+	err := c.call.Get(context.Background(), c.base+"/monitor", &out)
 	return out, err
 }

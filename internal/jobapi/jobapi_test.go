@@ -1,4 +1,4 @@
-package httpapi
+package jobapi
 
 import (
 	"fmt"
@@ -9,12 +9,13 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/box"
+	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/token"
 )
 
-// jobWorld spins up a box behind a JobService, with one funded user whose
+// jobWorld spins up a box behind a Service, with one funded user whose
 // encoded transfer tokens mint hands out.
-func jobWorld(t *testing.T) (mint func(bank.Amount) string, client *JobClient, svc *JobService) {
+func jobWorld(t *testing.T) (mint func(bank.Amount) string, client *Client, svc *Service) {
 	t.Helper()
 	cfg := box.DefaultConfig()
 	cfg.Users, cfg.GrantPerUser = 1, 10000*bank.Credit
@@ -22,7 +23,7 @@ func jobWorld(t *testing.T) (mint func(bank.Amount) string, client *JobClient, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err = NewJobService(b.Manager, b.Engine)
+	svc, err = NewService(b.Manager, b.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +45,15 @@ func jobWorld(t *testing.T) (mint func(bank.Amount) string, client *JobClient, s
 		}
 		return enc
 	}
-	return mint, NewJobClient(srv.URL, nil), svc
+	return mint, NewClient(srv.URL, nil), svc
 }
 
-func (s *JobService) driveFor(d time.Duration) {
+func (s *Service) driveFor(d time.Duration) {
 	s.Drive(s.engine.Now().Add(d))
 }
 
 func TestNewJobServiceValidation(t *testing.T) {
-	if _, err := NewJobService(nil, nil); err == nil {
+	if _, err := NewService(nil, nil); err == nil {
 		t.Error("nil manager accepted")
 	}
 }
@@ -148,6 +149,22 @@ func TestJobSubmitErrorsOverHTTP(t *testing.T) {
 	}
 	if _, err := client.Job("ghost"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("ghost job: %v", err)
+	}
+}
+
+// TestJobSubmitOverLimitIs413: an xRSL past httpapi.MaxBodyBytes is refused
+// whole with 413, as on every JSON route, never read as the shorter job in
+// its first MiB. That first MiB is a valid two-sub-job description; the
+// 11-byte tail past it asks for 999 sub-jobs.
+func TestJobSubmitOverLimitIs413(t *testing.T) {
+	mint, client, _ := jobWorld(t)
+	head := fmt.Sprintf("&(executable=x)(count=2)(cputime=5)(walltime=60)(transfertoken=%s)(jobname=", mint(25*bank.Credit))
+	firstMiB := head + strings.Repeat("a", httpapi.MaxBodyBytes-len(head)-1) + ")"
+	if _, err := client.Submit(firstMiB + "(count=999)"); err == nil || !strings.Contains(err.Error(), "413") {
+		t.Errorf("submit of 1 MiB + 11 bytes: %v, want 413", err)
+	}
+	if jobs, err := client.Jobs(); err != nil || len(jobs) != 0 {
+		t.Errorf("%d jobs after the refused submit (%v); want none", len(jobs), err)
 	}
 }
 

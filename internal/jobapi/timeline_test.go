@@ -1,4 +1,4 @@
-package httpapi
+package jobapi
 
 import (
 	"fmt"
@@ -13,7 +13,7 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
-// timelinesOverHTTP runs one seeded box world behind a JobService with the
+// timelinesOverHTTP runs one seeded box world behind a Service with the
 // process tracer sampling at ratio — a finished job, a boosted one, a job
 // that loses a host, a cancelled one and one past its deadline — and returns
 // every job's timeline as GET /jobs/{id}/timeline serves it.
@@ -30,13 +30,13 @@ func timelinesOverHTTP(t *testing.T, ratio float64) []arc.Timeline {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewJobService(b.Manager, b.Engine)
+	svc, err := NewService(b.Manager, b.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
-	client := NewJobClient(srv.URL, nil)
+	client := NewClient(srv.URL, nil)
 	mint := func(credits int64) string {
 		t.Helper()
 		var tok token.Token

@@ -33,8 +33,8 @@ func TestHandlerStampsContextSpan(t *testing.T) {
 }
 
 // TestHandlerIgnoresAnotherGoroutinesScope: a span pushed as the tracer's
-// scope by one goroutine (JobService.submit does, under its lock) must not
-// stamp a line logged meanwhile by another goroutine with no span in its
+// scope by one goroutine (jobapi.Service's submit does, under its lock) must
+// not stamp a line logged meanwhile by another goroutine with no span in its
 // context — the scope stack is process-wide, so it cannot say whose line it
 // is.
 func TestHandlerIgnoresAnotherGoroutinesScope(t *testing.T) {

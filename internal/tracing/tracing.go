@@ -17,7 +17,7 @@
 //   - A tracer-level scope stack (PushScope / Current) carries the active
 //     span through the single-threaded simulation core, where arc, agent,
 //     auction and bank call each other synchronously without contexts. The
-//     market engine is serialized behind one mutex (httpapi.JobService), so
+//     market engine is serialized behind one mutex (jobapi.Service), so
 //     a process-wide stack is race-free there; concurrent HTTP daemons use
 //     contexts and never touch the scope stack.
 //
