@@ -19,18 +19,25 @@
 // itself touch a bank; the auctioneer layer applies the returned charges to
 // host accounts. Price statistics hooks feed the prediction stack of §4.
 //
-// The book is one slice of bids kept ascending by bidder, because that is the
-// order everything reads it in: the mechanisms' input contract, the fixed
-// fold order of every price sum, and the order charges, refunds and shares
-// are reported in. A clear walks it once and sorts nothing. The market also
-// keeps the share table of its current book — filled from the clear's own
-// outcome when the mechanism is stateless, dropped by every mutation of the
-// book — so reading shares between clears does not run the mechanism again.
+// The book is kept ascending by bidder, because that is the order everything
+// reads it in: the mechanisms' input contract, the fixed fold order of every
+// price sum, and the order charges, refunds and shares are reported in. A
+// clear walks it once and sorts nothing. It is two parallel columns: the
+// mechanism's input itself (bidder and spend rate), handed to every clear and
+// quote as it is, and the rest of each bid (budget left, deadline, pay rate,
+// active). That is sound because every bid on the book has budget left
+// between operations — a clear drops one that ran dry — so the whole first
+// column is the live book. The share table is not kept: it is the book read
+// against the lines of the last outcome, which the market keeps as its clear
+// scratch, and they stand for the current book — a stateless mechanism's clear
+// is its quote — until a mutation drops them, so reading shares between clears
+// does not run the mechanism again.
 package auction
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -50,14 +57,13 @@ const DefaultInterval = 10 * time.Second
 // BidderID identifies a market participant (typically a bank account id).
 type BidderID string
 
-// bidState is the market's record of one bidder.
-type bidState struct {
-	bidder    BidderID
-	remaining bank.Amount // unspent budget
-	deadline  time.Time
-	rate      float64 // credits/second, fixed until boost or re-bid
-	payRate   float64 // credits/second charged while active; set by the mechanism at each clear
-	active    bool    // consuming CPU this interval (charged only if true)
+// bidRest is a bid's row in the book's second column: what the mechanism's
+// input (bidder and spend rate, in the first) does not carry.
+type bidRest struct {
+	remaining bank.Amount // unspent budget, > 0 between operations
+	deadline  int64       // Unix nanoseconds
+	payRate   float64     // credits/second charged while active; set by the mechanism at each clear
+	active    bool        // consuming CPU this interval (charged only if true)
 }
 
 // Share describes one bidder's allocation at the last reallocation.
@@ -76,12 +82,17 @@ type Charge struct {
 
 // Market is one host's auction. Safe for concurrent use.
 type Market struct {
-	mu        sync.Mutex
-	hostID    string
-	capacity  float64    // MHz
-	reserve   float64    // reserve price, credits/second, floor for the spot price
-	bids      []bidState // the book, ascending by bidder, unique bidders
-	price     float64    // spot price at last reallocation, credits/second
+	mu       sync.Mutex
+	hostID   string
+	capacity float64 // MHz
+	reserve  float64 // reserve price, credits/second, floor for the spot price
+	// The book, ascending by bidder with unique bidders, as two columns of
+	// one row per bid: bids is each bid as the mechanism takes it (bidder, and
+	// the spend rate fixed until a boost or re-bid), handed to Quote and Clear
+	// untouched, and rest is the rest of it at the same index.
+	bids      []mechanism.Bid
+	rest      []bidRest
+	price     float64 // spot price at last reallocation, credits/second
 	now       time.Time
 	observers []func(price float64, at time.Time)
 	// obs2 is inline room for the first two observers (a grid host's plane
@@ -90,19 +101,17 @@ type Market struct {
 	mech    mechanism.Mechanism // clearing rule; proportional share by default
 	history *tsdb.Ring          // nil until a reader asks (History)
 
-	// live and lines are the scratch of a clear or quote — the mechanism's
-	// input and the outcome lines it appends to — reused under the lock (no
-	// mechanism retains either). charges and refunds back the slices Tick
-	// returns, which are therefore valid until the next Tick. shares is the
-	// share table of the current book while sharesOK; every mutation of the
-	// book drops it. All are allocated on first use, so a market nobody bids
-	// on carries none of them.
-	live     []mechanism.Bid
-	lines    []mechanism.Line
-	charges  []Charge
-	refunds  []Charge
-	shares   []Share
-	sharesOK bool
+	// lines are the last outcome's lines, the buffer every clear and quote
+	// appends to under the lock (no mechanism retains it). While quoted they
+	// are an outcome of the current book, and the share table is the book
+	// read against them; every mutation of the book clears quoted. charges
+	// and refunds back the slices Tick returns, which are therefore valid
+	// until the next Tick. All are allocated on first use, so a market nobody
+	// bids on carries none of them.
+	lines   []mechanism.Line
+	quoted  bool
+	charges []Charge
+	refunds []Charge
 
 	// Sleep state (see Sleep). quiet: the last clear was of an empty book by a
 	// settled mechanism, so every further idle clear would publish m.price
@@ -298,8 +307,8 @@ func (m *Market) wakeUp() {
 // find returns the position of bidder's bid in the book, or where it would
 // be inserted. Callers hold m.mu.
 func (m *Market) find(bidder BidderID) (int, bool) {
-	return slices.BinarySearchFunc(m.bids, bidder, func(b bidState, id BidderID) int {
-		return strings.Compare(string(b.bidder), string(id))
+	return slices.BinarySearchFunc(m.bids, bidder, func(b mechanism.Bid, id BidderID) int {
+		return strings.Compare(b.Bidder, string(id))
 	})
 }
 
@@ -316,11 +325,10 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 		return 0, fmt.Errorf("%w: deadline not in the future", ErrBadBid)
 	}
 	rate := budget.Credits() / horizon
-	bid := bidState{
-		bidder:    bidder,
+	bid := mechanism.Bid{Bidder: string(bidder), Rate: rate}
+	rest := bidRest{
 		remaining: budget,
-		deadline:  deadline,
-		rate:      rate,
+		deadline:  deadline.UnixNano(),
 		// Until the next clear prices this bid, it pays its own reported
 		// rate — for proportional share that is also the final pay rate,
 		// which keeps the legacy charge sequence bit-identical.
@@ -328,12 +336,13 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 		active:  true,
 	}
 	if at, ok := m.find(bidder); ok {
-		refund = m.bids[at].remaining
-		m.bids[at] = bid
+		refund = m.rest[at].remaining
+		m.bids[at], m.rest[at] = bid, rest
 	} else {
 		m.bids = slices.Insert(m.bids, at, bid)
+		m.rest = slices.Insert(m.rest, at, rest)
 	}
-	m.sharesOK = false
+	m.quoted = false
 	mBidsPlaced.Inc()
 	mBidBudget.Observe(budget.Credits())
 	return refund, nil
@@ -341,7 +350,8 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 
 // Boost adds funds to an existing bid and recomputes the spend rate over the
 // remaining time to the deadline — the paper's mechanism for making a
-// submitted job complete sooner.
+// submitted job complete sooner. A boost the budget cannot hold (it would
+// overflow an Amount) is refused.
 func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 	if extra <= 0 {
 		return fmt.Errorf("%w: non-positive boost", ErrBadBid)
@@ -352,15 +362,18 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	b := &m.bids[at]
-	b.remaining += extra
-	horizon := b.deadline.Sub(m.now).Seconds()
+	b, r := &m.bids[at], &m.rest[at]
+	if r.remaining > math.MaxInt64-extra {
+		return fmt.Errorf("%w: boost of %v overflows the budget", ErrBadBid, extra)
+	}
+	r.remaining += extra
+	horizon := time.Duration(r.deadline - m.now.UnixNano()).Seconds()
 	if horizon <= 0 {
 		horizon = DefaultInterval.Seconds()
 	}
-	b.rate = b.remaining.Credits() / horizon
-	b.payRate = b.rate // boosted spend applies immediately, repriced at next clear
-	m.sharesOK = false
+	b.Rate = r.remaining.Credits() / horizon
+	r.payRate = b.Rate // boosted spend applies immediately, repriced at next clear
+	m.quoted = false
 	return nil
 }
 
@@ -374,7 +387,7 @@ func (m *Market) SetActive(bidder BidderID, active bool) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	m.bids[at].active = active // shares do not depend on it
+	m.rest[at].active = active // shares do not depend on it
 	return nil
 }
 
@@ -386,27 +399,26 @@ func (m *Market) CancelBid(bidder BidderID) (bank.Amount, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	remaining := m.bids[at].remaining
-	m.bids = slices.Delete(m.bids, at, at+1)
-	m.sharesOK = false
+	remaining := m.rest[at].remaining
+	m.bids = slices.Delete(m.bids, at, at+1) // zeroes the vacated row: no stale bidder string
+	m.rest = slices.Delete(m.rest, at, at+1)
+	m.quoted = false
 	return remaining, nil
 }
 
 // CancelAll withdraws every bid at once — a host that died can no longer
 // deliver CPU — and returns the unspent budgets to refund, ascending by
-// bidder, positive remainders only.
+// bidder (every bid on the book has some).
 func (m *Market) CancelAll() []Charge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var refunds []Charge
 	for i := range m.bids {
-		if b := &m.bids[i]; b.remaining > 0 {
-			refunds = append(refunds, Charge{Bidder: b.bidder, Amount: b.remaining})
-		}
+		refunds = append(refunds, Charge{Bidder: BidderID(m.bids[i].Bidder), Amount: m.rest[i].remaining})
 	}
 	clear(m.bids) // drop the bidder strings
-	m.bids = m.bids[:0]
-	m.sharesOK = false
+	m.bids, m.rest = m.bids[:0], m.rest[:0]
+	m.quoted = false
 	return refunds
 }
 
@@ -420,7 +432,7 @@ func (m *Market) Rate(bidder BidderID) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	return m.bids[at].rate, nil
+	return m.bids[at].Rate, nil
 }
 
 // Remaining returns the bidder's unspent budget.
@@ -431,7 +443,7 @@ func (m *Market) Remaining(bidder BidderID) (bank.Amount, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	return m.bids[at].remaining, nil
+	return m.rest[at].remaining, nil
 }
 
 // SpotPrice returns the host's current spot price in credits/second: the sum
@@ -463,12 +475,13 @@ func (m *Market) PriceExcluding(bidder BidderID) float64 {
 	// summation perturbs the spot price in the last bit, and the market
 	// amplifies that into visibly different traces run over run. The book's
 	// own order is that order: a plain += ascending by bidder, the add
-	// sequence the map-book oracle's sortedSum gives. An empty book folds to
-	// zero.
+	// sequence the map-book oracle's sortedSum gives. Every bid on the book
+	// has budget left, so every one but bidder's counts. An empty book folds
+	// to zero.
 	var sum float64
 	for i := range m.bids {
-		if b := &m.bids[i]; b.bidder != bidder && b.remaining > 0 {
-			sum += b.rate
+		if b := &m.bids[i]; b.Bidder != string(bidder) {
+			sum += b.Rate
 		}
 	}
 	if sum < m.reserve {
@@ -483,27 +496,35 @@ func (m *Market) Shares() []Share { return m.AppendShares([]Share{}) }
 
 // AppendShares is Shares for a caller that reads them every tick and keeps
 // its own buffer: it appends the allocation to dst and returns the extended
-// slice.
+// slice. It is one row per bid, the fraction read from the last outcome's
+// lines — a merge walk, both ascending by bidder. Between a clear by a
+// stateless mechanism and the next change to the book those lines are the
+// book's quote already; otherwise the first read quotes the book through the
+// mechanism's side-effect-free Quote (stateful mechanisms such as
+// posted-price are not advanced).
 func (m *Market) AppendShares(dst []Share) []Share {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append(dst, m.sharesLocked()...)
-}
-
-// sharesLocked returns the market's share table, valid until the lock is
-// released. Between a clear and the next change to the book it is already
-// there; after a change the first read re-quotes the book through the
-// mechanism's side-effect-free Quote (stateful mechanisms such as
-// posted-price are not advanced).
-func (m *Market) sharesLocked() []Share {
-	if !m.sharesOK {
-		m.fillSharesLocked(m.keepLines(m.mech.Quote(m.liveBidsLocked(), m.mechCapacity(), m.lines...)))
+	if !m.quoted {
+		m.keepLines(m.mech.Quote(m.bids, m.mechCapacity(), m.lines...))
+		m.quoted = true
 	}
-	return m.shares
+	at := 0
+	for i := range m.bids {
+		b := &m.bids[i]
+		frac := 0.0
+		if l, ok := lineFor(m.lines, &at, b.Bidder); ok {
+			frac = l.Fraction
+		}
+		dst = append(dst, Share{Bidder: BidderID(b.Bidder), Fraction: frac, Rate: b.Rate, Remaining: m.rest[i].remaining})
+	}
+	return dst
 }
 
-// keepLines keeps the buffer an outcome's lines were appended to for the
-// next clear or quote, and returns the outcome. Callers hold m.mu.
+// keepLines makes an outcome's lines the market's — the buffer the next
+// clear or quote appends to — and returns the outcome. Callers hold m.mu.
+// Only an empty book's outcome may have none; the buffer is kept, and the
+// book, having no rows, reads nothing from it.
 func (m *Market) keepLines(o mechanism.Outcome) mechanism.Outcome {
 	if o.Lines != nil {
 		m.lines = o.Lines
@@ -511,31 +532,14 @@ func (m *Market) keepLines(o mechanism.Outcome) mechanism.Outcome {
 	return o
 }
 
-// fillSharesLocked rebuilds the share table from an outcome of the current
-// book: one row per bid, the mechanism's fraction where it allocated one.
-// Book and outcome lines are both ascending by bidder, so it is a merge walk.
-func (m *Market) fillSharesLocked(o mechanism.Outcome) {
-	m.shares = m.shares[:0]
-	at := 0
-	for i := range m.bids {
-		b := &m.bids[i]
-		frac := 0.0
-		if l, ok := lineFor(o.Lines, &at, b.bidder); ok {
-			frac = l.Fraction
-		}
-		m.shares = append(m.shares, Share{Bidder: b.bidder, Fraction: frac, Rate: b.rate, Remaining: b.remaining})
-	}
-	m.sharesOK = true
-}
-
 // lineFor advances *at through lines (ascending by bidder) to bidder's line
 // and reports whether there is one; successive calls ask for ascending
 // bidders.
-func lineFor(lines []mechanism.Line, at *int, bidder BidderID) (mechanism.Line, bool) {
-	for *at < len(lines) && lines[*at].Bidder < string(bidder) {
+func lineFor(lines []mechanism.Line, at *int, bidder string) (mechanism.Line, bool) {
+	for *at < len(lines) && lines[*at].Bidder < bidder {
 		*at++
 	}
-	if *at < len(lines) && lines[*at].Bidder == string(bidder) {
+	if *at < len(lines) && lines[*at].Bidder == bidder {
 		return lines[*at], true
 	}
 	return mechanism.Line{}, false
@@ -546,25 +550,6 @@ func (m *Market) Bidders() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.bids)
-}
-
-// liveBidsLocked snapshots the live bids (unspent budget remaining) in the
-// mechanism's input shape — ascending bidder order, unique bidders: the
-// book's own order — into the market's scratch slice. The ascending order is
-// load-bearing: the proportional mechanism folds rates in slice order, which
-// must equal the legacy map book's sorted fold for bit-identical spot
-// prices.
-func (m *Market) liveBidsLocked() []mechanism.Bid {
-	if len(m.bids) == 0 {
-		return nil
-	}
-	m.live = m.live[:0]
-	for i := range m.bids {
-		if b := &m.bids[i]; b.remaining > 0 {
-			m.live = append(m.live, mechanism.Bid{Bidder: string(b.bidder), Rate: b.rate})
-		}
-	}
-	return m.live
 }
 
 func (m *Market) mechCapacity() mechanism.Capacity {
@@ -592,36 +577,36 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	m.now = now
 
 	// One walk of the book in bidder order charges, expires and compacts:
-	// charges and refunds come out sorted, survivors keep their order.
+	// charges and refunds come out sorted, survivors keep their order, and
+	// every survivor has budget left.
 	charges, refunds = m.charges[:0], m.refunds[:0]
-	kept := 0
+	kept, nowNs := 0, now.UnixNano()
 	for i := range m.bids {
-		b := &m.bids[i]
-		if b.active && b.remaining > 0 && dt > 0 {
-			owe, err := bank.FromCredits(b.payRate * dt)
+		bidder, r := BidderID(m.bids[i].Bidder), &m.rest[i]
+		if r.active && dt > 0 {
+			owe, err := bank.FromCredits(r.payRate * dt)
 			if err != nil || owe < 0 {
-				owe = b.remaining
+				owe = r.remaining
 			}
-			if owe > b.remaining {
-				owe = b.remaining
+			if owe > r.remaining {
+				owe = r.remaining
 			}
 			if owe > 0 {
-				b.remaining -= owe
-				charges = append(charges, Charge{Bidder: b.bidder, Amount: owe})
+				r.remaining -= owe
+				charges = append(charges, Charge{Bidder: bidder, Amount: owe})
 			}
 		}
-		expired := !now.Before(b.deadline)
-		if b.remaining <= 0 || expired {
-			if b.remaining > 0 {
-				refunds = append(refunds, Charge{Bidder: b.bidder, Amount: b.remaining})
+		if r.remaining <= 0 || nowNs >= r.deadline { // ran dry, or expired
+			if r.remaining > 0 {
+				refunds = append(refunds, Charge{Bidder: bidder, Amount: r.remaining})
 			}
 			continue
 		}
-		m.bids[kept] = *b
+		m.bids[kept], m.rest[kept] = m.bids[i], *r
 		kept++
 	}
 	clear(m.bids[kept:]) // drop the expired bidders' strings
-	m.bids = m.bids[:kept]
+	m.bids, m.rest = m.bids[:kept], m.rest[:kept]
 	m.charges, m.refunds = charges, refunds // keep what append grew
 	if len(charges) == 0 {
 		charges = nil
@@ -637,28 +622,23 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	//
 	// An empty book — almost every host of a wide grid, almost every tick —
 	// takes this same path in the same order and allocates nothing on it:
-	// the loops have nothing to visit, the snapshot is nil, and the
-	// mechanism still clears (posted-price moves its price on empty demand).
+	// the loops have nothing to visit, and the mechanism still clears
+	// (posted-price moves its price on empty demand).
 	//
 	// Quiet is judged before the clear: a mechanism that settles during this
 	// clear (posted-price reaching its floor) published its last moving price
 	// here, and only the next clear publishes the price that repeats.
 	m.quiet = len(m.bids) == 0 && m.mech.Settled(m.mechCapacity())
-	cleared := m.keepLines(m.mech.Clear(m.liveBidsLocked(), m.mechCapacity(), m.lines...))
+	cleared := m.keepLines(m.mech.Clear(m.bids, m.mechCapacity(), m.lines...))
 	at := 0
 	for i := range m.bids {
-		b := &m.bids[i]
-		l, _ := lineFor(cleared.Lines, &at, b.bidder) // no line: pay rate 0
-		b.payRate = l.PayRate
+		l, _ := lineFor(cleared.Lines, &at, m.bids[i].Bidder) // no line: pay rate 0
+		m.rest[i].payRate = l.PayRate
 	}
 	// A stateless mechanism would quote this book exactly as it just cleared
-	// it, so the clear's outcome is the share table. One that moved its state
-	// in the clear (posted-price) quotes anew at the first read.
-	if m.mech.Stateless() {
-		m.fillSharesLocked(cleared)
-	} else {
-		m.sharesOK = false
-	}
+	// it, so the clear's lines are the share table's. One that moved its
+	// state in the clear (posted-price) quotes anew at the first read.
+	m.quoted = m.mech.Stateless()
 	price := cleared.Price
 	m.price = price
 	// Observe only ever appends, so the elements below this length never

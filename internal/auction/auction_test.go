@@ -314,6 +314,23 @@ func TestRebidRefundsOldBudget(t *testing.T) {
 	}
 }
 
+// TestBoostOverflowRefused: a boost the budget cannot hold — the extra comes
+// from a caller, auctioneerd's boost route among them — is refused and leaves
+// the bid as it was, rather than wrapping its budget negative, which would
+// take it off the live book and drop it at the next clear without a refund.
+func TestBoostOverflowRefused(t *testing.T) {
+	m, start := newMarket(t)
+	if _, err := m.PlaceBid("u1", 10*bank.Credit, start.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Boost("u1", math.MaxInt64-5*bank.Credit); !errors.Is(err, ErrBadBid) {
+		t.Fatalf("overflowing boost: %v, want ErrBadBid", err)
+	}
+	if left, err := m.Remaining("u1"); err != nil || left != 10*bank.Credit {
+		t.Errorf("after the refused boost the bid has %v (%v), want %v", left, err, 10*bank.Credit)
+	}
+}
+
 func TestPriceExcluding(t *testing.T) {
 	m, start := newMarket(t)
 	deadline := start.Add(time.Hour)

@@ -2,6 +2,7 @@ package auction
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -103,7 +104,10 @@ func TestIdleTickMatchesReference(t *testing.T) {
 
 // FuzzBookOps feeds the twins arbitrary sequences of the book-op alphabet,
 // three bytes an operation, under every mechanism; the twins fail at the
-// first difference between the ordered book and the map-book reference.
+// first difference between the ordered book and the map-book reference, and
+// after any operation at which a bid on either book has no budget left or the
+// market's mechanism is handed anything but its book, which must be the map
+// book's live bids in bidder order.
 func FuzzBookOps(f *testing.F) {
 	f.Add([]byte{0, 3, 9, 0, 1, 200, 6, 0, 0, 2, 3, 50, 5, 0, 0, 6, 0, 0})                 // bid, bid, tick, boost, read, tick
 	f.Add([]byte{0, 5, 4, 0, 5, 77, 3, 5, 0, 6, 0, 0, 0, 7, 8, 4, 7, 1, 6, 0, 0, 6, 0, 0}) // dry bid, re-bid, cancel, park
@@ -121,6 +125,25 @@ func FuzzBookOps(f *testing.F) {
 			w.finish()
 		}
 	})
+}
+
+// TestBidRunDryLeavesTheBook: a budget that rounding runs dry before its
+// deadline — 3 µc over four intervals is charged 1 µc a clear — leaves the
+// book at the clear that drains it, without a refund, so the mechanism is
+// never handed a bid with no budget left. The book-op alphabet's bids run dry
+// only at their deadline, where they expire anyway.
+func TestBidRunDryLeavesTheBook(t *testing.T) {
+	w := newTwins(t, mechanism.Proportional, sim.Epoch)
+	w.place("u01", 3, 4)
+	w.place("u02", 40_000, 4)
+	for i := 0; i < 3; i++ {
+		w.tick()
+	}
+	if n := w.fast.Bidders(); n != 1 || w.exhausted != 1 {
+		t.Fatalf("after three clears the book holds %d bids and %d ticks ran a budget dry, want 1 and 1", n, w.exhausted)
+	}
+	w.tick()
+	w.finish()
 }
 
 // TestPostedPriceMovesOnIdleTicks pins the reason an empty book may not skip
@@ -219,5 +242,59 @@ func BenchmarkTickIdle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now = now.Add(DefaultInterval)
 		m.Tick(now)
+	}
+}
+
+// TestBookRetentionAllocationBound: what a busy market keeps between clears —
+// its book and the scratch its clears reuse — is at most maxPerMarket bytes
+// of heap, the market itself included. 2 000 markets each take 12 bids, from
+// bidders whose names are kept alive and so are not counted, and clear
+// twice. It read ≈ 3 565 B while the market kept a 72-byte bid record,
+// the mechanism's input projected from it and a share table beside the last
+// outcome's lines, each at its high-water mark.
+func TestBookRetentionAllocationBound(t *testing.T) {
+	const markets, bids, maxPerMarket = 2000, 12, 2400
+	hosts := make([]string, markets)
+	for i := range hosts {
+		hosts[i] = fmt.Sprintf("h%04d", i)
+	}
+	names := make([]BidderID, bids)
+	for i := range names {
+		names[i] = bidderName(byte(i))
+	}
+	ms := make([]*Market, markets)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range ms {
+		m, err := NewMarket(Config{HostID: hosts[i], CapacityMHz: 2800, Start: sim.Epoch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+		for j := range names {
+			// A different arrival order per market, so the book is built by
+			// inserts anywhere, not only appends.
+			who := names[(j*5+i)%bids]
+			if _, err := m.PlaceBid(who, bank.Amount(1+j)*bank.Credit, sim.Epoch.Add(time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Tick(sim.Epoch.Add(DefaultInterval))
+		m.Tick(sim.Epoch.Add(2 * DefaultInterval))
+		if n := m.Bidders(); n != bids {
+			t.Fatalf("market %d holds %d bids after two clears, want %d", i, n, bids)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ms)
+	runtime.KeepAlive(hosts)
+	runtime.KeepAlive(names)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / markets
+	if per > maxPerMarket {
+		t.Errorf("a market with %d bids keeps %.0f B of heap, want <= %d", bids, per, maxPerMarket)
+	} else {
+		t.Logf("a market with %d bids keeps %.0f B of heap", bids, per)
 	}
 }

@@ -209,10 +209,13 @@ type observed struct {
 }
 
 // twins drives a Market and the map-book reference through the same
-// operations and fails the test at the first observable difference.
+// operations and fails the test at the first observable difference. The
+// market's mechanism is wrapped in a bookSpy, and every operation ends with
+// checkBook and compare.
 type twins struct {
 	t    *testing.T
 	fast *Market
+	mech mechanism.Mechanism // the market's own, unwrapped
 	ref  *refMarket
 	now  time.Time
 
@@ -227,8 +230,80 @@ type twins struct {
 
 func newTwins(t *testing.T, mech string, start time.Time) *twins {
 	w := &twins{t: t, fast: newMarketWith(t, mech, start), ref: newRefMarket(t, mech, start), now: start}
+	w.mech = w.fast.mech
+	w.fast.mech = &bookSpy{Mechanism: w.mech, t: t, m: w.fast}
 	w.observe(1)
 	return w
+}
+
+// bookSpy is a market's mechanism that checks, at every quote and clear,
+// that it is handed the market's book itself — the first column, not a copy
+// or a projection of it — and that the book holds the invariant checkBook
+// checks. The market calls it under its lock.
+type bookSpy struct {
+	mechanism.Mechanism
+	t *testing.T
+	m *Market
+}
+
+func (s *bookSpy) Quote(bids []mechanism.Bid, c mechanism.Capacity, dst ...mechanism.Line) mechanism.Outcome {
+	s.check("Quote", bids)
+	return s.Mechanism.Quote(bids, c, dst...)
+}
+
+func (s *bookSpy) Clear(bids []mechanism.Bid, c mechanism.Capacity, dst ...mechanism.Line) mechanism.Outcome {
+	s.check("Clear", bids)
+	return s.Mechanism.Clear(bids, c, dst...)
+}
+
+func (s *bookSpy) check(op string, bids []mechanism.Bid) {
+	s.t.Helper()
+	if len(bids) != len(s.m.bids) || (len(bids) > 0 && &bids[0] != &s.m.bids[0]) {
+		s.t.Fatalf("%s was handed %d bids that are not the book's %d", op, len(bids), len(s.m.bids))
+	}
+	if err := bookRows(s.m.bids, s.m.rest); err != nil {
+		s.t.Fatalf("%s was handed a book that %v", op, err)
+	}
+}
+
+// bookRows reports how a book's two columns break the invariant the market
+// rests on, or nil: one row per bid in each, ascending by unique bidder,
+// every row with budget left.
+func bookRows(bids []mechanism.Bid, rest []bidRest) error {
+	if len(bids) != len(rest) {
+		return fmt.Errorf("has %d bids and %d rest rows", len(bids), len(rest))
+	}
+	for i := range bids {
+		if i > 0 && bids[i-1].Bidder >= bids[i].Bidder {
+			return fmt.Errorf("holds %q after %q", bids[i].Bidder, bids[i-1].Bidder)
+		}
+		if rest[i].remaining <= 0 {
+			return fmt.Errorf("holds %q with %v left", bids[i].Bidder, rest[i].remaining)
+		}
+	}
+	return nil
+}
+
+// checkBook holds both books to that invariant between operations: the
+// market's rows are ascending, unique and funded, every bid of the map book
+// has budget left, and the market's first column is exactly the map book's
+// live projection — what the reference hands its mechanism.
+func (w *twins) checkBook() {
+	w.t.Helper()
+	w.fast.mu.Lock()
+	bids, err := slices.Clone(w.fast.bids), bookRows(w.fast.bids, w.fast.rest)
+	w.fast.mu.Unlock()
+	if err != nil {
+		w.t.Fatalf("tick %d: the book %v", w.ticks, err)
+	}
+	for id, b := range w.ref.bids {
+		if b.remaining <= 0 {
+			w.t.Fatalf("tick %d: the reference holds %q with %v left", w.ticks, id, b.remaining)
+		}
+	}
+	if live := w.ref.live(); !slices.Equal(bids, live) {
+		w.t.Fatalf("tick %d: the book's bids %+v, the reference's live bids %+v", w.ticks, bids, live)
+	}
 }
 
 // observe subscribes an observer to both markets; sign tells its samples
@@ -312,6 +387,7 @@ func (w *twins) tick() {
 		w.exhaustedAndExpired++
 	}
 	w.ticks++
+	w.checkBook()
 	w.compare()
 }
 
@@ -351,7 +427,7 @@ func (w *twins) compare() {
 // to its next clear (the posted price) and the market clocks.
 func (w *twins) finish() {
 	w.t.Helper()
-	q1 := w.fast.mech.Quote(nil, w.fast.mechCapacity())
+	q1 := w.mech.Quote(nil, w.fast.mechCapacity())
 	q2 := w.ref.mech.Quote(nil, w.ref.cap())
 	if q1.Price != q2.Price {
 		w.t.Fatalf("mechanism state diverged: quotes %v, reference %v", q1.Price, q2.Price)
@@ -362,8 +438,9 @@ func (w *twins) finish() {
 }
 
 // bookOp applies one operation of the book-op alphabet, chosen by three
-// bytes: what to do, to whom (one of 12 bidders), and how much. It is the
-// alphabet both the busy-book schedule and FuzzBookOps draw from.
+// bytes: what to do, to whom (one of 12 bidders), and how much, and then
+// checks the books and compares every read. It is the alphabet both the
+// busy-book schedule and FuzzBookOps draw from.
 func (w *twins) bookOp(op, who, arg byte) {
 	w.t.Helper()
 	bidder := bidderName(who)
@@ -380,11 +457,14 @@ func (w *twins) bookOp(op, who, arg byte) {
 		w.cancel(bidder)
 	case 4:
 		w.setActive(bidder, arg%2 == 0)
-	case 5: // read between mutations: the share table must follow the book
+	case 5: // a read, with nothing changed since the last one
 		w.compare()
 	default:
 		w.tick()
+		return
 	}
+	w.checkBook()
+	w.compare()
 }
 
 // bidderName is the who-th of the alphabet's 12 bidders.

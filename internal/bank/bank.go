@@ -28,13 +28,42 @@ var (
 // AccountID names an account. Sub-accounts use "parent/child" ids.
 type AccountID string
 
-// Account is the bank's view of one account.
+// Account is the bank's view of one account, built from its record when asked
+// for (Lookup, CreateAccount).
 type Account struct {
 	ID      AccountID
 	Owner   ed25519.PublicKey // key authorized to move funds out
 	Parent  AccountID         // "" for top-level accounts
 	Balance Amount
+	// Created is UTC, in whole nanoseconds with no monotonic reading: the
+	// same value before and after a restart.
 	Created time.Time
+}
+
+// account is what the bank keeps of one account: 48 bytes. The owner key is
+// the creator's own 32 bytes, shared and not copied, as the exported view's
+// slice shares them; the parent is its record, nil for a top-level account;
+// the creation time is in Unix nanoseconds. Only the balance ever changes.
+type account struct {
+	id      AccountID
+	owner   *[ed25519.PublicKeySize]byte
+	parent  *account
+	balance Amount
+	created int64
+}
+
+// view is the Account a holds. Callers pass a copy taken under b.mu, or hold
+// it: the balance is read from a, the rest never changes.
+func (a *account) view() Account {
+	return Account{ID: a.id, Owner: a.owner[:], Parent: a.parentID(), Balance: a.balance, Created: instant(a.created)}
+}
+
+// parentID is the id of a's parent, "" for a top-level account.
+func (a *account) parentID() AccountID {
+	if a.parent == nil {
+		return ""
+	}
+	return a.parent.id
 }
 
 // EntryKind classifies ledger entries.
@@ -133,7 +162,7 @@ func appendAmount(p []byte, a Amount) []byte {
 // and the bank's key is fixed for its life, so signing the facts again gives
 // the bytes first issued (Bank.receipt).
 type issued struct {
-	from, to *Account
+	from, to *account
 	amount   Amount
 	at       int64 // Unix nanoseconds
 }
@@ -142,7 +171,7 @@ type issued struct {
 // (from is nil for a deposit) and its time in Unix nanoseconds. Its Seq is
 // its place in the ledger. History expands it into an Entry.
 type line struct {
-	from, to *Account
+	from, to *account
 	kind     EntryKind
 	amount   Amount
 	memo     string
@@ -156,7 +185,7 @@ type Bank struct {
 	mu        sync.Mutex
 	id        *pki.Identity
 	clock     sim.Clock
-	accounts  map[AccountID]*Account
+	accounts  map[AccountID]*account
 	receipts  map[string]issued // issued receipts by nonce: the spent nonces, and the idempotent replay
 	ledger    []line
 	seq       uint64 // Seq of the newest line; the oldest's is seq-len(ledger)+1
@@ -206,7 +235,7 @@ func New(id *pki.Identity, clock sim.Clock, opts ...Option) *Bank {
 	b := &Bank{
 		id:       id,
 		clock:    clock,
-		accounts: make(map[AccountID]*Account),
+		accounts: make(map[AccountID]*account),
 		receipts: make(map[string]issued),
 		tracer:   tracing.Default(),
 	}
@@ -221,7 +250,7 @@ func (b *Bank) PublicKey() ed25519.PublicKey { return b.id.Public() }
 
 // CreateAccount registers a new top-level account owned by owner.
 func (b *Bank) CreateAccount(id AccountID, owner ed25519.PublicKey) (*Account, error) {
-	return b.createAccount(id, owner, "")
+	return b.createAccount(id, owner, nil)
 }
 
 // CreateSubAccount registers child under parent, owned by owner (typically
@@ -229,15 +258,18 @@ func (b *Bank) CreateAccount(id AccountID, owner ed25519.PublicKey) (*Account, e
 // transfer token and funds host accounts from it.
 func (b *Bank) CreateSubAccount(parent AccountID, child string, owner ed25519.PublicKey) (*Account, error) {
 	b.mu.Lock()
-	_, ok := b.accounts[parent]
+	p, ok := b.accounts[parent]
 	b.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: parent %q", ErrNoAccount, parent)
 	}
-	return b.createAccount(AccountID(string(parent)+"/"+child), owner, parent)
+	return b.createAccount(AccountID(string(parent)+"/"+child), owner, p)
 }
 
-func (b *Bank) createAccount(id AccountID, owner ed25519.PublicKey, parent AccountID) (*Account, error) {
+// createAccount registers id under parent (nil for a top-level account).
+// Accounts are never removed, so a parent found before the lock was retaken
+// is still the bank's.
+func (b *Bank) createAccount(id AccountID, owner ed25519.PublicKey, parent *account) (*Account, error) {
 	if id == "" {
 		return nil, errors.New("bank: empty account id")
 	}
@@ -245,46 +277,56 @@ func (b *Bank) createAccount(id AccountID, owner ed25519.PublicKey, parent Accou
 		return nil, fmt.Errorf("bank: account %q: owner key has %d bytes, want %d",
 			id, len(owner), ed25519.PublicKeySize)
 	}
-	cp, wait, err := b.createAccountLocked(id, owner, parent)
+	rec, wait, err := b.createAccountLocked(id, (*[ed25519.PublicKeySize]byte)(owner), parent)
 	if err != nil {
 		return nil, err
 	}
 	if err := commitWait(wait); err != nil {
 		return nil, err
 	}
-	return &cp, nil
+	v := rec.view()
+	return &v, nil
 }
 
-func (b *Bank) createAccountLocked(id AccountID, owner ed25519.PublicKey, parent AccountID) (Account, func() error, error) {
+func (b *Bank) createAccountLocked(id AccountID, owner *[ed25519.PublicKeySize]byte, parent *account) (account, func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.accounts[id]; ok {
-		return Account{}, nil, fmt.Errorf("%w: %q", ErrDuplicateAccount, id)
+		return account{}, nil, fmt.Errorf("%w: %q", ErrDuplicateAccount, id)
 	}
-	a := &Account{ID: id, Owner: owner, Parent: parent, Created: b.clock.Now()}
+	a := &account{id: id, owner: owner, parent: parent, created: b.clock.Now().UnixNano()}
 	b.accounts[id] = a
 	mAccounts.Inc()
 	return *a, b.stage(func() []byte { return encCreateAccount(a) }), nil
 }
 
-// Lookup returns a copy of the account record.
+// Lookup returns the account's view as of now.
 func (b *Bank) Lookup(id AccountID) (Account, error) {
+	rec, ok := b.record(id)
+	if !ok {
+		return Account{}, fmt.Errorf("%w: %q", ErrNoAccount, id)
+	}
+	return rec.view(), nil
+}
+
+// record copies id's record under b.mu.
+func (b *Bank) record(id AccountID) (account, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	a, ok := b.accounts[id]
 	if !ok {
-		return Account{}, fmt.Errorf("%w: %q", ErrNoAccount, id)
+		return account{}, false
 	}
-	return *a, nil
+	return *a, true
 }
 
 // Balance returns the current balance of id.
 func (b *Bank) Balance(id AccountID) (Amount, error) {
-	a, err := b.Lookup(id)
-	if err != nil {
-		return 0, err
+	rec, ok := b.record(id)
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoAccount, id)
 	}
-	return a.Balance, nil
+	return rec.balance, nil
 }
 
 // Deposit credits amount to id out of thin air — the funding operation a
@@ -307,11 +349,11 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoAccount, id)
 	}
-	nb, err := addChecked(a.Balance, amount)
+	nb, err := addChecked(a.balance, amount)
 	if err != nil {
 		return nil, err
 	}
-	a.Balance = nb
+	a.balance = nb
 	b.minted += amount
 	at := b.clock.Now().UnixNano()
 	b.appendEntryAt(EntryDeposit, nil, a, amount, memo, at)
@@ -400,7 +442,7 @@ func (b *Bank) admit(req TransferRequest) (issued, ed25519.PublicKey, error) {
 		// debit and mint the amount; refused before the nonce is spent.
 		return issued{}, nil, fmt.Errorf("%w: %q", ErrSameAccount, req.From)
 	}
-	return issued{from: from, to: to, amount: req.Amount, at: b.clock.Now().UnixNano()}, from.Owner, nil
+	return issued{from: from, to: to, amount: req.Amount, at: b.clock.Now().UnixNano()}, from.owner[:], nil
 }
 
 // commit is a transfer's last step under b.mu, given the facts of its verified
@@ -420,16 +462,16 @@ func (b *Bank) commit(nonce string, t issued) (issued, func() error, error) {
 		}
 		return issued{}, nil, ErrNonceReused
 	}
-	if t.from.Balance < t.amount {
+	if t.from.balance < t.amount {
 		return issued{}, nil, fmt.Errorf("%w: %q has %v, needs %v",
-			ErrInsufficientFunds, t.from.ID, t.from.Balance, t.amount)
+			ErrInsufficientFunds, t.from.id, t.from.balance, t.amount)
 	}
-	nb, err := addChecked(t.to.Balance, t.amount)
+	nb, err := addChecked(t.to.balance, t.amount)
 	if err != nil {
 		return issued{}, nil, err
 	}
-	t.from.Balance -= t.amount
-	t.to.Balance = nb
+	t.from.balance -= t.amount
+	t.to.balance = nb
 	mTransfers.Inc()
 	b.receipts[nonce] = t
 	b.appendEntryAt(EntryTransfer, t.from, t.to, t.amount, "", t.at)
@@ -439,7 +481,7 @@ func (b *Bank) commit(nonce string, t issued) (issued, func() error, error) {
 // receipt is the bank-signed receipt of the transfer nonce names, built from
 // its facts; callers do not hold b.mu.
 func (b *Bank) receipt(nonce string, t issued) Receipt {
-	r := Receipt{TransferID: nonce, From: t.from.ID, To: t.to.ID, Amount: t.amount, At: instant(t.at)}
+	r := Receipt{TransferID: nonce, From: t.from.id, To: t.to.id, Amount: t.amount, At: instant(t.at)}
 	r.BankSig = b.id.Sign(r.SigningBytes())
 	return r
 }
@@ -519,18 +561,18 @@ func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func
 	if f == t {
 		return nil, fmt.Errorf("%w: %q", ErrSameAccount, mv.From)
 	}
-	if !f.Owner.Equal(owner) {
+	if !ed25519.PublicKey(f.owner[:]).Equal(owner) {
 		return nil, ErrBadAuthorization
 	}
-	if f.Balance < mv.Amount {
-		return nil, fmt.Errorf("%w: %q has %v, needs %v", ErrInsufficientFunds, mv.From, f.Balance, mv.Amount)
+	if f.balance < mv.Amount {
+		return nil, fmt.Errorf("%w: %q has %v, needs %v", ErrInsufficientFunds, mv.From, f.balance, mv.Amount)
 	}
-	nb, err := addChecked(t.Balance, mv.Amount)
+	nb, err := addChecked(t.balance, mv.Amount)
 	if err != nil {
 		return nil, err
 	}
-	f.Balance -= mv.Amount
-	t.Balance = nb
+	f.balance -= mv.Amount
+	t.balance = nb
 	at := b.clock.Now().UnixNano()
 	b.appendEntryAt(kind, f, t, mv.Amount, mv.Memo, at)
 	return b.stage(func() []byte { return encMove(kind, mv.From, mv.To, mv.Amount, mv.Memo, at) }), nil
@@ -544,7 +586,7 @@ func VerifyReceipt(bankKey ed25519.PublicKey, r Receipt) bool {
 // appendEntryAt records a ledger line stamped at (Unix nanoseconds); callers
 // hold b.mu. WAL replay passes the originally recorded time so recovered
 // ledgers match the pre-crash ones.
-func (b *Bank) appendEntryAt(kind EntryKind, from, to *Account, amount Amount, memo string, at int64) {
+func (b *Bank) appendEntryAt(kind EntryKind, from, to *account, amount Amount, memo string, at int64) {
 	b.seq++
 	b.ledger = append(b.ledger, line{from: from, to: to, kind: kind, amount: amount, memo: memo, at: at})
 	// Trim lazily at 2x the cap so the copy cost amortizes to O(1).
@@ -574,9 +616,9 @@ func (b *Bank) History(id AccountID) []Entry {
 
 // entry is the Entry l is, given its Seq.
 func (l *line) entry(seq uint64) Entry {
-	e := Entry{Seq: seq, Kind: l.kind, To: l.to.ID, Amount: l.amount, Memo: l.memo, At: instant(l.at)}
+	e := Entry{Seq: seq, Kind: l.kind, To: l.to.id, Amount: l.amount, Memo: l.memo, At: instant(l.at)}
 	if l.from != nil {
-		e.From = l.from.ID
+		e.From = l.from.id
 	}
 	return e
 }
@@ -593,7 +635,7 @@ func (b *Bank) TotalMoney() Amount {
 func (b *Bank) totalLocked() Amount {
 	var total Amount
 	for _, a := range b.accounts {
-		total += a.Balance
+		total += a.balance
 	}
 	return total
 }

@@ -488,3 +488,71 @@ func TestTransferRetentionAllocationBound(t *testing.T) {
 		t.Logf("the bank keeps %.0f B of heap per transfer", per)
 	}
 }
+
+// TestAccountRetentionAllocationBound: what an in-memory bank keeps of one
+// drained escrow account — its record and its slot in the account map, and
+// its share of a ledger retained at 8 192 lines — is at most maxPerEscrow
+// bytes of heap. Each escrow is created, funded from a user, charged to a
+// host and refunded, the round trip of one bid; the ids are built
+// beforehand and kept alive, so their strings are not counted. It read
+// ≈ 142 B while the bank kept each account as the exported Account: two
+// strings, a key slice header and a time.Time.
+func TestAccountRetentionAllocationBound(t *testing.T) {
+	const escrows, maxPerEscrow = 100_000, 100
+	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bankID, err := ca.IssueDeterministic("/CN=Bank", [32]byte{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := ca.IssueDeterministic("/O=Grid/CN=Operator", [32]byte{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(bankID, sim.NewEngine(), WithLedgerRetention(8192))
+	for _, id := range []AccountID{"user", "host"} {
+		if _, err := b.CreateAccount(id, op.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Deposit("user", MustCredits(1_000_000), "grant"); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]AccountID, escrows)
+	for i := range ids {
+		ids[i] = AccountID(fmt.Sprintf("bid-%06d", i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		if _, err := b.CreateAccount(id, op.Public()); err != nil {
+			t.Fatal(err)
+		}
+		for _, mv := range []struct {
+			from, to AccountID
+			amount   Amount
+			kind     EntryKind
+		}{
+			{"user", id, 2 * Credit, EntryTransfer},
+			{id, "host", Credit / 2, EntryCharge},
+			{id, "user", 2*Credit - Credit/2, EntryRefund},
+		} {
+			if err := b.MoveInternal(op, mv.from, mv.to, mv.amount, mv.kind, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ids)
+	runtime.KeepAlive(b)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / escrows
+	if per > maxPerEscrow {
+		t.Errorf("the bank keeps %.1f B of heap per drained escrow, want <= %d", per, maxPerEscrow)
+	} else {
+		t.Logf("the bank keeps %.1f B of heap per drained escrow", per)
+	}
+}

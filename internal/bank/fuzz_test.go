@@ -2,6 +2,7 @@ package bank
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"tycoongrid/internal/pki"
@@ -36,9 +37,13 @@ func FuzzParseAmount(f *testing.F) {
 
 // FuzzBankRecord feeds arbitrary bytes to WAL replay on a seeded two-account
 // bank: replay never panics, a record it rejects leaves the bank's snapshot
-// byte-identical, and the state after a record it accepts survives a snapshot
-// round trip into a fresh bank byte for byte. The seed corpus holds one record
-// of each kind and one each of retired kinds 3 and 5.
+// byte-identical, an account-creation record it accepts creates the account
+// it states (id, owner key, parent and time), and the state after a record
+// it accepts survives a snapshot round trip into a fresh bank byte for byte.
+// The seed corpus holds one record of each kind, one each of retired kinds 3
+// and 5, and three account creations recovery must refuse: an owner key of 5
+// bytes, a sub-account of a parent the bank does not hold, and one whose id
+// does not extend its parent's.
 func FuzzBankRecord(f *testing.F) {
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {
@@ -73,6 +78,14 @@ func FuzzBankRecord(f *testing.F) {
 				t.Fatalf("rejected record (%v) changed the bank", err)
 			}
 			return
+		}
+		if rec[0] == walCreateAccount {
+			d := walDec{b: rec[1:]}
+			want := Account{ID: AccountID(d.str()), Owner: d.bytes(), Parent: AccountID(d.str())}
+			want.Created = instant(d.i64())
+			if got, err := b.Lookup(want.ID); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("accepted account record made %+v (%v), want %+v", got, err, want)
+			}
 		}
 		fresh := New(id, sim.NewEngine())
 		fresh.mu.Lock()

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"tycoongrid/internal/durable"
@@ -128,10 +129,9 @@ func commitWait(wait func() error) error {
 
 type walEnc struct{ b []byte }
 
-func (e *walEnc) kind(k byte)      { e.b = append(e.b, k) }
-func (e *walEnc) u64(v uint64)     { e.b = binary.AppendUvarint(e.b, v) }
-func (e *walEnc) i64(v int64)      { e.b = binary.AppendVarint(e.b, v) }
-func (e *walEnc) time(t time.Time) { e.i64(t.UnixNano()) }
+func (e *walEnc) kind(k byte)  { e.b = append(e.b, k) }
+func (e *walEnc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *walEnc) i64(v int64)  { e.b = binary.AppendVarint(e.b, v) }
 func (e *walEnc) bytes(p []byte) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(p)))
 	e.b = append(e.b, p...)
@@ -188,8 +188,6 @@ func (d *walDec) i64() int64 {
 	return v
 }
 
-func (d *walDec) time() time.Time { return instant(d.i64()) }
-
 func (d *walDec) bytes() []byte {
 	n := d.u64()
 	if d.err != nil || uint64(len(d.b)) < n {
@@ -205,13 +203,13 @@ func (d *walDec) str() string { return string(d.bytes()) }
 
 // ---- per-operation record builders (callers hold b.mu) ----
 
-func encCreateAccount(a *Account) []byte {
+func encCreateAccount(a *account) []byte {
 	var e walEnc
 	e.kind(walCreateAccount)
-	e.str(string(a.ID))
-	e.bytes(a.Owner)
-	e.str(string(a.Parent))
-	e.time(a.Created)
+	e.str(string(a.id))
+	e.bytes(a.owner[:])
+	e.str(string(a.parentID()))
+	e.i64(a.created)
 	return e.b
 }
 
@@ -228,8 +226,8 @@ func encDeposit(id AccountID, amount Amount, memo string, at int64) []byte {
 func encTransfer(nonce string, t issued) []byte {
 	var e walEnc
 	e.kind(walTransfer)
-	e.str(string(t.from.ID))
-	e.str(string(t.to.ID))
+	e.str(string(t.from.id))
+	e.str(string(t.to.id))
 	e.i64(int64(t.amount))
 	e.str(nonce)
 	e.i64(t.at)
@@ -259,16 +257,20 @@ func (b *Bank) applyRecord(rec []byte) error {
 	switch kind {
 	case walCreateAccount:
 		id := AccountID(d.str())
-		owner := ed25519.PublicKey(d.bytes())
+		owner := d.bytes()
 		parent := AccountID(d.str())
-		created := d.time()
+		created := d.i64()
 		if d.err != nil {
 			return d.err
 		}
 		if _, ok := b.accounts[id]; ok {
 			return fmt.Errorf("bank: replayed duplicate account %q", id)
 		}
-		b.accounts[id] = &Account{ID: id, Owner: owner, Parent: parent, Created: created}
+		a, err := b.recoveredAccount(id, owner, parent, created)
+		if err != nil {
+			return err
+		}
+		b.accounts[id] = a
 
 	case walDeposit:
 		id := AccountID(d.str())
@@ -282,7 +284,7 @@ func (b *Bank) applyRecord(rec []byte) error {
 		if !ok {
 			return fmt.Errorf("bank: replayed deposit to missing account %q", id)
 		}
-		a.Balance += amount
+		a.balance += amount
 		b.appendEntryAt(EntryDeposit, nil, a, amount, memo, at)
 
 	case walTransfer:
@@ -302,8 +304,8 @@ func (b *Bank) applyRecord(rec []byte) error {
 		if !ok {
 			return fmt.Errorf("bank: replayed transfer to missing account %q", to)
 		}
-		f.Balance -= amount
-		t.Balance += amount
+		f.balance -= amount
+		t.balance += amount
 		b.receipts[nonce] = issued{from: f, to: t, amount: amount, at: at}
 		b.appendEntryAt(EntryTransfer, f, t, amount, "", at)
 
@@ -325,14 +327,36 @@ func (b *Bank) applyRecord(rec []byte) error {
 		if !ok {
 			return fmt.Errorf("bank: replayed move to missing account %q", to)
 		}
-		f.Balance -= amount
-		t.Balance += amount
+		f.balance -= amount
+		t.balance += amount
 		b.appendEntryAt(ekind, f, t, amount, memo, at)
 
 	default:
 		return fmt.Errorf("bank: unknown wal record kind %d", kind)
 	}
 	return d.err
+}
+
+// recoveredAccount is the record of an account read back from the log or a
+// snapshot; callers hold b.mu. An owner key that is not 32 bytes — one no
+// signature could ever move money out of — or a parent the bank does not
+// hold, or whose id the account's does not extend as CreateSubAccount's
+// would, fails recovery, naming the account.
+func (b *Bank) recoveredAccount(id AccountID, owner []byte, parent AccountID, created int64) (*account, error) {
+	if len(owner) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("bank: recovered account %q: owner key has %d bytes, want %d",
+			id, len(owner), ed25519.PublicKeySize)
+	}
+	a := &account{id: id, owner: (*[ed25519.PublicKeySize]byte)(owner), created: created}
+	if parent != "" {
+		if !strings.HasPrefix(string(id), string(parent)+"/") {
+			return nil, fmt.Errorf("bank: recovered account %q: not a sub-account id of parent %q", id, parent)
+		}
+		if a.parent = b.accounts[parent]; a.parent == nil {
+			return nil, fmt.Errorf("bank: recovered account %q: no parent %q", id, parent)
+		}
+	}
+	return a, nil
 }
 
 // ---- snapshot ----
@@ -353,10 +377,10 @@ func (b *Bank) encodeSnapshot() []byte {
 	for _, id := range ids {
 		a := b.accounts[AccountID(id)]
 		e.str(id)
-		e.bytes(a.Owner)
-		e.str(string(a.Parent))
-		e.i64(int64(a.Balance))
-		e.time(a.Created)
+		e.bytes(a.owner[:])
+		e.str(string(a.parentID()))
+		e.i64(int64(a.balance))
+		e.i64(a.created)
 	}
 
 	rids := make([]string, 0, len(b.receipts))
@@ -368,8 +392,8 @@ func (b *Bank) encodeSnapshot() []byte {
 	for _, id := range rids {
 		r := b.receipts[id]
 		e.str(id)
-		e.str(string(r.from.ID))
-		e.str(string(r.to.ID))
+		e.str(string(r.from.id))
+		e.str(string(r.to.id))
 		e.i64(int64(r.amount))
 		e.i64(r.at)
 	}
@@ -382,11 +406,11 @@ func (b *Bank) encodeSnapshot() []byte {
 	for _, l := range ledger {
 		var from AccountID
 		if l.from != nil {
-			from = l.from.ID
+			from = l.from.id
 		}
 		e.str(string(l.kind))
 		e.str(string(from))
-		e.str(string(l.to.ID))
+		e.str(string(l.to.id))
 		e.i64(int64(l.amount))
 		e.str(l.memo)
 		e.i64(l.at)
@@ -403,14 +427,24 @@ func (b *Bank) restoreSnapshot(payload []byte) error {
 	}
 	b.seq = d.u64()
 
+	// Ids are sorted, and a sub-account's id extends its parent's, so every
+	// parent is restored before its children.
 	n := d.u64()
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		id := AccountID(d.str())
-		owner := ed25519.PublicKey(d.bytes())
+		owner := d.bytes()
 		parent := AccountID(d.str())
 		balance := Amount(d.i64())
-		created := d.time()
-		b.accounts[id] = &Account{ID: id, Owner: owner, Parent: parent, Balance: balance, Created: created}
+		created := d.i64()
+		if d.err != nil {
+			break
+		}
+		a, err := b.recoveredAccount(id, owner, parent, created)
+		if err != nil {
+			return err
+		}
+		a.balance = balance
+		b.accounts[id] = a
 	}
 
 	n = d.u64()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -455,6 +457,70 @@ func TestRetiredFormatsFailRecovery(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesMalformedAccounts: an account-creation record or a
+// snapshot entry whose owner key is not 32 bytes — an account no signature
+// could move money out of — or whose parent the bank does not hold, or whose
+// id does not extend its parent's (so a snapshot, sorted by id, would list it
+// before its parent), makes AttachDurability fail, naming the account,
+// instead of coming up with an account that can never pay or a sub-account
+// that lost its parent.
+func TestRecoveryRefusesMalformedAccounts(t *testing.T) {
+	str := func(s string) []byte { return append(binary.AppendUvarint(nil, uint64(len(s))), s...) }
+	num := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	key := bytes.Repeat([]byte{7}, 32)
+	// An account as a create-account record carries it, and as a snapshot's
+	// account section does: the same fields with the balance before the time.
+	record := func(id string, owner []byte, parent string) []byte {
+		return bytes.Join([][]byte{{walCreateAccount}, str(id), str(string(owner)), str(parent), num(0)}, nil)
+	}
+	snapshot := func(id string, owner []byte, parent string) []byte {
+		// Version, seq 0, one account, then empty receipt and ledger sections.
+		return bytes.Join([][]byte{{snapshotVersion, 0, 1}, str(id), str(string(owner)), str(parent), num(0), num(0), {0, 0}}, nil)
+	}
+	for _, c := range []struct {
+		name      string
+		wal, snap []byte
+		want      string
+	}{
+		{name: "wal/short-key", wal: record("carol", key[:5], ""), want: `account "carol": owner key has 5 bytes`},
+		{name: "wal/missing-parent", wal: record("dave/job-1", key, "dave"), want: `account "dave/job-1": no parent "dave"`},
+		{name: "wal/not-under-parent", wal: record("0000", key, "alice"), want: `account "0000": not a sub-account id of parent "alice"`},
+		{name: "snapshot/short-key", snap: snapshot("carol", key[:31], ""), want: `account "carol": owner key has 31 bytes`},
+		{name: "snapshot/missing-parent", snap: snapshot("dave/job-1", key, "dave"), want: `account "dave/job-1": no parent "dave"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Recover(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if c.snap != nil {
+				err = st.Snapshot(c.snap)
+			} else {
+				err = st.Append(c.wal)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st, err = durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			_, err = New(nil, sim.WallClock{}).AttachDurability(st, 0)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("AttachDurability = %v, want an error containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 func nonceN(i int) string {
 	return string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
@@ -561,11 +627,11 @@ func TestStageEncodesOnlyWithAJournal(t *testing.T) {
 
 // TestRecoveredBankEqualsTheLiveOne: a durable bank on the wall clock that
 // made transfers, moves and deposits, closed and reopened, holds the same
-// history for every account and the same receipt for every nonce, compared
-// with reflect.DeepEqual, and answers a replayed request with the receipt
-// first issued, byte for byte. A time stamped live and the same time read
-// back from the log or a snapshot are one value: whole nanoseconds in UTC,
-// with no monotonic reading.
+// account (Lookup) and history for every account and the same receipt for
+// every nonce, compared with reflect.DeepEqual, and answers a replayed
+// request with the receipt first issued, byte for byte. A time stamped live
+// and the same time read back from the log or a snapshot are one value:
+// whole nanoseconds in UTC, with no monotonic reading.
 func TestRecoveredBankEqualsTheLiveOne(t *testing.T) {
 	for _, every := range []int{0, 7} { // the log alone; snapshots and a log tail
 		t.Run(fmt.Sprintf("snapshot-every=%d", every), func(t *testing.T) {
@@ -598,10 +664,14 @@ func TestRecoveredBankEqualsTheLiveOne(t *testing.T) {
 					}
 				}
 			}
-			books := func() (map[AccountID][]Entry, map[string]Receipt) {
-				histories, receipts := map[AccountID][]Entry{}, map[string]Receipt{}
+			books := func() (map[AccountID]Account, map[AccountID][]Entry, map[string]Receipt) {
+				accounts, histories, receipts := map[AccountID]Account{}, map[AccountID][]Entry{}, map[string]Receipt{}
 				for _, id := range f.bank.Accounts() {
-					histories[id] = f.bank.History(id)
+					a, err := f.bank.Lookup(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					accounts[id], histories[id] = a, f.bank.History(id)
 				}
 				f.bank.mu.Lock()
 				var nonces []string
@@ -612,9 +682,9 @@ func TestRecoveredBankEqualsTheLiveOne(t *testing.T) {
 				for _, nonce := range nonces {
 					receipts[nonce], _ = storedReceipt(f.bank, nonce)
 				}
-				return histories, receipts
+				return accounts, histories, receipts
 			}
-			liveHistories, liveReceipts := books()
+			liveAccounts, liveHistories, liveReceipts := books()
 			if len(liveReceipts) != 12 || len(liveHistories["alice/job"]) != 11 {
 				t.Fatalf("%d receipts and %d job entries before the restart", len(liveReceipts), len(liveHistories["alice/job"]))
 			}
@@ -622,7 +692,10 @@ func TestRecoveredBankEqualsTheLiveOne(t *testing.T) {
 
 			f.reopen(t, dir, every)
 			defer f.close(t)
-			gotHistories, gotReceipts := books()
+			gotAccounts, gotHistories, gotReceipts := books()
+			if !reflect.DeepEqual(gotAccounts, liveAccounts) {
+				t.Errorf("accounts after the restart:\n %+v\nbefore:\n %+v", gotAccounts, liveAccounts)
+			}
 			for id, want := range liveHistories {
 				if got := gotHistories[id]; !reflect.DeepEqual(got, want) {
 					t.Errorf("history of %s after the restart:\n %+v\nbefore:\n %+v", id, got, want)
@@ -639,5 +712,116 @@ func TestRecoveredBankEqualsTheLiveOne(t *testing.T) {
 				t.Errorf("replay after the restart answered\n %+v\nfirst issued\n %+v", again, original)
 			}
 		})
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/durable_format.golden from the current implementation")
+
+// TestDurableFormatGolden pins the bytes on disk: the WAL records and the
+// snapshot payload that a fixed script writes — two accounts and a
+// sub-account, deposits, a signed transfer, a single move and a batch — on a
+// simulated clock, hex-encoded one a line. A bank recovered from that log
+// writes the same snapshot again. A change to how the bank keeps its state
+// in memory must leave both byte-identical; regenerate only for an intended
+// format change (and a new record kind or snapshot version), with
+//
+//	go test ./internal/bank -run DurableFormatGolden -update-golden
+func TestDurableFormatGolden(t *testing.T) {
+	dir := t.TempDir()
+	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids [3]*pki.Identity
+	for i, dn := range []pki.DN{"/CN=Bank", "/O=Grid/CN=Alice", "/O=Grid/CN=Bob"} {
+		if ids[i], err = ca.IssueDeterministic(dn, [32]byte{byte(2 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bankID, alice, bob := ids[0], ids[1], ids[2]
+	open := func() (*Bank, *durable.Store, *sim.Engine) {
+		st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := sim.NewEngine()
+		b := New(bankID, clock)
+		if _, err := b.AttachDurability(st, 0); err != nil {
+			t.Fatal(err)
+		}
+		return b, st, clock
+	}
+	snapshot := func(b *Bank) []byte {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.encodeSnapshot()
+	}
+
+	b, st, clock := open()
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.RunFor(1500 * time.Millisecond)
+	}
+	_, err = b.CreateAccount("alice", alice.Public())
+	step(err)
+	_, err = b.CreateAccount("bob", bob.Public())
+	step(err)
+	_, err = b.CreateSubAccount("alice", "job-1", alice.Public())
+	step(err)
+	step(b.Deposit("alice", 40*Credit, "grant"))
+	step(b.Deposit("bob", 5*Credit+Credit/4, "grant"))
+	_, err = b.Transfer(signedTransfer(alice, "alice", "bob", 7*Credit, "golden-1"))
+	step(err)
+	step(b.MoveInternal(alice, "alice", "alice/job-1", 12*Credit, EntryTransfer, "fund job-1"))
+	step(b.MoveBatch(alice, []Move{
+		{From: "alice/job-1", To: "alice", Amount: 3 * Credit, Memo: "cpu 1"},
+		{From: "alice/job-1", To: "alice", Amount: Credit / 2, Memo: "cpu 2"},
+	}, EntryCharge))
+	step(b.MoveInternal(alice, "alice/job-1", "alice", 8*Credit+Credit/2, EntryRefund, "refund job-1"))
+	snap := snapshot(b)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var got strings.Builder
+	got.WriteString("# WAL records, then the snapshot payload, of TestDurableFormatGolden's script; hex.\n")
+	st, err = durable.Open(dir, durable.Options{Sync: durable.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(func([]byte) error { return errors.New("the script took a snapshot") }, func(rec []byte) error {
+		fmt.Fprintf(&got, "wal %x\n", rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&got, "snapshot %x\n", snap)
+
+	recovered, st, _ := open()
+	defer st.Close()
+	if again := snapshot(recovered); !bytes.Equal(again, snap) {
+		t.Errorf("the bank recovered from the log writes another snapshot:\n %x\nwant\n %x", again, snap)
+	}
+
+	const path = "testdata/durable_format.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("the script writes other bytes than %s:\n%s\nwant\n%s", path, got.String(), want)
 	}
 }
