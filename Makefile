@@ -327,9 +327,12 @@ telemetry-smoke:
 	$(GO) test -run '^TestTelemetrySmoke$$' -count=1 ./cmd/gridtop
 
 # End-to-end fault-tolerance run: the full market under 20%+ host churn,
-# race-checked. Deterministic — rerun a failure with the same seed.
+# race-checked, then the box's own churn tests (a separate command: the box
+# test binary has no -chaos.seed flag). Deterministic — rerun a failure with
+# the same seed.
 CHAOS_SEED ?= 1
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos -args -chaos.seed=$(CHAOS_SEED)
+	$(GO) test -race -count=1 -run 'Churn|EveryAxisComposes' ./internal/box
 
 check: vet lint race-check cover fuzz-short chaos trace-demo examples perf-gates recovery-smoke telemetry-smoke

@@ -17,8 +17,7 @@ import (
 
 // allowedUncalled is every exported name under internal/ that no non-test
 // Go file outside bench/ calls, with the class of reason it may stay: bench/
-// is its only caller (ROADMAP item 1(a) deletes the row), it is the churn
-// injector ROADMAP item 9 wires up (and deletes the row), it is a test
+// is its only caller (ROADMAP item 1(a) deletes the row), it is a test
 // double or fixture the tests of another package use, or it is the typed
 // client of a route a daemon serves.
 var allowedUncalled = []struct {
@@ -39,18 +38,13 @@ var allowedUncalled = []struct {
 	{"trace.NewRecorder", benchOnly},
 	{"trace.Recorder.Record", benchOnly},
 
-	{"chaos.NewInjector", churn},
-	{"chaos.Injector.Start", churn},
-	{"chaos.Injector.Stop", churn},
-	{"chaos.Injector.Failures", churn},
-	{"chaos.Injector.Recoveries", churn},
-
 	{"agent.Agent.Jobs", testDouble},     // experiment's and grid's tests
 	{"arc.Meta.Replicas", testDouble},    // box's tests
 	{"arc.Meta.Strategy", testDouble},    // box's tests
 	{"failpoint.SetCrash", testDouble},   // bank's WAL tests
 	{"failpoint.Disarm", testDouble},     // bank's WAL tests
 	{"fault.NewTransport", testDouble},   // httpapi's retry tests
+	{"grid.Cluster.Outages", testDouble}, // box's, chaos's and experiment's churn tests
 	{"mathx.AlmostEqual", testDouble},    // the numeric tests of eight other packages
 	{"matrix.FromRows", testDouble},      // portfolio's tests
 	{"tracing.Tracer.Reset", testDouble}, // httpapi's tracing tests
@@ -72,7 +66,6 @@ var allowedUncalled = []struct {
 
 const (
 	benchOnly  = "bench-only (ROADMAP item 1(a))"
-	churn      = "churn injector (ROADMAP item 9)"
 	testDouble = "test double or fixture used by tests of another package"
 	routeCall  = "typed client of a route a daemon serves"
 )
@@ -107,8 +100,8 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 			t.Errorf("%s has a row but also a caller; delete the row", r.name)
 		case r.reason == benchOnly && !benchUsed[obj]:
 			t.Errorf("%s has a bench-only row but bench/ does not reference it; delete it", r.name)
-		case r.reason != benchOnly && r.reason != churn && r.reason != testDouble && r.reason != routeCall:
-			t.Errorf("%s: reason %q is none of the four classes", r.name, r.reason)
+		case r.reason != benchOnly && r.reason != testDouble && r.reason != routeCall:
+			t.Errorf("%s: reason %q is none of the three classes", r.name, r.reason)
 		}
 	}
 	var missing []string

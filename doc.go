@@ -26,11 +26,11 @@
 // failure: internal/retry provides context-aware exponential backoff with
 // full jitter plus three-state circuit breakers (shared by every HTTP
 // client built on internal/httpapi), internal/fault provides a seeded chaos
-// http.RoundTripper and handler, and internal/chaos a deterministic seeded
-// injector of host crashes/recoveries. The scheduling agent resubmits killed
-// sub-jobs to surviving hosts and refunds unspent escrow on permanent
-// failure; internal/chaos runs the whole market under churn and checks that
-// no money is ever lost.
+// http.RoundTripper and handler, and a world's box.Config.Churn crashes and
+// recovers its hosts on a schedule drawn from its seed. The scheduling agent
+// resubmits killed sub-jobs to surviving hosts and refunds unspent escrow on
+// permanent failure; internal/chaos runs the whole market under churn and
+// checks that no money is ever lost.
 //
 // Start with README.md for the architecture overview, DESIGN.md for the
 // system inventory and experiment index, and EXPERIMENTS.md for the

@@ -1,5 +1,5 @@
 // Package box is the one place the grid market is assembled — PKI, bank,
-// cluster, best-response agent(s), ARC job manager(s) — into one
+// cluster, best-response agent(s), ARC job manager(s), host churn — into one
 // self-contained world ("grid market in a box"). cmd/gridmarketd serves it
 // over HTTP with the simulation engine driven along the wall clock;
 // internal/experiment runs the paper's scenarios on it; integration tests
@@ -67,6 +67,10 @@ type Config struct {
 	// Mechanism selects the host markets' clearing rule (see
 	// internal/mechanism); empty = proportional share.
 	Mechanism string
+	// Churn crashes and repairs every host from the start, on a schedule
+	// drawn from Seed; zero = hosts never fail. No daemon sets it: a
+	// daemon's failures are real ones.
+	Churn Churn
 	// StageInTime and StageOutTime model data transfer per staged file.
 	StageInTime  time.Duration
 	StageOutTime time.Duration
@@ -143,6 +147,9 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	if cfg.Users < 0 || cfg.GrantPerUser < 0 {
 		return nil, fmt.Errorf("box: bad users %d x %v", cfg.Users, cfg.GrantPerUser)
+	}
+	if err := cfg.Churn.check(); err != nil {
+		return nil, err
 	}
 	parts := cfg.Partitions
 	if parts < 1 {
@@ -222,6 +229,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	if err := b.Cluster.Start(); err != nil {
 		return nil, err
 	}
+	cfg.Churn.start(b.Cluster, cfg.Seed)
 	// One verifier for all partitions: replay protection must be global, or
 	// the same token could be redeemed once per partition agent.
 	verifier, err := token.NewVerifier(b.Bank.PublicKey(), b.CA.Certificate(), "broker", nil)

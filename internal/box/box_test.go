@@ -58,6 +58,9 @@ func TestNewValidation(t *testing.T) {
 		"unknown strategy, bad split":  func(c *Config) { c.Hosts, c.Partitions, c.Strategy = 7, 2, "no-such" },
 		"unknown strategy, even split": func(c *Config) { c.Partitions, c.Strategy = 2, "no-such" },
 		"hosts not divisible":          func(c *Config) { c.Hosts, c.Partitions = 7, 2 },
+		"churn without repairs":        func(c *Config) { c.Churn.MTTF = time.Hour },
+		"churn without failures":       func(c *Config) { c.Churn.MTTR = time.Minute },
+		"negative churn":               func(c *Config) { c.Churn = Churn{MTTF: -time.Hour, MTTR: -time.Minute} },
 	}
 	for name, mutate := range bad {
 		cfg := DefaultConfig()
@@ -329,13 +332,14 @@ func TestPartitionedBoxPicksThroughForecastHandles(t *testing.T) {
 
 // TestEveryAxisComposes builds a world no constructor could before there was
 // one: two partitions under predicted-mean, markets cleared by two shards at
-// a posted price. A job runs to FINISHED leaving its sub-account empty and
-// the money supply whole.
+// a posted price, every host crashing and coming back. A job runs to a
+// terminal state leaving its sub-account empty and the money supply whole.
 func TestEveryAxisComposes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed, cfg.Users, cfg.GrantPerUser = 21, 1, 500*bank.Credit
 	cfg.Partitions, cfg.Strategy, cfg.Horizon = 2, strategy.PredictedMean, 10*time.Minute
 	cfg.Shards, cfg.Mechanism = 2, mechanism.PostedPrice
+	cfg.Churn = Churn{MTTF: time.Hour, MTTR: 10 * time.Minute}
 	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -362,12 +366,18 @@ func TestEveryAxisComposes(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Engine.RunFor(3 * time.Hour)
-	if gj.State != arc.StateFinished {
-		t.Fatalf("job state = %v (%s)", gj.State, gj.Error)
+	if failures, _ := b.Cluster.Outages(); failures == 0 {
+		t.Error("no host failed in three and a half hours of churn")
 	}
-	if gj.AgentJob.Charged <= 0 {
+	switch {
+	case gj.State != arc.StateFinished && gj.State != arc.StateFailed:
+		t.Fatalf("job state = %v past its deadline", gj.State)
+	case gj.AgentJob == nil:
+		t.Fatalf("job %s never reached the agent (%s)", gj.State, gj.Error)
+	case gj.State == arc.StateFinished && gj.AgentJob.Charged <= 0:
 		t.Error("the finished job was charged nothing")
 	}
+	t.Logf("job %s %q, charged %v", gj.State, gj.Error, gj.AgentJob.Charged)
 	if bal, err := b.Bank.Balance(gj.AgentJob.SubAccount); err != nil || bal != 0 {
 		t.Errorf("sub-account %s holds %v (%v), want 0", gj.AgentJob.SubAccount, bal, err)
 	}

@@ -13,7 +13,7 @@ import (
 	"tycoongrid/internal/token"
 )
 
-var chaosSeed = flag.Int64("chaos.seed", 1, "seed for the chaos fault injector")
+var chaosSeed = flag.Int64("chaos.seed", 1, "seed of the chaos world, and so of its churn schedule")
 
 const (
 	chaosHosts  = 10
@@ -23,35 +23,24 @@ const (
 )
 
 // world is the full grid-market stack, as the daemon and the experiments
-// assemble it, plus the chaos injector.
-type world struct {
-	*box.Box
-	injector *Injector
-}
+// assemble it, with every host churning from the start.
+type world struct{ *box.Box }
 
 func newWorld(t *testing.T, seed int64, shards int) *world {
 	t.Helper()
-	b, err := box.New(box.Config{
-		Hosts: chaosHosts, CPUsPerHost: 2, CPUMHz: 2800, Shards: shards,
-		Seed: 1, Users: 1, GrantPerUser: initialBank,
-		ClusterName: "chaos-grid", StageInTime: 30 * time.Second, StageOutTime: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// MTTF 20 min across 10 hosts over a 6 h run: each host fails many
 	// times, far past the 20% churn floor the test asserts, and enough
 	// that some jobs lose every funded host and exercise the refund path.
-	inj, err := NewInjector(b.Cluster, InjectorConfig{
-		Seed:  seed,
-		MTTF:  20 * time.Minute,
-		MTTR:  10 * time.Minute,
-		Hosts: b.Cluster.HostIDs(),
+	b, err := box.New(box.Config{
+		Hosts: chaosHosts, CPUsPerHost: 2, CPUMHz: 2800, Shards: shards,
+		Seed: seed, Users: 1, GrantPerUser: initialBank,
+		ClusterName: "chaos-grid", StageInTime: 30 * time.Second, StageOutTime: 30 * time.Second,
+		Churn: box.Churn{MTTF: 20 * time.Minute, MTTR: 10 * time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{Box: b, injector: inj}
+	return &world{b}
 }
 
 // xrslJob mints a fresh transfer token and wraps it in a paper-shaped xRSL
@@ -91,9 +80,6 @@ func TestMarketSurvivesHostChurn(t *testing.T) {
 // and charge, the final balances — for comparison across shard counts.
 func surviveHostChurn(t *testing.T, shards int) string {
 	w := newWorld(t, *chaosSeed, shards)
-	if err := w.injector.Start(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Eight staggered jobs, 3-hour deadlines: under churn some finish, some
 	// fail over to surviving hosts, some die at the deadline. All must end.
@@ -106,19 +92,18 @@ func surviveHostChurn(t *testing.T, shards int) string {
 		jobs = append(jobs, gj)
 		w.Engine.RunFor(10 * time.Minute)
 	}
-	w.Engine.RunFor(6 * time.Hour)
-	w.injector.Stop()
-	w.Engine.RunFor(30 * time.Minute) // drain recoveries, stage-outs, pump ticks
+	w.Engine.RunFor(6 * time.Hour) // every job is past its deadline
+	failures, recoveries := w.Cluster.Outages()
+	w.Engine.RunFor(30 * time.Minute) // drain stage-outs, pump ticks
 
 	// Churn floor: at least 20% of hosts actually failed during the run.
 	minFailures := chaosHosts / 5
-	if got := w.injector.Failures(); got < minFailures {
-		t.Fatalf("injector produced %d host failures, want >= %d (20%% of %d hosts)",
-			got, minFailures, chaosHosts)
+	if failures < minFailures {
+		t.Fatalf("churn produced %d host failures, want >= %d (20%% of %d hosts)",
+			failures, minFailures, chaosHosts)
 	}
 	var outcome strings.Builder
-	fmt.Fprintf(&outcome, "churn: %d failures, %d recoveries over the run\n",
-		w.injector.Failures(), w.injector.Recoveries())
+	fmt.Fprintf(&outcome, "churn: %d failures, %d recoveries over the run\n", failures, recoveries)
 
 	// Invariant 1: every job reached a terminal state.
 	var finished, failed int
@@ -194,15 +179,11 @@ func surviveHostChurn(t *testing.T, shards int) string {
 func TestChurnIsDeterministic(t *testing.T) {
 	run := func() (string, bank.Amount) {
 		w := newWorld(t, *chaosSeed, 1)
-		if err := w.injector.Start(); err != nil {
-			t.Fatal(err)
-		}
 		gj, err := w.Manager.Submit(w.xrslJob(t, jobBudget, 3, 20, 120), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.Engine.RunFor(4 * time.Hour)
-		w.injector.Stop()
 		var ch bank.Amount
 		if gj.AgentJob != nil {
 			ch = gj.AgentJob.Charged

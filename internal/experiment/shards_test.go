@@ -9,7 +9,7 @@ import (
 
 	"tycoongrid/internal/agent"
 	"tycoongrid/internal/bank"
-	"tycoongrid/internal/chaos"
+	"tycoongrid/internal/box"
 	"tycoongrid/internal/mechanism"
 )
 
@@ -49,7 +49,8 @@ func TestLoadScenarioSettlesChargesBeforeCallbacks(t *testing.T) {
 // of random bag-of-tasks jobs for five hours, every deadline passed by the
 // ninth — and returns everything the market computed as text: each host's
 // full price series (float bits) and each job's state, charge and duration.
-// With churn, a seeded injector crashes and recovers hosts throughout.
+// With churn, every host crashes and recovers throughout, on the world's
+// seeded schedule.
 func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 	t.Helper()
 	cfg := PaperWorld()
@@ -60,6 +61,9 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 	cfg.Tracer = quietTracer()
 	cfg.Mechanism = mech
 	cfg.Shards = shards
+	if churn {
+		cfg.Churn = box.Churn{MTTF: 90 * time.Minute, MTTR: 10 * time.Minute}
+	}
 	w, err := NewWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,19 +72,6 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 	if err := w.holdRun(10 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	var inj *chaos.Injector
-	if churn {
-		inj, err = chaos.NewInjector(w.Cluster, chaos.InjectorConfig{
-			Seed: 5, MTTF: 90 * time.Minute, MTTR: 10 * time.Minute,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inj.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	src := w.Src.Split()
 	var arrive func()
 	arrive = func() {
@@ -102,7 +93,7 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 	}
 	w.Engine.RunFor(9 * time.Hour)
 
-	if churn && inj.Failures() == 0 {
+	if failures, _ := w.Cluster.Outages(); churn && failures == 0 {
 		t.Error("the churn schedule failed no host")
 	}
 	if got, want := w.Bank.TotalMoney(), bank.Amount(cfg.Users)*cfg.GrantPerUser; got != want {

@@ -10,8 +10,8 @@ import "tycoongrid/internal/rng"
 
 // Points is a seeded fail-point decider: a deterministic stream of
 // crash/no-crash decisions, one per armed crash point, consulted at every
-// Maybe of that point — so a crash schedule replays from its seed. The
-// chaos.Injector kills hosts from the outside; armed points kill a process
+// Maybe of that point — so a crash schedule replays from its seed. A world's
+// box.Config.Churn kills hosts from the outside; armed points kill a process
 // from the inside, mid-step.
 //
 // Points is not safe for concurrent use; the registry consults each one

@@ -3,7 +3,7 @@
 // clients' requests with transport errors, 5xx responses and latency, and its
 // server-side twin (Handler) that delays or fails a daemon's own request
 // handling. Both are seeded explicitly so every chaos run is replayable
-// bit-for-bit. Host churn in the simulated grid is chaos.Injector's.
+// bit-for-bit. Host churn in the simulated grid is box.Config.Churn's.
 package fault
 
 import (

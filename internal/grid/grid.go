@@ -129,6 +129,10 @@ type Cluster struct {
 	isDown   func(i int) bool   // list[i].down, the plane's skip predicate
 	down     int                // hosts currently failed
 
+	// failures and recoveries count the FailHost and RecoverHost calls that
+	// took effect, for Outages.
+	failures, recoveries int
+
 	// busy holds the list indices of the hosts a tick has to advance or reap
 	// — those with a task, or with a VM while purging is on — ascending.
 	// started are the hosts that became busy since; they join at the next
@@ -470,6 +474,7 @@ func (c *Cluster) FailHost(hostID string) (HostFailure, error) {
 	h.tasks = nil
 	h.VMs.PurgeAll()
 	f.Bids = h.Market.CancelAll()
+	c.failures++
 	mHostFailures.Inc()
 	mTasksKilled.Add(uint64(len(f.Tasks)))
 	if c.OnHostFailure != nil {
@@ -498,9 +503,14 @@ func (c *Cluster) RecoverHost(hostID string) error {
 	// through the plane, like every other.
 	h.Market.Tick(c.engine.Now())
 	auction.CountClears(1)
+	c.recoveries++
 	mHostRecoveries.Inc()
 	return nil
 }
+
+// Outages returns how many times this cluster's hosts have failed and
+// recovered: its share of host_failures_total and host_recoveries_total.
+func (c *Cluster) Outages() (failures, recoveries int) { return c.failures, c.recoveries }
 
 // advanceTasks applies one interval of CPU progress to a host's tasks.
 func (c *Cluster) advanceTasks(h *Host, now time.Time) {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -26,10 +27,14 @@ var (
 		"HTTP request latency.", nil, "service", "route")
 )
 
-// statusRecorder captures the status code a handler writes.
+// statusRecorder is one request's state as ObservedMux serves it: the status
+// code its handler writes, its route label and, when app serves it, its
+// server span.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	route  string
+	span   *tracing.Span
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -56,35 +61,60 @@ func routeLabel(path string) string {
 	return "/" + path
 }
 
-// Instrument wraps next so every request is recorded in the default
-// registry: request count by route/method/code, error count, in-flight
-// gauge and a latency histogram. When the request runs inside a recording
-// server span (Traced, wrapped around Instrument), the latency lands in its
-// bucket with the span's trace id as the bucket's exemplar; nothing is read
-// from the tracer's scope stack, which concurrent handlers do not push.
-func Instrument(service string, next http.Handler) http.Handler {
-	inFlight := mInFlight.With(service)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := routeLabel(r.URL.Path)
-		inFlight.Inc()
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		elapsed := time.Since(start).Seconds()
-		inFlight.Dec()
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		mRequests.With(service, route, r.Method, strconv3(rec.status)).Inc()
-		if span := tracing.SpanFromContext(r.Context()); span.Recording() {
-			mDuration.With(service, route).ObserveExemplar(elapsed, span.Context().TraceID.String())
+// observed is ObservedMux's request wrapper. Every request is recorded in the
+// default registry: request count by route/method/code, error count, in-flight
+// gauge and a latency histogram. A request the mux hands to app also runs
+// inside a server span (serveApp), which ServeHTTP ends with the status; when
+// that span records, the latency lands in its bucket with the span's trace id
+// as the bucket's exemplar.
+type observed struct {
+	service  string
+	mux      *http.ServeMux
+	app      http.Handler
+	inFlight *metrics.Gauge
+}
+
+func (o *observed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := &statusRecorder{ResponseWriter: w, route: routeLabel(r.URL.Path)}
+	o.inFlight.Inc()
+	start := time.Now()
+	o.mux.ServeHTTP(rec, r)
+	elapsed := time.Since(start).Seconds()
+	o.inFlight.Dec()
+	if rec.status == 0 {
+		rec.status = http.StatusOK
+	}
+	code := strconv3(rec.status)
+	mRequests.With(o.service, rec.route, r.Method, code).Inc()
+	if span := rec.span; span.Recording() {
+		span.SetAttr(tracing.String("status", code))
+		if rec.status >= 500 {
+			span.EndErr(fmt.Errorf("status %d", rec.status))
 		} else {
-			mDuration.With(service, route).Observe(elapsed)
+			span.End()
 		}
-		if rec.status >= 400 {
-			mErrors.With(service, route).Inc()
-		}
-	})
+		mDuration.With(o.service, rec.route).ObserveExemplar(elapsed, span.Context().TraceID.String())
+	} else {
+		mDuration.With(o.service, rec.route).Observe(elapsed)
+	}
+	if rec.status >= 400 {
+		mErrors.With(o.service, rec.route).Inc()
+	}
+}
+
+// serveApp runs app inside a server span. An incoming W3C traceparent header
+// joins the caller's trace (each retry attempt arrives with its own parent
+// span id); without one the request starts a new trace. It is the mux's
+// catch-all route, so the daemon's own routes — scrapes, probes, debug
+// endpoints, WithHandler's — stay untraced and cannot push the application's
+// traces out of the ring.
+func (o *observed) serveApp(w http.ResponseWriter, r *http.Request) {
+	rec := w.(*statusRecorder) // the mux hands on ServeHTTP's recorder
+	sc, _ := tracing.ParseTraceparent(r.Header.Get(tracing.TraceparentHeader))
+	rec.span = tracing.Default().StartRemote(sc, "http.server "+r.Method+" "+rec.route,
+		tracing.String("service", o.service),
+		tracing.String("path", r.URL.Path))
+	o.app.ServeHTTP(rec, r.WithContext(tracing.ContextWithSpan(r.Context(), rec.span)))
 }
 
 // strconv3 formats the three-digit HTTP statuses without an allocation-happy
@@ -156,8 +186,8 @@ func WithPprof() MuxOption {
 // optionally /debug/pprof/, and every other path delegated to app. The
 // whole mux is instrumented, scrapes and health probes included, so a
 // freshly booted daemon exposes http_requests_total from its first scrape
-// on; application routes additionally run inside a server span (Traced),
-// which is outermost so the latency histogram can name the span's trace.
+// on; exactly the requests delegated to app additionally run inside a server
+// span, which the latency histogram names as its exemplar.
 func ObservedMux(service string, app http.Handler, opts ...MuxOption) http.Handler {
 	var cfg muxConfig
 	for _, o := range opts {
@@ -183,6 +213,7 @@ func ObservedMux(service string, app http.Handler, opts ...MuxOption) http.Handl
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	mux.Handle("/", app)
-	return Traced(service, Instrument(service, mux))
+	o := &observed{service: service, mux: mux, app: app, inFlight: mInFlight.With(service)}
+	mux.HandleFunc("/", o.serveApp)
+	return o
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ import (
 	"tycoongrid/internal/tracing"
 )
 
-func TestInstrumentRecordsRequests(t *testing.T) {
+func TestObservedMuxRecordsRequests(t *testing.T) {
 	app := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/boom" {
 			WriteError(w, http.StatusBadRequest, http.ErrBodyNotAllowed)
@@ -189,8 +191,8 @@ func getWithTraceparent(t *testing.T, url, traceparent string) {
 
 // TestRequestLatencyExemplarOnlyWhenRecording checks the other side of the
 // request exemplar: a request whose server span does not record — sampled
-// out locally, continuing a caller's unsampled trace, or on a probe route
-// Traced does not wrap — is counted in the latency histogram with no
+// out locally, continuing a caller's unsampled trace, or on a probe route the
+// mux does not hand to app — is counted in the latency histogram with no
 // exemplar, so a bucket never names a trace /debug/traces cannot resolve.
 func TestRequestLatencyExemplarOnlyWhenRecording(t *testing.T) {
 	tr := tracing.Default()
@@ -320,5 +322,80 @@ func TestReadJSONRejectsOversizedBody(t *testing.T) {
 	}
 	if got := ReadStatus(nil); got != http.StatusBadRequest {
 		t.Fatalf("ReadStatus(nil-ish) = %d, want 400 default", got)
+	}
+}
+
+// allocSink keeps the httptest fixture on the heap in both of
+// TestObservedMuxAllocationBound's counts.
+var allocSink struct {
+	w http.ResponseWriter
+	r *http.Request
+}
+
+// TestObservedMuxAllocationBound counts what ObservedMux adds to one request
+// for a no-op app at sample ratio 0, above the allocations of the httptest
+// request and recorder it is served with. With go1.24 on linux/amd64 it read
+// 18 when two wrappers each made a status recorder, a route label and a
+// status string and the traceparent header name was canonicalized per
+// request; the one wrapper adds 14.
+func TestObservedMuxAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are counted without -race")
+	}
+	const bound = 14
+	tr := tracing.Default()
+	defer tr.SetSampleRatio(tr.SampleRatio())
+	tr.SetSampleRatio(0)
+	h := ObservedMux("allocsvc", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	fixture := testing.AllocsPerRun(200, func() {
+		allocSink.w = httptest.NewRecorder()
+		allocSink.r = httptest.NewRequest(http.MethodGet, "/accounts/alice", nil)
+	})
+	served := testing.AllocsPerRun(200, func() {
+		allocSink.w = httptest.NewRecorder()
+		allocSink.r = httptest.NewRequest(http.MethodGet, "/accounts/alice", nil)
+		h.ServeHTTP(allocSink.w, allocSink.r)
+	})
+	if got := served - fixture; got > bound {
+		t.Errorf("ObservedMux adds %.0f allocations to a request (%.0f served, %.0f fixture), want <= %d",
+			got, served, fixture, bound)
+	}
+	t.Logf("ObservedMux adds %.0f allocations (%.0f served, %.0f fixture)", served-fixture, served, fixture)
+}
+
+// TestObservedMuxTracesOnlyTheApp: at sample ratio 1, the daemon's own routes
+// — scrapes, probes, debug endpoints and the routes WithHandler mounts, such
+// as the telemetry plane's /metrics/history and /slo — record no trace, so an
+// aggregator's polls cannot push the application's traces out of the ring.
+// Every request the mux hands to app records one.
+func TestObservedMuxTracesOnlyTheApp(t *testing.T) {
+	tr := tracing.Default()
+	defer tr.SetSampleRatio(tr.SampleRatio())
+	tr.SetSampleRatio(1)
+	tr.Reset()
+	defer tr.Reset()
+	noop := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	h := ObservedMux("scrapedsvc", noop,
+		WithHandler("GET /metrics/history", noop), WithHandler("GET /slo", noop), WithPprof())
+	get := func(method, path string) {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, nil))
+	}
+	for _, path := range []string{"/metrics", "/metrics/history", "/slo", "/healthz", "/healthz/ready",
+		"/debug/traces", "/debug/pprof/cmdline"} {
+		get(http.MethodGet, path)
+		if sums := tr.Summaries(); len(sums) != 0 {
+			t.Errorf("GET %s recorded the trace %q", path, sums[0].Root)
+			tr.Reset()
+		}
+	}
+	get(http.MethodGet, "/accounts/alice")
+	get(http.MethodPost, "/metrics") // not the scrape route: app serves it
+	var roots []string
+	for _, s := range tr.Summaries() {
+		roots = append(roots, s.Root)
+	}
+	sort.Strings(roots)
+	if want := "[http.server GET /accounts http.server POST /metrics]"; fmt.Sprint(roots) != want {
+		t.Errorf("app requests recorded %v, want %s", roots, want)
 	}
 }

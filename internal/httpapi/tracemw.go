@@ -3,41 +3,10 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"tycoongrid/internal/tracing"
 )
-
-// Traced wraps next so every application request runs inside a server span.
-// An incoming W3C traceparent header joins the caller's trace (each retry
-// attempt arrives with its own parent span id); without one the request
-// starts a new trace. Scrapes, health probes and debug endpoints are left
-// untraced — they would drown the ring in noise.
-func Traced(service string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		p := r.URL.Path
-		if p == "/metrics" || strings.HasPrefix(p, "/healthz") || strings.HasPrefix(p, "/debug/") {
-			next.ServeHTTP(w, r)
-			return
-		}
-		sc, _ := tracing.ParseTraceparent(r.Header.Get(tracing.TraceparentHeader))
-		span := tracing.Default().StartRemote(sc, "http.server "+r.Method+" "+routeLabel(p),
-			tracing.String("service", service),
-			tracing.String("path", p))
-		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r.WithContext(tracing.ContextWithSpan(r.Context(), span)))
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		span.SetAttr(tracing.String("status", strconv3(rec.status)))
-		if rec.status >= 500 {
-			span.EndErr(fmt.Errorf("status %d", rec.status))
-		} else {
-			span.End()
-		}
-	})
-}
 
 // SpanWire is the JSON form of one span on /debug/traces/{id}.
 type SpanWire struct {

@@ -15,7 +15,6 @@ import (
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/metrics"
-	keyshard "tycoongrid/internal/shard"
 	"tycoongrid/internal/sim"
 )
 
@@ -157,7 +156,7 @@ func New(cfg Config) (*Plane, error) {
 		if _, dup := p.byHost[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadPlaneConfig, id)
 		}
-		s := p.shards[keyshard.Of(id, n)]
+		s := p.shards[shardOf(id, n)]
 		local := len(s.markets)
 		s.markets = append(s.markets, m)
 		s.globals = append(s.globals, g)
@@ -428,4 +427,28 @@ func (l *tickLog) since(from int, buf []tickRun) []tickRun {
 		buf = append(buf, r)
 	}
 	return buf
+}
+
+// FNV-1a 64-bit, inlined so the per-key hash is allocation-free (the stdlib
+// hash.Hash interface forces a heap-allocated state object per use).
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// shardOf maps a key (a host id, an account id) to one of n shards by FNV-1a
+// hash. The plane's auctioneer shards and ShardedBank.ShardFor hash with it,
+// so they agree on one hash. The assignment depends only on the key and n,
+// never on insertion order, so adding hosts or accounts does not migrate
+// existing ones between shards within a run.
+func shardOf(key string, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := fnvOffset64
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	return int(h % uint64(n))
 }

@@ -3,7 +3,6 @@ package marketplane
 import (
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/pki"
-	keyshard "tycoongrid/internal/shard"
 	"tycoongrid/internal/sim"
 )
 
@@ -23,7 +22,7 @@ func NewShardedBank(id *pki.Identity, clock sim.Clock, n int, bankOpts []bank.Op
 }
 
 // ShardFor returns the shard index an account id hashes to.
-func (sb *ShardedBank) ShardFor(id bank.AccountID) int { return keyshard.Of(string(id), sb.n) }
+func (sb *ShardedBank) ShardFor(id bank.AccountID) int { return shardOf(string(id), sb.n) }
 
 // MoveInternal is bank.Bank's, counting a move that succeeded as local or
 // cross-shard by where its two ends hash.

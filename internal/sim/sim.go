@@ -141,18 +141,11 @@ func (e *Engine) Steps() uint64 { return e.steps }
 
 // Handle identifies a scheduled event so it can be cancelled. The handle
 // remembers the event's generation, so one that outlives its event (which
-// may have been recycled for a new schedule) cancels nothing.
+// may have been recycled for a new schedule) cancels nothing. Only tests
+// cancel events (Handle.Cancel is in sim_test.go).
 type Handle struct {
 	ev  *event
 	gen uint64
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.off = true
-	}
 }
 
 // ErrPastEvent is returned when scheduling before the current virtual time.

@@ -197,6 +197,14 @@ func TestWallClock(t *testing.T) {
 	}
 }
 
+// Cancel prevents the event from firing. Cancelling an already-fired or
+// already-cancelled event is a no-op.
+func (h Handle) Cancel() {
+	if h.ev != nil && h.ev.gen == h.gen {
+		h.ev.off = true
+	}
+}
+
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
 	t.stopped = true

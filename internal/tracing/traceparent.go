@@ -3,8 +3,10 @@ package tracing
 import "strings"
 
 // TraceparentHeader is the W3C Trace Context header name carrying a span's
-// identity between daemons.
-const TraceparentHeader = "traceparent"
+// identity between daemons, in Go's canonical form: header names are
+// case-insensitive on the wire, and http.Header.Get canonicalizes a lower-case
+// name into a fresh string on every request.
+const TraceparentHeader = "Traceparent"
 
 // traceparent wire constants (W3C Trace Context, version 00):
 // "00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>".
