@@ -18,7 +18,7 @@ test:
 # replication runner driving whole simulated worlds concurrently
 # (internal/experiment/replicate.go) and the sharded market plane fanning
 # bid application and batch clears across shard goroutines
-# (internal/marketplane, internal/sim FanOut), plus the bank's group-committed
+# (internal/marketplane fanOut), plus the bank's group-committed
 # log under concurrent writers (internal/bank, internal/durable), this covers
 # every concurrent path end to end.
 race:
@@ -260,7 +260,9 @@ simplicity-ledger:
 # on each took 2.0 objects and 183 B (TestNewAllocationBound); a proportional clear
 # into a reused line buffer allocates nothing
 # (TestProportionalReusedDstAllocatesNothing); and an identity's public key
-# is handed out, not copied (TestPublicAllocatesNothing). One gate times instead of counting,
+# is handed out, not copied (TestPublicAllocatesNothing); and the simulation
+# engine's periodic tick plus a one-shot event allocate nothing, where the
+# stoppable ticker built a closure a tick (TestEveryAllocatesNothing). One gate times instead of counting,
 # because what it holds is a ratio of two timings no count can stand for:
 # signed transfers into an in-memory bank scale with cores, since Ed25519 runs
 # outside the ledger lock — BenchmarkBankTransferParallel's transfers/s at
@@ -273,7 +275,7 @@ simplicity-ledger:
 # skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/tsdb
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/sim ./internal/tsdb
 	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \

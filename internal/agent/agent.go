@@ -297,7 +297,7 @@ type Agent struct {
 	running  []*Job          // the StateRunning jobs, ascending by ID: what the pump walks
 	byBidder map[auction.BidderID]*Job
 	seq      int
-	pump     *sim.Ticker
+	pumping  bool // ensurePump armed the pump
 	// models holds each partition host's forecast model, aligned with hosts
 	// (nil until ForecastHandle is first asked), beside its market's ring.
 	models []*predict.StreamAR
@@ -607,10 +607,10 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 // never finish (its bids have expired, so tasks run at zero share), so it is
 // failed and refunded rather than left running forever.
 func (a *Agent) ensurePump() {
-	if a.pump != nil {
+	if a.pumping {
 		return
 	}
-	t, err := a.cfg.Cluster.Engine().Every(a.cfg.Cluster.Interval(), func() {
+	err := a.cfg.Cluster.Engine().Every(a.cfg.Cluster.Interval(), func() {
 		now := a.cfg.Cluster.Engine().Now()
 		// Walk a snapshot: failing a job retires it from a.running, and its
 		// OnFail callback may submit another.
@@ -636,7 +636,7 @@ func (a *Agent) ensurePump() {
 	if err != nil {
 		panic(fmt.Sprintf("agent: starting pump: %v", err))
 	}
-	a.pump = t
+	a.pumping = true
 }
 
 // runningIndex locates jobID in a.running: its index and true, or the index

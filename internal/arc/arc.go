@@ -163,7 +163,7 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 
 	// Stage-in: one delay per input file, then hand off to the agent.
 	gj.State = StatePreparing
-	if _, err := eng.After(m.stageIn(jr), func() {
+	if err := eng.After(m.stageIn(jr), func() {
 		if gj.State != StatePreparing {
 			return // killed (or otherwise terminal) during stage-in
 		}
@@ -194,7 +194,7 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 				span.End()
 			}
 			stageOut := time.Duration(len(jr.OutputFiles)) * m.cfg.StageOutTime
-			if _, err := eng.After(stageOut, finish); err != nil {
+			if err := eng.After(stageOut, finish); err != nil {
 				finish()
 			}
 		}

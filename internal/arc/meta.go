@@ -138,7 +138,7 @@ func (m *Meta) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
 	gj.match = &match{at: eng.Now(), strategy: m.strat.Name(), replica: r.cfg.ClusterName,
 		predicted: p.Predicted, current: r.cfg.Agent.MeanSpotPrice()}
 	if m.horizon > 0 {
-		if _, err := eng.After(m.horizon, func() {
+		if err := eng.After(m.horizon, func() {
 			m.scorePrediction(r, gj)
 		}); err != nil {
 			// Engine already stopped; scoring is best-effort diagnostics.

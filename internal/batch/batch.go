@@ -201,7 +201,7 @@ func (s *Scheduler) startSubJob(j *Job) {
 	j.running++
 	j.started[idx] = s.engine.Now()
 	runFor := time.Duration(j.SubJobs[idx] / s.cpuMHz * float64(time.Second))
-	if _, err := s.engine.After(runFor, func() {
+	if err := s.engine.After(runFor, func() {
 		j.done[idx] = s.engine.Now()
 		j.completed++
 		j.running--

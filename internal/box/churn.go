@@ -53,7 +53,7 @@ func (c Churn) start(cluster *grid.Cluster, seed int64) {
 // non-negative delay is never in the past, so scheduling cannot fail.
 func (h *churnHost) after(mean time.Duration, fn func()) {
 	d := time.Duration(h.src.Exponential(1/mean.Seconds()) * float64(time.Second))
-	_, _ = h.cluster.Engine().After(d, fn)
+	_ = h.cluster.Engine().After(d, fn)
 }
 
 func (h *churnHost) crash() {

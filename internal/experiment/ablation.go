@@ -64,7 +64,7 @@ func RunAblationScheduler(p BestResponseParams) (*AblationSchedulerResult, error
 	var submitErr error
 	for i := 0; i < p.World.Users; i++ {
 		i := i
-		if _, err := eng.After(time.Duration(i)*p.Stagger, func() {
+		if err := eng.After(time.Duration(i)*p.Stagger, func() {
 			subJobs := make([]float64, p.SubJobs)
 			for k := range subJobs {
 				subJobs[k] = chunk

@@ -91,7 +91,7 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 		if at > horizon {
 			return
 		}
-		if _, err := w.Engine.At(w.Engine.Now().Add(at), func() {
+		if err := w.Engine.At(w.Engine.Now().Add(at), func() {
 			// Submit one random job.
 			u := w.Users[src.Intn(len(w.Users))]
 			budget, err := bank.FromCredits(src.LogNormal(math.Log(p.BudgetMedian), p.BudgetSigma))
@@ -140,12 +140,12 @@ func RunLoad(p LoadParams) (*LoadResult, error) {
 				}
 			}
 			if w.Engine.Elapsed()+p.BatchPeriod <= horizon {
-				if _, err := w.Engine.After(p.BatchPeriod, wave); err != nil {
+				if err := w.Engine.After(p.BatchPeriod, wave); err != nil {
 					return
 				}
 			}
 		}
-		if _, err := w.Engine.After(10*time.Minute, wave); err != nil {
+		if err := w.Engine.After(10*time.Minute, wave); err != nil {
 			return nil, err
 		}
 	}

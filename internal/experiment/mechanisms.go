@@ -111,7 +111,7 @@ func runMechanismOnce(p MechanismsParams, name string) (MechanismRow, error) {
 	var submitErr error
 	for i, u := range w.Users {
 		i, u := i, u
-		if _, err := w.Engine.After(time.Duration(i)*p.Stagger, func() {
+		if err := w.Engine.After(time.Duration(i)*p.Stagger, func() {
 			job, err := w.SubmitApp(u, p.Budget, p.Deadline, p.SubJobs, p.ChunkMinutes, p.MaxNodes)
 			if err != nil && submitErr == nil {
 				submitErr = fmt.Errorf("submitting for %s: %w", u.Name, err)

@@ -83,12 +83,12 @@ func shardRun(t *testing.T, shards int, mech string, churn bool) string {
 		_, _ = w.SubmitApp(u, budget, deadline, 3+src.Intn(10), src.Uniform(5, 20), 2+src.Intn(5))
 		gap := time.Duration(src.Exponential(1.0/(10*60)) * float64(time.Second))
 		if w.Engine.Elapsed()+gap < 5*time.Hour {
-			if _, err := w.Engine.After(gap, arrive); err != nil {
+			if err := w.Engine.After(gap, arrive); err != nil {
 				t.Error(err)
 			}
 		}
 	}
-	if _, err := w.Engine.After(time.Minute, arrive); err != nil {
+	if err := w.Engine.After(time.Minute, arrive); err != nil {
 		t.Fatal(err)
 	}
 	w.Engine.RunFor(9 * time.Hour)

@@ -237,11 +237,11 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 				5+waveSrc.Intn(3), waveSrc.Uniform(7, 10), len(w.partitions[0]))
 		}
 		if w.Engine.Elapsed()+p.WavePeriod <= horizon {
-			_, _ = w.Engine.After(p.WavePeriod, wave)
+			_ = w.Engine.After(p.WavePeriod, wave)
 		}
 	}
 	if p.WavePeriod > 0 && p.WaveJobs > 0 {
-		if _, err := w.Engine.After(10*time.Minute, wave); err != nil {
+		if err := w.Engine.After(10*time.Minute, wave); err != nil {
 			return nil, err
 		}
 	}
@@ -260,11 +260,11 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 			_ = w.background(u, pi, steadySrc.Uniform(8, 14), 2*time.Hour,
 				4, steadySrc.Uniform(12, 18), len(w.partitions[pi]))
 			if w.Engine.Elapsed()+p.SteadyEvery <= horizon {
-				_, _ = w.Engine.After(p.SteadyEvery, drip)
+				_ = w.Engine.After(p.SteadyEvery, drip)
 			}
 		}
 		start := time.Duration(steadySrc.Uniform(2, p.SteadyEvery.Minutes()) * float64(time.Minute))
-		if _, err := w.Engine.After(start, drip); err != nil {
+		if err := w.Engine.After(start, drip); err != nil {
 			return nil, err
 		}
 	}
@@ -284,7 +284,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	var measureErrs int
 	for at := p.MeasureStart; at+p.MeasureDeadline <= horizon; at += p.MeasureEvery {
 		at := at
-		if _, err := w.Engine.After(at, func() {
+		if err := w.Engine.After(at, func() {
 			tok, err := w.MintToken(measureUser, budget)
 			if err != nil {
 				measureErrs++

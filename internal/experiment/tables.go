@@ -106,7 +106,7 @@ func RunBestResponseTable(p BestResponseParams) (*TableResult, error) {
 	for i, u := range w.Users {
 		i, u := i, u
 		delay := time.Duration(i) * p.Stagger
-		if _, err := w.Engine.After(delay, func() {
+		if err := w.Engine.After(delay, func() {
 			job, err := w.SubmitApp(u, p.Budgets[i], p.Deadline, p.SubJobs, p.ChunkMinutes, p.MaxNodes)
 			if err != nil && submitErr == nil {
 				submitErr = fmt.Errorf("experiment: submitting for %s: %w", u.Name, err)

@@ -151,7 +151,7 @@ type Cluster struct {
 	// resubmit killed chunks and reclaim escrow.
 	OnHostFailure func(HostFailure)
 
-	ticker *sim.Ticker
+	ticking bool // Start armed the reallocation ticker
 }
 
 // HostFailure describes everything lost when a host crashed: the tasks that
@@ -248,14 +248,13 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 // Start begins the reallocation ticker. It must be called once before
 // running the simulation.
 func (c *Cluster) Start() error {
-	if c.ticker != nil {
+	if c.ticking {
 		return errors.New("grid: cluster already started")
 	}
-	t, err := c.engine.Every(c.interval, c.tick)
-	if err != nil {
+	if err := c.engine.Every(c.interval, c.tick); err != nil {
 		return err
 	}
-	c.ticker = t
+	c.ticking = true
 	return nil
 }
 

@@ -21,7 +21,7 @@
 // results in canonical host order whichever shard cleared a host — so what a
 // plane computes is the same at every shard count, bit for bit, and
 // independent of goroutine scheduling (TestShardCountInvariance). One shard
-// runs inline on the caller's goroutine (sim.FanOut with n == 1). grid.Cluster
+// runs inline on the caller's goroutine (fanOut with n == 1). grid.Cluster
 // clears every tick through a plane and delivers the results afterwards, in
 // host order, so a whole simulated world inherits the contract: its Shards
 // setting is parallelism and nothing else.

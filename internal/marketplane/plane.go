@@ -15,7 +15,6 @@ import (
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/metrics"
-	"tycoongrid/internal/sim"
 )
 
 // HostMarket is the slice of auction.Market the plane drives. *auction.Market
@@ -234,6 +233,32 @@ func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount,
 	ref.shard.mu.Unlock()
 }
 
+// fanOut runs fn(0) … fn(n-1) and waits for all of them. With n == 1 it
+// calls fn inline on the caller's goroutine — no goroutine, no
+// synchronization, and therefore exactly the single-threaded execution the
+// deterministic engine contract requires, so a one-shard cluster, the
+// default, ticks without a goroutine. With n >= 2 each index runs on its own
+// goroutine; the work items share no mutable state except through their own
+// synchronization.
+func fanOut(n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
 // TickAll advances every shard to now — applying queued bids, batch-clearing
 // each awake host market — and returns the results of the hosts it swept, in
 // canonical host order. skip (optional) excludes the hosts at the canonical
@@ -241,7 +266,7 @@ func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount,
 // awake hosts only. Shards run concurrently when the plane has more than one.
 // The returned slice is the plane's own and is valid until the next TickAll.
 func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
-	sim.FanOut(len(p.shards), func(i int) {
+	fanOut(len(p.shards), func(i int) {
 		p.shards[i].tickInto(p, now, skip, nil)
 	})
 	if len(p.shards) == 1 {

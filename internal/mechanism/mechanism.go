@@ -137,11 +137,6 @@ type Config struct {
 	// (credits/second for the whole host). Default: the capacity reserve at
 	// first clear.
 	PostedInitialPrice float64
-	// PostedAlpha is the tatonnement step size. Default 0.1.
-	PostedAlpha float64
-	// PostedTarget is the demand-share target the posted price steers toward
-	// (1 = fully subscribed). Default 1.
-	PostedTarget float64
 }
 
 // ErrUnknown reports an unrecognized mechanism name.

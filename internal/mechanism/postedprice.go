@@ -18,22 +18,17 @@ import (
 // bounded so one pathological interval cannot destabilize the price, and the
 // result floored at the reserve.
 type postedPrice struct {
-	price  float64 // published price; 0 until first clear seeds it
-	init   float64
-	alpha  float64
-	target float64
+	price float64 // published price; 0 until first clear seeds it
+	init  float64
 }
 
+const (
+	postedAlpha  = 0.1 // tatonnement step size
+	postedTarget = 1.0 // demand-share target (1 = fully subscribed)
+)
+
 func newPostedPrice(cfg Config) *postedPrice {
-	alpha := cfg.PostedAlpha
-	if alpha <= 0 {
-		alpha = 0.1
-	}
-	target := cfg.PostedTarget
-	if target <= 0 {
-		target = 1
-	}
-	return &postedPrice{init: cfg.PostedInitialPrice, alpha: alpha, target: target}
+	return &postedPrice{init: cfg.PostedInitialPrice}
 }
 
 func (p *postedPrice) Name() string { return PostedPrice }
@@ -103,7 +98,7 @@ func (p *postedPrice) Clear(bids []Bid, capacity Capacity, dst ...Line) Outcome 
 	for _, b := range normalize(bids) {
 		demand += b.Rate / price
 	}
-	step := 1 + p.alpha*(demand-p.target)
+	step := 1 + postedAlpha*(demand-postedTarget)
 	// Bound the per-clear move: at most halve or 1.5x the price.
 	if step < 0.5 {
 		step = 0.5

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -18,13 +21,13 @@ func TestEngineStartsAtEpoch(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	if _, err := e.After(3*time.Second, func() { order = append(order, 3) }); err != nil {
+	if err := e.After(3*time.Second, func() { order = append(order, 3) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.After(1*time.Second, func() { order = append(order, 1) }); err != nil {
+	if err := e.After(1*time.Second, func() { order = append(order, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.After(2*time.Second, func() { order = append(order, 2) }); err != nil {
+	if err := e.After(2*time.Second, func() { order = append(order, 2) }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunFor(10 * time.Second)
@@ -41,7 +44,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		if _, err := e.After(time.Second, func() { order = append(order, i) }); err != nil {
+		if err := e.After(time.Second, func() { order = append(order, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,37 +56,62 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestSchedulePastRejected(t *testing.T) {
+// TestHeapOrder: many events at colliding random instants, some scheduled
+// from inside others, fire in (time, scheduling order) order.
+func TestHeapOrder(t *testing.T) {
 	e := NewEngine()
-	e.RunFor(time.Minute)
-	if _, err := e.At(Epoch, func() {}); err != ErrPastEvent {
-		t.Errorf("err = %v, want ErrPastEvent", err)
+	r := rand.New(rand.NewSource(1))
+	type key struct {
+		at  time.Duration
+		seq int
 	}
-	if _, err := e.After(-time.Second, func() {}); err != ErrPastEvent {
-		t.Errorf("err = %v, want ErrPastEvent", err)
+	var fired []key
+	seq := 0
+	var schedule func(d time.Duration)
+	schedule = func(d time.Duration) {
+		k := key{e.Elapsed() + d, seq}
+		seq++
+		if err := e.After(d, func() {
+			fired = append(fired, k)
+			if k.seq%3 == 0 {
+				schedule(time.Duration(r.Intn(20)) * time.Second)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 500; i++ {
+		schedule(time.Duration(r.Intn(50)) * time.Second)
+	}
+	e.RunFor(time.Hour)
+	if len(fired) != seq {
+		t.Fatalf("fired %d of %d events", len(fired), seq)
+	}
+	if !slices.IsSortedFunc(fired, func(a, b key) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}) {
+		t.Error("events fired out of (time, seq) order")
 	}
 }
 
-func TestCancel(t *testing.T) {
+func TestSchedulePastRejected(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	h, err := e.After(time.Second, func() { fired = true })
-	if err != nil {
-		t.Fatal(err)
+	e.RunFor(time.Minute)
+	if err := e.At(Epoch, func() {}); err != ErrPastEvent {
+		t.Errorf("err = %v, want ErrPastEvent", err)
 	}
-	h.Cancel()
-	h.Cancel() // double cancel is a no-op
-	e.RunFor(2 * time.Second)
-	if fired {
-		t.Error("cancelled event fired")
+	if err := e.After(-time.Second, func() {}); err != ErrPastEvent {
+		t.Errorf("err = %v, want ErrPastEvent", err)
 	}
-	Handle{}.Cancel() // zero handle is safe
 }
 
 func TestClockDuringEvent(t *testing.T) {
 	e := NewEngine()
 	var at time.Duration
-	if _, err := e.After(42*time.Second, func() { at = e.Elapsed() }); err != nil {
+	if err := e.After(42*time.Second, func() { at = e.Elapsed() }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunFor(time.Minute)
@@ -95,9 +123,9 @@ func TestClockDuringEvent(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	e := NewEngine()
 	var hits []time.Duration
-	if _, err := e.After(time.Second, func() {
+	if err := e.After(time.Second, func() {
 		hits = append(hits, e.Elapsed())
-		if _, err := e.After(time.Second, func() { hits = append(hits, e.Elapsed()) }); err != nil {
+		if err := e.After(time.Second, func() { hits = append(hits, e.Elapsed()) }); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
@@ -112,7 +140,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	if _, err := e.After(time.Hour, func() { fired = true }); err != nil {
+	if err := e.After(time.Hour, func() { fired = true }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunFor(time.Minute)
@@ -128,7 +156,7 @@ func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []time.Duration
-	tk, err := e.Every(10*time.Second, func() { ticks = append(ticks, e.Elapsed()) })
+	err := e.Every(10*time.Second, func() { ticks = append(ticks, e.Elapsed()) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,35 +169,11 @@ func TestTicker(t *testing.T) {
 			t.Errorf("tick %d at %v, want %v", i, ticks[i], want)
 		}
 	}
-	tk.Stop()
-	e.RunFor(time.Minute)
-	if len(ticks) != 3 {
-		t.Error("ticker fired after Stop")
-	}
-}
-
-func TestTickerStopFromWithinCallback(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	var tk *Ticker
-	tk, err := e.Every(time.Second, func() {
-		n++
-		if n == 2 {
-			tk.Stop()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RunFor(time.Minute)
-	if n != 2 {
-		t.Errorf("ticks = %d, want 2", n)
-	}
 }
 
 func TestEveryValidation(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.Every(0, func() {}); err == nil {
+	if err := e.Every(0, func() {}); err == nil {
 		t.Error("want error for zero interval")
 	}
 }
@@ -177,7 +181,7 @@ func TestEveryValidation(t *testing.T) {
 func TestStepsCountsExecutedEvents(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		if _, err := e.After(time.Duration(i)*time.Second, func() {}); err != nil {
+		if err := e.After(time.Duration(i)*time.Second, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,20 +201,6 @@ func TestWallClock(t *testing.T) {
 	}
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.off = true
-	}
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.handle.Cancel()
-}
-
 func TestNewEngineAt(t *testing.T) {
 	start := time.Date(2006, 6, 1, 12, 0, 0, 0, time.UTC)
 	e := NewEngineAt(start)
@@ -218,7 +208,7 @@ func TestNewEngineAt(t *testing.T) {
 		t.Fatalf("Now = %v, want %v", e.Now(), start)
 	}
 	var fired time.Time
-	if _, err := e.After(90*time.Second, func() { fired = e.Now() }); err != nil {
+	if err := e.After(90*time.Second, func() { fired = e.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	e.RunFor(time.Hour)
@@ -227,5 +217,32 @@ func TestNewEngineAt(t *testing.T) {
 	}
 	if want := start.Add(time.Hour); !e.Now().Equal(want) {
 		t.Errorf("Now after RunFor(1h) = %v, want %v", e.Now(), want)
+	}
+}
+
+// TestEveryAllocatesNothing: once the heap has grown to its working size, a
+// periodic tick and a one-shot event allocate nothing — Every re-arms from
+// one closure built when it is called, and events live in the heap by value.
+func TestEveryAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	ticks, steps := 0, 0
+	if err := e.Every(time.Second, func() { ticks++ }); err != nil {
+		t.Fatal(err)
+	}
+	step := func() { steps++ }
+	run := func() {
+		if err := e.After(500*time.Millisecond, step); err != nil {
+			t.Fatal(err)
+		}
+		e.RunFor(time.Second)
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("one tick and one event allocate %v times, want 0", allocs)
+	}
+	if ticks != steps || ticks != 111 {
+		t.Errorf("ticks = %d, events = %d, want 111 each", ticks, steps)
 	}
 }

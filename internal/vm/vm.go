@@ -12,7 +12,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -296,14 +295,4 @@ func (m *Manager) Running() int {
 		}
 	}
 	return n
-}
-
-// sorted returns VMs ordered by ID for deterministic iteration.
-func (m *Manager) sorted() []*VM {
-	out := make([]*VM, 0, len(m.vms))
-	for _, v := range m.vms {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

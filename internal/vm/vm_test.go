@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -372,4 +373,14 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 	if purgedTicks < 20 || purged < 30 {
 		t.Fatalf("schedule reaped %d VMs over %d ticks; want >= 30 over >= 20", purged, purgedTicks)
 	}
+}
+
+// sorted returns VMs ordered by ID for deterministic iteration.
+func (m *Manager) sorted() []*VM {
+	out := make([]*VM, 0, len(m.vms))
+	for _, v := range m.vms {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
