@@ -84,7 +84,7 @@ func main() {
 		os.Exit(1)
 	}
 	_ = ca
-	b := bank.New(id, sim.WallClock{})
+	b := newBank(id)
 	svc := httpapi.NewBankService(b)
 
 	var health *httpapi.Health
@@ -187,6 +187,13 @@ func persistentKeySeed(dataDir, explicit string) (string, error) {
 	default:
 		return "", err
 	}
+}
+
+// newBank builds the daemon's bank: receipts signed by id on the wall clock,
+// and a ledger capped like every long-lived bank's, so that a bankd that runs
+// for months holds, and GET /accounts/{id}/history scans, a bounded ledger.
+func newBank(id *pki.Identity) *bank.Bank {
+	return bank.New(id, sim.WallClock{}, bank.WithLedgerRetention(bank.DefaultLedgerRetention))
 }
 
 // identityFor builds a self-contained identity for a standalone daemon: a

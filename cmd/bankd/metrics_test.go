@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"tycoongrid/internal/bank"
 	"tycoongrid/internal/httpapi"
-	"tycoongrid/internal/sim"
 )
 
 // TestMetricsFamilies: bankd's /metrics holds the families of what it links — the
@@ -20,7 +18,7 @@ func TestMetricsFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := httpapi.NewBankService(bank.New(id, sim.WallClock{}))
+	svc := httpapi.NewBankService(newBank(id))
 	checkFamilies(t, httpapi.ObservedMux("bankd", svc), "bank", "wal", "http", "slo", "retries", "retry", "breaker")
 }
 

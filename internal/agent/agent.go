@@ -258,8 +258,8 @@ func (j *Job) CostRate() float64 {
 // sub-accounts, balance reads and owner-authorized moves. *bank.Bank, the one
 // ledger, satisfies it.
 type Ledger interface {
-	CreateAccount(id bank.AccountID, owner ed25519.PublicKey) (*bank.Account, error)
-	CreateSubAccount(parent bank.AccountID, child string, owner ed25519.PublicKey) (*bank.Account, error)
+	CreateAccount(id bank.AccountID, owner ed25519.PublicKey) (bank.Account, error)
+	CreateSubAccount(parent bank.AccountID, child string, owner ed25519.PublicKey) (bank.Account, error)
 	Balance(id bank.AccountID) (bank.Amount, error)
 	MoveInternal(owner *pki.Identity, from, to bank.AccountID, amount bank.Amount, kind bank.EntryKind, memo string) error
 	MoveBatch(owner *pki.Identity, legs []bank.Move, kind bank.EntryKind) error

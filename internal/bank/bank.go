@@ -207,6 +207,11 @@ type Bank struct {
 // Option customizes a Bank.
 type Option func(*Bank)
 
+// DefaultLedgerRetention is the ledger cap of a bank that lives long: the
+// simulated worlds' and bankd's. The ledger trims at twice its cap, so at
+// 64–80 B a line it holds at most 13–16 MB.
+const DefaultLedgerRetention = 100_000
+
 // WithLedgerRetention caps the in-memory ledger at n entries; the oldest
 // entries are dropped first. Balances are unaffected — only History is
 // truncated. Long simulations produce millions of 10-second CPU
@@ -248,20 +253,23 @@ func New(id *pki.Identity, clock sim.Clock, opts ...Option) *Bank {
 // PublicKey returns the key receipts are verified against.
 func (b *Bank) PublicKey() ed25519.PublicKey { return b.id.Public() }
 
-// CreateAccount registers a new top-level account owned by owner.
-func (b *Bank) CreateAccount(id AccountID, owner ed25519.PublicKey) (*Account, error) {
+// CreateAccount registers a new top-level account owned by owner and returns
+// its view, by value like Lookup's: a caller that drops it costs no
+// allocation.
+func (b *Bank) CreateAccount(id AccountID, owner ed25519.PublicKey) (Account, error) {
 	return b.createAccount(id, owner, nil)
 }
 
 // CreateSubAccount registers child under parent, owned by owner (typically
-// the broker's key). The paper's broker creates one sub-account per verified
-// transfer token and funds host accounts from it.
-func (b *Bank) CreateSubAccount(parent AccountID, child string, owner ed25519.PublicKey) (*Account, error) {
+// the broker's key), and returns its view by value. The paper's broker
+// creates one sub-account per verified transfer token and funds host
+// accounts from it.
+func (b *Bank) CreateSubAccount(parent AccountID, child string, owner ed25519.PublicKey) (Account, error) {
 	b.mu.Lock()
 	p, ok := b.accounts[parent]
 	b.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: parent %q", ErrNoAccount, parent)
+		return Account{}, fmt.Errorf("%w: parent %q", ErrNoAccount, parent)
 	}
 	return b.createAccount(AccountID(string(parent)+"/"+child), owner, p)
 }
@@ -269,23 +277,22 @@ func (b *Bank) CreateSubAccount(parent AccountID, child string, owner ed25519.Pu
 // createAccount registers id under parent (nil for a top-level account).
 // Accounts are never removed, so a parent found before the lock was retaken
 // is still the bank's.
-func (b *Bank) createAccount(id AccountID, owner ed25519.PublicKey, parent *account) (*Account, error) {
+func (b *Bank) createAccount(id AccountID, owner ed25519.PublicKey, parent *account) (Account, error) {
 	if id == "" {
-		return nil, errors.New("bank: empty account id")
+		return Account{}, errors.New("bank: empty account id")
 	}
 	if len(owner) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("bank: account %q: owner key has %d bytes, want %d",
+		return Account{}, fmt.Errorf("bank: account %q: owner key has %d bytes, want %d",
 			id, len(owner), ed25519.PublicKeySize)
 	}
 	rec, wait, err := b.createAccountLocked(id, (*[ed25519.PublicKeySize]byte)(owner), parent)
 	if err != nil {
-		return nil, err
+		return Account{}, err
 	}
 	if err := commitWait(wait); err != nil {
-		return nil, err
+		return Account{}, err
 	}
-	v := rec.view()
-	return &v, nil
+	return rec.view(), nil
 }
 
 func (b *Bank) createAccountLocked(id AccountID, owner *[ed25519.PublicKeySize]byte, parent *account) (account, func() error, error) {

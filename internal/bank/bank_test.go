@@ -556,3 +556,62 @@ func TestAccountRetentionAllocationBound(t *testing.T) {
 		t.Logf("the bank keeps %.1f B of heap per drained escrow", per)
 	}
 }
+
+// TestEscrowLifecycleAllocationBound: the round trip of one bid's escrow —
+// created, funded from a user, charged to a host and refunded, its view
+// dropped — allocates at most maxObjects heap objects: the account's record,
+// and a share of the account map's and the ledger's growth. The ids are built
+// beforehand. It read 2.01 objects (≈ 263 B) an escrow while CreateAccount
+// returned its view through a pointer, which every such caller threw away.
+func TestEscrowLifecycleAllocationBound(t *testing.T) {
+	const escrows, maxObjects = 100_000, 1.05
+	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bankID, err := ca.IssueDeterministic("/CN=Bank", [32]byte{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := ca.IssueDeterministic("/O=Grid/CN=Operator", [32]byte{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(bankID, sim.NewEngine(), WithLedgerRetention(8192))
+	for _, id := range []AccountID{"user", "host"} {
+		if _, err := b.CreateAccount(id, op.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Deposit("user", MustCredits(1_000_000), "grant"); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]AccountID, escrows)
+	for i := range ids {
+		ids[i] = AccountID(fmt.Sprintf("bid-%06d", i))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		if _, err := b.CreateAccount(id, op.Public()); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.MoveInternal(op, "user", id, 2*Credit, EntryTransfer, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.MoveInternal(op, id, "host", Credit/2, EntryCharge, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.MoveInternal(op, id, "user", 2*Credit-Credit/2, EntryRefund, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / escrows
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / escrows
+	if objects > maxObjects {
+		t.Errorf("an escrow's round trip allocates %.2f heap objects (%.0f B), want <= %.2f", objects, bytes, maxObjects)
+	} else {
+		t.Logf("an escrow's round trip allocates %.2f heap objects (%.0f B)", objects, bytes)
+	}
+}

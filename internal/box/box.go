@@ -197,7 +197,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	// Long runs generate millions of 10-second micro-charges; keep a bounded
 	// audit window rather than the full ledger.
-	b.Bank = bank.New(bankID, eng, bank.WithLedgerRetention(100_000), bank.WithTracer(tr))
+	b.Bank = bank.New(bankID, eng, bank.WithLedgerRetention(bank.DefaultLedgerRetention), bank.WithTracer(tr))
 	if _, err := b.Bank.CreateAccount("broker", broker.Public()); err != nil {
 		return nil, err
 	}

@@ -168,7 +168,7 @@ func (s *BankService) createAccount(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var acct *bank.Account
+	var acct bank.Account
 	if req.Parent != "" {
 		child := strings.TrimPrefix(req.ID, req.Parent+"/")
 		acct, err = s.bank.CreateSubAccount(bank.AccountID(req.Parent), child, key)
@@ -179,7 +179,7 @@ func (s *BankService) createAccount(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	WriteJSON(w, accountInfo(*acct))
+	WriteJSON(w, accountInfo(acct))
 }
 
 func accountInfo(a bank.Account) AccountInfo {

@@ -2,7 +2,9 @@ package marketplane
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -220,4 +222,116 @@ func TestFanOut(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestEnqueueDrainAllocatesNothing: once its queue has grown to a round's
+// bids, a shard reuses the arrays it drains, and TickShard its results, so a
+// round of re-bids through EnqueueBidAt and the clear that applies them
+// allocates nothing. Every bidder bids again on the market it already holds a
+// bid in, so the books keep their size. It read 14 allocations a round while
+// each drain dropped the queue and each TickShard made its slice.
+func TestEnqueueDrainAllocatesNothing(t *testing.T) {
+	const hosts, bids = 64, 2000
+	p, err := New(Config{Shards: 1, Markets: testMarkets(t, hosts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bidders := make([]auction.BidderID, bids)
+	for j := range bidders {
+		bidders[j] = auction.BidderID(fmt.Sprintf("b-%04d", j))
+	}
+	now := sim.Epoch
+	deadline := sim.Epoch.Add(24 * time.Hour)
+	round := func() {
+		for j, b := range bidders {
+			p.EnqueueBidAt(j%hosts, b, bank.Credit, deadline)
+		}
+		now = now.Add(auction.DefaultInterval)
+		p.TickShard(0, now, nil)
+	}
+	for range 4 { // the queue's two arrays, the books, the markets' buffers
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("a round of %d re-bids and its clear allocates %.1f times, want 0", bids, allocs)
+	}
+}
+
+// TestTickShardResetsReusedResults: TickShard's slice is rewritten by every
+// call, so a host that cleared with charges at one tick and is asleep at the
+// next carries no charges in the next result, though its market still holds
+// the buffer those charges were in. A skipped host's entry is reset too.
+func TestTickShardResetsReusedResults(t *testing.T) {
+	markets := testMarkets(t, 4)
+	p, err := New(Config{Shards: 1, Markets: markets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Epoch.Add(auction.DefaultInterval)
+	// Host 0's bid spends its budget over the first two clears, which leaves
+	// its book empty, so it falls asleep. Host 1's bid outlives the test.
+	p.EnqueueBidAt(0, "short", bank.Credit, now.Add(auction.DefaultInterval))
+	p.EnqueueBidAt(1, "long", bank.Credit, now.Add(time.Hour))
+	p.TickShard(0, now, nil)
+	now = now.Add(auction.DefaultInterval)
+	res := p.TickShard(0, now, nil)
+	if len(res[0].Charges) == 0 || len(res[1].Charges) == 0 {
+		t.Fatalf("the second clear: %+v, want charges on h000 and h001", res)
+	}
+	now = now.Add(auction.DefaultInterval)
+	res = p.TickShard(0, now, func(host string) bool { return host == "h001" })
+	if awake := p.AppendAwake(nil); slices.Contains(awake, 0) {
+		t.Fatalf("h000 is awake after its last bid expired: %v", awake)
+	}
+	for _, r := range res {
+		if len(r.Charges) != 0 || len(r.Refunds) != 0 {
+			t.Errorf("third tick: %s carries %v charges and %v refunds, want none (h000 asleep, h001 skipped)", r.Host, r.Charges, r.Refunds)
+		}
+	}
+}
+
+// TestEnqueueDuringTickShard: bids enqueued from two goroutines while
+// TickShard drains and clears are each entered exactly once, at this sweep or
+// the next, whichever side of the drain they landed on. Run under -race.
+func TestEnqueueDuringTickShard(t *testing.T) {
+	const hosts, perWriter, writers = 8, 2000, 2
+	markets := testMarkets(t, hosts)
+	p, err := New(Config{Shards: 1, Markets: markets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := sim.Epoch.Add(10 * 365 * 24 * time.Hour) // outlives any number of sweeps the writers take
+	var wg sync.WaitGroup
+	wg.Add(writers)
+	for w := range writers {
+		go func() {
+			defer wg.Done()
+			for j := range perWriter {
+				p.EnqueueBidAt(j%hosts, auction.BidderID(fmt.Sprintf("w%d-%04d", w, j)), bank.Credit, deadline)
+				if j%64 == 0 {
+					runtime.Gosched() // let the sweeps drain between enqueues
+				}
+			}
+		}()
+	}
+	now := sim.Epoch
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		now = now.Add(auction.DefaultInterval)
+		p.TickShard(0, now, nil)
+	}
+	p.TickShard(0, now.Add(auction.DefaultInterval), nil) // what landed after the last drain
+	placed := 0
+	for _, m := range markets {
+		placed += m.(*auction.Market).Bidders()
+	}
+	if placed != writers*perWriter {
+		t.Errorf("the markets hold %d bids, want %d", placed, writers*perWriter)
+	}
 }

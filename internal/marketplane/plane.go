@@ -71,10 +71,14 @@ type shard struct {
 	// awake holds the local indices a sweep visits, ascending. A sweep ticks
 	// each, and drops the ones that fall asleep (auction.Market.Sleep); only
 	// sweeps touch it. cleared and order are TickAll's results for this shard
-	// and their canonical indices.
+	// and their canonical indices; results is TickShard's, one per market,
+	// allocated at the first TickShard. drained is the array of the queue the
+	// last sweep applied, emptied, which the next sweep hands to enqueuers.
 	awake   []int
 	cleared []TickResult
 	order   []int
+	results []TickResult
+	drained []queuedBid
 
 	mu    sync.Mutex
 	queue []queuedBid
@@ -292,22 +296,29 @@ func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 }
 
 // TickShard advances one shard to now and returns results for that shard's
-// hosts only, sleeping ones included, in canonical host order, in a slice of
-// the caller's own. Callers that already run one worker per shard use this
-// instead of TickAll so the goroutine structure stays theirs, and no two
-// workers write to neighbouring memory.
+// hosts only, sleeping ones included, in canonical host order. The slice is
+// the shard's own and is valid until that shard's next TickShard; every entry
+// is rewritten by each call. Callers that already run one worker per shard
+// use this instead of TickAll so the goroutine structure stays theirs; each
+// shard's slice is allocated on its own, so no two workers write to
+// neighbouring memory.
 func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []TickResult {
 	s := p.shards[i]
-	out := make([]TickResult, len(s.markets))
-	for local, g := range s.globals {
-		out[local].Host, out[local].Index = p.hostIDs[g], g
+	if s.results == nil {
+		s.results = make([]TickResult, len(s.markets))
+		for local, g := range s.globals {
+			s.results[local].Host, s.results[local].Index = p.hostIDs[g], g
+		}
+	}
+	for local := range s.results {
+		s.results[local].Charges, s.results[local].Refunds = nil, nil
 	}
 	var skipAt func(g int) bool
 	if skip != nil {
 		skipAt = func(g int) bool { return skip(p.hostIDs[g]) }
 	}
-	s.tickInto(p, now, skipAt, out)
-	return out
+	s.tickInto(p, now, skipAt, s.results)
+	return s.results
 }
 
 // tickInto sweeps the shard's awake markets. With out nil the results go to
@@ -317,9 +328,11 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	// Drain the queue under the shard lock, then apply in deterministic
 	// (bidder, arrival) order: concurrent enqueuers from different goroutines
 	// may interleave arbitrarily, and the sort erases that nondeterminism.
+	// Enqueuers go on appending to the array the last sweep drained, so the
+	// two arrays alternate and the queue regrows only past its high-water mark.
 	s.mu.Lock()
 	q := s.queue
-	s.queue = nil
+	s.queue, s.drained = s.drained, nil
 	s.mu.Unlock()
 	slices.SortStableFunc(q, func(a, b queuedBid) int { return strings.Compare(string(a.bidder), string(b.bidder)) })
 
@@ -329,6 +342,8 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 			_, _ = s.markets[b.local].PlaceBid(b.bidder, b.budget, b.deadline)
 		}
 	}
+	clear(q) // drop the bidders' strings
+	s.drained = q[:0]
 
 	// The markets woken so far (by the bids above, among others) join this
 	// sweep, and now enters the log, in one step: a market that wakes later
