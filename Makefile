@@ -268,7 +268,13 @@ simplicity-ledger:
 # each drain dropped the queue's array and each TickShard made its slice (14
 # a round; TestEnqueueDrainAllocatesNothing), and an escrow created, funded,
 # charged and refunded allocates at most 1.05 heap objects, its record, where
-# a discarded *Account view made it 2.01 (TestEscrowLifecycleAllocationBound). One gate times instead of counting,
+# a discarded *Account view made it 2.01 (TestEscrowLifecycleAllocationBound);
+# and a finished job keeps its record and nothing it was submitted with: 600
+# of grid-dense's jobs, xRSL text with an encoded token through
+# arc.Manager.Submit into 300 hosts, keep at most 5 800 B of heap each once
+# finished and purged, where a request pinning its text (spent token
+# included) and a released job's busy map and chunk queue made it ≈ 6 700 B
+# (TestFinishedJobRetentionAllocationBound). One gate times instead of counting,
 # because what it holds is a ratio of two timings no count can stand for:
 # signed transfers into an in-memory bank scale with cores, since Ed25519 runs
 # outside the ledger lock — BenchmarkBankTransferParallel's transfers/s at

@@ -105,9 +105,9 @@ type Job struct {
 	OnFail     func(*Job)
 	FailReason string
 
-	chunks  []float64 // remaining chunk sizes (MHz-seconds), FIFO
+	chunks  []float64 // remaining chunk sizes (MHz-seconds), FIFO; nil once released
 	envs    []string
-	busy    map[string]bool // host -> has a running sub-job of this job
+	busy    map[string]bool // host -> has a running sub-job of this job; nil once released
 	done    int
 	total   int
 	endedAt time.Time
@@ -800,7 +800,7 @@ func (a *Agent) onTaskDone(job *Job, host string, t *grid.Task) {
 		}
 	}
 	job.done++
-	job.busy[host] = false
+	delete(job.busy, host)
 	if job.done >= job.total {
 		a.finish(job)
 		return
@@ -847,7 +847,7 @@ func (a *Agent) onHostFailure(f grid.HostFailure) {
 		// Progress on the dead host is lost; re-queue the whole chunk (the
 		// paper's jobs are restartable bag-of-tasks chunks).
 		job.chunks = append(job.chunks, t.TotalWork)
-		job.busy[f.HostID] = false
+		delete(job.busy, f.HostID)
 		mChunksResubmitted.Inc()
 		job.note(record{at: now, kind: recPreempted, host: f.HostID, other: t.ID})
 	}
@@ -932,9 +932,8 @@ func (a *Agent) failJob(job *Job, reason string) {
 			_ = a.cfg.Cluster.CancelTask(s.Host, s.TaskID)
 		}
 	}
-	job.chunks = nil
 	job.FailReason = reason
-	a.unwind(job) // cancels bids, refunds the sub-account, marks StateFailed
+	a.unwind(job) // cancels bids, drops queued chunks, refunds the sub-account, marks StateFailed
 	mJobsFailed.Inc()
 	if job.OnFail != nil {
 		job.OnFail(job)
@@ -955,8 +954,13 @@ func (a *Agent) unwind(job *Job) {
 // cancels the job's bid on every funded host, banks the job's tab (so every
 // host is paid what it charged before anything goes back), then refunds what
 // is left in the sub-account to the broker under memo+job.ID (the memo
-// reaches receipts and timelines).
+// reaches receipts and timelines). It drops the scheduling state, which
+// nothing reads once the job has no escrow: the chunk queue and the busy map
+// are nil from here on, and every later reader takes nil (startChunk starts
+// nothing without a chunk; onTaskDone, onHostFailure and failover only
+// delete).
 func (a *Agent) teardown(job *Job, memo string) {
+	job.chunks, job.busy = nil, nil
 	bidder := auction.BidderID(job.SubAccount)
 	for _, h := range job.Hosts {
 		host, err := a.cfg.Cluster.Host(h)
@@ -1028,9 +1032,8 @@ func (a *Agent) Cancel(jobID string) error {
 			}
 		}
 	}
-	job.chunks = nil
 	job.FailReason = reasonCancelled
-	a.unwind(job) // cancels bids, refunds, marks StateFailed
+	a.unwind(job) // cancels bids, drops queued chunks, refunds, marks StateFailed
 	mJobsFailed.Inc()
 	return nil
 }

@@ -142,6 +142,9 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 	if err != nil {
 		return reject(fmt.Errorf("arc: bad transfer token: %w", err))
 	}
+	// The decoded token is all the agent reads; the job does not keep the
+	// spent text for its life.
+	jr.TransferToken = ""
 	if chunkWork == nil {
 		chunkWork = DefaultChunkWork(jr)
 	}

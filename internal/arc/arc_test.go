@@ -129,6 +129,10 @@ func TestSubmitLifecycle(t *testing.T) {
 	if gj.AgentJob == nil || gj.Started.IsZero() {
 		t.Fatal("agent job not started")
 	}
+	// The token is spent once decoded: the request the job keeps drops it.
+	if tok := gj.Request.TransferToken; tok != "" {
+		t.Errorf("the accepted job keeps its %d-byte transfer token", len(tok))
+	}
 	w.eng.RunFor(3 * time.Hour)
 	if gj.State != StateFinished {
 		t.Fatalf("state = %v (agent %v %d/%d)", gj.State, gj.AgentJob.State,

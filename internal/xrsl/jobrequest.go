@@ -3,6 +3,7 @@ package xrsl
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -48,11 +49,16 @@ var (
 
 // ToJobRequest extracts the typed request. Walltime and cputime are in
 // minutes, the ARC convention.
+//
+// A bare value is a substring of the parsed text, so every string the request
+// keeps is cloned: a request shares no bytes with its text, and a job kept
+// for the broker's life does not keep the whole submission alive with it —
+// transfer token and padding included.
 func (d *Description) ToJobRequest() (*JobRequest, error) {
 	jr := &JobRequest{
-		JobName:       d.GetString("jobname"),
-		Executable:    d.GetString("executable"),
-		TransferToken: d.GetString("transfertoken"),
+		JobName:       strings.Clone(d.GetString("jobname")),
+		Executable:    strings.Clone(d.GetString("executable")),
+		TransferToken: strings.Clone(d.GetString("transfertoken")),
 		Count:         1,
 	}
 	if jr.Executable == "" {
@@ -61,7 +67,7 @@ func (d *Description) ToJobRequest() (*JobRequest, error) {
 	if vs, ok := d.Get("arguments"); ok {
 		for _, v := range vs {
 			if !v.IsTuple() {
-				jr.Arguments = append(jr.Arguments, v.Word)
+				jr.Arguments = append(jr.Arguments, strings.Clone(v.Word))
 			}
 		}
 	}
@@ -112,7 +118,7 @@ func (d *Description) ToJobRequest() (*JobRequest, error) {
 	if vs, ok := d.Get("runtimeenvironment"); ok {
 		for _, v := range vs {
 			if !v.IsTuple() && v.Word != "" {
-				jr.RuntimeEnvs = append(jr.RuntimeEnvs, v.Word)
+				jr.RuntimeEnvs = append(jr.RuntimeEnvs, strings.Clone(v.Word))
 			}
 		}
 	}
@@ -138,12 +144,12 @@ func stagingList(d *Description, attr string) ([]FileStaging, error) {
 		if !v.IsTuple() || len(v.Tuple) == 0 || len(v.Tuple) > 2 {
 			return nil, fmt.Errorf("xrsl: %s entries must be (name [url]) tuples", attr)
 		}
-		fs := FileStaging{Name: v.Tuple[0].Word}
+		fs := FileStaging{Name: strings.Clone(v.Tuple[0].Word)}
 		if fs.Name == "" {
 			return nil, fmt.Errorf("xrsl: %s entry with empty name", attr)
 		}
 		if len(v.Tuple) == 2 {
-			fs.URL = v.Tuple[1].Word
+			fs.URL = strings.Clone(v.Tuple[1].Word)
 		}
 		out = append(out, fs)
 	}

@@ -3,9 +3,11 @@ package xrsl
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 const sample = `&(executable=scan.sh)
@@ -165,6 +167,60 @@ func TestToJobRequest(t *testing.T) {
 	}
 	if jr.TransferToken != "tok-abc123" {
 		t.Errorf("token = %q", jr.TransferToken)
+	}
+}
+
+// TestJobRequestSharesNoBytesWithText: no string of a request points into the
+// text it was parsed from, whether its value was bare or quoted, so a request
+// kept for a job's life does not keep the submission (and its spent token)
+// alive with it.
+func TestJobRequestSharesNoBytesWithText(t *testing.T) {
+	text := strings.Join([]string{
+		`&(executable=scan.sh)(jobname="proteome scan")`,
+		`(arguments=chunk "0 1" -v)(walltime=30)`,
+		`(runtimeenvironment=APPS/BIO/BLAST-2.0 "ENV/PY 3")`,
+		`(inputfiles=(proteome.dat gsiftp://grid/chunk0.dat) ("in put.dat" "gsiftp://grid/a b") (scan.sh))`,
+		`(outputfiles=(result.dat ""))(transfertoken=tok-abc123)`,
+	}, "\n ")
+	d, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := d.ToJobRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[string]string{"executable": jr.Executable, "jobname": jr.JobName, "transfertoken": jr.TransferToken}
+	for i, s := range jr.Arguments {
+		kept[fmt.Sprintf("arguments[%d]", i)] = s
+	}
+	for i, s := range jr.RuntimeEnvs {
+		kept[fmt.Sprintf("runtimeenvironment[%d]", i)] = s
+	}
+	for attr, files := range map[string][]FileStaging{"inputfiles": jr.InputFiles, "outputfiles": jr.OutputFiles} {
+		for i, f := range files {
+			kept[fmt.Sprintf("%s[%d].name", attr, i)] = f.Name
+			kept[fmt.Sprintf("%s[%d].url", attr, i)] = f.URL
+		}
+	}
+	want := map[string]string{
+		"executable": "scan.sh", "jobname": "proteome scan", "transfertoken": "tok-abc123",
+		"arguments[0]": "chunk", "arguments[1]": "0 1", "arguments[2]": "-v",
+		"runtimeenvironment[0]": "APPS/BIO/BLAST-2.0", "runtimeenvironment[1]": "ENV/PY 3",
+		"inputfiles[0].name": "proteome.dat", "inputfiles[0].url": "gsiftp://grid/chunk0.dat",
+		"inputfiles[1].name": "in put.dat", "inputfiles[1].url": "gsiftp://grid/a b",
+		"inputfiles[2].name": "scan.sh", "inputfiles[2].url": "",
+		"outputfiles[0].name": "result.dat", "outputfiles[0].url": "",
+	}
+	if !maps.Equal(kept, want) {
+		t.Fatalf("request strings = %v, want %v", kept, want)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	for field, s := range kept {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && p >= lo && p < hi {
+			t.Errorf("%s = %q points into the parsed text at offset %d", field, s, p-lo)
+		}
 	}
 }
 
