@@ -271,12 +271,17 @@ simplicity-ledger:
 # a discarded *Account view made it 2.01 (TestEscrowLifecycleAllocationBound);
 # and a finished job keeps its record and nothing it was submitted with: 600
 # of grid-dense's jobs, xRSL text with an encoded token through
-# arc.Manager.Submit into 300 hosts, keep at most 5 800 B of heap each once
+# arc.Manager.Submit into 300 hosts, keep at most 5 600 B of heap each once
 # finished and purged, where a request pinning its text (spent token
-# included) and a released job's busy map and chunk queue made it ≈ 6 700 B
-# (TestFinishedJobRetentionAllocationBound). One gate times instead of counting,
-# because what it holds is a ratio of two timings no count can stand for:
-# signed transfers into an in-memory bank scale with cores, since Ed25519 runs
+# included) and a released job's busy map and chunk queue made it ≈ 6 700 B,
+# and its ended lifecycle span and callbacks ≈ 5 020 B
+# (TestFinishedJobRetentionAllocationBound). Two gates time instead of
+# counting, because what each holds is a ratio of two timings no count can
+# stand for. Best Response costs one step per run, not per member: over one
+# run of 100 000 members it costs at most 2x what it costs over 1 000, in the
+# median of nine rounds that time the two back to back; it read 27-65x while
+# a run was admitted a member at a time (TestBestResponseRunsWidthScaling).
+# And signed transfers into an in-memory bank scale with cores, since Ed25519 runs
 # outside the ledger lock — BenchmarkBankTransferParallel's transfers/s at
 # -cpu 2 over -cpu 1 must be at least 1.4x in the median of nine short rounds.
 # Each round runs the two back to back, so that the machine's speed changing
@@ -287,7 +292,7 @@ simplicity-ledger:
 # skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/marketplane ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/sim ./internal/tsdb
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound|WidthScaling' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/marketplane ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/sim ./internal/tsdb
 	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \

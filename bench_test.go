@@ -480,10 +480,12 @@ func BenchmarkClusterTickDense(b *testing.B) {
 // same world with every market asleep: verify the token, fund escrow, price
 // the candidates, Best Response, 8 bids, 8 tasks. The agent reads which
 // markets are awake — none — and hands Best Response the 10 000 sleeping
-// hosts as one run, so memory is not per host; time still is, because
-// core.solve admits a run one host at a time (≈ 257 µs at 10 000 hosts,
-// ≈ 648 µs at 100 000). It was ≈ 1.05 ms and 1.2 MB when every
-// candidate was keyed, ranked and made an allocation of, and ≈ 0.46–0.6 ms
+// hosts as one run, so neither memory nor time is per host: core.solve tests
+// a run once and sums it as products, and ns/op reads the same at 10 000
+// and 100 000 hosts (≈ 216 µs at both on a 2-vCPU Xeon; ≈ 244 µs and
+// ≈ 546 µs while it admitted a run one host at a time). It was ≈ 1.05 ms
+// and 1.2 MB when every candidate was keyed, ranked and made an allocation
+// of, and ≈ 0.46–0.6 ms
 // while the agent still asked each of the 10 000 markets its capacity and
 // price and Best Response compared their IDs to find the run. Each job is
 // cancelled and its markets ticked back to sleep off the clock, so ns/op and

@@ -13,8 +13,9 @@ import (
 
 // TestMetricsFamilies: auctioneerd's /metrics holds the families of what it
 // links — its market and price feed, the HTTP transport, the bank and its log
-// (httpapi serves both), the telemetry plane's SLOs and the typed clients'
-// retries and breakers — and none of the simulated grid's.
+// (httpapi serves both), the telemetry plane's SLOs, the typed clients'
+// retries and breakers and the signature counts — and none of the simulated
+// grid's.
 func TestMetricsFamilies(t *testing.T) {
 	m, err := auction.NewMarket(auction.Config{HostID: "h1", CapacityMHz: 5600, Start: testStart})
 	if err != nil {
@@ -25,7 +26,7 @@ func TestMetricsFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFamilies(t, httpapi.ObservedMux("auctioneerd", svc),
-		"auction", "pricefeed", "http", "bank", "wal", "slo", "retries", "retry", "breaker")
+		"auction", "pricefeed", "http", "bank", "wal", "slo", "retries", "retry", "breaker", "pki")
 }
 
 // checkFamilies scrapes GET /metrics off h and fails on each family whose

@@ -11,15 +11,16 @@ import (
 )
 
 // TestMetricsFamilies: bankd's /metrics holds the families of what it links — the
-// bank and its log, the HTTP transport, the telemetry plane's SLOs and the
-// typed clients' retries and breakers — and none of the simulated grid's.
+// bank and its log, the HTTP transport, the telemetry plane's SLOs, the
+// typed clients' retries and breakers and the signature counts — and none of
+// the simulated grid's.
 func TestMetricsFamilies(t *testing.T) {
 	_, id, err := identityFor("/O=Grid/CN=Bank", "families")
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := httpapi.NewBankService(newBank(id))
-	checkFamilies(t, httpapi.ObservedMux("bankd", svc), "bank", "wal", "http", "slo", "retries", "retry", "breaker")
+	checkFamilies(t, httpapi.ObservedMux("bankd", svc), "bank", "wal", "http", "slo", "retries", "retry", "breaker", "pki")
 }
 
 // checkFamilies scrapes GET /metrics off h and fails on each family whose

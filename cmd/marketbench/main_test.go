@@ -34,8 +34,10 @@ func experimentSections(out string) string {
 
 // TestAllExperimentsGolden pins every printed table: `-run all -seed 2006`
 // against the sections the binary printed before the experiments were
-// declared in a catalog (the golden was taken from that binary). A dispatch
-// change must leave every byte here where it is.
+// declared in a catalog (the golden was taken from that binary, and its
+// FIGURE6 section retaken once, when Best Response began to sum a run as
+// products and one bid of that run rounded to one more microcredit). A
+// dispatch change must leave every byte here where it is.
 func TestAllExperimentsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all fourteen experiments (~5 s)")

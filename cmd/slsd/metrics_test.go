@@ -14,11 +14,11 @@ import (
 
 // TestMetricsFamilies: slsd's /metrics holds the families of what it links — the
 // HTTP transport, the bank and its log (httpapi serves both), the telemetry
-// plane's SLOs and the typed clients' retries and breakers — and none of
-// the simulated grid's.
+// plane's SLOs, the typed clients' retries and breakers and the signature
+// counts — and none of the simulated grid's.
 func TestMetricsFamilies(t *testing.T) {
 	svc := httpapi.NewSLSService(sls.New(sim.WallClock{}))
-	checkFamilies(t, httpapi.ObservedMux("slsd", svc), "http", "bank", "wal", "slo", "retries", "retry", "breaker")
+	checkFamilies(t, httpapi.ObservedMux("slsd", svc), "http", "bank", "wal", "slo", "retries", "retry", "breaker", "pki")
 }
 
 // checkFamilies scrapes GET /metrics off h and fails on each family whose

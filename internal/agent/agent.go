@@ -99,9 +99,9 @@ type Job struct {
 	// it to trigger stage-out.
 	OnComplete func(*Job)
 	// OnFail fires once when the job terminates as failed (every funded
-	// host died, the deadline passed with work outstanding, or it was
-	// cancelled), after the unspent balance has been refunded. FailReason
-	// says why.
+	// host died, or the deadline passed with work outstanding), after the
+	// unspent balance has been refunded. FailReason says why. Both are nil
+	// once the job is released.
 	OnFail     func(*Job)
 	FailReason string
 
@@ -933,10 +933,11 @@ func (a *Agent) failJob(job *Job, reason string) {
 		}
 	}
 	job.FailReason = reason
+	onFail := job.OnFail
 	a.unwind(job) // cancels bids, drops queued chunks, refunds the sub-account, marks StateFailed
 	mJobsFailed.Inc()
-	if job.OnFail != nil {
-		job.OnFail(job)
+	if onFail != nil {
+		onFail(job)
 	}
 }
 
@@ -958,9 +959,11 @@ func (a *Agent) unwind(job *Job) {
 // nothing reads once the job has no escrow: the chunk queue and the busy map
 // are nil from here on, and every later reader takes nil (startChunk starts
 // nothing without a chunk; onTaskDone, onHostFailure and failover only
-// delete).
+// delete). It drops OnComplete and OnFail too: finish and failJob take the
+// one they fire before calling it, and no other release fires either.
 func (a *Agent) teardown(job *Job, memo string) {
 	job.chunks, job.busy = nil, nil
+	job.OnComplete, job.OnFail = nil, nil
 	bidder := auction.BidderID(job.SubAccount)
 	for _, h := range job.Hosts {
 		host, err := a.cfg.Cluster.Host(h)
@@ -992,9 +995,10 @@ func (a *Agent) finish(job *Job) {
 	a.retire(job)
 	// Exact end: the latest sub-job completion (back-dated by the grid).
 	job.endedAt = latestDone(job.SubJobs, a.cfg.Cluster.Engine().Now())
+	onComplete := job.OnComplete
 	a.teardown(job, "refund ")
-	if job.OnComplete != nil {
-		job.OnComplete(job)
+	if onComplete != nil {
+		onComplete(job)
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 
 // TestReleaseDropsSchedulingState: each path that releases a job's escrow —
 // it finishes, it fails at its deadline, it is cancelled, the hold-back
-// policy unwinds it — leaves its chunk queue and busy map nil, and a host
+// policy unwinds it — leaves its chunk queue, busy map, OnComplete and
+// OnFail nil, the callback a path fires having fired once, and a host
 // failure that reaches the job after its release, naming a bid and a task
 // of its sub-account or taking down a host it ran on, panics nowhere and
 // changes nothing the job's record keeps.
@@ -27,7 +28,12 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			completed := 0
+			job.OnComplete = func(*Job) { completed++ }
 			w.eng.RunFor(8 * time.Hour)
+			if completed != 1 {
+				t.Fatalf("OnComplete fired %d times, want once", completed)
+			}
 			return job
 		}},
 		{"deadline", 1, func(t *testing.T, w *world) *Job {
@@ -35,7 +41,12 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			failed := 0
+			job.OnFail = func(*Job) { failed++ }
 			w.eng.RunFor(2 * time.Hour)
+			if failed != 1 {
+				t.Fatalf("OnFail fired %d times, want once", failed)
+			}
 			return job
 		}},
 		{"cancel", 2, func(t *testing.T, w *world) *Job {
@@ -43,6 +54,8 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			job.OnComplete = func(*Job) { t.Error("a cancelled job completed") }
+			job.OnFail = func(*Job) {}
 			w.eng.RunFor(10 * time.Minute)
 			if err := w.agent.Cancel(job.ID); err != nil {
 				t.Fatal(err)
@@ -68,6 +81,10 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 			if job.chunks != nil || job.busy != nil {
 				t.Fatalf("released job %s keeps %d chunks and a busy map of %d hosts, want both nil",
 					job.ID, len(job.chunks), len(job.busy))
+			}
+			if job.OnComplete != nil || job.OnFail != nil {
+				t.Fatalf("released job %s keeps its callbacks (OnComplete %t, OnFail %t), want both nil",
+					job.ID, job.OnComplete != nil, job.OnFail != nil)
 			}
 			type kept struct {
 				state             JobState

@@ -46,9 +46,12 @@ type GridJob struct {
 	Started   time.Time // execution start (after stage-in)
 	Finished  time.Time
 	AgentJob  *agent.Job // nil until the agent accepts the job
-	// Span is the job's lifecycle span, open until the job is terminal. It is
-	// sampled like any span; the timeline does not read it.
-	Span *tracing.Span
+
+	// span is the job's lifecycle span while it is open, nil once the job is
+	// terminal; spanCtx is all the timeline reads of it, its ids, and all a
+	// finished job keeps. The span is sampled like any span.
+	span    *tracing.Span
+	spanCtx tracing.SpanContext
 
 	// What the timeline is derived from beyond the fields above.
 	xrslBytes int        // length of the submitted description
@@ -155,7 +158,8 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		Request:   jr,
 		State:     StateAccepted,
 		Submitted: eng.Now(),
-		Span:      span,
+		span:      span,
+		spanCtx:   span.Context(),
 		xrslBytes: len(xrslText),
 		subJobs:   len(chunkWork),
 	}
@@ -178,7 +182,7 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 			gj.Finished = eng.Now()
 			mJobsQueued.Dec()
 			noteTerminal(StateFailed)
-			span.EndErr(err)
+			gj.endSpan(err)
 			return
 		}
 		gj.AgentJob = aj
@@ -194,7 +198,7 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 				gj.State = StateFinished
 				gj.Finished = eng.Now()
 				noteTerminal(StateFinished)
-				span.End()
+				gj.endSpan(nil)
 			}
 			stageOut := time.Duration(len(jr.OutputFiles)) * m.cfg.StageOutTime
 			if err := eng.After(stageOut, finish); err != nil {
@@ -212,7 +216,7 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 			gj.Error = "agent: " + failed.FailReason
 			gj.Finished = eng.Now()
 			noteTerminal(StateFailed)
-			span.EndErr(errors.New(gj.Error))
+			gj.endSpan(errors.New(gj.Error))
 		}
 	}); err != nil {
 		gj.State = StateFailed
@@ -220,10 +224,17 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		gj.Finished = eng.Now()
 		mJobsQueued.Dec()
 		noteTerminal(StateFailed)
-		span.EndErr(err)
+		gj.endSpan(err)
 		return gj, err
 	}
 	return gj, nil
+}
+
+// endSpan ends the job's lifecycle span, recording err when non-nil, and
+// lets it go: the job keeps only its ids.
+func (gj *GridJob) endSpan(err error) {
+	gj.span.EndErr(err)
+	gj.span = nil
 }
 
 // Boost adds funding to a running job via a fresh transfer token.
@@ -266,7 +277,7 @@ func (m *Manager) Cancel(jobID string) error {
 	gj.State = StateKilled
 	gj.Finished = m.cfg.Agent.Engine().Now()
 	noteTerminal(StateKilled)
-	gj.Span.End()
+	gj.endSpan(nil)
 	return nil
 }
 
@@ -295,7 +306,7 @@ func (m *Manager) Timeline(id string) (Timeline, error) {
 		return Timeline{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	tl := Timeline{JobID: gj.ID, State: gj.State, Error: gj.Error}
-	if sc := gj.Span.Context(); sc.Valid() {
+	if sc := gj.spanCtx; sc.Valid() {
 		tl.TraceID = sc.TraceID.String()
 		tl.SpanID = sc.SpanID.String()
 	}

@@ -145,6 +145,21 @@ func TestSubmitLifecycle(t *testing.T) {
 	if gj.Finished.Sub(gj.AgentJob.Submitted) < 30*time.Second {
 		t.Error("stage-out not modeled")
 	}
+	// The finished job lets its lifecycle span go and keeps only its ids,
+	// which the timeline still names; the agent job keeps no callback.
+	if gj.span != nil {
+		t.Error("the finished job keeps its ended lifecycle span")
+	}
+	if gj.AgentJob.OnComplete != nil || gj.AgentJob.OnFail != nil {
+		t.Error("the finished job's agent record keeps its callbacks")
+	}
+	tl, err := w.manager.Timeline(gj.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gj.spanCtx.Valid() || tl.TraceID != gj.spanCtx.TraceID.String() || tl.SpanID != gj.spanCtx.SpanID.String() {
+		t.Errorf("timeline names trace %q span %q, the job's span was %v", tl.TraceID, tl.SpanID, gj.spanCtx)
+	}
 }
 
 func TestSubmitErrors(t *testing.T) {

@@ -84,11 +84,12 @@ func BestResponseCapped(budget float64, hosts []Host, n int) ([]Allocation, erro
 // BestResponseRuns is BestResponseCapped over candidates given as runs: every
 // member of a run is one candidate host with the run's preference and price.
 // The result is BestResponseCapped's over the members, listed one Host each in
-// any order, bit for bit: the solver admits members in (w/y desc, ID asc)
-// order with one addend each, so only the set of candidates matters. Nothing
-// is done per member but those sums and the funded hosts' allocations, so a
-// caller that knows its runs — a broker that knows which hosts sleep — pays
-// neither for finding them nor for their length.
+// any order, but for the last bits of the bids: the same hosts come in the
+// same order, but a run enters the solver's sums as one product, where its
+// members listed one at a time would be as many adds. Nothing is done per
+// member but the funded hosts' allocations, so a caller that knows its runs —
+// a broker that knows which hosts sleep — pays neither for finding them nor
+// for their length.
 //
 // The caller keeps the run contract: IDs ascend strictly within a run and no
 // ID is in two runs. Runs may come in any order, and their ID ranges may
@@ -169,9 +170,9 @@ func extendsRun(prev, h Host) bool {
 // solve is the water-fill behind every entry point. It returns the funded
 // runs in admission order, each keyed by the bid every one of its members
 // gets, and the runs the keys index — runs itself, or its members one run
-// each when ranking had to split them (see sortRuns). The result is the
-// per-host result bit for bit: the sums below still take one addend per
-// member, in admission order.
+// each when ranking had to split them (see sortRuns). It costs one step per
+// run, whatever the runs' lengths: a run is tested once and enters every sum
+// as one product.
 func solve(budget float64, runs []Run) ([]rankKey, []Run, error) {
 	if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadBudget, budget)
@@ -201,32 +202,24 @@ func solve(budget float64, runs []Run) ([]rankKey, []Run, error) {
 	// marginal host's bid stays positive. sumY and sumSqrt accumulate
 	// sum_S y_j and sum_S sqrt(w_j*y_j). The bid of the *least* attractive
 	// admitted host turns negative first, so the prefix test is on the last
-	// admitted host. Only sqrt(w*y) is hoisted out of a run: a float sum of n
-	// equal addends is not n times the addend, and the test may fail mid-run.
+	// admitted host. In exact arithmetic the m-th member of a run passes
+	// sq*(X+S_Y+m*y) - y*(S_S+m*sq) > 0 exactly when the first does (the m
+	// terms cancel), so a run is admitted whole or not at all: it is tested
+	// once, on the prefix that ends with it, and its n members enter the sums
+	// as n*y and n*sq — correctly rounded, where n sequential adds drift by up
+	// to n ulps.
 	var sumY, sumSqrt float64
-	admitted := 0 // runs, the last of them perhaps cut short
-	for k := range keys {
-		r := &keys[k]
+	admitted := 0
+	for k, r := range keys {
 		run := runs[r.index]
 		sq := math.Sqrt(run.Preference * run.Price)
-		m := int32(0)
-		for ; m < r.n; m++ {
-			sY := sumY + run.Price
-			sS := sumSqrt + sq
-			c := (budget + sY) / sS
-			// Bid of this host under the prefix that ends with it.
-			if sq*c-run.Price <= 0 {
-				break
-			}
-			sumY, sumSqrt = sY, sS
-		}
-		if m > 0 {
-			admitted = k + 1
-		}
-		if m < r.n {
-			r.n = m
+		n := float64(r.n)
+		sY := sumY + n*run.Price
+		sS := sumSqrt + n*sq
+		if sq*((budget+sY)/sS)-run.Price <= 0 {
 			break
 		}
+		sumY, sumSqrt, admitted = sY, sS, k+1
 	}
 	if admitted == 0 {
 		// Even the single most attractive host would get a non-positive bid,
@@ -252,9 +245,7 @@ func solve(budget float64, runs []Run) ([]rankKey, []Run, error) {
 		}
 		r.primary = x
 		funded = append(funded, r)
-		for m := int32(0); m < r.n; m++ {
-			total += x
-		}
+		total += float64(r.n) * x
 	}
 	// Normalize rounding drift so bids sum exactly to the budget.
 	if total > 0 && total != budget {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"tycoongrid/internal/rng"
 )
@@ -129,24 +131,30 @@ func shapedHosts(src *rng.Source, shape, order, n int) []Host {
 }
 
 // checkAgainstOracles is the differential check every run test and the fuzz
-// target share: BestResponse and BestResponseCapped equal the sort.Slice
-// oracles bit for bit, bids sum to the budget, and the input is left as it
-// was.
+// target share: BestResponse and BestResponseCapped fund the hosts the
+// sort.Slice oracles fund, in their order, at bids within bidBound of theirs
+// (closeAllocations), bids sum to the budget, and the input is left as it
+// was. Where the oracle's own rounding cut a run (closeAllocations reports
+// it), the capped calls solve over a different first support, so they are
+// held only to the budget.
 func checkAgainstOracles(t *testing.T, what string, budget float64, hosts []Host, caps []int) {
 	t.Helper()
 	input := append([]Host(nil), hosts...)
+	runs := len(runsOf(hosts))
 	want := oracleBestResponse(budget, hosts)
 	got, err := BestResponse(budget, hosts)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	sameAllocations(t, what+" BestResponse", got, want)
+	cut := closeAllocations(t, what+" BestResponse", budget, hosts, runs, got, want)
 	for _, n := range append(caps, len(want), len(want)+1) {
 		got, err := BestResponseCapped(budget, hosts, n)
 		if err != nil {
 			t.Fatalf("%s cap %d: %v", what, n, err)
 		}
-		sameAllocations(t, fmt.Sprintf("%s BestResponseCapped(%d)", what, n), got, oracleCapped(budget, hosts, n))
+		if !cut {
+			closeAllocations(t, fmt.Sprintf("%s BestResponseCapped(%d)", what, n), budget, hosts, runs, got, oracleCapped(budget, hosts, n))
+		}
 		var sum float64
 		for _, a := range got {
 			sum += a.Bid
@@ -196,10 +204,10 @@ func TestRunsMatchPerHostOracles(t *testing.T) {
 
 // cutRuns hands hosts, which are in ID order, over as a caller that knows its
 // runs does: runs of equal (w, y) cut at random places (a broker's stretch of
-// sleeping hosts ends wherever an awake one sits), in shuffled order, and now
-// and then one split into its even and odd members — two runs whose ID ranges
-// interleave.
-func cutRuns(src *rng.Source, hosts []Host) []Run {
+// sleeping hosts ends wherever an awake one sits), in shuffled order, and,
+// with interleave, now and then one split into its even and odd members — two
+// runs whose ID ranges interleave, which the solver ranks member by member.
+func cutRuns(src *rng.Source, hosts []Host, interleave bool) []Run {
 	var runs []Run
 	for i := 0; i < len(hosts); {
 		end := i + 1
@@ -211,7 +219,7 @@ func cutRuns(src *rng.Source, hosts []Host) []Run {
 			ids = append(ids, h.ID)
 		}
 		w, y := hosts[i].Preference, hosts[i].Price
-		if len(ids) > 1 && src.Intn(3) == 0 {
+		if interleave && len(ids) > 1 && src.Intn(3) == 0 {
 			var even, odd []string
 			for k, id := range ids {
 				if k%2 == 0 {
@@ -231,8 +239,10 @@ func cutRuns(src *rng.Source, hosts []Host) []Run {
 }
 
 // TestRunsEntryMatchesPerHostOracles: BestResponseRuns over runs a caller
-// made equals the per-host oracles bit for bit, however the runs are cut,
-// ordered or interleaved.
+// made matches the per-host oracles within closeAllocations' bound, however
+// the runs are cut, ordered or interleaved. Each instance is handed over both
+// with and without interleaved runs: almost every instance with them falls
+// back to ranking single hosts, so only the one without sums whole runs.
 func TestRunsEntryMatchesPerHostOracles(t *testing.T) {
 	src := rng.New(31)
 	budgets := []float64{50.0 / 7200, 1e-4, 0.3, 40}
@@ -241,15 +251,17 @@ func TestRunsEntryMatchesPerHostOracles(t *testing.T) {
 		for _, n := range []int{1, 2, 7, 40, 300, 3000} {
 			trial++
 			hosts := shapedHosts(src, shape, 0, n)
-			runs := cutRuns(src, hosts)
 			budget := budgets[trial%len(budgets)] * src.Uniform(0.5, 2)
-			for _, keep := range []int{0, 1, 8, 50} {
-				what := fmt.Sprintf("%s/%d hosts/%d runs/cap %d", runShapes[shape].name, n, len(runs), keep)
-				got, err := BestResponseRuns(budget, runs, keep)
-				if err != nil {
-					t.Fatalf("%s: %v", what, err)
+			for _, interleave := range []bool{true, false} {
+				runs := cutRuns(src, hosts, interleave)
+				for _, keep := range []int{0, 1, 8, 50} {
+					what := fmt.Sprintf("%s/%d hosts/%d runs/interleave %v/cap %d", runShapes[shape].name, n, len(runs), interleave, keep)
+					got, err := BestResponseRuns(budget, runs, keep)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					closeAllocations(t, what, budget, hosts, len(runs), got, oracleCapped(budget, hosts, keep))
 				}
-				sameAllocations(t, what, got, oracleCapped(budget, hosts, keep))
 			}
 		}
 	}
@@ -297,6 +309,33 @@ func TestSupportEndsAtRunBoundaryAndCapCutsARun(t *testing.T) {
 	if got, want := strings.Join(ids, " "), "h000 h001 h002 h003 h004 h006 h007 h008"; got != want {
 		t.Errorf("capped to %s, want %s", got, want)
 	}
+}
+
+// TestOracleRoundingCutIsDetected pins an instance where the oracle's
+// per-member rounding cuts a run: one idle host, then a run of 67 booked at
+// three times the reserve, at a budget that puts the run's exact margin
+// within an ulp or so of zero. The oracle, whose sums drift as it adds the
+// run member by member, funds 5 of the 67; the solver tests the run once and
+// funds none of it. checkAgainstOracles must accept that as a rounding call,
+// and only because the exact margin is within marginBound.
+func TestOracleRoundingCutIsDetected(t *testing.T) {
+	hosts := []Host{{ID: "a0", Preference: idleW, Price: idlePrice}}
+	for i := 0; i < 67; i++ {
+		hosts = append(hosts, Host{ID: fmt.Sprintf("b%02d", i), Preference: idleW, Price: 3 * idlePrice})
+	}
+	budget := math.Float64frombits(0x3f2aa73543e9ed34)
+	got, err := BestResponse(budget, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleBestResponse(budget, hosts)
+	if len(got) != 1 || len(want) != 6 {
+		t.Fatalf("the solver funds %d hosts and the oracle %d, want 1 and 6: the instance no longer straddles the margin", len(got), len(want))
+	}
+	if !closeAllocations(t, "rounding cut", budget, hosts, len(runsOf(hosts)), got, want) {
+		t.Fatal("a cut run was not reported as a rounding call")
+	}
+	checkAgainstOracles(t, "rounding cut", budget, hosts, []int{0, 1, 3})
 }
 
 // TestValidationNamesFirstBadHostInInputOrder: run detection shares its pass
@@ -356,5 +395,46 @@ func BenchmarkBestResponseCapped10kIdleRun(b *testing.B) {
 		if _, err := BestResponseCapped(50.0/7200, hosts, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// oneRun is n idle hosts handed over as the one run a broker makes of its
+// sleeping hosts.
+func oneRun(n int) []Run {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("h%06d", i)
+	}
+	return []Run{{IDs: ids, Preference: idleW, Price: idlePrice}}
+}
+
+// TestBestResponseRunsWidthScaling gates the width of a run out of the
+// solver's time: a capped submission's Best Response over one run of 100 000
+// members costs at most twice what it costs over one of 1 000. Each of nine
+// rounds times the two back to back, so that the machine's speed changing
+// between them makes an outlier round, not a verdict; the median round
+// decides. It read 27–65x, median 56x, while the water-fill admitted a run
+// one member at a time, and reads ≈ 1x with a run as one step.
+func TestBestResponseRunsWidthScaling(t *testing.T) {
+	const calls, rounds = 200, 9
+	narrow, wide := oneRun(1000), oneRun(100000)
+	timeCalls := func(runs []Run) time.Duration {
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			if _, err := BestResponseRuns(50.0/7200, runs, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	ratios := make([]float64, rounds)
+	for i := range ratios {
+		n := timeCalls(narrow)
+		ratios[i] = float64(timeCalls(wide)) / float64(n)
+	}
+	slices.Sort(ratios)
+	t.Logf("100 000 members over 1 000, %d rounds of %d calls: %.2fx .. %.2fx, median %.2fx", rounds, calls, ratios[0], ratios[rounds-1], ratios[rounds/2])
+	if ratios[rounds/2] > 2 {
+		t.Errorf("Best Response over one run of 100 000 members costs %.1fx what it costs over 1 000 (median of %d rounds), want <= 2x", ratios[rounds/2], rounds)
 	}
 }

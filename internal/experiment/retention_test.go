@@ -23,9 +23,11 @@ import (
 // every idle VM has been purged. It read ≈ 6 700 B while a job's request
 // pinned its submitted text (the token's ≈ 0.9 KB included) through the
 // substrings JobName and Executable, and its busy map and chunk queue
-// outlived its release.
+// outlived its release; ≈ 5 020 B while the job kept its ended lifecycle
+// span (where the timeline reads only the span's ids) and its agent job the
+// OnComplete and OnFail closures; ≈ 4 810 B since.
 func TestFinishedJobRetentionAllocationBound(t *testing.T) {
-	const hosts, users, wave, waves, maxPerJob = 300, 150, 150, 4, 5800
+	const hosts, users, wave, waves, maxPerJob = 300, 150, 150, 4, 5600
 	const text = "&(executable=scan.sh)(jobname=bench-%d)(count=8)(cputime=10)(walltime=120)(transfertoken=%s)"
 	cfg := PaperWorld()
 	cfg.Hosts, cfg.Users, cfg.Tracer = hosts, users, quietTracer()

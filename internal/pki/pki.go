@@ -19,6 +19,18 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"tycoongrid/internal/metrics"
+)
+
+// Every in-process Ed25519 operation goes through Identity.Sign or Verify,
+// and each counts itself. The two children are resolved once, so an
+// operation pays one atomic add and no label lookup.
+var (
+	mSignatureOps = metrics.Default().CounterVec("pki_signature_ops_total",
+		"Ed25519 signature operations in this process, by op (sign, verify).", "op")
+	mSigns    = mSignatureOps.With("sign")
+	mVerifies = mSignatureOps.With("verify")
 )
 
 // DN is a Grid distinguished name such as "/O=Grid/OU=KTH/CN=Alice".
@@ -89,6 +101,7 @@ type Identity struct {
 
 // Sign signs msg with the identity's private key.
 func (id *Identity) Sign(msg []byte) []byte {
+	mSigns.Inc()
 	return ed25519.Sign(id.priv, msg)
 }
 
@@ -104,7 +117,11 @@ func (id *Identity) DN() DN { return id.Cert.Subject }
 
 // Verify checks sig over msg against the identity's public key.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
+	if len(pub) != ed25519.PublicKeySize {
+		return false
+	}
+	mVerifies.Inc()
+	return ed25519.Verify(pub, msg, sig)
 }
 
 // CA is a certificate authority. It is safe to copy only by pointer.
@@ -157,8 +174,8 @@ func newCAFromKey(name DN, priv ed25519.PrivateKey, opts ...CAOption) (*CA, erro
 		NotBefore: now,
 		NotAfter:  now.Add(ca.ttl),
 	}
-	cert.Signature = ed25519.Sign(priv, cert.SignedBytes())
 	ca.id = &Identity{Cert: cert, priv: priv, pub: priv.Public().(ed25519.PublicKey)}
+	ca.id.Cert.Signature = ca.id.Sign(cert.SignedBytes())
 	return ca, nil
 }
 
@@ -193,7 +210,7 @@ func (ca *CA) issueFromKey(subject DN, priv ed25519.PrivateKey) (*Identity, erro
 		NotBefore: now,
 		NotAfter:  now.Add(ca.ttl),
 	}
-	cert.Signature = ed25519.Sign(ca.id.priv, cert.SignedBytes())
+	cert.Signature = ca.id.Sign(cert.SignedBytes())
 	return &Identity{Cert: cert, priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
 }
 

@@ -46,6 +46,7 @@ var metricReaders = []struct {
 	{"telemetry_scrape_errors_total", "TestAggregatorPeerDownAndRecovery", "internal/telemetry/aggregator_test.go"},
 	{"slo_violations_total", "TestBurnRateViolationAndRecovery", "internal/slo/slo_test.go"},
 	{"pricefeed_samples_rejected_total", "TestAgentRecordsPriceHistory", "internal/agent/feed_test.go"},
+	{"pki_signature_ops_total", "TestSignaturesPerOperation", "signatures_test.go"},
 
 	{"token_rejections_total", "README metric table", "README.md"},
 	{"bank_accounts", "README metric table", "README.md"},
