@@ -275,7 +275,10 @@ simplicity-ledger:
 # finished and purged, where a request pinning its text (spent token
 # included) and a released job's busy map and chunk queue made it ≈ 6 700 B,
 # and its ended lifecycle span and callbacks ≈ 5 020 B
-# (TestFinishedJobRetentionAllocationBound). Two gates time instead of
+# (TestFinishedJobRetentionAllocationBound); and a VM booted for an owner
+# whose first VM still runs allocates its record and its ID, 2 objects, where
+# its runtime-environment set and a formatted ID made it 4
+# (TestAcquireFreshVMAllocationBound). Two gates time instead of
 # counting, because what each holds is a ratio of two timings no count can
 # stand for. Best Response costs one step per run, not per member: over one
 # run of 100 000 members it costs at most 2x what it costs over 1 000, in the
@@ -292,7 +295,7 @@ simplicity-ledger:
 # skipped, saying so, on fewer. Wired into `check`.
 perf-gates:
 	$(GO) test -count=1 ./bench
-	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound|WidthScaling' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/marketplane ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/sim ./internal/tsdb
+	$(GO) test -count=1 -run 'AllocatesNothing|AllocationBound|WidthScaling' ./internal/agent ./internal/auction ./internal/bank ./internal/core ./internal/experiment ./internal/grid ./internal/httpapi ./internal/marketplane ./internal/matrix ./internal/mechanism ./internal/pki ./internal/predict ./internal/sim ./internal/tsdb ./internal/vm
 	@if [ "$$(nproc)" -lt 2 ]; then echo "perf-gates: fewer than two cores, transfer scaling not gated"; exit 0; fi; \
 	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/bank.test" ./internal/bank || exit 1; \

@@ -450,7 +450,7 @@ func busyWorld10k(b *testing.B, busy int) *experiment.World {
 		if _, err := w.Cluster.PlaceBid(host, bidder, 1e6*bank.Credit, far); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := w.Cluster.StartTask(host, bidder, nil, 1e18, nil); err != nil {
+		if _, err := w.Cluster.StartTask(host, bidder, 1e18, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -128,6 +128,7 @@ type module struct {
 
 type modPkg struct {
 	bench bool // under bench/
+	files []*ast.File
 	types *types.Package
 	info  *types.Info
 }
@@ -175,13 +176,12 @@ func load() (*module, error) {
 			return nil, err
 		}
 		p := &modPkg{bench: dir == "./bench" || strings.HasPrefix(dir, "./bench/")}
-		var files []*ast.File
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
 			if err != nil {
 				return nil, err
 			}
-			files = append(files, f)
+			p.files = append(p.files, f)
 		}
 		p.info = &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -189,7 +189,7 @@ func load() (*module, error) {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
-		if p.types, err = conf.Check(path, m.fset, files, p.info); err != nil {
+		if p.types, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
 			return nil, err
 		}
 		m.pkgs[path] = p

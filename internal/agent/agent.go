@@ -94,19 +94,16 @@ type Job struct {
 	SubJobs []SubJob
 	Charged bank.Amount // money actually paid to hosts
 
-	// OnComplete, when set before the job finishes, fires once when the
-	// last sub-job completes (after refunds are issued). The ARC layer uses
-	// it to trigger stage-out.
-	OnComplete func(*Job)
-	// OnFail fires once when the job terminates as failed (every funded
-	// host died, or the deadline passed with work outstanding), after the
-	// unspent balance has been refunded. FailReason says why. Both are nil
-	// once the job is released.
-	OnFail     func(*Job)
+	// OnEnd, when set while the job runs, fires once when it ends by itself,
+	// after its escrow is released: State is StateDone when the last sub-job
+	// completed (the ARC layer starts stage-out), StateFailed when every
+	// funded host died or the deadline passed with work outstanding
+	// (FailReason says which). Cancel ends a job without it, and a refused
+	// submission never runs. It is nil once the job is released.
+	OnEnd      func(*Job)
 	FailReason string
 
-	chunks  []float64 // remaining chunk sizes (MHz-seconds), FIFO; nil once released
-	envs    []string
+	chunks  []float64       // remaining chunk sizes (MHz-seconds), FIFO; nil once released
 	busy    map[string]bool // host -> has a running sub-job of this job; nil once released
 	done    int
 	total   int
@@ -566,7 +563,6 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 		Submitted:  now,
 		State:      StateRunning,
 		chunks:     append([]float64(nil), chunkWork...),
-		envs:       jr.RuntimeEnvs,
 		busy:       make(map[string]bool),
 		total:      len(chunkWork),
 		funded:     amount,
@@ -591,12 +587,7 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 	// Launch the first wave: one sub-job per funded host. Hosts whose VM
 	// slots are all taken right now are fine — the pump ticker retries
 	// queued chunks every reallocation interval.
-	for _, h := range job.Hosts {
-		if len(job.chunks) == 0 {
-			break
-		}
-		a.startChunk(job, h)
-	}
+	a.startQueued(job)
 	a.ensurePump()
 	return job, nil
 }
@@ -613,7 +604,7 @@ func (a *Agent) ensurePump() {
 	err := a.cfg.Cluster.Engine().Every(a.cfg.Cluster.Interval(), func() {
 		now := a.cfg.Cluster.Engine().Now()
 		// Walk a snapshot: failing a job retires it from a.running, and its
-		// OnFail callback may submit another.
+		// OnEnd callback may submit another.
 		for _, job := range slices.Clone(a.running) {
 			if job.State != StateRunning {
 				continue
@@ -622,15 +613,7 @@ func (a *Agent) ensurePump() {
 				a.failJob(job, "deadline exceeded")
 				continue
 			}
-			if len(job.chunks) == 0 {
-				continue
-			}
-			for _, h := range job.Hosts {
-				if len(job.chunks) == 0 {
-					break
-				}
-				a.startChunk(job, h)
-			}
+			a.startQueued(job)
 		}
 	})
 	if err != nil {
@@ -769,7 +752,7 @@ func (a *Agent) startChunk(job *Job, host string) {
 	work := job.chunks[0]
 	idx := job.total - len(job.chunks)
 	bidder := auction.BidderID(job.SubAccount)
-	t, err := a.cfg.Cluster.StartTask(host, bidder, job.envs, work, func(t *grid.Task) {
+	t, err := a.cfg.Cluster.StartTask(host, bidder, work, func(t *grid.Task) {
 		a.onTaskDone(job, host, t)
 	})
 	if err != nil {
@@ -791,6 +774,17 @@ func (a *Agent) startChunk(job *Job, host string) {
 	})
 }
 
+// startQueued starts queued chunks on the job's hosts, in host order, until
+// the queue is empty or every host has been tried once.
+func (a *Agent) startQueued(job *Job) {
+	for _, h := range job.Hosts {
+		if len(job.chunks) == 0 {
+			return
+		}
+		a.startChunk(job, h)
+	}
+}
+
 // onTaskDone records completion and schedules the next chunk.
 func (a *Agent) onTaskDone(job *Job, host string, t *grid.Task) {
 	for i := range job.SubJobs {
@@ -808,12 +802,7 @@ func (a *Agent) onTaskDone(job *Job, host string, t *grid.Task) {
 	// Keep this host busy with the next chunk; also retry hosts that were
 	// previously full.
 	a.startChunk(job, host)
-	for _, h := range job.Hosts {
-		if len(job.chunks) == 0 {
-			break
-		}
-		a.startChunk(job, h)
-	}
+	a.startQueued(job)
 }
 
 // onHostFailure is the broker half of fault tolerance: for every managed job
@@ -895,12 +884,7 @@ func (a *Agent) failover(job *Job, failedHost string, freed bank.Amount) {
 		a.failJob(job, "all funded hosts failed")
 		return
 	}
-	for _, h := range job.Hosts {
-		if len(job.chunks) == 0 {
-			break
-		}
-		a.startChunk(job, h)
-	}
+	a.startQueued(job)
 }
 
 // cheapestLiveHost returns the up host with the lowest spot price among this
@@ -919,9 +903,10 @@ func (a *Agent) cheapestLiveHost() string {
 	return best
 }
 
-// failJob terminates a running job as failed: live tasks are killed, queued
-// chunks dropped, bids cancelled and the unspent balance refunded. OnFail
-// fires last, with FailReason set.
+// failJob terminates a running job as failed: live tasks are killed (a
+// sub-job whose host crashed has none left), queued chunks dropped, bids
+// cancelled and the unspent balance refunded. OnEnd fires last, with
+// FailReason set.
 func (a *Agent) failJob(job *Job, reason string) {
 	if job.State != StateRunning {
 		return
@@ -933,19 +918,20 @@ func (a *Agent) failJob(job *Job, reason string) {
 		}
 	}
 	job.FailReason = reason
-	onFail := job.OnFail
+	onEnd := job.OnEnd
 	a.unwind(job) // cancels bids, drops queued chunks, refunds the sub-account, marks StateFailed
 	mJobsFailed.Inc()
-	if onFail != nil {
-		onFail(job)
+	if onEnd != nil {
+		onEnd(job)
 	}
 }
 
-// unwind cancels any placed bids and returns the job's full sub-account
-// balance to the broker — used when a submission is rejected after funding
-// (hold-back policy or a bidding failure).
+// unwind cancels any placed bids, returns the job's full sub-account balance
+// to the broker and marks the job failed: the release of a job that failed,
+// was cancelled, or was refused after funding (hold-back policy or a bidding
+// failure).
 func (a *Agent) unwind(job *Job) {
-	a.teardown(job, "hold-back refund ")
+	a.teardown(job)
 	job.Hosts = nil
 	job.State = StateFailed
 	a.retire(job)
@@ -954,16 +940,17 @@ func (a *Agent) unwind(job *Job) {
 // teardown releases the job's escrow, and is the only place that does: it
 // cancels the job's bid on every funded host, banks the job's tab (so every
 // host is paid what it charged before anything goes back), then refunds what
-// is left in the sub-account to the broker under memo+job.ID (the memo
-// reaches receipts and timelines). It drops the scheduling state, which
+// is left in the sub-account to the broker under refundMemo(job)+job.ID (the
+// memo reaches receipts and timelines). It drops the scheduling state, which
 // nothing reads once the job has no escrow: the chunk queue and the busy map
 // are nil from here on, and every later reader takes nil (startChunk starts
 // nothing without a chunk; onTaskDone, onHostFailure and failover only
-// delete). It drops OnComplete and OnFail too: finish and failJob take the
-// one they fire before calling it, and no other release fires either.
-func (a *Agent) teardown(job *Job, memo string) {
+// delete). It drops OnEnd too: finish and failJob take it before calling
+// teardown, and no other release fires it.
+func (a *Agent) teardown(job *Job) {
 	job.chunks, job.busy = nil, nil
-	job.OnComplete, job.OnFail = nil, nil
+	job.OnEnd = nil
+	memo := refundMemo(job)
 	bidder := auction.BidderID(job.SubAccount)
 	for _, h := range job.Hosts {
 		host, err := a.cfg.Cluster.Host(h)
@@ -995,10 +982,10 @@ func (a *Agent) finish(job *Job) {
 	a.retire(job)
 	// Exact end: the latest sub-job completion (back-dated by the grid).
 	job.endedAt = latestDone(job.SubJobs, a.cfg.Cluster.Engine().Now())
-	onComplete := job.OnComplete
-	a.teardown(job, "refund ")
-	if onComplete != nil {
-		onComplete(job)
+	onEnd := job.OnEnd
+	a.teardown(job)
+	if onEnd != nil {
+		onEnd(job)
 	}
 }
 
@@ -1015,9 +1002,9 @@ func latestDone(subs []SubJob, fallback time.Time) time.Time {
 	return latest
 }
 
-// Cancel aborts a running job: running tasks are killed, queued chunks are
-// dropped, outstanding bids cancelled, and the unspent balance refunded to
-// the broker account. Completed sub-job records are kept.
+// Cancel aborts a running job as failJob does, with FailReason "cancelled"
+// and without firing OnEnd: the caller knows. Completed sub-job records are
+// kept.
 func (a *Agent) Cancel(jobID string) error {
 	job, ok := a.jobs[jobID]
 	if !ok {
@@ -1026,19 +1013,8 @@ func (a *Agent) Cancel(jobID string) error {
 	if job.State != StateRunning {
 		return ErrJobDone
 	}
-	// Kill running tasks; sub-jobs whose host already crashed have no task
-	// left to cancel.
-	for _, s := range job.SubJobs {
-		if s.Done.IsZero() && !s.Failed {
-			if err := a.cfg.Cluster.CancelTask(s.Host, s.TaskID); err != nil {
-				// Already finished in this tick; harmless.
-				continue
-			}
-		}
-	}
-	job.FailReason = reasonCancelled
-	a.unwind(job) // cancels bids, drops queued chunks, refunds, marks StateFailed
-	mJobsFailed.Inc()
+	job.OnEnd = nil
+	a.failJob(job, reasonCancelled)
 	return nil
 }
 

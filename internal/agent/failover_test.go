@@ -125,7 +125,7 @@ func TestFailoverOntoOwnDryHostListsItOnce(t *testing.T) {
 	}
 }
 
-func TestAllHostsFailedRefundsAndFiresOnFail(t *testing.T) {
+func TestAllHostsFailedRefundsAndFiresOnEnd(t *testing.T) {
 	w := newWorld(t, 1)
 	brokerBefore, _ := w.bank.Balance("broker")
 	job, err := w.agent.Submit(w.payToken(t, 40), request(1, 6*time.Hour), chunks(4, 30))
@@ -133,9 +133,9 @@ func TestAllHostsFailedRefundsAndFiresOnFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var failNotified bool
-	job.OnFail = func(j *Job) {
-		if j != job {
-			t.Error("OnFail fired with wrong job")
+	job.OnEnd = func(j *Job) {
+		if j != job || j.State != StateFailed {
+			t.Errorf("OnEnd fired with job %s in state %v, want %s failed", j.ID, j.State, job.ID)
 		}
 		failNotified = true
 	}
@@ -151,7 +151,7 @@ func TestAllHostsFailedRefundsAndFiresOnFail(t *testing.T) {
 		t.Fatalf("state = %v, want failed (only host died)", job.State)
 	}
 	if !failNotified {
-		t.Error("OnFail did not fire")
+		t.Error("OnEnd did not fire")
 	}
 	if job.FailReason != "all funded hosts failed" {
 		t.Errorf("reason = %q", job.FailReason)

@@ -12,8 +12,9 @@ import (
 
 // TestReleaseDropsSchedulingState: each path that releases a job's escrow —
 // it finishes, it fails at its deadline, it is cancelled, the hold-back
-// policy unwinds it — leaves its chunk queue, busy map, OnComplete and
-// OnFail nil, the callback a path fires having fired once, and a host
+// policy unwinds it — leaves its chunk queue, busy map and OnEnd nil, OnEnd
+// having fired once when the job finished or failed and never when it was
+// cancelled, and a host
 // failure that reaches the job after its release, naming a bid and a task
 // of its sub-account or taking down a host it ran on, panics nowhere and
 // changes nothing the job's record keeps.
@@ -29,10 +30,14 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 				t.Fatal(err)
 			}
 			completed := 0
-			job.OnComplete = func(*Job) { completed++ }
+			job.OnEnd = func(j *Job) {
+				if j.State == StateDone {
+					completed++
+				}
+			}
 			w.eng.RunFor(8 * time.Hour)
 			if completed != 1 {
-				t.Fatalf("OnComplete fired %d times, want once", completed)
+				t.Fatalf("OnEnd fired %d times on a done job, want once", completed)
 			}
 			return job
 		}},
@@ -42,10 +47,14 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 				t.Fatal(err)
 			}
 			failed := 0
-			job.OnFail = func(*Job) { failed++ }
+			job.OnEnd = func(j *Job) {
+				if j.State == StateFailed {
+					failed++
+				}
+			}
 			w.eng.RunFor(2 * time.Hour)
 			if failed != 1 {
-				t.Fatalf("OnFail fired %d times, want once", failed)
+				t.Fatalf("OnEnd fired %d times on a failed job, want once", failed)
 			}
 			return job
 		}},
@@ -54,8 +63,7 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job.OnComplete = func(*Job) { t.Error("a cancelled job completed") }
-			job.OnFail = func(*Job) {}
+			job.OnEnd = func(*Job) { t.Error("Cancel fired OnEnd") }
 			w.eng.RunFor(10 * time.Minute)
 			if err := w.agent.Cancel(job.ID); err != nil {
 				t.Fatal(err)
@@ -82,9 +90,8 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 				t.Fatalf("released job %s keeps %d chunks and a busy map of %d hosts, want both nil",
 					job.ID, len(job.chunks), len(job.busy))
 			}
-			if job.OnComplete != nil || job.OnFail != nil {
-				t.Fatalf("released job %s keeps its callbacks (OnComplete %t, OnFail %t), want both nil",
-					job.ID, job.OnComplete != nil, job.OnFail != nil)
+			if job.OnEnd != nil {
+				t.Fatalf("released job %s keeps its OnEnd, want nil", job.ID)
 			}
 			type kept struct {
 				state             JobState

@@ -16,6 +16,23 @@ const MaxRecords = 128
 // reasonCancelled is the FailReason of a job ended by Cancel.
 const reasonCancelled = "cancelled"
 
+// refundMemo is the memo prefix of the refund that releases job's escrow,
+// read from how the job ended: "refund " when it finished, "cancel refund "
+// when it was cancelled, "failure refund " when it failed while running, and
+// "hold-back refund " when its submission was refused after funding. The
+// ledger entry and the timeline both take it from here.
+func refundMemo(job *Job) string {
+	switch {
+	case job.State == StateDone:
+		return "refund "
+	case job.FailReason == reasonCancelled:
+		return "cancel refund "
+	case job.FailReason != "":
+		return "failure refund "
+	}
+	return "hold-back refund "
+}
+
 type recordKind uint8
 
 const (
@@ -110,10 +127,7 @@ func (a *Agent) Timeline(job *Job) (events []Event, dropped int) {
 	}
 
 	at, escrow := job.releasedAt, (job.Budget - job.Charged).String()
-	memo := "hold-back refund "
 	switch {
-	case job.State == StateDone:
-		memo = "refund "
 	case job.FailReason == reasonCancelled:
 		add(at, "cancelled", "escrow", escrow)
 	case job.FailReason != "":
@@ -126,7 +140,7 @@ func (a *Agent) Timeline(job *Job) (events []Event, dropped int) {
 		}
 	}
 	if job.refunded > 0 {
-		add(at, "bank.refund", "from", sub, "to", broker, "amount", job.refunded.String(), "memo", memo+job.ID)
+		add(at, "bank.refund", "from", sub, "to", broker, "amount", job.refunded.String(), "memo", refundMemo(job)+job.ID)
 	}
 	if job.State == StateDone {
 		add(at, "completed", "charged", job.Charged.String(), "refunded", job.refunded.String(),

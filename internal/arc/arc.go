@@ -177,62 +177,54 @@ func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error)
 		aj, err := m.cfg.Agent.Submit(tok, jr, chunkWork)
 		gj.record = aj
 		if err != nil {
-			gj.State = StateFailed
-			gj.Error = err.Error()
-			gj.Finished = eng.Now()
-			mJobsQueued.Dec()
-			noteTerminal(StateFailed)
-			gj.endSpan(err)
+			m.end(gj, StateFailed, err)
 			return
 		}
 		gj.AgentJob = aj
 		gj.State = StateRunning
 		gj.Started = eng.Now()
 		mJobsQueued.Dec()
-		aj.OnComplete = func(*agent.Job) {
+		aj.OnEnd = func(aj *agent.Job) {
+			if aj.State == agent.StateFailed {
+				// Every funded host died, or the deadline passed with work
+				// outstanding: the agent has already refunded the unspent
+				// balance; surface the reason in the monitor.
+				m.end(gj, StateFailed, errors.New("agent: "+aj.FailReason))
+				return
+			}
 			gj.State = StateFinishing
 			finish := func() {
-				if gj.State != StateFinishing {
-					return // killed during stage-out
+				if gj.State == StateFinishing { // not killed during stage-out
+					m.end(gj, StateFinished, nil)
 				}
-				gj.State = StateFinished
-				gj.Finished = eng.Now()
-				noteTerminal(StateFinished)
-				gj.endSpan(nil)
 			}
 			stageOut := time.Duration(len(jr.OutputFiles)) * m.cfg.StageOutTime
 			if err := eng.After(stageOut, finish); err != nil {
 				finish()
 			}
 		}
-		// Permanent failure (every funded host died, or the deadline passed
-		// with work outstanding): the agent has already refunded the unspent
-		// balance; surface the reason in the monitor.
-		aj.OnFail = func(failed *agent.Job) {
-			if gj.State != StateRunning {
-				return
-			}
-			gj.State = StateFailed
-			gj.Error = "agent: " + failed.FailReason
-			gj.Finished = eng.Now()
-			noteTerminal(StateFailed)
-			gj.endSpan(errors.New(gj.Error))
-		}
 	}); err != nil {
-		gj.State = StateFailed
-		gj.Error = err.Error()
-		gj.Finished = eng.Now()
-		mJobsQueued.Dec()
-		noteTerminal(StateFailed)
-		gj.endSpan(err)
+		m.end(gj, StateFailed, err)
 		return gj, err
 	}
 	return gj, nil
 }
 
-// endSpan ends the job's lifecycle span, recording err when non-nil, and
-// lets it go: the job keeps only its ids.
-func (gj *GridJob) endSpan(err error) {
+// end is a job's one terminal step: it puts the job in state with err's text
+// as its error (none when err is nil), stamps its finish time, takes it off
+// arc_jobs_queued if it was still queued, counts arc_jobs_terminal_total, and
+// ends its lifecycle span with err and lets the span go: the job keeps only
+// its ids.
+func (m *Manager) end(gj *GridJob, state State, err error) {
+	if gj.State == StateAccepted || gj.State == StatePreparing {
+		mJobsQueued.Dec()
+	}
+	gj.State = state
+	if err != nil {
+		gj.Error = err.Error()
+	}
+	gj.Finished = m.cfg.Agent.Engine().Now()
+	noteTerminal(state)
 	gj.span.EndErr(err)
 	gj.span = nil
 }
@@ -265,19 +257,12 @@ func (m *Manager) Cancel(jobID string) error {
 		return fmt.Errorf("arc: job %q already in terminal state %s", jobID, gj.State)
 	}
 	if gj.AgentJob != nil {
-		gj.AgentJob.OnComplete = nil // suppress the stage-out path
 		err := m.cfg.Agent.Cancel(gj.AgentJob.ID)
 		if err != nil && !errors.Is(err, agent.ErrJobDone) {
 			return err
 		}
 	}
-	if gj.State == StateAccepted || gj.State == StatePreparing {
-		mJobsQueued.Dec()
-	}
-	gj.State = StateKilled
-	gj.Finished = m.cfg.Agent.Engine().Now()
-	noteTerminal(StateKilled)
-	gj.endSpan(nil)
+	m.end(gj, StateKilled, nil)
 	return nil
 }
 

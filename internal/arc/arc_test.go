@@ -150,8 +150,8 @@ func TestSubmitLifecycle(t *testing.T) {
 	if gj.span != nil {
 		t.Error("the finished job keeps its ended lifecycle span")
 	}
-	if gj.AgentJob.OnComplete != nil || gj.AgentJob.OnFail != nil {
-		t.Error("the finished job's agent record keeps its callbacks")
+	if gj.AgentJob.OnEnd != nil {
+		t.Error("the finished job's agent record keeps its callback")
 	}
 	tl, err := w.manager.Timeline(gj.ID)
 	if err != nil {

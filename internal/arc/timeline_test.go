@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,7 +71,10 @@ const anyValue = "\x00any"
 //   - auction.bid, auction.clear and grid.vm-acquire are gone;
 //   - bid gains the rate of its auction.bid, placed the vm and ready_at of
 //     its grid.vm-acquire;
-//   - bank.* events stay only for entries on the job's own sub-account.
+//   - bank.* events stay only for entries on the job's own sub-account;
+//   - a KILLED job's bank.refund memo reads "cancel refund <id>": the
+//     span-event build booked a cancelled job's refund as a hold-back
+//     refund.
 func fromSpanEvents(j goldenJob) goldenJob {
 	rates := map[string][]string{} // host -> auction.bid rates, in order
 	vms := map[string][]tracing.Attr{}
@@ -100,6 +104,14 @@ func fromSpanEvents(j goldenJob) goldenJob {
 			to, _ := attr(e.attrs, "to")
 			if from != sub && to != sub {
 				continue
+			}
+			if memo, _ := attr(e.attrs, "memo"); e.name == "bank.refund" && strings.Contains(j.header, " state=KILLED ") {
+				e.attrs = slices.Clone(e.attrs)
+				for i := range e.attrs {
+					if e.attrs[i].Key == "memo" {
+						e.attrs[i].Value = "cancel refund " + strings.TrimPrefix(memo, "hold-back refund ")
+					}
+				}
 			}
 		case e.name == "bid":
 			host, _ := attr(e.attrs, "host")

@@ -47,10 +47,9 @@ type Config struct {
 	// exist for reproducible runs, and no daemon takes one.
 	Seed  int64
 	Start time.Time // engine start; zero = sim.Epoch
-	// VM overheads; zero means instant (exact arithmetic in analyses).
-	CreateOverhead  time.Duration
-	InstallOverhead time.Duration
-	VirtOverhead    float64
+	// CreateOverhead is a fresh VM's boot time; zero means instant (exact
+	// arithmetic in analyses).
+	CreateOverhead time.Duration
 	// PurgeIdleAfter destroys VMs idle longer than this (0 = never). Long
 	// many-job scenarios must set it: every job bids under its own
 	// sub-account, so finished jobs' VMs are never reused and would
@@ -205,14 +204,11 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	specs := make([]grid.HostSpec, cfg.Hosts)
 	for i := range specs {
 		specs[i] = grid.HostSpec{
-			ID:              fmt.Sprintf("h%02d", i),
-			Site:            sites[i%len(sites)],
-			CPUs:            cfg.CPUsPerHost,
-			CPUMHz:          cfg.CPUMHz,
-			MaxVMs:          cfg.MaxVMsPerCPU * cfg.CPUsPerHost,
-			CreateOverhead:  cfg.CreateOverhead,
-			InstallOverhead: cfg.InstallOverhead,
-			VirtOverhead:    cfg.VirtOverhead,
+			ID:             fmt.Sprintf("h%02d", i),
+			CPUs:           cfg.CPUsPerHost,
+			CPUMHz:         cfg.CPUMHz,
+			MaxVMs:         cfg.MaxVMsPerCPU * cfg.CPUsPerHost,
+			CreateOverhead: cfg.CreateOverhead,
 		}
 	}
 	b.Cluster, err = grid.New(eng, grid.Config{
@@ -291,8 +287,6 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	return b, nil
 }
-
-var sites = []string{"hplabs", "intel-oregon", "singapore", "sics"}
 
 // issue draws the next identity: from the seed's stream in a seeded world,
 // from crypto/rand otherwise.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
@@ -9,110 +10,53 @@ import (
 	"strconv"
 )
 
-// writeCSV writes a rectangular table of float64 rows with a header.
-func writeCSV(w io.Writer, header []string, rows [][]float64) error {
-	for i, h := range header {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, h); err != nil {
-			return err
-		}
+// writeCSV writes header, then one line per row of values: labels[i]'s
+// fields first when labels is non-nil (a name, or a replication's index and
+// seed), then rows[i]'s values in their shortest exact form. A line whose
+// width differs from the header's is refused.
+func writeCSV(w io.Writer, header []string, labels [][]string, rows [][]float64) error {
+	if labels != nil && len(labels) != len(rows) {
+		return fmt.Errorf("experiment: csv has %d labels for %d rows", len(labels), len(rows))
 	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, row := range rows {
-		if len(row) != len(header) {
-			return fmt.Errorf("experiment: csv row has %d fields, header %d", len(row), len(header))
-		}
-		for i, v := range row {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeNamedCSV writes a table whose first column is a label and whose
-// remaining columns are float64 values.
-func writeNamedCSV(w io.Writer, header []string, names []string, rows [][]float64) error {
-	if len(names) != len(rows) {
-		return fmt.Errorf("experiment: csv has %d names for %d rows", len(names), len(rows))
-	}
-	for i, h := range header {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, h); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-	for r, row := range rows {
-		if len(row) != len(header)-1 {
-			return fmt.Errorf("experiment: csv row has %d fields, header %d", len(row)+1, len(header))
-		}
-		if _, err := io.WriteString(w, names[r]); err != nil {
-			return err
+	var line []string
+	for i, row := range rows {
+		line = line[:0]
+		if labels != nil {
+			line = append(line, labels[i]...)
 		}
 		for _, v := range row {
-			if _, err := io.WriteString(w, ","+strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
-			}
+			line = append(line, strconv.FormatFloat(v, 'g', -1, 64))
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		if len(line) != len(header) {
+			return fmt.Errorf("experiment: csv row %d has %d fields, header %d", i, len(line), len(header))
+		}
+		if err := cw.Write(line); err != nil {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
-// writeNamedCSVFile writes a labeled-row CSV into dir/name.
-func writeNamedCSVFile(dir, name string, header, names []string, rows [][]float64) error {
+// writeCSVFile writes a CSV (see writeCSV) into dir/name.
+func writeCSVFile(dir, name string, header []string, labels [][]string, rows [][]float64) error {
+	var buf bytes.Buffer
+	if err := writeCSV(&buf, header, labels, rows); err != nil {
+		return err
+	}
+	return writeFile(dir, name, buf.Bytes())
+}
+
+// writeFile writes data into dir/name, making dir first.
+func writeFile(dir, name string, data []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := writeNamedCSV(f, header, names, rows); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// writeCSVFile writes a CSV into dir/name.
-func writeCSVFile(dir, name string, header []string, rows [][]float64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := writeCSV(f, header, rows); err != nil {
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
 }
 
 // WriteCSV exports the Figure 3 capacity curves (one column per guarantee
@@ -130,7 +74,7 @@ func (r *Figure3Result) WriteCSV(dir string) error {
 		}
 		rows[i] = row
 	}
-	return writeCSVFile(dir, "figure3.csv", header, rows)
+	return writeCSVFile(dir, "figure3.csv", header, nil, rows)
 }
 
 // WriteCSV exports the Figure 4 evaluation price trace as figure4.csv.
@@ -139,7 +83,7 @@ func (r *Figure4Result) WriteCSV(dir string) error {
 	for i, v := range r.Series {
 		rows[i] = []float64{float64(i), v}
 	}
-	return writeCSVFile(dir, "figure4.csv", []string{"bucket", "price"}, rows)
+	return writeCSVFile(dir, "figure4.csv", []string{"bucket", "price"}, nil, rows)
 }
 
 // WriteCSV exports the Figure 5 aggregate performance series as figure5.csv.
@@ -149,7 +93,7 @@ func (r *Figure5Result) WriteCSV(dir string) error {
 		rows[i] = []float64{float64(i), r.RiskFree[i], r.Equal[i]}
 	}
 	return writeCSVFile(dir, "figure5.csv",
-		[]string{"step", "risk_free", "equal_share"}, rows)
+		[]string{"step", "risk_free", "equal_share"}, nil, rows)
 }
 
 // WriteCSV exports the Figure 6 window densities as figure6.csv: one row per
@@ -162,7 +106,7 @@ func (r *Figure6Result) WriteCSV(dir string) error {
 			rows = append(rows, []float64{float64(wi), b.Lo, b.Hi, b.Proportion})
 		}
 	}
-	return writeCSVFile(dir, "figure6.csv", header, rows)
+	return writeCSVFile(dir, "figure6.csv", header, nil, rows)
 }
 
 // WriteCSV exports the Figure 7 approximated densities as figure7.csv.
@@ -174,21 +118,22 @@ func (r *Figure7Result) WriteCSV(dir string) error {
 			rows = append(rows, []float64{float64(di), b.Lo, b.Hi, b.Proportion})
 		}
 	}
-	return writeCSVFile(dir, "figure7.csv", header, rows)
+	return writeCSVFile(dir, "figure7.csv", header, nil, rows)
 }
 
 // SummaryCSV renders the per-metric mean/stddev/CI table. The bytes are a
 // pure function of the aggregate, which Replicate computes in seed order —
 // so the rendering is identical for every worker count.
 func (a *Aggregate) SummaryCSV() ([]byte, error) {
-	var buf bytes.Buffer
-	header := []string{"metric", "mean", "stddev", "ci95_half", "reps"}
+	labels := make([][]string, len(a.Cols))
 	rows := make([][]float64, len(a.Cols))
 	n := float64(len(a.PerRep))
-	for c := range a.Cols {
+	for c, col := range a.Cols {
+		labels[c] = []string{col}
 		rows[c] = []float64{a.Mean[c], a.StdDev[c], a.CI95[c], n}
 	}
-	if err := writeNamedCSV(&buf, header, a.Cols, rows); err != nil {
+	var buf bytes.Buffer
+	if err := writeCSV(&buf, []string{"metric", "mean", "stddev", "ci95_half", "reps"}, labels, rows); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -197,43 +142,31 @@ func (a *Aggregate) SummaryCSV() ([]byte, error) {
 // PerRepCSV renders one row per replication: rep index, seed (exact int64,
 // not a rounded float), then every metric column.
 func (a *Aggregate) PerRepCSV() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString("rep,seed")
-	for _, c := range a.Cols {
-		buf.WriteString("," + c)
+	labels := make([][]string, len(a.PerRep))
+	for i := range a.PerRep {
+		labels[i] = []string{strconv.Itoa(i), strconv.FormatInt(a.Seeds[i], 10)}
 	}
-	buf.WriteByte('\n')
-	for i, rep := range a.PerRep {
-		if len(rep) != len(a.Cols) {
-			return nil, fmt.Errorf("experiment: replication %d has %d values for %d columns", i, len(rep), len(a.Cols))
-		}
-		buf.WriteString(strconv.Itoa(i))
-		buf.WriteString("," + strconv.FormatInt(a.Seeds[i], 10))
-		for _, v := range rep {
-			buf.WriteString("," + strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		buf.WriteByte('\n')
+	var buf bytes.Buffer
+	if err := writeCSV(&buf, append([]string{"rep", "seed"}, a.Cols...), labels, a.PerRep); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // WriteCSV exports <name>_summary.csv and <name>_reps.csv into dir.
 func (a *Aggregate) WriteCSV(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	sum, err := a.SummaryCSV()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, a.Name+"_summary.csv"), sum, 0o644); err != nil {
+	if err := writeFile(dir, a.Name+"_summary.csv", sum); err != nil {
 		return err
 	}
 	reps, err := a.PerRepCSV()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, a.Name+"_reps.csv"), reps, 0o644)
+	return writeFile(dir, a.Name+"_reps.csv", reps)
 }
 
 // WriteCSV exports a table result (Table 1 or 2) as <name>.csv.
@@ -246,5 +179,5 @@ func (r *TableResult) WriteCSV(dir, name string) error {
 		}
 	}
 	return writeCSVFile(dir, name,
-		[]string{"user", "budget", "time_h", "cost_per_h", "latency_min", "nodes"}, rows)
+		[]string{"user", "budget", "time_h", "cost_per_h", "latency_min", "nodes"}, nil, rows)
 }

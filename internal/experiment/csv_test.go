@@ -12,7 +12,7 @@ import (
 
 func TestWriteCSVShape(t *testing.T) {
 	var b strings.Builder
-	err := writeCSV(&b, []string{"a", "b"}, [][]float64{{1, 2}, {3.5, -4}})
+	err := writeCSV(&b, []string{"a", "b"}, nil, [][]float64{{1, 2}, {3.5, -4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +21,16 @@ func TestWriteCSVShape(t *testing.T) {
 		t.Errorf("csv = %q", b.String())
 	}
 	// Ragged rows rejected.
-	if err := writeCSV(&strings.Builder{}, []string{"a"}, [][]float64{{1, 2}}); err == nil {
+	if err := writeCSV(&strings.Builder{}, []string{"a"}, nil, [][]float64{{1, 2}}); err == nil {
 		t.Error("ragged row accepted")
+	}
+	// A label column counts toward the width.
+	b.Reset()
+	if err := writeCSV(&b, []string{"name", "v"}, [][]string{{"x"}}, [][]float64{{0.25}}); err != nil || b.String() != "name,v\nx,0.25\n" {
+		t.Errorf("labelled csv = %q, %v", b.String(), err)
+	}
+	if err := writeCSV(&strings.Builder{}, []string{"name", "v"}, [][]string{{"x"}}, [][]float64{{1, 2}}); err == nil {
+		t.Error("ragged labelled row accepted")
 	}
 }
 

@@ -439,12 +439,12 @@ func formatPicks(picks map[string]int) string {
 func (r *StrategiesResult) WriteCSV(dir string) error {
 	header := []string{"strategy", "cost", "makespan_min", "volatility", "pred_mae", "jobs", "failed",
 		"clears", "transfers"}
-	names := make([]string, len(r.Outcomes))
+	names := make([][]string, len(r.Outcomes))
 	rows := make([][]float64, len(r.Outcomes))
 	for i, o := range r.Outcomes {
-		names[i] = o.Strategy
+		names[i] = []string{o.Strategy}
 		rows[i] = []float64{o.MeanCost, o.MeanMakespanMin, o.Volatility, o.PredMAE,
 			float64(o.Jobs), float64(o.Failed), float64(o.Clears), float64(o.Transfers)}
 	}
-	return writeNamedCSVFile(dir, "strategies.csv", header, names, rows)
+	return writeCSVFile(dir, "strategies.csv", header, names, rows)
 }

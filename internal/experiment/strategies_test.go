@@ -154,7 +154,7 @@ func TestStrategiesColumns(t *testing.T) {
 
 // TestStrategiesWorldHonoursWorldConfig: the partitioned world stands on the
 // same testbed as NewWorld, so the WorldConfig fields its own copy of the
-// builder used to drop — shards, clearing mechanism, VM overheads — reach the
+// builder used to drop — shards, clearing mechanism, VM boot overhead — reach the
 // cluster, and a field the cluster rejects fails the run instead of being
 // ignored. The agents' price rings are sized to the prediction window.
 func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
@@ -162,8 +162,6 @@ func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
 	p.World.Shards = 2
 	p.World.Mechanism = "vcg"
 	p.World.CreateOverhead = 30 * time.Second
-	p.World.InstallOverhead = 10 * time.Second
-	p.World.VirtOverhead = 0.05
 	w, err := buildStrategiesWorld(p, strategy.CurrentPrice)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +174,8 @@ func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
 		if got := h.Market.MechanismName(); got != "vcg" {
 			t.Errorf("%s clears by %q, want vcg", id, got)
 		}
-		if h.Spec.CreateOverhead != 30*time.Second || h.Spec.InstallOverhead != 10*time.Second || h.Spec.VirtOverhead != 0.05 {
-			t.Errorf("%s overheads = %v/%v/%v", id, h.Spec.CreateOverhead, h.Spec.InstallOverhead, h.Spec.VirtOverhead)
+		if h.Spec.CreateOverhead != 30*time.Second {
+			t.Errorf("%s boot overhead = %v, want 30s", id, h.Spec.CreateOverhead)
 		}
 	}
 	// Past a window of clears, each partition's history is exactly the window.

@@ -22,7 +22,7 @@ func TestFailHostKillsTasksAndRefundsBids(t *testing.T) {
 		t.Fatal(err)
 	}
 	doneFired := false
-	if _, err := c.StartTask("h00", "alice", nil, 3600*2800, func(*Task) { doneFired = true }); err != nil {
+	if _, err := c.StartTask("h00", "alice", 3600*2800, func(*Task) { doneFired = true }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(30 * time.Second) // a few ticks: alice is charged, bob idles
@@ -74,7 +74,7 @@ func TestDownHostRejectsOperations(t *testing.T) {
 	if err := c.Boost("h00", "alice", bank.Credit); !errors.Is(err, ErrHostDown) {
 		t.Errorf("Boost on down host: %v", err)
 	}
-	if _, err := c.StartTask("h00", "alice", nil, 100, nil); !errors.Is(err, ErrHostDown) {
+	if _, err := c.StartTask("h00", "alice", 100, nil); !errors.Is(err, ErrHostDown) {
 		t.Errorf("StartTask on down host: %v", err)
 	}
 	if _, err := c.FailHost("h00"); !errors.Is(err, ErrHostDown) {
@@ -100,7 +100,7 @@ func TestRecoverHostResyncsMarketClock(t *testing.T) {
 	if _, err := c.PlaceBid("h00", "alice", 10*bank.Credit, deadline); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartTask("h00", "alice", nil, 3600*2800, nil); err != nil {
+	if _, err := c.StartTask("h00", "alice", 3600*2800, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(10 * time.Second) // exactly one tick
@@ -126,7 +126,7 @@ func TestFailedHostSkippedByTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done *Task
-	if _, err := c.StartTask("h01", "alice", nil, 60*2800, func(t *Task) { done = t }); err != nil {
+	if _, err := c.StartTask("h01", "alice", 60*2800, func(t *Task) { done = t }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.FailHost("h00"); err != nil {

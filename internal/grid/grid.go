@@ -27,14 +27,11 @@ import (
 
 // HostSpec describes one simulated host.
 type HostSpec struct {
-	ID              string
-	Site            string
-	CPUs            int     // physical processors
-	CPUMHz          float64 // capacity of one processor
-	MaxVMs          int
-	CreateOverhead  time.Duration
-	InstallOverhead time.Duration
-	VirtOverhead    float64
+	ID             string
+	CPUs           int     // physical processors
+	CPUMHz         float64 // capacity of one processor
+	MaxVMs         int
+	CreateOverhead time.Duration // a fresh VM's boot
 }
 
 // Host is one cluster node: a market plus a VM manager.
@@ -62,16 +59,15 @@ func (h *Host) Index() int { return h.index }
 // Down reports whether the host is currently failed.
 func (h *Host) Down() bool { return h.down }
 
-// TotalMHz returns the host's aggregate CPU capacity after virtualization
-// overhead.
+// TotalMHz returns the host's aggregate CPU capacity.
 func (h *Host) TotalMHz() float64 {
-	return h.VMs.EffectiveCapacity(h.Spec.CPUMHz * float64(h.Spec.CPUs))
+	return h.Spec.CPUMHz * float64(h.Spec.CPUs)
 }
 
-// PerCPUMHz returns one processor's effective capacity — the ceiling for a
+// PerCPUMHz returns one processor's capacity — the ceiling for a
 // single-threaded task.
 func (h *Host) PerCPUMHz() float64 {
-	return h.VMs.EffectiveCapacity(h.Spec.CPUMHz)
+	return h.Spec.CPUMHz
 }
 
 // Task is one sub-job executing in a VM on one host.
@@ -82,7 +78,7 @@ type Task struct {
 	Work      float64 // remaining MHz-seconds
 	TotalWork float64
 	VMID      string
-	ReadyAt   time.Time // VM boot/install completes
+	ReadyAt   time.Time // when its VM has booted
 	Started   time.Time // submission time
 	DoneAt    time.Time // exact completion time (set when finished)
 	OnDone    func(*Task)
@@ -199,13 +195,7 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		if _, dup := c.hosts[spec.ID]; dup {
 			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadSpec, spec.ID)
 		}
-		vmm, err := vm.NewManager(vm.Config{
-			HostID:          spec.ID,
-			MaxVMs:          spec.MaxVMs,
-			CreateOverhead:  spec.CreateOverhead,
-			InstallOverhead: spec.InstallOverhead,
-			VirtOverhead:    spec.VirtOverhead,
-		})
+		vmm, err := vm.NewManager(vm.Config{HostID: spec.ID, MaxVMs: spec.MaxVMs, CreateOverhead: spec.CreateOverhead})
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +205,7 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		}
 		market, err := auction.NewMarket(auction.Config{
 			HostID:       spec.ID,
-			CapacityMHz:  vmm.EffectiveCapacity(spec.CPUMHz * float64(spec.CPUs)),
+			CapacityMHz:  spec.CPUMHz * float64(spec.CPUs),
 			ReservePrice: cfg.ReservePrice,
 			Start:        engine.Now(),
 			Mechanism:    mech,
@@ -334,7 +324,7 @@ func (c *Cluster) Boost(hostID string, bidder auction.BidderID, extra bank.Amoun
 // is the task's size in MHz-seconds (e.g. 212 minutes at 2800 MHz =
 // 212*60*2800). onDone fires at the tick when the task completes, with
 // DoneAt back-dated to the exact completion instant.
-func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string, workMHzSec float64, onDone func(*Task)) (*Task, error) {
+func (c *Cluster) StartTask(hostID string, owner auction.BidderID, workMHzSec float64, onDone func(*Task)) (*Task, error) {
 	if workMHzSec <= 0 || math.IsNaN(workMHzSec) || math.IsInf(workMHzSec, 0) {
 		return nil, fmt.Errorf("grid: bad task size %v", workMHzSec)
 	}
@@ -345,7 +335,7 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, envs []string
 	if h.down {
 		return nil, fmt.Errorf("%w: %q", ErrHostDown, hostID)
 	}
-	machine, err := h.VMs.Acquire(string(owner), envs, c.engine.Now())
+	machine, err := h.VMs.Acquire(string(owner), c.engine.Now())
 	if err != nil {
 		return nil, err
 	}

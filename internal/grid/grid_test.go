@@ -66,7 +66,7 @@ func TestSingleTaskFullSpeed(t *testing.T) {
 	// 100% share of the 5600 MHz host. Work = 10 minutes at one CPU.
 	work := 600 * 2800.0
 	var done *Task
-	if _, err := c.StartTask("h00", "alice", nil, work, func(t *Task) { done = t }); err != nil {
+	if _, err := c.StartTask("h00", "alice", work, func(t *Task) { done = t }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(11 * time.Minute)
@@ -92,7 +92,7 @@ func TestDualCPUNoCompetition(t *testing.T) {
 	work := 600 * 2800.0
 	var times []time.Duration
 	for _, u := range []auction.BidderID{"u1", "u2"} {
-		if _, err := c.StartTask("h00", u, nil, work, func(t *Task) {
+		if _, err := c.StartTask("h00", u, work, func(t *Task) {
 			times = append(times, t.DoneAt.Sub(sim.Epoch))
 		}); err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestThreeUsersCompeteOnDualCPU(t *testing.T) {
 		if _, err := c.PlaceBid("h00", u, 10*bank.Credit, deadline); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.StartTask("h00", u, nil, work, func(task *Task) {
+		if _, err := c.StartTask("h00", u, work, func(task *Task) {
 			n++
 			elapsed := task.DoneAt.Sub(sim.Epoch).Seconds()
 			if !mathx.AlmostEqual(elapsed, 900, 15) { // 600 * 3/2
@@ -149,10 +149,10 @@ func TestProportionalProgress(t *testing.T) {
 	}
 	work := 600 * 2800.0
 	var tRich, tPoor time.Duration
-	if _, err := c.StartTask("h00", "u1", nil, work, func(t *Task) { tRich = t.DoneAt.Sub(sim.Epoch) }); err != nil {
+	if _, err := c.StartTask("h00", "u1", work, func(t *Task) { tRich = t.DoneAt.Sub(sim.Epoch) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartTask("h00", "u2", nil, work, func(t *Task) { tPoor = t.DoneAt.Sub(sim.Epoch) }); err != nil {
+	if _, err := c.StartTask("h00", "u2", work, func(t *Task) { tPoor = t.DoneAt.Sub(sim.Epoch) }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(40 * time.Minute)
@@ -183,7 +183,7 @@ func TestVMOverheadDelaysStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done *Task
-	if _, err := c.StartTask("h", "u", nil, 600*1000, func(t *Task) { done = t }); err != nil {
+	if _, err := c.StartTask("h", "u", 600*1000, func(t *Task) { done = t }); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(15 * time.Minute)
@@ -230,7 +230,7 @@ func TestChargesFlowThroughCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Long task: runs the full 10 minutes, consuming the whole budget.
-	if _, err := c.StartTask("h00", "u", nil, 1e12, nil); err != nil {
+	if _, err := c.StartTask("h00", "u", 1e12, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(20 * time.Minute)
@@ -268,7 +268,7 @@ func TestTaskCompletionFreesVMAndDeactivates(t *testing.T) {
 	if _, err := c.PlaceBid("h00", "u", 36*bank.Credit, deadline); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartTask("h00", "u", nil, 60*2800, nil); err != nil {
+	if _, err := c.StartTask("h00", "u", 60*2800, nil); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := c.Host("h00")
@@ -296,7 +296,7 @@ func TestProgressReporting(t *testing.T) {
 	if _, err := c.PlaceBid("h00", "u", 100*bank.Credit, eng.Now().Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	task, err := c.StartTask("h00", "u", nil, 600*2800, nil)
+	task, err := c.StartTask("h00", "u", 600*2800, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +314,10 @@ func (h *Host) RunningTasks() int { return len(h.tasks) }
 
 func TestStartTaskValidation(t *testing.T) {
 	c, _ := testCluster(t, 1)
-	if _, err := c.StartTask("ghost", "u", nil, 100, nil); !errors.Is(err, ErrUnknownHost) {
+	if _, err := c.StartTask("ghost", "u", 100, nil); !errors.Is(err, ErrUnknownHost) {
 		t.Errorf("ghost host: %v", err)
 	}
-	if _, err := c.StartTask("h00", "u", nil, -1, nil); err == nil {
+	if _, err := c.StartTask("h00", "u", -1, nil); err == nil {
 		t.Error("negative work accepted")
 	}
 }
@@ -331,7 +331,7 @@ func TestBoostSpeedsUpTask(t *testing.T) {
 		if _, err := c.PlaceBid("h00", u, 10*bank.Credit, deadline); err != nil {
 			t.Fatal(err)
 		}
-		task, err := c.StartTask("h00", u, nil, 1200*2800, nil)
+		task, err := c.StartTask("h00", u, 1200*2800, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestPurgeIdleVMs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A one-minute task leaves an idle VM behind.
-	if _, err := c.StartTask("h", "u", nil, 60*1000, nil); err != nil {
+	if _, err := c.StartTask("h", "u", 60*1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(3 * time.Minute)

@@ -87,7 +87,7 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 			h, _ := w.Host("h02")
 			_, err := h.Market.PlaceBid("direct", 40*bank.Credit, w.eng.Now().Add(6*time.Minute))
 			must(err)
-			_, err = w.StartTask("h02", "direct", nil, 100*2800, nil)
+			_, err = w.StartTask("h02", "direct", 100*2800, nil)
 			must(err)
 		},
 		31: func(w *observedCluster) { // recovery between two ticks
@@ -95,7 +95,7 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 			must(w.RecoverHost("h01"))
 		},
 		35: func(w *observedCluster) { // a task first, its bid later
-			_, err := w.StartTask("h03", "late", nil, 50*2800, nil)
+			_, err := w.StartTask("h03", "late", 50*2800, nil)
 			must(err)
 		},
 		40: func(w *observedCluster) {

@@ -40,7 +40,7 @@ func twoHostsFinishingTogether(t *testing.T, from string, watch auction.BidderID
 		if host == from {
 			onDone = func(*Task) { act(c) }
 		}
-		if _, err := c.StartTask(host, owner, nil, 25*2800, onDone); err != nil {
+		if _, err := c.StartTask(host, owner, 25*2800, onDone); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestMidTickBookChangeReachesLaterHostsShares(t *testing.T) {
 	var actedAt time.Time
 	bid("h00", "trigger", 10)
 	// 25 CPU-seconds at a full processor: done in the third tick.
-	_, err = c.StartTask("h00", "trigger", nil, 25*2800, func(*Task) {
+	_, err = c.StartTask("h00", "trigger", 25*2800, func(*Task) {
 		actedAt = eng.Now()
 		_, err := h01.Market.CancelBid("gone")
 		must(err)
@@ -162,7 +162,7 @@ func TestMidTickBookChangeReachesLaterHostsShares(t *testing.T) {
 	tasks := map[auction.BidderID]*Task{}
 	for _, who := range []auction.BidderID{"gone", "boosted", "steady", "fresh"} {
 		// fresh has a task but no bid yet: no share, no progress.
-		tasks[who], err = c.StartTask("h01", who, nil, 1e9, nil)
+		tasks[who], err = c.StartTask("h01", who, 1e9, nil)
 		must(err)
 	}
 
@@ -274,7 +274,7 @@ func TestTaskShareRowMatchesSearch(t *testing.T) {
 			{"b0", 1e9}, {"b1", 1e9}, {"b2", 20 * 2800}, {"b2", 1e9}, {"b3", 1e9},
 			{"b4", 35 * 2800}, {"b4", 1e9}, {"b5", 1e9}, {"b6", 60 * 2800},
 		} {
-			tk, err := c.StartTask("h00", task.who, nil, task.work, nil)
+			tk, err := c.StartTask("h00", task.who, task.work, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

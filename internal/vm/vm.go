@@ -1,17 +1,17 @@
 // Package vm models the virtualization substrate Tycoon runs on (Xen in the
 // paper; see DESIGN.md §2 for the substitution). A Manager tracks the
-// virtual machines of one physical host: creation with a configurable setup
-// overhead, automatic software installation ("yum") for requested runtime
-// environments, reuse of a user's existing VM between jobs on the same host
-// (with scratch space wiped — "no application data or scratch space is
-// shared by different jobs"), purging to free capacity, and the host-wide
-// VM limit that caps how many virtual CPUs the Grid monitor can report (the
-// paper's ~15 VMs per physical node).
+// virtual machines of one physical host: creation with a configurable boot
+// overhead, reuse of a user's idle VM between jobs on the same host, purging
+// to free capacity, and the host-wide VM limit that caps how many virtual
+// CPUs the Grid monitor can report (the paper's ~15 VMs per physical node).
+// A VM delivers its host's raw CPU: the market sells the host's capacity as
+// the spec gives it.
 package vm
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -20,8 +20,7 @@ type State int
 
 // VM lifecycle states.
 const (
-	StateCreating State = iota
-	StateIdle
+	StateIdle State = iota
 	StateRunning
 	StatePurged
 )
@@ -29,8 +28,6 @@ const (
 // String renders the state for logs and the grid monitor.
 func (s State) String() string {
 	switch s {
-	case StateCreating:
-		return "creating"
 	case StateIdle:
 		return "idle"
 	case StateRunning:
@@ -47,11 +44,7 @@ type VM struct {
 	ID       string
 	Owner    string // the user the VM is dedicated to
 	State    State
-	Envs     map[string]bool // installed runtime environments
-	ReadyAt  time.Time       // when creation/installation completes
-	Scratch  int             // generation counter; bumps when scratch is wiped
-	JobsRun  int
-	Created  time.Time
+	ReadyAt  time.Time // when the VM has booted
 	LastUsed time.Time
 }
 
@@ -63,11 +56,6 @@ type Config struct {
 	MaxVMs int
 	// CreateOverhead is the virtual-machine boot cost.
 	CreateOverhead time.Duration
-	// InstallOverhead is the per-runtime-environment software install cost.
-	InstallOverhead time.Duration
-	// VirtOverhead is the fraction of CPU lost to virtualization, in [0, 0.5];
-	// the paper cites 1-5% for Xen.
-	VirtOverhead float64
 }
 
 // Manager owns the VMs of one host. It is not safe for concurrent use; the
@@ -101,9 +89,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.MaxVMs < 1 {
 		return nil, fmt.Errorf("vm: MaxVMs %d, want >= 1", cfg.MaxVMs)
 	}
-	if cfg.VirtOverhead < 0 || cfg.VirtOverhead > 0.5 {
-		return nil, fmt.Errorf("vm: VirtOverhead %v outside [0, 0.5]", cfg.VirtOverhead)
-	}
 	return &Manager{
 		cfg:     cfg,
 		vms:     make(map[string]*VM),
@@ -111,47 +96,28 @@ func NewManager(cfg Config) (*Manager, error) {
 	}, nil
 }
 
-// EffectiveCapacity converts raw host MHz to what VMs actually deliver after
-// the virtualization overhead.
-func (m *Manager) EffectiveCapacity(rawMHz float64) float64 {
-	return rawMHz * (1 - m.cfg.VirtOverhead)
-}
-
-// Acquire finds or creates a VM for owner with the given runtime
-// environments installed, at time now. Reuse policy (paper §3): a user may
-// reuse their own idle VM on the same physical host; scratch
-// is always wiped. The returned VM is in StateRunning; its ReadyAt tells the
-// caller when the job can actually start (boot/install overheads).
-func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, error) {
+// Acquire finds or creates a VM for owner at time now. Reuse policy (paper
+// §3): a user may reuse their own idle VM on the same physical host, the one
+// with the lowest ID if there are several (the paper wipes its scratch space
+// between jobs; the model keeps none). The returned VM is in StateRunning;
+// its ReadyAt tells the caller when the job can actually start (a fresh VM's
+// boot).
+func (m *Manager) Acquire(owner string, now time.Time) (*VM, error) {
 	if owner == "" {
 		return nil, errors.New("vm: empty owner")
 	}
-	// Prefer reusing the owner's idle VM with the most environments already
-	// installed; deterministic tie-break on ID. Selection scans only this
-	// owner's VMs (the per-owner index) — this sits on the scheduler's
-	// retry path, so it must stay cheap even on hosts crowded with other
-	// users' machines.
+	// Selection scans only this owner's VMs (the per-owner index) — this
+	// sits on the scheduler's retry path, so it must stay cheap even on
+	// hosts crowded with other users' machines.
 	var best *VM
-	bestMissing := 0
 	for _, v := range m.byOwner[owner] {
-		if v.State != StateIdle {
-			continue
-		}
-		miss := missingEnvs(v, envs)
-		if best == nil || miss < bestMissing || (miss == bestMissing && v.ID < best.ID) {
+		if v.State == StateIdle && (best == nil || v.ID < best.ID) {
 			best = v
-			bestMissing = miss
 		}
 	}
 	if best != nil {
-		ready := now.Add(time.Duration(missingEnvs(best, envs)) * m.cfg.InstallOverhead)
-		for _, e := range envs {
-			best.Envs[e] = true
-		}
 		best.State = StateRunning
-		best.ReadyAt = ready
-		best.Scratch++ // no scratch sharing between jobs
-		best.JobsRun++
+		best.ReadyAt = now
 		best.LastUsed = now
 		return best, nil
 	}
@@ -161,19 +127,12 @@ func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, erro
 		// formatting a fresh error each attempt dominated profiles.
 		return nil, ErrHostFull
 	}
-	m.seq++
 	v := &VM{
-		ID:       fmt.Sprintf("%s-vm%03d", m.cfg.HostID, m.seq),
+		ID:       m.nextID(),
 		Owner:    owner,
 		State:    StateRunning,
-		Envs:     make(map[string]bool, len(envs)),
-		Created:  now,
 		LastUsed: now,
-		JobsRun:  1,
-		ReadyAt:  now.Add(m.cfg.CreateOverhead + time.Duration(len(envs))*m.cfg.InstallOverhead),
-	}
-	for _, e := range envs {
-		v.Envs[e] = true
+		ReadyAt:  now.Add(m.cfg.CreateOverhead),
 	}
 	m.vms[v.ID] = v
 	if m.byOwner[owner] == nil {
@@ -183,14 +142,13 @@ func (m *Manager) Acquire(owner string, envs []string, now time.Time) (*VM, erro
 	return v, nil
 }
 
-func missingEnvs(v *VM, envs []string) int {
-	n := 0
-	for _, e := range envs {
-		if !v.Envs[e] {
-			n++
-		}
-	}
-	return n
+// nextID names the host's next VM "<host>-vm<seq>", seq zero-padded to three
+// digits. It allocates the string alone: a VM boots on the scheduler's path.
+func (m *Manager) nextID() string {
+	m.seq++
+	var buf [20]byte
+	seq := strconv.AppendInt(buf[:0], int64(m.seq), 10)
+	return m.cfg.HostID + "-vm" + "00"[:max(0, 3-len(seq))] + string(seq)
 }
 
 // Release marks a running VM idle after its job finishes.
@@ -221,7 +179,7 @@ func (m *Manager) Purge(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownVM, id)
 	}
-	if v.State == StateRunning || v.State == StateCreating {
+	if v.State == StateRunning {
 		return fmt.Errorf("%w: purge of %s vm", ErrBadState, v.State)
 	}
 	v.State = StatePurged

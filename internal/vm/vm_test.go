@@ -13,13 +13,7 @@ import (
 
 func mgr(t *testing.T, maxVMs int) *Manager {
 	t.Helper()
-	m, err := NewManager(Config{
-		HostID:          "h1",
-		MaxVMs:          maxVMs,
-		CreateOverhead:  60 * time.Second,
-		InstallOverhead: 30 * time.Second,
-		VirtOverhead:    0.03,
-	})
+	m, err := NewManager(Config{HostID: "h1", MaxVMs: maxVMs, CreateOverhead: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,97 +27,95 @@ func TestNewManagerValidation(t *testing.T) {
 	if _, err := NewManager(Config{HostID: "h", MaxVMs: 0}); err == nil {
 		t.Error("MaxVMs=0 accepted")
 	}
-	if _, err := NewManager(Config{HostID: "h", MaxVMs: 1, VirtOverhead: 0.9}); err == nil {
-		t.Error("90% overhead accepted")
-	}
 }
 
-func TestEffectiveCapacity(t *testing.T) {
-	m := mgr(t, 5)
-	if got := m.EffectiveCapacity(1000); got != 970 {
-		t.Errorf("effective = %v, want 970", got)
-	}
-}
-
-func TestAcquireCreatesWithOverheads(t *testing.T) {
+func TestAcquireBootsWithOverhead(t *testing.T) {
 	m := mgr(t, 5)
 	now := sim.Epoch
-	v, err := m.Acquire("alice", []string{"BLAST", "PYTHON"}, now)
+	v, err := m.Acquire("alice", now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.State != StateRunning {
-		t.Errorf("state = %v", v.State)
+	if v.State != StateRunning || v.ID != "h1-vm001" {
+		t.Errorf("fresh VM %s is %v, want h1-vm001 running", v.ID, v.State)
 	}
-	// Boot 60s + 2 installs x 30s.
-	if want := now.Add(2 * time.Minute); !v.ReadyAt.Equal(want) {
+	if want := now.Add(time.Minute); !v.ReadyAt.Equal(want) {
 		t.Errorf("ReadyAt = %v, want %v", v.ReadyAt, want)
 	}
-	if !v.Envs["BLAST"] || !v.Envs["PYTHON"] {
-		t.Error("envs not installed")
-	}
-	if _, err := m.Acquire("", nil, now); err == nil {
+	if _, err := m.Acquire("", now); err == nil {
 		t.Error("empty owner accepted")
 	}
 }
 
-func TestReuseSameOwnerWipesScratch(t *testing.T) {
+// TestReuseSameOwnerIsReadyAtOnce: a user's idle VM is reused, already
+// booted, and of several the one with the lowest ID is.
+func TestReuseSameOwnerIsReadyAtOnce(t *testing.T) {
 	m := mgr(t, 5)
 	now := sim.Epoch
-	v1, err := m.Acquire("alice", []string{"BLAST"}, now)
+	v1, err := m.Acquire("alice", now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Release(v1.ID, now.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	gen := v1.Scratch
-	v2, err := m.Acquire("alice", []string{"BLAST"}, now.Add(2*time.Hour))
+	v2, err := m.Acquire("alice", now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.ID != v1.ID {
-		t.Error("same-owner VM not reused")
+	for _, v := range []*VM{v2, v1} {
+		if err := m.Release(v.ID, now.Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// No new installs needed: ready immediately.
-	if !v2.ReadyAt.Equal(now.Add(2 * time.Hour)) {
-		t.Errorf("reuse ReadyAt = %v", v2.ReadyAt)
+	v3, err := m.Acquire("alice", now.Add(2*time.Hour))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v2.Scratch == gen {
-		t.Error("scratch not wiped between jobs")
+	if v3.ID != v1.ID {
+		t.Errorf("reused %s, want the lowest idle ID %s", v3.ID, v1.ID)
 	}
-	if v2.JobsRun != 2 {
-		t.Errorf("JobsRun = %d", v2.JobsRun)
+	if !v3.ReadyAt.Equal(now.Add(2 * time.Hour)) {
+		t.Errorf("reuse ReadyAt = %v, want no boot", v3.ReadyAt)
+	}
+	if v4, err := m.Acquire("alice", now.Add(2*time.Hour)); err != nil || v4.ID != v2.ID {
+		t.Errorf("second reuse = %v, %v, want %s", v4, err, v2.ID)
 	}
 }
 
-func TestReuseInstallsMissingEnvs(t *testing.T) {
+// TestAcquireFreshVMAllocationBound holds a boot to what it keeps: the VM record
+// and its ID. The owner's first VM stays running, so every call boots a fresh
+// one; it is released and purged again so that the host's maps keep their
+// size.
+func TestAcquireFreshVMAllocationBound(t *testing.T) {
+	const bound = 2
 	m := mgr(t, 5)
 	now := sim.Epoch
-	v1, _ := m.Acquire("alice", []string{"BLAST"}, now)
-	if err := m.Release(v1.ID, now); err != nil {
+	if _, err := m.Acquire("alice", now); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := m.Acquire("alice", []string{"BLAST", "R"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.ID != v1.ID {
-		t.Fatal("expected reuse")
-	}
-	if want := now.Add(30 * time.Second); !v2.ReadyAt.Equal(want) {
-		t.Errorf("ReadyAt = %v, want one install overhead", v2.ReadyAt)
+	allocs := testing.AllocsPerRun(200, func() {
+		v, err := m.Acquire("alice", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Release(v.ID, now); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Purge(v.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("a fresh VM allocates %v times, want at most %d (the record and its ID)", allocs, bound)
 	}
 }
 
 func TestNoCrossOwnerReuse(t *testing.T) {
 	m := mgr(t, 5)
 	now := sim.Epoch
-	v1, _ := m.Acquire("alice", nil, now)
+	v1, _ := m.Acquire("alice", now)
 	if err := m.Release(v1.ID, now); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := m.Acquire("bob", nil, now)
+	v2, err := m.Acquire("bob", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +128,11 @@ func TestHostFull(t *testing.T) {
 	m := mgr(t, 2)
 	now := sim.Epoch
 	for i := 0; i < 2; i++ {
-		if _, err := m.Acquire(fmt.Sprintf("u%d", i), nil, now); err != nil {
+		if _, err := m.Acquire(fmt.Sprintf("u%d", i), now); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Acquire("u9", nil, now); !errors.Is(err, ErrHostFull) {
+	if _, err := m.Acquire("u9", now); !errors.Is(err, ErrHostFull) {
 		t.Errorf("full host: %v", err)
 	}
 	if m.Live() != 2 || m.Running() != 2 {
@@ -151,7 +143,7 @@ func TestHostFull(t *testing.T) {
 func TestPurge(t *testing.T) {
 	m := mgr(t, 2)
 	now := sim.Epoch
-	v, _ := m.Acquire("alice", nil, now)
+	v, _ := m.Acquire("alice", now)
 	if err := m.Purge(v.ID); !errors.Is(err, ErrBadState) {
 		t.Errorf("purge running: %v", err)
 	}
@@ -165,7 +157,7 @@ func TestPurge(t *testing.T) {
 		t.Error("purged VM still visible")
 	}
 	// Slot freed: a full host can admit again.
-	if _, err := m.Acquire("bob", nil, now); err != nil {
+	if _, err := m.Acquire("bob", now); err != nil {
 		t.Errorf("slot not freed: %v", err)
 	}
 }
@@ -174,12 +166,12 @@ func TestPurgeIdleOlderThan(t *testing.T) {
 	m := mgr(t, 10)
 	now := sim.Epoch
 	for i := 0; i < 3; i++ {
-		v, _ := m.Acquire(fmt.Sprintf("u%d", i), nil, now)
+		v, _ := m.Acquire(fmt.Sprintf("u%d", i), now)
 		if err := m.Release(v.ID, now.Add(time.Duration(i)*time.Hour)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	busy, _ := m.Acquire("busy", nil, now)
+	busy, _ := m.Acquire("busy", now)
 	_ = busy
 	n := m.PurgeIdleOlderThan(now.Add(90 * time.Minute))
 	if n != 2 {
@@ -195,7 +187,7 @@ func TestReleaseErrors(t *testing.T) {
 	if err := m.Release("nope", sim.Epoch); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("unknown release: %v", err)
 	}
-	v, _ := m.Acquire("a", nil, sim.Epoch)
+	v, _ := m.Acquire("a", sim.Epoch)
 	if err := m.Release(v.ID, sim.Epoch); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +198,7 @@ func TestReleaseErrors(t *testing.T) {
 
 func TestStateString(t *testing.T) {
 	want := map[State]string{
-		StateCreating: "creating", StateIdle: "idle", StateRunning: "running",
+		StateIdle: "idle", StateRunning: "running",
 		StatePurged: "purged", State(99): "state(99)",
 	}
 	for s, str := range want {
@@ -216,38 +208,14 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestReusePrefersFewestMissingEnvs(t *testing.T) {
-	m := mgr(t, 5)
-	now := sim.Epoch
-	a, _ := m.Acquire("u", []string{"BLAST"}, now)
-	if err := m.Release(a.ID, now); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := m.Acquire("u", []string{"R", "PYTHON"}, now)
-	if b.ID == a.ID {
-		// Reused a; install both. Fine, but then release both and ask for R.
-		t.Skip("single VM reused; preference unobservable")
-	}
-	if err := m.Release(b.ID, now); err != nil {
-		t.Fatal(err)
-	}
-	c, err := m.Acquire("u", []string{"R"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ID != b.ID {
-		t.Errorf("picked %s, want the VM that already has R (%s)", c.ID, b.ID)
-	}
-}
-
 func TestPurgeAll(t *testing.T) {
 	m := mgr(t, 5)
 	now := sim.Epoch
-	running, err := m.Acquire("alice", nil, now)
+	running, err := m.Acquire("alice", now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle, err := m.Acquire("bob", nil, now)
+	idle, err := m.Acquire("bob", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +235,7 @@ func TestPurgeAll(t *testing.T) {
 		t.Error("VM still visible after PurgeAll")
 	}
 	// The host is empty again: new acquisitions start fresh.
-	fresh, err := m.Acquire("alice", nil, now)
+	fresh, err := m.Acquire("alice", now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +281,7 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 		}
 	}
 	acquire := func(owner string) {
-		both(func(m *Manager) error { _, err := m.Acquire(owner, nil, now); return err })
+		both(func(m *Manager) error { _, err := m.Acquire(owner, now); return err })
 	}
 	// pick returns the n-th VM (by ID) in the given state, or "".
 	pick := func(state State, n int) string {

@@ -21,7 +21,8 @@ type FileStaging struct {
 //   - TransferToken carries the serialized payment capability whose verified
 //     amount becomes the total budget,
 //   - Count is the number of concurrent virtual machines,
-//   - RuntimeEnvs is software installed into the VM before execution.
+//   - RuntimeEnvs lists the runtimeenvironment values the job names; the
+//     scheduler reads none of them, as the VM model installs no software.
 type JobRequest struct {
 	JobName    string
 	Executable string
