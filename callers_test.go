@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -26,11 +27,13 @@ var allowedUncalled = []struct {
 	{"auction.Config.Tracer", benchOnly},
 	{"bank.Bank.Accounts", benchOnly},
 	{"durable.Store.Append", benchOnly},
+	{"experiment.StrategiesParams.Predictor", benchOnly}, // bench/'s broker-predict sets and reads it
 	{"marketplane.NewShardedBank", benchOnly},
 	{"marketplane.Plane.EnqueueBidAt", benchOnly},
 	{"marketplane.Plane.PriceAt", benchOnly},
 	{"marketplane.Plane.ShardIndexOf", benchOnly},
 	{"marketplane.Plane.TickShard", benchOnly},
+	{"marketplane.TickResult.Refunds", benchOnly}, // the plane fills it; bench/'s plane-burst settles it
 	{"marketplane.ShardedBank.Holds", benchOnly},
 	{"pricefeed.NewHub", benchOnly},
 	{"pricefeed.Hub.Observer", benchOnly},
@@ -75,17 +78,23 @@ const (
 // some non-test Go file of the module outside bench/, or has a row in
 // allowedUncalled. A reference is a use or selection the type checker
 // records (a promoted member's selection uses each embedded field on its
-// path), or a method that implements
-// a method of an interface type some non-test code outside bench/ mentions,
-// a parameter type of a standard-library call included. A row whose name is
-// no longer declared, or that now has a caller, fails; so does a bench-only
-// row bench/ no longer references. Any other name only tests use belongs in
+// path), or a method that implements a method of an interface type some
+// non-test code outside bench/ mentions, a parameter type of a
+// standard-library call included. A field is referenced only where it is
+// read: a composite-literal key, an assignment or inc/dec target, an operand
+// of & and the x.f inside x.f = append(x.f, …) write it (modPkg.writes), and
+// a field with a json tag is read by encoding/json. A row whose name is no
+// longer declared, or that now has a caller, fails; so does a bench-only row
+// bench/ neither reads nor writes. Any other name only tests use belongs in
 // its own package's _test.go, or deleted with its tests.
 func TestEveryExportedNameHasACaller(t *testing.T) {
 	m := loadModule(t)
-	declared := m.exportedUnderInternal()
-	used := m.references(func(p *modPkg) bool { return !p.bench })
-	benchUsed := m.references(func(p *modPkg) bool { return p.bench })
+	declared, tagged := m.exportedUnderInternal()
+	used := m.references(func(p *modPkg) bool { return !p.bench }, true)
+	for obj := range tagged {
+		used[obj] = true
+	}
+	benchUsed := m.references(func(p *modPkg) bool { return p.bench }, false)
 
 	rows := map[string]bool{}
 	for _, r := range allowedUncalled {
@@ -127,10 +136,11 @@ type module struct {
 }
 
 type modPkg struct {
-	bench bool // under bench/
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
+	bench  bool // under bench/
+	files  []*ast.File
+	types  *types.Package
+	info   *types.Info
+	writes map[*ast.Ident]bool // the selectors and keys that write a field
 }
 
 var (
@@ -192,6 +202,7 @@ func load() (*module, error) {
 		if p.types, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
 			return nil, err
 		}
+		p.writes = writtenIdents(p.files)
 		m.pkgs[path] = p
 		return p, nil
 	}
@@ -215,14 +226,57 @@ func load() (*module, error) {
 	return m, err
 }
 
+// writtenIdents is every identifier in files that names what is written
+// there, not read: a composite-literal key, the selector of an assignment or
+// inc/dec target or of an operand of &, and the x.f inside
+// x.f = append(x.f, …). A field named only there is state nothing consumes.
+func writtenIdents(files []*ast.File) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					target(lhs)
+					if len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					if call, ok := n.Rhs[i].(*ast.CallExpr); ok && len(call.Args) > 0 &&
+						types.ExprString(call.Fun) == "append" && types.ExprString(call.Args[0]) == types.ExprString(lhs) {
+						target(call.Args[0])
+					}
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					target(n.X)
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					writes[id] = true
+				}
+			}
+			return true
+		})
+	}
+	return writes
+}
+
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // exportedUnderInternal names every exported top-level object, method and
-// struct field declared under internal/ as pkg.Name or pkg.Type.Member.
-func (m *module) exportedUnderInternal() map[string]types.Object {
-	out := map[string]types.Object{}
+// struct field declared under internal/ as pkg.Name or pkg.Type.Member, and
+// sets apart the fields that have a json tag.
+func (m *module) exportedUnderInternal() (out map[string]types.Object, tagged map[types.Object]bool) {
+	out, tagged = map[string]types.Object{}, map[types.Object]bool{}
 	for path, p := range m.pkgs {
 		if !strings.HasPrefix(path, modulePath+"/internal/") {
 			continue
@@ -249,6 +303,9 @@ func (m *module) exportedUnderInternal() map[string]types.Object {
 				for i := range u.NumFields() {
 					if f := u.Field(i); f.Exported() {
 						out[prefix+f.Name()] = f
+						if _, ok := reflect.StructTag(u.Tag(i)).Lookup("json"); ok {
+							tagged[f] = true
+						}
 					}
 				}
 			case *types.Interface:
@@ -260,12 +317,12 @@ func (m *module) exportedUnderInternal() map[string]types.Object {
 			}
 		}
 	}
-	return out
+	return out, tagged
 }
 
 // references is every object the packages in scope refer to, by their
-// generic origin.
-func (m *module) references(inScope func(*modPkg) bool) map[types.Object]bool {
+// generic origin; with readsOnly, a field they only write is not one.
+func (m *module) references(inScope func(*modPkg) bool, readsOnly bool) map[types.Object]bool {
 	used := map[types.Object]bool{}
 	use := func(obj types.Object) {
 		switch o := obj.(type) {
@@ -277,7 +334,7 @@ func (m *module) references(inScope func(*modPkg) bool) map[types.Object]bool {
 		used[obj] = true
 	}
 	// usePath marks the embedded fields a promoted selection passes
-	// through, then the member it ends at.
+	// through, then the member it ends at, if any.
 	usePath := func(recv types.Type, index []int, member types.Object) {
 		for _, i := range index[:len(index)-1] {
 			if ptr, ok := recv.(*types.Pointer); ok {
@@ -290,7 +347,9 @@ func (m *module) references(inScope func(*modPkg) bool) map[types.Object]bool {
 			use(st.Field(i))
 			recv = st.Field(i).Type()
 		}
-		use(member)
+		if member != nil {
+			use(member)
+		}
 	}
 	// errors.Is and errors.As call Unwrap through an interface that no
 	// signature names.
@@ -321,11 +380,17 @@ func (m *module) references(inScope func(*modPkg) bool) map[types.Object]bool {
 		if !inScope(p) {
 			continue
 		}
-		for _, obj := range p.info.Uses {
-			use(obj)
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); !readsOnly || !ok || !v.IsField() || !p.writes[id] {
+				use(obj)
+			}
 		}
-		for _, s := range p.info.Selections {
-			usePath(s.Recv(), s.Index(), s.Obj())
+		for sel, s := range p.info.Selections {
+			member := s.Obj()
+			if readsOnly && s.Kind() == types.FieldVal && p.writes[sel.Sel] {
+				member = nil // written; the embedded fields on its path are read
+			}
+			usePath(s.Recv(), s.Index(), member)
 		}
 		for _, tv := range p.info.Types {
 			if tv.Type != nil {

@@ -63,12 +63,20 @@ func runScience() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	app, err := workload.NewApplication("proteome-scan", len(chunks), workload.PaperChunkDuration, 15)
+	lo, hi := residues, 0
+	for _, c := range chunks {
+		mass := 0
+		for _, p := range c.Proteins {
+			mass += len(p.Seq)
+		}
+		lo, hi = min(lo, mass), max(hi, mass)
+	}
+	app, err := workload.NewApplication(len(chunks), workload.PaperChunkDuration)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("grid run: %d chunks of %v; ideal on 15 nodes: %v\n\n",
-		len(chunks), workload.PaperChunkDuration, app.IdealDuration(15))
+	fmt.Printf("grid run: %d chunks of %v, %d to %d residues each; ideal on 15 nodes: %v\n\n",
+		len(chunks), workload.PaperChunkDuration, lo, hi, app.IdealDuration(15))
 }
 
 // runMarketExperiment reproduces the two-point funding table.

@@ -96,11 +96,10 @@ func main() {
 
 	// --- Submit the job --------------------------------------------------
 	jr := &xrsl.JobRequest{
-		JobName:     "quickstart",
-		Executable:  "scan.sh",
-		Count:       3,             // up to 3 concurrent VMs
-		WallTime:    2 * time.Hour, // bid deadline
-		RuntimeEnvs: []string{"APPS/BIO/BLAST-2.0"},
+		JobName:    "quickstart",
+		Executable: "scan.sh",
+		Count:      3,             // up to 3 concurrent VMs
+		WallTime:   2 * time.Hour, // bid deadline
 	}
 	chunks := make([]float64, 6) // 6 sub-jobs of 10 CPU-minutes each
 	for i := range chunks {

@@ -47,7 +47,7 @@ func main() {
 		res.BusiestID, hostMHz, len(xs), d.Mean, d.StdDev, d.Skewness)
 
 	normal := predict.HostPrice{HostID: res.BusiestID, Preference: hostMHz, Mu: d.Mean, Sigma: d.StdDev}
-	empirical, err := predict.NewEmpiricalPriceFromSample(res.BusiestID, hostMHz, xs, 64)
+	empirical, err := predict.NewEmpiricalPriceFromSample(xs, 64)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,14 +61,11 @@ func main() {
 			name  string
 			model predict.QuantileModel
 		}{{"normal", normal}, {"empirical", empirical}} {
-			q, err := sla.PriceAgreement(m.model, res.BusiestID, hostMHz, 1400, window, p, 0.2, 1.0)
+			q, err := sla.PriceAgreement(m.model, hostMHz, 1400, window, p, 0.2)
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := sla.Accept(q, "alice", time.Now())
-			if err != nil {
-				log.Fatal(err)
-			}
+			a := sla.Accept(q)
 			for _, spot := range xs {
 				delivered := hostMHz * q.SpendRate / (q.SpendRate + spot)
 				if err := a.Observe(delivered, 10*time.Second); err != nil {
@@ -86,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt, err := sla.PriceSwing(res.BusiestID, d.Mean, d.StdDev, strike, 60, 360, 10*time.Second, 0.1)
+	opt, err := sla.PriceSwing(d.Mean, d.StdDev, strike, 60, 360, 10*time.Second, 0.1)
 	if err != nil {
 		log.Fatal(err)
 	}

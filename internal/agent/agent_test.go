@@ -124,11 +124,10 @@ func (w *world) payToken(t *testing.T, credits float64) token.Token {
 // request builds a paper-shaped job request.
 func request(count int, deadline time.Duration) *xrsl.JobRequest {
 	return &xrsl.JobRequest{
-		JobName:     "proteome-scan",
-		Executable:  "scan.sh",
-		Count:       count,
-		WallTime:    deadline,
-		RuntimeEnvs: []string{"APPS/BIO/BLAST-2.0"},
+		JobName:    "proteome-scan",
+		Executable: "scan.sh",
+		Count:      count,
+		WallTime:   deadline,
 	}
 }
 

@@ -110,7 +110,7 @@ func TestReleaseDropsSchedulingState(t *testing.T) {
 			bidder := auction.BidderID(job.SubAccount)
 			w.agent.onHostFailure(grid.HostFailure{
 				HostID: host,
-				Tasks:  []*grid.Task{{ID: "after-release", HostID: host, Owner: bidder, TotalWork: 1}},
+				Tasks:  []*grid.Task{{ID: "after-release", Owner: bidder, TotalWork: 1}},
 				Bids:   []auction.Charge{{Bidder: bidder, Amount: bank.Credit}},
 			})
 			if _, err := w.cluster.FailHost(host); err != nil {

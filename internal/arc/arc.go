@@ -357,20 +357,20 @@ func (m *Manager) Jobs() []*GridJob {
 }
 
 // MonitorSnapshot is the Grid-monitor view of the virtual cluster
-// (paper Figure 2).
+// (paper Figure 2), and the body of gridmarketd's GET /monitor.
 type MonitorSnapshot struct {
-	ClusterName   string
-	PhysicalNodes int
+	ClusterName   string `json:"ClusterName"`
+	PhysicalNodes int    `json:"PhysicalNodes"`
 	// VirtualCPUs is the number of VMs currently created — what the ARC
 	// monitor reports as the CPU count of the virtualized cluster.
-	VirtualCPUs int
+	VirtualCPUs int `json:"VirtualCPUs"`
 	// MaxVirtualCPUs is the cap (about 15x the physical nodes).
-	MaxVirtualCPUs int
-	RunningVMs     int
-	JobsRunning    int
-	JobsQueued     int
-	JobsFinished   int
-	JobsFailed     int
+	MaxVirtualCPUs int `json:"MaxVirtualCPUs"`
+	RunningVMs     int `json:"RunningVMs"`
+	JobsRunning    int `json:"JobsRunning"`
+	JobsQueued     int `json:"JobsQueued"`
+	JobsFinished   int `json:"JobsFinished"`
+	JobsFailed     int `json:"JobsFailed"`
 }
 
 // Monitor summarizes the cluster and job states.

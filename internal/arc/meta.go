@@ -42,9 +42,8 @@ type Meta struct {
 	index   map[string]*Manager // jobID -> owning replica
 
 	// Predicted-vs-realized scoring, accumulated horizon after each pick.
-	scored     int
-	absErrSum  float64
-	absErrPeak float64
+	scored    int
+	absErrSum float64
 }
 
 // NewMeta builds a meta-scheduler over the given replicas. The default
@@ -157,9 +156,6 @@ func (m *Meta) scorePrediction(r *Manager, gj *GridJob) {
 	absErr := math.Abs(mt.predicted - mt.realized)
 	m.scored++
 	m.absErrSum += absErr
-	if absErr > m.absErrPeak {
-		m.absErrPeak = absErr
-	}
 	mMetaPredictionError.Observe(absErr)
 }
 
@@ -178,14 +174,12 @@ type match struct {
 // PredictionStats summarizes predicted-vs-realized price accuracy across all
 // scored picks (empty until horizon-delayed scoring has fired).
 type PredictionStats struct {
-	Scored       int
 	MeanAbsError float64
-	MaxAbsError  float64
 }
 
 // PredictionStats returns the accumulated forecast-accuracy summary.
 func (m *Meta) PredictionStats() PredictionStats {
-	st := PredictionStats{Scored: m.scored, MaxAbsError: m.absErrPeak}
+	var st PredictionStats
 	if m.scored > 0 {
 		st.MeanAbsError = m.absErrSum / float64(m.scored)
 	}

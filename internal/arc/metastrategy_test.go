@@ -3,6 +3,7 @@ package arc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -83,16 +84,16 @@ func TestMetaStrategyInjectionAndPredictionScoring(t *testing.T) {
 		t.Errorf("no matchmade event for the strategy: %+v", tl.Events)
 	}
 
-	if st := w.meta.PredictionStats(); st.Scored != 0 {
-		t.Fatalf("scored before horizon: %+v", st)
+	if w.meta.scored != 0 {
+		t.Fatalf("scored %d before horizon", w.meta.scored)
 	}
 	w.eng.RunFor(horizon + time.Minute)
-	st := w.meta.PredictionStats()
-	if st.Scored != 1 {
-		t.Fatalf("scored = %d, want 1", st.Scored)
+	if w.meta.scored != 1 {
+		t.Fatalf("scored = %d, want 1", w.meta.scored)
 	}
-	if st.MeanAbsError < 0 || st.MaxAbsError < st.MeanAbsError {
-		t.Errorf("stats inconsistent: %+v", st)
+	mt := gj.match
+	if st := w.meta.PredictionStats(); st.MeanAbsError != math.Abs(mt.predicted-mt.realized) {
+		t.Errorf("mean absolute error %v of one pick, want |%v - %v|", st.MeanAbsError, mt.predicted, mt.realized)
 	}
 	tl, err = w.meta.Timeline(gj.ID)
 	if err != nil {

@@ -29,11 +29,11 @@ var (
 type AccountID string
 
 // Account is the bank's view of one account, built from its record when asked
-// for (Lookup, CreateAccount).
+// for (Lookup, CreateAccount). The owner key stays in the record: the bank
+// checks signatures against it, and no caller reads it back.
 type Account struct {
 	ID      AccountID
-	Owner   ed25519.PublicKey // key authorized to move funds out
-	Parent  AccountID         // "" for top-level accounts
+	Parent  AccountID // "" for top-level accounts
 	Balance Amount
 	// Created is UTC, in whole nanoseconds with no monotonic reading: the
 	// same value before and after a restart.
@@ -41,9 +41,9 @@ type Account struct {
 }
 
 // account is what the bank keeps of one account: 48 bytes. The owner key is
-// the creator's own 32 bytes, shared and not copied, as the exported view's
-// slice shares them; the parent is its record, nil for a top-level account;
-// the creation time is in Unix nanoseconds. Only the balance ever changes.
+// the creator's own 32 bytes, shared and not copied; the parent is its
+// record, nil for a top-level account; the creation time is in Unix
+// nanoseconds. Only the balance ever changes.
 type account struct {
 	id      AccountID
 	owner   *[ed25519.PublicKeySize]byte
@@ -55,7 +55,7 @@ type account struct {
 // view is the Account a holds. Callers pass a copy taken under b.mu, or hold
 // it: the balance is read from a, the rest never changes.
 func (a *account) view() Account {
-	return Account{ID: a.id, Owner: a.owner[:], Parent: a.parentID(), Balance: a.balance, Created: instant(a.created)}
+	return Account{ID: a.id, Parent: a.parentID(), Balance: a.balance, Created: instant(a.created)}
 }
 
 // parentID is the id of a's parent, "" for a top-level account.

@@ -81,10 +81,13 @@ func FuzzBankRecord(f *testing.F) {
 		}
 		if rec[0] == walCreateAccount {
 			d := walDec{b: rec[1:]}
-			want := Account{ID: AccountID(d.str()), Owner: d.bytes(), Parent: AccountID(d.str())}
-			want.Created = instant(d.i64())
+			want, owner := Account{ID: AccountID(d.str())}, d.bytes()
+			want.Parent, want.Created = AccountID(d.str()), instant(d.i64())
 			if got, err := b.Lookup(want.ID); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("accepted account record made %+v (%v), want %+v", got, err, want)
+			}
+			if got := b.accounts[want.ID].owner[:]; !bytes.Equal(got, owner) {
+				t.Fatalf("accepted account record keeps owner %x, want %x", got, owner)
 			}
 		}
 		fresh := New(id, sim.NewEngine())

@@ -25,7 +25,6 @@ import (
 // Job is one batch submission: a bag of equally sized sub-jobs.
 type Job struct {
 	ID       string
-	User     string
 	Priority int // administrative priority; higher runs first
 	// SubJobs is the per-sub-job CPU work in MHz-seconds.
 	SubJobs []float64
@@ -145,7 +144,7 @@ func New(engine *sim.Engine, hosts, cpusPerHost int, cpuMHz float64) (*Scheduler
 }
 
 // Submit queues a job.
-func (s *Scheduler) Submit(user string, priority int, subJobs []float64, maxNodes int) (*Job, error) {
+func (s *Scheduler) Submit(priority int, subJobs []float64, maxNodes int) (*Job, error) {
 	if len(subJobs) == 0 {
 		return nil, errors.New("batch: empty job")
 	}
@@ -155,7 +154,6 @@ func (s *Scheduler) Submit(user string, priority int, subJobs []float64, maxNode
 	s.seq++
 	j := &Job{
 		ID:        fmt.Sprintf("batch-%04d", s.seq),
-		User:      user,
 		Priority:  priority,
 		SubJobs:   append([]float64(nil), subJobs...),
 		MaxNodes:  maxNodes,

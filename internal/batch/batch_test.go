@@ -34,7 +34,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestSingleJobRunsAtFullSpeed(t *testing.T) {
 	s, eng := sched(t, 2, 2)
-	j, err := s.Submit("alice", 0, []float64{work(10), work(10), work(10), work(10)}, 0)
+	j, err := s.Submit(0, []float64{work(10), work(10), work(10), work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestSingleJobRunsAtFullSpeed(t *testing.T) {
 
 func TestWavesWhenCPUsScarce(t *testing.T) {
 	s, eng := sched(t, 1, 2)
-	j, err := s.Submit("alice", 0, []float64{work(10), work(10), work(10), work(10)}, 0)
+	j, err := s.Submit(0, []float64{work(10), work(10), work(10), work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,11 @@ func TestWavesWhenCPUsScarce(t *testing.T) {
 
 func TestFIFOOrdering(t *testing.T) {
 	s, eng := sched(t, 1, 1)
-	first, err := s.Submit("a", 0, []float64{work(10)}, 0)
+	first, err := s.Submit(0, []float64{work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Submit("b", 0, []float64{work(10)}, 0)
+	second, err := s.Submit(0, []float64{work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestFIFOOrdering(t *testing.T) {
 func TestAdminPriorityJumpsQueue(t *testing.T) {
 	s, eng := sched(t, 1, 1)
 	// Occupy the CPU so both later jobs must queue.
-	if _, err := s.Submit("running", 0, []float64{work(10)}, 0); err != nil {
+	if _, err := s.Submit(0, []float64{work(10)}, 0); err != nil {
 		t.Fatal(err)
 	}
-	normal, err := s.Submit("normal", 0, []float64{work(10)}, 0)
+	normal, err := s.Submit(0, []float64{work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	urgent, err := s.Submit("urgent", 5, []float64{work(10)}, 0)
+	urgent, err := s.Submit(5, []float64{work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAdminPriorityJumpsQueue(t *testing.T) {
 
 func TestMaxNodesCap(t *testing.T) {
 	s, eng := sched(t, 4, 2) // 8 CPUs
-	j, err := s.Submit("a", 0, []float64{work(10), work(10), work(10), work(10)}, 2)
+	j, err := s.Submit(0, []float64{work(10), work(10), work(10), work(10)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	// Strict FIFO (no backfill): a capped head job leaves CPUs idle that a
 	// later job could use — the inefficiency markets avoid via prices.
 	s, eng := sched(t, 2, 1) // 2 CPUs
-	head, err := s.Submit("head", 0, []float64{work(10), work(10), work(10)}, 1)
+	head, err := s.Submit(0, []float64{work(10), work(10), work(10)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := s.Submit("tail", 0, []float64{work(10)}, 0)
+	tail, err := s.Submit(0, []float64{work(10)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,14 @@ func TestHeadOfLineBlocking(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s, _ := sched(t, 1, 1)
-	if _, err := s.Submit("a", 0, nil, 0); err == nil {
+	if _, err := s.Submit(0, nil, 0); err == nil {
 		t.Error("empty job accepted")
 	}
 }
 
 func TestQueueDrains(t *testing.T) {
 	s, eng := sched(t, 1, 2)
-	j, err := s.Submit("a", 0, []float64{work(5), work(5), work(5)}, 0)
+	j, err := s.Submit(0, []float64{work(5), work(5), work(5)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

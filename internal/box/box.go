@@ -35,7 +35,6 @@ type Config struct {
 	Hosts        int
 	CPUsPerHost  int
 	CPUMHz       float64
-	MaxVMsPerCPU int // paper: ~15 virtual CPUs per physical node; 0 = 15
 	Users        int // funded users user1..userN created up front
 	GrantPerUser bank.Amount
 	ReservePrice float64       // credits/second floor
@@ -207,7 +206,6 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 			ID:             fmt.Sprintf("h%02d", i),
 			CPUs:           cfg.CPUsPerHost,
 			CPUMHz:         cfg.CPUMHz,
-			MaxVMs:         cfg.MaxVMsPerCPU * cfg.CPUsPerHost,
 			CreateOverhead: cfg.CreateOverhead,
 		}
 	}

@@ -70,7 +70,7 @@ func RunAblationScheduler(p BestResponseParams) (*AblationSchedulerResult, error
 				subJobs[k] = chunk
 			}
 			// Money buys nothing here: every job has admin priority 0.
-			j, err := sched.Submit(fmt.Sprintf("user%d", i+1), 0, subJobs, p.MaxNodes)
+			j, err := sched.Submit(0, subJobs, p.MaxNodes)
 			if err != nil && submitErr == nil {
 				submitErr = err
 			}

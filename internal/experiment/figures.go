@@ -299,7 +299,6 @@ type Figure5Result struct {
 	P5RF, P5EQ       float64 // 5th percentile (downside)
 	StdRF, StdEQ     float64
 	MeanRF, MeanEQ   float64
-	Weights          []float64
 }
 
 // RunFigure5 builds random host performance processes, computes the
@@ -348,7 +347,7 @@ func RunFigure5(p Figure5Params) (*Figure5Result, error) {
 		return nil, err
 	}
 
-	res := &Figure5Result{Steps: p.Steps - train, Weights: rf.Weights}
+	res := &Figure5Result{Steps: p.Steps - train}
 	evalAgg := func(w []float64, k int) float64 {
 		var s float64
 		for i := range w {

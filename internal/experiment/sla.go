@@ -87,7 +87,7 @@ func RunSLACalibration(p SLAParams) (*SLAResult, error) {
 
 	d := stats.DescribeSample(fit)
 	normal := predict.HostPrice{HostID: load.BusiestID, Preference: hostMHz, Mu: d.Mean, Sigma: d.StdDev}
-	empirical, err := predict.NewEmpiricalPriceFromSample(load.BusiestID, hostMHz, fit, 64)
+	empirical, err := predict.NewEmpiricalPriceFromSample(fit, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -104,15 +104,12 @@ func RunSLACalibration(p SLAParams) (*SLAResult, error) {
 			{normal, &row.NormalViolation, &row.NormalPremium},
 			{empirical, &row.EmpiricalViolation, &row.EmpiricalPremium},
 		} {
-			q, err := sla.PriceAgreement(m.model, load.BusiestID, hostMHz, capacity, window, conf, 0, 1)
+			q, err := sla.PriceAgreement(m.model, hostMHz, capacity, window, conf, 0)
 			if err != nil {
 				return nil, err
 			}
 			*m.premium = q.Premium.Credits()
-			a, err := sla.Accept(q, "customer", load.World.Engine.Now())
-			if err != nil {
-				return nil, err
-			}
+			a := sla.Accept(q)
 			for _, spot := range eval {
 				delivered := hostMHz * q.SpendRate / (q.SpendRate + spot)
 				if err := a.Observe(delivered, 10*time.Second); err != nil {

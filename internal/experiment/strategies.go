@@ -131,7 +131,6 @@ type StrategyOutcome struct {
 
 // StrategiesResult is the full comparison.
 type StrategiesResult struct {
-	Params   StrategiesParams
 	Outcomes []StrategyOutcome
 }
 
@@ -148,7 +147,7 @@ func RunStrategies(p StrategiesParams) (*StrategiesResult, error) {
 	if len(names) == 0 {
 		names = strategy.Names()
 	}
-	res := &StrategiesResult{Params: p}
+	res := &StrategiesResult{}
 	for _, name := range names {
 		out, err := runOneStrategy(p, name)
 		if err != nil {

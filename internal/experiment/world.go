@@ -38,7 +38,6 @@ func PaperWorld() WorldConfig {
 		Hosts:        30,
 		CPUsPerHost:  2,
 		CPUMHz:       2800,
-		MaxVMsPerCPU: 15,
 		Users:        5,
 		GrantPerUser: 100000 * bank.Credit,
 		ReservePrice: 1.0 / 3600, // one credit/hour baseline
@@ -105,11 +104,10 @@ func (w *World) SubmitApp(u *GridUser, budget bank.Amount, deadline time.Duratio
 		return nil, err
 	}
 	jr := &xrsl.JobRequest{
-		JobName:     "proteome-scan-" + u.Name,
-		Executable:  "scan.sh",
-		Count:       maxNodes,
-		WallTime:    deadline,
-		RuntimeEnvs: []string{"APPS/BIO/BLAST-2.0"},
+		JobName:    "proteome-scan-" + u.Name,
+		Executable: "scan.sh",
+		Count:      maxNodes,
+		WallTime:   deadline,
 	}
 	chunks := make([]float64, subJobs)
 	for i := range chunks {

@@ -28,9 +28,9 @@ import (
 // HostSpec describes one simulated host.
 type HostSpec struct {
 	ID             string
-	CPUs           int     // physical processors
-	CPUMHz         float64 // capacity of one processor
-	MaxVMs         int
+	CPUs           int           // physical processors
+	CPUMHz         float64       // capacity of one processor
+	MaxVMs         int           // 0 = 15 per processor, the paper's ≈ 15 virtual CPUs per node
 	CreateOverhead time.Duration // a fresh VM's boot
 }
 
@@ -73,13 +73,11 @@ func (h *Host) PerCPUMHz() float64 {
 // Task is one sub-job executing in a VM on one host.
 type Task struct {
 	ID        string
-	HostID    string
 	Owner     auction.BidderID
 	Work      float64 // remaining MHz-seconds
 	TotalWork float64
 	VMID      string
 	ReadyAt   time.Time // when its VM has booted
-	Started   time.Time // submission time
 	DoneAt    time.Time // exact completion time (set when finished)
 	OnDone    func(*Task)
 
@@ -342,13 +340,11 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, workMHzSec fl
 	c.taskSeq++
 	t := &Task{
 		ID:        fmt.Sprintf("task-%05d", c.taskSeq),
-		HostID:    hostID,
 		Owner:     owner,
 		Work:      workMHzSec,
 		TotalWork: workMHzSec,
 		VMID:      machine.ID,
 		ReadyAt:   machine.ReadyAt,
-		Started:   c.engine.Now(),
 		OnDone:    onDone,
 		shareAt:   -1,
 	}

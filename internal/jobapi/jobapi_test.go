@@ -1,8 +1,11 @@
 package jobapi
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -187,6 +190,39 @@ func TestJobBoostOverHTTP(t *testing.T) {
 	}
 	if err := client.Boost(jw.ID, "garbage"); err == nil {
 		t.Error("garbage token accepted")
+	}
+}
+
+// TestMonitorBodyKeys pins the top-level keys of GET /monitor, in order: the
+// body is arc.MonitorSnapshot encoded by encoding/json, so a renamed, retagged
+// or dropped field changes what a monitor client reads.
+func TestMonitorBodyKeys(t *testing.T) {
+	_, client, _ := jobWorld(t)
+	resp, err := http.Get(client.base + "/monitor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("body starts with %v (%v), want an object", tok, err)
+	}
+	var got []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, key.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"ClusterName", "PhysicalNodes", "VirtualCPUs", "MaxVirtualCPUs", "RunningVMs",
+		"JobsRunning", "JobsQueued", "JobsFinished", "JobsFailed"}
+	if !slices.Equal(got, want) {
+		t.Errorf("GET /monitor keys = %v, want %v", got, want)
 	}
 }
 

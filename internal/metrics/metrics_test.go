@@ -199,8 +199,8 @@ func TestSnapshot(t *testing.T) {
 	if hs.Count != 2 || hs.Sum != 2 {
 		t.Fatalf("histogram sample = %+v", hs)
 	}
-	if math.IsNaN(hs.P50) || math.IsNaN(hs.P99) {
-		t.Fatalf("quantiles not computed: %+v", hs)
+	if math.IsNaN(hs.P99) {
+		t.Fatalf("p99 not computed: %+v", hs)
 	}
 }
 

@@ -27,16 +27,15 @@ type GaugeSample struct {
 }
 
 // HistogramSample summarizes one histogram child: the cumulative bucket
-// counts, the totals, and p50/p95/p99 interpolated from those buckets (NaN
-// when empty). Count is the +Inf bucket's count, so a sample always agrees
-// with itself even when it was read during concurrent observation.
+// counts, the totals, and the p99 interpolated from those buckets (NaN when
+// empty), the one quantile the tsdb collector stores. Count is the +Inf
+// bucket's count, so a sample always agrees with itself even when it was read
+// during concurrent observation.
 type HistogramSample struct {
 	Name    string
 	Labels  map[string]string
 	Count   uint64
 	Sum     float64
-	P50     float64
-	P95     float64
 	P99     float64
 	Buckets []Bucket
 }
@@ -45,8 +44,7 @@ func newHistogramSample(name string, labels map[string]string, sum float64, buck
 	return HistogramSample{
 		Name: name, Labels: labels,
 		Count: buckets[len(buckets)-1].Cumulative, Sum: sum,
-		P50: bucketQuantile(buckets, 0.50), P95: bucketQuantile(buckets, 0.95), P99: bucketQuantile(buckets, 0.99),
-		Buckets: buckets,
+		P99: bucketQuantile(buckets, 0.99), Buckets: buckets,
 	}
 }
 
@@ -84,7 +82,7 @@ func labelMap(names, values []string) map[string]string {
 
 // Delta returns the change from prev to s: counters and histogram buckets,
 // count and sum become differences (a child absent from prev counts from
-// zero) and a histogram's quantiles are those of the observations made in
+// zero) and a histogram's p99 is that of the observations made in
 // between; gauges are copied from s as-is, since they are already
 // instantaneous. A counter or bucket that went backwards — the process
 // restarted between snapshots — resets its delta to the new absolute value,

@@ -141,9 +141,8 @@ func (p Portfolio) Risk(cov *matrix.Matrix) (float64, error) {
 
 // FrontierPoint is one point of the efficient frontier.
 type FrontierPoint struct {
-	Return  float64
-	Risk    float64
-	Weights []float64
+	Return float64
+	Risk   float64
 }
 
 // scalars computes the classic A, B, C, D constants of the closed-form
@@ -232,7 +231,7 @@ func Frontier(assets []Asset, cov *matrix.Matrix, maxReturn float64, points int)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, FrontierPoint{Return: r, Risk: risk, Weights: p.Weights})
+		out = append(out, FrontierPoint{Return: r, Risk: risk})
 	}
 	return out, nil
 }

@@ -26,18 +26,13 @@ var _ QuantileModel = HostPrice{}
 
 // EmpiricalPrice models the spot price by its observed distribution.
 type EmpiricalPrice struct {
-	HostID     string
-	Preference float64 // w_j, host capacity in MHz
-	buckets    []stats.Bucket
-	total      float64
+	buckets []stats.Bucket
+	total   float64
 }
 
 // NewEmpiricalPrice builds a model from slot-table buckets (proportions must
 // be non-negative; they are renormalized).
-func NewEmpiricalPrice(hostID string, preference float64, buckets []stats.Bucket) (*EmpiricalPrice, error) {
-	if preference <= 0 {
-		return nil, fmt.Errorf("predict: non-positive preference %v", preference)
-	}
+func NewEmpiricalPrice(buckets []stats.Bucket) (*EmpiricalPrice, error) {
 	if len(buckets) == 0 {
 		return nil, errors.New("predict: no buckets")
 	}
@@ -54,12 +49,12 @@ func NewEmpiricalPrice(hostID string, preference float64, buckets []stats.Bucket
 	if total <= 0 {
 		return nil, errors.New("predict: empty distribution")
 	}
-	return &EmpiricalPrice{HostID: hostID, Preference: preference, buckets: cp, total: total}, nil
+	return &EmpiricalPrice{buckets: cp, total: total}, nil
 }
 
 // NewEmpiricalPriceFromSample builds a model by binning a raw price sample
 // into `slots` buckets.
-func NewEmpiricalPriceFromSample(hostID string, preference float64, sample []float64, slots int) (*EmpiricalPrice, error) {
+func NewEmpiricalPriceFromSample(sample []float64, slots int) (*EmpiricalPrice, error) {
 	if len(sample) == 0 {
 		return nil, errors.New("predict: empty sample")
 	}
@@ -70,7 +65,7 @@ func NewEmpiricalPriceFromSample(hostID string, preference float64, sample []flo
 	for _, x := range sample {
 		st.Observe(x)
 	}
-	return NewEmpiricalPrice(hostID, preference, st.Buckets())
+	return NewEmpiricalPrice(st.Buckets())
 }
 
 // QuantilePrice returns the p-quantile of the observed distribution with

@@ -15,7 +15,7 @@ func TestEmpiricalQuantileUniform(t *testing.T) {
 		{Lo: 0, Hi: 0.5, Proportion: 0.5},
 		{Lo: 0.5, Hi: 1, Proportion: 0.5},
 	}
-	e, err := NewEmpiricalPrice("h", 1000, buckets)
+	e, err := NewEmpiricalPrice(buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestEmpiricalMatchesNormalOnNormalData(t *testing.T) {
 	for i := range sample {
 		sample[i] = src.Normal(0.01, 0.002)
 	}
-	e, err := NewEmpiricalPriceFromSample("h", 2800, sample, 64)
+	e, err := NewEmpiricalPriceFromSample(sample, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestEmpiricalCapturesHeavyTail(t *testing.T) {
 			sample[i] = src.Uniform(0.05, 0.06)
 		}
 	}
-	e, err := NewEmpiricalPriceFromSample("h", 2800, sample, 64)
+	e, err := NewEmpiricalPriceFromSample(sample, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,22 +94,19 @@ func TestEmpiricalCapturesHeavyTail(t *testing.T) {
 }
 
 func TestEmpiricalValidation(t *testing.T) {
-	if _, err := NewEmpiricalPrice("h", 0, []stats.Bucket{{Lo: 0, Hi: 1, Proportion: 1}}); err == nil {
-		t.Error("zero preference accepted")
-	}
-	if _, err := NewEmpiricalPrice("h", 1, nil); err == nil {
+	if _, err := NewEmpiricalPrice(nil); err == nil {
 		t.Error("no buckets accepted")
 	}
-	if _, err := NewEmpiricalPrice("h", 1, []stats.Bucket{{Lo: 1, Hi: 0, Proportion: 1}}); err == nil {
+	if _, err := NewEmpiricalPrice([]stats.Bucket{{Lo: 1, Hi: 0, Proportion: 1}}); err == nil {
 		t.Error("inverted bucket accepted")
 	}
-	if _, err := NewEmpiricalPrice("h", 1, []stats.Bucket{{Lo: 0, Hi: 1, Proportion: 0}}); err == nil {
+	if _, err := NewEmpiricalPrice([]stats.Bucket{{Lo: 0, Hi: 1, Proportion: 0}}); err == nil {
 		t.Error("empty distribution accepted")
 	}
-	if _, err := NewEmpiricalPriceFromSample("h", 1, nil, 8); err == nil {
+	if _, err := NewEmpiricalPriceFromSample(nil, 8); err == nil {
 		t.Error("empty sample accepted")
 	}
-	e, _ := NewEmpiricalPrice("h", 1, []stats.Bucket{{Lo: 0, Hi: 1, Proportion: 1}})
+	e, _ := NewEmpiricalPrice([]stats.Bucket{{Lo: 0, Hi: 1, Proportion: 1}})
 	for _, p := range []float64{0, 1, -1} {
 		if _, err := e.QuantilePrice(p); err == nil {
 			t.Errorf("p=%v accepted", p)
@@ -118,7 +115,7 @@ func TestEmpiricalValidation(t *testing.T) {
 }
 
 func TestEmpiricalNegativePricesClamped(t *testing.T) {
-	e, err := NewEmpiricalPrice("h", 1, []stats.Bucket{{Lo: -1, Hi: 1, Proportion: 1}})
+	e, err := NewEmpiricalPrice([]stats.Bucket{{Lo: -1, Hi: 1, Proportion: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

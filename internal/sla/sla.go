@@ -8,11 +8,10 @@
 //
 //   - Agreement: a capacity SLA — the broker promises at least C MHz on a
 //     host for a time window; every monitoring interval in which delivery
-//     falls short is a violation, which the quote prices at PenaltyRate
-//     credits/second. The premium is
-//     the predicted cost of holding the capacity at confidence level p plus
-//     a margin; the prediction theory says the violation rate should
-//     calibrate to about 1-p.
+//     falls short is a violation. The premium is the predicted cost of
+//     holding the capacity at confidence level p plus a margin; the
+//     prediction theory says the violation rate should calibrate to about
+//     1-p.
 //
 //   - SwingOption: the right, not the obligation, to buy CPU at a fixed
 //     strike price during a window. Priced with the Bachelier formula, the
@@ -33,13 +32,9 @@ import (
 
 // Quote prices a capacity SLA.
 type Quote struct {
-	HostID      string
 	CapacityMHz float64
-	Window      time.Duration
-	Confidence  float64     // p: probability the spot market alone delivers
 	SpendRate   float64     // credits/second needed to hold the capacity at p
 	Premium     bank.Amount // up-front price of the agreement
-	PenaltyRate float64     // credits/second refunded while in violation
 }
 
 // Pricing errors.
@@ -49,12 +44,12 @@ var (
 )
 
 // PriceAgreement quotes an SLA for holding capacityMHz on the host described
-// by model (with total capacity hostMHz) for window at confidence p.
-// margin is the broker's loading factor (e.g. 0.2 = 20%); the penalty rate
-// is the spend rate times penaltyFactor.
-func PriceAgreement(model predict.QuantileModel, hostID string, hostMHz, capacityMHz float64,
-	window time.Duration, p, margin, penaltyFactor float64) (Quote, error) {
-	if capacityMHz <= 0 || window <= 0 || margin < 0 || penaltyFactor < 0 {
+// by model (with total capacity hostMHz) for window at confidence p, the
+// probability the spot market alone delivers. margin is the broker's loading
+// factor (e.g. 0.2 = 20%).
+func PriceAgreement(model predict.QuantileModel, hostMHz, capacityMHz float64,
+	window time.Duration, p, margin float64) (Quote, error) {
+	if capacityMHz <= 0 || window <= 0 || margin < 0 {
 		return Quote{}, ErrBadTerms
 	}
 	if !(p > 0 && p < 1) {
@@ -73,33 +68,20 @@ func PriceAgreement(model predict.QuantileModel, hostID string, hostMHz, capacit
 	if err != nil {
 		return Quote{}, err
 	}
-	return Quote{
-		HostID:      hostID,
-		CapacityMHz: capacityMHz,
-		Window:      window,
-		Confidence:  p,
-		SpendRate:   rate,
-		Premium:     premium,
-		PenaltyRate: rate * penaltyFactor,
-	}, nil
+	return Quote{CapacityMHz: capacityMHz, SpendRate: rate, Premium: premium}, nil
 }
 
 // Agreement is an active SLA being monitored.
 type Agreement struct {
-	Quote    Quote
-	Start    time.Time
-	Customer string
+	Quote Quote
 
 	intervals  int
 	violations int
 }
 
-// Accept activates a quoted agreement at start.
-func Accept(q Quote, customer string, start time.Time) (*Agreement, error) {
-	if customer == "" {
-		return nil, fmt.Errorf("%w: empty customer", ErrBadTerms)
-	}
-	return &Agreement{Quote: q, Start: start, Customer: customer}, nil
+// Accept activates a quoted agreement.
+func Accept(q Quote) *Agreement {
+	return &Agreement{Quote: q}
 }
 
 // Observe records one monitoring interval: the capacity actually delivered
@@ -130,7 +112,6 @@ func (a *Agreement) ViolationRate() float64 {
 // SwingOption is the right to buy CPU time at a strike spot price for up to
 // `Rights` exercise intervals inside a window.
 type SwingOption struct {
-	HostID   string
 	Strike   float64 // credits/second
 	Rights   int     // number of intervals that may be exercised
 	Interval time.Duration
@@ -162,7 +143,7 @@ func BachelierCall(mu, sigma, strike float64) float64 {
 // worth the conditional payoff E[Y-s | Y>s] = BachelierCall/q with
 // q = P(Y>s), and the expected number of exercises is E[min(rights, N)]
 // with N ~ Binomial(opportunities, q).
-func PriceSwing(hostID string, mu, sigma, strike float64, rights, opportunities int,
+func PriceSwing(mu, sigma, strike float64, rights, opportunities int,
 	interval time.Duration, margin float64) (*SwingOption, error) {
 	if rights < 1 || opportunities < rights || interval <= 0 || strike < 0 || sigma < 0 || margin < 0 {
 		return nil, ErrBadTerms
@@ -183,7 +164,6 @@ func PriceSwing(hostID string, mu, sigma, strike float64, rights, opportunities 
 		return nil, err
 	}
 	return &SwingOption{
-		HostID:   hostID,
 		Strike:   strike,
 		Rights:   rights,
 		Interval: interval,

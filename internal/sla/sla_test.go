@@ -14,7 +14,7 @@ import (
 var model = predict.HostPrice{HostID: "h1", Preference: 5600, Mu: 0.002, Sigma: 0.0006}
 
 func TestPriceAgreementAlgebra(t *testing.T) {
-	q, err := PriceAgreement(model, "h1", 5600, 2800, time.Hour, 0.9, 0.2, 1.0)
+	q, err := PriceAgreement(model, 5600, 2800, time.Hour, 0.9, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +27,14 @@ func TestPriceAgreementAlgebra(t *testing.T) {
 	if q.Premium != wantPremium {
 		t.Errorf("premium = %v, want %v", q.Premium, wantPremium)
 	}
-	if q.PenaltyRate != q.SpendRate {
-		t.Errorf("penalty rate = %v", q.PenaltyRate)
-	}
 }
 
 func TestPriceAgreementStricterConfidenceCostsMore(t *testing.T) {
-	q90, err := PriceAgreement(model, "h1", 5600, 2000, time.Hour, 0.90, 0, 1)
+	q90, err := PriceAgreement(model, 5600, 2000, time.Hour, 0.90, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q99, err := PriceAgreement(model, "h1", 5600, 2000, time.Hour, 0.99, 0, 1)
+	q99, err := PriceAgreement(model, 5600, 2000, time.Hour, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,21 +57,18 @@ func TestPriceAgreementValidation(t *testing.T) {
 		{9000, time.Hour, 0.9},
 	}
 	for i, c := range cases {
-		if _, err := PriceAgreement(model, "h1", 5600, c.capacity, c.window, c.p, 0, 1); err == nil {
+		if _, err := PriceAgreement(model, 5600, c.capacity, c.window, c.p, 0); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
 func TestAgreementLifecycle(t *testing.T) {
-	q, err := PriceAgreement(model, "h1", 5600, 2800, time.Hour, 0.9, 0.2, 1.0)
+	q, err := PriceAgreement(model, 5600, 2800, time.Hour, 0.9, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Accept(q, "alice", time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := Accept(q)
 	// 6 intervals: 4 delivered, 2 violated.
 	for i := 0; i < 4; i++ {
 		if err := a.Observe(3000, 10*time.Second); err != nil {
@@ -89,23 +83,17 @@ func TestAgreementLifecycle(t *testing.T) {
 	if !mathx.AlmostEqual(a.ViolationRate(), 2.0/6, 1e-12) {
 		t.Errorf("violation rate = %v", a.ViolationRate())
 	}
-	if _, err := Accept(q, "", time.Now()); err == nil {
-		t.Error("empty customer accepted")
-	}
 }
 
 // TestAgreementObserveEdges: before any interval the rate is zero, a
 // delivery of exactly the contracted capacity is no violation, and a
 // non-positive interval is refused without being counted.
 func TestAgreementObserveEdges(t *testing.T) {
-	q, err := PriceAgreement(model, "h1", 5600, 2800, time.Hour, 0.9, 0.2, 1.0)
+	q, err := PriceAgreement(model, 5600, 2800, time.Hour, 0.9, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Accept(q, "alice", time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := Accept(q)
 	if r := a.ViolationRate(); r != 0 {
 		t.Errorf("rate before any interval = %v", r)
 	}
@@ -132,11 +120,11 @@ func TestAgreementObserveEdges(t *testing.T) {
 func TestSLACalibration(t *testing.T) {
 	src := rng.New(2006)
 	for _, p := range []float64{0.80, 0.90, 0.95} {
-		q, err := PriceAgreement(model, "h1", 5600, 2000, time.Hour, p, 0, 1)
+		q, err := PriceAgreement(model, 5600, 2000, time.Hour, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _ := Accept(q, "alice", time.Now())
+		a := Accept(q)
 		const n = 200000
 		for i := 0; i < n; i++ {
 			spot := src.Normal(model.Mu, model.Sigma) // other users' spend
@@ -196,7 +184,7 @@ func TestBachelierMonteCarlo(t *testing.T) {
 }
 
 func TestSwingOptionLifecycle(t *testing.T) {
-	o, err := PriceSwing("h1", 0.002, 0.0006, 0.0022, 3, 10, 10*time.Second, 0.1)
+	o, err := PriceSwing(0.002, 0.0006, 0.0022, 3, 10, 10*time.Second, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +228,12 @@ func TestSwingFairPricing(t *testing.T) {
 	const rights = 10
 	const trials = 20000
 	var totalPayoff float64
-	o1, err := PriceSwing("h", mu, sigma, strike, rights, 40, 10*time.Second, 0)
+	o1, err := PriceSwing(mu, sigma, strike, rights, 40, 10*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for tr := 0; tr < trials; tr++ {
-		o, err := PriceSwing("h", mu, sigma, strike, rights, 40, 10*time.Second, 0)
+		o, err := PriceSwing(mu, sigma, strike, rights, 40, 10*time.Second, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,16 +258,16 @@ func TestSwingFairPricing(t *testing.T) {
 }
 
 func TestPriceSwingValidation(t *testing.T) {
-	if _, err := PriceSwing("h", 1, 1, 1, 0, 10, time.Second, 0); err == nil {
+	if _, err := PriceSwing(1, 1, 1, 0, 10, time.Second, 0); err == nil {
 		t.Error("zero rights accepted")
 	}
-	if _, err := PriceSwing("h", 1, 1, 1, 5, 3, time.Second, 0); err == nil {
+	if _, err := PriceSwing(1, 1, 1, 5, 3, time.Second, 0); err == nil {
 		t.Error("opportunities < rights accepted")
 	}
-	if _, err := PriceSwing("h", 1, 1, 1, 1, 1, 0, 0); err == nil {
+	if _, err := PriceSwing(1, 1, 1, 1, 1, 0, 0); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if _, err := PriceSwing("h", 1, -1, 1, 1, 1, time.Second, 0); err == nil {
+	if _, err := PriceSwing(1, -1, 1, 1, 1, time.Second, 0); err == nil {
 		t.Error("negative sigma accepted")
 	}
 }

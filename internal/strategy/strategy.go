@@ -60,9 +60,8 @@ func (c *Candidate) history() []float64 {
 
 // Pick is a strategy's decision.
 type Pick struct {
-	Index     int       // index into the candidate slice
-	Predicted float64   // the strategy's price forecast for the chosen candidate
-	Weights   []float64 // per-candidate weights, portfolio strategies only (nil otherwise)
+	Index     int     // index into the candidate slice
+	Predicted float64 // the strategy's price forecast for the chosen candidate
 }
 
 // Strategy selects a candidate partition for the next job.
@@ -324,7 +323,7 @@ func (s *portfolioStrategy) Pick(cands []Candidate) (Pick, error) {
 		}
 		predicted = sum / float64(len(h))
 	}
-	return Pick{Index: best, Predicted: predicted, Weights: w}, nil
+	return Pick{Index: best, Predicted: predicted}, nil
 }
 
 // weights computes the minimum-variance weights over candidate return

@@ -197,16 +197,17 @@ func TestPortfolioEqualWeightsOnShortHistory(t *testing.T) {
 	}
 	counts := map[int]int{}
 	for i := 0; i < 9; i++ {
+		weights := s.(*portfolioStrategy).weights(cands)
 		p, err := s.Pick(cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Weights) != 3 {
-			t.Fatalf("weights = %v", p.Weights)
+		if len(weights) != 3 {
+			t.Fatalf("weights = %v", weights)
 		}
-		for _, w := range p.Weights {
+		for _, w := range weights {
 			if math.Abs(w-1.0/3.0) > 1e-12 {
-				t.Fatalf("short-history weights = %v, want equal", p.Weights)
+				t.Fatalf("short-history weights = %v, want equal", weights)
 			}
 		}
 		counts[p.Index]++
@@ -234,13 +235,12 @@ func TestPortfolioFavorsLowVariancePartition(t *testing.T) {
 	}
 	s, _ := New(Portfolio, Config{})
 	var calmPicks int
-	var w []float64
+	w := s.(*portfolioStrategy).weights(cands)
 	for i := 0; i < 10; i++ {
 		p, err := s.Pick(cands)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w = p.Weights
 		if p.Index == 1 {
 			calmPicks++
 		}
@@ -317,14 +317,14 @@ func TestPortfolioWeightsNeedMinObsValidPrices(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, _ := New(Portfolio, Config{})
-			p, err := s.Pick([]Candidate{
+			cands := []Candidate{
 				{ID: "a", CurrentPrice: 1, History: tc.a},
 				{ID: "b", CurrentPrice: 1, History: tc.b},
-			})
-			if err != nil {
+			}
+			if _, err := s.Pick(cands); err != nil {
 				t.Fatal(err)
 			}
-			w := p.Weights
+			w := s.(*portfolioStrategy).weights(cands)
 			if tc.steadyFirst {
 				if w[0] <= w[1] || math.Abs(w[0]+w[1]-1) > 1e-9 {
 					t.Errorf("weights = %v, want the steady candidate's larger, summing to 1", w)

@@ -9,7 +9,6 @@ import (
 // work. In the paper one chunk takes about 212 minutes on a single node at a
 // 100% CPU share.
 type Chunk struct {
-	Index    int
 	Proteins []Protein
 	// WorkMHzSec is the chunk's CPU cost in MHz-seconds; the simulation
 	// divides it by the delivered MHz to get wall-clock time.
@@ -34,7 +33,7 @@ func Chunks(proteins []Protein, n int, perChunk time.Duration) ([]Chunk, error) 
 	}
 	out := make([]Chunk, n)
 	for i := range out {
-		out[i] = Chunk{Index: i, WorkMHzSec: perChunk.Seconds() * ReferenceMHz}
+		out[i] = Chunk{WorkMHzSec: perChunk.Seconds() * ReferenceMHz}
 	}
 	// Greedy residue balancing: biggest protein to lightest chunk.
 	mass := make([]int, n)
@@ -65,28 +64,17 @@ func sortByLenDesc(ps []Protein) []Protein {
 // Application describes one user's grid run of the proteome scan, shaped
 // like the paper's experiment: a task of many sub-jobs, each a chunk.
 type Application struct {
-	Name        string
-	Chunks      []Chunk
-	MaxNodes    int // "makes use of a maximum of 15 nodes"
-	RuntimeEnvs []string
+	Chunks []Chunk
 }
 
 // NewApplication builds the paper-shaped run: nChunks sub-jobs of perChunk
-// CPU time each, at most maxNodes in parallel.
-func NewApplication(name string, nChunks int, perChunk time.Duration, maxNodes int) (*Application, error) {
-	if maxNodes <= 0 {
-		return nil, fmt.Errorf("workload: max nodes %d, want > 0", maxNodes)
-	}
+// CPU time each.
+func NewApplication(nChunks int, perChunk time.Duration) (*Application, error) {
 	chunks, err := Chunks(nil, nChunks, perChunk)
 	if err != nil {
 		return nil, err
 	}
-	return &Application{
-		Name:        name,
-		Chunks:      chunks,
-		MaxNodes:    maxNodes,
-		RuntimeEnvs: []string{"APPS/BIO/BLAST-2.0"},
-	}, nil
+	return &Application{Chunks: chunks}, nil
 }
 
 // TotalWork returns the application's aggregate CPU demand in MHz-seconds.

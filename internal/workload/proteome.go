@@ -125,9 +125,8 @@ func WindowScore(window, subject string) int {
 
 // RegionReport is the application's finding for one window position.
 type RegionReport struct {
-	ProteinID string
-	Offset    int
-	Score     int // best similarity against the rest of the proteome
+	Offset int
+	Score  int // best similarity against the rest of the proteome
 }
 
 // ScanProtein runs the paper's stepwise sliding-window similarity search for
@@ -152,7 +151,7 @@ func ScanProtein(query Protein, db []Protein, windowLen, step int) ([]RegionRepo
 				best = s
 			}
 		}
-		out = append(out, RegionReport{ProteinID: query.ID, Offset: off, Score: best})
+		out = append(out, RegionReport{Offset: off, Score: best})
 	}
 	return out, nil
 }

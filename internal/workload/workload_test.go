@@ -198,11 +198,11 @@ func TestChunksValidation(t *testing.T) {
 
 func TestApplicationShape(t *testing.T) {
 	// The paper's shape: 15 sub-jobs per wave, chunks of 212 minutes.
-	app, err := NewApplication("proteome-scan", 15, PaperChunkDuration, 15)
+	app, err := NewApplication(15, PaperChunkDuration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(app.Chunks) != 15 || app.MaxNodes != 15 {
+	if len(app.Chunks) != 15 {
 		t.Errorf("app = %+v", app)
 	}
 	wantWork := 15 * PaperChunkDuration.Seconds() * ReferenceMHz
@@ -219,9 +219,6 @@ func TestApplicationShape(t *testing.T) {
 	}
 	if app.IdealDuration(0) != 0 {
 		t.Error("zero nodes should be zero")
-	}
-	if _, err := NewApplication("x", 5, time.Hour, 0); err == nil {
-		t.Error("zero max nodes accepted")
 	}
 }
 

@@ -7,26 +7,28 @@ import (
 	"time"
 )
 
-// FileStaging is one inputfiles/outputfiles entry: a logical name plus an
-// optional source/destination URL ("" means the broker chooses).
+// FileStaging is one inputfiles/outputfiles entry. The broker stages by
+// count (arc's stage-in and stage-out times), so only the logical name is
+// kept; an entry's optional URL is checked and dropped.
 type FileStaging struct {
 	Name string
-	URL  string
 }
 
 // JobRequest is the typed view of the xRSL attributes the Tycoon scheduler
 // plugin consumes (paper §3):
 //
-//   - WallTime maps to the market bid deadline,
+//   - WallTime maps to the market bid deadline (CPUTime when it is absent),
 //   - TransferToken carries the serialized payment capability whose verified
 //     amount becomes the total budget,
 //   - Count is the number of concurrent virtual machines,
-//   - RuntimeEnvs lists the runtimeenvironment values the job names; the
-//     scheduler reads none of them, as the VM model installs no software.
+//   - InputFiles and OutputFiles set the stage-in and stage-out times.
+//
+// Other attributes a job names (arguments, memory, runtimeenvironment) are
+// checked for form and not kept: the VM model runs no executable, sizes no
+// memory and installs no software.
 type JobRequest struct {
 	JobName    string
 	Executable string
-	Arguments  []string
 	Count      int
 	// MinHosts is the hold-back threshold the paper's §5.3 proposes: if the
 	// Best Response placement cannot afford at least this many hosts, the
@@ -35,8 +37,6 @@ type JobRequest struct {
 	MinHosts      int
 	WallTime      time.Duration
 	CPUTime       time.Duration
-	Memory        int // MB
-	RuntimeEnvs   []string
 	InputFiles    []FileStaging
 	OutputFiles   []FileStaging
 	TransferToken string
@@ -64,13 +64,6 @@ func (d *Description) ToJobRequest() (*JobRequest, error) {
 	}
 	if jr.Executable == "" {
 		return nil, ErrNoExecutable
-	}
-	if vs, ok := d.Get("arguments"); ok {
-		for _, v := range vs {
-			if !v.IsTuple() {
-				jr.Arguments = append(jr.Arguments, strings.Clone(v.Word))
-			}
-		}
 	}
 	if _, ok := d.Get("count"); ok {
 		n, err := d.GetInt("count")
@@ -110,17 +103,8 @@ func (d *Description) ToJobRequest() (*JobRequest, error) {
 		return nil, ErrNoDeadline
 	}
 	if _, ok := d.Get("memory"); ok {
-		mb, err := d.GetInt("memory")
-		if err != nil {
+		if _, err := d.GetInt("memory"); err != nil {
 			return nil, err
-		}
-		jr.Memory = mb
-	}
-	if vs, ok := d.Get("runtimeenvironment"); ok {
-		for _, v := range vs {
-			if !v.IsTuple() && v.Word != "" {
-				jr.RuntimeEnvs = append(jr.RuntimeEnvs, strings.Clone(v.Word))
-			}
 		}
 	}
 	var err error
@@ -148,9 +132,6 @@ func stagingList(d *Description, attr string) ([]FileStaging, error) {
 		fs := FileStaging{Name: strings.Clone(v.Tuple[0].Word)}
 		if fs.Name == "" {
 			return nil, fmt.Errorf("xrsl: %s entry with empty name", attr)
-		}
-		if len(v.Tuple) == 2 {
-			fs.URL = strings.Clone(v.Tuple[1].Word)
 		}
 		out = append(out, fs)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,13 +157,7 @@ func TestToJobRequest(t *testing.T) {
 	if jr.Deadline() != 330*time.Minute {
 		t.Errorf("deadline = %v", jr.Deadline())
 	}
-	if jr.Memory != 512 {
-		t.Errorf("memory = %d", jr.Memory)
-	}
-	if len(jr.RuntimeEnvs) != 1 || jr.RuntimeEnvs[0] != "APPS/BIO/BLAST-2.0" {
-		t.Errorf("rte = %v", jr.RuntimeEnvs)
-	}
-	if len(jr.InputFiles) != 2 || jr.InputFiles[0].URL == "" || jr.InputFiles[1].URL != "" {
+	if len(jr.InputFiles) != 2 || jr.InputFiles[0].Name != "proteome.dat" || jr.InputFiles[1].Name != "scan.sh" {
 		t.Errorf("inputs = %+v", jr.InputFiles)
 	}
 	if jr.TransferToken != "tok-abc123" {
@@ -191,26 +186,15 @@ func TestJobRequestSharesNoBytesWithText(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := map[string]string{"executable": jr.Executable, "jobname": jr.JobName, "transfertoken": jr.TransferToken}
-	for i, s := range jr.Arguments {
-		kept[fmt.Sprintf("arguments[%d]", i)] = s
-	}
-	for i, s := range jr.RuntimeEnvs {
-		kept[fmt.Sprintf("runtimeenvironment[%d]", i)] = s
-	}
 	for attr, files := range map[string][]FileStaging{"inputfiles": jr.InputFiles, "outputfiles": jr.OutputFiles} {
 		for i, f := range files {
 			kept[fmt.Sprintf("%s[%d].name", attr, i)] = f.Name
-			kept[fmt.Sprintf("%s[%d].url", attr, i)] = f.URL
 		}
 	}
 	want := map[string]string{
 		"executable": "scan.sh", "jobname": "proteome scan", "transfertoken": "tok-abc123",
-		"arguments[0]": "chunk", "arguments[1]": "0 1", "arguments[2]": "-v",
-		"runtimeenvironment[0]": "APPS/BIO/BLAST-2.0", "runtimeenvironment[1]": "ENV/PY 3",
-		"inputfiles[0].name": "proteome.dat", "inputfiles[0].url": "gsiftp://grid/chunk0.dat",
-		"inputfiles[1].name": "in put.dat", "inputfiles[1].url": "gsiftp://grid/a b",
-		"inputfiles[2].name": "scan.sh", "inputfiles[2].url": "",
-		"outputfiles[0].name": "result.dat", "outputfiles[0].url": "",
+		"inputfiles[0].name": "proteome.dat", "inputfiles[1].name": "in put.dat", "inputfiles[2].name": "scan.sh",
+		"outputfiles[0].name": "result.dat",
 	}
 	if !maps.Equal(kept, want) {
 		t.Fatalf("request strings = %v, want %v", kept, want)
@@ -227,14 +211,25 @@ func TestJobRequestSharesNoBytesWithText(t *testing.T) {
 func TestJobRequestValidation(t *testing.T) {
 	cases := []struct {
 		in   string
-		want error
+		ok   bool  // accepted
+		want error // the refusal, nil for any
 	}{
-		{"&(walltime=10)", ErrNoExecutable},
-		{"&(executable=x)", ErrNoDeadline},
-		{"&(executable=x)(walltime=10)(count=0)", nil},
-		{"&(executable=x)(walltime=ten)", nil},
-		{"&(executable=x)(walltime=10)(inputfiles=(a b c))", nil},
-		{"&(executable=x)(walltime=10)(inputfiles=name-not-tuple)", nil},
+		{in: "&(walltime=10)", want: ErrNoExecutable},
+		{in: "&(executable=x)", want: ErrNoDeadline},
+		{in: "&(executable=x)(walltime=10)(count=0)"},
+		{in: "&(executable=x)(walltime=ten)"},
+		{in: "&(executable=x)(walltime=10)(inputfiles=(a b c))"},
+		{in: "&(executable=x)(walltime=10)(inputfiles=name-not-tuple)"},
+		// The request keeps no arguments, memory, runtime environments or
+		// staging URLs, yet their form is still checked.
+		{in: "&(executable=x)(walltime=10)(memory=lots)"},
+		{in: "&(executable=x)(walltime=10)(outputfiles=(a b c))"},
+		{in: `&(executable=x)(walltime=10)(inputfiles=("" gsiftp://grid/a))`},
+		{in: "&(executable=x)(walltime=10)(memory=512)", ok: true},
+		{in: `&(executable=x)(walltime=10)(arguments=chunk "0 1" -v)`, ok: true},
+		{in: `&(executable=x)(walltime=10)(runtimeenvironment=APPS/BIO/BLAST-2.0 "ENV/PY 3")`, ok: true},
+		{in: "&(executable=x)(walltime=10)(inputfiles=(proteome.dat gsiftp://grid/chunk0.dat))", ok: true},
+		{in: `&(executable=x)(walltime=10)(outputfiles=(result.dat ""))`, ok: true},
 	}
 	for _, c := range cases {
 		d, err := Parse(c.in)
@@ -242,6 +237,12 @@ func TestJobRequestValidation(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", c.in, err)
 		}
 		_, err = d.ToJobRequest()
+		if c.ok {
+			if err != nil {
+				t.Errorf("%q: %v, want accepted", c.in, err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("%q: want error", c.in)
 			continue
@@ -295,12 +296,9 @@ func TestJobRequestRoundTrip(t *testing.T) {
 	jr := &JobRequest{
 		JobName:       "scan",
 		Executable:    "run.sh",
-		Arguments:     []string{"a", "b c"},
 		Count:         5,
 		WallTime:      90 * time.Minute,
-		Memory:        256,
-		RuntimeEnvs:   []string{"APPS/BIO/BLAST"},
-		InputFiles:    []FileStaging{{Name: "in.dat", URL: "http://x/in.dat"}, {Name: "local.sh"}},
+		InputFiles:    []FileStaging{{Name: "in.dat"}, {Name: "local.sh"}},
 		OutputFiles:   []FileStaging{{Name: "out.dat"}},
 		TransferToken: "tok1",
 	}
@@ -311,14 +309,11 @@ func TestJobRequestRoundTrip(t *testing.T) {
 	}
 	if back.JobName != jr.JobName || back.Executable != jr.Executable ||
 		back.Count != jr.Count || back.WallTime != jr.WallTime ||
-		back.Memory != jr.Memory || back.TransferToken != jr.TransferToken {
+		back.TransferToken != jr.TransferToken {
 		t.Errorf("round trip lost fields:\n%+v\n%+v", jr, back)
 	}
-	if len(back.Arguments) != 2 || back.Arguments[1] != "b c" {
-		t.Errorf("arguments = %v", back.Arguments)
-	}
-	if len(back.InputFiles) != 2 || back.InputFiles[0].URL != "http://x/in.dat" {
-		t.Errorf("inputs = %+v", back.InputFiles)
+	if !slices.Equal(back.InputFiles, jr.InputFiles) || !slices.Equal(back.OutputFiles, jr.OutputFiles) {
+		t.Errorf("staging = %+v %+v, want %+v %+v", back.InputFiles, back.OutputFiles, jr.InputFiles, jr.OutputFiles)
 	}
 	// Serialized form must parse.
 	if !strings.HasPrefix(d.String(), "&(") {
@@ -339,9 +334,6 @@ func BenchmarkParse(b *testing.B) {
 func (jr *JobRequest) ToDescription() *Description {
 	var d Description
 	d.Set("executable", jr.Executable)
-	if len(jr.Arguments) > 0 {
-		d.Set("arguments", jr.Arguments...)
-	}
 	if jr.JobName != "" {
 		d.Set("jobname", jr.JobName)
 	}
@@ -357,12 +349,6 @@ func (jr *JobRequest) ToDescription() *Description {
 	if jr.CPUTime > 0 {
 		d.Set("cputime", fmt.Sprint(int(jr.CPUTime.Minutes())))
 	}
-	if jr.Memory > 0 {
-		d.Set("memory", fmt.Sprint(jr.Memory))
-	}
-	if len(jr.RuntimeEnvs) > 0 {
-		d.Set("runtimeenvironment", jr.RuntimeEnvs...)
-	}
 	if jr.TransferToken != "" {
 		d.Set("transfertoken", jr.TransferToken)
 	}
@@ -372,11 +358,7 @@ func (jr *JobRequest) ToDescription() *Description {
 		}
 		vals := make([]Value, len(files))
 		for i, f := range files {
-			t := []Value{{Word: f.Name}}
-			if f.URL != "" {
-				t = append(t, Value{Word: f.URL})
-			}
-			vals[i] = Value{Tuple: t}
+			vals[i] = Value{Tuple: []Value{{Word: f.Name}}}
 		}
 		d.Relations = append(d.Relations, Relation{Attr: attr, Values: vals})
 	}

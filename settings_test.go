@@ -2,8 +2,6 @@ package tycoongrid_test
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"testing"
@@ -25,10 +23,10 @@ var unsetWorldSettings = []struct {
 const timelineFixture = "the timeline oracle's fixture (arc's TestTimelineMatchesSpanEventGolden scripted run)"
 
 // TestEveryWorldSettingIsSetAndRead holds the world's settings to their
-// callers: every exported field of box.Config and grid.HostSpec is written —
-// a composite-literal key, the left side of an assignment, or its address
-// handed out (a flag fills it) — by some non-test Go file outside bench/, and
-// read by some non-test Go file, or has a row in unsetWorldSettings. A
+// callers: every exported field of box.Config and grid.HostSpec is written
+// (modPkg.writes: a composite-literal key, an assignment target, or its
+// address handed out, as to a flag) by some non-test Go file outside bench/,
+// and read by some non-test Go file, or has a row in unsetWorldSettings. A
 // setting nothing sets is a branch no run takes; one nothing reads does
 // nothing. A row whose field is gone, or is now set and read, fails.
 func TestEveryWorldSettingIsSetAndRead(t *testing.T) {
@@ -49,39 +47,12 @@ func TestEveryWorldSettingIsSetAndRead(t *testing.T) {
 
 	written, read := map[types.Object]bool{}, map[types.Object]bool{}
 	for _, p := range m.pkgs {
-		writes := map[*ast.Ident]bool{}
-		target := func(e ast.Expr) {
-			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-				writes[sel.Sel] = true
-			}
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						target(lhs)
-					}
-				case *ast.IncDecStmt:
-					target(n.X)
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						target(n.X)
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						writes[id] = true
-					}
-				}
-				return true
-			})
-		}
 		for id, obj := range p.info.Uses {
 			if _, ok := fields[obj]; !ok {
 				continue
 			}
 			switch {
-			case !writes[id]:
+			case !p.writes[id]:
 				read[obj] = true
 			case !p.bench:
 				written[obj] = true
