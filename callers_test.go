@@ -24,8 +24,10 @@ import (
 var allowedUncalled = []struct {
 	name, reason string
 }{
+	{"arc.Manager.Submit", benchOnly}, // bench/'s grid workloads submit with no span
 	{"auction.Config.Tracer", benchOnly},
 	{"bank.Bank.Accounts", benchOnly},
+	{"bank.WithTracer", benchOnly}, // a no-op since exemplars take the span from the context
 	{"durable.Store.Append", benchOnly},
 	{"experiment.StrategiesParams.Predictor", benchOnly}, // bench/'s broker-predict sets and reads it
 	{"marketplane.NewShardedBank", benchOnly},

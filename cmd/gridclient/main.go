@@ -369,16 +369,14 @@ func submitCmd(args []string) error {
 		return err
 	}
 
-	// Root the whole submission in one client-side trace: the scope makes the
-	// span the parent of every RPC the typed client issues below, and the
+	// Root the whole submission in one client-side trace: its context makes
+	// the span the parent of every RPC the typed client issues below, and the
 	// traceparent header carries it into the daemon.
-	tr := tracing.Default()
-	span, _ := tr.StartSpan(context.Background(), "gridclient.submit")
-	release := tr.PushScope(span)
-	defer func() { release(); span.End() }()
+	span, ctx := tracing.Default().StartSpan(context.Background(), "gridclient.submit")
+	defer span.End()
 
 	c := jobapi.NewClient(*gridURL, nil)
-	jw, err := c.Submit(string(text))
+	jw, err := c.Submit(ctx, string(text))
 	if err != nil {
 		span.EndErr(err)
 		return err
@@ -390,7 +388,7 @@ func submitCmd(args []string) error {
 	}
 	for {
 		time.Sleep(500 * time.Millisecond)
-		jw, err = c.Job(jw.ID)
+		jw, err = c.Job(ctx, jw.ID)
 		if err != nil {
 			return err
 		}
@@ -399,7 +397,7 @@ func submitCmd(args []string) error {
 		}
 	}
 	fmt.Printf("job %s: %s\n", jw.ID, jw.State)
-	tl, err := c.Timeline(jw.ID)
+	tl, err := c.Timeline(ctx, jw.ID)
 	if err != nil {
 		return err
 	}
@@ -417,7 +415,7 @@ func timelineCmd(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("timeline: -id required")
 	}
-	tl, err := jobapi.NewClient(*gridURL, nil).Timeline(*id)
+	tl, err := jobapi.NewClient(*gridURL, nil).Timeline(context.Background(), *id)
 	if err != nil {
 		return err
 	}

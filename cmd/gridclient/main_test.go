@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tycoongrid/internal/arc"
 	"tycoongrid/internal/auction"
 	"tycoongrid/internal/auctioneerapi"
 	"tycoongrid/internal/bank"
@@ -18,6 +19,7 @@ import (
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/jobapi"
 	"tycoongrid/internal/token"
+	"tycoongrid/internal/tracing"
 )
 
 // stdout runs cmd with os.Stdout captured and returns what it printed.
@@ -44,22 +46,22 @@ func stdout(t *testing.T, cmd func() error) string {
 	return out
 }
 
-// TestSubmitAndTimeline submits an xRSL file to a job service, runs the job
-// to its end and prints its timeline: the printed id is the job's, and the
-// timeline is the one the service holds.
-func TestSubmitAndTimeline(t *testing.T) {
+// jobFixture builds a one-user market of the given partitions and its job
+// service, and writes an xRSL file carrying a token the user minted; it
+// returns the path.
+func jobFixture(t *testing.T, partitions int) (*box.Box, *jobapi.Service, string) {
+	t.Helper()
 	cfg := box.DefaultConfig()
 	cfg.Users, cfg.GrantPerUser = 1, 1000*bank.Credit
+	cfg.Partitions = partitions
 	b, err := box.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := jobapi.NewService(b.Manager, b.Engine)
+	svc, err := jobapi.NewService(b.Scheduler(), b.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
 	tok, err := b.MintToken(b.Users[0], 25*bank.Credit)
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +75,20 @@ func TestSubmitAndTimeline(t *testing.T) {
 	if err := os.WriteFile(path, []byte(xrsl), 0o600); err != nil {
 		t.Fatal(err)
 	}
+	return b, svc, path
+}
+
+// TestSubmitAndTimeline submits an xRSL file to a job service, runs the job
+// to its end and prints its timeline: the printed id is the job's, and the
+// timeline is the one the service holds.
+func TestSubmitAndTimeline(t *testing.T) {
+	b, svc, path := jobFixture(t, 1)
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
 
 	out := stdout(t, func() error { return submitCmd([]string{"-grid", srv.URL, "-xrsl", path}) })
 	client := jobapi.NewClient(srv.URL, nil)
-	jobs, err := client.Jobs()
+	jobs, err := client.Jobs(t.Context())
 	if err != nil || len(jobs) != 1 {
 		t.Fatalf("jobs = %+v, %v; want the one submitted", jobs, err)
 	}
@@ -87,7 +99,7 @@ func TestSubmitAndTimeline(t *testing.T) {
 
 	svc.Drive(b.Engine.Now().Add(time.Hour))
 	out = stdout(t, func() error { return timelineCmd([]string{"-grid", srv.URL, "-id", id}) })
-	tl, err := client.Timeline(id)
+	tl, err := client.Timeline(t.Context(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +113,80 @@ func TestSubmitAndTimeline(t *testing.T) {
 		if !strings.Contains(out, " "+e.Name) {
 			t.Errorf("timeline lacks event %s:\n%s", e.Name, out)
 		}
+	}
+}
+
+// TestSubmitIsOneTrace holds the claim that one gridclient submit is one
+// trace tree, on one job manager and on a meta-scheduler over two: at
+// sampling 1 the printed trace is the job's timeline trace, and the tracer
+// holds exactly one chain of five spans, from the client's root through its
+// RPC and attempt, the daemon's server span, to the job's lifecycle span.
+func TestSubmitIsOneTrace(t *testing.T) {
+	tr := tracing.Default()
+	defer tr.SetSampleRatio(tr.SampleRatio())
+	tr.SetSampleRatio(1)
+	defer tr.Reset()
+	for _, partitions := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			tr.Reset()
+			b, svc, path := jobFixture(t, partitions)
+			srv := httptest.NewServer(httpapi.ObservedMux("gridmarketd", svc))
+			defer srv.Close()
+
+			out := stdout(t, func() error { return submitCmd([]string{"-grid", srv.URL, "-xrsl", path}) })
+			var printed string
+			for _, line := range strings.Split(out, "\n") {
+				if rest, ok := strings.CutPrefix(line, "trace "); ok {
+					printed = rest
+				}
+			}
+			id, ok := tracing.ParseTraceID(printed)
+			if !ok {
+				t.Fatalf("submit printed no trace id:\n%s", out)
+			}
+			var (
+				tl  arc.Timeline
+				err error
+			)
+			svc.WithLock(func() {
+				jobs := b.Scheduler().Jobs()
+				if len(jobs) != 1 {
+					t.Fatalf("%d jobs, want the one submitted", len(jobs))
+				}
+				tl, err = b.Scheduler().Timeline(jobs[0].ID)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tl.TraceID != printed {
+				t.Errorf("timeline trace_id %q, want the printed trace %s", tl.TraceID, printed)
+			}
+
+			want := []string{"gridclient.submit", "rpc.job", "rpc.attempt", "http.server POST /jobs", "job.lifecycle"}
+			spans := tr.Spans(id)
+			if len(spans) != len(want) {
+				names := make([]string, len(spans))
+				for i, s := range spans {
+					names[i] = s.Name()
+				}
+				t.Fatalf("trace %s holds %d spans %q, want %q", printed, len(spans), names, want)
+			}
+			byName := map[string]*tracing.Span{}
+			for _, s := range spans {
+				byName[s.Name()] = s
+			}
+			for i, name := range want {
+				s := byName[name]
+				switch {
+				case s == nil:
+					t.Errorf("trace %s lacks %s", printed, name)
+				case i == 0 && !s.Parent().IsZero():
+					t.Errorf("%s has a parent; want it the root", name)
+				case i > 0 && byName[want[i-1]] != nil && s.Parent() != byName[want[i-1]].Context().SpanID:
+					t.Errorf("%s is not a child of %s", name, want[i-1])
+				}
+			}
+		})
 	}
 }
 

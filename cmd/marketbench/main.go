@@ -108,9 +108,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "=== %s ===\n", strings.ToUpper(e.Name))
 		start := time.Now()
 		span, _ := tracing.Default().StartSpan(context.Background(), "experiment."+e.Name)
-		release := tracing.Default().PushScope(span)
 		out, err := runOne(e, *seed, *csvDir, *reps, *parallel)
-		release()
 		if err != nil {
 			span.EndErr(err)
 			return fmt.Errorf("%s: %w", e.Name, err)
@@ -137,10 +135,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// statuses, byte-identical across reruns and worker counts.
 	fmt.Fprint(stdout, telemetryFinish(*reps > 1))
 
-	// Each experiment ran under its own root span; the slowest one is the
-	// optimization target, so dump its tree as the run's parting diagnostic.
-	// Trace IDs and durations are run-dependent, so this too stays out of
-	// the replicated (deterministic) output.
+	// Each experiment timed itself in a root span, and each job's lifecycle
+	// span is a trace of its own; the slowest trace is the optimization
+	// target, so dump its tree as the run's parting diagnostic. Trace IDs and
+	// durations are run-dependent, so this too stays out of the replicated
+	// (deterministic) output.
 	if *reps <= 1 {
 		if sum, ok := tracing.Default().Slowest(); ok {
 			fmt.Fprintln(stdout, "=== SLOWEST TRACE ===")

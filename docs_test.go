@@ -26,7 +26,9 @@ import (
 // pkg.Type.Member that README.md, DESIGN.md or PAPER.md names in a code span,
 // pkg being a package under internal/, is declared by that package's non-test
 // code (TestEveryExportedNameHasACaller's type-checked load); EXPERIMENTS.md
-// is a dated record and keeps the names it was written with.
+// is a dated record and keeps the names it was written with. And PAPER.md's
+// copy of the substitutions table is DESIGN.md §2's: each of its rows appears
+// there verbatim, so the two cannot drift.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -184,5 +186,28 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		if d.IsDir() && !strings.Contains(string(inventory), "\n| `internal/"+d.Name()+"` |") {
 			t.Errorf("DESIGN.md §3: internal/%s has no row in the module map", d.Name())
 		}
+	}
+
+	paper, err := os.ReadFile("PAPER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	substitutions := regexp.MustCompile(`(?s)\n## 2\. .*?\n## 3\. `)
+	designTable, paperTable := substitutions.Find(design), substitutions.Find(paper)
+	if designTable == nil || paperTable == nil {
+		t.Fatal("DESIGN.md or PAPER.md: no sections 2 and 3 in a row")
+	}
+	rows := 0
+	for _, line := range strings.Split(string(paperTable), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		rows++
+		if !strings.Contains(string(designTable), "\n"+line+"\n") {
+			t.Errorf("PAPER.md §2: row %q is not in DESIGN.md §2; copy DESIGN.md's", line)
+		}
+	}
+	if rows == 0 {
+		t.Error("PAPER.md §2 holds no substitutions table")
 	}
 }

@@ -105,12 +105,10 @@ func main() {
 	for i := range chunks {
 		chunks[i] = 10 * 60 * 2800
 	}
-	// Submitting under a pushed span scope ties what the market core
-	// measures meanwhile (clear and transfer latency exemplars) to this trace.
+	// The job's root span: a failure is logged under its ids, and the
+	// timeline below is printed under its trace.
 	root, ctx := tr.StartSpan(context.Background(), "quickstart.job")
-	release := tr.PushScope(root)
 	job, err := broker.Submit(tok, jr, chunks)
-	release()
 	checkCtx(ctx, err)
 	fmt.Printf("job %s submitted for %s; best response funded hosts %v\n",
 		job.ID, job.DN, job.Hosts)

@@ -21,11 +21,7 @@ func TestSubmissionReadsNoBalance(t *testing.T) {
 	defer tr.SetSampleRatio(tr.SampleRatio())
 	for _, ratio := range []float64{0, 1} {
 		tr.SetSampleRatio(ratio)
-		span := tr.StartRemote(tracing.SpanContext{}, "test.submit")
-		release := tr.PushScope(span)
 		job, err := w.agent.Submit(w.payToken(t, 100), request(2, 2*time.Hour), chunks(2, 10))
-		release()
-		span.End()
 		if err != nil {
 			t.Fatal(err)
 		}

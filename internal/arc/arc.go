@@ -68,8 +68,8 @@ type Config struct {
 	StageInTime  time.Duration
 	StageOutTime time.Duration
 	// Tracer receives job lifecycle spans. Nil means the process-wide
-	// tracing.Default(); replicated experiments inject a per-world tracer so
-	// concurrent worlds do not share a scope stack.
+	// tracing.Default(); replicated experiments inject a per-world tracer
+	// that samples nothing, so their jobs fill no shared span ring.
 	Tracer *tracing.Tracer
 }
 
@@ -115,16 +115,20 @@ func DefaultChunkWork(jr *xrsl.JobRequest) []float64 {
 	return out
 }
 
-// Submit accepts an xRSL description. chunkWork overrides the per-sub-job
-// CPU work estimate; pass nil to use DefaultChunkWork. The job passes
-// PREPARING (stage-in) before execution and FINISHING (stage-out) after; both
-// are modeled as fixed per-file delays on the simulation clock.
+// Submit is SubmitContext with no span to parent the job under.
 func (m *Manager) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
+	return m.SubmitContext(context.Background(), xrslText, chunkWork)
+}
+
+// SubmitContext accepts an xRSL description. chunkWork overrides the
+// per-sub-job CPU work estimate; pass nil to use DefaultChunkWork. The job
+// passes PREPARING (stage-in) before execution and FINISHING (stage-out)
+// after; both are modeled as fixed per-file delays on the simulation clock.
+func (m *Manager) SubmitContext(ctx context.Context, xrslText string, chunkWork []float64) (*GridJob, error) {
 	eng := m.cfg.Agent.Engine()
-	// The lifecycle span parents under whatever is active — the HTTP server
-	// span of a POST /jobs, or a CLI's root span — and stays open until the
-	// job reaches a terminal state.
-	span, _ := m.cfg.Tracer.StartSpan(context.Background(), "job.lifecycle")
+	// The lifecycle span parents under the span in ctx — the HTTP server span
+	// of a POST /jobs — and stays open until the job reaches a terminal state.
+	span, _ := m.cfg.Tracer.StartSpan(ctx, "job.lifecycle")
 	reject := func(err error) (*GridJob, error) {
 		span.EndErr(err)
 		return nil, err

@@ -1,6 +1,7 @@
 package arc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -13,7 +14,7 @@ import (
 // *Manager, or a *Meta matchmaking across partitioned ones. The HTTP layer and
 // the assembled world hold one without knowing which.
 type Scheduler interface {
-	Submit(xrslText string, chunkWork []float64) (*GridJob, error)
+	SubmitContext(ctx context.Context, xrslText string, chunkWork []float64) (*GridJob, error)
 	Job(id string) (*GridJob, error)
 	Jobs() []*GridJob
 	Boost(jobID, encodedToken string) error
@@ -124,10 +125,11 @@ func (m *Meta) pick() (*Manager, strategy.Pick) {
 	return m.replicas[p.Index], p
 }
 
-// Submit matchmakes the job to a replica chosen by the strategy.
-func (m *Meta) Submit(xrslText string, chunkWork []float64) (*GridJob, error) {
+// SubmitContext matchmakes the job to a replica chosen by the strategy, which
+// accepts it under the span in ctx.
+func (m *Meta) SubmitContext(ctx context.Context, xrslText string, chunkWork []float64) (*GridJob, error) {
 	r, p := m.pick()
-	gj, err := r.Submit(xrslText, chunkWork)
+	gj, err := r.SubmitContext(ctx, xrslText, chunkWork)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +190,7 @@ func (m *Meta) PredictionStats() PredictionStats {
 
 // owner resolves the replica managing a job: an index hit for meta-submitted
 // jobs, otherwise a scan (jobs submitted directly to a replica bypass
-// Submit), cached for next time.
+// SubmitContext), cached for next time.
 func (m *Meta) owner(id string) (*Manager, bool) {
 	if r, ok := m.index[id]; ok {
 		return r, true

@@ -134,7 +134,7 @@ func TestMetaMatchmakesToCheapestPartition(t *testing.T) {
 	// verification would fail (wrong payee), so acceptance proves routing.
 	xrsl1 := fmt.Sprintf("&(executable=x)(count=2)(cputime=5)(walltime=120)(transfertoken=%s)",
 		w.tokenFor(t, w.brokers[1], 50))
-	gj, err := w.meta.Submit(xrsl1, nil)
+	gj, err := w.meta.SubmitContext(t.Context(), xrsl1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

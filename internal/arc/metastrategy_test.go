@@ -71,7 +71,7 @@ func TestMetaStrategyInjectionAndPredictionScoring(t *testing.T) {
 	// token pays broker-0 (a wrong payee would be rejected at verification).
 	xrsl := fmt.Sprintf("&(executable=x)(count=2)(cputime=5)(walltime=3600)(transfertoken=%s)",
 		w.tokenFor(t, w.brokers[0], 50))
-	gj, err := w.meta.Submit(xrsl, nil)
+	gj, err := w.meta.SubmitContext(t.Context(), xrsl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func scriptedRun(t *testing.T, tr *tracing.Tracer) []arc.Timeline {
 	}
 	submit := func(xrslText string, chunks []float64) *arc.GridJob {
 		t.Helper()
-		gj, err := sched.Submit(xrslText, chunks)
+		gj, err := sched.SubmitContext(t.Context(), xrslText, chunks)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"context"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -190,7 +191,6 @@ type Bank struct {
 	ledger    []line
 	seq       uint64 // Seq of the newest line; the oldest's is seq-len(ledger)+1
 	ledgerCap int    // 0 = unbounded
-	tracer    *tracing.Tracer
 
 	// Conservation accounting (conservation.go): baseline is the total money
 	// captured at construction or after WAL recovery; minted is the
@@ -220,16 +220,11 @@ func WithLedgerRetention(n int) Option {
 	return func(b *Bank) { b.ledgerCap = n }
 }
 
-// WithTracer makes the bank read the active scope that a transfer's latency
-// exemplar names from t instead of the process-wide tracing.Default().
-// Replicated experiments give each world its own tracer so concurrent worlds
-// never observe each other's scopes.
-func WithTracer(t *tracing.Tracer) Option {
-	return func(b *Bank) {
-		if t != nil {
-			b.tracer = t
-		}
-	}
+// WithTracer does nothing: a transfer's latency exemplar names the span in
+// the context TransferContext is given, whatever tracer started it. It keeps
+// its signature for the benchmark's callers (ROADMAP item 1(a) deletes it).
+func WithTracer(*tracing.Tracer) Option {
+	return func(*Bank) {}
 }
 
 // New creates a bank whose receipts are signed by identity id.
@@ -242,7 +237,6 @@ func New(id *pki.Identity, clock sim.Clock, opts ...Option) *Bank {
 		clock:    clock,
 		accounts: make(map[AccountID]*account),
 		receipts: make(map[string]issued),
-		tracer:   tracing.Default(),
 	}
 	for _, o := range opts {
 		o(b)
@@ -388,6 +382,13 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 // receipt is signed with no lock held. So concurrent transfers verify and
 // sign on as many cores as they have, and a refused request signs nothing.
 func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
+	return b.TransferContext(context.Background(), req)
+}
+
+// TransferContext is Transfer on behalf of the span in ctx: when that span
+// records, the transfer's latency lands in its bucket with the span's trace
+// as the bucket's exemplar.
+func (b *Bank) TransferContext(ctx context.Context, req TransferRequest) (Receipt, error) {
 	if req.Amount <= 0 {
 		return Receipt{}, ErrNonPositive
 	}
@@ -420,7 +421,7 @@ func (b *Bank) Transfer(req TransferRequest) (Receipt, error) {
 	mPhaseVerify.Observe(commitStart.Sub(verifyStart).Seconds())
 	mPhaseSign.Observe(walStart.Sub(signStart).Seconds())
 	mPhaseWAL.Observe(end.Sub(walStart).Seconds())
-	if s := b.tracer.Current(); s.Recording() {
+	if s := tracing.SpanFromContext(ctx); s.Recording() {
 		mTransferSeconds.ObserveExemplar(end.Sub(start).Seconds(), s.Context().TraceID.String())
 	} else {
 		mTransferSeconds.Observe(end.Sub(start).Seconds())

@@ -54,9 +54,9 @@ type Config struct {
 	// sub-account, so finished jobs' VMs are never reused and would
 	// otherwise accumulate until the host's VM limit starves new work.
 	PurgeIdleAfter time.Duration
-	// Tracer scopes every span this world's services emit. Nil means the
-	// process-wide tracing.Default(); replication workers inject a private
-	// (and usually unsampled) tracer so concurrent worlds share nothing.
+	// Tracer records the job lifecycle spans this world's job manager starts.
+	// Nil means the process-wide tracing.Default(); replication workers inject
+	// a private, unsampled tracer so concurrent worlds fill no shared ring.
 	Tracer *tracing.Tracer
 	// Shards is the number of goroutines the cluster clears its host markets
 	// on each tick (see grid.Config.Shards). Parallelism only: every outcome
@@ -171,10 +171,6 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	if !cfg.Start.IsZero() {
 		eng = sim.NewEngineAt(cfg.Start)
 	}
-	tr := cfg.Tracer
-	if tr == nil {
-		tr = tracing.Default()
-	}
 	b := &Box{Engine: eng, Src: rng.New(cfg.Seed), seeded: cfg.Seed != 0}
 	var err error
 	if b.seeded {
@@ -195,7 +191,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	}
 	// Long runs generate millions of 10-second micro-charges; keep a bounded
 	// audit window rather than the full ledger.
-	b.Bank = bank.New(bankID, eng, bank.WithLedgerRetention(bank.DefaultLedgerRetention), bank.WithTracer(tr))
+	b.Bank = bank.New(bankID, eng, bank.WithLedgerRetention(bank.DefaultLedgerRetention))
 	if _, err := b.Bank.CreateAccount("broker", broker.Public()); err != nil {
 		return nil, err
 	}
@@ -265,7 +261,7 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 			return nil, err
 		}
 		managers[i], err = arc.New(arc.Config{
-			ClusterName: name, Agent: b.Agents[i], Tracer: tr,
+			ClusterName: name, Agent: b.Agents[i], Tracer: cfg.Tracer,
 			StageInTime: cfg.StageInTime, StageOutTime: cfg.StageOutTime,
 		})
 		if err != nil {

@@ -239,7 +239,7 @@ func TestPartitionedBoxRoutesThroughMeta(t *testing.T) {
 	tok := mint(50 * bank.Credit)
 	xrsl := fmt.Sprintf(
 		"&(executable=scan.sh)(jobname=meta-test)(count=2)(cputime=10)(walltime=120)(transfertoken=%s)", tok)
-	gj, err := b.Scheduler().Submit(xrsl, nil)
+	gj, err := b.Scheduler().SubmitContext(t.Context(), xrsl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestPartitionedBoxPicksThroughForecastHandles(t *testing.T) {
 	}
 	xrsl := fmt.Sprintf(
 		"&(executable=scan.sh)(count=2)(cputime=10)(walltime=120)(transfertoken=%s)", mint(50*bank.Credit))
-	if _, err := b.Scheduler().Submit(xrsl, nil); err != nil {
+	if _, err := b.Scheduler().SubmitContext(t.Context(), xrsl, nil); err != nil {
 		t.Fatal(err)
 	}
 	if spied.picks != 1 || spied.noHandle != 0 || spied.histReads != 0 {
@@ -360,7 +360,7 @@ func TestEveryAxisComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gj, err := b.Scheduler().Submit(fmt.Sprintf(
+	gj, err := b.Scheduler().SubmitContext(t.Context(), fmt.Sprintf(
 		"&(executable=scan.sh)(count=2)(cputime=10)(walltime=120)(transfertoken=%s)", enc), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -144,9 +144,8 @@ func (a *Aggregate) String() string {
 }
 
 // quietTracer builds the private tracer a replication world runs under:
-// unsampled (replications need numbers, not span trees) and detached from
-// the process-wide scope stack so concurrent worlds cannot cross-pollute
-// each other's spans and exemplars.
+// unsampled, because replications need numbers, not span trees, and its own,
+// so concurrent worlds' job spans never enter the process-wide ring.
 func quietTracer() *tracing.Tracer {
 	t := tracing.New(tracing.WithCapacity(64))
 	t.SetSampleRatio(0)

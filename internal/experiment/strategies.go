@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -297,7 +298,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 			xrslText := fmt.Sprintf(
 				"&(executable=scan.sh)(jobname=measured)(count=%d)(walltime=%d)(transfertoken=%s)",
 				p.MeasureMaxNodes, int(p.MeasureDeadline.Minutes()), enc)
-			gj, err := w.Meta.Submit(xrslText, chunks)
+			gj, err := w.Meta.SubmitContext(context.Background(), xrslText, chunks)
 			if err != nil {
 				measureErrs++
 				return

@@ -240,7 +240,7 @@ func (s *BankService) transfer(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	receipt, err := s.bank.Transfer(bank.TransferRequest{
+	receipt, err := s.bank.TransferContext(r.Context(), bank.TransferRequest{
 		From:   bank.AccountID(req.From),
 		To:     bank.AccountID(req.To),
 		Amount: amount,

@@ -152,9 +152,9 @@ func (c *Caller) attempt(ctx context.Context, n int, method, url, contentType st
 	return err
 }
 
-// call wraps a whole exchange — all attempts — in one "rpc.<client>" span
-// whose parent comes from ctx or, for the context-free typed clients, the
-// tracer's current scope. retries > 1 means the retry policy drives it.
+// call wraps a whole exchange — all attempts — in one "rpc.<client>" span,
+// a child of the span in ctx; a typed client that takes no context starts a
+// trace of its own. With retries the retry policy drives it.
 func (c *Caller) call(ctx context.Context, retries bool, method, url, contentType string, body []byte, out any) error {
 	parent, ctx := tracing.Default().StartSpan(ctx, "rpc."+c.name,
 		tracing.String("method", method), tracing.String("url", url))

@@ -109,18 +109,10 @@ func TestObservedMuxMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestRequestLatencyExemplarNamesTrace sends one transfer through bankd's
-// handler stack at sampling 1: the request latency histogram's bucket must
-// carry the request span's trace as its exemplar, and that trace must resolve
-// on the same daemon's /debug/traces. Nothing pushes a tracer scope on this
-// path; the span reaches the histogram through the request context.
-func TestRequestLatencyExemplarNamesTrace(t *testing.T) {
-	tr := tracing.Default()
-	defer tr.SetSampleRatio(tr.SampleRatio())
-	tr.SetSampleRatio(1)
-	tr.Reset()
-	defer tr.Reset()
-
+// exemplarBank serves bankd's handler stack over a bank in which alice holds
+// credits and may pay bob; alice is the key that signs her transfers.
+func exemplarBank(t *testing.T, credits bank.Amount) (*httptest.Server, *pki.Identity) {
+	t.Helper()
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {
 		t.Fatal(err)
@@ -133,16 +125,37 @@ func TestRequestLatencyExemplarNamesTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Deposit("alice", 10*bank.Credit, "seed"); err != nil {
+	if err := b.Deposit("alice", credits, "seed"); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(ObservedMux("bankd", NewBankService(b)))
+	return httptest.NewServer(ObservedMux("bankd", NewBankService(b))), alice
+}
+
+// transferBody is the POST /transfers body of one credit from alice to bob
+// under nonce, signed by alice.
+func transferBody(alice *pki.Identity, nonce string) ([]byte, error) {
+	req := bank.TransferRequest{From: "alice", To: "bob", Amount: bank.Credit, Nonce: nonce}
+	req.Sig = alice.Sign(req.SigningBytes())
+	return json.Marshal(TransferWire{From: "alice", To: "bob", Amount: req.Amount.String(),
+		Nonce: req.Nonce, Sig: base64.RawURLEncoding.EncodeToString(req.Sig)})
+}
+
+// TestRequestLatencyExemplarNamesTrace sends one transfer through bankd's
+// handler stack at sampling 1: the request latency histogram's bucket must
+// carry the request span's trace as its exemplar, and that trace must resolve
+// on the same daemon's /debug/traces. The span reaches the histogram through
+// the request context.
+func TestRequestLatencyExemplarNamesTrace(t *testing.T) {
+	tr := tracing.Default()
+	defer tr.SetSampleRatio(tr.SampleRatio())
+	tr.SetSampleRatio(1)
+	tr.Reset()
+	defer tr.Reset()
+
+	srv, alice := exemplarBank(t, 10*bank.Credit)
 	defer srv.Close()
 
-	req := bank.TransferRequest{From: "alice", To: "bob", Amount: bank.Credit, Nonce: "exemplar"}
-	req.Sig = alice.Sign(req.SigningBytes())
-	body, err := json.Marshal(TransferWire{From: "alice", To: "bob", Amount: req.Amount.String(),
-		Nonce: req.Nonce, Sig: base64.RawURLEncoding.EncodeToString(req.Sig)})
+	body, err := transferBody(alice, "exemplar")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +182,95 @@ func TestRequestLatencyExemplarNamesTrace(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !strings.Contains(string(tree), "http.server POST /transfers") {
 			t.Errorf("exemplar trace %s: %d %s, want the request's server span", ex.TraceID, resp.StatusCode, tree)
 		}
+	}
+}
+
+// TestTransferExemplarNamesItsRequest sends signed transfers from two
+// concurrent connections through bankd's handler stack at sampling 1. Every
+// exemplar the requests leave on bank_transfer_seconds must name one of their
+// own server spans' traces, and each must resolve on the daemon's
+// /debug/traces to a tree holding the transfer's server span: the span
+// reaches the bank through the request context, so two racing requests
+// cannot name each other's trace, nor a trace that is not a request's.
+func TestTransferExemplarNamesItsRequest(t *testing.T) {
+	tr := tracing.Default()
+	defer tr.SetSampleRatio(tr.SampleRatio())
+	tr.SetSampleRatio(1)
+	tr.Reset()
+	defer tr.Reset()
+
+	srv, alice := exemplarBank(t, 100*bank.Credit)
+	defer srv.Close()
+
+	const key = "bank_transfer_seconds"
+	held := map[metrics.Exemplar]bool{}
+	for _, ex := range metrics.Default().Exemplars()[key] {
+		held[ex] = true
+	}
+	const conns, perConn = 2, 20
+	errs := make(chan error, conns)
+	for c := 0; c < conns; c++ {
+		go func(c int) {
+			client := &http.Client{Transport: &http.Transport{}} // a connection of its own
+			defer client.CloseIdleConnections()
+			for i := 0; i < perConn; i++ {
+				body, err := transferBody(alice, fmt.Sprintf("conn%d-%d", c, i))
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp, err := client.Post(srv.URL+"/transfers", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("POST /transfers: %d", resp.StatusCode)
+					return
+				}
+			}
+			errs <- nil
+		}(c)
+	}
+	for c := 0; c < conns; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	requests := map[string]bool{}
+	for _, s := range tr.Summaries() {
+		if s.Root == "http.server POST /transfers" {
+			requests[s.TraceID.String()] = true
+		}
+	}
+	if len(requests) != conns*perConn {
+		t.Fatalf("%d transfer traces recorded, want %d", len(requests), conns*perConn)
+	}
+	fresh := 0
+	for _, ex := range metrics.Default().Exemplars()[key] {
+		if held[ex] {
+			continue
+		}
+		fresh++
+		if !requests[ex.TraceID] {
+			t.Errorf("%s exemplar names trace %s, which is no transfer request's", key, ex.TraceID)
+			continue
+		}
+		resp, err := http.Get(srv.URL + "/debug/traces/" + ex.TraceID + "?format=tree")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(tree), "http.server POST /transfers") {
+			t.Errorf("exemplar trace %s: %d %s, want the request's server span", ex.TraceID, resp.StatusCode, tree)
+		}
+	}
+	if fresh == 0 {
+		t.Errorf("%s carries no exemplar after %d sampled transfers", key, conns*perConn)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"tycoongrid/internal/arc"
 	"tycoongrid/internal/httpapi"
 	"tycoongrid/internal/sim"
-	"tycoongrid/internal/tracing"
 )
 
 // Service exposes the ARC-analog job manager over HTTP: xRSL submission,
@@ -143,12 +142,8 @@ func (s *Service) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	// Scope the server span so the job's lifecycle span (and any exemplar the
-	// market core records meanwhile) joins this request's trace. The scope
-	// stack is safe here because the whole market runs under s.mu.
-	release := tracing.Default().PushScope(tracing.SpanFromContext(r.Context()))
-	gj, err := s.mgr.Submit(string(body), nil)
-	release()
+	// The request's server span parents the job's lifecycle span.
+	gj, err := s.mgr.SubmitContext(r.Context(), string(body), nil)
 	var out JobWire
 	if err == nil {
 		out = jobWire(gj) // serialize under the lock; Drive mutates jobs
@@ -271,48 +266,48 @@ func NewClient(base string, client *http.Client) *Client {
 }
 
 // Submit posts an xRSL description and returns the accepted job.
-func (c *Client) Submit(xrslText string) (JobWire, error) {
+func (c *Client) Submit(ctx context.Context, xrslText string) (JobWire, error) {
 	var out JobWire
-	err := c.call.PostRaw(context.Background(), c.base+"/jobs", "text/plain", xrslText, &out)
+	err := c.call.PostRaw(ctx, c.base+"/jobs", "text/plain", xrslText, &out)
 	return out, err
 }
 
 // Job fetches one job.
-func (c *Client) Job(id string) (JobWire, error) {
+func (c *Client) Job(ctx context.Context, id string) (JobWire, error) {
 	var out JobWire
-	err := c.call.Get(context.Background(), c.base+"/jobs?id="+url.QueryEscape(id), &out)
+	err := c.call.Get(ctx, c.base+"/jobs?id="+url.QueryEscape(id), &out)
 	return out, err
 }
 
 // Jobs lists all jobs.
-func (c *Client) Jobs() ([]JobWire, error) {
+func (c *Client) Jobs(ctx context.Context) ([]JobWire, error) {
 	var out []JobWire
-	err := c.call.Get(context.Background(), c.base+"/jobs", &out)
+	err := c.call.Get(ctx, c.base+"/jobs", &out)
 	return out, err
 }
 
 // Boost adds funding to a running job.
-func (c *Client) Boost(jobID, encodedToken string) error {
+func (c *Client) Boost(ctx context.Context, jobID, encodedToken string) error {
 	// Retried: the token can only be deposited once, so a replayed boost
 	// whose first response was lost is rejected harmlessly by the bank.
-	return c.call.PostIdempotent(context.Background(), c.base+"/boosts", BoostWire{JobID: jobID, Token: encodedToken}, nil)
+	return c.call.PostIdempotent(ctx, c.base+"/boosts", BoostWire{JobID: jobID, Token: encodedToken}, nil)
 }
 
 // Cancel kills a job.
-func (c *Client) Cancel(jobID string) error {
-	return c.call.Post(context.Background(), c.base+"/cancels", CancelWire{JobID: jobID}, nil)
+func (c *Client) Cancel(ctx context.Context, jobID string) error {
+	return c.call.Post(ctx, c.base+"/cancels", CancelWire{JobID: jobID}, nil)
 }
 
 // Timeline fetches a job's lifecycle timeline.
-func (c *Client) Timeline(id string) (arc.Timeline, error) {
+func (c *Client) Timeline(ctx context.Context, id string) (arc.Timeline, error) {
 	var out arc.Timeline
-	err := c.call.Get(context.Background(), c.base+"/jobs/"+url.PathEscape(id)+"/timeline", &out)
+	err := c.call.Get(ctx, c.base+"/jobs/"+url.PathEscape(id)+"/timeline", &out)
 	return out, err
 }
 
 // Monitor fetches the Grid-monitor snapshot.
-func (c *Client) Monitor() (arc.MonitorSnapshot, error) {
+func (c *Client) Monitor(ctx context.Context) (arc.MonitorSnapshot, error) {
 	var out arc.MonitorSnapshot
-	err := c.call.Get(context.Background(), c.base+"/monitor", &out)
+	err := c.call.Get(ctx, c.base+"/monitor", &out)
 	return out, err
 }

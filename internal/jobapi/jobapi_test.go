@@ -66,7 +66,7 @@ func TestJobSubmissionOverHTTP(t *testing.T) {
 	tok := mint(25 * bank.Credit)
 	xrsl := fmt.Sprintf(
 		"&(executable=scan.sh)(jobname=http-job)(count=2)(cputime=5)(walltime=60)(transfertoken=%s)", tok)
-	jw, err := client.Submit(xrsl)
+	jw, err := client.Submit(t.Context(), xrsl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestJobSubmissionOverHTTP(t *testing.T) {
 		t.Errorf("initial state = %q", jw.State)
 	}
 	svc.driveFor(time.Hour)
-	got, err := client.Job(jw.ID)
+	got, err := client.Job(t.Context(), jw.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestJobSubmissionOverHTTP(t *testing.T) {
 	if got.JobName != "http-job" || got.DN == "" || got.Charged == "" {
 		t.Errorf("wire fields missing: %+v", got)
 	}
-	jobs, err := client.Jobs()
+	jobs, err := client.Jobs(t.Context())
 	if err != nil || len(jobs) != 1 {
 		t.Errorf("jobs = %v, %v", jobs, err)
 	}
@@ -101,13 +101,13 @@ func TestJobChargedByHostOverHTTP(t *testing.T) {
 	mint, client, svc := jobWorld(t)
 	xrsl := fmt.Sprintf(
 		"&(executable=scan.sh)(count=2)(cputime=20)(walltime=120)(transfertoken=%s)", mint(25*bank.Credit))
-	jw, err := client.Submit(xrsl)
+	jw, err := client.Submit(t.Context(), xrsl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(when, state string) {
 		t.Helper()
-		got, err := client.Job(jw.ID)
+		got, err := client.Job(t.Context(), jw.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,13 +144,13 @@ func TestJobChargedByHostOverHTTP(t *testing.T) {
 
 func TestJobSubmitErrorsOverHTTP(t *testing.T) {
 	_, client, _ := jobWorld(t)
-	if _, err := client.Submit("not xrsl"); err == nil {
+	if _, err := client.Submit(t.Context(), "not xrsl"); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := client.Submit(""); err == nil {
+	if _, err := client.Submit(t.Context(), ""); err == nil {
 		t.Error("empty body accepted")
 	}
-	if _, err := client.Job("ghost"); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := client.Job(t.Context(), "ghost"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("ghost job: %v", err)
 	}
 }
@@ -163,10 +163,10 @@ func TestJobSubmitOverLimitIs413(t *testing.T) {
 	mint, client, _ := jobWorld(t)
 	head := fmt.Sprintf("&(executable=x)(count=2)(cputime=5)(walltime=60)(transfertoken=%s)(jobname=", mint(25*bank.Credit))
 	firstMiB := head + strings.Repeat("a", httpapi.MaxBodyBytes-len(head)-1) + ")"
-	if _, err := client.Submit(firstMiB + "(count=999)"); err == nil || !strings.Contains(err.Error(), "413") {
+	if _, err := client.Submit(t.Context(), firstMiB+"(count=999)"); err == nil || !strings.Contains(err.Error(), "413") {
 		t.Errorf("submit of 1 MiB + 11 bytes: %v, want 413", err)
 	}
-	if jobs, err := client.Jobs(); err != nil || len(jobs) != 0 {
+	if jobs, err := client.Jobs(t.Context()); err != nil || len(jobs) != 0 {
 		t.Errorf("%d jobs after the refused submit (%v); want none", len(jobs), err)
 	}
 }
@@ -176,19 +176,19 @@ func TestJobBoostOverHTTP(t *testing.T) {
 	tok := mint(20 * bank.Credit)
 	xrsl := fmt.Sprintf(
 		"&(executable=x)(count=2)(cputime=30)(walltime=600)(transfertoken=%s)", tok)
-	jw, err := client.Submit(xrsl)
+	jw, err := client.Submit(t.Context(), xrsl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.driveFor(time.Minute)
 	boost := mint(50 * bank.Credit)
-	if err := client.Boost(jw.ID, boost); err != nil {
+	if err := client.Boost(t.Context(), jw.ID, boost); err != nil {
 		t.Fatalf("boost: %v", err)
 	}
-	if err := client.Boost("ghost", boost); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := client.Boost(t.Context(), "ghost", boost); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("ghost boost: %v", err)
 	}
-	if err := client.Boost(jw.ID, "garbage"); err == nil {
+	if err := client.Boost(t.Context(), jw.ID, "garbage"); err == nil {
 		t.Error("garbage token accepted")
 	}
 }
@@ -228,7 +228,7 @@ func TestMonitorBodyKeys(t *testing.T) {
 
 func TestMonitorOverHTTP(t *testing.T) {
 	mint, client, svc := jobWorld(t)
-	snap, err := client.Monitor()
+	snap, err := client.Monitor(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestMonitorOverHTTP(t *testing.T) {
 		t.Errorf("snapshot = %+v", snap)
 	}
 	tok := mint(10 * bank.Credit)
-	if _, err := client.Submit(fmt.Sprintf(
+	if _, err := client.Submit(t.Context(), fmt.Sprintf(
 		"&(executable=x)(count=2)(cputime=30)(walltime=300)(transfertoken=%s)", tok)); err != nil {
 		t.Fatal(err)
 	}
 	svc.driveFor(time.Minute)
-	snap, err = client.Monitor()
+	snap, err = client.Monitor(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,26 +253,26 @@ func TestMonitorOverHTTP(t *testing.T) {
 func TestJobCancelOverHTTP(t *testing.T) {
 	mint, client, svc := jobWorld(t)
 	tok := mint(50 * bank.Credit)
-	jw, err := client.Submit(fmt.Sprintf(
+	jw, err := client.Submit(t.Context(), fmt.Sprintf(
 		"&(executable=x)(count=2)(cputime=120)(walltime=600)(transfertoken=%s)", tok))
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.driveFor(5 * time.Minute)
-	if err := client.Cancel(jw.ID); err != nil {
+	if err := client.Cancel(t.Context(), jw.ID); err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.Job(jw.ID)
+	got, err := client.Job(t.Context(), jw.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.State != "KILLED" {
 		t.Errorf("state = %q", got.State)
 	}
-	if err := client.Cancel(jw.ID); err == nil {
+	if err := client.Cancel(t.Context(), jw.ID); err == nil {
 		t.Error("double cancel accepted")
 	}
-	if err := client.Cancel("ghost"); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := client.Cancel(t.Context(), "ghost"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("ghost cancel: %v", err)
 	}
 }
@@ -296,21 +296,21 @@ func TestConcurrentDriveAndRequests(t *testing.T) {
 	}()
 	for i := 0; i < 10; i++ {
 		tok := mint(10 * bank.Credit)
-		if _, err := client.Submit(fmt.Sprintf(
+		if _, err := client.Submit(t.Context(), fmt.Sprintf(
 			"&(executable=x)(count=2)(cputime=2)(walltime=60)(transfertoken=%s)", tok)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Jobs(); err != nil {
+		if _, err := client.Jobs(t.Context()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.Monitor(); err != nil {
+		if _, err := client.Monitor(t.Context()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	<-done
 	svc.driveFor(2 * time.Hour)
-	jobs, err := client.Jobs()
+	jobs, err := client.Jobs(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func timelinesOverHTTP(t *testing.T, ratio float64) []arc.Timeline {
 	}
 	submit := func(count, cpuMinutes, wallMinutes int, credits int64) JobWire {
 		t.Helper()
-		jw, err := client.Submit(fmt.Sprintf("&(executable=x)(count=%d)(cputime=%d)(walltime=%d)(transfertoken=%s)",
+		jw, err := client.Submit(t.Context(), fmt.Sprintf("&(executable=x)(count=%d)(cputime=%d)(walltime=%d)(transfertoken=%s)",
 			count, cpuMinutes, wallMinutes, mint(credits)))
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func timelinesOverHTTP(t *testing.T, ratio float64) []arc.Timeline {
 	cancelled := submit(1, 60, 600, 20)
 	submit(1, 60, 3, 5) // cannot finish before its deadline
 	svc.driveFor(2 * time.Minute)
-	if err := client.Boost(boosted.ID, mint(15)); err != nil {
+	if err := client.Boost(t.Context(), boosted.ID, mint(15)); err != nil {
 		t.Fatal(err)
 	}
 	svc.WithLock(func() { _, err = b.Cluster.FailHost("h00") })
@@ -73,18 +73,18 @@ func timelinesOverHTTP(t *testing.T, ratio float64) []arc.Timeline {
 		t.Fatal(err)
 	}
 	svc.driveFor(time.Minute)
-	if err := client.Cancel(cancelled.ID); err != nil {
+	if err := client.Cancel(t.Context(), cancelled.ID); err != nil {
 		t.Fatal(err)
 	}
 	svc.driveFor(6 * time.Hour)
 
-	jobs, err := client.Jobs()
+	jobs, err := client.Jobs(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]arc.Timeline, len(jobs))
 	for i, jw := range jobs {
-		if out[i], err = client.Timeline(jw.ID); err != nil {
+		if out[i], err = client.Timeline(t.Context(), jw.ID); err != nil {
 			t.Fatal(err)
 		}
 	}

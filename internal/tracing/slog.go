@@ -8,10 +8,8 @@ import (
 
 // Handler wraps a slog.Handler and stamps trace_id/span_id onto every record
 // whose context carries a span. All daemons share it via InitSlog so log
-// lines join up with traces. It never reads the tracer's scope stack: that
-// stack is process-wide, so a line logged by one goroutine would carry the
-// ids of a span another goroutine pushed. Log with the span's context
-// (slog.InfoContext and friends) to stamp it.
+// lines join up with traces. Log with the span's context (slog.InfoContext
+// and friends) to stamp it.
 type Handler struct {
 	inner slog.Handler
 }

@@ -32,41 +32,6 @@ func TestHandlerStampsContextSpan(t *testing.T) {
 	}
 }
 
-// TestHandlerIgnoresAnotherGoroutinesScope: a span pushed as the tracer's
-// scope by one goroutine (jobapi.Service's submit does, under its lock) must
-// not stamp a line logged meanwhile by another goroutine with no span in its
-// context — the scope stack is process-wide, so it cannot say whose line it
-// is.
-func TestHandlerIgnoresAnotherGoroutinesScope(t *testing.T) {
-	tr := Default()
-	old := tr.SampleRatio()
-	tr.SetSampleRatio(1)
-	defer tr.SetSampleRatio(old)
-	var buf bytes.Buffer
-	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil)))
-
-	pushed, logged, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	s, _ := tr.StartSpan(context.Background(), "submit")
-	go func() {
-		defer close(done)
-		release := tr.PushScope(s)
-		close(pushed)
-		<-logged
-		release()
-		s.End()
-	}()
-	<-pushed
-	logger.Warn("slo: objective violating") // another goroutine, background ctx
-	close(logged)
-	<-done
-
-	m := logLine(t, &buf)
-	if id, ok := m["trace_id"]; ok {
-		t.Fatalf("line from another goroutine stamped with the pushed span's trace %v (span %s): %v",
-			id, s.Context().TraceID, m)
-	}
-}
-
 func TestHandlerNoSpanNoStamp(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(NewHandler(slog.NewJSONHandler(&buf, nil)))

@@ -9,21 +9,14 @@
 // did *this* job get *that* price" — is the job's own data (agent.Job,
 // arc.GridJob), served whatever the sampling ratio.
 //
-// Two propagation styles coexist:
+// The active span travels in a context.Context (ContextWithSpan /
+// SpanFromContext), within a process and, through the httpapi middleware and
+// the retry-aware Caller, across daemons as a traceparent header. There is no
+// other way: a span nobody hands on in a context parents nothing.
 //
-//   - context.Context carries the active span across HTTP boundaries
-//     (ContextWithSpan / SpanFromContext); the httpapi middleware and the
-//     retry-aware Caller translate it to and from traceparent headers.
-//   - A tracer-level scope stack (PushScope / Current) carries the active
-//     span through the single-threaded simulation core, where arc, agent,
-//     auction and bank call each other synchronously without contexts. The
-//     market engine is serialized behind one mutex (jobapi.Service), so
-//     a process-wide stack is race-free there; concurrent HTTP daemons use
-//     contexts and never touch the scope stack.
-//
-// Hot paths stay cheap: Current is one atomic load, an unsampled span's
-// methods are nil-check no-ops, and per-span attribute counts are capped so a
-// runaway loop cannot grow memory without bound.
+// Hot paths stay cheap: an unsampled span's methods are nil-check no-ops, and
+// per-span attribute counts are capped so a runaway loop cannot grow memory
+// without bound.
 package tracing
 
 import (
@@ -258,11 +251,9 @@ type Tracer struct {
 	ring     []*Span // completed spans, oldest overwritten first
 	next     int     // ring write cursor
 	active   map[SpanID]*Span
-	scope    []*Span
 	nowFn    func() time.Time
 
-	top     atomic.Pointer[Span] // scope-stack top, read lock-free by Current
-	ratio   atomic.Uint64        // sampling ratio as float64 bits
+	ratio   atomic.Uint64 // sampling ratio as float64 bits
 	started atomic.Uint64
 	sampled atomic.Uint64
 }
@@ -384,14 +375,11 @@ func (t *Tracer) finishNew(s *Span, attrs []Attr) {
 	t.mu.Unlock()
 }
 
-// StartSpan starts a span named name. The parent is resolved in order: the
-// span in ctx, then the tracer's current scope, then none (a new root
-// trace). The returned context carries the new span.
+// StartSpan starts a span named name, a child of the span in ctx or, when ctx
+// carries none, the root of a new trace. The returned context carries the new
+// span.
 func (t *Tracer) StartSpan(ctx context.Context, name string, attrs ...Attr) (*Span, context.Context) {
 	parent := SpanFromContext(ctx)
-	if parent == nil {
-		parent = t.Current()
-	}
 	var s *Span
 	if parent != nil {
 		s = t.newSpan(parent.Context(), true, name, attrs)
@@ -441,52 +429,15 @@ func (t *Tracer) Spans(id TraceID) []*Span {
 	return out
 }
 
-// Reset drops all stored and live spans and zeroes the scope stack — test
-// isolation for packages sharing the Default tracer.
+// Reset drops all stored and live spans — test isolation for packages
+// sharing the Default tracer.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.ring = t.ring[:0]
 	t.next = 0
 	t.active = make(map[SpanID]*Span)
-	t.scope = nil
-	t.top.Store(nil)
 	t.mu.Unlock()
 }
-
-// PushScope makes s the tracer's current scope span until the returned
-// release function runs. Scopes are how the single-threaded market core
-// (arc → agent → auction → bank, all behind one engine mutex) and
-// single-goroutine CLIs propagate the active span without threading
-// contexts; concurrent servers must use contexts instead. Pushing nil is
-// a recorded no-op so callers need no trace-enabled branches.
-func (t *Tracer) PushScope(s *Span) (release func()) {
-	if s == nil {
-		return func() {}
-	}
-	t.mu.Lock()
-	t.scope = append(t.scope, s)
-	t.top.Store(s)
-	t.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			t.mu.Lock()
-			if n := len(t.scope); n > 0 && t.scope[n-1] == s {
-				t.scope = t.scope[:n-1]
-				if n-1 > 0 {
-					t.top.Store(t.scope[n-2])
-				} else {
-					t.top.Store(nil)
-				}
-			}
-			t.mu.Unlock()
-		})
-	}
-}
-
-// Current returns the innermost scope span, or nil. One atomic load — cheap
-// enough for the auction-clear hot path to call unconditionally.
-func (t *Tracer) Current() *Span { return t.top.Load() }
 
 type ctxKey struct{}
 

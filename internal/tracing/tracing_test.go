@@ -142,40 +142,6 @@ func TestEndTwiceIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestScopeStack(t *testing.T) {
-	tr := newTestTracer()
-	if tr.Current() != nil {
-		t.Fatal("fresh tracer should have empty scope")
-	}
-	a, _ := tr.StartSpan(context.Background(), "a")
-	relA := tr.PushScope(a)
-	if tr.Current() != a {
-		t.Fatal("Current != a after push")
-	}
-	// StartSpan with a background ctx picks up the scope as parent.
-	b, _ := tr.StartSpan(context.Background(), "b")
-	if b.Context().TraceID != a.Context().TraceID {
-		t.Fatal("scope parent not used")
-	}
-	relB := tr.PushScope(b)
-	if tr.Current() != b {
-		t.Fatal("Current != b")
-	}
-	relB()
-	relB() // double release is safe
-	if tr.Current() != a {
-		t.Fatal("Current != a after inner release")
-	}
-	relA()
-	if tr.Current() != nil {
-		t.Fatal("scope not empty after releases")
-	}
-	relNil := tr.PushScope(nil)
-	relNil()
-	b.End()
-	a.End()
-}
-
 func TestStartRemoteContinuesTrace(t *testing.T) {
 	tr := newTestTracer()
 	up, _ := tr.StartSpan(context.Background(), "client")
@@ -207,11 +173,11 @@ func TestStartRemoteInvalidStartsRoot(t *testing.T) {
 func TestReset(t *testing.T) {
 	tr := newTestTracer()
 	s, _ := tr.StartSpan(context.Background(), "x")
-	tr.PushScope(s)
 	s.End()
+	tr.StartSpan(context.Background(), "live")
 	tr.Reset()
 	_, _, stored, live := tr.Stats()
-	if stored != 0 || live != 0 || tr.Current() != nil {
+	if stored != 0 || live != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }
