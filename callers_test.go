@@ -128,6 +128,36 @@ func TestEveryExportedNameHasACaller(t *testing.T) {
 	}
 }
 
+// TestBenchOnlyNamesLiveInBenchOnlyGo holds the quarantine that keeps ROADMAP
+// item 4 a file deletion: in a package that has a benchonly.go, a function,
+// method or type with a bench-only row must be declared in that file. A
+// field is exempt, since it belongs to a type a world uses
+// (marketplane.TickResult.Refunds).
+func TestBenchOnlyNamesLiveInBenchOnlyGo(t *testing.T) {
+	m := loadModule(t)
+	declared, _ := m.exportedUnderInternal()
+	quarantined := map[string]bool{} // import paths of the packages with a benchonly.go
+	for path, p := range m.pkgs {
+		for _, f := range p.files {
+			if filepath.Base(m.fset.Position(f.Package).Filename) == "benchonly.go" {
+				quarantined[path] = true
+			}
+		}
+	}
+	for _, r := range allowedUncalled {
+		obj, ok := declared[r.name]
+		if r.reason != benchOnly || !ok || !quarantined[obj.Pkg().Path()] {
+			continue
+		}
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			continue
+		}
+		if file := filepath.Base(m.fset.Position(obj.Pos()).Filename); file != "benchonly.go" {
+			t.Errorf("%s is bench-only but declared in %s: move it to %s's benchonly.go", r.name, file, obj.Pkg().Name())
+		}
+	}
+}
+
 const modulePath = "tycoongrid"
 
 // module is every package of the module, type-checked from its non-test

@@ -134,17 +134,5 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// output carries only the telemetry catalogue — sorted names and
 	// statuses, byte-identical across reruns and worker counts.
 	fmt.Fprint(stdout, telemetryFinish(*reps > 1))
-
-	// Each experiment timed itself in a root span, and each job's lifecycle
-	// span is a trace of its own; the slowest trace is the optimization
-	// target, so dump its tree as the run's parting diagnostic. Trace IDs and
-	// durations are run-dependent, so this too stays out of the replicated
-	// (deterministic) output.
-	if *reps <= 1 {
-		if sum, ok := tracing.Default().Slowest(); ok {
-			fmt.Fprintln(stdout, "=== SLOWEST TRACE ===")
-			fmt.Fprint(stdout, tracing.RenderTree(tracing.Default().Spans(sum.TraceID)))
-		}
-	}
 	return nil
 }

@@ -53,7 +53,7 @@ func TestAllExperimentsGolden(t *testing.T) {
 	if got := experimentSections(out); got != string(want) {
 		t.Errorf("experiment sections drifted from testdata/all_seed2006.golden\n got:\n%s\nwant:\n%s", got, want)
 	}
-	for _, tail := range []string{"=== METRICS SNAPSHOT ===", "=== TSDB SERIES ===", "=== SLO ===", "=== SLOWEST TRACE ==="} {
+	for _, tail := range []string{"=== METRICS SNAPSHOT ===", "=== TSDB SERIES ===", "=== SLO ==="} {
 		if !strings.Contains(out, tail) {
 			t.Errorf("single run lost its %s block", tail)
 		}

@@ -95,8 +95,9 @@ type Market struct {
 	price     float64 // spot price at last reallocation, credits/second
 	now       time.Time
 	observers []func(price float64, at time.Time)
-	// obs2 is inline room for the first two observers (a grid host's plane
-	// cache and price feed): wiring 10 000 markets allocates nothing for them.
+	// obs2 is inline room for the first two observers (a price ring's
+	// recorder, a predictor's feed): wiring 10 000 markets allocates nothing
+	// for them.
 	obs2    [2]func(price float64, at time.Time)
 	mech    mechanism.Mechanism // clearing rule; proportional share by default
 	history *tsdb.Ring          // nil until a reader asks (History)

@@ -14,6 +14,7 @@
 package box
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"time"
@@ -98,7 +99,7 @@ func DefaultConfig() Config {
 type User struct {
 	Name     string
 	Identity *pki.Identity // grid identity (DN)
-	BankKey  *pki.Identity // bank account key
+	BankKey  *pki.Identity // bank account key, a bare key (pki.NewKey)
 	Account  bank.AccountID
 }
 
@@ -312,10 +313,16 @@ func (b *Box) CreateUser(name string, grant bank.Amount) (*User, error) {
 	if err != nil {
 		return nil, err
 	}
-	key, err := b.issue(pki.DN("/CN=" + name + "-bankkey"))
-	if err != nil {
-		return nil, err
+	// The bank knows an account key by its public key alone, so the key is a
+	// bare one, with no certificate. Its seed is the stream's next draw, so
+	// the draws after it do not depend on how the key is made.
+	var seed [32]byte
+	if b.seeded {
+		seed = seed32(b.Src)
+	} else if _, err := rand.Read(seed[:]); err != nil {
+		return nil, fmt.Errorf("box: drawing %s's bank key: %w", name, err)
 	}
+	key := pki.NewKey(seed)
 	u := &User{Name: name, Identity: id, BankKey: key, Account: bank.AccountID(name)}
 	if _, err := b.Bank.CreateAccount(u.Account, key.Public()); err != nil {
 		return nil, err

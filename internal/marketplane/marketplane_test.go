@@ -61,10 +61,10 @@ func TestPlaneCanonicalOrder(t *testing.T) {
 	}
 }
 
-// A skipped host is neither cleared nor handed its queued bids, whether the
-// sweep is TickAll (canonical indices) or TickShard (host ids); every other
-// host clears, and TickShard returns exactly its shard's hosts in canonical
-// order.
+// A skipped host is not cleared, whether the sweep is TickAll (canonical
+// indices) or TickShard (host ids), nor handed its queued bids by TickShard;
+// every other host clears, and TickShard returns exactly its shard's hosts in
+// canonical order.
 func TestPlaneSkipPredicate(t *testing.T) {
 	markets := testMarkets(t, 6)
 	p, err := New(Config{Shards: 2, Markets: markets})
@@ -76,7 +76,9 @@ func TestPlaneSkipPredicate(t *testing.T) {
 		p.EnqueueBidAt(i, "b", bank.Credit, deadline)
 	}
 	now := sim.Epoch.Add(auction.DefaultInterval)
-	p.TickAll(now, func(i int) bool { return i == 2 }) // applies the bids
+	for sh := 0; sh < 2; sh++ {
+		p.TickShard(sh, now, func(h string) bool { return h == "h002" }) // applies the bids
+	}
 	now = now.Add(auction.DefaultInterval)
 	for i, r := range p.TickAll(now, func(i int) bool { return i == 2 }) {
 		if want := fmt.Sprintf("h%03d", i); r.Host != want {
@@ -140,7 +142,9 @@ func testShardCountInvariance(t *testing.T, mechName string) {
 				host := (tk*5 + j*3) % hosts
 				bidder := auction.BidderID(fmt.Sprintf("b-%02d-%02d", tk, j))
 				deadline := sim.Epoch.Add(time.Duration(tk+2) * auction.DefaultInterval)
-				p.EnqueueBidAt(host, bidder, 3*bank.Credit, deadline)
+				if _, err := markets[host].PlaceBid(bidder, 3*bank.Credit, deadline); err != nil {
+					t.Fatal(err)
+				}
 			}
 			now := sim.Epoch.Add(time.Duration(tk+1) * auction.DefaultInterval)
 			// The result slice is the plane's and is rewritten by the next
@@ -333,5 +337,99 @@ func TestEnqueueDuringTickShard(t *testing.T) {
 	}
 	if placed != writers*perWriter {
 		t.Errorf("the markets hold %d bids, want %d", placed, writers*perWriter)
+	}
+}
+
+// observeCounter is a stub market that counts its Observe calls and keeps
+// the observers it is handed.
+type observeCounter struct {
+	id        string
+	price     float64
+	mu        sync.Mutex
+	observers []func(price float64, at time.Time)
+}
+
+func (m *observeCounter) HostID() string                                     { return m.id }
+func (m *observeCounter) Tick(time.Time) (charges, refunds []auction.Charge) { return nil, nil }
+func (m *observeCounter) SpotPrice() float64                                 { return m.price }
+func (m *observeCounter) Sleep(auction.Waker) bool                           { return false }
+func (m *observeCounter) PlaceBid(auction.BidderID, bank.Amount, time.Time) (bank.Amount, error) {
+	return 0, nil
+}
+
+func (m *observeCounter) Observe(fn func(price float64, at time.Time)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.observers = append(m.observers, fn)
+}
+
+func (m *observeCounter) observes() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.observers)
+}
+
+// TestPriceCacheIsHungByItsReader: a plane puts no observer on its markets,
+// and a tick hangs none; the first PriceAt, called from two goroutines at
+// once, hangs exactly one per market and seeds every entry with its market's
+// SpotPrice; later calls hang none; and the observer it hung refreshes the
+// entry. So a world, which never reads the cache, carries none of it.
+func TestPriceCacheIsHungByItsReader(t *testing.T) {
+	const hosts = 40
+	stubs := make([]*observeCounter, hosts)
+	markets := make([]HostMarket, hosts)
+	for i := range stubs {
+		stubs[i] = &observeCounter{id: fmt.Sprintf("h%03d", i), price: 1 + float64(i)/8}
+		markets[i] = stubs[i]
+	}
+	p, err := New(Config{Shards: 3, Markets: markets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := func() (n int) {
+		for _, m := range stubs {
+			n += m.observes()
+		}
+		return n
+	}
+	if n := total(); n != 0 {
+		t.Fatalf("New made %d Observe calls, want 0", n)
+	}
+	p.TickAll(sim.Epoch.Add(auction.DefaultInterval), nil)
+	if n := total(); n != 0 {
+		t.Fatalf("New and a tick made %d Observe calls, want 0", n)
+	}
+
+	var wg sync.WaitGroup
+	var read [2][hosts]float64
+	for r := range read {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range hosts {
+				read[r][i] = p.PriceAt(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, m := range stubs {
+		if n := m.observes(); n != 1 {
+			t.Errorf("%s: the first PriceAt made %d Observe calls, want 1", m.id, n)
+		}
+		for r := range read {
+			if read[r][i] != m.SpotPrice() {
+				t.Errorf("%s: reader %d got %v, SpotPrice is %v", m.id, r, read[r][i], m.SpotPrice())
+			}
+		}
+	}
+	for i := range hosts {
+		p.PriceAt(i)
+	}
+	if n := total(); n != hosts {
+		t.Errorf("%d Observe calls after later PriceAt calls, want %d", n, hosts)
+	}
+	stubs[7].observers[0](42, sim.Epoch)
+	if got := p.PriceAt(7); got != 42 {
+		t.Errorf("after a clear published 42, the cache holds %v", got)
 	}
 }

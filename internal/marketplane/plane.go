@@ -3,13 +3,10 @@ package marketplane
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tycoongrid/internal/auction"
@@ -51,17 +48,9 @@ type TickResult struct {
 	Refunds []auction.Charge
 }
 
-// queuedBid is a bid awaiting the shard's next batch clear.
-type queuedBid struct {
-	local    int // market index within the shard
-	bidder   auction.BidderID
-	budget   bank.Amount
-	deadline time.Time
-}
-
 // shard is one auctioneer partition: a subset of host markets, the ones among
-// them that are awake, a bid queue and the log of swept instants under the
-// shard's own lock, and pre-resolved metric children.
+// them that are awake, the log of swept instants under the shard's own lock,
+// and pre-resolved metric children.
 type shard struct {
 	index   int
 	markets []HostMarket
@@ -71,27 +60,23 @@ type shard struct {
 	// awake holds the local indices a sweep visits, ascending. A sweep ticks
 	// each, and drops the ones that fall asleep (auction.Market.Sleep); only
 	// sweeps touch it. cleared and order are TickAll's results for this shard
-	// and their canonical indices; results is TickShard's, one per market,
-	// allocated at the first TickShard. drained is the array of the queue the
-	// last sweep applied, emptied, which the next sweep hands to enqueuers.
+	// and their canonical indices.
 	awake   []int
 	cleared []TickResult
 	order   []int
-	results []TickResult
-	drained []queuedBid
 
-	mu    sync.Mutex
-	queue []queuedBid
-	ticks tickLog // every instant a sweep has ticked the awake markets at
-	woken []int   // markets woken since the last sweep began; they join the next
+	mu    sync.Mutex // guards ticks, woken and shardBench's queue
+	ticks tickLog    // every instant a sweep has ticked the awake markets at
+	woken []int      // markets woken since the last sweep began; they join the next
 
 	clears *metrics.Counter // this shard's marketplane_shard_clears_total child
+
+	shardBench
 }
 
 // Plane is the sharded market: hosts hash-partitioned across auctioneer
-// shards, each clearing its awake hosts once per tick in a batch, plus a
-// lock-free spot-price cache refreshed at every clear. Safe for concurrent
-// use.
+// shards, each clearing its awake hosts once per tick in a batch. Safe for
+// concurrent use.
 //
 // Sleep/wake contract. A tick costs what is awake, not what exists: a market
 // whose clear left it quiet (auction.Market.Sleep) leaves its shard's sweep,
@@ -105,13 +90,14 @@ type shard struct {
 // the instants it should have been skipped at.
 type Plane struct {
 	shards  []*shard
-	byHost  map[string]int  // host id -> canonical index
-	hostIDs []string        // canonical index -> host id
-	slot    []slotRef       // canonical index -> shard/local
-	prices  []atomic.Uint64 // Float64bits of each host's cached spot price
-	results []TickResult    // TickAll's merge of the shards' results
-	merged  []int           // how far that merge has read into each shard's
-	awake   []uint64        // AppendAwake's scratch, a bit per canonical index
+	byHost  map[string]int // host id -> canonical index
+	hostIDs []string       // canonical index -> host id
+	slot    []slotRef      // canonical index -> shard/local
+	results []TickResult   // TickAll's merge of the shards' results
+	merged  []int          // how far that merge has read into each shard's
+	awake   []uint64       // AppendAwake's scratch, a bit per canonical index
+
+	planeBench
 }
 
 type slotRef struct {
@@ -139,7 +125,6 @@ func New(cfg Config) (*Plane, error) {
 		byHost:  make(map[string]int, len(cfg.Markets)),
 		hostIDs: make([]string, len(cfg.Markets)),
 		slot:    make([]slotRef, len(cfg.Markets)),
-		prices:  make([]atomic.Uint64, len(cfg.Markets)),
 		merged:  make([]int, n),
 		awake:   make([]uint64, (len(cfg.Markets)+63)/64),
 	}
@@ -168,32 +153,8 @@ func New(cfg Config) (*Plane, error) {
 		p.byHost[id] = g
 		p.hostIDs[g] = id
 		p.slot[g] = slotRef{shard: s, local: local}
-		// The cache follows the market's own publications: every clear
-		// refreshes it, whoever ran the clear (a sweep, or a caller holding
-		// the market), and a market falls asleep on the price it holds.
-		price := &p.prices[g]
-		price.Store(math.Float64bits(m.SpotPrice()))
-		m.Observe(func(spot float64, _ time.Time) { price.Store(math.Float64bits(spot)) })
 	}
 	return p, nil
-}
-
-// ShardIndexOf returns which shard owns a host.
-func (p *Plane) ShardIndexOf(host string) (int, bool) {
-	g, ok := p.byHost[host]
-	if !ok {
-		return 0, false
-	}
-	return p.slot[g].shard.index, true
-}
-
-// PriceAt returns the cached spot price of the host at canonical index i —
-// one atomic load, no auctioneer lock. The cache is refreshed at each clear,
-// so between clears the value is up to one tick stale; that staleness is the
-// price of taking bid placement off the auctioneer's lock. A sleeping host's
-// entry is exact: its price cannot move until it is bid on.
-func (p *Plane) PriceAt(i int) float64 {
-	return math.Float64frombits(p.prices[i].Load())
 }
 
 // AppendAwake appends the canonical indices of the awake markets to dst,
@@ -225,18 +186,6 @@ func (p *Plane) AppendAwake(dst []int) []int {
 	return dst
 }
 
-// EnqueueBidAt queues a bid for the host at canonical index i; it is entered
-// into the host's market at the owning shard's next batch clear. The call
-// takes only the shard's queue lock, never the auctioneer's.
-func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount, deadline time.Time) {
-	ref := p.slot[i]
-	ref.shard.mu.Lock()
-	ref.shard.queue = append(ref.shard.queue, queuedBid{
-		local: ref.local, bidder: bidder, budget: budget, deadline: deadline,
-	})
-	ref.shard.mu.Unlock()
-}
-
 // fanOut runs fn(0) … fn(n-1) and waits for all of them. With n == 1 it
 // calls fn inline on the caller's goroutine — no goroutine, no
 // synchronization, and therefore exactly the single-threaded execution the
@@ -263,12 +212,12 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// TickAll advances every shard to now — applying queued bids, batch-clearing
-// each awake host market — and returns the results of the hosts it swept, in
-// canonical host order. skip (optional) excludes the hosts at the canonical
-// indices it accepts (e.g. crashed ones) from the sweep; it is asked about
-// awake hosts only. Shards run concurrently when the plane has more than one.
-// The returned slice is the plane's own and is valid until the next TickAll.
+// TickAll advances every shard to now, batch-clearing each awake host
+// market, and returns the results of the hosts it swept, in canonical host
+// order. skip (optional) excludes the hosts at the canonical indices it
+// accepts (e.g. crashed ones) from the sweep; it is asked about awake hosts
+// only. Shards run concurrently when the plane has more than one. The
+// returned slice is the plane's own and is valid until the next TickAll.
 func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 	fanOut(len(p.shards), func(i int) {
 		p.shards[i].tickInto(p, now, skip, nil)
@@ -295,59 +244,13 @@ func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 	}
 }
 
-// TickShard advances one shard to now and returns results for that shard's
-// hosts only, sleeping ones included, in canonical host order. The slice is
-// the shard's own and is valid until that shard's next TickShard; every entry
-// is rewritten by each call. Callers that already run one worker per shard
-// use this instead of TickAll so the goroutine structure stays theirs; each
-// shard's slice is allocated on its own, so no two workers write to
-// neighbouring memory.
-func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []TickResult {
-	s := p.shards[i]
-	if s.results == nil {
-		s.results = make([]TickResult, len(s.markets))
-		for local, g := range s.globals {
-			s.results[local].Host, s.results[local].Index = p.hostIDs[g], g
-		}
-	}
-	for local := range s.results {
-		s.results[local].Charges, s.results[local].Refunds = nil, nil
-	}
-	var skipAt func(g int) bool
-	if skip != nil {
-		skipAt = func(g int) bool { return skip(p.hostIDs[g]) }
-	}
-	s.tickInto(p, now, skipAt, s.results)
-	return s.results
-}
-
 // tickInto sweeps the shard's awake markets. With out nil the results go to
 // s.cleared, one per swept market; otherwise to out, which holds one result
 // per market of the shard with Host and Index filled in.
 func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []TickResult) {
-	// Drain the queue under the shard lock, then apply in deterministic
-	// (bidder, arrival) order: concurrent enqueuers from different goroutines
-	// may interleave arbitrarily, and the sort erases that nondeterminism.
-	// Enqueuers go on appending to the array the last sweep drained, so the
-	// two arrays alternate and the queue regrows only past its high-water mark.
-	s.mu.Lock()
-	q := s.queue
-	s.queue, s.drained = s.drained, nil
-	s.mu.Unlock()
-	slices.SortStableFunc(q, func(a, b queuedBid) int { return strings.Compare(string(a.bidder), string(b.bidder)) })
-
-	// A bid for a skipped host, or one its market refuses, is dropped.
-	for _, b := range q {
-		if skip == nil || !skip(s.globals[b.local]) {
-			_, _ = s.markets[b.local].PlaceBid(b.bidder, b.budget, b.deadline)
-		}
-	}
-	clear(q) // drop the bidders' strings
-	s.drained = q[:0]
-
-	// The markets woken so far (by the bids above, among others) join this
-	// sweep, and now enters the log, in one step: a market that wakes later
-	// finds now among the instants it missed and joins the next sweep.
+	// The markets woken so far (by bids, among others) join this sweep, and
+	// now enters the log, in one step: a market that wakes later finds now
+	// among the instants it missed and joins the next sweep.
 	s.mu.Lock()
 	if len(s.woken) > 0 {
 		s.awake = append(s.awake, s.woken...)

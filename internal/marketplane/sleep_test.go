@@ -158,8 +158,9 @@ func testSleepingPlane(t *testing.T, mechName string, shards int, skipping bool,
 			g, w := got[op.host].(*auction.Market), want[op.host].(*auction.Market)
 			switch op.kind {
 			case "enqueue":
-				deadline := now.Add(time.Duration(op.life) * auction.DefaultInterval)
-				p.EnqueueBidAt(op.host, op.bidder, op.amount, deadline)
+				if entry == "TickShard" {
+					p.EnqueueBidAt(op.host, op.bidder, op.amount, now.Add(time.Duration(op.life)*auction.DefaultInterval))
+				}
 				queue = append(queue, op)
 			case "sync":
 				g.Sync()
@@ -178,10 +179,16 @@ func testSleepingPlane(t *testing.T, mechName string, shards int, skipping bool,
 		}
 
 		// The oracle: queued bids in arrival order, then every market.
+		// TickAll applies no queue, so for it the bids are placed on the
+		// plane's markets here, as a world places them.
 		wantRes := make([]TickResult, hosts)
 		for _, op := range queue {
 			if !skipped(tk, op.host) {
-				applyOp(want[op.host].(*auction.Market), marketOp{kind: "place", bidder: op.bidder, amount: op.amount, life: op.life}, now)
+				place := marketOp{kind: "place", bidder: op.bidder, amount: op.amount, life: op.life}
+				applyOp(want[op.host].(*auction.Market), place, now)
+				if entry == "TickAll" {
+					applyOp(got[op.host].(*auction.Market), place, now)
+				}
 			}
 		}
 		queue = queue[:0]
@@ -282,13 +289,13 @@ func TestConcurrentBidsOnSleepingMarkets(t *testing.T) {
 				}
 				h := rnd.Intn(hosts)
 				m := markets[h].(*auction.Market)
-				if rnd.Intn(2) == 0 {
-					p.EnqueueBidAt(h, id, bank.Credit, far)
-				} else if _, err := m.PlaceBid(id, bank.Credit, far); err != nil {
+				if _, err := m.PlaceBid(id, bank.Credit, far); err != nil {
 					t.Error(err)
 				}
 				// Withdraw it again, so that markets keep falling asleep.
-				_, _ = m.CancelBid(id) // unknown while the bid is still queued
+				if _, err := m.CancelBid(id); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}
@@ -394,8 +401,9 @@ func TestAppendAwakeListsEveryMarketNotAsleep(t *testing.T) {
 				}
 				for _, op := range ops {
 					switch op.kind {
-					case "enqueue":
-						p.EnqueueBidAt(op.host, op.bidder, op.amount, now.Add(time.Duration(op.life)*auction.DefaultInterval))
+					case "enqueue": // placed at the sweep's instant, as the queue did
+						op.kind = "place"
+						applyOp(tracked[op.host].Market, op, now)
 					case "sync":
 						tracked[op.host].Sync()
 					default:

@@ -168,75 +168,45 @@ func swapRows(m *Matrix, a, b int) {
 // are not symmetric positive definite.
 var ErrNotPositiveDefinite = errors.New("matrix: not positive definite")
 
-// SolveToeplitz solves the symmetric Toeplitz system T x = r where
-// T[i][j] = t[|i-j|], using the Levinson-Durbin recursion in O(n^2).
-// This is the Yule-Walker solve of the paper's AR(k) model: t holds
-// autocorrelations R(0..k-1) and r holds R(1..k).
-func SolveToeplitz(t, r []float64) ([]float64, error) {
-	return SolveToeplitzInto(make([]float64, len(r)), make([]float64, 4*len(r)), t, r)
+// SolveYuleWalker solves the Yule-Walker equations of the paper's AR(k)
+// model, sum_j a_j R(|i-j|) = R(i+1) for i = 0..k-1, given the
+// autocorrelations r = R(0..k), k = len(r)-1 >= 1, and returns a_1..a_k. It
+// runs the Levinson-Durbin recursion: O(k^2), one division per order.
+func SolveYuleWalker(r []float64) ([]float64, error) {
+	return SolveYuleWalkerInto(make([]float64, max(len(r)-1, 0)), r)
 }
 
-// SolveToeplitzInto is SolveToeplitz writing the solution into x (length
-// len(r)) and working in scratch (length 4*len(r)), so a caller that solves
-// once per forecast allocates nothing. x holds garbage after an error.
-func SolveToeplitzInto(x, scratch, t, r []float64) ([]float64, error) {
-	n := len(r)
-	if len(t) != n {
-		return nil, fmt.Errorf("matrix: Toeplitz sizes t=%d r=%d", len(t), n)
+// SolveYuleWalkerInto is SolveYuleWalker writing the coefficients into a
+// (length len(r)-1), so a caller that solves once per forecast allocates
+// nothing. a holds garbage after an error.
+func SolveYuleWalkerInto(a, r []float64) ([]float64, error) {
+	k := len(r) - 1
+	if k < 1 {
+		return nil, errors.New("matrix: Yule-Walker needs R(0) and R(1) at least")
 	}
-	if n == 0 {
-		return nil, errors.New("matrix: empty Toeplitz system")
+	if len(a) != k {
+		return nil, fmt.Errorf("matrix: Yule-Walker order %d into %d coefficients", k, len(a))
 	}
-	if t[0] == 0 {
-		return nil, ErrSingular
-	}
-
-	// f and b are the forward/backward vectors of the Levinson recursion, nf
-	// and nb their extensions by one term; all four share one scratch array
-	// (a solve per forecast handle per pick makes per-step slices the
-	// broker's largest source of garbage).
-	x, scratch = x[:n], scratch[:4*n]
-	clear(x)
-	f, b := scratch[:n], scratch[n:2*n]
-	f[0] = 1 / t[0]
-	b[0] = 1 / t[0]
-	x[0] = r[0] / t[0]
-
-	for i := 1; i < n; i++ {
-		// Error terms for the forward/backward vectors.
-		var ef, eb float64
-		for j := 0; j < i; j++ {
-			ef += t[i-j] * f[j]
-			eb += t[j+1] * b[j]
-		}
-		den := 1 - ef*eb
-		if den == 0 {
+	// e is the prediction error of the order-m model in a[:m]; each order
+	// adds the reflection coefficient kappa and folds it into the rest.
+	e := r[0]
+	for m := 0; m < k; m++ {
+		if e == 0 {
 			return nil, ErrSingular
 		}
-		// Extend forward/backward vectors.
-		nf, nb := scratch[2*n:2*n+i+1], scratch[3*n:3*n+i+1]
-		clear(nf)
-		clear(nb)
-		for j := 0; j < i; j++ {
-			nf[j] += f[j] / den
-			nf[j+1] -= ef / den * b[j]
-			nb[j+1] += b[j] / den
-			nb[j] -= eb / den * f[j]
+		acc := r[m+1]
+		for j := 0; j < m; j++ {
+			acc -= a[j] * r[m-j]
 		}
-		copy(f[:i+1], nf)
-		copy(b[:i+1], nb)
-
-		// Update solution.
-		var ex float64
-		for j := 0; j < i; j++ {
-			ex += t[i-j] * x[j]
+		kappa := acc / e
+		for i, j := 0, m-1; i <= j; i, j = i+1, j-1 {
+			ai, aj := a[i], a[j]
+			a[i], a[j] = ai-kappa*aj, aj-kappa*ai
 		}
-		diff := r[i] - ex
-		for j := 0; j <= i; j++ {
-			x[j] += diff * b[j]
-		}
+		a[m] = kappa
+		e *= 1 - kappa*kappa
 	}
-	return x[:n], nil
+	return a, nil
 }
 
 // VecDot returns the dot product of two equal-length vectors.

@@ -117,8 +117,8 @@ func TestSolveRandomProperty(t *testing.T) {
 	}
 }
 
-// toeplitzDirect builds the full Toeplitz matrix and solves it with the
-// general solver, as a reference for Levinson.
+// toeplitzDirect builds the full Toeplitz matrix T[i][j] = tv[|i-j|] and
+// solves T x = r with the general solver, as a reference for Levinson-Durbin.
 func toeplitzDirect(tv, r []float64) ([]float64, error) {
 	n := len(r)
 	a := New(n, n)
@@ -134,45 +134,58 @@ func toeplitzDirect(tv, r []float64) ([]float64, error) {
 	return Solve(a, r)
 }
 
-func TestSolveToeplitzMatchesDirect(t *testing.T) {
+// randomACF returns R(0..k) of a stationary-looking series: decaying, R(0)
+// dominant, which keeps the Toeplitz matrix positive definite.
+func randomACF(rng *rand.Rand, k int) []float64 {
+	acf := make([]float64, k+1)
+	acf[0] = 1 + rng.Float64()
+	for i := 1; i <= k; i++ {
+		acf[i] = acf[i-1] * (0.3 + 0.4*rng.Float64())
+	}
+	return acf
+}
+
+func TestSolveYuleWalkerMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(10)
-		tv := make([]float64, n)
-		// Autocorrelation-like sequence: decaying, t[0] dominant, which keeps
-		// the Toeplitz matrix positive definite.
-		tv[0] = 1 + rng.Float64()
-		for i := 1; i < n; i++ {
-			tv[i] = tv[i-1] * (0.3 + 0.4*rng.Float64())
+		k := 1 + rng.Intn(10)
+		acf := randomACF(rng, k)
+		if trial%2 == 1 {
+			for i := 1; i <= k; i += 2 {
+				acf[i] = -acf[i] // an oscillating series
+			}
 		}
-		r := make([]float64, n)
-		for i := range r {
-			r[i] = rng.NormFloat64()
-		}
-		got, err := SolveToeplitz(tv, r)
+		got, err := SolveYuleWalker(acf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := toeplitzDirect(tv, r)
+		want, err := toeplitzDirect(acf[:k], acf[1:])
 		if err != nil {
 			t.Fatalf("trial %d direct: %v", trial, err)
 		}
 		for i := range want {
 			if !almost(got[i], want[i], 1e-7) {
-				t.Fatalf("trial %d (n=%d): x[%d] = %v, want %v", trial, n, i, got[i], want[i])
+				t.Fatalf("trial %d (k=%d): a[%d] = %v, want %v", trial, k, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-func TestSolveToeplitzErrors(t *testing.T) {
-	if _, err := SolveToeplitz([]float64{1, 2}, []float64{1}); err == nil {
+func TestSolveYuleWalkerErrors(t *testing.T) {
+	if _, err := SolveYuleWalkerInto(make([]float64, 1), []float64{1, 0.5, 0.2}); err == nil {
 		t.Error("want size mismatch error")
 	}
-	if _, err := SolveToeplitz(nil, nil); err == nil {
-		t.Error("want empty system error")
+	for _, acf := range [][]float64{nil, {1}} {
+		if _, err := SolveYuleWalker(acf); err == nil {
+			t.Errorf("SolveYuleWalker(%v): want empty system error", acf)
+		}
 	}
-	if _, err := SolveToeplitz([]float64{0, 0}, []float64{1, 1}); err != ErrSingular {
+	if _, err := SolveYuleWalker([]float64{0, 0, 0}); err != ErrSingular {
+		t.Errorf("err = %v, want ErrSingular", err)
+	}
+	// R(1) = R(0): the order-1 model predicts perfectly, so order 2 is
+	// singular.
+	if _, err := SolveYuleWalker([]float64{1, 1, 1}); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
@@ -180,36 +193,35 @@ func TestSolveToeplitzErrors(t *testing.T) {
 // The forecast handles solve one order-6 system per host per pick; a slice
 // per recursion step (13 per solve) was a quarter of broker-predict's garbage
 // and made its peak RSS depend on where the last GC cycle fell. The handles
-// pass their own buffers, so their solve allocates nothing; reused buffers
-// holding an earlier solve must give the same bits as fresh ones.
-func TestSolveToeplitzAllocationBound(t *testing.T) {
-	tt := []float64{1, 0.8, 0.6, 0.45, 0.3, 0.2}
-	r := []float64{0.8, 0.6, 0.45, 0.3, 0.2, 0.1}
+// pass their own buffer, so their solve allocates nothing; a reused buffer
+// holding an earlier solve must give the same bits as a fresh one.
+func TestSolveYuleWalkerAllocationBound(t *testing.T) {
+	acf := []float64{1, 0.8, 0.6, 0.45, 0.3, 0.2, 0.1}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := SolveToeplitz(tt, r); err != nil {
+		if _, err := SolveYuleWalker(acf); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("SolveToeplitz(order 6) = %v allocs, want <= 2 (solution + one scratch array)", allocs)
+	if allocs > 1 {
+		t.Errorf("SolveYuleWalker(order 6) = %v allocs, want <= 1 (the solution)", allocs)
 	}
 
-	want, _ := SolveToeplitz(tt, r)
-	x, scratch := make([]float64, len(r)), make([]float64, 4*len(r))
-	for i := range x {
-		x[i] = 1e6 // garbage an earlier solve could leave
+	want, _ := SolveYuleWalker(acf)
+	a := make([]float64, len(acf)-1)
+	for i := range a {
+		a[i] = 1e6 // garbage an earlier solve could leave
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		if _, err := SolveToeplitzInto(x, scratch, tt, r); err != nil {
+		if _, err := SolveYuleWalkerInto(a, acf); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("SolveToeplitzInto(order 6) = %v allocs, want 0", allocs)
+		t.Errorf("SolveYuleWalkerInto(order 6) = %v allocs, want 0", allocs)
 	}
 	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("reused-buffer solve x[%d] = %v, fresh %v", i, x[i], want[i])
+		if a[i] != want[i] {
+			t.Fatalf("reused-buffer solve a[%d] = %v, fresh %v", i, a[i], want[i])
 		}
 	}
 }
@@ -223,20 +235,15 @@ func TestVecHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveToeplitz(b *testing.B) {
-	n := 12
-	tv := make([]float64, n)
-	tv[0] = 2
-	for i := 1; i < n; i++ {
-		tv[i] = tv[i-1] * 0.6
-	}
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = float64(i%3) - 1
+func BenchmarkSolveYuleWalker(b *testing.B) {
+	acf := make([]float64, 13)
+	acf[0] = 2
+	for i := 1; i < len(acf); i++ {
+		acf[i] = acf[i-1] * 0.6
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveToeplitz(tv, r); err != nil {
+		if _, err := SolveYuleWalker(acf); err != nil {
 			b.Fatal(err)
 		}
 	}

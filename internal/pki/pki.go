@@ -92,7 +92,8 @@ func (c *Certificate) SignedBytes() []byte {
 	return b.Bytes()
 }
 
-// Identity is a private key plus its certificate.
+// Identity is a private key plus its certificate. A bare key (NewKey) has a
+// zero Cert: it is known by its public key alone.
 type Identity struct {
 	Cert Certificate
 	priv ed25519.PrivateKey
@@ -212,6 +213,14 @@ func (ca *CA) issueFromKey(subject DN, priv ed25519.PrivateKey) (*Identity, erro
 	}
 	cert.Signature = ca.id.Sign(cert.SignedBytes())
 	return &Identity{Cert: cert, priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
+}
+
+// NewKey returns a bare key keyed from seed: an identity with a zero Cert,
+// for a key nothing checks a certificate of, such as a bank account key,
+// which the bank knows by its public key.
+func NewKey(seed [32]byte) *Identity {
+	priv := ed25519.NewKeyFromSeed(seed[:])
+	return &Identity{priv: priv, pub: priv.Public().(ed25519.PublicKey)}
 }
 
 // Verification errors.

@@ -42,7 +42,7 @@ func Autocorrelation(xs []float64, k int) (float64, error) {
 
 // FitAR fits an AR(k) model to xs by solving the Yule-Walker equations
 // L*alpha = r, where L is the k x k Toeplitz matrix L[i][j] = R(i-j) and
-// r_i = R(i+1), via the Levinson recursion.
+// r_i = R(i+1), via the Levinson-Durbin recursion.
 func FitAR(xs []float64, k int) (*ARModel, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("predict: AR order %d, want >= 1", k)
@@ -61,24 +61,18 @@ func FitAR(xs []float64, k int) (*ARModel, error) {
 	}
 	mu /= float64(len(xs))
 
-	t := make([]float64, k)
-	r := make([]float64, k)
-	for i := 0; i < k; i++ {
+	acf := make([]float64, k+1)
+	for i := range acf {
 		var err error
-		t[i], err = Autocorrelation(xs, i)
-		if err != nil {
-			return nil, err
-		}
-		r[i], err = Autocorrelation(xs, i+1)
-		if err != nil {
+		if acf[i], err = Autocorrelation(xs, i); err != nil {
 			return nil, err
 		}
 	}
-	if t[0] == 0 {
+	if acf[0] == 0 {
 		// Constant series: the best AR prediction is the mean itself.
 		return &ARModel{Order: k, Mu: mu, Coeffs: make([]float64, k)}, nil
 	}
-	alpha, err := matrix.SolveToeplitz(t, r)
+	alpha, err := matrix.SolveYuleWalker(acf)
 	if err != nil {
 		return nil, fmt.Errorf("predict: Yule-Walker solve: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // referenceForecast is the one-model forecast the lane kernel replaced, kept
 // as the differential oracle: the lag-by-lag autocorrelation sums with a
-// modulo on every ring read, a fresh Levinson solve, the shrink, and the
+// modulo on every ring read, a fresh Yule-Walker solve, the shrink, and the
 // horizon recurrence iterated over a growing slice. It reads p's ring and
 // running sums under p's lock and changes nothing.
 func referenceForecast(p *StreamAR, horizon time.Duration) (Forecast, error) {
@@ -35,14 +35,13 @@ func referenceForecast(p *StreamAR, horizon time.Duration) (Forecast, error) {
 
 	k := p.cfg.Order
 	mu := p.sum / float64(p.n)
-	tv, rv := make([]float64, k), make([]float64, k)
-	for j := 0; j < k; j++ {
-		tv[j] = autocorr(j, mu)
-		rv[j] = autocorr(j+1, mu)
+	acf := make([]float64, k+1)
+	for j := range acf {
+		acf[j] = autocorr(j, mu)
 	}
 	coeffs := make([]float64, k)
-	if tv[0] > 0 {
-		alpha, err := matrix.SolveToeplitz(tv, rv)
+	if acf[0] > 0 {
+		alpha, err := matrix.SolveYuleWalker(acf)
 		if err != nil {
 			return Forecast{}, fmt.Errorf("predict: streaming Yule-Walker solve: %w", err)
 		}
@@ -246,7 +245,7 @@ func TestForecastMeanMatchesPerModelReference(t *testing.T) {
 			if m.n < int(horizon/streamStep) {
 				young++
 			}
-			if m.tbuf[0] <= 0 {
+			if m.acf[0] <= 0 {
 				constant++
 			}
 			var s float64

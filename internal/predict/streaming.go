@@ -75,7 +75,7 @@ type StreamAR struct {
 	model  ARModel
 	fitted bool // model is solved over the current window
 
-	tbuf, rbuf, sbuf []float64 // reusable solve scratch
+	acf, alpha []float64 // reusable solve scratch: R(0..Order) and the solution
 }
 
 // firstValues is the ring a model's first observation allocates; it doubles
@@ -88,9 +88,8 @@ func newStreamAR(c PredictorConfig) *StreamAR {
 	return &StreamAR{
 		cfg:     c,
 		lagProd: make([]float64, c.Order+1),
-		tbuf:    make([]float64, c.Order),
-		rbuf:    make([]float64, c.Order),
-		sbuf:    make([]float64, 5*c.Order),
+		acf:     make([]float64, c.Order+1),
+		alpha:   make([]float64, c.Order),
 	}
 }
 
@@ -204,20 +203,14 @@ func (p *StreamAR) solve() error {
 			}
 			t--
 		}
-		r := p.autocorr(j, mu, head, tail)
-		if j < k {
-			p.tbuf[j] = r
-		}
-		if j > 0 {
-			p.rbuf[j-1] = r
-		}
+		p.acf[j] = p.autocorr(j, mu, head, tail)
 	}
 	if p.model.Coeffs == nil {
 		p.model.Coeffs = make([]float64, k)
 	}
 	p.model.Order = k
 	p.model.Mu = mu // z-space mean; the raw-space mean is ref + Mu
-	if p.tbuf[0] <= 0 {
+	if p.acf[0] <= 0 {
 		// Constant window (the batch path's t[0] == 0 case; <= guards the
 		// last-ulp cancellation a constant stream of identical values can
 		// leave behind): the best AR prediction is the mean itself.
@@ -227,7 +220,7 @@ func (p *StreamAR) solve() error {
 		p.fitted = true
 		return nil
 	}
-	alpha, err := matrix.SolveToeplitzInto(p.sbuf[:k], p.sbuf[k:], p.tbuf, p.rbuf)
+	alpha, err := matrix.SolveYuleWalkerInto(p.alpha, p.acf)
 	if err != nil {
 		return fmt.Errorf("predict: streaming Yule-Walker solve: %w", err)
 	}

@@ -214,19 +214,6 @@ func TestConcurrentVerifySpendOnce(t *testing.T) {
 	}
 }
 
-func TestSpentStore(t *testing.T) {
-	s := NewMemorySpentStore()
-	if !s.Spend("x") {
-		t.Error("first spend failed")
-	}
-	if s.Spend("x") {
-		t.Error("second spend succeeded")
-	}
-	if !s.Spend("y") {
-		t.Error("a spent id blocked a fresh one")
-	}
-}
-
 // TestNewVerifierValidation: a verifier is built only on keys an Ed25519
 // verify accepts and on a CA certificate that signed itself. A short bank key
 // used to build a verifier that refused every token as a bad bank signature,

@@ -240,7 +240,7 @@ func TestRenderTreeShape(t *testing.T) {
 	}
 }
 
-func TestSummariesAndSlowest(t *testing.T) {
+func TestSummaries(t *testing.T) {
 	now := time.Unix(0, 0)
 	tr := newTestTracer(WithNow(func() time.Time { return now }))
 
@@ -258,15 +258,15 @@ func TestSummariesAndSlowest(t *testing.T) {
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %d, want 2", len(sums))
 	}
-	best, ok := tr.Slowest()
-	if !ok || best.Root != "slow" {
-		t.Fatalf("slowest = %+v ok=%v, want root 'slow'", best, ok)
+	// Newest first.
+	if sums[0].Root != "slow" || sums[1].Root != "fast" {
+		t.Fatalf("summaries = %+v, want roots 'slow' then 'fast'", sums)
 	}
-	if best.Spans != 2 || best.Errors != 1 {
-		t.Fatalf("slowest spans=%d errors=%d", best.Spans, best.Errors)
+	if sums[0].Spans != 2 || sums[0].Errors != 1 {
+		t.Fatalf("slow trace spans=%d errors=%d", sums[0].Spans, sums[0].Errors)
 	}
-	if best.Duration != 2*time.Second {
-		t.Fatalf("slowest duration = %v", best.Duration)
+	if sums[0].Duration != 2*time.Second || sums[1].Duration != 10*time.Millisecond {
+		t.Fatalf("durations = %v and %v, want 2s and 10ms", sums[0].Duration, sums[1].Duration)
 	}
 }
 

@@ -132,16 +132,3 @@ func (t *Tracer) Summaries() []TraceSummary {
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	return out
 }
-
-// Slowest returns the stored trace with the longest duration, or false when
-// the ring is empty. marketbench prints its tree at exit.
-func (t *Tracer) Slowest() (TraceSummary, bool) {
-	var best TraceSummary
-	found := false
-	for _, s := range t.Summaries() {
-		if !found || s.Duration > best.Duration {
-			best, found = s, true
-		}
-	}
-	return best, found
-}

@@ -102,6 +102,13 @@ func TestSignaturesPerOperation(t *testing.T) {
 		setUp           func(t *testing.T)
 		run             func(t *testing.T)
 	}{
+		// The Grid CA's certificate for the user's identity. The bank account
+		// key is a bare key: nothing verifies a certificate of it.
+		{"box.CreateUser", 1, 0, nil, func(t *testing.T) {
+			if _, err := b.CreateUser("sig-user", 10*bank.Credit); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		// The user's transfer request, the bank's check of it, its receipt
 		// and the user's DN mapping.
 		{"box.MintToken", 3, 1, nil, func(t *testing.T) { tok = mint(t) }},
