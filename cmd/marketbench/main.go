@@ -15,7 +15,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runName := fs.String("run", "all", "experiment to run, or all")
 	seed := fs.Int64("seed", 2006, "RNG seed for all experiments")
 	csvDir := fs.String("csv", "", "directory to write plot-ready CSV files (optional)")
-	traceRatio := fs.Float64("trace", 1, "fraction of root traces recorded, 0..1")
 	reps := fs.Int("reps", 1, "independent replications per experiment (1 = single run)")
 	parallel := fs.Int("parallel", 0, "replication workers; 0 = GOMAXPROCS (output is identical for any value)")
 	strat := fs.String("strategy", "",
@@ -77,7 +75,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errBadFlags
 	}
 	tracing.InitSlog("marketbench", stderr, slog.LevelWarn)
-	tracing.Default().SetSampleRatio(*traceRatio)
+	// Nothing here reads a span, so the worlds record none: a job's
+	// lifecycle span, started in the process-wide tracer, is dropped unsampled.
+	tracing.Default().SetSampleRatio(0)
 
 	if *runName != "all" {
 		e, ok := experiment.Lookup(*runName)
@@ -107,13 +107,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for _, e := range exps {
 		fmt.Fprintf(stdout, "=== %s ===\n", strings.ToUpper(e.Name))
 		start := time.Now()
-		span, _ := tracing.Default().StartSpan(context.Background(), "experiment."+e.Name)
 		out, err := runOne(e, *seed, *csvDir, *reps, *parallel)
 		if err != nil {
-			span.EndErr(err)
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
-		span.End()
 		fmt.Fprint(stdout, out)
 		if *reps > 1 {
 			// Keep wall-clock noise off stdout so replicated output is

@@ -31,7 +31,9 @@
 // against the lines of the last outcome, which the market keeps as its clear
 // scratch, and they stand for the current book — a stateless mechanism's clear
 // is its quote — until a mutation drops them, so reading shares between clears
-// does not run the mechanism again.
+// does not run the mechanism again. The book and those buffers hang off the
+// market from its first bid on: a market nobody bids on, almost every host of
+// a wide grid, holds none of them.
 package auction
 
 import (
@@ -80,18 +82,50 @@ type Charge struct {
 	Amount bank.Amount
 }
 
-// Market is one host's auction. Safe for concurrent use.
-type Market struct {
-	mu       sync.Mutex
-	hostID   string
-	capacity float64 // MHz
-	reserve  float64 // reserve price, credits/second, floor for the spot price
+// book is a market's order book and the buffers its clears reuse. The first
+// PlaceBid allocates it, and the market keeps it for life.
+type book struct {
 	// The book, ascending by bidder with unique bidders, as two columns of
 	// one row per bid: bids is each bid as the mechanism takes it (bidder, and
 	// the spend rate fixed until a boost or re-bid), handed to Quote and Clear
 	// untouched, and rest is the rest of it at the same index.
-	bids      []mechanism.Bid
-	rest      []bidRest
+	bids []mechanism.Bid
+	rest []bidRest
+
+	// lines are the last outcome's lines, the buffer every clear and quote
+	// appends to under the market lock (no mechanism retains it). While the
+	// market is quoted they are an outcome of the current book, and the share
+	// table is the book read against them. charges and refunds back the
+	// slices Tick returns, which are therefore valid until the next Tick.
+	lines   []mechanism.Line
+	charges []Charge
+	refunds []Charge
+}
+
+// live returns the bids on the book: none before the market's first bid.
+func (b *book) live() []mechanism.Bid {
+	if b == nil {
+		return nil
+	}
+	return b.bids
+}
+
+// scratch returns the lines buffer a clear or quote appends to: none before
+// the market's first bid.
+func (b *book) scratch() []mechanism.Line {
+	if b == nil {
+		return nil
+	}
+	return b.lines
+}
+
+// Market is one host's auction. Safe for concurrent use.
+type Market struct {
+	mu        sync.Mutex
+	hostID    string
+	capacity  float64 // MHz
+	reserve   float64 // reserve price, credits/second, floor for the spot price
+	book      *book   // nil until the first PlaceBid
 	price     float64 // spot price at last reallocation, credits/second
 	now       time.Time
 	observers []func(price float64, at time.Time)
@@ -101,18 +135,9 @@ type Market struct {
 	obs2    [2]func(price float64, at time.Time)
 	mech    mechanism.Mechanism // clearing rule; proportional share by default
 	history *tsdb.Ring          // nil until a reader asks (History)
-
-	// lines are the last outcome's lines, the buffer every clear and quote
-	// appends to under the lock (no mechanism retains it). While quoted they
-	// are an outcome of the current book, and the share table is the book
-	// read against them; every mutation of the book clears quoted. charges
-	// and refunds back the slices Tick returns, which are therefore valid
-	// until the next Tick. All are allocated on first use, so a market nobody
-	// bids on carries none of them.
-	lines   []mechanism.Line
-	quoted  bool
-	charges []Charge
-	refunds []Charge
+	// quoted: the book's lines are an outcome of the current book; every
+	// mutation of the book clears it.
+	quoted bool
 
 	// Sleep state (see Sleep). quiet: the last clear was of an empty book by a
 	// settled mechanism, so every further idle clear would publish m.price
@@ -248,7 +273,7 @@ type Waker interface {
 func (m *Market) Sleep(w Waker) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.quiet || len(m.bids) != 0 || m.waker != nil {
+	if !m.quiet || len(m.book.live()) != 0 || m.waker != nil {
 		return false
 	}
 	m.waker = w
@@ -308,7 +333,7 @@ func (m *Market) wakeUp() {
 // find returns the position of bidder's bid in the book, or where it would
 // be inserted. Callers hold m.mu.
 func (m *Market) find(bidder BidderID) (int, bool) {
-	return slices.BinarySearchFunc(m.bids, bidder, func(b mechanism.Bid, id BidderID) int {
+	return slices.BinarySearchFunc(m.book.live(), bidder, func(b mechanism.Bid, id BidderID) int {
 		return strings.Compare(b.Bidder, string(id))
 	})
 }
@@ -336,12 +361,16 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 		payRate: rate,
 		active:  true,
 	}
+	if m.book == nil {
+		m.book = new(book)
+	}
+	b := m.book
 	if at, ok := m.find(bidder); ok {
-		refund = m.rest[at].remaining
-		m.bids[at], m.rest[at] = bid, rest
+		refund = b.rest[at].remaining
+		b.bids[at], b.rest[at] = bid, rest
 	} else {
-		m.bids = slices.Insert(m.bids, at, bid)
-		m.rest = slices.Insert(m.rest, at, rest)
+		b.bids = slices.Insert(b.bids, at, bid)
+		b.rest = slices.Insert(b.rest, at, rest)
 	}
 	m.quoted = false
 	mBidsPlaced.Inc()
@@ -363,7 +392,7 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	b, r := &m.bids[at], &m.rest[at]
+	b, r := &m.book.bids[at], &m.book.rest[at]
 	if r.remaining > math.MaxInt64-extra {
 		return fmt.Errorf("%w: boost of %v overflows the budget", ErrBadBid, extra)
 	}
@@ -388,7 +417,7 @@ func (m *Market) SetActive(bidder BidderID, active bool) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	m.rest[at].active = active // shares do not depend on it
+	m.book.rest[at].active = active // shares do not depend on it
 	return nil
 }
 
@@ -400,9 +429,10 @@ func (m *Market) CancelBid(bidder BidderID) (bank.Amount, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	remaining := m.rest[at].remaining
-	m.bids = slices.Delete(m.bids, at, at+1) // zeroes the vacated row: no stale bidder string
-	m.rest = slices.Delete(m.rest, at, at+1)
+	b := m.book
+	remaining := b.rest[at].remaining
+	b.bids = slices.Delete(b.bids, at, at+1) // zeroes the vacated row: no stale bidder string
+	b.rest = slices.Delete(b.rest, at, at+1)
 	m.quoted = false
 	return remaining, nil
 }
@@ -413,12 +443,16 @@ func (m *Market) CancelBid(bidder BidderID) (bank.Amount, error) {
 func (m *Market) CancelAll() []Charge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var refunds []Charge
-	for i := range m.bids {
-		refunds = append(refunds, Charge{Bidder: BidderID(m.bids[i].Bidder), Amount: m.rest[i].remaining})
+	b := m.book
+	if b == nil {
+		return nil
 	}
-	clear(m.bids) // drop the bidder strings
-	m.bids, m.rest = m.bids[:0], m.rest[:0]
+	var refunds []Charge
+	for i := range b.bids {
+		refunds = append(refunds, Charge{Bidder: BidderID(b.bids[i].Bidder), Amount: b.rest[i].remaining})
+	}
+	clear(b.bids) // drop the bidder strings
+	b.bids, b.rest = b.bids[:0], b.rest[:0]
 	m.quoted = false
 	return refunds
 }
@@ -433,7 +467,7 @@ func (m *Market) Rate(bidder BidderID) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	return m.bids[at].Rate, nil
+	return m.book.bids[at].Rate, nil
 }
 
 // Remaining returns the bidder's unspent budget.
@@ -444,7 +478,7 @@ func (m *Market) Remaining(bidder BidderID) (bank.Amount, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownBidder, bidder)
 	}
-	return m.rest[at].remaining, nil
+	return m.book.rest[at].remaining, nil
 }
 
 // SpotPrice returns the host's current spot price in credits/second: the sum
@@ -480,8 +514,9 @@ func (m *Market) PriceExcluding(bidder BidderID) float64 {
 	// has budget left, so every one but bidder's counts. An empty book folds
 	// to zero.
 	var sum float64
-	for i := range m.bids {
-		if b := &m.bids[i]; b.Bidder != string(bidder) {
+	bids := m.book.live()
+	for i := range bids {
+		if b := &bids[i]; b.Bidder != string(bidder) {
 			sum += b.Rate
 		}
 	}
@@ -506,29 +541,31 @@ func (m *Market) Shares() []Share { return m.AppendShares([]Share{}) }
 func (m *Market) AppendShares(dst []Share) []Share {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	bids := m.book.live()
 	if !m.quoted {
-		m.keepLines(m.mech.Quote(m.bids, m.mechCapacity(), m.lines...))
+		m.keepLines(m.mech.Quote(bids, m.mechCapacity(), m.book.scratch()...))
 		m.quoted = true
 	}
 	at := 0
-	for i := range m.bids {
-		b := &m.bids[i]
+	for i := range bids {
+		b := &bids[i]
 		frac := 0.0
-		if l, ok := lineFor(m.lines, &at, b.Bidder); ok {
+		if l, ok := lineFor(m.book.lines, &at, b.Bidder); ok {
 			frac = l.Fraction
 		}
-		dst = append(dst, Share{Bidder: BidderID(b.Bidder), Fraction: frac, Rate: b.Rate, Remaining: m.rest[i].remaining})
+		dst = append(dst, Share{Bidder: BidderID(b.Bidder), Fraction: frac, Rate: b.Rate, Remaining: m.book.rest[i].remaining})
 	}
 	return dst
 }
 
-// keepLines makes an outcome's lines the market's — the buffer the next
-// clear or quote appends to — and returns the outcome. Callers hold m.mu.
-// Only an empty book's outcome may have none; the buffer is kept, and the
-// book, having no rows, reads nothing from it.
+// keepLines makes an outcome's lines the book's — the buffer the next clear
+// or quote appends to — and returns the outcome. Callers hold m.mu. Only an
+// empty book's outcome may have none; the buffer is kept, and the book,
+// having no rows, reads nothing from it. A market never bid on has no book
+// to keep them in, and no row to read them for.
 func (m *Market) keepLines(o mechanism.Outcome) mechanism.Outcome {
-	if o.Lines != nil {
-		m.lines = o.Lines
+	if o.Lines != nil && m.book != nil {
+		m.book.lines = o.Lines
 	}
 	return o
 }
@@ -550,7 +587,7 @@ func lineFor(lines []mechanism.Line, at *int, bidder string) (mechanism.Line, bo
 func (m *Market) Bidders() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.bids)
+	return len(m.book.live())
 }
 
 func (m *Market) mechCapacity() mechanism.Capacity {
@@ -576,14 +613,59 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 		dt = 0
 	}
 	m.now = now
+	if m.book != nil {
+		charges, refunds = m.book.charge(now, dt)
+	}
 
-	// One walk of the book in bidder order charges, expires and compacts:
-	// charges and refunds come out sorted, survivors keep their order, and
-	// every survivor has budget left.
-	charges, refunds = m.charges[:0], m.refunds[:0]
+	// Reallocate through the mechanism: it publishes the new spot price and
+	// reprices every surviving bid for the coming interval. Bids the
+	// mechanism leaves out (e.g. not admitted at the posted price) hold
+	// their reservation for free until a later clear admits them.
+	//
+	// An empty book — almost every host of a wide grid, almost every tick —
+	// takes this same path in the same order and allocates nothing on it:
+	// the loops have nothing to visit, and the mechanism still clears
+	// (posted-price moves its price on empty demand).
+	//
+	// Quiet is judged before the clear: a mechanism that settles during this
+	// clear (posted-price reaching its floor) published its last moving price
+	// here, and only the next clear publishes the price that repeats.
+	bids := m.book.live()
+	m.quiet = len(bids) == 0 && m.mech.Settled(m.mechCapacity())
+	cleared := m.keepLines(m.mech.Clear(bids, m.mechCapacity(), m.book.scratch()...))
+	at := 0
+	for i := range bids {
+		l, _ := lineFor(cleared.Lines, &at, bids[i].Bidder) // no line: pay rate 0
+		m.book.rest[i].payRate = l.PayRate
+	}
+	// A stateless mechanism would quote this book exactly as it just cleared
+	// it, so the clear's lines are the share table's. One that moved its
+	// state in the clear (posted-price) quotes anew at the first read.
+	m.quoted = m.mech.Stateless()
+	price := cleared.Price
+	m.price = price
+	// Observe only ever appends, so the elements below this length never
+	// change and the slice header is a stable snapshot: no copy needed.
+	obs := m.observers
+	m.mu.Unlock()
+
+	// Observers run outside the lock so they may call back into the market.
+	for _, fn := range obs {
+		fn(price, now)
+	}
+	return charges, refunds
+}
+
+// charge is Tick's walk of the book, dt seconds up to now: one pass in
+// bidder order charges, expires and compacts, so charges and refunds come out
+// sorted, survivors keep their order, and every survivor has budget left.
+// Both are the book's own buffers, nil when empty. Callers hold the market
+// lock.
+func (b *book) charge(now time.Time, dt float64) (charges []Charge, refunds []Charge) {
+	charges, refunds = b.charges[:0], b.refunds[:0]
 	kept, nowNs := 0, now.UnixNano()
-	for i := range m.bids {
-		bidder, r := BidderID(m.bids[i].Bidder), &m.rest[i]
+	for i := range b.bids {
+		bidder, r := BidderID(b.bids[i].Bidder), &b.rest[i]
 		if r.active && dt > 0 {
 			owe, err := bank.FromCredits(r.payRate * dt)
 			if err != nil || owe < 0 {
@@ -603,53 +685,17 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 			}
 			continue
 		}
-		m.bids[kept], m.rest[kept] = m.bids[i], *r
+		b.bids[kept], b.rest[kept] = b.bids[i], *r
 		kept++
 	}
-	clear(m.bids[kept:]) // drop the expired bidders' strings
-	m.bids, m.rest = m.bids[:kept], m.rest[:kept]
-	m.charges, m.refunds = charges, refunds // keep what append grew
+	clear(b.bids[kept:]) // drop the expired bidders' strings
+	b.bids, b.rest = b.bids[:kept], b.rest[:kept]
+	b.charges, b.refunds = charges, refunds // keep what append grew
 	if len(charges) == 0 {
 		charges = nil
 	}
 	if len(refunds) == 0 {
 		refunds = nil
-	}
-
-	// Reallocate through the mechanism: it publishes the new spot price and
-	// reprices every surviving bid for the coming interval. Bids the
-	// mechanism leaves out (e.g. not admitted at the posted price) hold
-	// their reservation for free until a later clear admits them.
-	//
-	// An empty book — almost every host of a wide grid, almost every tick —
-	// takes this same path in the same order and allocates nothing on it:
-	// the loops have nothing to visit, and the mechanism still clears
-	// (posted-price moves its price on empty demand).
-	//
-	// Quiet is judged before the clear: a mechanism that settles during this
-	// clear (posted-price reaching its floor) published its last moving price
-	// here, and only the next clear publishes the price that repeats.
-	m.quiet = len(m.bids) == 0 && m.mech.Settled(m.mechCapacity())
-	cleared := m.keepLines(m.mech.Clear(m.bids, m.mechCapacity(), m.lines...))
-	at := 0
-	for i := range m.bids {
-		l, _ := lineFor(cleared.Lines, &at, m.bids[i].Bidder) // no line: pay rate 0
-		m.rest[i].payRate = l.PayRate
-	}
-	// A stateless mechanism would quote this book exactly as it just cleared
-	// it, so the clear's lines are the share table's. One that moved its
-	// state in the clear (posted-price) quotes anew at the first read.
-	m.quoted = m.mech.Stateless()
-	price := cleared.Price
-	m.price = price
-	// Observe only ever appends, so the elements below this length never
-	// change and the slice header is a stable snapshot: no copy needed.
-	obs := m.observers
-	m.mu.Unlock()
-
-	// Observers run outside the lock so they may call back into the market.
-	for _, fn := range obs {
-		fn(price, now)
 	}
 	return charges, refunds
 }

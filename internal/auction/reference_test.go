@@ -258,12 +258,22 @@ func (s *bookSpy) Clear(bids []mechanism.Bid, c mechanism.Capacity, dst ...mecha
 
 func (s *bookSpy) check(op string, bids []mechanism.Bid) {
 	s.t.Helper()
-	if len(bids) != len(s.m.bids) || (len(bids) > 0 && &bids[0] != &s.m.bids[0]) {
-		s.t.Fatalf("%s was handed %d bids that are not the book's %d", op, len(bids), len(s.m.bids))
+	book, rest := columns(s.m)
+	if len(bids) != len(book) || (len(bids) > 0 && &bids[0] != &book[0]) {
+		s.t.Fatalf("%s was handed %d bids that are not the book's %d", op, len(bids), len(book))
 	}
-	if err := bookRows(s.m.bids, s.m.rest); err != nil {
+	if err := bookRows(book, rest); err != nil {
 		s.t.Fatalf("%s was handed a book that %v", op, err)
 	}
+}
+
+// columns returns a market's book as its two columns, none before its first
+// bid. Callers hold the market lock.
+func columns(m *Market) ([]mechanism.Bid, []bidRest) {
+	if m.book == nil {
+		return nil, nil
+	}
+	return m.book.bids, m.book.rest
 }
 
 // bookRows reports how a book's two columns break the invariant the market
@@ -291,7 +301,8 @@ func bookRows(bids []mechanism.Bid, rest []bidRest) error {
 func (w *twins) checkBook() {
 	w.t.Helper()
 	w.fast.mu.Lock()
-	bids, err := slices.Clone(w.fast.bids), bookRows(w.fast.bids, w.fast.rest)
+	book, rest := columns(w.fast)
+	bids, err := slices.Clone(book), bookRows(book, rest)
 	w.fast.mu.Unlock()
 	if err != nil {
 		w.t.Fatalf("tick %d: the book %v", w.ticks, err)

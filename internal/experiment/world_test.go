@@ -12,20 +12,38 @@ import (
 	"tycoongrid/internal/tsdb"
 )
 
-// TestWideGridRingAllocationBound gates "no reader, no ring": a world without
-// a meta-scheduler reads no agent price history, so the first tick of a
-// 10 000-host world records no sample and the heap may grow by at most
-// maxGrowth over it. What it grows by, ≈ 1 MB, is the market plane's clear
-// list, kept for every later tick. An agent that hung a ring on every host in
-// New grew it by ≈ 2.2 MB here (an 8-slot buffer a host at the first sample),
-// and by ≈ 115 MB when each ring reserved its 720 slots.
+// TestWideGridRingAllocationBound gates what a 10 000-host world holds while
+// most of its hosts sit idle, as on a wide grid. Built and ticked once:
 //
-// Nor may the world, built and ticked, add more than maxSamples children to
-// the default registry: what a snapshot (a daemon's scrape) costs must not
-// grow with the hosts.
+//   - No reader, no ring: a world without a meta-scheduler reads no agent
+//     price history, so its first tick records no price sample.
+//   - World size: the live heap from before NewWorld to after the tick holds
+//     at most maxHostBytes and maxHostObjects a host. What is left is the
+//     host, its market, its VM manager and its id string, ≈ 662 B and 4.00
+//     objects. It read 1 023 B and 6.00 while an idle market carried its
+//     empty book's five slices (a 320-byte size class, 192 without them), a
+//     VM manager made its two maps before its first boot, and the plane kept
+//     an index by host id and the first sweep's row per host.
+//   - One tick's growth: at most maxGrowth, ≈ 0.09 MB. A sweep returns a
+//     result only for a clear that charged or refunded; the first tick grew
+//     the heap by ≈ 0.98 MB while it kept a row for every swept host, by
+//     ≈ 2.2 MB when the agent hung a ring on every host and by ≈ 115 MB when
+//     each ring reserved its 720 slots.
+//   - Snapshot: the world adds at most maxSamples children to the default
+//     registry, so what a snapshot (a daemon's scrape) costs does not grow
+//     with the hosts.
 func TestWideGridRingAllocationBound(t *testing.T) {
-	const hosts, maxGrowth, maxSamples = 10_000, 1536 << 10, 16
+	const (
+		hosts          = 10_000
+		maxHostBytes   = 720
+		maxHostObjects = 4.2
+		maxGrowth      = 256 << 10
+		maxSamples     = 16
+	)
 	samples := snapshotSamples()
+	var start, before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&start)
 	cfg := PaperWorld()
 	cfg.Hosts = hosts
 	w, err := NewWorld(cfg)
@@ -35,7 +53,6 @@ func TestWideGridRingAllocationBound(t *testing.T) {
 	if w.Meta != nil {
 		t.Fatal("a single-partition world built a meta-scheduler")
 	}
-	var before, after runtime.MemStats
 	recorded := samplesRecorded()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -51,6 +68,14 @@ func TestWideGridRingAllocationBound(t *testing.T) {
 		t.Errorf("a world of %d hosts took a metrics snapshot from %d samples to %d, want at most %d more", hosts, samples, n, maxSamples)
 	} else {
 		t.Logf("a world of %d hosts took a metrics snapshot from %d samples to %d", hosts, samples, n)
+	}
+	perHost := float64(int64(after.HeapAlloc)-int64(start.HeapAlloc)) / hosts
+	objects := float64(int64(after.HeapObjects)-int64(start.HeapObjects)) / hosts
+	if perHost > maxHostBytes || objects > maxHostObjects {
+		t.Errorf("a world of %d hosts, ticked once, holds %.0f B and %.2f heap objects a host, want <= %d B and <= %.1f",
+			hosts, perHost, objects, maxHostBytes, maxHostObjects)
+	} else {
+		t.Logf("a world of %d hosts, ticked once, holds %.0f B and %.2f heap objects a host", hosts, perHost, objects)
 	}
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if growth > maxGrowth {

@@ -1,10 +1,11 @@
 // This file is every name of the package that only bench/'s plane-burst
 // workload calls, and nothing a world runs: the bid queue (EnqueueBidAt,
-// applied by TickShard), the per-shard sweep TickShard, ShardIndexOf, the
-// spot-price cache PriceAt reads, and ShardedBank. New hangs no price
-// observer and TickAll applies no queue, so a world built on the plane pays
-// for none of it. ROADMAP item 4 deletes this file when plane-burst is
-// rebuilt on the path a world uses.
+// applied by TickShard), the per-shard sweep TickShard, ShardIndexOf and the
+// index by host id it builds, the spot-price cache PriceAt reads, and
+// ShardedBank. New hangs no price observer and builds no index, and TickAll
+// applies no queue, so a world built on the plane pays for none of it.
+// ROADMAP item 4 deletes this file when plane-burst is rebuilt on the path a
+// world uses.
 
 package marketplane
 
@@ -42,14 +43,25 @@ type queuedBid struct {
 }
 
 // planeBench is the plane's bench-only state: the spot-price cache, hung by
-// the first PriceAt.
+// the first PriceAt, and the index by host id, built by the first
+// ShardIndexOf.
 type planeBench struct {
 	pricesOnce sync.Once
 	prices     []atomic.Uint64 // Float64bits of each host's cached spot price
+
+	byHostOnce sync.Once
+	byHost     map[string]int // host id -> canonical index
 }
 
-// ShardIndexOf returns which shard owns a host.
+// ShardIndexOf returns which shard owns a host. The first call builds the
+// index by host id; New has refused duplicates, so each id has one entry.
 func (p *Plane) ShardIndexOf(host string) (int, bool) {
+	p.byHostOnce.Do(func() {
+		p.byHost = make(map[string]int, len(p.hostIDs))
+		for g, id := range p.hostIDs {
+			p.byHost[id] = g
+		}
+	})
 	g, ok := p.byHost[host]
 	if !ok {
 		return 0, false

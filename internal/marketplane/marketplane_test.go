@@ -1,6 +1,7 @@
 package marketplane
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -41,22 +42,70 @@ func testMechanismMarkets(t *testing.T, n int, mechName string) []HostMarket {
 	return out
 }
 
+// New refuses a plane it cannot build: no markets, a nil market, or two
+// markets of one host, wherever in the list the second one stands.
+func TestNewRefusesABadConfig(t *testing.T) {
+	markets := testMarkets(t, 4)
+	dup, err := auction.NewMarket(auction.Config{HostID: "h001", CapacityMHz: 1000, Start: sim.Epoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ms := range map[string][]HostMarket{
+		"no markets":     nil,
+		"nil market":     {markets[0], nil},
+		"duplicate host": append(slices.Clone(markets), dup),
+	} {
+		for _, shards := range []int{1, 3} {
+			if p, err := New(Config{Shards: shards, Markets: ms}); !errors.Is(err, ErrBadPlaneConfig) {
+				t.Errorf("%s at %d shards: New = %v, %v, want ErrBadPlaneConfig", name, shards, p, err)
+			}
+		}
+	}
+	if _, err := New(Config{Shards: 3, Markets: markets}); err != nil {
+		t.Errorf("distinct hosts refused: %v", err)
+	}
+}
+
+// TickAll returns a result for each host whose clear charged or refunded
+// someone, in canonical host order whichever shard cleared it, and none for
+// a clear that moved no money.
 func TestPlaneCanonicalOrder(t *testing.T) {
 	markets := testMarkets(t, 20)
 	p, err := New(Config{Shards: 3, Markets: markets})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := p.TickAll(sim.Epoch.Add(auction.DefaultInterval), nil)
-	if len(results) != 20 {
-		t.Fatalf("%d results", len(results))
+	now := sim.Epoch.Add(auction.DefaultInterval)
+	if results := p.TickAll(now, nil); len(results) != 0 {
+		t.Fatalf("a sweep of 20 empty books returned %d results, want 0", len(results))
 	}
-	for i, r := range results {
-		if want := fmt.Sprintf("h%03d", i); r.Host != want {
-			t.Fatalf("result %d is %q, want %q — canonical order broken", i, r.Host, want)
+	var want []string
+	for i, m := range markets {
+		if i%3 == 1 {
+			continue // stays idle
 		}
+		if _, err := m.PlaceBid("b", bank.Credit, now.Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, fmt.Sprintf("h%03d", i))
+	}
+	now = now.Add(auction.DefaultInterval)
+	var got []string
+	for _, r := range p.TickAll(now, nil) {
+		if len(r.Charges) != 1 {
+			t.Errorf("%s: %d charges, want 1", r.Host, len(r.Charges))
+		}
+		if r.Host != fmt.Sprintf("h%03d", r.Index) {
+			t.Errorf("%s's result carries index %d", r.Host, r.Index)
+		}
+		got = append(got, r.Host)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("TickAll returned %v, want the charged hosts in canonical order %v", got, want)
+	}
+	for i := range markets {
 		if got := p.PriceAt(i); got != markets[i].SpotPrice() {
-			t.Fatalf("cached price for %s = %v, want %v", r.Host, got, markets[i].SpotPrice())
+			t.Fatalf("cached price for h%03d = %v, want %v", i, got, markets[i].SpotPrice())
 		}
 	}
 }
@@ -80,13 +129,15 @@ func TestPlaneSkipPredicate(t *testing.T) {
 		p.TickShard(sh, now, func(h string) bool { return h == "h002" }) // applies the bids
 	}
 	now = now.Add(auction.DefaultInterval)
-	for i, r := range p.TickAll(now, func(i int) bool { return i == 2 }) {
-		if want := fmt.Sprintf("h%03d", i); r.Host != want {
-			t.Fatalf("result %d is %q, want %q", i, r.Host, want)
+	var swept []string
+	for _, r := range p.TickAll(now, func(i int) bool { return i == 2 }) {
+		if len(r.Charges) == 0 {
+			t.Errorf("%s: a result with no charges", r.Host)
 		}
-		if skipped := i == 2; skipped != (len(r.Charges) == 0) {
-			t.Errorf("%s: %d charges, skipped=%v", r.Host, len(r.Charges), skipped)
-		}
+		swept = append(swept, r.Host)
+	}
+	if want := []string{"h000", "h001", "h003", "h004", "h005"}; !slices.Equal(swept, want) {
+		t.Fatalf("TickAll returned %v, want %v: every host but the skipped one charged", swept, want)
 	}
 	if markets[2].(*auction.Market).Bidders() != 0 {
 		t.Error("a skipped host was handed its queued bid")

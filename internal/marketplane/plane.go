@@ -37,10 +37,13 @@ type Config struct {
 }
 
 // TickResult is one host's outcome of a plane tick, in canonical host order.
-// Hosts skipped by the tick predicate have nil Charges and Refunds; a sleeping
-// host owed nothing and, from TickAll, has no result at all. Charges and
-// Refunds are what the host's auction.Market.Tick returned: its own slices,
-// valid until that market's next Tick. Clone them to keep them longer.
+// TickAll returns one only for a swept host whose clear charged or refunded
+// someone: a host skipped by the tick predicate, a sleeping one and one whose
+// clear moved no money have none. (TickShard returns one for every host of
+// its shard; there a host that was not cleared has nil Charges and Refunds.)
+// Charges and Refunds are what the host's auction.Market.Tick returned: its
+// own slices, valid until that market's next Tick. Clone them to keep them
+// longer.
 type TickResult struct {
 	Host    string
 	Index   int // the host's canonical index: its market's position in Config.Markets
@@ -60,7 +63,7 @@ type shard struct {
 	// awake holds the local indices a sweep visits, ascending. A sweep ticks
 	// each, and drops the ones that fall asleep (auction.Market.Sleep); only
 	// sweeps touch it. cleared and order are TickAll's results for this shard
-	// and their canonical indices.
+	// (the clears that moved money) and their canonical indices.
 	awake   []int
 	cleared []TickResult
 	order   []int
@@ -90,12 +93,11 @@ type shard struct {
 // the instants it should have been skipped at.
 type Plane struct {
 	shards  []*shard
-	byHost  map[string]int // host id -> canonical index
-	hostIDs []string       // canonical index -> host id
-	slot    []slotRef      // canonical index -> shard/local
-	results []TickResult   // TickAll's merge of the shards' results
-	merged  []int          // how far that merge has read into each shard's
-	awake   []uint64       // AppendAwake's scratch, a bit per canonical index
+	hostIDs []string     // canonical index -> host id
+	slot    []slotRef    // canonical index -> shard/local
+	results []TickResult // TickAll's merge of the shards' results
+	merged  []int        // how far that merge has read into each shard's
+	awake   []uint64     // AppendAwake's scratch, a bit per canonical index
 
 	planeBench
 }
@@ -108,7 +110,8 @@ type slotRef struct {
 // ErrBadPlaneConfig is returned by New for a config no plane can be built on.
 var ErrBadPlaneConfig = errors.New("marketplane: invalid config")
 
-// New partitions the given markets across cfg.Shards auctioneer shards.
+// New partitions the given markets across cfg.Shards auctioneer shards. Every
+// market must be of a distinct host.
 func New(cfg Config) (*Plane, error) {
 	if len(cfg.Markets) == 0 {
 		return nil, fmt.Errorf("%w: no markets", ErrBadPlaneConfig)
@@ -122,7 +125,6 @@ func New(cfg Config) (*Plane, error) {
 	}
 	p := &Plane{
 		shards:  make([]*shard, n),
-		byHost:  make(map[string]int, len(cfg.Markets)),
 		hostIDs: make([]string, len(cfg.Markets)),
 		slot:    make([]slotRef, len(cfg.Markets)),
 		merged:  make([]int, n),
@@ -141,18 +143,23 @@ func New(cfg Config) (*Plane, error) {
 			return nil, fmt.Errorf("%w: nil market at %d", ErrBadPlaneConfig, g)
 		}
 		id := m.HostID()
-		if _, dup := p.byHost[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadPlaneConfig, id)
-		}
 		s := p.shards[shardOf(id, n)]
 		local := len(s.markets)
 		s.markets = append(s.markets, m)
 		s.globals = append(s.globals, g)
 		s.awake = append(s.awake, local) // every market starts awake
 		s.naps = append(s.naps, nap{shard: s, local: local})
-		p.byHost[id] = g
 		p.hostIDs[g] = id
 		p.slot[g] = slotRef{shard: s, local: local}
+	}
+	// The plane keeps no index by host id, which nothing a world runs reads:
+	// duplicates are found in a sorted copy that lives only as long as New.
+	ids := slices.Clone(p.hostIDs)
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadPlaneConfig, ids[i])
+		}
 	}
 	return p, nil
 }
@@ -213,10 +220,12 @@ func fanOut(n int, fn func(i int)) {
 }
 
 // TickAll advances every shard to now, batch-clearing each awake host
-// market, and returns the results of the hosts it swept, in canonical host
-// order. skip (optional) excludes the hosts at the canonical indices it
-// accepts (e.g. crashed ones) from the sweep; it is asked about awake hosts
-// only. Shards run concurrently when the plane has more than one. The
+// market, and returns a result for each swept host whose clear charged or
+// refunded someone, in canonical host order: a clear that moved no money has
+// nothing to settle, so an idle world's sweep returns nothing and keeps no
+// row per host. skip (optional) excludes the hosts at the canonical indices
+// it accepts (e.g. crashed ones) from the sweep; it is asked about awake
+// hosts only. Shards run concurrently when the plane has more than one. The
 // returned slice is the plane's own and is valid until the next TickAll.
 func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 	fanOut(len(p.shards), func(i int) {
@@ -245,8 +254,9 @@ func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
 }
 
 // tickInto sweeps the shard's awake markets. With out nil the results go to
-// s.cleared, one per swept market; otherwise to out, which holds one result
-// per market of the shard with Host and Index filled in.
+// s.cleared, one per swept market whose clear charged or refunded; otherwise
+// to out, which holds one result per market of the shard with Host and Index
+// filled in.
 func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []TickResult) {
 	// The markets woken so far (by bids, among others) join this sweep, and
 	// now enters the log, in one step: a market that wakes later finds now
@@ -266,20 +276,18 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	stay := s.awake[:0]
 	for _, local := range s.awake {
 		m, g := s.markets[local], s.globals[local]
-		var r *TickResult
-		if out != nil {
-			r = &out[local]
-		} else {
-			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g], Index: g})
-			s.order = append(s.order, g)
-			r = &s.cleared[len(s.cleared)-1]
-		}
 		if skip != nil && skip(g) {
 			stay = append(stay, local)
 			continue
 		}
-		r.Charges, r.Refunds = m.Tick(now)
+		charges, refunds := m.Tick(now)
 		clears++
+		if out != nil {
+			out[local].Charges, out[local].Refunds = charges, refunds
+		} else if len(charges) > 0 || len(refunds) > 0 {
+			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g], Index: g, Charges: charges, Refunds: refunds})
+			s.order = append(s.order, g)
+		}
 		// Written before Sleep arms the wake that reads it: the market's
 		// lock orders the two.
 		s.naps[local].from = logged

@@ -49,8 +49,8 @@ func BuildTree(spans []*Span) []*Node {
 }
 
 // RenderTree renders a trace's spans as an indented ASCII tree with
-// durations and errors — the marketbench exit report and the
-// gridclient `trace` subcommand both print this.
+// durations and errors — what a daemon's /debug/traces/{id}?format=tree
+// serves and the gridclient `trace` subcommand prints.
 func RenderTree(spans []*Span) string {
 	if len(spans) == 0 {
 		return "(no spans)\n"

@@ -61,7 +61,10 @@ type Config struct {
 // Manager owns the VMs of one host. It is not safe for concurrent use; the
 // grid layer serializes access per host.
 type Manager struct {
-	cfg     Config
+	cfg Config
+	// vms and byOwner are made at the first boot (Acquire): a host that never
+	// ran a job, most of a wide grid, holds no map. Every other method only
+	// reads or deletes, which a nil map allows.
 	vms     map[string]*VM
 	byOwner map[string]map[string]*VM
 	seq     int
@@ -89,11 +92,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.MaxVMs < 1 {
 		return nil, fmt.Errorf("vm: MaxVMs %d, want >= 1", cfg.MaxVMs)
 	}
-	return &Manager{
-		cfg:     cfg,
-		vms:     make(map[string]*VM),
-		byOwner: make(map[string]map[string]*VM),
-	}, nil
+	return &Manager{cfg: cfg}, nil
 }
 
 // Acquire finds or creates a VM for owner at time now. Reuse policy (paper
@@ -134,6 +133,9 @@ func (m *Manager) Acquire(owner string, now time.Time) (*VM, error) {
 		LastUsed: now,
 		ReadyAt:  now.Add(m.cfg.CreateOverhead),
 	}
+	if m.vms == nil {
+		m.vms, m.byOwner = make(map[string]*VM), make(map[string]map[string]*VM)
+	}
 	m.vms[v.ID] = v
 	if m.byOwner[owner] == nil {
 		m.byOwner[owner] = make(map[string]*VM)
@@ -151,11 +153,13 @@ func (m *Manager) nextID() string {
 	return m.cfg.HostID + "-vm" + "00"[:max(0, 3-len(seq))] + string(seq)
 }
 
-// Release marks a running VM idle after its job finishes.
+// Release marks a running VM idle after its job finishes. An unknown id is
+// ErrUnknownVM itself, unwrapped like ErrHostFull: the caller knows the id it
+// asked for, and a refusal allocates nothing.
 func (m *Manager) Release(id string, now time.Time) error {
 	v, ok := m.vms[id]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVM, id)
+		return ErrUnknownVM
 	}
 	if v.State != StateRunning {
 		return fmt.Errorf("%w: release of %s vm", ErrBadState, v.State)
@@ -173,11 +177,12 @@ func (m *Manager) noteIdle(at time.Time) {
 	}
 }
 
-// Purge destroys an idle VM, freeing a slot.
+// Purge destroys an idle VM, freeing a slot. An unknown id is ErrUnknownVM,
+// as for Release.
 func (m *Manager) Purge(id string) error {
 	v, ok := m.vms[id]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVM, id)
+		return ErrUnknownVM
 	}
 	if v.State == StateRunning {
 		return fmt.Errorf("%w: purge of %s vm", ErrBadState, v.State)
@@ -232,8 +237,7 @@ func (m *Manager) PurgeAll() int {
 	for _, v := range m.vms {
 		v.State = StatePurged
 	}
-	m.vms = make(map[string]*VM)
-	m.byOwner = make(map[string]map[string]*VM)
+	m.vms, m.byOwner = nil, nil // the next boot makes them again
 	m.anyIdle = false
 	return n
 }

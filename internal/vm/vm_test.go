@@ -108,6 +108,45 @@ func TestAcquireFreshVMAllocationBound(t *testing.T) {
 	}
 }
 
+// TestUnbootedManagerAllocatesNothing: a host that never booted a VM, most
+// of a wide grid, holds no map, and everything but a boot still answers on it
+// without allocating — the reaper's tick, the count, and the refusal of an
+// unknown VM. Its first boot then works as on any host.
+func TestUnbootedManagerAllocatesNothing(t *testing.T) {
+	m := mgr(t, 5)
+	now := sim.Epoch
+	if m.vms != nil || m.byOwner != nil {
+		t.Fatal("NewManager made its maps before the first boot")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if n := m.Live(); n != 0 {
+			t.Fatalf("Live = %d on a host that never booted", n)
+		}
+		if n := m.PurgeIdleOlderThan(now.Add(time.Hour)); n != 0 {
+			t.Fatalf("PurgeIdleOlderThan purged %d on a host that never booted", n)
+		}
+		if err := m.Release("h1-vm001", now); !errors.Is(err, ErrUnknownVM) {
+			t.Fatalf("Release of an unknown VM = %v, want ErrUnknownVM", err)
+		}
+		if err := m.Purge("h1-vm001"); !errors.Is(err, ErrUnknownVM) {
+			t.Fatalf("Purge of an unknown VM = %v, want ErrUnknownVM", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a host that never booted allocates %v times a round, want 0", allocs)
+	}
+	v, err := m.Acquire("alice", now)
+	if err != nil || v.ID != "h1-vm001" || v.State != StateRunning {
+		t.Fatalf("first Acquire = %+v, %v, want h1-vm001 running", v, err)
+	}
+	if m.Live() != 1 || m.Running() != 1 {
+		t.Errorf("after the first boot Live = %d, Running = %d, want 1 and 1", m.Live(), m.Running())
+	}
+	if err := m.Release(v.ID, now); err != nil {
+		t.Errorf("Release after the first boot: %v", err)
+	}
+}
+
 func TestNoCrossOwnerReuse(t *testing.T) {
 	m := mgr(t, 5)
 	now := sim.Epoch
