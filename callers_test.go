@@ -54,7 +54,6 @@ var allowedUncalled = []struct {
 	{"matrix.FromRows", testDouble},      // portfolio's tests
 	{"tracing.Tracer.Reset", testDouble}, // httpapi's tracing tests
 	{"tracing.WithSeed", testDouble},     // arc's timeline tests
-	{"tsdb.Ring.Capacity", testDouble},   // auction's, experiment's and pricefeed's ring tests
 
 	// bankd serves GET /history/{id} and GET /publickey, gridmarketd POST
 	// /boosts, POST /cancels, GET /jobs and GET /monitor, slsd GET and

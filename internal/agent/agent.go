@@ -347,9 +347,8 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = pricefeed.DefaultCapacity
 	}
-	all := cfg.Cluster.HostIDs()
 	if len(cfg.Hosts) == 0 {
-		cfg.Hosts = all
+		cfg.Hosts = cfg.Cluster.HostIDs()
 	}
 	a := &Agent{
 		cfg:      cfg,
@@ -357,7 +356,7 @@ func New(cfg Config) (*Agent, error) {
 		jobs:     make(map[string]*Job),
 		byBidder: make(map[auction.BidderID]*Job),
 		cpuMemo:  make(map[string]string),
-		at:       make([]int32, len(all)),
+		at:       make([]int32, cfg.Cluster.NumHosts()),
 		booked:   make([][]bookedBidder, len(cfg.Hosts)),
 	}
 	// A cluster's host set is fixed at construction, so the partition is
@@ -418,7 +417,9 @@ type stretch struct {
 }
 
 // index lays the partition out for discover. On entry a.at holds, at each
-// cluster index of the partition, that host's position in a.hosts.
+// cluster index of the partition, that host's position in a.hosts. A
+// partition given in canonical order (the whole cluster, or box's
+// partitions) is then kept once: cfg.Hosts and hosts become ids and byIndex.
 func (a *Agent) index() {
 	a.ids = make([]string, 0, len(a.hosts))
 	a.byIndex = make([]*grid.Host, 0, len(a.hosts))
@@ -436,6 +437,9 @@ func (a *Agent) index() {
 			continue
 		}
 		a.stretches = append(a.stretches, stretch{end: len(a.ids), capacity: c, reserve: r})
+	}
+	if slices.Equal(a.ids, a.cfg.Hosts) {
+		a.cfg.Hosts, a.hosts = a.ids, a.byIndex
 	}
 }
 

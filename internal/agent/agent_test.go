@@ -3,6 +3,7 @@ package agent
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -675,6 +676,49 @@ func TestPartitionNamingAHostTwiceIsRefused(t *testing.T) {
 		Account: "broker", Verifier: w.agent.cfg.Verifier, Hosts: []string{"h00", "h02", "h00"}, JobIDPrefix: "p1"})
 	if err == nil || !strings.Contains(err.Error(), `"h00"`) {
 		t.Fatalf("partition h00 h02 h00: %v, want an error naming h00", err)
+	}
+}
+
+// TestPartitionLayoutKeepsOneCopy: an agent keeps its host set once where
+// its order is the cluster's (the whole cluster, or a partition listed in
+// that order), and lays out a copy only for a partition listed otherwise.
+// Either way HostIDs is a copy in the order the partition was given.
+func TestPartitionLayoutKeepsOneCopy(t *testing.T) {
+	w := newWorld(t, 4)
+	for _, hosts := range [][]string{nil, {"h01", "h03"}, {"h03", "h00", "h02"}} {
+		a := w.agent
+		if hosts != nil {
+			var err error
+			a, err = New(Config{Cluster: w.cluster, Bank: w.bank, Identity: w.agent.cfg.Identity,
+				Account: "broker", Verifier: w.agent.cfg.Verifier, Hosts: hosts, JobIDPrefix: "p1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := hosts
+		if want == nil {
+			want = w.cluster.HostIDs()
+		}
+		got := a.HostIDs()
+		if !slices.Equal(got, want) {
+			t.Errorf("HostIDs = %v, want the partition as given, %v", got, want)
+		}
+		got[0] = "changed"
+		if a.HostIDs()[0] != want[0] {
+			t.Errorf("%v: HostIDs handed out the agent's own slice", want)
+		}
+		sorted := slices.IsSorted(want)
+		if shared := &a.ids[0] == &a.cfg.Hosts[0] && &a.byIndex[0] == &a.hosts[0]; shared != sorted {
+			t.Errorf("%v: host set kept once = %v, want %v", want, shared, sorted)
+		}
+		if !slices.IsSorted(a.ids) || len(a.ids) != len(want) {
+			t.Errorf("%v: laid out as %v, want the partition in cluster order", want, a.ids)
+		}
+		for p, h := range a.byIndex {
+			if h.Spec.ID != a.ids[p] || a.at[h.Index()] != int32(p) {
+				t.Errorf("%v: position %d holds %s, id %s", want, p, h.Spec.ID, a.ids[p])
+			}
+		}
 	}
 }
 

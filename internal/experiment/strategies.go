@@ -177,10 +177,18 @@ func buildStrategiesWorld(p StrategiesParams, stratName string) (*stratWorld, er
 		return nil, err
 	}
 	w := &stratWorld{World: &World{b}, hostPart: make(map[string]int)}
-	// The full price trace, for the volatility column (partitionPriceStd):
-	// the markets' rings, of which the agents read the last p.Window ticks.
-	if err := w.holdRun(time.Duration(p.Hours * float64(time.Hour))); err != nil {
-		return nil, err
+	// The volatility column reads a measured job's (submitted, finished]
+	// window at the first sweep after the job ends (run), so the markets'
+	// rings, of which the agents read the last p.Window ticks, hold the
+	// longest wait from a submission to that sweep, not the run. A job ends
+	// within its deadline, so one that ends before the last measured
+	// submission is read at most a deadline and a cadence after its own. One
+	// still running then was submitted less than a deadline before it, and
+	// is read after the run, which ends less than a deadline and a cadence
+	// after it: at most two deadlines and a cadence.
+	ticks := max(p.Window, int((2*p.MeasureDeadline+p.MeasureEvery)/w.Cluster.Interval())+1)
+	for _, id := range w.Cluster.HostIDs() {
+		w.history(id, ticks)
 	}
 	for i, ag := range w.Agents {
 		part := ag.HostIDs()
@@ -221,6 +229,11 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	if err != nil {
 		return nil, err
 	}
+	return w.run(p, stratName)
+}
+
+// run drives the scenario on a built world and scores its measured jobs.
+func (w *stratWorld) run(p StrategiesParams, stratName string) (*StrategyOutcome, error) {
 	horizon := time.Duration(p.Hours * float64(time.Hour))
 
 	// Bursty waves on partition 0. Each wave's jobs are funded heavily and
@@ -280,11 +293,39 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	for i := range chunks {
 		chunks[i] = p.MeasureChunkMin * 60 * workload.ReferenceMHz
 	}
-	var measured []*arc.GridJob
+	var (
+		measured []*arc.GridJob
+		vols     []float64 // each measured job's volatility, by index; NaN until scored
+		open     []int     // the measured jobs that have not ended
+		volErr   error
+	)
+	// sweep scores each measured job that ended since the last sweep, while
+	// its partition's rings still hold the job's window.
+	sweep := func() {
+		left := open[:0]
+		for _, i := range open {
+			gj := measured[i]
+			switch gj.State {
+			case arc.StateFinished:
+				if pi := w.jobPartition(gj); pi >= 0 && volErr == nil {
+					sd, ok, err := w.partitionPriceStd(pi, gj.Submitted, gj.Finished)
+					if ok {
+						vols[i] = sd
+					}
+					volErr = err
+				}
+			case arc.StateFailed, arc.StateKilled:
+			default:
+				left = append(left, i)
+			}
+		}
+		open = left
+	}
 	var measureErrs int
 	for at := p.MeasureStart; at+p.MeasureDeadline <= horizon; at += p.MeasureEvery {
 		at := at
 		if err := w.Engine.After(at, func() {
+			sweep()
 			tok, err := w.MintToken(measureUser, budget)
 			if err != nil {
 				measureErrs++
@@ -303,7 +344,9 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 				measureErrs++
 				return
 			}
+			open = append(open, len(measured))
 			measured = append(measured, gj)
+			vols = append(vols, math.NaN())
 		}); err != nil {
 			return nil, err
 		}
@@ -311,7 +354,11 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 
 	snapBefore := metrics.Default().Snapshot()
 	w.Engine.RunFor(horizon)
+	sweep()
 	telemetry := metrics.Default().Snapshot().Delta(snapBefore)
+	if volErr != nil {
+		return nil, volErr
+	}
 
 	if len(measured) == 0 {
 		return nil, fmt.Errorf("no measured jobs submitted (%d errors)", measureErrs)
@@ -320,7 +367,7 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 	out.Clears = counterDelta(telemetry, "auction_clears_total")
 	out.Transfers = counterDelta(telemetry, "bank_transfers_total")
 	var costW, mkspW, volW mathx.Welford
-	for _, gj := range measured {
+	for i, gj := range measured {
 		pi := w.jobPartition(gj)
 		if pi >= 0 {
 			out.Picks[fmt.Sprintf("p%d", pi)]++
@@ -332,13 +379,12 @@ func runOneStrategy(p StrategiesParams, stratName string) (*StrategyOutcome, err
 		out.Jobs++
 		costW.Add(gj.AgentJob.Charged.Credits())
 		mkspW.Add(gj.Finished.Sub(gj.Submitted).Minutes())
-		if pi >= 0 {
-			if sd, ok := w.partitionPriceStd(pi, gj.Submitted, gj.Finished); ok {
-				volW.Add(sd)
-			}
+		if !math.IsNaN(vols[i]) {
+			volW.Add(vols[i])
 		}
 	}
-	if err := w.checkRun(); err != nil {
+	w.Cluster.Sync() // every market pays its ring the samples it owes, so a refused one is counted
+	if err := w.checkRefused(); err != nil {
 		return nil, err
 	}
 	if out.Jobs == 0 {
@@ -381,16 +427,23 @@ func (w *stratWorld) jobPartition(gj *arc.GridJob) int {
 }
 
 // partitionPriceStd is the standard deviation of the partition's mean spot
-// price over (from, to], from the full recorded trace.
-func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, bool) {
+// price over (from, to], read from the markets' rings; false if a host holds
+// fewer than two samples there. A ring that no longer holds the whole window
+// fails the run: a job's window is never read truncated.
+func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, bool, error) {
 	hosts := w.partitions[pi]
 	w.Cluster.Sync(hosts...) // sleeping markets owe the trace their idle clears
 	series := make([][]tsdb.Point, 0, len(hosts))
 	n := math.MaxInt
 	for _, h := range hosts {
-		pts := w.history(h, 0).Range(from.UnixNano(), to.UnixNano())
+		ring := w.history(h, 0)
+		if !ring.HoldsAfter(from.UnixNano()) {
+			return 0, false, fmt.Errorf("experiment: %s's price ring (%d ticks) no longer holds the window from %s to %s",
+				h, ring.Capacity(), from.Format(time.DateTime), to.Format(time.DateTime))
+		}
+		pts := ring.Range(from.UnixNano(), to.UnixNano())
 		if len(pts) < 2 {
-			return 0, false
+			return 0, false, nil
 		}
 		series = append(series, pts)
 		if len(pts) < n {
@@ -405,7 +458,7 @@ func (w *stratWorld) partitionPriceStd(pi int, from, to time.Time) (float64, boo
 		}
 		sd.Add(sum / float64(len(series)))
 	}
-	return math.Sqrt(sd.SampleVariance()), true
+	return math.Sqrt(sd.SampleVariance()), true, nil
 }
 
 // String renders the comparison as an aligned table.

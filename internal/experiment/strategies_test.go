@@ -6,9 +6,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tycoongrid/internal/mechanism"
+	"tycoongrid/internal/pricefeed"
 	"tycoongrid/internal/strategy"
+	"tycoongrid/internal/tsdb"
 )
 
 // shortStrategiesParams shrinks the scenario so the full stack still
@@ -209,5 +212,96 @@ func TestStrategiesWorldHonoursWorldConfig(t *testing.T) {
 	}
 	if inline.String() != sharded.String() {
 		t.Errorf("Shards = 2 changed the outcome:\n%s\nvs\n%s", inline, sharded)
+	}
+}
+
+// TestStrategiesRingAllocationBound: the strategies world's price rings hold
+// what its volatility column reads, not the run. A run of H hours and one of
+// 4H hold rings of the same capacity, each full and so of the same bytes a
+// host, and that capacity is at most two measured deadlines and a cadence of
+// ticks (the longest a job's window waits for the sweep that reads it) or the
+// agents' window. While the rings held the whole trace, the 4H run's were
+// four times the H run's.
+func TestStrategiesRingAllocationBound(t *testing.T) {
+	const hours = 3
+	p := shortStrategiesParams()
+	p.Strategies = []string{strategy.CurrentPrice}
+	p.MeasureStart, p.MeasureEvery, p.MeasureDeadline, p.MeasureSubJobs = time.Hour, 30*time.Minute, time.Hour, 2
+	type rings struct{ capacity, hostBytes int }
+	measure := func(h float64) rings {
+		t.Helper()
+		p.Hours = h
+		w, err := buildStrategiesWorld(p, strategy.CurrentPrice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.run(p, strategy.CurrentPrice); err != nil {
+			t.Fatalf("%v h: %v", h, err)
+		}
+		w.Cluster.Sync()
+		var r rings
+		for _, id := range w.Cluster.HostIDs() {
+			ring := w.history(id, 0)
+			r.capacity = max(r.capacity, ring.Capacity())
+			r.hostBytes += ring.Len() * int(unsafe.Sizeof(tsdb.Point{}))
+		}
+		r.hostBytes /= len(w.Cluster.HostIDs())
+		bound := max(p.Window, int((2*p.MeasureDeadline+p.MeasureEvery)/w.Cluster.Interval())+1)
+		if r.capacity > bound {
+			t.Errorf("a %v h run holds rings of %d ticks, want at most %d", h, r.capacity, bound)
+		}
+		return r
+	}
+	short, long := measure(hours), measure(4*hours)
+	t.Logf("%d h: rings of %d ticks, %d B a host; %d h: %d ticks, %d B a host",
+		hours, short.capacity, short.hostBytes, 4*hours, long.capacity, long.hostBytes)
+	if short != long {
+		t.Errorf("rings grow with the run: %d ticks and %d B a host over %d h, %d ticks and %d B over %d h",
+			short.capacity, short.hostBytes, hours, long.capacity, long.hostBytes, 4*hours)
+	}
+}
+
+// TestPartitionPriceStdRefusesALostWindow: a measured job's volatility is
+// read from its partition's rings only while they hold the whole window. A
+// window whose first ticks a ring has pushed out fails, where reading what is
+// left would score a shorter window; one the rings hold is read.
+func TestPartitionPriceStdRefusesALostWindow(t *testing.T) {
+	p := shortStrategiesParams()
+	w, err := buildStrategiesWorld(p, strategy.CurrentPrice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := w.history(w.partitions[1][0], 0).Capacity()
+	interval := w.Cluster.Interval()
+	w.Engine.RunFor(time.Duration(capacity+60) * interval)
+	now := w.Engine.Now()
+	if _, ok, err := w.partitionPriceStd(1, now.Add(-time.Duration(capacity-1)*interval), now); err != nil || !ok {
+		t.Fatalf("a window the rings hold: ok %v, err %v", ok, err)
+	}
+	_, _, err = w.partitionPriceStd(1, now.Add(-time.Duration(capacity+30)*interval), now)
+	if err == nil || !strings.Contains(err.Error(), "no longer holds the window") {
+		t.Fatalf("a window the rings lost the start of: err %v, want it refused", err)
+	}
+}
+
+// TestStrategiesFailsARefusedSample: a sample a market's ring refused fails
+// the strategies run, as it fails RunLoad's: the rings push old samples out
+// by design, but never drop one silently.
+func TestStrategiesFailsARefusedSample(t *testing.T) {
+	p := shortStrategiesParams()
+	w, err := buildStrategiesWorld(p, strategy.CurrentPrice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := w.history(w.partitions[1][0], 0)
+	if err := w.Engine.After(3*time.Hour, func() {
+		w.Cluster.Sync()
+		pricefeed.Observer(ring)(-1, w.Engine.Now().Add(time.Second))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = w.run(p, strategy.CurrentPrice)
+	if err == nil || !strings.Contains(err.Error(), "refused 1 samples") {
+		t.Fatalf("run = %v, want the negative price refused", err)
 	}
 }

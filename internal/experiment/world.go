@@ -55,9 +55,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 }
 
 // holdRun raises every host market's price ring to one sample per
-// Cluster.Interval() of run, for the experiments that read a whole run's
-// prices afterwards (RunLoad, the strategies volatility column). Read a
-// host's ring after Cluster.Sync of that host.
+// Cluster.Interval() of run, for RunLoad, which reads and prints a whole
+// run's prices afterwards. Read a host's ring after Cluster.Sync of that
+// host.
 func (w *World) holdRun(run time.Duration) error {
 	ticks := int(run / w.Cluster.Interval())
 	if ticks < 1 {
@@ -81,15 +81,24 @@ func (w *World) history(host string, capacity int) *tsdb.Ring {
 // checkRun fails a run whose trace lost a sample, one a host's ring refused
 // or had no room for: it is never truncated silently. Each ring counts its
 // own, so replications running side by side do not see each other's.
-func (w *World) checkRun() error {
-	var lost uint64
+func (w *World) checkRun() error { return w.checkTrace((*tsdb.Ring).Lost) }
+
+// checkRefused fails a run whose trace a host's ring refused a sample of,
+// for a world whose rings hold a window rather than the run: a ring pushes
+// old samples out, and its reader checks that the window it reads is still
+// held (tsdb.Ring.HoldsAfter).
+func (w *World) checkRefused() error { return w.checkTrace((*tsdb.Ring).Dropped) }
+
+// checkTrace fails the run if lost counts a sample on any host's ring.
+func (w *World) checkTrace(lost func(*tsdb.Ring) uint64) error {
+	var n uint64
 	for _, id := range w.Cluster.HostIDs() {
 		if ring := w.history(id, 0); ring != nil {
-			lost += ring.Lost()
+			n += lost(ring)
 		}
 	}
-	if lost > 0 {
-		return fmt.Errorf("experiment: the run's price trace refused %d samples", lost)
+	if n > 0 {
+		return fmt.Errorf("experiment: the run's price trace refused %d samples", n)
 	}
 	return nil
 }

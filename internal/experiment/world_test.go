@@ -19,11 +19,13 @@ import (
 //     price history, so its first tick records no price sample.
 //   - World size: the live heap from before NewWorld to after the tick holds
 //     at most maxHostBytes and maxHostObjects a host. What is left is the
-//     host, its market, its VM manager and its id string, ≈ 662 B and 4.00
-//     objects. It read 1 023 B and 6.00 while an idle market carried its
-//     empty book's five slices (a 320-byte size class, 192 without them), a
-//     VM manager made its two maps before its first boot, and the plane kept
-//     an index by host id and the first sweep's row per host.
+//     host, its market, its VM manager and its id string, ≈ 638 B and 4.00
+//     objects. It read 662 B while the agent kept its host set twice (the
+//     ids beside their canonical copy, the hosts beside theirs), and 1 023 B
+//     and 6.00 while an idle market carried its empty book's five slices (a
+//     320-byte size class, 192 without them), a VM manager made its two maps
+//     before its first boot, and the plane kept an index by host id and the
+//     first sweep's row per host.
 //   - One tick's growth: at most maxGrowth, ≈ 0.09 MB. A sweep returns a
 //     result only for a clear that charged or refunded; the first tick grew
 //     the heap by ≈ 0.98 MB while it kept a row for every swept host, by
@@ -35,7 +37,7 @@ import (
 func TestWideGridRingAllocationBound(t *testing.T) {
 	const (
 		hosts          = 10_000
-		maxHostBytes   = 720
+		maxHostBytes   = 690
 		maxHostObjects = 4.2
 		maxGrowth      = 256 << 10
 		maxSamples     = 16
@@ -179,9 +181,9 @@ func TestRunPricesFailsALostSample(t *testing.T) {
 
 // TestOneRingPerMarket: every world that reads prices keeps one price
 // history per market. Whoever asks — the meta-scheduled agents of box.New,
-// the strategies world's run trace on top of them, RunLoad's trace — gets the
-// market's ring, sized to the largest window asked for; a reader asking for
-// more raises it and gets the same ring back. Each market's ring takes one
+// the strategies world's volatility windows on top of them, RunLoad's trace —
+// gets the market's ring, sized to the largest window asked for; a reader
+// asking for more raises it and gets the same ring back. Each market's ring takes one
 // sample a clear, and the process-wide count of ring samples is exactly
 // those, so no second ring hangs anywhere.
 func TestOneRingPerMarket(t *testing.T) {
@@ -264,10 +266,12 @@ func TestOneRingPerMarket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := int(time.Duration(p.Hours*float64(time.Hour)) / sw.Cluster.Interval())
+		// Two deadlines and a cadence, the longest a measured job's window
+		// waits to be read, or the agents' window if that is longer.
+		want := max(p.Window, int((2*p.MeasureDeadline+p.MeasureEvery)/sw.Cluster.Interval())+1)
 		for _, r := range rings(t, sw.World) {
-			if r.Capacity() != max(run, p.Window) {
-				t.Errorf("ring capacity %d, want the run's %d ticks", r.Capacity(), run)
+			if r.Capacity() != want {
+				t.Errorf("ring capacity %d, want %d ticks", r.Capacity(), want)
 			}
 		}
 		oneTick(t, sw.World)

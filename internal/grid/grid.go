@@ -261,6 +261,10 @@ func (c *Cluster) Host(id string) (*Host, error) {
 	return h, nil
 }
 
+// NumHosts returns how many hosts the cluster has: the length of HostIDs,
+// without its copy.
+func (c *Cluster) NumHosts() int { return len(c.order) }
+
 // HostIDs returns all host ids in deterministic order.
 func (c *Cluster) HostIDs() []string {
 	out := make([]string, len(c.order))

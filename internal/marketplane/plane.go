@@ -77,6 +77,11 @@ type shard struct {
 	shardBench
 }
 
+// wokenKept is the room, in markets, a shard's woken array may keep however
+// little a sweep finds in it; a larger array goes once a sweep finds it over
+// eight times what it held.
+const wokenKept = 256
+
 // Plane is the sharded market: hosts hash-partitioned across auctioneer
 // shards, each clearing its awake hosts once per tick in a batch. Safe for
 // concurrent use.
@@ -265,6 +270,12 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	if len(s.woken) > 0 {
 		s.awake = append(s.awake, s.woken...)
 		slices.Sort(s.awake)
+	}
+	// A wake of the whole shard (a Cluster.Sync) grows the array to every
+	// market; a sweep that finds it far larger than what it held lets it go.
+	if c := cap(s.woken); c > wokenKept && c > 8*len(s.woken) {
+		s.woken = nil
+	} else {
 		s.woken = s.woken[:0]
 	}
 	s.ticks.add(now)

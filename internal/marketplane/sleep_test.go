@@ -427,3 +427,41 @@ func TestAppendAwakeListsEveryMarketNotAsleep(t *testing.T) {
 		})
 	}
 }
+
+// TestWholeShardWakeIsReleased: waking every market of a shard (a
+// Cluster.Sync) grows the shard's woken array to hold them all. The sweep
+// that takes them in keeps it; the next, finding it far larger than what it
+// held, lets it go, so one whole-world Sync does not cost the world that
+// array for its life.
+func TestWholeShardWakeIsReleased(t *testing.T) {
+	const hosts = 2000
+	markets := testMarkets(t, hosts)
+	p, err := New(Config{Shards: 1, Markets: markets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.shards[0]
+	now := sim.Epoch
+	sweep := func() {
+		now = now.Add(auction.DefaultInterval)
+		p.TickAll(now, nil)
+	}
+	sweep()
+	if len(s.awake) != 0 {
+		t.Fatalf("%d of %d idle markets stayed awake after a clear", len(s.awake), hosts)
+	}
+	for _, m := range markets {
+		m.(*auction.Market).Sync()
+	}
+	if len(s.woken) != hosts {
+		t.Fatalf("a whole-shard wake woke %d of %d markets", len(s.woken), hosts)
+	}
+	sweep()
+	if c := cap(s.woken); c < hosts {
+		t.Fatalf("the sweep that took the woken markets in kept room for %d, want the array kept", c)
+	}
+	sweep()
+	if c := cap(s.woken); c > wokenKept {
+		t.Errorf("after a whole-shard wake and two sweeps the woken array keeps room for %d markets, want at most %d", c, wokenKept)
+	}
+}

@@ -266,3 +266,37 @@ func TestRingLostCountsEvictionsAndRefusals(t *testing.T) {
 		t.Errorf("after three refusals: lost %d, dropped %d, len %d, want 5, 3 and 3", r.Lost(), r.Dropped(), r.Len())
 	}
 }
+
+// TestRingHoldsAfter: a ring tells whether it still holds every point after
+// an instant, so a reader of a window can refuse one it has lost the start
+// of instead of reading what is left of it.
+func TestRingHoldsAfter(t *testing.T) {
+	r := NewRing(3)
+	for i := 0; i < 3; i++ {
+		r.AppendNanos(at(i), float64(i))
+	}
+	if !r.HoldsAfter(math.MinInt64) {
+		t.Fatal("a ring that pushed nothing out does not hold everything it took")
+	}
+	for i := 3; i < 5; i++ { // pushes out 0 and 1
+		r.AppendNanos(at(i), float64(i))
+	}
+	r.AppendNanos(at(4), 9) // a refusal pushes nothing out
+	for _, c := range []struct {
+		after int64
+		want  bool
+	}{
+		{at(0), false},
+		{at(1) - 1, false},
+		{at(1), true},
+		{at(3), true},
+	} {
+		if got := r.HoldsAfter(c.after); got != c.want {
+			t.Errorf("HoldsAfter(%d) = %v, want %v", c.after, got, c.want)
+		}
+	}
+	r.Raise(10)
+	if r.HoldsAfter(at(0)) || !r.HoldsAfter(at(1)) {
+		t.Error("raising the ring changed what it had pushed out")
+	}
+}

@@ -70,6 +70,7 @@ type Ring struct {
 	n       int     // points held (<= size)
 	dropped uint64  // appends refused
 	evicted uint64  // points a newer one overwrote
+	gone    int64   // the instant of the newest point overwritten
 }
 
 // NewRing returns a ring holding the trailing capacity points (at least
@@ -96,13 +97,14 @@ func (r *Ring) AppendNanos(t int64, v float64) bool {
 		copy(buf, r.buf[:r.n])
 		r.buf = buf
 	}
-	r.buf[r.next] = Point{T: t, V: v}
-	r.next = (r.next + 1) % r.size
 	if r.n < r.size {
 		r.n++
 	} else {
 		r.evicted++
+		r.gone = r.buf[r.next].T
 	}
+	r.buf[r.next] = Point{T: t, V: v}
+	r.next = (r.next + 1) % r.size
 	return true
 }
 
@@ -153,6 +155,15 @@ func (r *Ring) Lost() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped + r.evicted
+}
+
+// HoldsAfter reports whether the ring still holds every point it took after
+// t (unix nanoseconds): none of them was pushed out of the full ring, so
+// Range(t, to) is the whole of (t, to] as it was recorded.
+func (r *Ring) HoldsAfter(t int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.evicted == 0 || r.gone <= t
 }
 
 // Latest returns the newest point, if any.
