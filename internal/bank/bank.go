@@ -158,26 +158,74 @@ func appendAmount(p []byte, a Amount) []byte {
 	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(p, 8), uint64(a))
 }
 
-// issued is what the bank keeps of a receipt: the facts it states. The
-// signature is not kept: Ed25519 signing is deterministic (RFC 8032 §5.1.6)
-// and the bank's key is fixed for its life, so signing the facts again gives
-// the bytes first issued (Bank.receipt).
+// issued is the facts a receipt states, as the bank signs them (Bank.receipt).
+// The signature is not kept: Ed25519 signing is deterministic (RFC 8032
+// §5.1.6) and the bank's key is fixed for its life, so signing the facts again
+// gives the bytes first issued. A transfer's facts live in its ledger line;
+// an issued value is kept (Bank.kept) only for a receipt that has no line: one
+// whose line the retention trim dropped, or one restored from a snapshot.
 type issued struct {
 	from, to *account
 	amount   Amount
 	at       int64 // Unix nanoseconds
 }
 
-// line is one ledger entry as the bank keeps it: its accounts by pointer
-// (from is nil for a deposit) and its time in Unix nanoseconds. Its Seq is
-// its place in the ledger. History expands it into an Entry.
+// line is one ledger entry as the bank keeps it, 56 bytes: its accounts by
+// pointer (from is nil for a deposit), its time in Unix nanoseconds and its
+// kind as a one-byte code. Its Seq is its place in the ledger. History
+// expands it into an Entry. A signed transfer's line is its receipt's record
+// too: its memo slot holds the nonce, the same string as the receipts map's
+// key, and its Entry reads Memo "".
 type line struct {
 	from, to *account
-	kind     EntryKind
 	amount   Amount
 	memo     string
 	at       int64
+	kind     lineKind
 }
+
+// lineKind is a line's entry kind as one byte. The four EntryKinds map to
+// their own codes, and a signed transfer has a fifth: its Entry's kind is
+// EntryTransfer, like an owner's transfer move's, but its memo slot holds its
+// nonce.
+type lineKind byte
+
+const (
+	lineDeposit lineKind = iota
+	lineTransfer
+	lineRefund
+	lineCharge
+	lineSigned
+)
+
+// entryKinds is the EntryKind of each lineKind.
+var entryKinds = [...]EntryKind{
+	lineDeposit:  EntryDeposit,
+	lineTransfer: EntryTransfer,
+	lineRefund:   EntryRefund,
+	lineCharge:   EntryCharge,
+	lineSigned:   EntryTransfer,
+}
+
+// lineKindOf is the code a move, or a logged or snapshotted line, of kind k
+// is kept under; a kind that is not one of the four EntryKinds is an error.
+func lineKindOf(k EntryKind) (lineKind, error) {
+	switch k {
+	case EntryDeposit:
+		return lineDeposit, nil
+	case EntryTransfer:
+		return lineTransfer, nil
+	case EntryRefund:
+		return lineRefund, nil
+	case EntryCharge:
+		return lineCharge, nil
+	}
+	return 0, fmt.Errorf("bank: unknown entry kind %q", k)
+}
+
+// keptRef marks a receipts map value that indexes Bank.kept; a value without
+// it is the Seq of the receipt's signed-transfer line.
+const keptRef = 1 << 63
 
 // Bank is a thread-safe ledger with signed receipts. By default it is purely
 // in-memory; AttachDurability (wal.go) journals every mutation to a
@@ -187,7 +235,8 @@ type Bank struct {
 	id        *pki.Identity
 	clock     sim.Clock
 	accounts  map[AccountID]*account
-	receipts  map[string]issued // issued receipts by nonce: the spent nonces, and the idempotent replay
+	receipts  map[string]uint64 // issued receipts by nonce (a line's Seq, or keptRef|index into kept): the spent nonces, and the idempotent replay
+	kept      []issued          // the facts of the receipts that have no ledger line
 	ledger    []line
 	seq       uint64 // Seq of the newest line; the oldest's is seq-len(ledger)+1
 	ledgerCap int    // 0 = unbounded
@@ -209,7 +258,7 @@ type Option func(*Bank)
 
 // DefaultLedgerRetention is the ledger cap of a bank that lives long: the
 // simulated worlds' and bankd's. The ledger trims at twice its cap, so at
-// 64–80 B a line it holds at most 13–16 MB.
+// 56 B a line it holds at most 11.2 MB.
 const DefaultLedgerRetention = 100_000
 
 // WithLedgerRetention caps the in-memory ledger at n entries; the oldest
@@ -236,7 +285,7 @@ func New(id *pki.Identity, clock sim.Clock, opts ...Option) *Bank {
 		id:       id,
 		clock:    clock,
 		accounts: make(map[AccountID]*account),
-		receipts: make(map[string]issued),
+		receipts: make(map[string]uint64),
 	}
 	for _, o := range opts {
 		o(b)
@@ -357,7 +406,7 @@ func (b *Bank) depositLocked(id AccountID, amount Amount, memo string) (func() e
 	a.balance = nb
 	b.minted += amount
 	at := b.clock.Now().UnixNano()
-	b.appendEntryAt(EntryDeposit, nil, a, amount, memo, at)
+	b.appendEntryAt(lineDeposit, nil, a, amount, memo, at)
 	return b.stage(func() []byte { return encDeposit(id, amount, memo, at) }), nil
 }
 
@@ -455,13 +504,14 @@ func (b *Bank) admit(req TransferRequest) (issued, ed25519.PublicKey, error) {
 
 // commit is a transfer's last step under b.mu, given the facts of its verified
 // request: the nonce, the funds and the credit are decided here, against the
-// state of this moment, and only then are the facts stored, entered in the
-// ledger and staged. A replay returns the stored facts instead of t.
+// state of this moment, and only then are the facts entered in the ledger,
+// the nonce mapped to their line and the record staged. A replay returns the
+// stored facts instead of t.
 func (b *Bank) commit(nonce string, t issued) (issued, func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if prev, ok := b.receipts[nonce]; ok {
-		if prev.from == t.from && prev.to == t.to && prev.amount == t.amount {
+	if ref, ok := b.receipts[nonce]; ok {
+		if prev := b.facts(ref); prev.from == t.from && prev.to == t.to && prev.amount == t.amount {
 			// Already applied: answer the stored facts, but not before the
 			// original's record is durable — it may still be waiting on its
 			// fsync, and a receipt for a transfer recovery would not contain
@@ -481,9 +531,30 @@ func (b *Bank) commit(nonce string, t issued) (issued, func() error, error) {
 	t.from.balance -= t.amount
 	t.to.balance = nb
 	mTransfers.Inc()
-	b.receipts[nonce] = t
-	b.appendEntryAt(EntryTransfer, t.from, t.to, t.amount, "", t.at)
+	b.appendSigned(nonce, t)
 	return t, b.stage(func() []byte { return encTransfer(nonce, t) }), nil
+}
+
+// appendSigned enters the signed transfer nonce names in the ledger, its
+// facts in its line, and maps the nonce to that line; callers hold b.mu.
+func (b *Bank) appendSigned(nonce string, t issued) {
+	b.appendEntryAt(lineSigned, t.from, t.to, t.amount, nonce, t.at)
+	b.receipts[nonce] = b.seq
+}
+
+// facts is the issued receipt ref names, a receipts map value; callers hold
+// b.mu. A ref without keptRef is the Seq of a line still in the ledger: the
+// trim moves a signed transfer's facts to kept before it drops the line.
+func (b *Bank) facts(ref uint64) issued {
+	if ref&keptRef != 0 {
+		return b.kept[ref&^keptRef]
+	}
+	return b.ledger[ref-(b.seq-uint64(len(b.ledger))+1)].facts()
+}
+
+// facts is the issued receipt a signed transfer's line records.
+func (l *line) facts() issued {
+	return issued{from: l.from, to: l.to, amount: l.amount, at: l.at}
 }
 
 // receipt is the bank-signed receipt of the transfer nonce names, built from
@@ -523,7 +594,11 @@ func (b *Bank) MoveInternal(owner *pki.Identity, from, to AccountID, amount Amou
 // It stops at the first leg that fails and returns that leg's error: the legs
 // before it stay applied and the ones after it are not tried.
 func (b *Bank) MoveBatch(owner *pki.Identity, legs []Move, kind EntryKind) error {
-	waits, err := b.moveBatchLocked(owner.Public(), legs, kind)
+	code, err := lineKindOf(kind)
+	if err != nil {
+		return err
+	}
+	waits, err := b.moveBatchLocked(owner.Public(), legs, code)
 	// The first wait syncs everything staged so far, so the rest return at
 	// once; a log failure on an earlier leg outranks a later leg's refusal.
 	for _, wait := range waits {
@@ -534,7 +609,7 @@ func (b *Bank) MoveBatch(owner *pki.Identity, legs []Move, kind EntryKind) error
 	return err
 }
 
-func (b *Bank) moveBatchLocked(owner ed25519.PublicKey, legs []Move, kind EntryKind) ([]func() error, error) {
+func (b *Bank) moveBatchLocked(owner ed25519.PublicKey, legs []Move, kind lineKind) ([]func() error, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var waits []func() error
@@ -554,7 +629,7 @@ func (b *Bank) moveBatchLocked(owner ed25519.PublicKey, legs []Move, kind EntryK
 
 // applyMove checks and applies one owner-authorized move, appends its ledger
 // entry and stages its WAL record; callers hold b.mu.
-func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func() error, error) {
+func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind lineKind) (func() error, error) {
 	if mv.Amount <= 0 {
 		return nil, ErrNonPositive
 	}
@@ -583,7 +658,7 @@ func (b *Bank) applyMove(owner ed25519.PublicKey, mv Move, kind EntryKind) (func
 	t.balance = nb
 	at := b.clock.Now().UnixNano()
 	b.appendEntryAt(kind, f, t, mv.Amount, mv.Memo, at)
-	return b.stage(func() []byte { return encMove(kind, mv.From, mv.To, mv.Amount, mv.Memo, at) }), nil
+	return b.stage(func() []byte { return encMove(entryKinds[kind], mv.From, mv.To, mv.Amount, mv.Memo, at) }), nil
 }
 
 // VerifyReceipt checks a receipt's bank signature against bankKey.
@@ -594,14 +669,27 @@ func VerifyReceipt(bankKey ed25519.PublicKey, r Receipt) bool {
 // appendEntryAt records a ledger line stamped at (Unix nanoseconds); callers
 // hold b.mu. WAL replay passes the originally recorded time so recovered
 // ledgers match the pre-crash ones.
-func (b *Bank) appendEntryAt(kind EntryKind, from, to *account, amount Amount, memo string, at int64) {
+func (b *Bank) appendEntryAt(kind lineKind, from, to *account, amount Amount, memo string, at int64) {
 	b.seq++
 	b.ledger = append(b.ledger, line{from: from, to: to, kind: kind, amount: amount, memo: memo, at: at})
-	// Trim lazily at 2x the cap so the copy cost amortizes to O(1).
+	// Trim lazily at 2x the cap so the copy cost amortizes to O(1). A signed
+	// transfer's receipt outlives its line: its facts move to kept.
 	if b.ledgerCap > 0 && len(b.ledger) > 2*b.ledgerCap {
 		drop := len(b.ledger) - b.ledgerCap
+		for i := range b.ledger[:drop] {
+			if l := &b.ledger[i]; l.kind == lineSigned {
+				b.keep(l.memo, l.facts())
+			}
+		}
 		b.ledger = append(b.ledger[:0], b.ledger[drop:]...)
 	}
+}
+
+// keep stores the facts of the receipt nonce names outside the ledger;
+// callers hold b.mu.
+func (b *Bank) keep(nonce string, t issued) {
+	b.receipts[nonce] = keptRef | uint64(len(b.kept))
+	b.kept = append(b.kept, t)
 }
 
 // History returns the ledger entries that touch id, oldest first.
@@ -624,11 +712,20 @@ func (b *Bank) History(id AccountID) []Entry {
 
 // entry is the Entry l is, given its Seq.
 func (l *line) entry(seq uint64) Entry {
-	e := Entry{Seq: seq, Kind: l.kind, To: l.to.id, Amount: l.amount, Memo: l.memo, At: instant(l.at)}
+	e := Entry{Seq: seq, Kind: entryKinds[l.kind], To: l.to.id, Amount: l.amount, Memo: l.entryMemo(), At: instant(l.at)}
 	if l.from != nil {
 		e.From = l.from.id
 	}
 	return e
+}
+
+// entryMemo is l's Entry's memo: "" for a signed transfer, whose memo slot
+// holds its nonce.
+func (l *line) entryMemo() string {
+	if l.kind == lineSigned {
+		return ""
+	}
+	return l.memo
 }
 
 // TotalMoney returns the sum of all balances — conserved by every operation

@@ -353,6 +353,14 @@ func TestMoveInternal(t *testing.T) {
 	if err := f.bank.MoveInternal(broker, "broker", "broker/job-1", 1000*Credit, EntryTransfer, ""); !errors.Is(err, ErrInsufficientFunds) {
 		t.Errorf("overdraft: %v", err)
 	}
+	// A kind that is not one of the four EntryKinds moves nothing.
+	lines := len(f.bank.History("broker"))
+	if err := f.bank.MoveInternal(broker, "broker", "broker/job-1", Credit, EntryKind("bonus"), ""); err == nil {
+		t.Error("a move of kind \"bonus\" was accepted")
+	}
+	if bal, _ := f.bank.Balance("broker/job-1"); bal != 20*Credit || len(f.bank.History("broker")) != lines {
+		t.Errorf("a refused kind left job-1 at %v and broker with %d entries, want 20 and %d", bal, len(f.bank.History("broker")), lines)
+	}
 }
 
 func TestHistoryAndLedger(t *testing.T) {
@@ -433,14 +441,17 @@ func TestAccountsListing(t *testing.T) {
 }
 
 // TestTransferRetentionAllocationBound: what an in-memory bank keeps of one
-// executed transfer — the receipt's facts under its nonce and one ledger
-// line pointing at the two accounts — is at most maxPerTransfer bytes of
-// heap. The requests are signed beforehand and kept alive, so their strings
-// are not counted, and the receipts Transfer returns are dropped. It read
-// ≈ 430 B while the bank kept every receipt whole, signature included, and
-// every ledger entry with its account ids and its time as a time.Time.
+// executed transfer — one ledger line pointing at the two accounts, which
+// holds the receipt's facts, and the line's Seq under its nonce — is at most
+// maxPerTransfer bytes of heap, and no facts are kept apart from the ledger
+// while it holds every line. The requests are signed beforehand and kept
+// alive, so their strings are not counted, and the receipts Transfer returns
+// are dropped. It read ≈ 430 B while the bank kept every receipt whole,
+// signature included, and every ledger entry with its account ids and its
+// time as a time.Time, and ≈ 180 B while the receipts map held each
+// receipt's facts beside its line.
 func TestTransferRetentionAllocationBound(t *testing.T) {
-	const accounts, transfers, maxPerTransfer = 64, 8000, 256
+	const accounts, transfers, maxPerTransfer = 64, 8000, 120
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {
 		t.Fatal(err)
@@ -486,6 +497,12 @@ func TestTransferRetentionAllocationBound(t *testing.T) {
 		t.Errorf("the bank keeps %.0f B of heap per transfer, want <= %d", per, maxPerTransfer)
 	} else {
 		t.Logf("the bank keeps %.0f B of heap per transfer", per)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.ledger) != accounts+transfers || len(b.kept) != 0 {
+		t.Errorf("the ledger holds %d lines and %d receipts' facts are kept apart, want %d and 0",
+			len(b.ledger), len(b.kept), accounts+transfers)
 	}
 }
 

@@ -76,7 +76,11 @@ func race(b *Bank, reqs ...TransferRequest) []transferResult {
 // stored facts, signed.
 func storedReceipt(b *Bank, nonce string) (Receipt, bool) {
 	b.mu.Lock()
-	t, ok := b.receipts[nonce]
+	ref, ok := b.receipts[nonce]
+	var t issued
+	if ok {
+		t = b.facts(ref)
+	}
 	b.mu.Unlock()
 	if !ok {
 		return Receipt{}, false

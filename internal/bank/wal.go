@@ -285,7 +285,7 @@ func (b *Bank) applyRecord(rec []byte) error {
 			return fmt.Errorf("bank: replayed deposit to missing account %q", id)
 		}
 		a.balance += amount
-		b.appendEntryAt(EntryDeposit, nil, a, amount, memo, at)
+		b.appendEntryAt(lineDeposit, nil, a, amount, memo, at)
 
 	case walTransfer:
 		from := AccountID(d.str())
@@ -304,10 +304,12 @@ func (b *Bank) applyRecord(rec []byte) error {
 		if !ok {
 			return fmt.Errorf("bank: replayed transfer to missing account %q", to)
 		}
+		if _, ok := b.receipts[nonce]; ok {
+			return fmt.Errorf("bank: replayed transfer reuses nonce %q", nonce)
+		}
 		f.balance -= amount
 		t.balance += amount
-		b.receipts[nonce] = issued{from: f, to: t, amount: amount, at: at}
-		b.appendEntryAt(EntryTransfer, f, t, amount, "", at)
+		b.appendSigned(nonce, issued{from: f, to: t, amount: amount, at: at})
 
 	case walMove:
 		ekind := EntryKind(d.str())
@@ -319,6 +321,10 @@ func (b *Bank) applyRecord(rec []byte) error {
 		if d.err != nil {
 			return d.err
 		}
+		code, err := lineKindOf(ekind)
+		if err != nil {
+			return fmt.Errorf("bank: replayed move: %w", err)
+		}
 		f, ok := b.accounts[from]
 		if !ok {
 			return fmt.Errorf("bank: replayed move from missing account %q", from)
@@ -329,7 +335,7 @@ func (b *Bank) applyRecord(rec []byte) error {
 		}
 		f.balance -= amount
 		t.balance += amount
-		b.appendEntryAt(ekind, f, t, amount, memo, at)
+		b.appendEntryAt(code, f, t, amount, memo, at)
 
 	default:
 		return fmt.Errorf("bank: unknown wal record kind %d", kind)
@@ -390,7 +396,7 @@ func (b *Bank) encodeSnapshot() []byte {
 	sort.Strings(rids)
 	e.u64(uint64(len(rids)))
 	for _, id := range rids {
-		r := b.receipts[id]
+		r := b.facts(b.receipts[id])
 		e.str(id)
 		e.str(string(r.from.id))
 		e.str(string(r.to.id))
@@ -408,11 +414,11 @@ func (b *Bank) encodeSnapshot() []byte {
 		if l.from != nil {
 			from = l.from.id
 		}
-		e.str(string(l.kind))
+		e.str(string(entryKinds[l.kind]))
 		e.str(string(from))
 		e.str(string(l.to.id))
 		e.i64(int64(l.amount))
-		e.str(l.memo)
+		e.str(l.entryMemo())
 		e.i64(l.at)
 	}
 	return e.b
@@ -459,7 +465,9 @@ func (b *Bank) restoreSnapshot(payload []byte) error {
 		if r.from == nil || r.to == nil {
 			return fmt.Errorf("bank: snapshot receipt %q names a missing account", nonce)
 		}
-		b.receipts[nonce] = r
+		// The snapshot does not say which line, if any, is the receipt's, so
+		// its facts are kept apart from the ledger.
+		b.keep(nonce, r)
 	}
 
 	n = d.u64()
@@ -469,10 +477,15 @@ func (b *Bank) restoreSnapshot(payload []byte) error {
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		kind := EntryKind(d.str())
 		from, to := d.str(), d.str()
-		l := line{kind: kind, amount: Amount(d.i64()), memo: d.str(), at: d.i64()}
+		l := line{amount: Amount(d.i64()), memo: d.str(), at: d.i64()}
 		if d.err != nil {
 			break
 		}
+		code, err := lineKindOf(kind)
+		if err != nil {
+			return fmt.Errorf("bank: snapshot ledger line %d: %w", i, err)
+		}
+		l.kind = code
 		l.from, l.to = b.accounts[AccountID(from)], b.accounts[AccountID(to)]
 		if (l.from == nil && from != "") || l.to == nil {
 			return fmt.Errorf("bank: snapshot ledger line %d names a missing account", i)

@@ -29,7 +29,7 @@ type durableFixture struct {
 	bob   *pki.Identity
 }
 
-func newDurableFixture(t *testing.T, dir string, snapshotEvery int) *durableFixture {
+func newDurableFixture(t *testing.T, dir string, snapshotEvery int, opts ...Option) *durableFixture {
 	t.Helper()
 	ca, err := pki.NewDeterministicCA("/CN=CA", [32]byte{1})
 	if err != nil {
@@ -48,18 +48,18 @@ func newDurableFixture(t *testing.T, dir string, snapshotEvery int) *durableFixt
 		t.Fatal(err)
 	}
 	f := &durableFixture{sync: durable.SyncNone, id: bankID, alice: alice, bob: bob}
-	f.reopen(t, dir, snapshotEvery)
+	f.reopen(t, dir, snapshotEvery, opts...)
 	return f
 }
 
-// reopen simulates a restart: a fresh Bank recovers from dir.
-func (f *durableFixture) reopen(t *testing.T, dir string, snapshotEvery int) {
+// reopen simulates a restart: a fresh Bank made with opts recovers from dir.
+func (f *durableFixture) reopen(t *testing.T, dir string, snapshotEvery int, opts ...Option) {
 	t.Helper()
 	st, err := durable.Open(dir, durable.Options{Sync: f.sync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := New(f.id, sim.WallClock{})
+	b := New(f.id, sim.WallClock{}, opts...)
 	if _, err := b.AttachDurability(st, snapshotEvery); err != nil {
 		t.Fatalf("AttachDurability: %v", err)
 	}
@@ -713,6 +713,102 @@ func TestRecoveredBankEqualsTheLiveOne(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplayAfterTrimAndRecovery: a durable bank whose ledger keeps 10
+// lines, snapshotting every 7 records, makes 100 signed transfers between
+// owner transfer moves that carry a memo. Every request replayed at once,
+// again once the trim has dropped its line, and again after the store is closed
+// and the bank recovered answers the receipt first issued byte for byte, so a
+// receipt's facts survive its line, and a restored snapshot's receipts, which
+// no line names, answer too. History is the same live and recovered: a signed
+// transfer's entry reads Memo "" (its line's memo slot holds the nonce), a
+// move's keeps its memo.
+func TestReplayAfterTrimAndRecovery(t *testing.T) {
+	const transfers, retention, every = 100, 10, 7
+	dir := t.TempDir()
+	f := newDurableFixture(t, dir, every, WithLedgerRetention(retention))
+	signers := map[AccountID]*pki.Identity{"alice": f.alice, "bob": f.bob}
+	for _, id := range []AccountID{"alice", "bob"} {
+		if _, err := f.bank.CreateAccount(id, signers[id].Public()); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.bank.Deposit(id, 1000*Credit, "grant"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs, first := make([]TransferRequest, transfers), make([]Receipt, transfers)
+	for i := range reqs {
+		from, to := AccountID("alice"), AccountID("bob")
+		if i%2 == 1 {
+			from, to = to, from
+		}
+		reqs[i] = signedTransfer(signers[from], from, to, Credit, fmt.Sprintf("trim-%03d", i))
+		var err error
+		if first[i], err = f.bank.Transfer(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := f.bank.Transfer(reqs[i]); err != nil || !reflect.DeepEqual(again, first[i]) {
+			t.Fatalf("replay of %s while its line is live answered %+v (%v), want %+v", reqs[i].Nonce, again, err, first[i])
+		}
+		if i%3 == 0 {
+			if err := f.bank.MoveInternal(signers[to], to, from, Credit, EntryTransfer, fmt.Sprintf("memo %d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replayAll := func(when string) {
+		t.Helper()
+		for i, req := range reqs {
+			got, err := f.bank.Transfer(req)
+			if err != nil {
+				t.Fatalf("%s: replay of %s: %v", when, req.Nonce, err)
+			}
+			if !reflect.DeepEqual(got, first[i]) {
+				t.Errorf("%s: replay of %s answered\n %+v\nfirst issued\n %+v", when, req.Nonce, got, first[i])
+			}
+		}
+	}
+	kept := func() int {
+		f.bank.mu.Lock()
+		defer f.bank.mu.Unlock()
+		return len(f.bank.kept)
+	}
+	histories := func() map[AccountID][]Entry {
+		return map[AccountID][]Entry{"alice": f.bank.History("alice"), "bob": f.bank.History("bob")}
+	}
+
+	replayAll("live, after the trims")
+	if n := kept(); n < transfers-2*retention {
+		t.Fatalf("%d receipts' facts are kept apart from the ledger after the trims, want at least %d", n, transfers-2*retention)
+	}
+	live := histories()
+	var signed, moves int
+	for _, e := range live["alice"] {
+		switch {
+		case e.Kind != EntryTransfer:
+		case e.Memo == "":
+			signed++
+		case strings.HasPrefix(e.Memo, "memo "):
+			moves++
+		default:
+			t.Errorf("transfer entry %d reads memo %q, want \"\" or a move's", e.Seq, e.Memo)
+		}
+	}
+	if signed == 0 || moves == 0 {
+		t.Fatalf("alice's retained history holds %d signed transfers and %d moves, want both", signed, moves)
+	}
+	f.close(t)
+
+	f.reopen(t, dir, every, WithLedgerRetention(retention))
+	defer f.close(t)
+	if n := kept(); n == 0 {
+		t.Fatal("no receipt's facts are kept apart from the ledger after recovery")
+	}
+	if got := histories(); !reflect.DeepEqual(got, live) {
+		t.Errorf("histories after recovery:\n %+v\nlive:\n %+v", got, live)
+	}
+	replayAll("recovered")
 }
 
 var updateGolden = flag.Bool("update-golden", false,

@@ -13,6 +13,20 @@ import (
 
 	"tycoongrid/internal/bank"
 	"tycoongrid/internal/durable"
+	"tycoongrid/internal/metrics"
+	"tycoongrid/internal/tracing"
+)
+
+// The handler's own layers of an executed transfer, beside the bank's
+// bank_transfer_phase_seconds, each observed once per transfer the bank
+// executes. The children are resolved here, so a transfer makes no label
+// lookup.
+var (
+	mTransferPhase = metrics.Default().HistogramVec("http_transfer_phase_seconds",
+		"Wall time of one layer of POST /transfers outside the bank: decode (the JSON body, the amount and the signature's base64), encode (the receipt's wire form and JSON); exemplars carry the request's trace.",
+		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1}, "phase")
+	mPhaseDecode = mTransferPhase.With("decode")
+	mPhaseEncode = mTransferPhase.With("encode")
 )
 
 // BankService exposes a bank.Bank over HTTP. It stops with the bank's log:
@@ -225,6 +239,7 @@ func (s *BankService) deposit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *BankService) transfer(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var req TransferWire
 	if err := ReadJSON(r, &req); err != nil {
 		WriteError(w, ReadStatus(err), err)
@@ -240,6 +255,7 @@ func (s *BankService) transfer(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
+	decoded := time.Now()
 	receipt, err := s.bank.TransferContext(r.Context(), bank.TransferRequest{
 		From:   bank.AccountID(req.From),
 		To:     bank.AccountID(req.To),
@@ -251,7 +267,17 @@ func (s *BankService) transfer(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
+	encodeStart := time.Now()
 	WriteJSON(w, receiptWire(receipt))
+	end := time.Now()
+	// When the request's span records, both layers land in their buckets
+	// with its trace as the bucket's exemplar, as bank_transfer_seconds does.
+	var traceID string
+	if sp := tracing.SpanFromContext(r.Context()); sp.Recording() {
+		traceID = sp.Context().TraceID.String()
+	}
+	mPhaseDecode.ObserveExemplar(decoded.Sub(start).Seconds(), traceID)
+	mPhaseEncode.ObserveExemplar(end.Sub(encodeStart).Seconds(), traceID)
 }
 
 func receiptWire(rc bank.Receipt) ReceiptWire {

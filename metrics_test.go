@@ -47,6 +47,7 @@ var metricReaders = []struct {
 	{"slo_violations_total", "TestBurnRateViolationAndRecovery", "internal/slo/slo_test.go"},
 	{"pricefeed_samples_rejected_total", "TestAgentRecordsPriceHistory", "internal/agent/feed_test.go"},
 	{"pki_signature_ops_total", "TestSignaturesPerOperation", "signatures_test.go"},
+	{"http_transfer_phase_seconds", "TestTransferPhasesCoverTheRequest", "internal/httpapi/bankservice_test.go"},
 
 	{"token_rejections_total", "README metric table", "README.md"},
 	{"bank_accounts", "README metric table", "README.md"},
