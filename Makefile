@@ -16,11 +16,11 @@ test:
 # The metrics subsystem is lock-light by design; the race target is the gate
 # that keeps it honest (see internal/metrics/stress_test.go). With the
 # replication runner driving whole simulated worlds concurrently
-# (internal/experiment/replicate.go) and the sharded market plane fanning
-# bid application and batch clears across shard goroutines
-# (internal/marketplane fanOut), plus the bank's group-committed
-# log under concurrent writers (internal/bank, internal/durable), this covers
-# every concurrent path end to end.
+# (internal/experiment/replicate.go), enqueuers racing the per-shard
+# TickShard workers that bench's plane-burst runs (internal/marketplane's
+# tests), gridmarketd's handlers beside its engine loop, and the bank's
+# group-committed log under concurrent writers (internal/bank,
+# internal/durable), this covers every concurrent path end to end.
 race:
 	$(GO) test -race ./...
 

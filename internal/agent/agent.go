@@ -22,6 +22,7 @@ import (
 	"tycoongrid/internal/core"
 	"tycoongrid/internal/grid"
 	"tycoongrid/internal/marketplane"
+	"tycoongrid/internal/mechanism"
 	"tycoongrid/internal/pki"
 	"tycoongrid/internal/predict"
 	"tycoongrid/internal/pricefeed"
@@ -572,7 +573,7 @@ func (a *Agent) Submit(tok token.Token, jr *xrsl.JobRequest, chunkWork []float64
 		funded:     amount,
 	}
 
-	if err := a.placeBids(job, jr.Count); err != nil {
+	if err := a.placeBids(job, jr.Count, jr.MinHosts); err != nil {
 		a.unwind(job)
 		return job, err
 	}
@@ -645,7 +646,7 @@ func (a *Agent) retire(job *Job) {
 
 // placeBids runs Best Response over the partition's hosts and enters bids
 // for the job's sub-account.
-func (a *Agent) placeBids(job *Job, count int) error {
+func (a *Agent) placeBids(job *Job, count, minHosts int) error {
 	cl := a.cfg.Cluster
 	bidder := auction.BidderID(job.SubAccount)
 	now := cl.Engine().Now()
@@ -654,7 +655,7 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return errors.New("agent: deadline already passed")
 	}
 
-	allocs, err := core.BestResponseRuns(job.Budget.Credits()/horizon, a.discover(bidder), count)
+	allocs, err := a.bestResponse(job, horizon, count, minHosts)
 	if err != nil {
 		return fmt.Errorf("agent: best response: %w", err)
 	}
@@ -692,6 +693,90 @@ func (a *Agent) placeBids(job *Job, count int) error {
 		return ErrNoBudget
 	}
 	return nil
+}
+
+// bestResponse spreads job's spend rate over at most count of the partition's
+// up hosts by Best Response, whose model of a host is proportional share's
+// quote, Rate/(Rate+Price). A world's hosts all clear by one rule; under any
+// other, each funded market is asked what the bid would win
+// (auction.Market.QuoteShare). The hosts that would win nothing are dropped
+// and the rate re-solved over the hosts left.
+//
+// When every funded host would win nothing, a bid that waits for a clear
+// that admits it is charged nothing meanwhile. So the job waits on that
+// placement if, at the shares Best Response expected, it would run the job's
+// work within horizon. Otherwise waiting cannot meet the deadline, and the
+// rate is re-solved over one host fewer, each bid the higher for it, down to
+// minHosts (at least one), until a host quotes a share.
+func (a *Agent) bestResponse(job *Job, horizon float64, count, minHosts int) ([]core.Allocation, error) {
+	bidder := auction.BidderID(job.SubAccount)
+	rate := job.Budget.Credits() / horizon
+	runs := a.discover(bidder)
+	allocs, err := core.BestResponseRuns(rate, runs, count)
+	if err != nil || a.byIndex[0].Market.MechanismName() == mechanism.Proportional {
+		return allocs, err
+	}
+	concentrating := false
+	for {
+		var drop map[string]bool
+		for _, al := range allocs {
+			h, _ := a.cfg.Cluster.Host(al.Host.ID)
+			if h.Market.QuoteShare(bidder, al.Bid) == 0 {
+				if drop == nil {
+					drop = map[string]bool{}
+				}
+				drop[al.Host.ID] = true
+			}
+		}
+		switch {
+		case drop == nil:
+			return allocs, nil
+		case len(drop) < len(allocs):
+			runs = without(runs, drop)
+		case len(allocs) > max(1, minHosts) && (concentrating || !job.fits(allocs, horizon)):
+			concentrating = true
+			count = len(allocs) - 1
+		default:
+			return allocs, nil
+		}
+		if allocs, err = core.BestResponseRuns(rate, runs, count); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// fits reports whether allocs, at the shares Best Response expected of them,
+// give the job the CPU to run its queued work within horizon seconds.
+func (job *Job) fits(allocs []core.Allocation, horizon float64) bool {
+	var work, mhz float64
+	for _, c := range job.chunks {
+		work += c
+	}
+	for _, al := range allocs {
+		mhz += al.Bid / (al.Bid + al.Host.Price) * al.Host.Preference
+	}
+	return work <= mhz*horizon
+}
+
+// without returns runs less the dropped hosts, a run split where it loses a
+// member; the runs' IDs stay subslices of theirs.
+func without(runs []core.Run, drop map[string]bool) []core.Run {
+	out := make([]core.Run, 0, len(runs)+len(drop))
+	for _, r := range runs {
+		lo := 0
+		for i, id := range r.IDs {
+			if drop[id] {
+				if lo < i {
+					out = append(out, core.Run{IDs: r.IDs[lo:i], Preference: r.Preference, Price: r.Price})
+				}
+				lo = i + 1
+			}
+		}
+		if lo < len(r.IDs) {
+			out = append(out, core.Run{IDs: r.IDs[lo:], Preference: r.Preference, Price: r.Price})
+		}
+	}
+	return out
 }
 
 // discover lists Best Response's candidates for bidder, the partition's up

@@ -53,7 +53,9 @@ func discoverySpecs(n int) []grid.HostSpec {
 // that wake whole partitions, cancels, failures and recoveries. Before every
 // submission discover lists exactly the oracle's candidates, as runs that
 // keep the run contract; after it, the job's bids are those Best Response
-// gives over the oracle's candidates, bit for bit, and its hosts theirs.
+// gives over the oracle's candidates, bit for bit, refined by the markets'
+// quotes under a rule other than proportional share (oracleBestResponse), and
+// its hosts theirs.
 func TestDiscoveryMatchesPerHostLoop(t *testing.T) {
 	for _, mech := range mechanism.Names() {
 		for _, churn := range []bool{false, true} {
@@ -154,12 +156,13 @@ func checkSubmission(t *testing.T, w *world, a *Agent, src *rand.Rand, what stri
 	credits := float64(5 + src.Intn(60))
 	count := 1 + src.Intn(8)
 	deadline := time.Duration(1+src.Intn(4)) * time.Hour
-	job, err := a.Submit(w.payToken(t, credits), request(count, deadline), chunks(1+src.Intn(6), float64(5+src.Intn(30))))
+	work := chunks(1+src.Intn(6), float64(5+src.Intn(30)))
+	job, err := a.Submit(w.payToken(t, credits), request(count, deadline), work)
 	if job == nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	horizon := job.Deadline.Sub(job.Submitted).Seconds()
-	allocs, oracleErr := core.BestResponseCapped(job.Budget.Credits()/horizon, want, count)
+	allocs, oracleErr := oracleBestResponse(w, a, auction.BidderID(job.SubAccount), job.Budget.Credits()/horizon, horizon, work, want, count)
 	if err != nil {
 		if oracleErr == nil && len(expectedBids(allocs, horizon, job.Budget)) > 0 {
 			t.Fatalf("%s: submission failed (%v), the oracle's candidates fund %d hosts", what, err, len(allocs))
@@ -185,6 +188,65 @@ func checkSubmission(t *testing.T, w *world, a *Agent, src *rand.Rand, what stri
 	if !slices.Equal(job.Hosts, hosts) {
 		t.Fatalf("%s: job hosts %v, the oracle's %v", what, job.Hosts, hosts)
 	}
+
+	// Whatever the refinement, under a rule other than proportional share a
+	// job's markets admit it on every host it funds or on none: a placement
+	// that wins on some hosts is not left holding bids that win nothing.
+	if a.hosts[0].Market.MechanismName() == mechanism.Proportional {
+		return
+	}
+	admitted := 0
+	for _, b := range job.Bids {
+		h, _ := w.cluster.Host(b.Host)
+		if h.Market.QuoteShare(auction.BidderID(job.SubAccount), b.Rate) > 0 {
+			admitted++
+		}
+	}
+	if admitted != 0 && admitted != len(job.Bids) {
+		t.Fatalf("%s: %d of the job's %d funded hosts quote it a share", what, admitted, len(job.Bids))
+	}
+}
+
+// oracleBestResponse is Best Response over the per-host candidates, refined
+// as bestResponse refines it under a rule other than proportional share: the
+// funded hosts whose market would give the bid no share are dropped and the
+// rate re-solved. When every one would, the placement stands if, at the
+// shares Best Response expected, it runs work within horizon; otherwise the
+// rate is re-solved over one host fewer until a host quotes a share. It runs
+// after the submission, with the job's bids on the books; QuoteShare quotes
+// in place of the bidder's own bid, so each market is asked about the book
+// the job found.
+func oracleBestResponse(w *world, a *Agent, bidder auction.BidderID, rate, horizon float64, work []float64, hosts []core.Host, count int) ([]core.Allocation, error) {
+	allocs, err := core.BestResponseCapped(rate, hosts, count)
+	var need float64
+	for _, c := range work {
+		need += c
+	}
+	concentrating := false
+	for err == nil && a.hosts[0].Market.MechanismName() != mechanism.Proportional {
+		zero := map[string]bool{}
+		var mhz float64
+		for _, al := range allocs {
+			h, _ := w.cluster.Host(al.Host.ID)
+			if h.Market.QuoteShare(bidder, al.Bid) == 0 {
+				zero[al.Host.ID] = true
+			}
+			mhz += al.Bid / (al.Bid + al.Host.Price) * al.Host.Preference
+		}
+		switch {
+		case len(zero) == 0:
+			return allocs, nil
+		case len(zero) < len(allocs):
+			hosts = slices.DeleteFunc(slices.Clone(hosts), func(h core.Host) bool { return zero[h.ID] })
+		case len(allocs) > 1 && (concentrating || mhz*horizon < need):
+			concentrating = true
+			count = len(allocs) - 1
+		default:
+			return allocs, nil
+		}
+		allocs, err = core.BestResponseCapped(rate, hosts, count)
+	}
+	return allocs, err
 }
 
 // expectedBids turns allocations into the bids placeBids places: each

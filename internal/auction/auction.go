@@ -526,6 +526,29 @@ func (m *Market) PriceExcluding(bidder BidderID) float64 {
 	return sum
 }
 
+// QuoteShare returns the share of the host bidder would hold if it bid rate
+// credits/second now: the book with that bid entered, in place of bidder's
+// own if it holds one, quoted through the mechanism's side-effect-free Quote.
+// It is what Best Response asks a market whose rule is not proportional
+// share, where Rate/(Rate+PriceExcluding) is not the quote. The book, the
+// lines shares are served from and the mechanism's state are left as they
+// were, and a sleeping market stays asleep.
+func (m *Market) QuoteShare(bidder BidderID, rate float64) float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	live := m.book.live()
+	at, held := m.find(bidder)
+	bids := make([]mechanism.Bid, 0, len(live)+1)
+	bids = append(bids, live[:at]...)
+	bids = append(bids, mechanism.Bid{Bidder: string(bidder), Rate: rate})
+	if held {
+		at++
+	}
+	bids = append(bids, live[at:]...)
+	l, _ := m.mech.Quote(bids, m.mechCapacity()).Line(string(bidder))
+	return l.Fraction
+}
+
 // Shares returns the allocation under the current bids, ascending by bidder,
 // in a slice of the caller's own (never nil, as it never was).
 func (m *Market) Shares() []Share { return m.AppendShares([]Share{}) }

@@ -1,6 +1,8 @@
 package auction
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -129,5 +131,57 @@ func TestMarketPostedPriceFreeRider(t *testing.T) {
 	}
 	if bigFrac != 1 {
 		t.Fatalf("big bidder share = %v, want the whole host", bigFrac)
+	}
+}
+
+// TestQuoteShare: QuoteShare answers what a bid would win without changing
+// anything. Under proportional share its answer is Rate/(Rate+PriceExcluding),
+// the quote Best Response solves with; a bidder already on the book is quoted
+// at the new rate in place of its own bid; and a market that was quoted ticks
+// on exactly like a twin that never was, posted-price's state included.
+func TestQuoteShare(t *testing.T) {
+	start := time.Unix(0, 0)
+	for _, name := range mechanism.Names() {
+		t.Run(name, func(t *testing.T) {
+			m, twin := newMarketWith(t, name, start), newMarketWith(t, name, start)
+			for _, mk := range []*Market{m, twin} {
+				if _, err := mk.PlaceBid("acct-a", 10*bank.Credit, start.Add(100*time.Second)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := mk.PlaceBid("acct-c", 4*bank.Credit, start.Add(100*time.Second)); err != nil {
+					t.Fatal(err)
+				}
+				mk.Tick(start.Add(10 * time.Second))
+			}
+			before := m.Shares()
+			got := m.QuoteShare("acct-b", 0.05)
+			if name == mechanism.Proportional {
+				if want := 0.05 / (0.05 + m.PriceExcluding("acct-b")); math.Abs(got-want) > 1e-12 {
+					t.Errorf("proportional quote %v, want Rate/(Rate+Price) = %v", got, want)
+				}
+			}
+			if got < 0 || got > 1 {
+				t.Errorf("quoted share %v outside [0, 1]", got)
+			}
+			rate, err := m.Rate("acct-a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if own := m.QuoteShare("acct-a", rate); own != before[0].Fraction {
+				t.Errorf("acct-a quoted at its own rate wins %v, its share is %v", own, before[0].Fraction)
+			}
+			if after := m.Shares(); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Errorf("quoting changed the shares: %v, was %v", after, before)
+			}
+			for i := 2; i <= 4; i++ {
+				at := start.Add(time.Duration(i) * 10 * time.Second)
+				m.Tick(at)
+				twin.Tick(at)
+				if m.SpotPrice() != twin.SpotPrice() || fmt.Sprint(m.Shares()) != fmt.Sprint(twin.Shares()) {
+					t.Fatalf("tick %d: quoted market at %v %v, twin at %v %v",
+						i, m.SpotPrice(), m.Shares(), twin.SpotPrice(), twin.Shares())
+				}
+			}
+		})
 	}
 }

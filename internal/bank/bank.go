@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -673,9 +674,17 @@ func (b *Bank) appendEntryAt(kind lineKind, from, to *account, amount Amount, me
 	b.seq++
 	b.ledger = append(b.ledger, line{from: from, to: to, kind: kind, amount: amount, memo: memo, at: at})
 	// Trim lazily at 2x the cap so the copy cost amortizes to O(1). A signed
-	// transfer's receipt outlives its line: its facts move to kept.
+	// transfer's receipt outlives its line: its facts move to kept, which
+	// grows once for all of them.
 	if b.ledgerCap > 0 && len(b.ledger) > 2*b.ledgerCap {
 		drop := len(b.ledger) - b.ledgerCap
+		signed := 0
+		for i := range b.ledger[:drop] {
+			if b.ledger[i].kind == lineSigned {
+				signed++
+			}
+		}
+		b.kept = slices.Grow(b.kept, signed)
 		for i := range b.ledger[:drop] {
 			if l := &b.ledger[i]; l.kind == lineSigned {
 				b.keep(l.memo, l.facts())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -503,6 +504,47 @@ func TestTransferRetentionAllocationBound(t *testing.T) {
 	if len(b.ledger) != accounts+transfers || len(b.kept) != 0 {
 		t.Errorf("the ledger holds %d lines and %d receipts' facts are kept apart, want %d and 0",
 			len(b.ledger), len(b.kept), accounts+transfers)
+	}
+}
+
+// TestTrimGrowsKeptOnce: the trim that drops a retained ledger's oldest lines
+// moves the facts of every signed transfer among them to kept, and grows kept
+// once for all of them. It grew kept one append at a time, 11 times for the
+// 1 000 signed lines here; at DefaultLedgerRetention that held the bank's
+// lock for 42–57 ms a trim, against 1.3–1.4 ms before the facts moved.
+func TestTrimGrowsKeptOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocations are counted without -race")
+	}
+	const retained = 1000
+	f := newFixture(t)
+	b := f.bank
+	b.ledgerCap = retained
+	for i := 0; len(b.ledger) < 2*retained; i++ {
+		if _, err := b.Transfer(signedTransfer(f.alice, "alice", "bob", 1, fmt.Sprintf("trim-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := slices.Clone(b.ledger)
+	b.ledger = slices.Grow(b.ledger, 1) // the trimming append itself needs no room
+	signed := 0
+	for _, l := range full[:retained+1] { // what the next append drops
+		if l.kind == lineSigned {
+			signed++
+		}
+	}
+	bob := b.accounts["bob"]
+	allocs := testing.AllocsPerRun(5, func() {
+		b.mu.Lock()
+		b.ledger, b.kept = append(b.ledger[:0], full...), nil
+		b.appendEntryAt(lineDeposit, nil, bob, 1, "trim", 0)
+		b.mu.Unlock()
+	})
+	if len(b.kept) != signed || len(b.ledger) != retained {
+		t.Fatalf("the trim kept %d receipts' facts and %d lines, want %d and %d", len(b.kept), len(b.ledger), signed, retained)
+	}
+	if allocs > 1 {
+		t.Errorf("a trim dropping %d signed lines allocated %v times, want kept grown once", signed, allocs)
 	}
 }
 

@@ -59,9 +59,9 @@ type Config struct {
 	// Nil means the process-wide tracing.Default(); replication workers inject
 	// a private, unsampled tracer so concurrent worlds fill no shared ring.
 	Tracer *tracing.Tracer
-	// Shards is the number of goroutines the cluster clears its host markets
-	// on each tick (see grid.Config.Shards). Parallelism only: every outcome
-	// of a world is the same at every value.
+	// Shards is kept only because bench/grid.go writes it (as 1). A world
+	// has one shard: New refuses any value above 1, and ROADMAP item 4
+	// removes the field.
 	Shards int
 	// Mechanism selects the host markets' clearing rule (see
 	// internal/mechanism); empty = proportional share.
@@ -147,6 +147,9 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 	if cfg.Users < 0 || cfg.GrantPerUser < 0 {
 		return nil, fmt.Errorf("box: bad users %d x %v", cfg.Users, cfg.GrantPerUser)
 	}
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("box: %d shards: a world has one shard (ROADMAP item 4 removes Config.Shards)", cfg.Shards)
+	}
 	if err := cfg.Churn.check(); err != nil {
 		return nil, err
 	}
@@ -211,7 +214,6 @@ func NewWindowed(cfg Config, window int) (*Box, error) {
 		ReservePrice:   cfg.ReservePrice,
 		Interval:       cfg.Interval,
 		PurgeIdleAfter: cfg.PurgeIdleAfter,
-		Shards:         cfg.Shards,
 		Mechanism:      cfg.Mechanism,
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package box
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,6 +69,24 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestNewRefusesShards: a world has one shard. box.Config.Shards stays only
+// for bench/grid.go, which writes 1, so any larger value is refused with an
+// error that points at the item that removes the field.
+func TestNewRefusesShards(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		cfg := DefaultConfig()
+		cfg.Shards = n
+		if _, err := New(cfg); err != nil {
+			t.Errorf("Shards %d: %v", n, err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Shards = 2
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "ROADMAP item 4") {
+		t.Errorf("Shards 2: err = %v, want a refusal naming ROADMAP item 4", err)
 	}
 }
 
@@ -331,14 +350,14 @@ func TestPartitionedBoxPicksThroughForecastHandles(t *testing.T) {
 }
 
 // TestEveryAxisComposes builds a world no constructor could before there was
-// one: two partitions under predicted-mean, markets cleared by two shards at
-// a posted price, every host crashing and coming back. A job runs to a
+// one: two partitions under predicted-mean, markets cleared at a posted
+// price, every host crashing and coming back. A job runs to a
 // terminal state leaving its sub-account empty and the money supply whole.
 func TestEveryAxisComposes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed, cfg.Users, cfg.GrantPerUser = 21, 1, 500*bank.Credit
 	cfg.Partitions, cfg.Strategy, cfg.Horizon = 2, strategy.PredictedMean, 10*time.Minute
-	cfg.Shards, cfg.Mechanism = 2, mechanism.PostedPrice
+	cfg.Mechanism = mechanism.PostedPrice
 	cfg.Churn = Churn{MTTF: time.Hour, MTTR: 10 * time.Minute}
 	b, err := New(cfg)
 	if err != nil {

@@ -56,8 +56,7 @@ func shrunkFigure4Params() Figure4Params {
 }
 
 // shrunkExperiments returns one shrunken declaration per replicable family —
-// the catalog's constructors on small parameters — plus one whose worlds
-// clear on two shards.
+// the catalog's constructors on small parameters.
 func shrunkExperiments() []Experiment {
 	f3 := DefaultFigure3Params()
 	f3.Load = shrunkLoadParams()
@@ -71,13 +70,6 @@ func shrunkExperiments() []Experiment {
 	f6.Slots = 6
 	f6.Windows = map[string]int{"hour": 360, "quarter": 1080}
 
-	// Sharded clearing inside replication workers: a world's own goroutines
-	// must not leak into the cross-worker determinism.
-	f3s := f3
-	f3s.Load.World.Shards = 2
-	sharded := Figure3(f3s)
-	sharded.Name += "-2-shards"
-
 	strat := shortStrategiesParams()
 	strat.Strategies = []string{"current-price", "predicted-mean"}
 	mech := DefaultMechanismsParams()
@@ -86,7 +78,6 @@ func shrunkExperiments() []Experiment {
 	return []Experiment{
 		Table("table-shrunk", "", shrunkTableParams()),
 		Figure3(f3),
-		sharded,
 		Figure4(shrunkFigure4Params()),
 		Figure5(DefaultFigure5Params()),
 		Figure6(f6),

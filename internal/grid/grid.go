@@ -98,11 +98,6 @@ type Config struct {
 	// hibernation model that could increase this number further" (§3),
 	// freeing slots for other users at the price of a fresh boot later.
 	PurgeIdleAfter time.Duration
-	// Shards is the number of goroutines the clear phase of a tick spreads
-	// the host markets over (marketplane auctioneer shards); values below 1
-	// mean 1. It is parallelism only: a run's outcome is the same at every
-	// shard count (see Cluster.tick).
-	Shards int
 	// Mechanism names the clearing rule every host market runs
 	// (mechanism.Names: proportional, posted-price, vcg). Empty selects the
 	// paper's proportional share. Each host gets its own mechanism instance,
@@ -224,7 +219,7 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	for i, h := range c.list {
 		markets[i] = h.Market
 	}
-	p, err := marketplane.New(marketplane.Config{Shards: cfg.Shards, Markets: markets})
+	p, err := marketplane.New(marketplane.Config{Markets: markets})
 	if err != nil {
 		return nil, err
 	}
@@ -369,8 +364,8 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, workMHzSec fl
 // each over the hosts it concerns and no others (an idle host costs a tick
 // nothing):
 //
-//   - clear: the plane clears every awake, up host's market (shards
-//     concurrently; each market's clear depends on that market alone);
+//   - clear: the plane clears every awake, up host's market, on the
+//     caller's goroutine; each market's clear depends on that market alone;
 //   - settle: the charges and refunds of every cleared host reach OnSettle,
 //     in host order, as one batch — the agent books each charge on its job's
 //     tab and calls no bank (a job's tab is banked when its escrow is

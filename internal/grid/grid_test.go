@@ -414,23 +414,21 @@ func TestHostListFollowsOrder(t *testing.T) {
 	for _, i := range []int{9, 100, 10, 0, 11, 1} {
 		specs = append(specs, HostSpec{ID: fmt.Sprintf("h%d", i), CPUs: 1, CPUMHz: 1000})
 	}
-	for _, shards := range []int{1, 2} {
-		c, err := New(eng, Config{Hosts: specs, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := c.HostIDs()
-		if want := []string{"h0", "h1", "h10", "h100", "h11", "h9"}; fmt.Sprint(ids) != fmt.Sprint(want) {
-			t.Fatalf("HostIDs = %v, want %v", ids, want)
-		}
-		if len(c.list) != len(ids) {
-			t.Fatalf("list holds %d hosts, want %d", len(c.list), len(ids))
-		}
-		for i, id := range ids {
-			h, err := c.Host(id)
-			if err != nil || c.list[i] != h || h.Spec.ID != id {
-				t.Errorf("shards %d: list[%d] is not host %q", shards, i, id)
-			}
+	c, err := New(eng, Config{Hosts: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.HostIDs()
+	if want := []string{"h0", "h1", "h10", "h100", "h11", "h9"}; fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("HostIDs = %v, want %v", ids, want)
+	}
+	if len(c.list) != len(ids) {
+		t.Fatalf("list holds %d hosts, want %d", len(c.list), len(ids))
+	}
+	for i, id := range ids {
+		h, err := c.Host(id)
+		if err != nil || c.list[i] != h || h.Spec.ID != id {
+			t.Errorf("list[%d] is not host %q", i, id)
 		}
 	}
 }

@@ -16,12 +16,11 @@
 // ShardedBank — is in benchonly.go, and no world pays for any of it.
 //
 // Determinism contract: a market's clear reads and writes that market
-// alone, TickShard sorts queued bids before it applies them, and TickAll returns
-// results in canonical host order whichever shard cleared a host — so what a
-// plane computes is the same at every shard count, bit for bit, and
-// independent of goroutine scheduling (TestShardCountInvariance). One shard
-// runs inline on the caller's goroutine (fanOut with n == 1). grid.Cluster
-// clears every tick through a plane and delivers the results afterwards, in
-// host order, so a whole simulated world inherits the contract: its Shards
-// setting is parallelism and nothing else.
+// alone, TickShard sorts queued bids before it applies them, and TickAll
+// sweeps the shards in order on the caller's goroutine and returns results in
+// canonical host order whichever shard cleared a host, so what a plane
+// computes does not depend on goroutine scheduling
+// (TestShardCountInvariance). A world's plane has one shard: grid.Cluster
+// clears every tick through it and delivers the results afterwards, in host
+// order. Only bench/plane.go runs more than one shard, a worker on each.
 package marketplane

@@ -28,8 +28,9 @@ type HostMarket interface {
 // Config configures a Plane.
 type Config struct {
 	// Shards is the number of auctioneer partitions; values below 1 mean 1.
-	// It sets how many goroutines a TickAll uses and nothing else (see the
-	// package determinism contract).
+	// Only a caller that runs a worker per shard through TickShard (bench's
+	// plane-burst) sets it above 1; TickAll sweeps the shards one after
+	// another, and a world's plane has one.
 	Shards int
 	// Markets are the host markets, in the caller's canonical host order;
 	// TickAll returns results in this order regardless of sharding.
@@ -62,11 +63,10 @@ type shard struct {
 
 	// awake holds the local indices a sweep visits, ascending. A sweep ticks
 	// each, and drops the ones that fall asleep (auction.Market.Sleep); only
-	// sweeps touch it. cleared and order are TickAll's results for this shard
-	// (the clears that moved money) and their canonical indices.
+	// sweeps touch it. cleared is TickAll's results for this shard: the clears
+	// that moved money.
 	awake   []int
 	cleared []TickResult
-	order   []int
 
 	mu    sync.Mutex // guards ticks, woken and shardBench's queue
 	ticks tickLog    // every instant a sweep has ticked the awake markets at
@@ -100,8 +100,7 @@ type Plane struct {
 	shards  []*shard
 	hostIDs []string     // canonical index -> host id
 	slot    []slotRef    // canonical index -> shard/local
-	results []TickResult // TickAll's merge of the shards' results
-	merged  []int        // how far that merge has read into each shard's
+	results []TickResult // TickAll's results of every shard, sorted by index
 	awake   []uint64     // AppendAwake's scratch, a bit per canonical index
 
 	planeBench
@@ -132,7 +131,6 @@ func New(cfg Config) (*Plane, error) {
 		shards:  make([]*shard, n),
 		hostIDs: make([]string, len(cfg.Markets)),
 		slot:    make([]slotRef, len(cfg.Markets)),
-		merged:  make([]int, n),
 		awake:   make([]uint64, (len(cfg.Markets)+63)/64),
 	}
 	// The hash spreads hosts evenly, so an even share is about what every
@@ -198,64 +196,27 @@ func (p *Plane) AppendAwake(dst []int) []int {
 	return dst
 }
 
-// fanOut runs fn(0) … fn(n-1) and waits for all of them. With n == 1 it
-// calls fn inline on the caller's goroutine — no goroutine, no
-// synchronization, and therefore exactly the single-threaded execution the
-// deterministic engine contract requires, so a one-shard cluster, the
-// default, ticks without a goroutine. With n >= 2 each index runs on its own
-// goroutine; the work items share no mutable state except through their own
-// synchronization.
-func fanOut(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
 // TickAll advances every shard to now, batch-clearing each awake host
 // market, and returns a result for each swept host whose clear charged or
 // refunded someone, in canonical host order: a clear that moved no money has
 // nothing to settle, so an idle world's sweep returns nothing and keeps no
 // row per host. skip (optional) excludes the hosts at the canonical indices
 // it accepts (e.g. crashed ones) from the sweep; it is asked about awake
-// hosts only. Shards run concurrently when the plane has more than one. The
+// hosts only. The shards are swept in order on the caller's goroutine. The
 // returned slice is the plane's own and is valid until the next TickAll.
 func (p *Plane) TickAll(now time.Time, skip func(i int) bool) []TickResult {
-	fanOut(len(p.shards), func(i int) {
-		p.shards[i].tickInto(p, now, skip, nil)
-	})
+	for _, s := range p.shards {
+		s.tickInto(p, now, skip, nil)
+	}
 	if len(p.shards) == 1 {
 		return p.shards[0].cleared
 	}
-	// Merge the shards' results, each ascending by canonical index.
 	p.results = p.results[:0]
-	at := p.merged
-	clear(at)
-	for {
-		next := -1
-		for i, s := range p.shards {
-			if at[i] < len(s.order) && (next < 0 || s.order[at[i]] < p.shards[next].order[at[next]]) {
-				next = i
-			}
-		}
-		if next < 0 {
-			return p.results
-		}
-		p.results = append(p.results, p.shards[next].cleared[at[next]])
-		at[next]++
+	for _, s := range p.shards {
+		p.results = append(p.results, s.cleared...)
 	}
+	slices.SortFunc(p.results, func(a, b TickResult) int { return a.Index - b.Index })
+	return p.results
 }
 
 // tickInto sweeps the shard's awake markets. With out nil the results go to
@@ -282,7 +243,7 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 	logged := s.ticks.n
 	s.mu.Unlock()
 
-	s.cleared, s.order = s.cleared[:0], s.order[:0]
+	s.cleared = s.cleared[:0]
 	clears := 0
 	stay := s.awake[:0]
 	for _, local := range s.awake {
@@ -297,7 +258,6 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 			out[local].Charges, out[local].Refunds = charges, refunds
 		} else if len(charges) > 0 || len(refunds) > 0 {
 			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g], Index: g, Charges: charges, Refunds: refunds})
-			s.order = append(s.order, g)
 		}
 		// Written before Sleep arms the wake that reads it: the market's
 		// lock orders the two.

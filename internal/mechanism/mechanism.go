@@ -23,7 +23,7 @@
 // state; they never read clocks, maps in range order, or global RNGs. Callers
 // pass bids sorted ascending by bidder with unique bidders; every float fold
 // inside a mechanism runs in a deterministic order so the same inputs produce
-// the same bits on every run, any shard layout, and any worker count.
+// the same bits on every run and at any worker count.
 // Defensively (for fuzzing), mechanisms tolerate unsorted, duplicate and
 // non-finite input by normalizing first — the normalization is the identity
 // on contract-conforming input, which is how the proportional path keeps the

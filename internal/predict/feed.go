@@ -22,8 +22,10 @@ import (
 //
 // The models' recurrences advance together, up to laneWidth of one order per
 // pass of the forecast kernel: each model's state is read under its own lock,
-// one model at a time, and the iteration runs with no lock held. The result
-// is bit for bit what running each model through the kernel alone gives.
+// one model at a time, and the iteration runs with no lock held, so a
+// ForecastMean may run while another goroutine observes into the models
+// (TestForecastMeanConcurrentWithObserve). The result is bit for bit what
+// running each model through the kernel alone gives.
 func ForecastMean(models []*StreamAR, horizon time.Duration) (Forecast, error) {
 	var g lanes
 	var meanSum, varSum float64

@@ -54,9 +54,11 @@ func NewStreaming(name string, cfg PredictorConfig) (*StreamAR, error) {
 //     what keeps the streaming fit within 1e-9 of the batch FitAR fit no
 //     matter how long the stream runs.
 //
-// Unlike the batch Predictor, a StreamAR is safe for concurrent use: at
-// Shards >= 2 the market plane's shard goroutines feed it while the engine
-// goroutine reads forecasts.
+// Unlike the batch Predictor, a StreamAR is safe for concurrent use: Observe
+// and the forecasts take its lock, so one goroutine may feed it while others
+// read (TestStreamingConcurrentReads). A world feeds and reads its models on
+// its engine goroutine, and gridmarketd's handlers reach them only under
+// jobapi.Service's lock, so no daemon contends for it today.
 type StreamAR struct {
 	mu  sync.Mutex
 	cfg PredictorConfig

@@ -435,8 +435,9 @@ func TestNewStreamingBuildsOnlyAR(t *testing.T) {
 	}
 }
 
-// TestStreamingConcurrentReads exercises the concurrency contract: one
-// writer observing, many readers forecasting. Run under -race.
+// TestStreamingConcurrentReads holds StreamAR to its concurrency contract:
+// one writer observing, many readers forecasting, on goroutines of their own.
+// Run under -race.
 func TestStreamingConcurrentReads(t *testing.T) {
 	sp := newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
 	var wg sync.WaitGroup
@@ -471,8 +472,8 @@ func TestStreamingConcurrentReads(t *testing.T) {
 }
 
 // TestForecastMeanConcurrentWithObserve is the partition read under the
-// same contract: while one goroutine feeds five models, as a shard of the
-// market plane does, two read their combined forecast. Run under -race: each
+// same contract: while one goroutine feeds five models, two read their
+// combined forecast. Run under -race: each
 // model's state is read under its own lock and the lanes iterate on the
 // reader's stack.
 func TestForecastMeanConcurrentWithObserve(t *testing.T) {

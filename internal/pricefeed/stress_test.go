@@ -8,8 +8,8 @@ import (
 	"tycoongrid/internal/tsdb"
 )
 
-// TestFeedStressConcurrent hammers many hosts' ring observers, each from its
-// own writer as a market plane's shards would, while readers take mean
+// TestFeedStressConcurrent hammers many hosts' ring observers, each from a
+// writer goroutine of its own, while readers take mean
 // histories, prices and last samples across them. Run under -race: the
 // observers share nothing but the ring locks and the two counters.
 func TestFeedStressConcurrent(t *testing.T) {

@@ -17,7 +17,7 @@ var unsetWorldSettings = []struct {
 	{"box.Config.StageInTime", timelineFixture},
 	{"box.Config.StageOutTime", timelineFixture},
 	{"box.Config.Churn", "test-only until ROADMAP item 8's churn cells"},
-	{"box.Config.Shards", "bench-only (ROADMAP item 4)"},
+	{"box.Config.Shards", "bench-only: bench/grid.go writes 1, box.New refuses more (ROADMAP item 4)"},
 }
 
 const timelineFixture = "the timeline oracle's fixture (arc's TestTimelineMatchesSpanEventGolden scripted run)"
