@@ -117,7 +117,8 @@ bench-compare:
 # alternating pairs on seeds not used while writing the change" — which every
 # perf PR had been rolling by hand:
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=grid-dense SEEDS="91 92 93 94 95 96 97 98 99 100"
-# BASE is checked out as a worktree under the git-ignored .bench_build/, each
+# BASE's committed files are unpacked (git archive) into a fresh temporary
+# directory outside the repo, so the repo's .git is left as it was; each
 # tree's ./bench is built once, and each binary runs from its own tree's root
 # (so bank-* builds and serves that tree's bankd) — BASE first on odd
 # positions, the working tree first on even ones, so neither side always runs
@@ -125,15 +126,14 @@ bench-compare:
 # run_seconds, as in bench-suite. One row per run (the five end-to-end metrics, the
 # machine-speed reading, failed operations, sim.digest), then each side's
 # median and quartiles and the working tree's wins over the pairs, metric by
-# metric. The worktree is removed on the way out.
+# metric. The temporary directory is removed on the way out.
 bench-pairs:
 	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEEDS)" ]; then \
 		echo 'usage: make bench-pairs BASE=<rev> WORKLOAD=<name> SEEDS="91 92 ..."'; exit 2; fi
-	@set -e; root=$$(pwd); base=$$root/.bench_build/pairs-base; rows=$$(mktemp); \
-	git worktree remove --force "$$base" >/dev/null 2>&1 || true; \
-	git worktree add --detach "$$base" $(BASE) >/dev/null; \
-	trap 'cd "$$root"; git worktree remove --force "$$base"; rm -f "$$rows"' EXIT; \
+	@set -e; root=$$(pwd); base=$$(mktemp -d); rows=$$(mktemp); \
+	trap 'rm -rf "$$base" "$$rows"' EXIT; \
 	trap 'exit 130' INT TERM; \
+	rev=$$(git rev-parse --verify "$(BASE)^{commit}"); git archive "$$rev" | tar -x -C "$$base"; \
 	(cd "$$base" && $(GO) build -o .bench_build/pairs-bench ./bench); \
 	$(GO) build -o .bench_build/pairs-bench ./bench; \
 	run() { \

@@ -1,6 +1,7 @@
 package tycoongrid_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -461,4 +462,67 @@ func (m *module) references(inScope func(*modPkg) bool, readsOnly bool) map[type
 		}
 	}
 	return used
+}
+
+// unreadFields is every unexported struct field declared under internal/ or
+// cmd/ that no non-test Go file reads, with why it may stay.
+var unreadFields = []struct {
+	name, reason string
+}{
+	{"trace.point.value", "bench-only package: the replay's recorder keeps the value its samples carry (ROADMAP item 1)"},
+}
+
+// TestEveryUnexportedFieldIsRead holds the unexported fields to the read rule
+// TestEveryExportedNameHasACaller holds the exported ones to: every
+// unexported field of a package-level struct type declared under internal/
+// or cmd/ is read by some non-test Go file (a write, as modPkg.writes
+// classifies it, is not a read, and a test's read does not count), or has a
+// row in unreadFields. A field only written is state nothing consumes. A
+// row whose field is gone, or is now read, fails.
+func TestEveryUnexportedFieldIsRead(t *testing.T) {
+	m := loadModule(t)
+	read := m.references(func(*modPkg) bool { return true }, true)
+	rows := map[string]bool{}
+	for _, r := range unreadFields {
+		rows[r.name] = true
+	}
+	var bad []string
+	for path, p := range m.pkgs {
+		if !strings.HasPrefix(path, modulePath+"/internal/") && !strings.HasPrefix(path, modulePath+"/cmd/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			s, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range s.NumFields() {
+				f := s.Field(i)
+				if f.Exported() || f.Name() == "_" {
+					continue
+				}
+				field := p.types.Name() + "." + name + "." + f.Name()
+				switch {
+				case read[f] && rows[field]:
+					bad = append(bad, field+" has a row in unreadFields but is read; delete the row")
+				case !read[f] && !rows[field]:
+					bad = append(bad, fmt.Sprintf("%s (%s) is never read outside tests: delete it, or give it a row in unreadFields",
+						field, m.fset.Position(f.Pos())))
+				}
+				delete(rows, field)
+			}
+		}
+	}
+	for name := range rows {
+		bad = append(bad, name+" has a row in unreadFields but is not an unexported field; delete the row")
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
 }

@@ -36,8 +36,8 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"tycoongrid/internal/bank"
@@ -116,7 +116,7 @@ func main() {
 		}
 	}()
 
-	demo := &demoAPI{box: b, jobs: jobs, users: make(map[string]*box.User)}
+	demo := &demoAPI{box: b, jobs: jobs}
 	mux := http.NewServeMux()
 	mux.Handle("/jobs", jobs)
 	mux.Handle("/jobs/", jobs) // subtree: GET /jobs/{id}/timeline
@@ -140,14 +140,12 @@ func main() {
 	slog.Info("gridmarketd: shut down cleanly")
 }
 
-// demoAPI mints server-side demo identities; the box serializes access to
-// the single-threaded engine through the job service lock, so the demo API
-// needs its own mutex only for its map of the users it created.
+// demoAPI mints server-side demo identities. It reads and grows box.Users,
+// the box's one user index, only under the job service lock, which
+// serializes every access to the single-threaded engine.
 type demoAPI struct {
-	mu    sync.Mutex
-	box   *box.Box
-	jobs  *jobapi.Service
-	users map[string]*box.User
+	box  *box.Box
+	jobs *jobapi.Service
 }
 
 type userReq struct {
@@ -171,13 +169,8 @@ func (d *demoAPI) createUser(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, errors.New("gridmarketd: bad grant amount"))
 		return
 	}
-	d.mu.Lock()
 	var u *box.User
 	d.jobs.WithLock(func() { u, err = d.box.CreateUser(req.Name, grant) })
-	if err == nil {
-		d.users[u.Name] = u
-	}
-	d.mu.Unlock()
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
@@ -198,15 +191,15 @@ func (d *demoAPI) mintToken(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, errors.New("gridmarketd: bad token amount"))
 		return
 	}
-	d.mu.Lock()
-	u, ok := d.users[req.User]
-	d.mu.Unlock()
-	if !ok {
-		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("gridmarketd: unknown user %q", req.User))
-		return
-	}
 	var tok token.Token
-	d.jobs.WithLock(func() { tok, err = d.box.MintToken(u, amount) })
+	d.jobs.WithLock(func() {
+		i := slices.IndexFunc(d.box.Users, func(u *box.User) bool { return u.Name == req.User })
+		if i < 0 {
+			err = fmt.Errorf("gridmarketd: unknown user %q", req.User)
+			return
+		}
+		tok, err = d.box.MintToken(d.box.Users[i], amount)
+	})
 	var enc string
 	if err == nil {
 		enc, err = token.Encode(tok)

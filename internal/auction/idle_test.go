@@ -147,13 +147,19 @@ func TestBidRunDryLeavesTheBook(t *testing.T) {
 }
 
 // TestPostedPriceMovesOnIdleTicks pins the reason an empty book may not skip
-// the mechanism: posted-price lowers its price on empty demand.
+// the mechanism: posted-price lowers its price on empty demand. A demand
+// phase first raises the price above the reserve, so it has room to fall.
 func TestPostedPriceMovesOnIdleTicks(t *testing.T) {
-	mech, err := mechanism.New(mechanism.PostedPrice, mechanism.Config{PostedInitialPrice: 1})
+	mech, err := mechanism.New(mechanism.PostedPrice, mechanism.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMarket(Config{HostID: "h", CapacityMHz: 2800, ReservePrice: 0.001, Start: sim.Epoch, Mechanism: mech})
+	const reserve = 0.001
+	capacity := mechanism.Capacity{MHz: 2800, Reserve: reserve}
+	for mech.Quote(nil, capacity).Price < 1000*reserve {
+		mech.Clear([]mechanism.Bid{{Bidder: "demand", Rate: 1e6 * reserve}}, capacity)
+	}
+	m, err := NewMarket(Config{HostID: "h", CapacityMHz: 2800, ReservePrice: reserve, Start: sim.Epoch, Mechanism: mech})
 	if err != nil {
 		t.Fatal(err)
 	}

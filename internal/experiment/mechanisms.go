@@ -107,30 +107,17 @@ func runMechanismOnce(p MechanismsParams, name string) (MechanismRow, error) {
 		return MechanismRow{}, err
 	}
 	supply := w.Bank.TotalMoney()
-	jobs := make([]*agent.Job, len(w.Users))
-	var submitErr error
-	for i, u := range w.Users {
-		i, u := i, u
-		if err := w.Engine.After(time.Duration(i)*p.Stagger, func() {
-			job, err := w.SubmitApp(u, p.Budget, p.Deadline, p.SubJobs, p.ChunkMinutes, p.MaxNodes)
-			if err != nil && submitErr == nil {
-				submitErr = fmt.Errorf("submitting for %s: %w", u.Name, err)
-			}
-			jobs[i] = job
-		}); err != nil {
-			return MechanismRow{}, err
-		}
+	budgets := make([]bank.Amount, len(w.Users))
+	for i := range budgets {
+		budgets[i] = p.Budget
 	}
-	w.Engine.RunFor(p.Horizon)
-	if submitErr != nil {
-		return MechanismRow{}, submitErr
+	jobs, err := w.runStaggered(budgets, p.Deadline, p.SubJobs, p.ChunkMinutes, p.MaxNodes, p.Stagger, p.Horizon)
+	if err != nil {
+		return MechanismRow{}, err
 	}
 
 	row := MechanismRow{Mechanism: name, JobsTotal: len(jobs)}
 	for _, job := range jobs {
-		if job == nil {
-			return MechanismRow{}, errors.New("a user never submitted")
-		}
 		row.ChargedCredits += job.Charged.Credits()
 		if job.State == agent.StateDone {
 			row.JobsDone++

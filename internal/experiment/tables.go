@@ -101,31 +101,13 @@ func RunBestResponseTable(p BestResponseParams) (*TableResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]*agent.Job, len(w.Users))
-	var submitErr error
-	for i, u := range w.Users {
-		i, u := i, u
-		delay := time.Duration(i) * p.Stagger
-		if err := w.Engine.After(delay, func() {
-			job, err := w.SubmitApp(u, p.Budgets[i], p.Deadline, p.SubJobs, p.ChunkMinutes, p.MaxNodes)
-			if err != nil && submitErr == nil {
-				submitErr = fmt.Errorf("experiment: submitting for %s: %w", u.Name, err)
-			}
-			jobs[i] = job
-		}); err != nil {
-			return nil, err
-		}
-	}
-	w.Engine.RunFor(p.Horizon)
-	if submitErr != nil {
-		return nil, submitErr
+	jobs, err := w.runStaggered(p.Budgets, p.Deadline, p.SubJobs, p.ChunkMinutes, p.MaxNodes, p.Stagger, p.Horizon)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &TableResult{}
 	for i, job := range jobs {
-		if job == nil {
-			return nil, fmt.Errorf("experiment: user %d never submitted", i+1)
-		}
 		row := UserRow{
 			User:      w.Users[i].Name,
 			Budget:    p.Budgets[i],

@@ -124,3 +124,34 @@ func (w *World) SubmitApp(u *GridUser, budget bank.Amount, deadline time.Duratio
 	}
 	return w.Agent.Submit(tok, jr, chunks)
 }
+
+// runStaggered submits the paper's application for every user, user i at
+// i × stagger funded with budgets[i], and runs the engine for horizon. It
+// returns each user's job, or the first refused submission, or a user who
+// never submitted within the horizon.
+func (w *World) runStaggered(budgets []bank.Amount, deadline time.Duration, subJobs int,
+	chunkMinutes float64, maxNodes int, stagger, horizon time.Duration) ([]*agent.Job, error) {
+	jobs := make([]*agent.Job, len(w.Users))
+	var submitErr error
+	for i, u := range w.Users {
+		if err := w.Engine.After(time.Duration(i)*stagger, func() {
+			job, err := w.SubmitApp(u, budgets[i], deadline, subJobs, chunkMinutes, maxNodes)
+			if err != nil && submitErr == nil {
+				submitErr = fmt.Errorf("experiment: submitting for %s: %w", u.Name, err)
+			}
+			jobs[i] = job
+		}); err != nil {
+			return nil, err
+		}
+	}
+	w.Engine.RunFor(horizon)
+	if submitErr != nil {
+		return nil, submitErr
+	}
+	for i, job := range jobs {
+		if job == nil {
+			return nil, fmt.Errorf("experiment: user %d never submitted", i+1)
+		}
+	}
+	return jobs, nil
+}

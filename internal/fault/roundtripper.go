@@ -42,9 +42,6 @@ type Transport struct {
 
 	mu  sync.Mutex
 	rnd func() float64 // uniform [0,1) draws, guarded by mu
-
-	injectedErrs int
-	injected5xx  int
 }
 
 // injectedError is the transport-level failure surfaced to clients; it looks
@@ -101,9 +98,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			_, _ = io.Copy(io.Discard, req.Body)
 			req.Body.Close()
 		}
-		t.mu.Lock()
-		t.injectedErrs++
-		t.mu.Unlock()
 		return nil, &injectedError{op: req.Method + " " + req.URL.Path}
 	}
 	if t.cfg.ServerErrorRate > 0 && t.draw() < t.cfg.ServerErrorRate {
@@ -111,9 +105,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			_, _ = io.Copy(io.Discard, req.Body)
 			req.Body.Close()
 		}
-		t.mu.Lock()
-		t.injected5xx++
-		t.mu.Unlock()
 		body := fmt.Sprintf(`{"error":"fault: injected 503 for %s %s"}`, req.Method, req.URL.Path)
 		return &http.Response{
 			Status:        "503 Service Unavailable",

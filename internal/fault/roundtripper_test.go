@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -66,26 +67,36 @@ func TestTransportCleanPassThrough(t *testing.T) {
 	}
 }
 
+// TestTransportDeterministic: two transports on one seed inject the same
+// failures into the same requests, as their caller sees them: the i-th
+// request's outcome, a transport error, a 503 or the inner answer, is the
+// same in both runs.
 func TestTransportDeterministic(t *testing.T) {
-	run := func() (int, int) {
+	run := func() (outcomes []int, errs, fiveXX int) {
 		tr := NewTransport(roundTripFunc(func(r *http.Request) (*http.Response, error) {
 			return &http.Response{StatusCode: 200, Body: io.NopCloser(strings.NewReader("ok"))}, nil
 		}), TransportConfig{Seed: 9, FailureRate: 0.2, ServerErrorRate: 0.2})
 		for i := 0; i < 100; i++ {
 			req, _ := http.NewRequest("GET", "http://x/y", nil)
 			resp, err := tr.RoundTrip(req)
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+			if err != nil {
+				errs++
+				outcomes = append(outcomes, 0)
+				continue
 			}
+			if resp.StatusCode == http.StatusServiceUnavailable {
+				fiveXX++
+			}
+			outcomes = append(outcomes, resp.StatusCode)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 		}
-		e, s := tr.Stats()
-		return e, s
+		return outcomes, errs, fiveXX
 	}
-	e1, s1 := run()
-	e2, s2 := run()
-	if e1 != e2 || s1 != s2 {
-		t.Errorf("runs differ: (%d,%d) vs (%d,%d)", e1, s1, e2, s2)
+	o1, e1, s1 := run()
+	o2, e2, s2 := run()
+	if !slices.Equal(o1, o2) {
+		t.Errorf("runs differ: errs=%d 5xx=%d vs errs=%d 5xx=%d", e1, s1, e2, s2)
 	}
 	if e1 == 0 || s1 == 0 {
 		t.Errorf("nothing injected: errs=%d 5xx=%d", e1, s1)
@@ -122,10 +133,3 @@ func TestTransportLatency(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
-
-// Stats reports how many failures the transport has injected.
-func (t *Transport) Stats() (transportErrors, serverErrors int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.injectedErrs, t.injected5xx
-}

@@ -131,13 +131,10 @@ const (
 	VCG          = "vcg"
 )
 
-// Config carries mechanism tuning knobs; zero values select defaults.
-type Config struct {
-	// PostedInitialPrice seeds the posted-price mechanism's published price
-	// (credits/second for the whole host). Default: the capacity reserve at
-	// first clear.
-	PostedInitialPrice float64
-}
+// Config is New's second argument. It has no fields: every mechanism runs
+// as the paper and its references define it, and posted-price starts at the
+// host's reserve (ROADMAP item 1(a) drops it with bench/'s pinned call).
+type Config struct{}
 
 // ErrUnknown reports an unrecognized mechanism name.
 var ErrUnknown = errors.New("mechanism: unknown mechanism")
@@ -145,12 +142,12 @@ var ErrUnknown = errors.New("mechanism: unknown mechanism")
 // New builds a fresh mechanism instance by canonical name. Each host market
 // needs its own instance: posted-price carries per-host price state. The
 // empty name selects the proportional default.
-func New(name string, cfg Config) (Mechanism, error) {
+func New(name string, _ Config) (Mechanism, error) {
 	switch name {
 	case "", Proportional:
 		return proportional{}, nil
 	case PostedPrice, "posted":
-		return newPostedPrice(cfg), nil
+		return &postedPrice{}, nil
 	case VCG:
 		return vcg{}, nil
 	}

@@ -200,6 +200,18 @@ func TestProportionalBudgetBalance(t *testing.T) {
 	}
 }
 
+// postedAt returns a posted-price mechanism whose price a demand phase has
+// raised from testCap's reserve to at least price: it clears a book that
+// demands a thousand hosts, each clear raising the price by the bounded
+// step, until the published price reaches price.
+func postedAt(price float64) Mechanism {
+	m, _ := New(PostedPrice, Config{})
+	for m.Quote(nil, testCap).Price < price {
+		m.Clear([]Bid{{Bidder: "demand", Rate: 1e3 * price}}, testCap)
+	}
+	return m
+}
+
 // TestPostedPriceAdmissionMonotonicity: at a fixed posted price, raising your
 // own rate never shrinks your admitted share, and payment always equals
 // price x share (never more than the reported rate).
@@ -207,7 +219,7 @@ func TestPostedPriceAdmissionMonotonicity(t *testing.T) {
 	src := rng.New(rng.DeriveSeed(2006, 5))
 	for trial := 0; trial < 500; trial++ {
 		bids := randomBids(src, 2+src.Intn(6), false)
-		m, _ := New(PostedPrice, Config{PostedInitialPrice: src.Uniform(0.05, 3)})
+		m := postedAt(src.Uniform(0.05, 3))
 		base := m.Quote(bids, testCap)
 		i := src.Intn(len(bids))
 		raised := make([]Bid, len(bids))
@@ -238,7 +250,7 @@ func TestPostedPriceAdmissionMonotonicity(t *testing.T) {
 // demand decays it toward the reserve, and the price never leaves
 // [reserve, +inf) nor moves more than the bounded step per clear.
 func TestPostedPriceTatonnement(t *testing.T) {
-	m, _ := New(PostedPrice, Config{PostedInitialPrice: 1})
+	m := postedAt(1)
 	hot := []Bid{{Bidder: "a", Rate: 5}, {Bidder: "b", Rate: 5}}
 	p0 := m.Clear(hot, testCap).Price
 	p1 := m.Clear(hot, testCap).Price
@@ -441,7 +453,10 @@ func TestStatelessMeansClearIsQuote(t *testing.T) {
 	want := map[string]bool{Proportional: true, VCG: true, PostedPrice: false}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			m, _ := New(name, Config{PostedInitialPrice: 1})
+			m, _ := New(name, Config{})
+			if name == PostedPrice {
+				m = postedAt(1)
+			}
 			if m.Stateless() != want[name] {
 				t.Fatalf("Stateless() = %v, want %v", m.Stateless(), want[name])
 			}

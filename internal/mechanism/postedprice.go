@@ -18,8 +18,7 @@ import (
 // bounded so one pathological interval cannot destabilize the price, and the
 // result floored at the reserve.
 type postedPrice struct {
-	price float64 // published price; 0 until first clear seeds it
-	init  float64
+	price float64 // published price; 0 until the first clear sets it
 }
 
 const (
@@ -27,19 +26,12 @@ const (
 	postedTarget = 1.0 // demand-share target (1 = fully subscribed)
 )
 
-func newPostedPrice(cfg Config) *postedPrice {
-	return &postedPrice{init: cfg.PostedInitialPrice}
-}
-
 func (p *postedPrice) Name() string { return PostedPrice }
 
-// published returns the current posted price, seeding it from config or the
-// reserve on first use. Never below the reserve, never non-positive.
+// published returns the current posted price: the reserve until the first
+// clear sets one. Never below the reserve, never non-positive.
 func (p *postedPrice) published(capacity Capacity) float64 {
 	price := p.price
-	if price <= 0 {
-		price = p.init
-	}
 	if price < capacity.Reserve {
 		price = capacity.Reserve
 	}

@@ -20,8 +20,8 @@ import (
 // given, so a caller passing them in a fixed host order gets a deterministic
 // result.
 //
-// The models' recurrences advance together, up to laneWidth of one order per
-// pass of the forecast kernel: each model's state is read under its own lock,
+// The models' recurrences advance together, up to laneWidth per pass of the
+// forecast kernel: each model's state is read under its own lock,
 // one model at a time, and the iteration runs with no lock held, so a
 // ForecastMean may run while another goroutine observes into the models
 // (TestForecastMeanConcurrentWithObserve). The result is bit for bit what
@@ -35,9 +35,8 @@ func ForecastMean(models []*StreamAR, horizon time.Duration) (Forecast, error) {
 		if err := g.load(m, horizon); err != nil {
 			lastErr = err
 		}
-		// A pass runs when the lanes are full, after the last model, and
-		// before a model of another order.
-		if g.n == laneWidth || g.n > 0 && (i == len(models)-1 || models[i+1].cfg.Order != g.k) {
+		// A pass runs when the lanes are full, and after the last model.
+		if g.n == laneWidth || g.n > 0 && i == len(models)-1 {
 			g.run()
 			for l := 0; l < g.n; l++ {
 				fc := g.forecast(l)

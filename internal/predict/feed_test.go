@@ -33,7 +33,7 @@ func fedModel(t *testing.T, cfg PredictorConfig, vs []float64) *StreamAR {
 // sigmas combine as RMS, models without enough history are skipped, and a
 // partition with no ready model reports insufficient history.
 func TestForecastMeanCombinesAndSkips(t *testing.T) {
-	cfg := PredictorConfig{Window: 32, Order: 3}
+	cfg := PredictorConfig{Window: 32}
 	a := fedModel(t, cfg, priceSeries(rng.New(21), 40))
 	b := fedModel(t, cfg, priceSeries(rng.New(22), 40))
 	empty := fedModel(t, cfg, nil)
@@ -78,7 +78,7 @@ func TestModelRefusesOnlyWhatItsRingRefuses(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		ring := tsdb.NewRing(64)
 		observe := pricefeed.Observer(ring)
-		model, err := NewStreaming(StreamingAR, PredictorConfig{Window: 64, Order: 3})
+		model, err := NewStreaming(StreamingAR, PredictorConfig{Window: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

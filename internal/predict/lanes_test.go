@@ -33,7 +33,7 @@ func referenceForecast(p *StreamAR, horizon time.Duration) (Forecast, error) {
 		return (p.lagProd[j] - mu*(2*p.sum-headSum-tailSum) + nj*mu*mu) / nj
 	}
 
-	k := p.cfg.Order
+	const k = DefaultOrder
 	mu := p.sum / float64(p.n)
 	acf := make([]float64, k+1)
 	for j := range acf {
@@ -125,14 +125,13 @@ const (
 	seriesKinds
 )
 
-// randomModel builds a model of random order (1-8) and window (8-600) and
-// feeds it between none and twice its window of one kind of series, so young
+// randomModel builds a model of random window (8-600) and feeds it between none and twice its window of one kind of series, so young
 // models, models turned over several times and models with too little
 // history all occur.
 func randomModel(t *testing.T, src *rng.Source) *StreamAR {
 	t.Helper()
 	window := 8 + src.Intn(593)
-	p := newStreamAR(PredictorConfig{Window: window, Order: 1 + src.Intn(8), Step: streamStep})
+	p := newStreamAR(PredictorConfig{Window: window, Step: streamStep})
 	n := src.Intn(2*window + 1)
 	var xs []float64
 	switch src.Intn(seriesKinds) {
@@ -170,10 +169,10 @@ func sameResult(got Forecast, gotErr error, want Forecast, wantErr error) bool {
 
 // TestForecastMeanMatchesPerModelReference is the lane kernel's differential
 // test: over random partitions of 1-9 models (so groups of four and every
-// remainder occur, with orders mixed inside one call) and horizons from below
-// one step to beyond the window, every lane of a multi-lane pass, every
-// one-model Forecast, and the combined ForecastMean equal the per-model
-// reference loop with ==. The models cover AR orders 1-8, windows 8-600,
+// remainder occur) and horizons from below one step to beyond the window,
+// every lane of a multi-lane pass, every one-model Forecast, and the combined
+// ForecastMean equal the per-model reference loop with ==. The models cover
+// windows 8-600,
 // young models whose horizon is clamped to their length beside full ones,
 // constant windows, shrunk fits and models with too little history; the test
 // fails if any of those never came up.
@@ -198,7 +197,7 @@ func TestForecastMeanMatchesPerModelReference(t *testing.T) {
 		}
 
 		// Every lane of a pass, grouped as ForecastMean groups them: up to
-		// four consecutive ready models of one order.
+		// four consecutive ready models.
 		var g lanes
 		var group []int
 		flush := func() {
@@ -208,17 +207,14 @@ func TestForecastMeanMatchesPerModelReference(t *testing.T) {
 			}
 			for l, i := range group {
 				if fc := g.forecast(l); !sameResult(fc, nil, want[i], wantErr[i]) {
-					t.Fatalf("trial %d, model %d (lane %d of %d, order %d, n %d, horizon %v): lane %+v, reference %+v",
-						trial, i, l, g.n, models[i].cfg.Order, models[i].n, horizon, fc, want[i])
+					t.Fatalf("trial %d, model %d (lane %d of %d, n %d, horizon %v): lane %+v, reference %+v",
+						trial, i, l, g.n, models[i].n, horizon, fc, want[i])
 				}
 				lanesChecked++
 			}
 			g.n, group = 0, group[:0]
 		}
 		for i, m := range models {
-			if g.n > 0 && m.cfg.Order != g.k {
-				flush()
-			}
 			if err := g.load(m, horizon); err != nil {
 				if !sameResult(Forecast{}, err, want[i], wantErr[i]) {
 					t.Fatalf("trial %d, model %d: load %v, reference %+v, %v", trial, i, err, want[i], wantErr[i])
@@ -262,18 +258,6 @@ func TestForecastMeanMatchesPerModelReference(t *testing.T) {
 			t.Fatalf("trial %d (%d models, horizon %v): ForecastMean %+v, %v; reference %+v, %v",
 				trial, len(models), horizon, got, err, ref, refErr)
 		}
-	}
-	// Orders past stackOrder iterate in heap scratch; two of them, and one of
-	// order 6 that must not share their pass.
-	big := []*StreamAR{newStreamAR(PredictorConfig{Window: 200, Order: stackOrder + 4, Step: streamStep}),
-		newStreamAR(PredictorConfig{Window: 200, Order: stackOrder + 4, Step: streamStep}),
-		newStreamAR(PredictorConfig{Window: 200, Order: 6, Step: streamStep})}
-	for _, m := range big {
-		feedStream(t, m, priceSeries(src, 300))
-	}
-	got, err := ForecastMean(big, 30*time.Minute)
-	if ref, refErr := referenceMean(big, 30*time.Minute); !sameResult(got, err, ref, refErr) {
-		t.Fatalf("orders %d and 6: ForecastMean %+v, %v; reference %+v, %v", stackOrder+4, got, err, ref, refErr)
 	}
 	t.Logf("%d lanes checked: %d multi-lane passes, %d young, %d constant, %d shrunk, %d short models",
 		lanesChecked, multiLane, young, constant, shrunk, short)

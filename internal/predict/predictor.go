@@ -53,33 +53,21 @@ type PredictorConfig struct {
 	// Window is the trailing observation count the model keeps
 	// (<= 0 means DefaultWindow).
 	Window int
-	// Order is the AR model order (<= 0 means DefaultOrder).
-	Order int
-	// Lambda is the Whittaker-Henderson smoothing strength applied before a
-	// batch AR fit (< 0 means DefaultLambda; 0 disables smoothing).
-	Lambda float64
 	// Step is the expected observation spacing, used to convert a horizon
 	// into forecast steps (<= 0 means the paper's 10 s reallocation period).
 	Step time.Duration
 }
 
-// Model defaults.
+// Model defaults. Every model is AR(DefaultOrder), fitted to its raw window.
 const (
 	DefaultWindow = 360 // one hour of 10 s ticks
 	DefaultOrder  = 6   // the paper's AR(6)
-	DefaultLambda = 10.0
 	DefaultStep   = 10 * time.Second
 )
 
 func (c PredictorConfig) withDefaults() PredictorConfig {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
-	}
-	if c.Order <= 0 {
-		c.Order = DefaultOrder
-	}
-	if c.Lambda < 0 {
-		c.Lambda = DefaultLambda
 	}
 	if c.Step <= 0 {
 		c.Step = DefaultStep
@@ -100,8 +88,9 @@ func NewPredictor(name string, cfg PredictorConfig) (Predictor, error) {
 // enough observations yet; callers fall back to the current price.
 var ErrInsufficientHistory = fmt.Errorf("predict: insufficient history")
 
-// arPredictor is the §4.3/§5.4 model: smooth the trailing window, fit AR(k),
-// and iterate the forecast horizon/step steps ahead. Sigma is the window's
+// arPredictor is the §4.3 model: fit AR(DefaultOrder) to the trailing window,
+// unsmoothed as the streaming model's fit is, and iterate the forecast
+// horizon/step steps ahead. Sigma is the window's
 // sample deviation — the market's recent variability around the AR path.
 type arPredictor struct {
 	cfg  PredictorConfig
@@ -119,9 +108,9 @@ func (p *arPredictor) Observe(at time.Time, price float64) error {
 
 func (p *arPredictor) Predict(horizon time.Duration) (Forecast, error) {
 	vs := tsdb.Values(p.ring.Since(math.MinInt64))
-	if need := 2*p.cfg.Order + 1; len(vs) < need {
+	if need := 2*DefaultOrder + 1; len(vs) < need {
 		return Forecast{}, fmt.Errorf("%w: AR(%d) has %d points, want >= %d",
-			ErrInsufficientHistory, p.cfg.Order, len(vs), need)
+			ErrInsufficientHistory, DefaultOrder, len(vs), need)
 	}
 	steps := int(horizon / p.cfg.Step)
 	if steps < 1 {
@@ -132,7 +121,7 @@ func (p *arPredictor) Predict(horizon time.Duration) (Forecast, error) {
 	if steps > len(vs) {
 		steps = len(vs)
 	}
-	fc, err := NewWindowedSmoothedForecaster(p.cfg.Order, p.cfg.Lambda, p.cfg.Window).Forecast(vs, steps)
+	fc, err := NewWindowedSmoothedForecaster(DefaultOrder, 0, p.cfg.Window).Forecast(vs, steps)
 	if err != nil {
 		return Forecast{}, err
 	}

@@ -114,7 +114,7 @@ func TestForecastQuantileClipsAtZero(t *testing.T) {
 }
 
 func TestARPredictorForecastsTrend(t *testing.T) {
-	p, _ := NewPredictor("ar", PredictorConfig{Window: 64, Order: 2, Lambda: 0, Step: 10 * time.Second})
+	p, _ := NewPredictor("ar", PredictorConfig{Window: 64, Step: 10 * time.Second})
 	// A rising ramp: the fitted AR is strongly persistent, so the short-term
 	// forecast stays near the current (high) price — well above the window
 	// mean a naive average would predict — while longer horizons revert
@@ -141,7 +141,7 @@ func TestARPredictorForecastsTrend(t *testing.T) {
 		t.Errorf("1-step forecast %v lost the current price level %v", f1.Mean, last)
 	}
 	// Constant series: forecast equals the constant.
-	pc, _ := NewPredictor("ar", PredictorConfig{Window: 32, Order: 3, Lambda: 5})
+	pc, _ := NewPredictor("ar", PredictorConfig{Window: 32})
 	feed(t, pc, make([]float64, 20), 10*time.Second) // all zeros
 	fc, err := pc.Predict(time.Hour)
 	if err != nil {

@@ -31,8 +31,8 @@ func NewStreaming(name string, cfg PredictorConfig) (*StreamAR, error) {
 	return newStreamAR(cfg), nil
 }
 
-// StreamAR is the incremental AR(k) model: Observe folds one spot-price
-// sample into running state in O(Order) and ForecastMean reads the current
+// StreamAR is the incremental AR(k) model, k = DefaultOrder: Observe folds one
+// spot-price sample into running state in O(k) and ForecastMean reads the current
 // model without touching history. It keeps the trailing Window observations
 // in a ring, but — unlike the batch arPredictor — never copies them out or
 // refits from scratch. Instead it maintains the running lagged product sums
@@ -49,7 +49,7 @@ func NewStreaming(name string, cfg PredictorConfig) (*StreamAR, error) {
 //     cancellation-safe on near-constant series — the degenerate case the
 //     live market actually produces during flat reserve-price stretches.
 //   - Every full ring turnover the sums are recomputed exactly from the ring
-//     (O(Window * Order), amortized O(Order) per observation), bounding
+//     (O(Window * k), amortized O(k) per observation), bounding
 //     floating-point drift to one window's worth of rank-1 updates. That is
 //     what keeps the streaming fit within 1e-9 of the batch FitAR fit no
 //     matter how long the stream runs.
@@ -70,14 +70,15 @@ type StreamAR struct {
 	last time.Time // newest accepted timestamp
 	seen bool      // an observation has been accepted; ref and last are set
 
-	sum       float64   // sum of z_i over the window
-	lagProd   []float64 // P_k = sum z_{i+k} z_i, k = 0..Order
-	evictions int       // evictions since the last exact refresh
+	sum       float64                   // sum of z_i over the window
+	lagProd   [DefaultOrder + 1]float64 // P_j = sum z_{i+j} z_i, j = 0..k
+	evictions int                       // evictions since the last exact refresh
 
 	model  ARModel
 	fitted bool // model is solved over the current window
 
-	acf, alpha []float64 // reusable solve scratch: R(0..Order) and the solution
+	acf   [DefaultOrder + 1]float64 // solve scratch: R(0..k)
+	alpha [DefaultOrder]float64     // and the solution
 }
 
 // firstValues is the ring a model's first observation allocates; it doubles
@@ -86,13 +87,7 @@ type StreamAR struct {
 const firstValues = 8
 
 func newStreamAR(c PredictorConfig) *StreamAR {
-	c = c.withDefaults()
-	return &StreamAR{
-		cfg:     c,
-		lagProd: make([]float64, c.Order+1),
-		acf:     make([]float64, c.Order+1),
-		alpha:   make([]float64, c.Order),
-	}
+	return &StreamAR{cfg: c.withDefaults()}
 }
 
 // at returns the i-th oldest centered value (0 <= i < n).
@@ -110,14 +105,13 @@ func (p *StreamAR) Observe(price float64, at time.Time) error {
 		p.ref = price
 	}
 	z := price - p.ref
-	k := p.cfg.Order
 
 	if p.n == p.cfg.Window {
 		// Evict the oldest value z_0: it participates in exactly the pairs
-		// (z_j, z_0) for j = 0..Order (z_0^2 at lag 0).
+		// (z_j, z_0) for j = 0..k (z_0^2 at lag 0).
 		z0 := p.buf[p.head]
 		p.sum -= z0
-		for j := 0; j <= k && j <= p.n-1; j++ {
+		for j := 0; j <= DefaultOrder && j <= p.n-1; j++ {
 			p.lagProd[j] -= z0 * p.at(j)
 		}
 		p.head = (p.head + 1) % len(p.buf)
@@ -132,10 +126,10 @@ func (p *StreamAR) Observe(price float64, at time.Time) error {
 	}
 
 	// Append z as the newest value: it adds the pairs (z, z_{n-j}) for
-	// j = 0..min(Order, n), with j = 0 contributing z^2.
+	// j = 0..min(k, n), with j = 0 contributing z^2.
 	idx := (p.head + p.n) % len(p.buf)
 	p.buf[idx] = z
-	for j := 0; j <= k && j <= p.n; j++ {
+	for j := 0; j <= DefaultOrder && j <= p.n; j++ {
 		p.lagProd[j] += z * p.at(p.n-j)
 	}
 	p.n++
@@ -152,16 +146,14 @@ func (p *StreamAR) Observe(price float64, at time.Time) error {
 
 // refresh recomputes the running sums exactly from the ring contents,
 // resetting accumulated floating-point drift. Called once per full ring
-// turnover, so its O(n * Order) cost amortizes to O(Order) per observation.
+// turnover, so its O(n * k) cost amortizes to O(k) per observation.
 func (p *StreamAR) refresh() {
 	p.sum = 0
-	for j := range p.lagProd {
-		p.lagProd[j] = 0
-	}
+	p.lagProd = [DefaultOrder + 1]float64{}
 	for i := 0; i < p.n; i++ {
 		zi := p.at(i)
 		p.sum += zi
-		for j := 0; j <= p.cfg.Order && i+j < p.n; j++ {
+		for j := 0; j <= DefaultOrder && i+j < p.n; j++ {
 			p.lagProd[j] += p.at(i+j) * zi
 		}
 	}
@@ -183,17 +175,16 @@ func (p *StreamAR) autocorr(j int, mu, head, tail float64) float64 {
 	return (p.lagProd[j] - mu*(2*p.sum-head-tail) + nj*mu*mu) / nj
 }
 
-// solve refits the Yule-Walker system from the running sums, an O(Order^2)
-// step the rank-1 updates keep off the observe path. H_j and T_j grow by one
-// value per lag, inward from the window's ends, so each is summed in the
+// solve refits the Yule-Walker system from the running sums, an O(k^2) step
+// the rank-1 updates keep off the observe path. H_j and T_j grow by one value
+// per lag, inward from the window's ends, so each is summed in the
 // order i = 0..j-1 and R(j) is bit for bit the per-lag sum
 // TestForecastMeanMatchesPerModelReference holds it to.
 func (p *StreamAR) solve() error {
-	k := p.cfg.Order
 	mu := p.sum / float64(p.n)
 	var head, tail float64
 	h, t := p.head, (p.head+p.n-1)%len(p.buf)
-	for j := 0; j <= k; j++ {
+	for j := range p.acf {
 		if j > 0 {
 			head += p.buf[h]
 			tail += p.buf[t]
@@ -208,9 +199,9 @@ func (p *StreamAR) solve() error {
 		p.acf[j] = p.autocorr(j, mu, head, tail)
 	}
 	if p.model.Coeffs == nil {
-		p.model.Coeffs = make([]float64, k)
+		p.model.Coeffs = make([]float64, DefaultOrder)
 	}
-	p.model.Order = k
+	p.model.Order = DefaultOrder
 	p.model.Mu = mu // z-space mean; the raw-space mean is ref + Mu
 	if p.acf[0] <= 0 {
 		// Constant window (the batch path's t[0] == 0 case; <= guards the
@@ -222,7 +213,7 @@ func (p *StreamAR) solve() error {
 		p.fitted = true
 		return nil
 	}
-	alpha, err := matrix.SolveYuleWalkerInto(p.alpha, p.acf)
+	alpha, err := matrix.SolveYuleWalkerInto(p.alpha[:], p.acf[:])
 	if err != nil {
 		return fmt.Errorf("predict: streaming Yule-Walker solve: %w", err)
 	}
@@ -232,55 +223,42 @@ func (p *StreamAR) solve() error {
 }
 
 func (p *StreamAR) requireHistory() error {
-	if need := 2*p.cfg.Order + 1; p.n < need {
+	if need := 2*DefaultOrder + 1; p.n < need {
 		return fmt.Errorf("%w: streaming AR(%d) has %d points, want >= %d",
-			ErrInsufficientHistory, p.cfg.Order, p.n, need)
+			ErrInsufficientHistory, DefaultOrder, p.n, need)
 	}
 	return nil
 }
 
-// The forecast kernel. Iterating the AR recurrence is a chain of Order
-// dependent adds per step, so one model's forecast waits on float latency,
-// not throughput; ForecastMean runs up to laneWidth models' chains through
-// one loop so the CPU overlaps them. Each lane does exactly the float
-// operations a one-model loop does, in the same order, so the forecasts are
-// bit-identical however the models are grouped.
+// The forecast kernel. Iterating the AR recurrence is a chain of k dependent
+// adds per step, so one model's forecast waits on float latency, not
+// throughput; ForecastMean runs up to laneWidth models' chains through one
+// loop so the CPU overlaps them. Each lane does exactly the float operations a
+// one-model loop does, in the same order, so the forecasts are bit-identical
+// however the models are grouped.
 const (
 	// laneWidth is how many models' recurrences one pass advances.
 	laneWidth = 4
-	// stackOrder is the largest order whose lane state lives in the kernel's
-	// own arrays; a larger one takes heap scratch for the call.
-	stackOrder = 16
 	// rebase is how many steps a lane's value window grows before its
-	// newest Order values move back to the front.
+	// newest k values move back to the front.
 	rebase = 64
 )
 
-// lanes is the state of up to laneWidth models of one order k: each read out
-// of its model under that model's lock (load), then iterated together with no
-// lock held (run). Row j of a window holds one value per lane.
+// lanes is the state of up to laneWidth models: each read out of its model
+// under that model's lock (load), then iterated together with no lock held
+// (run). Row j of c and d holds one value per lane.
 type lanes struct {
-	n, k  int // lanes loaded, and their shared order
+	n     int // lanes loaded
 	steps [laneWidth]int
 	// mu is each lane's z-space mean, ref its centering reference, sigma the
 	// window's sample deviation, v the iterate after steps steps.
 	mu, ref, sigma, v [laneWidth]float64
-	c                 [stackOrder][laneWidth]float64          // shrunk coefficients, reversed: c[i] multiplies d[n-k+i]
-	d                 [stackOrder + rebase][laneWidth]float64 // values minus mu, oldest first
-	heap              [][laneWidth]float64                    // c then d when k > stackOrder
-}
-
-// windows returns the coefficient rows and the value window of order g.k.
-func (g *lanes) windows() (c, d [][laneWidth]float64) {
-	if g.k <= stackOrder {
-		return g.c[:g.k], g.d[:g.k+rebase]
-	}
-	return g.heap[:g.k], g.heap[g.k:]
+	c                 [DefaultOrder][laneWidth]float64          // shrunk coefficients, reversed: c[i] multiplies d[n-k+i]
+	d                 [DefaultOrder + rebase][laneWidth]float64 // values minus mu, oldest first
 }
 
 // load reads p's forecast state into the next lane under p's lock,
-// re-solving first if an observation arrived since the last solve. The
-// caller starts a new group when p's order differs from the group's.
+// re-solving first if an observation arrived since the last solve.
 func (g *lanes) load(p *StreamAR, horizon time.Duration) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -301,14 +279,8 @@ func (g *lanes) load(p *StreamAR, horizon time.Duration) error {
 	if steps > p.n {
 		steps = p.n
 	}
-	k, l := p.cfg.Order, g.n
-	if l == 0 {
-		g.k = k
-		if need := 2*k + rebase; k > stackOrder && len(g.heap) < need {
-			g.heap = make([][laneWidth]float64, need)
-		}
-	}
-	c, d := g.windows()
+	const k = DefaultOrder
+	l := g.n
 
 	// Shrink near-unit-root fits to sum |alpha_j| <= DefaultShrink, as the
 	// batch pipeline does before iterating.
@@ -320,11 +292,11 @@ func (g *lanes) load(p *StreamAR, horizon time.Duration) error {
 		if s > DefaultShrink {
 			a *= DefaultShrink / s
 		}
-		c[k-1-j][l] = a
+		g.c[k-1-j][l] = a
 	}
 	mu := p.model.Mu
 	for i := 0; i < k; i++ {
-		d[i][l] = p.at(p.n-k+i) - mu
+		g.d[i][l] = p.at(p.n-k+i) - mu
 	}
 
 	// Sigma is the window's sample deviation, from the same running sums the
@@ -350,8 +322,9 @@ func (g *lanes) run() {
 	if g.n == 0 {
 		return
 	}
-	c, d := g.windows()
-	k, last := g.k, 0
+	const k = DefaultOrder
+	c, d := &g.c, g.d[:]
+	last := 0
 	for l := 0; l < laneWidth; l++ {
 		if l >= g.n {
 			g.steps[l], g.mu[l] = 0, 0

@@ -112,14 +112,12 @@ func batchForecastMean(t *testing.T, xs []float64, order, steps int) float64 {
 // fit+shrink+iterate pipeline within 1e-9.
 func TestStreamingAREquivalence(t *testing.T) {
 	src := rng.New(20060808)
+	const order = DefaultOrder
 	for trial := 0; trial < 1200; trial++ {
-		order := 1 + src.Intn(8)
 		n := 2*order + 1 + src.Intn(110)
 		xs := priceSeries(src, n)
 
-		sp := newStreamAR(PredictorConfig{
-			Window: n, Order: order, Step: streamStep,
-		})
+		sp := newStreamAR(PredictorConfig{Window: n, Step: streamStep})
 		feedStream(t, sp, xs)
 
 		batch, err := FitAR(xs, order)
@@ -163,12 +161,10 @@ func TestStreamingAREquivalence(t *testing.T) {
 // window at several probe points.
 func TestStreamingARWraparound(t *testing.T) {
 	src := rng.New(41)
-	const window, order = 48, 6
+	const window, order = 48, DefaultOrder
 	xs := priceSeries(src, window*7+13)
 
-	sp := newStreamAR(PredictorConfig{
-		Window: window, Order: order, Step: streamStep,
-	})
+	sp := newStreamAR(PredictorConfig{Window: window, Step: streamStep})
 	at := time.Unix(0, 0)
 	for i, x := range xs {
 		at = at.Add(streamStep)
@@ -213,65 +209,68 @@ func TestStreamingARWraparound(t *testing.T) {
 // TestStreamingARGrowsToItsWindow: the model's ring grows with the values it
 // holds, up to its window, so the fill and eviction boundaries move with it.
 // At windows that the first buffer fills exactly (8), misses by one (9),
-// reaches after two doublings and one (17) and after a capped doubling (48),
+// reaches after one capped doubling at the shortest window an AR(6) fits in
+// (13), after two doublings and one (17) and after a capped doubling (48),
 // after every observation past the first fit through the first turnover
 // refresh and beyond, the fit and forecast match batch FitAR over the
 // trailing window within 1e-9; the buffer never holds more than twice the
 // values (the first 8 aside) or more than the window; and the refresh fires
-// after exactly Window evictions.
+// after exactly Window evictions. Windows 8 and 9 hold too few values to fit,
+// so there only the ring is checked.
 func TestStreamingARGrowsToItsWindow(t *testing.T) {
 	src := rng.New(43)
-	for _, c := range []struct{ window, order int }{{firstValues, 2}, {firstValues + 1, 3}, {17, 4}, {48, 6}} {
-		xs := priceSeries(src, 2*c.window+5)
-		sp := newStreamAR(PredictorConfig{Window: c.window, Order: c.order, Step: streamStep})
+	const order = DefaultOrder
+	for _, window := range []int{firstValues, firstValues + 1, 2*order + 1, 17, 48} {
+		xs := priceSeries(src, 2*window+5)
+		sp := newStreamAR(PredictorConfig{Window: window, Step: streamStep})
 		if sp.buf != nil {
-			t.Fatalf("window %d: a new model holds %d values, want none", c.window, len(sp.buf))
+			t.Fatalf("window %d: a new model holds %d values, want none", window, len(sp.buf))
 		}
 		at := time.Unix(0, 0)
 		for i, x := range xs {
 			at = at.Add(streamStep)
 			if err := sp.Observe(x, at); err != nil {
-				t.Fatalf("window %d, observe %d: %v", c.window, i, err)
+				t.Fatalf("window %d, observe %d: %v", window, i, err)
 			}
-			n := min(i+1, c.window)
-			if slots := len(sp.buf); slots < n || slots > c.window || slots > max(firstValues, 2*n-1) {
-				t.Fatalf("window %d, observe %d: %d values in a %d-value ring", c.window, i, n, slots)
+			n := min(i+1, window)
+			if slots := len(sp.buf); slots < n || slots > window || slots > max(firstValues, 2*n-1) {
+				t.Fatalf("window %d, observe %d: %d values in a %d-value ring", window, i, n, slots)
 			}
 			// Evictions start at observation Window (0-based) and the
 			// refresh zeroes them at the Window-th.
-			if want := max(0, i+1-c.window) % c.window; sp.evictions != want {
-				t.Fatalf("window %d, observe %d: %d evictions since the refresh, want %d", c.window, i, sp.evictions, want)
+			if want := max(0, i+1-window) % window; sp.evictions != want {
+				t.Fatalf("window %d, observe %d: %d evictions since the refresh, want %d", window, i, sp.evictions, want)
 			}
-			if n < 2*c.order+1 {
+			if n < 2*order+1 {
 				continue
 			}
 			tail := xs[i+1-n : i+1]
-			batch, err := FitAR(tail, c.order)
+			batch, err := FitAR(tail, order)
 			if err != nil {
-				t.Fatalf("window %d, observe %d: batch: %v", c.window, i, err)
+				t.Fatalf("window %d, observe %d: batch: %v", window, i, err)
 			}
 			got, err := sp.Model()
 			if err != nil {
-				t.Fatalf("window %d, observe %d: streaming: %v", c.window, i, err)
+				t.Fatalf("window %d, observe %d: streaming: %v", window, i, err)
 			}
 			if !closeTo(got.Mu, batch.Mu) {
-				t.Fatalf("window %d, observe %d: Mu %v vs batch %v", c.window, i, got.Mu, batch.Mu)
+				t.Fatalf("window %d, observe %d: Mu %v vs batch %v", window, i, got.Mu, batch.Mu)
 			}
 			for j := range batch.Coeffs {
 				if !closeTo(got.Coeffs[j], batch.Coeffs[j]) {
-					t.Fatalf("window %d, observe %d, coeff %d: %v vs batch %v", c.window, i, j, got.Coeffs[j], batch.Coeffs[j])
+					t.Fatalf("window %d, observe %d, coeff %d: %v vs batch %v", window, i, j, got.Coeffs[j], batch.Coeffs[j])
 				}
 			}
 			fc, err := sp.Forecast(3 * streamStep)
 			if err != nil {
-				t.Fatalf("window %d, observe %d: forecast: %v", c.window, i, err)
+				t.Fatalf("window %d, observe %d: forecast: %v", window, i, err)
 			}
-			if want := batchForecastMean(t, tail, c.order, 3); !closeTo(fc.Mean, want) {
-				t.Fatalf("window %d, observe %d: forecast %v vs batch %v", c.window, i, fc.Mean, want)
+			if want := batchForecastMean(t, tail, order, 3); !closeTo(fc.Mean, want) {
+				t.Fatalf("window %d, observe %d: forecast %v vs batch %v", window, i, fc.Mean, want)
 			}
 		}
-		if len(sp.buf) != c.window {
-			t.Errorf("window %d: ring holds %d values after %d observations", c.window, len(sp.buf), len(xs))
+		if len(sp.buf) != window {
+			t.Errorf("window %d: ring holds %d values after %d observations", window, len(sp.buf), len(xs))
 		}
 	}
 }
@@ -281,7 +280,7 @@ func TestStreamingARGrowsToItsWindow(t *testing.T) {
 // too-short histories, and poisoned samples.
 func TestStreamingDegenerateSeries(t *testing.T) {
 	t.Run("constant series predicts the mean", func(t *testing.T) {
-		sp := newStreamAR(PredictorConfig{Window: 64, Order: 6, Step: streamStep})
+		sp := newStreamAR(PredictorConfig{Window: 64, Step: streamStep})
 		constant := make([]float64, 40)
 		for i := range constant {
 			constant[i] = 0.25
@@ -309,7 +308,7 @@ func TestStreamingDegenerateSeries(t *testing.T) {
 	})
 
 	t.Run("near-constant series stays finite and matches batch", func(t *testing.T) {
-		sp := newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
+		sp := newStreamAR(PredictorConfig{Window: 64, Step: streamStep})
 		near := make([]float64, 40)
 		for i := range near {
 			near[i] = 0.25 + 1e-12*float64(i%3)
@@ -342,7 +341,7 @@ func TestStreamingDegenerateSeries(t *testing.T) {
 	})
 
 	t.Run("short history reports ErrInsufficientHistory", func(t *testing.T) {
-		sp := newStreamAR(PredictorConfig{Order: 4, Step: streamStep})
+		sp := newStreamAR(PredictorConfig{Step: streamStep})
 		if err := sp.Observe(1.5, time.Unix(1, 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +385,7 @@ func TestStreamingDegenerateSeries(t *testing.T) {
 // reflects the whole current window, and never while no sample has arrived.
 func TestStreamingResolvesAfterEveryObservation(t *testing.T) {
 	xs := priceSeries(rng.New(99), 80)
-	sp := newStreamAR(PredictorConfig{Window: 200, Order: 4, Step: streamStep})
+	sp := newStreamAR(PredictorConfig{Window: 200, Step: streamStep})
 	feedStream(t, sp, xs)
 	if _, err := sp.Forecast(streamStep); err != nil {
 		t.Fatal(err)
@@ -417,7 +416,7 @@ func TestStreamingResolvesAfterEveryObservation(t *testing.T) {
 	if !moved {
 		t.Fatal("fit unchanged by a new observation")
 	}
-	if want := batchForecastMean(t, append(xs, 20), 4, 1); !closeTo(fc.Mean, want) {
+	if want := batchForecastMean(t, append(xs, 20), DefaultOrder, 1); !closeTo(fc.Mean, want) {
 		t.Errorf("forecast after one new sample %v, batch %v", fc.Mean, want)
 	}
 }
@@ -439,7 +438,7 @@ func TestNewStreamingBuildsOnlyAR(t *testing.T) {
 // one writer observing, many readers forecasting, on goroutines of their own.
 // Run under -race.
 func TestStreamingConcurrentReads(t *testing.T) {
-	sp := newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
+	sp := newStreamAR(PredictorConfig{Window: 64, Step: streamStep})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -479,7 +478,7 @@ func TestStreamingConcurrentReads(t *testing.T) {
 func TestForecastMeanConcurrentWithObserve(t *testing.T) {
 	models := make([]*StreamAR, 5)
 	for m := range models {
-		models[m] = newStreamAR(PredictorConfig{Window: 64, Order: 4, Step: streamStep})
+		models[m] = newStreamAR(PredictorConfig{Window: 64, Step: streamStep})
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
