@@ -118,7 +118,10 @@ bench-compare:
 # perf PR had been rolling by hand:
 #   make bench-pairs BASE=HEAD~1 WORKLOAD=grid-dense SEEDS="91 92 93 94 95 96 97 98 99 100"
 # BASE's committed files are unpacked (git archive) into a fresh temporary
-# directory outside the repo, so the repo's .git is left as it was; each
+# directory outside the repo, so the repo's .git is left as it was, and the
+# working tree's files (tracked and untracked, less what .gitignore names) are
+# copied into another, so both sides run from equivalent fresh trees: a side
+# run from the repo itself read slower on the same commit (bank-mem). Each
 # tree's ./bench is built once, and each binary runs from its own tree's root
 # (so bank-* builds and serves that tree's bankd) — BASE first on odd
 # positions, the working tree first on even ones, so neither side always runs
@@ -126,16 +129,20 @@ bench-compare:
 # run_seconds, as in bench-suite. One row per run (the five end-to-end metrics, the
 # machine-speed reading, failed operations, sim.digest), then each side's
 # median and quartiles and the working tree's wins over the pairs, metric by
-# metric. The temporary directory is removed on the way out.
+# metric, and whether the claim rule of the choosing-metrics guide holds: the
+# head better in at least nine tenths of the pairs, ties counting for
+# neither, and its median better than the base's by more than the base's
+# quartile spread. The temporary directories are removed on the way out.
 bench-pairs:
 	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ] || [ -z "$(SEEDS)" ]; then \
 		echo 'usage: make bench-pairs BASE=<rev> WORKLOAD=<name> SEEDS="91 92 ..."'; exit 2; fi
-	@set -e; root=$$(pwd); base=$$(mktemp -d); rows=$$(mktemp); \
-	trap 'rm -rf "$$base" "$$rows"' EXIT; \
+	@set -e; base=$$(mktemp -d); head=$$(mktemp -d); rows=$$(mktemp); \
+	trap 'rm -rf "$$base" "$$head" "$$rows"' EXIT; \
 	trap 'exit 130' INT TERM; \
 	rev=$$(git rev-parse --verify "$(BASE)^{commit}"); git archive "$$rev" | tar -x -C "$$base"; \
+	git ls-files -z --cached --others --exclude-standard | tar --null --ignore-failed-read -T - -c 2>/dev/null | tar -x -C "$$head"; \
 	(cd "$$base" && $(GO) build -o .bench_build/pairs-bench ./bench); \
-	$(GO) build -o .bench_build/pairs-bench ./bench; \
+	(cd "$$head" && $(GO) build -o .bench_build/pairs-bench ./bench); \
 	run() { \
 		out=$$(cd "$$2" && ./.bench_build/pairs-bench --workload $(WORKLOAD) --seed $$3 --trace 0 2>&1) || true; \
 		echo "$$out" | awk -v side=$$1 -v seed=$$3 ' \
@@ -151,19 +158,22 @@ bench-pairs:
 	echo "$(WORKLOAD): base = $(BASE) ($$(git rev-parse --short $(BASE))), head = the working tree at $$(git rev-parse --short HEAD)"; \
 	printf "%-5s %-6s %10s %12s %12s %14s %12s %6s %6s %s\n" seed side setup_s ops_per_s op_p50_us cpu_us_per_op peak_rss_mb speed failed sim.digest; \
 	i=0; for seed in $(SEEDS); do i=$$((i + 1)); \
-		if [ $$((i % 2)) -eq 1 ]; then run base "$$base" $$seed; run head "$$root" $$seed; \
-		else run head "$$root" $$seed; run base "$$base" $$seed; fi; \
+		if [ $$((i % 2)) -eq 1 ]; then run base "$$base" $$seed; run head "$$head" $$seed; \
+		else run head "$$head" $$seed; run base "$$base" $$seed; fi; \
 	done; \
 	awk ' \
 		function q(a, n, p,   x, lo) { x = (n - 1) * p + 1; lo = int(x); return lo >= n ? a[n] : a[lo] + (x - lo) * (a[lo + 1] - a[lo]) } \
 		function line(side, k,   a, n, i, j, t, s, key) { n = 0; for (s in v) { split(s, key, SUBSEP); if (key[1] == side && key[2] == k) a[++n] = v[s] } \
 			for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t } \
-			printf "%-14s %-5s median %12.4f  quartiles %12.4f .. %-12.4f\n", name[k], side, q(a, n, 0.5), q(a, n, 0.25), q(a, n, 0.75) } \
+			med[side] = q(a, n, 0.5); iqr[side] = q(a, n, 0.75) - q(a, n, 0.25); \
+			printf "%-14s %-5s median %12.4f  quartiles %12.4f .. %-12.4f\n", name[k], side, med[side], q(a, n, 0.25), q(a, n, 0.75) } \
 		BEGIN { name[3] = "setup_s"; name[4] = "ops_per_s"; name[5] = "op_p50_us"; name[6] = "cpu_us_per_op"; name[7] = "peak_rss_mb" } \
 		{ for (k = 3; k <= 7; k++) v[$$2, k, $$1] = $$k; seeds[$$1] = 1 } \
 		END { print ""; for (k = 3; k <= 7; k++) { line("base", k); line("head", k); wins = 0; pairs = 0; \
 			for (s in seeds) { pairs++; b = v["base", k, s]; h = v["head", k, s]; if (k == 4 ? h > b : h < b) wins++ } \
-			printf "%-14s head better in %d / %d pairs\n", name[k], wins, pairs } }' "$$rows"
+			gain = k == 4 ? med["head"] - med["base"] : med["base"] - med["head"]; \
+			printf "%-14s head better in %d / %d pairs; median better by %.4f, base quartile spread %.4f: claim %s\n", name[k], wins, pairs, gain, iqr["base"], \
+				(10 * wins >= 9 * pairs && gain > iqr["base"]) ? "holds" : "does not hold" } }' "$$rows"
 
 # What ROADMAP's judging rule asks of a simplicity claim, since BASE: non-test
 # Go lines outside bench/ added, deleted and net; then test Go lines outside

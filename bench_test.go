@@ -482,8 +482,11 @@ func BenchmarkClusterTickDense(b *testing.B) {
 // markets are awake — none — and hands Best Response the 10 000 sleeping
 // hosts as one run, so neither memory nor time is per host: core.solve tests
 // a run once and sums it as products, and ns/op reads the same at 10 000
-// and 100 000 hosts (≈ 216 µs at both on a 2-vCPU Xeon; ≈ 244 µs and
-// ≈ 546 µs while it admitted a run one host at a time). It was ≈ 1.05 ms
+// and 100 000 hosts (≈ 216 µs at both on a 2-vCPU Xeon, ≈ 0.12–0.2 ms at
+// both with the hosts one []Host; ≈ 244 µs and ≈ 546 µs while it admitted a
+// run one host at a time). B/op is ≈ 8.3 KB in 65 allocations, at both; it
+// was ≈ 9.0 KB in 89 while each of the 8 markets the job woke allocated its
+// replay closure. It was ≈ 1.05 ms
 // and 1.2 MB when every candidate was keyed, ranked and made an allocation
 // of, and ≈ 0.46–0.6 ms
 // while the agent still asked each of the 10 000 markets its capacity and

@@ -289,8 +289,11 @@ type Config struct {
 // Agent is the broker-side scheduler. Not safe for concurrent use; it runs
 // inside the simulation's single-threaded event loop.
 type Agent struct {
-	cfg      Config
-	hosts    []*grid.Host    // the partition's hosts, resolved once, aligned with cfg.Hosts
+	cfg Config
+	// hosts are the partition's hosts, resolved once, aligned with cfg.Hosts;
+	// nil for a partition of the whole cluster in its own order, whose i-th
+	// host is the cluster's (see host).
+	hosts    []*grid.Host
 	jobs     map[string]*Job // every job ever submitted, finished ones included
 	running  []*Job          // the StateRunning jobs, ascending by ID: what the pump walks
 	byBidder map[auction.BidderID]*Job
@@ -301,21 +304,22 @@ type Agent struct {
 	models []*predict.StreamAR
 
 	// Price discovery (see discover). ids is the partition in the cluster's
-	// canonical order — HostIDs order, ascending — byIndex its hosts, at each
-	// cluster index's position in ids (-1 outside the partition), and
-	// stretches cuts ids into maximal stretches of equal capacity and reserve.
-	// awake and runs are discover's scratch; runs holds the last submission's
-	// candidates.
+	// canonical order — HostIDs order, ascending, and HostIDs itself for the
+	// whole cluster — at each cluster index's position in ids (-1 outside the
+	// partition), and stretches cuts ids into maximal stretches of equal
+	// capacity and reserve. awake and runs are discover's scratch; runs holds
+	// the last submission's candidates.
 	ids       []string
-	byIndex   []*grid.Host
 	at        []int32
 	stretches []stretch
 	awake     []int
 	runs      []core.Run
-	// booked holds, at each partition position, the bidders the host charged
-	// at the last tick, in charge order, each with its job (nil: another
-	// agent's) and its row on that job's tab: settle's memo (see settle).
-	booked [][]bookedBidder
+	// booked is settle's memo (see settle), ascending by partition position,
+	// with an entry only for a host that charged at the last tick: the
+	// bidders it charged, in charge order, each with its job (nil: another
+	// agent's) and its row on that job's tab. spare is the array the next
+	// tick's memo is written to; the two alternate.
+	booked, spare []hostMemo
 	// cpuMemo holds each host's "cpu <host>" ledger memo, built the first
 	// time a tab with that host is banked; every later charge entry of the
 	// host shares the string. No tick reads it.
@@ -348,33 +352,37 @@ func New(cfg Config) (*Agent, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = pricefeed.DefaultCapacity
 	}
-	if len(cfg.Hosts) == 0 {
-		cfg.Hosts = cfg.Cluster.HostIDs()
-	}
 	a := &Agent{
 		cfg:      cfg,
-		hosts:    make([]*grid.Host, len(cfg.Hosts)),
 		jobs:     make(map[string]*Job),
 		byBidder: make(map[auction.BidderID]*Job),
 		cpuMemo:  make(map[string]string),
 		at:       make([]int32, cfg.Cluster.NumHosts()),
-		booked:   make([][]bookedBidder, len(cfg.Hosts)),
 	}
 	// A cluster's host set is fixed at construction, so the partition is
-	// resolved once here and walked as a slice afterwards.
-	for g := range a.at {
-		a.at[g] = -1
-	}
-	for i, id := range cfg.Hosts {
-		h, err := cfg.Cluster.Host(id)
-		if err != nil {
-			return nil, fmt.Errorf("agent: partition host %q: %w", id, err)
+	// resolved once here and walked as a slice afterwards. The whole cluster
+	// in its own order is the cluster's ids and hosts, looked up by index.
+	if all := cfg.Cluster.SharedHostIDs(); len(cfg.Hosts) == 0 || slices.Equal(cfg.Hosts, all) {
+		a.cfg.Hosts, a.ids = all, all
+		for g := range a.at {
+			a.at[g] = int32(g)
 		}
-		if a.at[h.Index()] >= 0 {
-			return nil, fmt.Errorf("agent: partition names host %q twice", id)
+	} else {
+		a.hosts = make([]*grid.Host, len(cfg.Hosts))
+		for g := range a.at {
+			a.at[g] = -1
 		}
-		a.at[h.Index()] = int32(i)
-		a.hosts[i] = h
+		for i, id := range cfg.Hosts {
+			h, err := cfg.Cluster.Host(id)
+			if err != nil {
+				return nil, fmt.Errorf("agent: partition host %q: %w", id, err)
+			}
+			if a.at[h.Index()] >= 0 {
+				return nil, fmt.Errorf("agent: partition names host %q twice", id)
+			}
+			a.at[h.Index()] = int32(i)
+			a.hosts[i] = h
+		}
 	}
 	a.index()
 	// Charges reach the bank only when a job's escrow is released, so the
@@ -418,30 +426,45 @@ type stretch struct {
 }
 
 // index lays the partition out for discover. On entry a.at holds, at each
-// cluster index of the partition, that host's position in a.hosts. A
-// partition given in canonical order (the whole cluster, or box's
-// partitions) is then kept once: cfg.Hosts and hosts become ids and byIndex.
+// cluster index of a listed partition, that host's position in cfg.Hosts; on
+// return, its position in ids. A partition given in canonical order (box's
+// partitions) then keeps its ids once, as cfg.Hosts. The whole cluster's
+// partition is laid out already: its ids are the cluster's and a.at is the
+// identity.
 func (a *Agent) index() {
-	a.ids = make([]string, 0, len(a.hosts))
-	a.byIndex = make([]*grid.Host, 0, len(a.hosts))
-	for g, i := range a.at {
-		if i < 0 {
+	if a.hosts != nil {
+		a.ids = make([]string, 0, len(a.hosts))
+		for g, i := range a.at {
+			if i >= 0 {
+				a.at[g] = int32(len(a.ids))
+				a.ids = append(a.ids, a.hosts[i].Spec.ID)
+			}
+		}
+		if slices.Equal(a.ids, a.cfg.Hosts) {
+			a.cfg.Hosts = a.ids
+		}
+	}
+	for g, p := range a.at {
+		if p < 0 {
 			continue
 		}
-		h := a.hosts[i]
-		a.at[g] = int32(len(a.ids))
-		a.ids = append(a.ids, h.Spec.ID)
-		a.byIndex = append(a.byIndex, h)
+		h := a.cfg.Cluster.HostAt(g)
 		c, r := h.Market.CapacityMHz(), h.Market.ReservePrice()
 		if n := len(a.stretches); n > 0 && a.stretches[n-1].capacity == c && a.stretches[n-1].reserve == r {
 			a.stretches[n-1].end++
 			continue
 		}
-		a.stretches = append(a.stretches, stretch{end: len(a.ids), capacity: c, reserve: r})
+		a.stretches = append(a.stretches, stretch{end: int(p) + 1, capacity: c, reserve: r})
 	}
-	if slices.Equal(a.ids, a.cfg.Hosts) {
-		a.cfg.Hosts, a.hosts = a.ids, a.byIndex
+}
+
+// host returns the partition's i-th host, in cfg.Hosts order: the cluster's
+// own i-th for a partition of the whole cluster, which lists none.
+func (a *Agent) host(i int) *grid.Host {
+	if a.hosts == nil {
+		return a.cfg.Cluster.HostAt(i)
 	}
+	return a.hosts[i]
 }
 
 // bookedBidder is one entry of settle's memo: a bidder, the job it is (nil if
@@ -450,6 +473,12 @@ type bookedBidder struct {
 	bidder auction.BidderID
 	job    *Job
 	row    int
+}
+
+// hostMemo is settle's memo of one host, at partition position pos.
+type hostMemo struct {
+	pos     int32
+	bidders []bookedBidder
 }
 
 // earningsAccount is where every host's charges are paid.
@@ -468,15 +497,29 @@ const earningsAccount bank.AccountID = "grid-earnings"
 // a bidder that differs is looked up in byBidder, the source of truth. A
 // bidder maps to one job for good (byBidder only grows, and a job's bidder is
 // registered before its bids can clear), so a matching entry is exact.
+//
+// The memo holds the hosts that charged at the last tick, ascending by
+// position as the cleared hosts are, so one merge walk finds each host's and
+// writes this tick's: a host that charged nothing drops out, and one that
+// charges again starts a fresh memo.
 func (a *Agent) settle(cleared []marketplane.TickResult) {
 	var booked bank.Amount
+	last, memos := a.booked, a.spare[:0]
+	j := 0 // the first of last's memos not yet passed
 	for i := range cleared {
 		r := &cleared[i]
 		p := a.at[r.Index]
 		if p < 0 || len(r.Charges) == 0 {
 			continue
 		}
-		memo := a.booked[p]
+		for j < len(last) && last[j].pos < p {
+			j++
+		}
+		var memo []bookedBidder
+		if j < len(last) && last[j].pos == p {
+			memo = last[j].bidders
+			j++
+		}
 		for k, ch := range r.Charges {
 			if k == len(memo) {
 				memo = append(memo, bookedBidder{})
@@ -491,8 +534,10 @@ func (a *Agent) settle(cleared []marketplane.TickResult) {
 			e.row = e.job.book(r.Host, e.row, ch.Amount)
 			booked += ch.Amount
 		}
-		a.booked[p] = memo
+		memos = append(memos, hostMemo{pos: p, bidders: memo})
 	}
+	clear(last) // the memos of hosts that charged nothing go
+	a.booked, a.spare = memos, last[:0]
 	if booked > 0 {
 		mUnbanked.Add(booked.Credits())
 	}
@@ -713,7 +758,7 @@ func (a *Agent) bestResponse(job *Job, horizon float64, count, minHosts int) ([]
 	rate := job.Budget.Credits() / horizon
 	runs := a.discover(bidder)
 	allocs, err := core.BestResponseRuns(rate, runs, count)
-	if err != nil || a.byIndex[0].Market.MechanismName() == mechanism.Proportional {
+	if err != nil || a.host(0).Market.MechanismName() == mechanism.Proportional {
 		return allocs, err
 	}
 	concentrating := false
@@ -822,7 +867,7 @@ func (a *Agent) discover(bidder auction.BidderID) []core.Run {
 		}
 		asleep(next, p)
 		next = p + 1
-		if h := a.byIndex[p]; !h.Down() {
+		if h := a.cfg.Cluster.HostAt(g); !h.Down() {
 			add(p, p+1, h.Market.CapacityMHz(), h.Market.PriceExcluding(bidder))
 		}
 	}
@@ -981,7 +1026,8 @@ func (a *Agent) failover(job *Job, failedHost string, freed bank.Amount) {
 func (a *Agent) cheapestLiveHost() string {
 	best := ""
 	bestPrice := 0.0
-	for _, h := range a.hosts {
+	for i := range a.cfg.Hosts {
+		h := a.host(i)
 		if h.Down() {
 			continue
 		}
@@ -1201,7 +1247,8 @@ func (a *Agent) HostIDs() []string {
 func (a *Agent) MeanSpotPrice() float64 {
 	var sum float64
 	n := 0
-	for _, h := range a.hosts {
+	for i := range a.cfg.Hosts {
+		h := a.host(i)
 		if h.Down() {
 			continue
 		}
@@ -1224,9 +1271,9 @@ func (a *Agent) MeanSpotPrice() float64 {
 // not backfill: a ring first hung after prices have flowed holds only the
 // clears after it. arc.NewMeta asks before the first clear.
 func (a *Agent) HistoryHandle() func() []float64 {
-	rings := make([]*tsdb.Ring, len(a.hosts))
-	for i, h := range a.hosts {
-		rings[i] = h.Market.History(a.cfg.Window)
+	rings := make([]*tsdb.Ring, len(a.cfg.Hosts))
+	for i := range rings {
+		rings[i] = a.host(i).Market.History(a.cfg.Window)
 	}
 	return func() []float64 {
 		a.syncFeed()
@@ -1239,8 +1286,8 @@ func (a *Agent) HistoryHandle() func() []float64 {
 // samples it owes only when woken (auction.Market.Sleep), so everything that
 // reads the rings or the forecast models goes through here first.
 func (a *Agent) syncFeed() {
-	for _, h := range a.hosts {
-		h.Market.Sync()
+	for i := range a.cfg.Hosts {
+		a.host(i).Market.Sync()
 	}
 }
 
@@ -1258,8 +1305,9 @@ func (a *Agent) ForecastHandle() strategy.ForecastFunc {
 	if a.models == nil {
 		a.HistoryHandle()
 		cfg := predict.PredictorConfig{Window: a.cfg.Window, Step: a.cfg.Cluster.Interval()}
-		a.models = make([]*predict.StreamAR, len(a.hosts))
-		for i, h := range a.hosts {
+		a.models = make([]*predict.StreamAR, len(a.cfg.Hosts))
+		for i := range a.models {
+			h := a.host(i)
 			sp, _ := predict.NewStreaming(predict.StreamingAR, cfg) // the one model there is
 			a.models[i] = sp
 			// Market.Observe first pays what a sleeping market owes its

@@ -682,7 +682,9 @@ func TestPartitionNamingAHostTwiceIsRefused(t *testing.T) {
 // TestPartitionLayoutKeepsOneCopy: an agent keeps its host set once where
 // its order is the cluster's (the whole cluster, or a partition listed in
 // that order), and lays out a copy only for a partition listed otherwise.
-// Either way HostIDs is a copy in the order the partition was given.
+// The whole cluster's is the cluster's own: its ids, and its hosts by index,
+// with no list of the agent's. Either way HostIDs is a copy in the order the
+// partition was given.
 func TestPartitionLayoutKeepsOneCopy(t *testing.T) {
 	w := newWorld(t, 4)
 	for _, hosts := range [][]string{nil, {"h01", "h03"}, {"h03", "h00", "h02"}} {
@@ -708,15 +710,24 @@ func TestPartitionLayoutKeepsOneCopy(t *testing.T) {
 			t.Errorf("%v: HostIDs handed out the agent's own slice", want)
 		}
 		sorted := slices.IsSorted(want)
-		if shared := &a.ids[0] == &a.cfg.Hosts[0] && &a.byIndex[0] == &a.hosts[0]; shared != sorted {
+		if shared := &a.ids[0] == &a.cfg.Hosts[0]; shared != sorted {
 			t.Errorf("%v: host set kept once = %v, want %v", want, shared, sorted)
+		}
+		if whole := hosts == nil; whole != (a.hosts == nil) || whole && &a.ids[0] != &w.cluster.SharedHostIDs()[0] {
+			t.Errorf("%v: the agent keeps a host list %v, its ids shared with the cluster's %v, want both only for the whole cluster",
+				want, a.hosts != nil, &a.ids[0] == &w.cluster.SharedHostIDs()[0])
 		}
 		if !slices.IsSorted(a.ids) || len(a.ids) != len(want) {
 			t.Errorf("%v: laid out as %v, want the partition in cluster order", want, a.ids)
 		}
-		for p, h := range a.byIndex {
-			if h.Spec.ID != a.ids[p] || a.at[h.Index()] != int32(p) {
-				t.Errorf("%v: position %d holds %s, id %s", want, p, h.Spec.ID, a.ids[p])
+		for p, id := range a.ids {
+			if h, err := w.cluster.Host(id); err != nil || a.at[h.Index()] != int32(p) {
+				t.Errorf("%v: position %d holds %s, not at its cluster index", want, p, id)
+			}
+		}
+		for i, id := range want {
+			if got := a.host(i).Spec.ID; got != id {
+				t.Errorf("%v: host %d is %s, want %s", want, i, got, id)
 			}
 		}
 	}

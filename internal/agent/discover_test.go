@@ -22,7 +22,8 @@ import (
 // reference discover is held to.
 func oracleCandidates(a *Agent, bidder auction.BidderID) []core.Host {
 	var hosts []core.Host
-	for _, h := range a.hosts {
+	for i := range a.cfg.Hosts {
+		h := a.host(i)
 		if h.Down() {
 			continue
 		}
@@ -192,7 +193,7 @@ func checkSubmission(t *testing.T, w *world, a *Agent, src *rand.Rand, what stri
 	// Whatever the refinement, under a rule other than proportional share a
 	// job's markets admit it on every host it funds or on none: a placement
 	// that wins on some hosts is not left holding bids that win nothing.
-	if a.hosts[0].Market.MechanismName() == mechanism.Proportional {
+	if a.host(0).Market.MechanismName() == mechanism.Proportional {
 		return
 	}
 	admitted := 0
@@ -223,7 +224,7 @@ func oracleBestResponse(w *world, a *Agent, bidder auction.BidderID, rate, horiz
 		need += c
 	}
 	concentrating := false
-	for err == nil && a.hosts[0].Market.MechanismName() != mechanism.Proportional {
+	for err == nil && a.host(0).Market.MechanismName() != mechanism.Proportional {
 		zero := map[string]bool{}
 		var mhz float64
 		for _, al := range allocs {

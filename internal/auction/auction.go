@@ -120,34 +120,63 @@ func (b *book) scratch() []mechanism.Line {
 }
 
 // Market is one host's auction. Safe for concurrent use.
+//
+// A market is built by NewMarket or, where its owner holds it by value (a
+// grid host), readied in place by Init. What every market holds is its
+// identity, its clock and price, its clearing rule and its sleep state; the
+// book (first PlaceBid) and the readers of its prices (first Observe or
+// History) hang off it only once something uses them.
 type Market struct {
-	mu        sync.Mutex
-	hostID    string
-	capacity  float64 // MHz
-	reserve   float64 // reserve price, credits/second, floor for the spot price
-	book      *book   // nil until the first PlaceBid
-	price     float64 // spot price at last reallocation, credits/second
-	now       time.Time
-	observers []func(price float64, at time.Time)
-	// obs2 is inline room for the first two observers (a price ring's
-	// recorder, a predictor's feed): wiring 10 000 markets allocates nothing
-	// for them.
-	obs2    [2]func(price float64, at time.Time)
-	mech    mechanism.Mechanism // clearing rule; proportional share by default
-	history *tsdb.Ring          // nil until a reader asks (History)
+	mu sync.Mutex
+	// wakeMu serialises wake-ups, so nobody enters the market while one is
+	// replaying; asleep mirrors waker != nil for Sync's lock-free look.
+	wakeMu sync.Mutex
+	asleep atomic.Bool
 	// quoted: the book's lines are an outcome of the current book; every
 	// mutation of the book clears it.
 	quoted bool
+	// quiet: the last clear was of an empty book by a settled mechanism, so
+	// every further idle clear would publish price again (see Sleep).
+	quiet bool
 
-	// Sleep state (see Sleep). quiet: the last clear was of an empty book by a
-	// settled mechanism, so every further idle clear would publish m.price
-	// again. waker is non-nil while the market is asleep, and asleep mirrors
-	// that for Sync's lock-free look; wakeMu serialises wake-ups, so nobody
-	// enters the market while one is replaying.
-	quiet  bool
-	waker  Waker
-	asleep atomic.Bool
-	wakeMu sync.Mutex
+	hostID   string
+	capacity float64             // MHz
+	reserve  float64             // reserve price, credits/second, floor for the spot price
+	price    float64             // spot price at last reallocation, credits/second
+	now      int64               // the market's clock, Unix nanoseconds
+	book     *book               // nil until the first PlaceBid
+	feed     *feed               // nil until the first Observe or History
+	mech     mechanism.Mechanism // clearing rule; proportional share by default
+	waker    Waker               // non-nil while the market is asleep
+}
+
+// feed is who reads a market's prices: the observers every clear calls, and
+// the one price ring among them (History).
+type feed struct {
+	observers []func(price float64, at time.Time)
+	// obs2 is inline room for the first two observers (a price ring's
+	// recorder, a predictor's feed): a market's readers are one allocation.
+	obs2    [2]func(price float64, at time.Time)
+	history *tsdb.Ring
+}
+
+// readers returns the market's feed, made on first use. Callers hold m.mu
+// with the market awake.
+func (m *Market) readers() *feed {
+	if m.feed == nil {
+		m.feed = new(feed)
+		m.feed.observers = m.feed.obs2[:0]
+	}
+	return m.feed
+}
+
+// observing returns the observers a clear calls: none before the first
+// Observe or History.
+func (m *Market) observing() []func(price float64, at time.Time) {
+	if m.feed == nil {
+		return nil
+	}
+	return m.feed.observers
 }
 
 // Config configures a Market.
@@ -158,7 +187,9 @@ type Config struct {
 	// when the host is idle; it models the host's opportunity cost and keeps
 	// the Best Response optimizer's prices strictly positive.
 	ReservePrice float64
-	// Start is the market's initial clock reading.
+	// Start is the market's initial clock reading. The market keeps its
+	// clock as Unix nanoseconds, so every instant it is given, this one
+	// included, lies within 1678–2262.
 	Start time.Time
 	// Tracer is read by nothing: a clear no longer times itself, so it names
 	// no trace. It is kept for bench/replay.go and bench/plane.go, which are
@@ -178,8 +209,18 @@ var (
 
 // NewMarket creates a market for one host.
 func NewMarket(cfg Config) (*Market, error) {
+	m := new(Market)
+	if err := m.Init(cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Init readies a zero Market in place for one host: NewMarket for an owner
+// that holds its market by value. It must not be called on a market in use.
+func (m *Market) Init(cfg Config) error {
 	if cfg.HostID == "" || cfg.CapacityMHz <= 0 {
-		return nil, fmt.Errorf("%w: host %q capacity %v", ErrBadBid, cfg.HostID, cfg.CapacityMHz)
+		return fmt.Errorf("%w: host %q capacity %v", ErrBadBid, cfg.HostID, cfg.CapacityMHz)
 	}
 	reserve := cfg.ReservePrice
 	if reserve <= 0 {
@@ -189,16 +230,13 @@ func NewMarket(cfg Config) (*Market, error) {
 	if mech == nil {
 		mech, _ = mechanism.New(mechanism.Proportional, mechanism.Config{})
 	}
-	m := &Market{
-		mech:     mech,
-		hostID:   cfg.HostID,
-		capacity: cfg.CapacityMHz,
-		reserve:  reserve,
-		price:    reserve,
-		now:      cfg.Start,
-	}
-	m.observers = m.obs2[:0]
-	return m, nil
+	m.mech = mech
+	m.hostID = cfg.HostID
+	m.capacity = cfg.CapacityMHz
+	m.reserve = reserve
+	m.price = reserve
+	m.now = cfg.Start.UnixNano()
+	return nil
 }
 
 // HostID returns the host this market allocates.
@@ -223,7 +261,8 @@ func (m *Market) ReservePrice() float64 { return m.reserve }
 func (m *Market) Observe(fn func(price float64, at time.Time)) {
 	m.lockAwake()
 	defer m.mu.Unlock()
-	m.observers = append(m.observers, fn)
+	f := m.readers()
+	f.observers = append(f.observers, fn)
 }
 
 // History returns the market's one price ring, which every reader of its
@@ -235,24 +274,34 @@ func (m *Market) History(capacity int) *tsdb.Ring {
 	if capacity < 1 {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.history
+		if m.feed == nil {
+			return nil
+		}
+		return m.feed.history
 	}
 	m.lockAwake()
 	defer m.mu.Unlock()
-	if m.history == nil {
-		m.history = tsdb.NewRing(capacity)
-		m.observers = append(m.observers, pricefeed.Observer(m.history))
+	f := m.readers()
+	if f.history == nil {
+		f.history = tsdb.NewRing(capacity)
+		f.observers = append(f.observers, pricefeed.Observer(f.history))
 	}
-	m.history.Raise(capacity)
-	return m.history
+	f.history.Raise(capacity)
+	return f.history
 }
 
 // Waker is the side of Sleep that the market's driver implements.
 type Waker interface {
-	// Wake puts the market back into the driver's sweep and calls replay, in
-	// order, with every instant the driver has ticked its markets at since
-	// Sleep returned.
-	Wake(replay func(at time.Time))
+	// Wake puts the market back into the driver's sweep and hands r, in
+	// order, every instant the driver has ticked its markets at since Sleep
+	// returned.
+	Wake(r Replayer)
+}
+
+// Replayer takes the instants a waking market missed (Waker.Wake): each
+// Replay is the clear at that instant, as the market's observers see it.
+type Replayer interface {
+	Replay(at time.Time)
 }
 
 // Sleep is for the driver that ticks this market (a marketplane shard): called
@@ -304,30 +353,38 @@ func (m *Market) lockAwake() {
 // wakeUp replays the samples a sleeping market owes. The observers run
 // outside the market lock, like those of a clear, but under wakeMu: a second
 // caller waits for the replay to finish and then finds the market awake.
+// The waker is handed the market itself as its Replayer, so a wake-up
+// allocates nothing.
 func (m *Market) wakeUp() {
 	m.wakeMu.Lock()
 	defer m.wakeMu.Unlock()
 	m.mu.Lock()
-	w, price, obs := m.waker, m.price, m.observers
+	w := m.waker
 	m.mu.Unlock()
 	if w == nil {
 		return
 	}
-	var last time.Time
-	owed := false
-	w.Wake(func(at time.Time) {
-		for _, fn := range obs {
-			fn(price, at)
-		}
-		last, owed = at, true
-	})
+	w.Wake((*replayer)(m))
 	m.mu.Lock()
-	if owed {
-		m.now = last
-	}
 	m.waker = nil
 	m.asleep.Store(false)
 	m.mu.Unlock()
+}
+
+// replayer is a waking market in its Replayer role.
+type replayer Market
+
+// Replay delivers one missed sample to the observers and moves the clock to
+// it. It runs under wakeMu without the market lock: while the market sleeps
+// its price, clock and observers change only through a wake-up (whoever would
+// change them wakes the market first and waits on wakeMu), and its book is
+// empty, so nothing else reads the clock.
+func (r *replayer) Replay(at time.Time) {
+	m := (*Market)(r)
+	for _, fn := range m.observing() {
+		fn(m.price, at)
+	}
+	m.now = at.UnixNano()
 }
 
 // find returns the position of bidder's bid in the book, or where it would
@@ -346,7 +403,7 @@ func (m *Market) PlaceBid(bidder BidderID, budget bank.Amount, deadline time.Tim
 	}
 	m.lockAwake() // the horizon below is measured from the market's clock
 	defer m.mu.Unlock()
-	horizon := deadline.Sub(m.now).Seconds()
+	horizon := time.Duration(deadline.UnixNano() - m.now).Seconds()
 	if horizon <= 0 {
 		return 0, fmt.Errorf("%w: deadline not in the future", ErrBadBid)
 	}
@@ -397,7 +454,7 @@ func (m *Market) Boost(bidder BidderID, extra bank.Amount) error {
 		return fmt.Errorf("%w: boost of %v overflows the budget", ErrBadBid, extra)
 	}
 	r.remaining += extra
-	horizon := time.Duration(r.deadline - m.now.UnixNano()).Seconds()
+	horizon := time.Duration(r.deadline - m.now).Seconds()
 	if horizon <= 0 {
 		horizon = DefaultInterval.Seconds()
 	}
@@ -631,13 +688,14 @@ func CountClears(n int) { mClears.Add(uint64(n)) }
 // clones them. The caller counts the clear (CountClears).
 func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	m.lockAwake()
-	dt := now.Sub(m.now).Seconds()
+	nowNs := now.UnixNano()
+	dt := time.Duration(nowNs - m.now).Seconds()
 	if dt < 0 {
 		dt = 0
 	}
-	m.now = now
+	m.now = nowNs
 	if m.book != nil {
-		charges, refunds = m.book.charge(now, dt)
+		charges, refunds = m.book.charge(nowNs, dt)
 	}
 
 	// Reallocate through the mechanism: it publishes the new spot price and
@@ -669,7 +727,7 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 	m.price = price
 	// Observe only ever appends, so the elements below this length never
 	// change and the slice header is a stable snapshot: no copy needed.
-	obs := m.observers
+	obs := m.observing()
 	m.mu.Unlock()
 
 	// Observers run outside the lock so they may call back into the market.
@@ -684,9 +742,9 @@ func (m *Market) Tick(now time.Time) (charges []Charge, refunds []Charge) {
 // sorted, survivors keep their order, and every survivor has budget left.
 // Both are the book's own buffers, nil when empty. Callers hold the market
 // lock.
-func (b *book) charge(now time.Time, dt float64) (charges []Charge, refunds []Charge) {
+func (b *book) charge(nowNs int64, dt float64) (charges []Charge, refunds []Charge) {
 	charges, refunds = b.charges[:0], b.refunds[:0]
-	kept, nowNs := 0, now.UnixNano()
+	kept := 0
 	for i := range b.bids {
 		bidder, r := BidderID(b.bids[i].Bidder), &b.rest[i]
 		if r.active && dt > 0 {

@@ -443,8 +443,8 @@ func (w *twins) finish() {
 	if q1.Price != q2.Price {
 		w.t.Fatalf("mechanism state diverged: quotes %v, reference %v", q1.Price, q2.Price)
 	}
-	if w.fast.now != w.ref.now || !w.fast.now.Equal(w.now) {
-		w.t.Fatalf("market clocks %v / %v, want %v", w.fast.now, w.ref.now, w.now)
+	if w.fast.now != w.ref.now.UnixNano() || !w.ref.now.Equal(w.now) {
+		w.t.Fatalf("market clocks %v / %v, want %v", time.Unix(0, w.fast.now).UTC(), w.ref.now, w.now)
 	}
 }
 

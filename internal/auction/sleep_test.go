@@ -29,10 +29,10 @@ func (d *napDriver) tick(at time.Time) (charges, refunds []Charge) {
 	return charges, refunds
 }
 
-func (d *napDriver) Wake(replay func(at time.Time)) {
+func (d *napDriver) Wake(r Replayer) {
 	d.asleep = false
 	for _, at := range d.missed {
-		replay(at)
+		r.Replay(at)
 	}
 	d.missed = nil
 }

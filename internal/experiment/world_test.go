@@ -19,13 +19,17 @@ import (
 //     price history, so its first tick records no price sample.
 //   - World size: the live heap from before NewWorld to after the tick holds
 //     at most maxHostBytes and maxHostObjects a host. What is left is the
-//     host, its market, its VM manager and its id string, ≈ 638 B and 4.00
-//     objects. It read 662 B while the agent kept its host set twice (the
-//     ids beside their canonical copy, the hosts beside theirs), and 1 023 B
-//     and 6.00 while an idle market carried its empty book's five slices (a
-//     320-byte size class, 192 without them), a VM manager made its two maps
-//     before its first boot, and the plane kept an index by host id and the
-//     first sweep's row per host.
+//     host — one stretch of the cluster's one []Host, its market and VM
+//     manager inside it — its id string and its place in the cluster's id
+//     list, the plane and the agent's partition, ≈ 305 B and 0.99 objects. It
+//     read ≈ 638 B and 4.00 while the host, its market and its VM manager
+//     were three allocations and the cluster kept a map and a list of them,
+//     662 B while the agent kept its host set twice (the ids beside their
+//     canonical copy, the hosts beside theirs), and 1 023 B and 6.00 while an
+//     idle market carried its empty book's five slices (a 320-byte size
+//     class, 192 without them), a VM manager made its two maps before its
+//     first boot, and the plane kept an index by host id and the first
+//     sweep's row per host.
 //   - One tick's growth: at most maxGrowth, ≈ 0.09 MB. A sweep returns a
 //     result only for a clear that charged or refunded; the first tick grew
 //     the heap by ≈ 0.98 MB while it kept a row for every swept host, by
@@ -37,12 +41,58 @@ import (
 func TestWideGridRingAllocationBound(t *testing.T) {
 	const (
 		hosts          = 10_000
-		maxHostBytes   = 690
-		maxHostObjects = 4.2
+		maxHostBytes   = 360
+		maxHostObjects = 2.0
 		maxGrowth      = 256 << 10
 		maxSamples     = 16
 	)
 	samples := snapshotSamples()
+	w := measureWideWorld(t, hosts)
+	if n := snapshotSamples(); n-samples > maxSamples {
+		t.Errorf("a world of %d hosts took a metrics snapshot from %d samples to %d, want at most %d more", hosts, samples, n, maxSamples)
+	} else {
+		t.Logf("a world of %d hosts took a metrics snapshot from %d samples to %d", hosts, samples, n)
+	}
+	if w.hostBytes > maxHostBytes || w.hostObjects > maxHostObjects {
+		t.Errorf("a world of %d hosts, ticked once, holds %.0f B and %.2f heap objects a host, want <= %d B and <= %.1f",
+			hosts, w.hostBytes, w.hostObjects, maxHostBytes, maxHostObjects)
+	} else {
+		t.Logf("a world of %d hosts, ticked once, holds %.0f B and %.2f heap objects a host", hosts, w.hostBytes, w.hostObjects)
+	}
+	if w.tickGrowth > maxGrowth {
+		t.Errorf("one tick of %d hosts grew the heap by %.2f MB, want <= %.2f MB", hosts, float64(w.tickGrowth)/(1<<20), float64(maxGrowth)/(1<<20))
+	} else {
+		t.Logf("one tick of %d hosts grew the heap by %.2f MB", hosts, float64(w.tickGrowth)/(1<<20))
+	}
+}
+
+// TestHundredThousandHostAllocationBound: what a wide world holds is a cost
+// per host, with nothing that grows faster — no map whose buckets double, no
+// lookup structure beside the hosts. A 100 000-host world, built and ticked
+// once, holds within 5 % of what a 10 000-host one holds a host.
+func TestHundredThousandHostAllocationBound(t *testing.T) {
+	const slack = 0.05
+	small, large := measureWideWorld(t, 10_000), measureWideWorld(t, 100_000)
+	if d := large.hostBytes/small.hostBytes - 1; d > slack || d < -slack {
+		t.Errorf("a 100 000-host world holds %.1f B a host, a 10 000-host one %.1f: %+.1f %%, want within %.0f %%",
+			large.hostBytes, small.hostBytes, 100*d, 100*slack)
+	} else {
+		t.Logf("a 100 000-host world holds %.1f B and %.2f objects a host, a 10 000-host one %.1f B and %.2f",
+			large.hostBytes, large.hostObjects, small.hostBytes, small.hostObjects)
+	}
+}
+
+// wideWorld is what a world of paper hosts holds, built and ticked once.
+type wideWorld struct {
+	hostBytes, hostObjects float64 // live heap a host, from before NewWorld to after the tick
+	tickGrowth             int64   // live heap the tick (and the Sync after it) added
+}
+
+// measureWideWorld builds a paper world of the given hosts, without a
+// meta-scheduler, ticks it once and syncs it, and reads what it holds. The
+// tick must record no price sample: nobody reads one.
+func measureWideWorld(t *testing.T, hosts int) wideWorld {
+	t.Helper()
 	var start, before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&start)
@@ -66,24 +116,10 @@ func TestWideGridRingAllocationBound(t *testing.T) {
 	if n := samplesRecorded() - recorded; n != 0 {
 		t.Errorf("one tick of %d hosts nobody reads recorded %d price samples, want 0", hosts, n)
 	}
-	if n := snapshotSamples(); n-samples > maxSamples {
-		t.Errorf("a world of %d hosts took a metrics snapshot from %d samples to %d, want at most %d more", hosts, samples, n, maxSamples)
-	} else {
-		t.Logf("a world of %d hosts took a metrics snapshot from %d samples to %d", hosts, samples, n)
-	}
-	perHost := float64(int64(after.HeapAlloc)-int64(start.HeapAlloc)) / hosts
-	objects := float64(int64(after.HeapObjects)-int64(start.HeapObjects)) / hosts
-	if perHost > maxHostBytes || objects > maxHostObjects {
-		t.Errorf("a world of %d hosts, ticked once, holds %.0f B and %.2f heap objects a host, want <= %d B and <= %.1f",
-			hosts, perHost, objects, maxHostBytes, maxHostObjects)
-	} else {
-		t.Logf("a world of %d hosts, ticked once, holds %.0f B and %.2f heap objects a host", hosts, perHost, objects)
-	}
-	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if growth > maxGrowth {
-		t.Errorf("one tick of %d hosts grew the heap by %.2f MB, want <= %.2f MB", hosts, float64(growth)/(1<<20), float64(maxGrowth)/(1<<20))
-	} else {
-		t.Logf("one tick of %d hosts grew the heap by %.2f MB", hosts, float64(growth)/(1<<20))
+	return wideWorld{
+		hostBytes:   float64(int64(after.HeapAlloc)-int64(start.HeapAlloc)) / float64(hosts),
+		hostObjects: float64(int64(after.HeapObjects)-int64(start.HeapObjects)) / float64(hosts),
+		tickGrowth:  int64(after.HeapAlloc) - int64(before.HeapAlloc),
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -34,18 +33,26 @@ type HostSpec struct {
 	CreateOverhead time.Duration // a fresh VM's boot
 }
 
-// Host is one cluster node: a market plus a VM manager.
+// Host is one cluster node: a market plus a VM manager. The cluster holds
+// its hosts by value, each with its market and VM manager inside it, so an
+// idle host is one stretch of one allocation.
 type Host struct {
 	Spec   HostSpec
-	Market *auction.Market
-	VMs    *vm.Manager
+	Market *auction.Market // the host's own market, below
+	VMs    vm.Manager
 	// tasks is ascending by ID, the order a tick advances and finishes them
 	// in. IDs are "task-%05d" of a counter, so the order stops being creation
 	// order at 100 000 tasks; only its being the same every run is relied on.
-	tasks []*Task
-	down  bool
-	index int  // position in Cluster.list
-	busy  bool // in Cluster.busy or Cluster.started
+	tasks  []*Task
+	index  int32 // position in Cluster.hosts
+	down   bool
+	busy   bool // in Cluster.busy or Cluster.started
+	market auction.Market
+}
+
+// vmHost is the host as its VM manager boots on it.
+func (h *Host) vmHost() vm.Config {
+	return vm.Config{HostID: h.Spec.ID, MaxVMs: h.Spec.MaxVMs, CreateOverhead: h.Spec.CreateOverhead}
 }
 
 // task finds a task by ID: its position in h.tasks, or where it would go.
@@ -54,7 +61,7 @@ func (h *Host) task(id string) (int, bool) {
 }
 
 // Index returns the host's position in its cluster's HostIDs.
-func (h *Host) Index() int { return h.index }
+func (h *Host) Index() int { return int(h.index) }
 
 // Down reports whether the host is currently failed.
 func (h *Host) Down() bool { return h.down }
@@ -110,12 +117,11 @@ type Cluster struct {
 	engine   *sim.Engine
 	interval time.Duration
 	purge    time.Duration
-	hosts    map[string]*Host
-	order    []string // deterministic host iteration order
-	list     []*Host  // the hosts in that order: list[i].Spec.ID == order[i]
+	hosts    []Host   // ascending by id: the deterministic host order
+	order    []string // the hosts' ids in that order: order[i] == hosts[i].Spec.ID
 	taskSeq  int
-	plane    *marketplane.Plane // clears every host market, list[i] at index i
-	isDown   func(i int) bool   // list[i].down, the plane's skip predicate
+	plane    *marketplane.Plane // clears every host market, hosts[i] at index i
+	isDown   func(i int) bool   // hosts[i].down, the plane's skip predicate
 	down     int                // hosts currently failed
 
 	// failures and recoveries count the FailHost and RecoverHost calls that
@@ -126,8 +132,8 @@ type Cluster struct {
 	// — those with a task, or with a VM while purging is on — ascending.
 	// started are the hosts that became busy since; they join at the next
 	// tick. shares and owned are advanceTasks' scratch.
-	busy    []int
-	started []int
+	busy    []int32
+	started []int32
 	shares  []auction.Share
 	owned   []int
 
@@ -172,51 +178,48 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	if interval <= 0 {
 		interval = auction.DefaultInterval
 	}
-	c := &Cluster{
-		engine:   engine,
-		interval: interval,
-		purge:    cfg.PurgeIdleAfter,
-		hosts:    make(map[string]*Host, len(cfg.Hosts)),
-	}
 	for _, spec := range cfg.Hosts {
 		if spec.ID == "" || spec.CPUs < 1 || spec.CPUMHz <= 0 {
 			return nil, fmt.Errorf("%w: %+v", ErrBadSpec, spec)
 		}
+	}
+	// The hosts are laid out once, in canonical order; the sorted copy of the
+	// specs lives only as long as New.
+	specs := slices.Clone(cfg.Hosts)
+	slices.SortStableFunc(specs, func(a, b HostSpec) int { return strings.Compare(a.ID, b.ID) })
+	for i := 1; i < len(specs); i++ {
+		if specs[i].ID == specs[i-1].ID {
+			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadSpec, specs[i].ID)
+		}
+	}
+	c := &Cluster{
+		engine:   engine,
+		interval: interval,
+		purge:    cfg.PurgeIdleAfter,
+		hosts:    make([]Host, len(specs)),
+		order:    make([]string, len(specs)),
+	}
+	markets := make([]marketplane.HostMarket, len(specs))
+	for i, spec := range specs {
 		if spec.MaxVMs < 1 {
 			spec.MaxVMs = 15 * spec.CPUs
-		}
-		if _, dup := c.hosts[spec.ID]; dup {
-			return nil, fmt.Errorf("%w: duplicate host %q", ErrBadSpec, spec.ID)
-		}
-		vmm, err := vm.NewManager(vm.Config{HostID: spec.ID, MaxVMs: spec.MaxVMs, CreateOverhead: spec.CreateOverhead})
-		if err != nil {
-			return nil, err
 		}
 		mech, err := mechanism.New(cfg.Mechanism, mechanism.Config{})
 		if err != nil {
 			return nil, err
 		}
-		market, err := auction.NewMarket(auction.Config{
+		h := &c.hosts[i]
+		h.Spec, h.index, h.Market = spec, int32(i), &h.market
+		if err := h.market.Init(auction.Config{
 			HostID:       spec.ID,
 			CapacityMHz:  spec.CPUMHz * float64(spec.CPUs),
 			ReservePrice: cfg.ReservePrice,
 			Start:        engine.Now(),
 			Mechanism:    mech,
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		c.hosts[spec.ID] = &Host{Spec: spec, Market: market, VMs: vmm}
-		c.order = append(c.order, spec.ID)
-	}
-	sort.Strings(c.order)
-	c.list = make([]*Host, len(c.order))
-	for i, id := range c.order {
-		c.list[i] = c.hosts[id]
-		c.list[i].index = i
-	}
-	markets := make([]marketplane.HostMarket, len(c.list))
-	for i, h := range c.list {
+		c.order[i] = spec.ID
 		markets[i] = h.Market
 	}
 	p, err := marketplane.New(marketplane.Config{Markets: markets})
@@ -224,7 +227,7 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.plane = p
-	c.isDown = func(i int) bool { return c.list[i].down }
+	c.isDown = func(i int) bool { return c.hosts[i].down }
 	return c, nil
 }
 
@@ -247,25 +250,30 @@ func (c *Cluster) Engine() *sim.Engine { return c.engine }
 // Interval returns the reallocation period.
 func (c *Cluster) Interval() time.Duration { return c.interval }
 
-// Host returns a host by id.
+// Host returns a host by id: a binary search of the sorted ids.
 func (c *Cluster) Host(id string) (*Host, error) {
-	h, ok := c.hosts[id]
+	i, ok := slices.BinarySearch(c.order, id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, id)
 	}
-	return h, nil
+	return &c.hosts[i], nil
 }
+
+// HostAt returns the host at index i of HostIDs.
+func (c *Cluster) HostAt(i int) *Host { return &c.hosts[i] }
 
 // NumHosts returns how many hosts the cluster has: the length of HostIDs,
 // without its copy.
 func (c *Cluster) NumHosts() int { return len(c.order) }
 
-// HostIDs returns all host ids in deterministic order.
-func (c *Cluster) HostIDs() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
+// HostIDs returns all host ids in deterministic order (ascending), in a
+// slice of the caller's own.
+func (c *Cluster) HostIDs() []string { return slices.Clone(c.order) }
+
+// SharedHostIDs is HostIDs without the copy: the cluster's own slice, capped
+// at its length, which the caller reads and never writes. An agent over the
+// whole cluster lays its candidates out in it.
+func (c *Cluster) SharedHostIDs() []string { return c.order[:len(c.order):len(c.order)] }
 
 // Sync brings the named hosts' markets up to date (auction.Market.Sync), or
 // every host's when none is named; ids the cluster does not know are ignored.
@@ -273,14 +281,14 @@ func (c *Cluster) HostIDs() []string {
 // whoever reads what a market's observers have recorded syncs it first.
 func (c *Cluster) Sync(hosts ...string) {
 	if len(hosts) == 0 {
-		for _, h := range c.list {
-			h.Market.Sync()
+		for i := range c.hosts {
+			c.hosts[i].market.Sync()
 		}
 		return
 	}
 	for _, id := range hosts {
-		if h, ok := c.hosts[id]; ok {
-			h.Market.Sync()
+		if h, err := c.Host(id); err == nil {
+			h.market.Sync()
 		}
 	}
 }
@@ -332,7 +340,7 @@ func (c *Cluster) StartTask(hostID string, owner auction.BidderID, workMHzSec fl
 	if h.down {
 		return nil, fmt.Errorf("%w: %q", ErrHostDown, hostID)
 	}
-	machine, err := h.VMs.Acquire(string(owner), c.engine.Now())
+	machine, err := h.VMs.Acquire(h.vmHost(), string(owner), c.engine.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +409,7 @@ func (c *Cluster) tick() {
 	running, busyHosts := 0, 0
 	stay := c.busy[:0]
 	for _, i := range c.busy {
-		h := c.list[i]
+		h := &c.hosts[i]
 		if !h.down {
 			// An OnDone in here may start tasks: on this host, which then
 			// stays busy below, or on another, which is busy already or joins
@@ -429,7 +437,7 @@ func (c *Cluster) tick() {
 	mPhaseAdvance.Observe(end.Sub(advanceStart).Seconds())
 	mTicks.Inc()
 	mRunningTasks.Set(float64(running))
-	mHostUtilization.Set(float64(busyHosts) / float64(len(c.list)))
+	mHostUtilization.Set(float64(busyHosts) / float64(len(c.hosts)))
 	mHostsDown.Set(float64(c.down))
 }
 

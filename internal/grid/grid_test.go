@@ -3,6 +3,8 @@ package grid
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +48,56 @@ func TestNewValidation(t *testing.T) {
 	dup := []HostSpec{{ID: "h", CPUs: 1, CPUMHz: 100}, {ID: "h", CPUs: 1, CPUMHz: 100}}
 	if _, err := New(eng, Config{Hosts: dup}); !errors.Is(err, ErrBadSpec) {
 		t.Error("duplicate id accepted")
+	}
+	// A duplicate apart from its twin in the specs is next to it once sorted.
+	apart := []HostSpec{{ID: "h2", CPUs: 1, CPUMHz: 100}, {ID: "h1", CPUs: 1, CPUMHz: 100}, {ID: "h3", CPUs: 1, CPUMHz: 100}, {ID: "h2", CPUs: 2, CPUMHz: 100}}
+	if _, err := New(eng, Config{Hosts: apart}); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), `duplicate host "h2"`) {
+		t.Errorf("duplicate id apart from its twin: %v, want a duplicate host error", err)
+	}
+}
+
+// TestHostLookupFindsEveryID: the cluster finds a host by a binary search of
+// its sorted ids. Over 10 000 hosts given in reverse order, every id finds its
+// host, whose Index is its position in HostIDs and HostAt's host; an id the
+// cluster does not have — a prefix of a real one, one sorting before the
+// first or past the last — is ErrUnknownHost, for Host and every operation
+// that names a host.
+func TestHostLookupFindsEveryID(t *testing.T) {
+	const hosts = 10_000
+	specs := make([]HostSpec, hosts)
+	for i := range specs {
+		specs[hosts-1-i] = HostSpec{ID: fmt.Sprintf("h%05d", i), CPUs: 1 + i%2, CPUMHz: 1000}
+	}
+	c, err := New(sim.NewEngine(), Config{Hosts: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.HostIDs()
+	if len(ids) != hosts || c.NumHosts() != hosts || !slices.IsSorted(ids) {
+		t.Fatalf("HostIDs holds %d ids (sorted %v), NumHosts %d, want %d sorted", len(ids), slices.IsSorted(ids), c.NumHosts(), hosts)
+	}
+	for i, id := range ids {
+		h, err := c.Host(id)
+		if err != nil {
+			t.Fatalf("Host(%q): %v", id, err)
+		}
+		if h.Spec.ID != id || h.Index() != i || ids[h.Index()] != id || c.HostAt(i) != h {
+			t.Fatalf("Host(%q) is %q at index %d, want index %d", id, h.Spec.ID, h.Index(), i)
+		}
+		if want := 1000.0 * float64(1+i%2); h.TotalMHz() != want || h.Market.HostID() != id {
+			t.Fatalf("Host(%q) has %v MHz and market %q, want %v and its own", id, h.TotalMHz(), h.Market.HostID(), want)
+		}
+	}
+	for _, id := range []string{"h0000", "h1234", "h", "", "a", "h10000", "h99999", "i"} {
+		if _, err := c.Host(id); !errors.Is(err, ErrUnknownHost) {
+			t.Errorf("Host(%q) = %v, want ErrUnknownHost", id, err)
+		}
+		if _, err := c.PlaceBid(id, "alice", 1, sim.Epoch.Add(time.Hour)); !errors.Is(err, ErrUnknownHost) {
+			t.Errorf("PlaceBid on %q = %v, want ErrUnknownHost", id, err)
+		}
+		if _, err := c.FailHost(id); !errors.Is(err, ErrUnknownHost) {
+			t.Errorf("FailHost(%q) = %v, want ErrUnknownHost", id, err)
+		}
 	}
 }
 
@@ -406,7 +458,7 @@ func TestHostAccessors(t *testing.T) {
 }
 
 // TestHostListFollowsOrder pins the invariant the tick and the agent's
-// resolved partition rest on: list[i] is the host named order[i], in sorted
+// resolved partition rest on: hosts[i] is the host named order[i], in sorted
 // id order, whatever order the specs arrived in ("h10" sorts before "h9").
 func TestHostListFollowsOrder(t *testing.T) {
 	eng := sim.NewEngine()
@@ -422,13 +474,13 @@ func TestHostListFollowsOrder(t *testing.T) {
 	if want := []string{"h0", "h1", "h10", "h100", "h11", "h9"}; fmt.Sprint(ids) != fmt.Sprint(want) {
 		t.Fatalf("HostIDs = %v, want %v", ids, want)
 	}
-	if len(c.list) != len(ids) {
-		t.Fatalf("list holds %d hosts, want %d", len(c.list), len(ids))
+	if len(c.hosts) != len(ids) {
+		t.Fatalf("the cluster holds %d hosts, want %d", len(c.hosts), len(ids))
 	}
 	for i, id := range ids {
 		h, err := c.Host(id)
-		if err != nil || c.list[i] != h || h.Spec.ID != id {
-			t.Errorf("list[%d] is not host %q", i, id)
+		if err != nil || c.HostAt(i) != h || h.Spec.ID != id || h.Index() != i || h.Market != &h.market {
+			t.Errorf("hosts[%d] is not host %q", i, id)
 		}
 	}
 }

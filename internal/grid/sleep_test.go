@@ -50,7 +50,8 @@ func newObservedCluster(t *testing.T, hosts int) *observedCluster {
 		t.Fatal(err)
 	}
 	w := &observedCluster{Cluster: c, eng: eng, rings: map[string]*tsdb.Ring{}}
-	for _, h := range c.list {
+	for i := range c.hosts {
+		h := &c.hosts[i]
 		h.Market.History(pricefeed.DefaultCapacity)
 		w.rings[h.Spec.ID] = h.Market.History(1000)
 	}
@@ -150,8 +151,8 @@ func TestAsleepHostsMatchATwinThatNeverSleeps(t *testing.T) {
 		if n := got.rings[id].Lost(); n != 0 {
 			t.Errorf("%s: ring lost %d samples, want none", id, n)
 		}
-		if g, w := got.plane.PriceAt(i), want.plane.PriceAt(i); g != w || g != got.list[i].Market.SpotPrice() {
-			t.Errorf("%s: cached price %v, the twin's %v, spot %v", id, g, w, got.list[i].Market.SpotPrice())
+		if g, w := got.plane.PriceAt(i), want.plane.PriceAt(i); g != w || g != got.HostAt(i).Market.SpotPrice() {
+			t.Errorf("%s: cached price %v, the twin's %v, spot %v", id, g, w, got.HostAt(i).Market.SpotPrice())
 		}
 	}
 	if !reflect.DeepEqual(got.money, want.money) {
@@ -215,7 +216,8 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed := make([]*tsdb.Ring, hosts)
-	for i, h := range c.list {
+	for i := range c.hosts {
+		h := &c.hosts[i]
 		feed[i] = tsdb.NewRing(pricefeed.DefaultCapacity)
 		h.Market.Observe(pricefeed.Observer(feed[i]))
 	}
@@ -241,7 +243,8 @@ func TestSleepingWorldTickAllocationBound(t *testing.T) {
 		t.Errorf("%d B allocated per idle tick, want <= %d", perTick, maxBytesPerTick)
 	}
 	c.Sync()
-	for i, h := range c.list {
+	for i := range c.hosts {
+		h := &c.hosts[i]
 		samples := feed[i].Since(math.MinInt64)
 		if len(samples) != warm+ticks {
 			t.Fatalf("%s: ring holds %d samples after Sync, want one per tick, %d", h.Spec.ID, len(samples), warm+ticks)

@@ -57,16 +57,16 @@ type planeBench struct {
 // index by host id; New has refused duplicates, so each id has one entry.
 func (p *Plane) ShardIndexOf(host string) (int, bool) {
 	p.byHostOnce.Do(func() {
-		p.byHost = make(map[string]int, len(p.hostIDs))
-		for g, id := range p.hostIDs {
-			p.byHost[id] = g
+		p.byHost = make(map[string]int, len(p.slot))
+		for g := range p.slot {
+			p.byHost[p.market(g).HostID()] = g
 		}
 	})
 	g, ok := p.byHost[host]
 	if !ok {
 		return 0, false
 	}
-	return p.slot[g].shard.index, true
+	return int(p.slot[g].shard), true
 }
 
 // PriceAt returns the cached spot price of the host at canonical index i —
@@ -81,8 +81,8 @@ func (p *Plane) ShardIndexOf(host string) (int, bool) {
 func (p *Plane) PriceAt(i int) float64 {
 	p.pricesOnce.Do(func() {
 		p.prices = make([]atomic.Uint64, len(p.slot))
-		for g, ref := range p.slot {
-			m, price := ref.shard.markets[ref.local], &p.prices[g]
+		for g := range p.slot {
+			m, price := p.market(g), &p.prices[g]
 			m.Observe(func(spot float64, _ time.Time) { price.Store(math.Float64bits(spot)) })
 			price.Store(math.Float64bits(m.SpotPrice()))
 		}
@@ -96,11 +96,12 @@ func (p *Plane) PriceAt(i int) float64 {
 // auctioneer's.
 func (p *Plane) EnqueueBidAt(i int, bidder auction.BidderID, budget bank.Amount, deadline time.Time) {
 	ref := p.slot[i]
-	ref.shard.mu.Lock()
-	ref.shard.queue = append(ref.shard.queue, queuedBid{
-		local: ref.local, bidder: bidder, budget: budget, deadline: deadline,
+	s := p.shards[ref.shard]
+	s.mu.Lock()
+	s.queue = append(s.queue, queuedBid{
+		local: int(ref.local), bidder: bidder, budget: budget, deadline: deadline,
 	})
-	ref.shard.mu.Unlock()
+	s.mu.Unlock()
 }
 
 // TickShard applies shard i's queued bids, advances the shard to now and
@@ -115,7 +116,7 @@ func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []T
 	if s.results == nil {
 		s.results = make([]TickResult, len(s.markets))
 		for local, g := range s.globals {
-			s.results[local].Host, s.results[local].Index = p.hostIDs[g], g
+			s.results[local].Host, s.results[local].Index = s.markets[local].HostID(), int(g)
 		}
 	}
 	for local := range s.results {
@@ -123,7 +124,7 @@ func (p *Plane) TickShard(i int, now time.Time, skip func(host string) bool) []T
 	}
 	var skipAt func(g int) bool
 	if skip != nil {
-		skipAt = func(g int) bool { return skip(p.hostIDs[g]) }
+		skipAt = func(g int) bool { return skip(p.market(g).HostID()) }
 	}
 	s.applyQueue(skipAt)
 	s.tickInto(p, now, skipAt, s.results)
@@ -144,7 +145,7 @@ func (s *shard) applyQueue(skip func(g int) bool) {
 	s.mu.Unlock()
 	slices.SortStableFunc(q, func(a, b queuedBid) int { return strings.Compare(string(a.bidder), string(b.bidder)) })
 	for _, b := range q {
-		if skip == nil || !skip(s.globals[b.local]) {
+		if skip == nil || !skip(int(s.globals[b.local])) {
 			_, _ = s.markets[b.local].PlaceBid(b.bidder, b.budget, b.deadline)
 		}
 	}

@@ -56,21 +56,20 @@ type TickResult struct {
 // them that are awake, the log of swept instants under the shard's own lock,
 // and pre-resolved metric children.
 type shard struct {
-	index   int
 	markets []HostMarket
-	globals []int // canonical index of each local market, ascending
-	naps    []nap // each local market's way back from sleep
+	globals []int32 // canonical index of each local market, ascending
+	naps    []nap   // each local market's way back from sleep
 
 	// awake holds the local indices a sweep visits, ascending. A sweep ticks
 	// each, and drops the ones that fall asleep (auction.Market.Sleep); only
 	// sweeps touch it. cleared is TickAll's results for this shard: the clears
 	// that moved money.
-	awake   []int
+	awake   []int32
 	cleared []TickResult
 
 	mu    sync.Mutex // guards ticks, woken and shardBench's queue
 	ticks tickLog    // every instant a sweep has ticked the awake markets at
-	woken []int      // markets woken since the last sweep began; they join the next
+	woken []int32    // markets woken since the last sweep began; they join the next
 
 	clears *metrics.Counter // this shard's marketplane_shard_clears_total child
 
@@ -96,9 +95,13 @@ const wokenKept = 256
 // skip predicate must only accept awake hosts (Sync a host before the
 // predicate first accepts it): a sleeping host is not asked, and would replay
 // the instants it should have been skipped at.
+//
+// What the plane keeps per market is where to find it: the market and its
+// canonical index in its shard's lists, its shard and place there by
+// canonical index, and its way back from sleep, in int32 indices. A host's
+// id is its market's (HostMarket.HostID), never a copy.
 type Plane struct {
 	shards  []*shard
-	hostIDs []string     // canonical index -> host id
 	slot    []slotRef    // canonical index -> shard/local
 	results []TickResult // TickAll's results of every shard, sorted by index
 	awake   []uint64     // AppendAwake's scratch, a bit per canonical index
@@ -107,8 +110,14 @@ type Plane struct {
 }
 
 type slotRef struct {
-	shard *shard
-	local int
+	shard int32 // index into Plane.shards
+	local int32
+}
+
+// market returns the market at canonical index g.
+func (p *Plane) market(g int) HostMarket {
+	ref := p.slot[g]
+	return p.shards[ref.shard].markets[ref.local]
 }
 
 // ErrBadPlaneConfig is returned by New for a config no plane can be built on.
@@ -128,36 +137,36 @@ func New(cfg Config) (*Plane, error) {
 		n = len(cfg.Markets)
 	}
 	p := &Plane{
-		shards:  make([]*shard, n),
-		hostIDs: make([]string, len(cfg.Markets)),
-		slot:    make([]slotRef, len(cfg.Markets)),
-		awake:   make([]uint64, (len(cfg.Markets)+63)/64),
+		shards: make([]*shard, n),
+		slot:   make([]slotRef, len(cfg.Markets)),
+		awake:  make([]uint64, (len(cfg.Markets)+63)/64),
 	}
 	// The hash spreads hosts evenly, so an even share is about what every
 	// shard will hold.
 	even := len(cfg.Markets)/n + 1
 	for i := range p.shards {
-		p.shards[i] = &shard{index: i, clears: mShardClears.With(strconv.Itoa(i)),
-			markets: make([]HostMarket, 0, even), globals: make([]int, 0, even),
-			naps: make([]nap, 0, even), awake: make([]int, 0, even)}
+		p.shards[i] = &shard{clears: mShardClears.With(strconv.Itoa(i)),
+			markets: make([]HostMarket, 0, even), globals: make([]int32, 0, even),
+			naps: make([]nap, 0, even), awake: make([]int32, 0, even)}
 	}
+	// The plane keeps no index by host id, which nothing a world runs reads:
+	// duplicates are found in a sorted list of the ids that lives only as
+	// long as New.
+	ids := make([]string, len(cfg.Markets))
 	for g, m := range cfg.Markets {
 		if m == nil {
 			return nil, fmt.Errorf("%w: nil market at %d", ErrBadPlaneConfig, g)
 		}
-		id := m.HostID()
-		s := p.shards[shardOf(id, n)]
-		local := len(s.markets)
+		ids[g] = m.HostID()
+		si := shardOf(ids[g], n)
+		s := p.shards[si]
+		local := int32(len(s.markets))
 		s.markets = append(s.markets, m)
-		s.globals = append(s.globals, g)
+		s.globals = append(s.globals, int32(g))
 		s.awake = append(s.awake, local) // every market starts awake
 		s.naps = append(s.naps, nap{shard: s, local: local})
-		p.hostIDs[g] = id
-		p.slot[g] = slotRef{shard: s, local: local}
+		p.slot[g] = slotRef{shard: int32(si), local: local}
 	}
-	// The plane keeps no index by host id, which nothing a world runs reads:
-	// duplicates are found in a sorted copy that lives only as long as New.
-	ids := slices.Clone(p.hostIDs)
 	slices.Sort(ids)
 	for i := 1; i < len(ids); i++ {
 		if ids[i] == ids[i-1] {
@@ -240,14 +249,14 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 		s.woken = s.woken[:0]
 	}
 	s.ticks.add(now)
-	logged := s.ticks.n
+	logged := uint32(s.ticks.n)
 	s.mu.Unlock()
 
 	s.cleared = s.cleared[:0]
 	clears := 0
 	stay := s.awake[:0]
 	for _, local := range s.awake {
-		m, g := s.markets[local], s.globals[local]
+		m, g := s.markets[local], int(s.globals[local])
 		if skip != nil && skip(g) {
 			stay = append(stay, local)
 			continue
@@ -257,7 +266,7 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 		if out != nil {
 			out[local].Charges, out[local].Refunds = charges, refunds
 		} else if len(charges) > 0 || len(refunds) > 0 {
-			s.cleared = append(s.cleared, TickResult{Host: p.hostIDs[g], Index: g, Charges: charges, Refunds: refunds})
+			s.cleared = append(s.cleared, TickResult{Host: m.HostID(), Index: g, Charges: charges, Refunds: refunds})
 		}
 		// Written before Sleep arms the wake that reads it: the market's
 		// lock orders the two.
@@ -275,26 +284,27 @@ func (s *shard) tickInto(p *Plane, now time.Time, skip func(g int) bool, out []T
 }
 
 // nap is a sleeping market's way back (auction.Waker): which market it is,
-// and the log position its debt starts at.
+// and the log position its debt starts at, modulo 2^32 — exact for a market
+// that sleeps through fewer than 2^32 sweeps.
 type nap struct {
 	shard *shard
-	local int
-	from  int
+	local int32
+	from  uint32
 }
 
 // Wake has the market join the next sweep and replays the instants swept
 // since it fell asleep — outside the shard lock, since replay runs the
 // market's observers.
-func (n *nap) Wake(replay func(at time.Time)) {
+func (n *nap) Wake(r auction.Replayer) {
 	s := n.shard
 	s.mu.Lock()
 	var buf [4]tickRun
-	missed := s.ticks.since(n.from, buf[:0])
+	missed := s.ticks.since(s.ticks.n-int(uint32(s.ticks.n)-n.from), buf[:0])
 	s.woken = append(s.woken, n.local)
 	s.mu.Unlock()
-	for _, r := range missed {
-		for k := 0; k < r.count; k++ {
-			replay(r.at(k))
+	for _, run := range missed {
+		for k := 0; k < run.count; k++ {
+			r.Replay(run.at(k))
 		}
 	}
 }

@@ -363,9 +363,9 @@ type wakeTracked struct {
 	m *sleepTracked
 }
 
-func (w wakeTracked) Wake(replay func(at time.Time)) {
+func (w wakeTracked) Wake(r auction.Replayer) {
 	w.m.asleep = false
-	w.Waker.Wake(replay)
+	w.Waker.Wake(r)
 }
 
 // AppendAwake lists, ascending, exactly the markets that are not asleep —
@@ -463,5 +463,90 @@ func TestWholeShardWakeIsReleased(t *testing.T) {
 	sweep()
 	if c := cap(s.woken); c > wokenKept {
 		t.Errorf("after a whole-shard wake and two sweeps the woken array keeps room for %d markets, want at most %d", c, wokenKept)
+	}
+}
+
+// TestWakeAfterMissedSweepsAllocatesNothing: a market that sleeps through k
+// sweeps and is then woken replays the k instants to its observer, in order,
+// and neither the wake nor the replay allocates: the market hands its nap
+// itself as the Replayer.
+func TestWakeAfterMissedSweepsAllocatesNothing(t *testing.T) {
+	const missed = 6
+	m, err := auction.NewMarket(auction.Config{HostID: "h0", CapacityMHz: 1000, Start: sim.Epoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []time.Time
+	m.Observe(func(_ float64, at time.Time) { seen = append(seen, at) })
+	p, err := New(Config{Markets: []HostMarket{m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := sim.Epoch
+	sweep := func() {
+		now = now.Add(auction.DefaultInterval)
+		p.TickAll(now, nil)
+	}
+	// One cycle: a sweep that clears the market (it falls asleep), missed
+	// sweeps that pass it over, and a Sync that wakes it.
+	cycle := func() {
+		sweep()
+		for i := 0; i < missed; i++ {
+			sweep()
+		}
+		m.Sync()
+	}
+	sweep()
+	seen = make([]time.Time, 0, 8*(missed+1)*(missed+1))
+	cycle()
+	if len(seen) != missed+1 {
+		t.Fatalf("a cycle delivered %d samples, want %d: the market did not sleep through the sweeps", len(seen), missed+1)
+	}
+	for i, at := range seen {
+		if want := now.Add(-time.Duration(missed-i) * auction.DefaultInterval); !at.Equal(want) {
+			t.Fatalf("sample %d at %v, want %v", i, at, want)
+		}
+	}
+	seen = seen[:0]
+	if allocs := testing.AllocsPerRun(4*missed, cycle); allocs != 0 {
+		t.Errorf("a wake after %d missed sweeps allocates %v times, want 0", missed, allocs)
+	}
+	if want := (4*missed + 1) * (missed + 1); len(seen) != want {
+		t.Errorf("the cycles delivered %d samples, want %d", len(seen), want)
+	}
+}
+
+// TestWakeAcrossTheNapCounterWrap: a nap keeps its log position modulo 2^32,
+// so a market that falls asleep just before a shard's log passes 2^32
+// instants and wakes after it still replays exactly the sweeps it missed.
+func TestWakeAcrossTheNapCounterWrap(t *testing.T) {
+	const missed = 5
+	m, err := auction.NewMarket(auction.Config{HostID: "h0", CapacityMHz: 1000, Start: sim.Epoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []time.Time
+	m.Observe(func(_ float64, at time.Time) { seen = append(seen, at) })
+	p, err := New(Config{Markets: []HostMarket{m}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.shards[0].ticks.n = 1<<32 - 2
+	now := sim.Epoch
+	for i := 0; i <= missed; i++ {
+		now = now.Add(auction.DefaultInterval)
+		p.TickAll(now, nil)
+	}
+	if n := p.shards[0].ticks.n; n <= 1<<32 {
+		t.Fatalf("the log holds %d instants, want past 2^32", n)
+	}
+	m.Sync()
+	if len(seen) != missed+1 {
+		t.Fatalf("the market saw %d samples across the wrap, want %d", len(seen), missed+1)
+	}
+	for i, at := range seen {
+		if want := sim.Epoch.Add(time.Duration(i+1) * auction.DefaultInterval); !at.Equal(want) {
+			t.Errorf("sample %d at %v, want %v", i, at, want)
+		}
 	}
 }

@@ -48,7 +48,8 @@ type VM struct {
 	LastUsed time.Time
 }
 
-// Config tunes a host's VM manager.
+// Config describes the host a manager's VMs run on. Its owner keeps it (a
+// grid host's spec) and hands it to every Acquire, the one call that boots.
 type Config struct {
 	HostID string
 	// MaxVMs caps concurrently existing (non-purged) VMs; the paper reports
@@ -58,13 +59,19 @@ type Config struct {
 	CreateOverhead time.Duration
 }
 
-// Manager owns the VMs of one host. It is not safe for concurrent use; the
-// grid layer serializes access per host.
+// Manager owns the VMs of one host. Its zero value is ready and holds none:
+// the first boot (Acquire) makes its fleet, so a host that never ran a job,
+// most of a wide grid, holds one nil pointer. It is not safe for concurrent
+// use; the grid layer serializes access per host.
 type Manager struct {
-	cfg Config
-	// vms and byOwner are made at the first boot (Acquire): a host that never
-	// ran a job, most of a wide grid, holds no map. Every other method only
-	// reads or deletes, which a nil map allows.
+	f *fleet
+}
+
+// fleet is what a manager keeps from its first boot on. vms and byOwner are
+// nil while no VM exists — before the first boot, and again once the last VM
+// is purged — and every method but Acquire only reads or deletes, which a
+// nil map allows. seq outlives them, so a VM ID is never reused.
+type fleet struct {
 	vms     map[string]*VM
 	byOwner map[string]map[string]*VM
 	seq     int
@@ -77,6 +84,14 @@ type Manager struct {
 	anyIdle   bool
 }
 
+// vmsOf returns the live VMs: none before the first boot.
+func (m *Manager) vmsOf() map[string]*VM {
+	if m.f == nil {
+		return nil
+	}
+	return m.f.vms
+}
+
 // Errors returned by the manager.
 var (
 	ErrHostFull  = errors.New("vm: host VM limit reached")
@@ -84,32 +99,29 @@ var (
 	ErrBadState  = errors.New("vm: operation invalid in current state")
 )
 
-// NewManager validates cfg and returns a manager.
-func NewManager(cfg Config) (*Manager, error) {
-	if cfg.HostID == "" {
-		return nil, errors.New("vm: empty host id")
-	}
-	if cfg.MaxVMs < 1 {
-		return nil, fmt.Errorf("vm: MaxVMs %d, want >= 1", cfg.MaxVMs)
-	}
-	return &Manager{cfg: cfg}, nil
-}
-
-// Acquire finds or creates a VM for owner at time now. Reuse policy (paper
+// Acquire finds or creates a VM for owner at time now on the host described
+// by host. Reuse policy (paper
 // §3): a user may reuse their own idle VM on the same physical host, the one
 // with the lowest ID if there are several (the paper wipes its scratch space
 // between jobs; the model keeps none). The returned VM is in StateRunning;
 // its ReadyAt tells the caller when the job can actually start (a fresh VM's
 // boot).
-func (m *Manager) Acquire(owner string, now time.Time) (*VM, error) {
+func (m *Manager) Acquire(host Config, owner string, now time.Time) (*VM, error) {
+	if host.HostID == "" || host.MaxVMs < 1 {
+		return nil, fmt.Errorf("vm: host %q with MaxVMs %d, want an id and >= 1", host.HostID, host.MaxVMs)
+	}
 	if owner == "" {
 		return nil, errors.New("vm: empty owner")
 	}
+	if m.f == nil {
+		m.f = new(fleet)
+	}
+	f := m.f
 	// Selection scans only this owner's VMs (the per-owner index) — this
 	// sits on the scheduler's retry path, so it must stay cheap even on
 	// hosts crowded with other users' machines.
 	var best *VM
-	for _, v := range m.byOwner[owner] {
+	for _, v := range f.byOwner[owner] {
 		if v.State == StateIdle && (best == nil || v.ID < best.ID) {
 			best = v
 		}
@@ -121,43 +133,43 @@ func (m *Manager) Acquire(owner string, now time.Time) (*VM, error) {
 		return best, nil
 	}
 
-	if m.liveCount() >= m.cfg.MaxVMs {
+	if len(f.vms) >= host.MaxVMs {
 		// Returned unwrapped: this is the scheduler's hot retry path and
 		// formatting a fresh error each attempt dominated profiles.
 		return nil, ErrHostFull
 	}
 	v := &VM{
-		ID:       m.nextID(),
+		ID:       f.nextID(host.HostID),
 		Owner:    owner,
 		State:    StateRunning,
 		LastUsed: now,
-		ReadyAt:  now.Add(m.cfg.CreateOverhead),
+		ReadyAt:  now.Add(host.CreateOverhead),
 	}
-	if m.vms == nil {
-		m.vms, m.byOwner = make(map[string]*VM), make(map[string]map[string]*VM)
+	if f.vms == nil {
+		f.vms, f.byOwner = make(map[string]*VM), make(map[string]map[string]*VM)
 	}
-	m.vms[v.ID] = v
-	if m.byOwner[owner] == nil {
-		m.byOwner[owner] = make(map[string]*VM)
+	f.vms[v.ID] = v
+	if f.byOwner[owner] == nil {
+		f.byOwner[owner] = make(map[string]*VM)
 	}
-	m.byOwner[owner][v.ID] = v
+	f.byOwner[owner][v.ID] = v
 	return v, nil
 }
 
 // nextID names the host's next VM "<host>-vm<seq>", seq zero-padded to three
 // digits. It allocates the string alone: a VM boots on the scheduler's path.
-func (m *Manager) nextID() string {
-	m.seq++
+func (f *fleet) nextID(hostID string) string {
+	f.seq++
 	var buf [20]byte
-	seq := strconv.AppendInt(buf[:0], int64(m.seq), 10)
-	return m.cfg.HostID + "-vm" + "00"[:max(0, 3-len(seq))] + string(seq)
+	seq := strconv.AppendInt(buf[:0], int64(f.seq), 10)
+	return hostID + "-vm" + "00"[:max(0, 3-len(seq))] + string(seq)
 }
 
 // Release marks a running VM idle after its job finishes. An unknown id is
 // ErrUnknownVM itself, unwrapped like ErrHostFull: the caller knows the id it
 // asked for, and a refusal allocates nothing.
 func (m *Manager) Release(id string, now time.Time) error {
-	v, ok := m.vms[id]
+	v, ok := m.vmsOf()[id]
 	if !ok {
 		return ErrUnknownVM
 	}
@@ -166,21 +178,21 @@ func (m *Manager) Release(id string, now time.Time) error {
 	}
 	v.State = StateIdle
 	v.LastUsed = now
-	m.noteIdle(now)
+	m.f.noteIdle(now)
 	return nil
 }
 
 // noteIdle lowers the reaper's bound to cover a VM idle since at.
-func (m *Manager) noteIdle(at time.Time) {
-	if !m.anyIdle || at.Before(m.idleSince) {
-		m.idleSince, m.anyIdle = at, true
+func (f *fleet) noteIdle(at time.Time) {
+	if !f.anyIdle || at.Before(f.idleSince) {
+		f.idleSince, f.anyIdle = at, true
 	}
 }
 
 // Purge destroys an idle VM, freeing a slot. An unknown id is ErrUnknownVM,
-// as for Release.
+// as for Release. Purging the last VM lets the maps go, as PurgeAll does.
 func (m *Manager) Purge(id string) error {
-	v, ok := m.vms[id]
+	v, ok := m.vmsOf()[id]
 	if !ok {
 		return ErrUnknownVM
 	}
@@ -188,12 +200,16 @@ func (m *Manager) Purge(id string) error {
 		return fmt.Errorf("%w: purge of %s vm", ErrBadState, v.State)
 	}
 	v.State = StatePurged
-	delete(m.vms, id)
-	if own := m.byOwner[v.Owner]; own != nil {
+	f := m.f
+	delete(f.vms, id)
+	if own := f.byOwner[v.Owner]; own != nil {
 		delete(own, id)
 		if len(own) == 0 {
-			delete(m.byOwner, v.Owner)
+			delete(f.byOwner, v.Owner)
 		}
+	}
+	if len(f.vms) == 0 {
+		f.vms, f.byOwner = nil, nil // the next boot makes them again
 	}
 	return nil
 }
@@ -204,19 +220,20 @@ func (m *Manager) Purge(id string) error {
 // it does walk it avoids sorting: purge order does not affect the outcome
 // (every victim is removed).
 func (m *Manager) PurgeIdleOlderThan(cutoff time.Time) int {
-	if !m.anyIdle || !m.idleSince.Before(cutoff) {
+	f := m.f
+	if f == nil || !f.anyIdle || !f.idleSince.Before(cutoff) {
 		return 0 // the common case: nothing idle, or nothing idle long enough
 	}
 	var victims []string
-	m.anyIdle = false
-	for id, v := range m.vms {
+	f.anyIdle = false
+	for id, v := range f.vms {
 		if v.State != StateIdle {
 			continue
 		}
 		if v.LastUsed.Before(cutoff) {
 			victims = append(victims, id)
 		} else {
-			m.noteIdle(v.LastUsed)
+			f.noteIdle(v.LastUsed)
 		}
 	}
 	n := 0
@@ -233,25 +250,26 @@ func (m *Manager) PurgeIdleOlderThan(cutoff time.Time) int {
 // at once, running ones included, so the usual Purge state check does not
 // apply.
 func (m *Manager) PurgeAll() int {
-	n := len(m.vms)
-	for _, v := range m.vms {
+	f := m.f
+	if f == nil {
+		return 0
+	}
+	n := len(f.vms)
+	for _, v := range f.vms {
 		v.State = StatePurged
 	}
-	m.vms, m.byOwner = nil, nil // the next boot makes them again
-	m.anyIdle = false
+	f.vms, f.byOwner = nil, nil // the next boot makes them again
+	f.anyIdle = false
 	return n
 }
 
-// liveCount counts non-purged VMs.
-func (m *Manager) liveCount() int { return len(m.vms) }
-
 // Live returns the number of existing VMs.
-func (m *Manager) Live() int { return m.liveCount() }
+func (m *Manager) Live() int { return len(m.vmsOf()) }
 
 // Running returns the number of VMs currently executing jobs.
 func (m *Manager) Running() int {
 	n := 0
-	for _, v := range m.vms {
+	for _, v := range m.vmsOf() {
 		if v.State == StateRunning {
 			n++
 		}

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -11,21 +12,32 @@ import (
 	"tycoongrid/internal/sim"
 )
 
-func mgr(t *testing.T, maxVMs int) *Manager {
-	t.Helper()
-	m, err := NewManager(Config{HostID: "h1", MaxVMs: maxVMs, CreateOverhead: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+// host is a manager with the host it manages, as a grid host keeps them:
+// its Acquire hands the manager the host's config.
+type host struct {
+	Manager
+	cfg Config
 }
 
-func TestNewManagerValidation(t *testing.T) {
-	if _, err := NewManager(Config{MaxVMs: 1}); err == nil {
+func (h *host) Acquire(owner string, now time.Time) (*VM, error) {
+	return h.Manager.Acquire(h.cfg, owner, now)
+}
+
+func mgr(t *testing.T, maxVMs int) *host {
+	t.Helper()
+	return &host{cfg: Config{HostID: "h1", MaxVMs: maxVMs, CreateOverhead: 60 * time.Second}}
+}
+
+func TestAcquireValidatesHost(t *testing.T) {
+	var m Manager
+	if _, err := m.Acquire(Config{MaxVMs: 1}, "alice", sim.Epoch); err == nil {
 		t.Error("empty host accepted")
 	}
-	if _, err := NewManager(Config{HostID: "h", MaxVMs: 0}); err == nil {
+	if _, err := m.Acquire(Config{HostID: "h", MaxVMs: 0}, "alice", sim.Epoch); err == nil {
 		t.Error("MaxVMs=0 accepted")
+	}
+	if m.f != nil {
+		t.Error("a refused boot made the fleet")
 	}
 }
 
@@ -115,8 +127,8 @@ func TestAcquireFreshVMAllocationBound(t *testing.T) {
 func TestUnbootedManagerAllocatesNothing(t *testing.T) {
 	m := mgr(t, 5)
 	now := sim.Epoch
-	if m.vms != nil || m.byOwner != nil {
-		t.Fatal("NewManager made its maps before the first boot")
+	if m.f != nil {
+		t.Fatal("a manager made its fleet before the first boot")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if n := m.Live(); n != 0 {
@@ -192,7 +204,7 @@ func TestPurge(t *testing.T) {
 	if err := m.Purge(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.vms[v.ID]; ok {
+	if _, ok := m.vmsOf()[v.ID]; ok {
 		t.Error("purged VM still visible")
 	}
 	// Slot freed: a full host can admit again.
@@ -270,7 +282,7 @@ func TestPurgeAll(t *testing.T) {
 	if running.State != StatePurged || idle.State != StatePurged {
 		t.Errorf("states = %v, %v, want purged", running.State, idle.State)
 	}
-	if _, ok := m.vms[running.ID]; ok {
+	if _, ok := m.vmsOf()[running.ID]; ok {
 		t.Error("VM still visible after PurgeAll")
 	}
 	// The host is empty again: new acquisitions start fresh.
@@ -286,9 +298,9 @@ func TestPurgeAll(t *testing.T) {
 
 // scanPurge is PurgeIdleOlderThan as it stood while it walked every VM on
 // every call: the oracle for the reaper's early return.
-func scanPurge(m *Manager, cutoff time.Time) int {
+func scanPurge(m *host, cutoff time.Time) int {
 	var victims []string
-	for id, v := range m.vms {
+	for id, v := range m.vmsOf() {
 		if v.State == StateIdle && v.LastUsed.Before(cutoff) {
 			victims = append(victims, id)
 		}
@@ -312,7 +324,7 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 	const window = 5 * time.Minute
 	fast, scan := mgr(t, 40), mgr(t, 40)
 	now := sim.Epoch
-	both := func(op func(m *Manager) error) {
+	both := func(op func(m *host) error) {
 		t.Helper()
 		err1, err2 := op(fast), op(scan)
 		if (err1 == nil) != (err2 == nil) {
@@ -320,7 +332,7 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 		}
 	}
 	acquire := func(owner string) {
-		both(func(m *Manager) error { _, err := m.Acquire(owner, now); return err })
+		both(func(m *host) error { _, err := m.Acquire(owner, now); return err })
 	}
 	// pick returns the n-th VM (by ID) in the given state, or "".
 	pick := func(state State, n int) string {
@@ -340,7 +352,7 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		id := pick(StateRunning, i*5)
-		both(func(m *Manager) error { return m.Release(id, now) })
+		both(func(m *host) error { return m.Release(id, now) })
 	}
 
 	src := rng.New(3)
@@ -350,13 +362,13 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 		switch src.Intn(12) {
 		case 0, 1: // a job ends: its VM goes idle
 			if id := pick(StateRunning, src.Intn(40)); id != "" {
-				both(func(m *Manager) error { return m.Release(id, now) })
+				both(func(m *host) error { return m.Release(id, now) })
 			}
 		case 2, 3: // a job starts: reuse the owner's idle VM or boot one
 			acquire(fmt.Sprintf("owner-%02d", src.Intn(20)))
 		case 4: // none at first: the first reap must come from Release's bound alone
 			if id := pick(StateIdle, src.Intn(40)); id != "" && tick > 100 && src.Intn(4) == 0 {
-				both(func(m *Manager) error { return m.Purge(id) })
+				both(func(m *host) error { return m.Purge(id) })
 			}
 		}
 		n1, n2 := fast.PurgeIdleOlderThan(now.Add(-window)), scanPurge(scan, now.Add(-window))
@@ -384,10 +396,63 @@ func TestPurgeIdleMatchesScanEveryTick(t *testing.T) {
 
 // sorted returns VMs ordered by ID for deterministic iteration.
 func (m *Manager) sorted() []*VM {
-	out := make([]*VM, 0, len(m.vms))
-	for _, v := range m.vms {
+	out := make([]*VM, 0, m.Live())
+	for _, v := range m.vmsOf() {
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// TestPurgingTheLastVMLetsTheMapsGo: a host whose last VM is purged — by
+// hand or by the reaper — holds no map again, as after PurgeAll, so a
+// long-lived host that reaps its jobs' VMs keeps only its fleet between jobs:
+// boot–purge cycles by ever new owners retain nothing, and VM IDs keep
+// counting.
+func TestPurgingTheLastVMLetsTheMapsGo(t *testing.T) {
+	const cycles, maxRetained = 2000, 2048
+	m := mgr(t, 5)
+	now := sim.Epoch
+	booted := 0
+	cycle := func(owner string, reap bool) {
+		v, err := m.Acquire(owner, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if booted++; v.ID != fmt.Sprintf("h1-vm%03d", booted) {
+			t.Fatalf("boot %d named its VM %s: the host's VM count started again", booted, v.ID)
+		}
+		if err := m.Release(v.ID, now); err != nil {
+			t.Fatal(err)
+		}
+		if reap {
+			if n := m.PurgeIdleOlderThan(now.Add(time.Second)); n != 1 {
+				t.Fatalf("the reaper purged %d VMs, want 1", n)
+			}
+		} else if err := m.Purge(v.ID); err != nil {
+			t.Fatal(err)
+		}
+		if m.f.vms != nil || m.f.byOwner != nil || m.Live() != 0 {
+			t.Fatalf("after purging its last VM (reaper %v) the host keeps its maps", reap)
+		}
+	}
+	cycle("alice", false)
+	cycle("bob", true)
+	owners := make([]string, cycles)
+	for i := range owners {
+		owners[i] = fmt.Sprintf("u%05d", i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, owner := range owners {
+		cycle(owner, i%2 == 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(owners)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > maxRetained {
+		t.Errorf("%d boot–purge cycles left the heap %d B larger, want at most %d", cycles, grew, maxRetained)
+	}
 }
